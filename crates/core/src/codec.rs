@@ -46,6 +46,30 @@ pub fn encode_to_vec(u: &Uda) -> Vec<u8> {
 
 /// Decode a UDA from the front of `buf`, returning it and the bytes consumed.
 pub fn decode(buf: &[u8]) -> Result<(Uda, usize)> {
+    let area = entry_area(buf)?;
+    let mut entries = Vec::with_capacity(area.len() / ENTRY_BYTES);
+    read_entries(area, &mut entries)?;
+    Ok((
+        Uda::from_sorted_unchecked(entries),
+        HEADER_BYTES + area.len(),
+    ))
+}
+
+/// [`decode`] into a caller-owned buffer: `entries` is cleared and filled
+/// with the validated entries (strictly increasing categories, every
+/// probability in `(0, 1]`, mass at most one), so a loop over many records
+/// allocates once. Returns the bytes consumed; on an error `entries` holds
+/// nothing meaningful.
+pub fn decode_into(buf: &[u8], entries: &mut Vec<Entry>) -> Result<usize> {
+    let area = entry_area(buf)?;
+    entries.clear();
+    read_entries(area, entries)?;
+    Ok(HEADER_BYTES + area.len())
+}
+
+/// The bytes of the (at least one) entries the header at the front of
+/// `buf` declares.
+fn entry_area(buf: &[u8]) -> Result<&[u8]> {
     if buf.len() < HEADER_BYTES {
         return Err(Error::Corrupt("buffer shorter than header"));
     }
@@ -54,16 +78,24 @@ pub fn decode(buf: &[u8]) -> Result<(Uda, usize)> {
     if buf.len() < need {
         return Err(Error::Corrupt("buffer shorter than declared entries"));
     }
-    let mut entries = Vec::with_capacity(n);
-    let mut off = HEADER_BYTES;
+    if n == 0 {
+        return Err(Error::Corrupt("empty UDA"));
+    }
+    Ok(&buf[HEADER_BYTES..need])
+}
+
+/// Append the entries encoded in `area`, validating the [`Uda`]
+/// invariants on the way.
+#[inline]
+fn read_entries(area: &[u8], entries: &mut Vec<Entry>) -> Result<()> {
     let mut prev: Option<CatId> = None;
     let mut mass = 0.0f64;
-    for _ in 0..n {
-        let cat = CatId(u32::from_le_bytes(
-            buf[off..off + 4].try_into().expect("len checked"),
-        ));
-        let prob = Prob::from_le_bytes(buf[off + 4..off + 8].try_into().expect("len checked"));
-        off += ENTRY_BYTES;
+    for e in area.as_chunks::<ENTRY_BYTES>().0 {
+        // One little-endian load: category in the low half, probability
+        // bits in the high half.
+        let word = u64::from_le_bytes(*e);
+        let cat = CatId(word as u32);
+        let prob = Prob::from_bits((word >> 32) as u32);
         if !(prob > 0.0 && prob <= 1.0) {
             return Err(Error::Corrupt("probability out of range"));
         }
@@ -76,13 +108,10 @@ pub fn decode(buf: &[u8]) -> Result<(Uda, usize)> {
         prev = Some(cat);
         entries.push(Entry { cat, prob });
     }
-    if entries.is_empty() {
-        return Err(Error::Corrupt("empty UDA"));
-    }
     if mass > 1.0 + crate::uda::MASS_EPSILON {
         return Err(Error::Corrupt("mass exceeds one"));
     }
-    Ok((Uda::from_sorted_unchecked(entries), off))
+    Ok(())
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //! linear merge over the shorter supports.
 
 use crate::domain::CatId;
-use crate::uda::Uda;
+use crate::uda::{Entry, Uda};
 use crate::Prob;
 
 /// `Pr(u = d)` for a plain category value `d` (Definition 1).
@@ -33,8 +33,15 @@ pub fn eq_prob_value(u: &Uda, d: CatId) -> f64 {
 /// assert!((eq_prob(&u, &v) - 0.48).abs() < 1e-6);
 /// # Ok::<(), uncat_core::Error>(())
 /// ```
+#[inline]
 pub fn eq_prob(u: &Uda, v: &Uda) -> f64 {
-    let (a, b) = (u.entries(), v.entries());
+    eq_prob_entries(u.entries(), v.entries())
+}
+
+/// [`eq_prob`] on bare entry slices (each sorted by strictly increasing
+/// category, as [`Uda::entries`] and [`crate::codec::decode_into`] give
+/// them), for callers that score records without materializing a [`Uda`].
+pub fn eq_prob_entries(a: &[Entry], b: &[Entry]) -> f64 {
     let mut i = 0;
     let mut j = 0;
     let mut acc = 0.0f64;

@@ -27,7 +27,10 @@
 //!
 //! The *stream* order of a block — the order cursors deliver entries — is
 //! descending probability with ties by ascending tid, exactly the raw
-//! posting-key order; [`decode_block`] re-sorts into it.
+//! posting-key order; [`decode_block`] re-sorts into it for the frontier
+//! cursors. Full and prefix scans do not care about the order inside a
+//! block and read it with [`visit_block`], in storage order, without the
+//! sort or a buffer.
 
 use uncat_core::{Prob, TupleId};
 use uncat_storage::{BufferPool, HeapFile, RecordId, Result, StorageError};
@@ -111,22 +114,44 @@ pub fn encode_block(entries: &[(TupleId, Prob)]) -> Vec<u8> {
     out
 }
 
-/// Decode a block payload back into stream order (descending probability,
-/// ties by ascending tid). A payload that does not parse — possible only
-/// through corruption that passed the physical checks — is a typed error.
-pub fn decode_block(bytes: &[u8]) -> Result<Vec<(TupleId, Prob)>> {
-    let count_bytes: [u8; 2] =
-        bytes
-            .get(..2)
-            .and_then(|b| b.try_into().ok())
-            .ok_or(StorageError::Corrupt(
+/// Visit a block payload's entries in storage (ascending-tid) order:
+/// `f(tid, p)` per entry, no buffer, no sort. Returns the entry count. A
+/// payload that does not parse — possible only through corruption that
+/// passed the physical checks — is a typed error; `f` may already have
+/// seen the entries before the bad one.
+pub fn visit_block(bytes: &[u8], mut f: impl FnMut(TupleId, Prob)) -> Result<usize> {
+    let count = match bytes {
+        [lo, hi, ..] => u16::from_le_bytes([*lo, *hi]) as usize,
+        _ => {
+            return Err(StorageError::Corrupt(
                 "posting block shorter than its header",
-            ))?;
-    let count = u16::from_le_bytes(count_bytes) as usize;
+            ))
+        }
+    };
+    // First pass: the probability area starts after `count` varints,
+    // i.e. after the `count`-th byte without a continuation bit.
+    let mut probs_at = 2usize;
+    for _ in 0..count {
+        loop {
+            let &b = bytes
+                .get(probs_at)
+                .ok_or(StorageError::Corrupt("posting block varint truncated"))?;
+            probs_at += 1;
+            if b & 0x80 == 0 {
+                break;
+            }
+        }
+    }
+    let probs = &bytes[probs_at..];
+    if probs.len() != 4 * count {
+        return Err(StorageError::Corrupt(
+            "posting block probability area missized",
+        ));
+    }
+    // Second pass: tids and probabilities side by side.
     let mut at = 2usize;
-    let mut tids = Vec::with_capacity(count.min(bytes.len()));
     let mut prev = 0u64;
-    for i in 0..count {
+    for (i, bits) in probs.chunks_exact(4).enumerate() {
         let v = read_varint(bytes, &mut at)?;
         let tid = if i == 0 {
             v
@@ -137,32 +162,39 @@ pub fn decode_block(bytes: &[u8]) -> Result<Vec<(TupleId, Prob)>> {
         if i > 0 && tid <= prev {
             return Err(StorageError::Corrupt("posting block tids not ascending"));
         }
-        tids.push(tid);
         prev = tid;
-    }
-    if bytes.len() != at + 4 * count {
-        return Err(StorageError::Corrupt(
-            "posting block probability area missized",
-        ));
-    }
-    let mut entries = Vec::with_capacity(count);
-    for (i, tid) in tids.into_iter().enumerate() {
-        let bits = u32::from_le_bytes(
-            bytes[at + 4 * i..at + 4 * i + 4]
-                .try_into()
-                .expect("4 bytes"),
-        );
-        let p = f32::from_bits(bits);
+        let p = f32::from_le_bytes([bits[0], bits[1], bits[2], bits[3]]);
         if !(p > 0.0 && p <= 1.0) {
             return Err(StorageError::Corrupt(
                 "posting block probability out of range",
             ));
         }
-        entries.push((tid, p));
+        f(tid, p);
     }
-    // Stream order = posting-key order: descending p, ties ascending tid.
-    entries.sort_unstable_by_key(|&(tid, p)| posting_key(p, tid));
+    Ok(count)
+}
+
+/// Decode a block payload back into stream order (descending probability,
+/// ties by ascending tid). A payload that does not parse — possible only
+/// through corruption that passed the physical checks — is a typed error.
+pub fn decode_block(bytes: &[u8]) -> Result<Vec<(TupleId, Prob)>> {
+    let mut entries = Vec::new();
+    decode_block_into(bytes, &mut entries)?;
     Ok(entries)
+}
+
+/// [`decode_block`] into a caller-owned buffer (cleared first), so a
+/// cursor walking a list allocates once.
+fn decode_block_into(bytes: &[u8], entries: &mut Vec<(TupleId, Prob)>) -> Result<()> {
+    entries.clear();
+    // An entry takes at least five bytes (one of varint, four of f32).
+    entries.reserve(bytes.len() / 5);
+    visit_block(bytes, |tid, p| entries.push((tid, p)))?;
+    // Stream order = posting-key order: descending p, ties ascending
+    // tid. Probabilities are positive, so their bit patterns order as
+    // the values do and the complement reverses them.
+    entries.sort_unstable_by_key(|&(tid, p)| (!p.to_bits(), tid));
+    Ok(())
 }
 
 /// Directory entry for one block.
@@ -241,8 +273,10 @@ impl BlockList {
     }
 
     /// Insert one entry, splitting the receiving block at
-    /// [`BLOCK_SPLIT`]. The payload record is rewritten (delete +
-    /// insert); the directory keeps exact separators so stream order is
+    /// [`BLOCK_SPLIT`]. The payload record is rewritten where it is
+    /// ([`HeapFile::update`]: its address changes only when its page
+    /// cannot hold it any more), so mutations do not leave dead payloads
+    /// behind; the directory keeps exact separators so stream order is
     /// preserved across arbitrary mutations.
     pub fn insert(
         &mut self,
@@ -261,23 +295,20 @@ impl BlockList {
         let mut entries = self.read_block(heap, pool, i)?;
         let at = entries.partition_point(|&(t, q)| posting_key(q, t) < key);
         entries.insert(at, (tid, p));
-        heap.delete(pool, self.blocks[i].rid)?;
-        if entries.len() > BLOCK_SPLIT {
-            let right = entries.split_off(entries.len() / 2);
-            let left_rid = heap.insert(pool, &encode_block(&entries))?;
+        let right = (entries.len() > BLOCK_SPLIT).then(|| entries.split_off(entries.len() / 2));
+        let rid = heap.update(pool, self.blocks[i].rid, &encode_block(&entries))?;
+        self.blocks[i] = meta_for(&entries, rid);
+        if let Some(right) = right {
             let right_rid = heap.insert(pool, &encode_block(&right))?;
-            self.blocks[i] = meta_for(&entries, left_rid);
             self.blocks.insert(i + 1, meta_for(&right, right_rid));
-        } else {
-            let rid = heap.insert(pool, &encode_block(&entries))?;
-            self.blocks[i] = meta_for(&entries, rid);
         }
         self.entries += 1;
         Ok(())
     }
 
     /// Remove one entry (exact `(tid, p)` match). Returns whether it was
-    /// present; an emptied block is dropped from the directory.
+    /// present; a shrunk block is rewritten in place, an emptied one is
+    /// deleted and dropped from the directory.
     pub fn remove(
         &mut self,
         heap: &mut HeapFile,
@@ -294,11 +325,11 @@ impl BlockList {
             return Ok(false);
         };
         entries.remove(at);
-        heap.delete(pool, self.blocks[i].rid)?;
         if entries.is_empty() {
+            heap.delete(pool, self.blocks[i].rid)?;
             self.blocks.remove(i);
         } else {
-            let rid = heap.insert(pool, &encode_block(&entries))?;
+            let rid = heap.update(pool, self.blocks[i].rid, &encode_block(&entries))?;
             self.blocks[i] = meta_for(&entries, rid);
         }
         self.entries -= 1;
@@ -311,13 +342,56 @@ impl BlockList {
         pool: &mut BufferPool,
         i: usize,
     ) -> Result<Vec<(TupleId, Prob)>> {
-        let bytes = heap
-            .get(pool, self.blocks[i].rid)?
-            .ok_or(StorageError::Corrupt(
-                "block directory points at a deleted record",
-            ))?;
-        decode_block(&bytes)
+        let mut entries = Vec::new();
+        read_payload(heap, pool, self.blocks[i].rid, |bytes| {
+            decode_block_into(bytes, &mut entries)
+        })?;
+        Ok(entries)
     }
+
+    /// Hand every block's payload to `f` in directory order — `f(meta,
+    /// bytes)`, returning whether to go on — with one page read per run
+    /// of directory neighbours that share a payload page (a built list
+    /// packs consecutive blocks onto consecutive pages, so that is one
+    /// read per page, not per block).
+    pub(crate) fn for_each_payload(
+        &self,
+        heap: &HeapFile,
+        pool: &mut BufferPool,
+        mut f: impl FnMut(&BlockMeta, &[u8]) -> Result<bool>,
+    ) -> Result<()> {
+        let mut slots: Vec<u16> = Vec::new();
+        let mut go_on = true;
+        for run in self.blocks.chunk_by(|a, b| a.rid.page == b.rid.page) {
+            if !go_on {
+                break;
+            }
+            slots.clear();
+            slots.extend(run.iter().map(|m| m.rid.slot));
+            heap.visit_slots(pool, run[0].rid.page, &slots, |i, bytes| {
+                if go_on {
+                    go_on = f(&run[i], bytes.ok_or(DELETED_PAYLOAD)?)?;
+                }
+                Ok(())
+            })?;
+        }
+        Ok(())
+    }
+}
+
+const DELETED_PAYLOAD: StorageError =
+    StorageError::Corrupt("block directory points at a deleted record");
+
+/// Run `f` on one payload record's bytes, in place on its page.
+fn read_payload(
+    heap: &HeapFile,
+    pool: &mut BufferPool,
+    rid: RecordId,
+    mut f: impl FnMut(&[u8]) -> Result<()>,
+) -> Result<()> {
+    heap.visit_slots(pool, rid.page, &[rid.slot], |_, bytes| {
+        f(bytes.ok_or(DELETED_PAYLOAD)?)
+    })
 }
 
 fn meta_for(entries: &[(TupleId, Prob)], rid: RecordId) -> BlockMeta {
@@ -337,8 +411,8 @@ pub struct BlockCursor<'a> {
     heap: &'a HeapFile,
     /// Current block index.
     block: usize,
-    /// Decoded entries of the current block (stream order), empty while
-    /// the block is undecoded.
+    /// Decoded entries of the current block (stream order) while
+    /// `decoded`; stale otherwise, kept for its allocation.
     buf: Vec<(TupleId, Prob)>,
     pos: usize,
     decoded: bool,
@@ -379,10 +453,10 @@ impl<'a> BlockCursor<'a> {
         }
     }
 
-    /// Whether the entry under the cursor is already decoded (its exact
-    /// `(tid, p)` is known without I/O).
-    pub fn head_is_exact(&self) -> bool {
-        self.decoded && !self.exhausted()
+    /// The entry under the cursor when its block is already decoded (its
+    /// exact `(tid, p)` is known without I/O).
+    pub fn exact_head(&self) -> Option<(TupleId, Prob)> {
+        (self.decoded && !self.exhausted()).then(|| self.buf[self.pos])
     }
 
     /// The exact entry under the cursor, decoding the current block if
@@ -394,14 +468,12 @@ impl<'a> BlockCursor<'a> {
         }
         let mut decoded_new = false;
         if !self.decoded {
-            let bytes = self
-                .heap
-                .get(pool, self.list.blocks[self.block].rid)?
-                .ok_or(StorageError::Corrupt(
-                    "block directory points at a deleted record",
-                ))?;
-            self.buf = decode_block(&bytes)?;
-            if self.buf.len() != self.list.blocks[self.block].count as usize {
+            let meta = &self.list.blocks[self.block];
+            let buf = &mut self.buf;
+            read_payload(self.heap, pool, meta.rid, |bytes| {
+                decode_block_into(bytes, buf)
+            })?;
+            if self.buf.len() != meta.count as usize {
                 return Err(StorageError::Corrupt(
                     "block count disagrees with its directory",
                 ));
@@ -427,7 +499,6 @@ impl<'a> BlockCursor<'a> {
             self.block += 1;
             self.pos = 0;
             self.decoded = false;
-            self.buf.clear();
         }
     }
 
@@ -447,6 +518,65 @@ mod tests {
 
     fn stream_sorted(entries: &mut [(TupleId, Prob)]) {
         entries.sort_unstable_by_key(|&(tid, p)| posting_key(p, tid));
+    }
+
+    /// The decoder as it stood before [`visit_block`] (every tid into a
+    /// buffer, then the probabilities, then a sort by posting key), kept
+    /// as the reference the in-place parser must agree with.
+    fn decode_block_reference(bytes: &[u8]) -> Result<Vec<(TupleId, Prob)>> {
+        let header = bytes.get(..2).ok_or(StorageError::Corrupt("header"))?;
+        let count = u16::from_le_bytes([header[0], header[1]]) as usize;
+        let mut at = 2usize;
+        let mut tids = Vec::new();
+        let mut prev = 0u64;
+        for i in 0..count {
+            let v = read_varint(bytes, &mut at)?;
+            let tid = if i == 0 {
+                v
+            } else {
+                prev.checked_add(v)
+                    .ok_or(StorageError::Corrupt("tid overflows"))?
+            };
+            if i > 0 && tid <= prev {
+                return Err(StorageError::Corrupt("tids not ascending"));
+            }
+            tids.push(tid);
+            prev = tid;
+        }
+        if bytes.len() != at + 4 * count {
+            return Err(StorageError::Corrupt("probability area missized"));
+        }
+        let mut entries = Vec::with_capacity(count);
+        for (tid, bits) in tids.into_iter().zip(bytes[at..].chunks_exact(4)) {
+            let p = f32::from_le_bytes([bits[0], bits[1], bits[2], bits[3]]);
+            if !(p > 0.0 && p <= 1.0) {
+                return Err(StorageError::Corrupt("probability out of range"));
+            }
+            entries.push((tid, p));
+        }
+        // Not `posting_key`: it debug-asserts 32-bit tids, which a
+        // mutated payload need not have.
+        entries.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        Ok(entries)
+    }
+
+    /// `visit_block`'s entries, or its error.
+    fn visited(bytes: &[u8]) -> Result<Vec<(TupleId, Prob)>> {
+        let mut seen = Vec::new();
+        let n = visit_block(bytes, |tid, p| seen.push((tid, p)))?;
+        assert_eq!(n, seen.len(), "returned count is the number of calls");
+        Ok(seen)
+    }
+
+    fn distinct_entries(raw: Vec<(u64, u32)>) -> Vec<(TupleId, Prob)> {
+        let mut seen = std::collections::HashSet::new();
+        let mut entries: Vec<(TupleId, Prob)> = raw
+            .into_iter()
+            .filter(|&(tid, _)| seen.insert(tid))
+            .map(|(tid, q)| (tid, q as f32 / PROB_SCALE as f32))
+            .collect();
+        stream_sorted(&mut entries);
+        entries
     }
 
     #[test]
@@ -564,8 +694,126 @@ mod tests {
         }
     }
 
+    /// Regression for the leak behind "`ingest_mix`'s page file grows
+    /// 160 → 730 pages in one window": every mutation used to tombstone
+    /// the block's payload and insert a new one, and the heap never
+    /// reclaims. Rewritten in place, a long run of mutations keeps the
+    /// block heap within 2× of a fresh build of the same content.
+    #[test]
+    fn alternating_mutations_do_not_leak_payload_pages() {
+        let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 256);
+        let mut heap = HeapFile::new();
+        let prob = |t: u64| ((t * 37) % 997 + 1) as f32 / 1000.0;
+        let mut lists: Vec<BlockList> = Vec::new();
+        let mut live: Vec<Vec<(TupleId, Prob)>> = Vec::new();
+        for l in 0..3u64 {
+            let mut entries: Vec<(TupleId, Prob)> =
+                (0..1500u64).map(|t| (3 * t + l, prob(3 * t + l))).collect();
+            stream_sorted(&mut entries);
+            lists.push(BlockList::build(&mut heap, &mut pool, &entries).unwrap());
+            live.push(entries);
+        }
+        let mut next = 10_000u64;
+        for step in 0..5000usize {
+            let l = step % 3;
+            if step % 2 == 0 {
+                next += 1;
+                lists[l]
+                    .insert(&mut heap, &mut pool, next, prob(next))
+                    .unwrap();
+                live[l].push((next, prob(next)));
+            } else {
+                let victim = (step * 7919) % live[l].len();
+                let (tid, p) = live[l].swap_remove(victim);
+                assert!(lists[l].remove(&mut heap, &mut pool, tid, p).unwrap());
+            }
+        }
+        let mut fresh_heap = HeapFile::new();
+        for (list, entries) in lists.iter().zip(&mut live) {
+            stream_sorted(entries);
+            let mut streamed = Vec::new();
+            let mut cur = BlockCursor::open(list, &heap);
+            while let Some((e, _)) = cur.head(&mut pool).unwrap() {
+                streamed.push(e);
+                cur.advance();
+            }
+            assert_eq!(&streamed, entries, "mutations kept the stream exact");
+            BlockList::build(&mut fresh_heap, &mut pool, entries).unwrap();
+        }
+        assert!(
+            heap.num_pages() <= 2 * fresh_heap.num_pages(),
+            "{} pages after 5000 mutations, {} freshly built",
+            heap.num_pages(),
+            fresh_heap.num_pages()
+        );
+    }
+
+    #[test]
+    fn for_each_payload_reads_each_page_once_and_stops_on_request() {
+        let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 64);
+        let mut heap = HeapFile::new();
+        let mut entries: Vec<(TupleId, Prob)> = (0..4000u64)
+            .map(|t| (t, 1.0 - (t as f32 + 1.0) / 4096.0))
+            .collect();
+        stream_sorted(&mut entries);
+        let list = BlockList::build(&mut heap, &mut pool, &entries).unwrap();
+        assert!(heap.num_pages() >= 3 && list.blocks().len() > heap.num_pages());
+        pool.reset_stats();
+        let mut seen = 0usize;
+        list.for_each_payload(&heap, &mut pool, |meta, bytes| {
+            assert_eq!(visit_block(bytes, |_, _| {})?, meta.count as usize);
+            seen += 1;
+            Ok(true)
+        })
+        .unwrap();
+        assert_eq!(seen, list.blocks().len());
+        assert_eq!(pool.stats().logical_reads, heap.num_pages() as u64);
+        // Stopping mid-run visits nothing further and reads no later page.
+        pool.reset_stats();
+        let mut seen = 0usize;
+        list.for_each_payload(&heap, &mut pool, |_, _| {
+            seen += 1;
+            Ok(seen < 2)
+        })
+        .unwrap();
+        assert_eq!(seen, 2);
+        assert_eq!(pool.stats().logical_reads, 1);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // The in-place parser against the buffered reference: the same
+        // entries (as a multiset — the visit is in storage order) for a
+        // valid payload, and the same accept/reject verdict from the
+        // visitor, the public decoder and the reference for every
+        // single-byte mutation of it.
+        #[test]
+        fn visit_block_agrees_with_the_reference_decoder(
+            raw in proptest::collection::vec(
+                (0u64..=u32::MAX as u64, 1u32..=PROB_SCALE), 0..40),
+            flip in 1u8..=255,
+        ) {
+            let entries = distinct_entries(raw);
+            let bytes = encode_block(&entries);
+            let mut seen = visited(&bytes).unwrap();
+            prop_assert!(seen.windows(2).all(|w| w[0].0 < w[1].0), "storage order");
+            stream_sorted(&mut seen);
+            prop_assert_eq!(&seen, &entries);
+            prop_assert_eq!(decode_block_reference(&bytes).unwrap(), entries);
+            for i in 0..bytes.len() {
+                let mut bad = bytes.clone();
+                bad[i] ^= flip;
+                let reference = decode_block_reference(&bad);
+                prop_assert_eq!(visited(&bad).is_ok(), reference.is_ok(), "byte {}", i);
+                match (decode_block(&bad), reference) {
+                    (Ok(got), Ok(want)) => prop_assert_eq!(got, want, "byte {}", i),
+                    (got, want) => {
+                        prop_assert_eq!(got.is_ok(), want.is_ok(), "byte {}", i)
+                    }
+                }
+            }
+        }
 
         // Round trip over arbitrary blocks, including quantization
         // boundaries and maximal tids.
@@ -573,14 +821,7 @@ mod tests {
         fn codec_roundtrip(raw in proptest::collection::vec(
             (0u64..=u32::MAX as u64, 1u32..=PROB_SCALE), 0..200)
         ) {
-            let mut entries: Vec<(TupleId, Prob)> = Vec::new();
-            let mut seen = std::collections::HashSet::new();
-            for (tid, q) in raw {
-                if seen.insert(tid) {
-                    entries.push((tid, q as f32 / PROB_SCALE as f32));
-                }
-            }
-            stream_sorted(&mut entries);
+            let entries = distinct_entries(raw);
             let bytes = encode_block(&entries);
             let back = decode_block(&bytes).unwrap();
             prop_assert_eq!(back, entries);

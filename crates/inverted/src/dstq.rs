@@ -16,15 +16,14 @@
 //! pruning with KL would be unsound, which is exactly why the paper uses
 //! KL only for clustering.
 
-use std::collections::HashSet;
-
 use uncat_core::query::{sort_matches_asc, DsTopKQuery, DstQuery, Match};
 use uncat_core::topk::BottomKHeap;
 use uncat_core::Divergence;
-use uncat_storage::{BufferPool, Phase, QueryMetrics, Result, StorageError};
+use uncat_storage::{BufferPool, Phase, QueryMetrics, Result};
 
 use crate::index::InvertedIndex;
 use crate::search::query_lists;
+use crate::tid::TidSet;
 
 impl InvertedIndex {
     /// Evaluate a DSTQ: all tuples with `F(q, t) ≤ τ_d`, in ascending
@@ -60,16 +59,17 @@ impl InvertedIndex {
         }
     }
 
-    /// Candidate generation from the query's posting lists + verification.
-    fn dstq_candidates(
+    /// Every tuple id in the query's posting lists: the tuples sharing a
+    /// category with the query.
+    fn overlap_candidates(
         &self,
         pool: &mut BufferPool,
-        query: &DstQuery,
+        q: &uncat_core::Uda,
         metrics: &mut QueryMetrics,
-    ) -> Result<Vec<Match>> {
-        let mut candidates: HashSet<u64> = HashSet::new();
+    ) -> Result<TidSet> {
+        let mut candidates = TidSet::default();
         let scan = pool.trace_begin(Phase::PostingScan);
-        for (_cat, _qp, list) in query_lists(self, &query.q) {
+        for (_cat, _qp, list) in query_lists(self, q) {
             metrics.lists_opened += 1;
             list.scan_all(self.block_heap(), pool, metrics, |tid, _p| {
                 candidates.insert(tid);
@@ -77,19 +77,24 @@ impl InvertedIndex {
         }
         pool.trace_end(scan);
         metrics.candidates_generated += candidates.len() as u64;
+        Ok(candidates)
+    }
+
+    /// Candidate generation from the query's posting lists + verification.
+    fn dstq_candidates(
+        &self,
+        pool: &mut BufferPool,
+        query: &DstQuery,
+        metrics: &mut QueryMetrics,
+    ) -> Result<Vec<Match>> {
+        let candidates = self.overlap_candidates(pool, &query.q, metrics)?;
         let mut out = Vec::new();
-        let verify = pool.trace_begin(Phase::Verification);
-        for tid in candidates {
-            let t = self.get_tuple(pool, tid)?.ok_or(StorageError::Corrupt(
-                "posting refers to an unindexed tuple",
-            ))?;
-            metrics.candidates_verified += 1;
-            let d = query.divergence.eval(query.q.entries(), t.entries());
+        self.verify_each(pool, candidates, metrics, |tid, t| {
+            let d = query.divergence.eval(query.q.entries(), t);
             if d <= query.tau_d {
                 out.push(Match::new(tid, d));
             }
-        }
-        pool.trace_end(verify);
+        })?;
         sort_matches_asc(&mut out);
         Ok(out)
     }
@@ -131,26 +136,11 @@ impl InvertedIndex {
             Divergence::Kl => f64::NEG_INFINITY, // candidates never suffice
         };
         if query.divergence.is_metric() {
-            let mut candidates: HashSet<u64> = HashSet::new();
-            let scan = pool.trace_begin(Phase::PostingScan);
-            for (_cat, _qp, list) in query_lists(self, &query.q) {
-                metrics.lists_opened += 1;
-                list.scan_all(self.block_heap(), pool, metrics, |tid, _p| {
-                    candidates.insert(tid);
-                })?;
-            }
-            pool.trace_end(scan);
-            metrics.candidates_generated += candidates.len() as u64;
+            let candidates = self.overlap_candidates(pool, &query.q, metrics)?;
             let mut heap = BottomKHeap::new(query.k);
-            let verify = pool.trace_begin(Phase::Verification);
-            for tid in candidates {
-                let t = self.get_tuple(pool, tid)?.ok_or(StorageError::Corrupt(
-                    "posting refers to an unindexed tuple",
-                ))?;
-                metrics.candidates_verified += 1;
-                heap.offer(tid, query.divergence.eval(query.q.entries(), t.entries()));
-            }
-            pool.trace_end(verify);
+            self.verify_each(pool, candidates, metrics, |tid, t| {
+                heap.offer(tid, query.divergence.eval(query.q.entries(), t));
+            })?;
             if heap.is_full() && heap.bound() < disjoint_floor {
                 return Ok(heap.into_sorted());
             }

@@ -1,14 +1,18 @@
 //! The inverted index structure: directory, posting trees, tuple store.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
+use uncat_core::uda::Entry;
 use uncat_core::{codec, CatId, Domain, Uda};
-use uncat_storage::{BufferPool, HeapFile, PageId, RecordId, Result, StorageError};
+use uncat_storage::{
+    BufferPool, HeapFile, PageId, Phase, QueryMetrics, RecordId, Result, StorageError,
+};
 
 use crate::block::BlockList;
 use crate::cost::CostStats;
 use crate::postings::{decode_posting, posting_key, PostingList, PostingTree};
+use crate::tid::TidMap;
 
 /// Physical layout of the posting lists (see `docs/FORMAT.md`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -33,20 +37,26 @@ fn encode_record(tid: u64, uda: &Uda) -> Vec<u8> {
     v
 }
 
-/// Decode a stored tuple record. A record that does not parse — possible
-/// only if a page was corrupted past the physical checks — surfaces as a
-/// typed [`StorageError::Corrupt`], never a panic.
+/// Split a stored tuple record into its tid and its UDA encoding. A
+/// record that does not parse — possible only if a page was corrupted
+/// past the physical checks — surfaces as a typed
+/// [`StorageError::Corrupt`], never a panic.
+fn split_record(bytes: &[u8]) -> Result<(u64, &[u8])> {
+    match bytes.split_first_chunk::<8>() {
+        Some((tid, uda)) => Ok((u64::from_le_bytes(*tid), uda)),
+        None => Err(StorageError::Corrupt(
+            "tuple record shorter than its tid header",
+        )),
+    }
+}
+
+const BAD_UDA: StorageError = StorageError::Corrupt("stored UDA does not decode");
+const DELETED_RECORD: StorageError = StorageError::Corrupt("rid map points at a deleted record");
+
+/// Decode a stored tuple record into an owned distribution.
 fn decode_record(bytes: &[u8]) -> Result<(u64, Uda)> {
-    let tid_bytes: [u8; 8] =
-        bytes
-            .get(..8)
-            .and_then(|b| b.try_into().ok())
-            .ok_or(StorageError::Corrupt(
-                "tuple record shorter than its tid header",
-            ))?;
-    let tid = u64::from_le_bytes(tid_bytes);
-    let (uda, _) = codec::decode(&bytes[8..])
-        .map_err(|_| StorageError::Corrupt("stored UDA does not decode"))?;
+    let (tid, uda) = split_record(bytes)?;
+    let (uda, _) = codec::decode(uda).map_err(|_| BAD_UDA)?;
     Ok((tid, uda))
 }
 
@@ -122,7 +132,7 @@ pub struct InvertedIndex {
     /// raw-format indexes; kept unconditionally so the two formats share
     /// one code path everywhere else.
     block_heap: HeapFile,
-    rids: HashMap<u64, RecordId>,
+    rids: TidMap<RecordId>,
     /// Lazily collected cost statistics (see [`crate::cost`]). Computed
     /// on first use, pre-populated when a snapshot carries a stats
     /// section, and refreshed explicitly at checkpoints. Mutations do
@@ -147,7 +157,7 @@ impl InvertedIndex {
             postings: BTreeMap::new(),
             heap: HeapFile::new(),
             block_heap: HeapFile::new(),
-            rids: HashMap::new(),
+            rids: TidMap::default(),
             cost: OnceLock::new(),
         }
     }
@@ -262,11 +272,7 @@ impl InvertedIndex {
         let Some(rid) = self.rids.remove(&tid) else {
             return Ok(false);
         };
-        let bytes = self
-            .heap
-            .get(pool, rid)?
-            .ok_or(StorageError::Corrupt("rid map points at a deleted record"))?;
-        let (_tid, uda) = decode_record(&bytes)?;
+        let uda = self.read_tuple(pool, rid)?;
         for (cat, p) in uda.iter() {
             let list = self.postings.get_mut(&cat).ok_or(StorageError::Corrupt(
                 "posting list missing for stored entry",
@@ -289,15 +295,80 @@ impl InvertedIndex {
     /// Random-access a tuple's distribution (one page read).
     /// `Ok(None)` means the tuple id is not indexed.
     pub fn get_tuple(&self, pool: &mut BufferPool, tid: u64) -> Result<Option<Uda>> {
-        let Some(&rid) = self.rids.get(&tid) else {
-            return Ok(None);
-        };
-        let bytes = self
-            .heap
-            .get(pool, rid)?
-            .ok_or(StorageError::Corrupt("rid map points at a deleted record"))?;
-        let (_tid, uda) = decode_record(&bytes)?;
-        Ok(Some(uda))
+        match self.rids.get(&tid) {
+            Some(&rid) => self.read_tuple(pool, rid).map(Some),
+            None => Ok(None),
+        }
+    }
+
+    fn read_tuple(&self, pool: &mut BufferPool, rid: RecordId) -> Result<Uda> {
+        let mut out = None;
+        self.heap
+            .visit_slots(pool, rid.page, &[rid.slot], |_, bytes| {
+                out = Some(decode_record(bytes.ok_or(DELETED_RECORD)?)?.1);
+                Ok(())
+            })?;
+        out.ok_or(DELETED_RECORD)
+    }
+
+    /// Batched random access, the verification kernel of every strategy:
+    /// `f(tid, entries)` once per element of `tids` (duplicates included),
+    /// in heap order rather than the caller's. Each tuple id is resolved
+    /// to its record address once, the addresses are sorted, and every
+    /// heap page is read once per batch; records are decoded — with
+    /// [`codec::decode`]'s validation — in place into one reused buffer,
+    /// so nothing is allocated or copied per tuple. A tuple id that is
+    /// not indexed means a posting outlived its tuple and is
+    /// [`StorageError::Corrupt`].
+    pub(crate) fn for_each_tuple(
+        &self,
+        pool: &mut BufferPool,
+        tids: impl IntoIterator<Item = u64>,
+        mut f: impl FnMut(u64, &[Entry]),
+    ) -> Result<()> {
+        let mut at: Vec<(PageId, u16, u64)> = tids
+            .into_iter()
+            .map(|tid| match self.rids.get(&tid) {
+                Some(rid) => Ok((rid.page, rid.slot, tid)),
+                None => Err(StorageError::Corrupt(
+                    "posting refers to an unindexed tuple",
+                )),
+            })
+            .collect::<Result<_>>()?;
+        at.sort_unstable();
+        let mut slots: Vec<u16> = Vec::new();
+        let mut entries: Vec<Entry> = Vec::new();
+        for run in at.chunk_by(|a, b| a.0 == b.0) {
+            slots.clear();
+            slots.extend(run.iter().map(|&(_, slot, _)| slot));
+            self.heap.visit_slots(pool, run[0].0, &slots, |i, bytes| {
+                let (_, uda) = split_record(bytes.ok_or(DELETED_RECORD)?)?;
+                codec::decode_into(uda, &mut entries).map_err(|_| BAD_UDA)?;
+                f(run[i].2, &entries);
+                Ok(())
+            })?;
+        }
+        Ok(())
+    }
+
+    /// [`InvertedIndex::for_each_tuple`] as the verification phase of a
+    /// query: one `candidates_verified` per tuple, under a
+    /// [`Phase::Verification`] span that is closed on the error return
+    /// too.
+    pub(crate) fn verify_each(
+        &self,
+        pool: &mut BufferPool,
+        tids: impl IntoIterator<Item = u64>,
+        metrics: &mut QueryMetrics,
+        mut f: impl FnMut(u64, &[Entry]),
+    ) -> Result<()> {
+        let span = pool.trace_begin(Phase::Verification);
+        let verified = self.for_each_tuple(pool, tids, |tid, t| {
+            metrics.candidates_verified += 1;
+            f(tid, t);
+        });
+        pool.trace_end(span);
+        verified
     }
 
     /// Number of indexed tuples.
@@ -384,11 +455,6 @@ impl InvertedIndex {
     /// The heap holding block-format posting payloads.
     pub(crate) fn block_heap(&self) -> &HeapFile {
         &self.block_heap
-    }
-
-    /// The heap page a tuple's record lives on (for sorted random access).
-    pub(crate) fn record_location(&self, tid: u64) -> Option<RecordId> {
-        self.rids.get(&tid).copied()
     }
 
     /// Check structural invariants: every stored tuple has exactly one
@@ -491,7 +557,7 @@ impl InvertedIndex {
         self.block_heap.raw_parts()
     }
 
-    pub(crate) fn rid_map(&self) -> &HashMap<u64, RecordId> {
+    pub(crate) fn rid_map(&self) -> &TidMap<RecordId> {
         &self.rids
     }
 
@@ -505,7 +571,7 @@ impl InvertedIndex {
         postings: BTreeMap<CatId, PostingList>,
         heap: HeapFile,
         block_heap: HeapFile,
-        rids: HashMap<u64, RecordId>,
+        rids: TidMap<RecordId>,
     ) -> InvertedIndex {
         InvertedIndex {
             domain,
@@ -757,5 +823,108 @@ mod tests {
             .collect();
         tids.sort_unstable();
         assert_eq!(tids, vec![1, 2]);
+    }
+
+    /// `n` tuples of one to six categories: ~40 bytes a record, so a few
+    /// hundred of them span several heap pages.
+    fn wide_dataset(n: u64) -> Vec<(u64, Uda)> {
+        (0..n)
+            .map(|i| {
+                let width = 1 + (i % 6) as u32;
+                let pairs: Vec<(u32, f32)> = (0..width)
+                    .map(|k| ((i as u32 * 7 + k * 5) % 32, 1.0 / (width + k) as f32 / 2.0))
+                    .collect();
+                let mut distinct = pairs.clone();
+                distinct.sort_by_key(|&(c, _)| c);
+                distinct.dedup_by_key(|&mut (c, _)| c);
+                (i, uda(&distinct))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn verification_errors_are_typed_and_close_their_span() {
+        use uncat_storage::{FakeClock, Tracer};
+
+        let mut p = pool();
+        let data = wide_dataset(300);
+        let mut idx = InvertedIndex::build(
+            Domain::anonymous(32),
+            &mut p,
+            data.iter().map(|(t, u)| (*t, u)),
+        )
+        .unwrap();
+        // A posting naming a tuple the rid map does not know.
+        assert_eq!(
+            idx.for_each_tuple(&mut p, [5, 9_999], |_, _| {}),
+            Err(StorageError::Corrupt(
+                "posting refers to an unindexed tuple"
+            ))
+        );
+        // A record tombstoned behind the rid map's back: every strategy
+        // that verifies tuple 7 fails with a typed error, and the
+        // verification span is closed on the way out — the next span
+        // opens at the root, not under a dangling one.
+        let rid = idx.rids[&7];
+        idx.heap.delete(&mut p, rid).unwrap();
+        let q = uncat_core::query::EqQuery::new(data[7].1.clone(), 0.01);
+        p.set_tracer(Tracer::enabled(std::sync::Arc::new(FakeClock::auto(1))));
+        for strat in [crate::Strategy::ColumnPruning, crate::Strategy::RowPruning] {
+            assert_eq!(
+                idx.petq(&mut p, &q, strat),
+                Err(DELETED_RECORD),
+                "{strat:?}"
+            );
+        }
+        let next = p.trace_begin(Phase::Plan);
+        p.trace_end(next);
+        let trace = p.take_trace().unwrap();
+        let last = trace.spans.last().unwrap();
+        assert_eq!(last.phase, Phase::Plan);
+        assert!(last.is_root(), "a verification span was left open");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        // The batched visitor against one `get_tuple` per tid: any
+        // multiset of live tids — duplicates, several heap pages,
+        // records sitting behind a tombstoned slot — comes back exactly,
+        // as a multiset, at one page read per distinct page.
+        #[test]
+        fn for_each_tuple_agrees_with_get_tuple(
+            picks in proptest::collection::vec(0u64..400, 0..120),
+            dead in 0u64..400,
+        ) {
+            let mut p = pool();
+            let data = wide_dataset(400);
+            let mut idx = InvertedIndex::build(
+                Domain::anonymous(32),
+                &mut p,
+                data.iter().map(|(t, u)| (*t, u)),
+            )
+            .unwrap();
+            proptest::prop_assert!(idx.heap_pages() >= 3);
+            proptest::prop_assert!(idx.delete(&mut p, dead).unwrap());
+            let tids: Vec<u64> = picks.into_iter().filter(|&t| t != dead).collect();
+
+            let mut want: Vec<(u64, Uda)> = Vec::new();
+            for &tid in &tids {
+                want.push((tid, idx.get_tuple(&mut p, tid).unwrap().unwrap()));
+            }
+            p.reset_stats();
+            let mut got: Vec<(u64, Uda)> = Vec::new();
+            idx.for_each_tuple(&mut p, tids.iter().copied(), |tid, entries| {
+                got.push((tid, Uda::from_pairs(entries.iter().map(|e| (e.cat, e.prob))).unwrap()));
+            })
+            .unwrap();
+            let pages: std::collections::HashSet<PageId> =
+                tids.iter().map(|t| idx.rids[t].page).collect();
+            proptest::prop_assert_eq!(p.stats().logical_reads, pages.len() as u64);
+            want.sort_by_key(|(tid, _)| *tid);
+            got.sort_by_key(|(tid, _)| *tid);
+            proptest::prop_assert_eq!(got, want);
+            proptest::prop_assert!(idx.for_each_tuple(&mut p, [dead], |_, _| {}).is_err());
+        }
     }
 }

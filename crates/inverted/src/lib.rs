@@ -46,10 +46,12 @@ mod index;
 mod persist;
 mod postings;
 mod search;
+mod tid;
 mod topk;
 
 pub use block::{
-    decode_block, dequantize, encode_block, quantize_up, BLOCK_SPLIT, BLOCK_TARGET, PROB_SCALE,
+    decode_block, dequantize, encode_block, quantize_up, visit_block, BLOCK_SPLIT, BLOCK_TARGET,
+    PROB_SCALE,
 };
 pub use cost::{
     CatCostStats, CostPrediction, CostStats, COST_BUCKETS, ENTRIES_PER_PAGE, FALLBACK_BUDGET_FLOOR,

@@ -25,7 +25,7 @@
 //! [`InvertedIndex::open`] dispatches on the magic, so callers never
 //! care which version a blob is.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::path::Path;
 
 use uncat_core::{CatId, Domain};
@@ -37,6 +37,7 @@ use uncat_storage::{HeapFile, PageId, RecordId, SnapshotFileError};
 use crate::block::{BlockList, BlockMeta};
 use crate::index::{InvertedIndex, PostingFormat};
 use crate::postings::{PostingList, PostingTree, KEY_LEN};
+use crate::tid::TidMap;
 
 const MAGIC_V1: &[u8; 4] = b"UIV1";
 const MAGIC_V2: &[u8; 4] = b"UIV2";
@@ -280,9 +281,7 @@ impl InvertedIndex {
 
 /// The tuple-store sections shared by both snapshot versions: heap page
 /// list + record count, then the rid map.
-fn read_store_parts(
-    r: &mut Reader<'_>,
-) -> Result<(HeapFile, HashMap<u64, RecordId>), SnapshotError> {
+fn read_store_parts(r: &mut Reader<'_>) -> Result<(HeapFile, TidMap<RecordId>), SnapshotError> {
     let n_pages = r.u32()? as usize;
     // Untrusted count: clamp pre-allocation to what the blob can hold.
     let mut pages = Vec::with_capacity(n_pages.min(r.remaining() / 8 + 1));
@@ -293,8 +292,10 @@ fn read_store_parts(
     let heap = HeapFile::from_raw_parts(pages, records);
 
     let n_rids = r.u64()? as usize;
-    let mut rids: HashMap<u64, RecordId> =
-        HashMap::with_capacity(n_rids.min(r.remaining() / RID_ENTRY_LEN + 1));
+    let mut rids: TidMap<RecordId> = TidMap::with_capacity_and_hasher(
+        n_rids.min(r.remaining() / RID_ENTRY_LEN + 1),
+        Default::default(),
+    );
     for _ in 0..n_rids {
         let tid = r.u64()?;
         let page = r.pid()?;

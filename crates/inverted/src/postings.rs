@@ -26,9 +26,9 @@ use std::ops::ControlFlow;
 use uncat_core::{Prob, TupleId};
 use uncat_storage::btree::keys::{concat, f32_desc, f32_from_desc, u32_be, u32_from_be};
 use uncat_storage::btree::{BTree, Cursor};
-use uncat_storage::{BufferPool, HeapFile, QueryMetrics, Result};
+use uncat_storage::{BufferPool, HeapFile, QueryMetrics, Result, StorageError};
 
-use crate::block::{BlockCursor, BlockList};
+use crate::block::{dequantize, visit_block, BlockCursor, BlockList, BlockMeta};
 
 /// Width of a posting key in bytes.
 pub const KEY_LEN: usize = 8;
@@ -95,10 +95,14 @@ impl PostingList {
         }
     }
 
-    /// Visit every entry in stream order. Ticks `postings_scanned` per
-    /// entry; block lists also tick `blocks_decoded` per block — a full
-    /// scan decodes everything, so both formats count identically on the
-    /// entries axis.
+    /// Visit every entry, in no promised order (the raw tree streams by
+    /// descending probability; block lists go block by block in stream
+    /// order and by ascending tid inside a block — every caller
+    /// aggregates per tuple id, and none reads the order). Ticks
+    /// `postings_scanned` per entry; block lists also tick
+    /// `blocks_decoded` per block — a full scan decodes everything, so
+    /// both formats count identically on the entries axis — and read each
+    /// payload page once per run of blocks on it.
     pub fn scan_all(
         &self,
         block_heap: &HeapFile,
@@ -113,31 +117,26 @@ impl PostingList {
                 f(tid, p);
                 ControlFlow::Continue(())
             }),
-            PostingList::Blocks(list) => {
-                let mut cur = BlockCursor::open(list, block_heap);
-                while let Some(((tid, p), decoded_new)) = cur.head(pool)? {
-                    if decoded_new {
-                        metrics.blocks_decoded += 1;
-                    }
-                    metrics.postings_scanned += 1;
-                    f(tid, p);
-                    cur.advance();
-                }
-                debug_assert_eq!(cur.undecoded_blocks(), 0);
-                Ok(())
-            }
+            PostingList::Blocks(list) => list.for_each_payload(block_heap, pool, |meta, bytes| {
+                let n = visit_block(bytes, &mut f)?;
+                check_count(n, meta)?;
+                metrics.blocks_decoded += 1;
+                metrics.postings_scanned += n as u64;
+                Ok(true)
+            }),
         }
     }
 
-    /// Visit entries in stream order while `p ≥ cut`, stopping at the
-    /// first entry below — column pruning's access pattern. For the raw
-    /// tree the terminating entry ticks `postings_scanned`: the scan has
-    /// no information besides the entries themselves, so it must decode
-    /// one below-cut key to know to stop. Block lists don't charge it —
-    /// the boundary is located inside the already-decoded buffer — and
-    /// stop at block granularity too: a block whose quantized-up maximum
-    /// is below `cut` is skipped without decoding, as is everything
-    /// after the stop point (`blocks_skipped`).
+    /// Visit the entries with `p ≥ cut` of the list's stream prefix —
+    /// column pruning's access pattern — in no promised order (see
+    /// [`PostingList::scan_all`]). For the raw tree the terminating entry
+    /// ticks `postings_scanned`: the scan has no information besides the
+    /// entries themselves, so it must decode one below-cut key to know to
+    /// stop. Block lists don't charge it — the boundary falls inside an
+    /// already-decoded block — and stop at block granularity too: the
+    /// scan ends after the first block holding an entry below `cut`, or
+    /// before the first whose quantized-up maximum is below it, and
+    /// everything after the stop point is `blocks_skipped` undecoded.
     pub fn scan_prefix(
         &self,
         block_heap: &HeapFile,
@@ -157,34 +156,41 @@ impl PostingList {
                 ControlFlow::Continue(())
             }),
             PostingList::Blocks(list) => {
-                let mut cur = BlockCursor::open(list, block_heap);
-                'blocks: while !cur.exhausted() {
-                    if cur.bound().is_some_and(|b| b < cut) {
+                let mut decoded = 0u64;
+                list.for_each_payload(block_heap, pool, |meta, bytes| {
+                    if dequantize(meta.max_q) < cut {
                         // The quantized maximum dominates every entry in
-                        // the block (and in all later blocks): skip
-                        // without decoding.
-                        break;
+                        // the block (and in all later blocks).
+                        return Ok(false);
                     }
-                    while let Some(((tid, p), decoded_new)) = cur.head(pool)? {
-                        if decoded_new {
-                            metrics.blocks_decoded += 1;
+                    let mut kept = 0u64;
+                    let n = visit_block(bytes, |tid, p| {
+                        if (p as f64) >= cut {
+                            kept += 1;
+                            f(tid, p);
                         }
-                        if (p as f64) < cut {
-                            break 'blocks;
-                        }
-                        metrics.postings_scanned += 1;
-                        f(tid, p);
-                        cur.advance();
-                        if !cur.head_is_exact() {
-                            continue 'blocks;
-                        }
-                    }
-                }
-                metrics.blocks_skipped += cur.undecoded_blocks();
+                    })?;
+                    check_count(n, meta)?;
+                    decoded += 1;
+                    metrics.postings_scanned += kept;
+                    Ok(kept == n as u64)
+                })?;
+                metrics.blocks_decoded += decoded;
+                metrics.blocks_skipped += list.blocks().len() as u64 - decoded;
                 Ok(())
             }
         }
     }
+}
+
+/// A payload must hold as many entries as its directory entry says.
+fn check_count(n: usize, meta: &BlockMeta) -> Result<()> {
+    if n != meta.count as usize {
+        return Err(StorageError::Corrupt(
+            "block count disagrees with its directory",
+        ));
+    }
+    Ok(())
 }
 
 /// What a [`ListCursor`] knows about the entry under it.
@@ -282,8 +288,7 @@ impl<'a> ListCursor<'a> {
             }
             ListCursor::Blocks(cur) => {
                 cur.advance();
-                if cur.head_is_exact() {
-                    let ((tid, p), _) = cur.head(pool)?.expect("exact head present");
+                if let Some((tid, p)) = cur.exact_head() {
                     metrics.postings_scanned += 1;
                     Ok(Some(CursorHead::Exact { tid, p }))
                 } else {

@@ -25,14 +25,13 @@
 //! exactly column pruning's, and the shared pool only deduplicates
 //! reads.
 
-use std::collections::HashSet;
-
 use uncat_core::equality::THRESHOLD_EPS;
 use uncat_core::query::{EqQuery, Match};
 use uncat_storage::{BufferPool, Phase, QueryMetrics, Result};
 
 use crate::cost::{FALLBACK_BUDGET_FLOOR, OVERRUN_FACTOR};
 use crate::index::InvertedIndex;
+use crate::tid::TidSet;
 
 use super::{
     brute, col_prune, highest_prob, nra, query_lists, row_prune, verify_candidates, Strategy,
@@ -87,7 +86,7 @@ fn fallback(
     idx: &InvertedIndex,
     pool: &mut BufferPool,
     query: &EqQuery,
-    mut candidates: HashSet<u64>,
+    mut candidates: TidSet,
     metrics: &mut QueryMetrics,
 ) -> Result<Vec<Match>> {
     metrics.plan_fallbacks += 1;

@@ -8,13 +8,12 @@
 //! out as only competitive "when these lists are not too big and the query
 //! involves fewer d_ij".
 
-use std::collections::HashMap;
-
 use uncat_core::equality::meets_threshold;
 use uncat_core::query::{EqQuery, Match};
 use uncat_storage::{BufferPool, Phase, QueryMetrics, Result};
 
 use crate::index::InvertedIndex;
+use crate::tid::TidMap;
 
 use super::query_lists;
 
@@ -30,7 +29,7 @@ pub(super) fn search(
     query: &EqQuery,
     metrics: &mut QueryMetrics,
 ) -> Result<Vec<Match>> {
-    let mut acc: HashMap<u64, f64> = HashMap::new();
+    let mut acc: TidMap<f64> = TidMap::default();
     let span = pool.trace_begin(Phase::PostingScan);
     for (_cat, qp, list) in query_lists(idx, &query.q) {
         metrics.lists_opened += 1;

@@ -7,13 +7,12 @@
 //! `t.p ≥ τ` in some query list, inside the scanned prefix. Candidates are
 //! verified by random access.
 
-use std::collections::HashSet;
-
 use uncat_core::equality::THRESHOLD_EPS;
 use uncat_core::query::{EqQuery, Match};
 use uncat_storage::{BufferPool, Phase, QueryMetrics, Result};
 
 use crate::index::InvertedIndex;
+use crate::tid::TidSet;
 
 use super::{query_lists, verify_candidates};
 
@@ -30,7 +29,7 @@ pub(super) fn search(
     query: &EqQuery,
     metrics: &mut QueryMetrics,
 ) -> Result<Vec<Match>> {
-    let mut candidates: HashSet<u64> = HashSet::new();
+    let mut candidates = TidSet::default();
     let span = pool.trace_begin(Phase::PostingScan);
     for (_cat, _qp, list) in query_lists(idx, &query.q) {
         metrics.lists_opened += 1;

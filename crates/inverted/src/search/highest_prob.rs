@@ -6,12 +6,11 @@
 //! later can qualify. Every tuple id encountered before the stop is a
 //! candidate and is verified by one random access.
 
-use std::collections::HashSet;
-
 use uncat_core::query::{EqQuery, Match};
 use uncat_storage::{BufferPool, Phase, QueryMetrics, Result};
 
 use crate::index::InvertedIndex;
+use crate::tid::TidSet;
 
 use super::{verify_candidates, Frontier};
 
@@ -43,13 +42,13 @@ pub(crate) fn collect_candidates(
     query: &EqQuery,
     budget: Option<u64>,
     metrics: &mut QueryMetrics,
-) -> Result<(HashSet<u64>, bool)> {
+) -> Result<(TidSet, bool)> {
     let scanned_at_entry = metrics.postings_scanned;
     let plan = pool.trace_begin(Phase::Plan);
     let mut frontier = Frontier::open(idx, pool, &query.q, metrics)?;
     pool.trace_end(plan);
     let drain = pool.trace_begin(Phase::FrontierMaintenance);
-    let mut seen: HashSet<u64> = HashSet::new();
+    let mut seen = TidSet::default();
     let mut over_budget = false;
     loop {
         // Lemma 1: any tuple not yet seen is bounded by the frontier sum

@@ -9,9 +9,9 @@ mod row_prune;
 
 pub(crate) use nra::RA_FALLBACK as NRA_RA_FALLBACK;
 
-use uncat_core::equality::{eq_prob, meets_threshold};
+use uncat_core::equality::{eq_prob_entries, meets_threshold};
 use uncat_core::query::{sort_matches_desc, EqQuery, Match};
-use uncat_storage::{BufferPool, Phase, QueryMetrics, Result, StorageError};
+use uncat_storage::{BufferPool, QueryMetrics, Result};
 
 use crate::index::InvertedIndex;
 
@@ -119,8 +119,9 @@ impl InvertedIndex {
 /// those meeting the threshold, with exact scores. Each candidate counts as
 /// one `candidates_verified`.
 ///
-/// Accesses are *sorted by heap page* first, so candidates sharing a page
-/// cost one read — the standard batched-random-access discipline.
+/// The fetches go through [`InvertedIndex::verify_each`]: sorted by heap
+/// address, one page read per page per batch — the standard
+/// batched-random-access discipline.
 pub(crate) fn verify_candidates(
     idx: &InvertedIndex,
     pool: &mut BufferPool,
@@ -128,43 +129,14 @@ pub(crate) fn verify_candidates(
     candidates: impl IntoIterator<Item = u64>,
     metrics: &mut QueryMetrics,
 ) -> Result<Vec<Match>> {
-    // On an error return the span stays open; ending the enclosing span
-    // (or taking the trace) closes it, so the tree stays well-formed.
-    let span = pool.trace_begin(Phase::Verification);
     let mut out = Vec::new();
-    for tid in sorted_by_page(idx, candidates)? {
-        let t = idx.get_tuple(pool, tid)?.ok_or(StorageError::Corrupt(
-            "posting refers to an unindexed tuple",
-        ))?;
-        metrics.candidates_verified += 1;
-        let pr = eq_prob(&query.q, &t);
+    idx.verify_each(pool, candidates, metrics, |tid, t| {
+        let pr = eq_prob_entries(query.q.entries(), t);
         if meets_threshold(pr, query.tau) {
             out.push(Match::new(tid, pr));
         }
-    }
-    pool.trace_end(span);
+    })?;
     Ok(out)
-}
-
-/// Order tuple ids by their heap location so random accesses batch per
-/// page.
-pub(crate) fn sorted_by_page(
-    idx: &InvertedIndex,
-    candidates: impl IntoIterator<Item = u64>,
-) -> Result<Vec<u64>> {
-    let mut v: Vec<u64> = candidates.into_iter().collect();
-    for &tid in &v {
-        if idx.record_location(tid).is_none() {
-            return Err(StorageError::Corrupt(
-                "posting refers to an unindexed tuple",
-            ));
-        }
-    }
-    v.sort_by_key(|&tid| {
-        let rid = idx.record_location(tid).expect("checked above");
-        (rid.page, rid.slot)
-    });
-    Ok(v)
 }
 
 /// The query's support restricted to lists that exist in the index:

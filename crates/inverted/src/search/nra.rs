@@ -17,13 +17,12 @@
 //! random access; candidates whose bounds have already converged are
 //! accepted with their exact accumulated score.
 
-use std::collections::{HashMap, HashSet};
-
 use uncat_core::equality::THRESHOLD_EPS;
 use uncat_core::query::{EqQuery, Match};
 use uncat_storage::{BufferPool, Phase, QueryMetrics, Result};
 
 use crate::index::InvertedIndex;
+use crate::tid::{TidMap, TidSet};
 
 use super::{verify_candidates, Frontier};
 
@@ -39,7 +38,7 @@ pub(crate) enum NraOutcome {
     /// encountered so far — a partial candidate set the adaptive
     /// executor folds into its fallback scan. No candidate-pipeline
     /// counters were ticked for them.
-    OverBudget(HashSet<u64>),
+    OverBudget(TidSet),
 }
 
 /// How many pops between candidate sweeps.
@@ -109,7 +108,7 @@ fn run(
     }
 
     let tau = query.tau;
-    let mut cand: HashMap<u64, Cand> = HashMap::new();
+    let mut cand: TidMap<Cand> = TidMap::default();
     let mut pops = 0usize;
     let mut next_sweep = SWEEP_EVERY;
     let mut undecided_small = false;

@@ -6,13 +6,12 @@
 //! one item whose query probability is ≥ τ, and therefore appears in one of
 //! the retained lists. Candidates are verified by random access.
 
-use std::collections::HashSet;
-
 use uncat_core::equality::THRESHOLD_EPS;
 use uncat_core::query::{EqQuery, Match};
 use uncat_storage::{BufferPool, Phase, QueryMetrics, Result};
 
 use crate::index::InvertedIndex;
+use crate::tid::TidSet;
 
 use super::{query_lists, verify_candidates};
 
@@ -26,7 +25,7 @@ pub(super) fn search(
     query: &EqQuery,
     metrics: &mut QueryMetrics,
 ) -> Result<Vec<Match>> {
-    let mut candidates: HashSet<u64> = HashSet::new();
+    let mut candidates = TidSet::default();
     let span = pool.trace_begin(Phase::PostingScan);
     for (_cat, qp, list) in query_lists(idx, &query.q) {
         if qp < query.tau - THRESHOLD_EPS {

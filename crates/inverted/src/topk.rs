@@ -10,15 +10,14 @@
 //! whose upper bound still reaches θ are verified by batched random
 //! access.
 
-use std::collections::{HashMap, HashSet};
-
-use uncat_core::equality::{eq_prob, THRESHOLD_EPS};
+use uncat_core::equality::{eq_prob_entries, THRESHOLD_EPS};
 use uncat_core::query::{Match, TopKQuery};
 use uncat_core::topk::TopKHeap;
-use uncat_storage::{BufferPool, Phase, QueryMetrics, Result, StorageError};
+use uncat_storage::{BufferPool, Phase, QueryMetrics, Result};
 
 use crate::index::InvertedIndex;
 use crate::search::Frontier;
+use crate::tid::{TidMap, TidSet};
 
 /// Pops between θ refreshes.
 const THETA_EVERY: usize = 64;
@@ -82,7 +81,7 @@ impl InvertedIndex {
             return self.top_k_random_access(pool, query, floor, metrics);
         }
 
-        let mut cand: HashMap<u64, Cand> = HashMap::new();
+        let mut cand: TidMap<Cand> = TidMap::default();
         let mut theta = floor; // max(floor, k-th best lower bound so far)
         let mut pops = 0usize;
         let mut next_refresh = THETA_EVERY;
@@ -162,20 +161,14 @@ impl InvertedIndex {
         metrics.candidates_settled += settled.len() as u64;
 
         let mut heap = TopKHeap::new(query.k, floor);
-        // Unsettled finalists need one random access each; sorting by heap
-        // page batches candidates sharing a page into one read.
-        let verify = pool.trace_begin(Phase::Verification);
-        for tid in crate::search::sorted_by_page(self, unsettled)? {
-            let t = self.get_tuple(pool, tid)?.ok_or(StorageError::Corrupt(
-                "posting refers to an unindexed tuple",
-            ))?;
-            metrics.candidates_verified += 1;
-            let pr = eq_prob(&query.q, &t);
+        // Unsettled finalists need one random access each, batched so
+        // that candidates sharing a heap page cost one read.
+        self.verify_each(pool, unsettled, metrics, |tid, t| {
+            let pr = eq_prob_entries(query.q.entries(), t);
             if pr > 0.0 {
                 heap.offer(tid, pr);
             }
-        }
-        pool.trace_end(verify);
+        })?;
         for (tid, pr) in settled {
             if pr > 0.0 {
                 heap.offer(tid, pr);
@@ -200,7 +193,7 @@ impl InvertedIndex {
         pool.trace_end(plan);
         let drain = pool.trace_begin(Phase::FrontierMaintenance);
         let mut heap = TopKHeap::new(query.k, floor);
-        let mut verified: HashSet<u64> = HashSet::new();
+        let mut verified = TidSet::default();
         loop {
             if (heap.is_full() || floor > 0.0) && frontier.sum() < heap.threshold() - THRESHOLD_EPS
             {
@@ -213,15 +206,16 @@ impl InvertedIndex {
                 break;
             };
             if verified.insert(tid) {
-                let t = self.get_tuple(pool, tid)?.ok_or(StorageError::Corrupt(
-                    "posting refers to an unindexed tuple",
-                ))?;
+                // One at a time: the stop test above reads the heap's
+                // threshold, which this very score may raise.
                 metrics.candidates_generated += 1;
                 metrics.candidates_verified += 1;
-                let pr = eq_prob(&query.q, &t);
-                if pr > 0.0 {
-                    heap.offer(tid, pr);
-                }
+                self.for_each_tuple(pool, [tid], |tid, t| {
+                    let pr = eq_prob_entries(query.q.entries(), t);
+                    if pr > 0.0 {
+                        heap.offer(tid, pr);
+                    }
+                })?;
             }
             frontier.advance(pool, j, metrics)?;
         }

@@ -482,3 +482,295 @@ fn cost_predictions_map_onto_exactly_four_metrics_fields() {
         m.postings_scanned + uncat::inverted::ENTRIES_PER_PAGE * m.io.physical_reads
     );
 }
+
+/// 20 000 three-category tuples with xorshift-drawn probabilities: lists
+/// of ~4 600 entries (three dozen blocks, several payload pages each)
+/// over a 90-page tuple heap — big enough that every strategy stops
+/// somewhere different.
+fn counter_dataset() -> (Domain, Vec<(u64, Uda)>) {
+    let mut s = 0x9E37_79B9u64;
+    let data = (0..20_000u64)
+        .map(|i| {
+            let c1 = (xorshift(&mut s) % 13) as u32;
+            let c2 = (c1 + 1 + (xorshift(&mut s) % 4) as u32) % 13;
+            let c3 = (c2 + 1 + (xorshift(&mut s) % 4) as u32) % 13;
+            let w: Vec<f64> = (0..3)
+                .map(|_| (1 + xorshift(&mut s) % 100) as f64)
+                .collect();
+            let sum: f64 = w.iter().sum();
+            let p = |k: usize| (w[k] / sum) as f32;
+            (i, uda(&[(c1, p(0)), (c2, p(1)), (c3, p(2))]))
+        })
+        .collect();
+    (Domain::anonymous(13), data)
+}
+
+/// Everything `QueryMetrics` counts for a probe of the inverted index,
+/// `io.*` excluded, then `io.logical_reads` last.
+fn counter_row(m: &QueryMetrics) -> [u64; 14] {
+    [
+        m.lists_opened,
+        m.lists_pruned,
+        m.postings_scanned,
+        m.blocks_decoded,
+        m.blocks_skipped,
+        m.frontier_pops,
+        m.lemma1_stops,
+        m.candidates_generated,
+        m.candidates_pruned,
+        m.candidates_verified,
+        m.candidates_settled,
+        m.heap_tuples_scanned,
+        m.plan_fallbacks,
+        m.io.logical_reads,
+    ]
+}
+
+/// The rows of [`probe_kernels_change_no_counter_but_logical_reads`] as
+/// measured at the commit before the batched probe kernels (one pin and
+/// one copy per candidate and per block). Columns as in [`counter_row`].
+const PARENT_COUNTERS: &[(&str, [u64; 14])] = &[
+    (
+        "petq0/inv-index-search",
+        [1, 0, 4557, 36, 0, 0, 0, 4557, 0, 0, 4557, 0, 0, 36],
+    ),
+    (
+        "petq0/highest-prob-first",
+        [1, 0, 782, 7, 29, 781, 1, 781, 0, 781, 0, 0, 0, 788],
+    ),
+    (
+        "petq0/row-pruning",
+        [1, 0, 4557, 36, 0, 0, 0, 4557, 0, 4557, 0, 0, 0, 4593],
+    ),
+    (
+        "petq0/column-pruning",
+        [1, 0, 781, 7, 29, 0, 0, 781, 0, 781, 0, 0, 0, 788],
+    ),
+    (
+        "petq0/nra",
+        [1, 0, 782, 7, 29, 781, 1, 781, 0, 0, 781, 0, 0, 7],
+    ),
+    (
+        "petq0/auto=nra",
+        [1, 0, 782, 7, 29, 781, 1, 781, 0, 0, 781, 0, 0, 7],
+    ),
+    ("topk0", [1, 0, 65, 1, 35, 64, 1, 64, 54, 0, 10, 0, 0, 1]),
+    (
+        "dstq0",
+        [1, 0, 4557, 36, 0, 0, 0, 4557, 0, 4557, 0, 0, 0, 4593],
+    ),
+    (
+        "petq1/inv-index-search",
+        [2, 0, 9260, 73, 0, 0, 0, 8803, 0, 0, 8803, 0, 0, 73],
+    ),
+    (
+        "petq1/highest-prob-first",
+        [2, 0, 4961, 40, 33, 4959, 1, 4882, 0, 4882, 0, 0, 0, 4922],
+    ),
+    (
+        "petq1/row-pruning",
+        [2, 0, 9260, 73, 0, 0, 0, 8803, 0, 8803, 0, 0, 0, 8876],
+    ),
+    (
+        "petq1/column-pruning",
+        [2, 0, 5281, 42, 31, 0, 0, 5172, 0, 5172, 0, 0, 0, 5214],
+    ),
+    (
+        "petq1/nra",
+        [2, 0, 9260, 73, 0, 9260, 0, 8803, 7746, 0, 1057, 0, 0, 73],
+    ),
+    (
+        "petq1/auto=inv-index-search",
+        [2, 0, 9260, 73, 0, 0, 0, 8803, 0, 0, 8803, 0, 0, 73],
+    ),
+    (
+        "topk1",
+        [2, 0, 1877, 16, 57, 1875, 1, 1875, 0, 1875, 0, 0, 0, 1891],
+    ),
+    (
+        "dstq1",
+        [2, 0, 9260, 73, 0, 0, 0, 8803, 0, 8803, 0, 0, 0, 8876],
+    ),
+    (
+        "petq2/inv-index-search",
+        [3, 0, 14025, 111, 0, 0, 0, 12011, 0, 0, 12011, 0, 0, 111],
+    ),
+    (
+        "petq2/highest-prob-first",
+        [3, 0, 11038, 87, 24, 11035, 1, 9845, 0, 9845, 0, 0, 0, 9932],
+    ),
+    (
+        "petq2/row-pruning",
+        [3, 0, 14025, 111, 0, 0, 0, 12011, 0, 12011, 0, 0, 0, 12122],
+    ),
+    (
+        "petq2/column-pruning",
+        [3, 0, 11606, 92, 19, 0, 0, 10271, 0, 10271, 0, 0, 0, 10363],
+    ),
+    (
+        "petq2/nra",
+        [
+            3, 0, 14025, 111, 0, 14025, 0, 12011, 7938, 0, 4073, 0, 0, 111,
+        ],
+    ),
+    (
+        "petq2/auto=inv-index-search",
+        [3, 0, 14025, 111, 0, 0, 0, 12011, 0, 0, 12011, 0, 0, 111],
+    ),
+    (
+        "topk2",
+        [3, 0, 4269, 35, 76, 4266, 1, 4222, 1, 4221, 0, 0, 0, 4256],
+    ),
+    (
+        "dstq2",
+        [3, 0, 14025, 111, 0, 0, 0, 12011, 0, 12011, 0, 0, 0, 12122],
+    ),
+    (
+        "petq3/inv-index-search",
+        [2, 0, 9190, 73, 0, 0, 0, 8737, 0, 0, 8737, 0, 0, 73],
+    ),
+    (
+        "petq3/highest-prob-first",
+        [2, 0, 169, 2, 71, 168, 1, 168, 0, 168, 0, 0, 0, 170],
+    ),
+    (
+        "petq3/row-pruning",
+        [1, 1, 4528, 36, 0, 0, 0, 4528, 0, 4528, 0, 0, 0, 4564],
+    ),
+    (
+        "petq3/column-pruning",
+        [2, 0, 255, 3, 70, 0, 0, 255, 0, 255, 0, 0, 0, 258],
+    ),
+    (
+        "petq3/nra",
+        [2, 0, 7396, 59, 14, 7394, 1, 7120, 7047, 73, 0, 0, 0, 132],
+    ),
+    (
+        "petq3/auto=inv-index-search",
+        [2, 0, 9190, 73, 0, 0, 0, 8737, 0, 0, 8737, 0, 0, 73],
+    ),
+    (
+        "topk3",
+        [2, 0, 211, 2, 71, 210, 1, 210, 0, 210, 0, 0, 0, 212],
+    ),
+    (
+        "dstq3",
+        [2, 0, 9190, 73, 0, 0, 0, 8737, 0, 8737, 0, 0, 0, 8810],
+    ),
+    (
+        "petq4/inv-index-search",
+        [4, 0, 18324, 145, 0, 0, 0, 13807, 0, 0, 13807, 0, 0, 145],
+    ),
+    (
+        "petq4/highest-prob-first",
+        [
+            4, 0, 17443, 138, 7, 17439, 1, 13343, 0, 13343, 0, 0, 0, 13481,
+        ],
+    ),
+    (
+        "petq4/row-pruning",
+        [4, 0, 18324, 145, 0, 0, 0, 13807, 0, 13807, 0, 0, 0, 13952],
+    ),
+    (
+        "petq4/column-pruning",
+        [4, 0, 17447, 138, 7, 0, 0, 13348, 0, 13348, 0, 0, 0, 13486],
+    ),
+    (
+        "petq4/nra",
+        [
+            4, 0, 18324, 145, 0, 18324, 0, 13807, 2349, 0, 11458, 0, 0, 145,
+        ],
+    ),
+    (
+        "petq4/auto=inv-index-search",
+        [4, 0, 18324, 145, 0, 0, 0, 13807, 0, 0, 13807, 0, 0, 145],
+    ),
+    (
+        "topk4",
+        [
+            4, 0, 12530, 100, 45, 12526, 1, 10580, 215, 10365, 0, 0, 0, 10465,
+        ],
+    ),
+    (
+        "dstq4",
+        [4, 0, 18324, 145, 0, 0, 0, 13807, 0, 13807, 0, 0, 0, 13952],
+    ),
+];
+
+/// The batched probe kernels (page-grouped verification, order-free block
+/// scans, cheap tid hashing) are a pure CPU change: on a fixed dataset,
+/// for every strategy, top-k and DSTQ-L1, every execution counter equals
+/// the value recorded before them, the planner picks what it picked, and
+/// the one counter changed on purpose — `io.logical_reads`, now one per
+/// heap page per batch — never exceeds its old value.
+#[test]
+fn probe_kernels_change_no_counter_but_logical_reads() {
+    let (domain, data) = counter_dataset();
+    let (idx, store) = build_inverted(&domain, &data);
+    let queries = [
+        (uda(&[(4, 1.0)]), 0.5),
+        (uda(&[(4, 0.6), (9, 0.4)]), 0.3),
+        (uda(&[(1, 0.5), (6, 0.3), (11, 0.2)]), 0.15),
+        (uda(&[(2, 0.9), (7, 0.1)]), 0.7),
+        (uda(&[(0, 0.25), (3, 0.25), (8, 0.25), (12, 0.25)]), 0.05),
+    ];
+    let mut rows: Vec<(String, [u64; 14])> = Vec::new();
+    let mut run = |name: String, probe: &mut dyn FnMut(&mut BufferPool, &mut QueryMetrics)| {
+        let mut pool = BufferPool::with_capacity(store.clone(), 512);
+        let mut m = QueryMetrics::new();
+        probe(&mut pool, &mut m);
+        m.io = pool.stats();
+        rows.push((name, counter_row(&m)));
+        m
+    };
+    for (qi, (q, tau)) in queries.iter().enumerate() {
+        let query = EqQuery::new(q.clone(), *tau);
+        let pick = idx.plan_petq(&query).0;
+        for strategy in Strategy::ALL.into_iter().chain([Strategy::Auto]) {
+            let mut name = format!("petq{qi}/{}", strategy.name());
+            if strategy == Strategy::Auto {
+                name.push_str(&format!("={}", pick.name()));
+            }
+            run(name, &mut |pool, m| {
+                idx.petq_metered(pool, &query, strategy, m).unwrap();
+            });
+        }
+        let m = run(format!("topk{qi}"), &mut |pool, m| {
+            idx.top_k_metered(pool, &TopKQuery::new(q.clone(), 10 + 20 * qi), m)
+                .unwrap();
+        });
+        assert!(m.candidate_invariant_holds());
+        let m = run(format!("dstq{qi}"), &mut |pool, m| {
+            idx.dstq_metered(pool, &DstQuery::new(q.clone(), 0.4, Divergence::L1), m)
+                .unwrap();
+        });
+        // A cold pool that holds everything reads each page once, so
+        // physical reads count the distinct pages touched. A one-list
+        // full scan plus one verification batch must cost exactly that
+        // many logical reads: one per page per batch.
+        if q.len() == 1 {
+            assert!(m.candidates_verified > 0, "dstq{qi} took the scan path");
+            assert_eq!(
+                m.io.logical_reads, m.io.physical_reads,
+                "dstq{qi}: one logical read per distinct page per batch"
+            );
+        }
+    }
+
+    if rows.len() != PARENT_COUNTERS.len() {
+        for (name, row) in &rows {
+            println!("    (\"{name}\", {row:?}),");
+        }
+        panic!("PARENT_COUNTERS has {} rows", PARENT_COUNTERS.len());
+    }
+    for ((name, row), (want_name, want)) in rows.iter().zip(PARENT_COUNTERS) {
+        assert_eq!(name, want_name, "probe order or planner pick changed");
+        assert_eq!(row[..13], want[..13], "{name}: execution counters moved");
+        assert!(
+            row[13] <= want[13],
+            "{name}: logical reads rose from {} to {}",
+            want[13],
+            row[13]
+        );
+    }
+}

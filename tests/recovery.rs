@@ -13,6 +13,14 @@
 //! * [`MemLog::crash_keep`] sweeps a torn tail one byte at a time;
 //! * [`CheckpointCrash`] and [`FaultStore`] kill the checkpoint after
 //!   each internal phase, exercising the redo journal.
+//!
+//! Block payloads and heap records are rewritten in place
+//! (`HeapFile::update`) rather than tombstoned and re-inserted. Nothing
+//! here had to change for that: the WAL is logical (tuple-level
+//! insert/update/delete re-applied to the last checkpoint's snapshot),
+//! the durable pool never writes a dirty page before a checkpoint
+//! installs it, and the redo journal carries whole page images — so
+//! where a record sits inside its page is invisible to recovery.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
