@@ -121,24 +121,16 @@ impl Match {
 
 /// Canonical result ordering for equality queries: descending probability,
 /// ties broken by ascending tuple id so comparisons are deterministic.
+/// The order is total (`f64::total_cmp`): a NaN score from a corrupt page
+/// sorts somewhere instead of panicking the process.
 pub fn sort_matches_desc(matches: &mut [Match]) {
-    matches.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .expect("scores are finite")
-            .then_with(|| a.tid.cmp(&b.tid))
-    });
+    matches.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.tid.cmp(&b.tid)));
 }
 
 /// Canonical result ordering for similarity queries: ascending divergence,
 /// ties broken by ascending tuple id.
 pub fn sort_matches_asc(matches: &mut [Match]) {
-    matches.sort_by(|a, b| {
-        a.score
-            .partial_cmp(&b.score)
-            .expect("scores are finite")
-            .then_with(|| a.tid.cmp(&b.tid))
-    });
+    matches.sort_by(|a, b| a.score.total_cmp(&b.score).then_with(|| a.tid.cmp(&b.tid)));
 }
 
 #[cfg(test)]

@@ -23,11 +23,13 @@ impl Eq for HeapEntry {}
 impl Ord for HeapEntry {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert score so the weakest floats up.
+        // `total_cmp`, not `partial_cmp().expect()`: a NaN score (a
+        // corrupt page that passed the physical checks) must not panic
+        // the process from inside the heap.
         other
             .0
             .score
-            .partial_cmp(&self.0.score)
-            .expect("scores are finite")
+            .total_cmp(&self.0.score)
             .then_with(|| self.0.tid.cmp(&other.0.tid))
     }
 }
@@ -121,8 +123,7 @@ impl Ord for BottomEntry {
     fn cmp(&self, other: &Self) -> Ordering {
         self.0
             .score
-            .partial_cmp(&other.0.score)
-            .expect("scores are finite")
+            .total_cmp(&other.0.score)
             .then_with(|| self.0.tid.cmp(&other.0.tid))
     }
 }
@@ -280,6 +281,29 @@ mod tests {
         let mut h = TopKHeap::new(0, 0.0);
         assert!(!h.offer(1, 1.0));
         assert!(h.into_sorted().is_empty());
+    }
+
+    #[test]
+    fn nan_scores_order_totally_instead_of_panicking() {
+        // Enough offers that both heaps sift NaN entries against finite
+        // ones on push and on pop.
+        let scores = [0.4, f64::NAN, 0.9, 0.1, f64::NAN, 0.7, 0.2];
+        let mut top = TopKHeap::new(3, 0.0);
+        let mut bottom = BottomKHeap::new(3);
+        for (tid, &s) in scores.iter().enumerate() {
+            top.offer(tid as u64, s);
+            bottom.offer(tid as u64, s);
+        }
+        // Draining sorts through `sort_matches_*`, which must be total too.
+        assert_eq!(top.into_sorted().len(), 3);
+        assert_eq!(bottom.into_sorted().len(), 3);
+        // Finite inputs are unaffected by the NaN neighbours' presence.
+        let mut top = TopKHeap::new(2, 0.0);
+        for (tid, s) in [(1, 0.4), (2, 0.9), (3, 0.1)] {
+            top.offer(tid, s);
+        }
+        let out = top.into_sorted();
+        assert_eq!(out.iter().map(|m| m.tid).collect::<Vec<_>>(), vec![2, 1]);
     }
 
     #[test]

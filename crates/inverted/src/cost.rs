@@ -188,12 +188,40 @@ struct ScanWork {
 impl ScanWork {
     fn reads(&self, stats: &CostStats) -> u64 {
         let total_blocks: u64 = stats.cats.values().map(|c| c.blocks as u64).sum();
-        let bpp = total_blocks
-            .checked_div(stats.block_pages)
-            .unwrap_or(1)
-            .max(1);
+        self.pages(total_blocks, stats.block_pages)
+    }
+
+    /// Page reads on an index of `total_blocks` blocks in `block_pages`
+    /// pages.
+    fn pages(&self, total_blocks: u64, block_pages: u64) -> u64 {
+        let bpp = total_blocks.checked_div(block_pages).unwrap_or(1).max(1);
         self.blocks.div_ceil(bpp) + self.raw_entries.div_ceil(ENTRIES_PER_PAGE)
     }
+}
+
+/// The scalar cost of the full scan of `q`'s lists as they are *now*:
+/// what [`CostStats::predict_strategy`] gives [`Strategy::Brute`] on
+/// fresh statistics (Σ list lengths plus the lists' pages), read off the
+/// live directories instead of the cached snapshot, which mutations do
+/// not refresh. No selectivity enters it, so it is exact, and it costs
+/// no I/O.
+pub(crate) fn live_scan_cost(idx: &InvertedIndex, q: &Uda) -> u64 {
+    let blocks_of = |list: &PostingList| match list {
+        PostingList::Blocks(blocks) => blocks.blocks().len() as u64,
+        PostingList::Tree(_) => 0,
+    };
+    let mut p = CostPrediction::default();
+    let mut scan = ScanWork::default();
+    for (_, _, list) in crate::search::query_lists(idx, q) {
+        p.postings_scanned += list.len();
+        match list {
+            PostingList::Blocks(_) => scan.blocks += blocks_of(list),
+            PostingList::Tree(_) => scan.raw_entries += list.len(),
+        }
+    }
+    let total_blocks = idx.posting_map().values().map(blocks_of).sum();
+    p.physical_reads = scan.pages(total_blocks, idx.block_heap_parts().0.len() as u64);
+    p.cost()
 }
 
 impl CostStats {

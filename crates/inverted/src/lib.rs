@@ -29,7 +29,9 @@
 //! each strategy's counters from cached [`CostStats`] (zero-I/O
 //! statistics over the block directories), executes the cheapest, and
 //! abandons frontier plans mid-query when live counters overrun the
-//! prediction — falling back, exactly, to column pruning.
+//! prediction — falling back, exactly, to the full scan. Every full-list
+//! plan (brute force, that fallback, the top-k scan behind `Auto`, DSTQ)
+//! sums per tuple in one tid-keyed accumulator (the `acc` module).
 //!
 //! Every query method has a `*_metered` variant that tallies execution
 //! counters (lists/postings scanned, Lemma 1 stops, the candidate
@@ -39,6 +41,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod acc;
 mod block;
 mod cost;
 mod dstq;

@@ -9,33 +9,27 @@
 //! between checkpoints — so they run under a postings budget of
 //! `OVERRUN_FACTOR × predicted + FALLBACK_BUDGET_FLOOR`.
 //!
-//! When a drain overruns its budget, the plan is abandoned mid-query:
-//! the executor falls back to a column-pruning scan over the same
-//! (already warmed) buffer pool, *reusing the partial frontier state* —
-//! every tuple id the drain encountered joins the fallback's candidate
-//! set, so the drained work is not thrown away. Verification computes
-//! exact scores and filters by τ, and the fallback candidate set is a
-//! superset of column pruning's, so the fallback is exact. One
-//! `plan_fallbacks` tick records the misprediction.
+//! When a drain overruns its budget, the plan is abandoned mid-query and
+//! the executor runs the full scan (`inv-index-search`) over the same,
+//! already warmed, buffer pool. The scan is exact from the lists alone:
+//! it needs nothing the drain found, builds no candidate union and
+//! fetches no tuple — so a misprediction costs one sequential pass over
+//! the query's lists, not a second scan plus one random access per
+//! candidate. One `plan_fallbacks` tick records the misprediction.
 //!
 //! Work bound (asserted in `tests/planner.rs`): the adaptive run never
 //! scans more postings, nor reads more pages, than running the losing
-//! strategy to completion plus running the fallback strategy cold — the
-//! abandoned drain is a prefix of the full drain, the fallback scan is
-//! exactly column pruning's, and the shared pool only deduplicates
-//! reads.
+//! strategy to completion plus running brute force cold — the abandoned
+//! drain is a prefix of the full drain, the fallback is exactly brute
+//! force, and the shared pool only deduplicates reads.
 
-use uncat_core::equality::THRESHOLD_EPS;
 use uncat_core::query::{EqQuery, Match};
-use uncat_storage::{BufferPool, Phase, QueryMetrics, Result};
+use uncat_storage::{BufferPool, QueryMetrics, Result};
 
 use crate::cost::{FALLBACK_BUDGET_FLOOR, OVERRUN_FACTOR};
 use crate::index::InvertedIndex;
-use crate::tid::TidSet;
 
-use super::{
-    brute, col_prune, highest_prob, nra, query_lists, row_prune, verify_candidates, Strategy,
-};
+use super::{brute, col_prune, highest_prob, nra, row_prune, verify_candidates, Strategy};
 
 /// Postings the adaptive executor lets a frontier drain scan before
 /// declaring the plan lost.
@@ -61,7 +55,7 @@ pub(super) fn search(
             let (candidates, over) =
                 highest_prob::collect_candidates(idx, pool, query, Some(budget), metrics)?;
             if over {
-                return fallback(idx, pool, query, candidates, metrics);
+                return fallback(idx, pool, query, metrics);
             }
             metrics.candidates_generated += candidates.len() as u64;
             verify_candidates(idx, pool, query, candidates, metrics)
@@ -69,41 +63,21 @@ pub(super) fn search(
         Strategy::Nra => {
             let budget = budget_for(pred.postings_scanned);
             match nra::search_budgeted(idx, pool, query, budget, metrics)? {
-                nra::NraOutcome::Done(out) => Ok(out),
-                nra::NraOutcome::OverBudget(partial) => {
-                    fallback(idx, pool, query, partial, metrics)
-                }
+                Some(out) => Ok(out),
+                None => fallback(idx, pool, query, metrics),
             }
         }
         Strategy::Auto => unreachable!("the planner only picks fixed strategies"),
     }
 }
 
-/// Abandon the losing plan: column-pruning scan on the same pool, with
-/// the drain's partial candidates folded in, then one exact batched
-/// verification over the union.
+/// Abandon the losing plan for the full scan on the same pool.
 fn fallback(
     idx: &InvertedIndex,
     pool: &mut BufferPool,
     query: &EqQuery,
-    mut candidates: TidSet,
     metrics: &mut QueryMetrics,
 ) -> Result<Vec<Match>> {
     metrics.plan_fallbacks += 1;
-    let span = pool.trace_begin(Phase::PostingScan);
-    for (_cat, _qp, list) in query_lists(idx, &query.q) {
-        metrics.lists_opened += 1;
-        list.scan_prefix(
-            idx.block_heap(),
-            pool,
-            query.tau - THRESHOLD_EPS,
-            metrics,
-            |tid, _p| {
-                candidates.insert(tid);
-            },
-        )?;
-    }
-    pool.trace_end(span);
-    metrics.candidates_generated += candidates.len() as u64;
-    verify_candidates(idx, pool, query, candidates, metrics)
+    brute::search(idx, pool, query, metrics)
 }

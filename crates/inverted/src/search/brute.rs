@@ -10,12 +10,13 @@
 
 use uncat_core::equality::meets_threshold;
 use uncat_core::query::{EqQuery, Match};
-use uncat_storage::{BufferPool, Phase, QueryMetrics, Result};
+use uncat_core::Uda;
+use uncat_storage::{BufferPool, QueryMetrics, Result};
 
+use crate::acc::ScoreAcc;
 use crate::index::InvertedIndex;
-use crate::tid::TidMap;
 
-use super::query_lists;
+use super::accumulate;
 
 /// Metrics profile: every query list is opened and scanned to the end
 /// (`postings_scanned` is the total posting count of the query lists — the
@@ -29,20 +30,26 @@ pub(super) fn search(
     query: &EqQuery,
     metrics: &mut QueryMetrics,
 ) -> Result<Vec<Match>> {
-    let mut acc: TidMap<f64> = TidMap::default();
-    let span = pool.trace_begin(Phase::PostingScan);
-    for (_cat, qp, list) in query_lists(idx, &query.q) {
-        metrics.lists_opened += 1;
-        list.scan_all(idx.block_heap(), pool, metrics, |tid, p| {
-            *acc.entry(tid).or_insert(0.0) += qp * p as f64;
-        })?;
-    }
-    pool.trace_end(span);
-    metrics.candidates_generated += acc.len() as u64;
-    metrics.candidates_settled += acc.len() as u64;
-    Ok(acc
-        .into_iter()
+    let scores = exact_scores(idx, pool, &query.q, metrics)?;
+    Ok(scores
+        .iter()
         .filter(|&(_, pr)| meets_threshold(pr, query.tau))
         .map(|(tid, pr)| Match::new(tid, pr))
         .collect())
+}
+
+/// `Pr(q = t)` for every tuple sharing a category with `q`, from the
+/// lists alone. The terms of one tuple are added in list order —
+/// ascending category, the order `eq_prob_entries` adds them in.
+pub(crate) fn exact_scores(
+    idx: &InvertedIndex,
+    pool: &mut BufferPool,
+    q: &Uda,
+    metrics: &mut QueryMetrics,
+) -> Result<ScoreAcc> {
+    let scores = accumulate(idx, pool, q, metrics, |qp, p| qp * p)?;
+    let tuples = scores.len() as u64;
+    metrics.candidates_generated += tuples;
+    metrics.candidates_settled += tuples;
+    Ok(scores)
 }

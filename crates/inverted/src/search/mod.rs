@@ -7,12 +7,14 @@ mod highest_prob;
 mod nra;
 mod row_prune;
 
+pub(crate) use brute::exact_scores;
 pub(crate) use nra::RA_FALLBACK as NRA_RA_FALLBACK;
 
 use uncat_core::equality::{eq_prob_entries, meets_threshold};
 use uncat_core::query::{sort_matches_desc, EqQuery, Match};
-use uncat_storage::{BufferPool, QueryMetrics, Result};
+use uncat_storage::{BufferPool, Phase, QueryMetrics, Result};
 
+use crate::acc::ScoreAcc;
 use crate::index::InvertedIndex;
 
 /// Which search algorithm evaluates a PETQ (paper §3.1).
@@ -31,7 +33,7 @@ pub enum Strategy {
     Nra,
     /// Cost-based planning: pick the cheapest fixed strategy from the
     /// cached [`crate::CostStats`] and execute it under an adaptive
-    /// budget that falls back to column pruning when live counters
+    /// budget that falls back to the full scan when live counters
     /// overrun the prediction (see [`crate::CostPrediction`]).
     Auto,
 }
@@ -148,6 +150,33 @@ pub(crate) fn query_lists<'a>(
     q.iter()
         .filter_map(|(cat, p)| idx.posting_list(cat).map(|l| (cat, p as f64, l)))
         .collect()
+}
+
+/// The full-list scan under every accumulating plan (brute-force PETQ,
+/// `Auto`'s fallback, the top-k scan, DSTQ's partial distances): read
+/// each of the query's lists end to end and add `term(q.p_j, p)` to the
+/// posting's tuple, lists in ascending category order. Ticks
+/// `lists_opened` and what [`crate::postings::PostingList::scan_all`]
+/// ticks; the candidate counters are the caller's.
+pub(crate) fn accumulate(
+    idx: &InvertedIndex,
+    pool: &mut BufferPool,
+    q: &uncat_core::Uda,
+    metrics: &mut QueryMetrics,
+    term: impl Fn(f64, f64) -> f64,
+) -> Result<ScoreAcc> {
+    let lists = query_lists(idx, q);
+    let postings = lists.iter().map(|(_, _, list)| list.len()).sum();
+    let mut acc = ScoreAcc::for_scan(postings, idx.len() as u64);
+    let span = pool.trace_begin(Phase::PostingScan);
+    for (_cat, qp, list) in lists {
+        metrics.lists_opened += 1;
+        list.scan_all(idx.block_heap(), pool, metrics, |tid, p| {
+            acc.add(tid, term(qp, p as f64));
+        })?;
+    }
+    pool.trace_end(span);
+    Ok(acc)
 }
 
 /// A cached frontier head: the contribution `c_j = q.p_j · p'_j` of list

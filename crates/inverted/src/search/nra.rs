@@ -22,24 +22,13 @@ use uncat_core::query::{EqQuery, Match};
 use uncat_storage::{BufferPool, Phase, QueryMetrics, Result};
 
 use crate::index::InvertedIndex;
-use crate::tid::{TidMap, TidSet};
+use crate::tid::TidMap;
 
 use super::{verify_candidates, Frontier};
 
 /// Random-access fallback size: with at most this many undecided
 /// candidates (and no new ones possible), stop draining and verify them.
 pub(crate) const RA_FALLBACK: usize = 32;
-
-/// How a budgeted NRA run ended (see [`search_budgeted`]).
-pub(crate) enum NraOutcome {
-    /// The drain finished within budget; these are the exact matches.
-    Done(Vec<Match>),
-    /// The postings budget ran out mid-drain. Carries every tuple id
-    /// encountered so far — a partial candidate set the adaptive
-    /// executor folds into its fallback scan. No candidate-pipeline
-    /// counters were ticked for them.
-    OverBudget(TidSet),
-}
 
 /// How many pops between candidate sweeps.
 const SWEEP_EVERY: usize = 128;
@@ -61,22 +50,20 @@ pub(super) fn search(
     query: &EqQuery,
     metrics: &mut QueryMetrics,
 ) -> Result<Vec<Match>> {
-    match run(idx, pool, query, None, metrics)? {
-        NraOutcome::Done(out) => Ok(out),
-        NraOutcome::OverBudget(_) => unreachable!("no budget, no overrun"),
-    }
+    Ok(run(idx, pool, query, None, metrics)?.expect("no budget, no overrun"))
 }
 
 /// NRA under a postings-scanned budget: the adaptive executor's entry
-/// point. The drain aborts once it has scanned more than `budget`
-/// postings beyond the counter's value at entry.
+/// point. The drain aborts — `None`, with no candidate-pipeline counter
+/// ticked — once it has scanned more than `budget` postings beyond the
+/// counter's value at entry.
 pub(crate) fn search_budgeted(
     idx: &InvertedIndex,
     pool: &mut BufferPool,
     query: &EqQuery,
     budget: u64,
     metrics: &mut QueryMetrics,
-) -> Result<NraOutcome> {
+) -> Result<Option<Vec<Match>>> {
     run(idx, pool, query, Some(budget), metrics)
 }
 
@@ -86,7 +73,7 @@ fn run(
     query: &EqQuery,
     budget: Option<u64>,
     metrics: &mut QueryMetrics,
-) -> Result<NraOutcome> {
+) -> Result<Option<Vec<Match>>> {
     let scanned_at_entry = metrics.postings_scanned;
     let plan = pool.trace_begin(Phase::Plan);
     let mut frontier = Frontier::open(idx, pool, &query.q, metrics)?;
@@ -99,12 +86,10 @@ fn run(
         let (seen, over) =
             super::highest_prob::collect_candidates(idx, pool, query, budget, metrics)?;
         if over {
-            return Ok(NraOutcome::OverBudget(seen));
+            return Ok(None);
         }
         metrics.candidates_generated += seen.len() as u64;
-        return Ok(NraOutcome::Done(verify_candidates(
-            idx, pool, query, seen, metrics,
-        )?));
+        return verify_candidates(idx, pool, query, seen, metrics).map(Some);
     }
 
     let tau = query.tau;
@@ -126,11 +111,11 @@ fn run(
             break;
         }
         if budget.is_some_and(|b| metrics.postings_scanned - scanned_at_entry > b) {
-            // The plan is losing: hand the partial candidate set back to
-            // the adaptive executor without spending any random access.
+            // The plan is losing: hand the query back to the adaptive
+            // executor without spending any random access.
             pool.trace_end(drain);
             frontier.account_skips(metrics);
-            return Ok(NraOutcome::OverBudget(cand.keys().copied().collect()));
+            return Ok(None);
         }
         let Some((j, tid, c)) = frontier.best(pool, metrics)? else {
             break;
@@ -199,5 +184,5 @@ fn run(
         }
     }
     accepted.extend(verify_candidates(idx, pool, query, needs_ra, metrics)?);
-    Ok(NraOutcome::Done(accepted))
+    Ok(Some(accepted))
 }

@@ -9,14 +9,23 @@
 //! Lemma 1 stops the drain once `Σ_j q.p_j · p'_j < θ`. Only candidates
 //! whose upper bound still reaches θ are verified by batched random
 //! access.
+//!
+//! On a tie plateau the drain prunes almost nothing: every candidate has
+//! `ub ≥ Σheads ≈ θ`, so it verifies nearly every posting it popped, one
+//! random access each. Under [`Strategy::Auto`]
+//! ([`InvertedIndex::top_k_planned`]) the drain therefore runs against
+//! the price of the alternative plan — read the query's lists to the
+//! end, sum exact scores, select the k best — and is abandoned for it as
+//! soon as the drain's own cost so far exceeds that price.
 
 use uncat_core::equality::{eq_prob_entries, THRESHOLD_EPS};
 use uncat_core::query::{Match, TopKQuery};
 use uncat_core::topk::TopKHeap;
 use uncat_storage::{BufferPool, Phase, QueryMetrics, Result};
 
+use crate::cost::{live_scan_cost, CostPrediction};
 use crate::index::InvertedIndex;
-use crate::search::Frontier;
+use crate::search::{exact_scores, Frontier, Strategy};
 use crate::tid::{TidMap, TidSet};
 
 /// Pops between θ refreshes.
@@ -63,6 +72,42 @@ impl InvertedIndex {
         floor: f64,
         metrics: &mut QueryMetrics,
     ) -> Result<Vec<Match>> {
+        self.top_k_drain(pool, query, floor, None, metrics)
+    }
+
+    /// [`InvertedIndex::top_k_floored_metered`] as the plan of a backend
+    /// configured with `strategy`. A fixed strategy gets the paper's
+    /// drain, whatever it costs. [`Strategy::Auto`] starts the same drain
+    /// and abandons it for the full scan once its live counters, priced
+    /// by [`crate::CostPrediction::cost`]'s formula (postings popped, plus
+    /// one random access per candidate up to the heap's pages), exceed
+    /// the scan's cost (the lists' lengths plus their pages): the scan
+    /// has exact scores from the lists alone and verifies nothing. Both
+    /// prices come from the live directories, not the cached
+    /// [`crate::CostStats`], so statistics gone stale under mutations
+    /// cannot talk a cheap drain into a full scan. Answers are the same
+    /// either way.
+    pub fn top_k_planned(
+        &self,
+        pool: &mut BufferPool,
+        query: &TopKQuery,
+        floor: f64,
+        strategy: Strategy,
+        metrics: &mut QueryMetrics,
+    ) -> Result<Vec<Match>> {
+        let scan_cost = (strategy == Strategy::Auto).then(|| live_scan_cost(self, &query.q));
+        self.top_k_drain(pool, query, floor, scan_cost, metrics)
+    }
+
+    /// The drain, optionally against the price of the scan plan.
+    fn top_k_drain(
+        &self,
+        pool: &mut BufferPool,
+        query: &TopKQuery,
+        floor: f64,
+        scan_cost: Option<u64>,
+        metrics: &mut QueryMetrics,
+    ) -> Result<Vec<Match>> {
         if query.k == 0 {
             return Ok(Vec::new());
         }
@@ -74,11 +119,29 @@ impl InvertedIndex {
         let plan = pool.trace_begin(Phase::Plan);
         let mut frontier = Frontier::open(self, pool, &query.q, metrics)?;
         pool.trace_end(plan);
+        // A one-list candidate's bounds converge on contact (nothing is
+        // ever fetched for it), as in the estimator's drain prediction.
+        let fetches_per_candidate = usize::from(frontier.len() > 1);
+        // The drain so far, by `CostPrediction::cost`'s formula on live
+        // counters: the postings it popped, plus one batched random
+        // access per candidate it would now have to verify — never more
+        // pages than the tuple heap has.
+        let heap_pages = self.heap_pages();
+        let losing = |pops: usize, candidates: usize| {
+            scan_cost.is_some_and(|scan| {
+                let drain = CostPrediction {
+                    postings_scanned: pops as u64,
+                    physical_reads: (fetches_per_candidate * candidates).min(heap_pages) as u64,
+                    ..CostPrediction::default()
+                };
+                drain.cost() > scan
+            })
+        };
         if frontier.len() > 128 {
             // Nothing decoded yet: the whole frontier counts as skipped
             // before the fallback opens its own.
             frontier.account_skips(metrics);
-            return self.top_k_random_access(pool, query, floor, metrics);
+            return self.top_k_random_access(pool, query, floor, &losing, metrics);
         }
 
         let mut cand: TidMap<Cand> = TidMap::default();
@@ -102,6 +165,11 @@ impl InvertedIndex {
                     metrics.lemma1_stops += 1;
                 }
                 break;
+            }
+            if losing(pops, cand.len()) {
+                pool.trace_end(drain);
+                frontier.account_skips(metrics);
+                return self.top_k_scan(pool, query, floor, metrics);
             }
             let Some((j, tid, c)) = frontier.best(pool, metrics)? else {
                 break;
@@ -177,6 +245,26 @@ impl InvertedIndex {
         Ok(heap.into_sorted())
     }
 
+    /// The scan plan: exact scores for every tuple in the query's lists,
+    /// then the k best. Every candidate is settled from the lists; the
+    /// tuple heap is never touched.
+    fn top_k_scan(
+        &self,
+        pool: &mut BufferPool,
+        query: &TopKQuery,
+        floor: f64,
+        metrics: &mut QueryMetrics,
+    ) -> Result<Vec<Match>> {
+        let scores = exact_scores(self, pool, &query.q, metrics)?;
+        let mut heap = TopKHeap::new(query.k, floor);
+        for (tid, pr) in scores.iter() {
+            if pr > 0.0 {
+                heap.offer(tid, pr);
+            }
+        }
+        Ok(heap.into_sorted())
+    }
+
     /// Fallback for queries wider than the bound mask: verify every
     /// encountered candidate by random access. The heap's threshold is
     /// `floor` until it fills, so a positive floor prunes from the first
@@ -186,6 +274,7 @@ impl InvertedIndex {
         pool: &mut BufferPool,
         query: &TopKQuery,
         floor: f64,
+        losing: &dyn Fn(usize, usize) -> bool,
         metrics: &mut QueryMetrics,
     ) -> Result<Vec<Match>> {
         let plan = pool.trace_begin(Phase::Plan);
@@ -194,6 +283,7 @@ impl InvertedIndex {
         let drain = pool.trace_begin(Phase::FrontierMaintenance);
         let mut heap = TopKHeap::new(query.k, floor);
         let mut verified = TidSet::default();
+        let mut pops = 0usize;
         loop {
             if (heap.is_full() || floor > 0.0) && frontier.sum() < heap.threshold() - THRESHOLD_EPS
             {
@@ -201,6 +291,11 @@ impl InvertedIndex {
                     metrics.lemma1_stops += 1;
                 }
                 break;
+            }
+            if losing(pops, verified.len()) {
+                frontier.account_skips(metrics);
+                pool.trace_end(drain);
+                return self.top_k_scan(pool, query, floor, metrics);
             }
             let Some((j, tid, _c)) = frontier.best(pool, metrics)? else {
                 break;
@@ -218,6 +313,7 @@ impl InvertedIndex {
                 })?;
             }
             frontier.advance(pool, j, metrics)?;
+            pops += 1;
         }
         frontier.account_skips(metrics);
         pool.trace_end(drain);

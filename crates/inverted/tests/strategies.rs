@@ -273,3 +273,46 @@ fn early_stopping_beats_brute_on_high_thresholds() {
         "highest-prob-first ({hpf_io} I/Os) should not exceed brute ({brute_io} I/Os) here"
     );
 }
+
+#[test]
+fn planned_top_k_agrees_with_the_drain_on_queries_wider_than_the_bound_mask() {
+    // More than 128 query lists: the drain has no room for its per-list
+    // bound mask and verifies each candidate as it meets it. Under
+    // `Strategy::Auto` that loop is priced against the scan like the
+    // regular drain and left for it.
+    let mut f = fixture(61, 1500, 150, 3);
+    let q = Uda::from_pairs((0..140).map(|c| (CatId(c), 1.0 / 140.0))).unwrap();
+    let mut expect: Vec<Match> = f
+        .data
+        .iter()
+        .filter_map(|(tid, t)| {
+            let pr = eq_prob(&q, t);
+            (pr > 0.0).then_some(Match::new(*tid, pr))
+        })
+        .collect();
+    sort_matches_desc(&mut expect);
+    for k in [1usize, 25, 5000] {
+        let want = &expect[..k.min(expect.len())];
+        let query = TopKQuery::new(q.clone(), k);
+        let mut drained = uncat_storage::QueryMetrics::new();
+        let got = f
+            .idx
+            .top_k_metered(&mut f.pool, &query, &mut drained)
+            .unwrap();
+        assert_same(&got, want, &format!("wide drain, top-{k}"));
+        assert!(drained.candidates_verified > 0);
+        let mut planned = uncat_storage::QueryMetrics::new();
+        let got = f
+            .idx
+            .top_k_planned(&mut f.pool, &query, 0.0, Strategy::Auto, &mut planned)
+            .unwrap();
+        assert_same(&got, want, &format!("wide planned, top-{k}"));
+        assert!(planned.candidate_invariant_holds());
+        assert!(
+            planned.candidates_verified < drained.candidates_verified,
+            "the scan took over: {} fetches against {}",
+            planned.candidates_verified,
+            drained.candidates_verified
+        );
+    }
+}

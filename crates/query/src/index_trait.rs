@@ -156,11 +156,13 @@ impl<T: UncertainIndex + ?Sized> UncertainIndex for Box<T> {
     }
 }
 
-/// The inverted index paired with a fixed search strategy.
+/// The inverted index paired with a search strategy.
 pub struct InvertedBackend {
     /// The underlying index.
     pub index: InvertedIndex,
-    /// Strategy used for threshold queries.
+    /// Strategy used for threshold queries, and passed down to top-k:
+    /// under [`Strategy::Auto`] a top-k drain that is losing to the full
+    /// scan is abandoned for it (`InvertedIndex::top_k_planned`).
     pub strategy: Strategy,
 }
 
@@ -195,7 +197,8 @@ impl UncertainIndex for InvertedBackend {
         query: &TopKQuery,
         metrics: &mut QueryMetrics,
     ) -> Result<Vec<Match>> {
-        self.index.top_k_metered(pool, query, metrics)
+        self.index
+            .top_k_planned(pool, query, 0.0, self.strategy, metrics)
     }
 
     fn dstq_metered(
@@ -232,7 +235,7 @@ impl UncertainIndex for InvertedBackend {
         metrics: &mut QueryMetrics,
     ) -> Result<Vec<Match>> {
         self.index
-            .top_k_floored_metered(pool, query, floor, metrics)
+            .top_k_planned(pool, query, floor, self.strategy, metrics)
     }
 }
 

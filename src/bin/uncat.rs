@@ -1133,16 +1133,21 @@ fn explain(flags: &HashMap<String, String>) -> Result<(), CliError> {
             // statistics a real query would.
             let predictions = i.predict_petq(&q);
             let (pick, _) = i.plan_petq(&q);
-            let mut cols: Vec<(&'static str, QueryMetrics, usize, u64)> = Vec::new();
+            let mut cols: Vec<(&'static str, QueryMetrics, usize, [u64; 2])> = Vec::new();
             for strategy in Strategy::ALL {
-                // A cold pool per strategy keeps the I/O columns comparable.
+                // A cold pool per strategy keeps the I/O columns
+                // comparable; the second run is the same plan on what
+                // the (100-frame) pool kept of the first.
                 let mut pool = BufferPool::new(store.clone());
                 let mut m = QueryMetrics::new();
                 let t0 = std::time::Instant::now();
                 let matches = i.petq_metered(&mut pool, &q, strategy, &mut m)?;
-                let elapsed_us = t0.elapsed().as_micros() as u64;
+                let cold_us = t0.elapsed().as_micros() as u64;
                 m.io = pool.stats();
-                cols.push((strategy.name(), m, matches.len(), elapsed_us));
+                let t0 = std::time::Instant::now();
+                i.petq_metered(&mut pool, &q, strategy, &mut QueryMetrics::new())?;
+                let warm_us = t0.elapsed().as_micros() as u64;
+                cols.push((strategy.name(), m, matches.len(), [cold_us, warm_us]));
             }
             print!("{:<22}", "counter");
             for (name, _, _, _) in &cols {
@@ -1154,11 +1159,13 @@ fn explain(flags: &HashMap<String, String>) -> Result<(), CliError> {
                 print!(" {n:>18}");
             }
             println!();
-            print!("{:<22}", "elapsed_us");
-            for (_, _, _, us) in &cols {
-                print!(" {us:>18}");
+            for (r, label) in ["elapsed_us", "elapsed_us_warm"].into_iter().enumerate() {
+                print!("{label:<22}");
+                for (_, _, _, us) in &cols {
+                    print!(" {:>18}", us[r]);
+                }
+                println!();
             }
-            println!();
             let rows = cols[0].1.fields().len();
             for r in 0..rows {
                 let (label, _) = cols[0].1.fields()[r];

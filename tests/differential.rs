@@ -217,6 +217,71 @@ proptest! {
         }
     }
 
+    // The two top-k plans of the inverted index — the paper's drain and
+    // the full scan `Strategy::Auto` leaves it for — against the scan
+    // baseline: same tuples, same scores, for k from 1 to past the
+    // candidate count, with no floor and with a floor that cuts the
+    // answer short. Every generated tuple is stored twenty times over, so
+    // the k-th score sits on a tie plateau and the tuple heap outgrows
+    // the lists: which plan answers is then the cost rule's call, and the
+    // counters must show it made the call it documents.
+    #[test]
+    fn top_k_drain_and_scan_plans_agree_with_and_without_a_floor(
+        tuples in dataset_strategy(CATS, 60),
+        q in uda_strategy(CATS),
+        k in 1usize..80,
+        floored in 0u8..2,
+        floor in 0.01f64..0.6,
+    ) {
+        let copies: Vec<(u64, &Uda)> = (0..20u64)
+            .flat_map(|r| tuples.iter().map(move |(t, u)| (t + 100 * r, u)))
+            .collect();
+        let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 100);
+        let scan = ScanBaseline::build(&mut pool, copies.iter().copied()).expect("in-memory build");
+        let idx = InvertedIndex::build(Domain::anonymous(CATS), &mut pool, copies.iter().copied())
+            .expect("in-memory build");
+        let query = TopKQuery::new(q.clone(), k);
+        let floor = if floored == 1 { floor } else { 0.0 };
+        let reference = scan
+            .top_k_floored_metered(&mut pool, &query, floor, &mut QueryMetrics::new())
+            .expect("in-memory query");
+        let drained = idx
+            .top_k_floored_metered(&mut pool, &query, floor, &mut QueryMetrics::new())
+            .expect("in-memory query");
+        assert_matches_agree("top_k/drain", "inverted", &reference, &drained);
+        let mut m = QueryMetrics::new();
+        let planned = idx
+            .top_k_planned(&mut pool, &query, floor, SearchStrategy::Auto, &mut m)
+            .expect("in-memory query");
+        assert_matches_agree("top_k/planned", "inverted", &reference, &planned);
+        prop_assert!(m.candidate_invariant_holds());
+
+        // The rule, from the public cost surface: the drain's price is
+        // its pops plus a page read per candidate (none on one list, at
+        // most the heap's pages), the scan's is brute force's prediction.
+        let lists = q.iter().filter(|(c, _)| idx.list_len(*c) > 0).count() as u64;
+        let stats = idx.cost_stats();
+        let scan_cost = stats
+            .predict_strategy(SearchStrategy::Brute, &EqQuery::new(q.clone(), 0.0))
+            .cost();
+        let drain_cost = |pops: u64, candidates: u64| {
+            let fetched = if lists > 1 { candidates.min(stats.heap_pages) } else { 0 };
+            pops + uncat_inverted::ENTRIES_PER_PAGE * fetched
+        };
+        if m.lists_opened == 2 * lists && lists > 0 {
+            prop_assert_eq!(m.candidates_verified, 0, "the scan plan fetches nothing");
+            prop_assert_eq!(m.candidates_settled, m.candidates_generated);
+            prop_assert!(drain_cost(m.frontier_pops, m.frontier_pops) > scan_cost);
+        } else {
+            prop_assert_eq!(m.lists_opened, lists);
+            prop_assert!(
+                drain_cost(m.frontier_pops.saturating_sub(1), m.candidates_generated.saturating_sub(1))
+                    <= scan_cost,
+                "a losing drain ran to the end"
+            );
+        }
+    }
+
     #[test]
     fn dstq_agrees_across_every_index_and_divergence(
         tuples in dataset_strategy(CATS, 60),
@@ -726,12 +791,17 @@ fn check_block_format_differential(tuples: &[(u64, Uda)], q: &Uda, tau: f64, k: 
             assert!(covered <= total_blocks, "row-pruning overcounts blocks");
         } else if strategy == SearchStrategy::Auto {
             // Auto's pick may be row pruning (skips lists, under-covers)
-            // and its mid-query fallback re-opens every list (covers the
-            // directory at most twice); only those bounds are exact.
+            // and its mid-query fallback — the full scan — decodes every
+            // block of every list the abandoned drain had already
+            // charged as decoded or skipped (covers the directory
+            // exactly twice); only those bounds are exact.
             assert!(
                 covered <= 2 * total_blocks,
                 "auto covers each block at most twice (drain + fallback)"
             );
+            if metrics.plan_fallbacks > 0 {
+                assert_eq!(covered, 2 * total_blocks, "drain + full scan");
+            }
             if metrics.plan_fallbacks == 0 {
                 assert!(covered <= total_blocks, "auto without fallback overcounts");
             }

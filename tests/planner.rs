@@ -14,9 +14,10 @@
 //!    cold buffer pool per run.
 //! 3. **Bounded regret** — when statistics are stale enough that the
 //!    picked plan overruns its prediction, the adaptive executor
-//!    abandons it; the total work (postings scanned, physical reads)
-//!    never exceeds running the losing plan to completion *plus* a
-//!    cold fallback run.
+//!    abandons it for the full scan; the total work (postings scanned,
+//!    physical reads) is the abandoned prefix of the losing plan *plus*
+//!    a brute-force run, and never exceeds running the losing plan to
+//!    completion plus running brute force cold.
 
 use proptest::prelude::*;
 
@@ -134,6 +135,17 @@ fn check_planned_exactness(n: usize, seed: u64, tau: f64, probe: usize, k: usize
         _ => idx.top_k(&mut pool, &tk).expect("in-memory query"),
     };
     assert_matches_agree("top_k/planned", &reference, &got);
+    // And the in-index plan: the drain `Auto` may leave for the scan.
+    let auto = idx
+        .top_k_planned(
+            &mut pool,
+            &tk,
+            0.0,
+            Strategy::Auto,
+            &mut QueryMetrics::new(),
+        )
+        .expect("in-memory query");
+    assert_matches_agree("top_k/auto", &reference, &auto);
 }
 
 proptest! {
@@ -172,6 +184,7 @@ fn check_cost_vs_oracle(n: usize, seed: u64, tau: f64, probe: usize) {
         let mut m = QueryMetrics::new();
         idx.petq_metered(&mut pool, &q, strategy, &mut m)
             .expect("in-memory query");
+        m.io = pool.stats();
         if scalar_cost(&m) < oracle {
             oracle = scalar_cost(&m);
             oracle_name = strategy.name();
@@ -182,6 +195,7 @@ fn check_cost_vs_oracle(n: usize, seed: u64, tau: f64, probe: usize) {
     let mut m = QueryMetrics::new();
     idx.petq_metered(&mut pool, &q, Strategy::Auto, &mut m)
         .expect("in-memory query");
+    m.io = pool.stats();
     let auto = scalar_cost(&m);
     assert!(
         auto <= 2 * oracle + ENTRIES_PER_PAGE,
@@ -192,10 +206,12 @@ fn check_cost_vs_oracle(n: usize, seed: u64, tau: f64, probe: usize) {
 /// Property 3: bounded regret under stale statistics. Statistics are
 /// primed on a small corpus, then one posting list is grown far past
 /// the overrun budget without a checkpoint — the staleness-by-design
-/// case. Auto's pick must overrun, the fallback must fire, and the
-/// total work must stay under (losing plan run to completion) + (cold
-/// fallback run): abandoning a plan is never worse than stubbornly
-/// finishing it and then some.
+/// case. Auto's pick must overrun, the fallback must fire, and the work
+/// must be exactly (abandoned prefix of the losing plan) + (brute force):
+/// the prefix is at most the budget plus the block in flight, the scan
+/// reads each list once and fetches no tuple, so the total stays under
+/// (losing plan run to completion) + (brute force cold) — abandoning a
+/// plan is never worse than stubbornly finishing it and then some.
 #[test]
 fn adaptive_fallback_work_is_bounded() {
     let store = InMemoryDisk::shared();
@@ -222,7 +238,7 @@ fn adaptive_fallback_work_is_bounded() {
     probe.push(CatId(0), 1.0).expect("valid probability");
     let q = EqQuery::new(probe.finish_normalized().expect("non-empty"), 0.1);
 
-    // The (stale) pick, run to completion, and a cold fallback run.
+    // The (stale) pick, run to completion, and a cold brute-force run.
     let (pick, prediction) = idx.plan_petq(&q);
     let budget = OVERRUN_FACTOR * prediction.postings_scanned + FALLBACK_BUDGET_FLOOR;
     let mut lose = QueryMetrics::new();
@@ -230,40 +246,94 @@ fn adaptive_fallback_work_is_bounded() {
     let reference = idx
         .petq_metered(&mut pool, &q, pick, &mut lose)
         .expect("in-memory query");
+    lose.io = pool.stats();
     assert!(
         lose.postings_scanned > budget,
         "the scenario must actually overrun: {} postings vs budget {budget}",
         lose.postings_scanned
     );
-    let mut fallback = QueryMetrics::new();
+    let mut brute = QueryMetrics::new();
     let mut pool = BufferPool::with_capacity(store.clone(), 1024);
-    idx.petq_metered(&mut pool, &q, Strategy::ColumnPruning, &mut fallback)
+    idx.petq_metered(&mut pool, &q, Strategy::Brute, &mut brute)
         .expect("in-memory query");
+    brute.io = pool.stats();
 
     let mut auto = QueryMetrics::new();
     let mut pool = BufferPool::with_capacity(store, 1024);
     let got = idx
         .petq_metered(&mut pool, &q, Strategy::Auto, &mut auto)
         .expect("in-memory query");
+    auto.io = pool.stats();
 
-    assert!(
-        auto.plan_fallbacks >= 1,
-        "stale statistics past the overrun budget must trigger the fallback"
+    assert_eq!(
+        auto.plan_fallbacks, 1,
+        "stale statistics past the overrun budget must trigger the fallback, once"
     );
     assert_matches_agree("petq/auto-after-fallback", &reference, &got);
+    // The fallback is exact from the lists alone: every candidate is
+    // settled, none is fetched.
+    assert_eq!(auto.candidates_verified, 0);
+    assert_eq!(auto.candidates_settled, brute.candidates_settled);
+    assert_eq!(auto.candidates_generated, brute.candidates_generated);
+    // Abandoned prefix + brute force.
+    let prefix = auto.postings_scanned - brute.postings_scanned;
     assert!(
-        auto.postings_scanned <= lose.postings_scanned + fallback.postings_scanned,
-        "fallback did more postings work ({}) than losing-to-completion ({}) + cold fallback ({})",
-        auto.postings_scanned,
-        lose.postings_scanned,
-        fallback.postings_scanned
+        prefix > budget && prefix <= budget + uncat_inverted::BLOCK_SPLIT as u64,
+        "the drain was abandoned {prefix} postings in, budget {budget}"
     );
     assert!(
-        auto.io.physical_reads <= lose.io.physical_reads + fallback.io.physical_reads,
-        "fallback did more physical reads ({}) than losing-to-completion ({}) + cold fallback ({})",
+        auto.postings_scanned <= lose.postings_scanned + brute.postings_scanned,
+        "fallback did more postings work ({}) than losing-to-completion ({}) + brute cold ({})",
+        auto.postings_scanned,
+        lose.postings_scanned,
+        brute.postings_scanned
+    );
+    // The scan runs on the pool the drain warmed: the prefix's pages are
+    // not read again.
+    assert!(
+        auto.io.physical_reads <= brute.io.physical_reads + 1,
+        "abandoned prefix + warm scan read {} pages, a cold scan {}",
         auto.io.physical_reads,
-        lose.io.physical_reads,
-        fallback.io.physical_reads
+        brute.io.physical_reads
+    );
+    assert!(auto.io.physical_reads <= lose.io.physical_reads + brute.io.physical_reads);
+}
+
+/// Stale statistics and the top-k plan: the drain is priced against the
+/// scan from the live lists, not from the cached statistics. Here those
+/// were collected on an empty index (a scan of nothing costs nothing, so
+/// a rule reading them would abandon every drain at its first pop); the
+/// list then grows to 5 000 postings with distinct probabilities, and a
+/// top-1 drain must still stop where the paper stops it — a block or
+/// two in — instead of paying for the whole list.
+#[test]
+fn stale_statistics_do_not_turn_a_cheap_top_k_drain_into_a_scan() {
+    let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 1024);
+    let mut idx = InvertedIndex::new(Domain::anonymous(4));
+    assert_eq!(idx.cost_stats().tuples, 0, "primed while empty");
+    let n = 5_000u64;
+    for t in 0..n {
+        let p = (t + 1) as f32 / (n + 1) as f32;
+        let uda = Uda::from_pairs([(CatId(0), p), (CatId(1), 1.0 - p)]).expect("valid uda");
+        idx.insert(&mut pool, t, &uda).expect("in-memory insert");
+    }
+    assert_eq!(idx.cost_stats().tuples, 0, "and never refreshed");
+
+    let tk = TopKQuery::new(Uda::certain(CatId(0)), 1);
+    let mut m = QueryMetrics::new();
+    let got = idx
+        .top_k_planned(&mut pool, &tk, 0.0, Strategy::Auto, &mut m)
+        .expect("in-memory query");
+    assert_eq!(got.iter().map(|m| m.tid).collect::<Vec<_>>(), vec![n - 1]);
+    assert_eq!(
+        (m.lists_opened, m.lemma1_stops),
+        (1, 1),
+        "the drain ran to its own stop"
+    );
+    assert!(
+        m.postings_scanned <= 2 * uncat_inverted::BLOCK_SPLIT as u64,
+        "{} of {n} postings read",
+        m.postings_scanned
     );
 }
 
@@ -295,12 +365,14 @@ fn planner_is_exactly_optimal_on_a_single_uniform_list() {
         let mut m = QueryMetrics::new();
         idx.petq_metered(&mut pool, &q, strategy, &mut m)
             .expect("in-memory query");
+        m.io = pool.stats();
         oracle = oracle.min(scalar_cost(&m));
     }
     let mut pool = BufferPool::with_capacity(store, 256);
     let mut m = QueryMetrics::new();
     idx.petq_metered(&mut pool, &q, Strategy::Auto, &mut m)
         .expect("in-memory query");
+    m.io = pool.stats();
     assert_eq!(
         m.plan_fallbacks, 0,
         "fresh statistics must not trigger a fallback"
