@@ -55,6 +55,98 @@ pub fn decode(buf: &[u8]) -> Result<(Uda, usize)> {
     ))
 }
 
+/// [`decode`] without the copy: the entries of the UDA encoded at the
+/// front of `buf`, read where they lie, and the bytes the record
+/// occupies. Header faults (buffer too short for what it declares, no
+/// entries) are reported here; the entries are checked one by one as the
+/// [`Scan`] yields them, so a caller can score a record in the same pass
+/// that validates it — and must then ask [`Scan::finish`] for the verdict.
+#[inline]
+pub fn scan(buf: &[u8]) -> Result<(Scan<'_>, usize)> {
+    let area = entry_area(buf)?;
+    let scan = Scan {
+        entries: area.as_chunks::<ENTRY_BYTES>().0.iter(),
+        floor: 0,
+        mass: 0.0,
+        ok: true,
+    };
+    Ok((scan, HEADER_BYTES + area.len()))
+}
+
+/// The entries of one encoded UDA, in category order, validated as they
+/// are read (see [`scan`]). What it has yielded is *unverified* until
+/// [`Scan::finish`] returns `Ok`: a fault is recorded, not raised — the
+/// loop over a record is a few entries long and runs once per stored
+/// tuple per query, so it carries no early exit.
+#[must_use = "entries are unverified until `finish` is called"]
+#[derive(Debug, Clone)]
+pub struct Scan<'a> {
+    entries: std::slice::Iter<'a, [u8; ENTRY_BYTES]>,
+    /// Smallest category the next entry may carry (previous + 1).
+    floor: u64,
+    mass: f64,
+    ok: bool,
+}
+
+impl Iterator for Scan<'_> {
+    type Item = Entry;
+
+    #[inline]
+    fn next(&mut self) -> Option<Entry> {
+        let Entry { cat, prob } = entry_of(self.entries.next()?);
+        // Written so that NaN fails.
+        self.ok &= prob > 0.0 && prob <= 1.0;
+        self.ok &= u64::from(cat.0) >= self.floor;
+        self.floor = u64::from(cat.0) + 1;
+        self.mass += prob as f64;
+        Some(Entry { cat, prob })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.entries.size_hint()
+    }
+}
+
+impl Scan<'_> {
+    /// Read whatever has not been read and give the verdict on the whole
+    /// record: the invariants [`decode`] enforces (strictly increasing
+    /// categories, every probability in `(0, 1]`, mass at most one).
+    #[inline]
+    pub fn finish(mut self) -> Result<()> {
+        self.by_ref().for_each(drop);
+        self.verdict()
+    }
+
+    /// Materialize the record — for a scan nothing has been read from
+    /// yet — if it is valid. The scan is left exhausted.
+    pub fn to_uda(&mut self) -> Result<Uda> {
+        let entries: Vec<Entry> = self.by_ref().collect();
+        self.verdict()?;
+        Ok(Uda::from_sorted_unchecked(entries))
+    }
+
+    /// The verdict on the entries read so far.
+    #[inline]
+    fn verdict(&self) -> Result<()> {
+        if self.ok && self.mass <= 1.0 + crate::uda::MASS_EPSILON {
+            Ok(())
+        } else {
+            Err(Error::Corrupt("entries break a UDA invariant"))
+        }
+    }
+}
+
+/// One little-endian load: category in the low half, probability bits in
+/// the high half.
+#[inline]
+fn entry_of(e: &[u8; ENTRY_BYTES]) -> Entry {
+    let word = u64::from_le_bytes(*e);
+    Entry {
+        cat: CatId(word as u32),
+        prob: Prob::from_bits((word >> 32) as u32),
+    }
+}
+
 /// [`decode`] into a caller-owned buffer: `entries` is cleared and filled
 /// with the validated entries (strictly increasing categories, every
 /// probability in `(0, 1]`, mass at most one), so a loop over many records
@@ -69,6 +161,7 @@ pub fn decode_into(buf: &[u8], entries: &mut Vec<Entry>) -> Result<usize> {
 
 /// The bytes of the (at least one) entries the header at the front of
 /// `buf` declares.
+#[inline]
 fn entry_area(buf: &[u8]) -> Result<&[u8]> {
     if buf.len() < HEADER_BYTES {
         return Err(Error::Corrupt("buffer shorter than header"));
@@ -91,11 +184,7 @@ fn read_entries(area: &[u8], entries: &mut Vec<Entry>) -> Result<()> {
     let mut prev: Option<CatId> = None;
     let mut mass = 0.0f64;
     for e in area.as_chunks::<ENTRY_BYTES>().0 {
-        // One little-endian load: category in the low half, probability
-        // bits in the high half.
-        let word = u64::from_le_bytes(*e);
-        let cat = CatId(word as u32);
-        let prob = Prob::from_bits((word >> 32) as u32);
+        let Entry { cat, prob } = entry_of(e);
         if !(prob > 0.0 && prob <= 1.0) {
             return Err(Error::Corrupt("probability out of range"));
         }
@@ -130,6 +219,37 @@ mod tests {
         let (v, consumed) = decode(&bytes).unwrap();
         assert_eq!(consumed, bytes.len());
         assert_eq!(u, v);
+    }
+
+    #[test]
+    fn scan_reads_what_decode_reads_and_rejects_what_it_rejects() {
+        let u = uda(&[(0, 0.125), (7, 0.25), (1000, 0.625)]);
+        let mut bytes = encode_to_vec(&u);
+        bytes.extend_from_slice(&[0xAA; 16]);
+        let (mut entries, consumed) = scan(&bytes).unwrap();
+        assert_eq!(consumed, encoded_len(&u));
+        assert_eq!(entries.by_ref().collect::<Vec<_>>(), u.entries());
+        entries.finish().unwrap();
+        // Unread entries are still checked.
+        scan(&bytes).unwrap().0.finish().unwrap();
+        assert_eq!(scan(&bytes).unwrap().0.to_uda().unwrap(), u);
+        for i in 0..consumed {
+            for flip in [0x01u8, 0x80, 0xFF] {
+                let mut bad = bytes.clone();
+                bad[i] ^= flip;
+                let scanned = scan(&bad).and_then(|(mut entries, n)| {
+                    let read: Vec<Entry> = entries.by_ref().collect();
+                    entries.finish().map(|()| (read, n))
+                });
+                match (scanned, decode(&bad)) {
+                    (Ok((read, n)), Ok((d, m))) => assert_eq!((&read[..], n), (d.entries(), m)),
+                    (Err(_), Err(_)) => {}
+                    (s, d) => panic!("byte {i} ^ {flip:#x}: scan {s:?}, decode {d:?}"),
+                }
+                let uda = scan(&bad).and_then(|(mut entries, _)| entries.to_uda());
+                assert_eq!(uda.ok(), decode(&bad).ok().map(|(d, _)| d));
+            }
+        }
     }
 
     #[test]

@@ -41,19 +41,28 @@ pub fn eq_prob(u: &Uda, v: &Uda) -> f64 {
 /// [`eq_prob`] on bare entry slices (each sorted by strictly increasing
 /// category, as [`Uda::entries`] and [`crate::codec::decode_into`] give
 /// them), for callers that score records without materializing a [`Uda`].
+#[inline]
 pub fn eq_prob_entries(a: &[Entry], b: &[Entry]) -> f64 {
+    eq_prob_stream(a, b.iter().copied())
+}
+
+/// [`eq_prob_entries`] with the second operand streamed in category order
+/// (a record read off a page by [`crate::codec::scan`]) instead of held in
+/// a slice: a linear merge that adds the products in category order.
+#[inline]
+pub fn eq_prob_stream(a: &[Entry], b: impl IntoIterator<Item = Entry>) -> f64 {
     let mut i = 0;
-    let mut j = 0;
     let mut acc = 0.0f64;
-    while i < a.len() && j < b.len() {
-        match a[i].cat.cmp(&b[j].cat) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                acc += a[i].prob as f64 * b[j].prob as f64;
-                i += 1;
-                j += 1;
-            }
+    for e in b {
+        while i < a.len() && a[i].cat < e.cat {
+            i += 1;
+        }
+        if i == a.len() {
+            break;
+        }
+        if a[i].cat == e.cat {
+            acc += a[i].prob as f64 * e.prob as f64;
+            i += 1;
         }
     }
     acc
@@ -124,6 +133,30 @@ mod tests {
         assert!((eq_prob(&u, &u) - 1.0).abs() < 1e-9);
         assert!((eq_prob_value(&u, CatId(3)) - 1.0).abs() < 1e-9);
         assert_eq!(eq_prob_value(&u, CatId(2)), 0.0);
+    }
+
+    #[test]
+    fn merge_adds_the_matching_products_in_category_order() {
+        let us = [
+            uda(&[(0, 0.5), (2, 0.3), (7, 0.2)]),
+            uda(&[(2, 0.9), (7, 0.1)]),
+            uda(&[(1, 0.3), (3, 0.3), (9, 0.4)]),
+            uda(&[(0, 0.1), (1, 0.1), (2, 0.1), (3, 0.1), (7, 0.3), (9, 0.3)]),
+            uda(&[(5, 1.0)]),
+        ];
+        for u in &us {
+            for v in &us {
+                let mut want = 0.0f64;
+                for (cat, p) in v.iter() {
+                    if u.prob_of(cat) > 0.0 {
+                        want += u.prob_of(cat) as f64 * p as f64;
+                    }
+                }
+                let streamed = eq_prob_stream(u.entries(), v.entries().iter().copied());
+                assert_eq!(streamed.to_bits(), want.to_bits());
+                assert_eq!(eq_prob(u, v).to_bits(), want.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -127,28 +127,18 @@ impl Boundary {
     /// Lemma 2's pruning score: an upper bound on `Pr(q = u)` for every `u`
     /// dominated by this boundary — `Σ_i q.p_i · v(f(i))`.
     pub fn eq_upper_bound(&self, q: &Uda) -> f64 {
-        q.iter()
-            .map(|(cat, p)| p as f64 * self.bound_of(cat) as f64)
-            .sum()
+        eq_upper_bound(q, |cat| self.bound_of(cat))
     }
 
     /// A lower bound on `L1(q, u)` for every dominated `u`:
     /// `Σ_i max(0, q.p_i − v(f(i)))` (each `u_i ≤ v(f(i))`).
     pub fn l1_lower_bound(&self, q: &Uda) -> f64 {
-        q.iter()
-            .map(|(cat, p)| ((p - self.bound_of(cat)) as f64).max(0.0))
-            .sum()
+        l1_lower_bound(q, |cat| self.bound_of(cat))
     }
 
     /// A lower bound on `L2(q, u)` for every dominated `u`.
     pub fn l2_lower_bound(&self, q: &Uda) -> f64 {
-        q.iter()
-            .map(|(cat, p)| {
-                let d = ((p - self.bound_of(cat)) as f64).max(0.0);
-                d * d
-            })
-            .sum::<f64>()
-            .sqrt()
+        l2_lower_bound(q, |cat| self.bound_of(cat))
     }
 
     /// Distributional divergence between a UDA and this boundary, used for
@@ -203,6 +193,32 @@ impl Boundary {
             Boundary::Signature(_) => panic!("signature boundary has no sparse entries"),
         }
     }
+}
+
+// The three pruning bounds over any per-category bound lookup: the owned
+// `Boundary` and the on-page `BoundaryRef` share them, so a bound scored
+// on the page is the bound scored on the decoded node, bit for bit.
+
+pub(crate) fn eq_upper_bound(q: &Uda, bound_of: impl Fn(CatId) -> Prob) -> f64 {
+    q.iter()
+        .map(|(cat, p)| p as f64 * bound_of(cat) as f64)
+        .sum()
+}
+
+pub(crate) fn l1_lower_bound(q: &Uda, bound_of: impl Fn(CatId) -> Prob) -> f64 {
+    q.iter()
+        .map(|(cat, p)| ((p - bound_of(cat)) as f64).max(0.0))
+        .sum()
+}
+
+pub(crate) fn l2_lower_bound(q: &Uda, bound_of: impl Fn(CatId) -> Prob) -> f64 {
+    q.iter()
+        .map(|(cat, p)| {
+            let d = ((p - bound_of(cat)) as f64).max(0.0);
+            d * d
+        })
+        .sum::<f64>()
+        .sqrt()
 }
 
 /// Point-wise max merge of sorted sparse entry vectors, in place.

@@ -101,6 +101,8 @@ impl PdrTree {
         flush_leaf(pool, &mut current, &mut level)?;
 
         // 3. Pack internal levels until a single root remains.
+        let leaves = level.len() as u64;
+        let mut internals = 0u64;
         let mut depth = 1u32;
         while level.len() > 1 {
             depth += 1;
@@ -138,10 +140,18 @@ impl PdrTree {
                 batch.push(c);
             }
             flush_internal(pool, &mut batch, &mut next)?;
+            internals += next.len() as u64;
             level = next;
         }
         let root = level.pop().expect("at least one node").pid;
-        Ok(PdrTree::from_raw(root, config, domain, n, depth))
+        Ok(PdrTree::from_raw(
+            root,
+            config,
+            domain,
+            n,
+            depth,
+            (leaves, internals),
+        ))
     }
 }
 

@@ -7,23 +7,60 @@
 //! directly usable for pruning search paths", paper §2), so KL queries
 //! traverse every leaf — correct, just unpruned.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
+use uncat_core::codec::Scan;
 use uncat_core::query::{sort_matches_asc, DsTopKQuery, DstQuery, Match};
 use uncat_core::topk::BottomKHeap;
+use uncat_core::uda::Entry;
 use uncat_core::{Divergence, Uda};
-use uncat_storage::{BufferPool, PageId, Phase, QueryMetrics, Result};
+use uncat_storage::{BufferPool, QueryMetrics, Result};
 
-use crate::boundary::Boundary;
-use crate::node::{read_node, Node};
+use crate::node::BoundaryRef;
+use crate::traverse::BestFirst;
 use crate::tree::PdrTree;
 
-fn divergence_lower_bound(b: &Boundary, q: &Uda, dv: Divergence) -> f64 {
+/// Slack on every lower-bound comparison, absorbing f32→f64 rounding.
+const BOUND_EPS: f64 = 1e-9;
+
+fn divergence_lower_bound(b: &BoundaryRef<'_>, q: &Uda, dv: Divergence) -> f64 {
     match dv {
         Divergence::L1 => b.l1_lower_bound(q),
         Divergence::L2 => b.l2_lower_bound(q),
         Divergence::Kl => 0.0, // not prunable
+    }
+}
+
+/// `dv(q, t)` for a record `t` read off its page. A divergence walks both
+/// vectors more than once (KL needs the masses first), so the record is
+/// copied into `record` — one buffer for the whole query — and scored by
+/// [`Divergence::eval`] itself.
+fn divergence(q: &Uda, t: &mut Scan<'_>, dv: Divergence, record: &mut Vec<Entry>) -> f64 {
+    record.clear();
+    record.extend(t);
+    dv.eval(q.entries(), record)
+}
+
+/// DSQ-top-k as a best-first search: subtrees ordered by *ascending*
+/// divergence lower bound (the priority is its negation), cut once the
+/// bound exceeds the k-th smallest exact distance.
+struct DsTopK<'q> {
+    query: &'q DsTopKQuery,
+    heap: BottomKHeap,
+    record: Vec<Entry>,
+}
+
+impl BestFirst for DsTopK<'_> {
+    fn priority(&self, boundary: &BoundaryRef<'_>) -> f64 {
+        -divergence_lower_bound(boundary, &self.query.q, self.query.divergence)
+    }
+
+    fn reachable(&self, priority: f64) -> bool {
+        // `bound()` is ∞ until the heap fills.
+        -priority <= self.heap.bound() + BOUND_EPS
+    }
+
+    fn offer(&mut self, tid: u64, uda: &mut Scan<'_>) {
+        let d = divergence(&self.query.q, uda, self.query.divergence, &mut self.record);
+        self.heap.offer(tid, d);
     }
 }
 
@@ -45,33 +82,21 @@ impl PdrTree {
         metrics: &mut QueryMetrics,
     ) -> Result<Vec<Match>> {
         let mut out = Vec::new();
-        let span = pool.trace_begin(Phase::TreeTraversal);
-        let mut stack = vec![self.root()];
-        while let Some(pid) = stack.pop() {
-            metrics.nodes_visited += 1;
-            match read_node(pool, pid, self.config().compression)? {
-                Node::Leaf(entries) => {
-                    metrics.leaf_entries_examined += entries.len() as u64;
-                    for e in &entries {
-                        let d = query.divergence.eval(query.q.entries(), e.uda.entries());
-                        if d <= query.tau_d {
-                            out.push(Match::new(e.tid, d));
-                        }
-                    }
+        let mut record = Vec::new();
+        self.walk(
+            pool,
+            metrics,
+            |tid, uda| {
+                let d = divergence(&query.q, uda, query.divergence, &mut record);
+                if d <= query.tau_d {
+                    out.push(Match::new(tid, d));
                 }
-                Node::Internal(children) => {
-                    for c in &children {
-                        let lower = divergence_lower_bound(&c.boundary, &query.q, query.divergence);
-                        if lower <= query.tau_d + 1e-9 {
-                            stack.push(c.pid);
-                        } else {
-                            metrics.nodes_pruned += 1;
-                        }
-                    }
-                }
-            }
-        }
-        pool.trace_end(span);
+            },
+            |boundary| {
+                divergence_lower_bound(boundary, &query.q, query.divergence)
+                    <= query.tau_d + BOUND_EPS
+            },
+        )?;
         sort_matches_asc(&mut out);
         Ok(out)
     }
@@ -94,69 +119,12 @@ impl PdrTree {
         query: &DsTopKQuery,
         metrics: &mut QueryMetrics,
     ) -> Result<Vec<Match>> {
-        struct Pending {
-            bound: f64,
-            pid: PageId,
-        }
-        impl PartialEq for Pending {
-            fn eq(&self, other: &Self) -> bool {
-                self.bound == other.bound
-            }
-        }
-        impl Eq for Pending {}
-        impl Ord for Pending {
-            fn cmp(&self, other: &Self) -> Ordering {
-                // Min-heap on the lower bound.
-                other
-                    .bound
-                    .partial_cmp(&self.bound)
-                    .expect("bounds are finite")
-            }
-        }
-        impl PartialOrd for Pending {
-            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-
-        let mut heap = BottomKHeap::new(query.k);
-        let span = pool.trace_begin(Phase::TreeTraversal);
-        let mut frontier = BinaryHeap::new();
-        frontier.push(Pending {
-            bound: 0.0,
-            pid: self.root(),
-        });
-        while let Some(Pending { bound, pid }) = frontier.pop() {
-            if heap.is_full() && bound > heap.bound() + 1e-9 {
-                // The remaining frontier is cut without being read.
-                metrics.nodes_pruned += 1 + frontier.len() as u64;
-                break; // nothing unexplored can get closer
-            }
-            metrics.nodes_visited += 1;
-            match read_node(pool, pid, self.config().compression)? {
-                Node::Leaf(entries) => {
-                    metrics.leaf_entries_examined += entries.len() as u64;
-                    for e in &entries {
-                        let d = query.divergence.eval(query.q.entries(), e.uda.entries());
-                        heap.offer(e.tid, d);
-                    }
-                }
-                Node::Internal(children) => {
-                    for c in &children {
-                        let b = divergence_lower_bound(&c.boundary, &query.q, query.divergence);
-                        if !heap.is_full() || b <= heap.bound() + 1e-9 {
-                            frontier.push(Pending {
-                                bound: b,
-                                pid: c.pid,
-                            });
-                        } else {
-                            metrics.nodes_pruned += 1;
-                        }
-                    }
-                }
-            }
-        }
-        pool.trace_end(span);
-        Ok(heap.into_sorted())
+        let mut search = DsTopK {
+            query,
+            heap: BottomKHeap::new(query.k),
+            record: Vec::new(),
+        };
+        self.best_first(pool, metrics, &mut search)?;
+        Ok(search.heap.into_sorted())
     }
 }

@@ -32,8 +32,11 @@ pub mod config;
 mod dstq;
 mod node;
 mod persist;
+#[cfg(test)]
+mod reference;
 mod search;
 mod split;
+mod traverse;
 mod tree;
 
 pub use boundary::Boundary;

@@ -23,16 +23,26 @@
 //! ```
 //!
 //! Deserialization never trusts the page: a node image that does not parse
-//! (bad type byte, counts pointing past the page, malformed UDA) is a
-//! typed [`StorageError::Corrupt`], not a panic — a corrupted page fails
-//! the query that touched it and nothing else.
+//! (bad type byte, counts pointing past the page, malformed UDA, boundary
+//! value outside `[0, 1]` or categories out of order) is a typed
+//! [`StorageError::Corrupt`], not a panic — a corrupted page fails the
+//! query that touched it and nothing else.
+//!
+//! Two readers share those checks. [`visit_node`] is the kernel under
+//! every read-only traversal: it validates the image where it lies on the
+//! pinned page and hands each entry to a visitor as a borrowed view
+//! ([`Scan`], [`BoundaryRef`]) that is scored in place — nothing is
+//! allocated. [`read_node`] materializes an owned [`Node`] for the paths
+//! that rewrite one (insert, split, delete repair) and is the reference
+//! the kernel is tested against.
 
+use uncat_core::codec::{self, Scan};
 use uncat_core::uda::Entry;
-use uncat_core::{codec, CatId, Prob, Uda};
+use uncat_core::{CatId, Prob, Uda};
 use uncat_storage::page::field;
 use uncat_storage::{BufferPool, PageId, Result, StorageError, PAGE_SIZE};
 
-use crate::boundary::Boundary;
+use crate::boundary::{self, Boundary};
 use crate::config::Compression;
 
 pub(crate) const NODE_HDR: usize = 4;
@@ -159,6 +169,33 @@ fn encode_boundary(b: &Boundary, compression: Compression, out: &mut Vec<u8>) {
 
 const BAD_BOUNDARY: StorageError =
     StorageError::Corrupt("PDR boundary encoding points past its page");
+const BAD_BOUND: StorageError =
+    StorageError::Corrupt("PDR boundary value is not a probability in [0, 1]");
+const BAD_BOUNDARY_ORDER: StorageError =
+    StorageError::Corrupt("PDR boundary categories not strictly increasing");
+const BAD_LEAF_ENTRY: StorageError = StorageError::Corrupt("PDR leaf entry past its page");
+const BAD_CHILD_ENTRY: StorageError = StorageError::Corrupt("PDR child entry past its page");
+const BAD_UDA: StorageError = StorageError::Corrupt("stored UDA does not decode");
+const BAD_NODE_TYPE: StorageError = StorageError::Corrupt("unknown PDR node type byte");
+
+/// A boundary value must be a probability. NaN fails the range test too:
+/// left in, it would prune silently (every comparison with it is false).
+fn check_bound(p: Prob) -> Result<Prob> {
+    if (0.0..=1.0).contains(&p) {
+        Ok(p)
+    } else {
+        Err(BAD_BOUND)
+    }
+}
+
+/// Sparse boundaries are searched by category, so the order is checked.
+fn check_order(prev: &mut Option<u32>, cat: u32) -> Result<()> {
+    if prev.is_some_and(|p| cat <= p) {
+        return Err(BAD_BOUNDARY_ORDER);
+    }
+    *prev = Some(cat);
+    Ok(())
+}
 
 fn decode_boundary(buf: &[u8], compression: Compression) -> Result<(Boundary, usize)> {
     match compression {
@@ -173,10 +210,15 @@ fn decode_boundary(buf: &[u8], compression: Compression) -> Result<(Boundary, us
             }
             let mut v = Vec::with_capacity(n);
             let mut off = 2;
+            let mut prev = None;
             for _ in 0..n {
-                let cat = CatId(field::get_u32(buf, off));
-                let prob = field::get_f32(buf, off + 4);
-                v.push(Entry { cat, prob });
+                let cat = field::get_u32(buf, off);
+                check_order(&mut prev, cat)?;
+                let prob = check_bound(field::get_f32(buf, off + 4))?;
+                v.push(Entry {
+                    cat: CatId(cat),
+                    prob,
+                });
                 off += 8;
             }
             Ok((Boundary::Sparse(v), off))
@@ -193,8 +235,11 @@ fn decode_boundary(buf: &[u8], compression: Compression) -> Result<(Boundary, us
             }
             let mut cats = Vec::with_capacity(n);
             let mut off = 2;
+            let mut prev = None;
             for _ in 0..n {
-                cats.push(CatId(field::get_u32(buf, off)));
+                let cat = field::get_u32(buf, off);
+                check_order(&mut prev, cat)?;
+                cats.push(CatId(cat));
                 off += 4;
             }
             let codes = &buf[off..off + code_bytes];
@@ -227,7 +272,7 @@ fn decode_boundary(buf: &[u8], compression: Compression) -> Result<(Boundary, us
             let mut vals = Vec::with_capacity(width as usize);
             let mut off = 0;
             for _ in 0..width {
-                vals.push(field::get_f32(buf, off));
+                vals.push(check_bound(field::get_f32(buf, off))?);
                 off += 4;
             }
             Ok((Boundary::Signature(vals), off))
@@ -290,12 +335,11 @@ pub(crate) fn read_node(
                 let mut entries = Vec::with_capacity(count.min(PAGE_SIZE / 16));
                 for _ in 0..count {
                     if off + 8 > PAGE_SIZE {
-                        return Err(StorageError::Corrupt("PDR leaf entry past its page"));
+                        return Err(BAD_LEAF_ENTRY);
                     }
                     let tid = field::get_u64(&b[..], off);
                     off += 8;
-                    let (uda, used) = codec::decode(&b[off..])
-                        .map_err(|_| StorageError::Corrupt("stored UDA does not decode"))?;
+                    let (uda, used) = codec::decode(&b[off..]).map_err(|_| BAD_UDA)?;
                     off += used;
                     entries.push(LeafEntry { tid, uda });
                 }
@@ -305,7 +349,7 @@ pub(crate) fn read_node(
                 let mut children = Vec::with_capacity(count.min(PAGE_SIZE / 16));
                 for _ in 0..count {
                     if off + 8 > PAGE_SIZE {
-                        return Err(StorageError::Corrupt("PDR child entry past its page"));
+                        return Err(BAD_CHILD_ENTRY);
                     }
                     let pid = PageId(field::get_u64(&b[..], off));
                     off += 8;
@@ -315,7 +359,181 @@ pub(crate) fn read_node(
                 }
                 Ok(Node::Internal(children))
             }
-            _ => Err(StorageError::Corrupt("unknown PDR node type byte")),
+            _ => Err(BAD_NODE_TYPE),
+        }
+    })?
+}
+
+/// What [`visit_node`] hands its visitor, borrowed from the pinned page.
+pub(crate) enum Visit<'v, 'a> {
+    /// One stored distribution of a leaf: its entries, checked as the
+    /// visitor reads them. The kernel reads whatever the visitor leaves
+    /// and fails the node if the record breaks a UDA invariant.
+    Entry { tid: u64, uda: &'v mut Scan<'a> },
+    /// One child reference of an internal node.
+    Child {
+        pid: PageId,
+        boundary: BoundaryRef<'a>,
+    },
+}
+
+/// A boundary as it lies encoded on a page, validated by
+/// [`BoundaryRef::parse`] and scored in place: the bounds are the owned
+/// [`Boundary`]'s formulas over a lookup that reads the page bytes.
+#[derive(Clone, Copy)]
+pub(crate) enum BoundaryRef<'a> {
+    /// `n × (u32 cat, f32 prob)`, categories strictly increasing.
+    Sparse(&'a [[u8; 8]]),
+    /// `n × u32 cat` (strictly increasing) and the bit-packed codes,
+    /// dequantized one at a time as a bound is asked for.
+    Discretized {
+        cats: &'a [[u8; 4]],
+        codes: &'a [u8],
+        bits: u8,
+    },
+    /// `width × f32` over the compressed domain.
+    Signature(&'a [[u8; 4]]),
+}
+
+impl<'a> BoundaryRef<'a> {
+    /// Validate the boundary encoded at the front of `buf` (the checks
+    /// of `decode_boundary`) and borrow it, with the bytes consumed.
+    fn parse(buf: &'a [u8], compression: Compression) -> Result<(BoundaryRef<'a>, usize)> {
+        let counted = |entry_bytes: usize, bits: usize| {
+            let (n, rest) = buf.split_first_chunk::<2>().ok_or(BAD_BOUNDARY)?;
+            let n = u16::from_le_bytes(*n) as usize;
+            let code_bytes = (n * bits).div_ceil(8);
+            let body = rest
+                .get(..n * entry_bytes + code_bytes)
+                .ok_or(BAD_BOUNDARY)?;
+            Ok(body.split_at(n * entry_bytes))
+        };
+        match compression {
+            Compression::None => {
+                let (pairs, _) = counted(8, 0)?;
+                let pairs = pairs.as_chunks::<8>().0;
+                let mut prev = None;
+                for e in pairs {
+                    check_order(&mut prev, u64::from_le_bytes(*e) as u32)?;
+                    check_bound(pair_prob(e))?;
+                }
+                Ok((BoundaryRef::Sparse(pairs), 2 + pairs.len() * 8))
+            }
+            Compression::Discretized { bits } => {
+                let (cats, codes) = counted(4, bits as usize)?;
+                let cats = cats.as_chunks::<4>().0;
+                let mut prev = None;
+                for c in cats {
+                    check_order(&mut prev, u32::from_le_bytes(*c))?;
+                }
+                let used = 2 + cats.len() * 4 + codes.len();
+                Ok((BoundaryRef::Discretized { cats, codes, bits }, used))
+            }
+            Compression::Signature { width } => {
+                let vals = buf.get(..width as usize * 4).ok_or(BAD_BOUNDARY)?;
+                let vals = vals.as_chunks::<4>().0;
+                for v in vals {
+                    check_bound(Prob::from_le_bytes(*v))?;
+                }
+                Ok((BoundaryRef::Signature(vals), vals.len() * 4))
+            }
+        }
+    }
+
+    /// The boundary's upper bound for category `cat`
+    /// ([`Boundary::bound_of`] on the page).
+    pub(crate) fn bound_of(&self, cat: CatId) -> Prob {
+        match *self {
+            BoundaryRef::Sparse(pairs) => pairs
+                .binary_search_by_key(&cat.0, |e| u64::from_le_bytes(*e) as u32)
+                .map_or(0.0, |i| pair_prob(&pairs[i])),
+            BoundaryRef::Discretized { cats, codes, bits } => cats
+                .binary_search_by_key(&cat.0, |c| u32::from_le_bytes(*c))
+                .map_or(0.0, |i| packed_prob(codes, bits, i)),
+            BoundaryRef::Signature(vals) => Prob::from_le_bytes(vals[cat.index() % vals.len()]),
+        }
+    }
+
+    /// [`Boundary::eq_upper_bound`] on the page.
+    pub(crate) fn eq_upper_bound(&self, q: &Uda) -> f64 {
+        boundary::eq_upper_bound(q, |cat| self.bound_of(cat))
+    }
+
+    /// [`Boundary::l1_lower_bound`] on the page.
+    pub(crate) fn l1_lower_bound(&self, q: &Uda) -> f64 {
+        boundary::l1_lower_bound(q, |cat| self.bound_of(cat))
+    }
+
+    /// [`Boundary::l2_lower_bound`] on the page.
+    pub(crate) fn l2_lower_bound(&self, q: &Uda) -> f64 {
+        boundary::l2_lower_bound(q, |cat| self.bound_of(cat))
+    }
+
+    /// [`Boundary::dominates`] on the page.
+    pub(crate) fn dominates(&self, u: &Uda) -> bool {
+        u.iter().all(|(cat, p)| self.bound_of(cat) >= p)
+    }
+}
+
+/// The probability half of one `(u32 cat, f32 prob)` pair.
+fn pair_prob(pair: &[u8; 8]) -> Prob {
+    Prob::from_bits((u64::from_le_bytes(*pair) >> 32) as u32)
+}
+
+/// Dequantize the `i`-th of the `bits`-wide codes packed into `codes`
+/// (low bits first, as `encode_boundary` packs them). A code may straddle
+/// a byte; `bits ≤ 8` keeps it within two.
+fn packed_prob(codes: &[u8], bits: u8, i: usize) -> Prob {
+    let bit = i * bits as usize;
+    let lo = codes[bit / 8] as u32;
+    let hi = codes.get(bit / 8 + 1).map_or(0, |&b| b as u32);
+    let code = ((lo | (hi << 8)) >> (bit % 8)) & ((1 << bits) - 1);
+    dequantize(code as u8, bits)
+}
+
+/// The node kernel: validate the image of node `pid` where it lies on its
+/// pinned page — every check [`read_node`] makes, in the same order, with
+/// the same errors — and hand each entry to `visitor` as a borrowed view.
+/// Allocates nothing, whatever the page claims. A leaf record is
+/// validated in the pass that scores it, so the visitor has seen a
+/// malformed record (and everything ahead of it) when the error is
+/// returned; callers fail the whole operation on `Err`.
+pub(crate) fn visit_node(
+    pool: &mut BufferPool,
+    pid: PageId,
+    compression: Compression,
+    mut visitor: impl FnMut(Visit<'_, '_>),
+) -> Result<()> {
+    pool.read(pid, |b| {
+        let count = field::get_u16(&b[..], 2);
+        let mut rest = &b[NODE_HDR..];
+        match b[0] {
+            TYPE_LEAF => {
+                for _ in 0..count {
+                    let (tid, tail) = rest.split_first_chunk::<8>().ok_or(BAD_LEAF_ENTRY)?;
+                    let (mut uda, used) = codec::scan(tail).map_err(|_| BAD_UDA)?;
+                    visitor(Visit::Entry {
+                        tid: u64::from_le_bytes(*tid),
+                        uda: &mut uda,
+                    });
+                    uda.finish().map_err(|_| BAD_UDA)?;
+                    rest = &tail[used..];
+                }
+                Ok(())
+            }
+            TYPE_INTERNAL => {
+                for _ in 0..count {
+                    let (child, tail) = rest.split_first_chunk::<8>().ok_or(BAD_CHILD_ENTRY)?;
+                    let (boundary, used) = BoundaryRef::parse(tail, compression)?;
+                    visitor(Visit::Child {
+                        pid: PageId(u64::from_le_bytes(*child)),
+                        boundary,
+                    });
+                    rest = &tail[used..];
+                }
+                Ok(())
+            }
+            _ => Err(BAD_NODE_TYPE),
         }
     })?
 }

@@ -17,7 +17,7 @@ use uncat_storage::snapshot::{
 use uncat_storage::SnapshotFileError;
 
 use crate::config::{Compression, PdrConfig, SplitStrategy};
-use crate::tree::PdrTree;
+use crate::tree::{PdrTree, MAX_NODE_ENTRIES};
 
 const MAGIC: &[u8; 4] = b"UPD1";
 
@@ -98,6 +98,23 @@ fn read_config(r: &mut Reader<'_>) -> Result<PdrConfig, SnapshotError> {
     Ok(cfg)
 }
 
+/// `(leaf, internal)` page counts assumed for a snapshot that predates
+/// them: leaves half the entry cap full (what insertion splits leave),
+/// one internal level per 64 nodes below. Only the planner's cost
+/// estimate reads them, never an answer; later splits and emptied nodes
+/// adjust them from there, so the assumption lives on in the next
+/// snapshot.
+fn assumed_counts(len: u64) -> (u64, u64) {
+    let leaves = len.div_ceil(MAX_NODE_ENTRIES as u64 / 2).max(1);
+    let mut internals = 0;
+    let mut level = leaves;
+    while level > 1 {
+        level = level.div_ceil(64);
+        internals += level;
+    }
+    (leaves, internals)
+}
+
 impl PdrTree {
     /// Serialize the tree's metadata. Flush the building pool first so the
     /// referenced pages are durable.
@@ -108,6 +125,9 @@ impl PdrTree {
         w.pid(self.root());
         w.u64(self.len());
         w.u32(self.depth());
+        let (leaves, internals) = self.node_counts();
+        w.u64(leaves);
+        w.u64(internals);
         w.finish()
     }
 
@@ -119,10 +139,17 @@ impl PdrTree {
         let root = r.pid()?;
         let len = r.u64()?;
         let depth = r.u32()?;
+        // Snapshots written before the node counts were kept end here;
+        // for those the planner gets an estimate (see `assumed_counts`).
+        let counts = if r.is_done() {
+            assumed_counts(len)
+        } else {
+            (r.u64()?, r.u64()?)
+        };
         if !r.is_done() {
             return Err(SnapshotError("trailing bytes"));
         }
-        Ok(PdrTree::from_raw(root, config, domain, len, depth))
+        Ok(PdrTree::from_raw(root, config, domain, len, depth, counts))
     }
 
     /// Commit the metadata snapshot to `path` atomically (temp file,
@@ -182,6 +209,7 @@ mod tests {
         let tree = PdrTree::open(&blob).expect("snapshot decodes");
         assert_eq!(tree.len(), 500);
         assert_eq!(*tree.config(), cfg, "configuration survives");
+        assert_eq!(tree.snapshot(), blob, "and so do the page counts");
         let mut pool = BufferPool::with_capacity(store, 128);
         assert_eq!(tree.check_invariants(&mut pool).unwrap(), 500);
         let out = tree
@@ -231,6 +259,40 @@ mod tests {
             .petq(&mut pool, &EqQuery::new(uda(&[(2, 1.0)]), 0.9))
             .unwrap();
         assert_eq!(out.len(), 40);
+    }
+
+    /// A snapshot from before the page counts travelled in it ends after
+    /// the depth: it still opens, answers, and prices itself plausibly.
+    #[test]
+    fn snapshot_without_page_counts_still_opens() {
+        let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 128);
+        let data: Vec<(u64, Uda)> = (0..3000u64)
+            .map(|i| (i, uda(&[((i % 7) as u32, 0.6), (7, 0.4)])))
+            .collect();
+        let tree = PdrTree::build(
+            Domain::anonymous(8),
+            PdrConfig::default(),
+            &mut pool,
+            data.iter().map(|(t, u)| (*t, u)),
+        )
+        .unwrap();
+        let mut w = Writer::new(MAGIC);
+        write_domain(&mut w, tree.domain());
+        write_config(&mut w, tree.config());
+        w.pid(tree.root());
+        w.u64(tree.len());
+        w.u32(tree.depth());
+        let old = PdrTree::open(&w.finish()).expect("old snapshot opens");
+        assert_eq!(old.len(), 3000);
+        let out = old
+            .petq(&mut pool, &EqQuery::new(uda(&[(2, 1.0)]), 0.5))
+            .unwrap();
+        assert_eq!(out.len(), 429);
+        let (assumed, real) = (old.cost_stats().nodes_est, tree.cost_stats().nodes_est);
+        assert!(
+            assumed <= 2 * real && real <= 2 * assumed,
+            "assumed {assumed} pages for a tree of {real}"
+        );
     }
 
     #[test]

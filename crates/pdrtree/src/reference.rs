@@ -1,0 +1,567 @@
+//! Test reference for the node kernel: the four searches as they ran
+//! before it, over owned nodes from [`read_node`], and the differential
+//! and byte-mutation tests that hold [`visit_node`] to them — the same
+//! tids, bit-equal scores and bounds, the same counters, the same verdict
+//! on every damaged page.
+
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
+use uncat_core::equality::{eq_prob, eq_prob_stream, meets_threshold, THRESHOLD_EPS};
+use uncat_core::query::{
+    sort_matches_asc, sort_matches_desc, DsTopKQuery, DstQuery, EqQuery, Match, TopKQuery,
+};
+use uncat_core::topk::{BottomKHeap, TopKHeap};
+use uncat_core::uda::Entry;
+use uncat_core::{CatId, Divergence, Domain, Uda, UdaBuilder};
+use uncat_storage::{
+    BufferPool, InMemoryDisk, PageId, QueryMetrics, Result, StorageError, PAGE_SIZE,
+};
+
+use crate::boundary::Boundary;
+use crate::config::{Compression, PdrConfig};
+use crate::node::{read_node, visit_node, BoundaryRef, ChildEntry, LeafEntry, Node, Visit};
+use crate::tree::PdrTree;
+
+const COMPRESSIONS: [Compression; 5] = [
+    Compression::None,
+    Compression::Discretized { bits: 2 },
+    Compression::Discretized { bits: 4 },
+    Compression::Discretized { bits: 8 },
+    Compression::Signature { width: 8 },
+];
+
+impl BoundaryRef<'_> {
+    /// The owned boundary this view decodes to.
+    fn to_boundary(self) -> Boundary {
+        let sparse = |cats: &mut dyn Iterator<Item = u32>| {
+            Boundary::Sparse(
+                cats.map(|c| Entry {
+                    cat: CatId(c),
+                    prob: self.bound_of(CatId(c)),
+                })
+                .collect(),
+            )
+        };
+        match self {
+            BoundaryRef::Sparse(pairs) => {
+                sparse(&mut pairs.iter().map(|e| u64::from_le_bytes(*e) as u32))
+            }
+            BoundaryRef::Discretized { cats, .. } => {
+                sparse(&mut cats.iter().map(|c| u32::from_le_bytes(*c)))
+            }
+            BoundaryRef::Signature(vals) => {
+                Boundary::Signature(vals.iter().map(|v| f32::from_le_bytes(*v)).collect())
+            }
+        }
+    }
+}
+
+/// The node `visit_node` sees, materialized — or its error.
+fn node_via_kernel(pool: &mut BufferPool, pid: PageId, compression: Compression) -> Result<Node> {
+    let mut entries = Vec::new();
+    let mut children = Vec::new();
+    visit_node(pool, pid, compression, |v| match v {
+        Visit::Entry { tid, uda } => {
+            // An invalid record fails the node when the kernel finishes it.
+            if let Ok(uda) = uda.to_uda() {
+                entries.push(LeafEntry { tid, uda });
+            }
+        }
+        Visit::Child { pid, boundary } => children.push(ChildEntry {
+            pid,
+            boundary: boundary.to_boundary(),
+        }),
+    })?;
+    // The kernel has no event for "an empty node of this kind".
+    assert!(entries.is_empty() || children.is_empty());
+    Ok(if pool.read(pid, |b| b[0] == 1)? {
+        Node::Internal(children)
+    } else {
+        Node::Leaf(entries)
+    })
+}
+
+// --- The searches before the kernel ---------------------------------
+
+fn ref_petq(
+    tree: &PdrTree,
+    pool: &mut BufferPool,
+    query: &EqQuery,
+    metrics: &mut QueryMetrics,
+) -> Result<Vec<Match>> {
+    let mut out = Vec::new();
+    let mut stack = vec![tree.root()];
+    while let Some(pid) = stack.pop() {
+        metrics.nodes_visited += 1;
+        match read_node(pool, pid, tree.config().compression)? {
+            Node::Leaf(entries) => {
+                metrics.leaf_entries_examined += entries.len() as u64;
+                for e in &entries {
+                    let pr = eq_prob(&query.q, &e.uda);
+                    if meets_threshold(pr, query.tau) {
+                        out.push(Match::new(e.tid, pr));
+                    }
+                }
+            }
+            Node::Internal(children) => {
+                for c in &children {
+                    if c.boundary.eq_upper_bound(&query.q) >= query.tau - THRESHOLD_EPS {
+                        stack.push(c.pid);
+                    } else {
+                        metrics.nodes_pruned += 1;
+                    }
+                }
+            }
+        }
+    }
+    sort_matches_desc(&mut out);
+    Ok(out)
+}
+
+fn divergence_lower_bound(b: &Boundary, q: &Uda, dv: Divergence) -> f64 {
+    match dv {
+        Divergence::L1 => b.l1_lower_bound(q),
+        Divergence::L2 => b.l2_lower_bound(q),
+        Divergence::Kl => 0.0,
+    }
+}
+
+fn ref_dstq(
+    tree: &PdrTree,
+    pool: &mut BufferPool,
+    query: &DstQuery,
+    metrics: &mut QueryMetrics,
+) -> Result<Vec<Match>> {
+    let mut out = Vec::new();
+    let mut stack = vec![tree.root()];
+    while let Some(pid) = stack.pop() {
+        metrics.nodes_visited += 1;
+        match read_node(pool, pid, tree.config().compression)? {
+            Node::Leaf(entries) => {
+                metrics.leaf_entries_examined += entries.len() as u64;
+                for e in &entries {
+                    let d = query.divergence.eval(query.q.entries(), e.uda.entries());
+                    if d <= query.tau_d {
+                        out.push(Match::new(e.tid, d));
+                    }
+                }
+            }
+            Node::Internal(children) => {
+                for c in &children {
+                    let lower = divergence_lower_bound(&c.boundary, &query.q, query.divergence);
+                    if lower <= query.tau_d + 1e-9 {
+                        stack.push(c.pid);
+                    } else {
+                        metrics.nodes_pruned += 1;
+                    }
+                }
+            }
+        }
+    }
+    sort_matches_asc(&mut out);
+    Ok(out)
+}
+
+/// The old frontier entry, ordered by `partial_cmp`: a max-heap on the
+/// bound for top-k, the comparison reversed (`min`) for DSQ-top-k.
+struct Pending {
+    bound: f64,
+    pid: PageId,
+    min: bool,
+}
+impl PartialEq for Pending {
+    fn eq(&self, other: &Self) -> bool {
+        self.bound == other.bound
+    }
+}
+impl Eq for Pending {}
+impl Ord for Pending {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let ord = self
+            .bound
+            .partial_cmp(&other.bound)
+            .expect("bounds are finite");
+        if self.min {
+            ord.reverse()
+        } else {
+            ord
+        }
+    }
+}
+impl PartialOrd for Pending {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+fn ref_top_k(
+    tree: &PdrTree,
+    pool: &mut BufferPool,
+    query: &TopKQuery,
+    floor: f64,
+    metrics: &mut QueryMetrics,
+) -> Result<Vec<Match>> {
+    let mut heap = TopKHeap::new(query.k, floor);
+    let mut frontier = BinaryHeap::new();
+    frontier.push(Pending {
+        bound: f64::INFINITY,
+        pid: tree.root(),
+        min: false,
+    });
+    while let Some(Pending { bound, pid, .. }) = frontier.pop() {
+        if bound < heap.threshold() - THRESHOLD_EPS {
+            metrics.nodes_pruned += 1 + frontier.len() as u64;
+            break;
+        }
+        metrics.nodes_visited += 1;
+        match read_node(pool, pid, tree.config().compression)? {
+            Node::Leaf(entries) => {
+                metrics.leaf_entries_examined += entries.len() as u64;
+                for e in &entries {
+                    let pr = eq_prob(&query.q, &e.uda);
+                    if pr > 0.0 {
+                        heap.offer(e.tid, pr);
+                    }
+                }
+            }
+            Node::Internal(children) => {
+                for c in &children {
+                    let b = c.boundary.eq_upper_bound(&query.q);
+                    if b >= heap.threshold() - THRESHOLD_EPS {
+                        frontier.push(Pending {
+                            bound: b,
+                            pid: c.pid,
+                            min: false,
+                        });
+                    } else {
+                        metrics.nodes_pruned += 1;
+                    }
+                }
+            }
+        }
+    }
+    Ok(heap.into_sorted())
+}
+
+fn ref_ds_top_k(
+    tree: &PdrTree,
+    pool: &mut BufferPool,
+    query: &DsTopKQuery,
+    metrics: &mut QueryMetrics,
+) -> Result<Vec<Match>> {
+    let mut heap = BottomKHeap::new(query.k);
+    let mut frontier = BinaryHeap::new();
+    frontier.push(Pending {
+        bound: 0.0,
+        pid: tree.root(),
+        min: true,
+    });
+    while let Some(Pending { bound, pid, .. }) = frontier.pop() {
+        if heap.is_full() && bound > heap.bound() + 1e-9 {
+            metrics.nodes_pruned += 1 + frontier.len() as u64;
+            break;
+        }
+        metrics.nodes_visited += 1;
+        match read_node(pool, pid, tree.config().compression)? {
+            Node::Leaf(entries) => {
+                metrics.leaf_entries_examined += entries.len() as u64;
+                for e in &entries {
+                    let d = query.divergence.eval(query.q.entries(), e.uda.entries());
+                    heap.offer(e.tid, d);
+                }
+            }
+            Node::Internal(children) => {
+                for c in &children {
+                    let b = divergence_lower_bound(&c.boundary, &query.q, query.divergence);
+                    if !heap.is_full() || b <= heap.bound() + 1e-9 {
+                        frontier.push(Pending {
+                            bound: b,
+                            pid: c.pid,
+                            min: true,
+                        });
+                    } else {
+                        metrics.nodes_pruned += 1;
+                    }
+                }
+            }
+        }
+    }
+    Ok(heap.into_sorted())
+}
+
+// --- Fixtures -------------------------------------------------------
+
+const CATS: u32 = 24;
+
+/// Deterministic pseudo-random UDA stream, one to five categories each.
+fn synth(n: usize, seed: u64) -> Vec<(u64, Uda)> {
+    let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    (0..n as u64)
+        .map(|tid| {
+            let nz = 1 + (next() % 5) as usize;
+            let mut b = UdaBuilder::new();
+            let mut used = std::collections::HashSet::new();
+            for _ in 0..nz {
+                let c = (next() % CATS as u64) as u32;
+                if used.insert(c) {
+                    b.push(CatId(c), 0.05 + (next() % 900) as f32 / 1000.0)
+                        .unwrap();
+                }
+            }
+            (tid, b.finish_normalized().unwrap())
+        })
+        .collect()
+}
+
+fn build(compression: Compression, bulk: bool, data: &[(u64, Uda)]) -> (PdrTree, BufferPool) {
+    let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 64);
+    let cfg = PdrConfig {
+        compression,
+        ..PdrConfig::default()
+    };
+    let tuples = data.iter().map(|(t, u)| (*t, u));
+    let tree = if bulk {
+        PdrTree::bulk_build(Domain::anonymous(CATS), cfg, &mut pool, tuples)
+    } else {
+        PdrTree::build(Domain::anonymous(CATS), cfg, &mut pool, tuples)
+    }
+    .unwrap();
+    (tree, pool)
+}
+
+/// Every page of the tree, root first.
+fn pages(tree: &PdrTree, pool: &mut BufferPool) -> Vec<PageId> {
+    let mut all = vec![tree.root()];
+    let mut i = 0;
+    while i < all.len() {
+        if let Node::Internal(children) =
+            read_node(pool, all[i], tree.config().compression).unwrap()
+        {
+            all.extend(children.iter().map(|c| c.pid));
+        }
+        i += 1;
+    }
+    all
+}
+
+fn bits(matches: &[Match]) -> Vec<(u64, u64)> {
+    matches.iter().map(|m| (m.tid, m.score.to_bits())).collect()
+}
+
+/// Run `kernel` and `reference` from the same cold pool and hold them to
+/// the same answer, counters and page requests.
+fn same_run(
+    pool: &mut BufferPool,
+    what: &str,
+    kernel: impl FnOnce(&mut BufferPool, &mut QueryMetrics) -> Result<Vec<Match>>,
+    reference: impl FnOnce(&mut BufferPool, &mut QueryMetrics) -> Result<Vec<Match>>,
+) {
+    let mut run = |f: &mut dyn FnMut(&mut BufferPool, &mut QueryMetrics) -> Result<Vec<Match>>| {
+        pool.clear().unwrap();
+        let before = pool.stats();
+        let mut m = QueryMetrics::new();
+        let out = f(pool, &mut m).unwrap();
+        let io = pool.stats().since(&before);
+        (
+            bits(&out),
+            (m.nodes_visited, m.nodes_pruned, m.leaf_entries_examined),
+            (io.logical_reads, io.physical_reads),
+        )
+    };
+    let (mut kernel, mut reference) = (Some(kernel), Some(reference));
+    let got = run(&mut |p, m| kernel.take().unwrap()(p, m));
+    let want = run(&mut |p, m| reference.take().unwrap()(p, m));
+    assert_eq!(got, want, "{what}");
+}
+
+// --- (a) differential -------------------------------------------------
+
+#[test]
+fn kernel_searches_match_the_reference_searches() {
+    let data = synth(3000, 42);
+    let queries: Vec<&Uda> = data.iter().step_by(271).map(|(_, u)| u).collect();
+    for compression in COMPRESSIONS {
+        for bulk in [false, true] {
+            let (tree, mut pool) = build(compression, bulk, &data);
+            assert!(tree.depth() >= 2, "internal pages exist");
+            let tag = |q: usize, kind: &str| format!("{compression:?} bulk={bulk} q{q} {kind}");
+            for (i, q) in queries.iter().enumerate() {
+                for tau in [0.05, 0.3, 0.7] {
+                    let query = EqQuery::new((*q).clone(), tau);
+                    same_run(
+                        &mut pool,
+                        &tag(i, &format!("petq {tau}")),
+                        |p, m| tree.petq_metered(p, &query, m),
+                        |p, m| ref_petq(&tree, p, &query, m),
+                    );
+                }
+                for (k, floor) in [(1, 0.0), (10, 0.0), (10, 0.2)] {
+                    let query = TopKQuery::new((*q).clone(), k);
+                    same_run(
+                        &mut pool,
+                        &tag(i, &format!("top-{k} floor {floor}")),
+                        |p, m| tree.top_k_floored_metered(p, &query, floor, m),
+                        |p, m| ref_top_k(&tree, p, &query, floor, m),
+                    );
+                }
+                for (dv, tau_d) in [
+                    (Divergence::L1, 0.6),
+                    (Divergence::L2, 0.3),
+                    (Divergence::Kl, 0.8),
+                ] {
+                    let query = DstQuery::new((*q).clone(), tau_d, dv);
+                    same_run(
+                        &mut pool,
+                        &tag(i, &format!("dstq {dv:?}")),
+                        |p, m| tree.dstq_metered(p, &query, m),
+                        |p, m| ref_dstq(&tree, p, &query, m),
+                    );
+                    let query = DsTopKQuery::new((*q).clone(), 7, dv);
+                    same_run(
+                        &mut pool,
+                        &tag(i, &format!("ds-top-k {dv:?}")),
+                        |p, m| tree.ds_top_k_metered(p, &query, m),
+                        |p, m| ref_ds_top_k(&tree, p, &query, m),
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn kernel_nodes_match_read_node_bit_for_bit() {
+    let data = synth(3000, 7);
+    let queries: Vec<&Uda> = data.iter().step_by(333).map(|(_, u)| u).collect();
+    for compression in COMPRESSIONS {
+        for bulk in [false, true] {
+            let (tree, mut pool) = build(compression, bulk, &data);
+            for pid in pages(&tree, &mut pool) {
+                let node = read_node(&mut pool, pid, compression).unwrap();
+                assert_eq!(
+                    node_via_kernel(&mut pool, pid, compression).unwrap(),
+                    node,
+                    "{compression:?} bulk={bulk} {pid}"
+                );
+                let (mut leaf, mut child) = (0, 0);
+                visit_node(&mut pool, pid, compression, |v| match (v, &node) {
+                    (Visit::Entry { tid, uda }, Node::Leaf(entries)) => {
+                        let e = &entries[leaf];
+                        leaf += 1;
+                        assert_eq!(tid, e.tid);
+                        for q in &queries {
+                            assert_eq!(
+                                eq_prob_stream(q.entries(), uda.clone()).to_bits(),
+                                eq_prob(q, &e.uda).to_bits()
+                            );
+                        }
+                        assert_eq!(uda.to_uda().as_ref(), Ok(&e.uda));
+                    }
+                    (Visit::Child { pid, boundary }, Node::Internal(children)) => {
+                        let c = &children[child];
+                        child += 1;
+                        assert_eq!(pid, c.pid);
+                        for q in &queries {
+                            assert_eq!(
+                                boundary.eq_upper_bound(q).to_bits(),
+                                c.boundary.eq_upper_bound(q).to_bits()
+                            );
+                            assert_eq!(
+                                boundary.l1_lower_bound(q).to_bits(),
+                                c.boundary.l1_lower_bound(q).to_bits()
+                            );
+                            assert_eq!(
+                                boundary.l2_lower_bound(q).to_bits(),
+                                c.boundary.l2_lower_bound(q).to_bits()
+                            );
+                            assert_eq!(boundary.dominates(q), c.boundary.dominates(q));
+                        }
+                    }
+                    _ => panic!("kernel and read_node disagree on the node kind"),
+                })
+                .unwrap();
+                assert_eq!(leaf + child, node.count());
+            }
+        }
+    }
+}
+
+// --- (b) byte mutation ------------------------------------------------
+
+/// Every single-byte mutation of the used part of one leaf page and one
+/// internal page per compression (and a little of the dead space behind
+/// it, which a mutated count walks into): the kernel and `read_node`
+/// return the same node or the same error, and neither panics. Neither
+/// can allocate from a hostile count: the kernel allocates nothing, and
+/// `read_node` caps its reservation by what a page can hold.
+#[test]
+fn every_byte_mutation_gets_the_same_verdict_from_kernel_and_read_node() {
+    let data = synth(1200, 99);
+    for compression in COMPRESSIONS {
+        let (tree, mut pool) = build(compression, true, &data);
+        let all = pages(&tree, &mut pool);
+        let leaf = *all.last().expect("a leaf");
+        for pid in [tree.root(), leaf] {
+            let node = read_node(&mut pool, pid, compression).unwrap();
+            let used = (node.serialized_size(compression) + 32).min(PAGE_SIZE);
+            let image = pool.read(pid, |b| *b).unwrap();
+            let scratch = pool.allocate().unwrap();
+            for i in 0..used {
+                for flip in [0x01u8, 0x80, 0xFF] {
+                    let mut bad = image;
+                    bad[i] ^= flip;
+                    pool.write(scratch, |b| *b = bad).unwrap();
+                    let want = read_node(&mut pool, scratch, compression);
+                    let got = node_via_kernel(&mut pool, scratch, compression);
+                    assert_eq!(got, want, "{compression:?} {pid} byte {i} ^ {flip:#x}");
+                }
+            }
+        }
+    }
+}
+
+// --- boundary values are range-checked --------------------------------
+
+/// A NaN (or any non-probability) in a stored boundary fails the one
+/// query that reads the page, with a typed error, in every query kind —
+/// unchecked, it prunes silently in `petq` (every comparison is false)
+/// and has no place in the top-k frontier's order.
+#[test]
+fn a_nan_boundary_fails_each_query_kind_with_a_typed_error() {
+    let data = synth(1200, 5);
+    let q = data[17].1.clone();
+    for compression in [Compression::None, Compression::Signature { width: 8 }] {
+        for poison in [f32::NAN, f32::INFINITY, -0.5, 1.5] {
+            let (tree, mut pool) = build(compression, true, &data);
+            // The first boundary value of the root's first child: past the
+            // node header, the child pid and (sparse) the pair count and
+            // first category.
+            let at = match compression {
+                Compression::None => 4 + 8 + 2 + 4,
+                _ => 4 + 8,
+            };
+            pool.write(tree.root(), |b| {
+                b[at..at + 4].copy_from_slice(&poison.to_le_bytes())
+            })
+            .unwrap();
+            let corrupt = |r: Result<Vec<Match>>| {
+                assert!(
+                    matches!(r, Err(StorageError::Corrupt(_))),
+                    "{compression:?} {poison}: {r:?}"
+                )
+            };
+            corrupt(tree.petq(&mut pool, &EqQuery::new(q.clone(), 0.1)));
+            corrupt(tree.top_k(&mut pool, &TopKQuery::new(q.clone(), 5)));
+            corrupt(tree.dstq(&mut pool, &DstQuery::new(q.clone(), 0.5, Divergence::L1)));
+            corrupt(tree.ds_top_k(&mut pool, &DsTopKQuery::new(q.clone(), 5, Divergence::L2)));
+            assert!(read_node(&mut pool, tree.root(), compression).is_err());
+        }
+    }
+}

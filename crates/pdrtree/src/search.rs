@@ -6,16 +6,41 @@
 //! first, "finding better candidates at the beginning of the search which
 //! in turn results in better pruning".
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
-use uncat_core::equality::{eq_prob, meets_threshold, THRESHOLD_EPS};
+use uncat_core::codec::Scan;
+use uncat_core::equality::{eq_prob_stream, meets_threshold, THRESHOLD_EPS};
 use uncat_core::query::{sort_matches_desc, EqQuery, Match, TopKQuery};
 use uncat_core::topk::TopKHeap;
-use uncat_storage::{BufferPool, PageId, Phase, QueryMetrics, Result};
+use uncat_core::Uda;
+use uncat_storage::{BufferPool, QueryMetrics, Result};
 
-use crate::node::{read_node, Node};
+use crate::node::BoundaryRef;
+use crate::traverse::BestFirst;
 use crate::tree::PdrTree;
+
+/// PEQ-top-k as a best-first search: subtrees ordered by Lemma 2's upper
+/// bound, cut at the heap's threshold — the external floor until `k`
+/// matches exist, then the k-th best probability.
+struct EqTopK<'q> {
+    q: &'q Uda,
+    heap: TopKHeap,
+}
+
+impl BestFirst for EqTopK<'_> {
+    fn priority(&self, boundary: &BoundaryRef<'_>) -> f64 {
+        boundary.eq_upper_bound(self.q)
+    }
+
+    fn reachable(&self, priority: f64) -> bool {
+        priority >= self.heap.threshold() - THRESHOLD_EPS
+    }
+
+    fn offer(&mut self, tid: u64, uda: &mut Scan<'_>) {
+        let pr = eq_prob_stream(self.q.entries(), uda);
+        if pr > 0.0 {
+            self.heap.offer(tid, pr);
+        }
+    }
+}
 
 impl PdrTree {
     /// Evaluate a PETQ, returning qualifying tuples with exact equality
@@ -35,35 +60,19 @@ impl PdrTree {
         metrics: &mut QueryMetrics,
     ) -> Result<Vec<Match>> {
         let mut out = Vec::new();
-        let span = pool.trace_begin(Phase::TreeTraversal);
-        let mut stack = vec![self.root()];
-        while let Some(pid) = stack.pop() {
-            metrics.nodes_visited += 1;
-            match read_node(pool, pid, self.config().compression)? {
-                Node::Leaf(entries) => {
-                    metrics.leaf_entries_examined += entries.len() as u64;
-                    for e in &entries {
-                        let pr = eq_prob(&query.q, &e.uda);
-                        if meets_threshold(pr, query.tau) {
-                            out.push(Match::new(e.tid, pr));
-                        }
-                    }
+        self.walk(
+            pool,
+            metrics,
+            |tid, uda| {
+                let pr = eq_prob_stream(query.q.entries(), uda);
+                if meets_threshold(pr, query.tau) {
+                    out.push(Match::new(tid, pr));
                 }
-                Node::Internal(children) => {
-                    for c in &children {
-                        // Lemma 2: boundaries over-estimate every subtree
-                        // distribution, so this bound is an upper bound on
-                        // Pr(q = u) below c.
-                        if c.boundary.eq_upper_bound(&query.q) >= query.tau - THRESHOLD_EPS {
-                            stack.push(c.pid);
-                        } else {
-                            metrics.nodes_pruned += 1;
-                        }
-                    }
-                }
-            }
-        }
-        pool.trace_end(span);
+            },
+            // Lemma 2: boundaries over-estimate every subtree distribution,
+            // so this bound is an upper bound on Pr(q = u) below the child.
+            |boundary| boundary.eq_upper_bound(&query.q) >= query.tau - THRESHOLD_EPS,
+        )?;
         sort_matches_desc(&mut out);
         Ok(out)
     }
@@ -109,29 +118,6 @@ impl PdrTree {
         floor: f64,
         metrics: &mut QueryMetrics,
     ) -> Result<Vec<Match>> {
-        struct Pending {
-            bound: f64,
-            pid: PageId,
-        }
-        impl PartialEq for Pending {
-            fn eq(&self, other: &Self) -> bool {
-                self.bound == other.bound
-            }
-        }
-        impl Eq for Pending {}
-        impl Ord for Pending {
-            fn cmp(&self, other: &Self) -> Ordering {
-                self.bound
-                    .partial_cmp(&other.bound)
-                    .expect("bounds are finite")
-            }
-        }
-        impl PartialOrd for Pending {
-            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-
         if query.k == 0 {
             return Ok(Vec::new());
         }
@@ -140,49 +126,12 @@ impl PdrTree {
         } else {
             0.0
         };
-        // `heap.threshold()` is `floor` until the heap fills, then the
-        // k-th best score — exactly the cutoff every prune below wants.
-        let mut heap = TopKHeap::new(query.k, floor);
-        let span = pool.trace_begin(Phase::TreeTraversal);
-        let mut frontier = BinaryHeap::new();
-        frontier.push(Pending {
-            bound: f64::INFINITY,
-            pid: self.root(),
-        });
-        while let Some(Pending { bound, pid }) = frontier.pop() {
-            if bound < heap.threshold() - THRESHOLD_EPS {
-                // The remaining frontier is cut without being read.
-                metrics.nodes_pruned += 1 + frontier.len() as u64;
-                break; // no unexplored subtree can reach the cutoff
-            }
-            metrics.nodes_visited += 1;
-            match read_node(pool, pid, self.config().compression)? {
-                Node::Leaf(entries) => {
-                    metrics.leaf_entries_examined += entries.len() as u64;
-                    for e in &entries {
-                        let pr = eq_prob(&query.q, &e.uda);
-                        if pr > 0.0 {
-                            heap.offer(e.tid, pr);
-                        }
-                    }
-                }
-                Node::Internal(children) => {
-                    for c in &children {
-                        let b = c.boundary.eq_upper_bound(&query.q);
-                        if b >= heap.threshold() - THRESHOLD_EPS {
-                            frontier.push(Pending {
-                                bound: b,
-                                pid: c.pid,
-                            });
-                        } else {
-                            metrics.nodes_pruned += 1;
-                        }
-                    }
-                }
-            }
-        }
-        pool.trace_end(span);
-        Ok(heap.into_sorted())
+        let mut search = EqTopK {
+            q: &query.q,
+            heap: TopKHeap::new(query.k, floor),
+        };
+        self.best_first(pool, metrics, &mut search)?;
+        Ok(search.heap.into_sorted())
     }
 }
 

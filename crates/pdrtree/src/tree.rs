@@ -1,18 +1,24 @@
 //! The PDR-tree structure: creation, insertion, deletion.
 
 use uncat_core::{Domain, Uda};
-use uncat_storage::{BufferPool, PageId, Result, StorageError, PAGE_SIZE};
+use uncat_storage::{BufferPool, PageId, QueryMetrics, Result, StorageError, PAGE_SIZE};
 
 use crate::boundary::Boundary;
 use crate::config::PdrConfig;
 use crate::node::{
-    boundary_size, leaf_entry_size, read_node, write_node, ChildEntry, LeafEntry, Node, NODE_HDR,
+    boundary_size, leaf_entry_size, read_node, visit_node, write_node, ChildEntry, LeafEntry, Node,
+    Visit, NODE_HDR,
 };
 use crate::split;
 
 /// Nodes are also capped by entry count (besides the page-size budget) so
 /// that the quadratic split algorithms stay cheap on very sparse data.
 pub(crate) const MAX_NODE_ENTRIES: usize = 256;
+
+/// `locate` read the removal path a moment ago; a page that no longer
+/// matches it is a storage fault, not a state a delete can produce.
+const STALE_PATH: StorageError =
+    StorageError::Corrupt("PDR removal path no longer holds the tuple");
 
 /// Byte budget for a node's entries.
 pub(crate) const NODE_BUDGET: usize = PAGE_SIZE - NODE_HDR;
@@ -52,6 +58,10 @@ pub struct PdrTree {
     domain: Domain,
     len: u64,
     depth: u32,
+    /// Reachable leaf and internal pages, kept exact by every operation
+    /// that adds or drops a node so [`PdrTree::cost_stats`] needs no I/O.
+    leaves: u64,
+    internals: u64,
 }
 
 impl PdrTree {
@@ -68,10 +78,15 @@ impl PdrTree {
             domain,
             len: 0,
             depth: 1,
+            leaves: 1,
+            internals: 0,
         })
     }
 
-    /// Build a tree by inserting every tuple.
+    /// Build a tree by inserting every tuple, one split at a time — the
+    /// construction the paper's split-strategy and divergence figures
+    /// measure, kept for them. A relation known up front loads two orders
+    /// of magnitude faster, onto fewer pages, with [`PdrTree::bulk_build`].
     pub fn build<'a, I>(
         domain: Domain,
         config: PdrConfig,
@@ -113,29 +128,14 @@ impl PdrTree {
         &self.domain
     }
 
-    /// Planner-facing statistics derived from the in-memory header alone
-    /// — no page is read, unlike [`PdrTree::stats`]. `entries` and
-    /// `depth` are exact; the node counts are estimates from pinned
-    /// occupancy assumptions (see [`PdrCostStats`]), good enough for the
-    /// order-of-magnitude backend choice the query planner makes.
+    /// Planner-facing statistics from the in-memory header alone — no
+    /// page is read, unlike [`PdrTree::stats`].
     pub fn cost_stats(&self) -> PdrCostStats {
-        // Typical occupancy under the paper-default configuration:
-        // a 4 KiB page holds a few dozen boundary-compressed entries,
-        // and internal fan-out settles near the balance cap.
-        const LEAF_ENTRY_EST: u64 = 32;
-        const FANOUT_EST: u64 = 8;
-        let leaves_est = self.len.div_ceil(LEAF_ENTRY_EST).max(1);
-        let mut nodes_est = leaves_est;
-        let mut level = leaves_est;
-        while level > 1 {
-            level = level.div_ceil(FANOUT_EST);
-            nodes_est += level;
-        }
         PdrCostStats {
             entries: self.len,
             depth: self.depth,
-            leaves_est,
-            nodes_est,
+            leaves_est: self.leaves,
+            nodes_est: self.leaves + self.internals,
         }
     }
 
@@ -143,13 +143,14 @@ impl PdrTree {
         self.root
     }
 
-    /// Assemble a tree from parts (bulk loader).
+    /// Assemble a tree from parts (bulk loader, snapshot).
     pub(crate) fn from_raw(
         root: PageId,
         config: PdrConfig,
         domain: Domain,
         len: u64,
         depth: u32,
+        (leaves, internals): (u64, u64),
     ) -> PdrTree {
         PdrTree {
             root,
@@ -157,7 +158,14 @@ impl PdrTree {
             domain,
             len,
             depth,
+            leaves,
+            internals,
         }
+    }
+
+    /// Reachable `(leaf, internal)` page counts.
+    pub(crate) fn node_counts(&self) -> (u64, u64) {
+        (self.leaves, self.internals)
     }
 
     /// Insert a distribution.
@@ -184,6 +192,7 @@ impl PdrTree {
             )?;
             self.root = new_root;
             self.depth += 1;
+            self.internals += 1;
         }
         self.len += 1;
         Ok(())
@@ -301,6 +310,7 @@ impl PdrTree {
         let right_pid = pool.allocate()?;
         write_node(pool, pid, &Node::Leaf(left_entries), compression)?;
         write_node(pool, right_pid, &Node::Leaf(right_entries), compression)?;
+        self.leaves += 1;
         Ok((
             ChildEntry {
                 pid,
@@ -347,6 +357,7 @@ impl PdrTree {
             &Node::Internal(right_children),
             compression,
         )?;
+        self.internals += 1;
         Ok((
             ChildEntry {
                 pid,
@@ -391,123 +402,138 @@ impl PdrTree {
     /// Look up `tid`'s stored distribution (unguided full traversal in
     /// the worst case — the tree is keyed by distribution, not id).
     pub fn find_tuple(&self, pool: &mut BufferPool, tid: u64) -> Result<Option<Uda>> {
-        let mut stack = vec![self.root];
-        while let Some(pid) = stack.pop() {
-            match read_node(pool, pid, self.config.compression)? {
-                Node::Leaf(entries) => {
-                    if let Some(e) = entries.into_iter().find(|e| e.tid == tid) {
-                        return Ok(Some(e.uda));
+        Ok(self.locate(pool, tid, None)?.map(|(_, uda)| uda))
+    }
+
+    /// Find tuple `tid` through the node kernel: the pages from the root
+    /// down to the leaf that stores it, and its distribution (the one
+    /// entry of the search that is materialized). Children are tried in
+    /// stored order; with a `guide`, only those whose boundary dominates
+    /// it.
+    fn locate(
+        &self,
+        pool: &mut BufferPool,
+        tid: u64,
+        guide: Option<&Uda>,
+    ) -> Result<Option<(Vec<PageId>, Uda)>> {
+        let mut stack = vec![(self.root, 0usize)];
+        let mut path = Vec::new();
+        while let Some((pid, level)) = stack.pop() {
+            path.truncate(level);
+            path.push(pid);
+            let children = stack.len();
+            let mut found = None;
+            visit_node(pool, pid, self.config.compression, |v| match v {
+                Visit::Entry { tid: t, uda } => {
+                    // A record that does not validate fails the node below.
+                    if t == tid && found.is_none() {
+                        found = uda.to_uda().ok();
                     }
                 }
-                Node::Internal(children) => stack.extend(children.iter().map(|c| c.pid)),
+                Visit::Child { pid, boundary } => {
+                    if guide.is_none_or(|u| boundary.dominates(u)) {
+                        stack.push((pid, level + 1));
+                    }
+                }
+            })?;
+            if let Some(uda) = found {
+                return Ok(Some((path, uda)));
             }
+            // The stack pops from the back: first child on top.
+            stack[children..].reverse();
         }
         Ok(None)
     }
 
+    /// Remove `tid` and repair the boundaries above it. Only the pages on
+    /// the removal path are materialized and rewritten, leaf first: each
+    /// parent takes its child's boundary recomputed from the surviving
+    /// entries, or drops the reference when the child emptied out (the
+    /// emptied page is orphaned, like pages freed by merges; a later
+    /// checkpoint-compaction could reclaim them).
     fn delete_impl(
         &mut self,
         pool: &mut BufferPool,
         tid: u64,
         guide: Option<&Uda>,
     ) -> Result<Option<Uda>> {
-        match self.delete_rec(pool, self.root, tid, guide)? {
-            Removal::NotFound => Ok(None),
-            Removal::Removed { uda, boundary } => {
-                self.len -= 1;
-                if boundary.is_none() && self.depth > 1 {
-                    // The root emptied out: collapse it back to depth 1.
-                    write_node(
-                        pool,
-                        self.root,
-                        &Node::Leaf(Vec::new()),
-                        self.config.compression,
-                    )?;
-                    self.depth = 1;
-                }
-                Ok(Some(uda))
-            }
-        }
-    }
-
-    /// Recursive delete with boundary repair. On removal, returns the
-    /// boundary recomputed from the node's surviving entries (`None` when
-    /// the node is now empty, telling the parent to drop its reference —
-    /// the emptied page is orphaned, like pages freed by merges; a later
-    /// checkpoint-compaction could reclaim them).
-    fn delete_rec(
-        &mut self,
-        pool: &mut BufferPool,
-        pid: PageId,
-        tid: u64,
-        guide: Option<&Uda>,
-    ) -> Result<Removal> {
+        let Some((path, uda)) = self.locate(pool, tid, guide)? else {
+            return Ok(None);
+        };
         let compression = self.config.compression;
-        match read_node(pool, pid, compression)? {
-            Node::Leaf(mut entries) => {
-                let Some(i) = entries.iter().position(|e| e.tid == tid) else {
-                    return Ok(Removal::NotFound);
-                };
-                let removed = entries.remove(i);
-                let boundary = (!entries.is_empty()).then(|| {
-                    let mut b = Boundary::empty(compression);
-                    for e in &entries {
-                        b.merge_uda(&e.uda);
-                    }
-                    b
-                });
-                write_node(pool, pid, &Node::Leaf(entries), compression)?;
-                Ok(Removal::Removed {
-                    uda: removed.uda,
-                    boundary,
-                })
-            }
-            Node::Internal(mut children) => {
-                for i in 0..children.len() {
-                    if guide.is_some_and(|u| !children[i].boundary.dominates(u)) {
-                        continue;
-                    }
-                    match self.delete_rec(pool, children[i].pid, tid, guide)? {
-                        Removal::NotFound => continue,
-                        Removal::Removed { uda, boundary } => {
-                            match boundary {
-                                Some(b) => children[i].boundary = b,
-                                None => {
-                                    children.remove(i);
-                                }
-                            }
-                            let boundary = (!children.is_empty()).then(|| {
-                                let mut b = Boundary::empty(compression);
-                                for c in &children {
-                                    b.merge_boundary(&c.boundary);
-                                }
-                                b
-                            });
-                            write_node(pool, pid, &Node::Internal(children), compression)?;
-                            return Ok(Removal::Removed { uda, boundary });
+        // The node below the one being repaired: its page and its repaired
+        // boundary (`None` = it is now empty).
+        let mut below: Option<(PageId, Option<Boundary>)> = None;
+        for &pid in path.iter().rev() {
+            let mut node = read_node(pool, pid, compression)?;
+            let boundary = match (&mut node, below.take()) {
+                (Node::Leaf(entries), None) => {
+                    let i = entries
+                        .iter()
+                        .position(|e| e.tid == tid)
+                        .ok_or(STALE_PATH)?;
+                    entries.remove(i);
+                    (!entries.is_empty()).then(|| {
+                        let mut b = Boundary::empty(compression);
+                        entries.iter().for_each(|e| b.merge_uda(&e.uda));
+                        b
+                    })
+                }
+                (Node::Internal(children), Some((child, repaired))) => {
+                    let i = children
+                        .iter()
+                        .position(|c| c.pid == child)
+                        .ok_or(STALE_PATH)?;
+                    match repaired {
+                        Some(b) => children[i].boundary = b,
+                        None => {
+                            children.remove(i);
                         }
                     }
+                    (!children.is_empty()).then(|| {
+                        let mut b = Boundary::empty(compression);
+                        children.iter().for_each(|c| b.merge_boundary(&c.boundary));
+                        b
+                    })
                 }
-                Ok(Removal::NotFound)
+                _ => return Err(STALE_PATH),
+            };
+            if boundary.is_none() && pid != self.root {
+                // The parent drops its reference: the page is unreachable.
+                // (Saturating: counts assumed for an old snapshot may run
+                // below the tree's.)
+                match node {
+                    Node::Leaf(_) => self.leaves = self.leaves.saturating_sub(1),
+                    Node::Internal(_) => self.internals = self.internals.saturating_sub(1),
+                }
             }
+            write_node(pool, pid, &node, compression)?;
+            below = Some((pid, boundary));
         }
+        self.len -= 1;
+        if self.depth > 1 && matches!(below, Some((_, None))) {
+            // The root emptied out: collapse it back to a single leaf.
+            write_node(pool, self.root, &Node::Leaf(Vec::new()), compression)?;
+            self.depth = 1;
+            (self.leaves, self.internals) = (1, 0);
+        }
+        Ok(Some(uda))
     }
 
     /// Visit every stored `(tid, uda)` (tree order). A full traversal —
     /// used by tests and the scan baseline.
     pub fn for_each(&self, pool: &mut BufferPool, mut f: impl FnMut(u64, &Uda)) -> Result<()> {
-        let mut stack = vec![self.root];
-        while let Some(pid) = stack.pop() {
-            match read_node(pool, pid, self.config.compression)? {
-                Node::Leaf(entries) => {
-                    for e in &entries {
-                        f(e.tid, &e.uda);
-                    }
+        self.walk(
+            pool,
+            &mut QueryMetrics::new(),
+            // A record that does not validate fails the traversal instead.
+            |tid, uda| {
+                if let Ok(uda) = uda.to_uda() {
+                    f(tid, &uda);
                 }
-                Node::Internal(children) => stack.extend(children.iter().map(|c| c.pid)),
-            }
-        }
-        Ok(())
+            },
+            |_| true,
+        )
     }
 
     /// Structural statistics (full traversal).
@@ -538,10 +564,18 @@ impl PdrTree {
     }
 
     /// Check structural invariants (every boundary dominates its subtree,
-    /// counts add up). Test/debug aid; returns the number of leaf entries.
+    /// entry and page counts add up — so not for a tree reopened from a
+    /// snapshot that predates the page counts, which carries assumed
+    /// ones). Test/debug aid; returns the number of leaf entries.
     pub fn check_invariants(&self, pool: &mut BufferPool) -> Result<u64> {
         let n = self.check_rec(pool, self.root, None)?;
         assert_eq!(n, self.len, "stored entries disagree with len()");
+        let s = self.stats(pool)?;
+        assert_eq!(
+            (s.leaves, s.internals),
+            (self.leaves, self.internals),
+            "reachable (leaf, internal) pages disagree with the header counts"
+        );
         Ok(n)
     }
 
@@ -588,33 +622,22 @@ fn clone_uda(u: &Uda) -> Uda {
     u.clone()
 }
 
-/// Outcome of a recursive delete (see [`PdrTree::delete_rec`]).
-enum Removal {
-    /// The subtree does not hold the tuple.
-    NotFound,
-    /// The tuple was removed; `boundary` is the subtree's repaired
-    /// boundary (`None` = the subtree is now empty).
-    Removed {
-        uda: Uda,
-        boundary: Option<Boundary>,
-    },
-}
-
 /// Zero-I/O statistics returned by [`PdrTree::cost_stats`], the
-/// PDR-tree's contribution to the query planner's cost model. The exact
-/// per-node picture ([`TreeStats`]) needs a full tree walk; planning
-/// must not do I/O, so this carries the header-exact figures plus node
-/// counts estimated under pinned occupancy assumptions.
+/// PDR-tree's contribution to the query planner's cost model. The full
+/// per-node picture ([`TreeStats`]) needs a tree walk; planning must not
+/// do I/O, so this carries what the header keeps. The page counts are
+/// maintained by the bulk loader, every split and every emptied node, and
+/// travel in the snapshot; only a tree reopened from a snapshot that
+/// predates them carries an estimate there (hence the field names).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PdrCostStats {
     /// Stored distributions (exact).
     pub entries: u64,
     /// Tree height in levels (exact; 1 = a single leaf).
     pub depth: u32,
-    /// Estimated leaf count (entries over an assumed per-leaf fill).
+    /// Reachable leaf pages.
     pub leaves_est: u64,
-    /// Estimated total page count (leaves plus the internal levels a
-    /// fixed fan-out would need above them).
+    /// Reachable pages, leaves plus internal nodes.
     pub nodes_est: u64,
 }
 
@@ -834,6 +857,31 @@ mod tests {
         assert!(s.avg_fanout() > 1.0);
         assert!(s.fill_factor() > 0.1 && s.fill_factor() <= 1.0);
         assert!(s.avg_leaf_entries() > 1.0);
+    }
+
+    /// The planner prices the tree from `cost_stats`: its page counts must
+    /// be the tree's, whichever way it was built.
+    #[test]
+    fn cost_stats_page_counts_match_the_tree_for_both_build_methods() {
+        let data = synth(6000, 8, 23);
+        for bulk in [false, true] {
+            let mut p = pool();
+            let tuples = data.iter().map(|(i, u)| (*i, u));
+            let t = if bulk {
+                PdrTree::bulk_build(Domain::anonymous(8), PdrConfig::default(), &mut p, tuples)
+            } else {
+                PdrTree::build(Domain::anonymous(8), PdrConfig::default(), &mut p, tuples)
+            }
+            .unwrap();
+            let (cost, s) = (t.cost_stats(), t.stats(&mut p).unwrap());
+            assert!(s.internals >= 1, "bulk={bulk}: more than one page");
+            assert!(
+                cost.nodes_est <= 2 * s.nodes && s.nodes <= 2 * cost.nodes_est,
+                "bulk={bulk}: {cost:?} vs {s:?}"
+            );
+            assert_eq!((cost.leaves_est, cost.nodes_est), (s.leaves, s.nodes));
+            assert_eq!((cost.entries, cost.depth), (6000, s.depth));
+        }
     }
 
     #[test]

@@ -26,11 +26,6 @@ use uncat_inverted::{CostPrediction, CostStats, InvertedIndex, Strategy, ENTRIES
 use uncat_pdrtree::{PdrCostStats, PdrTree};
 use uncat_storage::{PageId, SharedBufferPool};
 
-/// Assumed per-leaf entry count when converting PDR-tree leaf estimates
-/// into touched-leaf counts (mirrors the pin inside
-/// [`PdrTree::cost_stats`]).
-const PDR_LEAF_ENTRIES: u64 = 32;
-
 /// The statistics a [`Planner`] consults. All fields are point-in-time
 /// samples; none require I/O to collect.
 #[derive(Debug, Clone, Default)]
@@ -231,8 +226,7 @@ impl Planner {
         if let Some(pdr) = &self.stats.pdr {
             // Roughly the leaves holding the k winners, with a 4×
             // expansion for the frontier the search keeps open.
-            let frac = (4.0 * k as f64 / (pdr.leaves_est * PDR_LEAF_ENTRIES).max(1) as f64)
-                .clamp(0.05, 1.0);
+            let frac = (4.0 * k as f64 / pdr.entries.max(1) as f64).clamp(0.05, 1.0);
             Self::better(
                 &mut best,
                 PlannedBackend::PdrTree,

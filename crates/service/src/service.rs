@@ -202,7 +202,9 @@ impl QueryService {
     }
 
     /// Register a tenant whose dataset is split [`shard_of`]-wise into
-    /// `shards` PDR-trees.
+    /// `shards` PDR-trees, each bulk-loaded ([`PdrTree::bulk_build`]): the
+    /// relation is complete at registration, so there is nothing for
+    /// tuple-at-a-time insertion to buy.
     pub fn register_tenant_pdr(
         &self,
         config: TenantConfig,
@@ -211,7 +213,7 @@ impl QueryService {
         shards: usize,
     ) -> Result<()> {
         let boxed = self.build_shards(data, shards, |part, pool| {
-            let tree = PdrTree::build(
+            let tree = PdrTree::bulk_build(
                 domain.clone(),
                 PdrConfig::default(),
                 pool,

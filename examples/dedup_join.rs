@@ -48,7 +48,7 @@ fn main() {
 
     let store = InMemoryDisk::shared();
     let mut pool = BufferPool::with_capacity(store.clone(), 256);
-    let index_b = PdrTree::build(
+    let index_b = PdrTree::bulk_build(
         domain.clone(),
         PdrConfig::default(),
         &mut pool,

@@ -1041,7 +1041,7 @@ fn join(flags: &HashMap<String, String>) -> Result<(), CliError> {
                     &mut build_pool,
                     data.iter().map(|(t, u)| (*t, u)),
                 )?)),
-                "pdr" => Box::new(PdrTree::build(
+                "pdr" => Box::new(PdrTree::bulk_build(
                     domain.clone(),
                     PdrConfig::default(),
                     &mut build_pool,

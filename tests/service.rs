@@ -9,9 +9,10 @@ use uncat::core::query::DsTopKQuery;
 use uncat::core::query::{DstQuery, EqQuery, Match, TopKQuery};
 use uncat::core::{CatId, Divergence, Domain, Uda};
 use uncat::inverted::{InvertedIndex, Strategy};
+use uncat::pdrtree::{PdrConfig, PdrTree};
 use uncat::query::join::{index_join, JoinSpec};
-use uncat::query::{InvertedBackend, UncertainIndex};
-use uncat::service::{QueryService, ServiceConfig, ServiceError, TenantConfig};
+use uncat::query::{InvertedBackend, ScanBaseline, UncertainIndex};
+use uncat::service::{shard_of, QueryService, ServiceConfig, ServiceError, TenantConfig};
 use uncat::storage::{BufferPool, InMemoryDisk, IoStats, QueryMetrics, StorageError};
 
 fn uda(pairs: &[(u32, f32)]) -> Uda {
@@ -135,6 +136,87 @@ fn sharded_scatter_gather_matches_the_unsharded_plan() {
     assert_eq!(stats.completed, 5, "3 selects + 2 joins");
     assert_eq!(stats.rejected, 0);
     assert_eq!(stats.latency.count(), 5);
+}
+
+/// A PDR tenant is bulk-loaded at registration and answers tid-exact
+/// against the scan baseline; trees loaded the way the service loads its
+/// shards are structurally sound and keep taking inserts.
+#[test]
+fn pdr_tenant_is_bulk_loaded_exact_and_still_insertable() {
+    let (domain, data) = seeded_dataset(20_000);
+    let mut scan_pool = BufferPool::with_capacity(InMemoryDisk::shared(), 256);
+    let scan = ScanBaseline::build(&mut scan_pool, data.iter().map(|(t, u)| (*t, u)))
+        .expect("in-memory build");
+
+    let service = QueryService::new(InMemoryDisk::shared(), ServiceConfig::default());
+    let started = std::time::Instant::now();
+    service
+        .register_tenant_pdr(TenantConfig::new("pdr"), &domain, &data, 2)
+        .expect("in-memory build");
+    let took = started.elapsed();
+    // Insertion-building these 20 000 tuples takes seconds (debug builds
+    // are too slow for a wall-clock bound to mean anything).
+    if !cfg!(debug_assertions) {
+        assert!(
+            took < std::time::Duration::from_secs(1),
+            "registration took {took:?}: is the tenant bulk-loaded?"
+        );
+    }
+
+    let petq = EqQuery::new(uda(&[(4, 0.7), (9, 0.3)]), 0.4);
+    let topk = TopKQuery::new(uda(&[(2, 1.0)]), 10);
+    let dstq = DstQuery::new(uda(&[(2, 0.8), (7, 0.2)]), 0.3, Divergence::L1);
+    let want = scan.petq(&mut scan_pool, &petq).expect("scan");
+    assert!(!want.is_empty());
+    let got = service.petq("pdr", &petq).expect("query");
+    assert_matches_agree("pdr/petq", &want, &got.matches);
+    let want = scan.top_k(&mut scan_pool, &topk).expect("scan");
+    let got = service.top_k("pdr", &topk).expect("query");
+    assert_matches_agree("pdr/top_k", &want, &got.matches);
+    let want = scan.dstq(&mut scan_pool, &dstq).expect("scan");
+    assert!(!want.is_empty());
+    let got = service.dstq("pdr", &dstq).expect("query");
+    assert_matches_agree("pdr/dstq", &want, &got.matches);
+
+    // The service's shards, rebuilt by its own recipe (`shard_of` split,
+    // one bulk load per part) where the test can reach into them.
+    let shards = 2;
+    let store = InMemoryDisk::shared();
+    let mut boxed: Vec<Box<dyn UncertainIndex + Send + Sync>> = Vec::new();
+    for shard in 0..shards {
+        let part = data.iter().filter(|(t, _)| shard_of(*t, shards) == shard);
+        let mut pool = BufferPool::with_capacity(store.clone(), 256);
+        let mut tree = PdrTree::bulk_build(
+            domain.clone(),
+            PdrConfig::default(),
+            &mut pool,
+            part.clone().map(|(t, u)| (*t, u)),
+        )
+        .expect("in-memory build");
+        let n = part.count() as u64;
+        assert_eq!(tree.check_invariants(&mut pool).expect("walk"), n);
+        let fresh = (0..100u64)
+            .map(|i| 1_000_000 + i)
+            .filter(|t| shard_of(*t, shards) == shard);
+        let mut added = 0;
+        for tid in fresh {
+            tree.insert(&mut pool, tid, &uda(&[(4, 0.7), (9, 0.3)]))
+                .expect("insert");
+            added += 1;
+        }
+        assert_eq!(tree.check_invariants(&mut pool).expect("walk"), n + added);
+        pool.flush().expect("in-memory flush");
+        boxed.push(Box::new(tree));
+    }
+    let grown = QueryService::new(store, ServiceConfig::default());
+    grown.register_tenant(TenantConfig::new("grown"), boxed);
+    let got = grown.petq("grown", &petq).expect("query");
+    let before = service.petq("pdr", &petq).expect("query").matches.len();
+    assert_eq!(
+        got.matches.len(),
+        before + 100,
+        "every later insert answers"
+    );
 }
 
 /// A parallel scatter is invisible in results and execution counters:
