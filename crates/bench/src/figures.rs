@@ -754,7 +754,7 @@ pub fn sharedpool(scale: &Scale) -> BenchResult<FigureTable> {
 }
 
 /// Ablation: block-max pruning — the compressed block posting format
-/// (delta-varint tids + a quantized block-max directory, `--format
+/// (bit-packed tids + a quantized block-max directory, `--format
 /// blocks`) against the raw one-entry-per-posting B-tree layout
 /// (`--format raw`) over identical CRM1 data, across the selectivity
 /// sweep. Each strategy contributes two y-axes per format: average

@@ -3,173 +3,99 @@
 //!
 //! Every full-list plan (brute-force PETQ, `Auto`'s fallback, the top-k
 //! scan, DSTQ's partial distances) folds one term per posting into a
-//! per-tuple sum. A hash map pays a hash, a probe and a possible grow on
-//! every posting; the sums themselves are one add. [`ScoreAcc`] keeps
-//! them in *slabs* instead: the tid space is cut into pages of
-//! [`SLAB_LEN`] consecutive ids, a page gets a zeroed slab of `f64` slots
-//! the first time one of its tids is touched, and a posting is
-//! `slab[tid mod SLAB_LEN] += delta` plus one presence bit. Which slab
-//! serves a page is looked up in a small `page → slab` table — but only
-//! when the page differs from the previous posting's: tids ascend inside
-//! a block, so a run of postings usually stays on one page.
+//! per-tuple sum. [`ScoreAcc`] holds the sums in one of two layouts,
+//! chosen once when the scan starts from the two numbers the index
+//! already has — how many postings the query's lists hold, and the span
+//! of its tuple ids ([`crate::InvertedIndex::tid_span`], one past the
+//! largest id it ever indexed):
 //!
-//! A slab is 8 KiB to zero and to keep in cache, so it only beats the
-//! hash map when enough postings land on it: measured (the ignored
-//! `density_sweep` below), the two cross between 30 and 150 postings per
-//! 1024 ids, and at one posting per page the slab is a hundred times
-//! slower. So slabs are rationed at [`MIN_PER_SLAB`] postings each. A
-//! scan whose postings could not fill the pages of a dense id space at
-//! that rate (a rare category on a large shard) starts on the hash map
-//! the slabs replaced; a scan that turns out to touch more pages than
-//! its ration (ids scattered over the u32 range) *spills* — its sums
-//! move to the hash map and it continues there. Either way a tuple's
-//! terms are added in arrival order, so its sum is bit-identical in both
-//! layouts.
+//! * *flat*: one zeroed `f64` per id of the span plus a presence bit; a
+//!   posting is `sums[tid] += delta` and one bit-or;
+//! * *map*: a [`TidMap`] with room for every posting from the start, so
+//!   a posting is a hash and a probe but never a rehash.
 //!
-//! Memory is proportional to the scan's postings — at most
-//! `8 KiB / MIN_PER_SLAB` = 64 bytes each — never to the largest tid.
+//! The flat layout has the whole span to zero before the scan and to walk
+//! after it, so it wins once postings are dense enough in the span.
+//! Measured (the ignored `density_sweep` below), flat and map cross
+//! between 30 and 60 postings per 1024 ids on spans of 20 000 to 100 000
+//! ids and between 60 and 120 on a span of 1 000 000; at 6 per 1024 the
+//! flat layout is four to thirteen times slower. The flat layout is
+//! taken from [`MIN_PER_1024`] postings per 1024 ids up: above
+//! every crossing measured, and the density at which its 8 bytes and a
+//! bit per id come to 64 bytes per posting scanned — the bound a scan
+//! starts within in either layout (a map slot is 17 bytes, at most 2.3
+//! slots a posting), whatever the largest tid. The density is taken over
+//! the span, not the tuple count: a service shard holds 1/*n* of its
+//! tenant's tuples and ids from all of their range.
+//!
+//! Either way a tuple's terms are added in arrival order, so its sum is
+//! bit-identical in both layouts.
 
 use crate::tid::TidMap;
 
-/// Tuple ids per slab (8 KiB of sums): large enough that the ~150-id
-/// strides inside a block of a 20 000-tuple list mostly stay on a page.
-const SLAB_BITS: u32 = 10;
-const SLAB_LEN: usize = 1 << SLAB_BITS;
-const SLOT_MASK: u64 = SLAB_LEN as u64 - 1;
-
-/// Postings per slab, averaged over the scan, below which the hash map is
-/// the faster layout (see the module documentation).
-const MIN_PER_SLAB: u64 = 128;
-
-struct Slab {
-    /// `tid >> SLAB_BITS` of every id this slab holds.
-    page: u64,
-    /// One bit per slot: whether [`ScoreAcc::add`] ever named it. A sum
-    /// can be zero (or cancel to zero) and still belong to a candidate.
-    present: [u64; SLAB_LEN / 64],
-    sums: Box<[f64; SLAB_LEN]>,
-}
-
-impl Slab {
-    fn new(page: u64) -> Slab {
-        let sums: Box<[f64]> = vec![0.0; SLAB_LEN].into_boxed_slice();
-        Slab {
-            page,
-            present: [0; SLAB_LEN / 64],
-            sums: sums.try_into().expect("allocated with SLAB_LEN slots"),
-        }
-    }
-
-    /// Every `(tid, sum)` of the slab, ascending.
-    fn iter(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
-        self.present.iter().enumerate().flat_map(move |(w, &bits)| {
-            SetBits(bits).map(move |b| {
-                let slot = w * 64 + b as usize;
-                ((self.page << SLAB_BITS) | slot as u64, self.sums[slot])
-            })
-        })
-    }
-}
+/// Postings per 1024 ids of span from which a scan sums into the flat
+/// layout (see the module documentation).
+const MIN_PER_1024: u64 = 130;
 
 /// Sums keyed by tuple id; see the module documentation.
 pub(crate) struct ScoreAcc {
-    slabs: Vec<Slab>,
-    /// `page → index into slabs`.
-    by_page: TidMap<u32>,
-    /// The page the last `add` named and the index of its slab.
-    current_page: u64,
-    current: usize,
-    /// The slab ration; 0 once the sums live in `sparse`.
-    max_slabs: usize,
-    /// The hash-map layout: empty until the scan starts on it or spills.
+    /// The flat layout: the sum of each id below the span the scan was
+    /// sized for. Empty in the map layout.
+    sums: Vec<f64>,
+    /// One bit per slot of `sums`: whether [`ScoreAcc::add`] ever named
+    /// it. A sum can be zero (or cancel to zero) and still belong to a
+    /// candidate.
+    present: Vec<u64>,
+    /// The map layout — and, beside the flat one, any id at or above the
+    /// span (an index hands out none).
     sparse: TidMap<f64>,
 }
 
 impl ScoreAcc {
-    /// An accumulator for a scan of `postings` postings over an index of
-    /// `tuples` tuples.
-    pub(crate) fn for_scan(postings: u64, tuples: u64) -> ScoreAcc {
-        let ration = postings / MIN_PER_SLAB;
-        // Ids are handed out densely as a rule; where they are, the scan
-        // has this many pages to touch, and usually touches them all.
-        let dense_pages = tuples.div_ceil(SLAB_LEN as u64);
-        let max_slabs = if dense_pages > ration { 0 } else { ration };
+    /// An accumulator for a scan of `postings` postings over an index
+    /// whose tuple ids are all below `span`.
+    pub(crate) fn for_scan(postings: u64, span: u64) -> ScoreAcc {
+        let flat = postings.saturating_mul(1024) >= span.saturating_mul(MIN_PER_1024);
+        let slots = if flat { span as usize } else { 0 };
         ScoreAcc {
-            slabs: Vec::new(),
-            by_page: TidMap::default(),
-            // No tid has this page number: they are below 2^54.
-            current_page: u64::MAX,
-            current: 0,
-            max_slabs: max_slabs as usize,
-            sparse: TidMap::default(),
+            sums: vec![0.0; slots],
+            present: vec![0; slots.div_ceil(64)],
+            // No tuple id arrives more often than there are postings:
+            // sized once, the map never rehashes to grow.
+            sparse: TidMap::with_capacity_and_hasher(
+                if flat { 0 } else { postings as usize },
+                Default::default(),
+            ),
         }
     }
 
     /// Add `delta` to `tid`'s sum (which starts at `0.0`).
     #[inline]
     pub(crate) fn add(&mut self, tid: u64, delta: f64) {
-        let page = tid >> SLAB_BITS;
-        if page != self.current_page && !self.turn_to(page) {
+        if tid < self.sums.len() as u64 {
+            let slot = tid as usize;
+            self.sums[slot] += delta;
+            self.present[slot / 64] |= 1 << (slot % 64);
+        } else {
             *self.sparse.entry(tid).or_insert(0.0) += delta;
-            return;
         }
-        let slab = &mut self.slabs[self.current];
-        let slot = (tid & SLOT_MASK) as usize;
-        slab.sums[slot] += delta;
-        slab.present[slot / 64] |= 1 << (slot % 64);
-    }
-
-    /// Make `page`'s slab the current one, allocating it if the ration
-    /// allows. `false` when the sums are (now) in the hash map.
-    fn turn_to(&mut self, page: u64) -> bool {
-        if self.max_slabs == 0 {
-            return false;
-        }
-        let at = match self.by_page.get(&page) {
-            Some(&at) => at as usize,
-            None if self.slabs.len() == self.max_slabs => {
-                self.spill();
-                return false;
-            }
-            None => {
-                self.by_page.insert(page, self.slabs.len() as u32);
-                self.slabs.push(Slab::new(page));
-                self.slabs.len() - 1
-            }
-        };
-        self.current = at;
-        self.current_page = page;
-        true
-    }
-
-    /// The scan touches more pages than its postings can fill: move every
-    /// sum to the hash map and stay there.
-    #[cold]
-    fn spill(&mut self) {
-        self.sparse.reserve(self.len());
-        for slab in std::mem::take(&mut self.slabs) {
-            self.sparse.extend(slab.iter());
-        }
-        self.by_page = TidMap::default();
-        self.current_page = u64::MAX;
-        self.max_slabs = 0;
     }
 
     /// Distinct tuple ids added so far.
     pub(crate) fn len(&self) -> usize {
-        let in_slabs: usize = self
-            .slabs
-            .iter()
-            .flat_map(|s| &s.present)
-            .map(|w| w.count_ones() as usize)
-            .sum();
-        in_slabs + self.sparse.len()
+        let flat: usize = self.present.iter().map(|w| w.count_ones() as usize).sum();
+        flat + self.sparse.len()
     }
 
     /// Every `(tid, sum)`, in no promised order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
-        let sparse = self.sparse.iter().map(|(&tid, &sum)| (tid, sum));
-        self.slabs.iter().flat_map(Slab::iter).chain(sparse)
+        let flat = self.present.iter().enumerate().flat_map(move |(w, &bits)| {
+            SetBits(bits).map(move |b| {
+                let slot = w * 64 + b as usize;
+                (slot as u64, self.sums[slot])
+            })
+        });
+        flat.chain(self.sparse.iter().map(|(&tid, &sum)| (tid, sum)))
     }
 }
 
@@ -196,9 +122,9 @@ mod tests {
     use proptest::prelude::*;
 
     impl ScoreAcc {
-        /// Slabs allocated right now.
-        fn slabs(&self) -> usize {
-            self.slabs.len()
+        /// Bytes the flat layout holds (none in the map layout).
+        fn flat_bytes(&self) -> u64 {
+            8 * (self.sums.capacity() + self.present.capacity()) as u64
         }
     }
 
@@ -209,52 +135,50 @@ mod tests {
     }
 
     #[test]
-    fn dense_scans_get_slabs_and_sparse_ones_the_hash_map() {
-        // 6 000 postings over 20 000 dense ids: 20 pages, 300 postings each.
+    fn dense_scans_take_the_flat_layout_and_sparse_ones_the_map() {
+        // 6 000 postings over a span of 20 000 ids: 300 per 1024.
         let mut dense = ScoreAcc::for_scan(6_000, 20_000);
         for tid in (0..20_000).step_by(5) {
             dense.add(tid, 1.0);
         }
-        assert_eq!((dense.len(), dense.slabs()), (4_000, 20));
+        assert_eq!(dense.len(), 4_000);
+        assert_eq!(dense.sums.len(), 20_000);
         assert!(dense.sparse.is_empty());
 
-        // The same postings over 1 000 000 ids cannot fill 977 pages.
+        // The same postings over a span of 1 000 000: 6 per 1024.
         let mut sparse = ScoreAcc::for_scan(6_000, 1_000_000);
         for tid in (0..1_000_000).step_by(250) {
             sparse.add(tid, 1.0);
         }
-        assert_eq!((sparse.len(), sparse.slabs()), (4_000, 0));
+        assert_eq!((sparse.len(), sparse.flat_bytes()), (4_000, 0));
+
+        // The fewest postings that buy the flat layout buy it within the
+        // memory bound, at every span.
+        for span in 0..40_000u64 {
+            let postings = (span * MIN_PER_1024).div_ceil(1024);
+            let acc = ScoreAcc::for_scan(postings, span);
+            assert_eq!(acc.sums.len() as u64, span);
+            assert!(acc.flat_bytes() <= 64 * postings, "span {span}");
+            if postings > 0 {
+                assert_eq!(ScoreAcc::for_scan(postings - 1, span).flat_bytes(), 0);
+            }
+        }
     }
 
     #[test]
-    fn a_scan_past_its_ration_spills_and_keeps_every_sum() {
-        // Few tuples, so the scan starts on slabs — but their ids are far
-        // apart, one page each, and 1 024 postings buy 8 slabs.
-        let mut acc = ScoreAcc::for_scan(1_024, 100);
-        let tid = |i: u64| i * (u32::MAX as u64 / 16) + i;
-        for i in 0..8 {
-            acc.add(tid(i), 0.5);
-            acc.add(tid(i) + 1, 0.0);
+    fn an_id_at_or_above_the_span_keeps_its_sum() {
+        let mut acc = ScoreAcc::for_scan(1_000, 100);
+        for tid in [99, 100, 101, u64::MAX, 100, 99] {
+            acc.add(tid, 0.5);
         }
-        assert_eq!((acc.len(), acc.slabs()), (16, 8));
-        acc.add(tid(3), 0.25); // a page it already has
-        assert_eq!(acc.slabs(), 8);
-        acc.add(tid(8), 1.0); // the ninth
-        assert_eq!((acc.len(), acc.slabs()), (17, 0));
-        acc.add(tid(3), 0.25);
-        acc.add(u64::MAX, 2.0);
-        let mut want: Vec<(u64, f64)> = (0..8)
-            .flat_map(|i| [(tid(i), if i == 3 { 1.0 } else { 0.5 }), (tid(i) + 1, 0.0)])
-            .chain([(tid(8), 1.0), (u64::MAX, 2.0)])
-            .collect();
-        want.sort_by_key(|&(tid, _)| tid);
-        assert_eq!(sorted(&acc), want);
+        let want = vec![(99, 1.0), (100, 1.0), (101, 0.5), (u64::MAX, 0.5)];
+        assert_eq!((acc.len(), sorted(&acc)), (4, want));
     }
 
     #[test]
     fn a_zero_sum_is_still_a_member() {
-        for tuples in [10, 1_000_000] {
-            let mut acc = ScoreAcc::for_scan(200, tuples);
+        for span in [10, 1_000_000] {
+            let mut acc = ScoreAcc::for_scan(200, span);
             acc.add(7, 0.0);
             acc.add(9, 0.25);
             acc.add(9, -0.25);
@@ -264,12 +188,67 @@ mod tests {
         assert_eq!(ScoreAcc::for_scan(0, 0).iter().count(), 0);
     }
 
+    /// The service's `shard_of` (SplitMix64 on the tid, modulo the shard
+    /// count), which this crate cannot name.
+    fn shard_of(tid: u64, shards: u64) -> u64 {
+        let mut z = tid.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) % shards
+    }
+
+    /// A shard of a two-shard tenant holds every other id or so of the
+    /// tenant's 40 000: half the tuples, all of the span. Sized by the
+    /// tuple count, its scans looked twice as dense as they are, were
+    /// rationed accordingly and spilt to the map half way; sized by the
+    /// span, every scan above the density constant is flat from its first
+    /// posting to its last, and every one below it never leaves the map.
+    #[test]
+    fn a_shard_of_a_split_tenant_sums_flat_over_its_id_span() {
+        use uncat_core::{CatId, Domain, Uda};
+        use uncat_storage::{BufferPool, InMemoryDisk, QueryMetrics};
+
+        let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 400);
+        let uda = |tid: u64| {
+            let (a, b) = (CatId((tid % 7) as u32), CatId(7 + (tid % 11) as u32));
+            Uda::from_pairs([(a, 0.5), (b, 0.5)]).unwrap()
+        };
+        let data: Vec<(u64, Uda)> = (0..40_000u64)
+            .filter(|&tid| shard_of(tid, 2) == 0)
+            .map(|tid| (tid, uda(tid)))
+            .collect();
+        let tuples = data.iter().map(|(t, u)| (*t, u));
+        let idx = crate::InvertedIndex::build(Domain::anonymous(18), &mut pool, tuples).unwrap();
+        assert!((19_000..21_000).contains(&idx.len()));
+        assert!((39_990..=40_000).contains(&idx.tid_span()));
+
+        let mut flat = 0;
+        let queries: [&[u32]; 5] = [&[0], &[9], &[0, 9], &[1, 2, 3], &[2, 8, 12, 15]];
+        for cats in queries {
+            let p = 1.0 / cats.len() as f32;
+            let q = Uda::from_pairs(cats.iter().map(|&c| (CatId(c), p))).unwrap();
+            let postings: u64 = cats.iter().map(|&c| idx.list_len(CatId(c))).sum();
+            let mut m = QueryMetrics::new();
+            let acc = crate::search::accumulate(&idx, &mut pool, &q, &mut m, |qp, p| qp * p);
+            let acc = acc.unwrap();
+            assert_eq!(m.postings_scanned, postings);
+            if postings * 1024 >= idx.tid_span() * MIN_PER_1024 {
+                assert_eq!(acc.sums.len() as u64, idx.tid_span(), "{cats:?}");
+                assert!(acc.sparse.is_empty(), "{cats:?}");
+                flat += 1;
+            } else {
+                assert_eq!(acc.flat_bytes(), 0, "{cats:?}");
+            }
+        }
+        assert!((2..=3).contains(&flat), "queries on both sides: {flat}");
+    }
+
     /// Tids from a handful of dense neighbourhoods scattered over the
-    /// whole 32-bit range (plus a few beyond it): many repeats, many page
-    /// switches, pages far apart.
+    /// whole 32-bit range (plus a few beyond it): many repeats, most of
+    /// them at or above any span the hints name.
     fn tid_strategy() -> impl Strategy<Value = u64> {
         (0u64..8, 0u64..3000, 0u32..20).prop_map(|(hood, offset, far)| {
-            let base = hood * (u32::MAX as u64 / 7);
+            let base = (hood / 3) * (u32::MAX as u64 / 2);
             if far == 0 {
                 u64::MAX - offset
             } else {
@@ -279,29 +258,33 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+        #![proptest_config(ProptestConfig::with_cases(crate::proptest_cases(64)))]
 
         // Against the hash map it replaces: same members, and — the adds
         // for one tid arrive in the same order — bit-identical sums, for
-        // duplicates, negative and zero deltas alike, whether the scan
-        // stays on slabs, starts on the hash map or spills half way (the
-        // size hints decide, and need not be true); and the slabs never
-        // outnumber the touched pages or the ration, whatever the largest
-        // tid is.
+        // duplicates, negative and zero deltas alike, in the flat layout
+        // and the map, with ids below, at and above the span (the size
+        // hints decide the layout, and need not be true); and the flat
+        // scan starts with no more than 64 bytes per posting it was told
+        // of — flat or map — whatever the largest tid is.
         #[test]
         fn agrees_with_a_tid_map(
             adds in proptest::collection::vec((tid_strategy(), -4i32..5), 0..600),
             postings in 0u64..4_000,
-            tuples in 0u64..20_000,
+            span in 0u64..20_000,
         ) {
-            let mut acc = ScoreAcc::for_scan(postings, tuples);
+            let mut acc = ScoreAcc::for_scan(postings, span);
+            // A slot of the map is a 16-byte pair and a control byte, and
+            // one in eight stays empty.
+            let map_bytes = 20 * acc.sparse.capacity() as u64;
+            prop_assert!(acc.flat_bytes() + map_bytes <= 64 * postings);
             let mut model: TidMap<f64> = TidMap::default();
             for &(tid, d) in &adds {
                 let delta = d as f64 * 0.1;
                 acc.add(tid, delta);
                 *model.entry(tid).or_insert(0.0) += delta;
-                prop_assert!(acc.slabs() as u64 <= postings / MIN_PER_SLAB);
             }
+            prop_assert!(acc.flat_bytes() <= 64 * postings);
             prop_assert_eq!(acc.len(), model.len());
             let mut got: Vec<(u64, u64)> = acc.iter().map(|(t, s)| (t, s.to_bits())).collect();
             let mut want: Vec<(u64, u64)> = model.iter().map(|(&t, s)| (t, s.to_bits())).collect();
@@ -309,9 +292,6 @@ mod tests {
             want.sort_unstable();
             prop_assert!(got.windows(2).all(|w| w[0].0 != w[1].0), "a tid came back twice");
             prop_assert_eq!(got, want);
-            let pages: std::collections::HashSet<u64> =
-                adds.iter().map(|&(tid, _)| tid >> SLAB_BITS).collect();
-            prop_assert!(acc.slabs() <= pages.len());
         }
     }
 
@@ -340,10 +320,10 @@ mod tests {
             .collect()
     }
 
-    /// The measurement behind [`MIN_PER_SLAB`] and the two rules that
-    /// apply it: ns per posting (allocation, adds and the final walk) of
-    /// a hash map, of slabs with no ration, and of [`ScoreAcc`] as a scan
-    /// builds it, from dense lists to one posting per page.
+    /// The measurement behind [`MIN_PER_1024`]: ns per posting
+    /// (allocation, adds and the final walk) of the map, of the flat
+    /// layout whatever the density, and of [`ScoreAcc`] as a scan builds
+    /// it, from dense lists down to a handful of postings per 1024 ids.
     ///
     /// `cargo test --release -p uncat-inverted density_sweep -- --ignored --nocapture`
     #[test]
@@ -360,22 +340,14 @@ mod tests {
                 })
                 .fold(f64::MAX, f64::min)
         }
-        println!("    tuples  per list  per slab | hash map  all slabs  ScoreAcc (slabs)");
-        for (tuples, per_list) in [
-            (20_000u64, 2_000usize),
-            (20_000, 200),
-            (100_000, 10_000),
-            (100_000, 2_000),
-            (1_000_000, 100_000),
-            (1_000_000, 50_000),
-            (1_000_000, 20_000),
-            (1_000_000, 2_000),
-            (10_000_000, 5_000),
-            (u32::MAX as u64, 2_000),
-        ] {
-            let lists = block_ordered_lists(tuples, per_list, 42);
+        println!("      span  per list  per 1024 |  grown map  sized map      flat  ScoreAcc");
+        let densities = [300u64, 150, 120, 60, 30, 15, 6];
+        let spans = [20_000u64, 100_000, 1_000_000];
+        for (span, per_1024) in spans.iter().flat_map(|&s| densities.map(|d| (s, d))) {
+            let per_list = (span * per_1024 / 1024 / 3) as usize;
+            let lists = block_ordered_lists(span, per_list, 42);
             let postings = 3 * per_list;
-            let feed = |acc: &mut ScoreAcc| {
+            let feed = |mut acc: ScoreAcc| {
                 for list in &lists {
                     for &tid in list {
                         acc.add(tid, 0.3);
@@ -383,34 +355,16 @@ mod tests {
                 }
                 acc.iter().map(|(_, sum)| sum).sum::<f64>()
             };
-            let hash = ns_per_posting(postings, || {
-                let mut map: TidMap<f64> = TidMap::default();
-                for list in &lists {
-                    for &tid in list {
-                        *map.entry(tid).or_insert(0.0) += 0.3;
-                    }
-                }
-                map.values().sum()
+            // The map as a scan used to start it, and as it starts it now.
+            let grown = ns_per_posting(postings, || feed(ScoreAcc::for_scan(0, span)));
+            let sized = ns_per_posting(postings, || {
+                feed(ScoreAcc::for_scan(postings as u64, u64::MAX))
             });
-            let slabs = ns_per_posting(postings, || {
-                let mut acc = ScoreAcc::for_scan(postings as u64, 0);
-                acc.max_slabs = usize::MAX;
-                feed(&mut acc)
-            });
-            // A shard of dense ids, and the same ids on a shard that
-            // holds few tuples: the second can only find out by spilling.
-            let mut left = 0;
-            let [known, spilt] = [tuples, 1].map(|hint| {
-                ns_per_posting(postings, || {
-                    let mut acc = ScoreAcc::for_scan(postings as u64, hint);
-                    let sum = feed(&mut acc);
-                    left = acc.slabs();
-                    sum
-                })
-            });
-            let per_slab = postings as f64 / tuples.div_ceil(SLAB_LEN as u64) as f64;
+            let flat = ns_per_posting(postings, || feed(ScoreAcc::for_scan(u64::MAX, span)));
+            let chosen =
+                ns_per_posting(postings, || feed(ScoreAcc::for_scan(postings as u64, span)));
             println!(
-                "{tuples:>10} {per_list:>9} {per_slab:>9.1} | {hash:>8.1} {slabs:>10.1} {known:>9.1} / {spilt:.1} unhinted ({left})"
+                "{span:>10} {per_list:>9} {per_1024:>9} | {grown:>10.1} {sized:>10.1} {flat:>9.1} {chosen:>9.1}"
             );
         }
     }

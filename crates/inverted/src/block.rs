@@ -1,10 +1,11 @@
 //! Compressed block posting format (ROADMAP open item 1).
 //!
 //! A posting list is split into blocks of ~[`BLOCK_TARGET`] entries, each
-//! stored as one heap record. Inside a block, tuple ids are delta-varint
-//! encoded (sorted ascending) and probabilities are kept as raw `f32`
-//! bits — lossless, so every strategy produces scores identical to the
-//! raw B-tree format. Per block, the in-memory directory keeps:
+//! stored as one heap record. Inside a block, tuple ids are sorted
+//! ascending and bit-packed — a 32-bit first id, then every gap to the
+//! next id at one per-block width — and probabilities are kept as raw
+//! `f32` bits — lossless, so every strategy produces scores identical to
+//! the raw B-tree format. Per block, the in-memory directory keeps:
 //!
 //! * the exact 8-byte posting key of the block's first entry (the
 //!   *separator*, used to place mutations),
@@ -17,13 +18,20 @@
 //! * the heap [`RecordId`] holding the payload (the skip pointer: the
 //!   directory walks block to block without touching payload pages).
 //!
-//! Payload wire format (`docs/FORMAT.md` has the byte-level spec):
+//! Payload wire format (`docs/FORMAT.md` §8.2 has the byte-level spec):
 //!
 //! ```text
-//! u16 count (LE)
-//! count × varint tid        first tid absolute, then deltas (ascending)
+//! u16 count | 0x8000 (LE)   bit 15 tags the packed layout
+//! u8  width                 bits per gap, 0..=32
+//! u32 first tid (LE)
+//! (count-1) × width bits    gap - 1 to the next tid, LSB first
 //! count × f32 prob (LE)     raw bits, ascending-tid order
 //! ```
+//!
+//! Every block written is packed. Blocks written before the packed
+//! layout — bit 15 clear, one LEB128 varint per tid (first absolute,
+//! then deltas) in place of width, first tid and gaps — are still read,
+//! and become packed the next time a mutation rewrites them.
 //!
 //! The *stream* order of a block — the order cursors deliver entries — is
 //! descending probability with ties by ascending tid, exactly the raw
@@ -64,16 +72,127 @@ pub fn dequantize(q: u16) -> f64 {
     q as f64 / PROB_SCALE as f64
 }
 
-fn push_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
+/// Bit 15 of a payload's count word: set in the packed layout, clear in
+/// the varint layout that preceded it (whose counts never reached it).
+const PACKED_TAG: u16 = 0x8000;
+
+/// Bytes before the gaps of a packed payload: count word, width, first tid.
+const PACKED_HEADER: usize = 7;
+
+const SHORT_HEADER: StorageError = StorageError::Corrupt("posting block shorter than its header");
+
+/// Encode a block payload in the packed layout. `entries` must be in
+/// stream order (descending probability, ties by ascending tid); tids
+/// must be distinct and fit 32 bits ([`crate::InvertedIndex`] admits no
+/// other).
+pub fn encode_block(entries: &[(TupleId, Prob)]) -> Vec<u8> {
+    debug_assert!(entries.len() < PACKED_TAG as usize);
+    let mut by_tid: Vec<(TupleId, Prob)> = entries.to_vec();
+    by_tid.sort_unstable_by_key(|&(tid, _)| tid);
+    debug_assert!(by_tid.last().is_none_or(|&(tid, _)| tid <= u32::MAX as u64));
+    debug_assert!(by_tid.windows(2).all(|w| w[0].0 < w[1].0), "duplicate tid");
+    // Ids ascend strictly, so a gap is at least 1 and is stored less 1.
+    let gaps = by_tid.windows(2).map(|w| w[1].0 - w[0].0 - 1);
+    let width = gaps
+        .clone()
+        .max()
+        .map_or(0, |g| u64::BITS - g.leading_zeros());
+    let gap_bytes = (by_tid.len().saturating_sub(1) * width as usize).div_ceil(8);
+    let mut out = Vec::with_capacity(PACKED_HEADER + gap_bytes + 4 * by_tid.len());
+    out.extend_from_slice(&(by_tid.len() as u16 | PACKED_TAG).to_le_bytes());
+    out.push(width as u8);
+    let first = by_tid.first().map_or(0, |&(tid, _)| tid as u32);
+    out.extend_from_slice(&first.to_le_bytes());
+    // Fewer than 8 bits are pending before a gap of at most 32 goes in.
+    let (mut pending, mut bits) = (0u64, 0u32);
+    for gap in gaps {
+        pending |= gap << bits;
+        bits += width;
+        while bits >= 8 {
+            out.push(pending as u8);
+            pending >>= 8;
+            bits -= 8;
         }
-        out.push(byte | 0x80);
     }
+    if bits > 0 {
+        out.push(pending as u8);
+    }
+    for &(_, p) in &by_tid {
+        out.extend_from_slice(&p.to_bits().to_le_bytes());
+    }
+    out
+}
+
+/// A stored probability: four little-endian bytes of an `f32` in `(0, 1]`.
+#[inline]
+fn prob_at(bits: &[u8]) -> Result<Prob> {
+    let p = f32::from_le_bytes([bits[0], bits[1], bits[2], bits[3]]);
+    if !(p > 0.0 && p <= 1.0) {
+        return Err(StorageError::Corrupt(
+            "posting block probability out of range",
+        ));
+    }
+    Ok(p)
+}
+
+/// Visit a block payload's entries in storage (ascending-tid) order:
+/// `f(tid, p)` per entry, no buffer, no sort. Returns the entry count. A
+/// payload that does not parse — possible only through corruption that
+/// passed the physical checks — is a typed error; `f` may already have
+/// seen entries by then, and the caller drops what it made of them.
+pub fn visit_block(bytes: &[u8], f: impl FnMut(TupleId, Prob)) -> Result<usize> {
+    let word = match bytes {
+        [lo, hi, ..] => u16::from_le_bytes([*lo, *hi]),
+        _ => return Err(SHORT_HEADER),
+    };
+    if word & PACKED_TAG == 0 {
+        visit_varint(bytes, word as usize, f)
+    } else {
+        visit_packed(bytes, (word & !PACKED_TAG) as usize, f)
+    }
+}
+
+/// [`visit_block`] on the packed layout: one pass, and per gap a load, a
+/// shift, a mask and an add — no branch that depends on the data.
+fn visit_packed(bytes: &[u8], count: usize, mut f: impl FnMut(TupleId, Prob)) -> Result<usize> {
+    let (header, body) = bytes
+        .split_first_chunk::<PACKED_HEADER>()
+        .ok_or(SHORT_HEADER)?;
+    let width = header[2] as usize;
+    if width > 32 {
+        return Err(StorageError::Corrupt(
+            "posting block gap width exceeds 32 bits",
+        ));
+    }
+    // `count` < 2^15 and `width` ≤ 32: no overflow, and nothing is sized
+    // from either before the slice's own length has vouched for them.
+    let gap_bytes = (count.saturating_sub(1) * width).div_ceil(8);
+    if body.len() != gap_bytes + 4 * count {
+        return Err(StorageError::Corrupt("posting block missized"));
+    }
+    let mut probs = body[gap_bytes..].chunks_exact(4);
+    let Some(first) = probs.next() else {
+        return Ok(0);
+    };
+    let mut tid = u32::from_le_bytes([header[3], header[4], header[5], header[6]]) as u64;
+    f(tid, prob_at(first)?);
+    let mask = (1u64 << width) - 1;
+    for (i, bits) in probs.enumerate() {
+        // A gap starts inside the gap area and spans at most 7 + 32 bits;
+        // the eight bytes from its first are in the payload because at
+        // least two probabilities follow the gap area.
+        let at = i * width;
+        let word = body[at / 8..]
+            .first_chunk::<8>()
+            .ok_or(StorageError::Corrupt("posting block missized"))?;
+        tid += ((u64::from_le_bytes(*word) >> (at % 8)) & mask) + 1;
+        f(tid, prob_at(bits)?);
+    }
+    // Ids only ascend, so the last one speaks for all of them.
+    if tid > u32::MAX as u64 {
+        return Err(StorageError::Corrupt("posting block tid overflows"));
+    }
+    Ok(count)
 }
 
 fn read_varint(bytes: &[u8], at: &mut usize) -> Result<u64> {
@@ -95,39 +214,10 @@ fn read_varint(bytes: &[u8], at: &mut usize) -> Result<u64> {
     }
 }
 
-/// Encode a block payload. `entries` must be in stream order (descending
-/// probability, ties by ascending tid); tids must be distinct.
-pub fn encode_block(entries: &[(TupleId, Prob)]) -> Vec<u8> {
-    debug_assert!(entries.len() <= u16::MAX as usize);
-    let mut by_tid: Vec<(TupleId, Prob)> = entries.to_vec();
-    by_tid.sort_unstable_by_key(|&(tid, _)| tid);
-    let mut out = Vec::with_capacity(2 + by_tid.len() * 6);
-    out.extend_from_slice(&(by_tid.len() as u16).to_le_bytes());
-    let mut prev = 0u64;
-    for (i, &(tid, _)) in by_tid.iter().enumerate() {
-        push_varint(&mut out, if i == 0 { tid } else { tid - prev });
-        prev = tid;
-    }
-    for &(_, p) in &by_tid {
-        out.extend_from_slice(&p.to_bits().to_le_bytes());
-    }
-    out
-}
-
-/// Visit a block payload's entries in storage (ascending-tid) order:
-/// `f(tid, p)` per entry, no buffer, no sort. Returns the entry count. A
-/// payload that does not parse — possible only through corruption that
-/// passed the physical checks — is a typed error; `f` may already have
-/// seen the entries before the bad one.
-pub fn visit_block(bytes: &[u8], mut f: impl FnMut(TupleId, Prob)) -> Result<usize> {
-    let count = match bytes {
-        [lo, hi, ..] => u16::from_le_bytes([*lo, *hi]) as usize,
-        _ => {
-            return Err(StorageError::Corrupt(
-                "posting block shorter than its header",
-            ))
-        }
-    };
+/// [`visit_block`] on the legacy layout: `count` LEB128 varints (the first
+/// tid, then deltas), then the probabilities. Read-only — nothing writes
+/// it any more.
+fn visit_varint(bytes: &[u8], count: usize, mut f: impl FnMut(TupleId, Prob)) -> Result<usize> {
     // First pass: the probability area starts after `count` varints,
     // i.e. after the `count`-th byte without a continuation bit.
     let mut probs_at = 2usize;
@@ -163,13 +253,7 @@ pub fn visit_block(bytes: &[u8], mut f: impl FnMut(TupleId, Prob)) -> Result<usi
             return Err(StorageError::Corrupt("posting block tids not ascending"));
         }
         prev = tid;
-        let p = f32::from_le_bytes([bits[0], bits[1], bits[2], bits[3]]);
-        if !(p > 0.0 && p <= 1.0) {
-            return Err(StorageError::Corrupt(
-                "posting block probability out of range",
-            ));
-        }
-        f(tid, p);
+        f(tid, prob_at(bits)?);
     }
     Ok(count)
 }
@@ -187,8 +271,9 @@ pub fn decode_block(bytes: &[u8]) -> Result<Vec<(TupleId, Prob)>> {
 /// cursor walking a list allocates once.
 fn decode_block_into(bytes: &[u8], entries: &mut Vec<(TupleId, Prob)>) -> Result<()> {
     entries.clear();
-    // An entry takes at least five bytes (one of varint, four of f32).
-    entries.reserve(bytes.len() / 5);
+    // An entry takes at least the four bytes of its probability, so the
+    // payload's length — not its count field — bounds the reservation.
+    entries.reserve(bytes.len() / 4);
     visit_block(bytes, |tid, p| entries.push((tid, p)))?;
     // Stream order = posting-key order: descending p, ties ascending
     // tid. Probabilities are positive, so their bit patterns order as
@@ -520,29 +605,90 @@ mod tests {
         entries.sort_unstable_by_key(|&(tid, p)| posting_key(p, tid));
     }
 
-    /// The decoder as it stood before [`visit_block`] (every tid into a
-    /// buffer, then the probabilities, then a sort by posting key), kept
-    /// as the reference the in-place parser must agree with.
-    fn decode_block_reference(bytes: &[u8]) -> Result<Vec<(TupleId, Prob)>> {
-        let header = bytes.get(..2).ok_or(StorageError::Corrupt("header"))?;
-        let count = u16::from_le_bytes([header[0], header[1]]) as usize;
-        let mut at = 2usize;
-        let mut tids = Vec::new();
-        let mut prev = 0u64;
-        for i in 0..count {
-            let v = read_varint(bytes, &mut at)?;
-            let tid = if i == 0 {
-                v
-            } else {
-                prev.checked_add(v)
-                    .ok_or(StorageError::Corrupt("tid overflows"))?
-            };
-            if i > 0 && tid <= prev {
-                return Err(StorageError::Corrupt("tids not ascending"));
+    fn push_varint(out: &mut Vec<u8>, mut v: u64) {
+        loop {
+            let byte = (v & 0x7f) as u8;
+            v >>= 7;
+            if v == 0 {
+                out.push(byte);
+                return;
             }
-            tids.push(tid);
+            out.push(byte | 0x80);
+        }
+    }
+
+    /// The encoder of the legacy varint layout, as it shipped: what the
+    /// reader must keep accepting, and nothing else writes.
+    fn encode_block_varint(entries: &[(TupleId, Prob)]) -> Vec<u8> {
+        let mut by_tid: Vec<(TupleId, Prob)> = entries.to_vec();
+        by_tid.sort_unstable_by_key(|&(tid, _)| tid);
+        let mut out = Vec::with_capacity(2 + by_tid.len() * 6);
+        out.extend_from_slice(&(by_tid.len() as u16).to_le_bytes());
+        let mut prev = 0u64;
+        for (i, &(tid, _)) in by_tid.iter().enumerate() {
+            push_varint(&mut out, if i == 0 { tid } else { tid - prev });
             prev = tid;
         }
+        for &(_, p) in &by_tid {
+            out.extend_from_slice(&p.to_bits().to_le_bytes());
+        }
+        out
+    }
+
+    /// The reference the in-place parser must agree with, for either
+    /// layout: every tid into a buffer — varints as the decoder read them
+    /// before [`visit_block`], packed gaps one bit at a time — then the
+    /// probabilities, then a sort by posting key.
+    fn decode_block_reference(bytes: &[u8]) -> Result<Vec<(TupleId, Prob)>> {
+        let header = bytes.get(..2).ok_or(StorageError::Corrupt("header"))?;
+        let word = u16::from_le_bytes([header[0], header[1]]);
+        let count = (word & !PACKED_TAG) as usize;
+        let mut tids = Vec::new();
+        let at = if word & PACKED_TAG == 0 {
+            let mut at = 2usize;
+            let mut prev = 0u64;
+            for i in 0..count {
+                let v = read_varint(bytes, &mut at)?;
+                let tid = if i == 0 {
+                    v
+                } else {
+                    prev.checked_add(v)
+                        .ok_or(StorageError::Corrupt("tid overflows"))?
+                };
+                if i > 0 && tid <= prev {
+                    return Err(StorageError::Corrupt("tids not ascending"));
+                }
+                tids.push(tid);
+                prev = tid;
+            }
+            at
+        } else {
+            let fixed = bytes.get(2..7).ok_or(StorageError::Corrupt("header"))?;
+            let width = fixed[0] as usize;
+            if width > 32 {
+                return Err(StorageError::Corrupt("width"));
+            }
+            let gaps = count.saturating_sub(1);
+            let bit = |n: usize| -> Result<u64> {
+                let byte = bytes.get(7 + n / 8).ok_or(StorageError::Corrupt("gaps"))?;
+                Ok((byte >> (n % 8)) as u64 & 1)
+            };
+            let mut tid = u32::from_le_bytes([fixed[1], fixed[2], fixed[3], fixed[4]]) as u64;
+            for i in 0..count {
+                if i > 0 {
+                    let mut gap = 0u64;
+                    for b in 0..width {
+                        gap |= bit((i - 1) * width + b)? << b;
+                    }
+                    tid += gap + 1;
+                }
+                if tid > u32::MAX as u64 {
+                    return Err(StorageError::Corrupt("tid overflows"));
+                }
+                tids.push(tid);
+            }
+            7 + (gaps * width).div_ceil(8)
+        };
         if bytes.len() != at + 4 * count {
             return Err(StorageError::Corrupt("probability area missized"));
         }
@@ -591,9 +737,19 @@ mod tests {
         assert_eq!(quantize_up(1.0), PROB_SCALE as u16);
     }
 
+    /// `n` entries `stride` ids apart from `base`, in stream order.
+    fn strided(base: u64, stride: u64, n: usize) -> Vec<(TupleId, Prob)> {
+        let mut entries: Vec<(TupleId, Prob)> = (0..n as u64)
+            .map(|i| base + i * stride)
+            .map(|tid| (tid, ((tid * 7919) % 1000 + 1) as f32 / 1000.0))
+            .collect();
+        stream_sorted(&mut entries);
+        entries
+    }
+
     #[test]
     fn codec_roundtrips_edge_blocks() {
-        // Empty, single entry, maximal tid delta, boundary probabilities.
+        // Empty, single entry, maximal tid gap, boundary probabilities.
         let cases: Vec<Vec<(TupleId, Prob)>> = vec![
             vec![],
             vec![(0, 1.0)],
@@ -606,6 +762,91 @@ mod tests {
             let bytes = encode_block(&entries);
             assert_eq!(decode_block(&bytes).unwrap(), entries);
         }
+        // The widths at both ends — consecutive ids take no gap bits at
+        // all, the two ends of the id space take 32 — at the counts around
+        // a block's split point, up against the top of the id space.
+        let top = u32::MAX as u64;
+        for n in [0usize, 1, 2, 255, 256, 257] {
+            for (entries, width) in [
+                (strided(0, 1, n), 0),
+                (strided(top + 1 - n as u64, 1, n), 0),
+                (strided(5, 3, n), 2),
+                (strided(0, top, n.min(2)), 32),
+            ] {
+                let bytes = encode_block(&entries);
+                assert_eq!(bytes[1] & 0x80, 0x80, "every block written is packed");
+                if entries.len() >= 2 {
+                    assert_eq!(bytes[2], width, "n={n}");
+                }
+                let gap_bytes = (entries.len().saturating_sub(1) * bytes[2] as usize).div_ceil(8);
+                assert_eq!(bytes.len(), 7 + gap_bytes + 4 * entries.len());
+                assert_eq!(
+                    decode_block(&bytes).unwrap(),
+                    entries,
+                    "n={n} width={width}"
+                );
+                assert_eq!(decode_block_reference(&bytes).unwrap(), entries);
+            }
+        }
+    }
+
+    #[test]
+    fn legacy_varint_payloads_still_decode() {
+        // The bytes docs/FORMAT.md walks through, as shipped.
+        let shipped = [2, 0, 2, 5, 0, 0, 0x80, 0x3E, 0, 0, 0x40, 0x3F];
+        assert_eq!(decode_block(&shipped).unwrap(), vec![(7, 0.75), (2, 0.25)]);
+        let top = u32::MAX as u64;
+        for entries in [
+            vec![],
+            strided(0, 1, 257),
+            strided(top - 255, 1, 256),
+            strided(0, top, 2),
+            strided(123_456, 1000, 128),
+        ] {
+            let legacy = encode_block_varint(&entries);
+            assert_eq!(legacy.get(1).map_or(0, |hi| hi & 0x80), 0);
+            assert_eq!(decode_block(&legacy).unwrap(), entries);
+            assert_eq!(
+                visited(&legacy).unwrap(),
+                visited(&encode_block(&entries)).unwrap(),
+                "both layouts visit in ascending-tid order"
+            );
+        }
+    }
+
+    #[test]
+    fn a_hostile_count_or_width_is_refused_before_anything_is_sized_from_it() {
+        // The largest count and width the header can name, over a body
+        // that holds neither: an error, and a buffer the slice bounds.
+        let mut hostile = vec![0xFF, 0xFF, 32, 0, 0, 0, 0];
+        hostile.extend_from_slice(&[0x3F; 64]);
+        for width in [0u8, 1, 32, 33, 255] {
+            hostile[2] = width;
+            let mut entries = Vec::new();
+            assert!(
+                decode_block_into(&hostile, &mut entries).is_err(),
+                "width {width}"
+            );
+            assert!(entries.capacity() <= hostile.len(), "width {width}");
+            assert!(visited(&hostile).is_err());
+        }
+        // A width past 32 is refused even where the lengths would agree.
+        let mut wide = encode_block(&strided(0, u32::MAX as u64, 2));
+        assert_eq!(wide[2], 32);
+        wide[2] = 40;
+        wide.push(0);
+        assert!(decode_block(&wide).is_err());
+        // A last gap that carries the ids past 32 bits.
+        let mut over = encode_block(&strided(u32::MAX as u64 - 4, 2, 3));
+        assert_eq!(over[2], 1);
+        assert!(decode_block(&over).is_ok());
+        over[3..7].copy_from_slice(&(u32::MAX - 3).to_le_bytes());
+        assert_eq!(
+            decode_block(&over),
+            Err(StorageError::Corrupt("posting block tid overflows"))
+        );
+        // The legacy tag with a count nothing backs.
+        assert!(decode_block(&[0xFF, 0x7F]).is_err());
     }
 
     #[test]
@@ -780,51 +1021,188 @@ mod tests {
         assert_eq!(pool.stats().logical_reads, 1);
     }
 
+    /// The entries one read delivered, and the counters it ticked.
+    type Read = (Vec<(TupleId, Prob)>, uncat_storage::QueryMetrics);
+
+    /// What a reader of `list` sees: a full scan, a prefix scan and a
+    /// cursor drain.
+    fn every_read(list: &BlockList, heap: &HeapFile, pool: &mut BufferPool) -> [Read; 3] {
+        use uncat_storage::QueryMetrics;
+        let posting_list = crate::postings::PostingList::Blocks(list.clone());
+        let mut all = (Vec::new(), QueryMetrics::new());
+        posting_list
+            .scan_all(heap, pool, &mut all.1, |tid, p| all.0.push((tid, p)))
+            .unwrap();
+        let mut prefix = (Vec::new(), QueryMetrics::new());
+        posting_list
+            .scan_prefix(heap, pool, 0.4, &mut prefix.1, |tid, p| {
+                prefix.0.push((tid, p))
+            })
+            .unwrap();
+        let mut drained = (Vec::new(), QueryMetrics::new());
+        let mut cur = BlockCursor::open(list, heap);
+        while let Some((e, decoded_new)) = cur.head(pool).unwrap() {
+            drained.1.blocks_decoded += decoded_new as u64;
+            drained.0.push(e);
+            cur.advance();
+        }
+        [all, prefix, drained]
+    }
+
+    /// The layout tag of every payload of `list`, in directory order.
+    fn packed_flags(list: &BlockList, heap: &HeapFile, pool: &mut BufferPool) -> Vec<bool> {
+        let mut flags = Vec::new();
+        list.for_each_payload(heap, pool, |_, bytes| {
+            flags.push(bytes[1] & 0x80 != 0);
+            Ok(true)
+        })
+        .unwrap();
+        flags
+    }
+
+    #[test]
+    fn old_and_new_blocks_read_alike_side_by_side_and_mutations_repack_them() {
+        let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 64);
+        let (mut heap, mut new_heap) = (HeapFile::new(), HeapFile::new());
+        let entries = strided(11, 37, 1500);
+        let all_new = BlockList::build(&mut new_heap, &mut pool, &entries).unwrap();
+        // The same list as an older build left it, except that every third
+        // block has been rewritten since.
+        let mut mixed = BlockList::build(&mut heap, &mut pool, &entries).unwrap();
+        for (i, chunk) in entries.chunks(BLOCK_TARGET).enumerate() {
+            if i % 3 != 0 {
+                let rid = mixed.blocks[i].rid;
+                mixed.blocks[i].rid = heap
+                    .update(&mut pool, rid, &encode_block_varint(chunk))
+                    .unwrap();
+            }
+        }
+        let flags = packed_flags(&mixed, &heap, &mut pool);
+        assert_eq!(flags.len(), 12);
+        assert!(flags
+            .iter()
+            .enumerate()
+            .all(|(i, &packed)| packed == (i % 3 == 0)));
+        assert_eq!(
+            every_read(&mixed, &heap, &mut pool),
+            every_read(&all_new, &new_heap, &mut pool)
+        );
+
+        // Take the first entry out of every block and put it back: each
+        // block is rewritten by the removal, whichever takes the insert.
+        for meta in mixed.blocks().to_vec() {
+            let (p, tid) = crate::postings::decode_posting(&meta.sep);
+            assert!(mixed.remove(&mut heap, &mut pool, tid, p).unwrap());
+            mixed.insert(&mut heap, &mut pool, tid, p).unwrap();
+        }
+        assert!(packed_flags(&mixed, &heap, &mut pool)
+            .iter()
+            .all(|&packed| packed));
+        let [all, _, drained] = every_read(&mixed, &heap, &mut pool);
+        assert_eq!(drained.0, entries);
+        assert_eq!(all.0.len(), entries.len());
+    }
+
+    /// Blocks over the whole 32-bit id space in the shapes that set the
+    /// gap width: scattered ids (wide), runs of consecutive ids (width 0),
+    /// even strides, both ends of the space at once (width 32) — at any
+    /// count up to a block past its split point, and at the counts around
+    /// it.
+    fn block_strategy() -> impl Strategy<Value = Vec<(TupleId, Prob)>> {
+        (
+            (0u32..5, 0usize..8),
+            0u64..=u32::MAX as u64,
+            1u64..70_000,
+            proptest::collection::vec((0u64..=u32::MAX as u64, 1u32..=PROB_SCALE), 0..260),
+        )
+            .prop_map(|((shape, pick), base, stride, raw)| {
+                let n = [0, 1, 2, 256, 257, raw.len(), raw.len(), raw.len()][pick];
+                let room = u32::MAX as u64 - base;
+                match shape {
+                    0 => distinct_entries(raw),
+                    1 => strided(base.min(u32::MAX as u64 - 260), 1, n),
+                    2 => strided(
+                        base,
+                        stride.min(room / 260).max(1),
+                        n.min(room as usize + 1),
+                    ),
+                    3 => distinct_entries(
+                        raw.into_iter()
+                            .chain([(0, 1), (u32::MAX as u64, PROB_SCALE)])
+                            .collect(),
+                    ),
+                    // A dense neighbourhood, the usual block of a long list.
+                    _ => distinct_entries(
+                        raw.into_iter()
+                            .map(|(t, q)| (base.min(u32::MAX as u64 - 4096) + t % 4096, q))
+                            .collect(),
+                    ),
+                }
+            })
+    }
+
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+        #![proptest_config(ProptestConfig::with_cases(crate::proptest_cases(64)))]
 
         // The in-place parser against the buffered reference: the same
         // entries (as a multiset — the visit is in storage order) for a
         // valid payload, and the same accept/reject verdict from the
-        // visitor, the public decoder and the reference for every
-        // single-byte mutation of it.
+        // visitor, the public decoder and the reference — and the same
+        // entries where they accept — for every byte of it replaced by
+        // another and for three single-bit flips of every byte. A flip of
+        // the tag bit hands the bytes to the other layout's parser, so
+        // both are under test whichever wrote the payload.
         #[test]
         fn visit_block_agrees_with_the_reference_decoder(
-            raw in proptest::collection::vec(
-                (0u64..=u32::MAX as u64, 1u32..=PROB_SCALE), 0..40),
+            mut entries in block_strategy(),
+            legacy in 0u8..4,
             flip in 1u8..=255,
+            bits in (0u32..8, 0u32..8, 0u32..8),
         ) {
-            let entries = distinct_entries(raw);
-            let bytes = encode_block(&entries);
+            entries.truncate(48);
+            let bytes = if legacy == 0 {
+                encode_block_varint(&entries)
+            } else {
+                encode_block(&entries)
+            };
             let mut seen = visited(&bytes).unwrap();
             prop_assert!(seen.windows(2).all(|w| w[0].0 < w[1].0), "storage order");
             stream_sorted(&mut seen);
             prop_assert_eq!(&seen, &entries);
             prop_assert_eq!(decode_block_reference(&bytes).unwrap(), entries);
             for i in 0..bytes.len() {
-                let mut bad = bytes.clone();
-                bad[i] ^= flip;
-                let reference = decode_block_reference(&bad);
-                prop_assert_eq!(visited(&bad).is_ok(), reference.is_ok(), "byte {}", i);
-                match (decode_block(&bad), reference) {
-                    (Ok(got), Ok(want)) => prop_assert_eq!(got, want, "byte {}", i),
-                    (got, want) => {
-                        prop_assert_eq!(got.is_ok(), want.is_ok(), "byte {}", i)
+                for mask in [flip, 1 << bits.0, 1 << bits.1, 1 << bits.2] {
+                    let mut bad = bytes.clone();
+                    bad[i] ^= mask;
+                    let reference = decode_block_reference(&bad);
+                    prop_assert_eq!(
+                        visited(&bad).is_ok(), reference.is_ok(), "byte {} ^ {:#x}", i, mask
+                    );
+                    match (decode_block(&bad), reference) {
+                        (Ok(got), Ok(want)) => {
+                            prop_assert_eq!(got, want, "byte {} ^ {:#x}", i, mask)
+                        }
+                        (got, want) => {
+                            prop_assert_eq!(got.is_ok(), want.is_ok(), "byte {} ^ {:#x}", i, mask)
+                        }
                     }
                 }
             }
         }
 
-        // Round trip over arbitrary blocks, including quantization
-        // boundaries and maximal tids.
+        // Round trip over the whole id range and every gap width, in the
+        // layout written and the one only read.
         #[test]
-        fn codec_roundtrip(raw in proptest::collection::vec(
-            (0u64..=u32::MAX as u64, 1u32..=PROB_SCALE), 0..200)
-        ) {
-            let entries = distinct_entries(raw);
+        fn codec_roundtrip(entries in block_strategy()) {
             let bytes = encode_block(&entries);
+            prop_assert_eq!(bytes.len(), {
+                let gap_bits = entries.len().saturating_sub(1) * bytes[2] as usize;
+                7 + gap_bits.div_ceil(8) + 4 * entries.len()
+            });
+            prop_assert!(bytes[2] <= 32);
             let back = decode_block(&bytes).unwrap();
-            prop_assert_eq!(back, entries);
+            prop_assert_eq!(&back, &entries);
+            prop_assert_eq!(decode_block(&encode_block_varint(&entries)).unwrap(), entries);
         }
 
         // Every decoded probability is dominated by the block's

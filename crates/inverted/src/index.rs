@@ -21,7 +21,7 @@ pub enum PostingFormat {
     /// snapshot format `UIV1`. Still fully supported for loading old
     /// snapshots and for differential testing.
     Raw,
-    /// Compressed blocks (delta-varint tids, lossless probabilities,
+    /// Compressed blocks (bit-packed tids, lossless probabilities,
     /// quantized-up block maxima) — snapshot format `UIV2`, the default.
     #[default]
     Blocks,
@@ -133,6 +133,9 @@ pub struct InvertedIndex {
     /// one code path everywhere else.
     block_heap: HeapFile,
     rids: TidMap<RecordId>,
+    /// One past the largest tuple id ever indexed (see
+    /// [`InvertedIndex::tid_span`]).
+    tid_span: u64,
     /// Lazily collected cost statistics (see [`crate::cost`]). Computed
     /// on first use, pre-populated when a snapshot carries a stats
     /// section, and refreshed explicitly at checkpoints. Mutations do
@@ -158,8 +161,35 @@ impl InvertedIndex {
             heap: HeapFile::new(),
             block_heap: HeapFile::new(),
             rids: TidMap::default(),
+            tid_span: 0,
             cost: OnceLock::new(),
         }
+    }
+
+    /// Whether the index can address `tid`: posting keys and block
+    /// payloads carry tuple ids in 32 bits, so a larger one is refused —
+    /// [`StorageError::KeyOutOfRange`] — by [`InvertedIndex::build`],
+    /// [`InvertedIndex::insert`] and [`InvertedIndex::update`] before
+    /// anything is modified.
+    pub fn admits(tid: u64) -> Result<()> {
+        const MAX: u64 = u32::MAX as u64;
+        if tid > MAX {
+            return Err(StorageError::KeyOutOfRange { key: tid, max: MAX });
+        }
+        Ok(())
+    }
+
+    /// Admit `tid` ([`InvertedIndex::admits`], no duplicate) and store its
+    /// record, before any posting names it.
+    fn admit(&mut self, pool: &mut BufferPool, tid: u64, uda: &Uda) -> Result<()> {
+        InvertedIndex::admits(tid)?;
+        if self.rids.contains_key(&tid) {
+            return Err(StorageError::Duplicate { key: tid });
+        }
+        let rid = self.heap.insert(pool, &encode_record(tid, uda))?;
+        self.rids.insert(tid, rid);
+        self.tid_span = self.tid_span.max(tid + 1);
+        Ok(())
     }
 
     /// Build from a collection of tuples in the default (block) format.
@@ -188,11 +218,7 @@ impl InvertedIndex {
         let mut per_cat: BTreeMap<CatId, Vec<[u8; crate::postings::KEY_LEN]>> = BTreeMap::new();
         for (tid, uda) in tuples {
             debug_assert!(uda.max_cat().is_none_or(|c| idx.domain.contains(c)));
-            if idx.rids.contains_key(&tid) {
-                return Err(StorageError::Duplicate { key: tid });
-            }
-            let rid = idx.heap.insert(pool, &encode_record(tid, uda))?;
-            idx.rids.insert(tid, rid);
+            idx.admit(pool, tid, uda)?;
             for (cat, p) in uda.iter() {
                 per_cat.entry(cat).or_default().push(posting_key(p, tid));
             }
@@ -224,13 +250,11 @@ impl InvertedIndex {
     }
 
     /// Insert one tuple. A duplicate tuple id is rejected with
-    /// [`StorageError::Duplicate`] before anything is modified.
+    /// [`StorageError::Duplicate`], one the index cannot address
+    /// ([`InvertedIndex::admits`]) with [`StorageError::KeyOutOfRange`],
+    /// before anything is modified.
     pub fn insert(&mut self, pool: &mut BufferPool, tid: u64, uda: &Uda) -> Result<()> {
-        if self.rids.contains_key(&tid) {
-            return Err(StorageError::Duplicate { key: tid });
-        }
-        let rid = self.heap.insert(pool, &encode_record(tid, uda))?;
-        self.rids.insert(tid, rid);
+        self.admit(pool, tid, uda)?;
         let format = self.format;
         for (cat, p) in uda.iter() {
             let list = match self.postings.entry(cat) {
@@ -257,6 +281,7 @@ impl InvertedIndex {
     /// probability, so reinserting re-establishes list order), insert it
     /// otherwise. Returns whether a previous distribution was replaced.
     pub fn update(&mut self, pool: &mut BufferPool, tid: u64, uda: &Uda) -> Result<bool> {
+        InvertedIndex::admits(tid)?;
         let existed = self.delete(pool, tid)?;
         self.insert(pool, tid, uda)?;
         Ok(existed)
@@ -379,6 +404,14 @@ impl InvertedIndex {
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
         self.rids.is_empty()
+    }
+
+    /// One past the largest tuple id ever indexed: every posting's id is
+    /// below it. Kept by `build` and `insert`, derived from the rid map
+    /// when a snapshot is opened, never lowered by a delete — what the
+    /// score accumulator sizes its flat layout by (`acc`).
+    pub(crate) fn tid_span(&self) -> u64 {
+        self.tid_span
     }
 
     /// The indexed domain.
@@ -573,6 +606,7 @@ impl InvertedIndex {
         block_heap: HeapFile,
         rids: TidMap<RecordId>,
     ) -> InvertedIndex {
+        let tid_span = rids.keys().max().map_or(0, |&tid| tid.saturating_add(1));
         InvertedIndex {
             domain,
             format,
@@ -580,6 +614,7 @@ impl InvertedIndex {
             heap,
             block_heap,
             rids,
+            tid_span,
             cost: OnceLock::new(),
         }
     }
@@ -789,6 +824,55 @@ mod tests {
             .err(),
             Some(StorageError::Duplicate { key: 5 })
         );
+    }
+
+    /// Posting keys and block payloads carry 32-bit ids. `posting_key`
+    /// only debug-asserted that: in release, tuple `2^32 + 5` was indexed
+    /// under postings naming tuple 5 — brute force answered with a tuple
+    /// that does not exist and column pruning with `Corrupt` — and a
+    /// debug build panicked half way through the insert.
+    #[test]
+    fn a_tid_past_32_bits_is_refused_before_anything_is_modified() {
+        let mut p = pool();
+        let tid = (1u64 << 32) + 5;
+        let refused = StorageError::KeyOutOfRange {
+            key: tid,
+            max: u32::MAX as u64,
+        };
+        let data = [(1u64, uda(&[(0, 1.0)])), (tid, uda(&[(0, 0.5), (1, 0.5)]))];
+        for format in [PostingFormat::Blocks, PostingFormat::Raw] {
+            let built = InvertedIndex::build_with_format(
+                Domain::anonymous(2),
+                &mut p,
+                data.iter().map(|(t, u)| (*t, u)),
+                format,
+            );
+            assert_eq!(built.err(), Some(refused.clone()), "{format:?}");
+
+            let mut idx = InvertedIndex::new_with_format(Domain::anonymous(2), format);
+            idx.insert(&mut p, 1, &data[0].1).unwrap();
+            assert_eq!(idx.insert(&mut p, tid, &data[1].1), Err(refused.clone()));
+            assert_eq!(idx.update(&mut p, tid, &data[1].1), Err(refused.clone()));
+            assert_eq!(idx.delete(&mut p, tid), Ok(false));
+            assert_eq!((idx.len(), idx.tid_span()), (1, 2));
+            assert_eq!(idx.list_len(CatId(1)), 0, "no posting went in first");
+            assert_eq!(idx.check_invariants(&mut p).unwrap(), 1);
+            let q = uncat_core::query::EqQuery::new(Uda::certain(CatId(0)), 0.1);
+            for strat in crate::Strategy::ALL {
+                let hits = idx.petq(&mut p, &q, strat).unwrap();
+                assert_eq!(hits.len(), 1, "{strat:?}");
+                assert_eq!(hits[0].tid, 1, "{strat:?}");
+            }
+            // The largest id there is goes in, and sets the span.
+            idx.insert(&mut p, u32::MAX as u64, &data[1].1).unwrap();
+            assert_eq!(idx.tid_span(), 1 << 32);
+            assert!(idx.delete(&mut p, u32::MAX as u64).unwrap());
+            assert_eq!(idx.tid_span(), 1 << 32, "a delete does not lower it");
+            assert_eq!(
+                idx.petq(&mut p, &q, crate::Strategy::Brute).unwrap().len(),
+                1
+            );
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! `d.list = {(tid, p) | Pr(tid = d) = p > 0}` sorted by **descending**
 //! probability. Two physical formats exist ([`PostingFormat`]): raw
 //! pairs in a paged B+tree, or — the default — compressed blocks
-//! (delta-varint tids + lossless probabilities) whose quantized-up
+//! (bit-packed tids + lossless probabilities) whose quantized-up
 //! per-block maxima let every strategy skip whole blocks that cannot
 //! meet the live bound (WAND-style block-max pruning). A heap-file
 //! tuple store supports the random accesses that candidate verification
@@ -31,7 +31,9 @@
 //! abandons frontier plans mid-query when live counters overrun the
 //! prediction — falling back, exactly, to the full scan. Every full-list
 //! plan (brute force, that fallback, the top-k scan behind `Auto`, DSTQ)
-//! sums per tuple in one tid-keyed accumulator (the `acc` module).
+//! sums per tuple in one tid-keyed accumulator (the `acc` module): a
+//! flat array over the index's id span where the postings are dense in
+//! it, a hash map where they are not.
 //!
 //! Every query method has a `*_metered` variant that tallies execution
 //! counters (lists/postings scanned, Lemma 1 stops, the candidate
@@ -62,3 +64,13 @@ pub use cost::{
 };
 pub use index::{IndexStats, InvertedIndex, PostingFormat};
 pub use search::Strategy;
+
+/// Cases per property in this crate's unit tests: `default`, or
+/// `PROPTEST_CASES` when set (the nightly job runs them at 256).
+#[cfg(test)]
+pub(crate) fn proptest_cases(default: u32) -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}

@@ -341,6 +341,11 @@ mod tests {
         let reopened = InvertedIndex::open(&blob).expect("snapshot decodes");
         assert_eq!(reopened.len(), 300);
         assert_eq!(reopened.format(), PostingFormat::Blocks);
+        assert_eq!(
+            reopened.tid_span(),
+            300,
+            "not stored: one past the largest id"
+        );
         let mut pool = BufferPool::with_capacity(store, 100);
         let q = EqQuery::new(uda(&[(0, 1.0)]), 0.3);
         let out = reopened.petq(&mut pool, &q, crate::Strategy::Nra).unwrap();

@@ -167,7 +167,7 @@ pub(crate) fn accumulate(
 ) -> Result<ScoreAcc> {
     let lists = query_lists(idx, q);
     let postings = lists.iter().map(|(_, _, list)| list.len()).sum();
-    let mut acc = ScoreAcc::for_scan(postings, idx.len() as u64);
+    let mut acc = ScoreAcc::for_scan(postings, idx.tid_span());
     let span = pool.trace_begin(Phase::PostingScan);
     for (_cat, qp, list) in lists {
         metrics.lists_opened += 1;

@@ -371,6 +371,13 @@ pub trait MutableBackend: UncertainIndex + Sized {
     fn apply_delete(&mut self, pool: &mut BufferPool, tid: u64) -> Result<bool>;
     /// Whether `tid` is currently indexed.
     fn contains(&self, pool: &mut BufferPool, tid: u64) -> Result<bool>;
+    /// Whether the backend can index `tid` at all. The durable layer asks
+    /// before it logs an insert or an upsert, so a tuple id the backend
+    /// would refuse is refused with nothing written. The default admits
+    /// every id.
+    fn admits(&self, _tid: u64) -> Result<()> {
+        Ok(())
+    }
     /// Serialize the backend's metadata (paired with a page store holding
     /// its pages).
     fn snapshot_blob(&self) -> Vec<u8>;
@@ -400,6 +407,10 @@ impl MutableBackend for InvertedBackend {
 
     fn contains(&self, _pool: &mut BufferPool, tid: u64) -> Result<bool> {
         Ok(self.index.contains(tid))
+    }
+
+    fn admits(&self, tid: u64) -> Result<()> {
+        InvertedIndex::admits(tid)
     }
 
     fn snapshot_blob(&self) -> Vec<u8> {
@@ -818,9 +829,10 @@ impl<B: MutableBackend> DurableIndex<B> {
         Ok(())
     }
 
-    /// Insert a new tuple. Duplicate ids are rejected *before* logging
-    /// (nothing is written). Durable once the group-commit window syncs
-    /// (immediately at window 1).
+    /// Insert a new tuple. Duplicate ids, and ids the backend cannot
+    /// address, are rejected *before* logging (nothing is written).
+    /// Durable once the group-commit window syncs (immediately at
+    /// window 1).
     pub fn insert(&mut self, tid: u64, uda: &Uda) -> Result<()> {
         self.insert_metered(tid, uda, &mut QueryMetrics::new())
     }
@@ -834,6 +846,7 @@ impl<B: MutableBackend> DurableIndex<B> {
         metrics: &mut QueryMetrics,
     ) -> Result<()> {
         self.fail_if_poisoned()?;
+        self.backend.admits(tid)?;
         if self.backend.contains(&mut self.pool, tid)? {
             return Err(StorageError::Duplicate { key: tid });
         }
@@ -860,6 +873,7 @@ impl<B: MutableBackend> DurableIndex<B> {
         metrics: &mut QueryMetrics,
     ) -> Result<bool> {
         self.fail_if_poisoned()?;
+        self.backend.admits(tid)?;
         let existed = self.backend.contains(&mut self.pool, tid)?;
         self.commit_mutation(
             LogRecord::Update {
@@ -1245,6 +1259,28 @@ mod tests {
             "a rejected insert writes nothing"
         );
         assert!(!idx.is_poisoned(), "pre-log rejection does not poison");
+    }
+
+    /// The inverted index addresses tuples with 32 bits. A larger id used
+    /// to be logged and then applied truncated (release) or to panic
+    /// after the append (debug); it is refused before the log sees it.
+    #[test]
+    fn an_unaddressable_tid_is_rejected_before_logging() {
+        let (_storage, mut idx) = inverted_storage();
+        idx.insert(5, &uda(&[(0, 1.0)])).unwrap();
+        let appended = idx.wal_stats().records_appended;
+        let tid = (1u64 << 32) + 5;
+        let refused = Err(StorageError::KeyOutOfRange {
+            key: tid,
+            max: u32::MAX as u64,
+        });
+        assert_eq!(idx.insert(tid, &uda(&[(1, 1.0)])), refused);
+        assert_eq!(idx.update(tid, &uda(&[(1, 1.0)])).map(|_| ()), refused);
+        assert_eq!(idx.delete(tid), Ok(false), "no such tuple, as ever");
+        assert_eq!(idx.wal_stats().records_appended, appended);
+        assert!(!idx.is_poisoned(), "pre-log rejection does not poison");
+        assert_eq!(idx.tuple_count(), 1);
+        idx.insert(u32::MAX as u64, &uda(&[(1, 1.0)])).unwrap();
     }
 
     #[test]

@@ -34,6 +34,8 @@ pub type Result<T> = std::result::Result<T, StorageError>;
 ///   checks but do not decode as the expected structure.
 /// * [`Duplicate`](StorageError::Duplicate) — an insert named a key that
 ///   already exists; nothing was modified.
+/// * [`KeyOutOfRange`](StorageError::KeyOutOfRange) — an insert named a
+///   key the structure cannot address; nothing was modified.
 /// * [`RecordTooLarge`](StorageError::RecordTooLarge) — the record cannot
 ///   fit the page-size budget of its container; nothing was modified.
 /// * [`EmptyRecord`](StorageError::EmptyRecord) — zero-length records are
@@ -79,6 +81,14 @@ pub enum StorageError {
     Duplicate {
         /// The duplicated key.
         key: u64,
+    },
+    /// An insert named a key (tuple id) beyond what the structure can
+    /// address.
+    KeyOutOfRange {
+        /// The offending key.
+        key: u64,
+        /// The largest key the structure addresses.
+        max: u64,
     },
     /// A record exceeds its container's budget.
     RecordTooLarge {
@@ -128,6 +138,9 @@ impl std::fmt::Display for StorageError {
             StorageError::Corrupt(what) => write!(f, "corrupt page structure: {what}"),
             StorageError::Duplicate { key } => {
                 write!(f, "duplicate tuple id {key}")
+            }
+            StorageError::KeyOutOfRange { key, max } => {
+                write!(f, "tuple id {key} is out of range (largest is {max})")
             }
             StorageError::RecordTooLarge { len, max } => {
                 write!(f, "record of {len} bytes exceeds the {max}-byte budget")
@@ -180,6 +193,11 @@ mod tests {
     fn mutation_variants_name_their_cause() {
         let e = StorageError::Duplicate { key: 17 };
         assert!(e.to_string().contains("17"), "{e}");
+        let e = StorageError::KeyOutOfRange { key: 99, max: 42 };
+        assert!(
+            e.to_string().contains("99") && e.to_string().contains("42"),
+            "{e}"
+        );
         let e = StorageError::RecordTooLarge {
             len: 9000,
             max: 8000,

@@ -238,12 +238,13 @@ fn udx1_wrapper_golden_bytes() {
 #[test]
 fn block_payload_golden_bytes() {
     // Stream order (descending p): (tid 7, 0.75), (tid 2, 0.25).
-    // Wire order is ascending tid: 2 then 7 (delta 5).
+    // Wire order is ascending tid: 2, then 7 as a gap of 5 stored less 1.
     let got = encode_block(&[(7, 0.75), (2, 0.25)]);
     let want = vec![
-        0x02, 0x00, // u16 count = 2
-        0x02, // varint tid 2 (first tid is absolute)
-        0x05, // varint delta 5 (tid 7)
+        0x02, 0x80, // u16 count = 2, bit 15 set: the packed layout
+        0x03, // u8 width: gaps take 3 bits each
+        0x02, 0x00, 0x00, 0x00, // u32 first tid = 2
+        0x04, // one gap, 5 - 1 = 0b100, in the low 3 bits; the rest pad
         0x00, 0x00, 0x80, 0x3E, // f32 0.25 LE (prob of tid 2)
         0x00, 0x00, 0x40, 0x3F, // f32 0.75 LE (prob of tid 7)
     ];
@@ -254,13 +255,52 @@ fn block_payload_golden_bytes() {
         vec![(7, 0.75), (2, 0.25)]
     );
 
-    // Multi-byte varint: 300 = 0b10_0101100 → 0xAC 0x02 (LEB128).
+    // Gaps run LSB first across byte boundaries: tids 1, 4, 304, 305 are
+    // gaps 3, 300, 1, stored as 2, 299, 0 at 9 bits each:
+    //   0b0_0000_0010 | 0b1_0010_1011 << 9 | 0 << 18  =  0x025602.
+    let got = encode_block(&[(1, 0.5), (4, 0.5), (304, 0.5), (305, 0.5)]);
+    assert_eq!(
+        got[..11],
+        [0x04, 0x80, 0x09, 0x01, 0x00, 0x00, 0x00, 0x02, 0x56, 0x02, 0x00]
+    );
+    assert_eq!(got.len(), 7 + 4 + 16, "27 gap bits round up to 4 bytes");
+
+    // One entry: no gap, width 0. Consecutive ids: width 0 as well.
     let got = encode_block(&[(300, 0.5)]);
-    assert_eq!(got, vec![0x01, 0x00, 0xAC, 0x02, 0x00, 0x00, 0x00, 0x3F]);
+    assert_eq!(
+        got,
+        vec![0x01, 0x80, 0x00, 0x2C, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x3F]
+    );
+    assert_eq!(
+        encode_block(&[(8, 0.5), (9, 0.5), (10, 0.5)])[..7],
+        [0x03, 0x80, 0, 8, 0, 0, 0]
+    );
+    assert_eq!(encode_block(&[(8, 0.5), (9, 0.5), (10, 0.5)]).len(), 7 + 12);
 
     // Truncated payloads and trailing garbage are rejected, not misread.
     assert!(decode_block(&want[..want.len() - 1]).is_err());
     assert!(decode_block(&[&want[..], &[0u8][..]].concat()).is_err());
+
+    // The legacy varint layout (bit 15 of the count clear) is no longer
+    // written but must decode for ever: the same two blocks as shipped.
+    let legacy = [
+        0x02, 0x00, // u16 count = 2
+        0x02, // varint tid 2 (first tid is absolute)
+        0x05, // varint delta 5 (tid 7)
+        0x00, 0x00, 0x80, 0x3E, // f32 0.25 LE (prob of tid 2)
+        0x00, 0x00, 0x40, 0x3F, // f32 0.75 LE (prob of tid 7)
+    ];
+    assert_eq!(
+        decode_block(&legacy).expect("legacy decode"),
+        vec![(7, 0.75), (2, 0.25)]
+    );
+    // Multi-byte varint: 300 = 0b10_0101100 → 0xAC 0x02 (LEB128).
+    let legacy = [0x01, 0x00, 0xAC, 0x02, 0x00, 0x00, 0x00, 0x3F];
+    assert_eq!(
+        decode_block(&legacy).expect("legacy decode"),
+        vec![(300, 0.5)]
+    );
+    assert!(decode_block(&legacy[..legacy.len() - 1]).is_err());
 }
 
 #[test]
