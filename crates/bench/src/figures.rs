@@ -551,7 +551,7 @@ pub fn join(scale: &Scale) -> BenchResult<FigureTable> {
     use uncat_datagen::zipf::zipf_ranks;
     use uncat_query::join::{block_join, index_join, parallel_join, JoinSpec};
     use uncat_query::{BatchPools, ScanBaseline};
-    use uncat_storage::{BufferPool, QueryMetrics};
+    use uncat_storage::BufferPool;
 
     const THREADS: usize = 4;
     const K: usize = 10;
@@ -611,18 +611,12 @@ pub fn join(scale: &Scale) -> BenchResult<FigureTable> {
         // PEJ-top-k: probe work (postings scanned) per outer tuple. The
         // sequential baseline probes full top-k every time — the
         // pre-floor-fix plan's exact probe cost.
-        let mut baseline = QueryMetrics::new();
         let mut p = BufferPool::with_capacity(inv_store.clone(), QUERY_FRAMES);
         for (_, luda) in outer {
-            uncat_query::UncertainIndex::top_k_metered(
-                &inv,
-                &mut p,
-                &TopKQuery::new(luda.clone(), K),
-                &mut baseline,
-            )
-            .map_err(BenchError::storage("top-k probe"))?;
+            uncat_query::UncertainIndex::top_k(&inv, &mut p, &TopKQuery::new(luda.clone(), K))
+                .map_err(BenchError::storage("top-k probe"))?;
         }
-        topk_index_pts.push((x, baseline.postings_scanned as f64 / outer_n as f64));
+        topk_index_pts.push((x, p.metrics().postings_scanned as f64 / outer_n as f64));
         let pools = BatchPools::private(QUERY_FRAMES);
         let par = parallel_join(
             outer,

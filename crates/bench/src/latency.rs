@@ -22,7 +22,7 @@ use uncat_inverted::Strategy;
 use uncat_pdrtree::PdrConfig;
 use uncat_query::UncertainIndex;
 use uncat_storage::trace::{Clock, LatencyHistogram, MonotonicClock};
-use uncat_storage::{BufferPool, QueryMetrics, SharedStore};
+use uncat_storage::{BufferPool, SharedStore};
 
 use crate::error::{BenchError, BenchResult};
 use crate::json::Json;
@@ -142,17 +142,16 @@ fn time_cell(
                 private_pool = BufferPool::with_capacity(store.clone(), QUERY_FRAMES);
                 &mut private_pool
             };
-            let mut metrics = QueryMetrics::new();
             let t0 = clock.now_ns();
             match kind {
                 "petq" => {
                     index
-                        .petq_metered(pool, &EqQuery::new(cq.q.clone(), cq.tau), &mut metrics)
+                        .petq(pool, &EqQuery::new(cq.q.clone(), cq.tau))
                         .map_err(BenchError::storage("latency petq probe"))?;
                 }
                 _ => {
                     index
-                        .top_k_metered(pool, &TopKQuery::new(cq.q.clone(), cq.k), &mut metrics)
+                        .top_k(pool, &TopKQuery::new(cq.q.clone(), cq.k))
                         .map_err(BenchError::storage("latency top-k probe"))?;
                 }
             }

@@ -155,12 +155,12 @@ pub fn profile_petq(
     frames: usize,
     queries: &[CalibratedQuery],
 ) -> BenchResult<QueryProfile> {
-    profile(queries, |cq, metrics| {
+    profile(queries, |cq| {
         let mut pool = BufferPool::with_capacity(store.clone(), frames);
         index
-            .petq_metered(&mut pool, &EqQuery::new(cq.q.clone(), cq.tau), metrics)
+            .petq(&mut pool, &EqQuery::new(cq.q.clone(), cq.tau))
             .map_err(BenchError::storage("petq probe"))?;
-        Ok(pool.stats())
+        Ok(pool.metrics())
     })
 }
 
@@ -182,33 +182,28 @@ pub fn profile_topk(
     frames: usize,
     queries: &[CalibratedQuery],
 ) -> BenchResult<QueryProfile> {
-    profile(queries, |cq, metrics| {
+    profile(queries, |cq| {
         let mut pool = BufferPool::with_capacity(store.clone(), frames);
         index
-            .top_k_metered(&mut pool, &TopKQuery::new(cq.q.clone(), cq.k), metrics)
+            .top_k(&mut pool, &TopKQuery::new(cq.q.clone(), cq.k))
             .map_err(BenchError::storage("top-k probe"))?;
-        Ok(pool.stats())
+        Ok(pool.metrics())
     })
 }
 
 fn profile(
     queries: &[CalibratedQuery],
-    mut f: impl FnMut(&CalibratedQuery, &mut QueryMetrics) -> BenchResult<uncat_storage::IoStats>,
+    mut f: impl FnMut(&CalibratedQuery) -> BenchResult<QueryMetrics>,
 ) -> BenchResult<QueryProfile> {
     let mut metrics = QueryMetrics::new();
-    let mut total_reads: u64 = 0;
     for cq in queries {
-        let mut m = QueryMetrics::new();
-        let io = f(cq, &mut m)?;
-        m.io = io;
-        total_reads += io.physical_reads;
-        metrics.merge(&m);
+        metrics.merge(&f(cq)?);
     }
     Ok(QueryProfile {
         avg_reads: if queries.is_empty() {
             f64::NAN
         } else {
-            total_reads as f64 / queries.len() as f64
+            metrics.io.physical_reads as f64 / queries.len() as f64
         },
         queries: queries.len(),
         metrics,

@@ -543,10 +543,10 @@ mod tests {
         let (idx, mut pool) = build(2000);
         let query = EqQuery::new(uda(&[(1, 1.0)]), 0.3);
         for (strategy, pred) in idx.predict_petq(&query) {
-            let mut m = QueryMetrics::new();
             pool.clear().unwrap();
-            idx.petq_metered(&mut pool, &query, strategy, &mut m)
-                .unwrap();
+            pool.reset_stats();
+            idx.petq(&mut pool, &query, strategy).unwrap();
+            let m = pool.metrics();
             assert!(
                 m.postings_scanned <= pred.postings_scanned,
                 "{strategy:?}: scanned {} > predicted {}",

@@ -119,43 +119,36 @@ impl SupportBound {
 impl InvertedIndex {
     /// Evaluate a DSTQ: all tuples with `F(q, t) ≤ τ_d`, in ascending
     /// divergence order.
+    ///
+    /// The candidate path tallies list scans, `candidates_pruned` for the
+    /// overlapping tuples its lower bound rules out and
+    /// `candidates_verified` for the random accesses it pays for the
+    /// rest; the scan fallback tallies `heap_tuples_scanned` — so the
+    /// pool's ledger shows *which* of the two plans answered the query.
     pub fn dstq(&self, pool: &mut BufferPool, query: &DstQuery) -> Result<Vec<Match>> {
-        self.dstq_metered(pool, query, &mut QueryMetrics::new())
-    }
-
-    /// [`InvertedIndex::dstq`] with execution counters. The candidate path
-    /// tallies list scans, `candidates_pruned` for the overlapping tuples
-    /// its lower bound rules out and `candidates_verified` for the random
-    /// accesses it pays for the rest; the scan fallback tallies
-    /// `heap_tuples_scanned` — so the counters show *which* of the two
-    /// plans answered the query.
-    pub fn dstq_metered(
-        &self,
-        pool: &mut BufferPool,
-        query: &DstQuery,
-        metrics: &mut QueryMetrics,
-    ) -> Result<Vec<Match>> {
-        let Some(bound) = SupportBound::new(&query.q, query.divergence)
-            .filter(|bound| query.tau_d < bound.disjoint_floor())
-        else {
-            return self.dstq_scan(pool, query, metrics);
-        };
-        let sums = bound.scan(self, pool, &query.q, metrics)?;
-        let survivors: Vec<u64> = sums
-            .iter()
-            .filter(|&(_, sum)| bound.within(sum, query.tau_d))
-            .map(|(tid, _)| tid)
-            .collect();
-        metrics.candidates_pruned += (sums.len() - survivors.len()) as u64;
-        let mut out = Vec::new();
-        self.verify_each(pool, survivors, metrics, |tid, t| {
-            let d = query.divergence.eval(query.q.entries(), t);
-            if d <= query.tau_d {
-                out.push(Match::new(tid, d));
-            }
-        })?;
-        sort_matches_asc(&mut out);
-        Ok(out)
+        pool.tally(|pool, metrics| {
+            let Some(bound) = SupportBound::new(&query.q, query.divergence)
+                .filter(|bound| query.tau_d < bound.disjoint_floor())
+            else {
+                return self.dstq_scan(pool, query, metrics);
+            };
+            let sums = bound.scan(self, pool, &query.q, metrics)?;
+            let survivors: Vec<u64> = sums
+                .iter()
+                .filter(|&(_, sum)| bound.within(sum, query.tau_d))
+                .map(|(tid, _)| tid)
+                .collect();
+            metrics.candidates_pruned += (sums.len() - survivors.len()) as u64;
+            let mut out = Vec::new();
+            self.verify_each(pool, survivors, metrics, |tid, t| {
+                let d = query.divergence.eval(query.q.entries(), t);
+                if d <= query.tau_d {
+                    out.push(Match::new(tid, d));
+                }
+            })?;
+            sort_matches_asc(&mut out);
+            Ok(out)
+        })
     }
 
     /// DSQ-top-k: the `k` distributionally closest tuples, ascending by
@@ -168,16 +161,15 @@ impl InvertedIndex {
     /// tuple could reach (`mass(q)` for L1, `‖q‖₂` for L2), the candidate
     /// answer is complete. Otherwise — wide radius or KL — a full
     /// tuple-store scan resolves the query exactly.
+    ///
+    /// Counters follow [`InvertedIndex::dstq`]; when the candidate answer
+    /// is incomplete, both the candidate counters *and* the fallback's
+    /// `heap_tuples_scanned` are populated — the query really did both.
     pub fn ds_top_k(&self, pool: &mut BufferPool, query: &DsTopKQuery) -> Result<Vec<Match>> {
-        self.ds_top_k_metered(pool, query, &mut QueryMetrics::new())
+        pool.tally(|pool, metrics| self.ds_top_k_search(pool, query, metrics))
     }
 
-    /// [`InvertedIndex::ds_top_k`] with execution counters (same
-    /// conventions as [`InvertedIndex::dstq_metered`]; when the candidate
-    /// answer is incomplete, both the candidate counters *and* the
-    /// fallback's `heap_tuples_scanned` are populated — the query really
-    /// did both).
-    pub fn ds_top_k_metered(
+    fn ds_top_k_search(
         &self,
         pool: &mut BufferPool,
         query: &DsTopKQuery,
@@ -305,8 +297,9 @@ mod tests {
                     }
                 }
 
-                let mut m = QueryMetrics::new();
-                let got = idx.dstq_metered(&mut pool, &DstQuery::new(q.clone(), radius, dv), &mut m).unwrap();
+                pool.reset_stats();
+                let got = idx.dstq(&mut pool, &DstQuery::new(q.clone(), radius, dv)).unwrap();
+                let m = pool.metrics();
                 let mut want: Vec<Match> = data
                     .iter()
                     .map(|(tid, t)| Match::new(*tid, dv.eval(q.entries(), t.entries())))
@@ -333,17 +326,15 @@ mod tests {
         )
         .unwrap();
         let q = Uda::certain(CatId(1));
-        let mut m = QueryMetrics::new();
-        idx.dstq_metered(
-            &mut pool,
-            &DstQuery::new(q.clone(), 0.1, Divergence::Kl),
-            &mut m,
-        )
-        .unwrap();
-        assert_eq!((m.heap_tuples_scanned, m.candidates_generated), (40, 0));
-        let mut m = QueryMetrics::new();
-        idx.ds_top_k_metered(&mut pool, &DsTopKQuery::new(q, 3, Divergence::Kl), &mut m)
+        pool.reset_stats();
+        idx.dstq(&mut pool, &DstQuery::new(q.clone(), 0.1, Divergence::Kl))
             .unwrap();
+        let m = pool.metrics();
+        assert_eq!((m.heap_tuples_scanned, m.candidates_generated), (40, 0));
+        pool.reset_stats();
+        idx.ds_top_k(&mut pool, &DsTopKQuery::new(q, 3, Divergence::Kl))
+            .unwrap();
+        let m = pool.metrics();
         assert_eq!((m.heap_tuples_scanned, m.candidates_generated), (40, 0));
     }
 
@@ -366,10 +357,11 @@ mod tests {
         )
         .unwrap();
         let q = Uda::from_pairs([(CatId(0), 0.5), (CatId(1), 0.5)]).unwrap();
-        let mut m = QueryMetrics::new();
+        pool.reset_stats();
         let got = idx
-            .ds_top_k_metered(&mut pool, &DsTopKQuery::new(q, 3, Divergence::L1), &mut m)
+            .ds_top_k(&mut pool, &DsTopKQuery::new(q, 3, Divergence::L1))
             .unwrap();
+        let m = pool.metrics();
         assert_eq!(
             got.iter().map(|m| m.tid).collect::<Vec<_>>(),
             vec![99, 98, 100]

@@ -35,10 +35,11 @@
 //! flat array over the index's id span where the postings are dense in
 //! it, a hash map where they are not.
 //!
-//! Every query method has a `*_metered` variant that tallies execution
+//! Every query method takes `(pool, query…)` and adds its execution
 //! counters (lists/postings scanned, Lemma 1 stops, the candidate
-//! pipeline) into a [`uncat_storage::QueryMetrics`] — see
-//! `docs/METRICS.md` for the counting conventions.
+//! pipeline) to the pool's ledger: run it, then read
+//! [`uncat_storage::BufferPool::metrics`] — see `docs/METRICS.md` for
+//! the counting conventions.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -69,40 +69,31 @@ impl InvertedIndex {
     /// tuples with their exact equality probabilities, in canonical
     /// (descending-probability) order.
     ///
+    /// Every list, posting, frontier and candidate event is tallied into
+    /// the pool's ledger — read `pool.metrics()` afterwards; the counters
+    /// are added to, never reset, so one pool can span several calls.
+    ///
     /// A page the store cannot produce fails *this query* with
-    /// `Err(StorageError)`; the index and pool remain usable.
+    /// `Err(StorageError)`; the index and pool remain usable, and the
+    /// ledger shows what the query ticked before it died.
     pub fn petq(
         &self,
         pool: &mut BufferPool,
         query: &EqQuery,
         strategy: Strategy,
     ) -> Result<Vec<Match>> {
-        self.petq_metered(pool, query, strategy, &mut QueryMetrics::new())
-    }
-
-    /// [`InvertedIndex::petq`] with execution counters: every list, posting,
-    /// frontier and candidate event is tallied into `metrics` (counters are
-    /// added to, never reset, so one `QueryMetrics` can span several calls).
-    /// I/O is *not* recorded here — the pool owns the I/O counters; callers
-    /// that want the full picture copy `pool.stats()` deltas into
-    /// `metrics.io` (see `uncat_query::Executor`).
-    pub fn petq_metered(
-        &self,
-        pool: &mut BufferPool,
-        query: &EqQuery,
-        strategy: Strategy,
-        metrics: &mut QueryMetrics,
-    ) -> Result<Vec<Match>> {
-        let mut out = match strategy {
-            Strategy::Brute => brute::search(self, pool, query, metrics)?,
-            Strategy::HighestProbFirst => highest_prob::search(self, pool, query, metrics)?,
-            Strategy::RowPruning => row_prune::search(self, pool, query, metrics)?,
-            Strategy::ColumnPruning => col_prune::search(self, pool, query, metrics)?,
-            Strategy::Nra => nra::search(self, pool, query, metrics)?,
-            Strategy::Auto => auto::search(self, pool, query, metrics)?,
-        };
-        sort_matches_desc(&mut out);
-        Ok(out)
+        pool.tally(|pool, metrics| {
+            let mut out = match strategy {
+                Strategy::Brute => brute::search(self, pool, query, metrics)?,
+                Strategy::HighestProbFirst => highest_prob::search(self, pool, query, metrics)?,
+                Strategy::RowPruning => row_prune::search(self, pool, query, metrics)?,
+                Strategy::ColumnPruning => col_prune::search(self, pool, query, metrics)?,
+                Strategy::Nra => nra::search(self, pool, query, metrics)?,
+                Strategy::Auto => auto::search(self, pool, query, metrics)?,
+            };
+            sort_matches_desc(&mut out);
+            Ok(out)
+        })
     }
 
     /// PEQ: every tuple with non-zero equality probability (Definition 3),
@@ -110,7 +101,7 @@ impl InvertedIndex {
     /// posting lists.
     pub fn peq(&self, pool: &mut BufferPool, q: &uncat_core::Uda) -> Result<Vec<Match>> {
         let query = EqQuery::new(q.clone(), 0.0);
-        let mut out = brute::search(self, pool, &query, &mut QueryMetrics::new())?;
+        let mut out = pool.tally(|pool, metrics| brute::search(self, pool, &query, metrics))?;
         out.retain(|m| m.score > 0.0);
         sort_matches_desc(&mut out);
         Ok(out)

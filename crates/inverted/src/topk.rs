@@ -39,64 +39,44 @@ struct Cand {
 impl InvertedIndex {
     /// The `k` tuples with the highest equality probability to `query.q`
     /// (only tuples with non-zero probability are returned), in canonical
-    /// descending order.
+    /// descending order: the paper's drain, whatever it costs. Counters
+    /// land in the pool's ledger (see [`InvertedIndex::petq`]); the
+    /// dynamic-threshold stop is tallied as a `lemma1_stops` — it is
+    /// Lemma 1 with θ in place of τ.
     pub fn top_k(&self, pool: &mut BufferPool, query: &TopKQuery) -> Result<Vec<Match>> {
-        self.top_k_metered(pool, query, &mut QueryMetrics::new())
+        pool.tally(|pool, metrics| self.top_k_drain(pool, query, 0.0, None, metrics))
     }
 
-    /// [`InvertedIndex::top_k`] with execution counters (see
-    /// [`InvertedIndex::petq_metered`] for the counting conventions). The
-    /// dynamic-threshold stop is tallied as a `lemma1_stops`: it is Lemma 1
-    /// with θ in place of τ.
-    pub fn top_k_metered(
-        &self,
-        pool: &mut BufferPool,
-        query: &TopKQuery,
-        metrics: &mut QueryMetrics,
-    ) -> Result<Vec<Match>> {
-        self.top_k_floored_metered(pool, query, 0.0, metrics)
-    }
-
-    /// [`InvertedIndex::top_k_metered`] under an external score *floor*:
-    /// the `k` best matches scoring at least `floor`. Callers that already
-    /// hold `k` results at `floor` or better (the PEJ-top-k join) seed the
-    /// dynamic threshold θ with it, so the drain stops once
+    /// [`InvertedIndex::top_k`] under an external score *floor*, as the
+    /// plan of a backend configured with `strategy`.
+    ///
+    /// The floor: the `k` best matches scoring at least `floor`. Callers
+    /// that already hold `k` results at `floor` or better (the PEJ-top-k
+    /// join) seed the dynamic threshold θ with it, so the drain stops once
     /// `Σ_j q.p_j · p'_j < max(θ, floor)` — never later than a plain top-k
     /// probe, and *before* `k` candidates exist when the frontier cannot
     /// reach the floor at all. Non-positive and non-finite floors degrade
     /// to a plain top-k.
-    pub fn top_k_floored_metered(
-        &self,
-        pool: &mut BufferPool,
-        query: &TopKQuery,
-        floor: f64,
-        metrics: &mut QueryMetrics,
-    ) -> Result<Vec<Match>> {
-        self.top_k_drain(pool, query, floor, None, metrics)
-    }
-
-    /// [`InvertedIndex::top_k_floored_metered`] as the plan of a backend
-    /// configured with `strategy`. A fixed strategy gets the paper's
-    /// drain, whatever it costs. [`Strategy::Auto`] starts the same drain
-    /// and abandons it for the full scan once its live counters, priced
-    /// by [`crate::CostPrediction::cost`]'s formula (postings popped, plus
-    /// one random access per candidate up to the heap's pages), exceed
-    /// the scan's cost (the lists' lengths plus their pages): the scan
-    /// has exact scores from the lists alone and verifies nothing. Both
-    /// prices come from the live directories, not the cached
-    /// [`crate::CostStats`], so statistics gone stale under mutations
-    /// cannot talk a cheap drain into a full scan. Answers are the same
-    /// either way.
+    ///
+    /// The strategy: a fixed one gets the paper's drain. [`Strategy::Auto`]
+    /// starts the same drain and abandons it for the full scan once its
+    /// live counters, priced by [`crate::CostPrediction::cost`]'s formula
+    /// (postings popped, plus one random access per candidate up to the
+    /// heap's pages), exceed the scan's cost (the lists' lengths plus
+    /// their pages): the scan has exact scores from the lists alone and
+    /// verifies nothing. Both prices come from the live directories, not
+    /// the cached [`crate::CostStats`], so statistics gone stale under
+    /// mutations cannot talk a cheap drain into a full scan. Answers are
+    /// the same either way.
     pub fn top_k_planned(
         &self,
         pool: &mut BufferPool,
         query: &TopKQuery,
         floor: f64,
         strategy: Strategy,
-        metrics: &mut QueryMetrics,
     ) -> Result<Vec<Match>> {
         let scan_cost = (strategy == Strategy::Auto).then(|| live_scan_cost(self, &query.q));
-        self.top_k_drain(pool, query, floor, scan_cost, metrics)
+        pool.tally(|pool, metrics| self.top_k_drain(pool, query, floor, scan_cost, metrics))
     }
 
     /// The drain, optionally against the price of the scan plan.

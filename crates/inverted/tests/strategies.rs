@@ -294,18 +294,17 @@ fn planned_top_k_agrees_with_the_drain_on_queries_wider_than_the_bound_mask() {
     for k in [1usize, 25, 5000] {
         let want = &expect[..k.min(expect.len())];
         let query = TopKQuery::new(q.clone(), k);
-        let mut drained = uncat_storage::QueryMetrics::new();
-        let got = f
-            .idx
-            .top_k_metered(&mut f.pool, &query, &mut drained)
-            .unwrap();
+        f.pool.reset_stats();
+        let got = f.idx.top_k(&mut f.pool, &query).unwrap();
+        let drained = f.pool.metrics();
         assert_same(&got, want, &format!("wide drain, top-{k}"));
         assert!(drained.candidates_verified > 0);
-        let mut planned = uncat_storage::QueryMetrics::new();
+        f.pool.reset_stats();
         let got = f
             .idx
-            .top_k_planned(&mut f.pool, &query, 0.0, Strategy::Auto, &mut planned)
+            .top_k_planned(&mut f.pool, &query, 0.0, Strategy::Auto)
             .unwrap();
+        let planned = f.pool.metrics();
         assert_same(&got, want, &format!("wide planned, top-{k}"));
         assert!(planned.candidate_invariant_holds());
         assert!(

@@ -12,7 +12,7 @@ use uncat_core::query::{sort_matches_asc, DsTopKQuery, DstQuery, Match};
 use uncat_core::topk::BottomKHeap;
 use uncat_core::uda::Entry;
 use uncat_core::{Divergence, Uda};
-use uncat_storage::{BufferPool, QueryMetrics, Result};
+use uncat_storage::{BufferPool, Result};
 
 use crate::node::BoundaryRef;
 use crate::traverse::BestFirst;
@@ -67,36 +67,30 @@ impl BestFirst for DsTopK<'_> {
 impl PdrTree {
     /// Evaluate a DSTQ: all tuples with `F(q, t) ≤ τ_d`, ascending by
     /// divergence.
+    ///
+    /// The pool's ledger gets node visits, children pruned by the
+    /// divergence lower bound, and leaf entries scored. KL queries show
+    /// `nodes_pruned == 0` — the visible signature of an unprunable
+    /// divergence.
     pub fn dstq(&self, pool: &mut BufferPool, query: &DstQuery) -> Result<Vec<Match>> {
-        self.dstq_metered(pool, query, &mut QueryMetrics::new())
-    }
-
-    /// [`PdrTree::dstq`] with execution counters: node visits, children
-    /// pruned by the divergence lower bound, and leaf entries scored. KL
-    /// queries show `nodes_pruned == 0` — the visible signature of an
-    /// unprunable divergence.
-    pub fn dstq_metered(
-        &self,
-        pool: &mut BufferPool,
-        query: &DstQuery,
-        metrics: &mut QueryMetrics,
-    ) -> Result<Vec<Match>> {
         let mut out = Vec::new();
         let mut record = Vec::new();
-        self.walk(
-            pool,
-            metrics,
-            |tid, uda| {
-                let d = divergence(&query.q, uda, query.divergence, &mut record);
-                if d <= query.tau_d {
-                    out.push(Match::new(tid, d));
-                }
-            },
-            |boundary| {
-                divergence_lower_bound(boundary, &query.q, query.divergence)
-                    <= query.tau_d + BOUND_EPS
-            },
-        )?;
+        pool.tally(|pool, metrics| {
+            self.walk(
+                pool,
+                metrics,
+                |tid, uda| {
+                    let d = divergence(&query.q, uda, query.divergence, &mut record);
+                    if d <= query.tau_d {
+                        out.push(Match::new(tid, d));
+                    }
+                },
+                |boundary| {
+                    divergence_lower_bound(boundary, &query.q, query.divergence)
+                        <= query.tau_d + BOUND_EPS
+                },
+            )
+        })?;
         sort_matches_asc(&mut out);
         Ok(out)
     }
@@ -104,27 +98,16 @@ impl PdrTree {
     /// DSQ-top-k: the `k` tuples with the smallest divergence from the
     /// query, ascending. Best-first traversal ordered by the boundary's
     /// divergence lower bound; a branch is pruned once its bound exceeds
-    /// the current k-th smallest exact distance. KL admits no bound, so KL
-    /// queries traverse every leaf.
+    /// the current k-th smallest exact distance (counted as
+    /// `nodes_pruned`, like [`PdrTree::dstq`]'s cuts). KL admits no bound,
+    /// so KL queries traverse every leaf.
     pub fn ds_top_k(&self, pool: &mut BufferPool, query: &DsTopKQuery) -> Result<Vec<Match>> {
-        self.ds_top_k_metered(pool, query, &mut QueryMetrics::new())
-    }
-
-    /// [`PdrTree::ds_top_k`] with execution counters (conventions of
-    /// [`PdrTree::dstq_metered`]; children cut by the k-th smallest exact
-    /// distance also count as `nodes_pruned`).
-    pub fn ds_top_k_metered(
-        &self,
-        pool: &mut BufferPool,
-        query: &DsTopKQuery,
-        metrics: &mut QueryMetrics,
-    ) -> Result<Vec<Match>> {
         let mut search = DsTopK {
             query,
             heap: BottomKHeap::new(query.k),
             record: Vec::new(),
         };
-        self.best_first(pool, metrics, &mut search)?;
+        pool.tally(|pool, metrics| self.best_first(pool, metrics, &mut search))?;
         Ok(search.heap.into_sorted())
     }
 }

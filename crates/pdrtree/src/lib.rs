@@ -18,10 +18,11 @@
 //!   is the max over the preimage). Both over-estimate, so pruning remains
 //!   sound.
 //!
-//! Every query method has a `*_metered` variant that tallies execution
+//! Every query method takes `(pool, query…)` and adds its execution
 //! counters (nodes visited, children pruned by Lemma 2, leaf entries
-//! examined) into a [`uncat_storage::QueryMetrics`] — see
-//! `docs/METRICS.md` for the counting conventions.
+//! examined) to the pool's ledger: run it, then read
+//! [`uncat_storage::BufferPool::metrics`] — see `docs/METRICS.md` for
+//! the counting conventions.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -360,24 +360,23 @@ fn bits(matches: &[Match]) -> Vec<(u64, u64)> {
 fn same_run(
     pool: &mut BufferPool,
     what: &str,
-    kernel: impl FnOnce(&mut BufferPool, &mut QueryMetrics) -> Result<Vec<Match>>,
+    kernel: impl FnOnce(&mut BufferPool) -> Result<Vec<Match>>,
     reference: impl FnOnce(&mut BufferPool, &mut QueryMetrics) -> Result<Vec<Match>>,
 ) {
-    let mut run = |f: &mut dyn FnMut(&mut BufferPool, &mut QueryMetrics) -> Result<Vec<Match>>| {
+    let mut run = |f: &mut dyn FnMut(&mut BufferPool) -> Result<Vec<Match>>| {
         pool.clear().unwrap();
-        let before = pool.stats();
-        let mut m = QueryMetrics::new();
-        let out = f(pool, &mut m).unwrap();
-        let io = pool.stats().since(&before);
+        let before = pool.metrics();
+        let out = f(pool).unwrap();
+        let m = pool.metrics().since(&before);
         (
             bits(&out),
             (m.nodes_visited, m.nodes_pruned, m.leaf_entries_examined),
-            (io.logical_reads, io.physical_reads),
+            (m.io.logical_reads, m.io.physical_reads),
         )
     };
     let (mut kernel, mut reference) = (Some(kernel), Some(reference));
-    let got = run(&mut |p, m| kernel.take().unwrap()(p, m));
-    let want = run(&mut |p, m| reference.take().unwrap()(p, m));
+    let got = run(&mut |p| kernel.take().unwrap()(p));
+    let want = run(&mut |p| p.tally(reference.take().unwrap()));
     assert_eq!(got, want, "{what}");
 }
 
@@ -398,7 +397,7 @@ fn kernel_searches_match_the_reference_searches() {
                     same_run(
                         &mut pool,
                         &tag(i, &format!("petq {tau}")),
-                        |p, m| tree.petq_metered(p, &query, m),
+                        |p| tree.petq(p, &query),
                         |p, m| ref_petq(&tree, p, &query, m),
                     );
                 }
@@ -407,7 +406,7 @@ fn kernel_searches_match_the_reference_searches() {
                     same_run(
                         &mut pool,
                         &tag(i, &format!("top-{k} floor {floor}")),
-                        |p, m| tree.top_k_floored_metered(p, &query, floor, m),
+                        |p| tree.top_k_floored(p, &query, floor),
                         |p, m| ref_top_k(&tree, p, &query, floor, m),
                     );
                 }
@@ -420,14 +419,14 @@ fn kernel_searches_match_the_reference_searches() {
                     same_run(
                         &mut pool,
                         &tag(i, &format!("dstq {dv:?}")),
-                        |p, m| tree.dstq_metered(p, &query, m),
+                        |p| tree.dstq(p, &query),
                         |p, m| ref_dstq(&tree, p, &query, m),
                     );
                     let query = DsTopKQuery::new((*q).clone(), 7, dv);
                     same_run(
                         &mut pool,
                         &tag(i, &format!("ds-top-k {dv:?}")),
-                        |p, m| tree.ds_top_k_metered(p, &query, m),
+                        |p| tree.ds_top_k(p, &query),
                         |p, m| ref_ds_top_k(&tree, p, &query, m),
                     );
                 }

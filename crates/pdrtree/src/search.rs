@@ -11,7 +11,7 @@ use uncat_core::equality::{eq_prob_stream, meets_threshold, THRESHOLD_EPS};
 use uncat_core::query::{sort_matches_desc, EqQuery, Match, TopKQuery};
 use uncat_core::topk::TopKHeap;
 use uncat_core::Uda;
-use uncat_storage::{BufferPool, QueryMetrics, Result};
+use uncat_storage::{BufferPool, Result};
 
 use crate::node::BoundaryRef;
 use crate::traverse::BestFirst;
@@ -45,34 +45,30 @@ impl BestFirst for EqTopK<'_> {
 impl PdrTree {
     /// Evaluate a PETQ, returning qualifying tuples with exact equality
     /// probabilities in canonical descending order.
+    ///
+    /// Counters land in the pool's ledger (`pool.metrics()`): each node
+    /// read is a `nodes_visited`, each child skipped by Lemma 2 a
+    /// `nodes_pruned`, and each leaf entry scored a
+    /// `leaf_entries_examined`. Pruning effectiveness is
+    /// `nodes_pruned / (nodes_visited + nodes_pruned)`.
     pub fn petq(&self, pool: &mut BufferPool, query: &EqQuery) -> Result<Vec<Match>> {
-        self.petq_metered(pool, query, &mut QueryMetrics::new())
-    }
-
-    /// [`PdrTree::petq`] with execution counters: each node read is a
-    /// `nodes_visited`, each child skipped by Lemma 2 a `nodes_pruned`,
-    /// and each leaf entry scored a `leaf_entries_examined`. Pruning
-    /// effectiveness is `nodes_pruned / (nodes_visited + nodes_pruned)`.
-    pub fn petq_metered(
-        &self,
-        pool: &mut BufferPool,
-        query: &EqQuery,
-        metrics: &mut QueryMetrics,
-    ) -> Result<Vec<Match>> {
         let mut out = Vec::new();
-        self.walk(
-            pool,
-            metrics,
-            |tid, uda| {
-                let pr = eq_prob_stream(query.q.entries(), uda);
-                if meets_threshold(pr, query.tau) {
-                    out.push(Match::new(tid, pr));
-                }
-            },
-            // Lemma 2: boundaries over-estimate every subtree distribution,
-            // so this bound is an upper bound on Pr(q = u) below the child.
-            |boundary| boundary.eq_upper_bound(&query.q) >= query.tau - THRESHOLD_EPS,
-        )?;
+        pool.tally(|pool, metrics| {
+            self.walk(
+                pool,
+                metrics,
+                |tid, uda| {
+                    let pr = eq_prob_stream(query.q.entries(), uda);
+                    if meets_threshold(pr, query.tau) {
+                        out.push(Match::new(tid, pr));
+                    }
+                },
+                // Lemma 2: boundaries over-estimate every subtree
+                // distribution, so this bound is an upper bound on
+                // Pr(q = u) below the child.
+                |boundary| boundary.eq_upper_bound(&query.q) >= query.tau - THRESHOLD_EPS,
+            )
+        })?;
         sort_matches_desc(&mut out);
         Ok(out)
     }
@@ -88,35 +84,24 @@ impl PdrTree {
     /// order. Best-first traversal: nodes are visited in decreasing
     /// upper-bound order, so the search stops as soon as the best
     /// unexplored bound cannot beat the current k-th best probability.
+    /// Counters as for [`PdrTree::petq`]; children cut by the dynamic
+    /// k-th-best threshold also count as `nodes_pruned`.
     pub fn top_k(&self, pool: &mut BufferPool, query: &TopKQuery) -> Result<Vec<Match>> {
-        self.top_k_metered(pool, query, &mut QueryMetrics::new())
+        self.top_k_floored(pool, query, 0.0)
     }
 
-    /// [`PdrTree::top_k`] with execution counters (conventions of
-    /// [`PdrTree::petq_metered`]; children cut by the dynamic k-th-best
-    /// threshold also count as `nodes_pruned`).
-    pub fn top_k_metered(
-        &self,
-        pool: &mut BufferPool,
-        query: &TopKQuery,
-        metrics: &mut QueryMetrics,
-    ) -> Result<Vec<Match>> {
-        self.top_k_floored_metered(pool, query, 0.0, metrics)
-    }
-
-    /// [`PdrTree::top_k_metered`] under an external score *floor*: the `k`
-    /// best matches scoring at least `floor`. The floor becomes the heap's
+    /// [`PdrTree::top_k`] under an external score *floor*: the `k` best
+    /// matches scoring at least `floor`. The floor becomes the heap's
     /// initial threshold, so subtrees whose Lemma-2 upper bound cannot
     /// reach it are pruned from the first node on — never more work than a
     /// plain top-k, and the best-first stop fires even before `k` matches
     /// exist once every unexplored bound is below the floor. Non-positive
     /// and non-finite floors degrade to a plain top-k.
-    pub fn top_k_floored_metered(
+    pub fn top_k_floored(
         &self,
         pool: &mut BufferPool,
         query: &TopKQuery,
         floor: f64,
-        metrics: &mut QueryMetrics,
     ) -> Result<Vec<Match>> {
         if query.k == 0 {
             return Ok(Vec::new());
@@ -130,7 +115,7 @@ impl PdrTree {
             q: &query.q,
             heap: TopKHeap::new(query.k, floor),
         };
-        self.best_first(pool, metrics, &mut search)?;
+        pool.tally(|pool, metrics| self.best_first(pool, metrics, &mut search))?;
         Ok(search.heap.into_sorted())
     }
 }

@@ -45,8 +45,9 @@ use uncat_storage::page::PageBuf;
 use uncat_storage::snapshot as snapfile;
 use uncat_storage::trace::{Clock, Phase, QueryTrace, Tracer};
 use uncat_storage::{
-    BufferPool, FileDisk, FileLog, InMemoryDisk, MemLog, PageId, QueryMetrics, Result, SharedLog,
-    SharedStore, SnapshotFileError, StorageError, TailStatus, Wal, WalConfig, WalStats, PAGE_SIZE,
+    BufferPool, FileDisk, FileLog, InMemoryDisk, IoStats, MemLog, PageId, QueryMetrics, Result,
+    SharedLog, SharedStore, SnapshotFileError, StorageError, TailStatus, Wal, WalConfig, WalStats,
+    PAGE_SIZE,
 };
 
 use crate::index_trait::{InvertedBackend, UncertainIndex};
@@ -772,7 +773,7 @@ impl<B: MutableBackend> DurableIndex<B> {
     /// Log, then apply, then maybe auto-checkpoint. Any failure after the
     /// append starts poisons the index: the log and the in-memory state
     /// can no longer be assumed to agree, and a reopen re-syncs them.
-    fn commit_mutation(&mut self, rec: LogRecord, metrics: &mut QueryMetrics) -> Result<()> {
+    fn commit_mutation(&mut self, rec: LogRecord) -> Result<()> {
         // An error return leaves the mutation span open; the tracer
         // force-closes it when the trace is taken.
         let span = self.pool.trace_begin(Phase::Mutation);
@@ -794,8 +795,7 @@ impl<B: MutableBackend> DurableIndex<B> {
                 .tracer_mut()
                 .record_wal(dur, after.fsyncs > before.fsyncs);
         }
-        metrics.wal_appends += after.records_appended - before.records_appended;
-        metrics.wal_fsyncs += after.fsyncs - before.fsyncs;
+        self.record_wal(&before);
         if let Err(e) = logged {
             // The device may hold a torn record; appending after it would
             // put valid records beyond a bad one, where the scan cannot
@@ -807,12 +807,22 @@ impl<B: MutableBackend> DurableIndex<B> {
             return Err(self.poison(e));
         }
         self.mutations_since_checkpoint += 1;
-        let out = self.maybe_auto_checkpoint(metrics);
+        let out = self.maybe_auto_checkpoint();
         self.pool.trace_end(span);
         out
     }
 
-    fn maybe_auto_checkpoint(&mut self, metrics: &mut QueryMetrics) -> Result<()> {
+    /// Add the log records appended and fsyncs issued since `before` to
+    /// the pool's ledger (`wal_appends`/`wal_fsyncs`).
+    fn record_wal(&mut self, before: &WalStats) {
+        let after = self.wal.stats();
+        self.pool.tally(|_, m| {
+            m.wal_appends += after.records_appended - before.records_appended;
+            m.wal_fsyncs += after.fsyncs - before.fsyncs;
+        });
+    }
+
+    fn maybe_auto_checkpoint(&mut self) -> Result<()> {
         let by_count = self.config.checkpoint_every > 0
             && self.mutations_since_checkpoint >= self.config.checkpoint_every;
         // The no-steal pool cannot evict dirty frames; checkpoint before
@@ -821,9 +831,7 @@ impl<B: MutableBackend> DurableIndex<B> {
         if by_count || by_dirty {
             let before = self.wal.stats();
             let out = self.checkpoint();
-            let after = self.wal.stats();
-            metrics.wal_appends += after.records_appended - before.records_appended;
-            metrics.wal_fsyncs += after.fsyncs - before.fsyncs;
+            self.record_wal(&before);
             out?;
         }
         Ok(())
@@ -832,72 +840,42 @@ impl<B: MutableBackend> DurableIndex<B> {
     /// Insert a new tuple. Duplicate ids, and ids the backend cannot
     /// address, are rejected *before* logging (nothing is written).
     /// Durable once the group-commit window syncs (immediately at
-    /// window 1).
+    /// window 1). The write-path counters (`wal_appends`/`wal_fsyncs`) of
+    /// every mutation land in the index's ledger
+    /// ([`DurableIndex::metrics`]).
     pub fn insert(&mut self, tid: u64, uda: &Uda) -> Result<()> {
-        self.insert_metered(tid, uda, &mut QueryMetrics::new())
-    }
-
-    /// [`DurableIndex::insert`] with write-path counters
-    /// (`wal_appends`/`wal_fsyncs`) added to `metrics`.
-    pub fn insert_metered(
-        &mut self,
-        tid: u64,
-        uda: &Uda,
-        metrics: &mut QueryMetrics,
-    ) -> Result<()> {
         self.fail_if_poisoned()?;
         self.backend.admits(tid)?;
         if self.backend.contains(&mut self.pool, tid)? {
             return Err(StorageError::Duplicate { key: tid });
         }
-        self.commit_mutation(
-            LogRecord::Insert {
-                tid,
-                uda: uda.clone(),
-            },
-            metrics,
-        )
+        self.commit_mutation(LogRecord::Insert {
+            tid,
+            uda: uda.clone(),
+        })
     }
 
     /// Upsert a tuple's distribution. Returns whether a previous
     /// distribution was replaced.
     pub fn update(&mut self, tid: u64, uda: &Uda) -> Result<bool> {
-        self.update_metered(tid, uda, &mut QueryMetrics::new())
-    }
-
-    /// [`DurableIndex::update`] with write-path counters.
-    pub fn update_metered(
-        &mut self,
-        tid: u64,
-        uda: &Uda,
-        metrics: &mut QueryMetrics,
-    ) -> Result<bool> {
         self.fail_if_poisoned()?;
         self.backend.admits(tid)?;
         let existed = self.backend.contains(&mut self.pool, tid)?;
-        self.commit_mutation(
-            LogRecord::Update {
-                tid,
-                uda: uda.clone(),
-            },
-            metrics,
-        )?;
+        self.commit_mutation(LogRecord::Update {
+            tid,
+            uda: uda.clone(),
+        })?;
         Ok(existed)
     }
 
     /// Delete a tuple. Returns whether it existed; deleting an absent
     /// tuple writes nothing to the log.
     pub fn delete(&mut self, tid: u64) -> Result<bool> {
-        self.delete_metered(tid, &mut QueryMetrics::new())
-    }
-
-    /// [`DurableIndex::delete`] with write-path counters.
-    pub fn delete_metered(&mut self, tid: u64, metrics: &mut QueryMetrics) -> Result<bool> {
         self.fail_if_poisoned()?;
         if !self.backend.contains(&mut self.pool, tid)? {
             return Ok(false);
         }
-        self.commit_mutation(LogRecord::Delete { tid }, metrics)?;
+        self.commit_mutation(LogRecord::Delete { tid })?;
         Ok(true)
     }
 
@@ -1028,56 +1006,77 @@ impl<B: MutableBackend> DurableIndex<B> {
         self.pool.take_trace()
     }
 
-    /// PETQ against the live (buffered) state.
-    pub fn petq(&mut self, query: &EqQuery) -> Result<Vec<Match>> {
-        self.petq_metered(query, &mut QueryMetrics::new())
+    /// The ledger of this handle's private pool: the counters of every
+    /// query and mutation run through it (recovery's replay included),
+    /// `io` filled in.
+    pub fn metrics(&self) -> QueryMetrics {
+        self.pool.metrics()
     }
 
-    /// PETQ with execution counters.
+    /// Run `read` and add the search counters it put in the ledger to
+    /// `metrics`, leaving `metrics.io` alone — the contract of the three
+    /// `_metered` reads.
+    fn metered<R>(&mut self, metrics: &mut QueryMetrics, read: impl FnOnce(&mut Self) -> R) -> R {
+        let before = self.pool.metrics();
+        let out = read(self);
+        let mut counters = self.pool.metrics().since(&before);
+        counters.io = IoStats::default();
+        metrics.merge(&counters);
+        out
+    }
+
+    /// PETQ against the live (buffered) state.
+    pub fn petq(&mut self, query: &EqQuery) -> Result<Vec<Match>> {
+        self.fail_if_poisoned()?;
+        self.backend.petq(&mut self.pool, query)
+    }
+
+    /// [`DurableIndex::petq`] with its execution counters added to
+    /// `metrics` (`metrics.io` is left untouched).
     pub fn petq_metered(
         &mut self,
         query: &EqQuery,
         metrics: &mut QueryMetrics,
     ) -> Result<Vec<Match>> {
-        self.fail_if_poisoned()?;
-        self.backend.petq_metered(&mut self.pool, query, metrics)
+        self.metered(metrics, |idx| idx.petq(query))
     }
 
     /// Top-k against the live state.
     pub fn top_k(&mut self, query: &TopKQuery) -> Result<Vec<Match>> {
-        self.top_k_metered(query, &mut QueryMetrics::new())
+        self.fail_if_poisoned()?;
+        self.backend.top_k(&mut self.pool, query)
     }
 
-    /// Top-k with execution counters.
+    /// [`DurableIndex::top_k`] with its execution counters added to
+    /// `metrics` (`metrics.io` is left untouched).
     pub fn top_k_metered(
         &mut self,
         query: &TopKQuery,
         metrics: &mut QueryMetrics,
     ) -> Result<Vec<Match>> {
-        self.fail_if_poisoned()?;
-        self.backend.top_k_metered(&mut self.pool, query, metrics)
+        self.metered(metrics, |idx| idx.top_k(query))
     }
 
     /// DSTQ against the live state.
     pub fn dstq(&mut self, query: &DstQuery) -> Result<Vec<Match>> {
-        self.dstq_metered(query, &mut QueryMetrics::new())
+        self.fail_if_poisoned()?;
+        self.backend.dstq(&mut self.pool, query)
     }
 
-    /// DSTQ with execution counters.
+    /// [`DurableIndex::dstq`] with its execution counters added to
+    /// `metrics` (`metrics.io` is left untouched).
     pub fn dstq_metered(
         &mut self,
         query: &DstQuery,
         metrics: &mut QueryMetrics,
     ) -> Result<Vec<Match>> {
-        self.fail_if_poisoned()?;
-        self.backend.dstq_metered(&mut self.pool, query, metrics)
+        self.metered(metrics, |idx| idx.dstq(query))
     }
 
     /// DSQ-top-k against the live state.
     pub fn ds_top_k(&mut self, query: &DsTopKQuery) -> Result<Vec<Match>> {
         self.fail_if_poisoned()?;
-        self.backend
-            .ds_top_k_metered(&mut self.pool, query, &mut QueryMetrics::new())
+        self.backend.ds_top_k(&mut self.pool, query)
     }
 
     /// Current checkpoint epoch (starts at 1 for a fresh index).
@@ -1411,11 +1410,10 @@ mod tests {
         })
         .unwrap();
         let base = idx.wal_stats();
-        let mut metrics = QueryMetrics::new();
         for t in 0..8u64 {
-            idx.insert_metered(t, &uda(&[((t % 4) as u32, 1.0)]), &mut metrics)
-                .unwrap();
+            idx.insert(t, &uda(&[((t % 4) as u32, 1.0)])).unwrap();
         }
+        let metrics = idx.metrics();
         let s = idx.wal_stats();
         assert_eq!(s.records_appended - base.records_appended, 8);
         assert_eq!(

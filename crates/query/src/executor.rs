@@ -13,7 +13,7 @@ use std::sync::Arc;
 use uncat_core::query::{DstQuery, EqQuery, Match, TopKQuery};
 use uncat_storage::buffer::DEFAULT_FRAMES;
 use uncat_storage::trace::{Clock, Phase, QueryTrace, Tracer};
-use uncat_storage::{BufferPool, IoStats, QueryMetrics, Result, SharedStore};
+use uncat_storage::{BufferPool, QueryMetrics, Result, SharedStore};
 
 use crate::index_trait::UncertainIndex;
 
@@ -22,22 +22,20 @@ use crate::index_trait::UncertainIndex;
 pub struct QueryOutcome {
     /// Qualifying tuples, canonical order.
     pub matches: Vec<Match>,
-    /// I/O charged to this query (fresh buffer pool).
-    pub io: IoStats,
-    /// Execution counters for this query (its `io` field equals the
-    /// outcome's own `io` — the same pool snapshot is copied into both).
+    /// Execution counters for this query, `io` included: the ledger of
+    /// the pool it ran on.
     pub metrics: QueryMetrics,
-    /// Latency trace, present when the executor runs with
-    /// [`Executor::with_tracing`]: the query's span tree (rooted at a
-    /// `query` span) plus I/O latency histograms. `None` when tracing is
-    /// off — the zero-overhead default.
+    /// Latency trace, present when the query ran with a clock (see
+    /// [`run_query`]): its span tree (rooted at a `query` span) plus I/O
+    /// latency histograms. `None` when tracing is off — the
+    /// zero-overhead default.
     pub trace: Option<QueryTrace>,
 }
 
 impl QueryOutcome {
     /// The paper's y-axis: physical page reads.
     pub fn reads(&self) -> u64 {
-        self.io.physical_reads
+        self.metrics.io.physical_reads
     }
 
     /// Result selectivity relative to `n` tuples.
@@ -48,6 +46,32 @@ impl QueryOutcome {
             self.matches.len() as f64 / n as f64
         }
     }
+}
+
+/// The one probe runner: run `query` on `pool` under a root
+/// [`Phase::Query`] span and return its matches with the pool's ledger
+/// and trace. `pool` is the query's context — hand it a fresh pool (or a
+/// fresh handle onto a shared one) and the outcome describes exactly this
+/// query. With a `clock` the query records a span tree and I/O
+/// histograms against it (tests pass a [`uncat_storage::FakeClock`], the
+/// CLI and the service a [`uncat_storage::MonotonicClock`]); workers may
+/// share one clock, each query records into its own tracer.
+pub fn run_query(
+    pool: &mut BufferPool,
+    clock: Option<&Arc<dyn Clock>>,
+    query: impl FnOnce(&mut BufferPool) -> Result<Vec<Match>>,
+) -> Result<QueryOutcome> {
+    if let Some(clock) = clock {
+        pool.set_tracer(Tracer::enabled(clock.clone()));
+    }
+    let root = pool.trace_begin(Phase::Query);
+    let matches = query(pool)?;
+    pool.trace_end(root);
+    Ok(QueryOutcome {
+        matches,
+        metrics: pool.metrics(),
+        trace: pool.take_trace(),
+    })
 }
 
 /// Sum the execution counters of a batch of outcomes — the natural
@@ -67,18 +91,12 @@ pub struct Executor<I> {
     index: I,
     store: SharedStore,
     frames: usize,
-    clock: Option<Arc<dyn Clock>>,
 }
 
 impl<I: UncertainIndex> Executor<I> {
     /// Executor with the paper's 100-frame per-query buffers.
     pub fn new(index: I, store: SharedStore) -> Executor<I> {
-        Executor {
-            index,
-            store,
-            frames: DEFAULT_FRAMES,
-            clock: None,
-        }
+        Executor::with_frames(index, store, DEFAULT_FRAMES)
     }
 
     /// Executor with a custom per-query buffer size (for the buffer-size
@@ -88,18 +106,7 @@ impl<I: UncertainIndex> Executor<I> {
             index,
             store,
             frames,
-            clock: None,
         }
-    }
-
-    /// Enable latency tracing: every subsequent query records a span tree
-    /// and I/O histograms against `clock` and returns them in
-    /// [`QueryOutcome::trace`]. Tests pass a
-    /// [`uncat_storage::FakeClock`]; the CLI passes a
-    /// [`uncat_storage::MonotonicClock`].
-    pub fn with_tracing(mut self, clock: Arc<dyn Clock>) -> Executor<I> {
-        self.clock = Some(clock);
-        self
     }
 
     /// The wrapped index.
@@ -114,45 +121,29 @@ impl<I: UncertainIndex> Executor<I> {
 
     fn run(
         &self,
-        f: impl FnOnce(&I, &mut BufferPool, &mut QueryMetrics) -> Result<Vec<Match>>,
+        f: impl FnOnce(&I, &mut BufferPool) -> Result<Vec<Match>>,
     ) -> Result<QueryOutcome> {
         let mut pool = BufferPool::with_capacity(self.store.clone(), self.frames);
-        if let Some(clock) = &self.clock {
-            pool.set_tracer(Tracer::enabled(clock.clone()));
-        }
-        let root = pool.trace_begin(Phase::Query);
-        let mut metrics = QueryMetrics::new();
-        let matches = f(&self.index, &mut pool, &mut metrics)?;
-        pool.trace_end(root);
-        // I/O accounting lives in the pool; the search code never touches
-        // `metrics.io`. Copy the final pool snapshot in here so one struct
-        // carries the whole cost profile.
-        metrics.io = pool.stats();
-        Ok(QueryOutcome {
-            matches,
-            io: pool.stats(),
-            metrics,
-            trace: pool.take_trace(),
-        })
+        run_query(&mut pool, None, |pool| f(&self.index, pool))
     }
 
     /// Run a PETQ with a cold, private buffer.
     pub fn petq(&self, query: &EqQuery) -> Result<QueryOutcome> {
-        self.run(|i, p, m| i.petq_metered(p, query, m))
+        self.run(|i, p| i.petq(p, query))
     }
 
     /// Run a top-k query with a cold, private buffer.
     pub fn top_k(&self, query: &TopKQuery) -> Result<QueryOutcome> {
-        self.run(|i, p, m| i.top_k_metered(p, query, m))
+        self.run(|i, p| i.top_k(p, query))
     }
 
     /// Run a DSTQ with a cold, private buffer.
     pub fn dstq(&self, query: &DstQuery) -> Result<QueryOutcome> {
-        self.run(|i, p, m| i.dstq_metered(p, query, m))
+        self.run(|i, p| i.dstq(p, query))
     }
 
     /// Run a DSQ-top-k with a cold, private buffer.
     pub fn ds_top_k(&self, query: &uncat_core::query::DsTopKQuery) -> Result<QueryOutcome> {
-        self.run(|i, p, m| i.ds_top_k_metered(p, query, m))
+        self.run(|i, p| i.ds_top_k(p, query))
     }
 }

@@ -19,16 +19,14 @@ mod nested_loop;
 pub mod parallel;
 
 pub use nested_loop::{
-    block_dstj, block_dstj_metered, block_nested_loop_petj, block_nested_loop_petj_metered,
-    block_top_k_pej, block_top_k_pej_metered, index_nested_loop_petj,
-    index_nested_loop_petj_metered,
+    block_dstj, block_nested_loop_petj, block_top_k_pej, index_nested_loop_petj,
 };
 pub use parallel::{parallel_join, parallel_join_with_floor, JoinOutcome, SharedFloor};
 
 use uncat_core::query::{DstQuery, Match, TopKQuery};
 use uncat_core::topk::TopKHeap;
 use uncat_core::{Divergence, Uda};
-use uncat_storage::{BufferPool, Phase, QueryMetrics, Result};
+use uncat_storage::{BufferPool, Phase, Result};
 
 use crate::index_trait::UncertainIndex;
 use crate::scan::ScanBaseline;
@@ -109,33 +107,22 @@ pub fn sort_pairs_asc(pairs: &mut [JoinPair]) {
 }
 
 /// PEJ-top-k: the `k` most probable pairs, by probing the inner index
-/// once per outer tuple under a rising score floor.
+/// once per outer tuple under a rising score floor. Every probe's
+/// counters land in `pool`'s ledger, as for every join here.
+///
+/// The floor is the current k-th best pair score. It is maintained from
+/// the moment `k` pairs exist (not only once k is exceeded) and is
+/// propagated into the probes themselves as the starting value of the
+/// probe's dynamic threshold ([`UncertainIndex::top_k_floored`]):
+/// a warm probe terminates (Lemma 1 / best-first stop at θ = floor) as
+/// soon as no inner tuple can still displace a held pair — never later
+/// than a cold top-k probe would. Pairs below the floor can never enter
+/// the result (the floor only rises), so pruning them is exact.
 pub fn index_top_k_pej(
     outer: &[(u64, Uda)],
     inner: &impl UncertainIndex,
     pool: &mut BufferPool,
     k: usize,
-) -> Result<Vec<JoinPair>> {
-    index_top_k_pej_metered(outer, inner, pool, k, &mut QueryMetrics::new())
-}
-
-/// [`index_top_k_pej`] with execution counters accumulated over every
-/// inner probe.
-///
-/// The floor is the current k-th best pair score. It is maintained from
-/// the moment `k` pairs exist (not only once k is exceeded) and is
-/// propagated into the probes themselves as the starting value of the
-/// probe's dynamic threshold ([`UncertainIndex::top_k_floored_metered`]):
-/// a warm probe terminates (Lemma 1 / best-first stop at θ = floor) as
-/// soon as no inner tuple can still displace a held pair — never later
-/// than a cold top-k probe would. Pairs below the floor can never enter
-/// the result (the floor only rises), so pruning them is exact.
-pub fn index_top_k_pej_metered(
-    outer: &[(u64, Uda)],
-    inner: &impl UncertainIndex,
-    pool: &mut BufferPool,
-    k: usize,
-    metrics: &mut QueryMetrics,
 ) -> Result<Vec<JoinPair>> {
     if k == 0 {
         return Ok(Vec::new());
@@ -144,8 +131,7 @@ pub fn index_top_k_pej_metered(
     let mut floor = 0.0f64;
     for (ltid, luda) in outer {
         let probe = pool.trace_begin(Phase::JoinProbe);
-        let probes =
-            inner.top_k_floored_metered(pool, &TopKQuery::new(luda.clone(), k), floor, metrics)?;
+        let probes = inner.top_k_floored(pool, &TopKQuery::new(luda.clone(), k), floor)?;
         pool.trace_end(probe);
         for m in probes {
             // The floored probe never returns sub-floor scores, but keep
@@ -179,34 +165,10 @@ pub fn index_dstj(
     tau_d: f64,
     divergence: uncat_core::Divergence,
 ) -> Result<Vec<JoinPair>> {
-    index_dstj_metered(
-        outer,
-        inner,
-        pool,
-        tau_d,
-        divergence,
-        &mut QueryMetrics::new(),
-    )
-}
-
-/// [`index_dstj`] with execution counters accumulated over every inner
-/// probe.
-pub fn index_dstj_metered(
-    outer: &[(u64, Uda)],
-    inner: &impl UncertainIndex,
-    pool: &mut BufferPool,
-    tau_d: f64,
-    divergence: uncat_core::Divergence,
-    metrics: &mut QueryMetrics,
-) -> Result<Vec<JoinPair>> {
     let mut out = Vec::new();
     for (ltid, luda) in outer {
         let probe = pool.trace_begin(Phase::JoinProbe);
-        let matches = inner.dstq_metered(
-            pool,
-            &DstQuery::new(luda.clone(), tau_d, divergence),
-            metrics,
-        )?;
+        let matches = inner.dstq(pool, &DstQuery::new(luda.clone(), tau_d, divergence))?;
         pool.trace_end(probe);
         for m in matches {
             out.push(JoinPair {
@@ -220,71 +182,50 @@ pub fn index_dstj_metered(
     Ok(out)
 }
 
-/// Run `spec` as an index nested loop (one probe per outer tuple),
-/// accumulating counters over every probe.
-pub fn index_join_metered(
-    outer: &[(u64, Uda)],
-    inner: &impl UncertainIndex,
+/// Run `join` on `pool` and package its pairs with the counters it added
+/// to the pool's ledger — an interval measurement, so a warm reused pool
+/// is fine.
+fn outcome_of(
     pool: &mut BufferPool,
-    spec: JoinSpec,
-    metrics: &mut QueryMetrics,
-) -> Result<Vec<JoinPair>> {
-    match spec {
-        JoinSpec::Petj { tau } => index_nested_loop_petj_metered(outer, inner, pool, tau, metrics),
-        JoinSpec::PejTopK { k } => index_top_k_pej_metered(outer, inner, pool, k, metrics),
-        JoinSpec::Dstj { tau_d, divergence } => {
-            index_dstj_metered(outer, inner, pool, tau_d, divergence, metrics)
-        }
-    }
+    join: impl FnOnce(&mut BufferPool) -> Result<Vec<JoinPair>>,
+) -> Result<JoinOutcome> {
+    let before = pool.metrics();
+    let pairs = join(pool)?;
+    Ok(JoinOutcome {
+        pairs,
+        metrics: pool.metrics().since(&before),
+    })
 }
 
-/// Run `spec` as a block nested loop (one scan of the inner relation),
-/// accumulating counters over the scan.
-pub fn block_join_metered(
-    outer: &[(u64, Uda)],
-    inner: &ScanBaseline,
-    pool: &mut BufferPool,
-    spec: JoinSpec,
-    metrics: &mut QueryMetrics,
-) -> Result<Vec<JoinPair>> {
-    match spec {
-        JoinSpec::Petj { tau } => block_nested_loop_petj_metered(outer, inner, pool, tau, metrics),
-        JoinSpec::PejTopK { k } => block_top_k_pej_metered(outer, inner, pool, k, metrics),
-        JoinSpec::Dstj { tau_d, divergence } => {
-            block_dstj_metered(outer, inner, pool, tau_d, divergence, metrics)
-        }
-    }
-}
-
-/// [`index_join_metered`] packaged as a [`JoinOutcome`]: pairs plus the
-/// join's counters, with `metrics.io` set to the pool I/O this join
-/// caused (an interval measurement, so a warm reused pool is fine).
+/// Run `spec` as an index nested loop (one probe per outer tuple). The
+/// outcome's metrics are the sum of the probes' counters and the pool
+/// I/O this join caused.
 pub fn index_join(
     outer: &[(u64, Uda)],
     inner: &impl UncertainIndex,
     pool: &mut BufferPool,
     spec: JoinSpec,
 ) -> Result<JoinOutcome> {
-    let before = pool.stats();
-    let mut metrics = QueryMetrics::new();
-    let pairs = index_join_metered(outer, inner, pool, spec, &mut metrics)?;
-    metrics.io = pool.stats().since(&before);
-    Ok(JoinOutcome { pairs, metrics })
+    outcome_of(pool, |pool| match spec {
+        JoinSpec::Petj { tau } => index_nested_loop_petj(outer, inner, pool, tau),
+        JoinSpec::PejTopK { k } => index_top_k_pej(outer, inner, pool, k),
+        JoinSpec::Dstj { tau_d, divergence } => index_dstj(outer, inner, pool, tau_d, divergence),
+    })
 }
 
-/// [`block_join_metered`] packaged as a [`JoinOutcome`] (see
-/// [`index_join`] for the I/O attribution).
+/// Run `spec` as a block nested loop (one scan of the inner relation);
+/// see [`index_join`] for the outcome's metrics.
 pub fn block_join(
     outer: &[(u64, Uda)],
     inner: &ScanBaseline,
     pool: &mut BufferPool,
     spec: JoinSpec,
 ) -> Result<JoinOutcome> {
-    let before = pool.stats();
-    let mut metrics = QueryMetrics::new();
-    let pairs = block_join_metered(outer, inner, pool, spec, &mut metrics)?;
-    metrics.io = pool.stats().since(&before);
-    Ok(JoinOutcome { pairs, metrics })
+    outcome_of(pool, |pool| match spec {
+        JoinSpec::Petj { tau } => block_nested_loop_petj(outer, inner, pool, tau),
+        JoinSpec::PejTopK { k } => block_top_k_pej(outer, inner, pool, k),
+        JoinSpec::Dstj { tau_d, divergence } => block_dstj(outer, inner, pool, tau_d, divergence),
+    })
 }
 
 /// Per-outer-tuple top-k (the "k best partners for each r" variant, handy
@@ -295,23 +236,11 @@ pub fn index_top_k_per_outer(
     pool: &mut BufferPool,
     k: usize,
 ) -> Result<Vec<(u64, Vec<Match>)>> {
-    index_top_k_per_outer_metered(outer, inner, pool, k, &mut QueryMetrics::new())
-}
-
-/// [`index_top_k_per_outer`] with execution counters accumulated over
-/// every inner probe.
-pub fn index_top_k_per_outer_metered(
-    outer: &[(u64, Uda)],
-    inner: &impl UncertainIndex,
-    pool: &mut BufferPool,
-    k: usize,
-    metrics: &mut QueryMetrics,
-) -> Result<Vec<(u64, Vec<Match>)>> {
     let mut out = Vec::with_capacity(outer.len());
     for (ltid, luda) in outer {
         let mut h = TopKHeap::new(k, 0.0);
         let probe = pool.trace_begin(Phase::JoinProbe);
-        let matches = inner.top_k_metered(pool, &TopKQuery::new(luda.clone(), k), metrics)?;
+        let matches = inner.top_k(pool, &TopKQuery::new(luda.clone(), k))?;
         pool.trace_end(probe);
         for m in matches {
             h.offer(m.tid, m.score);

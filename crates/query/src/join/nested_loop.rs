@@ -3,7 +3,7 @@
 use uncat_core::equality::{eq_prob, meets_threshold};
 use uncat_core::query::EqQuery;
 use uncat_core::{Divergence, Uda};
-use uncat_storage::{BufferPool, Phase, QueryMetrics, Result};
+use uncat_storage::{BufferPool, Phase, Result};
 
 use crate::index_trait::UncertainIndex;
 use crate::scan::ScanBaseline;
@@ -11,29 +11,18 @@ use crate::scan::ScanBaseline;
 use super::{sort_pairs_asc, sort_pairs_desc, JoinPair};
 
 /// Index nested loop PETJ: probe the inner index once per outer tuple.
+/// The probes' counters accumulate in `pool`'s ledger, so it reports the
+/// whole join's cost (counters are per-join, not per-probe).
 pub fn index_nested_loop_petj(
     outer: &[(u64, Uda)],
     inner: &impl UncertainIndex,
     pool: &mut BufferPool,
     tau: f64,
 ) -> Result<Vec<JoinPair>> {
-    index_nested_loop_petj_metered(outer, inner, pool, tau, &mut QueryMetrics::new())
-}
-
-/// [`index_nested_loop_petj`] with execution counters: `metrics`
-/// accumulates over every inner probe, so it reports the whole join's
-/// cost (counters are per-join, not per-probe).
-pub fn index_nested_loop_petj_metered(
-    outer: &[(u64, Uda)],
-    inner: &impl UncertainIndex,
-    pool: &mut BufferPool,
-    tau: f64,
-    metrics: &mut QueryMetrics,
-) -> Result<Vec<JoinPair>> {
     let mut out = Vec::new();
     for (ltid, luda) in outer {
         let probe = pool.trace_begin(Phase::JoinProbe);
-        let matches = inner.petq_metered(pool, &EqQuery::new(luda.clone(), tau), metrics)?;
+        let matches = inner.petq(pool, &EqQuery::new(luda.clone(), tau))?;
         pool.trace_end(probe);
         for m in matches {
             out.push(JoinPair {
@@ -47,6 +36,26 @@ pub fn index_nested_loop_petj_metered(
     Ok(out)
 }
 
+/// One scan of the inner relation under a `HeapScan` span, `visit`ing
+/// every inner tuple once and counting it as one `heap_tuples_scanned`
+/// in `pool`'s ledger (each is compared against every outer tuple, but
+/// read once) — the loop under the three block plans.
+fn scan_inner(
+    inner: &ScanBaseline,
+    pool: &mut BufferPool,
+    mut visit: impl FnMut(u64, &Uda),
+) -> Result<()> {
+    let scan = pool.trace_begin(Phase::HeapScan);
+    pool.tally(|pool, metrics| {
+        inner.scan(pool, |rtid, ruda| {
+            metrics.heap_tuples_scanned += 1;
+            visit(rtid, ruda);
+        })
+    })?;
+    pool.trace_end(scan);
+    Ok(())
+}
+
 /// Block nested loop PETJ baseline: for each outer tuple, scan the inner
 /// relation. (The outer side is in memory — the paper joins an uncertain
 /// relation against a stored one; the inner side is charged I/O.)
@@ -56,23 +65,8 @@ pub fn block_nested_loop_petj(
     pool: &mut BufferPool,
     tau: f64,
 ) -> Result<Vec<JoinPair>> {
-    block_nested_loop_petj_metered(outer, inner, pool, tau, &mut QueryMetrics::new())
-}
-
-/// [`block_nested_loop_petj`] with execution counters: one
-/// `heap_tuples_scanned` per inner tuple (each is compared against every
-/// outer tuple, but read once).
-pub fn block_nested_loop_petj_metered(
-    outer: &[(u64, Uda)],
-    inner: &ScanBaseline,
-    pool: &mut BufferPool,
-    tau: f64,
-    metrics: &mut QueryMetrics,
-) -> Result<Vec<JoinPair>> {
     let mut out = Vec::new();
-    let scan = pool.trace_begin(Phase::HeapScan);
-    inner.scan(pool, |rtid, ruda| {
-        metrics.heap_tuples_scanned += 1;
+    scan_inner(inner, pool, |rtid, ruda| {
         for (ltid, luda) in outer {
             let pr = eq_prob(luda, ruda);
             if meets_threshold(pr, tau) {
@@ -84,31 +78,18 @@ pub fn block_nested_loop_petj_metered(
             }
         }
     })?;
-    pool.trace_end(scan);
     sort_pairs_desc(&mut out);
     Ok(out)
 }
 
 /// Block nested loop PEJ-top-k baseline: one scan of the inner relation,
-/// keeping the `k` best pairs seen so far.
+/// keeping the `k` best pairs seen so far. Zero-probability pairs never
+/// qualify and are dropped on sight, matching the index plans.
 pub fn block_top_k_pej(
     outer: &[(u64, Uda)],
     inner: &ScanBaseline,
     pool: &mut BufferPool,
     k: usize,
-) -> Result<Vec<JoinPair>> {
-    block_top_k_pej_metered(outer, inner, pool, k, &mut QueryMetrics::new())
-}
-
-/// [`block_top_k_pej`] with execution counters: one `heap_tuples_scanned`
-/// per inner tuple. Zero-probability pairs never qualify and are dropped
-/// on sight, matching the index plans.
-pub fn block_top_k_pej_metered(
-    outer: &[(u64, Uda)],
-    inner: &ScanBaseline,
-    pool: &mut BufferPool,
-    k: usize,
-    metrics: &mut QueryMetrics,
 ) -> Result<Vec<JoinPair>> {
     if k == 0 {
         return Ok(Vec::new());
@@ -117,9 +98,7 @@ pub fn block_top_k_pej_metered(
     // Compact whenever the buffer outgrows a small multiple of k, so the
     // scan stays O(k) in memory instead of materializing every pair.
     let compact_at = 4 * k.max(16);
-    let scan = pool.trace_begin(Phase::HeapScan);
-    inner.scan(pool, |rtid, ruda| {
-        metrics.heap_tuples_scanned += 1;
+    scan_inner(inner, pool, |rtid, ruda| {
         for (ltid, luda) in outer {
             let pr = eq_prob(luda, ruda);
             if pr > 0.0 {
@@ -135,7 +114,6 @@ pub fn block_top_k_pej_metered(
             best.truncate(k);
         }
     })?;
-    pool.trace_end(scan);
     sort_pairs_desc(&mut best);
     best.truncate(k);
     Ok(best)
@@ -150,30 +128,8 @@ pub fn block_dstj(
     tau_d: f64,
     divergence: Divergence,
 ) -> Result<Vec<JoinPair>> {
-    block_dstj_metered(
-        outer,
-        inner,
-        pool,
-        tau_d,
-        divergence,
-        &mut QueryMetrics::new(),
-    )
-}
-
-/// [`block_dstj`] with execution counters: one `heap_tuples_scanned` per
-/// inner tuple.
-pub fn block_dstj_metered(
-    outer: &[(u64, Uda)],
-    inner: &ScanBaseline,
-    pool: &mut BufferPool,
-    tau_d: f64,
-    divergence: Divergence,
-    metrics: &mut QueryMetrics,
-) -> Result<Vec<JoinPair>> {
     let mut out = Vec::new();
-    let scan = pool.trace_begin(Phase::HeapScan);
-    inner.scan(pool, |rtid, ruda| {
-        metrics.heap_tuples_scanned += 1;
+    scan_inner(inner, pool, |rtid, ruda| {
         for (ltid, luda) in outer {
             let d = divergence.eval(luda.entries(), ruda.entries());
             if d <= tau_d {
@@ -185,7 +141,6 @@ pub fn block_dstj_metered(
             }
         }
     })?;
-    pool.trace_end(scan);
     sort_pairs_asc(&mut out);
     Ok(out)
 }

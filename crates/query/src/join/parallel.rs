@@ -14,17 +14,17 @@
 //! non-negative, so the IEEE-754 bit patterns order exactly like the
 //! values and `fetch_max` on the bits is `max` on the scores). Every
 //! probe reads the floor first and seeds its dynamic threshold with it
-//! (`top_k_floored_metered`), so a warm probe terminates — Lemma 1 /
+//! (`top_k_floored`), so a warm probe terminates — Lemma 1 /
 //! best-first stop at θ = floor — no later than a cold top-k search
 //! would. A pair below the floor can never reach the global
 //! top k (the floor only rises and never exceeds the true k-th best
 //! score), so the pruning is exact: results stay deterministic while the
 //! probe work after warm-up drops with every floor raise.
 //!
-//! I/O attribution is exact per worker: private pools count only their
-//! worker's traffic, and shared-pool handles meter per handle (PR 3's
-//! `PoolHandle` contract), so the summed [`QueryMetrics`] equals the
-//! join's true cost in either mode.
+//! Attribution is exact per worker: each worker's pool is its ledger
+//! (private pools count only their worker's traffic, and shared-pool
+//! handles meter per handle — PR 3's `PoolHandle` contract), so the
+//! summed [`QueryMetrics`] equals the join's true cost in either mode.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -185,7 +185,6 @@ pub fn parallel_join_with_floor<I: UncertainIndex + Sync>(
                 // scope and take the process down with it.
                 let worker = AssertUnwindSafe(|| {
                     let mut pool = pools.pool(store);
-                    let mut metrics = QueryMetrics::new();
                     let mut local: Vec<JoinPair> = Vec::new();
                     loop {
                         if lock_recover(&error).is_some() {
@@ -196,26 +195,18 @@ pub fn parallel_join_with_floor<I: UncertainIndex + Sync>(
                             break;
                         }
                         let (ltid, luda) = &outer[i];
-                        if let Err(e) = probe_one(
-                            spec,
-                            inner,
-                            &mut pool,
-                            *ltid,
-                            luda,
-                            floor,
-                            &mut local,
-                            &mut metrics,
-                        ) {
+                        if let Err(e) =
+                            probe_one(spec, inner, &mut pool, *ltid, luda, floor, &mut local)
+                        {
                             record_error(&error, i, e);
                             break;
                         }
                     }
-                    // Exact per-worker I/O: a private pool counts only this
-                    // worker; a shared-pool handle meters per handle.
-                    metrics.io = pool.stats();
+                    // The worker's pool is its ledger: a private pool counts
+                    // only this worker; a shared-pool handle meters per handle.
                     lock_recover(&parts).push(WorkerPart {
                         pairs: local,
-                        metrics,
+                        metrics: pool.metrics(),
                     });
                 });
                 if catch_unwind(worker).is_err() {
@@ -255,7 +246,6 @@ pub fn parallel_join_with_floor<I: UncertainIndex + Sync>(
 
 /// Probe the inner index for one outer tuple and fold the matches into
 /// the worker's partial result.
-#[allow(clippy::too_many_arguments)]
 fn probe_one<I: UncertainIndex>(
     spec: JoinSpec,
     inner: &I,
@@ -264,11 +254,10 @@ fn probe_one<I: UncertainIndex>(
     luda: &Uda,
     floor: &SharedFloor,
     local: &mut Vec<JoinPair>,
-    metrics: &mut QueryMetrics,
 ) -> Result<()> {
     match spec {
         JoinSpec::Petj { tau } => {
-            for m in inner.petq_metered(pool, &EqQuery::new(luda.clone(), tau), metrics)? {
+            for m in inner.petq(pool, &EqQuery::new(luda.clone(), tau))? {
                 local.push(JoinPair {
                     left: ltid,
                     right: m.tid,
@@ -277,11 +266,7 @@ fn probe_one<I: UncertainIndex>(
             }
         }
         JoinSpec::Dstj { tau_d, divergence } => {
-            for m in inner.dstq_metered(
-                pool,
-                &DstQuery::new(luda.clone(), tau_d, divergence),
-                metrics,
-            )? {
+            for m in inner.dstq(pool, &DstQuery::new(luda.clone(), tau_d, divergence))? {
                 local.push(JoinPair {
                     left: ltid,
                     right: m.tid,
@@ -295,12 +280,8 @@ fn probe_one<I: UncertainIndex>(
             // probe stops (Lemma 1 / best-first stop at θ = floor) as
             // soon as no inner tuple can still displace a held pair —
             // never later than a cold top-k probe would.
-            let probes = inner.top_k_floored_metered(
-                pool,
-                &TopKQuery::new(luda.clone(), k),
-                floor.get(),
-                metrics,
-            )?;
+            let probes =
+                inner.top_k_floored(pool, &TopKQuery::new(luda.clone(), k), floor.get())?;
             for m in probes {
                 // Re-read the floor: it may have risen since the probe
                 // started, and a sub-floor pair can never win.

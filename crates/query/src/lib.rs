@@ -4,10 +4,11 @@
 //!   full-scan baseline, so benchmarks and joins are generic.
 //! * [`ScanBaseline`] — evaluates every query by scanning the tuple heap;
 //!   the correctness oracle and the "no index" comparison point.
-//! * [`Executor`] — owns a shared store and runs each query against a
-//!   fresh buffer pool (the paper's per-query 100-frame setup), reporting
-//!   result, I/O, and per-query execution counters
-//!   ([`uncat_storage::QueryMetrics`], see `docs/METRICS.md`).
+//! * [`run_query`] — the one probe runner: a query on a pool under a
+//!   root span, returned with the pool's ledger
+//!   ([`uncat_storage::QueryMetrics`], see `docs/METRICS.md`) and trace.
+//!   [`Executor`] owns a shared store and hands it a fresh buffer pool
+//!   per query (the paper's per-query 100-frame setup).
 //! * [`join`] — the join operators built on the select primitives: PETJ
 //!   (Definition 6), PEJ-top-k, and DSTJ, each with block, index, and
 //!   parallel physical plans (the parallel PEJ-top-k plan shares a rising
@@ -38,7 +39,7 @@ pub use durable::{
     split_snapshot, CheckpointCrash, DurableConfig, DurableIndex, DurableStorage, FileSlot,
     LogRecord, MemSlot, MutableBackend, RecoveryReport, SnapshotSlot,
 };
-pub use executor::{aggregate_metrics, Executor, QueryOutcome};
+pub use executor::{aggregate_metrics, run_query, Executor, QueryOutcome};
 pub use index_trait::{InvertedBackend, UncertainIndex};
 pub use parallel::{batch_trace, BatchPools};
 pub use planner::{IndexStats, Plan, PlannedBackend, Planner};

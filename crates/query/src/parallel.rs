@@ -11,28 +11,31 @@
 //! query still completes.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use uncat_core::query::{DstQuery, EqQuery, TopKQuery};
-use uncat_storage::trace::{Clock, Phase, QueryTrace, Tracer};
+use uncat_core::query::{DstQuery, EqQuery, Match, TopKQuery};
+use uncat_storage::trace::{Clock, QueryTrace};
 use uncat_storage::{
     BufferPool, QueryMetrics, Result, SharedBufferPool, SharedStore, StorageError,
 };
 
-use crate::executor::QueryOutcome;
+use crate::executor::{run_query, QueryOutcome};
 use crate::index_trait::UncertainIndex;
 
-/// How a batch provisions buffer frames: the paper's model (a private
+/// How a batch provisions buffer frames — the paper's model (a private
 /// pool per query) or one [`SharedBufferPool`] serving every query in
 /// the batch, so repeated index pages are fetched once per *batch*
-/// instead of once per *query*.
-pub enum BatchPools {
-    /// A fresh private pool of `frames` frames per query (the default,
-    /// and the paper's experimental setup).
-    Private {
-        /// Frames allocated to each query's private pool.
-        frames: usize,
-    },
+/// instead of once per *query* — and whether its queries are traced.
+pub struct BatchPools {
+    frames: Frames,
+    clock: Option<Arc<dyn Clock>>,
+}
+
+enum Frames {
+    /// A fresh private pool of this many frames per query (the paper's
+    /// experimental setup).
+    Private(usize),
     /// One shared lock-striped pool for the whole batch; per-query I/O
     /// attribution still comes out exact via per-handle stats.
     Shared(Arc<SharedBufferPool>),
@@ -41,29 +44,48 @@ pub enum BatchPools {
 impl BatchPools {
     /// The paper's model: a private `frames`-frame pool per query.
     pub fn private(frames: usize) -> BatchPools {
-        BatchPools::Private { frames }
+        BatchPools {
+            frames: Frames::Private(frames),
+            clock: None,
+        }
     }
 
     /// A shared pool of `total_frames` frames striped over `shards`
     /// shards on `store`.
     pub fn shared(store: &SharedStore, total_frames: usize, shards: usize) -> BatchPools {
-        BatchPools::Shared(SharedBufferPool::new(store.clone(), total_frames, shards))
+        BatchPools::over(SharedBufferPool::new(store.clone(), total_frames, shards))
+    }
+
+    /// Handles onto an existing shared pool (the service's one pool).
+    pub fn over(pool: Arc<SharedBufferPool>) -> BatchPools {
+        BatchPools {
+            frames: Frames::Shared(pool),
+            clock: None,
+        }
+    }
+
+    /// Trace every query of a batch run on these pools: each outcome
+    /// carries a [`QueryTrace`] recorded against the shared `clock`; fold
+    /// them with [`batch_trace`].
+    pub fn traced(mut self, clock: Arc<dyn Clock>) -> BatchPools {
+        self.clock = Some(clock);
+        self
     }
 
     /// The shared pool behind this provisioning, if any — for reading
     /// pool-level hit-rate counters after the batch.
     pub fn shared_pool(&self) -> Option<&Arc<SharedBufferPool>> {
-        match self {
-            BatchPools::Private { .. } => None,
-            BatchPools::Shared(pool) => Some(pool),
+        match &self.frames {
+            Frames::Private(_) => None,
+            Frames::Shared(pool) => Some(pool),
         }
     }
 
     /// Materialize the pool one query (or one join worker) runs against.
     pub(crate) fn pool(&self, store: &SharedStore) -> BufferPool {
-        match self {
-            BatchPools::Private { frames } => BufferPool::with_capacity(store.clone(), *frames),
-            BatchPools::Shared(pool) => BufferPool::from_handle(pool.handle()),
+        match &self.frames {
+            Frames::Private(frames) => BufferPool::with_capacity(store.clone(), *frames),
+            Frames::Shared(pool) => BufferPool::from_handle(pool.handle()),
         }
     }
 }
@@ -78,6 +100,45 @@ pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// The slot fan-out: run `job(i)` for every `i < n` on `threads` workers
+/// pulling indexes from a shared cursor; results come back in index
+/// order, one `Result` per slot, however the jobs were scheduled.
+///
+/// A panicking job must fail its own slot, not the process: the unwind is
+/// caught, the slot is filled with a typed [`StorageError::Poisoned`],
+/// and the worker dies quietly (its remaining slots are picked up by the
+/// other workers via the shared cursor).
+pub fn fan_out<T: Send>(
+    n: usize,
+    threads: usize,
+    job: impl Fn(usize) -> Result<T> + Sync,
+) -> Vec<Result<T>> {
+    assert!(threads >= 1, "need at least one worker");
+    let mut out: Vec<Option<Result<T>>> = Vec::with_capacity(n);
+    out.resize_with(n, || None);
+    let next = AtomicUsize::new(0);
+    let cells: Vec<Mutex<&mut Option<Result<T>>>> = out.iter_mut().map(Mutex::new).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..threads.min(n.max(1)) {
+            scope.spawn(|| {
+                let worker = AssertUnwindSafe(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let result = job(i);
+                    **lock_recover(&cells[i]) = Some(result);
+                });
+                let _ = catch_unwind(worker);
+            });
+        }
+    });
+    drop(cells);
+    out.into_iter()
+        .map(|o| o.unwrap_or(Err(StorageError::Poisoned)))
+        .collect()
+}
+
 /// Extra attempts a batch slot gets when the shared pool momentarily has
 /// every frame pinned by concurrent handles ([`StorageError::PoolExhausted`]).
 /// Contention like that is transient — handles unpin as their reads
@@ -86,62 +147,39 @@ pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// small for one query's working set) still fails after the last attempt.
 const POOL_EXHAUSTED_RETRIES: usize = 2;
 
-/// Run `f` once per query on `threads` workers; results come back in
-/// input order, one `Result` per query. Each query runs against a pool
-/// from `pools` (private per query, or a handle onto the batch's shared
-/// pool) and populates a private [`QueryMetrics`] (never shared across
-/// threads), so per-query counters are exact regardless of scheduling.
+/// Run `f` once per query on `threads` workers ([`fan_out`]); results
+/// come back in input order, one `Result` per query. Each query runs
+/// through [`run_query`] against a pool from `pools` (private per query,
+/// or a handle onto the batch's shared pool) that is its ledger alone
+/// (never shared across threads), so per-query counters are exact
+/// regardless of scheduling.
 ///
 /// A query that fails with [`StorageError::PoolExhausted`] is retried up
 /// to [`POOL_EXHAUSTED_RETRIES`] times, each attempt against a **fresh
-/// pool and fresh metrics**: the abandoned attempt's counters — including
-/// any `plan_fallbacks` its adaptive executor ticked before dying — never
-/// leak into the outcome, so [`batch_metrics`] stays per-attempt-exact
-/// (it describes exactly the executions whose results were returned).
+/// pool**: the abandoned attempt's pool is dropped with its ledger —
+/// including any `plan_fallbacks` its adaptive executor ticked before
+/// dying — so nothing of it leaks into the outcome and [`batch_metrics`]
+/// stays per-attempt-exact (it describes exactly the executions whose
+/// results were returned).
 fn run_batch<Q, I, F>(
     index: &I,
     store: &SharedStore,
     pools: &BatchPools,
     queries: &[Q],
     threads: usize,
-    clock: Option<&Arc<dyn Clock>>,
     f: F,
 ) -> Vec<Result<QueryOutcome>>
 where
     Q: Sync,
     I: UncertainIndex + Sync,
-    F: Fn(&I, &mut BufferPool, &Q, &mut QueryMetrics) -> Result<Vec<uncat_core::query::Match>>
-        + Sync,
+    F: Fn(&I, &mut BufferPool, &Q) -> Result<Vec<Match>> + Sync,
 {
-    assert!(threads >= 1, "need at least one worker");
-    let mut out: Vec<Option<Result<QueryOutcome>>> = Vec::with_capacity(queries.len());
-    out.resize_with(queries.len(), || None);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let out_cells: Vec<Mutex<&mut Option<Result<QueryOutcome>>>> =
-        out.iter_mut().map(Mutex::new).collect();
-
-    let run_one = |q: &Q| -> Result<QueryOutcome> {
+    fan_out(queries.len(), threads, |i| {
         let mut attempt = 0;
         loop {
             let mut pool = pools.pool(store);
-            if let Some(clock) = clock {
-                // Workers share one clock but each query records into
-                // its own tracer — per-query traces are exact, and
-                // their histograms merge exactly (additivity, like
-                // the counters).
-                pool.set_tracer(Tracer::enabled(clock.clone()));
-            }
-            let root = pool.trace_begin(Phase::Query);
-            let mut metrics = QueryMetrics::new();
-            let outcome = f(index, &mut pool, q, &mut metrics).map(|matches| {
-                pool.trace_end(root);
-                metrics.io = pool.stats();
-                QueryOutcome {
-                    matches,
-                    io: pool.stats(),
-                    metrics,
-                    trace: pool.take_trace(),
-                }
+            let outcome = run_query(&mut pool, pools.clock.as_ref(), |pool| {
+                f(index, pool, &queries[i])
             });
             match outcome {
                 Err(StorageError::PoolExhausted) if attempt < POOL_EXHAUSTED_RETRIES => {
@@ -150,38 +188,13 @@ where
                 done => return done,
             }
         }
-    };
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(queries.len().max(1)) {
-            scope.spawn(|| {
-                // A panicking query must fail its own batch slot, not the
-                // process: catch the unwind, leave the cell for the
-                // post-scope sweep to fill with a typed error, and let
-                // the worker die quietly (its remaining slots are picked
-                // up by the other workers via the shared cursor).
-                let worker = AssertUnwindSafe(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= queries.len() {
-                        break;
-                    }
-                    let outcome = run_one(&queries[i]);
-                    **lock_recover(&out_cells[i]) = Some(outcome);
-                });
-                let _ = catch_unwind(worker);
-            });
-        }
-    });
-    drop(out_cells);
-    out.into_iter()
-        .map(|o| o.unwrap_or(Err(StorageError::Poisoned)))
-        .collect()
+    })
 }
 
 /// Sum the counters of every *successful* outcome in a batch. Because
-/// counters are additive and each worker meters its queries privately,
-/// this equals the metrics of running the same queries sequentially —
-/// `tests` below pin that invariant.
+/// counters are additive and each query's pool is its own ledger, this
+/// equals the metrics of running the same queries sequentially — `tests`
+/// below pin that invariant.
 pub fn batch_metrics(results: &[Result<QueryOutcome>]) -> QueryMetrics {
     QueryMetrics::sum(
         results
@@ -207,17 +220,6 @@ pub fn batch_trace(results: &[Result<QueryOutcome>]) -> QueryTrace {
     merged
 }
 
-/// Evaluate a batch of PETQs in parallel with private per-query pools.
-pub fn petq_batch<I: UncertainIndex + Sync>(
-    index: &I,
-    store: &SharedStore,
-    frames: usize,
-    queries: &[EqQuery],
-    threads: usize,
-) -> Vec<Result<QueryOutcome>> {
-    petq_batch_with(index, store, &BatchPools::private(frames), queries, threads)
-}
-
 /// Evaluate a batch of PETQs in parallel against `pools`.
 pub fn petq_batch_with<I: UncertainIndex + Sync>(
     index: &I,
@@ -226,43 +228,9 @@ pub fn petq_batch_with<I: UncertainIndex + Sync>(
     queries: &[EqQuery],
     threads: usize,
 ) -> Vec<Result<QueryOutcome>> {
-    run_batch(index, store, pools, queries, threads, None, |i, p, q, m| {
-        i.petq_metered(p, q, m)
+    run_batch(index, store, pools, queries, threads, |i, p, q| {
+        i.petq(p, q)
     })
-}
-
-/// [`petq_batch_with`] with latency tracing: every outcome carries a
-/// [`QueryTrace`] recorded against the shared `clock`; fold them with
-/// [`batch_trace`].
-pub fn petq_batch_traced<I: UncertainIndex + Sync>(
-    index: &I,
-    store: &SharedStore,
-    pools: &BatchPools,
-    queries: &[EqQuery],
-    threads: usize,
-    clock: &Arc<dyn Clock>,
-) -> Vec<Result<QueryOutcome>> {
-    run_batch(
-        index,
-        store,
-        pools,
-        queries,
-        threads,
-        Some(clock),
-        |i, p, q, m| i.petq_metered(p, q, m),
-    )
-}
-
-/// Evaluate a batch of top-k queries in parallel with private per-query
-/// pools.
-pub fn top_k_batch<I: UncertainIndex + Sync>(
-    index: &I,
-    store: &SharedStore,
-    frames: usize,
-    queries: &[TopKQuery],
-    threads: usize,
-) -> Vec<Result<QueryOutcome>> {
-    top_k_batch_with(index, store, &BatchPools::private(frames), queries, threads)
 }
 
 /// Evaluate a batch of top-k queries in parallel against `pools`.
@@ -273,40 +241,9 @@ pub fn top_k_batch_with<I: UncertainIndex + Sync>(
     queries: &[TopKQuery],
     threads: usize,
 ) -> Vec<Result<QueryOutcome>> {
-    run_batch(index, store, pools, queries, threads, None, |i, p, q, m| {
-        i.top_k_metered(p, q, m)
+    run_batch(index, store, pools, queries, threads, |i, p, q| {
+        i.top_k(p, q)
     })
-}
-
-/// [`top_k_batch_with`] with latency tracing (see [`petq_batch_traced`]).
-pub fn top_k_batch_traced<I: UncertainIndex + Sync>(
-    index: &I,
-    store: &SharedStore,
-    pools: &BatchPools,
-    queries: &[TopKQuery],
-    threads: usize,
-    clock: &Arc<dyn Clock>,
-) -> Vec<Result<QueryOutcome>> {
-    run_batch(
-        index,
-        store,
-        pools,
-        queries,
-        threads,
-        Some(clock),
-        |i, p, q, m| i.top_k_metered(p, q, m),
-    )
-}
-
-/// Evaluate a batch of DSTQs in parallel with private per-query pools.
-pub fn dstq_batch<I: UncertainIndex + Sync>(
-    index: &I,
-    store: &SharedStore,
-    frames: usize,
-    queries: &[DstQuery],
-    threads: usize,
-) -> Vec<Result<QueryOutcome>> {
-    dstq_batch_with(index, store, &BatchPools::private(frames), queries, threads)
 }
 
 /// Evaluate a batch of DSTQs in parallel against `pools`.
@@ -317,8 +254,8 @@ pub fn dstq_batch_with<I: UncertainIndex + Sync>(
     queries: &[DstQuery],
     threads: usize,
 ) -> Vec<Result<QueryOutcome>> {
-    run_batch(index, store, pools, queries, threads, None, |i, p, q, m| {
-        i.dstq_metered(p, q, m)
+    run_batch(index, store, pools, queries, threads, |i, p, q| {
+        i.dstq(p, q)
     })
 }
 
@@ -358,7 +295,7 @@ mod tests {
             .map(|i| EqQuery::new(uda(&[((i % 11) as u32, 1.0)]), 0.3))
             .collect();
 
-        let par = petq_batch(&idx, &store, 100, &queries, 4);
+        let par = petq_batch_with(&idx, &store, &BatchPools::private(100), &queries, 4);
         for (q, outcome) in queries.iter().zip(&par) {
             let outcome = outcome.as_ref().expect("in-memory query");
             let mut p = BufferPool::with_capacity(store.clone(), 100);
@@ -402,7 +339,11 @@ mod tests {
         let tks: Vec<TopKQuery> = (0..8)
             .map(|i| TopKQuery::new(data[i * 7].1.clone(), 6))
             .collect();
-        for (q, out) in tks.iter().zip(top_k_batch(&tree, &store, 100, &tks, 3)) {
+        let private = BatchPools::private(100);
+        for (q, out) in tks
+            .iter()
+            .zip(top_k_batch_with(&tree, &store, &private, &tks, 3))
+        {
             let out = out.expect("in-memory query");
             let mut p = BufferPool::with_capacity(store.clone(), 100);
             let seq = tree.top_k(&mut p, q).unwrap();
@@ -415,7 +356,10 @@ mod tests {
         let dqs: Vec<DstQuery> = (0..8)
             .map(|i| DstQuery::new(data[i * 11].1.clone(), 0.25, Divergence::L1))
             .collect();
-        for (q, out) in dqs.iter().zip(dstq_batch(&tree, &store, 100, &dqs, 3)) {
+        for (q, out) in dqs
+            .iter()
+            .zip(dstq_batch_with(&tree, &store, &private, &dqs, 3))
+        {
             let out = out.expect("in-memory query");
             let mut p = BufferPool::with_capacity(store.clone(), 100);
             let seq = UncertainIndex::dstq(&tree, &mut p, q).unwrap();
@@ -452,7 +396,7 @@ mod tests {
             .map(|i| EqQuery::new(uda(&[((i % 3) as u32, 1.0)]), 0.3))
             .collect();
 
-        let private = petq_batch(&idx, &store, 100, &queries, 4);
+        let private = petq_batch_with(&idx, &store, &BatchPools::private(100), &queries, 4);
         let pools = BatchPools::shared(&store, 400, 8);
         let shared = petq_batch_with(&idx, &store, &pools, &queries, 4);
 
@@ -509,12 +453,12 @@ mod tests {
         let queries: Vec<usize> = (0..6).collect();
         let attempts: Vec<AtomicUsize> = queries.iter().map(|_| AtomicUsize::new(0)).collect();
         let pools = BatchPools::private(50);
-        let out = run_batch(&idx, &store, &pools, &queries, 3, None, |i, p, q, m| {
-            m.plan_fallbacks += 1;
+        let out = run_batch(&idx, &store, &pools, &queries, 3, |i, p, q| {
+            p.tally(|_, m| m.plan_fallbacks += 1);
             if attempts[*q].fetch_add(1, Ordering::Relaxed) == 0 && *q != 0 {
                 return Err(StorageError::PoolExhausted);
             }
-            i.petq_metered(p, &EqQuery::new(uda(&[(0, 1.0)]), 0.5), m)
+            i.petq(p, &EqQuery::new(uda(&[(0, 1.0)]), 0.5))
         });
         for (q, o) in queries.iter().zip(&out) {
             let o = o.as_ref().expect("retry must succeed");
@@ -553,7 +497,7 @@ mod tests {
         let attempts = AtomicUsize::new(0);
         let queries = [0usize];
         let pools = BatchPools::private(50);
-        let out = run_batch(&idx, &store, &pools, &queries, 1, None, |_, _, _, _| {
+        let out = run_batch(&idx, &store, &pools, &queries, 1, |_, _, _| {
             attempts.fetch_add(1, Ordering::Relaxed);
             Err(StorageError::PoolExhausted)
         });
@@ -585,9 +529,9 @@ mod tests {
 
         let queries: Vec<usize> = (0..8).collect();
         let pools = BatchPools::private(50);
-        let out = run_batch(&idx, &store, &pools, &queries, 3, None, |i, p, q, m| {
+        let out = run_batch(&idx, &store, &pools, &queries, 3, |i, p, q| {
             assert_ne!(*q, 2, "injected query bug");
-            i.petq_metered(p, &EqQuery::new(uda(&[(0, 1.0)]), 0.5), m)
+            i.petq(p, &EqQuery::new(uda(&[(0, 1.0)]), 0.5))
         });
         for (q, o) in queries.iter().zip(&out) {
             if *q == 2 {
@@ -610,36 +554,16 @@ mod tests {
         /// bug surfacing mid-join.
         struct Panicky;
         impl UncertainIndex for Panicky {
-            fn petq_metered(
-                &self,
-                _: &mut BufferPool,
-                _: &EqQuery,
-                _: &mut QueryMetrics,
-            ) -> Result<Vec<Match>> {
+            fn petq(&self, _: &mut BufferPool, _: &EqQuery) -> Result<Vec<Match>> {
                 panic!("injected probe bug");
             }
-            fn top_k_metered(
-                &self,
-                _: &mut BufferPool,
-                _: &TopKQuery,
-                _: &mut QueryMetrics,
-            ) -> Result<Vec<Match>> {
+            fn top_k(&self, _: &mut BufferPool, _: &TopKQuery) -> Result<Vec<Match>> {
                 panic!("injected probe bug");
             }
-            fn dstq_metered(
-                &self,
-                _: &mut BufferPool,
-                _: &DstQuery,
-                _: &mut QueryMetrics,
-            ) -> Result<Vec<Match>> {
+            fn dstq(&self, _: &mut BufferPool, _: &DstQuery) -> Result<Vec<Match>> {
                 panic!("injected probe bug");
             }
-            fn ds_top_k_metered(
-                &self,
-                _: &mut BufferPool,
-                _: &DsTopKQuery,
-                _: &mut QueryMetrics,
-            ) -> Result<Vec<Match>> {
+            fn ds_top_k(&self, _: &mut BufferPool, _: &DsTopKQuery) -> Result<Vec<Match>> {
                 panic!("injected probe bug");
             }
             fn tuple_count(&self) -> u64 {
@@ -686,7 +610,7 @@ mod tests {
         drop(pool);
         let queries = vec![EqQuery::new(uda(&[(0, 1.0)]), 0.5); 3];
         for threads in [1usize, 8] {
-            let out = petq_batch(&idx, &store, 50, &queries, threads);
+            let out = petq_batch_with(&idx, &store, &BatchPools::private(50), &queries, threads);
             assert_eq!(out.len(), 3);
             for o in &out {
                 assert_eq!(o.as_ref().expect("in-memory query").matches.len(), 34);

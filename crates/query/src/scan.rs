@@ -10,7 +10,7 @@ use uncat_core::query::{
 };
 use uncat_core::topk::{BottomKHeap, TopKHeap};
 use uncat_core::{codec, Uda};
-use uncat_storage::{BufferPool, HeapFile, QueryMetrics, Result, StorageError};
+use uncat_storage::{BufferPool, HeapFile, Result, StorageError};
 
 use crate::index_trait::UncertainIndex;
 
@@ -105,70 +105,59 @@ impl ScanBaseline {
     }
 }
 
+/// Every tuple read counts one `heap_tuples_scanned` in the pool's ledger.
 impl UncertainIndex for ScanBaseline {
-    fn petq_metered(
-        &self,
-        pool: &mut BufferPool,
-        query: &EqQuery,
-        metrics: &mut QueryMetrics,
-    ) -> Result<Vec<Match>> {
+    fn petq(&self, pool: &mut BufferPool, query: &EqQuery) -> Result<Vec<Match>> {
         let mut out = Vec::new();
-        self.scan(pool, |tid, t| {
-            metrics.heap_tuples_scanned += 1;
-            let pr = eq_prob(&query.q, t);
-            if meets_threshold(pr, query.tau) {
-                out.push(Match::new(tid, pr));
-            }
+        pool.tally(|pool, metrics| {
+            self.scan(pool, |tid, t| {
+                metrics.heap_tuples_scanned += 1;
+                let pr = eq_prob(&query.q, t);
+                if meets_threshold(pr, query.tau) {
+                    out.push(Match::new(tid, pr));
+                }
+            })
         })?;
         sort_matches_desc(&mut out);
         Ok(out)
     }
 
-    fn top_k_metered(
-        &self,
-        pool: &mut BufferPool,
-        query: &TopKQuery,
-        metrics: &mut QueryMetrics,
-    ) -> Result<Vec<Match>> {
+    fn top_k(&self, pool: &mut BufferPool, query: &TopKQuery) -> Result<Vec<Match>> {
         let mut heap = TopKHeap::new(query.k, 0.0);
-        self.scan(pool, |tid, t| {
-            metrics.heap_tuples_scanned += 1;
-            let pr = eq_prob(&query.q, t);
-            if pr > 0.0 {
-                heap.offer(tid, pr);
-            }
+        pool.tally(|pool, metrics| {
+            self.scan(pool, |tid, t| {
+                metrics.heap_tuples_scanned += 1;
+                let pr = eq_prob(&query.q, t);
+                if pr > 0.0 {
+                    heap.offer(tid, pr);
+                }
+            })
         })?;
         Ok(heap.into_sorted())
     }
 
-    fn dstq_metered(
-        &self,
-        pool: &mut BufferPool,
-        query: &DstQuery,
-        metrics: &mut QueryMetrics,
-    ) -> Result<Vec<Match>> {
+    fn dstq(&self, pool: &mut BufferPool, query: &DstQuery) -> Result<Vec<Match>> {
         let mut out = Vec::new();
-        self.scan(pool, |tid, t| {
-            metrics.heap_tuples_scanned += 1;
-            let d = query.divergence.eval(query.q.entries(), t.entries());
-            if d <= query.tau_d {
-                out.push(Match::new(tid, d));
-            }
+        pool.tally(|pool, metrics| {
+            self.scan(pool, |tid, t| {
+                metrics.heap_tuples_scanned += 1;
+                let d = query.divergence.eval(query.q.entries(), t.entries());
+                if d <= query.tau_d {
+                    out.push(Match::new(tid, d));
+                }
+            })
         })?;
         sort_matches_asc(&mut out);
         Ok(out)
     }
 
-    fn ds_top_k_metered(
-        &self,
-        pool: &mut BufferPool,
-        query: &DsTopKQuery,
-        metrics: &mut QueryMetrics,
-    ) -> Result<Vec<Match>> {
+    fn ds_top_k(&self, pool: &mut BufferPool, query: &DsTopKQuery) -> Result<Vec<Match>> {
         let mut heap = BottomKHeap::new(query.k);
-        self.scan(pool, |tid, t| {
-            metrics.heap_tuples_scanned += 1;
-            heap.offer(tid, query.divergence.eval(query.q.entries(), t.entries()));
+        pool.tally(|pool, metrics| {
+            self.scan(pool, |tid, t| {
+                metrics.heap_tuples_scanned += 1;
+                heap.offer(tid, query.divergence.eval(query.q.entries(), t.entries()));
+            })
         })?;
         Ok(heap.into_sorted())
     }

@@ -2,7 +2,6 @@
 //! execution over one shared buffer pool.
 
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
@@ -11,9 +10,9 @@ use uncat_core::{Domain, Uda};
 use uncat_inverted::{InvertedIndex, Strategy};
 use uncat_pdrtree::{PdrConfig, PdrTree};
 use uncat_query::join::{parallel_join_with_floor, JoinPair, JoinSpec, SharedFloor};
-use uncat_query::parallel::BatchPools;
-use uncat_query::{InvertedBackend, UncertainIndex};
-use uncat_storage::trace::{Clock, MonotonicClock, Phase, QueryTrace, Tracer};
+use uncat_query::parallel::{fan_out, BatchPools};
+use uncat_query::{run_query, InvertedBackend, QueryOutcome, UncertainIndex};
+use uncat_storage::trace::{Clock, MonotonicClock, QueryTrace};
 use uncat_storage::{
     BufferPool, IoStats, QueryMetrics, SharedBufferPool, SharedStore, StorageError,
 };
@@ -84,9 +83,6 @@ pub struct ServiceJoinOutcome {
     pub wall_ns: u64,
 }
 
-/// What one shard probe produced, before the gather.
-type ShardPart = (Vec<Match>, QueryMetrics, Option<QueryTrace>);
-
 fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -133,12 +129,6 @@ impl QueryService {
             scatter_threads: AtomicUsize::new(1),
             tracing: AtomicBool::new(false),
         }
-    }
-
-    /// Replace the wall clock (tests inject a deterministic one).
-    pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> QueryService {
-        self.clock = clock;
-        self
     }
 
     /// The store tenants' shards are built against.
@@ -293,7 +283,7 @@ impl QueryService {
     pub fn petq(&self, tenant: &str, query: &EqQuery) -> Result<ServiceOutcome> {
         self.run_select(
             tenant,
-            |shard, pool, metrics| shard.petq_metered(pool, query, metrics),
+            |shard, pool| shard.petq(pool, query),
             |all| sort_matches_desc(all),
         )
     }
@@ -305,9 +295,9 @@ impl QueryService {
         let use_floor = self.cross_shard_floor.load(Ordering::Relaxed);
         self.run_select(
             tenant,
-            |shard, pool, metrics| {
+            |shard, pool| {
                 let seed = if use_floor { floor.get() } else { 0.0 };
-                let matches = shard.top_k_floored_metered(pool, query, seed, metrics)?;
+                let matches = shard.top_k_floored(pool, query, seed)?;
                 if use_floor && matches.len() >= query.k {
                     // This shard's k-th best lower-bounds the merged
                     // k-th best (its tuples are a subset of the union),
@@ -331,16 +321,16 @@ impl QueryService {
     pub fn dstq(&self, tenant: &str, query: &DstQuery) -> Result<ServiceOutcome> {
         self.run_select(
             tenant,
-            |shard, pool, metrics| shard.dstq_metered(pool, query, metrics),
+            |shard, pool| shard.dstq(pool, query),
             |all| sort_matches_asc(all),
         )
     }
 
     /// Join `outer` against every shard of `tenant` (`threads` workers
-    /// per shard join, all sharing the service pool). The shard joins
-    /// share one [`SharedFloor`] for PEJ-top-k (when enabled), and the
-    /// gathered pairs are re-ranked and re-truncated, so the answer is
-    /// exactly the unsharded join's.
+    /// per shard join — at least one — all sharing the service pool).
+    /// The shard joins share one [`SharedFloor`] for PEJ-top-k (when
+    /// enabled), and the gathered pairs are re-ranked and re-truncated,
+    /// so the answer is exactly the unsharded join's.
     pub fn join(
         &self,
         tenant: &str,
@@ -348,13 +338,13 @@ impl QueryService {
         spec: JoinSpec,
         threads: usize,
     ) -> Result<ServiceJoinOutcome> {
+        let threads = threads.max(1);
         let tenant = self.tenant(tenant)?;
         let started = self.clock.now_ns();
-        let cost = tenant.config.frames_per_query * threads.max(1);
-        let guard = self.admit(&tenant, cost)?;
+        let guard = self.admit(&tenant, tenant.config.frames_per_query * threads)?;
         let use_floor = self.cross_shard_floor.load(Ordering::Relaxed);
         let shared_floor = SharedFloor::new();
-        let pools = BatchPools::Shared(self.pool.clone());
+        let pools = BatchPools::over(self.pool.clone());
 
         let mut pairs = Vec::new();
         let mut metrics = QueryMetrics::new();
@@ -363,7 +353,8 @@ impl QueryService {
             let fresh = SharedFloor::new();
             let floor = if use_floor { &shared_floor } else { &fresh };
             let out =
-                parallel_join_with_floor(outer, shard, &self.store, &pools, spec, threads, floor)?;
+                parallel_join_with_floor(outer, shard, &self.store, &pools, spec, threads, floor)
+                    .map_err(|e| self.fail(&tenant, e))?;
             pairs.extend(out.pairs);
             metrics.merge(&out.metrics);
         }
@@ -404,6 +395,12 @@ impl QueryService {
         }
     }
 
+    /// Count an admitted query that died inside a shard.
+    fn fail(&self, tenant: &Tenant, e: StorageError) -> ServiceError {
+        lock_recover(&tenant.stats).failed += 1;
+        ServiceError::from(e)
+    }
+
     /// Fold a completed query into the tenant's aggregates.
     fn record(&self, tenant: &Tenant, metrics: &QueryMetrics, wall_ns: u64) {
         let mut stats = lock_recover(&tenant.stats);
@@ -413,15 +410,14 @@ impl QueryService {
     }
 
     /// The select scatter-gather skeleton: admit, probe every shard
-    /// (each against a fresh handle on the shared pool, metering into a
-    /// fresh [`QueryMetrics`]), merge counters and traces additively,
-    /// and put the gathered matches into canonical order.
+    /// (each through [`run_query`] on a fresh handle on the shared pool,
+    /// which is that probe's ledger), merge counters and traces
+    /// additively, and put the gathered matches into canonical order.
     fn run_select<F, G>(&self, name: &str, probe: F, gather: G) -> Result<ServiceOutcome>
     where
         F: Fn(
                 &dyn UncertainIndex,
                 &mut BufferPool,
-                &mut QueryMetrics,
             ) -> std::result::Result<Vec<Match>, StorageError>
             + Sync,
         G: FnOnce(&mut Vec<Match>),
@@ -430,95 +426,61 @@ impl QueryService {
         let started = self.clock.now_ns();
         let guard = self.admit(&tenant, tenant.config.frames_per_query)?;
         let waited = guard.waited();
-        let parts = self.scatter(&tenant, &probe)?;
+        let parts = self
+            .scatter(&tenant, &probe)
+            .map_err(|e| self.fail(&tenant, e))?;
         drop(guard);
 
         let mut matches = Vec::new();
         let mut metrics = QueryMetrics::new();
         metrics.admission_waits = u64::from(waited);
         let mut trace: Option<QueryTrace> = None;
-        for (shard_matches, shard_metrics, shard_trace) in parts {
-            matches.extend(shard_matches);
-            metrics.merge(&shard_metrics);
-            if let Some(t) = shard_trace {
+        for part in parts {
+            matches.extend(part.matches);
+            metrics.merge(&part.metrics);
+            if let Some(t) = part.trace {
                 trace.get_or_insert_with(QueryTrace::default).merge(&t);
             }
         }
-        let mut gathered = matches;
-        gather(&mut gathered);
+        gather(&mut matches);
         let wall_ns = self.clock.now_ns().saturating_sub(started);
         self.record(&tenant, &metrics, wall_ns);
         Ok(ServiceOutcome {
-            matches: gathered,
+            matches,
             metrics,
             trace,
             wall_ns,
         })
     }
 
-    /// Probe every shard, sequentially or across workers, preserving
-    /// shard order in the returned parts (so the merge is deterministic
-    /// however the probes were scheduled).
-    fn scatter<F>(&self, tenant: &Tenant, probe: &F) -> Result<Vec<ShardPart>>
+    /// Probe every shard, sequentially or across workers ([`fan_out`]),
+    /// preserving shard order in the returned parts (so the merge is
+    /// deterministic however the probes were scheduled).
+    fn scatter<F>(
+        &self,
+        tenant: &Tenant,
+        probe: &F,
+    ) -> std::result::Result<Vec<QueryOutcome>, StorageError>
     where
         F: Fn(
                 &dyn UncertainIndex,
                 &mut BufferPool,
-                &mut QueryMetrics,
             ) -> std::result::Result<Vec<Match>, StorageError>
             + Sync,
     {
-        let probe_one =
-            |shard: &dyn UncertainIndex| -> std::result::Result<ShardPart, StorageError> {
-                let mut pool = BufferPool::from_handle(self.pool.handle());
-                if self.tracing.load(Ordering::Relaxed) {
-                    pool.set_tracer(Tracer::enabled(self.clock.clone()));
-                }
-                let root = pool.trace_begin(Phase::Query);
-                let mut metrics = QueryMetrics::new();
-                let matches = probe(shard, &mut pool, &mut metrics)?;
-                pool.trace_end(root);
-                metrics.io = pool.stats();
-                Ok((matches, metrics, pool.take_trace()))
-            };
-
-        let threads = self.scatter_threads.load(Ordering::Relaxed).max(1);
-        if threads <= 1 || tenant.shards.len() <= 1 {
-            let mut parts = Vec::with_capacity(tenant.shards.len());
-            for shard in &tenant.shards {
-                parts.push(probe_one(shard.as_ref())?);
-            }
-            return Ok(parts);
+        let clock = self.tracing.load(Ordering::Relaxed).then_some(&self.clock);
+        let probe_one = |i: usize| {
+            let mut pool = BufferPool::from_handle(self.pool.handle());
+            run_query(&mut pool, clock, |pool| {
+                probe(tenant.shards[i].as_ref(), pool)
+            })
+        };
+        let shards = tenant.shards.len();
+        let threads = self.scatter_threads.load(Ordering::Relaxed);
+        if threads <= 1 || shards <= 1 {
+            (0..shards).map(probe_one).collect()
+        } else {
+            fan_out(shards, threads, probe_one).into_iter().collect()
         }
-
-        // Parallel scatter: a shared cursor hands out shard indexes,
-        // results land in shard order, and a panicking probe degrades
-        // to a typed error exactly like the batch machinery.
-        let mut slots: Vec<Option<std::result::Result<ShardPart, StorageError>>> =
-            Vec::with_capacity(tenant.shards.len());
-        slots.resize_with(tenant.shards.len(), || None);
-        let cells: Vec<Mutex<&mut Option<std::result::Result<ShardPart, StorageError>>>> =
-            slots.iter_mut().map(Mutex::new).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(tenant.shards.len()) {
-                scope.spawn(|| {
-                    let worker = AssertUnwindSafe(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= tenant.shards.len() {
-                            break;
-                        }
-                        **lock_recover(&cells[i]) = Some(probe_one(tenant.shards[i].as_ref()));
-                    });
-                    let _ = catch_unwind(worker);
-                });
-            }
-        });
-        drop(cells);
-        slots
-            .into_iter()
-            .map(|slot| slot.unwrap_or(Err(StorageError::Poisoned)))
-            .collect::<std::result::Result<Vec<ShardPart>, StorageError>>()
-            .map_err(ServiceError::from)
     }
 }

@@ -71,6 +71,9 @@ pub struct TenantStats {
     pub completed: u64,
     /// Requests turned away by admission control.
     pub rejected: u64,
+    /// Admitted queries that died inside a shard with a storage error.
+    /// Every request is exactly one of `completed`, `rejected`, `failed`.
+    pub failed: u64,
 }
 
 /// One registered tenant.

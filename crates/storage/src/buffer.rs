@@ -18,11 +18,20 @@
 //! this one type and cannot tell the difference — `stats()` always
 //! reports the I/O performed *by this query*, whichever backing served
 //! it.
+//!
+//! The pool a query runs on is also that query's ledger. Besides the
+//! frames (or the handle) and the I/O counters it carries the query's
+//! [`Tracer`] and its [`QueryMetrics`]: every public query entry point
+//! takes `(pool, query…)`, runs its kernel against local counters
+//! ([`BufferPool::tally`]) and adds them here on the way out, on the
+//! error path too. To read a query's counters, run it and read
+//! [`BufferPool::metrics`].
 
 use std::collections::HashMap;
 
 use crate::disk::SharedStore;
 use crate::error::{Result, StorageError};
+use crate::metrics::QueryMetrics;
 use crate::page::{zeroed_page, PageBuf, PageId, PAGE_SIZE};
 use crate::shared::PoolHandle;
 use crate::stats::IoStats;
@@ -62,6 +71,9 @@ pub struct BufferPool {
     /// Latency recorder for the query driving this pool. Disabled by
     /// default: one `None` check per access, nothing else (DESIGN.md §6g).
     tracer: Tracer,
+    /// Execution counters of the queries run through this pool. Its `io`
+    /// is never read: [`BufferPool::metrics`] fills that from `stats()`.
+    ledger: QueryMetrics,
 }
 
 enum Inner {
@@ -118,6 +130,7 @@ impl BufferPool {
                 stats: IoStats::default(),
             }),
             tracer: Tracer::disabled(),
+            ledger: QueryMetrics::default(),
         }
     }
 
@@ -208,6 +221,7 @@ impl BufferPool {
         BufferPool {
             inner: Inner::Shared(handle),
             tracer: Tracer::disabled(),
+            ledger: QueryMetrics::default(),
         }
     }
 
@@ -344,8 +358,35 @@ impl BufferPool {
         }
     }
 
-    /// Zero the I/O counters (cache contents are retained).
+    /// Execution counters accumulated through this pool or handle, with
+    /// `io` filled from [`stats`](BufferPool::stats): the whole cost
+    /// profile of the queries run on it since it was created or last
+    /// [`reset_stats`](BufferPool::reset_stats).
+    pub fn metrics(&self) -> QueryMetrics {
+        QueryMetrics {
+            io: self.stats(),
+            ..self.ledger
+        }
+    }
+
+    /// Run `kernel` against fresh counters and add them to this pool's
+    /// ledger on the way out, whatever it returned: a query that dies
+    /// mid-drain still shows what it ticked. (Anything it writes to the
+    /// counters' `io` is ignored: the pool counts its own.) The search
+    /// kernels tick a `&mut QueryMetrics` inside `read` closures that
+    /// hold the pool borrowed, so the counters are local while the kernel
+    /// runs and land here once per public call.
+    pub fn tally<R>(&mut self, kernel: impl FnOnce(&mut BufferPool, &mut QueryMetrics) -> R) -> R {
+        let mut counters = QueryMetrics::new();
+        let out = kernel(self, &mut counters);
+        self.ledger.merge(&counters);
+        out
+    }
+
+    /// Zero the I/O counters and the execution counters together (cache
+    /// contents are retained).
     pub fn reset_stats(&mut self) {
+        self.ledger = QueryMetrics::default();
         match &mut self.inner {
             Inner::Private(p) => p.stats = IoStats::default(),
             Inner::Shared(h) => h.reset_stats(),
@@ -878,5 +919,77 @@ mod tests {
         let mut q = BufferPool::with_capacity(store, 2);
         assert_eq!(q.read(pid, |b| b[5]).unwrap(), 11);
         assert!(!q.is_shared());
+    }
+
+    /// A stand-in kernel: read `pids`, ticking one posting per page.
+    fn scan(pool: &mut BufferPool, pids: &[PageId]) -> Result<()> {
+        pool.tally(|pool, m| {
+            m.lists_opened += 1;
+            for &pid in pids {
+                pool.read(pid, |_| m.postings_scanned += 1)?;
+            }
+            Ok(())
+        })
+    }
+
+    #[test]
+    fn ledger_sums_what_ran_through_the_pool_and_resets_with_the_io() {
+        use crate::shared::SharedBufferPool;
+        let store = InMemoryDisk::shared();
+        let pids: Vec<PageId> = {
+            let mut w = BufferPool::with_capacity(store.clone(), 8);
+            let v = (0..6).map(|_| w.allocate().unwrap()).collect();
+            w.flush().unwrap();
+            v
+        };
+        let shared = SharedBufferPool::new(store.clone(), 8, 2);
+        let fresh = |handle: bool| {
+            if handle {
+                BufferPool::from_handle(shared.handle())
+            } else {
+                BufferPool::with_capacity(store.clone(), 8)
+            }
+        };
+        for handle in [false, true] {
+            // Two scans through one pool …
+            let mut both = fresh(handle);
+            scan(&mut both, &pids[..4]).unwrap();
+            scan(&mut both, &pids[2..]).unwrap();
+            let m = both.metrics();
+            assert_eq!((m.lists_opened, m.postings_scanned), (2, 8));
+            assert_eq!(m.io, both.stats(), "io is the pool's own count");
+            assert_eq!(m.io.logical_reads, 8);
+            // … tick what the same two tick on a pool each.
+            let (mut a, mut b) = (fresh(handle), fresh(handle));
+            scan(&mut a, &pids[..4]).unwrap();
+            scan(&mut b, &pids[2..]).unwrap();
+            let mut sum = QueryMetrics::sum([&a.metrics(), &b.metrics()]);
+            assert_eq!(sum.io.logical_reads, m.io.logical_reads);
+            sum.io = m.io; // the frames are shared, the counters are not
+            assert_eq!(m, sum, "handle-backed: {handle}");
+
+            both.reset_stats();
+            assert_eq!(both.metrics(), QueryMetrics::default());
+            assert_eq!(both.stats(), IoStats::default());
+        }
+    }
+
+    #[test]
+    fn a_kernel_that_dies_leaves_its_counters_in_the_ledger() {
+        let faults = Arc::new(FaultStore::new(InMemoryDisk::shared(), 3));
+        let mut p = BufferPool::with_capacity(faults.clone(), 4);
+        let pids: Vec<PageId> = (0..3).map(|_| p.allocate().unwrap()).collect();
+        p.clear().unwrap();
+        p.reset_stats();
+        faults.arm(Fault::FailRead {
+            after: faults.reads_so_far() + 3,
+        });
+        assert!(matches!(scan(&mut p, &pids), Err(StorageError::Io { .. })));
+        let m = p.metrics();
+        assert_eq!((m.lists_opened, m.postings_scanned), (1, 2));
+        assert_eq!(m.io.physical_reads, 3, "the failed read was attempted");
+        // The pool stays usable, and keeps adding to the same ledger.
+        scan(&mut p, &pids).unwrap();
+        assert_eq!(p.metrics().postings_scanned, 5);
     }
 }

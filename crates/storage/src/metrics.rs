@@ -146,31 +146,51 @@ impl QueryMetrics {
     /// This is the batch-aggregation operation: summing per-query metrics
     /// is exact because every counter is additive.
     pub fn merge(&mut self, other: &QueryMetrics) {
-        self.lists_opened += other.lists_opened;
-        self.lists_pruned += other.lists_pruned;
-        self.postings_scanned += other.postings_scanned;
-        self.blocks_decoded += other.blocks_decoded;
-        self.blocks_skipped += other.blocks_skipped;
-        self.frontier_pops += other.frontier_pops;
-        self.lemma1_stops += other.lemma1_stops;
-        self.candidates_generated += other.candidates_generated;
-        self.candidates_pruned += other.candidates_pruned;
-        self.candidates_verified += other.candidates_verified;
-        self.candidates_settled += other.candidates_settled;
-        self.nodes_visited += other.nodes_visited;
-        self.nodes_pruned += other.nodes_pruned;
-        self.leaf_entries_examined += other.leaf_entries_examined;
-        self.heap_tuples_scanned += other.heap_tuples_scanned;
-        self.wal_appends += other.wal_appends;
-        self.wal_fsyncs += other.wal_fsyncs;
-        self.replayed_records += other.replayed_records;
-        self.plan_fallbacks += other.plan_fallbacks;
-        self.admission_waits += other.admission_waits;
-        self.admission_rejects += other.admission_rejects;
-        self.io.hits += other.io.hits;
-        self.io.physical_reads += other.io.physical_reads;
-        self.io.physical_writes += other.io.physical_writes;
-        self.io.logical_reads += other.io.logical_reads;
+        *self = self.zip(other, |a, b| a + b);
+    }
+
+    /// Difference `self - earlier`, field by field, for interval
+    /// measurements on one counter stream (a pool's
+    /// [`metrics`](crate::BufferPool::metrics) before and after a join).
+    /// Saturates at zero like [`IoStats::since`], under the same
+    /// ordering expectations.
+    pub fn since(&self, earlier: &QueryMetrics) -> QueryMetrics {
+        self.zip(earlier, u64::saturating_sub)
+    }
+
+    /// `f` applied to every pair of corresponding counters — the one
+    /// place [`merge`](QueryMetrics::merge) and
+    /// [`since`](QueryMetrics::since) name the fields.
+    fn zip(&self, other: &QueryMetrics, f: impl Fn(u64, u64) -> u64) -> QueryMetrics {
+        QueryMetrics {
+            lists_opened: f(self.lists_opened, other.lists_opened),
+            lists_pruned: f(self.lists_pruned, other.lists_pruned),
+            postings_scanned: f(self.postings_scanned, other.postings_scanned),
+            blocks_decoded: f(self.blocks_decoded, other.blocks_decoded),
+            blocks_skipped: f(self.blocks_skipped, other.blocks_skipped),
+            frontier_pops: f(self.frontier_pops, other.frontier_pops),
+            lemma1_stops: f(self.lemma1_stops, other.lemma1_stops),
+            candidates_generated: f(self.candidates_generated, other.candidates_generated),
+            candidates_pruned: f(self.candidates_pruned, other.candidates_pruned),
+            candidates_verified: f(self.candidates_verified, other.candidates_verified),
+            candidates_settled: f(self.candidates_settled, other.candidates_settled),
+            nodes_visited: f(self.nodes_visited, other.nodes_visited),
+            nodes_pruned: f(self.nodes_pruned, other.nodes_pruned),
+            leaf_entries_examined: f(self.leaf_entries_examined, other.leaf_entries_examined),
+            heap_tuples_scanned: f(self.heap_tuples_scanned, other.heap_tuples_scanned),
+            wal_appends: f(self.wal_appends, other.wal_appends),
+            wal_fsyncs: f(self.wal_fsyncs, other.wal_fsyncs),
+            replayed_records: f(self.replayed_records, other.replayed_records),
+            plan_fallbacks: f(self.plan_fallbacks, other.plan_fallbacks),
+            admission_waits: f(self.admission_waits, other.admission_waits),
+            admission_rejects: f(self.admission_rejects, other.admission_rejects),
+            io: IoStats {
+                hits: f(self.io.hits, other.io.hits),
+                physical_reads: f(self.io.physical_reads, other.io.physical_reads),
+                physical_writes: f(self.io.physical_writes, other.io.physical_writes),
+                logical_reads: f(self.io.logical_reads, other.io.logical_reads),
+            },
+        }
     }
 
     /// Field-wise sum of an iterator of metrics.
@@ -263,6 +283,8 @@ mod tests {
         assert_eq!(m.io.physical_reads, 8);
         assert!(m.candidate_invariant_holds());
         assert_eq!(QueryMetrics::sum([&a, &b]), m);
+        assert_eq!(m.since(&b), a, "since undoes merge");
+        assert_eq!(a.since(&m), QueryMetrics::default(), "saturates at zero");
     }
 
     #[test]

@@ -38,14 +38,14 @@ use uncat::inverted::{
 };
 use uncat::pdrtree::{PdrConfig, PdrTree};
 use uncat::query::join::{block_join, index_join, parallel_join, JoinOutcome, JoinSpec};
-use uncat::query::parallel::{batch_metrics, batch_trace, petq_batch_traced, petq_batch_with};
+use uncat::query::parallel::{batch_metrics, batch_trace, petq_batch_with};
 use uncat::query::{
-    BatchPools, DurableConfig, DurableIndex, DurableStorage, InvertedBackend, MutableBackend,
-    RecoveryReport, ScanBaseline, UncertainIndex,
+    run_query, BatchPools, DurableConfig, DurableIndex, DurableStorage, InvertedBackend,
+    MutableBackend, RecoveryReport, ScanBaseline, UncertainIndex,
 };
 use uncat::storage::{
-    BufferPool, Clock, FileDisk, InMemoryDisk, LatencyHistogram, MonotonicClock, Phase,
-    QueryMetrics, QueryTrace, SharedStore, StorageError, TailStatus, Tracer,
+    BufferPool, Clock, FileDisk, InMemoryDisk, LatencyHistogram, MonotonicClock, QueryMetrics,
+    QueryTrace, SharedStore, StorageError, TailStatus,
 };
 
 /// Everything that can go wrong in the CLI, with enough context to act
@@ -394,18 +394,28 @@ enum AnyDurable {
 }
 
 impl AnyDurable {
-    fn update(&mut self, tid: u64, uda: &Uda, m: &mut QueryMetrics) -> Result<bool, CliError> {
+    fn update(&mut self, tid: u64, uda: &Uda) -> Result<bool, CliError> {
         Ok(match self {
-            AnyDurable::Inverted(d) => d.update_metered(tid, uda, m),
-            AnyDurable::Pdr(d) => d.update_metered(tid, uda, m),
+            AnyDurable::Inverted(d) => d.update(tid, uda),
+            AnyDurable::Pdr(d) => d.update(tid, uda),
         }?)
     }
 
-    fn delete(&mut self, tid: u64, m: &mut QueryMetrics) -> Result<bool, CliError> {
+    fn delete(&mut self, tid: u64) -> Result<bool, CliError> {
         Ok(match self {
-            AnyDurable::Inverted(d) => d.delete_metered(tid, m),
-            AnyDurable::Pdr(d) => d.delete_metered(tid, m),
+            AnyDurable::Inverted(d) => d.delete(tid),
+            AnyDurable::Pdr(d) => d.delete(tid),
         }?)
+    }
+
+    /// The session's ledger, with the recovery that opened it stamped in.
+    fn metrics(&self) -> QueryMetrics {
+        let mut metrics = match self {
+            AnyDurable::Inverted(d) => d.metrics(),
+            AnyDurable::Pdr(d) => d.metrics(),
+        };
+        metrics.replayed_records = self.replayed_records();
+        metrics
     }
 
     fn checkpoint(&mut self) -> Result<(), CliError> {
@@ -641,8 +651,7 @@ fn put(flags: &HashMap<String, String>) -> Result<(), CliError> {
     if trace_requested(flags) {
         idx.enable_tracing(Arc::new(MonotonicClock::new()));
     }
-    let mut metrics = QueryMetrics::new();
-    let replaced = idx.update(tid, &uda, &mut metrics)?;
+    let replaced = idx.update(tid, &uda)?;
     idx.flush_wal()?;
     println!(
         "{} tuple {tid} (epoch {}, {} tuples, {} logged since checkpoint)",
@@ -652,9 +661,8 @@ fn put(flags: &HashMap<String, String>) -> Result<(), CliError> {
         idx.mutations_since_checkpoint(),
     );
     if flags.contains_key("explain") {
-        metrics.replayed_records = idx.replayed_records();
         println!("execution counters:");
-        print!("{metrics}");
+        print!("{}", idx.metrics());
     }
     if let Some(trace) = idx.take_trace() {
         emit_trace(flags, &trace)?;
@@ -669,8 +677,7 @@ fn delete(flags: &HashMap<String, String>) -> Result<(), CliError> {
     if trace_requested(flags) {
         idx.enable_tracing(Arc::new(MonotonicClock::new()));
     }
-    let mut metrics = QueryMetrics::new();
-    let existed = idx.delete(tid, &mut metrics)?;
+    let existed = idx.delete(tid)?;
     idx.flush_wal()?;
     if existed {
         println!(
@@ -682,9 +689,8 @@ fn delete(flags: &HashMap<String, String>) -> Result<(), CliError> {
         println!("tuple {tid} was not indexed (nothing logged)");
     }
     if flags.contains_key("explain") {
-        metrics.replayed_records = idx.replayed_records();
         println!("execution counters:");
-        print!("{metrics}");
+        print!("{}", idx.metrics());
     }
     if let Some(trace) = idx.take_trace() {
         emit_trace(flags, &trace)?;
@@ -754,30 +760,23 @@ fn query(flags: &HashMap<String, String>, topk: bool) -> Result<(), CliError> {
     let strategy = flags
         .get("strategy")
         .map_or(Ok(Strategy::Auto), |s| parse_strategy(s))?;
+    let clock: Option<Arc<dyn Clock>> =
+        trace_requested(flags).then(|| Arc::new(MonotonicClock::new()) as Arc<dyn Clock>);
     let mut pool = BufferPool::new(store);
-    if trace_requested(flags) {
-        pool.set_tracer(Tracer::enabled(Arc::new(MonotonicClock::new())));
-    }
-    let root = pool.trace_begin(Phase::Query);
-    let mut metrics = QueryMetrics::new();
-    let matches = if topk {
-        let k: usize = parse(need(flags, "k")?, "--k")?;
-        match &idx {
-            AnyIndex::Inverted(i) => {
-                i.top_k_metered(&mut pool, &TopKQuery::new(q, k), &mut metrics)
-            }
-            AnyIndex::Pdr(t) => t.top_k_metered(&mut pool, &TopKQuery::new(q, k), &mut metrics),
-        }?
+    let outcome = if topk {
+        let query = TopKQuery::new(q, parse(need(flags, "k")?, "--k")?);
+        run_query(&mut pool, clock.as_ref(), |pool| match &idx {
+            AnyIndex::Inverted(i) => i.top_k(pool, &query),
+            AnyIndex::Pdr(t) => t.top_k(pool, &query),
+        })
     } else {
-        let tau: f64 = parse(need(flags, "tau")?, "--tau")?;
-        match &idx {
-            AnyIndex::Inverted(i) => {
-                i.petq_metered(&mut pool, &EqQuery::new(q, tau), strategy, &mut metrics)
-            }
-            AnyIndex::Pdr(t) => t.petq_metered(&mut pool, &EqQuery::new(q, tau), &mut metrics),
-        }?
-    };
-    pool.trace_end(root);
+        let query = EqQuery::new(q, parse(need(flags, "tau")?, "--tau")?);
+        run_query(&mut pool, clock.as_ref(), |pool| match &idx {
+            AnyIndex::Inverted(i) => i.petq(pool, &query, strategy),
+            AnyIndex::Pdr(t) => t.petq(pool, &query),
+        })
+    }?;
+    let (matches, mut metrics) = (outcome.matches, outcome.metrics);
     let limit: usize = flags.get("limit").map_or(Ok(20), |s| parse(s, "--limit"))?;
     for m in matches.iter().take(limit) {
         println!("tuple {:8}  Pr = {:.4}", m.tid, m.score);
@@ -788,17 +787,16 @@ fn query(flags: &HashMap<String, String>, topk: bool) -> Result<(), CliError> {
     println!(
         "{} matches, {} page reads",
         matches.len(),
-        pool.stats().physical_reads
+        metrics.io.physical_reads
     );
     if flags.contains_key("explain") {
-        metrics.io = pool.stats();
         if let Some(r) = &recovered {
             metrics.replayed_records = r.replayed_records;
         }
         println!("execution counters:");
         print!("{metrics}");
     }
-    if let Some(trace) = pool.take_trace() {
+    if let Some(trace) = outcome.trace {
         emit_trace(flags, &trace)?;
     }
     Ok(())
@@ -862,7 +860,7 @@ fn batch(flags: &HashMap<String, String>) -> Result<(), CliError> {
 
     // Memory parity: the shared pool gets the same frame budget the
     // private mode hands out across its workers.
-    let pools = match pool_kind {
+    let mut pools = match pool_kind {
         "private" => BatchPools::private(frames),
         "shared" => BatchPools::shared(&store, frames * threads.max(1), shards),
         other => {
@@ -871,25 +869,17 @@ fn batch(flags: &HashMap<String, String>) -> Result<(), CliError> {
             )))
         }
     };
+    if tracing {
+        pools = pools.traced(Arc::new(MonotonicClock::new()));
+    }
 
-    let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
     let t0 = std::time::Instant::now();
     let results = match idx {
         AnyIndex::Inverted(i) => {
             let backend = InvertedBackend::with_strategy(i, strategy);
-            if tracing {
-                petq_batch_traced(&backend, &store, &pools, &queries, threads, &clock)
-            } else {
-                petq_batch_with(&backend, &store, &pools, &queries, threads)
-            }
+            petq_batch_with(&backend, &store, &pools, &queries, threads)
         }
-        AnyIndex::Pdr(t) => {
-            if tracing {
-                petq_batch_traced(&t, &store, &pools, &queries, threads, &clock)
-            } else {
-                petq_batch_with(&t, &store, &pools, &queries, threads)
-            }
-        }
+        AnyIndex::Pdr(t) => petq_batch_with(&t, &store, &pools, &queries, threads),
     };
     let elapsed = t0.elapsed().as_secs_f64();
 
@@ -1139,15 +1129,14 @@ fn explain(flags: &HashMap<String, String>) -> Result<(), CliError> {
                 // comparable; the second run is the same plan on what
                 // the (100-frame) pool kept of the first.
                 let mut pool = BufferPool::new(store.clone());
-                let mut m = QueryMetrics::new();
                 let t0 = std::time::Instant::now();
-                let matches = i.petq_metered(&mut pool, &q, strategy, &mut m)?;
+                let cold = run_query(&mut pool, None, |pool| i.petq(pool, &q, strategy))?;
                 let cold_us = t0.elapsed().as_micros() as u64;
-                m.io = pool.stats();
                 let t0 = std::time::Instant::now();
-                i.petq_metered(&mut pool, &q, strategy, &mut QueryMetrics::new())?;
+                i.petq(&mut pool, &q, strategy)?;
                 let warm_us = t0.elapsed().as_micros() as u64;
-                cols.push((strategy.name(), m, matches.len(), [cold_us, warm_us]));
+                let times = [cold_us, warm_us];
+                cols.push((strategy.name(), cold.metrics, cold.matches.len(), times));
             }
             print!("{:<22}", "counter");
             for (name, _, _, _) in &cols {
@@ -1220,14 +1209,12 @@ fn explain(flags: &HashMap<String, String>) -> Result<(), CliError> {
         }
         AnyIndex::Pdr(t) => {
             let mut pool = BufferPool::new(store.clone());
-            let mut m = QueryMetrics::new();
             let t0 = std::time::Instant::now();
-            let matches = t.petq_metered(&mut pool, &q, &mut m)?;
+            let out = run_query(&mut pool, None, |pool| t.petq(pool, &q))?;
             let elapsed_us = t0.elapsed().as_micros() as u64;
-            m.io = pool.stats();
-            println!("pdr-tree PETQ: {} matches", matches.len());
+            println!("pdr-tree PETQ: {} matches", out.matches.len());
             println!("elapsed_us            {elapsed_us:>18}");
-            print!("{m}");
+            print!("{}", out.metrics);
         }
     }
     Ok(())
@@ -1356,10 +1343,11 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
             ["stats", tenant] => match service.tenant_stats(tenant) {
                 Ok(s) => {
                     println!(
-                        "{tenant}: completed={} rejected={} waits={} \
+                        "{tenant}: completed={} rejected={} failed={} waits={} \
                          p50_us={:.1} p95_us={:.1} p99_us={:.1}",
                         s.completed,
                         s.rejected,
+                        s.failed,
                         s.metrics.admission_waits,
                         s.latency.p50_ns() as f64 / 1e3,
                         s.latency.p95_ns() as f64 / 1e3,

@@ -18,9 +18,7 @@ use proptest::prelude::*;
 use uncat::core::query::{DstQuery, EqQuery, Match, TopKQuery};
 use uncat::core::{CatId, Divergence, Domain, Uda};
 use uncat::prelude::*;
-use uncat::query::join::{
-    block_join_metered, index_join, index_join_metered, parallel_join, JoinPair, JoinSpec,
-};
+use uncat::query::join::{block_join, index_join, parallel_join, JoinPair, JoinSpec};
 use uncat::query::{
     BatchPools, DurableConfig, DurableIndex, DurableStorage, InvertedBackend, MutableBackend,
     ScanBaseline, UncertainIndex,
@@ -243,16 +241,18 @@ proptest! {
         let query = TopKQuery::new(q.clone(), k);
         let floor = if floored == 1 { floor } else { 0.0 };
         let reference = scan
-            .top_k_floored_metered(&mut pool, &query, floor, &mut QueryMetrics::new())
+            .top_k_floored(&mut pool, &query, floor)
             .expect("in-memory query");
+        // A fixed strategy runs the drain, whatever it costs.
         let drained = idx
-            .top_k_floored_metered(&mut pool, &query, floor, &mut QueryMetrics::new())
+            .top_k_planned(&mut pool, &query, floor, SearchStrategy::Nra)
             .expect("in-memory query");
         assert_matches_agree("top_k/drain", "inverted", &reference, &drained);
-        let mut m = QueryMetrics::new();
+        pool.reset_stats();
         let planned = idx
-            .top_k_planned(&mut pool, &query, floor, SearchStrategy::Auto, &mut m)
+            .top_k_planned(&mut pool, &query, floor, SearchStrategy::Auto)
             .expect("in-memory query");
+        let m = pool.metrics();
         assert_matches_agree("top_k/planned", "inverted", &reference, &planned);
         prop_assert!(m.candidate_invariant_holds());
 
@@ -400,8 +400,9 @@ fn check_sharded_service(
     let want_topk = scan.top_k(&mut pool, &topk).expect("in-memory query");
     let want_dstq = scan.dstq(&mut pool, &dstq).expect("in-memory query");
     let spec = JoinSpec::PejTopK { k };
-    let want_join = block_join_metered(outer, &scan, &mut pool, spec, &mut QueryMetrics::new())
-        .expect("in-memory join");
+    let want_join = block_join(outer, &scan, &mut pool, spec)
+        .expect("in-memory join")
+        .pairs;
 
     for t in 0..tenants {
         let name = format!("t{t}");
@@ -432,14 +433,13 @@ fn check_sharded_service(
                 let idx = InvertedIndex::build(domain.clone(), &mut mpool, part.iter().copied())
                     .expect("in-memory build");
                 let shard = InvertedBackend::with_strategy(idx, SearchStrategy::Auto);
-                let mut m = QueryMetrics::new();
-                shard
-                    .petq_metered(&mut mpool, &petq, &mut m)
-                    .expect("in-memory query");
-                manual.merge(&m);
+                let before = mpool.metrics();
+                shard.petq(&mut mpool, &petq).expect("in-memory query");
+                manual.merge(&mpool.metrics().since(&before));
             }
             let mut got_counters = got.metrics;
             got_counters.io = IoStats::default();
+            manual.io = IoStats::default();
             assert_eq!(
                 got_counters, manual,
                 "{name}: the service merge must equal the per-shard sum"
@@ -775,15 +775,11 @@ fn check_block_format_differential(tuples: &[(u64, Uda)], q: &Uda, tau: f64, k: 
         .into_iter()
         .chain([SearchStrategy::Auto])
     {
-        let mut metrics = QueryMetrics::new();
+        pool.reset_stats();
         blocks
-            .petq_metered(
-                &mut pool,
-                &EqQuery::new(full.clone(), tau),
-                strategy,
-                &mut metrics,
-            )
+            .petq(&mut pool, &EqQuery::new(full.clone(), tau), strategy)
             .expect("in-memory query");
+        let metrics = pool.metrics();
         let covered = metrics.blocks_decoded + metrics.blocks_skipped;
         if strategy == SearchStrategy::RowPruning {
             // Row pruning legitimately skips whole *lists* (those with
@@ -814,10 +810,11 @@ fn check_block_format_differential(tuples: &[(u64, Uda)], q: &Uda, tau: f64, k: 
             );
         }
     }
-    let mut metrics = QueryMetrics::new();
+    pool.reset_stats();
     blocks
-        .top_k_metered(&mut pool, &TopKQuery::new(full, k), &mut metrics)
+        .top_k(&mut pool, &TopKQuery::new(full, k))
         .expect("in-memory query");
+    let metrics = pool.metrics();
     assert_eq!(
         metrics.blocks_decoded + metrics.blocks_skipped,
         total_blocks,
@@ -852,14 +849,14 @@ fn check_join_plans_agree(
     .expect("in-memory build");
     pool.flush().expect("in-memory flush");
 
-    let reference = block_join_metered(outer, &scan, &mut pool, spec, &mut QueryMetrics::new())
-        .expect("in-memory join");
+    let reference = block_join(outer, &scan, &mut pool, spec)
+        .expect("in-memory join")
+        .pairs;
 
     let seq = index_join(outer, &inv, &mut pool, spec).expect("in-memory join");
     assert_pairs_agree("join", "index/inverted", &reference, &seq.pairs);
-    let got = index_join_metered(outer, &pdr, &mut pool, spec, &mut QueryMetrics::new())
-        .expect("in-memory join");
-    assert_pairs_agree("join", "index/pdr-tree", &reference, &got);
+    let got = index_join(outer, &pdr, &mut pool, spec).expect("in-memory join");
+    assert_pairs_agree("join", "index/pdr-tree", &reference, &got.pairs);
 
     let par = parallel_join(
         outer,

@@ -11,7 +11,7 @@ use uncat::core::{CatId, Divergence, Domain, Uda};
 use uncat::datagen::crm::crm1;
 use uncat::datagen::zipf::zipf_ranks;
 use uncat::prelude::*;
-use uncat::query::join::{index_join, index_top_k_pej_metered, parallel_join, JoinPair, JoinSpec};
+use uncat::query::join::{index_join, index_top_k_pej, parallel_join, JoinPair, JoinSpec};
 use uncat::query::{BatchPools, InvertedBackend, UncertainIndex};
 use uncat::storage::SharedStore;
 use uncat_inverted::InvertedIndex;
@@ -65,11 +65,10 @@ fn full_probe_baseline(
     inner: &impl UncertainIndex,
     pool: &mut BufferPool,
 ) -> (Vec<JoinPair>, QueryMetrics) {
-    let mut metrics = QueryMetrics::new();
     let mut pairs = Vec::new();
     for (ltid, luda) in outer {
         for m in inner
-            .top_k_metered(pool, &TopKQuery::new(luda.clone(), K), &mut metrics)
+            .top_k(pool, &TopKQuery::new(luda.clone(), K))
             .expect("in-memory probe")
         {
             pairs.push(JoinPair {
@@ -81,7 +80,7 @@ fn full_probe_baseline(
     }
     uncat::query::join::sort_pairs_desc(&mut pairs);
     pairs.truncate(K);
-    (pairs, metrics)
+    (pairs, pool.metrics())
 }
 
 fn assert_pairs_agree(what: &str, reference: &[JoinPair], got: &[JoinPair]) {
@@ -116,10 +115,9 @@ fn sequential_pej_topk_floor_prunes_probes_after_heap_fills() {
     let mut pool = BufferPool::with_capacity(store.clone(), FRAMES);
     let (expected, baseline) = full_probe_baseline(&outer, &inv, &mut pool);
 
-    let mut metrics = QueryMetrics::new();
     let mut pool = BufferPool::with_capacity(store.clone(), FRAMES);
-    let pairs =
-        index_top_k_pej_metered(&outer, &inv, &mut pool, K, &mut metrics).expect("in-memory join");
+    let pairs = index_top_k_pej(&outer, &inv, &mut pool, K).expect("in-memory join");
+    let metrics = pool.metrics();
 
     assert_pairs_agree("sequential pej-topk", &expected, &pairs);
     assert!(

@@ -7,13 +7,16 @@ use uncat::core::query::{DstQuery, EqQuery, TopKQuery};
 use uncat::core::{CatId, Divergence, Domain, Uda};
 use uncat::inverted::{InvertedIndex, Strategy};
 use uncat::pdrtree::{PdrConfig, PdrTree};
-use uncat::query::parallel::{batch_metrics, petq_batch, petq_batch_with};
+use uncat::query::join::{index_join, JoinSpec};
+use uncat::query::parallel::{batch_metrics, petq_batch_with};
 use uncat::query::{
     aggregate_metrics, BatchPools, Executor, InvertedBackend, MutableBackend, ScanBaseline,
     UncertainIndex,
 };
+use uncat::service::{shard_of, QueryService, ServiceConfig, TenantConfig};
 use uncat::storage::{
-    BufferPool, Fault, FaultStore, InMemoryDisk, IoStats, QueryMetrics, SharedStore,
+    BufferPool, Fault, FaultStore, InMemoryDisk, IoStats, QueryMetrics, SharedBufferPool,
+    SharedStore, StorageError,
 };
 
 fn uda(pairs: &[(u32, f32)]) -> Uda {
@@ -53,10 +56,8 @@ fn pruning_strategies_scan_fewer_postings_than_brute() {
     let mut per_strategy = Vec::new();
     for strategy in Strategy::ALL {
         let mut pool = BufferPool::with_capacity(store.clone(), 100);
-        let mut m = QueryMetrics::new();
-        let matches = idx
-            .petq_metered(&mut pool, &query, strategy, &mut m)
-            .unwrap();
+        let matches = idx.petq(&mut pool, &query, strategy).unwrap();
+        let m = pool.metrics();
         assert!(!matches.is_empty(), "{strategy:?} found nothing");
         assert!(
             m.candidate_invariant_holds(),
@@ -109,19 +110,19 @@ fn candidate_invariant_holds_for_topk_and_dstq() {
     let (idx, store) = build_inverted(&domain, &data);
 
     let mut pool = BufferPool::with_capacity(store.clone(), 100);
-    let mut m = QueryMetrics::new();
-    idx.top_k_metered(&mut pool, &TopKQuery::new(uda(&[(2, 1.0)]), 8), &mut m)
+    idx.top_k(&mut pool, &TopKQuery::new(uda(&[(2, 1.0)]), 8))
         .unwrap();
+    let m = pool.metrics();
     assert!(m.candidate_invariant_holds());
     assert!(m.frontier_pops > 0, "top-k drains the frontier");
 
-    let mut m = QueryMetrics::new();
-    idx.dstq_metered(
+    pool.reset_stats();
+    idx.dstq(
         &mut pool,
         &DstQuery::new(uda(&[(2, 0.9), (7, 0.1)]), 0.3, Divergence::L1),
-        &mut m,
     )
     .unwrap();
+    let m = pool.metrics();
     assert!(m.candidate_invariant_holds());
     assert!(
         m.candidates_generated > 0 || m.heap_tuples_scanned > 0,
@@ -146,10 +147,10 @@ fn pdr_tree_counts_visits_and_lemma2_pruning() {
 
     // Selective query: Lemma 2 must cut some subtrees.
     let mut pool = BufferPool::with_capacity(store.clone(), 100);
-    let mut m = QueryMetrics::new();
     let matches = tree
-        .petq_metered(&mut pool, &EqQuery::new(uda(&[(4, 1.0)]), 0.5), &mut m)
+        .petq(&mut pool, &EqQuery::new(uda(&[(4, 1.0)]), 0.5))
         .unwrap();
+    let m = pool.metrics();
     assert!(!matches.is_empty());
     assert!(m.nodes_visited > 0);
     assert!(m.nodes_pruned > 0, "selective PETQ should prune subtrees");
@@ -166,7 +167,11 @@ fn executor_outcome_carries_matching_io() {
         .map(|c| exec.petq(&EqQuery::new(uda(&[(c, 1.0)]), 0.4)).unwrap())
         .collect();
     for o in &outcomes {
-        assert_eq!(o.metrics.io, o.io, "metrics embed the outcome's own I/O");
+        assert_eq!(
+            o.metrics.io.physical_reads,
+            o.reads(),
+            "metrics embed the outcome's own I/O"
+        );
         assert!(o.metrics.candidate_invariant_holds());
     }
     let total = aggregate_metrics(&outcomes);
@@ -188,16 +193,14 @@ fn parallel_batch_metrics_equal_sequential_sum() {
         .map(|i| EqQuery::new(uda(&[((i % 13) as u32, 1.0)]), 0.35))
         .collect();
 
-    let par = petq_batch(&backend, &store, 100, &queries, 4);
+    let par = petq_batch_with(&backend, &store, &BatchPools::private(100), &queries, 4);
     let par_total = batch_metrics(&par);
 
     let mut seq_total = QueryMetrics::new();
     for q in &queries {
         let mut pool = BufferPool::with_capacity(store.clone(), 100);
-        let mut m = QueryMetrics::new();
-        backend.petq_metered(&mut pool, q, &mut m).unwrap();
-        m.io = pool.stats();
-        seq_total.merge(&m);
+        backend.petq(&mut pool, q).unwrap();
+        seq_total.merge(&pool.metrics());
     }
     assert_eq!(
         par_total, seq_total,
@@ -256,10 +259,8 @@ fn auto_fallbacks_sum_exactly_across_shared_pool_batches() {
     let mut seq = QueryMetrics::new();
     for q in &queries {
         let mut pool = BufferPool::with_capacity(store.clone(), 100);
-        let mut m = QueryMetrics::new();
-        backend.petq_metered(&mut pool, q, &mut m).expect("query");
-        m.io = pool.stats();
-        seq.merge(&m);
+        backend.petq(&mut pool, q).expect("query");
+        seq.merge(&pool.metrics());
     }
     assert_eq!(
         total.plan_fallbacks, seq.plan_fallbacks,
@@ -323,15 +324,13 @@ fn shared_pool_stress_matches_sequential_across_seeds() {
         for (q, r) in queries.iter().zip(&results) {
             let r = r.as_ref().expect("in-memory query");
             let mut pool = BufferPool::with_capacity(store.clone(), 100);
-            let mut m = QueryMetrics::new();
-            let seq = backend.petq_metered(&mut pool, q, &mut m).unwrap();
-            m.io = pool.stats();
+            let seq = backend.petq(&mut pool, q).unwrap();
             assert_eq!(
                 r.matches.iter().map(|m| m.tid).collect::<Vec<_>>(),
                 seq.iter().map(|m| m.tid).collect::<Vec<_>>(),
                 "seed {seed}: pool flavor must not change results"
             );
-            seq_total.merge(&m);
+            seq_total.merge(&pool.metrics());
         }
 
         // Identical work, identical counters — except the I/O block.
@@ -437,18 +436,16 @@ fn scan_baseline_counts_every_tuple() {
     let store = InMemoryDisk::shared();
     let mut pool = BufferPool::with_capacity(store.clone(), 64);
     let scan = ScanBaseline::build(&mut pool, data.iter().map(|(t, u)| (*t, u))).unwrap();
-    let mut m = QueryMetrics::new();
-    scan.petq_metered(&mut pool, &EqQuery::new(uda(&[(0, 1.0)]), 0.5), &mut m)
+    scan.petq(&mut pool, &EqQuery::new(uda(&[(0, 1.0)]), 0.5))
         .unwrap();
-    assert_eq!(m.heap_tuples_scanned, 500);
-    let mut m = QueryMetrics::new();
-    scan.ds_top_k_metered(
+    assert_eq!(pool.metrics().heap_tuples_scanned, 500);
+    pool.reset_stats();
+    scan.ds_top_k(
         &mut pool,
         &uncat::core::query::DsTopKQuery::new(uda(&[(0, 1.0)]), 3, Divergence::L2),
-        &mut m,
     )
     .unwrap();
-    assert_eq!(m.heap_tuples_scanned, 500);
+    assert_eq!(pool.metrics().heap_tuples_scanned, 500);
 }
 
 /// The cost estimator speaks the metrics vocabulary and nothing else:
@@ -743,11 +740,10 @@ fn probe_kernels_change_no_counter_but_logical_reads() {
     ];
     let mut rows: Vec<(String, [u64; 14])> = Vec::new();
     let mut planned_topk: Vec<[u64; 14]> = Vec::new();
-    let run = |name: &str, probe: &mut dyn FnMut(&mut BufferPool, &mut QueryMetrics)| {
+    let run = |name: &str, probe: &mut dyn FnMut(&mut BufferPool)| {
         let mut pool = BufferPool::with_capacity(store.clone(), 512);
-        let mut m = QueryMetrics::new();
-        probe(&mut pool, &mut m);
-        m.io = pool.stats();
+        probe(&mut pool);
+        let m = pool.metrics();
         assert!(m.candidate_invariant_holds(), "{name}: {m:?}");
         m
     };
@@ -759,27 +755,25 @@ fn probe_kernels_change_no_counter_but_logical_reads() {
             if strategy == Strategy::Auto {
                 name.push_str(&format!("={}", pick.name()));
             }
-            let m = run(&name, &mut |pool, m| {
-                idx.petq_metered(pool, &query, strategy, m).unwrap();
+            let m = run(&name, &mut |pool| {
+                idx.petq(pool, &query, strategy).unwrap();
             });
             assert_eq!(m.plan_fallbacks, 0, "{name}: fresh statistics fell back");
             rows.push((name, counter_row(&m)));
         }
         let topk = TopKQuery::new(q.clone(), 10 + 20 * qi);
         let mut drained = Vec::new();
-        let m = run(&format!("topk{qi}"), &mut |pool, m| {
-            drained = idx.top_k_metered(pool, &topk, m).unwrap();
+        let m = run(&format!("topk{qi}"), &mut |pool| {
+            drained = idx.top_k(pool, &topk).unwrap();
         });
         rows.push((format!("topk{qi}"), counter_row(&m)));
-        let m = run(&format!("topk{qi}/auto"), &mut |pool, m| {
-            let planned = idx
-                .top_k_planned(pool, &topk, 0.0, Strategy::Auto, m)
-                .unwrap();
+        let m = run(&format!("topk{qi}/auto"), &mut |pool| {
+            let planned = idx.top_k_planned(pool, &topk, 0.0, Strategy::Auto).unwrap();
             assert_eq!(planned, drained, "topk{qi}: the plans disagree");
         });
         planned_topk.push(counter_row(&m));
-        let m = run(&format!("dstq{qi}"), &mut |pool, m| {
-            idx.dstq_metered(pool, &DstQuery::new(q.clone(), 0.4, Divergence::L1), m)
+        let m = run(&format!("dstq{qi}"), &mut |pool| {
+            idx.dstq(pool, &DstQuery::new(q.clone(), 0.4, Divergence::L1))
                 .unwrap();
         });
         rows.push((format!("dstq{qi}"), counter_row(&m)));
@@ -823,4 +817,187 @@ fn probe_kernels_change_no_counter_but_logical_reads() {
     }
     assert_eq!(dstq_split, DSTQ_SPLIT, "DSTQ's pruned/verified split moved");
     assert_eq!(planned_topk, PLANNED_TOPK, "the planned top-k moved");
+}
+
+// --- The pool a query runs on is its ledger ---
+
+/// Two queries through one pool tick the field-wise sum of the same two
+/// on a fresh pool each, whether the pool is private or a handle onto a
+/// shared one. Only the hit/miss split may differ: the second query finds
+/// pages the first one left.
+#[test]
+fn two_queries_through_one_pool_sum_like_two_fresh_pools() {
+    let (domain, data) = seeded_dataset(2000);
+    let (idx, store) = build_inverted(&domain, &data);
+    let petq = EqQuery::new(uda(&[(4, 1.0)]), 0.5);
+    let topk = TopKQuery::new(uda(&[(4, 0.6), (9, 0.4)]), 8);
+    let shared = SharedBufferPool::new(store.clone(), 256, 4);
+    let fresh = |handle: bool| {
+        if handle {
+            BufferPool::from_handle(shared.handle())
+        } else {
+            BufferPool::with_capacity(store.clone(), 100)
+        }
+    };
+    for handle in [false, true] {
+        let mut both = fresh(handle);
+        idx.petq(&mut both, &petq, Strategy::Nra).unwrap();
+        idx.top_k(&mut both, &topk).unwrap();
+        let (mut a, mut b) = (fresh(handle), fresh(handle));
+        idx.petq(&mut a, &petq, Strategy::Nra).unwrap();
+        idx.top_k(&mut b, &topk).unwrap();
+
+        let got = both.metrics();
+        let mut sum = QueryMetrics::sum([&a.metrics(), &b.metrics()]);
+        assert!(sum.postings_scanned > 0 && sum.frontier_pops > 0);
+        assert_eq!(got.io, both.stats(), "io comes from the pool's own stats");
+        assert_eq!(got.io.logical_reads, sum.io.logical_reads);
+        sum.io = got.io;
+        assert_eq!(got, sum, "handle-backed: {handle}");
+
+        both.reset_stats();
+        assert_eq!(both.metrics(), QueryMetrics::default());
+        assert_eq!(both.stats(), IoStats::default());
+    }
+}
+
+/// A PETQ killed by a read error leaves what it ticked so far in the
+/// ledger — on the `Err` path too — and the pool stays usable.
+#[test]
+fn a_petq_killed_by_a_read_error_leaves_its_counters_in_the_ledger() {
+    let (domain, data) = seeded_dataset(30_000);
+    let faults = Arc::new(FaultStore::new(InMemoryDisk::shared(), 7));
+    let store: SharedStore = faults.clone();
+    let mut pool = BufferPool::with_capacity(store.clone(), 256);
+    let idx = InvertedIndex::build(domain, &mut pool, data.iter().map(|(t, u)| (*t, u))).unwrap();
+    pool.flush().unwrap();
+    drop(pool);
+    let query = EqQuery::new(uda(&[(4, 1.0)]), 0.1);
+
+    let mut clean_pool = BufferPool::with_capacity(store.clone(), 100);
+    let clean = idx.petq(&mut clean_pool, &query, Strategy::Brute).unwrap();
+    let full = clean_pool.metrics();
+    assert!(
+        full.io.physical_reads >= 2,
+        "the list spans pages: {full:?}"
+    );
+
+    // Same cold start, but the scan's last page read fails.
+    let mut pool = BufferPool::with_capacity(store.clone(), 100);
+    faults.arm(Fault::FailRead {
+        after: faults.reads_so_far() + full.io.physical_reads,
+    });
+    let err = idx.petq(&mut pool, &query, Strategy::Brute).unwrap_err();
+    assert!(matches!(err, StorageError::Io { .. }), "{err}");
+    let died = pool.metrics();
+    assert_eq!(died.lists_opened, 1);
+    assert!(
+        0 < died.postings_scanned && died.postings_scanned < full.postings_scanned,
+        "ticked so far: {} of {}",
+        died.postings_scanned,
+        full.postings_scanned
+    );
+    assert_eq!(died.io.physical_reads, full.io.physical_reads);
+
+    // The fault fired once; the same pool answers, on the same ledger.
+    let again = idx.petq(&mut pool, &query, Strategy::Brute).unwrap();
+    assert_eq!(again, clean);
+    let total = pool.metrics();
+    assert_eq!(total.lists_opened, 2);
+    assert_eq!(
+        total.postings_scanned,
+        died.postings_scanned + full.postings_scanned
+    );
+}
+
+/// `index_join`'s outcome is an interval measurement: on a warm, reused
+/// pool its metrics are the sum of its probes run one by one, not the
+/// pool's lifetime totals.
+#[test]
+fn index_join_outcome_on_a_warm_pool_is_the_sum_of_its_probes() {
+    let (domain, data) = seeded_dataset(2000);
+    let (idx, store) = build_inverted(&domain, &data);
+    let inner = InvertedBackend::new(idx);
+    let outer: Vec<(u64, Uda)> = (0..12)
+        .map(|i| (1_000_000 + i, uda(&[((i % 13) as u32, 1.0)])))
+        .collect();
+    let tau = 0.4;
+    // Everything fits: after one pass the pool's contents stop changing.
+    let mut pool = BufferPool::with_capacity(store, 1024);
+    index_join(&outer, &inner, &mut pool, JoinSpec::Petj { tau }).unwrap();
+
+    let out = index_join(&outer, &inner, &mut pool, JoinSpec::Petj { tau }).unwrap();
+    let mut probes = QueryMetrics::new();
+    let mut pairs = 0;
+    for (_, luda) in &outer {
+        let before = pool.metrics();
+        pairs += inner
+            .petq(&mut pool, &EqQuery::new(luda.clone(), tau))
+            .unwrap()
+            .len();
+        probes.merge(&pool.metrics().since(&before));
+    }
+    assert_eq!(out.pairs.len(), pairs);
+    assert_eq!(out.metrics, probes);
+    assert_eq!(out.metrics.io.physical_reads, 0, "the pool was warm");
+    assert!(out.metrics.io.hits > 0);
+    assert!(pool.metrics().postings_scanned >= 3 * out.metrics.postings_scanned);
+}
+
+/// A service outcome's metrics are the sum of probing the tenant's
+/// shards directly, plus the admission stamp — I/O included when both
+/// sides start cold with room for everything.
+#[test]
+fn service_outcome_metrics_are_the_sum_of_the_direct_shard_probes() {
+    let (domain, data) = seeded_dataset(3000);
+    let shards = 3;
+    let build_shards = |store: &SharedStore| -> Vec<InvertedBackend> {
+        (0..shards)
+            .map(|s| {
+                let part = data.iter().filter(|(t, _)| shard_of(*t, shards) == s);
+                let mut pool = BufferPool::with_capacity(store.clone(), 128);
+                let idx =
+                    InvertedIndex::build(domain.clone(), &mut pool, part.map(|(t, u)| (*t, u)))
+                        .unwrap();
+                pool.flush().unwrap();
+                InvertedBackend::with_strategy(idx, Strategy::Auto)
+            })
+            .collect()
+    };
+    let service = QueryService::new(InMemoryDisk::shared(), ServiceConfig::default());
+    let boxed = build_shards(service.store())
+        .into_iter()
+        .map(|s| Box::new(s) as Box<dyn UncertainIndex + Send + Sync>)
+        .collect();
+    service.register_tenant(TenantConfig::new("t"), boxed);
+    // The same three shards, laid out identically on a store of their own.
+    let direct_store = InMemoryDisk::shared();
+    let direct = build_shards(&direct_store);
+
+    let query = EqQuery::new(uda(&[(4, 0.7), (9, 0.3)]), 0.3);
+    let got = service.petq("t", &query).expect("query");
+    let mut want = QueryMetrics::new();
+    let mut matches = 0;
+    for shard in &direct {
+        let mut pool = BufferPool::with_capacity(direct_store.clone(), 1024);
+        matches += shard.petq(&mut pool, &query).unwrap().len();
+        want.merge(&pool.metrics());
+    }
+    assert_eq!(got.matches.len(), matches);
+    assert_eq!(got.metrics.admission_waits, 0, "nobody was ahead of it");
+    assert_eq!(got.metrics, want);
+    assert!(want.io.physical_reads > 0 && want.postings_scanned > 0);
+}
+
+/// docs/METRICS.md's counter reference names every counter there is.
+#[test]
+fn metrics_doc_names_every_counter() {
+    let doc = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/docs/METRICS.md"))
+        .expect("docs/METRICS.md");
+    for (name, _) in QueryMetrics::new().fields() {
+        assert!(
+            doc.contains(&format!("`{name}`")),
+            "docs/METRICS.md does not document `{name}`"
+        );
+    }
 }

@@ -137,13 +137,7 @@ fn check_planned_exactness(n: usize, seed: u64, tau: f64, probe: usize, k: usize
     assert_matches_agree("top_k/planned", &reference, &got);
     // And the in-index plan: the drain `Auto` may leave for the scan.
     let auto = idx
-        .top_k_planned(
-            &mut pool,
-            &tk,
-            0.0,
-            Strategy::Auto,
-            &mut QueryMetrics::new(),
-        )
+        .top_k_planned(&mut pool, &tk, 0.0, Strategy::Auto)
         .expect("in-memory query");
     assert_matches_agree("top_k/auto", &reference, &auto);
 }
@@ -181,10 +175,8 @@ fn check_cost_vs_oracle(n: usize, seed: u64, tau: f64, probe: usize) {
     let mut oracle_name = "";
     for strategy in Strategy::ALL {
         let mut pool = BufferPool::with_capacity(store.clone(), 512);
-        let mut m = QueryMetrics::new();
-        idx.petq_metered(&mut pool, &q, strategy, &mut m)
-            .expect("in-memory query");
-        m.io = pool.stats();
+        idx.petq(&mut pool, &q, strategy).expect("in-memory query");
+        let m = pool.metrics();
         if scalar_cost(&m) < oracle {
             oracle = scalar_cost(&m);
             oracle_name = strategy.name();
@@ -192,10 +184,9 @@ fn check_cost_vs_oracle(n: usize, seed: u64, tau: f64, probe: usize) {
     }
 
     let mut pool = BufferPool::with_capacity(store, 512);
-    let mut m = QueryMetrics::new();
-    idx.petq_metered(&mut pool, &q, Strategy::Auto, &mut m)
+    idx.petq(&mut pool, &q, Strategy::Auto)
         .expect("in-memory query");
-    m.io = pool.stats();
+    let m = pool.metrics();
     let auto = scalar_cost(&m);
     assert!(
         auto <= 2 * oracle + ENTRIES_PER_PAGE,
@@ -241,29 +232,24 @@ fn adaptive_fallback_work_is_bounded() {
     // The (stale) pick, run to completion, and a cold brute-force run.
     let (pick, prediction) = idx.plan_petq(&q);
     let budget = OVERRUN_FACTOR * prediction.postings_scanned + FALLBACK_BUDGET_FLOOR;
-    let mut lose = QueryMetrics::new();
     let mut pool = BufferPool::with_capacity(store.clone(), 1024);
-    let reference = idx
-        .petq_metered(&mut pool, &q, pick, &mut lose)
-        .expect("in-memory query");
-    lose.io = pool.stats();
+    let reference = idx.petq(&mut pool, &q, pick).expect("in-memory query");
+    let lose = pool.metrics();
     assert!(
         lose.postings_scanned > budget,
         "the scenario must actually overrun: {} postings vs budget {budget}",
         lose.postings_scanned
     );
-    let mut brute = QueryMetrics::new();
     let mut pool = BufferPool::with_capacity(store.clone(), 1024);
-    idx.petq_metered(&mut pool, &q, Strategy::Brute, &mut brute)
+    idx.petq(&mut pool, &q, Strategy::Brute)
         .expect("in-memory query");
-    brute.io = pool.stats();
+    let brute = pool.metrics();
 
-    let mut auto = QueryMetrics::new();
     let mut pool = BufferPool::with_capacity(store, 1024);
     let got = idx
-        .petq_metered(&mut pool, &q, Strategy::Auto, &mut auto)
+        .petq(&mut pool, &q, Strategy::Auto)
         .expect("in-memory query");
-    auto.io = pool.stats();
+    let auto = pool.metrics();
 
     assert_eq!(
         auto.plan_fallbacks, 1,
@@ -320,10 +306,11 @@ fn stale_statistics_do_not_turn_a_cheap_top_k_drain_into_a_scan() {
     assert_eq!(idx.cost_stats().tuples, 0, "and never refreshed");
 
     let tk = TopKQuery::new(Uda::certain(CatId(0)), 1);
-    let mut m = QueryMetrics::new();
+    pool.reset_stats();
     let got = idx
-        .top_k_planned(&mut pool, &tk, 0.0, Strategy::Auto, &mut m)
+        .top_k_planned(&mut pool, &tk, 0.0, Strategy::Auto)
         .expect("in-memory query");
+    let m = pool.metrics();
     assert_eq!(got.iter().map(|m| m.tid).collect::<Vec<_>>(), vec![n - 1]);
     assert_eq!(
         (m.lists_opened, m.lemma1_stops),
@@ -362,17 +349,14 @@ fn planner_is_exactly_optimal_on_a_single_uniform_list() {
     let mut oracle = u64::MAX;
     for strategy in Strategy::ALL {
         let mut pool = BufferPool::with_capacity(store.clone(), 256);
-        let mut m = QueryMetrics::new();
-        idx.petq_metered(&mut pool, &q, strategy, &mut m)
-            .expect("in-memory query");
-        m.io = pool.stats();
+        idx.petq(&mut pool, &q, strategy).expect("in-memory query");
+        let m = pool.metrics();
         oracle = oracle.min(scalar_cost(&m));
     }
     let mut pool = BufferPool::with_capacity(store, 256);
-    let mut m = QueryMetrics::new();
-    idx.petq_metered(&mut pool, &q, Strategy::Auto, &mut m)
+    idx.petq(&mut pool, &q, Strategy::Auto)
         .expect("in-memory query");
-    m.io = pool.stats();
+    let m = pool.metrics();
     assert_eq!(
         m.plan_fallbacks, 0,
         "fresh statistics must not trigger a fallback"

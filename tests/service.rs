@@ -13,7 +13,7 @@ use uncat::pdrtree::{PdrConfig, PdrTree};
 use uncat::query::join::{index_join, JoinSpec};
 use uncat::query::{InvertedBackend, ScanBaseline, UncertainIndex};
 use uncat::service::{shard_of, QueryService, ServiceConfig, ServiceError, TenantConfig};
-use uncat::storage::{BufferPool, InMemoryDisk, IoStats, QueryMetrics, StorageError};
+use uncat::storage::{BufferPool, Fault, FaultStore, InMemoryDisk, IoStats, StorageError};
 
 fn uda(pairs: &[(u32, f32)]) -> Uda {
     Uda::from_pairs(pairs.iter().map(|&(c, p)| (CatId(c), p))).unwrap()
@@ -311,6 +311,75 @@ fn tracing_merges_per_shard_traces() {
     );
 }
 
+/// A bad `threads` argument is clamped, not a panic in the caller: zero
+/// workers means one.
+#[test]
+fn a_join_with_zero_threads_runs_on_one_worker() {
+    let (domain, data) = seeded_dataset(1500);
+    let service = QueryService::new(InMemoryDisk::shared(), ServiceConfig::default());
+    service
+        .register_tenant_inverted(TenantConfig::new("t"), &domain, &data, 2, Strategy::Auto)
+        .expect("in-memory build");
+    let outer: Vec<(u64, Uda)> = (0..10)
+        .map(|i| (1_000_000 + i, uda(&[((i % 13) as u32, 1.0)])))
+        .collect();
+    let spec = JoinSpec::PejTopK { k: 6 };
+    let one = service.join("t", &outer, spec, 1).expect("join");
+    let zero = service.join("t", &outer, spec, 0).expect("join");
+    assert_eq!(zero.pairs, one.pairs);
+    assert!(!zero.pairs.is_empty());
+    // The quota it was priced at came back.
+    assert_eq!(service.tenant_admission("t").expect("tenant"), (0, 0));
+    service
+        .petq("t", &EqQuery::new(uda(&[(4, 1.0)]), 0.5))
+        .expect("the tenant still admits");
+    assert_eq!(service.tenant_stats("t").expect("tenant").completed, 3);
+}
+
+/// A query that dies inside a shard is counted (`failed`), fails alone
+/// with a typed error, and leaves the service, the pool and the other
+/// tenant as they were.
+#[test]
+fn a_read_failure_fails_one_query_of_one_tenant_and_is_counted() {
+    let (domain, data) = seeded_dataset(3000);
+    let faults = Arc::new(FaultStore::new(InMemoryDisk::shared(), 11));
+    let service = QueryService::new(faults.clone(), ServiceConfig::default());
+    for name in ["a", "b"] {
+        service
+            .register_tenant_inverted(TenantConfig::new(name), &domain, &data, 2, Strategy::Auto)
+            .expect("in-memory build");
+    }
+    let (reference, mut ref_pool) = reference_backend(&domain, &data);
+    let query = EqQuery::new(uda(&[(4, 1.0)]), 0.5);
+    let want = reference.petq(&mut ref_pool, &query).expect("query");
+
+    let before = service.petq("b", &query).expect("query");
+    assert_matches_agree("b/before", &want, &before.matches);
+
+    // Tenant a's shards were never read: its first page read is physical.
+    faults.arm(Fault::FailRead {
+        after: faults.reads_so_far() + 1,
+    });
+    let err = service.petq("a", &query).unwrap_err();
+    assert!(
+        matches!(err, ServiceError::Storage(StorageError::Io { .. })),
+        "{err}"
+    );
+    let stats = service.tenant_stats("a").expect("tenant");
+    assert_eq!((stats.failed, stats.completed, stats.rejected), (1, 0, 0));
+    assert_eq!(service.tenant_admission("a").expect("tenant"), (0, 0));
+
+    let retry = service.petq("a", &query).expect("the fault fired once");
+    assert_matches_agree("a/retry", &want, &retry.matches);
+    let stats = service.tenant_stats("a").expect("tenant");
+    assert_eq!((stats.failed, stats.completed), (1, 1));
+
+    let after = service.petq("b", &query).expect("query");
+    assert_matches_agree("b/after", &want, &after.matches);
+    let stats = service.tenant_stats("b").expect("tenant");
+    assert_eq!((stats.failed, stats.completed), (0, 2));
+}
+
 // --- Admission control ---
 
 /// A gate the test controls: probes block inside the index until the
@@ -362,41 +431,21 @@ struct BlockingIndex {
 }
 
 impl UncertainIndex for BlockingIndex {
-    fn petq_metered(
-        &self,
-        _pool: &mut BufferPool,
-        _query: &EqQuery,
-        metrics: &mut QueryMetrics,
-    ) -> Result<Vec<Match>, StorageError> {
+    fn petq(&self, pool: &mut BufferPool, _query: &EqQuery) -> Result<Vec<Match>, StorageError> {
         self.gate.enter();
-        metrics.postings_scanned += 1;
+        pool.tally(|_, metrics| metrics.postings_scanned += 1);
         Ok(vec![Match::new(7, 0.9)])
     }
 
-    fn top_k_metered(
-        &self,
-        _pool: &mut BufferPool,
-        _query: &TopKQuery,
-        _metrics: &mut QueryMetrics,
-    ) -> Result<Vec<Match>, StorageError> {
+    fn top_k(&self, _: &mut BufferPool, _: &TopKQuery) -> Result<Vec<Match>, StorageError> {
         Ok(Vec::new())
     }
 
-    fn dstq_metered(
-        &self,
-        _pool: &mut BufferPool,
-        _query: &DstQuery,
-        _metrics: &mut QueryMetrics,
-    ) -> Result<Vec<Match>, StorageError> {
+    fn dstq(&self, _: &mut BufferPool, _: &DstQuery) -> Result<Vec<Match>, StorageError> {
         Ok(Vec::new())
     }
 
-    fn ds_top_k_metered(
-        &self,
-        _pool: &mut BufferPool,
-        _query: &DsTopKQuery,
-        _metrics: &mut QueryMetrics,
-    ) -> Result<Vec<Match>, StorageError> {
+    fn ds_top_k(&self, _: &mut BufferPool, _: &DsTopKQuery) -> Result<Vec<Match>, StorageError> {
         Ok(Vec::new())
     }
 

@@ -13,10 +13,10 @@ use proptest::prelude::*;
 use uncat::core::query::{EqQuery, TopKQuery};
 use uncat::core::{CatId, Domain, Uda};
 use uncat::inverted::{InvertedIndex, Strategy};
-use uncat::query::parallel::{petq_batch_traced, top_k_batch_traced};
-use uncat::query::{batch_trace, BatchPools, InvertedBackend, UncertainIndex};
-use uncat::storage::trace::{Clock, FakeClock, LatencyHistogram, Phase, Tracer};
-use uncat::storage::{BufferPool, InMemoryDisk, QueryMetrics, SharedStore};
+use uncat::query::parallel::{petq_batch_with, top_k_batch_with};
+use uncat::query::{batch_trace, run_query, BatchPools, InvertedBackend, UncertainIndex};
+use uncat::storage::trace::{Clock, FakeClock, LatencyHistogram, Phase};
+use uncat::storage::{BufferPool, InMemoryDisk, SharedStore};
 
 fn uda(pairs: &[(u32, f32)]) -> Uda {
     Uda::from_pairs(pairs.iter().map(|&(c, p)| (CatId(c), p))).unwrap()
@@ -55,13 +55,9 @@ fn traced_petq(
     uncat::storage::trace::QueryTrace,
 ) {
     let mut pool = BufferPool::with_capacity(store.clone(), 100);
-    pool.set_tracer(Tracer::enabled(Arc::new(FakeClock::auto(7))));
-    let root = pool.trace_begin(Phase::Query);
-    let mut m = QueryMetrics::new();
-    let matches = backend.petq_metered(&mut pool, query, &mut m).unwrap();
-    pool.trace_end(root);
-    let trace = pool.take_trace().expect("tracer was installed");
-    (matches, trace)
+    let clock: Arc<dyn Clock> = Arc::new(FakeClock::auto(7));
+    let out = run_query(&mut pool, Some(&clock), |pool| backend.petq(pool, query)).unwrap();
+    (out.matches, out.trace.expect("tracer was installed"))
 }
 
 #[test]
@@ -130,10 +126,7 @@ fn disabled_tracer_yields_no_trace_and_identical_results() {
     let query = EqQuery::new(uda(&[(2, 1.0)]), 0.4);
 
     let mut plain_pool = BufferPool::with_capacity(store.clone(), 100);
-    let mut m = QueryMetrics::new();
-    let plain = backend
-        .petq_metered(&mut plain_pool, &query, &mut m)
-        .unwrap();
+    let plain = backend.petq(&mut plain_pool, &query).unwrap();
     assert!(
         plain_pool.take_trace().is_none(),
         "no tracer installed → no trace"
@@ -173,11 +166,10 @@ fn batch_trace_merges_worker_traces_exactly() {
     let topks: Vec<TopKQuery> = (0..8)
         .map(|i| TopKQuery::new(uda(&[(i % 11, 1.0)]), 5))
         .collect();
-    let pools = BatchPools::private(100);
-    let clock: Arc<dyn Clock> = Arc::new(FakeClock::auto(3));
+    let pools = BatchPools::private(100).traced(Arc::new(FakeClock::auto(3)));
 
-    let results = petq_batch_traced(&backend, &store, &pools, &eqs, 3, &clock);
-    let more = top_k_batch_traced(&backend, &store, &pools, &topks, 3, &clock);
+    let results = petq_batch_with(&backend, &store, &pools, &eqs, 3);
+    let more = top_k_batch_with(&backend, &store, &pools, &topks, 3);
 
     for batch in [&results, &more] {
         let merged = batch_trace(batch);
