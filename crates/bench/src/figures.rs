@@ -828,13 +828,12 @@ pub fn by_name(name: &str, scale: &Scale) -> Option<BenchResult<FigureTable>> {
         "queryshape" => queryshape(scale),
         "sharedpool" => sharedpool(scale),
         "blockmax" => blockmax(scale),
-        "planner" => crate::planner::planner_figure(scale),
         _ => return None,
     })
 }
 
 /// All known figure/ablation names, in presentation order.
-pub const ALL_FIGURES: [&str; 18] = [
+pub const ALL_FIGURES: [&str; 17] = [
     "fig4",
     "fig5",
     "fig6",
@@ -852,5 +851,4 @@ pub const ALL_FIGURES: [&str; 18] = [
     "queryshape",
     "sharedpool",
     "blockmax",
-    "planner",
 ];

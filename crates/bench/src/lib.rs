@@ -17,7 +17,6 @@ pub mod figures;
 pub mod json;
 pub mod latency;
 pub mod measure;
-pub mod planner;
 pub mod service;
 pub mod table;
 
@@ -26,6 +25,5 @@ pub use figures::*;
 pub use json::Json;
 pub use latency::{latency_sweep, LatencyReport, LatencyRun};
 pub use measure::{avg_petq_io, avg_topk_io, build_inverted, build_pdr, Scale};
-pub use planner::{planner_sweep, PlannerPoint, PlannerReport};
 pub use service::{service_sweep, ServiceBenchConfig, ServiceReport, TenantRun};
 pub use table::{FigureTable, Series};

@@ -1,7 +1,7 @@
 //! The per-query score accumulator: `tid → f64`, no hash per posting
 //! where the postings are dense enough to make that pay.
 //!
-//! Every full-list plan (brute-force PETQ, `Auto`'s fallback, the top-k
+//! Every full-list plan (brute-force PETQ, which `Auto` runs, the top-k
 //! scan, DSTQ's partial distances) folds one term per posting into a
 //! per-tuple sum. [`ScoreAcc`] holds the sums in one of two layouts,
 //! chosen once when the scan starts from the two numbers the index

@@ -1,15 +1,20 @@
-//! Cost statistics and the per-strategy cost estimator behind
-//! [`Strategy::Auto`].
+//! The paper's I/O model: cost statistics and a per-strategy estimator.
 //!
-//! [`CostStats`] is the planner's view of the index: per-category
+//! Diagnostic only — no execution path consults it. [`Strategy::Auto`]
+//! runs the scan for every PETQ and prices its top-k drain against
+//! [`live_scan_cost`]; what this module predicts is read by `uncat
+//! explain`, the cross-backend `uncat_query::Planner` and the figures,
+//! which rank the five fixed strategies the way the paper does, by page
+//! reads.
+//!
+//! [`CostStats`] is the model's view of the index: per-category
 //! posting-list lengths plus a small histogram of the block directory's
-//! quantized-up maxima (`docs/METRICS.md`, "Cost estimation"). Everything
-//! is extracted from in-memory metadata — the posting directory and the
-//! heap page lists — so collecting stats performs **zero I/O**. Stats are
-//! collected at build/load time and refreshed at checkpoints; in between
-//! they may go stale under mutations, which affects only cost
-//! *predictions* (the adaptive executor catches bad plans at run time),
-//! never results.
+//! quantized-up maxima (`docs/METRICS.md`, "The I/O model behind
+//! `explain`"). Everything is extracted from in-memory metadata — the
+//! posting directory and the heap page lists — so collecting stats
+//! performs **zero I/O**. They are collected when first asked for and
+//! dropped by every mutation, so [`InvertedIndex::cost_stats`] always
+//! describes the live directory.
 //!
 //! The estimator maps the documented per-counter cost model onto those
 //! statistics: for each fixed strategy it predicts `postings_scanned`,
@@ -37,15 +42,6 @@ pub const COST_BUCKETS: usize = 16;
 /// Postings a sequentially scanned raw (B+tree) page holds, per the
 /// cost model in `docs/METRICS.md`: `reads ≈ ⌈postings / 1000⌉`.
 pub const ENTRIES_PER_PAGE: u64 = 1000;
-
-/// How far live counters may overrun the prediction before the adaptive
-/// executor abandons the plan: the budget is
-/// `OVERRUN_FACTOR × predicted postings + FALLBACK_BUDGET_FLOOR`.
-pub const OVERRUN_FACTOR: u64 = 3;
-
-/// Additive slack in the adaptive budget, so near-zero predictions
-/// (tiny or empty stats) don't trigger fallbacks on healthy plans.
-pub const FALLBACK_BUDGET_FLOOR: u64 = 512;
 
 /// Cost statistics for one category's posting list.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,7 +73,7 @@ impl CatCostStats {
     }
 }
 
-/// Index-wide cost statistics consumed by the planner.
+/// Index-wide cost statistics consumed by the I/O model.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CostStats {
     /// Indexed tuples.
@@ -199,12 +195,12 @@ impl ScanWork {
     }
 }
 
-/// The scalar cost of the full scan of `q`'s lists as they are *now*:
-/// what [`CostStats::predict_strategy`] gives [`Strategy::Brute`] on
-/// fresh statistics (Σ list lengths plus the lists' pages), read off the
-/// live directories instead of the cached snapshot, which mutations do
-/// not refresh. No selectivity enters it, so it is exact, and it costs
-/// no I/O.
+/// The scalar cost of the full scan of `q`'s lists: what
+/// [`CostStats::predict_strategy`] gives [`Strategy::Brute`] (Σ list
+/// lengths plus the lists' pages), read off the queried lists'
+/// directories alone — a top-k between two writes does not pay for
+/// collecting every category's histogram. No selectivity enters it, so
+/// it is exact, and it costs no I/O.
 pub(crate) fn live_scan_cost(idx: &InvertedIndex, q: &Uda) -> u64 {
     let blocks_of = |list: &PostingList| match list {
         PostingList::Blocks(blocks) => blocks.blocks().len() as u64,
@@ -244,9 +240,10 @@ impl CostStats {
         Strategy::ALL.map(|s| (s, self.predict_strategy(s, query)))
     }
 
-    /// Pick the cheapest fixed strategy for a PETQ by predicted scalar
-    /// cost. Ties resolve toward the frontier strategies (NRA first),
-    /// which degrade gracefully under the adaptive budget.
+    /// The fixed strategy the I/O model ranks first for a PETQ: the
+    /// cheapest by predicted scalar cost, ties toward the frontier
+    /// strategies (NRA first). A ranking by page reads, not by time —
+    /// [`Strategy::Auto`] does not run it.
     pub fn plan_petq(&self, query: &EqQuery) -> (Strategy, CostPrediction) {
         let order = [
             Strategy::Nra,
@@ -265,16 +262,15 @@ impl CostStats {
         best
     }
 
-    /// Predict counters for one fixed strategy on a PETQ. Asking for
-    /// [`Strategy::Auto`] returns its own pick's prediction.
+    /// Predict counters for one strategy on a PETQ. [`Strategy::Auto`]
+    /// runs the scan, so it gets the scan's prediction.
     pub fn predict_strategy(&self, strategy: Strategy, query: &EqQuery) -> CostPrediction {
         match strategy {
-            Strategy::Brute => self.predict_full_scan(query, None),
+            Strategy::Brute | Strategy::Auto => self.predict_full_scan(query, None),
             Strategy::RowPruning => self.predict_full_scan(query, Some(query.tau - THRESHOLD_EPS)),
             Strategy::ColumnPruning => self.predict_col(query),
             Strategy::HighestProbFirst => self.predict_drain(query, false),
             Strategy::Nra => self.predict_drain(query, true),
-            Strategy::Auto => self.plan_petq(query).1,
         }
     }
 
@@ -467,14 +463,14 @@ pub(crate) fn read_cost_stats(r: &mut Reader<'_>) -> Result<CostStats, SnapshotE
 }
 
 impl InvertedIndex {
-    /// Predict counters for every fixed PETQ strategy from the cached
-    /// cost statistics, in [`Strategy::ALL`] order.
+    /// Predict counters for every fixed PETQ strategy from
+    /// [`InvertedIndex::cost_stats`], in [`Strategy::ALL`] order.
     pub fn predict_petq(&self, query: &EqQuery) -> [(Strategy, CostPrediction); 5] {
         self.cost_stats().predict_petq(query)
     }
 
-    /// The planner's pick for this PETQ: the cheapest fixed strategy by
-    /// predicted scalar cost, with its prediction.
+    /// The fixed strategy the I/O model ranks first for this PETQ, with
+    /// its prediction ([`CostStats::plan_petq`]).
     pub fn plan_petq(&self, query: &EqQuery) -> (Strategy, CostPrediction) {
         self.cost_stats().plan_petq(query)
     }

@@ -138,9 +138,8 @@ pub struct InvertedIndex {
     tid_span: u64,
     /// Lazily collected cost statistics (see [`crate::cost`]). Computed
     /// on first use, pre-populated when a snapshot carries a stats
-    /// section, and refreshed explicitly at checkpoints. Mutations do
-    /// *not* invalidate it: stale statistics skew cost predictions —
-    /// which the adaptive executor absorbs — never results.
+    /// section, and dropped by every mutation, so a value that is
+    /// present describes the live directory.
     cost: OnceLock<CostStats>,
 }
 
@@ -254,6 +253,7 @@ impl InvertedIndex {
     /// ([`InvertedIndex::admits`]) with [`StorageError::KeyOutOfRange`],
     /// before anything is modified.
     pub fn insert(&mut self, pool: &mut BufferPool, tid: u64, uda: &Uda) -> Result<()> {
+        self.cost.take();
         self.admit(pool, tid, uda)?;
         let format = self.format;
         for (cat, p) in uda.iter() {
@@ -294,6 +294,7 @@ impl InvertedIndex {
 
     /// Delete a tuple. Returns whether it existed.
     pub fn delete(&mut self, pool: &mut BufferPool, tid: u64) -> Result<bool> {
+        self.cost.take();
         let Some(rid) = self.rids.remove(&tid) else {
             return Ok(false);
         };
@@ -625,21 +626,13 @@ impl InvertedIndex {
         self.cost.set(stats).is_ok()
     }
 
-    /// Cost statistics for the planner, collected lazily from in-memory
-    /// metadata (zero I/O; see [`CostStats`]). The value is cached:
-    /// it reflects the index as of the last build, snapshot load, or
-    /// [`InvertedIndex::refresh_cost_stats`] call, *not* mutations since
-    /// — by design, statistics refresh at checkpoint boundaries.
+    /// Cost statistics for the I/O model, collected from in-memory
+    /// metadata (zero I/O; see [`CostStats`]) when first asked for and
+    /// kept until the next [`InvertedIndex::insert`],
+    /// [`InvertedIndex::update`] or [`InvertedIndex::delete`] drops
+    /// them: they always describe the live directory.
     pub fn cost_stats(&self) -> &CostStats {
         self.cost.get_or_init(|| crate::cost::collect(self))
-    }
-
-    /// Recompute the cost statistics from the current directory. Called
-    /// by the durable checkpoint path so persisted snapshots always
-    /// carry fresh statistics.
-    pub fn refresh_cost_stats(&mut self) {
-        self.cost = OnceLock::new();
-        let _ = self.cost_stats();
     }
 
     /// Every page this index references (tuple store, then block heap)

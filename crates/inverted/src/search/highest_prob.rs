@@ -25,31 +25,11 @@ pub(super) fn search(
     query: &EqQuery,
     metrics: &mut QueryMetrics,
 ) -> Result<Vec<Match>> {
-    let (candidates, over) = collect_candidates(idx, pool, query, None, metrics)?;
-    debug_assert!(!over, "no budget, no overrun");
-    metrics.candidates_generated += candidates.len() as u64;
-    verify_candidates(idx, pool, query, candidates, metrics)
-}
-
-/// Drain list heads in most-promising-first order until Lemma 1 stops
-/// the search — or, when a postings budget is given, until the drain has
-/// scanned more than `budget` postings past the counter's entry value
-/// (the adaptive executor's abandon signal). Returns every tuple id
-/// encountered plus whether the budget was exceeded.
-pub(crate) fn collect_candidates(
-    idx: &InvertedIndex,
-    pool: &mut BufferPool,
-    query: &EqQuery,
-    budget: Option<u64>,
-    metrics: &mut QueryMetrics,
-) -> Result<(TidSet, bool)> {
-    let scanned_at_entry = metrics.postings_scanned;
     let plan = pool.trace_begin(Phase::Plan);
     let mut frontier = Frontier::open(idx, pool, &query.q, metrics)?;
     pool.trace_end(plan);
     let drain = pool.trace_begin(Phase::FrontierMaintenance);
     let mut seen = TidSet::default();
-    let mut over_budget = false;
     loop {
         // Lemma 1: any tuple not yet seen is bounded by the frontier sum
         // (an over-estimate while bound heads are live, so the stop is
@@ -61,10 +41,6 @@ pub(crate) fn collect_candidates(
             }
             break;
         }
-        if budget.is_some_and(|b| metrics.postings_scanned - scanned_at_entry > b) {
-            over_budget = true;
-            break;
-        }
         let Some((j, tid, _c)) = frontier.best(pool, metrics)? else {
             break;
         };
@@ -73,5 +49,6 @@ pub(crate) fn collect_candidates(
     }
     frontier.account_skips(metrics);
     pool.trace_end(drain);
-    Ok((seen, over_budget))
+    metrics.candidates_generated += seen.len() as u64;
+    verify_candidates(idx, pool, query, seen, metrics)
 }

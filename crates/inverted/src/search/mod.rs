@@ -1,6 +1,5 @@
 //! PETQ search strategies over the inverted index.
 
-mod auto;
 mod brute;
 mod col_prune;
 mod highest_prob;
@@ -27,22 +26,28 @@ pub enum Strategy {
     /// Read (fully) only the lists with `q.p ≥ τ`.
     RowPruning,
     /// Read each query list only down to probability `τ`.
-    #[default]
     ColumnPruning,
     /// Rank-join with upper/lower bounds and deferred random access.
     Nra,
-    /// Cost-based planning: pick the cheapest fixed strategy from the
-    /// cached [`crate::CostStats`] and execute it under an adaptive
-    /// budget that falls back to the full scan when live counters
-    /// overrun the prediction (see [`crate::CostPrediction`]).
+    /// What a caller with no figure to draw should run, and the default.
+    /// For a PETQ that is [`Strategy::Brute`]'s scan, always: since the
+    /// scan became a packed-block pass into a flat sum, every plan that
+    /// verifies candidates loses to it in wall-clock at any selectivity
+    /// measured, hot or cold (EXPERIMENTS.md, "The null planner"), so
+    /// nothing is planned. For top-k it is the paper's drain, abandoned
+    /// for the scan once it costs more
+    /// ([`InvertedIndex::top_k_planned`]). The five fixed strategies are
+    /// kept for the paper's figures and for `uncat explain`.
+    #[default]
     Auto,
 }
 
 impl Strategy {
     /// All *fixed* strategies, for the ablation sweep.
-    /// [`Strategy::Auto`] is deliberately excluded: it is a chooser over
-    /// these five, not a sixth algorithm, and including it would make
-    /// every ablation figure compare a strategy against itself.
+    /// [`Strategy::Auto`] is deliberately excluded: it is a policy over
+    /// these five (for a PETQ, [`Strategy::Brute`]), not a sixth
+    /// algorithm, and including it would make every ablation figure
+    /// compare a strategy against itself.
     pub const ALL: [Strategy; 5] = [
         Strategy::Brute,
         Strategy::HighestProbFirst,
@@ -84,12 +89,11 @@ impl InvertedIndex {
     ) -> Result<Vec<Match>> {
         pool.tally(|pool, metrics| {
             let mut out = match strategy {
-                Strategy::Brute => brute::search(self, pool, query, metrics)?,
+                Strategy::Brute | Strategy::Auto => brute::search(self, pool, query, metrics)?,
                 Strategy::HighestProbFirst => highest_prob::search(self, pool, query, metrics)?,
                 Strategy::RowPruning => row_prune::search(self, pool, query, metrics)?,
                 Strategy::ColumnPruning => col_prune::search(self, pool, query, metrics)?,
                 Strategy::Nra => nra::search(self, pool, query, metrics)?,
-                Strategy::Auto => auto::search(self, pool, query, metrics)?,
             };
             sort_matches_desc(&mut out);
             Ok(out)
@@ -144,7 +148,7 @@ pub(crate) fn query_lists<'a>(
 }
 
 /// The full-list scan under every accumulating plan (brute-force PETQ,
-/// `Auto`'s fallback, the top-k scan, DSTQ's partial distances): read
+/// which is also `Auto`'s, the top-k scan, DSTQ's partial distances): read
 /// each of the query's lists end to end and add `term(q.p_j, p)` to the
 /// posting's tuple, lists in ascending category order. Ticks
 /// `lists_opened` and what [`crate::postings::PostingList::scan_all`]

@@ -50,31 +50,6 @@ pub(super) fn search(
     query: &EqQuery,
     metrics: &mut QueryMetrics,
 ) -> Result<Vec<Match>> {
-    Ok(run(idx, pool, query, None, metrics)?.expect("no budget, no overrun"))
-}
-
-/// NRA under a postings-scanned budget: the adaptive executor's entry
-/// point. The drain aborts — `None`, with no candidate-pipeline counter
-/// ticked — once it has scanned more than `budget` postings beyond the
-/// counter's value at entry.
-pub(crate) fn search_budgeted(
-    idx: &InvertedIndex,
-    pool: &mut BufferPool,
-    query: &EqQuery,
-    budget: u64,
-    metrics: &mut QueryMetrics,
-) -> Result<Option<Vec<Match>>> {
-    run(idx, pool, query, Some(budget), metrics)
-}
-
-fn run(
-    idx: &InvertedIndex,
-    pool: &mut BufferPool,
-    query: &EqQuery,
-    budget: Option<u64>,
-    metrics: &mut QueryMetrics,
-) -> Result<Option<Vec<Match>>> {
-    let scanned_at_entry = metrics.postings_scanned;
     let plan = pool.trace_begin(Phase::Plan);
     let mut frontier = Frontier::open(idx, pool, &query.q, metrics)?;
     pool.trace_end(plan);
@@ -83,13 +58,7 @@ fn run(
         // highest-prob-first is the general fallback. Nothing was
         // decoded, so the whole frontier is charged as skipped.
         frontier.account_skips(metrics);
-        let (seen, over) =
-            super::highest_prob::collect_candidates(idx, pool, query, budget, metrics)?;
-        if over {
-            return Ok(None);
-        }
-        metrics.candidates_generated += seen.len() as u64;
-        return verify_candidates(idx, pool, query, seen, metrics).map(Some);
+        return super::highest_prob::search(idx, pool, query, metrics);
     }
 
     let tau = query.tau;
@@ -109,13 +78,6 @@ fn run(
                 metrics.lemma1_stops += 1;
             }
             break;
-        }
-        if budget.is_some_and(|b| metrics.postings_scanned - scanned_at_entry > b) {
-            // The plan is losing: hand the query back to the adaptive
-            // executor without spending any random access.
-            pool.trace_end(drain);
-            frontier.account_skips(metrics);
-            return Ok(None);
         }
         let Some((j, tid, c)) = frontier.best(pool, metrics)? else {
             break;
@@ -184,5 +146,5 @@ fn run(
         }
     }
     accepted.extend(verify_candidates(idx, pool, query, needs_ra, metrics)?);
-    Ok(Some(accepted))
+    Ok(accepted)
 }

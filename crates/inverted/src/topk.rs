@@ -64,10 +64,8 @@ impl InvertedIndex {
     /// (postings popped, plus one random access per candidate up to the
     /// heap's pages), exceed the scan's cost (the lists' lengths plus
     /// their pages): the scan has exact scores from the lists alone and
-    /// verifies nothing. Both prices come from the live directories, not
-    /// the cached [`crate::CostStats`], so statistics gone stale under
-    /// mutations cannot talk a cheap drain into a full scan. Answers are
-    /// the same either way.
+    /// verifies nothing. Both prices are read off the queried lists'
+    /// directories when the query runs. Answers are the same either way.
     pub fn top_k_planned(
         &self,
         pool: &mut BufferPool,

@@ -385,12 +385,6 @@ pub trait MutableBackend: UncertainIndex + Sized {
     /// Reattach a backend from [`MutableBackend::snapshot_blob`] output
     /// over the same page store.
     fn open_blob(blob: &[u8]) -> Result<Self>;
-    /// Recompute any cached planner statistics from the live structure.
-    /// Called by the durable layer at the start of every checkpoint, so
-    /// the snapshot written by [`MutableBackend::snapshot_blob`] always
-    /// carries statistics that reflect the checkpointed state. The
-    /// default is a no-op for backends without a cost model.
-    fn refresh_stats(&mut self) {}
 }
 
 impl MutableBackend for InvertedBackend {
@@ -422,10 +416,6 @@ impl MutableBackend for InvertedBackend {
         InvertedIndex::open(blob)
             .map(InvertedBackend::new)
             .map_err(|e| StorageError::Corrupt(e.0))
-    }
-
-    fn refresh_stats(&mut self) {
-        self.index.refresh_cost_stats();
     }
 }
 
@@ -721,13 +711,6 @@ impl<B: MutableBackend> DurableIndex<B> {
                     replayed += 1;
                 }
                 idx.mutations_since_checkpoint = replayed;
-                if replayed > 0 {
-                    // The snapshot's statistics describe the pre-crash
-                    // checkpoint, not the state replay just rebuilt;
-                    // without a refresh, `Strategy::Auto` would plan
-                    // against stale counts until the next checkpoint.
-                    idx.backend.refresh_stats();
-                }
             }
         }
         idx.replayed_records = replayed;
@@ -907,9 +890,6 @@ impl<B: MutableBackend> DurableIndex<B> {
     fn checkpoint_inner(&mut self) -> Result<()> {
         let new_epoch = self.epoch + 1;
         let dirty = self.pool.dirty_pages();
-        // Statistics first: the snapshot must describe the state it
-        // accompanies, not the state at the previous checkpoint.
-        self.backend.refresh_stats();
         let blob = wrap_blob(new_epoch, &self.backend.snapshot_blob());
 
         // Phase 1: write the complete redo image to the side journal and

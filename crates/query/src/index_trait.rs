@@ -106,12 +106,11 @@ pub struct InvertedBackend {
 }
 
 impl InvertedBackend {
-    /// Wrap an index with the default (NRA) threshold strategy.
+    /// Wrap an index with the default strategy, [`Strategy::Auto`] —
+    /// also what a reopened `DurableIndex` answers under: the strategy
+    /// is not part of the snapshot.
     pub fn new(index: InvertedIndex) -> InvertedBackend {
-        InvertedBackend {
-            index,
-            strategy: Strategy::Nra,
-        }
+        InvertedBackend::with_strategy(index, Strategy::default())
     }
 
     /// Wrap an index with an explicit strategy.

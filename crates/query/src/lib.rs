@@ -15,10 +15,10 @@
 //!   score floor across workers and propagates it into every probe).
 //! * [`parallel`] — batch execution across threads (each query gets its
 //!   own buffer pool, exactly like the paper's per-query setup).
-//! * [`planner`] — cost-based backend-and-strategy planning from
-//!   zero-I/O statistics (DESIGN.md §6h); pairs with the inverted
-//!   index's `Strategy::Auto` adaptive executor, which plans and
-//!   falls back *within* that backend.
+//! * [`planner`] — the paper's I/O model across backends: which index
+//!   and strategy it ranks first, from zero-I/O statistics (DESIGN.md
+//!   §6h). Diagnostic: `uncat explain` prints it, no query is routed by
+//!   it.
 //! * [`durable`] — [`DurableIndex`], crash-safe online mutation for both
 //!   paper indexes: write-ahead logging with group commit, no-steal
 //!   buffering, redo-journaled checkpoints, and recovery that truncates

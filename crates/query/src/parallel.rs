@@ -156,11 +156,10 @@ const POOL_EXHAUSTED_RETRIES: usize = 2;
 ///
 /// A query that fails with [`StorageError::PoolExhausted`] is retried up
 /// to [`POOL_EXHAUSTED_RETRIES`] times, each attempt against a **fresh
-/// pool**: the abandoned attempt's pool is dropped with its ledger —
-/// including any `plan_fallbacks` its adaptive executor ticked before
-/// dying — so nothing of it leaks into the outcome and [`batch_metrics`]
-/// stays per-attempt-exact (it describes exactly the executions whose
-/// results were returned).
+/// pool**: the abandoned attempt's pool is dropped with its ledger, so
+/// nothing it ticked before dying leaks into the outcome and
+/// [`batch_metrics`] stays per-attempt-exact (it describes exactly the
+/// executions whose results were returned).
 fn run_batch<Q, I, F>(
     index: &I,
     store: &SharedStore,

@@ -1,18 +1,18 @@
-//! Cost-based backend-and-strategy planning (DESIGN.md §6h).
+//! Cost-based backend-and-strategy ranking (DESIGN.md §6h).
 //!
-//! The inverted index plans *within* itself — [`Strategy::Auto`] asks
-//! the cached [`CostStats`] for the cheapest of the five PETQ
-//! strategies and falls back adaptively mid-query. This module plans
-//! one level up, *across* execution backends: given whatever statistics
-//! are available (inverted cost statistics, PDR-tree header statistics,
-//! a buffer-residency sample), a [`Planner`] predicts counters for each
-//! candidate backend and picks the cheapest [`Plan`] per query kind.
+//! The paper's I/O model one level up, *across* execution backends:
+//! given whatever statistics are available (inverted cost statistics,
+//! PDR-tree header statistics, a buffer-residency sample), a
+//! [`Planner`] predicts counters for each candidate backend and ranks a
+//! [`Plan`] first per query kind. Like the inverted index's own
+//! [`CostStats`] it is diagnostic — `uncat explain` and the figures read
+//! it, no query is routed by it, and [`Strategy::Auto`] runs the scan
+//! whatever it says.
 //!
-//! Everything here is zero-I/O. The statistics are collected once —
-//! at build, load, or checkpoint ([`crate::MutableBackend::refresh_stats`])
-//! — and deliberately go stale between refreshes: staleness only skews
-//! predictions, never results, and the adaptive executor inside
-//! [`Strategy::Auto`] is the safety net when a stale prediction loses.
+//! Everything here is zero-I/O. A planner samples its statistics when
+//! it is made ([`Planner::for_inverted`] clones
+//! [`InvertedIndex::cost_stats`], which every mutation drops and the
+//! next reader recollects), so it describes the index as of that call.
 //!
 //! The non-PETQ predictors are deliberately crude: monotone in the
 //! obvious query parameter (`k`, `τ_d`), pinned to the same
@@ -48,8 +48,8 @@ pub struct IndexStats {
 /// Which backend a [`Plan`] executes on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlannedBackend {
-    /// The inverted index, with the strategy its own planner picked
-    /// (always a fixed strategy, never [`Strategy::Auto`] itself).
+    /// The inverted index, with the fixed strategy its I/O model ranks
+    /// first (never [`Strategy::Auto`] itself).
     Inverted(Strategy),
     /// The PDR-tree.
     PdrTree,
@@ -90,8 +90,8 @@ impl Planner {
         Planner { stats }
     }
 
-    /// Plan over an inverted index, sampling its cached cost statistics
-    /// (collecting them first if no build/load/checkpoint has yet).
+    /// Plan over an inverted index, sampling its cost statistics as of
+    /// this call.
     pub fn for_inverted(idx: &InvertedIndex) -> Planner {
         let cost = idx.cost_stats().clone();
         Planner {

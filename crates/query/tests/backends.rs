@@ -8,7 +8,7 @@ use rand::{Rng, SeedableRng};
 use uncat_core::equality::eq_prob;
 use uncat_core::query::{DstQuery, EqQuery, TopKQuery};
 use uncat_core::{CatId, Divergence, Domain, Uda};
-use uncat_inverted::InvertedIndex;
+use uncat_inverted::{InvertedIndex, Strategy};
 use uncat_pdrtree::{PdrConfig, PdrTree};
 use uncat_query::join::{
     block_nested_loop_petj, index_dstj, index_nested_loop_petj, index_top_k_pej, JoinPair,
@@ -45,13 +45,14 @@ fn world(seed: u64, n: usize, cats: u32, max_nz: usize) -> World {
         .collect();
     let store = InMemoryDisk::shared();
     let mut pool = BufferPool::with_capacity(store.clone(), 150);
-    let inverted = InvertedBackend::new(
+    let inverted = InvertedBackend::with_strategy(
         InvertedIndex::build(
             Domain::anonymous(cats),
             &mut pool,
             data.iter().map(|(t, u)| (*t, u)),
         )
         .unwrap(),
+        Strategy::Nra,
     );
     let pdr = PdrTree::build(
         Domain::anonymous(cats),

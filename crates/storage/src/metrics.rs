@@ -104,10 +104,11 @@ pub struct QueryMetrics {
     /// WAL records re-applied during the recovery that opened this
     /// durable index (0 after a clean shutdown or checkpoint).
     pub replayed_records: u64,
-    /// Times the adaptive executor abandoned a planned strategy
-    /// mid-query because live counters overran the cost prediction
-    /// beyond the overrun factor (`Strategy::Auto` only; fixed
-    /// strategies leave this zero).
+    /// Pinned 0: it counted the times `Strategy::Auto` abandoned a
+    /// planned PETQ strategy mid-query, and `Auto` now runs the scan
+    /// without planning. The field stays because the frozen benchmark
+    /// adapter reads it (`inverted.plan_fallbacks_per_kop`); it goes
+    /// when that adapter is re-pointed.
     pub plan_fallbacks: u64,
     /// Times this query (or a query in this batch) was held in the
     /// admission queue because its tenant was at its frame quota, then

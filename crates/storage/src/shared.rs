@@ -185,7 +185,7 @@ impl SharedBufferPool {
     }
 
     /// Fraction of `pages` currently cached, probing every `stride`-th
-    /// page (stride 0 and 1 both probe every page). The cost-based
+    /// page (stride 0 and 1 both probe every page). The cross-backend
     /// planner samples this to discount predicted physical reads for
     /// data that is already hot; it is a point-in-time estimate with no
     /// I/O side effects. An empty page set reports 0.0.

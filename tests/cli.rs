@@ -791,9 +791,10 @@ fn explain_prints_elapsed_time_row() {
     assert_eq!(cells, 5, "one timing cell per strategy: {timing}");
 }
 
-/// `explain` prints the planner's predicted counters next to the
-/// measured ones, names its pick, and flags predictions that miss by
-/// more than the adaptive executor's own overrun slack. The dataset is
+/// `explain` prints the I/O model's predicted counters next to the
+/// measured ones, names the strategy the model ranks first and the one
+/// `auto` runs, and flags predictions that miss by more than its display
+/// slack; it takes a multi-category query as `--uda`. The dataset is
 /// crafted so one flag fires deterministically: every posting carries
 /// p = 0.26, and at τ = 0.31 column pruning's histogram (bucket edges
 /// at 1/16 steps) predicts a full-list scan while the real scan prunes
@@ -841,14 +842,47 @@ fn explain_prints_predictions_pick_and_misprediction_flags() {
         let cells = line.split_whitespace().skip(1).count();
         assert_eq!(cells, 5, "one predicted cell per strategy: {line}");
     }
-    assert!(out.contains("planner picks "), "no pick line: {out}");
+    assert!(
+        out.contains("i/o model ranks first: "),
+        "no model line: {out}"
+    );
+    assert!(
+        out.contains("auto runs: inv-index-search"),
+        "no auto line: {out}"
+    );
     assert!(
         out.contains("misprediction: column-pruning postings_scanned over-estimated"),
         "expected the engineered over-estimate flag: {out}"
     );
 
-    // The planner is still usable as a strategy: `--strategy auto` (also
-    // the default) answers the query and reports like any fixed one.
+    // A two-list query: every one of the 600 tuples scores
+    // 0.5 · 0.26 + 0.5 · 0.74 = 0.5 under each strategy.
+    let (ok, out) = uncat(&[
+        "explain",
+        "--index",
+        "inverted",
+        "--pages",
+        &pages,
+        "--meta",
+        &meta,
+        "--uda",
+        "0:0.5,1:0.5",
+        "--tau",
+        "0.4",
+    ]);
+    assert!(ok, "explain --uda failed: {out}");
+    let cells = |row: &str| -> Vec<String> {
+        let line = out
+            .lines()
+            .find(|l| l.starts_with(row))
+            .unwrap_or_else(|| panic!("no {row} row: {out}"));
+        line.split_whitespace().skip(1).map(String::from).collect()
+    };
+    assert_eq!(cells("matches"), ["600"; 5], "{out}");
+    assert_eq!(cells("lists_opened")[0], "2", "the scan opened both: {out}");
+
+    // `--strategy auto` (also the default) answers the query and reports
+    // like any fixed strategy.
     let (ok, out) = uncat(&[
         "query",
         "--index",

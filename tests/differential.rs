@@ -1,13 +1,12 @@
 //! Cross-index differential property tests.
 //!
 //! Three implementations answer every query in this workspace: the
-//! probabilistic inverted index (under five search strategies plus the
-//! cost-based `Auto` planner), the
-//! PDR-tree, and the full-scan baseline. They share nothing but the data
-//! model, which makes them ideal differential-testing oracles for each
-//! other: on proptest-generated datasets and queries, all of them must
-//! return the same tuples in the same order with scores agreeing to
-//! 1e-9. A pruning bug, a bound that is not actually an upper bound, or
+//! probabilistic inverted index (under five search strategies plus
+//! `Auto`, the default), the PDR-tree, and the full-scan baseline. They
+//! share nothing but the data model, which makes them ideal
+//! differential-testing oracles for each other: on proptest-generated
+//! datasets and queries, all of them must return the same tuples in the
+//! same order with scores agreeing to 1e-9. A pruning bug, a bound that is not actually an upper bound, or
 //! a posting-list truncation shows up here as a divergence long before
 //! it would be caught by a hand-written example.
 
@@ -75,9 +74,9 @@ fn all_backends(
                 .expect("in-memory build"),
         ),
     )];
-    // The five fixed strategies plus the cost-based planner: Auto must
-    // be indistinguishable from the others on results, whatever plan it
-    // picks (and even when its adaptive fallback fires mid-query).
+    // The five fixed strategies plus the default: Auto must be
+    // indistinguishable from the others on results (its top-k may leave
+    // the drain for the scan mid-query).
     for strategy in SearchStrategy::ALL
         .into_iter()
         .chain([SearchStrategy::Auto])
@@ -596,13 +595,14 @@ fn compare_against_model(
     let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 100);
     let scan = ScanBaseline::build(&mut pool, model.iter().map(|(t, u)| (*t, u)))
         .expect("in-memory build");
-    let rebuilt_inv = InvertedBackend::new(
+    let rebuilt_inv = InvertedBackend::with_strategy(
         InvertedIndex::build(
             Domain::anonymous(CATS),
             &mut pool,
             model.iter().map(|(t, u)| (*t, u)),
         )
         .expect("in-memory build"),
+        SearchStrategy::Nra,
     );
     let rebuilt_pdr = PdrTree::build(
         Domain::anonymous(CATS),
@@ -624,10 +624,7 @@ fn compare_against_model(
             &reference,
             &answers(&rebuilt_pdr, &mut pool, probe),
         );
-        // Auto rides along: its statistics were last refreshed at
-        // build/checkpoint time and are stale for any mutations since —
-        // staleness may change the *plan* (or trigger the adaptive
-        // fallback) but must never change the answers.
+        // Every strategy, `Auto` included, on the mutated lists.
         for strategy in SearchStrategy::ALL
             .into_iter()
             .chain([SearchStrategy::Auto])
@@ -665,11 +662,14 @@ fn check_interleaved_mutations(
 
     let inv_storage = DurableStorage::in_memory();
     let mut inv = DurableIndex::create(inv_storage.clone(), config, |pool| {
-        Ok(InvertedBackend::new(InvertedIndex::build(
-            Domain::anonymous(CATS),
-            pool,
-            initial.iter().map(|(t, u)| (*t, u)),
-        )?))
+        Ok(InvertedBackend::with_strategy(
+            InvertedIndex::build(
+                Domain::anonymous(CATS),
+                pool,
+                initial.iter().map(|(t, u)| (*t, u)),
+            )?,
+            SearchStrategy::Nra,
+        ))
     })
     .expect("create durable inverted index");
     let pdr_storage = DurableStorage::in_memory();
@@ -785,23 +785,8 @@ fn check_block_format_differential(tuples: &[(u64, Uda)], q: &Uda, tau: f64, k: 
             // Row pruning legitimately skips whole *lists* (those with
             // `q.p < τ`); their blocks are neither decoded nor skipped.
             assert!(covered <= total_blocks, "row-pruning overcounts blocks");
-        } else if strategy == SearchStrategy::Auto {
-            // Auto's pick may be row pruning (skips lists, under-covers)
-            // and its mid-query fallback — the full scan — decodes every
-            // block of every list the abandoned drain had already
-            // charged as decoded or skipped (covers the directory
-            // exactly twice); only those bounds are exact.
-            assert!(
-                covered <= 2 * total_blocks,
-                "auto covers each block at most twice (drain + fallback)"
-            );
-            if metrics.plan_fallbacks > 0 {
-                assert_eq!(covered, 2 * total_blocks, "drain + full scan");
-            }
-            if metrics.plan_fallbacks == 0 {
-                assert!(covered <= total_blocks, "auto without fallback overcounts");
-            }
         } else {
+            // `Auto` included: it is the scan, one pass over every list.
             assert_eq!(
                 covered,
                 total_blocks,
@@ -832,13 +817,14 @@ fn check_join_plans_agree(
     let mut pool = BufferPool::with_capacity(store.clone(), 100);
     let scan = ScanBaseline::build(&mut pool, tuples.iter().map(|(t, u)| (*t, u)))
         .expect("in-memory build");
-    let inv = InvertedBackend::new(
+    let inv = InvertedBackend::with_strategy(
         InvertedIndex::build(
             Domain::anonymous(CATS),
             &mut pool,
             tuples.iter().map(|(t, u)| (*t, u)),
         )
         .expect("in-memory build"),
+        SearchStrategy::Nra,
     );
     let pdr = PdrTree::build(
         Domain::anonymous(CATS),

@@ -7,7 +7,7 @@ use uncat::datagen::workload::{calibrate, queries_from_data, SELECTIVITIES};
 use uncat::datagen::{crm, gen3, pairwise, uniform, Dataset};
 use uncat::prelude::*;
 use uncat::query::{InvertedBackend, ScanBaseline, UncertainIndex};
-use uncat_inverted::InvertedIndex;
+use uncat_inverted::{InvertedIndex, Strategy};
 use uncat_pdrtree::{PdrConfig, PdrTree};
 
 struct World {
@@ -21,9 +21,10 @@ struct World {
 fn world(domain: Domain, data: Dataset) -> World {
     let store = InMemoryDisk::shared();
     let mut pool = BufferPool::with_capacity(store.clone(), 256);
-    let inverted = InvertedBackend::new(
+    let inverted = InvertedBackend::with_strategy(
         InvertedIndex::build(domain.clone(), &mut pool, data.iter().map(|(t, u)| (*t, u)))
             .expect("in-memory build"),
+        Strategy::Nra,
     );
     let pdr = PdrTree::build(
         domain,

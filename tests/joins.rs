@@ -14,7 +14,7 @@ use uncat::prelude::*;
 use uncat::query::join::{index_join, index_top_k_pej, parallel_join, JoinPair, JoinSpec};
 use uncat::query::{BatchPools, InvertedBackend, UncertainIndex};
 use uncat::storage::SharedStore;
-use uncat_inverted::InvertedIndex;
+use uncat_inverted::{InvertedIndex, Strategy};
 use uncat_pdrtree::{PdrConfig, PdrTree};
 
 const K: usize = 10;
@@ -42,7 +42,7 @@ fn build_inverted(domain: &Domain, data: &[(u64, Uda)]) -> (InvertedBackend, Sha
     let idx = InvertedIndex::build(domain.clone(), &mut pool, data.iter().map(|(t, u)| (*t, u)))
         .expect("in-memory build");
     pool.flush().expect("in-memory flush");
-    (InvertedBackend::new(idx), store)
+    (InvertedBackend::with_strategy(idx, Strategy::Nra), store)
 }
 
 fn build_pdr(domain: &Domain, data: &[(u64, Uda)]) -> (PdrTree, SharedStore) {

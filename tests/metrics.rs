@@ -10,8 +10,7 @@ use uncat::pdrtree::{PdrConfig, PdrTree};
 use uncat::query::join::{index_join, JoinSpec};
 use uncat::query::parallel::{batch_metrics, petq_batch_with};
 use uncat::query::{
-    aggregate_metrics, BatchPools, Executor, InvertedBackend, MutableBackend, ScanBaseline,
-    UncertainIndex,
+    aggregate_metrics, BatchPools, Executor, InvertedBackend, ScanBaseline, UncertainIndex,
 };
 use uncat::service::{shard_of, QueryService, ServiceConfig, TenantConfig};
 use uncat::storage::{
@@ -162,7 +161,7 @@ fn pdr_tree_counts_visits_and_lemma2_pruning() {
 fn executor_outcome_carries_matching_io() {
     let (domain, data) = seeded_dataset(1500);
     let (idx, store) = build_inverted(&domain, &data);
-    let exec = Executor::new(InvertedBackend::new(idx), store);
+    let exec = Executor::new(InvertedBackend::with_strategy(idx, Strategy::Nra), store);
     let outcomes: Vec<_> = (0..4u32)
         .map(|c| exec.petq(&EqQuery::new(uda(&[(c, 1.0)]), 0.4)).unwrap())
         .collect();
@@ -188,7 +187,7 @@ fn executor_outcome_carries_matching_io() {
 fn parallel_batch_metrics_equal_sequential_sum() {
     let (domain, data) = seeded_dataset(2000);
     let (idx, store) = build_inverted(&domain, &data);
-    let backend = InvertedBackend::new(idx);
+    let backend = InvertedBackend::with_strategy(idx, Strategy::Nra);
     let queries: Vec<EqQuery> = (0..12)
         .map(|i| EqQuery::new(uda(&[((i % 13) as u32, 1.0)]), 0.35))
         .collect();
@@ -205,73 +204,6 @@ fn parallel_batch_metrics_equal_sequential_sum() {
     assert_eq!(
         par_total, seq_total,
         "parallel sum must equal sequential sum"
-    );
-}
-
-/// `plan_fallbacks` is per-attempt exact across batch execution: prime
-/// the planner's statistics on a tiny corpus, grow one posting list far
-/// past the overrun budget without refreshing them (the
-/// staleness-by-design case), and the adaptive fallback fires on every
-/// query of the hot category. The batch counter must equal both the sum
-/// of the per-outcome counters and a sequential rerun — a retried or
-/// shared-pool query must tick once per *completed attempt*, never
-/// twice (the double-count this PR fixes).
-#[test]
-fn auto_fallbacks_sum_exactly_across_shared_pool_batches() {
-    let domain = Domain::anonymous(13);
-    let store = InMemoryDisk::shared();
-    let mut pool = BufferPool::with_capacity(store.clone(), 512);
-    let initial: Vec<(u64, Uda)> = (0..40)
-        .map(|i| (i, uda(&[((i % 13) as u32, 1.0)])))
-        .collect();
-    let idx = InvertedIndex::build(domain, &mut pool, initial.iter().map(|(t, u)| (*t, u)))
-        .expect("in-memory build");
-    let mut backend = InvertedBackend::with_strategy(idx, Strategy::Auto);
-    // Prime the statistics cache — what build/checkpoint time does.
-    let _ = backend.index.cost_stats();
-    let heavy = uda(&[(4, 1.0)]);
-    for i in 0..4000u64 {
-        backend
-            .apply_insert(&mut pool, 1_000 + i, &heavy)
-            .expect("in-memory insert");
-    }
-    pool.flush().expect("in-memory flush");
-    drop(pool);
-
-    // Alternate the grown category (guaranteed overrun) with cold ones.
-    let queries: Vec<EqQuery> = (0..10)
-        .map(|i| {
-            let cat = if i % 2 == 0 { 4 } else { (i % 13) as u32 };
-            EqQuery::new(uda(&[(cat, 1.0)]), 0.1)
-        })
-        .collect();
-    let pools = BatchPools::shared(&store, 256, 8);
-    let results = petq_batch_with(&backend, &store, &pools, &queries, 4);
-    let total = batch_metrics(&results);
-    assert!(
-        total.plan_fallbacks >= 5,
-        "every hot-category query must overrun its stale budget, got {}",
-        total.plan_fallbacks
-    );
-    let manual = QueryMetrics::sum(results.iter().map(|r| &r.as_ref().unwrap().metrics));
-    assert_eq!(total, manual, "batch_metrics must sum exactly");
-
-    let mut seq = QueryMetrics::new();
-    for q in &queries {
-        let mut pool = BufferPool::with_capacity(store.clone(), 100);
-        backend.petq(&mut pool, q).expect("query");
-        seq.merge(&pool.metrics());
-    }
-    assert_eq!(
-        total.plan_fallbacks, seq.plan_fallbacks,
-        "fallback ticks are per-attempt exact under the shared pool"
-    );
-    let (mut batch, mut sequential) = (total, seq);
-    batch.io = IoStats::default();
-    sequential.io = IoStats::default();
-    assert_eq!(
-        batch, sequential,
-        "batch execution must not change any counter"
     );
 }
 
@@ -308,7 +240,7 @@ fn seeded_queries(seed: u64, n: usize) -> Vec<EqQuery> {
 fn shared_pool_stress_matches_sequential_across_seeds() {
     let (domain, data) = seeded_dataset(3000);
     let (idx, store) = build_inverted(&domain, &data);
-    let backend = InvertedBackend::new(idx);
+    let backend = InvertedBackend::with_strategy(idx, Strategy::Nra);
 
     for seed in [3u64, 17, 99] {
         let queries = seeded_queries(seed, 32);
@@ -368,7 +300,7 @@ fn shared_pool_fault_schedule_fails_only_pinning_queries() {
     let idx = InvertedIndex::build(domain, &mut pool, data.iter().map(|(t, u)| (*t, u))).unwrap();
     pool.flush().unwrap();
     drop(pool);
-    let backend = InvertedBackend::new(idx);
+    let backend = InvertedBackend::with_strategy(idx, Strategy::Nra);
 
     for seed in [5u64, 21, 77] {
         let queries = seeded_queries(seed, 24);
@@ -451,7 +383,7 @@ fn scan_baseline_counts_every_tuple() {
 /// The cost estimator speaks the metrics vocabulary and nothing else:
 /// a prediction expressed as a `QueryMetrics` populates exactly the
 /// four counters it predicts, so predicted-vs-actual comparisons (the
-/// `explain` table, the adaptive executor's overrun check) are always
+/// `explain` table and its `misprediction:` lines) are always
 /// field-for-field over this one struct — no hidden side channel.
 #[test]
 fn cost_predictions_map_onto_exactly_four_metrics_fields() {
@@ -547,10 +479,6 @@ const PARENT_COUNTERS: &[(&str, [u64; 14])] = &[
         "petq0/nra",
         [1, 0, 782, 7, 29, 781, 1, 781, 0, 0, 781, 0, 0, 7],
     ),
-    (
-        "petq0/auto=nra",
-        [1, 0, 782, 7, 29, 781, 1, 781, 0, 0, 781, 0, 0, 7],
-    ),
     ("topk0", [1, 0, 65, 1, 35, 64, 1, 64, 54, 0, 10, 0, 0, 1]),
     (
         "dstq0",
@@ -575,10 +503,6 @@ const PARENT_COUNTERS: &[(&str, [u64; 14])] = &[
     (
         "petq1/nra",
         [2, 0, 9260, 73, 0, 9260, 0, 8803, 7746, 0, 1057, 0, 0, 73],
-    ),
-    (
-        "petq1/auto=inv-index-search",
-        [2, 0, 9260, 73, 0, 0, 0, 8803, 0, 0, 8803, 0, 0, 73],
     ),
     (
         "topk1",
@@ -611,10 +535,6 @@ const PARENT_COUNTERS: &[(&str, [u64; 14])] = &[
         ],
     ),
     (
-        "petq2/auto=inv-index-search",
-        [3, 0, 14025, 111, 0, 0, 0, 12011, 0, 0, 12011, 0, 0, 111],
-    ),
-    (
         "topk2",
         [3, 0, 4269, 35, 76, 4266, 1, 4222, 1, 4221, 0, 0, 0, 4256],
     ),
@@ -641,10 +561,6 @@ const PARENT_COUNTERS: &[(&str, [u64; 14])] = &[
     (
         "petq3/nra",
         [2, 0, 7396, 59, 14, 7394, 1, 7120, 7047, 73, 0, 0, 0, 132],
-    ),
-    (
-        "petq3/auto=inv-index-search",
-        [2, 0, 9190, 73, 0, 0, 0, 8737, 0, 0, 8737, 0, 0, 73],
     ),
     (
         "topk3",
@@ -677,10 +593,6 @@ const PARENT_COUNTERS: &[(&str, [u64; 14])] = &[
         [
             4, 0, 18324, 145, 0, 18324, 0, 13807, 2349, 0, 11458, 0, 0, 145,
         ],
-    ),
-    (
-        "petq4/auto=inv-index-search",
-        [4, 0, 18324, 145, 0, 0, 0, 13807, 0, 0, 13807, 0, 0, 145],
     ),
     (
         "topk4",
@@ -718,15 +630,16 @@ const PLANNED_TOPK: [[u64; 14]; 5] = [
 ];
 
 /// The probe kernels are pinned against the counters recorded before
-/// them: on a fixed dataset, for every fixed strategy, `Auto` where no
-/// fallback fires, and the public top-k drain, every execution counter
-/// equals [`PARENT_COUNTERS`], the planner picks what it picked, and
-/// `io.logical_reads` never exceeds its old value. Two things moved
-/// since, both on purpose and both pinned here: DSTQ prunes by lower
+/// them: on a fixed dataset, for every fixed strategy and the public
+/// top-k drain, every execution counter equals [`PARENT_COUNTERS`] and
+/// `io.logical_reads` never exceeds its old value. Three things moved
+/// since, all on purpose and all pinned here: DSTQ prunes by lower
 /// bound before it verifies (same scan, same candidates, fewer random
-/// accesses), and a backend configured with `Strategy::Auto` may leave
-/// the top-k drain for the scan. `generated = pruned + verified +
-/// settled` holds on every row.
+/// accesses), a backend configured with `Strategy::Auto` may leave the
+/// top-k drain for the scan, and a PETQ under `Strategy::Auto` is the
+/// `inv-index-search` row, whichever strategy the I/O model ranks first
+/// (it used to run that one: NRA on the one-list query). `generated =
+/// pruned + verified + settled` holds on every row.
 #[test]
 fn probe_kernels_change_no_counter_but_logical_reads() {
     let (domain, data) = counter_dataset();
@@ -749,18 +662,18 @@ fn probe_kernels_change_no_counter_but_logical_reads() {
     };
     for (qi, (q, tau)) in queries.iter().enumerate() {
         let query = EqQuery::new(q.clone(), *tau);
-        let pick = idx.plan_petq(&query).0;
-        for strategy in Strategy::ALL.into_iter().chain([Strategy::Auto]) {
-            let mut name = format!("petq{qi}/{}", strategy.name());
-            if strategy == Strategy::Auto {
-                name.push_str(&format!("={}", pick.name()));
-            }
+        for strategy in Strategy::ALL {
+            let name = format!("petq{qi}/{}", strategy.name());
             let m = run(&name, &mut |pool| {
                 idx.petq(pool, &query, strategy).unwrap();
             });
-            assert_eq!(m.plan_fallbacks, 0, "{name}: fresh statistics fell back");
             rows.push((name, counter_row(&m)));
         }
+        let auto = run(&format!("petq{qi}/auto"), &mut |pool| {
+            idx.petq(pool, &query, Strategy::Auto).unwrap();
+        });
+        let brute = rows[rows.len() - Strategy::ALL.len()].1;
+        assert_eq!(counter_row(&auto), brute, "petq{qi}: auto is not the scan");
         let topk = TopKQuery::new(q.clone(), 10 + 20 * qi);
         let mut drained = Vec::new();
         let m = run(&format!("topk{qi}"), &mut |pool| {
@@ -798,7 +711,7 @@ fn probe_kernels_change_no_counter_but_logical_reads() {
     }
     let mut dstq_split = Vec::new();
     for ((name, row), (want_name, want)) in rows.iter().zip(PARENT_COUNTERS) {
-        assert_eq!(name, want_name, "probe order or planner pick changed");
+        assert_eq!(name, want_name, "probe order changed");
         let mut row = *row;
         if name.starts_with("dstq") {
             // Same lists, same candidates; the bound moves candidates
@@ -917,7 +830,7 @@ fn a_petq_killed_by_a_read_error_leaves_its_counters_in_the_ledger() {
 fn index_join_outcome_on_a_warm_pool_is_the_sum_of_its_probes() {
     let (domain, data) = seeded_dataset(2000);
     let (idx, store) = build_inverted(&domain, &data);
-    let inner = InvertedBackend::new(idx);
+    let inner = InvertedBackend::with_strategy(idx, Strategy::Nra);
     let outer: Vec<(u64, Uda)> = (0..12)
         .map(|i| (1_000_000 + i, uda(&[((i % 13) as u32, 1.0)])))
         .collect();

@@ -837,16 +837,15 @@ fn repeated_crash_reopen_cycles_preserve_acknowledged_state() {
     assert_index_matches_model("final", &mut idx, &model);
 }
 
-/// Recovery refreshes the planner's statistics: a WAL tail that grew
-/// one posting list far past the snapshot's counts is replayed on open,
-/// and the very first `Strategy::Auto` query must plan against the
-/// replayed state — no adaptive fallback, and prediction and
-/// measurement within each other's overrun slack. (Before this fix the
-/// recovered index planned on the snapshot's stale statistics until the
-/// next checkpoint, so this exact query tripped the fallback.)
+/// Statistics follow mutations: every insert and delete — applied live
+/// or replayed from the WAL — drops the index's cost statistics, so the
+/// next reader collects them from the lists as they are. With no
+/// checkpoint anywhere, the I/O model's prediction for the scan equals
+/// the scan's measured `postings_scanned` exactly, before and after a
+/// reopen.
 #[test]
-fn recovery_refreshes_planner_statistics() {
-    use uncat_inverted::{Strategy, FALLBACK_BUDGET_FLOOR, OVERRUN_FACTOR};
+fn statistics_follow_mutations() {
+    use uncat_inverted::Strategy;
 
     let config = DurableConfig {
         group_commit: 1,
@@ -854,73 +853,99 @@ fn recovery_refreshes_planner_statistics() {
         checkpoint_every: 0,
         ..DurableConfig::default()
     };
-    let mut rng = Rng(11);
-    let initial: Vec<(u64, Uda)> = (0..40).map(|i| (i, rand_uda(&mut rng))).collect();
+    let initial = initial_data(40);
     let storage = DurableStorage::in_memory();
-    let mut idx = DurableIndex::create(storage.clone(), config, |pool| {
-        Ok(InvertedBackend::new(InvertedIndex::build(
-            Domain::anonymous(CATS),
-            pool,
-            initial.iter().map(|(t, u)| (*t, u)),
-        )?))
-    })
-    .expect("create durable inverted index");
+    // The default strategy's PETQ is the scan, before and after a reopen.
+    let mut idx = create_inverted(storage.clone(), config, &initial);
 
-    // Grow category 0 to twice the budget the snapshot statistics would
-    // grant, without a checkpoint: the growth lives only in the WAL.
-    let mut b = UdaBuilder::new();
-    b.push(CatId(0), 1.0).expect("valid probability");
-    let heavy = b.finish_normalized().expect("non-empty");
+    let heavy = Uda::certain(CatId(0));
     let q = EqQuery::new(heavy.clone(), 0.1);
-    let (_, stale) = idx.backend().index.plan_petq(&q);
-    let stale_budget = OVERRUN_FACTOR * stale.postings_scanned + FALLBACK_BUDGET_FLOOR;
-    let grown = 2 * stale_budget;
+    let assert_statistics_are_live = |idx: &mut DurableIndex<InvertedBackend>| {
+        let predicted = idx
+            .backend()
+            .index
+            .cost_stats()
+            .predict_strategy(Strategy::Brute, &q);
+        let mut m = QueryMetrics::new();
+        idx.petq_metered(&q, &mut m).expect("in-memory query");
+        assert_eq!(predicted.postings_scanned, m.postings_scanned);
+        assert_eq!(predicted.blocks_decoded, m.blocks_decoded);
+        assert_eq!(
+            idx.backend().index.cost_stats().tuples,
+            idx.tuple_count(),
+            "statistics count the tuples indexed now"
+        );
+    };
+    assert_statistics_are_live(&mut idx);
+
+    // Grow category 0 and thin it out again; all of it lives in the WAL.
+    let grown = 2_000u64;
     for i in 0..grown {
         idx.insert(100_000 + i, &heavy).expect("in-memory insert");
     }
-    drop(idx); // clean close — but the inserts were never checkpointed
+    for i in (0..grown).step_by(3) {
+        assert!(idx.delete(100_000 + i).expect("in-memory delete"));
+    }
+    assert!(idx.delete(0).expect("in-memory delete"));
+    assert_statistics_are_live(&mut idx);
+    let mutations = idx.mutations_since_checkpoint();
+    drop(idx);
 
     let (mut idx, report) = DurableIndex::<InvertedBackend>::open(storage, config).expect("reopen");
     assert_eq!(
-        report.replayed_records, grown,
-        "the growth schedule must be replayed, not folded into a checkpoint"
+        report.replayed_records, mutations,
+        "the schedule must be replayed, not folded into a checkpoint"
     );
+    assert_statistics_are_live(&mut idx);
+}
 
-    let (pick, prediction) = {
-        let (backend, _) = idx.parts_mut();
-        backend.strategy = Strategy::Auto;
-        backend.index.plan_petq(&q)
+/// A reopened index answers as it did before it was closed: the strategy
+/// is not stored, so `open` must come back under the same default that
+/// `InvertedBackend::new` and the CLI use — `Strategy::Auto`, the scan —
+/// and not under a second default of its own.
+#[test]
+fn a_reopened_index_answers_under_the_same_default_strategy() {
+    use uncat_inverted::Strategy;
+
+    let config = DurableConfig {
+        checkpoint_every: 0,
+        ..DurableConfig::default()
     };
-    let mut m = QueryMetrics::new();
-    let got = idx.petq_metered(&q, &mut m).expect("in-memory query");
-    assert!(
-        got.len() as u64 >= grown,
-        "every replayed tuple matches the probe"
+    let storage = DurableStorage::in_memory();
+    let data = initial_data(300);
+    let tuples: Vec<(u64, Uda)> = data.iter().map(|(t, u)| (*t, u.clone())).collect();
+    let mut idx = DurableIndex::create(storage.clone(), config, |pool| {
+        Ok(InvertedBackend::with_strategy(
+            InvertedIndex::build(
+                Domain::anonymous(CATS),
+                pool,
+                tuples.iter().map(|(t, u)| (*t, u)),
+            )?,
+            Strategy::Auto,
+        ))
+    })
+    .expect("create durable inverted index");
+    let q = EqQuery::new(
+        Uda::from_pairs([(CatId(1), 0.6), (CatId(2), 0.4)]).expect("valid uda"),
+        0.3,
     );
-    assert!(
-        m.postings_scanned > stale_budget,
-        "the scenario must be real: {} postings scanned would have tripped \
-         the stale budget of {stale_budget}",
-        m.postings_scanned
+    idx.insert(9_000, &q.q).expect("in-memory insert");
+
+    let mut before = QueryMetrics::new();
+    let answer = idx.petq_metered(&q, &mut before).expect("in-memory query");
+    drop(idx);
+
+    let (mut idx, _) = DurableIndex::<InvertedBackend>::open(storage, config).expect("reopen");
+    assert_eq!(idx.backend().strategy, Strategy::Auto);
+    let mut after = QueryMetrics::new();
+    assert_eq!(
+        idx.petq_metered(&q, &mut after).expect("in-memory query"),
+        answer
     );
     assert_eq!(
-        m.plan_fallbacks, 0,
-        "recovered statistics must describe the replayed state \
-         (picked {pick:?}, predicted {} postings, scanned {})",
-        prediction.postings_scanned, m.postings_scanned
+        (after.frontier_pops, after.candidates_verified),
+        (0, 0),
+        "the scan drains no frontier and fetches no tuple"
     );
-    // The refreshed prediction and the measurement bound each other
-    // within the planner's own overrun slack, in both directions.
-    assert!(
-        m.postings_scanned <= OVERRUN_FACTOR * prediction.postings_scanned + FALLBACK_BUDGET_FLOOR,
-        "actual {} exceeds the refreshed prediction {} plus slack",
-        m.postings_scanned,
-        prediction.postings_scanned
-    );
-    assert!(
-        prediction.postings_scanned <= OVERRUN_FACTOR * m.postings_scanned + FALLBACK_BUDGET_FLOOR,
-        "refreshed prediction {} wildly exceeds the actual {}",
-        prediction.postings_scanned,
-        m.postings_scanned
-    );
+    assert_eq!(after, before, "same plan, same counters");
 }
