@@ -24,11 +24,7 @@ fn main() {
         names
     };
 
-    let scale = if quick {
-        Scale::quick()
-    } else {
-        Scale::from_env()
-    };
+    let scale = if quick { Scale::quick() } else { Scale::full() };
     println!(
         "# scale: crm_n={} synth_n={} queries/point={} seed={}",
         scale.crm_n, scale.synth_n, scale.queries, scale.seed

@@ -3,8 +3,8 @@
 //! The harness used to `.expect()` its way through builds and probes; a
 //! failure in a long figure sweep then aborted the whole run with a
 //! context-free panic. Every fallible step now reports a [`BenchError`]
-//! naming what failed, so the `figures` and `latency` binaries can print
-//! one actionable line and exit nonzero.
+//! naming what failed, so the `figures` binary can print one actionable
+//! line and exit nonzero.
 
 use std::fmt;
 
@@ -20,18 +20,6 @@ pub enum BenchError {
         /// The underlying typed failure.
         source: StorageError,
     },
-    /// An OS-level file operation failed (writing an artifact).
-    Io {
-        /// The file being written.
-        path: String,
-        /// The underlying OS error.
-        source: std::io::Error,
-    },
-    /// A produced or loaded artifact violates its schema.
-    Schema {
-        /// What is wrong, in one sentence.
-        detail: String,
-    },
     /// A sweep produced no data points (e.g. calibration found no
     /// queries at the requested selectivity).
     Empty {
@@ -45,27 +33,12 @@ impl BenchError {
     pub fn storage(context: &'static str) -> impl FnOnce(StorageError) -> BenchError {
         move |source| BenchError::Storage { context, source }
     }
-
-    /// Wrap a file failure with its path.
-    pub fn io(path: impl Into<String>) -> impl FnOnce(std::io::Error) -> BenchError {
-        let path = path.into();
-        move |source| BenchError::Io { path, source }
-    }
-
-    /// A schema violation.
-    pub fn schema(detail: impl Into<String>) -> BenchError {
-        BenchError::Schema {
-            detail: detail.into(),
-        }
-    }
 }
 
 impl fmt::Display for BenchError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BenchError::Storage { context, source } => write!(f, "{context}: {source}"),
-            BenchError::Io { path, source } => write!(f, "{path}: {source}"),
-            BenchError::Schema { detail } => write!(f, "schema violation: {detail}"),
             BenchError::Empty { what } => write!(f, "{what} produced no data points"),
         }
     }
@@ -75,8 +48,7 @@ impl std::error::Error for BenchError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             BenchError::Storage { source, .. } => Some(source),
-            BenchError::Io { source, .. } => Some(source),
-            _ => None,
+            BenchError::Empty { .. } => None,
         }
     }
 }

@@ -1,30 +1,25 @@
-//! A minimal JSON value: render + parse, no dependencies.
+//! A minimal JSON value and parser, no dependencies.
 //!
-//! The latency artifact (`BENCH_latency.json`) must be both *written* by
-//! the sweep binary and *re-read* by its `--validate` mode and the CI
-//! smoke job, so this module carries a small recursive-descent parser
-//! alongside the renderer. It covers exactly the JSON this crate emits:
-//! objects, arrays, strings (with `\uXXXX` escapes), finite numbers,
-//! booleans, and `null`. Object keys keep insertion order so rendering
-//! is deterministic.
+//! `tests/cli.rs` parses the Chrome trace-event file `uncat --trace-json`
+//! writes with this, as an oracle independent of the writer. It is a
+//! small recursive-descent parser over objects, arrays, strings (with
+//! `\uXXXX` escapes), finite numbers, booleans, and `null`. Object keys
+//! keep document order.
 
-use std::fmt::Write as _;
-
-/// A parsed or to-be-rendered JSON value.
+/// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// A finite number (rendered with up to 3 fractional digits when
-    /// non-integral).
+    /// A finite number.
     Num(f64),
     /// A string.
     Str(String),
     /// An array.
     Arr(Vec<Json>),
-    /// An object; keys keep insertion order.
+    /// An object; keys keep document order.
     Obj(Vec<(String, Json)>),
 }
 
@@ -61,87 +56,6 @@ impl Json {
         }
     }
 
-    /// Render to a compact single-line JSON string.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
-    }
-
-    /// Render with two-space indentation (the artifact format — diffs
-    /// of `BENCH_latency.json` between commits stay readable).
-    pub fn render_pretty(&self) -> String {
-        let mut out = String::new();
-        self.render_pretty_into(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn render_into(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => render_num(*n, out),
-            Json::Str(s) => render_str(s, out),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.render_into(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    render_str(k, out);
-                    out.push(':');
-                    v.render_into(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-
-    fn render_pretty_into(&self, out: &mut String, depth: usize) {
-        match self {
-            Json::Arr(items) if !items.is_empty() => {
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    indent(out, depth + 1);
-                    item.render_pretty_into(out, depth + 1);
-                    if i + 1 < items.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                indent(out, depth);
-                out.push(']');
-            }
-            Json::Obj(fields) if !fields.is_empty() => {
-                out.push_str("{\n");
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    indent(out, depth + 1);
-                    render_str(k, out);
-                    out.push_str(": ");
-                    v.render_pretty_into(out, depth + 1);
-                    if i + 1 < fields.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                indent(out, depth);
-                out.push('}');
-            }
-            other => other.render_into(out),
-        }
-    }
-
     /// Parse a JSON document. Rejects trailing garbage.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
@@ -153,40 +67,6 @@ impl Json {
         }
         Ok(value)
     }
-}
-
-fn indent(out: &mut String, depth: usize) {
-    for _ in 0..depth {
-        out.push_str("  ");
-    }
-}
-
-fn render_num(n: f64, out: &mut String) {
-    if !n.is_finite() {
-        out.push_str("null"); // JSON has no NaN/inf; null is the honest stand-in
-    } else if n == n.trunc() && n.abs() < 1e15 {
-        let _ = write!(out, "{}", n as i64);
-    } else {
-        let _ = write!(out, "{n:.3}");
-    }
-}
-
-fn render_str(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
@@ -268,8 +148,8 @@ fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                             .and_then(|h| std::str::from_utf8(h).ok())
                             .and_then(|h| u32::from_str_radix(h, 16).ok())
                             .ok_or_else(|| format!("bad \\u escape at byte {pos}"))?;
-                        // Surrogate pairs never appear in our own output;
-                        // map lone surrogates to the replacement char.
+                        // Surrogate pairs are not combined; a surrogate
+                        // half maps to the replacement char.
                         out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
                         *pos += 4;
                     }
@@ -341,26 +221,6 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn roundtrip_compact_and_pretty() {
-        let v = Json::Obj(vec![
-            ("name".into(), Json::Str("a \"b\"\n".into())),
-            ("n".into(), Json::Num(42.0)),
-            ("frac".into(), Json::Num(1.5)),
-            ("flag".into(), Json::Bool(true)),
-            ("nothing".into(), Json::Null),
-            (
-                "runs".into(),
-                Json::Arr(vec![Json::Num(1.0), Json::Num(2.25)]),
-            ),
-            ("empty".into(), Json::Arr(vec![])),
-        ]);
-        for text in [v.render(), v.render_pretty()] {
-            let back = Json::parse(&text).expect("parse own output");
-            assert_eq!(back, v, "roundtrip through {text}");
-        }
-    }
 
     #[test]
     fn parse_rejects_garbage() {

@@ -6,8 +6,8 @@
 //! the figure's own x-axis on the x-axis).
 //!
 //! Run them all with `cargo run --release -p uncat-bench --bin figures`,
-//! or one at a time (`… --bin figures -- fig6`). Criterion wall-clock
-//! benches covering the same configurations live in `benches/`.
+//! or one at a time (`… --bin figures -- fig6`). Wall-clock is not
+//! measured here: that is `benchmark/run.sh`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -15,15 +15,11 @@
 pub mod error;
 pub mod figures;
 pub mod json;
-pub mod latency;
 pub mod measure;
-pub mod service;
 pub mod table;
 
 pub use error::{BenchError, BenchResult};
 pub use figures::*;
 pub use json::Json;
-pub use latency::{latency_sweep, LatencyReport, LatencyRun};
 pub use measure::{avg_petq_io, avg_topk_io, build_inverted, build_pdr, Scale};
-pub use service::{service_sweep, ServiceBenchConfig, ServiceReport, TenantRun};
 pub use table::{FigureTable, Series};

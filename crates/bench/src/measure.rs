@@ -12,8 +12,8 @@ use uncat_storage::{BufferPool, InMemoryDisk, QueryMetrics, SharedStore};
 
 use crate::error::{BenchError, BenchResult};
 
-/// Experiment sizing. `full()` is the paper's scale; `quick()` keeps unit
-/// tests and Criterion benches fast.
+/// Experiment sizing. `full()` is the paper's scale; `quick()` keeps
+/// tests and smoke runs fast.
 #[derive(Debug, Clone, Copy)]
 pub struct Scale {
     /// Tuples in the CRM datasets (paper: 100 000).
@@ -37,21 +37,13 @@ impl Scale {
         }
     }
 
-    /// Reduced sizes for tests/benches (same shapes, ~minutes → seconds).
+    /// Reduced sizes for tests (same shapes, ~minutes → seconds).
     pub fn quick() -> Scale {
         Scale {
             crm_n: 10_000,
             synth_n: 2_000,
             queries: 4,
             seed: 42,
-        }
-    }
-
-    /// Pick by the `UNCAT_SCALE` environment variable (`full` or `quick`).
-    pub fn from_env() -> Scale {
-        match std::env::var("UNCAT_SCALE").as_deref() {
-            Ok("quick") => Scale::quick(),
-            _ => Scale::full(),
         }
     }
 }

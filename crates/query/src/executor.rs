@@ -1,21 +1,19 @@
 //! Per-query execution with the paper's buffer discipline.
 //!
 //! "All experiments are conducted with a buffer manager that allocates 100
-//! blocks to each query": the executor gives every query a fresh pool over
-//! the shared store and reports the I/O it incurred.
+//! blocks to each query": the caller hands [`run_query`] a fresh pool
+//! over the shared store, and the outcome reports the I/O that one query
+//! incurred.
 //!
-//! Failure isolation: every entry point returns `Result`, so a checksum
+//! Failure isolation: [`run_query`] returns `Result`, so a checksum
 //! mismatch or I/O error on one query degrades that query alone — the
-//! executor, the index, and every other query remain usable.
+//! index and every other query remain usable.
 
 use std::sync::Arc;
 
-use uncat_core::query::{DstQuery, EqQuery, Match, TopKQuery};
-use uncat_storage::buffer::DEFAULT_FRAMES;
+use uncat_core::query::Match;
 use uncat_storage::trace::{Clock, Phase, QueryTrace, Tracer};
-use uncat_storage::{BufferPool, QueryMetrics, Result, SharedStore};
-
-use crate::index_trait::UncertainIndex;
+use uncat_storage::{BufferPool, QueryMetrics, Result};
 
 /// Result of one query execution.
 #[derive(Debug)]
@@ -72,78 +70,4 @@ pub fn run_query(
         metrics: pool.metrics(),
         trace: pool.take_trace(),
     })
-}
-
-/// Sum the execution counters of a batch of outcomes — the natural
-/// aggregate for "average cost per query" reporting (divide by the batch
-/// size). Counters are additive, so summing per-query metrics from any
-/// execution order (including [`crate::parallel`] workers) equals the
-/// metrics of running the batch sequentially.
-pub fn aggregate_metrics<'a, I>(outcomes: I) -> QueryMetrics
-where
-    I: IntoIterator<Item = &'a QueryOutcome>,
-{
-    QueryMetrics::sum(outcomes.into_iter().map(|o| &o.metrics))
-}
-
-/// Runs queries against an index with a fresh buffer pool each time.
-pub struct Executor<I> {
-    index: I,
-    store: SharedStore,
-    frames: usize,
-}
-
-impl<I: UncertainIndex> Executor<I> {
-    /// Executor with the paper's 100-frame per-query buffers.
-    pub fn new(index: I, store: SharedStore) -> Executor<I> {
-        Executor::with_frames(index, store, DEFAULT_FRAMES)
-    }
-
-    /// Executor with a custom per-query buffer size (for the buffer-size
-    /// ablation).
-    pub fn with_frames(index: I, store: SharedStore, frames: usize) -> Executor<I> {
-        Executor {
-            index,
-            store,
-            frames,
-        }
-    }
-
-    /// The wrapped index.
-    pub fn index(&self) -> &I {
-        &self.index
-    }
-
-    /// Per-query frame budget.
-    pub fn frames(&self) -> usize {
-        self.frames
-    }
-
-    fn run(
-        &self,
-        f: impl FnOnce(&I, &mut BufferPool) -> Result<Vec<Match>>,
-    ) -> Result<QueryOutcome> {
-        let mut pool = BufferPool::with_capacity(self.store.clone(), self.frames);
-        run_query(&mut pool, None, |pool| f(&self.index, pool))
-    }
-
-    /// Run a PETQ with a cold, private buffer.
-    pub fn petq(&self, query: &EqQuery) -> Result<QueryOutcome> {
-        self.run(|i, p| i.petq(p, query))
-    }
-
-    /// Run a top-k query with a cold, private buffer.
-    pub fn top_k(&self, query: &TopKQuery) -> Result<QueryOutcome> {
-        self.run(|i, p| i.top_k(p, query))
-    }
-
-    /// Run a DSTQ with a cold, private buffer.
-    pub fn dstq(&self, query: &DstQuery) -> Result<QueryOutcome> {
-        self.run(|i, p| i.dstq(p, query))
-    }
-
-    /// Run a DSQ-top-k with a cold, private buffer.
-    pub fn ds_top_k(&self, query: &uncat_core::query::DsTopKQuery) -> Result<QueryOutcome> {
-        self.run(|i, p| i.ds_top_k(p, query))
-    }
 }

@@ -7,8 +7,7 @@
 //! * [`run_query`] — the one probe runner: a query on a pool under a
 //!   root span, returned with the pool's ledger
 //!   ([`uncat_storage::QueryMetrics`], see `docs/METRICS.md`) and trace.
-//!   [`Executor`] owns a shared store and hands it a fresh buffer pool
-//!   per query (the paper's per-query 100-frame setup).
+//!   Hand it a fresh 100-frame pool for the paper's per-query setup.
 //! * [`join`] — the join operators built on the select primitives: PETJ
 //!   (Definition 6), PEJ-top-k, and DSTJ, each with block, index, and
 //!   parallel physical plans (the parallel PEJ-top-k plan shares a rising
@@ -39,7 +38,7 @@ pub use durable::{
     split_snapshot, CheckpointCrash, DurableConfig, DurableIndex, DurableStorage, FileSlot,
     LogRecord, MemSlot, MutableBackend, RecoveryReport, SnapshotSlot,
 };
-pub use executor::{aggregate_metrics, run_query, Executor, QueryOutcome};
+pub use executor::{run_query, QueryOutcome};
 pub use index_trait::{InvertedBackend, UncertainIndex};
 pub use parallel::{batch_trace, BatchPools};
 pub use planner::{IndexStats, Plan, PlannedBackend, Planner};

@@ -13,7 +13,7 @@ use uncat_pdrtree::{PdrConfig, PdrTree};
 use uncat_query::join::{
     block_nested_loop_petj, index_dstj, index_nested_loop_petj, index_top_k_pej, JoinPair,
 };
-use uncat_query::{Executor, InvertedBackend, ScanBaseline, UncertainIndex};
+use uncat_query::{run_query, InvertedBackend, ScanBaseline, UncertainIndex};
 use uncat_storage::{BufferPool, InMemoryDisk, SharedStore};
 
 fn random_uda(rng: &mut StdRng, n_cats: u32, max_nz: usize) -> Uda {
@@ -154,11 +154,13 @@ fn ds_top_k_agrees_across_backends() {
 #[test]
 fn executor_charges_io_to_fresh_pools() {
     let w = world(3, 2000, 12, 3);
-    let exec = Executor::new(w.pdr, w.store.clone());
     let mut rng = StdRng::seed_from_u64(4);
-    let q = random_uda(&mut rng, 12, 3);
-    let out1 = exec.petq(&EqQuery::new(q.clone(), 0.3)).unwrap();
-    let out2 = exec.petq(&EqQuery::new(q.clone(), 0.3)).unwrap();
+    let query = EqQuery::new(random_uda(&mut rng, 12, 3), 0.3);
+    let cold = || {
+        let mut pool = BufferPool::with_capacity(w.store.clone(), 100);
+        run_query(&mut pool, None, |pool| w.pdr.petq(pool, &query)).unwrap()
+    };
+    let (out1, out2) = (cold(), cold());
     assert_eq!(
         out1.matches.len(),
         out2.matches.len(),

@@ -104,10 +104,6 @@ pub struct QueryService {
     pool: Arc<SharedBufferPool>,
     clock: Arc<dyn Clock>,
     tenants: RwLock<HashMap<String, Arc<Tenant>>>,
-    /// Share one rising floor across a top-k query's shard probes.
-    /// On by default; the workload driver switches it off to measure
-    /// how much pruning the floor buys.
-    cross_shard_floor: AtomicBool,
     /// Probe shards with this many threads per query (1 = sequential
     /// scatter, the deterministic default — concurrency normally comes
     /// from concurrent queries, not from inside one).
@@ -125,7 +121,6 @@ impl QueryService {
             pool,
             clock: Arc::new(MonotonicClock::new()),
             tenants: RwLock::new(HashMap::new()),
-            cross_shard_floor: AtomicBool::new(true),
             scatter_threads: AtomicUsize::new(1),
             tracing: AtomicBool::new(false),
         }
@@ -139,11 +134,6 @@ impl QueryService {
     /// The shared pool's aggregate I/O counters.
     pub fn pool_stats(&self) -> IoStats {
         self.pool.stats()
-    }
-
-    /// Toggle the cross-shard top-k floor (on by default).
-    pub fn set_cross_shard_floor(&self, on: bool) {
-        self.cross_shard_floor.store(on, Ordering::Relaxed);
     }
 
     /// Probe shards with `threads` workers per query (1 = sequential).
@@ -288,17 +278,15 @@ impl QueryService {
         )
     }
 
-    /// PEQ-top-k for `tenant`: shard probes share a rising floor (when
-    /// enabled), then merge-and-truncate to the exact global top k.
+    /// PEQ-top-k for `tenant`: shard probes share a rising floor, then
+    /// merge-and-truncate to the exact global top k.
     pub fn top_k(&self, tenant: &str, query: &TopKQuery) -> Result<ServiceOutcome> {
         let floor = SharedFloor::new();
-        let use_floor = self.cross_shard_floor.load(Ordering::Relaxed);
         self.run_select(
             tenant,
             |shard, pool| {
-                let seed = if use_floor { floor.get() } else { 0.0 };
-                let matches = shard.top_k_floored(pool, query, seed)?;
-                if use_floor && matches.len() >= query.k {
+                let matches = shard.top_k_floored(pool, query, floor.get())?;
+                if matches.len() >= query.k {
                     // This shard's k-th best lower-bounds the merged
                     // k-th best (its tuples are a subset of the union),
                     // so later probes may prune below it.
@@ -328,9 +316,9 @@ impl QueryService {
 
     /// Join `outer` against every shard of `tenant` (`threads` workers
     /// per shard join — at least one — all sharing the service pool).
-    /// The shard joins share one [`SharedFloor`] for PEJ-top-k (when
-    /// enabled), and the gathered pairs are re-ranked and re-truncated,
-    /// so the answer is exactly the unsharded join's.
+    /// The shard joins share one [`SharedFloor`] for PEJ-top-k, and the
+    /// gathered pairs are re-ranked and re-truncated, so the answer is
+    /// exactly the unsharded join's.
     pub fn join(
         &self,
         tenant: &str,
@@ -342,18 +330,15 @@ impl QueryService {
         let tenant = self.tenant(tenant)?;
         let started = self.clock.now_ns();
         let guard = self.admit(&tenant, tenant.config.frames_per_query * threads)?;
-        let use_floor = self.cross_shard_floor.load(Ordering::Relaxed);
-        let shared_floor = SharedFloor::new();
+        let floor = SharedFloor::new();
         let pools = BatchPools::over(self.pool.clone());
 
         let mut pairs = Vec::new();
         let mut metrics = QueryMetrics::new();
         metrics.admission_waits = u64::from(guard.waited());
         for shard in &tenant.shards {
-            let fresh = SharedFloor::new();
-            let floor = if use_floor { &shared_floor } else { &fresh };
             let out =
-                parallel_join_with_floor(outer, shard, &self.store, &pools, spec, threads, floor)
+                parallel_join_with_floor(outer, shard, &self.store, &pools, spec, threads, &floor)
                     .map_err(|e| self.fail(&tenant, e))?;
             pairs.extend(out.pairs);
             metrics.merge(&out.metrics);

@@ -133,7 +133,6 @@ fn run(args: &[String]) -> Result<(), CliError> {
         "checkpoint" => checkpoint(&flags),
         "recover" => recover(&flags),
         "serve" => serve(&flags),
-        "bench-service" => bench_service(&flags),
         "help" | "--help" | "-h" => {
             println!("{}", USAGE.trim());
             Ok(())
@@ -178,8 +177,6 @@ usage:
   uncat recover    --index <inverted|pdr> --pages <...> --meta <...>
   uncat serve  [--tenants <N>] [--shards <S>] [--n <tuples>] [--seed <S>]
                [--quota <frames>] [--queue <depth>]
-  uncat bench-service [--quick] [--tenants <N>] [--shards <S>]
-               [--out <file.json>] [--validate <file.json>]
 
 --strategy (inverted PETQ only): brute | highest-prob-first | row-pruning
   | column-pruning | nra | auto (default: auto — runs brute, the full
@@ -219,11 +216,6 @@ serve: host a multi-tenant sharded query service over generated CRM1
   shards behind a per-tenant admission gate (--quota frames, --queue
   waiters); top-k queries share a rising score floor across shard
   probes. See docs/SERVICE.md.
-bench-service: drive the service with the closed- and open-loop
-  Zipf-skewed workload and write the schema-validated
-  BENCH_service.json artifact (per-tenant QPS and latency quantiles,
-  plus the floored-vs-floorless postings comparison). --validate
-  re-checks an existing artifact and exits nonzero on any violation.
 put/delete: online mutation through a write-ahead log. The first
   mutation adopts the built index, creating <meta>.durable (epoch
   snapshot), <meta>.wal, and <meta>.journal; the original --meta file is
@@ -1410,73 +1402,5 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
             }
         }
     }
-    Ok(())
-}
-
-/// `uncat bench-service`: the service workload driver, as a subcommand.
-fn bench_service(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    use uncat_bench::service::{
-        report_to_json, service_sweep, validate_report, ServiceBenchConfig,
-    };
-    use uncat_bench::{Json, Scale};
-
-    let bench_err = |e: uncat_bench::BenchError| CliError::Format {
-        path: "bench-service".into(),
-        detail: e.to_string(),
-    };
-    if let Some(path) = flags.get("validate") {
-        let text = std::fs::read_to_string(path).map_err(|e| CliError::io(path.clone(), e))?;
-        let doc = Json::parse(&text).map_err(|e| CliError::format(path.clone(), e))?;
-        validate_report(&doc).map_err(bench_err)?;
-        println!("{path}: valid");
-        return Ok(());
-    }
-
-    let quick = flags.contains_key("quick");
-    let scale = if quick {
-        Scale::quick()
-    } else {
-        Scale::from_env()
-    };
-    let mut config = if quick {
-        ServiceBenchConfig::quick()
-    } else {
-        ServiceBenchConfig::full()
-    };
-    if let Some(t) = flags.get("tenants") {
-        config.tenants = parse(t, "--tenants")?;
-    }
-    if let Some(s) = flags.get("shards") {
-        config.shards = parse(s, "--shards")?;
-    }
-    let out = flags
-        .get("out")
-        .map(String::as_str)
-        .unwrap_or("BENCH_service.json");
-
-    let report = service_sweep(&scale, &config).map_err(bench_err)?;
-    let doc = report_to_json(&report);
-    validate_report(&doc).map_err(bench_err)?; // never write an invalid artifact
-    std::fs::write(out, doc.render_pretty()).map_err(|e| CliError::io(out, e))?;
-    for run in &report.runs {
-        println!(
-            "{:<8} {:<8} completed={:<6} rejected={:<4} waits={:<4} qps={:<9.1} \
-             p50_us={:<9.1} p95_us={:<9.1} p99_us={:.1}",
-            run.loop_mode,
-            run.tenant,
-            run.completed,
-            run.rejected,
-            run.waits,
-            run.qps,
-            run.hist.p50_ns() as f64 / 1e3,
-            run.hist.p95_ns() as f64 / 1e3,
-            run.hist.p99_ns() as f64 / 1e3,
-        );
-    }
-    println!(
-        "floor: {} postings floored vs {} floorless",
-        report.floor.floored_postings, report.floor.floorless_postings
-    );
-    println!("wrote {out}");
     Ok(())
 }

@@ -966,13 +966,3 @@ fn serve_answers_a_scripted_session() {
         "unknown command must be recoverable: {text}"
     );
 }
-
-/// `uncat bench-service --validate` accepts the committed artifact —
-/// the same check the CI service-smoke job performs.
-#[test]
-fn bench_service_validates_the_committed_artifact() {
-    let artifact = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_service.json");
-    let (ok, out) = uncat(&["bench-service", "--validate", artifact]);
-    assert!(ok, "validation failed: {out}");
-    assert!(out.contains("valid"), "unexpected output: {out}");
-}

@@ -2,6 +2,7 @@
 //! indexes plus the scan baseline, calibrated workloads, shared disk.
 
 use uncat::core::equality::eq_prob;
+use uncat::core::query::Match;
 use uncat::core::{Divergence, DstQuery, EqQuery, TopKQuery};
 use uncat::datagen::workload::{calibrate, queries_from_data, SELECTIVITIES};
 use uncat::datagen::{crm, gen3, pairwise, uniform, Dataset};
@@ -139,24 +140,26 @@ fn executor_with_custom_frames_runs_all_query_families() {
     pool.flush().expect("in-memory flush");
     drop(pool);
 
-    let exec = uncat::query::Executor::with_frames(pdr, store, 25);
-    assert_eq!(exec.frames(), 25);
+    // The paper's buffer discipline with a 25-frame budget: a fresh
+    // pool per query.
+    fn cold(
+        store: &uncat::storage::SharedStore,
+        probe: impl FnOnce(&mut BufferPool) -> uncat::storage::Result<Vec<Match>>,
+    ) -> uncat::query::QueryOutcome {
+        let mut pool = BufferPool::with_capacity(store.clone(), 25);
+        uncat::query::run_query(&mut pool, None, probe).expect("in-memory query")
+    }
     let q = data[10].1.clone();
-    let eq = exec
-        .petq(&EqQuery::new(q.clone(), 0.3))
-        .expect("in-memory query");
+    let eq = cold(&store, |p| pdr.petq(p, &EqQuery::new(q.clone(), 0.3)));
     assert!(eq.reads() > 0);
-    let tk = exec
-        .top_k(&TopKQuery::new(q.clone(), 5))
-        .expect("in-memory query");
+    let tk = cold(&store, |p| pdr.top_k(p, &TopKQuery::new(q.clone(), 5)));
     assert_eq!(tk.matches.len(), 5);
-    let ds = exec
-        .ds_top_k(&uncat::core::DsTopKQuery::new(q.clone(), 5, Divergence::L1))
-        .expect("in-memory query");
+    let ds_query = uncat::core::DsTopKQuery::new(q.clone(), 5, Divergence::L1);
+    let ds = cold(&store, |p| pdr.ds_top_k(p, &ds_query));
     assert_eq!(ds.matches.len(), 5);
-    let dq = exec
-        .dstq(&DstQuery::new(q, 0.2, Divergence::L1))
-        .expect("in-memory query");
+    let dq = cold(&store, |p| {
+        pdr.dstq(p, &DstQuery::new(q, 0.2, Divergence::L1))
+    });
     assert!(
         !dq.matches.is_empty(),
         "the query tuple itself is within distance 0"

@@ -9,9 +9,7 @@ use uncat::inverted::{InvertedIndex, Strategy};
 use uncat::pdrtree::{PdrConfig, PdrTree};
 use uncat::query::join::{index_join, JoinSpec};
 use uncat::query::parallel::{batch_metrics, petq_batch_with};
-use uncat::query::{
-    aggregate_metrics, BatchPools, Executor, InvertedBackend, ScanBaseline, UncertainIndex,
-};
+use uncat::query::{run_query, BatchPools, InvertedBackend, ScanBaseline, UncertainIndex};
 use uncat::service::{shard_of, QueryService, ServiceConfig, TenantConfig};
 use uncat::storage::{
     BufferPool, Fault, FaultStore, InMemoryDisk, IoStats, QueryMetrics, SharedBufferPool,
@@ -161,9 +159,13 @@ fn pdr_tree_counts_visits_and_lemma2_pruning() {
 fn executor_outcome_carries_matching_io() {
     let (domain, data) = seeded_dataset(1500);
     let (idx, store) = build_inverted(&domain, &data);
-    let exec = Executor::new(InvertedBackend::with_strategy(idx, Strategy::Nra), store);
+    let backend = InvertedBackend::with_strategy(idx, Strategy::Nra);
     let outcomes: Vec<_> = (0..4u32)
-        .map(|c| exec.petq(&EqQuery::new(uda(&[(c, 1.0)]), 0.4)).unwrap())
+        .map(|c| {
+            let mut pool = BufferPool::with_capacity(store.clone(), 100);
+            let query = EqQuery::new(uda(&[(c, 1.0)]), 0.4);
+            run_query(&mut pool, None, |pool| backend.petq(pool, &query)).unwrap()
+        })
         .collect();
     for o in &outcomes {
         assert_eq!(
@@ -173,7 +175,7 @@ fn executor_outcome_carries_matching_io() {
         );
         assert!(o.metrics.candidate_invariant_holds());
     }
-    let total = aggregate_metrics(&outcomes);
+    let total = QueryMetrics::sum(outcomes.iter().map(|o| &o.metrics));
     assert_eq!(
         total.postings_scanned,
         outcomes

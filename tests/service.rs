@@ -3,10 +3,10 @@
 //! unsharded plan, cross-shard floor pruning, admission control, and
 //! per-tenant statistics.
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Barrier, Condvar, Mutex};
 
 use uncat::core::query::DsTopKQuery;
-use uncat::core::query::{DstQuery, EqQuery, Match, TopKQuery};
+use uncat::core::query::{sort_matches_desc, DstQuery, EqQuery, Match, TopKQuery};
 use uncat::core::{CatId, Divergence, Domain, Uda};
 use uncat::inverted::{InvertedIndex, Strategy};
 use uncat::pdrtree::{PdrConfig, PdrTree};
@@ -254,28 +254,122 @@ fn parallel_scatter_matches_sequential_scatter() {
 
 /// The cross-shard floor: sharing each shard's proven k-th best with
 /// later probes scans strictly fewer postings, without changing the
-/// answer (the sequential scatter makes the saving deterministic).
+/// answer (the sequential scatter makes the saving deterministic). The
+/// floorless reference is plain `top_k` on a second set of shards built
+/// the same way.
 #[test]
 fn cross_shard_floor_prunes_postings_without_changing_answers() {
+    const SHARDS: usize = 4;
     let (domain, data) = seeded_dataset(3000);
     let service = QueryService::new(InMemoryDisk::shared(), ServiceConfig::default());
-    service
-        .register_tenant_inverted(TenantConfig::new("t"), &domain, &data, 4, Strategy::Auto)
-        .expect("in-memory build");
+    let build_shards = || -> Vec<InvertedBackend> {
+        (0..SHARDS)
+            .map(|s| {
+                let part = data.iter().filter(|(t, _)| shard_of(*t, SHARDS) == s);
+                let mut pool = BufferPool::with_capacity(service.store().clone(), 128);
+                let idx =
+                    InvertedIndex::build(domain.clone(), &mut pool, part.map(|(t, u)| (*t, u)))
+                        .expect("in-memory build");
+                pool.flush().expect("in-memory flush");
+                InvertedBackend::with_strategy(idx, Strategy::Auto)
+            })
+            .collect()
+    };
+    let boxed = build_shards()
+        .into_iter()
+        .map(|s| Box::new(s) as Box<dyn UncertainIndex + Send + Sync>)
+        .collect();
+    service.register_tenant(TenantConfig::new("t"), boxed);
 
     let query = TopKQuery::new(uda(&[(4, 1.0)]), 5);
     let floored = service.top_k("t", &query).expect("query");
-    service.set_cross_shard_floor(false);
-    let floorless = service.top_k("t", &query).expect("query");
-    service.set_cross_shard_floor(true);
 
-    assert_matches_agree("floor", &floorless.matches, &floored.matches);
+    let mut floorless = Vec::new();
+    let mut floorless_postings = 0;
+    for shard in build_shards() {
+        let mut pool = BufferPool::with_capacity(service.store().clone(), 100);
+        floorless.extend(shard.top_k(&mut pool, &query).expect("query"));
+        floorless_postings += pool.metrics().postings_scanned;
+    }
+    sort_matches_desc(&mut floorless);
+    floorless.truncate(query.k);
+
+    assert_matches_agree("floor", &floorless, &floored.matches);
     assert!(
-        floored.metrics.postings_scanned < floorless.metrics.postings_scanned,
-        "the shared floor must prune strictly ({} floored vs {} floorless)",
+        floored.metrics.postings_scanned < floorless_postings,
+        "the shared floor must prune strictly ({} floored vs {floorless_postings} floorless)",
         floored.metrics.postings_scanned,
-        floorless.metrics.postings_scanned,
     );
+}
+
+/// Several clients over several tenants at once: four threads each run
+/// a fixed PETQ / top-k / DSTQ mix against an inverted and a PDR tenant.
+/// Every answer is tid-exact against the scan baseline, and each
+/// tenant's statistics account for exactly the requests issued (four
+/// clients fit the default quota, so none waits its way to a reject).
+#[test]
+fn concurrent_clients_over_two_tenants_get_exact_answers_and_counts() {
+    const CLIENTS: usize = 4;
+    const ROUNDS: usize = 6;
+    let (domain, data) = seeded_dataset(2000);
+    let service = QueryService::new(InMemoryDisk::shared(), ServiceConfig::default());
+    service
+        .register_tenant_inverted(TenantConfig::new("inv"), &domain, &data, 3, Strategy::Auto)
+        .expect("in-memory build");
+    service
+        .register_tenant_pdr(TenantConfig::new("pdr"), &domain, &data, 2)
+        .expect("in-memory build");
+
+    // One query triple per (client, round), answered by the scan first.
+    let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 256);
+    let scan =
+        ScanBaseline::build(&mut pool, data.iter().map(|(t, u)| (*t, u))).expect("in-memory build");
+    let mix: Vec<_> = (0..CLIENTS * ROUNDS)
+        .map(|i| {
+            let c = (i % 13) as u32;
+            let q = uda(&[(c, 0.7), ((c + 5) % 13, 0.3)]);
+            let petq = EqQuery::new(q.clone(), 0.3);
+            let topk = TopKQuery::new(q.clone(), 1 + i % 7);
+            let dstq = DstQuery::new(q, 0.5, Divergence::L1);
+            let want = (
+                scan.petq(&mut pool, &petq).expect("query"),
+                scan.top_k(&mut pool, &topk).expect("query"),
+                scan.dstq(&mut pool, &dstq).expect("query"),
+            );
+            assert!(!want.0.is_empty() && !want.1.is_empty() && !want.2.is_empty());
+            ((petq, topk, dstq), want)
+        })
+        .collect();
+
+    let start = Barrier::new(CLIENTS);
+    std::thread::scope(|s| {
+        for client in 0..CLIENTS {
+            let (service, start) = (&service, &start);
+            let rounds = &mix[client * ROUNDS..][..ROUNDS];
+            s.spawn(move || {
+                start.wait();
+                for ((petq, topk, dstq), (want_petq, want_topk, want_dstq)) in rounds {
+                    for tenant in ["inv", "pdr"] {
+                        let got = service.petq(tenant, petq).expect("query");
+                        assert_matches_agree(&format!("{tenant}/petq"), want_petq, &got.matches);
+                        let got = service.top_k(tenant, topk).expect("query");
+                        assert_matches_agree(&format!("{tenant}/top_k"), want_topk, &got.matches);
+                        let got = service.dstq(tenant, dstq).expect("query");
+                        assert_matches_agree(&format!("{tenant}/dstq"), want_dstq, &got.matches);
+                    }
+                }
+            });
+        }
+    });
+
+    for tenant in ["inv", "pdr"] {
+        let stats = service.tenant_stats(tenant).expect("registered");
+        assert_eq!(
+            (stats.completed, stats.rejected, stats.failed),
+            ((3 * CLIENTS * ROUNDS) as u64, 0, 0),
+            "{tenant}: every issued request completes exactly once"
+        );
+    }
 }
 
 /// Tracing attaches a merged per-shard trace to every outcome.
