@@ -108,7 +108,7 @@ pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// caught, the slot is filled with a typed [`StorageError::Poisoned`],
 /// and the worker dies quietly (its remaining slots are picked up by the
 /// other workers via the shared cursor).
-pub fn fan_out<T: Send>(
+fn fan_out<T: Send>(
     n: usize,
     threads: usize,
     job: impl Fn(usize) -> Result<T> + Sync,

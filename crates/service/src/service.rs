@@ -2,7 +2,7 @@
 //! execution over one shared buffer pool.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 use uncat_core::query::{sort_matches_asc, sort_matches_desc, DstQuery, EqQuery, Match, TopKQuery};
@@ -10,8 +10,8 @@ use uncat_core::{Domain, Uda};
 use uncat_inverted::{InvertedIndex, Strategy};
 use uncat_pdrtree::{PdrConfig, PdrTree};
 use uncat_query::join::{parallel_join_with_floor, JoinPair, JoinSpec, SharedFloor};
-use uncat_query::parallel::{fan_out, BatchPools};
-use uncat_query::{run_query, InvertedBackend, QueryOutcome, UncertainIndex};
+use uncat_query::parallel::BatchPools;
+use uncat_query::{run_query, InvertedBackend, UncertainIndex};
 use uncat_storage::trace::{Clock, MonotonicClock, QueryTrace};
 use uncat_storage::{
     BufferPool, IoStats, QueryMetrics, SharedBufferPool, SharedStore, StorageError,
@@ -104,10 +104,6 @@ pub struct QueryService {
     pool: Arc<SharedBufferPool>,
     clock: Arc<dyn Clock>,
     tenants: RwLock<HashMap<String, Arc<Tenant>>>,
-    /// Probe shards with this many threads per query (1 = sequential
-    /// scatter, the deterministic default — concurrency normally comes
-    /// from concurrent queries, not from inside one).
-    scatter_threads: AtomicUsize,
     /// Attach a latency trace to every outcome.
     tracing: AtomicBool,
 }
@@ -121,7 +117,6 @@ impl QueryService {
             pool,
             clock: Arc::new(MonotonicClock::new()),
             tenants: RwLock::new(HashMap::new()),
-            scatter_threads: AtomicUsize::new(1),
             tracing: AtomicBool::new(false),
         }
     }
@@ -134,12 +129,6 @@ impl QueryService {
     /// The shared pool's aggregate I/O counters.
     pub fn pool_stats(&self) -> IoStats {
         self.pool.stats()
-    }
-
-    /// Probe shards with `threads` workers per query (1 = sequential).
-    pub fn set_scatter_threads(&self, threads: usize) {
-        self.scatter_threads
-            .store(threads.max(1), Ordering::Relaxed);
     }
 
     /// Attach a [`QueryTrace`] to every outcome from now on.
@@ -394,39 +383,40 @@ impl QueryService {
         stats.completed += 1;
     }
 
-    /// The select scatter-gather skeleton: admit, probe every shard
-    /// (each through [`run_query`] on a fresh handle on the shared pool,
-    /// which is that probe's ledger), merge counters and traces
-    /// additively, and put the gathered matches into canonical order.
+    /// The select scatter-gather skeleton: admit, probe the shards one
+    /// after another in shard order (each through [`run_query`] on a
+    /// fresh handle on the shared pool, which is that probe's ledger),
+    /// merge counters and traces additively, and put the gathered
+    /// matches into canonical order. Concurrency comes from concurrent
+    /// queries, not from inside one (EXPERIMENTS.md, "Scatter threads").
     fn run_select<F, G>(&self, name: &str, probe: F, gather: G) -> Result<ServiceOutcome>
     where
         F: Fn(
-                &dyn UncertainIndex,
-                &mut BufferPool,
-            ) -> std::result::Result<Vec<Match>, StorageError>
-            + Sync,
+            &dyn UncertainIndex,
+            &mut BufferPool,
+        ) -> std::result::Result<Vec<Match>, StorageError>,
         G: FnOnce(&mut Vec<Match>),
     {
         let tenant = self.tenant(name)?;
         let started = self.clock.now_ns();
         let guard = self.admit(&tenant, tenant.config.frames_per_query)?;
-        let waited = guard.waited();
-        let parts = self
-            .scatter(&tenant, &probe)
-            .map_err(|e| self.fail(&tenant, e))?;
-        drop(guard);
+        let clock = self.tracing.load(Ordering::Relaxed).then_some(&self.clock);
 
         let mut matches = Vec::new();
         let mut metrics = QueryMetrics::new();
-        metrics.admission_waits = u64::from(waited);
+        metrics.admission_waits = u64::from(guard.waited());
         let mut trace: Option<QueryTrace> = None;
-        for part in parts {
+        for shard in &tenant.shards {
+            let mut pool = BufferPool::from_handle(self.pool.handle());
+            let part = run_query(&mut pool, clock, |pool| probe(shard.as_ref(), pool))
+                .map_err(|e| self.fail(&tenant, e))?;
             matches.extend(part.matches);
             metrics.merge(&part.metrics);
             if let Some(t) = part.trace {
                 trace.get_or_insert_with(QueryTrace::default).merge(&t);
             }
         }
+        drop(guard);
         gather(&mut matches);
         let wall_ns = self.clock.now_ns().saturating_sub(started);
         self.record(&tenant, &metrics, wall_ns);
@@ -436,36 +426,5 @@ impl QueryService {
             trace,
             wall_ns,
         })
-    }
-
-    /// Probe every shard, sequentially or across workers ([`fan_out`]),
-    /// preserving shard order in the returned parts (so the merge is
-    /// deterministic however the probes were scheduled).
-    fn scatter<F>(
-        &self,
-        tenant: &Tenant,
-        probe: &F,
-    ) -> std::result::Result<Vec<QueryOutcome>, StorageError>
-    where
-        F: Fn(
-                &dyn UncertainIndex,
-                &mut BufferPool,
-            ) -> std::result::Result<Vec<Match>, StorageError>
-            + Sync,
-    {
-        let clock = self.tracing.load(Ordering::Relaxed).then_some(&self.clock);
-        let probe_one = |i: usize| {
-            let mut pool = BufferPool::from_handle(self.pool.handle());
-            run_query(&mut pool, clock, |pool| {
-                probe(tenant.shards[i].as_ref(), pool)
-            })
-        };
-        let shards = tenant.shards.len();
-        let threads = self.scatter_threads.load(Ordering::Relaxed);
-        if threads <= 1 || shards <= 1 {
-            (0..shards).map(probe_one).collect()
-        } else {
-            fan_out(shards, threads, probe_one).into_iter().collect()
-        }
     }
 }

@@ -1,4 +1,5 @@
-//! Buffer pool with clock (second-chance) replacement.
+//! The per-query buffer pool: a handle on the buffer ring, plus the
+//! query's ledger.
 //!
 //! The experimental setup of the paper: "all experiments are conducted with
 //! a buffer manager that allocates 100 blocks to each query. A clock
@@ -8,32 +9,32 @@
 //!
 //! Every page access is fallible: a failed physical read, a checksum
 //! mismatch, or an unwritable eviction victim propagates as a
-//! [`StorageError`] to the calling query rather than aborting the
-//! process.
+//! [`StorageError`](crate::StorageError) to the calling query rather than
+//! aborting the process.
 //!
-//! [`BufferPool`] is a facade over two backings: the paper's private
-//! per-query pool (the default, every constructor here), or a per-query
-//! [`PoolHandle`] onto a [`crate::SharedBufferPool`] (via
-//! [`BufferPool::from_handle`]). Index and query code is written against
-//! this one type and cannot tell the difference — `stats()` always
-//! reports the I/O performed *by this query*, whichever backing served
-//! it.
+//! [`BufferPool`] owns no replacement logic. It is a [`PoolHandle`] on a
+//! [`SharedBufferPool`] — the one ring, in [`crate::shared`] — and the
+//! constructors differ only in which ring that is: `new` /
+//! `with_capacity` / `with_policy` / `new_no_steal` build a private
+//! one-stripe ring for this pool alone (the paper's per-query buffer),
+//! [`BufferPool::from_handle`] joins a ring shared with concurrent
+//! queries. Index and query code is written against this one type and
+//! cannot tell the difference — `stats()` always reports the I/O
+//! performed *by this query*.
 //!
 //! The pool a query runs on is also that query's ledger. Besides the
-//! frames (or the handle) and the I/O counters it carries the query's
-//! [`Tracer`] and its [`QueryMetrics`]: every public query entry point
-//! takes `(pool, query…)`, runs its kernel against local counters
+//! handle and its I/O counters it carries the query's [`Tracer`] and its
+//! [`QueryMetrics`]: every public query entry point takes
+//! `(pool, query…)`, runs its kernel against local counters
 //! ([`BufferPool::tally`]) and adds them here on the way out, on the
 //! error path too. To read a query's counters, run it and read
 //! [`BufferPool::metrics`].
 
-use std::collections::HashMap;
-
 use crate::disk::SharedStore;
-use crate::error::{Result, StorageError};
+use crate::error::Result;
 use crate::metrics::QueryMetrics;
-use crate::page::{zeroed_page, PageBuf, PageId, PAGE_SIZE};
-use crate::shared::PoolHandle;
+use crate::page::{PageBuf, PageId, PAGE_SIZE};
+use crate::shared::{PoolHandle, SharedBufferPool};
 use crate::stats::IoStats;
 use crate::trace::{Phase, QueryTrace, SpanId, Tracer};
 
@@ -51,23 +52,14 @@ pub enum Replacement {
     Lru,
 }
 
-struct Frame {
-    pid: PageId,
-    buf: PageBuf,
-    referenced: bool,
-    dirty: bool,
-    last_used: u64,
-}
-
 /// A buffer manager over a shared page store.
 ///
 /// Single-owner (methods take `&mut self`): each query drives exactly one
-/// pool, like the paper's per-query buffers. The frames behind it are
-/// either private to this pool or one stripe-set of a
-/// [`crate::SharedBufferPool`] shared with concurrent queries — see
-/// [`BufferPool::from_handle`].
+/// pool, like the paper's per-query buffers. The frames behind it belong
+/// to a [`SharedBufferPool`] that is either this pool's alone or shared
+/// with concurrent queries — see [`BufferPool::from_handle`].
 pub struct BufferPool {
-    inner: Inner,
+    handle: PoolHandle,
     /// Latency recorder for the query driving this pool. Disabled by
     /// default: one `None` check per access, nothing else (DESIGN.md §6g).
     tracer: Tracer,
@@ -76,190 +68,84 @@ pub struct BufferPool {
     ledger: QueryMetrics,
 }
 
-enum Inner {
-    Private(Private),
-    Shared(PoolHandle),
-}
-
-impl Inner {
-    fn stats(&self) -> IoStats {
-        match self {
-            Inner::Private(p) => p.stats,
-            Inner::Shared(h) => h.stats(),
-        }
-    }
-}
-
-/// The paper's private per-query pool: one owner, no locks.
-struct Private {
-    store: SharedStore,
-    frames: Vec<Frame>,
-    map: HashMap<PageId, usize>,
-    hand: usize,
-    capacity: usize,
-    policy: Replacement,
-    no_steal: bool,
-    tick: u64,
-    stats: IoStats,
-}
-
 impl BufferPool {
-    /// Private pool with the paper's default 100 frames.
+    /// A private pool with the paper's default 100 frames.
     pub fn new(store: SharedStore) -> BufferPool {
         BufferPool::with_capacity(store, DEFAULT_FRAMES)
     }
 
-    /// Private pool with a custom frame count (≥ 1).
+    /// A private pool with a custom frame count (≥ 1).
     pub fn with_capacity(store: SharedStore, capacity: usize) -> BufferPool {
         BufferPool::with_policy(store, capacity, Replacement::Clock)
     }
 
-    /// Private pool with a custom frame count and replacement policy.
+    /// A private pool with a custom frame count and replacement policy.
     pub fn with_policy(store: SharedStore, capacity: usize, policy: Replacement) -> BufferPool {
-        assert!(capacity >= 1, "buffer pool needs at least one frame");
+        BufferPool::from_handle(SharedBufferPool::with_policy(store, capacity, 1, policy).handle())
+    }
+
+    /// A private pool under the *no-steal* discipline: dirty frames are
+    /// never written back to the store — not by eviction (dirty frames
+    /// are ineligible victims), not on drop — so durable pages always
+    /// hold the state of the last explicit installation (the checkpoint
+    /// discipline of `uncat_query`'s durable index). A pool whose frames
+    /// are all dirty reports `StorageError::PoolExhausted` rather than
+    /// stealing one; [`flush`](BufferPool::flush) remains available as
+    /// the *explicit* install path.
+    pub fn new_no_steal(store: SharedStore, capacity: usize) -> BufferPool {
+        let ring = SharedBufferPool::build(store, capacity, 1, Replacement::Clock, true);
+        BufferPool::from_handle(ring.handle())
+    }
+
+    /// Pool backed by a per-query handle onto a [`SharedBufferPool`]. All
+    /// reads and writes go through the ring's frames;
+    /// [`stats`](BufferPool::stats) reports only the I/O performed through
+    /// this handle, so per-query metrics stay exact.
+    pub fn from_handle(handle: PoolHandle) -> BufferPool {
         BufferPool {
-            inner: Inner::Private(Private {
-                store,
-                frames: Vec::with_capacity(capacity),
-                map: HashMap::with_capacity(capacity),
-                hand: 0,
-                capacity,
-                policy,
-                no_steal: false,
-                tick: 0,
-                stats: IoStats::default(),
-            }),
+            handle,
             tracer: Tracer::disabled(),
             ledger: QueryMetrics::default(),
         }
     }
 
-    /// Private pool under the *no-steal* discipline: dirty frames are
-    /// never written back to the store — not by eviction (dirty frames
-    /// are ineligible victims), not on drop. Durable pages therefore
-    /// always hold the state of the last explicit installation (the
-    /// checkpoint discipline of `uncat_query`'s durable index); a pool
-    /// whose frames are all dirty reports [`StorageError::PoolExhausted`]
-    /// rather than stealing one. [`flush`](BufferPool::flush) remains
-    /// available as the *explicit* install path.
-    pub fn new_no_steal(store: SharedStore, capacity: usize) -> BufferPool {
-        let mut pool = BufferPool::with_policy(store, capacity, Replacement::Clock);
-        match &mut pool.inner {
-            Inner::Private(p) => p.no_steal = true,
-            Inner::Shared(_) => unreachable!("with_policy builds a private pool"),
-        }
-        pool
-    }
-
-    /// Whether this pool runs the no-steal discipline.
-    pub fn is_no_steal(&self) -> bool {
-        match &self.inner {
-            Inner::Private(p) => p.no_steal,
-            Inner::Shared(_) => false,
-        }
-    }
-
-    /// Number of dirty (not-yet-written-back) resident frames. Only
-    /// meaningful on a private pool; a shared backing reports 0 because
-    /// its dirty frames belong to every query at once.
+    /// Number of dirty (not-yet-written-back) resident frames, ring-wide.
     pub fn dirty_count(&self) -> usize {
-        match &self.inner {
-            Inner::Private(p) => p.frames.iter().filter(|f| f.dirty).count(),
-            Inner::Shared(_) => 0,
-        }
+        self.handle.pool().dirty_count()
     }
 
     /// Clone the after-images of every dirty frame (page id ascending, so
     /// output is deterministic). This is the checkpoint's redo source:
     /// the pages whose durable copies are stale.
-    ///
-    /// # Panics
-    /// On a shared backing — checkpoint bookkeeping requires a private
-    /// (typically no-steal) pool.
     pub fn dirty_pages(&self) -> Vec<(PageId, PageBuf)> {
-        match &self.inner {
-            Inner::Private(p) => {
-                let mut pages: Vec<(PageId, PageBuf)> = p
-                    .frames
-                    .iter()
-                    .filter(|f| f.dirty)
-                    .map(|f| (f.pid, f.buf.clone()))
-                    .collect();
-                pages.sort_by_key(|(pid, _)| *pid);
-                pages
-            }
-            Inner::Shared(_) => {
-                panic!("dirty-page bookkeeping requires a private pool")
-            }
-        }
+        self.handle.pool().dirty_pages()
     }
 
     /// Mark every frame clean *without* writing anything back: the caller
     /// has installed the dirty images through another channel (a
     /// committed checkpoint).
-    ///
-    /// # Panics
-    /// On a shared backing (see [`BufferPool::dirty_pages`]).
     pub fn mark_all_clean(&mut self) {
-        match &mut self.inner {
-            Inner::Private(p) => {
-                for frame in &mut p.frames {
-                    frame.dirty = false;
-                }
-            }
-            Inner::Shared(_) => {
-                panic!("dirty-page bookkeeping requires a private pool")
-            }
-        }
-    }
-
-    /// Pool backed by a per-query handle onto a
-    /// [`crate::SharedBufferPool`]. All reads and writes go through the
-    /// shared frames; [`stats`](BufferPool::stats) reports only the I/O
-    /// performed through this handle, so per-query metrics stay exact.
-    pub fn from_handle(handle: PoolHandle) -> BufferPool {
-        BufferPool {
-            inner: Inner::Shared(handle),
-            tracer: Tracer::disabled(),
-            ledger: QueryMetrics::default(),
-        }
-    }
-
-    /// Whether this pool is a handle onto a shared pool.
-    pub fn is_shared(&self) -> bool {
-        matches!(self.inner, Inner::Shared(_))
+        self.handle.pool().mark_all_clean()
     }
 
     /// The replacement policy in use.
     pub fn policy(&self) -> Replacement {
-        match &self.inner {
-            Inner::Private(p) => p.policy,
-            Inner::Shared(h) => h.pool().policy(),
-        }
+        self.handle.pool().policy()
     }
 
     /// The shared store this pool sits on.
     pub fn store(&self) -> &SharedStore {
-        match &self.inner {
-            Inner::Private(p) => &p.store,
-            Inner::Shared(h) => h.pool().store(),
-        }
+        self.handle.pool().store()
     }
 
     /// Allocate a fresh page on the store and cache its (zeroed) image.
     pub fn allocate(&mut self) -> Result<PageId> {
-        self.timed(|inner| match inner {
-            Inner::Private(p) => p.allocate(),
-            Inner::Shared(h) => h.allocate(),
-        })
+        self.timed(|h| h.allocate())
     }
 
     /// Read page `pid`, exposing its bytes to `f`.
     pub fn read<R>(&mut self, pid: PageId, f: impl FnOnce(&[u8; PAGE_SIZE]) -> R) -> Result<R> {
-        self.timed(|inner| match inner {
-            Inner::Private(p) => p.read(pid, f),
-            Inner::Shared(h) => h.read(pid, f),
-        })
+        self.timed(|h| h.read(pid, f))
     }
 
     /// Mutate page `pid` in place; the frame is marked dirty and written
@@ -269,35 +155,29 @@ impl BufferPool {
         pid: PageId,
         f: impl FnOnce(&mut [u8; PAGE_SIZE]) -> R,
     ) -> Result<R> {
-        self.timed(|inner| match inner {
-            Inner::Private(p) => p.write(pid, f),
-            Inner::Shared(h) => h.write(pid, f),
-        })
+        self.timed(|h| h.write(pid, f))
     }
 
-    /// Write every dirty frame back to the store. On error the failing
-    /// frame (and any not yet visited) stays dirty. On a shared backing
-    /// this flushes the whole shared pool.
+    /// Write every dirty frame of the ring back to the store, charging
+    /// the writes to this pool. On error the failing frame (and any not
+    /// yet visited) stays dirty.
     pub fn flush(&mut self) -> Result<()> {
-        self.timed(|inner| match inner {
-            Inner::Private(p) => p.flush(),
-            Inner::Shared(h) => h.pool().flush(),
-        })
+        self.timed(|h| h.flush())
     }
 
     /// Run a pool operation, attributing its duration to the I/O latency
     /// histograms when tracing is enabled and the operation performed
     /// physical I/O. The disabled path is a single branch: no clock read,
     /// no stats snapshot, no allocation.
-    fn timed<R>(&mut self, op: impl FnOnce(&mut Inner) -> Result<R>) -> Result<R> {
+    fn timed<R>(&mut self, op: impl FnOnce(&mut PoolHandle) -> Result<R>) -> Result<R> {
         if !self.tracer.is_enabled() {
-            return op(&mut self.inner);
+            return op(&mut self.handle);
         }
-        let before = self.inner.stats();
+        let before = self.handle.stats();
         let t0 = self.tracer.now_ns().unwrap_or(0);
-        let out = op(&mut self.inner);
+        let out = op(&mut self.handle);
         let dur = self.tracer.now_ns().unwrap_or(t0).saturating_sub(t0);
-        let after = self.inner.stats();
+        let after = self.handle.stats();
         let read = after.physical_reads > before.physical_reads;
         let write = after.physical_writes > before.physical_writes;
         if read || write {
@@ -340,27 +220,22 @@ impl BufferPool {
         self.tracer.take()
     }
 
-    /// Drop all cached frames (flushing dirty ones): a cold cache. On a
-    /// shared backing this clears the whole shared pool (pinned frames
-    /// held by other queries survive).
+    /// Drop all cached frames of the ring (flushing dirty ones): a cold
+    /// cache. Frames pinned by other queries survive.
     pub fn clear(&mut self) -> Result<()> {
-        match &mut self.inner {
-            Inner::Private(p) => p.clear(),
-            Inner::Shared(h) => h.pool().clear(),
-        }
+        self.handle.flush()?; // the write-backs are this pool's
+        self.handle.pool().drop_unpinned();
+        Ok(())
     }
 
-    /// I/O performed by this query so far (through this pool or handle).
+    /// I/O performed by this query so far (through this pool's handle).
     pub fn stats(&self) -> IoStats {
-        match &self.inner {
-            Inner::Private(p) => p.stats,
-            Inner::Shared(h) => h.stats(),
-        }
+        self.handle.stats()
     }
 
-    /// Execution counters accumulated through this pool or handle, with
-    /// `io` filled from [`stats`](BufferPool::stats): the whole cost
-    /// profile of the queries run on it since it was created or last
+    /// Execution counters accumulated through this pool, with `io` filled
+    /// from [`stats`](BufferPool::stats): the whole cost profile of the
+    /// queries run on it since it was created or last
     /// [`reset_stats`](BufferPool::reset_stats).
     pub fn metrics(&self) -> QueryMetrics {
         QueryMetrics {
@@ -387,182 +262,22 @@ impl BufferPool {
     /// contents are retained).
     pub fn reset_stats(&mut self) {
         self.ledger = QueryMetrics::default();
-        match &mut self.inner {
-            Inner::Private(p) => p.stats = IoStats::default(),
-            Inner::Shared(h) => h.reset_stats(),
-        }
+        self.handle.reset_stats();
     }
 
-    /// Frame capacity (of the whole shared pool, for a shared backing).
+    /// Frame capacity of the ring behind this pool.
     pub fn capacity(&self) -> usize {
-        match &self.inner {
-            Inner::Private(p) => p.capacity,
-            Inner::Shared(h) => h.pool().capacity(),
-        }
+        self.handle.pool().capacity()
     }
 
-    /// Number of resident pages (pool-wide, for a shared backing).
+    /// Number of resident pages, ring-wide.
     pub fn resident(&self) -> usize {
-        match &self.inner {
-            Inner::Private(p) => p.frames.len(),
-            Inner::Shared(h) => h.pool().resident(),
-        }
+        self.handle.pool().resident()
     }
 
     /// Whether `pid` is currently cached (no I/O side effects).
     pub fn is_resident(&self, pid: PageId) -> bool {
-        match &self.inner {
-            Inner::Private(p) => p.map.contains_key(&pid),
-            Inner::Shared(h) => h.pool().is_resident(pid),
-        }
-    }
-}
-
-impl Private {
-    fn allocate(&mut self) -> Result<PageId> {
-        let pid = self.store.allocate()?;
-        // The zeroed image is already known; fault it in without a read.
-        let slot = self.victim_slot()?;
-        self.install(slot, pid, zeroed_page());
-        self.frames[slot].dirty = true;
-        Ok(pid)
-    }
-
-    fn read<R>(&mut self, pid: PageId, f: impl FnOnce(&[u8; PAGE_SIZE]) -> R) -> Result<R> {
-        let slot = self.fault_in(pid)?;
-        self.touch(slot);
-        Ok(f(&self.frames[slot].buf))
-    }
-
-    fn write<R>(&mut self, pid: PageId, f: impl FnOnce(&mut [u8; PAGE_SIZE]) -> R) -> Result<R> {
-        let slot = self.fault_in(pid)?;
-        self.touch(slot);
-        let frame = &mut self.frames[slot];
-        frame.dirty = true;
-        Ok(f(&mut frame.buf))
-    }
-
-    fn touch(&mut self, slot: usize) {
-        self.tick += 1;
-        let frame = &mut self.frames[slot];
-        frame.referenced = true;
-        frame.last_used = self.tick;
-    }
-
-    fn flush(&mut self) -> Result<()> {
-        for frame in &mut self.frames {
-            if frame.dirty {
-                self.store.write(frame.pid, &frame.buf)?;
-                self.stats.physical_writes += 1;
-                frame.dirty = false;
-            }
-        }
-        Ok(())
-    }
-
-    fn clear(&mut self) -> Result<()> {
-        self.flush()?;
-        self.frames.clear();
-        self.map.clear();
-        self.hand = 0;
-        Ok(())
-    }
-
-    fn fault_in(&mut self, pid: PageId) -> Result<usize> {
-        self.stats.logical_reads += 1;
-        if let Some(&slot) = self.map.get(&pid) {
-            self.stats.hits += 1;
-            return Ok(slot);
-        }
-        self.stats.physical_reads += 1;
-        let mut buf = zeroed_page();
-        self.store.read(pid, &mut buf)?;
-        let slot = self.victim_slot()?;
-        self.install(slot, pid, buf);
-        Ok(slot)
-    }
-
-    /// Pick a frame slot, evicting per the configured policy if full.
-    fn victim_slot(&mut self) -> Result<usize> {
-        if self.frames.len() < self.capacity {
-            self.frames.push(Frame {
-                pid: PageId::INVALID,
-                buf: zeroed_page(),
-                referenced: false,
-                dirty: false,
-                last_used: 0,
-            });
-            return Ok(self.frames.len() - 1);
-        }
-        let no_steal = self.no_steal;
-        let slot = match self.policy {
-            Replacement::Clock => {
-                // Two sweeps clear every reference bit, so a third pass is
-                // guaranteed a victim — unless no-steal pins every dirty
-                // frame, in which case an all-dirty pool is exhausted.
-                let mut chosen = None;
-                for _ in 0..3 * self.frames.len() {
-                    let slot = self.hand;
-                    self.hand = (self.hand + 1) % self.frames.len();
-                    let frame = &mut self.frames[slot];
-                    if no_steal && frame.dirty {
-                        continue;
-                    }
-                    if frame.referenced {
-                        frame.referenced = false; // second chance
-                    } else {
-                        chosen = Some(slot);
-                        break;
-                    }
-                }
-                chosen.ok_or(StorageError::PoolExhausted)?
-            }
-            Replacement::Lru => self
-                .frames
-                .iter()
-                .enumerate()
-                .filter(|(_, f)| !(no_steal && f.dirty))
-                .min_by_key(|(_, f)| f.last_used)
-                .map(|(i, _)| i)
-                .ok_or(StorageError::PoolExhausted)?,
-        };
-        let frame = &mut self.frames[slot];
-        if frame.dirty {
-            // A victim we cannot persist stays resident and dirty; the
-            // caller's operation fails without losing the page image.
-            self.store.write(frame.pid, &frame.buf)?;
-            self.stats.physical_writes += 1;
-            frame.dirty = false;
-        }
-        self.map.remove(&frame.pid);
-        Ok(slot)
-    }
-
-    fn install(&mut self, slot: usize, pid: PageId, buf: PageBuf) {
-        self.tick += 1;
-        let tick = self.tick;
-        let frame = &mut self.frames[slot];
-        frame.pid = pid;
-        frame.buf = buf;
-        frame.referenced = true;
-        frame.dirty = false;
-        frame.last_used = tick;
-        self.map.insert(pid, slot);
-    }
-}
-
-impl Drop for Private {
-    fn drop(&mut self) {
-        // Best-effort writeback; errors here have no caller to report to
-        // and must not turn into a panic during unwinding. A shared
-        // backing is deliberately NOT flushed on handle drop — its dirty
-        // frames belong to the pool, which outlives any one query. A
-        // no-steal pool must not flush either: its dirty frames are
-        // exactly the pages the durability protocol keeps off the store
-        // until a checkpoint, and the WAL already covers them.
-        if !self.no_steal {
-            let _ = self.flush();
-        }
+        self.handle.pool().is_resident(pid)
     }
 }
 
@@ -570,7 +285,10 @@ impl Drop for Private {
 mod tests {
     use super::*;
     use crate::disk::InMemoryDisk;
+    use crate::error::StorageError;
     use crate::fault::{Fault, FaultStore};
+    use crate::page::zeroed_page;
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     fn pool(frames: usize) -> BufferPool {
@@ -637,6 +355,8 @@ mod tests {
         assert_eq!(p.resident(), 2);
     }
 
+    /// (Also what `shared::tests::dirty_eviction_writes_back` checked on a
+    /// bare handle: the same lines, now reached from here.)
     #[test]
     fn dirty_eviction_writes_back() {
         let store = InMemoryDisk::shared();
@@ -793,6 +513,8 @@ mod tests {
         }
     }
 
+    /// (Absorbs `shared::tests::failed_read_fails_one_query_and_pool_stays_usable`,
+    /// which drove the same fault through a bare handle.)
     #[test]
     fn injected_read_failure_propagates_without_poisoning_the_pool() {
         let faults = Arc::new(FaultStore::new(InMemoryDisk::shared(), 3));
@@ -801,10 +523,14 @@ mod tests {
         let pid = p.allocate().unwrap();
         p.clear().unwrap();
         assert!(matches!(p.read(pid, |_| ()), Err(StorageError::Io { .. })));
-        // The fault fired once; the pool stays usable.
+        // The failed page was not installed; the fault fired once and the
+        // pool stays usable.
+        assert!(!p.is_resident(pid));
         assert_eq!(p.read(pid, |b| b[0]).unwrap(), 0);
     }
 
+    /// (Also what `shared::tests::failed_dirty_eviction_keeps_the_frame_dirty`
+    /// checked on a bare handle.)
     #[test]
     fn failed_dirty_eviction_keeps_the_frame_dirty() {
         let faults = Arc::new(FaultStore::new(InMemoryDisk::shared(), 3));
@@ -840,7 +566,6 @@ mod tests {
         };
         {
             let mut p = BufferPool::new_no_steal(store.clone(), 2);
-            assert!(p.is_no_steal());
             p.write(pids[0], |b| b[0] = 1).unwrap();
             // One clean slot left: reading the others cycles through it
             // without ever touching the dirty frame.
@@ -901,24 +626,41 @@ mod tests {
         assert_eq!(check.read(b, |buf| buf[9]).unwrap(), 42);
     }
 
+    /// The case that used to panic: checkpoint bookkeeping through a
+    /// `from_handle` pool, here over a multi-stripe no-steal ring.
+    /// (`shared_backed_pool_is_interchangeable_with_private` is gone with
+    /// the second backing; a handle-backed pool's reads, writes and flush
+    /// are covered by the ledger test below and by
+    /// `shared::tests::dirty_pages_flush_and_are_visible_elsewhere`.)
     #[test]
-    fn shared_backed_pool_is_interchangeable_with_private() {
-        use crate::shared::SharedBufferPool;
+    fn checkpoint_bookkeeping_works_through_a_handle_on_a_striped_no_steal_ring() {
         let store = InMemoryDisk::shared();
-        let shared = SharedBufferPool::new(store.clone(), 8, 2);
-        let mut p = BufferPool::from_handle(shared.handle());
-        assert!(p.is_shared());
-        let pid = p.allocate().unwrap();
-        p.write(pid, |b| b[5] = 11).unwrap();
-        p.flush().unwrap();
-        assert_eq!(p.read(pid, |b| b[5]).unwrap(), 11);
-        let s = p.stats();
-        assert_eq!(s.logical_reads, 2); // the write and the read
-        assert_eq!(s.physical_reads, 0); // resident since allocate
-                                         // A private pool on the same store sees the flushed bytes.
-        let mut q = BufferPool::with_capacity(store, 2);
-        assert_eq!(q.read(pid, |b| b[5]).unwrap(), 11);
-        assert!(!q.is_shared());
+        let ring = SharedBufferPool::build(store.clone(), 8, 4, Replacement::Clock, true);
+        let mut p = BufferPool::from_handle(ring.handle());
+        let pids: Vec<PageId> = (0..6).map(|_| p.allocate().unwrap()).collect();
+        for (i, &pid) in pids.iter().enumerate() {
+            p.write(pid, |b| b[0] = i as u8 + 1).unwrap();
+        }
+        let dirty = p.dirty_pages();
+        let order: Vec<PageId> = dirty.iter().map(|(pid, _)| *pid).collect();
+        assert_eq!(order, pids, "every stripe's dirty pages, ascending");
+        for (pid, buf) in &dirty {
+            store.write(*pid, buf).unwrap();
+        }
+        p.mark_all_clean();
+        assert_eq!(p.dirty_count(), 0);
+        assert_eq!(p.stats().physical_writes, 0, "nothing was stolen");
+        // A second handle on the ring sees clean, evictable frames …
+        let mut q = BufferPool::from_handle(ring.handle());
+        let more: Vec<PageId> = (0..8).map(|_| q.allocate().unwrap()).collect();
+        assert_eq!(q.dirty_count(), 8, "the ring is all dirty again");
+        assert_eq!(q.allocate(), Err(StorageError::PoolExhausted));
+        assert!(more.iter().all(|&pid| q.is_resident(pid)));
+        // … and the installed images are the durable ones.
+        let mut check = BufferPool::with_capacity(store, 2);
+        for (i, &pid) in pids.iter().enumerate() {
+            assert_eq!(check.read(pid, |b| b[0]).unwrap(), i as u8 + 1);
+        }
     }
 
     /// A stand-in kernel: read `pids`, ticking one posting per page.
@@ -934,7 +676,6 @@ mod tests {
 
     #[test]
     fn ledger_sums_what_ran_through_the_pool_and_resets_with_the_io() {
-        use crate::shared::SharedBufferPool;
         let store = InMemoryDisk::shared();
         let pids: Vec<PageId> = {
             let mut w = BufferPool::with_capacity(store.clone(), 8);
@@ -991,5 +732,171 @@ mod tests {
         // The pool stays usable, and keeps adding to the same ledger.
         scan(&mut p, &pids).unwrap();
         assert_eq!(p.metrics().postings_scanned, 5);
+    }
+
+    /// The ring's specification as a Vec scan: one byte per page, every
+    /// lookup linear, one stripe. The oracle for the property below.
+    #[derive(Default)]
+    struct Model {
+        frames: Vec<ModelFrame>,
+        disk: Vec<u8>,
+        cap: usize,
+        lru: bool,
+        no_steal: bool,
+        hand: usize,
+        tick: u64,
+        io: IoStats,
+    }
+
+    #[derive(Clone, Copy)]
+    struct ModelFrame {
+        pid: PageId,
+        byte: u8,
+        referenced: bool,
+        dirty: bool,
+        last_used: u64,
+    }
+
+    impl Model {
+        fn victim(&mut self) -> Result<usize> {
+            if self.frames.len() < self.cap {
+                return Ok(self.frames.len());
+            }
+            let stuck = |f: &ModelFrame| self.no_steal && f.dirty;
+            if self.frames.iter().all(stuck) {
+                return Err(StorageError::PoolExhausted);
+            }
+            let slot = if self.lru {
+                let free = self.frames.iter().enumerate().filter(|(_, f)| !stuck(f));
+                free.min_by_key(|(_, f)| f.last_used).unwrap().0
+            } else {
+                loop {
+                    let slot = self.hand;
+                    self.hand = (self.hand + 1) % self.cap;
+                    let f = &mut self.frames[slot];
+                    match (self.no_steal && f.dirty, f.referenced) {
+                        (true, _) => {}
+                        (false, true) => f.referenced = false,
+                        (false, false) => break slot,
+                    }
+                }
+            };
+            let f = self.frames[slot];
+            if f.dirty {
+                self.disk[f.pid.0 as usize] = f.byte;
+                self.io.physical_writes += 1;
+            }
+            Ok(slot)
+        }
+
+        /// Fault `pid` in (`fresh`: a just-allocated page, no read) and
+        /// touch it; `put` overwrites its byte and dirties it.
+        fn access(&mut self, pid: PageId, fresh: bool, put: Option<u8>) -> Result<u8> {
+            self.io.logical_reads += u64::from(!fresh);
+            let slot = match self.frames.iter().position(|f| f.pid == pid) {
+                Some(slot) => {
+                    self.io.hits += 1;
+                    slot
+                }
+                None => {
+                    self.io.physical_reads += u64::from(!fresh);
+                    let slot = self.victim()?;
+                    let frame = ModelFrame {
+                        pid,
+                        byte: self.disk[pid.0 as usize],
+                        referenced: true,
+                        dirty: fresh,
+                        last_used: 0,
+                    };
+                    if slot == self.frames.len() {
+                        self.frames.push(frame);
+                    } else {
+                        self.frames[slot] = frame;
+                    }
+                    slot
+                }
+            };
+            self.tick += 1;
+            let f = &mut self.frames[slot];
+            (f.referenced, f.last_used) = (true, self.tick);
+            if let Some(byte) = put {
+                (f.byte, f.dirty) = (byte, true);
+            }
+            Ok(f.byte)
+        }
+
+        fn flush(&mut self) {
+            for f in self.frames.iter_mut().filter(|f| f.dirty) {
+                self.disk[f.pid.0 as usize] = f.byte;
+                self.io.physical_writes += 1;
+                f.dirty = false;
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(crate::proptest_cases(64)))]
+
+        // Random traces through `BufferPool` against the model: after
+        // every step the outcome, the I/O counters, the dirty count and
+        // the resident set agree, and after a flush so do the store's
+        // bytes.
+        #[test]
+        fn the_ring_agrees_with_a_vec_scan_model(
+            (cap, lru, no_steal) in (1usize..=8, any::<bool>(), any::<bool>()),
+            ops in proptest::collection::vec((0u8..11, any::<u8>(), any::<u8>()), 1..160),
+        ) {
+            let store = InMemoryDisk::shared();
+            let policy = if lru { Replacement::Lru } else { Replacement::Clock };
+            let ring = SharedBufferPool::build(store.clone(), cap, 1, policy, no_steal);
+            let mut pool = BufferPool::from_handle(ring.handle());
+            let mut model = Model { cap, lru, no_steal, ..Model::default() };
+            for (step, (kind, pick, byte)) in ops.into_iter().enumerate() {
+                let pid = PageId((pick as usize % model.disk.len().max(1)) as u64);
+                let mut flushed = false;
+                match kind {
+                    _ if model.disk.is_empty() => {}
+                    0..=3 => prop_assert_eq!(
+                        pool.read(pid, |b| b[0]), model.access(pid, false, None), "read, step {}", step
+                    ),
+                    4..=6 => prop_assert_eq!(
+                        pool.write(pid, |b| { b[0] = byte; byte }),
+                        model.access(pid, false, Some(byte)),
+                        "write, step {}", step
+                    ),
+                    9 => {
+                        pool.flush().unwrap();
+                        model.flush();
+                        flushed = true;
+                    }
+                    10 => {
+                        pool.clear().unwrap();
+                        model.flush();
+                        model.frames.clear();
+                        model.hand = 0;
+                        flushed = true;
+                    }
+                    _ => {}
+                }
+                if model.disk.is_empty() || matches!(kind, 7 | 8) {
+                    let fresh = PageId(model.disk.len() as u64);
+                    model.disk.push(0);
+                    let want = model.access(fresh, true, None).map(|_| fresh);
+                    prop_assert_eq!(pool.allocate(), want, "allocate, step {}", step);
+                }
+                prop_assert_eq!(pool.stats(), model.io, "step {}", step);
+                prop_assert_eq!(pool.dirty_count(), model.frames.iter().filter(|f| f.dirty).count());
+                for i in 0..model.disk.len() {
+                    let pid = PageId(i as u64);
+                    let want = model.frames.iter().any(|f| f.pid == pid);
+                    prop_assert_eq!(pool.is_resident(pid), want, "step {} {:?}", step, pid);
+                    if flushed {
+                        let mut buf = zeroed_page();
+                        store.read(pid, &mut buf).unwrap();
+                        prop_assert_eq!(buf[0], model.disk[i], "step {} {:?}", step, pid);
+                    }
+                }
+            }
+        }
     }
 }

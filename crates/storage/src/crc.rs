@@ -109,7 +109,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+        #![proptest_config(ProptestConfig::with_cases(crate::proptest_cases(64)))]
 
         #[test]
         fn slicing_agrees_with_bytewise(

@@ -625,7 +625,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
+        #![proptest_config(ProptestConfig::with_cases(crate::proptest_cases(48)))]
 
         // Insert/update/delete against a map model, with sizes drawn so
         // that updates overwrite in place, spill into the gap, compact

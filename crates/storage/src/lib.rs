@@ -7,14 +7,16 @@
 //! * [`page`] — the 8 KB page unit and little-endian field accessors.
 //! * [`disk`] — [`disk::PageStore`], the simulated disk: an in-memory page
 //!   array with physical read/write counters.
-//! * [`buffer`] — [`buffer::BufferPool`], a buffer manager with clock
-//!   (second-chance) replacement. All index structures read pages
-//!   exclusively through a pool, so buffer misses *are* the paper's I/O
-//!   metric.
-//! * [`shared`] — [`shared::SharedBufferPool`], a lock-striped sharded
-//!   pool shared by concurrent queries, with RAII pinning and per-handle
-//!   I/O attribution; [`buffer::BufferPool::from_handle`] lets any search
-//!   path run against it unchanged.
+//! * [`shared`] — [`shared::SharedBufferPool`], the one buffer manager: a
+//!   lock-striped ring of frames with clock (or LRU) replacement, RAII
+//!   pinning, an optional no-steal discipline and per-handle I/O
+//!   attribution.
+//! * [`buffer`] — [`buffer::BufferPool`], what index code sees: a
+//!   per-query handle on a ring (its own one-stripe ring — the paper's
+//!   private 100-frame pool — or one shared with concurrent queries via
+//!   [`buffer::BufferPool::from_handle`]) plus the query's tracer and
+//!   counters. All index structures read pages exclusively through it,
+//!   so its misses *are* the paper's I/O metric.
 //! * [`heap`] — a slotted-page heap file; the tuple store that random-access
 //!   candidate verification reads from.
 //! * [`btree`] — a paged B+tree with fixed-width keys/values; backs the
@@ -48,6 +50,16 @@ pub mod snapshot;
 pub mod stats;
 pub mod trace;
 pub mod wal;
+
+/// Cases per property in this crate's unit tests: `default`, or
+/// `PROPTEST_CASES` when set (the nightly job runs them at 256).
+#[cfg(test)]
+pub(crate) fn proptest_cases(default: u32) -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
 
 pub use buffer::{BufferPool, Replacement};
 pub use disk::{InMemoryDisk, PageStore, SharedStore};

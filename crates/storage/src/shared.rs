@@ -1,44 +1,44 @@
-//! Shared, lock-striped buffer pool for concurrent query batches.
+//! The buffer ring: a lock-striped pool of page frames with clock (or
+//! LRU) replacement, shared by any number of per-query handles.
 //!
-//! The paper's experimental model gives every query a private 100-frame
-//! pool ([`crate::BufferPool`]), which makes batches embarrassingly
-//! parallel but wastes all cross-query locality: a hot postings page or a
-//! PDR-tree root is re-read once per query. [`SharedBufferPool`] is the
-//! production-shaped alternative — one pool shared by every query in a
-//! batch, so hot pages are fetched once per *batch*.
+//! This is the only place residency, eviction order, dirty tracking and
+//! I/O attribution are decided. The paper's "100 frames per query, clock
+//! replacement" is a [`SharedBufferPool`] with **one** stripe and one
+//! handle (every [`crate::BufferPool`] constructor builds exactly that);
+//! a batch or the service puts many handles on one multi-stripe pool so a
+//! hot page is fetched once per *pool*, not once per query.
 //!
-//! # Architecture
-//!
-//! * **Lock striping.** The pool is split into `N` shards; a page id maps
-//!   to exactly one shard, and each shard owns its own clock ring, page
-//!   table, and [`IoStats`] behind a `Mutex`. Two queries touching pages
-//!   in different shards never contend, and an eviction in one shard
-//!   proceeds while readers hold frames in every other shard.
-//! * **RAII pinning.** [`PinGuard`] pins a frame for as long as it lives:
-//!   the shard's eviction scan skips pinned frames (the guard holds a
-//!   strong reference to the frame's data; a frame is evictable only when
-//!   the shard holds the sole reference). Page bytes sit behind a
-//!   per-frame `RwLock`, so many pinned readers proceed in parallel and
-//!   never hold the shard lock while reading.
+//! * **Stripes.** The pool is split into `N` shards; a page id maps to
+//!   exactly one, and each shard owns its frame ring, page table, clock
+//!   hand and [`IoStats`] behind a `Mutex`. Queries touching different
+//!   shards never contend, and an eviction in one shard proceeds while
+//!   readers hold frames in every other.
+//! * **Pins.** [`PinGuard`] pins a frame for as long as it lives: the
+//!   eviction sweep skips pinned frames (the guard holds a strong
+//!   reference to the frame's data; a frame is evictable only when the
+//!   shard holds the sole reference). Page bytes sit behind a per-frame
+//!   `RwLock`, so pinned readers proceed in parallel and never hold the
+//!   shard lock while reading.
 //! * **Attribution.** Every access is counted twice: into the owning
-//!   shard's aggregate [`IoStats`] (the pool-level view,
-//!   [`SharedBufferPool::stats`] / [`SharedBufferPool::shard_stats`]) and
-//!   into the caller-supplied per-handle [`IoStats`] (the per-query view
-//!   that [`PoolHandle`] merges into `QueryMetrics.io`).
-//! * **Failure isolation.** The PR-1 fault-tolerance contract extends to
-//!   the shared pool: a failed physical read or an unwritable eviction
-//!   victim fails only the query that triggered it — the shard's page
+//!   shard's [`IoStats`] (the pool-level view, [`SharedBufferPool::stats`]
+//!   / [`SharedBufferPool::shard_stats`]) and into the [`PoolHandle`] that
+//!   made it (the per-query view behind `QueryMetrics.io`).
+//! * **No-steal.** A pool built by [`crate::BufferPool::new_no_steal`]
+//!   never writes a dirty frame back on its own — not by eviction (the
+//!   sweep skips a dirty frame exactly as it skips a pinned one), not on
+//!   drop — so the store always holds the last explicitly installed state
+//!   (the checkpoint discipline of `uncat_query`'s durable index). A
+//!   stealing pool writes dirty victims back and flushes, best effort,
+//!   when its last reference drops.
+//! * **Failure isolation.** A failed physical read or an unwritable
+//!   eviction victim fails only the query that triggered it: the page
 //!   table is never left inconsistent, a dirty victim that cannot be
-//!   persisted stays resident and dirty, and the pool remains usable for
-//!   every other query. A shard whose frames are all pinned surfaces
+//!   persisted stays resident and dirty, and the pool stays usable. A
+//!   shard with no evictable frame surfaces
 //!   [`StorageError::PoolExhausted`] to the requester instead of blocking.
-//!
-//! [`PoolHandle`] (one per query/worker) adapts the shared pool to the
-//! single-owner [`crate::BufferPool`] interface via
-//! [`crate::BufferPool::from_handle`], so every `UncertainIndex` search
-//! path runs unchanged against either pool flavor.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -60,6 +60,29 @@ pub const DEFAULT_SHARDS: usize = 8;
 struct PageData {
     buf: PageBuf,
     dirty: bool,
+    /// The pool's count of dirty page images, kept in step with `dirty`
+    /// so the checkpoint trigger need not lock every frame to count.
+    dirty_frames: Arc<AtomicUsize>,
+}
+
+impl PageData {
+    fn set_dirty(&mut self, dirty: bool) {
+        if self.dirty != dirty {
+            self.dirty = dirty;
+            // Relaxed: a tally, it publishes nothing.
+            if dirty {
+                self.dirty_frames.fetch_add(1, Ordering::Relaxed);
+            } else {
+                self.dirty_frames.fetch_sub(1, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
+impl Drop for PageData {
+    fn drop(&mut self) {
+        self.set_dirty(false);
+    }
 }
 
 /// Shared frame payload; pins hold an `Arc` to it.
@@ -95,11 +118,14 @@ struct ShardCore {
     stats: IoStats,
 }
 
-/// A thread-safe buffer pool shared by concurrent queries, striped into
-/// independently locked shards (see the module docs).
+/// The buffer ring: a thread-safe pool of page frames over a shared
+/// store, striped into independently locked shards (see the module docs).
 pub struct SharedBufferPool {
     store: SharedStore,
     policy: Replacement,
+    no_steal: bool,
+    capacity: usize,
+    dirty_frames: Arc<AtomicUsize>,
     shards: Vec<Mutex<ShardCore>>,
 }
 
@@ -108,7 +134,7 @@ impl SharedBufferPool {
     /// clock replacement. `total_frames` must be at least `shards` so
     /// every shard owns a frame.
     pub fn new(store: SharedStore, total_frames: usize, shards: usize) -> Arc<SharedBufferPool> {
-        SharedBufferPool::with_policy(store, total_frames, shards, Replacement::Clock)
+        SharedBufferPool::build(store, total_frames, shards, Replacement::Clock, false)
     }
 
     /// Pool with an explicit replacement policy.
@@ -118,10 +144,23 @@ impl SharedBufferPool {
         shards: usize,
         policy: Replacement,
     ) -> Arc<SharedBufferPool> {
-        assert!(shards >= 1, "shared pool needs at least one shard");
+        SharedBufferPool::build(store, total_frames, shards, policy, false)
+    }
+
+    /// Every constructor. With `no_steal`, dirty frames are never victims
+    /// and nothing is written back on drop
+    /// ([`crate::BufferPool::new_no_steal`]).
+    pub(crate) fn build(
+        store: SharedStore,
+        total_frames: usize,
+        shards: usize,
+        policy: Replacement,
+        no_steal: bool,
+    ) -> Arc<SharedBufferPool> {
+        assert!(shards >= 1, "buffer pool needs at least one shard");
         assert!(
             total_frames >= shards,
-            "shared pool needs at least one frame per shard ({total_frames} frames, {shards} shards)"
+            "buffer pool needs at least one frame per shard ({total_frames} frames, {shards} shards)"
         );
         let cores = (0..shards)
             .map(|i| {
@@ -139,6 +178,9 @@ impl SharedBufferPool {
         Arc::new(SharedBufferPool {
             store,
             policy,
+            no_steal,
+            capacity: total_frames,
+            dirty_frames: Arc::default(),
             shards: cores,
         })
     }
@@ -168,7 +210,7 @@ impl SharedBufferPool {
 
     /// Total frame capacity across all shards.
     pub fn capacity(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().capacity).sum()
+        self.capacity
     }
 
     /// Number of resident pages across all shards.
@@ -190,26 +232,21 @@ impl SharedBufferPool {
     /// data that is already hot; it is a point-in-time estimate with no
     /// I/O side effects. An empty page set reports 0.0.
     pub fn residency_fraction(&self, pages: &[PageId], stride: usize) -> f64 {
-        let stride = stride.max(1);
-        let mut probed = 0u64;
-        let mut hot = 0u64;
-        for &pid in pages.iter().step_by(stride) {
-            probed += 1;
-            if self.is_resident(pid) {
-                hot += 1;
-            }
-        }
-        if probed == 0 {
+        let probed = pages.iter().step_by(stride.max(1));
+        let total = probed.len();
+        let hot = probed.filter(|&&pid| self.is_resident(pid)).count();
+        if total == 0 {
             0.0
         } else {
-            hot as f64 / probed as f64
+            hot as f64 / total as f64
         }
     }
 
     /// Aggregate I/O counters: the field-wise sum of every shard's stats.
     /// Because every access is recorded in exactly one shard, this equals
-    /// the sum of all per-handle stats (plus flush write-back traffic,
-    /// which is charged to the pool, not to a handle).
+    /// the sum of all per-handle stats (plus the write-back traffic of
+    /// [`flush`](SharedBufferPool::flush) / [`clear`](SharedBufferPool::clear)
+    /// called on the pool rather than through a handle).
     pub fn stats(&self) -> IoStats {
         let mut total = IoStats::default();
         for shard in &self.shards {
@@ -243,20 +280,17 @@ impl SharedBufferPool {
     }
 
     /// Allocate a fresh page on the store and cache its (zeroed, dirty)
-    /// image, exactly like [`crate::BufferPool::allocate`].
-    pub fn allocate(&self, stats: &mut IoStats) -> Result<PageId> {
+    /// image without a read.
+    fn allocate(&self, stats: &mut IoStats) -> Result<PageId> {
         let pid = self.store.allocate()?;
         let mut core = self.shards[self.shard_of(pid)].lock();
         let slot = self.victim_slot(&mut core, stats)?;
-        Self::install(&mut core, slot, pid, zeroed_page(), true);
+        self.install(&mut core, slot, pid, zeroed_page(), true);
         Ok(pid)
     }
 
-    /// Pin page `pid` into the pool and return an RAII guard. The frame
-    /// cannot be evicted while the guard lives; drop it promptly — a
-    /// shard whose frames are all pinned refuses further faults with
-    /// [`StorageError::PoolExhausted`].
-    pub fn pin(&self, pid: PageId, stats: &mut IoStats) -> Result<PinGuard> {
+    /// Pin page `pid` into the pool, charging the access to `stats`.
+    fn pin(&self, pid: PageId, stats: &mut IoStats) -> Result<PinGuard> {
         let mut core = self.shards[self.shard_of(pid)].lock();
         core.stats.logical_reads += 1;
         stats.logical_reads += 1;
@@ -282,38 +316,19 @@ impl SharedBufferPool {
         let mut buf = zeroed_page();
         self.store.read(pid, &mut buf)?;
         let slot = self.victim_slot(&mut core, stats)?;
-        let data = Self::install(&mut core, slot, pid, buf, false);
+        let data = self.install(&mut core, slot, pid, buf, false);
         Ok(PinGuard { pid, data })
-    }
-
-    /// Read page `pid`, exposing its bytes to `f` (pin, shared-lock,
-    /// read, unpin).
-    pub fn read<R>(
-        &self,
-        pid: PageId,
-        stats: &mut IoStats,
-        f: impl FnOnce(&[u8; PAGE_SIZE]) -> R,
-    ) -> Result<R> {
-        let pin = self.pin(pid, stats)?;
-        Ok(pin.with_page(f))
-    }
-
-    /// Mutate page `pid` in place; the frame is marked dirty and written
-    /// back on eviction or [`flush`](SharedBufferPool::flush).
-    pub fn write<R>(
-        &self,
-        pid: PageId,
-        stats: &mut IoStats,
-        f: impl FnOnce(&mut [u8; PAGE_SIZE]) -> R,
-    ) -> Result<R> {
-        let pin = self.pin(pid, stats)?;
-        Ok(pin.with_page_mut(f))
     }
 
     /// Write every dirty frame back to the store. On error the failing
     /// frame (and any not yet visited) stays dirty. Write-back traffic is
-    /// charged to the owning shard's stats.
+    /// charged to the owning shard's stats; [`PoolHandle::flush`] also
+    /// charges the handle that asked.
     pub fn flush(&self) -> Result<()> {
+        self.flush_for(&mut IoStats::default())
+    }
+
+    fn flush_for(&self, stats: &mut IoStats) -> Result<()> {
         for shard in &self.shards {
             let mut core = shard.lock();
             for i in 0..core.frames.len() {
@@ -326,8 +341,9 @@ impl SharedBufferPool {
                 let mut page = data.page.write();
                 if page.dirty {
                     self.store.write(pid, &page.buf)?;
-                    page.dirty = false;
+                    page.set_dirty(false);
                     core.stats.physical_writes += 1;
+                    stats.physical_writes += 1;
                 }
             }
         }
@@ -338,6 +354,12 @@ impl SharedBufferPool {
     /// cache. Pinned frames survive — their guards stay valid.
     pub fn clear(&self) -> Result<()> {
         self.flush()?;
+        self.drop_unpinned();
+        Ok(())
+    }
+
+    /// [`clear`](Self::clear) for a caller that flushed through its handle.
+    pub(crate) fn drop_unpinned(&self) {
         for shard in &self.shards {
             let mut core = shard.lock();
             let old = std::mem::take(&mut core.frames);
@@ -350,43 +372,70 @@ impl SharedBufferPool {
                 .collect();
             core.hand = 0;
         }
-        Ok(())
+    }
+
+    /// Visit every resident frame's page under its exclusive lock, shard
+    /// by shard: the checkpoint bookkeeping's one loop.
+    fn for_each_page(&self, mut f: impl FnMut(PageId, &mut PageData)) {
+        for shard in &self.shards {
+            for frame in &shard.lock().frames {
+                f(frame.pid, &mut frame.data.page.write());
+            }
+        }
+    }
+
+    /// Number of dirty (not-yet-written-back) resident frames.
+    pub(crate) fn dirty_count(&self) -> usize {
+        self.dirty_frames.load(Ordering::Relaxed)
+    }
+
+    /// Clone the after-images of every dirty frame, page id ascending.
+    pub(crate) fn dirty_pages(&self) -> Vec<(PageId, PageBuf)> {
+        let mut pages = Vec::new();
+        self.for_each_page(|pid, page| {
+            if page.dirty {
+                pages.push((pid, page.buf.clone()));
+            }
+        });
+        pages.sort_by_key(|(pid, _)| *pid);
+        pages
+    }
+
+    /// Mark every frame clean *without* writing anything back.
+    pub(crate) fn mark_all_clean(&self) {
+        self.for_each_page(|_, page| page.set_dirty(false));
+    }
+
+    /// Whether the eviction sweep must pass over `frame`: somebody holds
+    /// a pin on it, or it is dirty and this pool does not steal. (An
+    /// unpinned frame's page lock is uncontended.)
+    fn unevictable(&self, frame: &SharedFrame) -> bool {
+        frame.pinned() || (self.no_steal && frame.data.page.read().dirty)
     }
 
     /// Pick a frame slot in `core`, evicting per the configured policy if
-    /// the shard is full. Pinned frames are never victims; a dirty victim
-    /// that cannot be written back stays resident and dirty, and the
-    /// error propagates to the one requesting query.
+    /// the shard is full. Unevictable frames are never victims; a dirty
+    /// victim that cannot be written back stays resident and dirty, and
+    /// the error propagates to the one requesting query.
     fn victim_slot(&self, core: &mut ShardCore, stats: &mut IoStats) -> Result<usize> {
         if core.frames.len() < core.capacity {
-            core.frames.push(SharedFrame {
-                pid: PageId::INVALID,
-                data: Arc::new(FrameData {
-                    page: RwLock::new(PageData {
-                        buf: zeroed_page(),
-                        dirty: false,
-                    }),
-                }),
-                referenced: false,
-                last_used: 0,
-            });
-            return Ok(core.frames.len() - 1);
+            return Ok(core.frames.len()); // a new slot: `install` pushes it
         }
-        if core.frames.iter().all(|f| f.pinned()) {
+        if core.frames.iter().all(|f| self.unevictable(f)) {
             return Err(StorageError::PoolExhausted);
         }
         let slot = match self.policy {
-            // Second-chance clock over unpinned frames. Pins cannot be
-            // created while we hold the shard lock, so at least one
-            // unpinned frame stays unpinned and the sweep terminates
-            // within two revolutions.
+            // Second-chance clock over evictable frames. Neither a pin nor
+            // a dirty bit can appear on an unpinned frame while we hold
+            // the shard lock, so at least one frame stays evictable and
+            // the sweep terminates within two revolutions.
             Replacement::Clock => loop {
                 let slot = core.hand;
                 core.hand = (core.hand + 1) % core.frames.len();
-                let frame = &mut core.frames[slot];
-                if frame.pinned() {
+                if self.unevictable(&core.frames[slot]) {
                     continue;
                 }
+                let frame = &mut core.frames[slot];
                 if frame.referenced {
                     frame.referenced = false; // second chance
                 } else {
@@ -397,7 +446,7 @@ impl SharedBufferPool {
                 .frames
                 .iter()
                 .enumerate()
-                .filter(|(_, f)| !f.pinned())
+                .filter(|(_, f)| !self.unevictable(f))
                 .min_by_key(|(_, f)| f.last_used)
                 .map(|(i, _)| i)
                 .ok_or(StorageError::PoolExhausted)?,
@@ -408,7 +457,7 @@ impl SharedBufferPool {
             let mut page = frame.data.page.write();
             if page.dirty {
                 self.store.write(frame.pid, &page.buf)?;
-                page.dirty = false;
+                page.set_dirty(false);
                 core.stats.physical_writes += 1;
                 stats.physical_writes += 1;
             }
@@ -418,10 +467,13 @@ impl SharedBufferPool {
         Ok(slot)
     }
 
-    /// Install `buf` as page `pid` in `slot`, replacing the frame's data
+    /// Install `buf` as page `pid` in `slot` (from
+    /// [`victim_slot`](Self::victim_slot): a vacated frame, or one past
+    /// the last for a shard still filling), replacing the frame's data
     /// `Arc` wholesale so any straggling reference to the previous
     /// occupant keeps seeing the *old* page, never the new one.
     fn install(
+        &self,
         core: &mut ShardCore,
         slot: usize,
         pid: PageId,
@@ -429,18 +481,41 @@ impl SharedBufferPool {
         dirty: bool,
     ) -> Arc<FrameData> {
         core.tick += 1;
-        let tick = core.tick;
+        let mut page = PageData {
+            buf,
+            dirty: false,
+            dirty_frames: Arc::clone(&self.dirty_frames),
+        };
+        page.set_dirty(dirty);
         let data = Arc::new(FrameData {
-            page: RwLock::new(PageData { buf, dirty }),
+            page: RwLock::new(page),
         });
-        core.frames[slot] = SharedFrame {
+        let frame = SharedFrame {
             pid,
             data: Arc::clone(&data),
             referenced: true,
-            last_used: tick,
+            last_used: core.tick,
         };
+        if slot == core.frames.len() {
+            core.frames.push(frame);
+        } else {
+            core.frames[slot] = frame;
+        }
         core.map.insert(pid, slot);
         data
+    }
+}
+
+impl Drop for SharedBufferPool {
+    fn drop(&mut self) {
+        // Best-effort writeback; errors here have no caller to report to
+        // and must not turn into a panic during unwinding. A no-steal
+        // pool must not flush: its dirty frames are exactly the pages the
+        // durability protocol keeps off the store until a checkpoint, and
+        // the WAL already covers them.
+        if !self.no_steal {
+            let _ = self.flush();
+        }
     }
 }
 
@@ -471,18 +546,18 @@ impl PinGuard {
     /// dirty atomically with the mutation.
     pub fn with_page_mut<R>(&self, f: impl FnOnce(&mut [u8; PAGE_SIZE]) -> R) -> R {
         let mut page = self.data.page.write();
-        page.dirty = true;
+        page.set_dirty(true);
         f(&mut page.buf)
     }
 }
 
 /// A per-query handle over a [`SharedBufferPool`].
 ///
-/// The handle owns the query's private [`IoStats`] — hits and misses are
-/// attributed to whichever handle performed the access, so per-query
-/// `QueryMetrics.io` stays exact while the underlying frames are shared.
-/// Wrap it in a [`crate::BufferPool`] via [`crate::BufferPool::from_handle`]
-/// to run any existing search path against the shared pool unchanged.
+/// The handle owns the query's private [`IoStats`] — hits, misses and
+/// write-backs are attributed to whichever handle caused them, so
+/// per-query `QueryMetrics.io` stays exact while the underlying frames
+/// are shared. [`crate::BufferPool`] is this handle plus the query's
+/// tracer and ledger.
 pub struct PoolHandle {
     pool: Arc<SharedBufferPool>,
     stats: IoStats,
@@ -499,9 +574,10 @@ impl PoolHandle {
         self.pool.allocate(&mut self.stats)
     }
 
-    /// Read page `pid`, exposing its bytes to `f`.
+    /// Read page `pid`, exposing its bytes to `f` (pin, shared-lock,
+    /// read, unpin).
     pub fn read<R>(&mut self, pid: PageId, f: impl FnOnce(&[u8; PAGE_SIZE]) -> R) -> Result<R> {
-        self.pool.read(pid, &mut self.stats, f)
+        Ok(self.pin(pid)?.with_page(f))
     }
 
     /// Mutate page `pid` in place (marked dirty, written back on eviction
@@ -511,12 +587,21 @@ impl PoolHandle {
         pid: PageId,
         f: impl FnOnce(&mut [u8; PAGE_SIZE]) -> R,
     ) -> Result<R> {
-        self.pool.write(pid, &mut self.stats, f)
+        Ok(self.pin(pid)?.with_page_mut(f))
     }
 
-    /// Pin `pid` for direct multi-access (see [`SharedBufferPool::pin`]).
+    /// Pin `pid` and return an RAII guard for direct multi-access. The
+    /// frame cannot be evicted while the guard lives; drop it promptly —
+    /// a shard whose frames are all pinned refuses further faults with
+    /// [`StorageError::PoolExhausted`].
     pub fn pin(&mut self, pid: PageId) -> Result<PinGuard> {
         self.pool.pin(pid, &mut self.stats)
+    }
+
+    /// [`SharedBufferPool::flush`], with the write-backs also charged to
+    /// this handle.
+    pub fn flush(&mut self) -> Result<()> {
+        self.pool.flush_for(&mut self.stats)
     }
 
     /// I/O performed *through this handle* so far.
@@ -535,7 +620,6 @@ mod tests {
     use super::*;
     use crate::buffer::BufferPool;
     use crate::disk::InMemoryDisk;
-    use crate::fault::{Fault, FaultStore};
 
     fn pool(frames: usize, shards: usize) -> Arc<SharedBufferPool> {
         SharedBufferPool::new(InMemoryDisk::shared(), frames, shards)
@@ -616,6 +700,11 @@ mod tests {
         assert!(h.read(b, |_| ()).is_ok(), "pool recovers once unpinned");
     }
 
+    // Dirty eviction, a failed dirty eviction and a failed read are
+    // checked once, through the facade every caller uses: `buffer::tests::
+    // {dirty_eviction_writes_back, failed_dirty_eviction_keeps_the_frame_dirty,
+    // injected_read_failure_propagates_without_poisoning_the_pool}`.
+
     #[test]
     fn dirty_pages_flush_and_are_visible_elsewhere() {
         let store = InMemoryDisk::shared();
@@ -626,49 +715,6 @@ mod tests {
         p.flush().unwrap();
         let mut private = BufferPool::with_capacity(store, 2);
         assert_eq!(private.read(pid, |b| b[9]).unwrap(), 42);
-    }
-
-    #[test]
-    fn dirty_eviction_writes_back() {
-        let store = InMemoryDisk::shared();
-        let p = SharedBufferPool::new(store.clone(), 1, 1);
-        let mut h = p.handle();
-        let a = h.allocate().unwrap();
-        h.write(a, |b| b[0] = 5).unwrap();
-        let _b = h.allocate().unwrap(); // evicts dirty `a`
-        let mut q = BufferPool::with_capacity(store, 1);
-        assert_eq!(q.read(a, |b| b[0]).unwrap(), 5);
-    }
-
-    #[test]
-    fn failed_read_fails_one_query_and_pool_stays_usable() {
-        let faults = Arc::new(FaultStore::new(InMemoryDisk::shared(), 3));
-        let p = SharedBufferPool::new(faults.clone(), 4, 2);
-        let mut h = p.handle();
-        let pid = h.allocate().unwrap();
-        p.clear().unwrap();
-        faults.arm(Fault::FailRead {
-            after: faults.reads_so_far() + 1,
-        });
-        assert!(matches!(h.read(pid, |_| ()), Err(StorageError::Io { .. })));
-        // The failed page was not installed; a retry succeeds.
-        assert!(!p.is_resident(pid));
-        assert_eq!(h.read(pid, |b| b[0]).unwrap(), 0);
-    }
-
-    #[test]
-    fn failed_dirty_eviction_keeps_the_frame_dirty() {
-        let faults = Arc::new(FaultStore::new(InMemoryDisk::shared(), 3));
-        let p = SharedBufferPool::new(faults.clone(), 1, 1);
-        let mut h = p.handle();
-        let a = h.allocate().unwrap();
-        h.write(a, |b| b[0] = 5).unwrap();
-        faults.arm(Fault::FailWrite {
-            after: faults.writes_so_far() + 1,
-        });
-        assert!(h.allocate().is_err());
-        assert_eq!(h.read(a, |b| b[0]).unwrap(), 5, "image survives in pool");
-        p.flush().unwrap();
     }
 
     #[test]

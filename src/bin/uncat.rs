@@ -825,16 +825,13 @@ fn batch(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let tau: f64 = flags.get("tau").map_or(Ok(0.3), |s| parse(s, "--tau"))?;
     let seed: u64 = flags.get("seed").map_or(Ok(42), |s| parse(s, "--seed"))?;
     let zipf_s: f64 = flags.get("zipf").map_or(Ok(1.2), |s| parse(s, "--zipf"))?;
-    let threads: usize = flags
-        .get("threads")
-        .map_or(Ok(4), |s| parse(s, "--threads"))?;
-    let frames: usize = flags
-        .get("frames")
-        .map_or(Ok(100), |s| parse(s, "--frames"))?;
-    let shards: usize = flags
-        .get("shards")
-        .map_or(Ok(8), |s| parse(s, "--shards"))?;
-    let pool_kind = flags.get("pool").map_or("private", String::as_str);
+    let pool_flags = pool_flags(flags)?;
+    let threads = pool_flags.threads;
+    let pool_kind = if pool_flags.shared {
+        "shared"
+    } else {
+        "private"
+    };
     let strategy = flags
         .get("strategy")
         .map_or(Ok(Strategy::Auto), |s| parse_strategy(s))?;
@@ -849,17 +846,7 @@ fn batch(flags: &HashMap<String, String>) -> Result<(), CliError> {
         .map(|rank| EqQuery::new(Uda::certain(CatId(rank as u32)), tau))
         .collect();
 
-    // Memory parity: the shared pool gets the same frame budget the
-    // private mode hands out across its workers.
-    let mut pools = match pool_kind {
-        "private" => BatchPools::private(frames),
-        "shared" => BatchPools::shared(&store, frames * threads.max(1), shards),
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown --pool {other:?} (private|shared)"
-            )))
-        }
-    };
+    let mut pools = pool_flags.pools(&store);
     if tracing {
         pools = pools.traced(Arc::new(MonotonicClock::new()));
     }
@@ -937,6 +924,65 @@ fn batch(flags: &HashMap<String, String>) -> Result<(), CliError> {
     Ok(())
 }
 
+/// The pool flags `batch` and `join` share, checked once: every count
+/// at least 1, and a shared pool (`frames` × `threads` in all) with a
+/// frame for every stripe.
+struct PoolFlags {
+    threads: usize,
+    frames: usize,
+    shards: usize,
+    shared: bool,
+}
+
+fn pool_flags(flags: &HashMap<String, String>) -> Result<PoolFlags, CliError> {
+    let count = |name: &str, default: usize| -> Result<usize, CliError> {
+        match flags.get(name).map(|s| parse(s, &format!("--{name}"))) {
+            None => Ok(default),
+            Some(Ok(0)) => Err(CliError::Usage(format!("--{name} must be at least 1"))),
+            Some(other) => other,
+        }
+    };
+    let (threads, frames, shards) = (
+        count("threads", 4)?,
+        count("frames", 100)?,
+        count("shards", 8)?,
+    );
+    let shared = match flags.get("pool").map_or("private", String::as_str) {
+        "private" => false,
+        "shared" => true,
+        other => {
+            return Err(CliError::Usage(format!(
+                "unknown --pool {other:?} (private|shared)"
+            )))
+        }
+    };
+    if shared && frames.saturating_mul(threads) < shards {
+        return Err(CliError::Usage(format!(
+            "--pool shared needs a frame per shard: --frames {frames} x --threads {threads} \
+             is fewer than --shards {shards}"
+        )));
+    }
+    Ok(PoolFlags {
+        threads,
+        frames,
+        shards,
+        shared,
+    })
+}
+
+impl PoolFlags {
+    /// Memory parity: a shared pool gets the frame budget the private
+    /// mode hands out across its workers.
+    fn pools(&self, store: &SharedStore) -> BatchPools {
+        if self.shared {
+            let total = self.frames.saturating_mul(self.threads);
+            BatchPools::shared(store, total, self.shards)
+        } else {
+            BatchPools::private(self.frames)
+        }
+    }
+}
+
 /// Join a synthesized Zipf-skewed outer relation against a stored
 /// relation under one of the three join kinds and three physical plans.
 /// The inner relation (and its index, for the index/parallel plans) is
@@ -951,16 +997,8 @@ fn join(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let outer_n: usize = flags.get("outer").map_or(Ok(64), |s| parse(s, "--outer"))?;
     let zipf_s: f64 = flags.get("zipf").map_or(Ok(1.2), |s| parse(s, "--zipf"))?;
     let seed: u64 = flags.get("seed").map_or(Ok(42), |s| parse(s, "--seed"))?;
-    let threads: usize = flags
-        .get("threads")
-        .map_or(Ok(4), |s| parse(s, "--threads"))?;
-    let frames: usize = flags
-        .get("frames")
-        .map_or(Ok(100), |s| parse(s, "--frames"))?;
-    let shards: usize = flags
-        .get("shards")
-        .map_or(Ok(8), |s| parse(s, "--shards"))?;
-    let pool_kind = flags.get("pool").map_or("private", String::as_str);
+    let pool_flags = pool_flags(flags)?;
+    let (threads, frames) = (pool_flags.threads, pool_flags.frames);
     let limit: usize = flags.get("limit").map_or(Ok(10), |s| parse(s, "--limit"))?;
 
     let spec = match kind {
@@ -1036,15 +1074,7 @@ fn join(flags: &HashMap<String, String>) -> Result<(), CliError> {
                 let mut pool = BufferPool::with_capacity(store.clone(), frames);
                 (index_join(&outer, &backend, &mut pool, spec)?, None)
             } else {
-                let pools = match pool_kind {
-                    "private" => BatchPools::private(frames),
-                    "shared" => BatchPools::shared(&store, frames * threads.max(1), shards),
-                    other => {
-                        return Err(CliError::Usage(format!(
-                            "unknown --pool {other:?} (private|shared)"
-                        )))
-                    }
-                };
+                let pools = pool_flags.pools(&store);
                 let outcome = parallel_join(&outer, &backend, &store, &pools, spec, threads)?;
                 (outcome, pools.shared_pool().cloned())
             }

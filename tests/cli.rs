@@ -627,6 +627,81 @@ fn cli_rejects_bad_usage() {
     assert!(out.contains("missing --pages"));
 }
 
+/// A pool flag the pools would assert on is a usage error that names
+/// the flag and exits 2 — no backtrace, no batch of "poisoned" queries.
+#[test]
+fn bad_pool_flags_are_usage_errors_not_panics() {
+    let dir = TempDir::new("poolflags");
+    let data = dir.path("data.uds");
+    let pages = dir.path("inv.pages");
+    let meta = dir.path("inv.meta");
+    let (ok, _) = uncat(&[
+        "gen",
+        "--dataset",
+        "crm1",
+        "--n",
+        "500",
+        "--seed",
+        "7",
+        "--out",
+        &data,
+    ]);
+    assert!(ok);
+    let (ok, _) = uncat(&[
+        "build", "--index", "inverted", "--data", &data, "--pages", &pages, "--meta", &meta,
+    ]);
+    assert!(ok);
+
+    let batch = [
+        "batch", "--index", "inverted", "--pages", &pages, "--meta", &meta, "--n", "8",
+    ];
+    let join = [
+        "join", "--data", &data, "--kind", "petj", "--tau", "0.3", "--plan", "parallel",
+    ];
+    let cases: [(&[&str], &[&str], &str); 7] = [
+        (&batch, &["--threads", "0"], "--threads must be at least 1"),
+        (&batch, &["--frames", "0"], "--frames must be at least 1"),
+        (
+            &batch,
+            &["--pool", "shared", "--shards", "0"],
+            "--shards must be at least 1",
+        ),
+        (
+            &batch,
+            &[
+                "--pool",
+                "shared",
+                "--frames",
+                "1",
+                "--threads",
+                "1",
+                "--shards",
+                "8",
+            ],
+            "is fewer than --shards 8",
+        ),
+        (&join, &["--threads", "0"], "--threads must be at least 1"),
+        (&join, &["--frames", "0"], "--frames must be at least 1"),
+        (
+            &join,
+            &["--pool", "shared", "--shards", "0"],
+            "--shards must be at least 1",
+        ),
+    ];
+    for (command, bad, want) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_uncat"))
+            .args(command)
+            .args(bad)
+            .output()
+            .expect("spawn uncat binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bad:?}: {stderr}");
+        assert!(stderr.contains(want), "{bad:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{bad:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{bad:?} ran anyway");
+    }
+}
+
 /// `--trace` renders the span tree (rooted at `query`) with the
 /// buffer-pool I/O footer, and `--trace-json` writes a parseable,
 /// non-empty Chrome trace-event array (`"ph":"X"` complete events).

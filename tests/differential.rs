@@ -386,7 +386,6 @@ fn check_sharded_service(
                 .expect("in-memory build");
         }
     }
-    service.set_scatter_threads(threads);
 
     // Unsharded reference answers from the scan baseline.
     let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 100);
