@@ -558,7 +558,9 @@ impl<'a> BlockCursor<'a> {
             read_payload(self.heap, pool, meta.rid, |bytes| {
                 decode_block_into(bytes, buf)
             })?;
-            if self.buf.len() != meta.count as usize {
+            // An empty block has no head to return: a directory that
+            // claims one is as corrupt as one that miscounts.
+            if self.buf.is_empty() || self.buf.len() != meta.count as usize {
                 return Err(StorageError::Corrupt(
                     "block count disagrees with its directory",
                 ));
@@ -863,6 +865,22 @@ mod tests {
         let n = zero_p.len();
         zero_p[n - 4..].copy_from_slice(&0f32.to_bits().to_le_bytes());
         assert!(decode_block(&zero_p).is_err());
+    }
+
+    #[test]
+    fn an_empty_block_under_a_zero_count_entry_is_corrupt_not_a_panic() {
+        let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 8);
+        let mut heap = HeapFile::new();
+        let rid = heap.insert(&mut pool, &encode_block(&[])).unwrap();
+        let meta = BlockMeta {
+            sep: posting_key(1.0, 0),
+            count: 0,
+            max_q: quantize_up(1.0),
+            rid,
+        };
+        let list = BlockList::from_raw_parts(vec![meta], 0);
+        let mut cur = BlockCursor::open(&list, &heap);
+        assert!(matches!(cur.head(&mut pool), Err(StorageError::Corrupt(_))));
     }
 
     #[test]

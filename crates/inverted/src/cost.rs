@@ -395,7 +395,7 @@ impl CostStats {
         let candidates = p.postings_scanned;
         p.candidates_verified = if nra && lists.len() == 1 {
             0
-        } else if nra && lists.len() <= 128 {
+        } else if nra {
             candidates.min(crate::search::NRA_RA_FALLBACK as u64)
         } else {
             candidates

@@ -25,6 +25,10 @@
 //! * [`Strategy::Nra`] — rank-join with per-candidate upper/lower bounds
 //!   ("lack"), deferring random access to a small undecided remainder.
 //!
+//! Highest-prob-first, NRA and the top-k drain are one frontier loop under
+//! three policies, and row and column pruning one pruned scan (DESIGN.md
+//! §6j).
+//!
 //! [`Strategy::Auto`], the default, is a policy and not a sixth
 //! algorithm: a PETQ runs the scan ([`Strategy::Brute`]), which beats
 //! every verifying plan in wall-clock at any selectivity measured; the

@@ -221,6 +221,11 @@ impl InvertedIndex {
                 let max_q = r.u16()?;
                 let page = r.pid()?;
                 let slot = r.u16()?;
+                if count == 0 {
+                    // Blocks are never written empty; a cursor landing on
+                    // one would have no head.
+                    return Err(SnapshotError("empty block in directory"));
+                }
                 counted += count as u64;
                 blocks.push(BlockMeta {
                     sep,
@@ -504,5 +509,42 @@ mod tests {
         w.u16(0);
         let blob = w.finish();
         assert!(InvertedIndex::open(&blob).is_err());
+    }
+
+    #[test]
+    fn v2_rejects_an_empty_block_in_the_directory() {
+        // A real snapshot, then one more directory entry of count 0 in
+        // front of its only list's blocks: the counts still sum to the
+        // list's length, but a cursor landing on the block has no head.
+        let store = InMemoryDisk::shared();
+        let mut pool = BufferPool::with_capacity(store, 16);
+        let data: Vec<(u64, Uda)> = (0..10u64).map(|i| (i, uda(&[(0, 1.0)]))).collect();
+        let idx = InvertedIndex::build(
+            Domain::anonymous(1),
+            &mut pool,
+            data.iter().map(|(t, u)| (*t, u)),
+        )
+        .unwrap();
+        let blob = idx.snapshot();
+        assert!(InvertedIndex::open(&blob).is_ok());
+
+        let PostingList::Blocks(list) = &idx.posting_map()[&CatId(0)] else {
+            panic!("block format");
+        };
+        let first = list.blocks()[0];
+        let mut needle = u64::from_be_bytes(first.sep).to_le_bytes().to_vec();
+        needle.extend_from_slice(&first.count.to_le_bytes());
+        let at = blob
+            .windows(needle.len())
+            .position(|w| w == needle)
+            .expect("directory entry in the blob");
+        // The list's block count sits just before its first entry.
+        let mut mutated = blob.clone();
+        let nblocks = u32::from_le_bytes(mutated[at - 4..at].try_into().unwrap());
+        mutated[at - 4..at].copy_from_slice(&(nblocks + 1).to_le_bytes());
+        let empty = [&blob[at..at + 8], &[0, 0], &blob[at + 10..at + 22]].concat();
+        mutated.splice(at..at, empty);
+        let err = InvertedIndex::open(&mutated).err().expect("refused");
+        assert_eq!(err, SnapshotError("empty block in directory"));
     }
 }

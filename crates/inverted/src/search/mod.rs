@@ -1,20 +1,23 @@
 //! PETQ search strategies over the inverted index.
+//!
+//! The paper's four strategies and NRA (§3.1), kept for its figures and
+//! for `uncat explain`, run on three executors: the full scan
+//! ([`exact_scores`]), the pruned scan of row and column pruning
+//! ([`pruned_scan`]), and the frontier drain ([`drain()`]), whose
+//! policies are highest-prob-first, NRA and top-k.
 
-mod brute;
-mod col_prune;
-mod highest_prob;
-mod nra;
-mod row_prune;
+mod drain;
 
-pub(crate) use brute::exact_scores;
-pub(crate) use nra::RA_FALLBACK as NRA_RA_FALLBACK;
+pub(crate) use drain::{drain, Policy, RA_FALLBACK as NRA_RA_FALLBACK};
 
-use uncat_core::equality::{eq_prob_entries, meets_threshold};
+use uncat_core::equality::{eq_prob_entries, meets_threshold, THRESHOLD_EPS};
 use uncat_core::query::{sort_matches_desc, EqQuery, Match};
+use uncat_core::{CatId, Uda};
 use uncat_storage::{BufferPool, Phase, QueryMetrics, Result};
 
 use crate::acc::ScoreAcc;
 use crate::index::InvertedIndex;
+use crate::tid::TidSet;
 
 /// Which search algorithm evaluates a PETQ (paper §3.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -87,14 +90,40 @@ impl InvertedIndex {
         query: &EqQuery,
         strategy: Strategy,
     ) -> Result<Vec<Match>> {
+        let (tau, cut) = (query.tau, query.tau - THRESHOLD_EPS);
         pool.tally(|pool, metrics| {
-            let mut out = match strategy {
-                Strategy::Brute | Strategy::Auto => brute::search(self, pool, query, metrics)?,
-                Strategy::HighestProbFirst => highest_prob::search(self, pool, query, metrics)?,
-                Strategy::RowPruning => row_prune::search(self, pool, query, metrics)?,
-                Strategy::ColumnPruning => col_prune::search(self, pool, query, metrics)?,
-                Strategy::Nra => nra::search(self, pool, query, metrics)?,
+            let mut out = Vec::new();
+            let mut keep = |tid, pr| {
+                if meets_threshold(pr, tau) {
+                    out.push(Match::new(tid, pr));
+                }
             };
+            let q = &query.q;
+            match strategy {
+                // `for_each`, not a `for` loop: the accumulator's iterator
+                // is a chain of flat maps, fast only when driven from
+                // inside (`fold`), and most scanned tuples miss τ.
+                Strategy::Brute | Strategy::Auto => exact_scores(self, pool, q, metrics)?
+                    .iter()
+                    .for_each(|(tid, pr)| keep(tid, pr)),
+                Strategy::RowPruning => pruned_scan(self, pool, q, cut, None, metrics, keep)?,
+                Strategy::ColumnPruning => {
+                    pruned_scan(self, pool, q, 0.0, Some(cut), metrics, keep)?
+                }
+                Strategy::HighestProbFirst => {
+                    drain(
+                        self,
+                        pool,
+                        q,
+                        &Policy::HighestProbFirst { tau },
+                        metrics,
+                        keep,
+                    )?;
+                }
+                Strategy::Nra => {
+                    drain(self, pool, q, &Policy::Nra { tau }, metrics, keep)?;
+                }
+            }
             sort_matches_desc(&mut out);
             Ok(out)
         })
@@ -103,45 +132,76 @@ impl InvertedIndex {
     /// PEQ: every tuple with non-zero equality probability (Definition 3),
     /// in canonical order. Evaluated by full aggregation over the query's
     /// posting lists.
-    pub fn peq(&self, pool: &mut BufferPool, q: &uncat_core::Uda) -> Result<Vec<Match>> {
-        let query = EqQuery::new(q.clone(), 0.0);
-        let mut out = pool.tally(|pool, metrics| brute::search(self, pool, &query, metrics))?;
-        out.retain(|m| m.score > 0.0);
+    pub fn peq(&self, pool: &mut BufferPool, q: &Uda) -> Result<Vec<Match>> {
+        let scores = pool.tally(|pool, metrics| exact_scores(self, pool, q, metrics))?;
+        let mut out: Vec<Match> = scores
+            .iter()
+            .filter(|&(_, pr)| pr > 0.0)
+            .map(|(tid, pr)| Match::new(tid, pr))
+            .collect();
         sort_matches_desc(&mut out);
         Ok(out)
     }
 }
 
-/// Random-access verification: fetch each candidate's distribution and keep
-/// those meeting the threshold, with exact scores. Each candidate counts as
-/// one `candidates_verified`.
+/// Row and column pruning (paper §3.1): collect the tuple ids of a
+/// pruned read of the query's lists, then verify every candidate by
+/// batched random access, handing each to `offer` with its exact
+/// probability.
 ///
-/// The fetches go through [`InvertedIndex::verify_each`]: sorted by heap
-/// address, one page read per page per batch — the standard
-/// batched-random-access discipline.
-pub(crate) fn verify_candidates(
+/// Row pruning opens only the lists with `q.p ≥ min_qp` (τ) and reads
+/// them fully: `Pr(q = t) ≤ max_{i ∈ supp(q) ∩ supp(t)} q.p_i` because
+/// `Σ_i t.p_i ≤ 1`, so a qualifying tuple appears in a retained list.
+/// Metrics profile: each list below the cut is a `lists_pruned` (its
+/// postings are never read — the strategy's entire saving).
+///
+/// Column pruning opens every list (`min_qp` 0) but reads only its
+/// `prefix` with `p ≥ τ`: `Pr(q = t) ≤ max_{i ∈ supp(q)} t.p_i` because
+/// `Σ_i q.p_i ≤ 1`, so a qualifying tuple has an entry in some scanned
+/// prefix. Metrics profile: `postings_scanned` ≤ brute force's on the
+/// same query (the first below-τ entry that terminates a raw list's scan
+/// is counted — it was read). Block lists stop at block granularity on
+/// top: blocks whose quantized-up maximum is below τ are
+/// `blocks_skipped` without being decoded, so a list whose very first
+/// block maximum misses τ costs zero postings.
+fn pruned_scan(
     idx: &InvertedIndex,
     pool: &mut BufferPool,
-    query: &EqQuery,
-    candidates: impl IntoIterator<Item = u64>,
+    q: &Uda,
+    min_qp: f64,
+    prefix: Option<f64>,
     metrics: &mut QueryMetrics,
-) -> Result<Vec<Match>> {
-    let mut out = Vec::new();
-    idx.verify_each(pool, candidates, metrics, |tid, t| {
-        let pr = eq_prob_entries(query.q.entries(), t);
-        if meets_threshold(pr, query.tau) {
-            out.push(Match::new(tid, pr));
+    mut offer: impl FnMut(u64, f64),
+) -> Result<()> {
+    let mut candidates = TidSet::default();
+    let span = pool.trace_begin(Phase::PostingScan);
+    for (_cat, qp, list) in query_lists(idx, q) {
+        if qp < min_qp {
+            metrics.lists_pruned += 1;
+            continue;
         }
-    })?;
-    Ok(out)
+        metrics.lists_opened += 1;
+        let collect = |tid, _p| {
+            candidates.insert(tid);
+        };
+        match prefix {
+            None => list.scan_all(idx.block_heap(), pool, metrics, collect)?,
+            Some(cut) => list.scan_prefix(idx.block_heap(), pool, cut, metrics, collect)?,
+        }
+    }
+    pool.trace_end(span);
+    metrics.candidates_generated += candidates.len() as u64;
+    idx.verify_each(pool, candidates, metrics, |tid, t| {
+        offer(tid, eq_prob_entries(q.entries(), t));
+    })
 }
 
 /// The query's support restricted to lists that exist in the index:
 /// `(cat, q_prob, list)` triples.
 pub(crate) fn query_lists<'a>(
     idx: &'a InvertedIndex,
-    q: &uncat_core::Uda,
-) -> Vec<(uncat_core::CatId, f64, &'a crate::postings::PostingList)> {
+    q: &Uda,
+) -> Vec<(CatId, f64, &'a crate::postings::PostingList)> {
     q.iter()
         .filter_map(|(cat, p)| idx.posting_list(cat).map(|l| (cat, p as f64, l)))
         .collect()
@@ -156,7 +216,7 @@ pub(crate) fn query_lists<'a>(
 pub(crate) fn accumulate(
     idx: &InvertedIndex,
     pool: &mut BufferPool,
-    q: &uncat_core::Uda,
+    q: &Uda,
     metrics: &mut QueryMetrics,
     term: impl Fn(f64, f64) -> f64,
 ) -> Result<ScoreAcc> {
@@ -174,207 +234,31 @@ pub(crate) fn accumulate(
     Ok(acc)
 }
 
-/// A cached frontier head: the contribution `c_j = q.p_j · p'_j` of list
-/// `j`'s head, either exact or an upper bound (the head sits in an
-/// undecoded block, whose quantized-up maximum bounds `p'_j`).
-#[derive(Clone, Copy)]
-pub(crate) enum Head {
-    /// The head entry is materialized.
-    Exact { tid: u64, c: f64 },
-    /// Only an upper bound on the head's contribution is known.
-    Bound { c: f64 },
-}
-
-impl Head {
-    fn c(&self) -> f64 {
-        match *self {
-            Head::Exact { c, .. } | Head::Bound { c } => c,
-        }
-    }
-
-    fn from_cursor(qp: f64, h: crate::postings::CursorHead) -> Head {
-        match h {
-            crate::postings::CursorHead::Exact { tid, p } => Head::Exact {
-                tid,
-                c: qp * p as f64,
-            },
-            crate::postings::CursorHead::Bound { p } => Head::Bound { c: qp * p },
-        }
-    }
-}
-
-/// A frontier over the query's posting-list cursors with *cached* heads:
-/// per pop, only the advanced cursor touches the buffer pool; inspecting
-/// the frontier is pure in-memory work. Contributions are pre-scaled by
-/// the query probability (`c_j = q.p_j · p'_j`).
+/// `Pr(q = t)` for every tuple sharing a category with `q`, from the
+/// lists alone: `inv-index-search`, the brute-force strategy (and the
+/// top-k scan). Every non-zero term of `Pr(q = t) = Σ_j q.p_j · t.p_j`
+/// lives in some query list, so the aggregate *is* the exact probability
+/// and no random access is needed; the cost is reading entire lists
+/// regardless of τ, which is why the paper calls it out as only
+/// competitive "when these lists are not too big and the query involves
+/// fewer d_ij". The terms of one tuple are added in list order —
+/// ascending category, the order `eq_prob_entries` adds them in.
 ///
-/// Block-format lists participate through [`Head::Bound`]: an undecoded
-/// block contributes its quantized-up maximum, so [`Frontier::sum`] only
-/// ever *over*-estimates the true head sum — every Lemma 1 / θ stop made
-/// against it is conservative, while blocks whose bound never tops the
-/// heap are skipped without decoding (WAND-style block-max pruning).
-/// [`Frontier::best`] force-decodes a bound only when it is the maximum.
-///
-/// `best()` is served by a lazily-invalidated max-heap and `sum()` is
-/// maintained incrementally (with periodic recomputation to cancel float
-/// drift), so a full drain of `E` postings over `l` lists costs
-/// `O(E log l)` instead of `O(E · l)` — material at the paper's scale
-/// (CRM2: 5 M postings over 50 lists per query).
-pub(crate) struct Frontier<'a> {
-    cursors: Vec<(f64, crate::postings::ListCursor<'a>)>,
-    /// Cached head under each cursor.
-    heads: Vec<Option<Head>>,
-    /// Max-heap of `(contribution bits, list)`; entries may be stale and
-    /// are skipped when they disagree with `heads`.
-    order: std::collections::BinaryHeap<(u64, usize)>,
-    /// Incremental Σ of live head contributions (bounds included).
-    sum: f64,
-    /// Advances since the last exact recomputation of `sum`.
-    since_resum: u32,
-}
-
-/// Recompute the incremental sum after this many advances (bounds float
-/// drift without measurable cost).
-const RESUM_EVERY: u32 = 1 << 16;
-
-impl<'a> Frontier<'a> {
-    /// Open a cursor per query list and cache the initial heads. Counts
-    /// one `lists_opened` per cursor and one `postings_scanned` per
-    /// non-empty *exact* initial head (block lists start as free bounds).
-    pub(crate) fn open(
-        idx: &'a InvertedIndex,
-        pool: &mut BufferPool,
-        q: &uncat_core::Uda,
-        metrics: &mut QueryMetrics,
-    ) -> Result<Frontier<'a>> {
-        let mut cursors: Vec<(f64, crate::postings::ListCursor<'a>)> = Vec::new();
-        let mut heads: Vec<Option<Head>> = Vec::new();
-        for (_cat, qp, list) in query_lists(idx, q) {
-            let (cur, head) =
-                crate::postings::ListCursor::open(list, idx.block_heap(), pool, metrics)?;
-            cursors.push((qp, cur));
-            heads.push(head.map(|h| Head::from_cursor(qp, h)));
-        }
-        metrics.lists_opened += cursors.len() as u64;
-        let order = heads
-            .iter()
-            .enumerate()
-            .filter_map(|(j, h)| h.map(|h| (h.c().to_bits(), j)))
-            .collect();
-        let sum = heads.iter().flatten().map(Head::c).sum();
-        Ok(Frontier {
-            cursors,
-            heads,
-            order,
-            sum,
-            since_resum: 0,
-        })
-    }
-
-    /// Number of lists.
-    pub(crate) fn len(&self) -> usize {
-        self.cursors.len()
-    }
-
-    /// `Σ_j q.p_j · p'_j` over the live heads, bound heads included —
-    /// an upper bound on Lemma 1's sum, so `sum() < τ` soundly implies
-    /// the true sum is below τ.
-    pub(crate) fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// The most promising head: `(list, tid, contribution)`. When a
-    /// *bound* head tops the heap its block is force-decoded (ticking
-    /// `blocks_decoded`/`postings_scanned`), the head turns exact — its
-    /// contribution can only shrink, preserving the heap property — and
-    /// the scan resumes; blocks whose bound never reaches the top are
-    /// never decoded.
-    pub(crate) fn best(
-        &mut self,
-        pool: &mut BufferPool,
-        metrics: &mut QueryMetrics,
-    ) -> Result<Option<(usize, u64, f64)>> {
-        loop {
-            let Some(&(bits, j)) = self.order.peek() else {
-                return Ok(None);
-            };
-            match self.heads[j] {
-                Some(Head::Exact { tid, c }) if c.to_bits() == bits => {
-                    return Ok(Some((j, tid, c)));
-                }
-                Some(Head::Bound { c }) if c.to_bits() == bits => {
-                    self.order.pop();
-                    let (qp, cur) = &mut self.cursors[j];
-                    let (tid, p) = cur
-                        .force(pool, metrics)?
-                        .expect("a bound head implies a live entry");
-                    let exact = *qp * p as f64;
-                    self.sum += exact - c;
-                    self.heads[j] = Some(Head::Exact { tid, c: exact });
-                    self.order.push((exact.to_bits(), j));
-                }
-                _ => {
-                    self.order.pop(); // stale entry
-                }
-            }
-        }
-    }
-
-    /// Pop list `j`'s head and refresh its cache. Counts one
-    /// `frontier_pops`, plus one `postings_scanned` when the next entry
-    /// is materialized (a block-boundary crossing caches a free bound
-    /// instead).
-    pub(crate) fn advance(
-        &mut self,
-        pool: &mut BufferPool,
-        j: usize,
-        metrics: &mut QueryMetrics,
-    ) -> Result<()> {
-        let (qp, cur) = &mut self.cursors[j];
-        metrics.frontier_pops += 1;
-        if let Some(h) = self.heads[j] {
-            self.sum -= h.c();
-        }
-        let qp = *qp;
-        let next = cur
-            .advance(pool, metrics)?
-            .map(|h| Head::from_cursor(qp, h));
-        if let Some(h) = next {
-            self.sum += h.c();
-            self.order.push((h.c().to_bits(), j));
-        }
-        self.heads[j] = next;
-
-        self.since_resum += 1;
-        if self.since_resum >= RESUM_EVERY {
-            self.since_resum = 0;
-            self.sum = self.heads.iter().flatten().map(Head::c).sum();
-        }
-        Ok(())
-    }
-
-    /// Residual head contribution per list (0 where exhausted). Bound
-    /// heads report their upper bound, so per-candidate upper bounds
-    /// built from these stay conservative; a candidate whose bound rests
-    /// on an undecoded block is never *settled* by it (see NRA), only
-    /// pruned or sent to verification.
-    pub(crate) fn residual(&self) -> Vec<f64> {
-        self.heads
-            .iter()
-            .map(|h| h.map_or(0.0, |h| h.c()))
-            .collect()
-    }
-
-    /// Whether every list is drained.
-    pub(crate) fn all_exhausted(&self) -> bool {
-        self.heads.iter().all(Option::is_none)
-    }
-
-    /// Charge every cursor's never-decoded blocks as `blocks_skipped`.
-    /// Call exactly once, when the search stops consuming the frontier.
-    pub(crate) fn account_skips(&self, metrics: &mut QueryMetrics) {
-        for (_, cur) in &self.cursors {
-            cur.account_skips(metrics);
-        }
-    }
+/// Metrics profile: every query list is opened and scanned to the end
+/// (`postings_scanned` is the total posting count of the query lists — the
+/// ceiling the pruning strategies are measured against; block lists decode
+/// every block, so both formats scan the same entries). Each aggregated
+/// tuple is decided exactly from its accumulated contributions, so all
+/// candidates are `candidates_settled`; no random access ever happens.
+pub(crate) fn exact_scores(
+    idx: &InvertedIndex,
+    pool: &mut BufferPool,
+    q: &Uda,
+    metrics: &mut QueryMetrics,
+) -> Result<ScoreAcc> {
+    let scores = accumulate(idx, pool, q, metrics, |qp, p| qp * p)?;
+    let tuples = scores.len() as u64;
+    metrics.candidates_generated += tuples;
+    metrics.candidates_settled += tuples;
+    Ok(scores)
 }

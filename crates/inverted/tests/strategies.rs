@@ -276,10 +276,10 @@ fn early_stopping_beats_brute_on_high_thresholds() {
 
 #[test]
 fn planned_top_k_agrees_with_the_drain_on_queries_wider_than_the_bound_mask() {
-    // More than 128 query lists: the drain has no room for its per-list
-    // bound mask and verifies each candidate as it meets it. Under
-    // `Strategy::Auto` that loop is priced against the scan like the
-    // regular drain and left for it.
+    // More than 128 query lists: the drain keeps each candidate's
+    // per-list mask in a bitset wider than `u128`, and is otherwise the
+    // loop a narrow query runs. Under `Strategy::Auto` it is priced
+    // against the scan and left for it.
     let mut f = fixture(61, 1500, 150, 3);
     let q = Uda::from_pairs((0..140).map(|c| (CatId(c), 1.0 / 140.0))).unwrap();
     let mut expect: Vec<Match> = f
@@ -298,7 +298,6 @@ fn planned_top_k_agrees_with_the_drain_on_queries_wider_than_the_bound_mask() {
         let got = f.idx.top_k(&mut f.pool, &query).unwrap();
         let drained = f.pool.metrics();
         assert_same(&got, want, &format!("wide drain, top-{k}"));
-        assert!(drained.candidates_verified > 0);
         f.pool.reset_stats();
         let got = f
             .idx
@@ -307,11 +306,43 @@ fn planned_top_k_agrees_with_the_drain_on_queries_wider_than_the_bound_mask() {
         let planned = f.pool.metrics();
         assert_same(&got, want, &format!("wide planned, top-{k}"));
         assert!(planned.candidate_invariant_holds());
+        if k >= expect.len() {
+            // More than the matching set: the drain empties every list,
+            // the bounds converge and settle every candidate, and neither
+            // plan fetches a tuple.
+            assert_eq!(drained.candidates_settled, drained.candidates_generated);
+            assert_eq!(planned.candidates_verified, 0);
+            continue;
+        }
+        assert!(drained.candidates_verified > 0);
         assert!(
             planned.candidates_verified < drained.candidates_verified,
             "the scan took over: {} fetches against {}",
             planned.candidates_verified,
             drained.candidates_verified
         );
+    }
+    // Every PETQ strategy on the same wide query. The 140 lists carry
+    // the same query probability, so a strategy opens all of them or
+    // none; every opening accounts for each of its list's blocks once,
+    // decoded or skipped, as brute force's full read does.
+    for tau in [0.002, 0.01, 0.05] {
+        let query = EqQuery::new(q.clone(), tau);
+        let expect = reference_petq(&f.data, &q, tau);
+        let mut brute_blocks = None;
+        for strat in Strategy::ALL.into_iter().chain([Strategy::Auto]) {
+            f.pool.reset_stats();
+            let got = f.idx.petq(&mut f.pool, &query, strat).unwrap();
+            let m = f.pool.metrics();
+            let ctx = format!("wide petq, tau {tau}, {strat:?}");
+            assert_same(&got, &expect, &ctx);
+            assert!(m.candidate_invariant_holds(), "{ctx}: {m:?}");
+            let blocks = *brute_blocks.get_or_insert(m.blocks_decoded);
+            assert_eq!(
+                (m.blocks_decoded + m.blocks_skipped) * 140,
+                blocks * m.lists_opened,
+                "{ctx}: {m:?}"
+            );
+        }
     }
 }

@@ -118,7 +118,8 @@ struct WorkerPart {
     metrics: QueryMetrics,
 }
 
-/// Run `spec` as a parallel index nested loop over `threads` workers.
+/// Run `spec` as a parallel index nested loop over `threads` workers
+/// (at least one).
 ///
 /// Results are exactly the sequential [`super::index_join`]'s: the same
 /// pair set in the same canonical order (for PEJ-top-k, pruning with a
@@ -164,7 +165,6 @@ pub fn parallel_join_with_floor<I: UncertainIndex + Sync>(
     threads: usize,
     floor: &SharedFloor,
 ) -> Result<JoinOutcome> {
-    assert!(threads >= 1, "need at least one worker");
     if let JoinSpec::PejTopK { k: 0 } = spec {
         return Ok(JoinOutcome {
             pairs: Vec::new(),
@@ -177,7 +177,7 @@ pub fn parallel_join_with_floor<I: UncertainIndex + Sync>(
     let parts: Mutex<Vec<WorkerPart>> = Mutex::new(Vec::new());
 
     std::thread::scope(|scope| {
-        for _ in 0..threads.min(outer.len().max(1)) {
+        for _ in 0..threads.clamp(1, outer.len().max(1)) {
             scope.spawn(|| {
                 // A panic anywhere in the probe path (an index bug, a
                 // poisoned lock observed mid-update) fails this *join*

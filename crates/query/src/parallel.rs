@@ -101,8 +101,8 @@ pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// The slot fan-out: run `job(i)` for every `i < n` on `threads` workers
-/// pulling indexes from a shared cursor; results come back in index
-/// order, one `Result` per slot, however the jobs were scheduled.
+/// (at least one) pulling indexes from a shared cursor; results come back
+/// in index order, one `Result` per slot, however the jobs were scheduled.
 ///
 /// A panicking job must fail its own slot, not the process: the unwind is
 /// caught, the slot is filled with a typed [`StorageError::Poisoned`],
@@ -113,13 +113,12 @@ fn fan_out<T: Send>(
     threads: usize,
     job: impl Fn(usize) -> Result<T> + Sync,
 ) -> Vec<Result<T>> {
-    assert!(threads >= 1, "need at least one worker");
     let mut out: Vec<Option<Result<T>>> = Vec::with_capacity(n);
     out.resize_with(n, || None);
     let next = AtomicUsize::new(0);
     let cells: Vec<Mutex<&mut Option<Result<T>>>> = out.iter_mut().map(Mutex::new).collect();
     std::thread::scope(|scope| {
-        for _ in 0..threads.min(n.max(1)) {
+        for _ in 0..threads.clamp(1, n.max(1)) {
             scope.spawn(|| {
                 let worker = AssertUnwindSafe(|| loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
@@ -588,6 +587,113 @@ mod tests {
             matches!(out, Err(StorageError::Poisoned)),
             "a probe panic must fail the join with a typed error"
         );
+    }
+
+    /// 100 tuples over three categories behind an inverted backend.
+    fn small_backend() -> (SharedStore, crate::InvertedBackend) {
+        let store = InMemoryDisk::shared();
+        let data: Vec<(u64, Uda)> = (0..100u64)
+            .map(|i| {
+                (
+                    i,
+                    uda(&[((i % 3) as u32, 0.7), (((i + 1) % 3) as u32, 0.3)]),
+                )
+            })
+            .collect();
+        let mut pool = BufferPool::with_capacity(store.clone(), 64);
+        let idx = InvertedIndex::build(
+            Domain::anonymous(3),
+            &mut pool,
+            data.iter().map(|(t, u)| (*t, u)),
+        )
+        .unwrap();
+        pool.flush().unwrap();
+        (store, crate::InvertedBackend::new(idx))
+    }
+
+    /// A batch asked for zero workers runs on one: the same matches and
+    /// the same counters as a one-worker batch.
+    fn zero_threads_is_one<Q>(
+        queries: &[Q],
+        batch: impl Fn(&[Q], usize) -> Vec<Result<QueryOutcome>>,
+    ) {
+        let (zero, one) = (batch(queries, 0), batch(queries, 1));
+        assert_eq!(zero.len(), queries.len());
+        for (z, o) in zero.iter().zip(&one) {
+            let (z, o) = (z.as_ref().unwrap(), o.as_ref().unwrap());
+            assert_eq!(z.matches, o.matches);
+            assert_eq!(z.metrics, o.metrics);
+        }
+    }
+
+    #[test]
+    fn petq_batch_with_zero_threads_runs_on_one_worker() {
+        let (store, idx) = small_backend();
+        let pools = BatchPools::private(50);
+        let queries = vec![EqQuery::new(uda(&[(0, 1.0)]), 0.5); 3];
+        zero_threads_is_one(&queries, |q, t| petq_batch_with(&idx, &store, &pools, q, t));
+    }
+
+    #[test]
+    fn top_k_batch_with_zero_threads_runs_on_one_worker() {
+        let (store, idx) = small_backend();
+        let pools = BatchPools::private(50);
+        let queries = vec![TopKQuery::new(uda(&[(0, 0.6), (1, 0.4)]), 5); 3];
+        zero_threads_is_one(&queries, |q, t| {
+            top_k_batch_with(&idx, &store, &pools, q, t)
+        });
+    }
+
+    #[test]
+    fn dstq_batch_with_zero_threads_runs_on_one_worker() {
+        use uncat_core::Divergence;
+        let (store, idx) = small_backend();
+        let pools = BatchPools::private(50);
+        let queries = vec![DstQuery::new(uda(&[(0, 0.6), (1, 0.4)]), 0.5, Divergence::L1); 3];
+        zero_threads_is_one(&queries, |q, t| dstq_batch_with(&idx, &store, &pools, q, t));
+    }
+
+    #[test]
+    fn parallel_join_with_zero_threads_runs_on_one_worker() {
+        use crate::join::{parallel_join, JoinSpec};
+        let (store, idx) = small_backend();
+        let outer: Vec<(u64, Uda)> = (0..4u64)
+            .map(|i| (i, uda(&[((i % 3) as u32, 1.0)])))
+            .collect();
+        let pools = BatchPools::private(50);
+        let spec = JoinSpec::Petj { tau: 0.5 };
+        let zero = parallel_join(&outer, &idx, &store, &pools, spec, 0).unwrap();
+        let one = parallel_join(&outer, &idx, &store, &pools, spec, 1).unwrap();
+        assert!(!one.pairs.is_empty());
+        assert_eq!(zero.pairs, one.pairs);
+        assert_eq!(zero.metrics, one.metrics);
+    }
+
+    #[test]
+    fn parallel_join_with_floor_with_zero_threads_runs_on_one_worker() {
+        use crate::join::{parallel_join_with_floor, JoinSpec, SharedFloor};
+        let (store, idx) = small_backend();
+        let outer: Vec<(u64, Uda)> = (0..4u64)
+            .map(|i| (i, uda(&[((i % 3) as u32, 1.0)])))
+            .collect();
+        let pools = BatchPools::private(50);
+        let spec = JoinSpec::PejTopK { k: 4 };
+        let run = |threads| {
+            parallel_join_with_floor(
+                &outer,
+                &idx,
+                &store,
+                &pools,
+                spec,
+                threads,
+                &SharedFloor::new(),
+            )
+            .unwrap()
+        };
+        let (zero, one) = (run(0), run(1));
+        assert_eq!(one.pairs.len(), 4);
+        assert_eq!(zero.pairs, one.pairs);
+        assert_eq!(zero.metrics, one.metrics);
     }
 
     #[test]

@@ -315,10 +315,10 @@ impl QueryService {
         spec: JoinSpec,
         threads: usize,
     ) -> Result<ServiceJoinOutcome> {
-        let threads = threads.max(1);
         let tenant = self.tenant(tenant)?;
         let started = self.clock.now_ns();
-        let guard = self.admit(&tenant, tenant.config.frames_per_query * threads)?;
+        // Priced at the workers the join runs: at least one.
+        let guard = self.admit(&tenant, tenant.config.frames_per_query * threads.max(1))?;
         let floor = SharedFloor::new();
         let pools = BatchPools::over(self.pool.clone());
 
