@@ -11,8 +11,7 @@ use uncat_storage::SharedStore;
 
 use crate::error::{BenchError, BenchResult};
 use crate::measure::{
-    avg_petq_io, avg_topk_io, build_inverted, build_inverted_fmt, build_pdr, profile_petq,
-    profile_topk, Scale, QUERY_FRAMES,
+    avg_petq_io, avg_topk_io, build_inverted, build_pdr, profile_petq, Scale, QUERY_FRAMES,
 };
 use crate::table::{FigureTable, Series};
 
@@ -747,66 +746,6 @@ pub fn sharedpool(scale: &Scale) -> BenchResult<FigureTable> {
     ))
 }
 
-/// Ablation: block-max pruning — the compressed block posting format
-/// (bit-packed tids + a quantized block-max directory, `--format
-/// blocks`) against the raw one-entry-per-posting B-tree layout
-/// (`--format raw`) over identical CRM1 data, across the selectivity
-/// sweep. Each strategy contributes two y-axes per format: average
-/// physical page reads per query (`…-reads`) and average postings
-/// materialized per query (`…-post`, the `postings_scanned` counter —
-/// block lists only tick it for entries actually decoded). Block-max
-/// pruning wins on both: skipped blocks are neither read nor decoded.
-pub fn blockmax(scale: &Scale) -> BenchResult<FigureTable> {
-    use uncat_inverted::PostingFormat;
-
-    let (domain, data) = crm::crm1(scale.crm_n, scale.seed);
-    let workload = workload_for(&data, scale);
-    let mut series = Vec::new();
-    for (fmt_name, fmt) in [("Raw", PostingFormat::Raw), ("Blk", PostingFormat::Blocks)] {
-        for (sname, strat) in [
-            ("Col", Strategy::ColumnPruning),
-            ("Hpf", Strategy::HighestProbFirst),
-            ("Nra", Strategy::Nra),
-        ] {
-            let (idx, store) = build_inverted_fmt(&domain, &data, strat, fmt)?;
-            let mut reads = Vec::new();
-            let mut posts = Vec::new();
-            for (s, qs) in &workload {
-                if qs.is_empty() {
-                    continue;
-                }
-                let prof = profile_petq(&idx, &store, QUERY_FRAMES, qs)?;
-                reads.push((*s, prof.avg_reads));
-                posts.push((*s, prof.per_query(prof.metrics.postings_scanned)));
-            }
-            series.push(Series::new(format!("{sname}-{fmt_name}-reads"), reads));
-            series.push(Series::new(format!("{sname}-{fmt_name}-post"), posts));
-        }
-        // Top-k probes drain the same frontier under a dynamic θ; the
-        // WAND-style leap over blocks whose maximum cannot beat θ is
-        // measured here.
-        let (idx, store) = build_inverted_fmt(&domain, &data, Strategy::Nra, fmt)?;
-        let mut reads = Vec::new();
-        let mut posts = Vec::new();
-        for (s, qs) in &workload {
-            if qs.is_empty() {
-                continue;
-            }
-            let prof = profile_topk(&idx, &store, QUERY_FRAMES, qs)?;
-            reads.push((*s, prof.avg_reads));
-            posts.push((*s, prof.per_query(prof.metrics.postings_scanned)));
-        }
-        series.push(Series::new(format!("TopK-{fmt_name}-reads"), reads));
-        series.push(Series::new(format!("TopK-{fmt_name}-post"), posts));
-    }
-    Ok(FigureTable::new(
-        "blockmax",
-        "Block-max pruning vs raw postings (CRM1)",
-        "selectivity",
-        series,
-    ))
-}
-
 /// Every figure/ablation by name. `None` means the name is unknown;
 /// `Some(Err(_))` means the figure is known but its sweep failed.
 pub fn by_name(name: &str, scale: &Scale) -> Option<BenchResult<FigureTable>> {
@@ -827,13 +766,12 @@ pub fn by_name(name: &str, scale: &Scale) -> Option<BenchResult<FigureTable>> {
         "join" => join(scale),
         "queryshape" => queryshape(scale),
         "sharedpool" => sharedpool(scale),
-        "blockmax" => blockmax(scale),
         _ => return None,
     })
 }
 
 /// All known figure/ablation names, in presentation order.
-pub const ALL_FIGURES: [&str; 17] = [
+pub const ALL_FIGURES: [&str; 16] = [
     "fig4",
     "fig5",
     "fig6",
@@ -850,5 +788,4 @@ pub const ALL_FIGURES: [&str; 17] = [
     "join",
     "queryshape",
     "sharedpool",
-    "blockmax",
 ];

@@ -5,7 +5,7 @@ use uncat_core::query::{EqQuery, TopKQuery};
 use uncat_core::Domain;
 use uncat_datagen::workload::CalibratedQuery;
 use uncat_datagen::Dataset;
-use uncat_inverted::{InvertedIndex, PostingFormat, Strategy};
+use uncat_inverted::{InvertedIndex, Strategy};
 use uncat_pdrtree::{PdrConfig, PdrTree};
 use uncat_query::{InvertedBackend, UncertainIndex};
 use uncat_storage::{BufferPool, InMemoryDisk, QueryMetrics, SharedStore};
@@ -53,32 +53,16 @@ const BUILD_FRAMES: usize = 512;
 /// Frames per query — the paper's setting.
 pub const QUERY_FRAMES: usize = 100;
 
-/// Build an inverted index over its own store (default posting format).
+/// Build an inverted index over its own store.
 pub fn build_inverted(
     domain: &Domain,
     data: &Dataset,
     strategy: Strategy,
 ) -> BenchResult<(InvertedBackend, SharedStore)> {
-    build_inverted_fmt(domain, data, strategy, PostingFormat::default())
-}
-
-/// Build an inverted index in an explicit posting format — the block-max
-/// ablation compares `Raw` and `Blocks` over identical data.
-pub fn build_inverted_fmt(
-    domain: &Domain,
-    data: &Dataset,
-    strategy: Strategy,
-    format: PostingFormat,
-) -> BenchResult<(InvertedBackend, SharedStore)> {
     let store = InMemoryDisk::shared();
     let mut pool = BufferPool::with_capacity(store.clone(), BUILD_FRAMES);
-    let idx = InvertedIndex::build_with_format(
-        domain.clone(),
-        &mut pool,
-        data.iter().map(|(t, u)| (*t, u)),
-        format,
-    )
-    .map_err(BenchError::storage("build inverted index"))?;
+    let idx = InvertedIndex::build(domain.clone(), &mut pool, data.iter().map(|(t, u)| (*t, u)))
+        .map_err(BenchError::storage("build inverted index"))?;
     pool.flush()
         .map_err(BenchError::storage("flush inverted index"))?;
     Ok((InvertedBackend::with_strategy(idx, strategy), store))
@@ -163,24 +147,14 @@ pub fn avg_topk_io(
     frames: usize,
     queries: &[CalibratedQuery],
 ) -> BenchResult<f64> {
-    Ok(profile_topk(index, store, frames, queries)?.avg_reads)
-}
-
-/// Full cost profile (reads + counters) per top-k query over a calibrated
-/// set.
-pub fn profile_topk(
-    index: &impl UncertainIndex,
-    store: &SharedStore,
-    frames: usize,
-    queries: &[CalibratedQuery],
-) -> BenchResult<QueryProfile> {
-    profile(queries, |cq| {
+    let profile = profile(queries, |cq| {
         let mut pool = BufferPool::with_capacity(store.clone(), frames);
         index
             .top_k(&mut pool, &TopKQuery::new(cq.q.clone(), cq.k))
             .map_err(BenchError::storage("top-k probe"))?;
         Ok(pool.metrics())
-    })
+    })?;
+    Ok(profile.avg_reads)
 }
 
 fn profile(

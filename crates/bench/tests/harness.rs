@@ -83,43 +83,6 @@ fn sharedpool_strictly_beats_private_on_repeated_queries() {
 }
 
 #[test]
-fn blockmax_reads_and_decodes_strictly_less_than_raw() {
-    // The block format's headline claim: over the whole selectivity
-    // sweep, block-max pruning performs strictly fewer physical page
-    // reads AND materializes strictly fewer postings than the raw
-    // one-entry-per-posting layout — for column pruning, the
-    // highest-prob frontier, the top-k NRA drain, and plain NRA.
-    // (Result equivalence is pinned separately by tests/differential.rs.)
-    let scale = Scale {
-        crm_n: 4000,
-        synth_n: 400,
-        queries: 4,
-        seed: 11,
-    };
-    let t = by_name("blockmax", &scale)
-        .expect("blockmax")
-        .expect("figure builds");
-    let sweep_total = |label: &str| -> f64 {
-        t.series_named(label)
-            .unwrap_or_else(|| panic!("missing series {label}"))
-            .points
-            .iter()
-            .map(|&(_, y)| y)
-            .sum()
-    };
-    for strat in ["Col", "Hpf", "Nra", "TopK"] {
-        for axis in ["reads", "post"] {
-            let raw = sweep_total(&format!("{strat}-Raw-{axis}"));
-            let blk = sweep_total(&format!("{strat}-Blk-{axis}"));
-            assert!(
-                blk < raw,
-                "{strat}/{axis}: blocks must cost strictly less over the sweep ({blk} vs {raw})"
-            );
-        }
-    }
-}
-
-#[test]
 fn figure_shapes_hold_at_tiny_scale() {
     // A couple of robust shape assertions that hold even at tiny scale.
     let scale = tiny();

@@ -4,8 +4,8 @@
 //! stored as one heap record. Inside a block, tuple ids are sorted
 //! ascending and bit-packed — a 32-bit first id, then every gap to the
 //! next id at one per-block width — and probabilities are kept as raw
-//! `f32` bits — lossless, so every strategy produces scores identical to
-//! the raw B-tree format. Per block, the in-memory directory keeps:
+//! `f32` bits — lossless, so every strategy produces exact scores. Per
+//! block, the in-memory directory keeps:
 //!
 //! * the exact 8-byte posting key of the block's first entry (the
 //!   *separator*, used to place mutations),
@@ -28,22 +28,22 @@
 //! count × f32 prob (LE)     raw bits, ascending-tid order
 //! ```
 //!
-//! Every block written is packed. Blocks written before the packed
-//! layout — bit 15 clear, one LEB128 varint per tid (first absolute,
-//! then deltas) in place of width, first tid and gaps — are still read,
-//! and become packed the next time a mutation rewrites them.
+//! This is the only layout read. Blocks written before it — bit 15
+//! clear, one LEB128 varint per tid — are refused with a typed error
+//! naming `uncat upgrade`, which rebuilds their lists packed (the
+//! `legacy` module).
 //!
 //! The *stream* order of a block — the order cursors deliver entries — is
-//! descending probability with ties by ascending tid, exactly the raw
-//! posting-key order; [`decode_block`] re-sorts into it for the frontier
+//! descending probability with ties by ascending tid, the posting-key
+//! order; [`decode_block`] re-sorts into it for the frontier
 //! cursors. Full and prefix scans do not care about the order inside a
 //! block and read it with [`visit_block`], in storage order, without the
 //! sort or a buffer.
 
 use uncat_core::{Prob, TupleId};
-use uncat_storage::{BufferPool, HeapFile, RecordId, Result, StorageError};
+use uncat_storage::{BufferPool, HeapFile, QueryMetrics, RecordId, Result, StorageError};
 
-use crate::postings::{posting_key, KEY_LEN};
+use crate::postings::{posting_key, CursorHead, KEY_LEN};
 
 /// Entries per block when building or splitting.
 pub const BLOCK_TARGET: usize = 128;
@@ -74,7 +74,7 @@ pub fn dequantize(q: u16) -> f64 {
 
 /// Bit 15 of a payload's count word: set in the packed layout, clear in
 /// the varint layout that preceded it (whose counts never reached it).
-const PACKED_TAG: u16 = 0x8000;
+pub(crate) const PACKED_TAG: u16 = 0x8000;
 
 /// Bytes before the gaps of a packed payload: count word, width, first tid.
 const PACKED_HEADER: usize = 7;
@@ -125,7 +125,7 @@ pub fn encode_block(entries: &[(TupleId, Prob)]) -> Vec<u8> {
 
 /// A stored probability: four little-endian bytes of an `f32` in `(0, 1]`.
 #[inline]
-fn prob_at(bits: &[u8]) -> Result<Prob> {
+pub(crate) fn prob_at(bits: &[u8]) -> Result<Prob> {
     let p = f32::from_le_bytes([bits[0], bits[1], bits[2], bits[3]]);
     if !(p > 0.0 && p <= 1.0) {
         return Err(StorageError::Corrupt(
@@ -139,17 +139,20 @@ fn prob_at(bits: &[u8]) -> Result<Prob> {
 /// `f(tid, p)` per entry, no buffer, no sort. Returns the entry count. A
 /// payload that does not parse — possible only through corruption that
 /// passed the physical checks — is a typed error; `f` may already have
-/// seen entries by then, and the caller drops what it made of them.
+/// seen entries by then, and the caller drops what it made of them. A
+/// payload in the retired varint layout is refused with an error that
+/// names `uncat upgrade`.
 pub fn visit_block(bytes: &[u8], f: impl FnMut(TupleId, Prob)) -> Result<usize> {
     let word = match bytes {
         [lo, hi, ..] => u16::from_le_bytes([*lo, *hi]),
         _ => return Err(SHORT_HEADER),
     };
     if word & PACKED_TAG == 0 {
-        visit_varint(bytes, word as usize, f)
-    } else {
-        visit_packed(bytes, (word & !PACKED_TAG) as usize, f)
+        return Err(StorageError::Corrupt(
+            "posting block in the retired varint layout: run `uncat upgrade`",
+        ));
     }
+    visit_packed(bytes, (word & !PACKED_TAG) as usize, f)
 }
 
 /// [`visit_block`] on the packed layout: one pass, and per gap a load, a
@@ -195,69 +198,6 @@ fn visit_packed(bytes: &[u8], count: usize, mut f: impl FnMut(TupleId, Prob)) ->
     Ok(count)
 }
 
-fn read_varint(bytes: &[u8], at: &mut usize) -> Result<u64> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        let &b = bytes
-            .get(*at)
-            .ok_or(StorageError::Corrupt("posting block varint truncated"))?;
-        *at += 1;
-        if shift >= 64 || (shift == 63 && b > 1) {
-            return Err(StorageError::Corrupt("posting block varint overflows"));
-        }
-        v |= ((b & 0x7f) as u64) << shift;
-        if b & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-    }
-}
-
-/// [`visit_block`] on the legacy layout: `count` LEB128 varints (the first
-/// tid, then deltas), then the probabilities. Read-only — nothing writes
-/// it any more.
-fn visit_varint(bytes: &[u8], count: usize, mut f: impl FnMut(TupleId, Prob)) -> Result<usize> {
-    // First pass: the probability area starts after `count` varints,
-    // i.e. after the `count`-th byte without a continuation bit.
-    let mut probs_at = 2usize;
-    for _ in 0..count {
-        loop {
-            let &b = bytes
-                .get(probs_at)
-                .ok_or(StorageError::Corrupt("posting block varint truncated"))?;
-            probs_at += 1;
-            if b & 0x80 == 0 {
-                break;
-            }
-        }
-    }
-    let probs = &bytes[probs_at..];
-    if probs.len() != 4 * count {
-        return Err(StorageError::Corrupt(
-            "posting block probability area missized",
-        ));
-    }
-    // Second pass: tids and probabilities side by side.
-    let mut at = 2usize;
-    let mut prev = 0u64;
-    for (i, bits) in probs.chunks_exact(4).enumerate() {
-        let v = read_varint(bytes, &mut at)?;
-        let tid = if i == 0 {
-            v
-        } else {
-            prev.checked_add(v)
-                .ok_or(StorageError::Corrupt("posting block tid overflows"))?
-        };
-        if i > 0 && tid <= prev {
-            return Err(StorageError::Corrupt("posting block tids not ascending"));
-        }
-        prev = tid;
-        f(tid, prob_at(bits)?);
-    }
-    Ok(count)
-}
-
 /// Decode a block payload back into stream order (descending probability,
 /// ties by ascending tid). A payload that does not parse — possible only
 /// through corruption that passed the physical checks — is a typed error.
@@ -296,7 +236,7 @@ pub struct BlockMeta {
     pub rid: RecordId,
 }
 
-/// One category's posting list in block format: the block directory plus
+/// One category's posting list: the block directory plus
 /// the total entry count. Payloads live in the index's block heap.
 #[derive(Debug, Default, Clone)]
 pub struct BlockList {
@@ -381,8 +321,7 @@ impl BlockList {
         let at = entries.partition_point(|&(t, q)| posting_key(q, t) < key);
         entries.insert(at, (tid, p));
         let right = (entries.len() > BLOCK_SPLIT).then(|| entries.split_off(entries.len() / 2));
-        let rid = heap.update(pool, self.blocks[i].rid, &encode_block(&entries))?;
-        self.blocks[i] = meta_for(&entries, rid);
+        self.rewrite(heap, pool, i, &entries)?;
         if let Some(right) = right {
             let right_rid = heap.insert(pool, &encode_block(&right))?;
             self.blocks.insert(i + 1, meta_for(&right, right_rid));
@@ -414,11 +353,25 @@ impl BlockList {
             heap.delete(pool, self.blocks[i].rid)?;
             self.blocks.remove(i);
         } else {
-            let rid = heap.update(pool, self.blocks[i].rid, &encode_block(&entries))?;
-            self.blocks[i] = meta_for(&entries, rid);
+            self.rewrite(heap, pool, i, &entries)?;
         }
         self.entries -= 1;
         Ok(true)
+    }
+
+    /// Replace block `i`'s payload with `entries` (non-empty, in stream
+    /// order), packed and in place ([`HeapFile::update`]), and its
+    /// directory entry with theirs.
+    fn rewrite(
+        &mut self,
+        heap: &mut HeapFile,
+        pool: &mut BufferPool,
+        i: usize,
+        entries: &[(TupleId, Prob)],
+    ) -> Result<()> {
+        let rid = heap.update(pool, self.blocks[i].rid, &encode_block(entries))?;
+        self.blocks[i] = meta_for(entries, rid);
+        Ok(())
     }
 
     fn read_block(
@@ -462,6 +415,77 @@ impl BlockList {
         }
         Ok(())
     }
+
+    /// Visit every entry, block by block in stream order and by ascending
+    /// tid inside a block — every caller aggregates per tuple id, and none
+    /// reads the order. Ticks `blocks_decoded` per block and
+    /// `postings_scanned` per entry, and reads each payload page once per
+    /// run of blocks on it.
+    pub(crate) fn scan_all(
+        &self,
+        heap: &HeapFile,
+        pool: &mut BufferPool,
+        metrics: &mut QueryMetrics,
+        mut f: impl FnMut(TupleId, Prob),
+    ) -> Result<()> {
+        self.for_each_payload(heap, pool, |meta, bytes| {
+            let n = visit_block(bytes, &mut f)?;
+            check_count(n, meta)?;
+            metrics.blocks_decoded += 1;
+            metrics.postings_scanned += n as u64;
+            Ok(true)
+        })
+    }
+
+    /// Visit the entries with `p ≥ cut` of the list's stream prefix —
+    /// column pruning's access pattern — in no promised order (see
+    /// [`BlockList::scan_all`]). The scan stops at block granularity: after
+    /// the first block holding an entry below `cut`, or before the first
+    /// whose quantized-up maximum is below it, and everything after the
+    /// stop point is `blocks_skipped` undecoded. Only the entries kept
+    /// tick `postings_scanned`: the boundary falls inside an
+    /// already-decoded block.
+    pub(crate) fn scan_prefix(
+        &self,
+        heap: &HeapFile,
+        pool: &mut BufferPool,
+        cut: f64,
+        metrics: &mut QueryMetrics,
+        mut f: impl FnMut(TupleId, Prob),
+    ) -> Result<()> {
+        let mut decoded = 0u64;
+        self.for_each_payload(heap, pool, |meta, bytes| {
+            if dequantize(meta.max_q) < cut {
+                // The quantized maximum dominates every entry in the
+                // block (and in all later blocks).
+                return Ok(false);
+            }
+            let mut kept = 0u64;
+            let n = visit_block(bytes, |tid, p| {
+                if (p as f64) >= cut {
+                    kept += 1;
+                    f(tid, p);
+                }
+            })?;
+            check_count(n, meta)?;
+            decoded += 1;
+            metrics.postings_scanned += kept;
+            Ok(kept == n as u64)
+        })?;
+        metrics.blocks_decoded += decoded;
+        metrics.blocks_skipped += self.blocks.len() as u64 - decoded;
+        Ok(())
+    }
+}
+
+/// A payload must hold as many entries as its directory entry says.
+fn check_count(n: usize, meta: &BlockMeta) -> Result<()> {
+    if n != meta.count as usize {
+        return Err(StorageError::Corrupt(
+            "block count disagrees with its directory",
+        ));
+    }
+    Ok(())
 }
 
 const DELETED_PAYLOAD: StorageError =
@@ -520,28 +544,24 @@ impl<'a> BlockCursor<'a> {
     }
 
     /// Whether the cursor is past the last entry.
-    pub fn exhausted(&self) -> bool {
+    fn exhausted(&self) -> bool {
         self.block >= self.list.blocks.len()
     }
 
-    /// An upper bound on the probability under the cursor, available
-    /// without decoding: the exact head probability when the current
-    /// block is decoded, its quantized-up maximum otherwise.
-    pub fn bound(&self) -> Option<f64> {
+    /// What is known about the entry under the cursor without I/O: the
+    /// entry itself when its block is decoded, otherwise the block's
+    /// quantized-up maximum as a bound. `None` once exhausted.
+    pub fn peek(&self) -> Option<CursorHead> {
         if self.exhausted() {
-            return None;
-        }
-        if self.decoded {
-            Some(self.buf[self.pos].1 as f64)
+            None
+        } else if self.decoded {
+            let (tid, p) = self.buf[self.pos];
+            Some(CursorHead::Exact { tid, p })
         } else {
-            Some(dequantize(self.list.blocks[self.block].max_q))
+            Some(CursorHead::Bound {
+                p: dequantize(self.list.blocks[self.block].max_q),
+            })
         }
-    }
-
-    /// The entry under the cursor when its block is already decoded (its
-    /// exact `(tid, p)` is known without I/O).
-    pub fn exact_head(&self) -> Option<(TupleId, Prob)> {
-        (self.decoded && !self.exhausted()).then(|| self.buf[self.pos])
     }
 
     /// The exact entry under the cursor, decoding the current block if
@@ -574,8 +594,8 @@ impl<'a> BlockCursor<'a> {
     }
 
     /// Step one entry. Crossing a block boundary leaves the next block
-    /// undecoded — its [`bound`](BlockCursor::bound) is served from the
-    /// directory until [`head`](BlockCursor::head) is forced.
+    /// undecoded — its [`peek`](BlockCursor::peek) is a bound served from
+    /// the directory until [`head`](BlockCursor::head) is forced.
     pub fn advance(&mut self) {
         if self.exhausted() {
             return;
@@ -607,90 +627,42 @@ mod tests {
         entries.sort_unstable_by_key(|&(tid, p)| posting_key(p, tid));
     }
 
-    fn push_varint(out: &mut Vec<u8>, mut v: u64) {
-        loop {
-            let byte = (v & 0x7f) as u8;
-            v >>= 7;
-            if v == 0 {
-                out.push(byte);
-                return;
-            }
-            out.push(byte | 0x80);
-        }
-    }
-
-    /// The encoder of the legacy varint layout, as it shipped: what the
-    /// reader must keep accepting, and nothing else writes.
-    fn encode_block_varint(entries: &[(TupleId, Prob)]) -> Vec<u8> {
-        let mut by_tid: Vec<(TupleId, Prob)> = entries.to_vec();
-        by_tid.sort_unstable_by_key(|&(tid, _)| tid);
-        let mut out = Vec::with_capacity(2 + by_tid.len() * 6);
-        out.extend_from_slice(&(by_tid.len() as u16).to_le_bytes());
-        let mut prev = 0u64;
-        for (i, &(tid, _)) in by_tid.iter().enumerate() {
-            push_varint(&mut out, if i == 0 { tid } else { tid - prev });
-            prev = tid;
-        }
-        for &(_, p) in &by_tid {
-            out.extend_from_slice(&p.to_bits().to_le_bytes());
-        }
-        out
-    }
-
-    /// The reference the in-place parser must agree with, for either
-    /// layout: every tid into a buffer — varints as the decoder read them
-    /// before [`visit_block`], packed gaps one bit at a time — then the
-    /// probabilities, then a sort by posting key.
+    /// The reference the in-place parser must agree with: every tid into
+    /// a buffer, the gaps one bit at a time, then the probabilities, then
+    /// a sort by posting key. A payload without the packed tag is refused.
     fn decode_block_reference(bytes: &[u8]) -> Result<Vec<(TupleId, Prob)>> {
         let header = bytes.get(..2).ok_or(StorageError::Corrupt("header"))?;
         let word = u16::from_le_bytes([header[0], header[1]]);
+        if word & PACKED_TAG == 0 {
+            return Err(StorageError::Corrupt("varint"));
+        }
         let count = (word & !PACKED_TAG) as usize;
         let mut tids = Vec::new();
-        let at = if word & PACKED_TAG == 0 {
-            let mut at = 2usize;
-            let mut prev = 0u64;
-            for i in 0..count {
-                let v = read_varint(bytes, &mut at)?;
-                let tid = if i == 0 {
-                    v
-                } else {
-                    prev.checked_add(v)
-                        .ok_or(StorageError::Corrupt("tid overflows"))?
-                };
-                if i > 0 && tid <= prev {
-                    return Err(StorageError::Corrupt("tids not ascending"));
-                }
-                tids.push(tid);
-                prev = tid;
-            }
-            at
-        } else {
-            let fixed = bytes.get(2..7).ok_or(StorageError::Corrupt("header"))?;
-            let width = fixed[0] as usize;
-            if width > 32 {
-                return Err(StorageError::Corrupt("width"));
-            }
-            let gaps = count.saturating_sub(1);
-            let bit = |n: usize| -> Result<u64> {
-                let byte = bytes.get(7 + n / 8).ok_or(StorageError::Corrupt("gaps"))?;
-                Ok((byte >> (n % 8)) as u64 & 1)
-            };
-            let mut tid = u32::from_le_bytes([fixed[1], fixed[2], fixed[3], fixed[4]]) as u64;
-            for i in 0..count {
-                if i > 0 {
-                    let mut gap = 0u64;
-                    for b in 0..width {
-                        gap |= bit((i - 1) * width + b)? << b;
-                    }
-                    tid += gap + 1;
-                }
-                if tid > u32::MAX as u64 {
-                    return Err(StorageError::Corrupt("tid overflows"));
-                }
-                tids.push(tid);
-            }
-            7 + (gaps * width).div_ceil(8)
+        let fixed = bytes.get(2..7).ok_or(StorageError::Corrupt("header"))?;
+        let width = fixed[0] as usize;
+        if width > 32 {
+            return Err(StorageError::Corrupt("width"));
+        }
+        let gaps = count.saturating_sub(1);
+        let bit = |n: usize| -> Result<u64> {
+            let byte = bytes.get(7 + n / 8).ok_or(StorageError::Corrupt("gaps"))?;
+            Ok((byte >> (n % 8)) as u64 & 1)
         };
+        let mut tid = u32::from_le_bytes([fixed[1], fixed[2], fixed[3], fixed[4]]) as u64;
+        for i in 0..count {
+            if i > 0 {
+                let mut gap = 0u64;
+                for b in 0..width {
+                    gap |= bit((i - 1) * width + b)? << b;
+                }
+                tid += gap + 1;
+            }
+            if tid > u32::MAX as u64 {
+                return Err(StorageError::Corrupt("tid overflows"));
+            }
+            tids.push(tid);
+        }
+        let at = 7 + (gaps * width).div_ceil(8);
         if bytes.len() != at + 4 * count {
             return Err(StorageError::Corrupt("probability area missized"));
         }
@@ -792,28 +764,46 @@ mod tests {
         }
     }
 
+    /// The varint layout still decodes — in `upgrade`'s reader, the one
+    /// place that parses it — and every query-path decoder refuses it
+    /// with an error that names the command. (`tests/upgrade.rs` takes
+    /// whole varint lists over the 32-bit id space through `upgrade`.)
     #[test]
     fn legacy_varint_payloads_still_decode() {
-        // The bytes docs/FORMAT.md walks through, as shipped.
-        let shipped = [2, 0, 2, 5, 0, 0, 0x80, 0x3E, 0, 0, 0x40, 0x3F];
-        assert_eq!(decode_block(&shipped).unwrap(), vec![(7, 0.75), (2, 0.25)]);
-        let top = u32::MAX as u64;
-        for entries in [
-            vec![],
-            strided(0, 1, 257),
-            strided(top - 255, 1, 256),
-            strided(0, top, 2),
-            strided(123_456, 1000, 128),
+        use crate::legacy::decode_varint;
+        let refused = StorageError::Corrupt(
+            "posting block in the retired varint layout: run `uncat upgrade`",
+        );
+        for (shipped, entries) in [
+            // The bytes docs/FORMAT.md walks through.
+            (
+                vec![2, 0, 2, 5, 0, 0, 0x80, 0x3E, 0, 0, 0x40, 0x3F],
+                vec![(7, 0.75), (2, 0.25)],
+            ),
+            (vec![0, 0], vec![]),
+            // The largest tid: five LEB128 bytes.
+            (
+                [
+                    &[1, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F][..],
+                    &1f32.to_le_bytes(),
+                ]
+                .concat(),
+                vec![(u32::MAX as u64, 1.0)],
+            ),
         ] {
-            let legacy = encode_block_varint(&entries);
-            assert_eq!(legacy.get(1).map_or(0, |hi| hi & 0x80), 0);
-            assert_eq!(decode_block(&legacy).unwrap(), entries);
-            assert_eq!(
-                visited(&legacy).unwrap(),
-                visited(&encode_block(&entries)).unwrap(),
-                "both layouts visit in ascending-tid order"
-            );
+            assert_eq!(decode_varint(&shipped).unwrap(), entries);
+            assert_eq!(visited(&shipped), Err(refused.clone()));
+            assert_eq!(decode_block(&shipped), Err(refused.clone()));
         }
+        // One past the 32-bit id space, and a delta that does not advance.
+        let over = [
+            &[1, 0, 0x80, 0x80, 0x80, 0x80, 0x10][..],
+            &1f32.to_le_bytes(),
+        ]
+        .concat();
+        assert!(decode_varint(&over).is_err());
+        let stuck = [2, 0, 5, 0, 0, 0, 0x80, 0x3E, 0, 0, 0x80, 0x3E];
+        assert!(decode_varint(&stuck).is_err());
     }
 
     #[test]
@@ -847,7 +837,7 @@ mod tests {
             decode_block(&over),
             Err(StorageError::Corrupt("posting block tid overflows"))
         );
-        // The legacy tag with a count nothing backs.
+        // The retired tag with a count nothing backs.
         assert!(decode_block(&[0xFF, 0x7F]).is_err());
     }
 
@@ -1039,88 +1029,6 @@ mod tests {
         assert_eq!(pool.stats().logical_reads, 1);
     }
 
-    /// The entries one read delivered, and the counters it ticked.
-    type Read = (Vec<(TupleId, Prob)>, uncat_storage::QueryMetrics);
-
-    /// What a reader of `list` sees: a full scan, a prefix scan and a
-    /// cursor drain.
-    fn every_read(list: &BlockList, heap: &HeapFile, pool: &mut BufferPool) -> [Read; 3] {
-        use uncat_storage::QueryMetrics;
-        let posting_list = crate::postings::PostingList::Blocks(list.clone());
-        let mut all = (Vec::new(), QueryMetrics::new());
-        posting_list
-            .scan_all(heap, pool, &mut all.1, |tid, p| all.0.push((tid, p)))
-            .unwrap();
-        let mut prefix = (Vec::new(), QueryMetrics::new());
-        posting_list
-            .scan_prefix(heap, pool, 0.4, &mut prefix.1, |tid, p| {
-                prefix.0.push((tid, p))
-            })
-            .unwrap();
-        let mut drained = (Vec::new(), QueryMetrics::new());
-        let mut cur = BlockCursor::open(list, heap);
-        while let Some((e, decoded_new)) = cur.head(pool).unwrap() {
-            drained.1.blocks_decoded += decoded_new as u64;
-            drained.0.push(e);
-            cur.advance();
-        }
-        [all, prefix, drained]
-    }
-
-    /// The layout tag of every payload of `list`, in directory order.
-    fn packed_flags(list: &BlockList, heap: &HeapFile, pool: &mut BufferPool) -> Vec<bool> {
-        let mut flags = Vec::new();
-        list.for_each_payload(heap, pool, |_, bytes| {
-            flags.push(bytes[1] & 0x80 != 0);
-            Ok(true)
-        })
-        .unwrap();
-        flags
-    }
-
-    #[test]
-    fn old_and_new_blocks_read_alike_side_by_side_and_mutations_repack_them() {
-        let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 64);
-        let (mut heap, mut new_heap) = (HeapFile::new(), HeapFile::new());
-        let entries = strided(11, 37, 1500);
-        let all_new = BlockList::build(&mut new_heap, &mut pool, &entries).unwrap();
-        // The same list as an older build left it, except that every third
-        // block has been rewritten since.
-        let mut mixed = BlockList::build(&mut heap, &mut pool, &entries).unwrap();
-        for (i, chunk) in entries.chunks(BLOCK_TARGET).enumerate() {
-            if i % 3 != 0 {
-                let rid = mixed.blocks[i].rid;
-                mixed.blocks[i].rid = heap
-                    .update(&mut pool, rid, &encode_block_varint(chunk))
-                    .unwrap();
-            }
-        }
-        let flags = packed_flags(&mixed, &heap, &mut pool);
-        assert_eq!(flags.len(), 12);
-        assert!(flags
-            .iter()
-            .enumerate()
-            .all(|(i, &packed)| packed == (i % 3 == 0)));
-        assert_eq!(
-            every_read(&mixed, &heap, &mut pool),
-            every_read(&all_new, &new_heap, &mut pool)
-        );
-
-        // Take the first entry out of every block and put it back: each
-        // block is rewritten by the removal, whichever takes the insert.
-        for meta in mixed.blocks().to_vec() {
-            let (p, tid) = crate::postings::decode_posting(&meta.sep);
-            assert!(mixed.remove(&mut heap, &mut pool, tid, p).unwrap());
-            mixed.insert(&mut heap, &mut pool, tid, p).unwrap();
-        }
-        assert!(packed_flags(&mixed, &heap, &mut pool)
-            .iter()
-            .all(|&packed| packed));
-        let [all, _, drained] = every_read(&mixed, &heap, &mut pool);
-        assert_eq!(drained.0, entries);
-        assert_eq!(all.0.len(), entries.len());
-    }
-
     /// Blocks over the whole 32-bit id space in the shapes that set the
     /// gap width: scattered ids (wide), runs of consecutive ids (width 0),
     /// even strides, both ends of the space at once (width 32) — at any
@@ -1168,21 +1076,15 @@ mod tests {
         // visitor, the public decoder and the reference — and the same
         // entries where they accept — for every byte of it replaced by
         // another and for three single-bit flips of every byte. A flip of
-        // the tag bit hands the bytes to the other layout's parser, so
-        // both are under test whichever wrote the payload.
+        // the tag bit must be refused by all three.
         #[test]
         fn visit_block_agrees_with_the_reference_decoder(
             mut entries in block_strategy(),
-            legacy in 0u8..4,
             flip in 1u8..=255,
             bits in (0u32..8, 0u32..8, 0u32..8),
         ) {
             entries.truncate(48);
-            let bytes = if legacy == 0 {
-                encode_block_varint(&entries)
-            } else {
-                encode_block(&entries)
-            };
+            let bytes = encode_block(&entries);
             let mut seen = visited(&bytes).unwrap();
             prop_assert!(seen.windows(2).all(|w| w[0].0 < w[1].0), "storage order");
             stream_sorted(&mut seen);
@@ -1208,8 +1110,7 @@ mod tests {
             }
         }
 
-        // Round trip over the whole id range and every gap width, in the
-        // layout written and the one only read.
+        // Round trip over the whole id range and every gap width.
         #[test]
         fn codec_roundtrip(entries in block_strategy()) {
             let bytes = encode_block(&entries);
@@ -1220,7 +1121,6 @@ mod tests {
             prop_assert!(bytes[2] <= 32);
             let back = decode_block(&bytes).unwrap();
             prop_assert_eq!(&back, &entries);
-            prop_assert_eq!(decode_block(&encode_block_varint(&entries)).unwrap(), entries);
         }
 
         // Every decoded probability is dominated by the block's

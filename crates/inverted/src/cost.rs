@@ -30,17 +30,16 @@ use uncat_core::{CatId, Uda};
 use uncat_storage::snapshot::{Reader, SnapshotError, Writer};
 use uncat_storage::QueryMetrics;
 
-use crate::block::PROB_SCALE;
+use crate::block::{BlockList, PROB_SCALE};
 use crate::index::InvertedIndex;
-use crate::postings::PostingList;
 use crate::search::Strategy;
 
 /// Number of probability buckets in the per-category block-max
 /// histograms. Bucket `b` covers maxima in `(b/16, (b+1)/16]`.
 pub const COST_BUCKETS: usize = 16;
 
-/// Postings a sequentially scanned raw (B+tree) page holds, per the
-/// cost model in `docs/METRICS.md`: `reads ≈ ⌈postings / 1000⌉`.
+/// Sequentially scanned postings one page read is worth in a plan's
+/// scalar cost ([`CostPrediction::cost`]; `docs/METRICS.md`).
 pub const ENTRIES_PER_PAGE: u64 = 1000;
 
 /// Cost statistics for one category's posting list.
@@ -48,16 +47,13 @@ pub const ENTRIES_PER_PAGE: u64 = 1000;
 pub struct CatCostStats {
     /// Posting entries in the list.
     pub len: u64,
-    /// Blocks in the list's directory (0 for raw B+tree lists).
+    /// Blocks in the list's directory.
     pub blocks: u32,
-    /// Largest quantized-up block maximum (`PROB_SCALE` for raw lists,
-    /// whose per-entry probabilities are not summarized).
+    /// Largest quantized-up block maximum.
     pub max_q: u16,
     /// Blocks per block-max bucket, in stream order high→low.
     pub block_hist: [u32; COST_BUCKETS],
-    /// Posting entries per block-max bucket. Raw lists, which have no
-    /// directory to summarize, get a uniform synthetic histogram — the
-    /// assumed-uniform prior the estimator falls back to.
+    /// Posting entries per block-max bucket.
     pub entry_hist: [u64; COST_BUCKETS],
 }
 
@@ -109,27 +105,12 @@ pub(crate) fn collect(idx: &InvertedIndex) -> CostStats {
     for (&cat, list) in idx.posting_map() {
         let mut c = CatCostStats::empty();
         c.len = list.len();
-        match list {
-            PostingList::Blocks(blocks) => {
-                c.blocks = blocks.blocks().len() as u32;
-                for meta in blocks.blocks() {
-                    let b = bucket_of(meta.max_q);
-                    c.max_q = c.max_q.max(meta.max_q);
-                    c.block_hist[b] += 1;
-                    c.entry_hist[b] += meta.count as u64;
-                }
-            }
-            PostingList::Tree(_) => {
-                // No directory to summarize: assume probabilities are
-                // uniform over (0, 1]. Deterministic remainder spreading
-                // keeps collection a pure function of the directory.
-                c.max_q = PROB_SCALE as u16;
-                let base = c.len / COST_BUCKETS as u64;
-                let rem = (c.len % COST_BUCKETS as u64) as usize;
-                for (i, e) in c.entry_hist.iter_mut().enumerate() {
-                    *e = base + u64::from(i >= COST_BUCKETS - rem && rem > 0);
-                }
-            }
+        c.blocks = list.blocks().len() as u32;
+        for meta in list.blocks() {
+            let b = bucket_of(meta.max_q);
+            c.max_q = c.max_q.max(meta.max_q);
+            c.block_hist[b] += 1;
+            c.entry_hist[b] += meta.count as u64;
         }
         stats.cats.insert(cat, c);
     }
@@ -174,25 +155,11 @@ impl CostPrediction {
     }
 }
 
-/// Accumulates sequential-scan work and converts it to page reads.
-#[derive(Default)]
-struct ScanWork {
-    blocks: u64,
-    raw_entries: u64,
-}
-
-impl ScanWork {
-    fn reads(&self, stats: &CostStats) -> u64 {
-        let total_blocks: u64 = stats.cats.values().map(|c| c.blocks as u64).sum();
-        self.pages(total_blocks, stats.block_pages)
-    }
-
-    /// Page reads on an index of `total_blocks` blocks in `block_pages`
-    /// pages.
-    fn pages(&self, total_blocks: u64, block_pages: u64) -> u64 {
-        let bpp = total_blocks.checked_div(block_pages).unwrap_or(1).max(1);
-        self.blocks.div_ceil(bpp) + self.raw_entries.div_ceil(ENTRIES_PER_PAGE)
-    }
+/// Page reads for scanning `blocks` blocks of an index of `total_blocks`
+/// blocks in `block_pages` pages.
+fn block_reads(blocks: u64, total_blocks: u64, block_pages: u64) -> u64 {
+    let bpp = total_blocks.checked_div(block_pages).unwrap_or(1).max(1);
+    blocks.div_ceil(bpp)
 }
 
 /// The scalar cost of the full scan of `q`'s lists: what
@@ -202,21 +169,15 @@ impl ScanWork {
 /// collecting every category's histogram. No selectivity enters it, so
 /// it is exact, and it costs no I/O.
 pub(crate) fn live_scan_cost(idx: &InvertedIndex, q: &Uda) -> u64 {
-    let blocks_of = |list: &PostingList| match list {
-        PostingList::Blocks(blocks) => blocks.blocks().len() as u64,
-        PostingList::Tree(_) => 0,
-    };
+    let blocks_of = |list: &BlockList| list.blocks().len() as u64;
     let mut p = CostPrediction::default();
-    let mut scan = ScanWork::default();
+    let mut blocks = 0;
     for (_, _, list) in crate::search::query_lists(idx, q) {
         p.postings_scanned += list.len();
-        match list {
-            PostingList::Blocks(_) => scan.blocks += blocks_of(list),
-            PostingList::Tree(_) => scan.raw_entries += list.len(),
-        }
+        blocks += blocks_of(list);
     }
     let total_blocks = idx.posting_map().values().map(blocks_of).sum();
-    p.physical_reads = scan.pages(total_blocks, idx.block_heap_parts().0.len() as u64);
+    p.physical_reads = block_reads(blocks, total_blocks, idx.block_heap_parts().0.len() as u64);
     p.cost()
 }
 
@@ -232,6 +193,12 @@ impl CostStats {
     /// than the heap has, nor more than one per candidate.
     fn verify_reads(&self, candidates: u64) -> u64 {
         candidates.min(self.heap_pages)
+    }
+
+    /// Page reads for sequentially scanning `blocks` posting blocks.
+    fn scan_reads(&self, blocks: u64) -> u64 {
+        let total_blocks: u64 = self.cats.values().map(|c| c.blocks as u64).sum();
+        block_reads(blocks, total_blocks, self.block_pages)
     }
 
     /// Predict counters for every fixed strategy on a PETQ, in
@@ -279,23 +246,18 @@ impl CostStats {
     /// verifies each retained entry's tuple.
     fn predict_full_scan(&self, query: &EqQuery, qp_cut: Option<f64>) -> CostPrediction {
         let mut p = CostPrediction::default();
-        let mut scan = ScanWork::default();
         for (qp, c) in self.query_lists(&query.q) {
             if qp_cut.is_some_and(|cut| qp < cut) {
                 continue; // row pruned
             }
             p.postings_scanned += c.len;
-            if c.blocks > 0 {
-                p.blocks_decoded += c.blocks as u64;
-                scan.blocks += c.blocks as u64;
-            } else {
-                scan.raw_entries += c.len;
-            }
+            p.blocks_decoded += c.blocks as u64;
             if qp_cut.is_some() {
                 p.candidates_verified += c.len;
             }
         }
-        p.physical_reads = scan.reads(self) + self.verify_reads(p.candidates_verified);
+        p.physical_reads =
+            self.scan_reads(p.blocks_decoded) + self.verify_reads(p.candidates_verified);
         p
     }
 
@@ -310,20 +272,14 @@ impl CostStats {
             ((cut * COST_BUCKETS as f64) as usize).min(COST_BUCKETS - 1)
         };
         let mut p = CostPrediction::default();
-        let mut scan = ScanWork::default();
         for (_qp, c) in self.query_lists(&query.q) {
             let entries: u64 = c.entry_hist[b0..].iter().sum();
-            if c.blocks > 0 {
-                let blocks: u64 = c.block_hist[b0..].iter().map(|&b| b as u64).sum();
-                p.blocks_decoded += blocks;
-                scan.blocks += blocks;
-            } else {
-                scan.raw_entries += entries;
-            }
+            p.blocks_decoded += c.block_hist[b0..].iter().map(|&b| b as u64).sum::<u64>();
             p.postings_scanned += entries;
             p.candidates_verified += entries;
         }
-        p.physical_reads = scan.reads(self) + self.verify_reads(p.candidates_verified);
+        p.physical_reads =
+            self.scan_reads(p.blocks_decoded) + self.verify_reads(p.candidates_verified);
         p
     }
 
@@ -363,7 +319,6 @@ impl CostStats {
         let mut sum: f64 = chunks.iter().filter_map(|v| v.first()).map(|c| c.0).sum();
 
         let mut p = CostPrediction::default();
-        let mut scan = ScanWork::default();
         let stop = query.tau - THRESHOLD_EPS;
         while sum >= stop {
             let Some((_, j)) = heap.pop() else {
@@ -371,13 +326,7 @@ impl CostStats {
             };
             let (bound, entries, blocks) = chunks[j][cursor[j]];
             p.postings_scanned += entries;
-            let (_qp, c) = &lists[j];
-            if c.blocks > 0 {
-                p.blocks_decoded += blocks;
-                scan.blocks += blocks;
-            } else {
-                scan.raw_entries += entries;
-            }
+            p.blocks_decoded += blocks;
             cursor[j] += 1;
             sum -= bound;
             if let Some(&(next, ..)) = chunks[j].get(cursor[j]) {
@@ -400,7 +349,8 @@ impl CostStats {
         } else {
             candidates
         };
-        p.physical_reads = scan.reads(self) + self.verify_reads(p.candidates_verified);
+        p.physical_reads =
+            self.scan_reads(p.blocks_decoded) + self.verify_reads(p.candidates_verified);
         p
     }
 }

@@ -1,4 +1,5 @@
-//! The inverted index structure: directory, posting trees, tuple store.
+//! The inverted index structure: directory, block posting lists, tuple
+//! store.
 
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
@@ -11,21 +12,8 @@ use uncat_storage::{
 
 use crate::block::BlockList;
 use crate::cost::CostStats;
-use crate::postings::{decode_posting, posting_key, PostingList, PostingTree};
+use crate::postings::{entries_of, posting_key, KEY_LEN};
 use crate::tid::TidMap;
-
-/// Physical layout of the posting lists (see `docs/FORMAT.md`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PostingFormat {
-    /// Raw `(tid, p)` pairs as B+tree keys — the original layout,
-    /// snapshot format `UIV1`. Still fully supported for loading old
-    /// snapshots and for differential testing.
-    Raw,
-    /// Compressed blocks (bit-packed tids, lossless probabilities,
-    /// quantized-up block maxima) — snapshot format `UIV2`, the default.
-    #[default]
-    Blocks,
-}
 
 /// Heap-record layout: `u64 tid (LE) ‖ UDA encoding`. Carrying the tid in
 /// the record lets full scans attribute distributions without a reverse
@@ -69,11 +57,9 @@ pub struct IndexStats {
     pub postings: u64,
     /// Length of the longest posting list.
     pub longest_list: u64,
-    /// Deepest posting B+tree (raw format; zero for block lists).
-    pub max_list_depth: u32,
-    /// Posting blocks across all lists (block format; zero for raw).
+    /// Posting blocks across all lists.
     pub posting_blocks: u64,
-    /// Pages occupied by the block heap (block format; zero for raw).
+    /// Pages occupied by the block heap.
     pub block_pages: u64,
     /// Pages occupied by the tuple store.
     pub heap_pages: u64,
@@ -92,7 +78,7 @@ impl IndexStats {
 
 /// A probabilistic inverted index over one uncertain attribute.
 ///
-/// The directory (category → posting-tree root) and the tuple-id → record
+/// The directory (category → block directory) and the tuple-id → record
 /// map are kept in memory: they are per-category / per-tuple index
 /// *metadata*, equivalent to the always-hot top of an on-disk directory.
 /// Posting entries and tuple records live on pages and are charged I/O
@@ -125,12 +111,9 @@ impl IndexStats {
 /// ```
 pub struct InvertedIndex {
     domain: Domain,
-    format: PostingFormat,
-    postings: BTreeMap<CatId, PostingList>,
+    postings: BTreeMap<CatId, BlockList>,
     heap: HeapFile,
-    /// Payloads of block-format posting lists. Unused (and empty) for
-    /// raw-format indexes; kept unconditionally so the two formats share
-    /// one code path everywhere else.
+    /// Payloads of the posting lists' blocks.
     block_heap: HeapFile,
     rids: TidMap<RecordId>,
     /// One past the largest tuple id ever indexed (see
@@ -144,18 +127,10 @@ pub struct InvertedIndex {
 }
 
 impl InvertedIndex {
-    /// Create an empty index over `domain` in the default (block)
-    /// posting format.
+    /// Create an empty index over `domain`.
     pub fn new(domain: Domain) -> InvertedIndex {
-        InvertedIndex::new_with_format(domain, PostingFormat::default())
-    }
-
-    /// Create an empty index over `domain` in an explicit posting
-    /// format.
-    pub fn new_with_format(domain: Domain, format: PostingFormat) -> InvertedIndex {
         InvertedIndex {
             domain,
-            format,
             postings: BTreeMap::new(),
             heap: HeapFile::new(),
             block_heap: HeapFile::new(),
@@ -191,30 +166,15 @@ impl InvertedIndex {
         Ok(())
     }
 
-    /// Build from a collection of tuples in the default (block) format.
+    /// Build from a collection of tuples. Postings are loaded in stream
+    /// (key) order per category, so consecutive full blocks pack onto
+    /// consecutive heap pages.
     pub fn build<'a, I>(domain: Domain, pool: &mut BufferPool, tuples: I) -> Result<InvertedIndex>
     where
         I: IntoIterator<Item = (u64, &'a Uda)>,
     {
-        InvertedIndex::build_with_format(domain, pool, tuples, PostingFormat::default())
-    }
-
-    /// Build from a collection of tuples in an explicit posting format.
-    ///
-    /// Postings are loaded in stream (key) order per category: raw lists
-    /// pack B+tree pages densely (append-friendly splits), block lists
-    /// pack consecutive full blocks onto consecutive heap pages.
-    pub fn build_with_format<'a, I>(
-        domain: Domain,
-        pool: &mut BufferPool,
-        tuples: I,
-        format: PostingFormat,
-    ) -> Result<InvertedIndex>
-    where
-        I: IntoIterator<Item = (u64, &'a Uda)>,
-    {
-        let mut idx = InvertedIndex::new_with_format(domain, format);
-        let mut per_cat: BTreeMap<CatId, Vec<[u8; crate::postings::KEY_LEN]>> = BTreeMap::new();
+        let mut idx = InvertedIndex::new(domain);
+        let mut per_cat: BTreeMap<CatId, Vec<[u8; KEY_LEN]>> = BTreeMap::new();
         for (tid, uda) in tuples {
             debug_assert!(uda.max_cat().is_none_or(|c| idx.domain.contains(c)));
             idx.admit(pool, tid, uda)?;
@@ -224,25 +184,7 @@ impl InvertedIndex {
         }
         for (cat, mut keys) in per_cat {
             keys.sort_unstable();
-            let list = match format {
-                PostingFormat::Raw => {
-                    let mut tree = PostingTree::create(pool)?;
-                    for k in &keys {
-                        tree.insert(pool, k, &[])?;
-                    }
-                    PostingList::Tree(tree)
-                }
-                PostingFormat::Blocks => {
-                    let entries: Vec<(u64, f32)> = keys
-                        .iter()
-                        .map(|k| {
-                            let (p, tid) = decode_posting(k);
-                            (tid, p)
-                        })
-                        .collect();
-                    PostingList::Blocks(BlockList::build(&mut idx.block_heap, pool, &entries)?)
-                }
-            };
+            let list = BlockList::build(&mut idx.block_heap, pool, &entries_of(&keys))?;
             idx.postings.insert(cat, list);
         }
         Ok(idx)
@@ -255,23 +197,11 @@ impl InvertedIndex {
     pub fn insert(&mut self, pool: &mut BufferPool, tid: u64, uda: &Uda) -> Result<()> {
         self.cost.take();
         self.admit(pool, tid, uda)?;
-        let format = self.format;
         for (cat, p) in uda.iter() {
-            let list = match self.postings.entry(cat) {
-                std::collections::btree_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::btree_map::Entry::Vacant(e) => e.insert(match format {
-                    PostingFormat::Raw => PostingList::Tree(PostingTree::create(pool)?),
-                    PostingFormat::Blocks => PostingList::Blocks(BlockList::new()),
-                }),
-            };
-            match list {
-                PostingList::Tree(tree) => {
-                    tree.insert(pool, &posting_key(p, tid), &[])?;
-                }
-                PostingList::Blocks(blocks) => {
-                    blocks.insert(&mut self.block_heap, pool, tid, p)?;
-                }
-            }
+            self.postings
+                .entry(cat)
+                .or_default()
+                .insert(&mut self.block_heap, pool, tid, p)?;
         }
         Ok(())
     }
@@ -303,16 +233,8 @@ impl InvertedIndex {
             let list = self.postings.get_mut(&cat).ok_or(StorageError::Corrupt(
                 "posting list missing for stored entry",
             ))?;
-            match list {
-                PostingList::Tree(tree) => {
-                    let removed = tree.remove(pool, &posting_key(p, tid))?;
-                    debug_assert!(removed.is_some(), "posting entry missing for tuple {tid}");
-                }
-                PostingList::Blocks(blocks) => {
-                    let removed = blocks.remove(&mut self.block_heap, pool, tid, p)?;
-                    debug_assert!(removed, "posting entry missing for tuple {tid}");
-                }
-            }
+            let removed = list.remove(&mut self.block_heap, pool, tid, p)?;
+            debug_assert!(removed, "posting entry missing for tuple {tid}");
         }
         self.heap.delete(pool, rid)?;
         Ok(true)
@@ -420,11 +342,6 @@ impl InvertedIndex {
         &self.domain
     }
 
-    /// The physical posting format this index uses.
-    pub fn format(&self) -> PostingFormat {
-        self.format
-    }
-
     /// Number of posting entries in `cat`'s list.
     pub fn list_len(&self, cat: CatId) -> u64 {
         self.postings.get(&cat).map_or(0, |l| l.len())
@@ -470,23 +387,16 @@ impl InvertedIndex {
             s.lists += 1;
             s.postings += list.len();
             s.longest_list = s.longest_list.max(list.len());
-            match list {
-                PostingList::Tree(tree) => {
-                    s.max_list_depth = s.max_list_depth.max(tree.depth());
-                }
-                PostingList::Blocks(blocks) => {
-                    s.posting_blocks += blocks.blocks().len() as u64;
-                }
-            }
+            s.posting_blocks += list.blocks().len() as u64;
         }
         s
     }
 
-    pub(crate) fn posting_list(&self, cat: CatId) -> Option<&PostingList> {
+    pub(crate) fn posting_list(&self, cat: CatId) -> Option<&BlockList> {
         self.postings.get(&cat)
     }
 
-    /// The heap holding block-format posting payloads.
+    /// The heap holding the posting lists' block payloads.
     pub(crate) fn block_heap(&self) -> &HeapFile {
         &self.block_heap
     }
@@ -496,8 +406,6 @@ impl InvertedIndex {
     /// posting refers to a stored tuple, and the counters agree. Returns
     /// the number of tuples checked. Test/debug aid — reads everything.
     pub fn check_invariants(&self, pool: &mut BufferPool) -> Result<u64> {
-        use std::ops::ControlFlow;
-
         let mut tuple_entries = 0u64;
         let mut tuples = 0u64;
         self.scan_tuples(pool, |tid, uda| {
@@ -513,58 +421,42 @@ impl InvertedIndex {
         let mut posting_entries = 0u64;
         for (cat, list) in &self.postings {
             let mut in_list = 0u64;
-            match list {
-                PostingList::Tree(tree) => {
-                    tree.scan_all(pool, |key, _| {
-                        let (p, tid) = decode_posting(key);
-                        in_list += 1;
-                        assert!(
-                            self.rids.contains_key(&tid),
-                            "posting in {cat} refers to unknown tuple {tid}"
-                        );
-                        assert!(p > 0.0 && p <= 1.0, "posting probability out of range");
-                        ControlFlow::Continue(())
-                    })?;
-                }
-                PostingList::Blocks(blocks) => {
-                    let mut prev: Option<[u8; crate::postings::KEY_LEN]> = None;
-                    for meta in blocks.blocks() {
-                        let bytes =
-                            self.block_heap
-                                .get(pool, meta.rid)?
-                                .ok_or(StorageError::Corrupt(
-                                    "block directory points at a deleted record",
-                                ))?;
-                        let entries = crate::block::decode_block(&bytes)?;
-                        assert_eq!(
-                            entries.len(),
-                            meta.count as usize,
-                            "block count disagrees with its directory in {cat}"
-                        );
-                        let (tid0, p0) = entries[0];
-                        assert_eq!(
-                            meta.sep,
-                            posting_key(p0, tid0),
-                            "block separator not the exact first key in {cat}"
-                        );
-                        for &(tid, p) in &entries {
-                            in_list += 1;
-                            assert!(
-                                self.rids.contains_key(&tid),
-                                "posting in {cat} refers to unknown tuple {tid}"
-                            );
-                            assert!(p > 0.0 && p <= 1.0, "posting probability out of range");
-                            assert!(
-                                p as f64 <= crate::block::dequantize(meta.max_q),
-                                "block max must dominate every entry in {cat}"
-                            );
-                            let key = posting_key(p, tid);
-                            if let Some(prev) = prev {
-                                assert!(prev < key, "stream order violated in {cat}");
-                            }
-                            prev = Some(key);
-                        }
+            let mut prev: Option<[u8; KEY_LEN]> = None;
+            for meta in list.blocks() {
+                let bytes = self
+                    .block_heap
+                    .get(pool, meta.rid)?
+                    .ok_or(StorageError::Corrupt(
+                        "block directory points at a deleted record",
+                    ))?;
+                let entries = crate::block::decode_block(&bytes)?;
+                assert_eq!(
+                    entries.len(),
+                    meta.count as usize,
+                    "block count disagrees with its directory in {cat}"
+                );
+                let (tid0, p0) = entries[0];
+                assert_eq!(
+                    meta.sep,
+                    posting_key(p0, tid0),
+                    "block separator not the exact first key in {cat}"
+                );
+                for &(tid, p) in &entries {
+                    in_list += 1;
+                    assert!(
+                        self.rids.contains_key(&tid),
+                        "posting in {cat} refers to unknown tuple {tid}"
+                    );
+                    assert!(p > 0.0 && p <= 1.0, "posting probability out of range");
+                    assert!(
+                        p as f64 <= crate::block::dequantize(meta.max_q),
+                        "block max must dominate every entry in {cat}"
+                    );
+                    let key = posting_key(p, tid);
+                    if let Some(prev) = prev {
+                        assert!(prev < key, "stream order violated in {cat}");
                     }
+                    prev = Some(key);
                 }
             }
             assert_eq!(
@@ -595,14 +487,21 @@ impl InvertedIndex {
         &self.rids
     }
 
-    pub(crate) fn posting_map(&self) -> &BTreeMap<CatId, PostingList> {
+    pub(crate) fn posting_map(&self) -> &BTreeMap<CatId, BlockList> {
         &self.postings
+    }
+
+    /// The posting lists and the heap their payloads live in, for
+    /// `upgrade` to rebuild. Drops the cost statistics, as every mutation
+    /// does.
+    pub(crate) fn lists_mut(&mut self) -> (&mut BTreeMap<CatId, BlockList>, &mut HeapFile) {
+        self.cost.take();
+        (&mut self.postings, &mut self.block_heap)
     }
 
     pub(crate) fn from_parts(
         domain: Domain,
-        format: PostingFormat,
-        postings: BTreeMap<CatId, PostingList>,
+        postings: BTreeMap<CatId, BlockList>,
         heap: HeapFile,
         block_heap: HeapFile,
         rids: TidMap<RecordId>,
@@ -610,7 +509,6 @@ impl InvertedIndex {
         let tid_span = rids.keys().max().map_or(0, |&tid| tid.saturating_add(1));
         InvertedIndex {
             domain,
-            format,
             postings,
             heap,
             block_heap,
@@ -833,39 +731,36 @@ mod tests {
             max: u32::MAX as u64,
         };
         let data = [(1u64, uda(&[(0, 1.0)])), (tid, uda(&[(0, 0.5), (1, 0.5)]))];
-        for format in [PostingFormat::Blocks, PostingFormat::Raw] {
-            let built = InvertedIndex::build_with_format(
-                Domain::anonymous(2),
-                &mut p,
-                data.iter().map(|(t, u)| (*t, u)),
-                format,
-            );
-            assert_eq!(built.err(), Some(refused.clone()), "{format:?}");
+        let built = InvertedIndex::build(
+            Domain::anonymous(2),
+            &mut p,
+            data.iter().map(|(t, u)| (*t, u)),
+        );
+        assert_eq!(built.err(), Some(refused.clone()));
 
-            let mut idx = InvertedIndex::new_with_format(Domain::anonymous(2), format);
-            idx.insert(&mut p, 1, &data[0].1).unwrap();
-            assert_eq!(idx.insert(&mut p, tid, &data[1].1), Err(refused.clone()));
-            assert_eq!(idx.update(&mut p, tid, &data[1].1), Err(refused.clone()));
-            assert_eq!(idx.delete(&mut p, tid), Ok(false));
-            assert_eq!((idx.len(), idx.tid_span()), (1, 2));
-            assert_eq!(idx.list_len(CatId(1)), 0, "no posting went in first");
-            assert_eq!(idx.check_invariants(&mut p).unwrap(), 1);
-            let q = uncat_core::query::EqQuery::new(Uda::certain(CatId(0)), 0.1);
-            for strat in crate::Strategy::ALL {
-                let hits = idx.petq(&mut p, &q, strat).unwrap();
-                assert_eq!(hits.len(), 1, "{strat:?}");
-                assert_eq!(hits[0].tid, 1, "{strat:?}");
-            }
-            // The largest id there is goes in, and sets the span.
-            idx.insert(&mut p, u32::MAX as u64, &data[1].1).unwrap();
-            assert_eq!(idx.tid_span(), 1 << 32);
-            assert!(idx.delete(&mut p, u32::MAX as u64).unwrap());
-            assert_eq!(idx.tid_span(), 1 << 32, "a delete does not lower it");
-            assert_eq!(
-                idx.petq(&mut p, &q, crate::Strategy::Brute).unwrap().len(),
-                1
-            );
+        let mut idx = InvertedIndex::new(Domain::anonymous(2));
+        idx.insert(&mut p, 1, &data[0].1).unwrap();
+        assert_eq!(idx.insert(&mut p, tid, &data[1].1), Err(refused.clone()));
+        assert_eq!(idx.update(&mut p, tid, &data[1].1), Err(refused.clone()));
+        assert_eq!(idx.delete(&mut p, tid), Ok(false));
+        assert_eq!((idx.len(), idx.tid_span()), (1, 2));
+        assert_eq!(idx.list_len(CatId(1)), 0, "no posting went in first");
+        assert_eq!(idx.check_invariants(&mut p).unwrap(), 1);
+        let q = uncat_core::query::EqQuery::new(Uda::certain(CatId(0)), 0.1);
+        for strat in crate::Strategy::ALL {
+            let hits = idx.petq(&mut p, &q, strat).unwrap();
+            assert_eq!(hits.len(), 1, "{strat:?}");
+            assert_eq!(hits[0].tid, 1, "{strat:?}");
         }
+        // The largest id there is goes in, and sets the span.
+        idx.insert(&mut p, u32::MAX as u64, &data[1].1).unwrap();
+        assert_eq!(idx.tid_span(), 1 << 32);
+        assert!(idx.delete(&mut p, u32::MAX as u64).unwrap());
+        assert_eq!(idx.tid_span(), 1 << 32, "a delete does not lower it");
+        assert_eq!(
+            idx.petq(&mut p, &q, crate::Strategy::Brute).unwrap().len(),
+            1
+        );
     }
 
     #[test]

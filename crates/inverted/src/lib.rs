@@ -2,13 +2,14 @@
 //!
 //! The structure keeps, for every category `d ∈ D`, a posting list
 //! `d.list = {(tid, p) | Pr(tid = d) = p > 0}` sorted by **descending**
-//! probability. Two physical formats exist ([`PostingFormat`]): raw
-//! pairs in a paged B+tree, or — the default — compressed blocks
-//! (bit-packed tids + lossless probabilities) whose quantized-up
-//! per-block maxima let every strategy skip whole blocks that cannot
-//! meet the live bound (WAND-style block-max pruning). A heap-file
-//! tuple store supports the random accesses that candidate verification
-//! performs.
+//! probability. The paper organizes each list as a B-tree; here a list
+//! is compressed blocks (bit-packed tids + lossless probabilities) under
+//! an in-memory directory, whose quantized-up per-block maxima let every
+//! strategy skip whole blocks that cannot meet the live bound
+//! (WAND-style block-max pruning). A heap-file tuple store supports the
+//! random accesses that candidate verification performs. Files in the
+//! layouts this replaced — raw B+tree lists (`UIV1`) and varint blocks —
+//! are refused by the readers and converted by [`upgrade`].
 //!
 //! Four search strategies answer PETQ (plus a no-random-access variant):
 //!
@@ -55,6 +56,7 @@ mod block;
 mod cost;
 mod dstq;
 mod index;
+mod legacy;
 mod persist;
 mod postings;
 mod search;
@@ -66,7 +68,8 @@ pub use block::{
     PROB_SCALE,
 };
 pub use cost::{CatCostStats, CostPrediction, CostStats, COST_BUCKETS, ENTRIES_PER_PAGE};
-pub use index::{IndexStats, InvertedIndex, PostingFormat};
+pub use index::{IndexStats, InvertedIndex};
+pub use legacy::upgrade;
 pub use search::Strategy;
 
 /// Cases per property in this crate's unit tests: `default`, or

@@ -1,8 +1,8 @@
 //! Metadata snapshots: close an inverted index and reopen it later over
 //! the same (durable) page store.
 //!
-//! Page contents — posting nodes, block payloads, and heap pages — live
-//! in the store and are durable by themselves (e.g. behind a
+//! Page contents — block payloads and tuple records — live in the store
+//! and are durable by themselves (e.g. behind a
 //! [`uncat_storage::FileDisk`]). What must be remembered across a restart
 //! is the in-memory metadata: the posting directory, the heap page
 //! lists, and the tuple-id → record map. [`InvertedIndex::snapshot`]
@@ -13,17 +13,12 @@
 //! is detected on [`InvertedIndex::load`] and the previous file survives
 //! untouched.
 //!
-//! Two snapshot versions exist (byte-level spec in `docs/FORMAT.md`):
-//!
-//! * `UIV1` — raw B-tree posting lists, written by pre-block builds and
-//!   still written for [`PostingFormat::Raw`] indexes. Loading one
-//!   yields a raw-format index, so old snapshots keep working untouched.
-//! * `UIV2` — block posting lists: adds the block heap's page list and,
-//!   per category, the block directory (separator key, count, quantized
-//!   maximum, payload record).
-//!
-//! [`InvertedIndex::open`] dispatches on the magic, so callers never
-//! care which version a blob is.
+//! The snapshot is `UIV2` (byte-level spec in `docs/FORMAT.md` §10): the
+//! tuple store's parts, the block heap's page list and, per category, the
+//! block directory (separator key, count, quantized maximum, payload
+//! record). [`InvertedIndex::open`] refuses the `UIV1` snapshots of the
+//! retired raw B+tree layout with an error naming `uncat upgrade`, which
+//! converts them ([`crate::upgrade`]).
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -32,14 +27,15 @@ use uncat_core::{CatId, Domain};
 use uncat_storage::snapshot::{
     self, read_domain_parts, write_domain_parts, Reader, SnapshotError, Writer,
 };
-use uncat_storage::{HeapFile, PageId, RecordId, SnapshotFileError};
+use uncat_storage::{HeapFile, RecordId, SnapshotFileError};
 
 use crate::block::{BlockList, BlockMeta};
-use crate::index::{InvertedIndex, PostingFormat};
-use crate::postings::{PostingList, PostingTree, KEY_LEN};
+use crate::index::InvertedIndex;
+use crate::postings::KEY_LEN;
 use crate::tid::TidMap;
 
-const MAGIC_V1: &[u8; 4] = b"UIV1";
+/// The retired raw-list snapshot, read only by [`crate::upgrade`].
+pub(crate) const MAGIC_V1: &[u8; 4] = b"UIV1";
 const MAGIC_V2: &[u8; 4] = b"UIV2";
 
 /// Bytes per serialized rid-map entry (tid + page + slot); used to clamp
@@ -65,15 +61,14 @@ pub(crate) fn read_domain(r: &mut Reader<'_>) -> Result<Domain, SnapshotError> {
 }
 
 impl InvertedIndex {
-    /// Serialize the index's metadata — `UIV1` for raw-format indexes
-    /// (bit-compatible with pre-block snapshots), `UIV2` for block
-    /// format. Pair with a flushed store: call `pool.flush()` first so
-    /// every page this metadata references is durable.
+    /// Serialize the index's metadata as `UIV2`. Pair with a flushed
+    /// store: call `pool.flush()` first so every page this metadata
+    /// references is durable.
     ///
-    /// `UIV2` blobs carry the planner's cost-statistics section after
-    /// the posting directory; readers treat it as optional, so
-    /// pre-stats `UIV2` snapshots keep loading (stats are then rebuilt
-    /// lazily — see `docs/FORMAT.md` §10).
+    /// The blob carries the planner's cost-statistics section after the
+    /// posting directory; readers treat it as optional, so pre-stats
+    /// snapshots keep loading (stats are then rebuilt lazily — see
+    /// `docs/FORMAT.md` §10).
     pub fn snapshot(&self) -> Vec<u8> {
         self.snapshot_inner(true)
     }
@@ -88,10 +83,7 @@ impl InvertedIndex {
     }
 
     fn snapshot_inner(&self, with_stats: bool) -> Vec<u8> {
-        let mut w = Writer::new(match self.format() {
-            PostingFormat::Raw => MAGIC_V1,
-            PostingFormat::Blocks => MAGIC_V2,
-        });
+        let mut w = Writer::new(MAGIC_V2);
         write_domain(&mut w, self.domain());
 
         let (heap_pages, records) = self.heap_parts();
@@ -114,86 +106,41 @@ impl InvertedIndex {
             w.u16(rid.slot);
         }
 
-        if self.format() == PostingFormat::Blocks {
-            let (block_pages, block_records) = self.block_heap_parts();
-            w.u32(block_pages.len() as u32);
-            for &p in block_pages {
-                w.pid(p);
-            }
-            w.u64(block_records);
+        let (block_pages, block_records) = self.block_heap_parts();
+        w.u32(block_pages.len() as u32);
+        for &p in block_pages {
+            w.pid(p);
         }
+        w.u64(block_records);
 
         let postings = self.posting_map();
         w.u32(postings.len() as u32);
         for (cat, list) in postings {
             w.u32(cat.0);
-            match list {
-                PostingList::Tree(tree) => {
-                    let (root, len, depth) = tree.raw_parts();
-                    w.pid(root);
-                    w.u64(len);
-                    w.u32(depth);
-                }
-                PostingList::Blocks(blocks) => {
-                    w.u64(blocks.len());
-                    w.u32(blocks.blocks().len() as u32);
-                    for b in blocks.blocks() {
-                        w.u64(u64::from_be_bytes(b.sep));
-                        w.u16(b.count);
-                        w.u16(b.max_q);
-                        w.pid(b.rid.page);
-                        w.u16(b.rid.slot);
-                    }
-                }
+            w.u64(list.len());
+            w.u32(list.blocks().len() as u32);
+            for b in list.blocks() {
+                w.u64(u64::from_be_bytes(b.sep));
+                w.u16(b.count);
+                w.u16(b.max_q);
+                w.pid(b.rid.page);
+                w.u16(b.rid.slot);
             }
         }
-        if with_stats && self.format() == PostingFormat::Blocks {
+        if with_stats {
             crate::cost::write_cost_stats(&mut w, self.cost_stats());
         }
         w.finish()
     }
 
-    /// Reattach an index from a snapshot over the same store. Both
-    /// snapshot versions load (`UIV1` yields a raw-format index).
+    /// Reattach an index from a snapshot over the same store. A `UIV1`
+    /// snapshot is refused with an error naming `uncat upgrade`.
     pub fn open(blob: &[u8]) -> Result<InvertedIndex, SnapshotError> {
-        if blob.starts_with(MAGIC_V2) {
-            InvertedIndex::open_v2(blob)
-        } else {
-            InvertedIndex::open_v1(blob)
+        if blob.starts_with(MAGIC_V1) {
+            return Err(SnapshotError(
+                "UIV1 holds the retired raw posting layout: run `uncat upgrade`",
+            ));
         }
-    }
-
-    fn open_v1(blob: &[u8]) -> Result<InvertedIndex, SnapshotError> {
-        let mut r = Reader::new(blob, MAGIC_V1)?;
-        let domain = read_domain(&mut r)?;
-        let (heap, rids) = read_store_parts(&mut r)?;
-
-        let n_lists = r.u32()? as usize;
-        let mut postings: BTreeMap<CatId, PostingList> = BTreeMap::new();
-        for _ in 0..n_lists {
-            let cat = CatId(r.u32()?);
-            let root: PageId = r.pid()?;
-            let len = r.u64()?;
-            let depth = r.u32()?;
-            postings.insert(
-                cat,
-                PostingList::Tree(PostingTree::from_raw_parts(root, len, depth)),
-            );
-        }
-        if !r.is_done() {
-            return Err(SnapshotError("trailing bytes"));
-        }
-        Ok(InvertedIndex::from_parts(
-            domain,
-            PostingFormat::Raw,
-            postings,
-            heap,
-            HeapFile::new(),
-            rids,
-        ))
-    }
-
-    fn open_v2(blob: &[u8]) -> Result<InvertedIndex, SnapshotError> {
         let mut r = Reader::new(blob, MAGIC_V2)?;
         let domain = read_domain(&mut r)?;
         let (heap, rids) = read_store_parts(&mut r)?;
@@ -207,7 +154,7 @@ impl InvertedIndex {
         let block_heap = HeapFile::from_raw_parts(block_pages, block_records);
 
         let n_lists = r.u32()? as usize;
-        let mut postings: BTreeMap<CatId, PostingList> = BTreeMap::new();
+        let mut postings: BTreeMap<CatId, BlockList> = BTreeMap::new();
         for _ in 0..n_lists {
             let cat = CatId(r.u32()?);
             let entries = r.u64()?;
@@ -237,10 +184,7 @@ impl InvertedIndex {
             if counted != entries {
                 return Err(SnapshotError("block directory counts disagree"));
             }
-            postings.insert(
-                cat,
-                PostingList::Blocks(BlockList::from_raw_parts(blocks, entries)),
-            );
+            postings.insert(cat, BlockList::from_raw_parts(blocks, entries));
         }
         // Optional cost-statistics section: snapshots written before the
         // planner existed end here, and load with statistics rebuilt
@@ -255,14 +199,7 @@ impl InvertedIndex {
             }
             Some(stats)
         };
-        let idx = InvertedIndex::from_parts(
-            domain,
-            PostingFormat::Blocks,
-            postings,
-            heap,
-            block_heap,
-            rids,
-        );
+        let idx = InvertedIndex::from_parts(domain, postings, heap, block_heap, rids);
         if let Some(stats) = stats {
             idx.preset_cost_stats(stats);
         }
@@ -284,9 +221,11 @@ impl InvertedIndex {
     }
 }
 
-/// The tuple-store sections shared by both snapshot versions: heap page
-/// list + record count, then the rid map.
-fn read_store_parts(r: &mut Reader<'_>) -> Result<(HeapFile, TidMap<RecordId>), SnapshotError> {
+/// The tuple-store sections `UIV1` and `UIV2` share: heap page list +
+/// record count, then the rid map.
+pub(crate) fn read_store_parts(
+    r: &mut Reader<'_>,
+) -> Result<(HeapFile, TidMap<RecordId>), SnapshotError> {
     let n_pages = r.u32()? as usize;
     // Untrusted count: clamp pre-allocation to what the blob can hold.
     let mut pages = Vec::with_capacity(n_pages.min(r.remaining() / 8 + 1));
@@ -315,7 +254,7 @@ mod tests {
     use super::*;
     use uncat_core::query::EqQuery;
     use uncat_core::Uda;
-    use uncat_storage::{BufferPool, FileDisk, InMemoryDisk};
+    use uncat_storage::{BufferPool, FileDisk, InMemoryDisk, PageId};
 
     fn uda(pairs: &[(u32, f32)]) -> Uda {
         Uda::from_pairs(pairs.iter().map(|&(c, p)| (CatId(c), p))).unwrap()
@@ -345,7 +284,6 @@ mod tests {
 
         let reopened = InvertedIndex::open(&blob).expect("snapshot decodes");
         assert_eq!(reopened.len(), 300);
-        assert_eq!(reopened.format(), PostingFormat::Blocks);
         assert_eq!(
             reopened.tid_span(),
             300,
@@ -363,40 +301,6 @@ mod tests {
             assert!((uncat_core::equality::eq_prob(&q.q, &t) - m.score).abs() < 1e-9);
         }
         assert!(reopened.check_invariants(&mut pool).unwrap() == 300);
-    }
-
-    #[test]
-    fn raw_format_snapshots_as_v1_and_loads_back_raw() {
-        let store = InMemoryDisk::shared();
-        let data: Vec<(u64, Uda)> = (0..200u64)
-            .map(|i| (i, uda(&[((i % 5) as u32, 1.0)])))
-            .collect();
-        let blob = {
-            let mut pool = BufferPool::with_capacity(store.clone(), 100);
-            let idx = InvertedIndex::build_with_format(
-                Domain::anonymous(5),
-                &mut pool,
-                data.iter().map(|(t, u)| (*t, u)),
-                PostingFormat::Raw,
-            )
-            .unwrap();
-            pool.flush().unwrap();
-            idx.snapshot()
-        };
-        // Raw indexes write the v1 format — byte-compatible with
-        // pre-block snapshots, so legacy files keep loading.
-        assert!(blob.starts_with(MAGIC_V1));
-        let reopened = InvertedIndex::open(&blob).expect("v1 decodes");
-        assert_eq!(reopened.format(), PostingFormat::Raw);
-        let mut pool = BufferPool::with_capacity(store, 100);
-        let out = reopened
-            .petq(
-                &mut pool,
-                &EqQuery::new(uda(&[(2, 1.0)]), 0.9),
-                crate::Strategy::ColumnPruning,
-            )
-            .unwrap();
-        assert_eq!(out.len(), 40);
     }
 
     #[test]
@@ -477,13 +381,16 @@ mod tests {
     #[test]
     fn ballooned_counts_cannot_exhaust_memory() {
         // A snapshot claiming u32::MAX heap pages must fail cleanly (the
-        // clamp keeps pre-allocation at the blob's actual size).
+        // clamp keeps pre-allocation at the blob's actual size), whether
+        // `open` reads it or — for the retired `UIV1` — `upgrade` does.
+        let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 4);
         for magic in [MAGIC_V1, MAGIC_V2] {
             let mut w = Writer::new(magic);
             write_domain(&mut w, &Domain::anonymous(3));
             w.u32(u32::MAX); // heap page count
             let blob = w.finish();
             assert!(InvertedIndex::open(&blob).is_err());
+            assert!(crate::upgrade(&mut pool, &blob).is_err());
         }
     }
 
@@ -528,10 +435,7 @@ mod tests {
         let blob = idx.snapshot();
         assert!(InvertedIndex::open(&blob).is_ok());
 
-        let PostingList::Blocks(list) = &idx.posting_map()[&CatId(0)] else {
-            panic!("block format");
-        };
-        let first = list.blocks()[0];
+        let first = idx.posting_map()[&CatId(0)].blocks()[0];
         let mut needle = u64::from_be_bytes(first.sep).to_le_bytes().to_vec();
         needle.extend_from_slice(&first.count.to_le_bytes());
         let at = blob

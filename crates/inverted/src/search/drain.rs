@@ -26,9 +26,10 @@ use uncat_core::equality::{eq_prob_entries, THRESHOLD_EPS};
 use uncat_core::Uda;
 use uncat_storage::{BufferPool, Phase, QueryMetrics, Result};
 
+use crate::block::BlockCursor;
 use crate::cost::CostPrediction;
 use crate::index::InvertedIndex;
-use crate::postings::{CursorHead, ListCursor};
+use crate::postings::CursorHead;
 use crate::tid::TidMap;
 use crate::topk::kth_largest;
 
@@ -201,7 +202,7 @@ pub(crate) fn drain(
     offer: impl FnMut(u64, f64),
 ) -> Result<bool> {
     let plan = pool.trace_begin(Phase::Plan);
-    let frontier = Frontier::open(idx, pool, q, metrics)?;
+    let frontier = Frontier::open(idx, q, metrics);
     pool.trace_end(plan);
     if frontier.cursors.len() <= u128::BITS as usize {
         run::<u128>(idx, pool, q, frontier, policy, metrics, offer)
@@ -262,7 +263,7 @@ fn run<M: Mask>(
         });
         e.lb += c;
         e.seen.set(j);
-        frontier.advance(pool, j, metrics)?;
+        frontier.advance(j, metrics);
 
         pops += 1;
         if pops >= next_refresh {
@@ -349,8 +350,8 @@ impl Head {
 /// the frontier is pure in-memory work. Contributions are pre-scaled by
 /// the query probability (`c_j = q.p_j · p'_j`).
 ///
-/// Block-format lists participate through [`Head::Bound`]: an undecoded
-/// block contributes its quantized-up maximum, so `Frontier::sum` only
+/// Lists participate through [`Head::Bound`]: an undecoded block
+/// contributes its quantized-up maximum, so `Frontier::sum` only
 /// ever *over*-estimates the true head sum — every Lemma 1 / θ stop made
 /// against it is conservative, while blocks whose bound never tops the
 /// heap are skipped without decoding (WAND-style block-max pruning).
@@ -362,7 +363,7 @@ impl Head {
 /// `O(E log l)` instead of `O(E · l)` — material at the paper's scale
 /// (CRM2: 5 M postings over 50 lists per query).
 struct Frontier<'a> {
-    cursors: Vec<(f64, ListCursor<'a>)>,
+    cursors: Vec<(f64, BlockCursor<'a>)>,
     /// Cached head under each cursor.
     heads: Vec<Option<Head>>,
     /// Max-heap of `(contribution bits, list)`; entries may be stale and
@@ -381,21 +382,15 @@ struct Frontier<'a> {
 const RESUM_EVERY: u32 = 1 << 16;
 
 impl<'a> Frontier<'a> {
-    /// Open a cursor per query list and cache the initial heads. Counts
-    /// one `lists_opened` per cursor and one `postings_scanned` per
-    /// non-empty *exact* initial head (block lists start as free bounds).
-    fn open(
-        idx: &'a InvertedIndex,
-        pool: &mut BufferPool,
-        q: &Uda,
-        metrics: &mut QueryMetrics,
-    ) -> Result<Frontier<'a>> {
-        let mut cursors: Vec<(f64, ListCursor<'a>)> = Vec::new();
+    /// Open a cursor per query list and cache the initial heads — free
+    /// bounds, nothing decoded. Counts one `lists_opened` per cursor.
+    fn open(idx: &'a InvertedIndex, q: &Uda, metrics: &mut QueryMetrics) -> Frontier<'a> {
+        let mut cursors: Vec<(f64, BlockCursor<'a>)> = Vec::new();
         let mut heads: Vec<Option<Head>> = Vec::new();
         for (_cat, qp, list) in query_lists(idx, q) {
-            let (cur, head) = ListCursor::open(list, idx.block_heap(), pool, metrics)?;
+            let cur = BlockCursor::open(list, idx.block_heap());
+            heads.push(cur.peek().map(|h| Head::from_cursor(qp, h)));
             cursors.push((qp, cur));
-            heads.push(head.map(|h| Head::from_cursor(qp, h)));
         }
         metrics.lists_opened += cursors.len() as u64;
         let order = heads
@@ -404,13 +399,13 @@ impl<'a> Frontier<'a> {
             .filter_map(|(j, h)| h.map(|h| (h.c().to_bits(), j)))
             .collect();
         let sum = heads.iter().flatten().map(Head::c).sum();
-        Ok(Frontier {
+        Frontier {
             cursors,
             heads,
             order,
             sum,
             since_resum: 0,
-        })
+        }
     }
 
     /// The most promising head: `(list, tid, contribution)`. When a
@@ -435,9 +430,12 @@ impl<'a> Frontier<'a> {
                 Some(Head::Bound { c }) if c.to_bits() == bits => {
                     self.order.pop();
                     let (qp, cur) = &mut self.cursors[j];
-                    let (tid, p) = cur
-                        .force(pool, metrics)?
-                        .expect("a bound head implies a live entry");
+                    let ((tid, p), decoded_new) =
+                        cur.head(pool)?.expect("a bound head implies a live entry");
+                    if decoded_new {
+                        metrics.blocks_decoded += 1;
+                        metrics.postings_scanned += 1;
+                    }
                     let exact = *qp * p as f64;
                     self.sum += exact - c;
                     self.heads[j] = Some(Head::Exact { tid, c: exact });
@@ -454,21 +452,20 @@ impl<'a> Frontier<'a> {
     /// `frontier_pops`, plus one `postings_scanned` when the next entry
     /// is materialized (a block-boundary crossing caches a free bound
     /// instead).
-    fn advance(
-        &mut self,
-        pool: &mut BufferPool,
-        j: usize,
-        metrics: &mut QueryMetrics,
-    ) -> Result<()> {
+    fn advance(&mut self, j: usize, metrics: &mut QueryMetrics) {
         let (qp, cur) = &mut self.cursors[j];
         metrics.frontier_pops += 1;
         if let Some(h) = self.heads[j] {
             self.sum -= h.c();
         }
         let qp = *qp;
-        let next = cur
-            .advance(pool, metrics)?
-            .map(|h| Head::from_cursor(qp, h));
+        cur.advance();
+        let next = cur.peek().map(|h| {
+            if let CursorHead::Exact { .. } = h {
+                metrics.postings_scanned += 1;
+            }
+            Head::from_cursor(qp, h)
+        });
         if let Some(h) = next {
             self.sum += h.c();
             self.order.push((h.c().to_bits(), j));
@@ -480,7 +477,6 @@ impl<'a> Frontier<'a> {
             self.since_resum = 0;
             self.sum = self.heads.iter().flatten().map(Head::c).sum();
         }
-        Ok(())
     }
 
     /// Residual head contribution per list (0 where exhausted). Bound
@@ -504,7 +500,7 @@ impl<'a> Frontier<'a> {
     /// Call exactly once, when the search stops consuming the frontier.
     fn account_skips(&self, metrics: &mut QueryMetrics) {
         for (_, cur) in &self.cursors {
-            cur.account_skips(metrics);
+            metrics.blocks_skipped += cur.undecoded_blocks();
         }
     }
 }

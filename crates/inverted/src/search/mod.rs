@@ -16,6 +16,7 @@ use uncat_core::{CatId, Uda};
 use uncat_storage::{BufferPool, Phase, QueryMetrics, Result};
 
 use crate::acc::ScoreAcc;
+use crate::block::BlockList;
 use crate::index::InvertedIndex;
 use crate::tid::TidSet;
 
@@ -159,11 +160,10 @@ impl InvertedIndex {
 /// `prefix` with `p ≥ τ`: `Pr(q = t) ≤ max_{i ∈ supp(q)} t.p_i` because
 /// `Σ_i q.p_i ≤ 1`, so a qualifying tuple has an entry in some scanned
 /// prefix. Metrics profile: `postings_scanned` ≤ brute force's on the
-/// same query (the first below-τ entry that terminates a raw list's scan
-/// is counted — it was read). Block lists stop at block granularity on
-/// top: blocks whose quantized-up maximum is below τ are
-/// `blocks_skipped` without being decoded, so a list whose very first
-/// block maximum misses τ costs zero postings.
+/// same query; the scan stops at block granularity, and blocks whose
+/// quantized-up maximum is below τ are `blocks_skipped` without being
+/// decoded, so a list whose very first block maximum misses τ costs zero
+/// postings.
 fn pruned_scan(
     idx: &InvertedIndex,
     pool: &mut BufferPool,
@@ -198,10 +198,7 @@ fn pruned_scan(
 
 /// The query's support restricted to lists that exist in the index:
 /// `(cat, q_prob, list)` triples.
-pub(crate) fn query_lists<'a>(
-    idx: &'a InvertedIndex,
-    q: &Uda,
-) -> Vec<(CatId, f64, &'a crate::postings::PostingList)> {
+pub(crate) fn query_lists<'a>(idx: &'a InvertedIndex, q: &Uda) -> Vec<(CatId, f64, &'a BlockList)> {
     q.iter()
         .filter_map(|(cat, p)| idx.posting_list(cat).map(|l| (cat, p as f64, l)))
         .collect()
@@ -211,8 +208,8 @@ pub(crate) fn query_lists<'a>(
 /// which is also `Auto`'s, the top-k scan, DSTQ's partial distances): read
 /// each of the query's lists end to end and add `term(q.p_j, p)` to the
 /// posting's tuple, lists in ascending category order. Ticks
-/// `lists_opened` and what [`crate::postings::PostingList::scan_all`]
-/// ticks; the candidate counters are the caller's.
+/// `lists_opened` and what [`BlockList::scan_all`] ticks; the candidate
+/// counters are the caller's.
 pub(crate) fn accumulate(
     idx: &InvertedIndex,
     pool: &mut BufferPool,
@@ -246,8 +243,8 @@ pub(crate) fn accumulate(
 ///
 /// Metrics profile: every query list is opened and scanned to the end
 /// (`postings_scanned` is the total posting count of the query lists — the
-/// ceiling the pruning strategies are measured against; block lists decode
-/// every block, so both formats scan the same entries). Each aggregated
+/// ceiling the pruning strategies are measured against — and every block
+/// is decoded). Each aggregated
 /// tuple is decided exactly from its accumulated contributions, so all
 /// candidates are `candidates_settled`; no random access ever happens.
 pub(crate) fn exact_scores(

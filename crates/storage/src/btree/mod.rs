@@ -1,35 +1,40 @@
-//! A paged B+tree with fixed-width keys and values.
+//! A paged B+tree with fixed-width keys and values: what is left of the
+//! layout the inverted index's posting lists had before block lists
+//! replaced it (`docs/FORMAT.md` §9).
 //!
-//! The inverted index stores posting lists "organized as dynamic structures
-//! such as B-trees, allowing efficient searches, insertions, and deletions"
-//! (paper §3.1). This module provides that structure over the buffer pool:
+//! Two callers remain, and the module goes once both have:
 //!
-//! * keys are `K`-byte strings compared lexicographically (use [`keys`] for
-//!   order-preserving encodings);
-//! * values are `V`-byte strings (possibly zero-width);
-//! * leaves are chained for ordered range scans;
-//! * deletion is by tombstone-free removal without rebalancing — pages may
-//!   underfill after heavy deletion, which matches the simple dynamic-list
-//!   behaviour the paper assumes and keeps scans correct.
+//! * `uncat_inverted::upgrade` reattaches the raw lists of an old `UIV1`
+//!   snapshot ([`BTree::from_raw_parts`]) and walks their leaves read-only
+//!   ([`BTree::scan_all`]) to rebuild them as block lists;
+//! * the benchmark's `storage.btree.get_ns` probe times [`BTree::create`],
+//!   [`BTree::insert`] and [`BTree::get`] (ROADMAP item 2(a) retires it).
 //!
-//! All page access goes through a [`BufferPool`], so tree operations are
-//! charged I/O like any other structure — and every operation is fallible:
-//! a page the pool cannot produce (I/O error, checksum mismatch) surfaces
-//! as `Err(StorageError)` from the tree operation that needed it.
+//! [`keys`] holds the order-preserving encodings the posting key is built
+//! from; it outlives the tree.
+//!
+//! Keys are `K`-byte strings compared lexicographically, values `V`-byte
+//! strings (possibly zero-width), and leaves are chained for ordered
+//! scans. All page access goes through a [`BufferPool`] and is fallible.
+//! The read paths take page bytes as untrusted — an old file is input
+//! from outside the program: a node count past its page's capacity, a
+//! descent deeper than the recorded depth or a leaf chain that loops is
+//! [`StorageError::Corrupt`], never a panic or a hang.
 
 pub mod keys;
 mod node;
 
+use std::collections::HashSet;
 use std::ops::ControlFlow;
 
 use crate::buffer::BufferPool;
-use crate::error::Result;
+use crate::error::{Result, StorageError};
 use crate::page::{PageBuf, PageId};
 
 use node::{
     init_internal, init_leaf, int_child, int_insert_at, int_key, int_route, internal_cap, is_leaf,
-    leaf_cap, leaf_insert_at, leaf_key, leaf_remove_at, leaf_search, leaf_val, next_leaf,
-    set_count, set_int_child0, set_next_leaf,
+    leaf_cap, leaf_insert_at, leaf_key, leaf_search, leaf_val, next_leaf, set_count,
+    set_int_child0, set_next_leaf,
 };
 
 /// A B+tree with `K`-byte keys and `V`-byte values.
@@ -62,17 +67,11 @@ impl<const K: usize, const V: usize> BTree<K, V> {
         })
     }
 
-    /// Reattach a tree from persisted parts (see [`BTree::raw_parts`]).
-    ///
-    /// The caller asserts that `(root, len, depth)` describe a tree
-    /// previously built on the same store; no validation is performed.
+    /// Reattach a tree from the `(root, len, depth)` an old snapshot
+    /// recorded for it. Nothing is read here; the read paths check what
+    /// they find against `len`'s and `depth`'s claims.
     pub fn from_raw_parts(root: PageId, len: u64, depth: u32) -> Self {
         BTree { root, len, depth }
-    }
-
-    /// The persistable identity of this tree: `(root, len, depth)`.
-    pub fn raw_parts(&self) -> (PageId, u64, u32) {
-        (self.root, self.len, self.depth)
     }
 
     /// Number of entries.
@@ -85,45 +84,53 @@ impl<const K: usize, const V: usize> BTree<K, V> {
         self.len == 0
     }
 
-    /// Height of the tree in levels (1 = a single leaf).
-    pub fn depth(&self) -> u32 {
-        self.depth
-    }
-
-    /// Root page (for diagnostics).
-    pub fn root(&self) -> PageId {
-        self.root
-    }
-
-    /// Descend from the root to the leaf that would hold `key`.
+    /// Descend from the root to the leaf that would hold `key`, in at most
+    /// `depth` page reads.
     fn descend_to_leaf(&self, pool: &mut BufferPool, key: &[u8; K]) -> Result<PageId> {
         let mut pid = self.root;
-        loop {
+        for _ in 0..self.depth {
             let step = pool.read(pid, |b| {
                 if is_leaf(b) {
-                    None
+                    Ok(None)
+                } else if node::count(b) > Self::INT_CAP {
+                    Err(StorageError::Corrupt("B+tree internal node overfull"))
                 } else {
-                    Some(int_route(b, K, key).1)
+                    Ok(Some(int_route(b, K, key).1))
                 }
-            })?;
+            })??;
             match step {
                 Some(child) => pid = child,
                 None => return Ok(pid),
             }
         }
+        Err(StorageError::Corrupt(
+            "B+tree deeper than its recorded depth",
+        ))
+    }
+
+    /// The entry count of a page reached as a leaf.
+    fn leaf_count(b: &[u8]) -> Result<usize> {
+        let n = node::count(b);
+        if !is_leaf(b) || n > Self::LEAF_CAP {
+            return Err(StorageError::Corrupt("B+tree leaf malformed"));
+        }
+        Ok(n)
     }
 
     /// Point lookup.
     pub fn get(&self, pool: &mut BufferPool, key: &[u8; K]) -> Result<Option<[u8; V]>> {
         let pid = self.descend_to_leaf(pool, key)?;
-        pool.read(pid, |b| match leaf_search(b, K, V, key) {
-            Ok(i) => {
-                let mut out = [0u8; V];
-                out.copy_from_slice(leaf_val(b, K, V, i));
-                Some(out)
-            }
-            Err(_) => None,
-        })
+        pool.read(pid, |b| {
+            Self::leaf_count(b)?;
+            Ok(match leaf_search(b, K, V, key) {
+                Ok(i) => {
+                    let mut out = [0u8; V];
+                    out.copy_from_slice(leaf_val(b, K, V, i));
+                    Some(out)
+                }
+                Err(_) => None,
+            })
+        })?
     }
 
     /// Upsert. Returns the previous value if the key was present.
@@ -340,30 +347,10 @@ impl<const K: usize, const V: usize> BTree<K, V> {
         })
     }
 
-    /// Remove a key. Returns its value if it was present.
-    ///
-    /// No rebalancing: leaves may underfill. Structure and scan order remain
-    /// correct; space is reclaimed only by rebuilding.
-    pub fn remove(&mut self, pool: &mut BufferPool, key: &[u8; K]) -> Result<Option<[u8; V]>> {
-        let pid = self.descend_to_leaf(pool, key)?;
-        let removed = pool.write(pid, |b| match leaf_search(b, K, V, key) {
-            Ok(i) => {
-                let mut out = [0u8; V];
-                out.copy_from_slice(leaf_val(b, K, V, i));
-                leaf_remove_at(b, K, V, i);
-                Some(out)
-            }
-            Err(_) => None,
-        })?;
-        if removed.is_some() {
-            self.len -= 1;
-        }
-        Ok(removed)
-    }
-
     /// Ordered scan from `start` (inclusive). `f` returns
-    /// [`ControlFlow::Break`] to stop early.
-    pub fn scan_from(
+    /// [`ControlFlow::Break`] to stop early. A leaf chain that revisits a
+    /// page is [`StorageError::Corrupt`].
+    fn scan_from(
         &self,
         pool: &mut BufferPool,
         start: &[u8; K],
@@ -371,10 +358,14 @@ impl<const K: usize, const V: usize> BTree<K, V> {
     ) -> Result<()> {
         let mut pid = self.descend_to_leaf(pool, start)?;
         let mut first = true;
+        let mut visited = HashSet::new();
         while pid.is_valid() {
+            if !visited.insert(pid) {
+                return Err(StorageError::Corrupt("B+tree leaf chain loops"));
+            }
             // Copy out entries ≥ start, then release the page before calling f.
             let (entries, next) = pool.read(pid, |b| {
-                let n = node::count(b);
+                let n = Self::leaf_count(b)?;
                 let from = if first {
                     match leaf_search(b, K, V, start) {
                         Ok(i) => i,
@@ -391,8 +382,8 @@ impl<const K: usize, const V: usize> BTree<K, V> {
                     vv.copy_from_slice(leaf_val(b, K, V, i));
                     out.push((kk, vv));
                 }
-                (out, next_leaf(b))
-            })?;
+                Ok((out, next_leaf(b)))
+            })??;
             first = false;
             for (k, v) in &entries {
                 if let ControlFlow::Break(()) = f(k, v) {
@@ -411,80 +402,6 @@ impl<const K: usize, const V: usize> BTree<K, V> {
         f: impl FnMut(&[u8; K], &[u8; V]) -> ControlFlow<()>,
     ) -> Result<()> {
         self.scan_from(pool, &[0u8; K], f)
-    }
-
-    /// Open a cursor positioned at the smallest key.
-    pub fn cursor_first(&self, pool: &mut BufferPool) -> Result<Cursor<K, V>> {
-        self.cursor_from(pool, &[0u8; K])
-    }
-
-    /// Open a cursor positioned at the smallest key ≥ `start`.
-    pub fn cursor_from(&self, pool: &mut BufferPool, start: &[u8; K]) -> Result<Cursor<K, V>> {
-        let pid = self.descend_to_leaf(pool, start)?;
-        let idx = pool.read(pid, |b| match leaf_search(b, K, V, start) {
-            Ok(i) => i,
-            Err(i) => i,
-        })?;
-        let mut c = Cursor { pid, idx };
-        c.skip_exhausted_leaves(pool)?;
-        Ok(c)
-    }
-}
-
-/// A forward cursor over a B+tree's leaf chain.
-///
-/// Cursors are *logically* positioned: each access re-reads the current leaf
-/// through the pool (normally a buffer hit), so interleaving many cursors —
-/// as the highest-prob-first search does — is charged realistic I/O. The
-/// cursor assumes the tree is not mutated while it is open.
-pub struct Cursor<const K: usize, const V: usize> {
-    pid: PageId,
-    idx: usize,
-}
-
-impl<const K: usize, const V: usize> Cursor<K, V> {
-    /// The entry under the cursor, or `None` when exhausted.
-    pub fn entry(&self, pool: &mut BufferPool) -> Result<Option<([u8; K], [u8; V])>> {
-        if !self.pid.is_valid() {
-            return Ok(None);
-        }
-        pool.read(self.pid, |b| {
-            debug_assert!(
-                self.idx < node::count(b),
-                "cursor normalized past short leaves"
-            );
-            let mut kk = [0u8; K];
-            kk.copy_from_slice(leaf_key(b, K, V, self.idx));
-            let mut vv = [0u8; V];
-            vv.copy_from_slice(leaf_val(b, K, V, self.idx));
-            Some((kk, vv))
-        })
-    }
-
-    /// Advance one entry.
-    pub fn advance(&mut self, pool: &mut BufferPool) -> Result<()> {
-        if !self.pid.is_valid() {
-            return Ok(());
-        }
-        self.idx += 1;
-        self.skip_exhausted_leaves(pool)
-    }
-
-    /// Whether the cursor has run off the end.
-    pub fn is_exhausted(&self) -> bool {
-        !self.pid.is_valid()
-    }
-
-    fn skip_exhausted_leaves(&mut self, pool: &mut BufferPool) -> Result<()> {
-        while self.pid.is_valid() {
-            let (n, next) = pool.read(self.pid, |b| (node::count(b), next_leaf(b)))?;
-            if self.idx < n {
-                return Ok(());
-            }
-            self.pid = next;
-            self.idx = 0;
-        }
-        Ok(())
     }
 }
 
@@ -545,7 +462,7 @@ mod tests {
             n,
             "duplicates collapse: permutation covers 0..n"
         );
-        assert!(t.depth() >= 2, "20k entries must overflow a single leaf");
+        assert!(t.depth >= 2, "20k entries must overflow a single leaf");
         for i in (0..n).step_by(997) {
             assert_eq!(
                 u64_from_be(&t.get(&mut p, &u32_be(i)).unwrap().unwrap()),
@@ -605,33 +522,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_then_get_misses() {
-        let mut p = pool();
-        let mut t = T::create(&mut p).unwrap();
-        for i in 0..2000u32 {
-            t.insert(&mut p, &u32_be(i), &u64_be(i as u64)).unwrap();
-        }
-        for i in (0..2000).step_by(2) {
-            assert!(t.remove(&mut p, &u32_be(i)).unwrap().is_some());
-        }
-        assert_eq!(t.len(), 1000);
-        assert!(t.get(&mut p, &u32_be(4)).unwrap().is_none());
-        assert!(t.get(&mut p, &u32_be(5)).unwrap().is_some());
-        assert!(
-            t.remove(&mut p, &u32_be(4)).unwrap().is_none(),
-            "double remove"
-        );
-        // Scan still sorted and complete.
-        let mut seen = Vec::new();
-        t.scan_all(&mut p, |k, _| {
-            seen.push(u32_from_be(k));
-            ControlFlow::Continue(())
-        })
-        .unwrap();
-        assert_eq!(seen, (0..2000).filter(|i| i % 2 == 1).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn zero_width_values_work() {
         let mut p = pool();
         let mut t: BTree<8, 0> = BTree::create(&mut p).unwrap();
@@ -665,49 +555,6 @@ mod tests {
     }
 
     #[test]
-    fn cursor_walks_sorted_and_interleaves() {
-        let mut p = pool();
-        let mut t = T::create(&mut p).unwrap();
-        for i in 0..3000u32 {
-            t.insert(&mut p, &u32_be(i * 2), &u64_be(i as u64)).unwrap();
-        }
-        // Walk from an interior key.
-        let mut c = t.cursor_from(&mut p, &u32_be(101)).unwrap();
-        let (k, _) = c.entry(&mut p).unwrap().unwrap();
-        assert_eq!(u32_from_be(&k), 102, "cursor seeks the next key ≥ start");
-        let mut last = 100;
-        let mut n = 0;
-        while let Some((k, _)) = c.entry(&mut p).unwrap() {
-            let kk = u32_from_be(&k);
-            assert!(kk > last);
-            last = kk;
-            n += 1;
-            c.advance(&mut p).unwrap();
-        }
-        assert!(c.is_exhausted());
-        assert_eq!(n, 3000 - 51);
-
-        // Two interleaved cursors are independent.
-        let mut a = t.cursor_first(&mut p).unwrap();
-        let mut b = t.cursor_first(&mut p).unwrap();
-        a.advance(&mut p).unwrap();
-        assert_eq!(u32_from_be(&a.entry(&mut p).unwrap().unwrap().0), 2);
-        assert_eq!(u32_from_be(&b.entry(&mut p).unwrap().unwrap().0), 0);
-        b.advance(&mut p).unwrap();
-        b.advance(&mut p).unwrap();
-        assert_eq!(u32_from_be(&b.entry(&mut p).unwrap().unwrap().0), 4);
-    }
-
-    #[test]
-    fn cursor_on_empty_tree_is_exhausted() {
-        let mut p = pool();
-        let t = T::create(&mut p).unwrap();
-        let c = t.cursor_first(&mut p).unwrap();
-        assert!(c.is_exhausted());
-        assert!(c.entry(&mut p).unwrap().is_none());
-    }
-
-    #[test]
     fn append_load_packs_leaves_densely() {
         let store = InMemoryDisk::shared();
         let mut p = BufferPool::with_capacity(store.clone(), 200);
@@ -735,13 +582,12 @@ mod tests {
         for i in 0..(T::LEAF_CAP as u32 + 1) {
             t.insert(&mut p, &u32_be(i), &u64_be(0)).unwrap();
         }
-        assert_eq!(t.depth(), 2, "one overflow ⇒ root becomes internal");
+        assert_eq!(t.depth, 2, "one overflow ⇒ root becomes internal");
     }
 
     #[test]
     fn injected_read_failure_surfaces_from_lookup() {
         use crate::fault::{Fault, FaultStore};
-        use crate::StorageError;
         use std::sync::Arc;
 
         let faults = Arc::new(FaultStore::new(InMemoryDisk::shared(), 3));
@@ -761,5 +607,47 @@ mod tests {
             u64_from_be(&t.get(&mut p, &u32_be(4321)).unwrap().unwrap()),
             4321
         );
+    }
+
+    /// Old trees are read from files this build did not write: every
+    /// structural lie a page or the recorded parts can tell is a typed
+    /// error, never a panic or an endless walk.
+    #[test]
+    fn malformed_trees_are_typed_errors() {
+        let corrupt = |r: Result<()>| assert!(matches!(r, Err(StorageError::Corrupt(_))), "{r:?}");
+        let walk = |t: &T, p: &mut BufferPool| t.scan_all(p, |_, _| ControlFlow::Continue(()));
+        let mut p = pool();
+        let mut t = T::create(&mut p).unwrap();
+        for i in 0..(T::LEAF_CAP as u32 + 1) {
+            t.insert(&mut p, &u32_be(i), &u64_be(0)).unwrap();
+        }
+        walk(&t, &mut p).unwrap();
+
+        // A depth recorded lower than the tree's.
+        let shallow = T::from_raw_parts(t.root, t.len, 1);
+        corrupt(walk(&shallow, &mut p));
+        corrupt(shallow.get(&mut p, &u32_be(3)).map(drop));
+        corrupt(walk(&T::from_raw_parts(t.root, t.len, 0), &mut p));
+
+        // A leaf whose count overruns its page, and an internal node's.
+        let leaf = p.read(t.root, |b| node::int_child0(b)).unwrap();
+        let overfull = (T::LEAF_CAP + 1) as u16;
+        p.write(leaf, |b| {
+            crate::page::field::put_u16(b, node::OFF_COUNT, overfull)
+        })
+        .unwrap();
+        corrupt(walk(&t, &mut p));
+        p.write(t.root, |b| {
+            crate::page::field::put_u16(b, node::OFF_COUNT, u16::MAX)
+        })
+        .unwrap();
+        corrupt(t.get(&mut p, &u32_be(3)).map(drop));
+
+        // A leaf chain that comes back to where it started.
+        let mut t = T::create(&mut p).unwrap();
+        t.insert(&mut p, &u32_be(1), &u64_be(0)).unwrap();
+        let root = t.root;
+        p.write(root, |b| set_next_leaf(b, root)).unwrap();
+        corrupt(walk(&t, &mut p));
     }
 }

@@ -118,16 +118,6 @@ pub(super) fn leaf_insert_at(b: &mut [u8], k: usize, v: usize, i: usize, key: &[
     set_count(b, n + 1);
 }
 
-/// Remove entry `i`, shifting the tail left.
-pub(super) fn leaf_remove_at(b: &mut [u8], k: usize, v: usize, i: usize) {
-    let n = count(b);
-    let start = leaf_entry_off(k, v, i);
-    let end = leaf_entry_off(k, v, n);
-    let w = k + v;
-    b.copy_within(start + w..end, start);
-    set_count(b, n - 1);
-}
-
 // --- internal accessors ---
 
 #[inline]

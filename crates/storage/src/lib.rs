@@ -19,8 +19,10 @@
 //!   so its misses *are* the paper's I/O metric.
 //! * [`heap`] — a slotted-page heap file; the tuple store that random-access
 //!   candidate verification reads from.
-//! * [`btree`] — a paged B+tree with fixed-width keys/values; backs the
-//!   inverted index's posting lists and directory.
+//! * [`btree`] — a paged B+tree with fixed-width keys/values: the layout
+//!   of the inverted index's old `UIV1` posting lists, kept for
+//!   `uncat upgrade` and one benchmark probe, and the order-preserving
+//!   key encodings.
 //! * [`metrics`] — [`metrics::QueryMetrics`], the query-level execution
 //!   counters every search path in the workspace populates (documented
 //!   counter by counter in `docs/METRICS.md`).

@@ -53,12 +53,12 @@ pub struct QueryMetrics {
     pub lists_pruned: u64,
     /// Posting entries read from lists, sequentially. The paper's
     /// "entries examined" axis; column pruning's saving shows up here.
-    /// Block-format lists count only entries *materialized* from decoded
-    /// blocks, so the block-max savings show up here too.
+    /// Only entries *materialized* from decoded blocks count, so the
+    /// block-max savings show up here too.
     pub postings_scanned: u64,
-    /// Posting blocks decoded into entries (block-format lists only; raw
-    /// B-tree lists leave this zero). Each decode materializes the whole
-    /// block, so `blocks_decoded × block size` bounds the decode work.
+    /// Posting blocks decoded into entries. Each decode materializes the
+    /// whole block, so `blocks_decoded × block size` bounds the decode
+    /// work.
     pub blocks_decoded: u64,
     /// Posting blocks skipped without decoding because the quantized
     /// block maximum could not meet the live bound (τ, θ, or the Lemma 1

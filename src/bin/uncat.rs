@@ -10,7 +10,8 @@
 //! ```
 //!
 //! Indexes are persisted as a page file (`--pages`) plus a metadata
-//! snapshot (`--meta`); `query`/`topk`/`stats` reopen both.
+//! snapshot (`--meta`); `query`/`topk`/`stats` reopen both. `upgrade`
+//! converts an inverted index written in an older layout.
 //!
 //! Online mutation (`put`/`delete`) runs through the durable layer: the
 //! first mutation adopts the index (creating `<meta>.durable`, a
@@ -33,7 +34,7 @@ use std::sync::Arc;
 
 use uncat::core::{CatId, Divergence, EqQuery, TopKQuery, Uda};
 use uncat::datagen;
-use uncat::inverted::{CostPrediction, InvertedIndex, PostingFormat, Strategy};
+use uncat::inverted::{CostPrediction, InvertedIndex, Strategy};
 use uncat::pdrtree::{PdrConfig, PdrTree};
 use uncat::query::join::{block_join, index_join, parallel_join, JoinOutcome, JoinSpec};
 use uncat::query::parallel::{batch_metrics, batch_trace, petq_batch_with};
@@ -118,7 +119,10 @@ fn run(args: &[String]) -> Result<(), CliError> {
     let Some(cmd) = args.first() else {
         return Err(CliError::Usage(USAGE.trim().to_owned()));
     };
-    let flags = parse_flags(&args[1..])?;
+    let flags = match known_flags(cmd) {
+        Some(known) => parse_flags(cmd, known, &args[1..])?,
+        None => HashMap::new(),
+    };
     match cmd.as_str() {
         "gen" => gen(&flags),
         "build" => build(&flags),
@@ -133,6 +137,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
         "checkpoint" => checkpoint(&flags),
         "recover" => recover(&flags),
         "serve" => serve(&flags),
+        "upgrade" => upgrade(&flags),
         "help" | "--help" | "-h" => {
             println!("{}", USAGE.trim());
             Ok(())
@@ -148,17 +153,18 @@ const USAGE: &str = r#"
 usage:
   uncat gen    --dataset <crm1|crm2|uniform|pairwise|gen3|textsim> --n <N>
                [--domain <D>] [--seed <S>] --out <file.uds>
-  uncat build  --index <inverted|pdr> [--bulk] [--format <raw|blocks>]
+  uncat build  --index <inverted|pdr> [--bulk]
                --data <file.uds> --pages <file.pages> --meta <file.meta>
   uncat query  --index <inverted|pdr> --pages <...> --meta <...>
                --cat <id> --tau <t> [--limit <n>] [--strategy <s>]
                [--explain] [--trace] [--trace-json <file>]
   uncat topk   --index <inverted|pdr> --pages <...> --meta <...>
-               --cat <id> --k <k> [--explain] [--trace] [--trace-json <file>]
+               --cat <id> --k <k> [--limit <n>]
+               [--explain] [--trace] [--trace-json <file>]
   uncat batch  --index <inverted|pdr> --pages <...> --meta <...>
                [--pool <private|shared>] [--shards <N>] [--frames <F>]
                [--threads <T>] [--n <Q>] [--tau <t>] [--zipf <s>]
-               [--seed <S>] [--explain] [--trace]
+               [--seed <S>] [--strategy <s>] [--explain] [--trace]
   uncat join   --data <file.uds> --kind <petj|pej-topk|dstj>
                [--plan <block|index|parallel>] [--index <inverted|pdr>]
                [--tau <t>] [--k <k>] [--radius <r>] [--divergence <l1|l2|kl>]
@@ -170,23 +176,21 @@ usage:
   uncat stats  --index <inverted|pdr> --pages <...> --meta <...>
   uncat put    --index <inverted|pdr> --pages <...> --meta <...>
                --tid <id> --uda <cat:prob[,cat:prob...]>
-               [--group-commit <n>] [--explain]
+               [--group-commit <n>] [--explain] [--trace] [--trace-json <file>]
   uncat delete --index <inverted|pdr> --pages <...> --meta <...>
-               --tid <id> [--explain]
+               --tid <id> [--explain] [--trace] [--trace-json <file>]
   uncat checkpoint --index <inverted|pdr> --pages <...> --meta <...>
   uncat recover    --index <inverted|pdr> --pages <...> --meta <...>
   uncat serve  [--tenants <N>] [--shards <S>] [--n <tuples>] [--seed <S>]
                [--quota <frames>] [--queue <depth>]
+  uncat upgrade --pages <...> --meta <...>
+
+A flag a command does not list is an error.
 
 --strategy (inverted PETQ only): brute | highest-prob-first | row-pruning
   | column-pruning | nra | auto (default: auto — runs brute, the full
   scan of the query's lists, which beats the four pruning strategies in
   wall-clock; they are kept for the paper's figures and for explain)
---format (inverted only): posting-list layout. blocks (default) packs
-  each list into delta-compressed blocks with a block-max directory so
-  searches skip whole blocks without decoding them; raw keeps one B-tree
-  entry per posting (the pre-block layout, snapshot format UIV1). See
-  docs/FORMAT.md for the bytes.
 --explain: print the query's execution counters (see docs/METRICS.md)
 --trace: record and print the query's latency span tree (execution
   phases with total/self times) and its buffer-pool/WAL latency
@@ -224,16 +228,50 @@ put/delete: online mutation through a write-ahead log. The first
   way). checkpoint folds the log into a new durable base and truncates
   it; recover replays a crashed log explicitly and reports what it did
   (read commands also recover automatically).
+upgrade: convert an inverted index written by an older build — raw
+  B+tree posting lists (snapshot UIV1) or varint-coded blocks — to the
+  current layout: the snapshot in <meta>.durable when there is one (its
+  epoch and the log are kept), else --meta, is replaced, and the lists
+  are rebuilt on pages appended to --pages. The other commands refuse
+  the old layouts with an error naming this one. A second run changes
+  nothing. See docs/FORMAT.md §11.
 "#;
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, CliError> {
+/// The flags each command takes — those its USAGE line lists — or `None`
+/// for `help` and for no such command.
+fn known_flags(cmd: &str) -> Option<&'static str> {
+    Some(match cmd {
+        "gen" => "dataset n domain seed out",
+        "build" => "index bulk data pages meta",
+        "query" => "index pages meta cat tau limit strategy explain trace trace-json",
+        "topk" => "index pages meta cat k limit explain trace trace-json",
+        "batch" => "index pages meta pool shards frames threads n tau zipf seed strategy explain trace",
+        "join" => "data kind plan index tau k radius divergence outer zipf seed pool threads frames shards limit explain",
+        "explain" => "index pages meta cat uda tau",
+        "stats" | "checkpoint" | "recover" => "index pages meta",
+        "put" => "index pages meta tid uda group-commit explain trace trace-json",
+        "delete" => "index pages meta tid explain trace trace-json",
+        "serve" => "tenants shards n seed quota queue",
+        "upgrade" => "pages meta",
+        _ => return None,
+    })
+}
+
+fn parse_flags(
+    cmd: &str,
+    known: &str,
+    args: &[String],
+) -> Result<HashMap<String, String>, CliError> {
     let mut flags = HashMap::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let Some(name) = a.strip_prefix("--") else {
             return Err(CliError::Usage(format!("expected a --flag, found {a:?}")));
         };
-        if name == "bulk" || name == "explain" || name == "trace" || name == "quick" {
+        if !known.split(' ').any(|k| k == name) {
+            return Err(CliError::Usage(format!("unknown flag --{name} for {cmd}")));
+        }
+        if name == "bulk" || name == "explain" || name == "trace" {
             flags.insert(name.to_owned(), "true".to_owned());
             continue;
         }
@@ -307,21 +345,7 @@ fn build(flags: &HashMap<String, String>) -> Result<(), CliError> {
                     "--bulk applies to the pdr index only".into(),
                 ));
             }
-            let format = match flags.get("format").map(String::as_str) {
-                None | Some("blocks") => PostingFormat::Blocks,
-                Some("raw") => PostingFormat::Raw,
-                Some(other) => {
-                    return Err(CliError::Usage(format!(
-                        "unknown --format {other:?} (raw|blocks)"
-                    )))
-                }
-            };
-            let idx = InvertedIndex::build_with_format(
-                domain,
-                &mut pool,
-                data.iter().map(|(t, u)| (*t, u)),
-                format,
-            )?;
+            let idx = InvertedIndex::build(domain, &mut pool, data.iter().map(|(t, u)| (*t, u)))?;
             pool.flush()?;
             idx.save(meta.as_ref())
                 .map_err(|e| CliError::format(meta, e))?;
@@ -1253,21 +1277,12 @@ fn stats(flags: &HashMap<String, String>) -> Result<(), CliError> {
         AnyIndex::Inverted(i) => {
             let s = i.stats();
             println!("inverted index: {} tuples", i.len());
-            println!(
-                "  format:         {}",
-                match i.format() {
-                    PostingFormat::Raw => "raw (UIV1)",
-                    PostingFormat::Blocks => "blocks (UIV2)",
-                }
-            );
             println!("  posting lists:  {}", s.lists);
             println!("  postings:       {}", s.postings);
             println!("  longest list:   {}", s.longest_list);
             println!("  avg list:       {:.1}", s.avg_list_len());
-            if i.format() == PostingFormat::Blocks {
-                println!("  posting blocks: {}", s.posting_blocks);
-                println!("  block pages:    {}", s.block_pages);
-            }
+            println!("  posting blocks: {}", s.posting_blocks);
+            println!("  block pages:    {}", s.block_pages);
             println!("  heap pages:     {}", s.heap_pages);
         }
         AnyIndex::Pdr(t) => {
@@ -1432,5 +1447,52 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
             }
         }
     }
+    Ok(())
+}
+
+/// `uncat upgrade`: convert an inverted index's old layouts. The snapshot
+/// converted is the one the read path opens — `<meta>.durable`'s inner
+/// blob when the index was mutated online (the epoch wrapper and the log
+/// are kept as they are), else `--meta`. Its lists are rebuilt on new
+/// pages through one pool, flushed before the new snapshot commits; the
+/// pages the old one names are not written.
+fn upgrade(flags: &HashMap<String, String>) -> Result<(), CliError> {
+    let pages = need(flags, "pages")?;
+    let meta = need(flags, "meta")?;
+    let side = sidecar(meta);
+    if std::fs::metadata(&side.journal).is_ok_and(|m| m.len() > 0) {
+        return Err(CliError::Usage(format!(
+            "{} holds an unfinished checkpoint: run `uncat recover` first",
+            side.journal.display()
+        )));
+    }
+    let durable = side.snap.exists();
+    let target = if durable {
+        side.snap
+    } else {
+        PathBuf::from(meta)
+    };
+    let shown = target.display().to_string();
+    let payload =
+        uncat::storage::snapshot::load(&target).map_err(|e| CliError::format(&shown, e))?;
+    let blob = if durable {
+        uncat::query::split_snapshot(&payload)?.1
+    } else {
+        &payload[..]
+    };
+    let wrapper = &payload[..payload.len() - blob.len()];
+    let store: SharedStore = Arc::new(FileDisk::open(pages).map_err(|e| CliError::io(pages, e))?);
+    let mut pool = BufferPool::with_capacity(store, 512);
+    let upgraded =
+        uncat::inverted::upgrade(&mut pool, blob).map_err(|e| CliError::format(&shown, e))?;
+    if upgraded == blob {
+        println!("{shown} is already current");
+        return Ok(());
+    }
+    pool.flush()?;
+    let written = pool.stats().physical_writes;
+    uncat::storage::snapshot::commit(&target, &[wrapper, &upgraded].concat())
+        .map_err(|e| CliError::format(&shown, e))?;
+    println!("upgraded {shown} ({written} pages written)");
     Ok(())
 }

@@ -1,7 +1,9 @@
 //! End-to-end CLI test: generate → build (both indexes) → query → stats,
 //! all through the `uncat` binary and real files.
 
-use std::path::PathBuf;
+mod legacy;
+
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 struct TempDir(PathBuf);
@@ -231,12 +233,29 @@ fn explain_shows_pruning_beating_brute_force() {
     }
 }
 
-/// `build --format` selects the posting layout: both formats answer the
-/// same query identically, `stats` names the format, and only the block
-/// format reports block counters.
+/// `uncat` run to completion: its exit code, stdout and stderr.
+fn uncat_out(args: &[&str]) -> (Option<i32>, String, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_uncat"))
+        .args(args)
+        .output()
+        .expect("spawn uncat binary");
+    let text = |b: &[u8]| String::from_utf8_lossy(b).into_owned();
+    (out.status.code(), text(&out.stdout), text(&out.stderr))
+}
+
+/// The old layouts through `uncat upgrade`: a `UIV1` file with raw B+tree
+/// lists, the same after an online mutation (`UIV1` inside the durable
+/// sidecar, a logged insert in the WAL), and `UIV2` files whose blocks
+/// are all, or two in three, varint. Each is refused with a typed error naming `upgrade` — the
+/// `UIV1` files at open, the varint file at its first query — converts,
+/// then answers as a fresh build of the same data does (plus the logged
+/// tuple), and converts to the same bytes a second time.
 #[test]
-fn posting_format_flag_roundtrips_both_layouts() {
-    let dir = TempDir::new("format");
+fn upgrade_converts_old_files_via_cli() {
+    use uncat::query::LogRecord;
+    use uncat::storage::{snapshot, FileLog, Wal, WalConfig};
+
+    let dir = TempDir::new("upgrade");
     let data = dir.path("data.uds");
     let (ok, _) = uncat(&[
         "gen",
@@ -250,61 +269,174 @@ fn posting_format_flag_roundtrips_both_layouts() {
         &data,
     ]);
     assert!(ok);
+    let (domain, tuples) = uncat::datagen::io::load(&data).expect("load the dataset");
+    let store = |tag: &str| {
+        (
+            dir.path(&format!("{tag}.pages")),
+            dir.path(&format!("{tag}.meta")),
+        )
+    };
+    let read = |files: &[&str]| -> Vec<Vec<u8>> {
+        files
+            .iter()
+            .map(|f| std::fs::read(f).unwrap_or_default())
+            .collect()
+    };
+    // `cmd` (its name, then its own flags) on one index's files.
+    let run = |(pages, meta): &(String, String), cmd: &[&str]| {
+        let store = ["--index", "inverted", "--pages", pages, "--meta", meta];
+        let args: Vec<&str> = cmd[..1]
+            .iter()
+            .chain(&store)
+            .chain(&cmd[1..])
+            .copied()
+            .collect();
+        uncat_out(&args)
+    };
+    const QUERY: [&str; 5] = ["query", "--cat", "3", "--tau", "0.3"];
+    const TOPK: [&str; 5] = ["topk", "--cat", "3", "--k", "7"];
+    let answers = |files: &(String, String)| -> Vec<String> {
+        [&QUERY, &TOPK]
+            .map(|cmd| {
+                let (code, out, err) = run(files, cmd);
+                assert_eq!(code, Some(0), "{cmd:?}: {err}");
+                out
+            })
+            .to_vec()
+    };
+    let refused = |files: &(String, String), cmd: &[&str]| {
+        let (code, out, err) = run(files, cmd);
+        assert_eq!(code, Some(2), "{cmd:?} on an old layout: {out}{err}");
+        assert!(err.contains("uncat upgrade"), "{cmd:?}: {err}");
+        assert!(!err.contains("panicked"), "{err}");
+    };
+    let upgrade = |(pages, meta): &(String, String), want: &str| {
+        let (code, out, err) = uncat_out(&["upgrade", "--pages", pages, "--meta", meta]);
+        assert_eq!(code, Some(0), "upgrade: {err}");
+        assert!(out.contains(want), "upgrade: {out}");
+    };
 
-    let mut answers = Vec::new();
-    for format in ["raw", "blocks"] {
-        let pages = dir.path(&format!("{format}.pages"));
-        let meta = dir.path(&format!("{format}.meta"));
-        let (ok, out) = uncat(&[
-            "build", "--index", "inverted", "--format", format, "--data", &data, "--pages", &pages,
-            "--meta", &meta,
-        ]);
-        assert!(ok, "build --format {format} failed: {out}");
+    let fresh = store("fresh");
+    let (ok, out) = uncat(&[
+        "build", "--index", "inverted", "--data", &data, "--pages", &fresh.0, "--meta", &fresh.1,
+    ]);
+    assert!(ok, "{out}");
+    let want = answers(&fresh);
 
-        let (ok, out) = uncat(&[
-            "stats", "--index", "inverted", "--pages", &pages, "--meta", &meta,
-        ]);
-        assert!(ok, "stats failed: {out}");
-        match format {
-            "raw" => {
-                assert!(
-                    out.contains("raw (UIV1)"),
-                    "stats must name the format: {out}"
-                );
-                assert!(!out.contains("posting blocks"), "raw has no blocks: {out}");
-            }
-            _ => {
-                assert!(
-                    out.contains("blocks (UIV2)"),
-                    "stats must name the format: {out}"
-                );
-                assert!(out.contains("posting blocks"), "missing block count: {out}");
-                assert!(out.contains("block pages"), "missing block pages: {out}");
+    for (tag, layout) in [
+        ("raw", legacy::Layout::RawLists),
+        ("varint", legacy::Layout::VarintBlocks),
+        ("mixed", legacy::Layout::MixedBlocks),
+    ] {
+        let old = store(tag);
+        legacy::write_files(
+            Path::new(&old.0),
+            Path::new(&old.1),
+            &domain,
+            &tuples,
+            layout,
+        );
+        match layout {
+            legacy::Layout::RawLists => refused(&old, &["stats"]),
+            // Only what reads a block fails: the directory still serves.
+            legacy::Layout::VarintBlocks | legacy::Layout::MixedBlocks => {
+                let (code, _, err) = run(&old, &["stats"]);
+                assert_eq!(code, Some(0), "{err}");
             }
         }
-
-        let (ok, out) = uncat(&[
-            "query", "--index", "inverted", "--pages", &pages, "--meta", &meta, "--cat", "0",
-            "--tau", "0.3", "--limit", "10",
-        ]);
-        assert!(ok, "query failed: {out}");
-        answers.push(out);
+        refused(&old, &QUERY);
+        upgrade(&old, "upgraded");
+        // The lists are rebuilt as a build lays them out: every byte of
+        // output, the page reads too.
+        assert_eq!(answers(&old), want, "{tag}");
+        let before = read(&[&old.0, &old.1]);
+        upgrade(&old, "already current");
+        assert_eq!(
+            read(&[&old.0, &old.1]),
+            before,
+            "a second upgrade changes no byte"
+        );
     }
-    assert_eq!(
-        answers[0], answers[1],
-        "raw and block formats must answer identically"
-    );
 
-    let pages = dir.path("bad.pages");
-    let meta = dir.path("bad.meta");
+    // A `UIV1` index mutated online: the sidecar's snapshot wraps `UIV1`
+    // in its epoch, and the log holds one insert not yet folded.
+    let old = store("durable");
+    legacy::write_files(
+        Path::new(&old.0),
+        Path::new(&old.1),
+        &domain,
+        &tuples,
+        legacy::Layout::RawLists,
+    );
+    let inner = snapshot::load(&old.1).expect("load the old snapshot");
+    let durable = format!("{}.durable", old.1);
+    snapshot::commit(
+        &durable,
+        &[&b"UDX1"[..], &1u64.to_le_bytes(), &inner].concat(),
+    )
+    .unwrap();
+    let put = uncat::core::Uda::from_pairs([
+        (uncat::core::CatId(3), 0.95),
+        (uncat::core::CatId(1), 0.05),
+    ])
+    .unwrap();
+    let mut log = Wal::new(
+        std::sync::Arc::new(FileLog::open_or_create(Path::new(&format!("{}.wal", old.1))).unwrap()),
+        WalConfig { group_commit: 1 },
+    );
+    log.append(&LogRecord::BeginEpoch(1).encode()).unwrap();
+    let insert = LogRecord::Insert {
+        tid: 900_001,
+        uda: put,
+    };
+    log.append(&insert.encode()).unwrap();
+    log.flush().unwrap();
+    drop(log);
+    refused(&old, &QUERY);
+
+    // An unfinished checkpoint is refused before anything is written.
+    let journal = format!("{}.journal", old.1);
+    std::fs::write(&journal, b"torn").unwrap();
+    let wal = format!("{}.wal", old.1);
+    let files = [old.0.as_str(), &durable, &wal];
+    let before = read(&files);
+    let (code, out, err) = uncat_out(&["upgrade", "--pages", &old.0, "--meta", &old.1]);
+    assert_eq!(code, Some(2), "{out}{err}");
+    assert!(err.contains("unfinished checkpoint"), "{err}");
+    assert!(out.is_empty());
+    assert_eq!(read(&files), before);
+    std::fs::write(&journal, b"").unwrap();
+
+    upgrade(&old, "upgraded");
+    assert_eq!(read(&[&wal]), before[2..], "the log is left as it was");
     let (ok, out) = uncat(&[
-        "build", "--index", "inverted", "--format", "zip", "--data", &data, "--pages", &pages,
-        "--meta", &meta,
+        "put",
+        "--index",
+        "inverted",
+        "--pages",
+        &fresh.0,
+        "--meta",
+        &fresh.1,
+        "--tid",
+        "900001",
+        "--uda",
+        "3:0.95,1:0.05",
     ]);
-    assert!(!ok, "unknown format must be rejected");
-    assert!(
-        out.contains("--format"),
-        "error should name the flag: {out}"
+    assert!(ok, "{out}");
+    let strip = |outs: Vec<String>| -> Vec<String> {
+        outs.iter()
+            .map(|o| {
+                o.lines()
+                    .filter(|l| !l.starts_with("recovered"))
+                    .collect::<Vec<_>>()
+                    .join("\n")
+            })
+            .collect()
+    };
+    assert_eq!(
+        strip(answers(&old)),
+        strip(answers(&fresh)),
+        "the logged tuple replays"
     );
 }
 
@@ -625,6 +757,28 @@ fn cli_rejects_bad_usage() {
     let (ok, out) = uncat(&["query", "--index", "pdr"]);
     assert!(!ok);
     assert!(out.contains("missing --pages"));
+
+    // A flag the command does not take — gone, or misspelt — is refused
+    // before anything runs, instead of falling back to a default.
+    for (args, want) in [
+        (
+            &[
+                "build", "--index", "inverted", "--format", "raw", "--data", "d.uds",
+            ][..],
+            "unknown flag --format for build",
+        ),
+        (
+            &[
+                "query", "--index", "pdr", "--pages", "p", "--meta", "m", "--limt", "2",
+            ],
+            "unknown flag --limt for query",
+        ),
+    ] {
+        let (code, out, err) = uncat_out(args);
+        assert_eq!(code, Some(2), "{args:?}");
+        assert!(err.contains(want), "{args:?}: {err}");
+        assert!(out.is_empty(), "{args:?} ran anyway: {out}");
+    }
 }
 
 /// A pool flag the pools would assert on is a usage error that names

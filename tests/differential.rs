@@ -22,7 +22,7 @@ use uncat::query::{
     BatchPools, DurableConfig, DurableIndex, DurableStorage, InvertedBackend, MutableBackend,
     ScanBaseline, UncertainIndex,
 };
-use uncat_inverted::{InvertedIndex, PostingFormat, Strategy as SearchStrategy};
+use uncat_inverted::{InvertedIndex, Strategy as SearchStrategy};
 use uncat_pdrtree::{PdrConfig, PdrTree};
 
 const CATS: u32 = 8;
@@ -304,19 +304,19 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(32)))]
 
-    // The block posting format is a pure layout change: against the raw
-    // one-entry-per-posting layout it must return identical tuples with
-    // scores within 1e-9 under every strategy, and its block accounting
-    // must balance (every block of every opened list is either decoded
-    // or charged as skipped).
+    // Block lists, with the block-max skips every strategy takes, must
+    // return the scan baseline's tuples with scores within 1e-9 under
+    // every strategy, and their block accounting must balance (every
+    // block of every opened list is either decoded or charged as
+    // skipped).
     #[test]
-    fn block_format_agrees_with_raw_and_accounts_blocks(
+    fn block_lists_agree_with_the_scan_and_account_blocks(
         tuples in dataset_strategy(CATS, 60),
         q in uda_strategy(CATS),
         tau in 0.01f64..0.9,
         k in 1usize..15,
     ) {
-        check_block_format_differential(&tuples, &q, tau, k);
+        check_block_lists(&tuples, &q, tau, k);
     }
 }
 
@@ -719,47 +719,37 @@ fn check_interleaved_mutations(
     compare_against_model("reopened", &mut inv, &mut pdr, &model, queries);
 }
 
-fn check_block_format_differential(tuples: &[(u64, Uda)], q: &Uda, tau: f64, k: usize) {
+fn check_block_lists(tuples: &[(u64, Uda)], q: &Uda, tau: f64, k: usize) {
     let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 100);
-    let raw = InvertedIndex::build_with_format(
+    let scan = ScanBaseline::build(&mut pool, tuples.iter().map(|(t, u)| (*t, u)))
+        .expect("in-memory build");
+    let blocks = InvertedIndex::build(
         Domain::anonymous(CATS),
         &mut pool,
         tuples.iter().map(|(t, u)| (*t, u)),
-        PostingFormat::Raw,
     )
     .expect("in-memory build");
-    let blocks = InvertedIndex::build_with_format(
-        Domain::anonymous(CATS),
-        &mut pool,
-        tuples.iter().map(|(t, u)| (*t, u)),
-        PostingFormat::Blocks,
-    )
-    .expect("in-memory build");
-    assert_eq!(raw.format(), PostingFormat::Raw);
-    assert_eq!(blocks.format(), PostingFormat::Blocks);
 
     let query = EqQuery::new(q.clone(), tau);
+    let reference = scan.petq(&mut pool, &query).expect("in-memory query");
     for strategy in SearchStrategy::ALL
         .into_iter()
         .chain([SearchStrategy::Auto])
     {
-        let reference = raw
-            .petq(&mut pool, &query, strategy)
-            .expect("in-memory query");
         let got = blocks
             .petq(&mut pool, &query, strategy)
             .expect("in-memory query");
         assert_matches_agree(
-            "format/petq",
+            "blocks/petq",
             &format!("blocks/{}", strategy.name()),
             &reference,
             &got,
         );
     }
     let topk = TopKQuery::new(q.clone(), k);
-    let reference = raw.top_k(&mut pool, &topk).expect("in-memory query");
+    let reference = scan.top_k(&mut pool, &topk).expect("in-memory query");
     let got = blocks.top_k(&mut pool, &topk).expect("in-memory query");
-    assert_matches_agree("format/top_k", "blocks", &reference, &got);
+    assert_matches_agree("blocks/top_k", "blocks", &reference, &got);
 
     // Block accounting: a full-support query opens every posting list,
     // so across any strategy the decoded + skipped blocks must add up to

@@ -6,12 +6,15 @@
 //! which case `docs/FORMAT.md` and these goldens must change in the
 //! same commit, together with a version bump of the affected artifact.
 
+mod legacy;
+
 use std::fs;
 use std::path::PathBuf;
 
-use uncat::core::{codec, CatId, Domain, Uda, UdaBuilder};
+use uncat::core::{codec, CatId, Domain, EqQuery, Uda, UdaBuilder};
 use uncat::inverted::{
-    decode_block, dequantize, encode_block, quantize_up, InvertedIndex, PostingFormat, PROB_SCALE,
+    decode_block, dequantize, encode_block, quantize_up, upgrade, InvertedIndex, Strategy,
+    PROB_SCALE,
 };
 use uncat::query::{split_snapshot, LogRecord};
 use uncat::storage::crc::crc32c;
@@ -281,26 +284,39 @@ fn block_payload_golden_bytes() {
     assert!(decode_block(&want[..want.len() - 1]).is_err());
     assert!(decode_block(&[&want[..], &[0u8][..]].concat()).is_err());
 
-    // The legacy varint layout (bit 15 of the count clear) is no longer
-    // written but must decode for ever: the same two blocks as shipped.
-    let legacy = [
+    // The varint layout (bit 15 of the count clear) is written by nothing
+    // and refused by the decoder, naming the command that reads it.
+    let varint = [
         0x02, 0x00, // u16 count = 2
         0x02, // varint tid 2 (first tid is absolute)
         0x05, // varint delta 5 (tid 7)
         0x00, 0x00, 0x80, 0x3E, // f32 0.25 LE (prob of tid 2)
         0x00, 0x00, 0x40, 0x3F, // f32 0.75 LE (prob of tid 7)
     ];
-    assert_eq!(
-        decode_block(&legacy).expect("legacy decode"),
-        vec![(7, 0.75), (2, 0.25)]
-    );
     // Multi-byte varint: 300 = 0b10_0101100 → 0xAC 0x02 (LEB128).
-    let legacy = [0x01, 0x00, 0xAC, 0x02, 0x00, 0x00, 0x00, 0x3F];
-    assert_eq!(
-        decode_block(&legacy).expect("legacy decode"),
-        vec![(300, 0.5)]
-    );
-    assert!(decode_block(&legacy[..legacy.len() - 1]).is_err());
+    let multibyte = [0x01, 0x00, 0xAC, 0x02, 0x00, 0x00, 0x00, 0x3F];
+    // `upgrade` reads them: the shipped encoder writes exactly these
+    // bytes, and a page file holding them converts to the postings they
+    // spell.
+    let spelled: [&[(u64, f32)]; 2] = [&[(7, 0.75), (2, 0.25)], &[(300, 0.5)]];
+    for (golden, postings) in [&varint[..], &multibyte].into_iter().zip(spelled) {
+        let refused = decode_block(golden).expect_err("varint is refused");
+        assert!(refused.to_string().contains("uncat upgrade"), "{refused}");
+        assert_eq!(legacy::encode_varint(postings), golden);
+        let tuples: Vec<(u64, Uda)> = postings.iter().map(|&(t, p)| (t, uda(&[(0, p)]))).collect();
+        let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 16);
+        let old = legacy::write(
+            &mut pool,
+            &Domain::anonymous(1),
+            &tuples,
+            legacy::Layout::VarintBlocks,
+        );
+        let idx = InvertedIndex::open(&upgrade(&mut pool, &old).expect("upgrade")).unwrap();
+        let q = EqQuery::new(Uda::certain(CatId(0)), 0.1);
+        let hits = idx.petq(&mut pool, &q, Strategy::Brute).expect("query");
+        let got: Vec<(u64, f32)> = hits.iter().map(|m| (m.tid, m.score as f32)).collect();
+        assert_eq!(got, postings);
+    }
 }
 
 #[test]
@@ -338,19 +354,19 @@ fn walk_store_parts(w: &mut Walk<'_>, domain_size: u32, tuples: &[(u64, Uda)]) {
     }
 }
 
+/// §9 by hand: the retired `UIV1` layout, which `open` refuses and
+/// `upgrade` converts.
 #[test]
 fn uiv1_snapshot_header_walk() {
     let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 64);
     let tuples = vec![(9u64, uda(&[(1, 0.75), (3, 0.25)]))];
-    let idx = InvertedIndex::build_with_format(
-        Domain::anonymous(4),
+    let blob = legacy::write(
         &mut pool,
-        tuples.iter().map(|(t, u)| (*t, u)),
-        PostingFormat::Raw,
-    )
-    .expect("build raw");
+        &Domain::anonymous(4),
+        &tuples,
+        legacy::Layout::RawLists,
+    );
 
-    let blob = idx.snapshot();
     let mut w = Walk::new(&blob);
     assert_eq!(w.bytes(4), b"UIV1");
     walk_store_parts(&mut w, 4, &tuples);
@@ -363,19 +379,31 @@ fn uiv1_snapshot_header_walk() {
         assert_eq!(w.u32(), 1, "single-node tree has depth 1");
     }
     assert!(w.done(), "no trailing bytes");
+
+    let refused = InvertedIndex::open(&blob).err().expect("UIV1 is refused");
+    assert!(refused.to_string().contains("uncat upgrade"), "{refused}");
+    let current = upgrade(&mut pool, &blob).expect("upgrade reads §9");
+    assert_eq!(&current[..4], b"UIV2");
+    let idx = InvertedIndex::open(&current).expect("the conversion opens");
+    assert_eq!(idx.check_invariants(&mut pool).unwrap(), 1);
+    assert_eq!(idx.list_len(CatId(1)), 1);
+    assert_eq!(
+        upgrade(&mut pool, &current).unwrap(),
+        current,
+        "already current"
+    );
 }
 
 #[test]
 fn uiv2_snapshot_header_walk() {
     let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 64);
     let tuples = vec![(9u64, uda(&[(1, 0.75), (3, 0.25)]))];
-    let idx = InvertedIndex::build_with_format(
+    let idx = InvertedIndex::build(
         Domain::anonymous(4),
         &mut pool,
         tuples.iter().map(|(t, u)| (*t, u)),
-        PostingFormat::Blocks,
     )
-    .expect("build blocks");
+    .expect("build");
 
     let blob = idx.snapshot();
     let mut w = Walk::new(&blob);
@@ -423,6 +451,5 @@ fn uiv2_snapshot_header_walk() {
     assert!(w.done(), "no trailing bytes");
 
     // The walked blob is exactly what open() accepts.
-    let back = InvertedIndex::open(&blob).expect("reopen");
-    assert_eq!(back.format(), PostingFormat::Blocks);
+    InvertedIndex::open(&blob).expect("reopen");
 }
