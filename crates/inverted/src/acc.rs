@@ -1,9 +1,9 @@
 //! The per-query score accumulator: `tid → f64`, no hash per posting
 //! where the postings are dense enough to make that pay.
 //!
-//! Every full-list plan (brute-force PETQ, which `Auto` runs, the top-k
-//! scan, DSTQ's partial distances) folds one term per posting into a
-//! per-tuple sum. [`ScoreAcc`] holds the sums in one of two layouts,
+//! Every full-list plan (brute-force PETQ, which `Auto` runs, and DSTQ's
+//! partial distances) folds one term per posting into a per-tuple sum.
+//! [`ScoreAcc`] holds the sums in one of two layouts,
 //! chosen once when the scan starts from the two numbers the index
 //! already has — how many postings the query's lists hold, and the span
 //! of its tuple ids ([`crate::InvertedIndex::tid_span`], one past the
@@ -30,6 +30,11 @@
 //!
 //! Either way a tuple's terms are added in arrival order, so its sum is
 //! bit-identical in both layouts.
+//!
+//! [`Slab`] makes the same choice for an executor that keeps more than a
+//! sum per tuple (`Auto`'s top-k): its records are dense, in first-touch
+//! order, and an id finds its record through a `u32` per id of the span
+//! or a [`TidMap`], by the same rule.
 
 use crate::tid::TidMap;
 
@@ -55,7 +60,7 @@ impl ScoreAcc {
     /// An accumulator for a scan of `postings` postings over an index
     /// whose tuple ids are all below `span`.
     pub(crate) fn for_scan(postings: u64, span: u64) -> ScoreAcc {
-        let flat = postings.saturating_mul(1024) >= span.saturating_mul(MIN_PER_1024);
+        let flat = takes_flat(postings, span);
         let slots = if flat { span as usize } else { 0 };
         ScoreAcc {
             sums: vec![0.0; slots],
@@ -96,6 +101,82 @@ impl ScoreAcc {
             })
         });
         flat.chain(self.sparse.iter().map(|(&tid, &sum)| (tid, sum)))
+    }
+}
+
+/// Whether a scan of `postings` postings over ids below `span` takes the
+/// flat layout (see the module documentation).
+fn takes_flat(postings: u64, span: u64) -> bool {
+    postings.saturating_mul(1024) >= span.saturating_mul(MIN_PER_1024)
+}
+
+/// Per-tuple records of an executor that keeps more than a sum: dense, in
+/// first-touch order, found by tuple id through [`ScoreAcc`]'s two
+/// layouts, chosen by the same rule.
+pub(crate) struct Slab<S> {
+    /// The flat layout: one past the index of each id's record, 0 for
+    /// none, for every id below the span. Empty in the map layout.
+    flat: Vec<u32>,
+    /// The map layout — and, beside the flat one, any id at or above the
+    /// span.
+    sparse: TidMap<u32>,
+    slots: Vec<S>,
+}
+
+impl<S> Slab<S> {
+    /// A slab for a scan of at most `postings` postings over an index
+    /// whose tuple ids are all below `span`.
+    pub(crate) fn for_scan(postings: u64, span: u64) -> Slab<S> {
+        let flat = if takes_flat(postings, span) {
+            span as usize
+        } else {
+            0
+        };
+        Slab {
+            flat: vec![0; flat],
+            sparse: TidMap::default(),
+            slots: Vec::new(),
+        }
+    }
+
+    /// The index of `tid`'s record, made by `new` on first touch.
+    #[inline]
+    pub(crate) fn slot(&mut self, tid: u64, new: impl FnOnce() -> S) -> usize {
+        let next = self.slots.len() as u32;
+        let at = if tid < self.flat.len() as u64 {
+            let entry = &mut self.flat[tid as usize];
+            if *entry == 0 {
+                *entry = next + 1;
+            }
+            *entry - 1
+        } else {
+            *self.sparse.entry(tid).or_insert(next)
+        };
+        if at == next {
+            self.slots.push(new());
+        }
+        at as usize
+    }
+
+    /// `tid`'s record, if it has one.
+    #[inline]
+    pub(crate) fn get_mut(&mut self, tid: u64) -> Option<&mut S> {
+        let at = if tid < self.flat.len() as u64 {
+            self.flat[tid as usize].checked_sub(1)?
+        } else {
+            *self.sparse.get(&tid)?
+        };
+        self.slots.get_mut(at as usize)
+    }
+
+    /// Every record, in first-touch order.
+    pub(crate) fn slots(&self) -> &[S] {
+        &self.slots
+    }
+
+    /// [`Slab::slots`], mutably.
+    pub(crate) fn slots_mut(&mut self) -> &mut [S] {
+        &mut self.slots
     }
 }
 
@@ -292,6 +373,36 @@ mod tests {
             want.sort_unstable();
             prop_assert!(got.windows(2).all(|w| w[0].0 != w[1].0), "a tid came back twice");
             prop_assert_eq!(got, want);
+        }
+
+        // The slab against a map of first touches, with ids below, at and
+        // above the span in either layout: an id keeps the index it was
+        // first given, indices are dense in first-touch order, and exactly
+        // the ids touched have a record.
+        #[test]
+        fn a_slab_keeps_first_touch_order(
+            tids in proptest::collection::vec(tid_strategy(), 0..600),
+            postings in 0u64..4_000,
+            span in 0u64..20_000,
+        ) {
+            let mut slab: Slab<u64> = Slab::for_scan(postings, span);
+            let flat = if takes_flat(postings, span) { span } else { 0 };
+            prop_assert_eq!(slab.flat.len() as u64, flat);
+            let mut model: TidMap<usize> = TidMap::default();
+            for &tid in &tids {
+                let next = model.len();
+                let want = *model.entry(tid).or_insert(next);
+                prop_assert_eq!(slab.slot(tid, || tid), want);
+            }
+            prop_assert_eq!(slab.slots().len(), model.len());
+            for (&tid, &at) in &model {
+                prop_assert_eq!(slab.slots()[at], tid);
+                prop_assert_eq!(slab.get_mut(tid).copied(), Some(tid));
+            }
+            for &tid in &tids {
+                let other = tid ^ 1;
+                prop_assert_eq!(slab.get_mut(other).is_some(), model.contains_key(&other));
+            }
         }
     }
 

@@ -40,10 +40,12 @@
 //! block and read it with [`visit_block`], in storage order, without the
 //! sort or a buffer.
 
+use std::ops::Range;
+
 use uncat_core::{Prob, TupleId};
 use uncat_storage::{BufferPool, HeapFile, QueryMetrics, RecordId, Result, StorageError};
 
-use crate::postings::{posting_key, CursorHead, KEY_LEN};
+use crate::postings::{decode_posting, posting_key, CursorHead, KEY_LEN};
 
 /// Entries per block when building or splitting.
 pub const BLOCK_TARGET: usize = 128;
@@ -396,24 +398,9 @@ impl BlockList {
         &self,
         heap: &HeapFile,
         pool: &mut BufferPool,
-        mut f: impl FnMut(&BlockMeta, &[u8]) -> Result<bool>,
+        f: impl FnMut(&BlockMeta, &[u8]) -> Result<bool>,
     ) -> Result<()> {
-        let mut slots: Vec<u16> = Vec::new();
-        let mut go_on = true;
-        for run in self.blocks.chunk_by(|a, b| a.rid.page == b.rid.page) {
-            if !go_on {
-                break;
-            }
-            slots.clear();
-            slots.extend(run.iter().map(|m| m.rid.slot));
-            heap.visit_slots(pool, run[0].rid.page, &slots, |i, bytes| {
-                if go_on {
-                    go_on = f(&run[i], bytes.ok_or(DELETED_PAYLOAD)?)?;
-                }
-                Ok(())
-            })?;
-        }
-        Ok(())
+        visit_payloads(&self.blocks, heap, pool, f)
     }
 
     /// Visit every entry, block by block in stream order and by ascending
@@ -476,6 +463,37 @@ impl BlockList {
         metrics.blocks_skipped += self.blocks.len() as u64 - decoded;
         Ok(())
     }
+
+    /// Visit the entries of the blocks in `range`, in storage order, for
+    /// a reader that passes blocks over on trust of the directory: each
+    /// block must agree with its entry there (`checked_visit`). One page
+    /// read per run of blocks sharing a payload page; ticks
+    /// `blocks_decoded` and `postings_scanned`.
+    pub(crate) fn scan_blocks(
+        &self,
+        heap: &HeapFile,
+        pool: &mut BufferPool,
+        range: Range<usize>,
+        metrics: &mut QueryMetrics,
+        mut f: impl FnMut(TupleId, Prob),
+    ) -> Result<()> {
+        visit_payloads(&self.blocks[range], heap, pool, |meta, bytes| {
+            checked_visit(meta, bytes, metrics, &mut f)?;
+            Ok(true)
+        })
+    }
+
+    /// The first block from `from` on that can hold an entry with
+    /// `p ≤ cap`. Stream order puts every entry of block `i` at or above
+    /// the exact probability of block `i + 1`'s separator, so block `i` is
+    /// passed over while that is above `cap`; the last block never is.
+    pub(crate) fn first_block_at_or_below(&self, from: usize, cap: f64) -> usize {
+        let later = self.blocks.get(from + 1..).unwrap_or_default();
+        from + later
+            .iter()
+            .take_while(|b| decode_posting(&b.sep).0 as f64 > cap)
+            .count()
+    }
 }
 
 /// A payload must hold as many entries as its directory entry says.
@@ -484,6 +502,59 @@ fn check_count(n: usize, meta: &BlockMeta) -> Result<()> {
         return Err(StorageError::Corrupt(
             "block count disagrees with its directory",
         ));
+    }
+    Ok(())
+}
+
+/// [`visit_block`] for a reader that passes blocks over on trust of the
+/// directory: besides the count, the block's largest probability must be
+/// its separator's (its first entry in stream order) and within its
+/// quantized-up maximum, or a block passed over on the strength of
+/// either could have held an answer. Ticks `blocks_decoded` and
+/// `postings_scanned`.
+fn checked_visit(
+    meta: &BlockMeta,
+    bytes: &[u8],
+    metrics: &mut QueryMetrics,
+    f: &mut impl FnMut(TupleId, Prob),
+) -> Result<()> {
+    let mut max: Prob = 0.0;
+    let n = visit_block(bytes, |tid, p| {
+        max = max.max(p);
+        f(tid, p);
+    })?;
+    check_count(n, meta)?;
+    if max != decode_posting(&meta.sep).0 || max as f64 > dequantize(meta.max_q) {
+        return Err(StorageError::Corrupt(
+            "posting block maximum disagrees with its directory",
+        ));
+    }
+    metrics.blocks_decoded += 1;
+    metrics.postings_scanned += n as u64;
+    Ok(())
+}
+
+/// [`BlockList::for_each_payload`] over any run of a directory's blocks.
+fn visit_payloads(
+    blocks: &[BlockMeta],
+    heap: &HeapFile,
+    pool: &mut BufferPool,
+    mut f: impl FnMut(&BlockMeta, &[u8]) -> Result<bool>,
+) -> Result<()> {
+    let mut slots: Vec<u16> = Vec::new();
+    let mut go_on = true;
+    for run in blocks.chunk_by(|a, b| a.rid.page == b.rid.page) {
+        if !go_on {
+            break;
+        }
+        slots.clear();
+        slots.extend(run.iter().map(|m| m.rid.slot));
+        heap.visit_slots(pool, run[0].rid.page, &slots, |i, bytes| {
+            if go_on {
+                go_on = f(&run[i], bytes.ok_or(DELETED_PAYLOAD)?)?;
+            }
+            Ok(())
+        })?;
     }
     Ok(())
 }

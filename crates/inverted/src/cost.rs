@@ -1,11 +1,11 @@
 //! The paper's I/O model: cost statistics and a per-strategy estimator.
 //!
 //! Diagnostic only — no execution path consults it. [`Strategy::Auto`]
-//! runs the scan for every PETQ and prices its top-k drain against
-//! [`live_scan_cost`]; what this module predicts is read by `uncat
-//! explain`, the cross-backend `uncat_query::Planner` and the figures,
-//! which rank the five fixed strategies the way the paper does, by page
-//! reads.
+//! runs the scan for every PETQ and the block-granular threshold executor
+//! for every top-k, neither priced; what this module predicts is read by
+//! `uncat explain`, the cross-backend `uncat_query::Planner` and the
+//! figures, which rank the five fixed strategies the way the paper does,
+//! by page reads.
 //!
 //! [`CostStats`] is the model's view of the index: per-category
 //! posting-list lengths plus a small histogram of the block directory's
@@ -30,7 +30,7 @@ use uncat_core::{CatId, Uda};
 use uncat_storage::snapshot::{Reader, SnapshotError, Writer};
 use uncat_storage::QueryMetrics;
 
-use crate::block::{BlockList, PROB_SCALE};
+use crate::block::PROB_SCALE;
 use crate::index::InvertedIndex;
 use crate::search::Strategy;
 
@@ -160,25 +160,6 @@ impl CostPrediction {
 fn block_reads(blocks: u64, total_blocks: u64, block_pages: u64) -> u64 {
     let bpp = total_blocks.checked_div(block_pages).unwrap_or(1).max(1);
     blocks.div_ceil(bpp)
-}
-
-/// The scalar cost of the full scan of `q`'s lists: what
-/// [`CostStats::predict_strategy`] gives [`Strategy::Brute`] (Σ list
-/// lengths plus the lists' pages), read off the queried lists'
-/// directories alone — a top-k between two writes does not pay for
-/// collecting every category's histogram. No selectivity enters it, so
-/// it is exact, and it costs no I/O.
-pub(crate) fn live_scan_cost(idx: &InvertedIndex, q: &Uda) -> u64 {
-    let blocks_of = |list: &BlockList| list.blocks().len() as u64;
-    let mut p = CostPrediction::default();
-    let mut blocks = 0;
-    for (_, _, list) in crate::search::query_lists(idx, q) {
-        p.postings_scanned += list.len();
-        blocks += blocks_of(list);
-    }
-    let total_blocks = idx.posting_map().values().map(blocks_of).sum();
-    p.physical_reads = block_reads(blocks, total_blocks, idx.block_heap_parts().0.len() as u64);
-    p.cost()
 }
 
 impl CostStats {

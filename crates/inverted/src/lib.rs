@@ -36,11 +36,14 @@
 //! other four are kept for the paper's figures. The I/O model that
 //! ranks the five by page reads ([`CostStats`], zero-I/O statistics over
 //! the block directories) is diagnostic — `uncat explain` and the
-//! cross-backend planner print it, no query consults it. Every full-list
-//! plan (the scan, the top-k scan behind `Auto`, DSTQ) sums per tuple in
-//! one tid-keyed accumulator (the `acc` module): a flat array over the
-//! index's id span where the postings are dense in it, a hash map where
-//! they are not.
+//! cross-backend planner print it, no query consults it. Top-k under
+//! `Auto` runs a block-granular threshold executor in place of the
+//! paper's drain: Lemma 1 over the directory's block maxima, then every
+//! tuple it met pruned by an upper bound or completed from list suffixes,
+//! with no random access. Every full-list plan (the scan, DSTQ) sums per
+//! tuple in one tid-keyed accumulator (the `acc` module): a flat array
+//! over the index's id span where the postings are dense in it, a hash
+//! map where they are not.
 //!
 //! Every query method takes `(pool, query…)` and adds its execution
 //! counters (lists/postings scanned, Lemma 1 stops, the candidate

@@ -27,7 +27,6 @@ use uncat_core::Uda;
 use uncat_storage::{BufferPool, Phase, QueryMetrics, Result};
 
 use crate::block::BlockCursor;
-use crate::cost::CostPrediction;
 use crate::index::InvertedIndex;
 use crate::postings::CursorHead;
 use crate::tid::TidMap;
@@ -80,20 +79,15 @@ pub(crate) enum Policy {
     /// §2). θ is the k-th best lower bound so far, never below `floor`;
     /// the drain may stop once it holds k candidates, or at once under a
     /// positive floor (nothing the frontier can still produce reaches
-    /// it). With `scan_cost`, the drain is abandoned as soon as its own
-    /// cost so far — postings popped plus one batched random access per
-    /// candidate, at most the heap's pages, by
-    /// [`CostPrediction::cost`]'s formula — exceeds that price of the
-    /// full scan.
+    /// it). `InvertedIndex::top_k` and the fixed strategies run it, for the
+    /// paper's figures, `uncat explain` and the `inverted.topk.topk_us`
+    /// probe; `Strategy::Auto`'s top-k is the block-granular threshold
+    /// executor (`search::threshold`).
     ///
     /// Metrics profile: the dynamic-threshold stop is tallied as a
     /// `lemma1_stops` (it is Lemma 1 with θ in place of τ); candidates
     /// split into pruned, settled and verified as under NRA.
-    TopK {
-        k: usize,
-        floor: f64,
-        scan_cost: Option<u64>,
-    },
+    TopK { k: usize, floor: f64 },
 }
 
 impl Policy {
@@ -101,7 +95,7 @@ impl Policy {
     fn theta<M>(&self, cand: &TidMap<Cand<M>>) -> f64 {
         match *self {
             Policy::HighestProbFirst { tau } | Policy::Nra { tau } => tau,
-            Policy::TopK { k, floor, .. } if cand.len() >= k => {
+            Policy::TopK { k, floor } if cand.len() >= k => {
                 kth_largest(cand.values().map(|c| c.lb), k).max(floor)
             }
             Policy::TopK { floor, .. } => floor,
@@ -115,26 +109,6 @@ impl Policy {
             Policy::Nra { .. } => SWEEP_EVERY,
             Policy::TopK { .. } => THETA_EVERY,
         }
-    }
-
-    /// Whether the drain so far costs more than the scan it may leave for.
-    fn losing(&self, idx: &InvertedIndex, lists: usize, pops: usize, candidates: usize) -> bool {
-        let Policy::TopK {
-            scan_cost: Some(scan),
-            ..
-        } = *self
-        else {
-            return false;
-        };
-        // A one-list candidate's bounds converge on contact (nothing is
-        // ever fetched for it), as in the estimator's drain prediction.
-        let fetches = usize::from(lists > 1) * candidates;
-        let drain = CostPrediction {
-            postings_scanned: pops as u64,
-            physical_reads: fetches.min(idx.heap_pages()) as u64,
-            ..CostPrediction::default()
-        };
-        drain.cost() > scan
     }
 }
 
@@ -191,8 +165,7 @@ impl<M: Mask> Cand<M> {
 
 /// Drain `q`'s lists under `policy`, handing every surviving candidate to
 /// `offer` with its exact probability (settled from its bounds or fetched
-/// by random access). `false` when a top-k drain lost to the scan's price:
-/// nothing was offered, and the caller runs the scan.
+/// by random access).
 pub(crate) fn drain(
     idx: &InvertedIndex,
     pool: &mut BufferPool,
@@ -200,7 +173,7 @@ pub(crate) fn drain(
     policy: &Policy,
     metrics: &mut QueryMetrics,
     offer: impl FnMut(u64, f64),
-) -> Result<bool> {
+) -> Result<()> {
     let plan = pool.trace_begin(Phase::Plan);
     let frontier = Frontier::open(idx, q, metrics);
     pool.trace_end(plan);
@@ -219,7 +192,7 @@ fn run<M: Mask>(
     policy: &Policy,
     metrics: &mut QueryMetrics,
     mut offer: impl FnMut(u64, f64),
-) -> Result<bool> {
+) -> Result<()> {
     let lists = frontier.cursors.len();
     let mut cand: TidMap<Cand<M>> = TidMap::default();
     let mut theta = policy.theta(&cand);
@@ -248,11 +221,6 @@ fn run<M: Mask>(
                 metrics.lemma1_stops += 1;
             }
             break;
-        }
-        if policy.losing(idx, lists, pops, cand.len()) {
-            pool.trace_end(span);
-            frontier.account_skips(metrics);
-            return Ok(false);
         }
         let Some((j, tid, c)) = frontier.best(pool, metrics)? else {
             break;
@@ -313,7 +281,7 @@ fn run<M: Mask>(
     idx.verify_each(pool, unsettled, metrics, |tid, t| {
         offer(tid, eq_prob_entries(q.entries(), t));
     })?;
-    Ok(true)
+    Ok(())
 }
 
 /// A cached frontier head: the contribution `c_j = q.p_j · p'_j` of list

@@ -4,11 +4,15 @@
 //! for `uncat explain`, run on three executors: the full scan
 //! ([`exact_scores`]), the pruned scan of row and column pruning
 //! ([`pruned_scan`]), and the frontier drain ([`drain()`]), whose
-//! policies are highest-prob-first, NRA and top-k.
+//! policies are highest-prob-first, NRA and top-k. `Strategy::Auto`'s
+//! top-k runs a fourth, the block-granular threshold executor
+//! ([`threshold_top_k`]).
 
 mod drain;
+mod threshold;
 
 pub(crate) use drain::{drain, Policy, RA_FALLBACK as NRA_RA_FALLBACK};
+pub(crate) use threshold::threshold_top_k;
 
 use uncat_core::equality::{eq_prob_entries, meets_threshold, THRESHOLD_EPS};
 use uncat_core::query::{sort_matches_desc, EqQuery, Match};
@@ -38,10 +42,12 @@ pub enum Strategy {
     /// scan became a packed-block pass into a flat sum, every plan that
     /// verifies candidates loses to it in wall-clock at any selectivity
     /// measured, hot or cold (EXPERIMENTS.md, "The null planner"), so
-    /// nothing is planned. For top-k it is the paper's drain, abandoned
-    /// for the scan once it costs more
-    /// ([`InvertedIndex::top_k_planned`]). The five fixed strategies are
-    /// kept for the paper's figures and for `uncat explain`.
+    /// nothing is planned. For top-k it is the block-granular threshold
+    /// executor ([`InvertedIndex::top_k_planned`]): Lemma 1 over the
+    /// directory's block maxima with θ the k-th best partial sum, and the
+    /// tuples it cannot prune completed from list suffixes, never by
+    /// random access. The five fixed strategies are kept for the paper's
+    /// figures and for `uncat explain`.
     #[default]
     Auto,
 }
@@ -205,7 +211,7 @@ pub(crate) fn query_lists<'a>(idx: &'a InvertedIndex, q: &Uda) -> Vec<(CatId, f6
 }
 
 /// The full-list scan under every accumulating plan (brute-force PETQ,
-/// which is also `Auto`'s, the top-k scan, DSTQ's partial distances): read
+/// which is also `Auto`'s, and DSTQ's partial distances): read
 /// each of the query's lists end to end and add `term(q.p_j, p)` to the
 /// posting's tuple, lists in ascending category order. Ticks
 /// `lists_opened` and what [`BlockList::scan_all`] ticks; the candidate
@@ -232,8 +238,8 @@ pub(crate) fn accumulate(
 }
 
 /// `Pr(q = t)` for every tuple sharing a category with `q`, from the
-/// lists alone: `inv-index-search`, the brute-force strategy (and the
-/// top-k scan). Every non-zero term of `Pr(q = t) = Σ_j q.p_j · t.p_j`
+/// lists alone: `inv-index-search`, the brute-force strategy. Every
+/// non-zero term of `Pr(q = t) = Σ_j q.p_j · t.p_j`
 /// lives in some query list, so the aggregate *is* the exact probability
 /// and no random access is needed; the cost is reading entire lists
 /// regardless of τ, which is why the paper calls it out as only

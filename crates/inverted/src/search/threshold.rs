@@ -1,0 +1,594 @@
+//! The block-granular threshold executor: `Strategy::Auto`'s top-k.
+//!
+//! Top-k is "threshold queries … dynamically adjusting the threshold τ"
+//! (paper §2), stopped by Lemma 1. The frontier drain runs that one
+//! posting at a time and verifies what it cannot decide by random access;
+//! this executor runs it one *block* at a time on the per-block maxima
+//! the directory already holds (block-max top-k: Ding & Suel, SIGIR
+//! 2011) and never fetches a tuple:
+//!
+//! 1. **A frontier over blocks** ([`Run::frontier`]). Read next the unread
+//!    block of the list whose `q_j · bound_j` is largest (`bound_j`: the
+//!    quantized-up maximum of list `j`'s next block), adding each posting
+//!    into its tuple's slot — the partial sum, the probability mass seen,
+//!    the lists seen. θ is the larger of the floor and the k-th best
+//!    partial sum ([`Best`], O(1) amortised per posting). Lemma 1 stops
+//!    the frontier once `Σ_j q_j · bound_j < θ − ε`: no tuple not yet met
+//!    can reach θ.
+//! 2. **Two bounds prune** ([`Run::prune`]). What a met tuple's unseen
+//!    lists can still add is at most the smaller of `Σ q_j · bound_j` over
+//!    them and `(1 + MASS_EPSILON − mass seen) · max q_j` over them (a
+//!    stored `Uda` holds at most `1 + MASS_EPSILON`). A tuple whose upper
+//!    bound is below θ − ε is pruned; the others survive.
+//! 3. **Survivors complete from list suffixes** ([`Run::complete`]). A
+//!    survivor's posting in an unseen list has `p` at most its remaining
+//!    mass, so each list is read from the first unread block that can
+//!    hold one ([`BlockList::first_block_at_or_below`]) to its end, and
+//!    postings of other tuples are ignored. Every survivor's score is then
+//!    exact; the k best are selected and sorted.
+//!
+//! A tuple's terms arrive in block order, not category order, so its sum
+//! is kept unevaluated (`hi + lo`, Knuth's two-sum) and rounded once: two
+//! tuples with the same terms score the same, whichever blocks brought
+//! them.
+//!
+//! What it trusts: the directory — a block's quantized maximum bounds it
+//! and every later block, its separator is its largest entry — and the
+//! `Uda` mass invariant. Every block it decodes is checked against the
+//! directory ([`BlockList::scan_blocks`]); a disagreement is
+//! `StorageError::Corrupt`, not a wrong skip.
+//!
+//! Metrics profile: one `lists_opened` per query list; `blocks_decoded`
+//! and `postings_scanned` for every block read in either phase and the
+//! rest of every opened list `blocks_skipped`; one `lemma1_stops` when
+//! the frontier stopped with blocks unread; every met tuple is a
+//! candidate, `candidates_pruned` or `candidates_settled`; nothing is
+//! verified, and there are no `frontier_pops`.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+use uncat_core::equality::THRESHOLD_EPS;
+use uncat_core::query::{sort_matches_desc, Match};
+use uncat_core::uda::MASS_EPSILON;
+use uncat_core::Uda;
+use uncat_storage::{BufferPool, HeapFile, Phase, QueryMetrics, Result};
+
+use crate::acc::Slab;
+use crate::block::{dequantize, BlockList};
+use crate::index::InvertedIndex;
+
+use super::query_lists;
+
+/// Lists a tuple's seen-set covers, one bit each. A wider query counts
+/// every unread list as unseen: a looser bound, still sound.
+const MASK_LISTS: usize = u64::BITS as usize;
+
+/// Slack on a tuple's remaining mass: its seen probabilities are summed
+/// here in block order, the stored `Uda`'s in category order.
+const MASS_SLACK: f64 = 1e-9;
+
+/// The `k ≥ 1` tuples with the highest non-zero `Pr(q = t)` of at least
+/// `floor ≥ 0`, in canonical order (see the module documentation).
+pub(crate) fn threshold_top_k(
+    idx: &InvertedIndex,
+    pool: &mut BufferPool,
+    q: &Uda,
+    k: usize,
+    floor: f64,
+    metrics: &mut QueryMetrics,
+) -> Result<Vec<Match>> {
+    let mut run = Run::open(idx, q, k, floor, metrics);
+    let blocks: u64 = run.lanes.iter().map(|l| l.list.blocks().len() as u64).sum();
+    let decoded = metrics.blocks_decoded;
+    run.frontier(pool, metrics)?;
+    let caps = run.prune(metrics);
+    run.complete(pool, &caps, metrics)?;
+    metrics.blocks_skipped += blocks - (metrics.blocks_decoded - decoded);
+    Ok(run.select())
+}
+
+/// A tuple met in some block.
+struct Met {
+    /// `Σ q_j · p_j` over its postings read, as the unevaluated sum
+    /// `hi + lo`: `hi` the rounded running sum, `lo` what rounding lost.
+    hi: f64,
+    lo: f64,
+    /// `Σ p_j` over its postings read.
+    mass: f64,
+    /// The lists they came from (none above [`MASK_LISTS`]).
+    lists: u64,
+    tid: u32,
+    /// Whether it holds an entry in [`Best`].
+    ranked: bool,
+    /// Whether it survived the pruning: completion adds only to these.
+    survivor: bool,
+}
+
+impl Met {
+    fn new(tid: u64) -> Met {
+        Met {
+            hi: 0.0,
+            lo: 0.0,
+            mass: 0.0,
+            lists: 0,
+            // Posting tids are 32-bit (`visit_block` checks).
+            tid: tid as u32,
+            ranked: false,
+            survivor: false,
+        }
+    }
+
+    /// Add one posting: its term `c = q_j · p`, its `p`, its list's bit.
+    #[inline]
+    fn add(&mut self, c: f64, p: f64, bit: u64) {
+        let sum = self.hi + c;
+        let from_c = sum - self.hi;
+        self.lo += (self.hi - (sum - from_c)) + (c - from_c);
+        self.hi = sum;
+        self.mass += p;
+        self.lists |= bit;
+    }
+
+    fn score(&self) -> f64 {
+        self.hi + self.lo
+    }
+
+    /// The most any one of its unseen postings can hold.
+    fn left(&self) -> f64 {
+        (1.0 + MASS_EPSILON + MASS_SLACK - self.mass).max(0.0)
+    }
+}
+
+/// The k best partial sums: a min-heap of `(sum bits, slot)`, at most k
+/// entries, one per tuple (sums are positive, so their bits order as
+/// they do). A sum only grows, so a key may lag its slot's sum; a lagging
+/// key is fixed when it reaches the top, so the top is the k-th best sum
+/// whenever the heap is full.
+struct Best {
+    k: usize,
+    heap: BinaryHeap<Reverse<(u64, u32)>>,
+}
+
+impl Best {
+    /// Offer slot `i`, whose sum just grew.
+    #[inline]
+    fn offer(&mut self, slots: &mut [Met], i: usize) {
+        if slots[i].ranked {
+            return;
+        }
+        let key = slots[i].hi.to_bits();
+        if self.heap.len() < self.k {
+            slots[i].ranked = true;
+            self.heap.push(Reverse((key, i as u32)));
+        } else if self.heap.peek().is_some_and(|top| key > top.0 .0) && key > self.kth_bits(slots) {
+            let mut top = self.heap.peek_mut().expect("a full heap");
+            slots[top.0 .1 as usize].ranked = false;
+            *top = Reverse((key, i as u32));
+            slots[i].ranked = true;
+        }
+    }
+
+    /// The top's key, once no lagging key sits there (0 when empty).
+    fn kth_bits(&mut self, slots: &[Met]) -> u64 {
+        while let Some(mut top) = self.heap.peek_mut() {
+            let Reverse((key, i)) = *top;
+            let now = slots[i as usize].hi.to_bits();
+            if now == key {
+                return key;
+            }
+            *top = Reverse((now, i));
+        }
+        0
+    }
+
+    /// The k-th best partial sum, 0 while fewer than k tuples are met.
+    fn kth(&mut self, slots: &[Met]) -> f64 {
+        if self.heap.len() < self.k {
+            0.0
+        } else {
+            f64::from_bits(self.kth_bits(slots))
+        }
+    }
+}
+
+/// One query list and how far the frontier has read it.
+struct Lane<'a> {
+    qp: f64,
+    list: &'a BlockList,
+    /// The first unread block.
+    next: usize,
+    /// `q_j ·` the quantized-up maximum of block `next`; 0 past the end.
+    bound: f64,
+    /// This list's bit in [`Met::lists`].
+    bit: u64,
+}
+
+impl Lane<'_> {
+    fn unread(&self) -> bool {
+        self.next < self.list.blocks().len()
+    }
+
+    fn seek(&mut self, next: usize) {
+        self.next = next;
+        self.bound = self
+            .list
+            .blocks()
+            .get(next)
+            .map_or(0.0, |b| self.qp * dequantize(b.max_q));
+    }
+}
+
+/// One query between its phases.
+struct Run<'a> {
+    payloads: &'a HeapFile,
+    lanes: Vec<Lane<'a>>,
+    slab: Slab<Met>,
+    best: Best,
+    floor: f64,
+    /// The survivors' slots, once pruned.
+    survivors: Vec<u32>,
+}
+
+impl<'a> Run<'a> {
+    /// Every query list, nothing read yet.
+    fn open(
+        idx: &'a InvertedIndex,
+        q: &Uda,
+        k: usize,
+        floor: f64,
+        metrics: &mut QueryMetrics,
+    ) -> Run<'a> {
+        let lists = query_lists(idx, q);
+        let masked = lists.len() <= MASK_LISTS;
+        let lanes: Vec<Lane<'a>> = lists
+            .iter()
+            .enumerate()
+            .map(|(j, &(_, qp, list))| {
+                let bit = if masked { 1 << j } else { 0 };
+                let mut lane = Lane {
+                    qp,
+                    list,
+                    next: 0,
+                    bound: 0.0,
+                    bit,
+                };
+                lane.seek(0);
+                lane
+            })
+            .collect();
+        metrics.lists_opened += lanes.len() as u64;
+        let postings = lanes.iter().map(|l| l.list.len()).sum();
+        Run {
+            payloads: idx.block_heap(),
+            slab: Slab::for_scan(postings, idx.tid_span()),
+            lanes,
+            best: Best {
+                k,
+                heap: BinaryHeap::new(),
+            },
+            floor,
+            survivors: Vec::new(),
+        }
+    }
+
+    /// θ − ε: nothing below it can enter the answer.
+    fn cut(&mut self) -> f64 {
+        self.best.kth(self.slab.slots()).max(self.floor) - THRESHOLD_EPS
+    }
+
+    /// Read blocks, the most promising first, until Lemma 1 stops.
+    fn frontier(&mut self, pool: &mut BufferPool, metrics: &mut QueryMetrics) -> Result<()> {
+        let span = pool.trace_begin(Phase::FrontierMaintenance);
+        let mut order: BinaryHeap<(u64, usize)> = self
+            .lanes
+            .iter()
+            .enumerate()
+            .filter(|(_, l)| l.unread())
+            .map(|(j, l)| (l.bound.to_bits(), j))
+            .collect();
+        let mut sum: f64 = self.lanes.iter().map(|l| l.bound).sum();
+        while let Some(&(_, j)) = order.peek() {
+            let cut = self.cut();
+            if sum < cut {
+                // Summed afresh: drift in the running sum stops nothing early.
+                sum = self.lanes.iter().map(|l| l.bound).sum();
+                if sum < cut {
+                    metrics.lemma1_stops += 1;
+                    break;
+                }
+            }
+            order.pop();
+            let (slab, best) = (&mut self.slab, &mut self.best);
+            let lane = &mut self.lanes[j];
+            let (qp, bit) = (lane.qp, lane.bit);
+            lane.list.scan_blocks(
+                self.payloads,
+                pool,
+                lane.next..lane.next + 1,
+                metrics,
+                |tid, p| {
+                    let i = slab.slot(tid, || Met::new(tid));
+                    slab.slots_mut()[i].add(qp * p as f64, p as f64, bit);
+                    best.offer(slab.slots_mut(), i);
+                },
+            )?;
+            sum -= lane.bound;
+            lane.seek(lane.next + 1);
+            sum += lane.bound;
+            if lane.unread() {
+                order.push((lane.bound.to_bits(), j));
+            }
+        }
+        pool.trace_end(span);
+        Ok(())
+    }
+
+    /// Prune every met tuple whose upper bound is below θ − ε; the rest
+    /// survive. Returns, per list, the largest remaining mass of a
+    /// survivor unseen in it (`None`: no survivor lacks it).
+    fn prune(&mut self, metrics: &mut QueryMetrics) -> Vec<Option<f64>> {
+        let cut = self.cut();
+        let lanes = &self.lanes;
+        let unread: Vec<usize> = (0..lanes.len()).filter(|&j| lanes[j].unread()).collect();
+        let mut caps = vec![None; lanes.len()];
+        for (i, t) in self.slab.slots_mut().iter_mut().enumerate() {
+            // The unread lists without the tuple's bit: every one of them
+            // above the mask width.
+            let unseen = || {
+                unread
+                    .iter()
+                    .copied()
+                    .filter(|&j| t.lists & lanes[j].bit == 0)
+            };
+            let (bounds, top_q) = unseen().fold((0.0, 0.0f64), |(sum, top), j| {
+                (sum + lanes[j].bound, top.max(lanes[j].qp))
+            });
+            let left = t.left();
+            if t.score() + bounds.min(left * top_q) < cut {
+                continue;
+            }
+            for j in unseen() {
+                caps[j] = Some(caps[j].map_or(left, |cap: f64| cap.max(left)));
+            }
+            t.survivor = true;
+            self.survivors.push(i as u32);
+        }
+        let met = self.slab.slots().len() as u64;
+        let kept = self.survivors.len() as u64;
+        metrics.candidates_generated += met;
+        metrics.candidates_settled += kept;
+        metrics.candidates_pruned += met - kept;
+        caps
+    }
+
+    /// Add every survivor's unseen postings, read from the suffix of each
+    /// list that can hold one: after this every survivor's score is exact.
+    fn complete(
+        &mut self,
+        pool: &mut BufferPool,
+        caps: &[Option<f64>],
+        metrics: &mut QueryMetrics,
+    ) -> Result<()> {
+        let span = pool.trace_begin(Phase::PostingScan);
+        let slab = &mut self.slab;
+        for (lane, cap) in self.lanes.iter().zip(caps) {
+            let Some(cap) = *cap else {
+                continue;
+            };
+            let (qp, bit) = (lane.qp, lane.bit);
+            let from = lane.list.first_block_at_or_below(lane.next, cap);
+            lane.list.scan_blocks(
+                self.payloads,
+                pool,
+                from..lane.list.blocks().len(),
+                metrics,
+                |tid, p| {
+                    if let Some(t) = slab.get_mut(tid).filter(|t| t.survivor) {
+                        t.add(qp * p as f64, p as f64, bit);
+                    }
+                },
+            )?;
+        }
+        pool.trace_end(span);
+        Ok(())
+    }
+
+    /// The k best survivors that meet the floor, in canonical order.
+    fn select(self) -> Vec<Match> {
+        let slots = self.slab.slots();
+        let mut out: Vec<Match> = self
+            .survivors
+            .iter()
+            .map(|&i| &slots[i as usize])
+            .map(|t| Match::new(t.tid as u64, t.score()))
+            .filter(|m| m.score > 0.0 && m.score >= self.floor)
+            .collect();
+        let k = self.best.k;
+        if out.len() > k {
+            out.select_nth_unstable_by(k - 1, |a, b| {
+                b.score.total_cmp(&a.score).then(a.tid.cmp(&b.tid))
+            });
+            out.truncate(k);
+        }
+        sort_matches_desc(&mut out);
+        out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use uncat_core::query::{EqQuery, TopKQuery};
+    use uncat_core::{CatId, Domain, Uda};
+    use uncat_storage::{BufferPool, InMemoryDisk, QueryMetrics, StorageError};
+
+    use super::{Met, Run};
+    use crate::block::{decode_block, encode_block};
+    use crate::search::query_lists;
+    use crate::{InvertedIndex, Strategy};
+
+    /// One list whose first block is rewritten through the heap — every
+    /// page checksum valid — with each probability halved, so its largest
+    /// is no longer its separator's: the executor, which passes blocks
+    /// over on trust of the directory, refuses the block with a typed
+    /// error. The PETQ scan passes nothing over and is not checked.
+    #[test]
+    fn a_block_whose_maximum_is_not_its_separator_is_corrupt() {
+        let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 64);
+        let data: Vec<(u64, Uda)> = (0..600u64)
+            .map(|t| {
+                let p = (t + 1) as f32 / 601.0;
+                let uda = Uda::from_pairs([(CatId(0), p), (CatId(1), 1.0 - p)]).unwrap();
+                (t, uda)
+            })
+            .collect();
+        let mut idx = InvertedIndex::build(
+            Domain::anonymous(2),
+            &mut pool,
+            data.iter().map(|(t, u)| (*t, u)),
+        )
+        .unwrap();
+        let query = TopKQuery::new(Uda::certain(CatId(0)), 3);
+        let top = idx
+            .top_k_planned(&mut pool, &query, 0.0, Strategy::Auto)
+            .unwrap();
+        assert_eq!(
+            top.iter().map(|m| m.tid).collect::<Vec<_>>(),
+            [599, 598, 597]
+        );
+        // One block of five read, its best three kept, nothing fetched.
+        let m = pool.metrics();
+        assert_eq!(
+            (m.blocks_decoded, m.blocks_skipped, m.lemma1_stops),
+            (1, 4, 1)
+        );
+        assert_eq!((m.candidates_generated, m.candidates_settled), (128, 3));
+        assert_eq!((m.candidates_verified, m.frontier_pops), (0, 0));
+
+        let (lists, heap) = idx.lists_mut();
+        let meta = lists[&CatId(0)].blocks()[0];
+        let bytes = heap.get(&mut pool, meta.rid).unwrap().unwrap();
+        let halved: Vec<(u64, f32)> = decode_block(&bytes)
+            .unwrap()
+            .into_iter()
+            .map(|(tid, p)| (tid, p / 2.0))
+            .collect();
+        let rid = heap
+            .update(&mut pool, meta.rid, &encode_block(&halved))
+            .unwrap();
+        assert_eq!(rid, meta.rid, "rewritten in place");
+        assert!(matches!(
+            idx.top_k_planned(&mut pool, &query, 0.0, Strategy::Auto),
+            Err(StorageError::Corrupt(_))
+        ));
+        let petq = EqQuery::new(Uda::certain(CatId(0)), 0.45);
+        assert!(!idx
+            .petq(&mut pool, &petq, Strategy::Brute)
+            .unwrap()
+            .is_empty());
+    }
+
+    /// A tuple's score is its terms' sum rounded once, whatever order its
+    /// blocks arrive in; summed left to right, the same terms differ in
+    /// the last bit (0.1 + 0.2 + 0.3 against 0.3 + 0.2 + 0.1).
+    #[test]
+    fn a_score_does_not_depend_on_the_order_of_its_terms() {
+        let orders = [[0.1, 0.2, 0.3], [0.1, 0.3, 0.2], [0.3, 0.2, 0.1]];
+        let plain: Vec<f64> = orders.iter().map(|o| o.iter().sum()).collect();
+        assert_ne!(plain[0], plain[2]);
+        let scores: Vec<u64> = orders
+            .iter()
+            .map(|o| {
+                let mut t = Met::new(0);
+                for &c in o {
+                    t.add(c, 0.0, 0);
+                }
+                t.score().to_bits()
+            })
+            .collect();
+        assert!(scores.iter().all(|&s| s == scores[0]), "{scores:?}");
+    }
+
+    /// The remaining-mass bound counts to `1 + MASS_EPSILON`, the most a
+    /// `Uda` may hold. Tuple 0 holds 0.99991 + 0.00018: after the frontier
+    /// reads list 0 it may still have 0.00018 — not the 0.00009 a bound
+    /// of 1 leaves — in list 1, whose second block holds it; a cap of
+    /// 0.00009 would pass that block over and answer tuple 1.
+    #[test]
+    fn the_mass_bound_allows_a_uda_its_epsilon() {
+        let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 64);
+        let uda = |pairs: &[(u32, f32)]| {
+            Uda::from_pairs(pairs.iter().map(|&(c, p)| (CatId(c), p))).unwrap()
+        };
+        let mut data = vec![
+            (0, uda(&[(0, 0.99991), (1, 0.00018)])),
+            (1, uda(&[(0, 0.99995)])),
+        ];
+        data.extend((0..128).map(|i| (2 + i, uda(&[(1, 0.9)]))));
+        data.extend((0..127).map(|i| (200 + i, uda(&[(1, 0.0003 - i as f32 * 8e-7)]))));
+        data.extend((0..50).map(|i| (400 + i, uda(&[(1, 0.0001 - i as f32 * 1e-6)]))));
+        let idx = InvertedIndex::build(
+            Domain::anonymous(2),
+            &mut pool,
+            data.iter().map(|(t, u)| (*t, u)),
+        )
+        .unwrap();
+        let q = uda(&[(0, 0.5), (1, 0.5)]);
+        let top = idx
+            .top_k_planned(&mut pool, &TopKQuery::new(q, 1), 0.0, Strategy::Auto)
+            .unwrap();
+        assert_eq!(top.iter().map(|m| m.tid).collect::<Vec<_>>(), [0]);
+    }
+
+    /// The executor phase by phase on a 20 000-tuple CRM1 relation and
+    /// 400 of its uncertain tuples as queries, at k = 4, 40 and 400: per
+    /// probe, the postings and blocks read, the survivors and the blocks
+    /// their completion read, beside what reading every query list to the
+    /// end reads.
+    ///
+    /// `cargo test --release -p uncat-inverted threshold_profile -- --ignored --nocapture`
+    #[test]
+    #[ignore = "a measurement, not a check"]
+    fn threshold_profile() {
+        let (domain, data) = uncat_datagen::crm::crm1(20_000, 42);
+        let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 4096);
+        let idx =
+            InvertedIndex::build(domain, &mut pool, data.iter().map(|(t, u)| (*t, u))).unwrap();
+        let queries: Vec<&Uda> = data
+            .iter()
+            .map(|(_, u)| u)
+            .filter(|u| u.len() > 1)
+            .step_by(7)
+            .take(400)
+            .collect();
+        let n = queries.len() as f64;
+        println!("{n} queries");
+        println!("    k | postings  (scan) | decoded skipped  (scan) | survivors suffix blocks");
+        for k in [4, 40, 400] {
+            let (mut all, mut suffix) = (QueryMetrics::new(), QueryMetrics::new());
+            let (mut scan_postings, mut scan_blocks) = (0u64, 0u64);
+            for q in &queries {
+                let mut run = Run::open(&idx, q, k, 0.0, &mut all);
+                run.frontier(&mut pool, &mut all).unwrap();
+                let caps = run.prune(&mut all);
+                run.complete(&mut pool, &caps, &mut suffix).unwrap();
+                for (_, _, list) in query_lists(&idx, q) {
+                    scan_postings += list.len();
+                    scan_blocks += list.blocks().len() as u64;
+                }
+            }
+            all.merge(&suffix);
+            let per = |x: u64| x as f64 / n;
+            println!(
+                "{k:>5} | {:>8.1} {:>7.1} | {:>7.1} {:>7.1} {:>7.1} | {:>9.1} {:>13.1}",
+                per(all.postings_scanned),
+                per(scan_postings),
+                per(all.blocks_decoded),
+                per(scan_blocks - all.blocks_decoded),
+                per(scan_blocks),
+                per(all.candidates_settled),
+                per(suffix.blocks_decoded),
+            );
+        }
+    }
+}

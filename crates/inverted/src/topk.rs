@@ -2,34 +2,37 @@
 //!
 //! "Top-k queries are executed essentially using threshold queries … by
 //! dynamically adjusting the threshold τ to the k-th highest probability in
-//! the current result set" (paper §2): the frontier drain under
-//! [`Policy::TopK`], whose live threshold θ is the k-th best lower bound.
+//! the current result set" (paper §2). Two executors do that:
 //!
-//! On a tie plateau the drain prunes almost nothing: every candidate has
-//! `ub ≥ Σheads ≈ θ`, so it verifies nearly every posting it popped, one
-//! random access each. Under [`Strategy::Auto`]
-//! ([`InvertedIndex::top_k_planned`]) the drain therefore runs against
-//! the price of the alternative plan — read the query's lists to the
-//! end, sum exact scores, select the k best — and is abandoned for it as
-//! soon as the drain's own cost so far exceeds that price.
+//! * Under [`Strategy::Auto`] ([`InvertedIndex::top_k_planned`]) — every
+//!   `QueryService` and `DurableIndex` top-k — the block-granular threshold
+//!   executor ([`threshold_top_k`]): a frontier over blocks ordered by
+//!   `q_j ·` block maximum, Lemma 1 with θ in place of τ, and the tuples it
+//!   cannot prune completed from list suffixes. It never fetches a tuple.
+//! * The paper's per-posting drain under [`Policy::TopK`], whose θ is the
+//!   k-th best lower bound and whose undecided candidates are verified by
+//!   random access. [`InvertedIndex::top_k`] and every fixed strategy run
+//!   it; it is kept for the paper's figures, `uncat explain` and the
+//!   `inverted.topk.topk_us` probe.
 
 use uncat_core::query::{Match, TopKQuery};
 use uncat_core::topk::TopKHeap;
 use uncat_storage::{BufferPool, QueryMetrics, Result};
 
-use crate::cost::live_scan_cost;
 use crate::index::InvertedIndex;
-use crate::search::{drain, exact_scores, Policy, Strategy};
+use crate::search::{drain, threshold_top_k, Policy, Strategy};
 
 impl InvertedIndex {
     /// The `k` tuples with the highest equality probability to `query.q`
     /// (only tuples with non-zero probability are returned), in canonical
-    /// descending order: the paper's drain, whatever it costs. Counters
-    /// land in the pool's ledger (see [`InvertedIndex::petq`]); the
-    /// dynamic-threshold stop is tallied as a `lemma1_stops` — it is
-    /// Lemma 1 with θ in place of τ.
+    /// descending order, by the paper's per-posting drain — kept for the
+    /// figures, `uncat explain` and the `inverted.topk.topk_us` probe; a
+    /// caller with no figure to draw wants [`InvertedIndex::top_k_planned`]
+    /// under [`Strategy::Auto`]. Counters land in the pool's ledger (see
+    /// [`InvertedIndex::petq`]); the dynamic-threshold stop is tallied as a
+    /// `lemma1_stops` — it is Lemma 1 with θ in place of τ.
     pub fn top_k(&self, pool: &mut BufferPool, query: &TopKQuery) -> Result<Vec<Match>> {
-        pool.tally(|pool, metrics| self.top_k_drain(pool, query, 0.0, None, metrics))
+        pool.tally(|pool, metrics| self.top_k_drain(pool, query, 0.0, metrics))
     }
 
     /// [`InvertedIndex::top_k`] under an external score *floor*, as the
@@ -37,20 +40,18 @@ impl InvertedIndex {
     ///
     /// The floor: the `k` best matches scoring at least `floor`. Callers
     /// that already hold `k` results at `floor` or better (the PEJ-top-k
-    /// join) seed the dynamic threshold θ with it, so the drain stops once
-    /// `Σ_j q.p_j · p'_j < max(θ, floor)` — never later than a plain top-k
-    /// probe, and *before* `k` candidates exist when the frontier cannot
-    /// reach the floor at all. Non-positive and non-finite floors degrade
-    /// to a plain top-k.
+    /// join, the service's later shard probes) seed the dynamic threshold
+    /// θ with it, so the search stops once `Σ_j q.p_j · p'_j < max(θ,
+    /// floor)` — never later than a plain top-k probe, and before `k`
+    /// candidates exist when nothing left can reach the floor.
+    /// Non-positive and non-finite floors degrade to a plain top-k.
     ///
-    /// The strategy: a fixed one gets the paper's drain. [`Strategy::Auto`]
-    /// starts the same drain and abandons it for the full scan once its
-    /// live counters, priced by [`crate::CostPrediction::cost`]'s formula
-    /// (postings popped, plus one random access per candidate up to the
-    /// heap's pages), exceed the scan's cost (the lists' lengths plus
-    /// their pages): the scan has exact scores from the lists alone and
-    /// verifies nothing. Both prices are read off the queried lists'
-    /// directories when the query runs. Answers are the same either way.
+    /// The strategy: a fixed one runs the paper's drain. [`Strategy::Auto`]
+    /// runs the block-granular threshold executor: that stop taken per
+    /// block on the directory's block maxima, then every tuple met pruned
+    /// by an upper bound or completed exactly from the unread suffixes of
+    /// its lists, with no random access (docs/METRICS.md, "Top-k"). The
+    /// answers are the same.
     pub fn top_k_planned(
         &self,
         pool: &mut BufferPool,
@@ -58,46 +59,37 @@ impl InvertedIndex {
         floor: f64,
         strategy: Strategy,
     ) -> Result<Vec<Match>> {
-        let scan_cost = (strategy == Strategy::Auto).then(|| live_scan_cost(self, &query.q));
-        pool.tally(|pool, metrics| self.top_k_drain(pool, query, floor, scan_cost, metrics))
-    }
-
-    /// The drain, optionally against the price of the scan plan.
-    fn top_k_drain(
-        &self,
-        pool: &mut BufferPool,
-        query: &TopKQuery,
-        floor: f64,
-        scan_cost: Option<u64>,
-        metrics: &mut QueryMetrics,
-    ) -> Result<Vec<Match>> {
-        if query.k == 0 {
-            return Ok(Vec::new());
-        }
         let floor = if floor.is_finite() && floor > 0.0 {
             floor
         } else {
             0.0
         };
-        let policy = Policy::TopK {
-            k: query.k,
-            floor,
-            scan_cost,
-        };
+        pool.tally(|pool, metrics| match strategy {
+            Strategy::Auto if query.k > 0 => {
+                threshold_top_k(self, pool, &query.q, query.k, floor, metrics)
+            }
+            _ => self.top_k_drain(pool, query, floor, metrics),
+        })
+    }
+
+    /// The paper's drain under a clamped `floor`.
+    fn top_k_drain(
+        &self,
+        pool: &mut BufferPool,
+        query: &TopKQuery,
+        floor: f64,
+        metrics: &mut QueryMetrics,
+    ) -> Result<Vec<Match>> {
+        if query.k == 0 {
+            return Ok(Vec::new());
+        }
+        let policy = Policy::TopK { k: query.k, floor };
         let mut heap = TopKHeap::new(query.k, floor);
-        let mut offer = |tid, pr: f64| {
+        drain(self, pool, &query.q, &policy, metrics, |tid, pr: f64| {
             if pr > 0.0 {
                 heap.offer(tid, pr);
             }
-        };
-        if !drain(self, pool, &query.q, &policy, metrics, &mut offer)? {
-            // The scan plan: exact scores for every tuple in the query's
-            // lists, each settled from the lists; the tuple heap is never
-            // touched.
-            for (tid, pr) in exact_scores(self, pool, &query.q, metrics)?.iter() {
-                offer(tid, pr);
-            }
-        }
+        })?;
         Ok(heap.into_sorted())
     }
 }

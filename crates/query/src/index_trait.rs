@@ -99,9 +99,10 @@ impl<T: UncertainIndex + ?Sized> UncertainIndex for Box<T> {
 pub struct InvertedBackend {
     /// The underlying index.
     pub index: InvertedIndex,
-    /// Strategy used for threshold queries, and passed down to top-k:
-    /// under [`Strategy::Auto`] a top-k drain that is losing to the full
-    /// scan is abandoned for it (`InvertedIndex::top_k_planned`).
+    /// Strategy used for threshold queries, and passed down to top-k
+    /// (`InvertedIndex::top_k_planned`): under [`Strategy::Auto`] top-k
+    /// runs the block-granular threshold executor, under a fixed strategy
+    /// the paper's drain.
     pub strategy: Strategy,
 }
 

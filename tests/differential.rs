@@ -75,8 +75,8 @@ fn all_backends(
         ),
     )];
     // The five fixed strategies plus the default: Auto must be
-    // indistinguishable from the others on results (its top-k may leave
-    // the drain for the scan mid-query).
+    // indistinguishable from the others on results (its top-k runs the
+    // block-granular threshold executor, theirs the drain).
     for strategy in SearchStrategy::ALL
         .into_iter()
         .chain([SearchStrategy::Auto])
@@ -214,14 +214,14 @@ proptest! {
         }
     }
 
-    // The two top-k plans of the inverted index — the paper's drain and
-    // the full scan `Strategy::Auto` leaves it for — against the scan
-    // baseline: same tuples, same scores, for k from 1 to past the
-    // candidate count, with no floor and with a floor that cuts the
-    // answer short. Every generated tuple is stored twenty times over, so
-    // the k-th score sits on a tie plateau and the tuple heap outgrows
-    // the lists: which plan answers is then the cost rule's call, and the
-    // counters must show it made the call it documents.
+    // The two top-k executors of the inverted index — the paper's drain,
+    // which a fixed strategy runs, and the block-granular threshold
+    // executor `Strategy::Auto` runs — against the scan baseline: same
+    // tuples, same scores, for k from 1 to past the candidate count, with
+    // no floor and with a floor that cuts the answer short. Every
+    // generated tuple is stored twenty times over, so the k-th score sits
+    // on a tie plateau; the counters must show the threshold executor's
+    // profile.
     #[test]
     fn top_k_drain_and_scan_plans_agree_with_and_without_a_floor(
         tuples in dataset_strategy(CATS, 60),
@@ -253,32 +253,17 @@ proptest! {
             .expect("in-memory query");
         let m = pool.metrics();
         assert_matches_agree("top_k/planned", "inverted", &reference, &planned);
-        prop_assert!(m.candidate_invariant_holds());
 
-        // The rule, from the public cost surface: the drain's price is
-        // its pops plus a page read per candidate (none on one list, at
-        // most the heap's pages), the scan's is brute force's prediction.
-        let lists = q.iter().filter(|(c, _)| idx.list_len(*c) > 0).count() as u64;
+        // The threshold executor's profile: each query list opened once,
+        // every block of it decoded or skipped, every tuple met pruned or
+        // settled from the lists, none fetched, no per-posting pops.
         let stats = idx.cost_stats();
-        let scan_cost = stats
-            .predict_strategy(SearchStrategy::Brute, &EqQuery::new(q.clone(), 0.0))
-            .cost();
-        let drain_cost = |pops: u64, candidates: u64| {
-            let fetched = if lists > 1 { candidates.min(stats.heap_pages) } else { 0 };
-            pops + uncat_inverted::ENTRIES_PER_PAGE * fetched
-        };
-        if m.lists_opened == 2 * lists && lists > 0 {
-            prop_assert_eq!(m.candidates_verified, 0, "the scan plan fetches nothing");
-            prop_assert_eq!(m.candidates_settled, m.candidates_generated);
-            prop_assert!(drain_cost(m.frontier_pops, m.frontier_pops) > scan_cost);
-        } else {
-            prop_assert_eq!(m.lists_opened, lists);
-            prop_assert!(
-                drain_cost(m.frontier_pops.saturating_sub(1), m.candidates_generated.saturating_sub(1))
-                    <= scan_cost,
-                "a losing drain ran to the end"
-            );
-        }
+        let lists: Vec<_> = q.iter().filter_map(|(c, _)| stats.cats.get(&c)).collect();
+        let blocks: u64 = lists.iter().map(|s| s.blocks as u64).sum();
+        prop_assert!(m.candidate_invariant_holds());
+        prop_assert_eq!(m.lists_opened, lists.len() as u64);
+        prop_assert_eq!(m.blocks_decoded + m.blocks_skipped, blocks);
+        prop_assert_eq!((m.candidates_verified, m.frontier_pops), (0, 0));
     }
 
     #[test]
@@ -717,6 +702,166 @@ fn check_interleaved_mutations(
         DurableIndex::<InvertedBackend>::open(inv_storage, config).expect("clean reopen");
     let (mut pdr, _) = DurableIndex::<PdrTree>::open(pdr_storage, config).expect("clean reopen");
     compare_against_model("reopened", &mut inv, &mut pdr, &model, queries);
+}
+
+// --- The threshold top-k on data built against its bounds ---
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases(24)))]
+
+    // `Strategy::Auto`'s top-k, the block-granular threshold executor,
+    // against the scan baseline on data built to break its bounds (see
+    // `adversarial_tuples`), over queries of 8, more than 64 and more
+    // than 128 lists, on lists split and merged by inserts and deletes
+    // or freshly built, under floors of 0, just under a match's score, +∞
+    // and NaN, for k of 0, 1–399 and past the number of matches: the
+    // same tuples with scores within 1e-9, and the executor's counter
+    // profile.
+    #[test]
+    fn threshold_top_k_is_tid_exact_on_data_built_against_its_bounds(
+        (seed, width, copies) in (0u64..1 << 32, 0usize..3, 129usize..=300),
+        (mutate, k_kind, k) in (0u8..2, 0u8..4, 1usize..400),
+        (floor_kind, floor_at) in (0u8..4, 0usize..400),
+    ) {
+        let k = match k_kind {
+            0 => 0,
+            1 => 100_000,
+            _ => k,
+        };
+        check_threshold_top_k(seed, [8, 80, 140][width], copies, mutate == 1, k, (floor_kind, floor_at));
+    }
+}
+
+/// Tuples over `cats` categories that attack the executor's bounds: a
+/// third keep all but 2e-6 of their mass on one category, the rest in two
+/// 1e-6 specks in other lists (what an unseen list can still add is
+/// tiny, and must not be rounded away); a third hold `1 + 9e-5` in all,
+/// next to the `1 + MASS_EPSILON` a `Uda` admits (the remaining-mass bound
+/// must not undercount); the rest spread; then `copies` tuples equal to
+/// one three-list tuple, a tie plateau that straddles block boundaries in
+/// each of its lists. Every other tuple's dominant probability is its
+/// own, so no two differ by category order alone.
+fn adversarial_tuples(seed: u64, cats: u32, copies: usize) -> Vec<(u64, Uda)> {
+    let mut state = seed | 1;
+    let mut rnd = move |n: u64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state % n
+    };
+    let uda = |pairs: &[(u32, f32)]| {
+        Uda::from_pairs(pairs.iter().map(|&(c, p)| (CatId(c), p))).expect("valid uda")
+    };
+    let mut tuples = Vec::new();
+    for i in 0..240u64 {
+        let a = rnd(cats as u64) as u32;
+        let b = (a + 1 + rnd(3) as u32) % cats;
+        let c = (a + 4 + rnd(3) as u32) % cats;
+        let d = 0.3 + 0.6 * i as f32 / 240.0;
+        let t = match i % 3 {
+            0 => uda(&[(a, d), (b, 1e-6), (c, 1e-6)]),
+            1 => uda(&[(a, d), (b, 1.00009 - d - 0.05), (c, 0.05)]),
+            _ => uda(&[(a, d * 0.5), (b, d * 0.3), (c, 0.2)]),
+        };
+        tuples.push((3 * i + rnd(3), t));
+    }
+    let plateau = uda(&[(0, 0.45), (1, 0.35), (2, 0.2)]);
+    tuples.extend((0..copies as u64).map(|j| (720 + 2 * j, plateau.clone())));
+    tuples
+}
+
+fn check_threshold_top_k(
+    seed: u64,
+    cats: u32,
+    copies: usize,
+    mutate: bool,
+    k: usize,
+    (floor_kind, floor_at): (u8, usize),
+) {
+    let domain = Domain::anonymous(cats);
+    let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 256);
+    let mut live = adversarial_tuples(seed, cats, copies);
+    let mut idx = InvertedIndex::build(domain, &mut pool, live.iter().map(|(t, u)| (*t, u)))
+        .expect("in-memory build");
+    if mutate {
+        // 300 inserts into one block of lists 1 and 3 split it; deleting
+        // every third tuple and half the plateau shrinks and empties others.
+        let twin = Uda::from_pairs([(CatId(1), 0.5), (CatId(3), 0.5)]).expect("valid uda");
+        for j in 0..300u64 {
+            idx.insert(&mut pool, 5_000 + j, &twin)
+                .expect("in-memory insert");
+            live.push((5_000 + j, twin.clone()));
+        }
+        let mut n = 0;
+        live.retain(|(tid, _)| {
+            n += 1;
+            let gone = n % 3 == 0 || (720..720 + copies as u64).contains(tid) && tid % 4 == 0;
+            if gone {
+                idx.delete(&mut pool, *tid).expect("in-memory delete");
+            }
+            !gone
+        });
+    }
+    let scan =
+        ScanBaseline::build(&mut pool, live.iter().map(|(t, u)| (*t, u))).expect("in-memory build");
+
+    // Query weights of their own, over lists 0–2 and a random fourth, or
+    // over every category.
+    let mut state = seed.rotate_left(17) | 1;
+    let mut weight = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        1 + state % 1000
+    };
+    let support: Vec<u32> = if cats == 8 {
+        vec![0, 1, 2, 3 + (weight() % 5) as u32]
+    } else {
+        (0..cats).collect()
+    };
+    let weights: Vec<u64> = support.iter().map(|_| weight()).collect();
+    let total: u64 = weights.iter().sum();
+    let q = Uda::from_pairs(
+        support
+            .iter()
+            .zip(&weights)
+            .map(|(&c, &w)| (CatId(c), w as f32 / total as f32)),
+    )
+    .expect("valid uda");
+
+    let all = scan
+        .top_k(&mut pool, &TopKQuery::new(q.clone(), 100_000))
+        .expect("in-memory query");
+    let floor = match floor_kind {
+        0 => 0.0,
+        1 => all
+            .get(floor_at % all.len().max(1))
+            .map_or(0.5, |m| m.score - 1e-12),
+        2 => f64::INFINITY,
+        _ => f64::NAN,
+    };
+    let query = TopKQuery::new(q.clone(), k);
+    let reference = scan
+        .top_k_floored(&mut pool, &query, floor)
+        .expect("in-memory query");
+    pool.reset_stats();
+    let got = idx
+        .top_k_planned(&mut pool, &query, floor, SearchStrategy::Auto)
+        .expect("in-memory query");
+    let m = pool.metrics();
+    let what = format!("{cats} cats, k {k}, floor {floor}, mutated {mutate}");
+    assert_matches_agree("threshold top_k", &what, &reference, &got);
+    if k == 0 {
+        assert_eq!(m, QueryMetrics::new(), "{what}: k = 0 reads nothing");
+        return;
+    }
+    let stats = idx.cost_stats();
+    let lists: Vec<_> = q.iter().filter_map(|(c, _)| stats.cats.get(&c)).collect();
+    let blocks: u64 = lists.iter().map(|s| s.blocks as u64).sum();
+    assert!(m.candidate_invariant_holds(), "{what}: {m:?}");
+    assert_eq!(m.lists_opened, lists.len() as u64, "{what}");
+    assert_eq!(m.blocks_decoded + m.blocks_skipped, blocks, "{what}");
+    assert_eq!((m.candidates_verified, m.frontier_pops), (0, 0), "{what}");
 }
 
 fn check_block_lists(tuples: &[(u64, Uda)], q: &Uda, tau: f64, k: usize) {

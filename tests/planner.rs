@@ -129,7 +129,8 @@ fn check_planned_exactness(n: usize, seed: u64, tau: f64, probe: usize, k: usize
         _ => idx.top_k(&mut pool, &tk).expect("in-memory query"),
     };
     assert_matches_agree("top_k/planned", &reference, &got);
-    // And the in-index plan: the drain `Auto` may leave for the scan.
+    // And the in-index plan `Auto` runs: the block-granular threshold
+    // executor.
     let auto = idx
         .top_k_planned(&mut pool, &tk, 0.0, Strategy::Auto)
         .expect("in-memory query");
@@ -254,13 +255,13 @@ fn auto_is_the_scan_on_a_list_grown_after_priming() {
     assert_eq!(idx.cost_stats().cats[&CatId(0)].len, primed_len + grown);
 }
 
-/// The top-k plan prices its drain against the scan of the lists as they
-/// are when the query runs. Here the statistics were first read on an
-/// empty index (a scan of nothing costs nothing, so a rule pricing from
-/// that reading would abandon every drain at its first pop); the list
-/// then grows to 5 000 postings with distinct probabilities, and a top-1
-/// drain must still stop where the paper stops it — a block or two in —
-/// instead of paying for the whole list.
+/// No statistics enter `Auto`'s top-k: the threshold executor reads the
+/// block directory as it is when the query runs. Here the statistics were
+/// first read on an empty index (a plan priced from that reading would
+/// take a scan of nothing for free); the list then grows to 5 000
+/// postings with distinct probabilities, and a top-1 must still stop
+/// where Lemma 1 stops it — a block or two in — instead of paying for the
+/// whole list.
 #[test]
 fn stale_statistics_do_not_turn_a_cheap_top_k_drain_into_a_scan() {
     let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 1024);
@@ -283,7 +284,7 @@ fn stale_statistics_do_not_turn_a_cheap_top_k_drain_into_a_scan() {
     assert_eq!(
         (m.lists_opened, m.lemma1_stops),
         (1, 1),
-        "the drain ran to its own stop"
+        "the frontier ran to its own stop"
     );
     assert!(
         m.postings_scanned <= 2 * uncat_inverted::BLOCK_SPLIT as u64,

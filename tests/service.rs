@@ -256,11 +256,22 @@ fn repeated_scatter_matches_the_first_in_everything_but_io() {
 /// later probes scans strictly fewer postings, without changing the
 /// answer (the sequential scatter makes the saving deterministic). The
 /// floorless reference is plain `top_k` on a second set of shards built
-/// the same way.
+/// the same way. `Auto` shards stop at block granularity, so the list
+/// spans several blocks per shard, k is a few blocks deep, and the first
+/// shard probed holds the high scores: its k-th best, the floor of every
+/// later probe, is above all they hold, and they stop before their first
+/// block where alone they read three.
 #[test]
 fn cross_shard_floor_prunes_postings_without_changing_answers() {
     const SHARDS: usize = 4;
-    let (domain, data) = seeded_dataset(3000);
+    let domain = Domain::anonymous(13);
+    let data: Vec<(u64, Uda)> = (0..4000u64)
+        .map(|i| {
+            let high = if shard_of(i, SHARDS) == 0 { 0.5 } else { 0.0 };
+            let p = ((i * 7919) % 4000 + 1) as f32 / 8002.0 + high;
+            (i, uda(&[(4, p), (9, 1.0 - p)]))
+        })
+        .collect();
     let service = QueryService::new(InMemoryDisk::shared(), ServiceConfig::default());
     let build_shards = || -> Vec<InvertedBackend> {
         (0..SHARDS)
@@ -281,7 +292,7 @@ fn cross_shard_floor_prunes_postings_without_changing_answers() {
         .collect();
     service.register_tenant(TenantConfig::new("t"), boxed);
 
-    let query = TopKQuery::new(uda(&[(4, 1.0)]), 5);
+    let query = TopKQuery::new(uda(&[(4, 1.0)]), 300);
     let floored = service.top_k("t", &query).expect("query");
 
     let mut floorless = Vec::new();
