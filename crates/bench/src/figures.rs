@@ -483,7 +483,7 @@ pub fn sizes(scale: &Scale) -> BenchResult<FigureTable> {
 /// PDR-tree) vs block nested loop, varying the outer relation size
 /// (CRM1-style data, τ = 0.5).
 pub fn joins(scale: &Scale) -> BenchResult<FigureTable> {
-    use uncat_query::join::{block_nested_loop_petj, index_nested_loop_petj};
+    use uncat_query::join::{block_join, index_join, JoinSpec};
     use uncat_query::ScanBaseline;
     use uncat_storage::BufferPool;
 
@@ -504,7 +504,7 @@ pub fn joins(scale: &Scale) -> BenchResult<FigureTable> {
     drop(pool);
 
     let (_, outer_all) = crm::crm1(256, scale.seed ^ 0xA5A5);
-    let tau = 0.5;
+    let petj = JoinSpec::Petj { tau: 0.5 };
     let mut inl_pts = Vec::new();
     let mut bnl_pts = Vec::new();
     for &outer_n in &[16usize, 64, 256] {
@@ -514,14 +514,14 @@ pub fn joins(scale: &Scale) -> BenchResult<FigureTable> {
             .map(|(t, u)| (1_000_000 + *t, u.clone()))
             .collect();
         let mut p = BufferPool::with_capacity(store.clone(), QUERY_FRAMES);
-        let a = index_nested_loop_petj(&outer, &pdr, &mut p, tau)
+        let a = index_join(&outer, &pdr, &mut p, petj)
             .map_err(BenchError::storage("index nested-loop join"))?;
-        inl_pts.push((outer_n as f64, p.stats().physical_reads as f64));
+        inl_pts.push((outer_n as f64, a.reads() as f64));
         let mut p = BufferPool::with_capacity(store.clone(), QUERY_FRAMES);
-        let b = block_nested_loop_petj(&outer, &scan, &mut p, tau)
+        let b = block_join(&outer, &scan, &mut p, petj)
             .map_err(BenchError::storage("block nested-loop join"))?;
-        bnl_pts.push((outer_n as f64, p.stats().physical_reads as f64));
-        assert_eq!(a.len(), b.len(), "join plans must agree");
+        bnl_pts.push((outer_n as f64, b.reads() as f64));
+        assert_eq!(a.pairs.len(), b.pairs.len(), "join plans must agree");
     }
     Ok(FigureTable::new(
         "joins",
@@ -548,7 +548,7 @@ pub fn join(scale: &Scale) -> BenchResult<FigureTable> {
     use uncat_core::query::TopKQuery;
     use uncat_core::Uda;
     use uncat_datagen::zipf::zipf_ranks;
-    use uncat_query::join::{block_join, index_join, parallel_join, JoinSpec};
+    use uncat_query::join::{block_join, index_join, parallel_join, JoinSpec, SharedFloor};
     use uncat_query::{BatchPools, ScanBaseline};
     use uncat_storage::BufferPool;
 
@@ -597,8 +597,16 @@ pub fn join(scale: &Scale) -> BenchResult<FigureTable> {
         let i = index_join(outer, &inv, &mut p, petj).map_err(BenchError::storage("index join"))?;
         index_pts.push((x, i.reads() as f64));
         let pools = BatchPools::shared(&inv_store, QUERY_FRAMES * THREADS, 8);
-        let par = parallel_join(outer, &inv, &inv_store, &pools, petj, THREADS)
-            .map_err(BenchError::storage("parallel join"))?;
+        let par = parallel_join(
+            outer,
+            &inv,
+            &inv_store,
+            &pools,
+            petj,
+            THREADS,
+            &SharedFloor::new(),
+        )
+        .map_err(BenchError::storage("parallel join"))?;
         par_pts.push((x, par.reads() as f64));
         assert_eq!(
             i.pairs.len(),
@@ -624,6 +632,7 @@ pub fn join(scale: &Scale) -> BenchResult<FigureTable> {
             &pools,
             JoinSpec::PejTopK { k: K },
             THREADS,
+            &SharedFloor::new(),
         )
         .map_err(BenchError::storage("parallel top-k join"))?;
         topk_par_pts.push((x, par.metrics.postings_scanned as f64 / outer_n as f64));

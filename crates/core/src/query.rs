@@ -40,12 +40,30 @@ pub struct TopKQuery {
     pub q: Uda,
     /// How many of the most probable matches to return.
     pub k: usize,
+    /// A score floor: the answer is the `k` best matches scoring at least
+    /// this. A caller that already holds `k` results at the floor or better
+    /// (the PEJ-top-k join, the service's later shard probes) sets it, and
+    /// every search seeds its dynamic threshold with it, so it only ever
+    /// prunes sooner. See [`effective_floor`] for which values count.
+    pub floor: f64,
 }
 
 impl TopKQuery {
-    /// Build a top-k query.
+    /// Build a top-k query with no floor.
     pub fn new(q: Uda, k: usize) -> TopKQuery {
-        TopKQuery { q, k }
+        TopKQuery { q, k, floor: 0.0 }
+    }
+}
+
+/// The floor a top-k search seeds its threshold with, and a shared floor
+/// may be raised to: `floor` when it is positive and finite, else 0 — a
+/// non-positive or non-finite floor (a NaN from a corrupt page) means "no
+/// floor".
+pub fn effective_floor(floor: f64) -> f64 {
+    if floor.is_finite() && floor > 0.0 {
+        floor
+    } else {
+        0.0
     }
 }
 
@@ -158,7 +176,15 @@ mod tests {
         let petq = EqQuery::new(q.clone(), 0.5);
         assert_eq!(petq.tau, 0.5);
         let topk = TopKQuery::new(q.clone(), 10);
-        assert_eq!(topk.k, 10);
+        assert_eq!((topk.k, topk.floor), (10, 0.0));
+        for (floor, effective) in [
+            (0.25, 0.25),
+            (-1.0, 0.0),
+            (f64::INFINITY, 0.0),
+            (f64::NAN, 0.0),
+        ] {
+            assert_eq!(effective_floor(floor), effective, "floor {floor}");
+        }
         let dstq = DstQuery::new(q, 0.2, Divergence::L1);
         assert_eq!(dstq.divergence, Divergence::L1);
     }

@@ -450,7 +450,7 @@ mod tests {
         .unwrap();
         let query = TopKQuery::new(Uda::certain(CatId(0)), 3);
         let top = idx
-            .top_k_planned(&mut pool, &query, 0.0, Strategy::Auto)
+            .top_k_planned(&mut pool, &query, Strategy::Auto)
             .unwrap();
         assert_eq!(
             top.iter().map(|m| m.tid).collect::<Vec<_>>(),
@@ -478,7 +478,7 @@ mod tests {
             .unwrap();
         assert_eq!(rid, meta.rid, "rewritten in place");
         assert!(matches!(
-            idx.top_k_planned(&mut pool, &query, 0.0, Strategy::Auto),
+            idx.top_k_planned(&mut pool, &query, Strategy::Auto),
             Err(StorageError::Corrupt(_))
         ));
         let petq = EqQuery::new(Uda::certain(CatId(0)), 0.45);
@@ -535,7 +535,7 @@ mod tests {
         .unwrap();
         let q = uda(&[(0, 0.5), (1, 0.5)]);
         let top = idx
-            .top_k_planned(&mut pool, &TopKQuery::new(q, 1), 0.0, Strategy::Auto)
+            .top_k_planned(&mut pool, &TopKQuery::new(q, 1), Strategy::Auto)
             .unwrap();
         assert_eq!(top.iter().map(|m| m.tid).collect::<Vec<_>>(), [0]);
     }

@@ -15,7 +15,7 @@
 //!   it; it is kept for the paper's figures, `uncat explain` and the
 //!   `inverted.topk.topk_us` probe.
 
-use uncat_core::query::{Match, TopKQuery};
+use uncat_core::query::{effective_floor, Match, TopKQuery};
 use uncat_core::topk::TopKHeap;
 use uncat_storage::{BufferPool, QueryMetrics, Result};
 
@@ -31,58 +31,52 @@ impl InvertedIndex {
     /// under [`Strategy::Auto`]. Counters land in the pool's ledger (see
     /// [`InvertedIndex::petq`]); the dynamic-threshold stop is tallied as a
     /// `lemma1_stops` — it is Lemma 1 with θ in place of τ.
+    ///
+    /// A query floor ([`TopKQuery::floor`]) seeds the dynamic threshold θ,
+    /// so the search stops once `Σ_j q.p_j · p'_j < max(θ, floor)` — never
+    /// later than an unfloored probe, and before `k` candidates exist when
+    /// nothing left can reach the floor.
     pub fn top_k(&self, pool: &mut BufferPool, query: &TopKQuery) -> Result<Vec<Match>> {
-        pool.tally(|pool, metrics| self.top_k_drain(pool, query, 0.0, metrics))
+        pool.tally(|pool, metrics| self.top_k_drain(pool, query, metrics))
     }
 
-    /// [`InvertedIndex::top_k`] under an external score *floor*, as the
-    /// plan of a backend configured with `strategy`.
-    ///
-    /// The floor: the `k` best matches scoring at least `floor`. Callers
-    /// that already hold `k` results at `floor` or better (the PEJ-top-k
-    /// join, the service's later shard probes) seed the dynamic threshold
-    /// θ with it, so the search stops once `Σ_j q.p_j · p'_j < max(θ,
-    /// floor)` — never later than a plain top-k probe, and before `k`
-    /// candidates exist when nothing left can reach the floor.
-    /// Non-positive and non-finite floors degrade to a plain top-k.
-    ///
-    /// The strategy: a fixed one runs the paper's drain. [`Strategy::Auto`]
-    /// runs the block-granular threshold executor: that stop taken per
-    /// block on the directory's block maxima, then every tuple met pruned
-    /// by an upper bound or completed exactly from the unread suffixes of
-    /// its lists, with no random access (docs/METRICS.md, "Top-k"). The
-    /// answers are the same.
+    /// [`InvertedIndex::top_k`] as the plan of a backend configured with
+    /// `strategy`: a fixed one runs the paper's drain. [`Strategy::Auto`]
+    /// runs the block-granular threshold executor: the floored Lemma 1
+    /// stop taken per block on the directory's block maxima, then every
+    /// tuple met pruned by an upper bound or completed exactly from the
+    /// unread suffixes of its lists, with no random access
+    /// (docs/METRICS.md, "Top-k"). The answers are the same.
     pub fn top_k_planned(
         &self,
         pool: &mut BufferPool,
         query: &TopKQuery,
-        floor: f64,
         strategy: Strategy,
     ) -> Result<Vec<Match>> {
-        let floor = if floor.is_finite() && floor > 0.0 {
-            floor
-        } else {
-            0.0
-        };
         pool.tally(|pool, metrics| match strategy {
-            Strategy::Auto if query.k > 0 => {
-                threshold_top_k(self, pool, &query.q, query.k, floor, metrics)
-            }
-            _ => self.top_k_drain(pool, query, floor, metrics),
+            Strategy::Auto if query.k > 0 => threshold_top_k(
+                self,
+                pool,
+                &query.q,
+                query.k,
+                effective_floor(query.floor),
+                metrics,
+            ),
+            _ => self.top_k_drain(pool, query, metrics),
         })
     }
 
-    /// The paper's drain under a clamped `floor`.
+    /// The paper's drain under the query's floor.
     fn top_k_drain(
         &self,
         pool: &mut BufferPool,
         query: &TopKQuery,
-        floor: f64,
         metrics: &mut QueryMetrics,
     ) -> Result<Vec<Match>> {
         if query.k == 0 {
             return Ok(Vec::new());
         }
+        let floor = effective_floor(query.floor);
         let policy = Policy::TopK { k: query.k, floor };
         let mut heap = TopKHeap::new(query.k, floor);
         drain(self, pool, &query.q, &policy, metrics, |tid, pr: f64| {

@@ -302,7 +302,7 @@ fn planned_top_k_agrees_with_the_drain_on_queries_wider_than_the_bound_mask() {
         f.pool.reset_stats();
         let got = f
             .idx
-            .top_k_planned(&mut f.pool, &query, 0.0, Strategy::Auto)
+            .top_k_planned(&mut f.pool, &query, Strategy::Auto)
             .unwrap();
         let planned = f.pool.metrics();
         assert_same(&got, want, &format!("wide planned, top-{k}"));

@@ -199,10 +199,9 @@ fn ref_top_k(
     tree: &PdrTree,
     pool: &mut BufferPool,
     query: &TopKQuery,
-    floor: f64,
     metrics: &mut QueryMetrics,
 ) -> Result<Vec<Match>> {
-    let mut heap = TopKHeap::new(query.k, floor);
+    let mut heap = TopKHeap::new(query.k, query.floor);
     let mut frontier = BinaryHeap::new();
     frontier.push(Pending {
         bound: f64::INFINITY,
@@ -402,12 +401,15 @@ fn kernel_searches_match_the_reference_searches() {
                     );
                 }
                 for (k, floor) in [(1, 0.0), (10, 0.0), (10, 0.2)] {
-                    let query = TopKQuery::new((*q).clone(), k);
+                    let query = TopKQuery {
+                        floor,
+                        ..TopKQuery::new((*q).clone(), k)
+                    };
                     same_run(
                         &mut pool,
                         &tag(i, &format!("top-{k} floor {floor}")),
-                        |p| tree.top_k_floored(p, &query, floor),
-                        |p, m| ref_top_k(&tree, p, &query, floor, m),
+                        |p| tree.top_k(p, &query),
+                        |p, m| ref_top_k(&tree, p, &query, m),
                     );
                 }
                 for (dv, tau_d) in [

@@ -8,7 +8,7 @@
 
 use uncat_core::codec::Scan;
 use uncat_core::equality::{eq_prob_stream, meets_threshold, THRESHOLD_EPS};
-use uncat_core::query::{sort_matches_desc, EqQuery, Match, TopKQuery};
+use uncat_core::query::{effective_floor, sort_matches_desc, EqQuery, Match, TopKQuery};
 use uncat_core::topk::TopKHeap;
 use uncat_core::Uda;
 use uncat_storage::{BufferPool, Result};
@@ -86,34 +86,19 @@ impl PdrTree {
     /// unexplored bound cannot beat the current k-th best probability.
     /// Counters as for [`PdrTree::petq`]; children cut by the dynamic
     /// k-th-best threshold also count as `nodes_pruned`.
+    ///
+    /// A query floor ([`TopKQuery::floor`]) is the heap's initial
+    /// threshold, so subtrees whose Lemma-2 upper bound cannot reach it are
+    /// pruned from the first node on — never more work than an unfloored
+    /// top-k, and the best-first stop fires even before `k` matches exist
+    /// once every unexplored bound is below the floor.
     pub fn top_k(&self, pool: &mut BufferPool, query: &TopKQuery) -> Result<Vec<Match>> {
-        self.top_k_floored(pool, query, 0.0)
-    }
-
-    /// [`PdrTree::top_k`] under an external score *floor*: the `k` best
-    /// matches scoring at least `floor`. The floor becomes the heap's
-    /// initial threshold, so subtrees whose Lemma-2 upper bound cannot
-    /// reach it are pruned from the first node on — never more work than a
-    /// plain top-k, and the best-first stop fires even before `k` matches
-    /// exist once every unexplored bound is below the floor. Non-positive
-    /// and non-finite floors degrade to a plain top-k.
-    pub fn top_k_floored(
-        &self,
-        pool: &mut BufferPool,
-        query: &TopKQuery,
-        floor: f64,
-    ) -> Result<Vec<Match>> {
         if query.k == 0 {
             return Ok(Vec::new());
         }
-        let floor = if floor.is_finite() && floor > 0.0 {
-            floor
-        } else {
-            0.0
-        };
         let mut search = EqTopK {
             q: &query.q,
-            heap: TopKHeap::new(query.k, floor),
+            heap: TopKHeap::new(query.k, effective_floor(query.floor)),
         };
         pool.tally(|pool, metrics| self.best_first(pool, metrics, &mut search))?;
         Ok(search.heap.into_sorted())

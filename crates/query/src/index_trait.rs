@@ -22,7 +22,12 @@ use uncat_pdrtree::PdrTree;
 pub trait UncertainIndex {
     /// Probabilistic equality threshold query (Definition 4).
     fn petq(&self, pool: &mut BufferPool, query: &EqQuery) -> Result<Vec<Match>>;
-    /// PEQ-top-k.
+    /// PEQ-top-k: the `k` best matches scoring at least the query's floor
+    /// ([`TopKQuery::floor`]). The PEJ-top-k join and the service's shard
+    /// scatter set the floor to a k-th best they already hold; every
+    /// implementation seeds its dynamic threshold with it, so a floored
+    /// probe never does more work than an unfloored one — the threshold
+    /// only starts higher.
     fn top_k(&self, pool: &mut BufferPool, query: &TopKQuery) -> Result<Vec<Match>>;
     /// Distributional similarity threshold query (Definition 5).
     fn dstq(&self, pool: &mut BufferPool, query: &DstQuery) -> Result<Vec<Match>>;
@@ -32,29 +37,6 @@ pub trait UncertainIndex {
     fn tuple_count(&self) -> u64;
     /// Short name for reports ("inverted", "pdr-tree", "scan").
     fn backend_name(&self) -> &'static str;
-
-    /// PEQ-top-k under an external score *floor*: the `k` best matches
-    /// scoring at least `floor`. The PEJ-top-k join propagates its
-    /// current k-th best pair score into every probe through this method;
-    /// an implementation that seeds its dynamic threshold with the floor
-    /// (both paper indexes do) prunes everything the caller would discard
-    /// anyway, and never does *more* work than
-    /// [`UncertainIndex::top_k`] — the threshold only starts higher.
-    /// Non-positive and non-finite floors mean "no floor". The provided
-    /// default runs a plain top-k and filters, so backends without
-    /// floor-aware search stay correct, just unaccelerated.
-    fn top_k_floored(
-        &self,
-        pool: &mut BufferPool,
-        query: &TopKQuery,
-        floor: f64,
-    ) -> Result<Vec<Match>> {
-        let mut out = self.top_k(pool, query)?;
-        if floor.is_finite() && floor > 0.0 {
-            out.retain(|m| m.score >= floor);
-        }
-        Ok(out)
-    }
 }
 
 /// Boxed indexes answer queries by delegation, so heterogeneous backend
@@ -83,15 +65,6 @@ impl<T: UncertainIndex + ?Sized> UncertainIndex for Box<T> {
 
     fn backend_name(&self) -> &'static str {
         (**self).backend_name()
-    }
-
-    fn top_k_floored(
-        &self,
-        pool: &mut BufferPool,
-        query: &TopKQuery,
-        floor: f64,
-    ) -> Result<Vec<Match>> {
-        (**self).top_k_floored(pool, query, floor)
     }
 }
 
@@ -126,7 +99,7 @@ impl UncertainIndex for InvertedBackend {
     }
 
     fn top_k(&self, pool: &mut BufferPool, query: &TopKQuery) -> Result<Vec<Match>> {
-        self.top_k_floored(pool, query, 0.0)
+        self.index.top_k_planned(pool, query, self.strategy)
     }
 
     fn dstq(&self, pool: &mut BufferPool, query: &DstQuery) -> Result<Vec<Match>> {
@@ -143,15 +116,6 @@ impl UncertainIndex for InvertedBackend {
 
     fn backend_name(&self) -> &'static str {
         "inverted"
-    }
-
-    fn top_k_floored(
-        &self,
-        pool: &mut BufferPool,
-        query: &TopKQuery,
-        floor: f64,
-    ) -> Result<Vec<Match>> {
-        self.index.top_k_planned(pool, query, floor, self.strategy)
     }
 }
 
@@ -178,14 +142,5 @@ impl UncertainIndex for PdrTree {
 
     fn backend_name(&self) -> &'static str {
         "pdr-tree"
-    }
-
-    fn top_k_floored(
-        &self,
-        pool: &mut BufferPool,
-        query: &TopKQuery,
-        floor: f64,
-    ) -> Result<Vec<Match>> {
-        PdrTree::top_k_floored(self, pool, query, floor)
     }
 }

@@ -4,27 +4,27 @@
 //! `(r, s)` with `Pr(r.a = s.b) ≥ τ` (PETJ). PEJ-top-k returns the `k`
 //! most probable pairs; DSTJ pairs tuples within a divergence radius.
 //!
-//! Three physical plans are provided: *block nested loop* (scan the inner
-//! relation once, comparing every outer tuple — the no-index baseline),
-//! *index nested loop* (probe an [`UncertainIndex`] on `S` once per outer
-//! tuple), and the *parallel* plan ([`parallel::parallel_join`]), which
-//! partitions the outer relation across a worker pool and — for
-//! PEJ-top-k — shares a rising score floor between workers that seeds
-//! every probe's dynamic threshold, so warm probes stop as early as
-//! Lemma 1 allows at θ = floor. As the paper notes, joining introduces correlations between
-//! result tuples; only threshold-based selection is modeled — lineage
-//! tracking is out of scope.
+//! Three physical plans run one [`JoinSpec`]: [`block_join`] (scan the
+//! inner relation once, comparing every outer tuple — the no-index
+//! reference), [`index_join`] (probe an [`UncertainIndex`] on `S` once
+//! per outer tuple, on the caller's pool), and [`parallel_join`], which
+//! partitions the outer relation across workers that each own a pool.
+//! Both index plans run the same per-outer probe: a threshold form
+//! probes with its own bound, and PEJ-top-k probes under a rising
+//! [`SharedFloor`] — the k-th best pair score proven so far, carried in
+//! every probe's [`TopKQuery::floor`] — so warm probes stop as early as
+//! Lemma 1 allows at θ = floor. Every plan puts its pairs into the one
+//! canonical order ([`JoinSpec::canonicalize`]). As the paper notes,
+//! joining introduces correlations between result tuples; only
+//! threshold-based selection is modeled — lineage tracking is out of
+//! scope.
 
-mod nested_loop;
 pub mod parallel;
 
-pub use nested_loop::{
-    block_dstj, block_nested_loop_petj, block_top_k_pej, index_nested_loop_petj,
-};
-pub use parallel::{parallel_join, parallel_join_with_floor, JoinOutcome, SharedFloor};
+pub use parallel::{parallel_join, JoinOutcome, SharedFloor};
 
-use uncat_core::query::{DstQuery, Match, TopKQuery};
-use uncat_core::topk::TopKHeap;
+use uncat_core::equality::{eq_prob, meets_threshold};
+use uncat_core::query::{DstQuery, EqQuery, TopKQuery};
 use uncat_core::{Divergence, Uda};
 use uncat_storage::{BufferPool, Phase, Result};
 
@@ -78,13 +78,29 @@ impl JoinSpec {
             JoinSpec::Dstj { .. } => "dstj",
         }
     }
+
+    /// Put gathered pairs into this form's canonical order — score
+    /// descending for the equality forms, divergence ascending for DSTJ,
+    /// ties by `(left, right)` — and keep the best `k` for PEJ-top-k. The
+    /// one merge every plan (and the sharded service) ends with, so worker
+    /// or shard completion order never reaches the output.
+    pub fn canonicalize(&self, pairs: &mut Vec<JoinPair>) {
+        match *self {
+            JoinSpec::Petj { .. } => sort_pairs_desc(pairs),
+            JoinSpec::PejTopK { k } => {
+                sort_pairs_desc(pairs);
+                pairs.truncate(k);
+            }
+            JoinSpec::Dstj { .. } => sort_pairs_asc(pairs),
+        }
+    }
 }
 
-/// Canonical equality-join pair ordering: score descending, then
-/// `(left, right)` ascending. Total even for NaN scores (`f64::total_cmp`
-/// — a corrupt page must degrade one join, never panic the process); a
-/// positive NaN sorts before every finite score.
-pub fn sort_pairs_desc(pairs: &mut [JoinPair]) {
+/// Equality-join pair order: score descending, then `(left, right)`
+/// ascending. Total even for NaN scores (`f64::total_cmp` — a corrupt page
+/// must degrade one join, never panic the process); a positive NaN sorts
+/// before every finite score.
+fn sort_pairs_desc(pairs: &mut [JoinPair]) {
     pairs.sort_by(|a, b| {
         b.score
             .total_cmp(&a.score)
@@ -93,11 +109,10 @@ pub fn sort_pairs_desc(pairs: &mut [JoinPair]) {
     });
 }
 
-/// Canonical similarity-join pair ordering: score (divergence) ascending,
-/// then `(left, right)` ascending — the one definition every DSTJ plan
-/// sorts by. NaN-total like [`sort_pairs_desc`]; a positive NaN sorts
+/// Similarity-join pair order: divergence ascending, then `(left, right)`
+/// ascending. NaN-total like [`sort_pairs_desc`]; a positive NaN sorts
 /// after every finite divergence.
-pub fn sort_pairs_asc(pairs: &mut [JoinPair]) {
+fn sort_pairs_asc(pairs: &mut [JoinPair]) {
     pairs.sort_by(|a, b| {
         a.score
             .total_cmp(&b.score)
@@ -106,148 +121,151 @@ pub fn sort_pairs_asc(pairs: &mut [JoinPair]) {
     });
 }
 
-/// PEJ-top-k: the `k` most probable pairs, by probing the inner index
-/// once per outer tuple under a rising score floor. Every probe's
-/// counters land in `pool`'s ledger, as for every join here.
+/// Probe the inner index for one outer tuple under a `JoinProbe` span and
+/// fold its matches into `local`, the calling plan's (or worker's) partial
+/// result. The probe's counters land in `pool`'s ledger.
 ///
-/// The floor is the current k-th best pair score. It is maintained from
-/// the moment `k` pairs exist (not only once k is exceeded) and is
-/// propagated into the probes themselves as the starting value of the
-/// probe's dynamic threshold ([`UncertainIndex::top_k_floored`]):
-/// a warm probe terminates (Lemma 1 / best-first stop at θ = floor) as
-/// soon as no inner tuple can still displace a held pair — never later
-/// than a cold top-k probe would. Pairs below the floor can never enter
-/// the result (the floor only rises), so pruning them is exact.
-pub fn index_top_k_pej(
-    outer: &[(u64, Uda)],
+/// For PEJ-top-k the probe's query carries the current `floor`, so a warm
+/// probe stops (Lemma 1 / best-first stop at θ = floor) as soon as no
+/// inner tuple can still displace a held pair — never later than an
+/// unfloored probe. Once `local` holds `k` pairs it is cut to its best `k`
+/// and its k-th score is published: `local` is a subset of the join's
+/// pairs, so that score lower-bounds the join's k-th best and pruning
+/// below it is exact. A `k` of 0 probes nothing.
+fn probe_one(
+    spec: JoinSpec,
     inner: &impl UncertainIndex,
     pool: &mut BufferPool,
-    k: usize,
-) -> Result<Vec<JoinPair>> {
-    if k == 0 {
-        return Ok(Vec::new());
-    }
-    let mut best: Vec<JoinPair> = Vec::new();
-    let mut floor = 0.0f64;
-    for (ltid, luda) in outer {
-        let probe = pool.trace_begin(Phase::JoinProbe);
-        let probes = inner.top_k_floored(pool, &TopKQuery::new(luda.clone(), k), floor)?;
-        pool.trace_end(probe);
-        for m in probes {
-            // The floored probe never returns sub-floor scores, but keep
-            // the guard: it documents the invariant and protects against
-            // a backend with laxer floor semantics.
-            if best.len() >= k && m.score < floor {
-                continue;
-            }
-            best.push(JoinPair {
-                left: *ltid,
-                right: m.tid,
-                score: m.score,
-            });
+    (ltid, luda): &(u64, Uda),
+    floor: &SharedFloor,
+    local: &mut Vec<JoinPair>,
+) -> Result<()> {
+    let span = pool.trace_begin(Phase::JoinProbe);
+    let matches = match spec {
+        JoinSpec::Petj { tau } => inner.petq(pool, &EqQuery::new(luda.clone(), tau))?,
+        JoinSpec::Dstj { tau_d, divergence } => {
+            inner.dstq(pool, &DstQuery::new(luda.clone(), tau_d, divergence))?
         }
-        if best.len() >= k {
-            sort_pairs_desc(&mut best);
-            best.truncate(k);
-            floor = best.last().map_or(0.0, |p| p.score);
+        JoinSpec::PejTopK { k: 0 } => Vec::new(),
+        JoinSpec::PejTopK { k } => inner.top_k(
+            pool,
+            &TopKQuery {
+                floor: floor.get(),
+                ..TopKQuery::new(luda.clone(), k)
+            },
+        )?,
+    };
+    pool.trace_end(span);
+    let k = match spec {
+        JoinSpec::PejTopK { k } => k,
+        _ => usize::MAX,
+    };
+    for m in matches {
+        // Re-read the floor: another worker may have raised it since the
+        // probe started, and a sub-floor pair can never win.
+        if local.len() >= k && m.score < floor.get() {
+            continue;
         }
+        local.push(JoinPair {
+            left: *ltid,
+            right: m.tid,
+            score: m.score,
+        });
     }
-    sort_pairs_desc(&mut best);
-    best.truncate(k);
-    Ok(best)
-}
-
-/// DSTJ: all pairs within divergence `τ_d`, via index probes.
-pub fn index_dstj(
-    outer: &[(u64, Uda)],
-    inner: &impl UncertainIndex,
-    pool: &mut BufferPool,
-    tau_d: f64,
-    divergence: uncat_core::Divergence,
-) -> Result<Vec<JoinPair>> {
-    let mut out = Vec::new();
-    for (ltid, luda) in outer {
-        let probe = pool.trace_begin(Phase::JoinProbe);
-        let matches = inner.dstq(pool, &DstQuery::new(luda.clone(), tau_d, divergence))?;
-        pool.trace_end(probe);
-        for m in matches {
-            out.push(JoinPair {
-                left: *ltid,
-                right: m.tid,
-                score: m.score,
-            });
+    if local.len() >= k {
+        spec.canonicalize(local);
+        if let Some(last) = local.last() {
+            floor.raise(last.score);
         }
     }
-    sort_pairs_asc(&mut out);
-    Ok(out)
+    Ok(())
 }
 
-/// Run `join` on `pool` and package its pairs with the counters it added
-/// to the pool's ledger — an interval measurement, so a warm reused pool
-/// is fine.
-fn outcome_of(
-    pool: &mut BufferPool,
-    join: impl FnOnce(&mut BufferPool) -> Result<Vec<JoinPair>>,
-) -> Result<JoinOutcome> {
-    let before = pool.metrics();
-    let pairs = join(pool)?;
-    Ok(JoinOutcome {
-        pairs,
-        metrics: pool.metrics().since(&before),
-    })
-}
-
-/// Run `spec` as an index nested loop (one probe per outer tuple). The
-/// outcome's metrics are the sum of the probes' counters and the pool
-/// I/O this join caused.
+/// Run `spec` as an index nested loop on the caller's pool: one probe per
+/// outer tuple, PEJ-top-k under a join-local [`SharedFloor`]. The
+/// outcome's metrics are the counters and pool I/O the join added to
+/// `pool`'s ledger — an interval measurement, so a warm reused pool is
+/// fine.
 pub fn index_join(
     outer: &[(u64, Uda)],
     inner: &impl UncertainIndex,
     pool: &mut BufferPool,
     spec: JoinSpec,
 ) -> Result<JoinOutcome> {
-    outcome_of(pool, |pool| match spec {
-        JoinSpec::Petj { tau } => index_nested_loop_petj(outer, inner, pool, tau),
-        JoinSpec::PejTopK { k } => index_top_k_pej(outer, inner, pool, k),
-        JoinSpec::Dstj { tau_d, divergence } => index_dstj(outer, inner, pool, tau_d, divergence),
+    let before = pool.metrics();
+    let floor = SharedFloor::new();
+    let mut pairs = Vec::new();
+    for tuple in outer {
+        probe_one(spec, inner, pool, tuple, &floor, &mut pairs)?;
+    }
+    spec.canonicalize(&mut pairs);
+    Ok(JoinOutcome {
+        pairs,
+        metrics: pool.metrics().since(&before),
     })
 }
 
-/// Run `spec` as a block nested loop (one scan of the inner relation);
-/// see [`index_join`] for the outcome's metrics.
+/// Run `spec` as a block nested loop — no index: the reference every
+/// index plan is tested against. The inner relation is scanned once under
+/// a `HeapScan` span and every inner tuple is compared against every outer
+/// one (the outer side is in memory: the paper joins an uncertain relation
+/// against a stored one, so only the inner side is charged I/O); each inner
+/// tuple counts one `heap_tuples_scanned`. Zero-probability pairs never
+/// qualify for PEJ-top-k, matching the index plans, and its buffer is cut
+/// to the best `k` whenever it outgrows a small multiple of `k`, so the
+/// scan stays O(k) in memory. See [`index_join`] for the outcome's
+/// metrics.
 pub fn block_join(
     outer: &[(u64, Uda)],
     inner: &ScanBaseline,
     pool: &mut BufferPool,
     spec: JoinSpec,
 ) -> Result<JoinOutcome> {
-    outcome_of(pool, |pool| match spec {
-        JoinSpec::Petj { tau } => block_nested_loop_petj(outer, inner, pool, tau),
-        JoinSpec::PejTopK { k } => block_top_k_pej(outer, inner, pool, k),
-        JoinSpec::Dstj { tau_d, divergence } => block_dstj(outer, inner, pool, tau_d, divergence),
+    let compact_at = match spec {
+        JoinSpec::PejTopK { k: 0 } => return Ok(JoinOutcome::default()),
+        JoinSpec::PejTopK { k } => 4 * k.max(16),
+        _ => usize::MAX,
+    };
+    let before = pool.metrics();
+    let mut pairs = Vec::new();
+    let scan = pool.trace_begin(Phase::HeapScan);
+    pool.tally(|pool, metrics| {
+        inner.scan(pool, |rtid, ruda| {
+            metrics.heap_tuples_scanned += 1;
+            for (ltid, luda) in outer {
+                let (score, keep) = match spec {
+                    JoinSpec::Petj { tau } => {
+                        let pr = eq_prob(luda, ruda);
+                        (pr, meets_threshold(pr, tau))
+                    }
+                    JoinSpec::PejTopK { .. } => {
+                        let pr = eq_prob(luda, ruda);
+                        (pr, pr > 0.0)
+                    }
+                    JoinSpec::Dstj { tau_d, divergence } => {
+                        let d = divergence.eval(luda.entries(), ruda.entries());
+                        (d, d <= tau_d)
+                    }
+                };
+                if keep {
+                    pairs.push(JoinPair {
+                        left: *ltid,
+                        right: rtid,
+                        score,
+                    });
+                }
+            }
+            if pairs.len() > compact_at {
+                spec.canonicalize(&mut pairs);
+            }
+        })
+    })?;
+    pool.trace_end(scan);
+    spec.canonicalize(&mut pairs);
+    Ok(JoinOutcome {
+        pairs,
+        metrics: pool.metrics().since(&before),
     })
-}
-
-/// Per-outer-tuple top-k (the "k best partners for each r" variant, handy
-/// for entity-matching examples).
-pub fn index_top_k_per_outer(
-    outer: &[(u64, Uda)],
-    inner: &impl UncertainIndex,
-    pool: &mut BufferPool,
-    k: usize,
-) -> Result<Vec<(u64, Vec<Match>)>> {
-    let mut out = Vec::with_capacity(outer.len());
-    for (ltid, luda) in outer {
-        let mut h = TopKHeap::new(k, 0.0);
-        let probe = pool.trace_begin(Phase::JoinProbe);
-        let matches = inner.top_k(pool, &TopKQuery::new(luda.clone(), k))?;
-        pool.trace_end(probe);
-        for m in matches {
-            h.offer(m.tid, m.score);
-        }
-        out.push((*ltid, h.into_sorted()));
-    }
-    Ok(out)
 }
 
 #[cfg(test)]

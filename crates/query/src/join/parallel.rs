@@ -13,10 +13,10 @@
 //! published as an `AtomicU64`-encoded `f64` (probabilities are
 //! non-negative, so the IEEE-754 bit patterns order exactly like the
 //! values and `fetch_max` on the bits is `max` on the scores). Every
-//! probe reads the floor first and seeds its dynamic threshold with it
-//! (`top_k_floored`), so a warm probe terminates — Lemma 1 /
-//! best-first stop at θ = floor — no later than a cold top-k search
-//! would. A pair below the floor can never reach the global
+//! probe reads the floor first and carries it in its query
+//! ([`uncat_core::query::TopKQuery::floor`]), so a warm probe terminates —
+//! Lemma 1 / best-first stop at θ = floor — no later than a cold top-k
+//! search would. A pair below the floor can never reach the global
 //! top k (the floor only rises and never exceeds the true k-th best
 //! score), so the pruning is exact: results stay deterministic while the
 //! probe work after warm-up drops with every floor raise.
@@ -26,23 +26,21 @@
 //! handles meter per handle — PR 3's `PoolHandle` contract), so the
 //! summed [`QueryMetrics`] equals the join's true cost in either mode.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
-use uncat_core::query::{DstQuery, EqQuery, TopKQuery};
+use uncat_core::query::effective_floor;
 use uncat_core::Uda;
-use uncat_storage::{BufferPool, QueryMetrics, Result, SharedStore, StorageError};
+use uncat_storage::{QueryMetrics, Result, SharedStore, StorageError};
 
 use crate::index_trait::UncertainIndex;
-use crate::parallel::{lock_recover, BatchPools};
+use crate::parallel::{fan_out, BatchPools};
 
-use super::{sort_pairs_asc, sort_pairs_desc, JoinPair, JoinSpec};
+use super::{probe_one, JoinPair, JoinSpec};
 
 /// Result of one join execution: the pairs, in canonical order, plus the
 /// execution counters summed over every worker (sequential plans fill
 /// the same struct, so plans are directly comparable).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct JoinOutcome {
     /// Joined pairs in canonical order (score descending for equality
     /// joins, divergence ascending for similarity joins).
@@ -63,13 +61,13 @@ impl JoinOutcome {
 /// probes. Scores are probabilities (non-negative), so `fetch_max` over
 /// the raw bits is `fetch_max` over the values.
 ///
-/// One floor normally serves one join (see [`parallel_join`]), but any
-/// caller that splits a top-k computation across executions whose result
-/// sets it will merge — the sharded scatter-gather service shares one
-/// floor across every shard probe — can pass its own instance to
-/// [`parallel_join_with_floor`] or seed probes directly with
-/// [`SharedFloor::get`]. Exactness only requires that every published
-/// score is a lower bound on the final k-th best of the *merged* result.
+/// One floor normally serves one join, but any caller that splits a
+/// top-k computation across executions whose result sets it will merge —
+/// the sharded scatter-gather service shares one floor across every shard
+/// probe — can pass its own instance to [`parallel_join`] or seed probes
+/// directly with [`SharedFloor::get`]. Exactness only requires that every
+/// published score is a lower bound on the final k-th best of the
+/// *merged* result.
 pub struct SharedFloor(AtomicU64);
 
 impl SharedFloor {
@@ -84,12 +82,12 @@ impl SharedFloor {
     }
 
     /// Raise the floor to `score` if it is higher than the current floor.
-    /// Never lowers it, and ignores non-finite scores (a NaN from a
-    /// corrupt page must not poison every other worker's pruning).
+    /// Never lowers it, and ignores a score that is no floor
+    /// ([`effective_floor`]: a NaN from a corrupt page must not poison
+    /// every other worker's pruning).
     pub fn raise(&self, score: f64) {
-        if score > 0.0 && score.is_finite() {
-            self.0.fetch_max(score.to_bits(), Ordering::AcqRel);
-        }
+        self.0
+            .fetch_max(effective_floor(score).to_bits(), Ordering::AcqRel);
     }
 }
 
@@ -99,27 +97,19 @@ impl Default for SharedFloor {
     }
 }
 
-/// Record a worker failure, keeping the lowest-indexed one so the error
-/// a join reports is deterministic regardless of scheduling.
-fn record_error(error: &Mutex<Option<(usize, StorageError)>>, i: usize, e: StorageError) {
-    let mut slot = lock_recover(error);
-    let replace = match &*slot {
-        Some((j, _)) => i < *j,
-        None => true,
-    };
-    if replace {
-        *slot = Some((i, e));
-    }
-}
-
-/// One worker's private state, merged after the scope joins.
-struct WorkerPart {
-    pairs: Vec<JoinPair>,
-    metrics: QueryMetrics,
-}
+/// One worker's partial result, or the outer index its probe failed at.
+type WorkerPart = std::result::Result<(Vec<JoinPair>, QueryMetrics), (usize, StorageError)>;
 
 /// Run `spec` as a parallel index nested loop over `threads` workers
-/// (at least one).
+/// (at least one), each owning a pool from `pools`, all probing through
+/// the per-outer probe [`super::index_join`] runs. PEJ-top-k probes read
+/// and raise `floor`, which may come pre-raised: the sharded service
+/// passes one floor to every shard's join, so a floor proven on a warm
+/// shard prunes the probes of every other shard. Sharing a floor across
+/// joins is exact as long as the caller merges (and re-truncates) the
+/// joins' pair sets ([`JoinSpec::canonicalize`]), because each published
+/// score then lower-bounds the merged k-th best. A one-off join passes
+/// `&SharedFloor::new()`; the threshold forms never read it.
 ///
 /// Results are exactly the sequential [`super::index_join`]'s: the same
 /// pair set in the same canonical order (for PEJ-top-k, pruning with a
@@ -128,7 +118,8 @@ struct WorkerPart {
 /// whole join fails — a join is one query, so PR 1's isolation boundary
 /// is the join, not the probe — and the error reported is the one from
 /// the lowest-indexed failing outer tuple, so failures are deterministic
-/// too.
+/// too. A panic in a worker (an index bug) fails the join with
+/// [`StorageError::Poisoned`], never the process.
 pub fn parallel_join<I: UncertainIndex + Sync>(
     outer: &[(u64, Uda)],
     inner: &I,
@@ -136,175 +127,45 @@ pub fn parallel_join<I: UncertainIndex + Sync>(
     pools: &BatchPools,
     spec: JoinSpec,
     threads: usize,
-) -> Result<JoinOutcome> {
-    parallel_join_with_floor(
-        outer,
-        inner,
-        store,
-        pools,
-        spec,
-        threads,
-        &SharedFloor::new(),
-    )
-}
-
-/// [`parallel_join`] against an external, possibly pre-raised
-/// [`SharedFloor`]. The sharded scatter-gather executor passes one floor
-/// to every shard's join so a floor proven on a warm shard prunes the
-/// probes of every other shard; the floor is read and raised only by
-/// PEJ-top-k probes (the threshold forms carry their own bound in the
-/// spec). Sharing a floor across joins is exact as long as the caller
-/// merges (and re-truncates) the joins' pair sets, because each published
-/// score then lower-bounds the merged k-th best.
-pub fn parallel_join_with_floor<I: UncertainIndex + Sync>(
-    outer: &[(u64, Uda)],
-    inner: &I,
-    store: &SharedStore,
-    pools: &BatchPools,
-    spec: JoinSpec,
-    threads: usize,
     floor: &SharedFloor,
 ) -> Result<JoinOutcome> {
-    if let JoinSpec::PejTopK { k: 0 } = spec {
-        return Ok(JoinOutcome {
-            pairs: Vec::new(),
-            metrics: QueryMetrics::new(),
-        });
-    }
-
     let next = AtomicUsize::new(0);
-    let error: Mutex<Option<(usize, StorageError)>> = Mutex::new(None);
-    let parts: Mutex<Vec<WorkerPart>> = Mutex::new(Vec::new());
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads.clamp(1, outer.len().max(1)) {
-            scope.spawn(|| {
-                // A panic anywhere in the probe path (an index bug, a
-                // poisoned lock observed mid-update) fails this *join*
-                // with a typed error; it must never unwind through the
-                // scope and take the process down with it.
-                let worker = AssertUnwindSafe(|| {
-                    let mut pool = pools.pool(store);
-                    let mut local: Vec<JoinPair> = Vec::new();
-                    loop {
-                        if lock_recover(&error).is_some() {
-                            break; // another worker already failed the join
-                        }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= outer.len() {
-                            break;
-                        }
-                        let (ltid, luda) = &outer[i];
-                        if let Err(e) =
-                            probe_one(spec, inner, &mut pool, *ltid, luda, floor, &mut local)
-                        {
-                            record_error(&error, i, e);
-                            break;
-                        }
-                    }
-                    // The worker's pool is its ledger: a private pool counts
-                    // only this worker; a shared-pool handle meters per handle.
-                    lock_recover(&parts).push(WorkerPart {
-                        pairs: local,
-                        metrics: pool.metrics(),
-                    });
-                });
-                if catch_unwind(worker).is_err() {
-                    // usize::MAX orders the panic after every real error:
-                    // a deterministic storage failure, when present, wins.
-                    record_error(&error, usize::MAX, StorageError::Poisoned);
-                }
-            });
+    let failed = AtomicBool::new(false);
+    let workers = threads.clamp(1, outer.len().max(1));
+    let parts = fan_out(workers, workers, |_| -> Result<WorkerPart> {
+        let mut pool = pools.pool(store);
+        let mut local = Vec::new();
+        // Stop early once any worker has failed the join.
+        while !failed.load(Ordering::Relaxed) {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(tuple) = outer.get(i) else { break };
+            if let Err(e) = probe_one(spec, inner, &mut pool, tuple, floor, &mut local) {
+                failed.store(true, Ordering::Relaxed);
+                return Ok(Err((i, e)));
+            }
         }
+        // The worker's pool is its ledger: a private pool counts only
+        // this worker; a shared-pool handle meters per handle.
+        Ok(Ok((local, pool.metrics())))
     });
 
-    if let Some((_, e)) = error.into_inner().unwrap_or_else(PoisonError::into_inner) {
-        return Err(e);
-    }
     let mut pairs = Vec::new();
     let mut metrics = QueryMetrics::new();
-    // No recorded error, so no worker panicked while holding this lock;
-    // a poisoned lock here is unreachable, but degrade to a typed error
-    // rather than panicking if it ever happens.
-    let collected = parts.into_inner().map_err(|_| StorageError::Poisoned)?;
-    for part in collected {
-        pairs.extend(part.pairs);
-        metrics.merge(&part.metrics);
-    }
-    // Deterministic merge: worker completion order never reaches the
-    // output, only the canonical total order does.
-    match spec {
-        JoinSpec::Petj { .. } => sort_pairs_desc(&mut pairs),
-        JoinSpec::PejTopK { k } => {
-            sort_pairs_desc(&mut pairs);
-            pairs.truncate(k);
+    let mut errors = Vec::new();
+    for part in parts {
+        // usize::MAX orders a panicked worker after every real error: a
+        // deterministic storage failure, when present, wins.
+        match part.unwrap_or_else(|e| Err((usize::MAX, e))) {
+            Ok((local, m)) => {
+                pairs.extend(local);
+                metrics.merge(&m);
+            }
+            Err(failure) => errors.push(failure),
         }
-        JoinSpec::Dstj { .. } => sort_pairs_asc(&mut pairs),
     }
+    if let Some((_, e)) = errors.into_iter().min_by_key(|(i, _)| *i) {
+        return Err(e);
+    }
+    spec.canonicalize(&mut pairs);
     Ok(JoinOutcome { pairs, metrics })
-}
-
-/// Probe the inner index for one outer tuple and fold the matches into
-/// the worker's partial result.
-fn probe_one<I: UncertainIndex>(
-    spec: JoinSpec,
-    inner: &I,
-    pool: &mut BufferPool,
-    ltid: u64,
-    luda: &Uda,
-    floor: &SharedFloor,
-    local: &mut Vec<JoinPair>,
-) -> Result<()> {
-    match spec {
-        JoinSpec::Petj { tau } => {
-            for m in inner.petq(pool, &EqQuery::new(luda.clone(), tau))? {
-                local.push(JoinPair {
-                    left: ltid,
-                    right: m.tid,
-                    score: m.score,
-                });
-            }
-        }
-        JoinSpec::Dstj { tau_d, divergence } => {
-            for m in inner.dstq(pool, &DstQuery::new(luda.clone(), tau_d, divergence))? {
-                local.push(JoinPair {
-                    left: ltid,
-                    right: m.tid,
-                    score: m.score,
-                });
-            }
-        }
-        JoinSpec::PejTopK { k } => {
-            // Live threshold propagation: the floor published by any
-            // worker seeds this probe's dynamic threshold, so a warm
-            // probe stops (Lemma 1 / best-first stop at θ = floor) as
-            // soon as no inner tuple can still displace a held pair —
-            // never later than a cold top-k probe would.
-            let probes =
-                inner.top_k_floored(pool, &TopKQuery::new(luda.clone(), k), floor.get())?;
-            for m in probes {
-                // Re-read the floor: it may have risen since the probe
-                // started, and a sub-floor pair can never win.
-                if local.len() >= k && m.score < floor.get() {
-                    continue;
-                }
-                local.push(JoinPair {
-                    left: ltid,
-                    right: m.tid,
-                    score: m.score,
-                });
-            }
-            if local.len() >= k {
-                sort_pairs_desc(local);
-                local.truncate(k);
-                // This worker's k-th best is a lower bound on the global
-                // k-th best (its pairs are a subset of the global set),
-                // so publishing it can only tighten every probe.
-                if let Some(last) = local.last() {
-                    floor.raise(last.score);
-                }
-            }
-        }
-    }
-    Ok(())
 }

@@ -10,8 +10,8 @@
 //!   Hand it a fresh 100-frame pool for the paper's per-query setup.
 //! * [`join`] — the join operators built on the select primitives: PETJ
 //!   (Definition 6), PEJ-top-k, and DSTJ, each with block, index, and
-//!   parallel physical plans (the parallel PEJ-top-k plan shares a rising
-//!   score floor across workers and propagates it into every probe).
+//!   parallel physical plans (both index plans run one per-outer probe;
+//!   PEJ-top-k carries a rising score floor into every probe's query).
 //! * [`parallel`] — batch execution across threads (each query gets its
 //!   own buffer pool, exactly like the paper's per-query setup).
 //! * [`planner`] — the paper's I/O model across backends: which index

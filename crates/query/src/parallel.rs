@@ -90,25 +90,26 @@ impl BatchPools {
     }
 }
 
-/// Lock a worker-shared mutex, recovering the data from a poisoned lock.
-/// Every guarded update in this crate's batch machinery is a single
-/// assignment or push that cannot be observed half-done, so the data is
-/// still well-formed; the panic that poisoned the lock surfaces as a
-/// typed [`StorageError::Poisoned`] on the affected queries instead of
-/// cascading panics across workers.
-pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// Lock a slot's mutex, recovering the data from a poisoned lock. Every
+/// guarded update is a single assignment that cannot be observed
+/// half-done, so the data is still well-formed; the panic that poisoned
+/// the lock surfaces as a typed [`StorageError::Poisoned`] on the affected
+/// slot instead of cascading panics across workers.
+fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The slot fan-out: run `job(i)` for every `i < n` on `threads` workers
 /// (at least one) pulling indexes from a shared cursor; results come back
 /// in index order, one `Result` per slot, however the jobs were scheduled.
+/// Batches run one slot per query; a parallel join runs one slot per
+/// worker.
 ///
 /// A panicking job must fail its own slot, not the process: the unwind is
 /// caught, the slot is filled with a typed [`StorageError::Poisoned`],
 /// and the worker dies quietly (its remaining slots are picked up by the
 /// other workers via the shared cursor).
-fn fan_out<T: Send>(
+pub(crate) fn fan_out<T: Send>(
     n: usize,
     threads: usize,
     job: impl Fn(usize) -> Result<T> + Sync,
@@ -545,7 +546,7 @@ mod tests {
 
     #[test]
     fn panicking_probe_fails_the_join_not_the_process() {
-        use crate::join::{parallel_join, JoinSpec};
+        use crate::join::{parallel_join, JoinSpec, SharedFloor};
         use uncat_core::query::{DsTopKQuery, Match};
 
         /// An index whose every probe panics — a stand-in for an index
@@ -582,6 +583,7 @@ mod tests {
             &pools,
             JoinSpec::Petj { tau: 0.5 },
             2,
+            &SharedFloor::new(),
         );
         assert!(
             matches!(out, Err(StorageError::Poisoned)),
@@ -653,33 +655,17 @@ mod tests {
         zero_threads_is_one(&queries, |q, t| dstq_batch_with(&idx, &store, &pools, q, t));
     }
 
-    #[test]
-    fn parallel_join_with_zero_threads_runs_on_one_worker() {
-        use crate::join::{parallel_join, JoinSpec};
+    /// A join asked for zero workers runs on one: the same `pairs` pairs
+    /// and the same counters as a one-worker join.
+    fn zero_thread_join_is_one(spec: crate::join::JoinSpec, pairs: usize) {
+        use crate::join::{parallel_join, SharedFloor};
         let (store, idx) = small_backend();
         let outer: Vec<(u64, Uda)> = (0..4u64)
             .map(|i| (i, uda(&[((i % 3) as u32, 1.0)])))
             .collect();
         let pools = BatchPools::private(50);
-        let spec = JoinSpec::Petj { tau: 0.5 };
-        let zero = parallel_join(&outer, &idx, &store, &pools, spec, 0).unwrap();
-        let one = parallel_join(&outer, &idx, &store, &pools, spec, 1).unwrap();
-        assert!(!one.pairs.is_empty());
-        assert_eq!(zero.pairs, one.pairs);
-        assert_eq!(zero.metrics, one.metrics);
-    }
-
-    #[test]
-    fn parallel_join_with_floor_with_zero_threads_runs_on_one_worker() {
-        use crate::join::{parallel_join_with_floor, JoinSpec, SharedFloor};
-        let (store, idx) = small_backend();
-        let outer: Vec<(u64, Uda)> = (0..4u64)
-            .map(|i| (i, uda(&[((i % 3) as u32, 1.0)])))
-            .collect();
-        let pools = BatchPools::private(50);
-        let spec = JoinSpec::PejTopK { k: 4 };
         let run = |threads| {
-            parallel_join_with_floor(
+            parallel_join(
                 &outer,
                 &idx,
                 &store,
@@ -691,9 +677,20 @@ mod tests {
             .unwrap()
         };
         let (zero, one) = (run(0), run(1));
-        assert_eq!(one.pairs.len(), 4);
+        assert_eq!(one.pairs.len(), pairs, "{}", spec.name());
         assert_eq!(zero.pairs, one.pairs);
         assert_eq!(zero.metrics, one.metrics);
+    }
+
+    #[test]
+    fn parallel_join_with_zero_threads_runs_on_one_worker() {
+        zero_thread_join_is_one(crate::join::JoinSpec::Petj { tau: 0.5 }, 134);
+    }
+
+    /// PEJ-top-k under its shared floor, asked for zero workers.
+    #[test]
+    fn parallel_join_with_floor_with_zero_threads_runs_on_one_worker() {
+        zero_thread_join_is_one(crate::join::JoinSpec::PejTopK { k: 4 }, 4);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 
 use uncat_core::equality::{eq_prob, meets_threshold};
 use uncat_core::query::{
-    sort_matches_asc, sort_matches_desc, DsTopKQuery, DstQuery, EqQuery, Match, TopKQuery,
+    effective_floor, sort_matches_asc, sort_matches_desc, DsTopKQuery, DstQuery, EqQuery, Match,
+    TopKQuery,
 };
 use uncat_core::topk::{BottomKHeap, TopKHeap};
 use uncat_core::{codec, Uda};
@@ -123,7 +124,7 @@ impl UncertainIndex for ScanBaseline {
     }
 
     fn top_k(&self, pool: &mut BufferPool, query: &TopKQuery) -> Result<Vec<Match>> {
-        let mut heap = TopKHeap::new(query.k, 0.0);
+        let mut heap = TopKHeap::new(query.k, effective_floor(query.floor));
         pool.tally(|pool, metrics| {
             self.scan(pool, |tid, t| {
                 metrics.heap_tuples_scanned += 1;

@@ -10,9 +10,7 @@ use uncat_core::query::{DstQuery, EqQuery, TopKQuery};
 use uncat_core::{CatId, Divergence, Domain, Uda};
 use uncat_inverted::{InvertedIndex, Strategy};
 use uncat_pdrtree::{PdrConfig, PdrTree};
-use uncat_query::join::{
-    block_nested_loop_petj, index_dstj, index_nested_loop_petj, index_top_k_pej, JoinPair,
-};
+use uncat_query::join::{block_join, index_join, JoinPair, JoinSpec};
 use uncat_query::{run_query, InvertedBackend, ScanBaseline, UncertainIndex};
 use uncat_storage::{BufferPool, InMemoryDisk, SharedStore};
 
@@ -189,7 +187,7 @@ fn reference_petj(r: &[(u64, Uda)], s: &[(u64, Uda)], tau: f64) -> Vec<JoinPair>
             }
         }
     }
-    uncat_query::join::sort_pairs_desc(&mut out);
+    JoinSpec::Petj { tau }.canonicalize(&mut out);
     out
 }
 
@@ -203,13 +201,14 @@ fn petj_plans_match_reference() {
     let mut pool = BufferPool::with_capacity(w.store.clone(), 150);
     for &tau in &[0.15, 0.4] {
         let expect = reference_petj(&outer, &w.data, tau);
-        let inl_inv = index_nested_loop_petj(&outer, &w.inverted, &mut pool, tau).unwrap();
-        let inl_pdr = index_nested_loop_petj(&outer, &w.pdr, &mut pool, tau).unwrap();
-        let bnl = block_nested_loop_petj(&outer, &w.scan, &mut pool, tau).unwrap();
+        let spec = JoinSpec::Petj { tau };
+        let inl_inv = index_join(&outer, &w.inverted, &mut pool, spec).unwrap();
+        let inl_pdr = index_join(&outer, &w.pdr, &mut pool, spec).unwrap();
+        let bnl = block_join(&outer, &w.scan, &mut pool, spec).unwrap();
         for (name, got) in [
-            ("inl-inverted", &inl_inv),
-            ("inl-pdr", &inl_pdr),
-            ("bnl", &bnl),
+            ("inl-inverted", &inl_inv.pairs),
+            ("inl-pdr", &inl_pdr.pairs),
+            ("bnl", &bnl.pairs),
         ] {
             assert_eq!(
                 got.iter().map(|p| (p.left, p.right)).collect::<Vec<_>>(),
@@ -232,40 +231,16 @@ fn pej_top_k_matches_reference() {
         let mut expect = reference_petj(&outer, &w.data, 0.0);
         expect.retain(|p| p.score > 0.0);
         expect.truncate(k);
-        let got = index_top_k_pej(&outer, &w.pdr, &mut pool, k).unwrap();
-        assert_eq!(
-            got.iter().map(|p| (p.left, p.right)).collect::<Vec<_>>(),
-            expect.iter().map(|p| (p.left, p.right)).collect::<Vec<_>>(),
-            "top-{k} join"
-        );
-    }
-}
-
-#[test]
-fn per_outer_top_k_gives_each_outer_its_best_partners() {
-    let w = world(41, 200, 8, 3);
-    let mut rng = StdRng::seed_from_u64(42);
-    let outer: Vec<(u64, Uda)> = (0..5u64)
-        .map(|i| (5000 + i, random_uda(&mut rng, 8, 3)))
-        .collect();
-    let mut pool = BufferPool::with_capacity(w.store.clone(), 150);
-    let per_outer = uncat_query::join::index_top_k_per_outer(&outer, &w.pdr, &mut pool, 3).unwrap();
-    assert_eq!(per_outer.len(), 5);
-    for ((ltid, best), (otid, ouda)) in per_outer.iter().zip(&outer) {
-        assert_eq!(ltid, otid);
-        let mut expect: Vec<(f64, u64)> = w
-            .data
-            .iter()
-            .map(|(tid, t)| (eq_prob(ouda, t), *tid))
-            .filter(|&(p, _)| p > 0.0)
-            .collect();
-        expect.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then_with(|| a.1.cmp(&b.1)));
-        expect.truncate(3);
-        assert_eq!(
-            best.iter().map(|m| m.tid).collect::<Vec<_>>(),
-            expect.iter().map(|&(_, tid)| tid).collect::<Vec<_>>(),
-            "outer {otid}"
-        );
+        let spec = JoinSpec::PejTopK { k };
+        let inl_pdr = index_join(&outer, &w.pdr, &mut pool, spec).unwrap();
+        let bnl = block_join(&outer, &w.scan, &mut pool, spec).unwrap();
+        for (name, got) in [("inl-pdr", &inl_pdr.pairs), ("bnl", &bnl.pairs)] {
+            assert_eq!(
+                got.iter().map(|p| (p.left, p.right)).collect::<Vec<_>>(),
+                expect.iter().map(|p| (p.left, p.right)).collect::<Vec<_>>(),
+                "{name} top-{k} join"
+            );
+        }
     }
 }
 
@@ -314,7 +289,14 @@ fn dstj_matches_reference() {
         .collect();
     let mut pool = BufferPool::with_capacity(w.store.clone(), 150);
     for dv in [Divergence::L1, Divergence::L2] {
-        let got = index_dstj(&outer, &w.pdr, &mut pool, 0.3, dv).unwrap();
+        let spec = JoinSpec::Dstj {
+            tau_d: 0.3,
+            divergence: dv,
+        };
+        let got = index_join(&outer, &w.pdr, &mut pool, spec).unwrap().pairs;
+        let block = block_join(&outer, &w.scan, &mut pool, spec).unwrap().pairs;
+        let ids = |pairs: &[JoinPair]| pairs.iter().map(|p| (p.left, p.right)).collect::<Vec<_>>();
+        assert_eq!(ids(&got), ids(&block), "dstj {dv:?}: index and block plans");
         let mut expect = Vec::new();
         for (lt, lu) in &outer {
             for (rt, ru) in &w.data {

@@ -78,9 +78,10 @@ impl Admission {
     }
 
     /// True when `cost` more frames fit under the quota (or the tenant
-    /// is idle, the oversize escape hatch).
+    /// is idle, the oversize escape hatch). Saturating: a huge `cost`
+    /// never fits beside another reservation, it never wraps into one.
     fn fits(&self, st: &GateState, cost: usize) -> bool {
-        st.in_use == 0 || st.in_use + cost <= self.quota
+        st.in_use == 0 || st.in_use.saturating_add(cost) <= self.quota
     }
 
     /// Reserve `cost` frames, waiting in the queue if necessary.
@@ -88,7 +89,7 @@ impl Admission {
     pub fn admit(&self, cost: usize) -> Option<AdmitGuard<'_>> {
         let mut st = lock_recover(&self.state);
         if self.fits(&st, cost) {
-            st.in_use += cost;
+            st.in_use = st.in_use.saturating_add(cost);
             return Some(AdmitGuard {
                 gate: self,
                 cost,
@@ -103,7 +104,7 @@ impl Admission {
             st = self.freed.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
         st.waiting -= 1;
-        st.in_use += cost;
+        st.in_use = st.in_use.saturating_add(cost);
         Some(AdmitGuard {
             gate: self,
             cost,
@@ -143,6 +144,14 @@ mod tests {
         let gate = Admission::new(100, 0);
         let _held = gate.admit(100).expect("fits");
         assert!(gate.admit(1).is_none(), "no queue, at quota: reject");
+    }
+
+    #[test]
+    fn a_cost_past_usize_beside_a_reservation_is_rejected_not_wrapped() {
+        let gate = Admission::new(100, 0);
+        let _held = gate.admit(1).expect("fits");
+        assert!(gate.admit(usize::MAX).is_none());
+        assert_eq!(gate.in_use(), 1);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use uncat_core::query::{sort_matches_asc, sort_matches_desc, DstQuery, EqQuery, 
 use uncat_core::{Domain, Uda};
 use uncat_inverted::{InvertedIndex, Strategy};
 use uncat_pdrtree::{PdrConfig, PdrTree};
-use uncat_query::join::{parallel_join_with_floor, JoinPair, JoinSpec, SharedFloor};
+use uncat_query::join::{parallel_join, JoinPair, JoinSpec, SharedFloor};
 use uncat_query::parallel::BatchPools;
 use uncat_query::{run_query, InvertedBackend, UncertainIndex};
 use uncat_storage::trace::{Clock, MonotonicClock, QueryTrace};
@@ -268,13 +268,18 @@ impl QueryService {
     }
 
     /// PEQ-top-k for `tenant`: shard probes share a rising floor, then
-    /// merge-and-truncate to the exact global top k.
+    /// merge-and-truncate to the exact global top k. The floor rides in
+    /// one copy of the query, made once, raised above any floor the
+    /// caller set.
     pub fn top_k(&self, tenant: &str, query: &TopKQuery) -> Result<ServiceOutcome> {
         let floor = SharedFloor::new();
+        floor.raise(query.floor);
+        let mut floored = query.clone();
         self.run_select(
             tenant,
             |shard, pool| {
-                let matches = shard.top_k_floored(pool, query, floor.get())?;
+                floored.floor = floor.get();
+                let matches = shard.top_k(pool, &floored)?;
                 if matches.len() >= query.k {
                     // This shard's k-th best lower-bounds the merged
                     // k-th best (its tuples are a subset of the union),
@@ -317,8 +322,13 @@ impl QueryService {
     ) -> Result<ServiceJoinOutcome> {
         let tenant = self.tenant(tenant)?;
         let started = self.clock.now_ns();
-        // Priced at the workers the join runs: at least one.
-        let guard = self.admit(&tenant, tenant.config.frames_per_query * threads.max(1))?;
+        // Priced at the workers the join runs: at least one. Saturating, so
+        // an absurd thread count is an oversize request, not an overflow.
+        let cost = tenant
+            .config
+            .frames_per_query
+            .saturating_mul(threads.max(1));
+        let guard = self.admit(&tenant, cost)?;
         let floor = SharedFloor::new();
         let pools = BatchPools::over(self.pool.clone());
 
@@ -326,21 +336,13 @@ impl QueryService {
         let mut metrics = QueryMetrics::new();
         metrics.admission_waits = u64::from(guard.waited());
         for shard in &tenant.shards {
-            let out =
-                parallel_join_with_floor(outer, shard, &self.store, &pools, spec, threads, &floor)
-                    .map_err(|e| self.fail(&tenant, e))?;
+            let out = parallel_join(outer, shard, &self.store, &pools, spec, threads, &floor)
+                .map_err(|e| self.fail(&tenant, e))?;
             pairs.extend(out.pairs);
             metrics.merge(&out.metrics);
         }
         drop(guard);
-        match spec {
-            JoinSpec::Petj { .. } => uncat_query::join::sort_pairs_desc(&mut pairs),
-            JoinSpec::PejTopK { k } => {
-                uncat_query::join::sort_pairs_desc(&mut pairs);
-                pairs.truncate(k);
-            }
-            JoinSpec::Dstj { .. } => uncat_query::join::sort_pairs_asc(&mut pairs),
-        }
+        spec.canonicalize(&mut pairs);
         let wall_ns = self.clock.now_ns().saturating_sub(started);
         self.record(&tenant, &metrics, wall_ns);
         Ok(ServiceJoinOutcome {
@@ -389,9 +391,9 @@ impl QueryService {
     /// merge counters and traces additively, and put the gathered
     /// matches into canonical order. Concurrency comes from concurrent
     /// queries, not from inside one (EXPERIMENTS.md, "Scatter threads").
-    fn run_select<F, G>(&self, name: &str, probe: F, gather: G) -> Result<ServiceOutcome>
+    fn run_select<F, G>(&self, name: &str, mut probe: F, gather: G) -> Result<ServiceOutcome>
     where
-        F: Fn(
+        F: FnMut(
             &dyn UncertainIndex,
             &mut BufferPool,
         ) -> std::result::Result<Vec<Match>, StorageError>,

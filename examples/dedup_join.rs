@@ -17,7 +17,7 @@ use rand::{Rng, SeedableRng};
 use uncat::prelude::*;
 use uncat::query::ScanBaseline;
 use uncat_pdrtree::{PdrConfig, PdrTree};
-use uncat_query::join::{block_nested_loop_petj, index_nested_loop_petj, index_top_k_pej};
+use uncat_query::join::{block_join, index_join, JoinPair, JoinSpec};
 
 const DEPARTMENTS: u32 = 24;
 const SOURCE_A: usize = 150;
@@ -65,33 +65,33 @@ fn main() {
         SOURCE_A, SOURCE_B
     );
 
-    let mut inl_pool = BufferPool::new(store.clone());
-    let inl =
-        index_nested_loop_petj(&source_a, &index_b, &mut inl_pool, tau).expect("in-memory join");
+    // Each plan runs on a fresh pool, so its outcome's reads are its own.
+    let fresh = || BufferPool::new(store.clone());
+    let petj = JoinSpec::Petj { tau };
+    let inl = index_join(&source_a, &index_b, &mut fresh(), petj).expect("in-memory join");
     println!(
         "  index nested loop: {:6} pairs, {:6} page reads",
-        inl.len(),
-        inl_pool.stats().physical_reads
+        inl.pairs.len(),
+        inl.reads()
     );
 
-    let mut bnl_pool = BufferPool::new(store.clone());
-    let bnl =
-        block_nested_loop_petj(&source_a, &scan_b, &mut bnl_pool, tau).expect("in-memory join");
+    let bnl = block_join(&source_a, &scan_b, &mut fresh(), petj).expect("in-memory join");
     println!(
         "  block nested loop: {:6} pairs, {:6} page reads",
-        bnl.len(),
-        bnl_pool.stats().physical_reads
+        bnl.pairs.len(),
+        bnl.reads()
     );
+    let ids = |pairs: &[JoinPair]| pairs.iter().map(|p| (p.left, p.right)).collect::<Vec<_>>();
     assert_eq!(
-        inl.iter().map(|p| (p.left, p.right)).collect::<Vec<_>>(),
-        bnl.iter().map(|p| (p.left, p.right)).collect::<Vec<_>>(),
+        ids(&inl.pairs),
+        ids(&bnl.pairs),
         "both plans must produce the same join"
     );
 
-    let mut topk_pool = BufferPool::new(store.clone());
-    let best = index_top_k_pej(&source_a, &index_b, &mut topk_pool, 5).expect("in-memory join");
+    let top5 = JoinSpec::PejTopK { k: 5 };
+    let best = index_join(&source_a, &index_b, &mut fresh(), top5).expect("in-memory join");
     println!("\nFive most confident matches:");
-    for p in &best {
+    for p in &best.pairs {
         println!("  A#{:<4} ↔ B#{:<7} Pr = {:.3}", p.left, p.right, p.score);
     }
 }

@@ -22,7 +22,7 @@ use uncat::core::{DstQuery, EqQuery};
 use uncat::prelude::*;
 use uncat::query::UncertainIndex;
 use uncat_pdrtree::{PdrConfig, PdrTree};
-use uncat_query::join::index_nested_loop_petj;
+use uncat_query::join::{index_join, JoinSpec};
 
 const ROOMS: [&str; 8] = [
     "ICU",
@@ -85,9 +85,10 @@ fn main() {
     // Probable co-locations (e.g. to study hand-off behaviour): PETJ of
     // the positions with themselves.
     println!("\nProbably co-located pairs (Pr ≥ 0.45):");
-    let pairs = index_nested_loop_petj(&positions, &tree, &mut pool, 0.45).expect("in-memory join");
+    let join = index_join(&positions, &tree, &mut pool, JoinSpec::Petj { tau: 0.45 })
+        .expect("in-memory join");
     let mut shown = 0;
-    for p in pairs.iter().filter(|p| p.left < p.right) {
+    for p in join.pairs.iter().filter(|p| p.left < p.right) {
         println!(
             "  nurse {:2} & nurse {:2}  Pr = {:.2}",
             p.left, p.right, p.score

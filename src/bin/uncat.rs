@@ -36,7 +36,9 @@ use uncat::core::{CatId, Divergence, EqQuery, TopKQuery, Uda};
 use uncat::datagen;
 use uncat::inverted::{CostPrediction, InvertedIndex, Strategy};
 use uncat::pdrtree::{PdrConfig, PdrTree};
-use uncat::query::join::{block_join, index_join, parallel_join, JoinOutcome, JoinSpec};
+use uncat::query::join::{
+    block_join, index_join, parallel_join, JoinOutcome, JoinSpec, SharedFloor,
+};
 use uncat::query::parallel::{batch_metrics, batch_trace, petq_batch_with};
 use uncat::query::{
     run_query, BatchPools, DurableConfig, DurableIndex, DurableStorage, InvertedBackend,
@@ -1099,7 +1101,9 @@ fn join(flags: &HashMap<String, String>) -> Result<(), CliError> {
                 (index_join(&outer, &backend, &mut pool, spec)?, None)
             } else {
                 let pools = pool_flags.pools(&store);
-                let outcome = parallel_join(&outer, &backend, &store, &pools, spec, threads)?;
+                let floor = SharedFloor::new();
+                let outcome =
+                    parallel_join(&outer, &backend, &store, &pools, spec, threads, &floor)?;
                 (outcome, pools.shared_pool().cloned())
             }
         }

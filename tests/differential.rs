@@ -17,7 +17,7 @@ use proptest::prelude::*;
 use uncat::core::query::{DstQuery, EqQuery, Match, TopKQuery};
 use uncat::core::{CatId, Divergence, Domain, Uda};
 use uncat::prelude::*;
-use uncat::query::join::{block_join, index_join, parallel_join, JoinPair, JoinSpec};
+use uncat::query::join::{block_join, index_join, parallel_join, JoinPair, JoinSpec, SharedFloor};
 use uncat::query::{
     BatchPools, DurableConfig, DurableIndex, DurableStorage, InvertedBackend, MutableBackend,
     ScanBaseline, UncertainIndex,
@@ -195,22 +195,42 @@ proptest! {
         }
     }
 
+    // Every backend under a query floor of 0, just under a score of the
+    // answer, between two of its scores, NaN or +∞ (the last two mean "no
+    // floor"): the scan's unfloored answer cut to the scores at or above a
+    // finite floor. Floors sit 1e-12 under a score so that backends
+    // summing a tuple's terms in another order still agree on it.
     #[test]
     fn top_k_agrees_across_every_index_and_strategy(
         tuples in dataset_strategy(CATS, 60),
         q in uda_strategy(CATS),
         k in 1usize..15,
+        (floor_kind, floor_at) in (0u8..5, 0usize..15),
     ) {
         let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 100);
         let backends = all_backends(&mut pool, &tuples);
-        let query = TopKQuery::new(q, k);
-        let reference = backends[0].1.top_k(&mut pool, &query).expect("in-memory query");
+        let mut reference = backends[0]
+            .1
+            .top_k(&mut pool, &TopKQuery::new(q.clone(), k))
+            .expect("in-memory query");
         // Zero-probability tuples are never returned, so the result may
         // be shorter than k; the property is agreement, not length.
         prop_assert!(reference.len() <= k);
-        for (name, backend) in &backends[1..] {
+        let score = |i: usize| reference.get(i % reference.len().max(1)).map_or(0.5, |m| m.score);
+        let floor = match floor_kind {
+            0 => 0.0,
+            1 => score(floor_at) - 1e-12,
+            2 => (score(floor_at) + score(floor_at + 1)) / 2.0 - 1e-12,
+            3 => f64::NAN,
+            _ => f64::INFINITY,
+        };
+        if floor.is_finite() {
+            reference.retain(|m| m.score >= floor);
+        }
+        let query = TopKQuery { floor, ..TopKQuery::new(q, k) };
+        for (name, backend) in &backends {
             let got = backend.top_k(&mut pool, &query).expect("in-memory query");
-            assert_matches_agree("top_k", name, &reference, &got);
+            assert_matches_agree(&format!("top_k floor {floor}"), name, &reference, &got);
         }
     }
 
@@ -237,19 +257,19 @@ proptest! {
         let scan = ScanBaseline::build(&mut pool, copies.iter().copied()).expect("in-memory build");
         let idx = InvertedIndex::build(Domain::anonymous(CATS), &mut pool, copies.iter().copied())
             .expect("in-memory build");
-        let query = TopKQuery::new(q.clone(), k);
-        let floor = if floored == 1 { floor } else { 0.0 };
-        let reference = scan
-            .top_k_floored(&mut pool, &query, floor)
-            .expect("in-memory query");
+        let query = TopKQuery {
+            floor: if floored == 1 { floor } else { 0.0 },
+            ..TopKQuery::new(q.clone(), k)
+        };
+        let reference = scan.top_k(&mut pool, &query).expect("in-memory query");
         // A fixed strategy runs the drain, whatever it costs.
         let drained = idx
-            .top_k_planned(&mut pool, &query, floor, SearchStrategy::Nra)
+            .top_k_planned(&mut pool, &query, SearchStrategy::Nra)
             .expect("in-memory query");
         assert_matches_agree("top_k/drain", "inverted", &reference, &drained);
         pool.reset_stats();
         let planned = idx
-            .top_k_planned(&mut pool, &query, floor, SearchStrategy::Auto)
+            .top_k_planned(&mut pool, &query, SearchStrategy::Auto)
             .expect("in-memory query");
         let m = pool.metrics();
         assert_matches_agree("top_k/planned", "inverted", &reference, &planned);
@@ -840,13 +860,14 @@ fn check_threshold_top_k(
         2 => f64::INFINITY,
         _ => f64::NAN,
     };
-    let query = TopKQuery::new(q.clone(), k);
-    let reference = scan
-        .top_k_floored(&mut pool, &query, floor)
-        .expect("in-memory query");
+    let query = TopKQuery {
+        floor,
+        ..TopKQuery::new(q.clone(), k)
+    };
+    let reference = scan.top_k(&mut pool, &query).expect("in-memory query");
     pool.reset_stats();
     let got = idx
-        .top_k_planned(&mut pool, &query, floor, SearchStrategy::Auto)
+        .top_k_planned(&mut pool, &query, SearchStrategy::Auto)
         .expect("in-memory query");
     let m = pool.metrics();
     let what = format!("{cats} cats, k {k}, floor {floor}, mutated {mutate}");
@@ -985,6 +1006,7 @@ fn check_join_plans_agree(
         &BatchPools::private(100),
         spec,
         threads,
+        &SharedFloor::new(),
     )
     .expect("in-memory join");
     assert_pairs_agree("join", "parallel/inverted", &reference, &par.pairs);

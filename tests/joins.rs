@@ -11,7 +11,7 @@ use uncat::core::{CatId, Divergence, Domain, Uda};
 use uncat::datagen::crm::crm1;
 use uncat::datagen::zipf::zipf_ranks;
 use uncat::prelude::*;
-use uncat::query::join::{index_join, index_top_k_pej, parallel_join, JoinPair, JoinSpec};
+use uncat::query::join::{index_join, parallel_join, JoinPair, JoinSpec, SharedFloor};
 use uncat::query::{BatchPools, InvertedBackend, UncertainIndex};
 use uncat::storage::SharedStore;
 use uncat_inverted::{InvertedIndex, Strategy};
@@ -78,8 +78,7 @@ fn full_probe_baseline(
             });
         }
     }
-    uncat::query::join::sort_pairs_desc(&mut pairs);
-    pairs.truncate(K);
+    JoinSpec::PejTopK { k: K }.canonicalize(&mut pairs);
     (pairs, pool.metrics())
 }
 
@@ -116,10 +115,11 @@ fn sequential_pej_topk_floor_prunes_probes_after_heap_fills() {
     let (expected, baseline) = full_probe_baseline(&outer, &inv, &mut pool);
 
     let mut pool = BufferPool::with_capacity(store.clone(), FRAMES);
-    let pairs = index_top_k_pej(&outer, &inv, &mut pool, K).expect("in-memory join");
+    let outcome =
+        index_join(&outer, &inv, &mut pool, JoinSpec::PejTopK { k: K }).expect("in-memory join");
     let metrics = pool.metrics();
 
-    assert_pairs_agree("sequential pej-topk", &expected, &pairs);
+    assert_pairs_agree("sequential pej-topk", &expected, &outcome.pairs);
     assert!(
         metrics.postings_scanned < baseline.postings_scanned,
         "floor propagation must prune probe work: {} postings vs baseline {}",
@@ -145,6 +145,7 @@ fn parallel_pej_topk_beats_prefix_probe_cost_on_zipf_workload() {
         &BatchPools::private(FRAMES),
         JoinSpec::PejTopK { k: K },
         4,
+        &SharedFloor::new(),
     )
     .expect("in-memory join");
 
@@ -184,6 +185,7 @@ fn parallel_plans_match_sequential_on_both_backends() {
             &BatchPools::shared(&inv_store, FRAMES * 3, 4),
             spec,
             3,
+            &SharedFloor::new(),
         )
         .expect("in-memory join");
         assert_pairs_agree(&format!("{} inverted", spec.name()), &seq.pairs, &par.pairs);
@@ -197,6 +199,7 @@ fn parallel_plans_match_sequential_on_both_backends() {
             &BatchPools::private(FRAMES),
             spec,
             3,
+            &SharedFloor::new(),
         )
         .expect("in-memory join");
         assert_pairs_agree(&format!("{} pdr", spec.name()), &seq.pairs, &par.pairs);
@@ -220,7 +223,8 @@ fn parallel_threshold_join_metrics_sum_to_sequential() {
     ] {
         let mut pool = BufferPool::with_capacity(store.clone(), FRAMES);
         let seq = index_join(&outer, &inv, &mut pool, spec).expect("in-memory join");
-        let par = parallel_join(&outer, &inv, &store, &BatchPools::private(FRAMES), spec, 4)
+        let pools = BatchPools::private(FRAMES);
+        let par = parallel_join(&outer, &inv, &store, &pools, spec, 4, &SharedFloor::new())
             .expect("in-memory join");
 
         let mut seq_counters = seq.metrics;

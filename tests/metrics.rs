@@ -690,7 +690,7 @@ fn probe_kernels_change_no_counter_but_logical_reads() {
         });
         rows.push((format!("topk{qi}"), counter_row(&m)));
         let m = run(&format!("topk{qi}/auto"), &mut |pool| {
-            let planned = idx.top_k_planned(pool, &topk, 0.0, Strategy::Auto).unwrap();
+            let planned = idx.top_k_planned(pool, &topk, Strategy::Auto).unwrap();
             // Same tuples; scores to the last bits only where the drain
             // and the executor add a tuple's terms in the same order.
             let tids =

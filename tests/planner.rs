@@ -132,7 +132,7 @@ fn check_planned_exactness(n: usize, seed: u64, tau: f64, probe: usize, k: usize
     // And the in-index plan `Auto` runs: the block-granular threshold
     // executor.
     let auto = idx
-        .top_k_planned(&mut pool, &tk, 0.0, Strategy::Auto)
+        .top_k_planned(&mut pool, &tk, Strategy::Auto)
         .expect("in-memory query");
     assert_matches_agree("top_k/auto", &reference, &auto);
 }
@@ -277,7 +277,7 @@ fn stale_statistics_do_not_turn_a_cheap_top_k_drain_into_a_scan() {
     let tk = TopKQuery::new(Uda::certain(CatId(0)), 1);
     pool.reset_stats();
     let got = idx
-        .top_k_planned(&mut pool, &tk, 0.0, Strategy::Auto)
+        .top_k_planned(&mut pool, &tk, Strategy::Auto)
         .expect("in-memory query");
     let m = pool.metrics();
     assert_eq!(got.iter().map(|m| m.tid).collect::<Vec<_>>(), vec![n - 1]);

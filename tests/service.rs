@@ -98,12 +98,25 @@ fn sharded_scatter_gather_matches_the_unsharded_plan() {
     let want_topk = reference.top_k(&mut ref_pool, &topk).expect("query");
     let want_dstq = reference.dstq(&mut ref_pool, &dstq).expect("query");
     assert!(!want_petq.is_empty() && want_topk.len() == 10 && !want_dstq.is_empty());
+    // A caller's floor survives the scatter's own floor.
+    let floored = TopKQuery {
+        floor: (want_topk[4].score + want_topk[5].score) / 2.0,
+        ..topk.clone()
+    };
+    let mut want_floored = want_topk.clone();
+    want_floored.retain(|m| m.score >= floored.floor);
 
     for name in ["s1", "s4"] {
         let got = service.petq(name, &petq).expect("query");
         assert_matches_agree(&format!("{name}/petq"), &want_petq, &got.matches);
         let got = service.top_k(name, &topk).expect("query");
         assert_matches_agree(&format!("{name}/top_k"), &want_topk, &got.matches);
+        let got = service.top_k(name, &floored).expect("query");
+        assert_matches_agree(
+            &format!("{name}/top_k floored"),
+            &want_floored,
+            &got.matches,
+        );
         let got = service.dstq(name, &dstq).expect("query");
         assert_matches_agree(&format!("{name}/dstq"), &want_dstq, &got.matches);
     }
@@ -133,9 +146,9 @@ fn sharded_scatter_gather_matches_the_unsharded_plan() {
 
     // Per-tenant aggregates saw every completed request.
     let stats = service.tenant_stats("s4").expect("registered tenant");
-    assert_eq!(stats.completed, 5, "3 selects + 2 joins");
+    assert_eq!(stats.completed, 6, "4 selects + 2 joins");
     assert_eq!(stats.rejected, 0);
-    assert_eq!(stats.latency.count(), 5);
+    assert_eq!(stats.latency.count(), 6);
 }
 
 /// A PDR tenant is bulk-loaded at registration and answers tid-exact
@@ -417,7 +430,8 @@ fn tracing_merges_per_shard_traces() {
 }
 
 /// A bad `threads` argument is clamped, not a panic in the caller: zero
-/// workers means one.
+/// workers means one, and `usize::MAX` workers — priced at a saturated
+/// frame cost, admitted alone — means one per outer tuple.
 #[test]
 fn a_join_with_zero_threads_runs_on_one_worker() {
     let (domain, data) = seeded_dataset(1500);
@@ -433,12 +447,14 @@ fn a_join_with_zero_threads_runs_on_one_worker() {
     let zero = service.join("t", &outer, spec, 0).expect("join");
     assert_eq!(zero.pairs, one.pairs);
     assert!(!zero.pairs.is_empty());
+    let max = service.join("t", &outer, spec, usize::MAX).expect("join");
+    assert_eq!(max.pairs, one.pairs);
     // The quota it was priced at came back.
     assert_eq!(service.tenant_admission("t").expect("tenant"), (0, 0));
     service
         .petq("t", &EqQuery::new(uda(&[(4, 1.0)]), 0.5))
         .expect("the tenant still admits");
-    assert_eq!(service.tenant_stats("t").expect("tenant").completed, 3);
+    assert_eq!(service.tenant_stats("t").expect("tenant").completed, 4);
 }
 
 /// A query that dies inside a shard is counted (`failed`), fails alone
