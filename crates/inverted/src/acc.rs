@@ -1,8 +1,8 @@
 //! The per-query score accumulator: `tid → f64`, no hash per posting
 //! where the postings are dense enough to make that pay.
 //!
-//! Every full-list plan (brute-force PETQ, which `Auto` runs, and DSTQ's
-//! partial distances) folds one term per posting into a per-tuple sum.
+//! Every full-list plan (brute-force PETQ and PEQ, and DSTQ's partial
+//! distances) folds one term per posting into a per-tuple sum.
 //! [`ScoreAcc`] holds the sums in one of two layouts,
 //! chosen once when the scan starts from the two numbers the index
 //! already has — how many postings the query's lists hold, and the span
@@ -32,9 +32,9 @@
 //! bit-identical in both layouts.
 //!
 //! [`Slab`] makes the same choice for an executor that keeps more than a
-//! sum per tuple (`Auto`'s top-k): its records are dense, in first-touch
-//! order, and an id finds its record through a `u32` per id of the span
-//! or a [`TidMap`], by the same rule.
+//! sum per tuple (`Auto`'s PETQ and top-k): its records are dense, in
+//! first-touch order, and an id finds its record through a `u32` per id
+//! of the span or a [`TidMap`], by the same rule.
 
 use crate::tid::TidMap;
 

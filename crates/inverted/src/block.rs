@@ -137,6 +137,10 @@ pub(crate) fn prob_at(bits: &[u8]) -> Result<Prob> {
     Ok(p)
 }
 
+/// What reading a payload in the retired varint layout fails with.
+pub(crate) const VARINT_REFUSED: StorageError =
+    StorageError::Corrupt("posting block in the retired varint layout: run `uncat upgrade`");
+
 /// Visit a block payload's entries in storage (ascending-tid) order:
 /// `f(tid, p)` per entry, no buffer, no sort. Returns the entry count. A
 /// payload that does not parse — possible only through corruption that
@@ -150,9 +154,7 @@ pub fn visit_block(bytes: &[u8], f: impl FnMut(TupleId, Prob)) -> Result<usize> 
         _ => return Err(SHORT_HEADER),
     };
     if word & PACKED_TAG == 0 {
-        return Err(StorageError::Corrupt(
-            "posting block in the retired varint layout: run `uncat upgrade`",
-        ));
+        return Err(VARINT_REFUSED);
     }
     visit_packed(bytes, (word & !PACKED_TAG) as usize, f)
 }

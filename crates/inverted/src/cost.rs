@@ -1,8 +1,8 @@
 //! The paper's I/O model: cost statistics and a per-strategy estimator.
 //!
 //! Diagnostic only — no execution path consults it. [`Strategy::Auto`]
-//! runs the scan for every PETQ and the block-granular threshold executor
-//! for every top-k, neither priced; what this module predicts is read by
+//! runs the block-granular threshold executor for every PETQ and top-k,
+//! unpriced; what this module predicts is read by
 //! `uncat explain`, the cross-backend `uncat_query::Planner` and the
 //! figures, which rank the five fixed strategies the way the paper does,
 //! by page reads.
@@ -210,11 +210,13 @@ impl CostStats {
         best
     }
 
-    /// Predict counters for one strategy on a PETQ. [`Strategy::Auto`]
-    /// runs the scan, so it gets the scan's prediction.
+    /// Predict counters for one strategy on a PETQ. The model has no
+    /// term for [`Strategy::Auto`]'s block frontier; it gets the scan's
+    /// prediction, a ceiling on the postings and blocks it reads.
     pub fn predict_strategy(&self, strategy: Strategy, query: &EqQuery) -> CostPrediction {
         match strategy {
-            Strategy::Brute | Strategy::Auto => self.predict_full_scan(query, None),
+            Strategy::Brute => self.predict_full_scan(query, None),
+            Strategy::Auto => self.predict_full_scan(query, None),
             Strategy::RowPruning => self.predict_full_scan(query, Some(query.tau - THRESHOLD_EPS)),
             Strategy::ColumnPruning => self.predict_col(query),
             Strategy::HighestProbFirst => self.predict_drain(query, false),

@@ -20,12 +20,14 @@
 //! conversion gets that far.
 //!
 //! Nothing else reads either layout: [`InvertedIndex::open`] refuses
-//! `UIV1` and [`crate::visit_block`] refuses a varint payload, both with
-//! errors that name `uncat upgrade`. The input comes from files this
-//! build did not write, so both readers take it as hostile: a count the
-//! bytes cannot back, a tree that lies about its shape or a payload that
-//! does not parse is a typed error, and no allocation is sized from a
-//! count before the bytes have vouched for it.
+//! `UIV1`, [`InvertedIndex::check_layout`] a file that holds a varint
+//! payload anywhere and [`crate::visit_block`] a varint payload it is
+//! handed, all with errors that name `uncat upgrade`. The input comes
+//! from files this build did not write, so both readers take it as
+//! hostile: a count the bytes cannot back, a tree that lies about its
+//! shape or a payload that does not parse is a typed error, and no
+//! allocation is sized from a count before the bytes have vouched for
+//! it.
 
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
@@ -33,9 +35,9 @@ use std::ops::ControlFlow;
 use uncat_core::{CatId, Prob, TupleId};
 use uncat_storage::btree::BTree;
 use uncat_storage::snapshot::{Reader, SnapshotError};
-use uncat_storage::{BufferPool, HeapFile, PageId, Result, StorageError};
+use uncat_storage::{BufferPool, HeapFile, PageId, Result, SharedStore, StorageError};
 
-use crate::block::{decode_block, prob_at, BlockList, PACKED_TAG};
+use crate::block::{decode_block, prob_at, BlockList, PACKED_TAG, VARINT_REFUSED};
 use crate::index::InvertedIndex;
 use crate::persist::{read_domain, read_store_parts, MAGIC_V1};
 use crate::postings::{decode_posting, posting_key, KEY_LEN};
@@ -79,6 +81,27 @@ pub fn upgrade(pool: &mut BufferPool, blob: &[u8]) -> Result<Vec<u8>> {
     }
     Ok(idx.snapshot())
 }
+
+impl InvertedIndex {
+    /// Refuse an index whose lists hold any payload in the retired varint
+    /// layout, with the error [`crate::visit_block`] gives one: the whole
+    /// file, once, where it is opened over its pages in `store` — not the
+    /// first query that happens to decode such a block, since a pruned
+    /// query passes most blocks over. Reads every payload page once,
+    /// through a pool of its own (a caller's pool keeps its pages and its
+    /// ledger), and writes nothing.
+    pub fn check_layout(&self, store: &SharedStore) -> Result<()> {
+        let mut pool = BufferPool::with_capacity(store.clone(), CHECK_FRAMES);
+        if holds_varint(&mut pool, self)? {
+            return Err(VARINT_REFUSED);
+        }
+        Ok(())
+    }
+}
+
+/// Frames of [`InvertedIndex::check_layout`]'s pool: the payloads are
+/// read in directory order, each page once.
+const CHECK_FRAMES: usize = 8;
 
 fn corrupt(e: SnapshotError) -> StorageError {
     StorageError::Corrupt(e.0)

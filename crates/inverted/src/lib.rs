@@ -30,17 +30,16 @@
 //! three policies, and row and column pruning one pruned scan (DESIGN.md
 //! §6j).
 //!
-//! [`Strategy::Auto`], the default, is a policy and not a sixth
-//! algorithm: a PETQ runs the scan ([`Strategy::Brute`]), which beats
-//! every verifying plan in wall-clock at any selectivity measured; the
-//! other four are kept for the paper's figures. The I/O model that
-//! ranks the five by page reads ([`CostStats`], zero-I/O statistics over
-//! the block directories) is diagnostic — `uncat explain` and the
-//! cross-backend planner print it, no query consults it. Top-k under
-//! `Auto` runs a block-granular threshold executor in place of the
-//! paper's drain: Lemma 1 over the directory's block maxima, then every
-//! tuple it met pruned by an upper bound or completed from list suffixes,
-//! with no random access. Every full-list plan (the scan, DSTQ) sums per
+//! [`Strategy::Auto`], the default, runs neither the scan nor a verifying
+//! plan: PETQ and top-k under `Auto` run one block-granular threshold
+//! executor — Lemma 1 over the directory's block maxima (θ = τ for a
+//! PETQ, the k-th best partial sum for a top-k), then every tuple it met
+//! pruned by an upper bound or completed from list suffixes, with no
+//! random access. The five fixed strategies are kept for the paper's
+//! figures. The I/O model that ranks them by page reads ([`CostStats`],
+//! zero-I/O statistics over the block directories) is diagnostic —
+//! `uncat explain` and the cross-backend planner print it, no query
+//! consults it. Every full-list plan (the scan, PEQ, DSTQ) sums per
 //! tuple in one tid-keyed accumulator (the `acc` module): a flat array
 //! over the index's id span where the postings are dense in it, a hash
 //! map where they are not.

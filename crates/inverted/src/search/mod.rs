@@ -4,15 +4,16 @@
 //! for `uncat explain`, run on three executors: the full scan
 //! ([`exact_scores`]), the pruned scan of row and column pruning
 //! ([`pruned_scan`]), and the frontier drain ([`drain()`]), whose
-//! policies are highest-prob-first, NRA and top-k. `Strategy::Auto`'s
-//! top-k runs a fourth, the block-granular threshold executor
-//! ([`threshold_top_k`]).
+//! policies are highest-prob-first, NRA and top-k. `Strategy::Auto`
+//! runs a fourth for both PETQ and top-k, the block-granular threshold
+//! executor ([`threshold_petq`], [`threshold_top_k`]): Lemma 1 over the
+//! directory's block maxima, with θ = τ for a PETQ.
 
 mod drain;
 mod threshold;
 
 pub(crate) use drain::{drain, Policy, RA_FALLBACK as NRA_RA_FALLBACK};
-pub(crate) use threshold::threshold_top_k;
+pub(crate) use threshold::{threshold_petq, threshold_top_k};
 
 use uncat_core::equality::{eq_prob_entries, meets_threshold, THRESHOLD_EPS};
 use uncat_core::query::{sort_matches_desc, EqQuery, Match};
@@ -37,27 +38,25 @@ pub enum Strategy {
     ColumnPruning,
     /// Rank-join with upper/lower bounds and deferred random access.
     Nra,
-    /// What a caller with no figure to draw should run, and the default.
-    /// For a PETQ that is [`Strategy::Brute`]'s scan, always: since the
-    /// scan became a packed-block pass into a flat sum, every plan that
-    /// verifies candidates loses to it in wall-clock at any selectivity
-    /// measured, hot or cold (EXPERIMENTS.md, "The null planner"), so
-    /// nothing is planned. For top-k it is the block-granular threshold
-    /// executor ([`InvertedIndex::top_k_planned`]): Lemma 1 over the
-    /// directory's block maxima with θ the k-th best partial sum, and the
-    /// tuples it cannot prune completed from list suffixes, never by
-    /// random access. The five fixed strategies are kept for the paper's
-    /// figures and for `uncat explain`.
+    /// What a caller with no figure to draw should run, and the default:
+    /// the block-granular threshold executor, for a PETQ and for top-k
+    /// ([`InvertedIndex::top_k_planned`]). Blocks are read in
+    /// `q_j ·` block-maximum order until Lemma 1 holds over the
+    /// directory's block maxima — with θ = τ for a PETQ, θ the k-th best
+    /// partial sum for a top-k — and the tuples it cannot prune are
+    /// completed from list suffixes, never by random access. Nothing is
+    /// priced: no plan that verifies candidates beats it in wall-clock
+    /// (EXPERIMENTS.md, "The null planner"). The five fixed strategies
+    /// are kept for the paper's figures and for `uncat explain`.
     #[default]
     Auto,
 }
 
 impl Strategy {
     /// All *fixed* strategies, for the ablation sweep.
-    /// [`Strategy::Auto`] is deliberately excluded: it is a policy over
-    /// these five (for a PETQ, [`Strategy::Brute`]), not a sixth
-    /// algorithm, and including it would make every ablation figure
-    /// compare a strategy against itself.
+    /// [`Strategy::Auto`] is deliberately excluded: it is the default,
+    /// not one of the paper's strategies, and the figures draw the
+    /// paper's five.
     pub const ALL: [Strategy; 5] = [
         Strategy::Brute,
         Strategy::HighestProbFirst,
@@ -110,9 +109,10 @@ impl InvertedIndex {
                 // `for_each`, not a `for` loop: the accumulator's iterator
                 // is a chain of flat maps, fast only when driven from
                 // inside (`fold`), and most scanned tuples miss τ.
-                Strategy::Brute | Strategy::Auto => exact_scores(self, pool, q, metrics)?
+                Strategy::Brute => exact_scores(self, pool, q, metrics)?
                     .iter()
                     .for_each(|(tid, pr)| keep(tid, pr)),
+                Strategy::Auto => threshold_petq(self, pool, q, tau, metrics, keep)?,
                 Strategy::RowPruning => pruned_scan(self, pool, q, cut, None, metrics, keep)?,
                 Strategy::ColumnPruning => {
                     pruned_scan(self, pool, q, 0.0, Some(cut), metrics, keep)?
@@ -211,7 +211,7 @@ pub(crate) fn query_lists<'a>(idx: &'a InvertedIndex, q: &Uda) -> Vec<(CatId, f6
 }
 
 /// The full-list scan under every accumulating plan (brute-force PETQ,
-/// which is also `Auto`'s, and DSTQ's partial distances): read
+/// PEQ and DSTQ's partial distances): read
 /// each of the query's lists end to end and add `term(q.p_j, p)` to the
 /// posting's tuple, lists in ascending category order. Ticks
 /// `lists_opened` and what [`BlockList::scan_all`] ticks; the candidate

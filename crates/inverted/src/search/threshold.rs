@@ -1,18 +1,24 @@
-//! The block-granular threshold executor: `Strategy::Auto`'s top-k.
+//! The block-granular threshold executor: `Strategy::Auto`'s PETQ and
+//! top-k.
 //!
-//! Top-k is "threshold queries … dynamically adjusting the threshold τ"
-//! (paper §2), stopped by Lemma 1. The frontier drain runs that one
-//! posting at a time and verifies what it cannot decide by random access;
-//! this executor runs it one *block* at a time on the per-block maxima
-//! the directory already holds (block-max top-k: Ding & Suel, SIGIR
-//! 2011) and never fetches a tuple:
+//! A PETQ stops by Lemma 1 (paper §2): once `Σ_j q_j · p'_j < τ`, no
+//! tuple not yet met can qualify. Top-k is "threshold queries …
+//! dynamically adjusting the threshold τ" (§2). The frontier drain runs
+//! that one posting at a time and verifies what it cannot decide by
+//! random access; this executor runs it one *block* at a time on the
+//! per-block maxima the directory already holds (block-max pruning: Ding
+//! & Suel, SIGIR 2011) and never fetches a tuple. The two queries are one
+//! run with two selections; they differ only in where the threshold θ
+//! comes from — τ, fixed before the first block, for a PETQ
+//! ([`threshold_petq`]); the larger of the floor and the k-th best
+//! partial sum for a top-k ([`threshold_top_k`]):
 //!
 //! 1. **A frontier over blocks** ([`Run::frontier`]). Read next the unread
 //!    block of the list whose `q_j · bound_j` is largest (`bound_j`: the
 //!    quantized-up maximum of list `j`'s next block), adding each posting
 //!    into its tuple's slot — the partial sum, the probability mass seen,
-//!    the lists seen. θ is the larger of the floor and the k-th best
-//!    partial sum ([`Best`], O(1) amortised per posting). Lemma 1 stops
+//!    the lists seen. The k-th best partial sum is kept by [`Best`] (O(1)
+//!    amortised per posting; a PETQ ranks nothing, k = 0). Lemma 1 stops
 //!    the frontier once `Σ_j q_j · bound_j < θ − ε`: no tuple not yet met
 //!    can reach θ.
 //! 2. **Two bounds prune** ([`Run::prune`]). What a met tuple's unseen
@@ -25,12 +31,13 @@
 //!    mass, so each list is read from the first unread block that can
 //!    hold one ([`BlockList::first_block_at_or_below`]) to its end, and
 //!    postings of other tuples are ignored. Every survivor's score is then
-//!    exact; the k best are selected and sorted.
+//!    exact: a PETQ keeps those that meet τ, a top-k the k best.
 //!
 //! A tuple's terms arrive in block order, not category order, so its sum
 //! is kept unevaluated (`hi + lo`, Knuth's two-sum) and rounded once: two
 //! tuples with the same terms score the same, whichever blocks brought
-//! them.
+//! them. It can differ from the scan's category-order sum in the last
+//! bit.
 //!
 //! What it trusts: the directory — a block's quantized maximum bounds it
 //! and every later block, its separator is its largest entry — and the
@@ -68,6 +75,23 @@ const MASK_LISTS: usize = u64::BITS as usize;
 /// here in block order, the stored `Uda`'s in category order.
 const MASS_SLACK: f64 = 1e-9;
 
+/// Every tuple whose `Pr(q = t)` may meet `tau`, handed to `offer` with
+/// its exact probability, in no order; the caller keeps those that
+/// [`uncat_core::equality::meets_threshold`]. θ is `tau` itself (a NaN τ
+/// bounds nothing: every list is read, and nothing meets it).
+pub(crate) fn threshold_petq(
+    idx: &InvertedIndex,
+    pool: &mut BufferPool,
+    q: &Uda,
+    tau: f64,
+    metrics: &mut QueryMetrics,
+    mut offer: impl FnMut(u64, f64),
+) -> Result<()> {
+    let run = Run::execute(idx, pool, q, 0, tau, metrics)?;
+    run.survivors().for_each(|t| offer(t.tid as u64, t.score()));
+    Ok(())
+}
+
 /// The `k ≥ 1` tuples with the highest non-zero `Pr(q = t)` of at least
 /// `floor ≥ 0`, in canonical order (see the module documentation).
 pub(crate) fn threshold_top_k(
@@ -78,14 +102,20 @@ pub(crate) fn threshold_top_k(
     floor: f64,
     metrics: &mut QueryMetrics,
 ) -> Result<Vec<Match>> {
-    let mut run = Run::open(idx, q, k, floor, metrics);
-    let blocks: u64 = run.lanes.iter().map(|l| l.list.blocks().len() as u64).sum();
-    let decoded = metrics.blocks_decoded;
-    run.frontier(pool, metrics)?;
-    let caps = run.prune(metrics);
-    run.complete(pool, &caps, metrics)?;
-    metrics.blocks_skipped += blocks - (metrics.blocks_decoded - decoded);
-    Ok(run.select())
+    let run = Run::execute(idx, pool, q, k, floor, metrics)?;
+    let mut out: Vec<Match> = run
+        .survivors()
+        .map(|t| Match::new(t.tid as u64, t.score()))
+        .filter(|m| m.score > 0.0 && m.score >= floor)
+        .collect();
+    if out.len() > k {
+        out.select_nth_unstable_by(k - 1, |a, b| {
+            b.score.total_cmp(&a.score).then(a.tid.cmp(&b.tid))
+        });
+        out.truncate(k);
+    }
+    sort_matches_desc(&mut out);
+    Ok(out)
 }
 
 /// A tuple met in some block.
@@ -231,6 +261,26 @@ struct Run<'a> {
 }
 
 impl<'a> Run<'a> {
+    /// A query with θ the larger of `floor` and the k-th best partial sum
+    /// (k = 0 ranks nothing), run through its three phases.
+    fn execute(
+        idx: &'a InvertedIndex,
+        pool: &mut BufferPool,
+        q: &Uda,
+        k: usize,
+        floor: f64,
+        metrics: &mut QueryMetrics,
+    ) -> Result<Run<'a>> {
+        let mut run = Run::open(idx, q, k, floor, metrics);
+        let blocks: u64 = run.lanes.iter().map(|l| l.list.blocks().len() as u64).sum();
+        let decoded = metrics.blocks_decoded;
+        run.frontier(pool, metrics)?;
+        let caps = run.prune(metrics);
+        run.complete(pool, &caps, metrics)?;
+        metrics.blocks_skipped += blocks - (metrics.blocks_decoded - decoded);
+        Ok(run)
+    }
+
     /// Every query list, nothing read yet.
     fn open(
         idx: &'a InvertedIndex,
@@ -272,7 +322,8 @@ impl<'a> Run<'a> {
         }
     }
 
-    /// θ − ε: nothing below it can enter the answer.
+    /// θ − ε: nothing below it can enter the answer. (`f64::max` passes
+    /// over a NaN floor.)
     fn cut(&mut self) -> f64 {
         self.best.kth(self.slab.slots()).max(self.floor) - THRESHOLD_EPS
     }
@@ -394,25 +445,10 @@ impl<'a> Run<'a> {
         Ok(())
     }
 
-    /// The k best survivors that meet the floor, in canonical order.
-    fn select(self) -> Vec<Match> {
+    /// Every survivor, its score exact.
+    fn survivors(&self) -> impl Iterator<Item = &Met> {
         let slots = self.slab.slots();
-        let mut out: Vec<Match> = self
-            .survivors
-            .iter()
-            .map(|&i| &slots[i as usize])
-            .map(|t| Match::new(t.tid as u64, t.score()))
-            .filter(|m| m.score > 0.0 && m.score >= self.floor)
-            .collect();
-        let k = self.best.k;
-        if out.len() > k {
-            out.select_nth_unstable_by(k - 1, |a, b| {
-                b.score.total_cmp(&a.score).then(a.tid.cmp(&b.tid))
-            });
-            out.truncate(k);
-        }
-        sort_matches_desc(&mut out);
-        out
+        self.survivors.iter().map(|&i| &slots[i as usize])
     }
 }
 
@@ -431,7 +467,8 @@ mod tests {
     /// page checksum valid — with each probability halved, so its largest
     /// is no longer its separator's: the executor, which passes blocks
     /// over on trust of the directory, refuses the block with a typed
-    /// error. The PETQ scan passes nothing over and is not checked.
+    /// error, for top-k and PETQ alike. The scan passes nothing over and
+    /// is not checked.
     #[test]
     fn a_block_whose_maximum_is_not_its_separator_is_corrupt() {
         let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 64);
@@ -482,6 +519,10 @@ mod tests {
             Err(StorageError::Corrupt(_))
         ));
         let petq = EqQuery::new(Uda::certain(CatId(0)), 0.45);
+        assert!(matches!(
+            idx.petq(&mut pool, &petq, Strategy::Auto),
+            Err(StorageError::Corrupt(_))
+        ));
         assert!(!idx
             .petq(&mut pool, &petq, Strategy::Brute)
             .unwrap()
@@ -513,9 +554,37 @@ mod tests {
     /// `Uda` may hold. Tuple 0 holds 0.99991 + 0.00018: after the frontier
     /// reads list 0 it may still have 0.00018 — not the 0.00009 a bound
     /// of 1 leaves — in list 1, whose second block holds it; a cap of
-    /// 0.00009 would pass that block over and answer tuple 1.
+    /// 0.00009 would pass that block over and answer tuple 1 to a top-k,
+    /// and prune tuple 0 (0.499955 read, at most 0.000045 to come under
+    /// that cap) from a PETQ at τ = 0.50003 that it meets at 0.500045.
     #[test]
     fn the_mass_bound_allows_a_uda_its_epsilon() {
+        let (mut pool, idx) = mass_fixture();
+        let q = mass_query();
+        let top = idx
+            .top_k_planned(&mut pool, &TopKQuery::new(q, 1), Strategy::Auto)
+            .unwrap();
+        assert_eq!(top.iter().map(|m| m.tid).collect::<Vec<_>>(), [0]);
+    }
+
+    /// [`the_mass_bound_allows_a_uda_its_epsilon`] with θ = τ: the PETQ
+    /// answers tuple 0, read to the end of list 1's second block, and
+    /// nothing else.
+    #[test]
+    fn the_mass_bound_allows_a_uda_its_epsilon_in_a_petq() {
+        let (mut pool, idx) = mass_fixture();
+        let petq = EqQuery::new(mass_query(), 0.50003);
+        let got = idx.petq(&mut pool, &petq, Strategy::Auto).unwrap();
+        assert_eq!(got.iter().map(|m| m.tid).collect::<Vec<_>>(), [0]);
+        assert!((got[0].score - 0.500045).abs() < 1e-6, "{got:?}");
+        assert_eq!(got, idx.petq(&mut pool, &petq, Strategy::Brute).unwrap());
+    }
+
+    fn mass_query() -> Uda {
+        Uda::from_pairs([(CatId(0), 0.5), (CatId(1), 0.5)]).unwrap()
+    }
+
+    fn mass_fixture() -> (BufferPool, InvertedIndex) {
         let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 64);
         let uda = |pairs: &[(u32, f32)]| {
             Uda::from_pairs(pairs.iter().map(|&(c, p)| (CatId(c), p))).unwrap()
@@ -533,18 +602,15 @@ mod tests {
             data.iter().map(|(t, u)| (*t, u)),
         )
         .unwrap();
-        let q = uda(&[(0, 0.5), (1, 0.5)]);
-        let top = idx
-            .top_k_planned(&mut pool, &TopKQuery::new(q, 1), Strategy::Auto)
-            .unwrap();
-        assert_eq!(top.iter().map(|m| m.tid).collect::<Vec<_>>(), [0]);
+        (pool, idx)
     }
 
     /// The executor phase by phase on a 20 000-tuple CRM1 relation and
-    /// 400 of its uncertain tuples as queries, at k = 4, 40 and 400: per
-    /// probe, the postings and blocks read, the survivors and the blocks
-    /// their completion read, beside what reading every query list to the
-    /// end reads.
+    /// 400 of its uncertain tuples as queries: per probe, the postings and
+    /// blocks read, the survivors and the blocks their completion read,
+    /// beside what reading every query list to the end reads. Top-k at
+    /// k = 4, 40 and 400; PETQ at selectivities of 0.01 %, 0.1 % and 1 %
+    /// (τ the 2nd, 20th and 200th best score of each query's own PEQ).
     ///
     /// `cargo test --release -p uncat-inverted threshold_profile -- --ignored --nocapture`
     #[test]
@@ -561,14 +627,26 @@ mod tests {
             .step_by(7)
             .take(400)
             .collect();
+        let scores: Vec<Vec<f64>> = queries
+            .iter()
+            .map(|q| {
+                let peq = idx.peq(&mut pool, q).unwrap();
+                peq.iter().map(|m| m.score).collect()
+            })
+            .collect();
         let n = queries.len() as f64;
         println!("{n} queries");
-        println!("    k | postings  (scan) | decoded skipped  (scan) | survivors suffix blocks");
-        for k in [4, 40, 400] {
+        println!("        | postings  (scan) | decoded skipped  (scan) | survivors suffix blocks");
+        let runs = [4, 40, 400]
+            .map(|k| (format!("k {k:>5}"), k, None))
+            .into_iter()
+            .chain([2, 20, 200].map(|m| (format!("{:>6.2}%", m as f64 / 200.0), 0, Some(m))));
+        for (label, k, matches) in runs {
             let (mut all, mut suffix) = (QueryMetrics::new(), QueryMetrics::new());
             let (mut scan_postings, mut scan_blocks) = (0u64, 0u64);
-            for q in &queries {
-                let mut run = Run::open(&idx, q, k, 0.0, &mut all);
+            for (q, scores) in queries.iter().zip(&scores) {
+                let floor = matches.map_or(0.0, |m| scores[(m - 1).min(scores.len() - 1)]);
+                let mut run = Run::open(&idx, q, k, floor, &mut all);
                 run.frontier(&mut pool, &mut all).unwrap();
                 let caps = run.prune(&mut all);
                 run.complete(&mut pool, &caps, &mut suffix).unwrap();
@@ -580,7 +658,7 @@ mod tests {
             all.merge(&suffix);
             let per = |x: u64| x as f64 / n;
             println!(
-                "{k:>5} | {:>8.1} {:>7.1} | {:>7.1} {:>7.1} {:>7.1} | {:>9.1} {:>13.1}",
+                "{label} | {:>8.1} {:>7.1} | {:>7.1} {:>7.1} {:>7.1} | {:>9.1} {:>13.1}",
                 per(all.postings_scanned),
                 per(scan_postings),
                 per(all.blocks_decoded),

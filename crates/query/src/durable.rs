@@ -383,8 +383,10 @@ pub trait MutableBackend: UncertainIndex + Sized {
     /// its pages).
     fn snapshot_blob(&self) -> Vec<u8>;
     /// Reattach a backend from [`MutableBackend::snapshot_blob`] output
-    /// over the same page store.
-    fn open_blob(blob: &[u8]) -> Result<Self>;
+    /// over the same page store, `store`: a backend may check its pages
+    /// there before it answers anything (the inverted index refuses a
+    /// file in a retired layout).
+    fn open_blob(blob: &[u8], store: &SharedStore) -> Result<Self>;
 }
 
 impl MutableBackend for InvertedBackend {
@@ -412,10 +414,10 @@ impl MutableBackend for InvertedBackend {
         self.index.snapshot()
     }
 
-    fn open_blob(blob: &[u8]) -> Result<InvertedBackend> {
-        InvertedIndex::open(blob)
-            .map(InvertedBackend::new)
-            .map_err(|e| StorageError::Corrupt(e.0))
+    fn open_blob(blob: &[u8], store: &SharedStore) -> Result<InvertedBackend> {
+        let index = InvertedIndex::open(blob).map_err(|e| StorageError::Corrupt(e.0))?;
+        index.check_layout(store)?;
+        Ok(InvertedBackend::new(index))
     }
 }
 
@@ -440,7 +442,7 @@ impl MutableBackend for PdrTree {
         self.snapshot()
     }
 
-    fn open_blob(blob: &[u8]) -> Result<PdrTree> {
+    fn open_blob(blob: &[u8], _store: &SharedStore) -> Result<PdrTree> {
         PdrTree::open(blob).map_err(|e| StorageError::Corrupt(e.0))
     }
 }
@@ -627,7 +629,9 @@ impl<B: MutableBackend> DurableIndex<B> {
     /// interrupted mid-install, repair the WAL's tail, and replay its
     /// mutations. Returns the index positioned exactly where the last
     /// acknowledged (synced) mutation left it, plus a report of what
-    /// recovery did.
+    /// recovery did. A backend that refuses its pages
+    /// ([`MutableBackend::open_blob`]: an inverted index in a retired
+    /// layout) fails the open before the log is replayed.
     pub fn open(storage: DurableStorage, config: DurableConfig) -> Result<(Self, RecoveryReport)> {
         // 1. The last committed snapshot names the base epoch.
         let mut blob = storage.slot.load()?.ok_or(StorageError::Corrupt(
@@ -657,7 +661,7 @@ impl<B: MutableBackend> DurableIndex<B> {
 
         let (snap_epoch, inner) = unwrap_blob(&blob)?;
         debug_assert_eq!(snap_epoch, epoch);
-        let backend = B::open_blob(inner)?;
+        let backend = B::open_blob(inner, &storage.store)?;
         let pool = BufferPool::new_no_steal(storage.store.clone(), config.pool_frames);
 
         // 3. Repair and replay the WAL.

@@ -73,9 +73,9 @@ pub struct InvertedBackend {
     /// The underlying index.
     pub index: InvertedIndex,
     /// Strategy used for threshold queries, and passed down to top-k
-    /// (`InvertedIndex::top_k_planned`): under [`Strategy::Auto`] top-k
-    /// runs the block-granular threshold executor, under a fixed strategy
-    /// the paper's drain.
+    /// (`InvertedIndex::top_k_planned`): under [`Strategy::Auto`] both run
+    /// the block-granular threshold executor, under a fixed strategy the
+    /// PETQ runs that strategy and top-k the paper's drain.
     pub strategy: Strategy,
 }
 

@@ -6,8 +6,8 @@
 //! [`Planner`] predicts counters for each candidate backend and ranks a
 //! [`Plan`] first per query kind. Like the inverted index's own
 //! [`CostStats`] it is diagnostic — `uncat explain` and the figures read
-//! it, no query is routed by it, and [`Strategy::Auto`] runs the scan
-//! whatever it says.
+//! it, no query is routed by it, and [`Strategy::Auto`] runs the
+//! block-granular threshold executor whatever it says.
 //!
 //! Everything here is zero-I/O. A planner samples its statistics when
 //! it is made ([`Planner::for_inverted`] clones

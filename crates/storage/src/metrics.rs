@@ -105,8 +105,9 @@ pub struct QueryMetrics {
     /// durable index (0 after a clean shutdown or checkpoint).
     pub replayed_records: u64,
     /// Pinned 0: it counted the times `Strategy::Auto` abandoned a
-    /// planned PETQ strategy mid-query, and `Auto` now runs the scan
-    /// without planning. The field stays because the frozen benchmark
+    /// planned PETQ strategy mid-query, and `Auto` now runs the
+    /// block-granular threshold executor, which plans nothing and has
+    /// nothing to abandon. The field stays because the frozen benchmark
     /// adapter reads it (`inverted.plan_fallbacks_per_kop`); it goes
     /// when that adapter is re-pointed.
     pub plan_fallbacks: u64,

@@ -190,19 +190,21 @@ usage:
 A flag a command does not list is an error.
 
 --strategy (inverted PETQ only): brute | highest-prob-first | row-pruning
-  | column-pruning | nra | auto (default: auto — runs brute, the full
-  scan of the query's lists, which beats the four pruning strategies in
-  wall-clock; they are kept for the paper's figures and for explain)
+  | column-pruning | nra | auto (default: auto — reads the query's
+  lists block by block, highest q·block maximum first, stops by Lemma 1
+  at τ and completes what is left from list suffixes, with no random
+  access; the five others are kept for the paper's figures and explain)
 --explain: print the query's execution counters (see docs/METRICS.md)
 --trace: record and print the query's latency span tree (execution
   phases with total/self times) and its buffer-pool/WAL latency
   histograms. For batch, prints the histograms merged across all
   workers. --trace-json <file> writes the span tree in Chrome
   trace-event format (load it at chrome://tracing or in Perfetto).
-explain: run one PETQ under every inverted strategy and compare counters
-  plus wall-clock time, the paper's I/O model's predictions, the
-  strategy that model ranks first and the one auto runs (for --index
-  pdr, prints the single PDR-tree profile)
+explain: run one PETQ under every inverted strategy and auto and compare
+  counters plus wall-clock time, the paper's I/O model's predictions (-
+  under auto, which it does not price), the strategy that model ranks
+  first and what auto runs (for --index pdr, prints the single PDR-tree
+  profile)
 batch: run a Zipf-skewed PETQ batch on T threads. --pool private gives
   each query its own F-frame pool (the paper's model); --pool shared runs
   the batch against one F×T-frame pool striped over --shards shards, so
@@ -523,11 +525,11 @@ fn open_durable(
     if adopt {
         let blob = uncat::storage::snapshot::load(meta).map_err(|e| CliError::format(meta, e))?;
         let idx = match index {
-            "inverted" => AnyDurable::Inverted(DurableIndex::create(storage, config, |_pool| {
-                InvertedBackend::open_blob(&blob)
+            "inverted" => AnyDurable::Inverted(DurableIndex::create(storage, config, |pool| {
+                InvertedBackend::open_blob(&blob, pool.store())
             })?),
-            "pdr" => AnyDurable::Pdr(DurableIndex::create(storage, config, |_pool| {
-                PdrTree::open_blob(&blob)
+            "pdr" => AnyDurable::Pdr(DurableIndex::create(storage, config, |pool| {
+                PdrTree::open_blob(&blob, pool.store())
             })?),
             other => return Err(CliError::Usage(format!("unknown index {other:?}"))),
         };
@@ -584,9 +586,13 @@ fn reopen(
         }
     } else {
         match index {
-            "inverted" => AnyIndex::Inverted(
-                InvertedIndex::load(meta.as_ref()).map_err(|e| CliError::format(meta, e))?,
-            ),
+            "inverted" => {
+                // (A durable sidecar was checked by `DurableIndex::open`.)
+                let i =
+                    InvertedIndex::load(meta.as_ref()).map_err(|e| CliError::format(meta, e))?;
+                i.check_layout(&store)?;
+                AnyIndex::Inverted(i)
+            }
             "pdr" => {
                 AnyIndex::Pdr(PdrTree::load(meta.as_ref()).map_err(|e| CliError::format(meta, e))?)
             }
@@ -1154,12 +1160,6 @@ fn join(flags: &HashMap<String, String>) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Run one PETQ under every inverted strategy and print the counters side
-/// by side (one column per strategy), with a wall-clock timing row, the
-/// I/O model's predicted counters (`pred_*` rows), the strategy it ranks
-/// first beside the one `auto` runs, and a `misprediction:` line for
-/// every prediction off by more than [`exceeds_slack`] allows. For the
-/// PDR-tree there is a single algorithm, so the output is one profile.
 /// Whether `explain` flags `a` against `b` as a misprediction: more than
 /// three times it plus 512, so near-zero counts do not flag on noise.
 /// Display only — nothing executes differently for it.
@@ -1167,6 +1167,14 @@ fn exceeds_slack(a: u64, b: u64) -> bool {
     a > 3 * b + 512
 }
 
+/// Run one PETQ under every inverted strategy and `auto`, the default,
+/// and print the counters side by side (one column each), with wall-clock
+/// timing rows, the I/O model's predicted counters for the five fixed
+/// strategies (`pred_*` rows; `-` under `auto`, which the model does not
+/// price), the strategy it ranks first beside what `auto` runs, and a
+/// `misprediction:` line for every prediction off by more than
+/// [`exceeds_slack`] allows. For the PDR-tree there is a single
+/// algorithm, so the output is one profile.
 fn explain(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let (idx, store, recovered) = reopen(flags)?;
     note_recovery(&recovered);
@@ -1181,7 +1189,7 @@ fn explain(flags: &HashMap<String, String>) -> Result<(), CliError> {
             let predictions = i.predict_petq(&q);
             let (pick, _) = i.plan_petq(&q);
             let mut cols: Vec<(&'static str, QueryMetrics, usize, [u64; 2])> = Vec::new();
-            for strategy in Strategy::ALL {
+            for strategy in Strategy::ALL.into_iter().chain([Strategy::Auto]) {
                 // A cold pool per strategy keeps the I/O columns
                 // comparable; the second run is the same plan on what
                 // the (100-frame) pool kept of the first.
@@ -1223,7 +1231,7 @@ fn explain(flags: &HashMap<String, String>) -> Result<(), CliError> {
             }
             // Predicted counters, one row per predictor, aligned under
             // the same strategy columns (predictions and runs both
-            // iterate Strategy::ALL).
+            // iterate Strategy::ALL; `auto` comes last, unpredicted).
             type PredField = fn(&CostPrediction) -> u64;
             let pred_rows: [(&str, PredField); 4] = [
                 ("pred_postings_scanned", |p| p.postings_scanned),
@@ -1236,10 +1244,10 @@ fn explain(flags: &HashMap<String, String>) -> Result<(), CliError> {
                 for (_, p) in &predictions {
                     print!(" {:>18}", get(p));
                 }
-                println!();
+                println!(" {:>18}", "-");
             }
             println!("i/o model ranks first: {}", pick.name());
-            println!("auto runs: {}", Strategy::Brute.name());
+            println!("auto runs: block-max threshold, θ = τ");
             for ((_, p), (name, m, _, _)) in predictions.iter().zip(&cols) {
                 let checks = [
                     ("postings_scanned", p.postings_scanned, m.postings_scanned),

@@ -213,7 +213,8 @@ fn explain_shows_pruning_beating_brute_force() {
         counts[0],
     );
 
-    // The explain command renders the five-strategy comparison table.
+    // The explain command renders the strategy comparison table: the
+    // five fixed strategies and `auto`.
     let (ok, out) = uncat(&[
         "explain", "--index", "inverted", "--pages", &pages, "--meta", &meta, "--cat", "0",
         "--tau", "0.6",
@@ -225,6 +226,7 @@ fn explain_shows_pruning_beating_brute_force() {
         "row-pruning",
         "column-pruning",
         "nra",
+        "auto",
         "postings_scanned",
         "blocks_decoded",
         "blocks_skipped",
@@ -246,9 +248,10 @@ fn uncat_out(args: &[&str]) -> (Option<i32>, String, String) {
 /// The old layouts through `uncat upgrade`: a `UIV1` file with raw B+tree
 /// lists, the same after an online mutation (`UIV1` inside the durable
 /// sidecar, a logged insert in the WAL), and `UIV2` files whose blocks
-/// are all, or two in three, varint. Each is refused with a typed error naming `upgrade` — the
-/// `UIV1` files at open, the varint file at its first query — converts,
-/// then answers as a fresh build of the same data does (plus the logged
+/// are all, or two in three, varint. Each is refused at open with a
+/// typed error naming `upgrade`, whatever the command reads — a pruned
+/// query that passes every varint block over included — converts, then
+/// answers as a fresh build of the same data does (plus the logged
 /// tuple), and converts to the same bytes a second time.
 #[test]
 fn upgrade_converts_old_files_via_cli() {
@@ -336,15 +339,9 @@ fn upgrade_converts_old_files_via_cli() {
             &tuples,
             layout,
         );
-        match layout {
-            legacy::Layout::RawLists => refused(&old, &["stats"]),
-            // Only what reads a block fails: the directory still serves.
-            legacy::Layout::VarintBlocks | legacy::Layout::MixedBlocks => {
-                let (code, _, err) = run(&old, &["stats"]);
-                assert_eq!(code, Some(0), "{err}");
-            }
-        }
+        refused(&old, &["stats"]);
         refused(&old, &QUERY);
+        refused(&old, &TOPK);
         upgrade(&old, "upgraded");
         // The lists are rebuilt as a build lays them out: every byte of
         // output, the page reads too.
@@ -982,7 +979,7 @@ fn batch_trace_prints_merged_histograms() {
 }
 
 /// `explain` reports a wall-clock `elapsed_us` row alongside the
-/// counter rows, for every strategy column.
+/// counter rows, for every strategy column and `auto`'s.
 #[test]
 fn explain_prints_elapsed_time_row() {
     let dir = TempDir::new("explaintime");
@@ -1015,9 +1012,18 @@ fn explain_prints_elapsed_time_row() {
         .lines()
         .find(|l| l.starts_with("elapsed_us"))
         .unwrap_or_else(|| panic!("no elapsed_us row: {out}"));
-    // One numeric cell per strategy column.
-    let cells = timing.split_whitespace().skip(1).count();
-    assert_eq!(cells, 5, "one timing cell per strategy: {timing}");
+    // One numeric cell per strategy column, `auto` last.
+    let header = out
+        .lines()
+        .find(|l| l.starts_with("counter"))
+        .unwrap_or_else(|| panic!("no header: {out}"));
+    assert_eq!(header.split_whitespace().last(), Some("auto"), "{header}");
+    let cells: Vec<u64> = timing
+        .split_whitespace()
+        .skip(1)
+        .map(|c| c.parse().expect("a number of microseconds"))
+        .collect();
+    assert_eq!(cells.len(), 6, "one timing cell per column: {timing}");
 }
 
 /// `explain` prints the I/O model's predicted counters next to the
@@ -1057,7 +1063,8 @@ fn explain_prints_predictions_pick_and_misprediction_flags() {
         "--tau", "0.31",
     ]);
     assert!(ok, "explain failed: {out}");
-    // Predicted counters render as rows, one cell per strategy column.
+    // Predicted counters render as rows, one cell per strategy column and
+    // `-` under `auto`, which the model does not price.
     for row in [
         "pred_postings_scanned",
         "pred_blocks_decoded",
@@ -1068,15 +1075,16 @@ fn explain_prints_predictions_pick_and_misprediction_flags() {
             .lines()
             .find(|l| l.starts_with(row))
             .unwrap_or_else(|| panic!("no {row} row: {out}"));
-        let cells = line.split_whitespace().skip(1).count();
-        assert_eq!(cells, 5, "one predicted cell per strategy: {line}");
+        let cells: Vec<&str> = line.split_whitespace().skip(1).collect();
+        assert_eq!(cells.len(), 6, "one predicted cell per column: {line}");
+        assert_eq!(cells[5], "-", "auto is not predicted: {line}");
     }
     assert!(
         out.contains("i/o model ranks first: "),
         "no model line: {out}"
     );
     assert!(
-        out.contains("auto runs: inv-index-search"),
+        out.contains("auto runs: block-max threshold, θ = τ"),
         "no auto line: {out}"
     );
     assert!(
@@ -1107,7 +1115,7 @@ fn explain_prints_predictions_pick_and_misprediction_flags() {
             .unwrap_or_else(|| panic!("no {row} row: {out}"));
         line.split_whitespace().skip(1).map(String::from).collect()
     };
-    assert_eq!(cells("matches"), ["600"; 5], "{out}");
+    assert_eq!(cells("matches"), ["600"; 6], "{out}");
     assert_eq!(cells("lists_opened")[0], "2", "the scan opened both: {out}");
 
     // `--strategy auto` (also the default) answers the query and reports

@@ -752,6 +752,41 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases(24)))]
+
+    // `Strategy::Auto`'s PETQ — the same executor with θ = τ — against
+    // the scan on the same data, queries and mutations as the top-k
+    // property above, at τ of 0, below 0, NaN, above 1, within 1e-12 of
+    // a match's score and across (0, 1): the same tuples in the same
+    // order, scores within 1e-12, and the executor's counter profile.
+    #[test]
+    fn threshold_petq_is_tid_exact_on_data_built_against_its_bounds(
+        (seed, width, copies) in (0u64..1 << 32, 0usize..3, 129usize..=300),
+        (mutate, tau_kind, tau_at) in (0u8..2, 0u8..10, 0usize..400),
+    ) {
+        check_threshold_petq(seed, [8, 80, 140][width], copies, mutate == 1, (tau_kind, tau_at));
+    }
+
+    // The same on CRM1 as `uncat_datagen::crm` generates it, where
+    // 40 % of the tuples are certain: each category's list opens on a
+    // plateau of `p = 1` ties. The query is one of its tuples.
+    #[test]
+    fn threshold_petq_is_tid_exact_on_crm1_plateaus(
+        (n, seed, probe) in (500usize..3000, 0u64..1000, 0usize..1 << 16),
+        (tau_kind, tau_at) in (0u8..10, 0usize..400),
+    ) {
+        let (domain, data) = uncat::datagen::crm::crm1(n, seed);
+        let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 256);
+        let idx = InvertedIndex::build(domain, &mut pool, data.iter().map(|(t, u)| (*t, u)))
+            .expect("in-memory build");
+        let q = data[probe % data.len()].1.clone();
+        let scores = idx.peq(&mut pool, &q).expect("in-memory query");
+        let query = EqQuery::new(q, threshold_at(&scores, tau_kind, tau_at));
+        assert_threshold_petq(&format!("crm1 n {n} seed {seed}"), &mut pool, &idx, &query);
+    }
+}
+
 /// Tuples over `cats` categories that attack the executor's bounds: a
 /// third keep all but 2e-6 of their mass on one category, the rest in two
 /// 1e-6 specks in other lists (what an unseen list can still add is
@@ -790,14 +825,16 @@ fn adversarial_tuples(seed: u64, cats: u32, copies: usize) -> Vec<(u64, Uda)> {
     tuples
 }
 
-fn check_threshold_top_k(
+/// The executor's fixture: [`adversarial_tuples`] indexed — then, if
+/// `mutate`, split and thinned by inserts and deletes — the scan baseline
+/// over the tuples left, and a query with weights of its own over lists
+/// 0–2 and a random fourth (8 categories) or over every category.
+fn threshold_fixture(
     seed: u64,
     cats: u32,
     copies: usize,
     mutate: bool,
-    k: usize,
-    (floor_kind, floor_at): (u8, usize),
-) {
+) -> (BufferPool, InvertedIndex, ScanBaseline, Uda) {
     let domain = Domain::anonymous(cats);
     let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 256);
     let mut live = adversarial_tuples(seed, cats, copies);
@@ -848,7 +885,18 @@ fn check_threshold_top_k(
             .map(|(&c, &w)| (CatId(c), w as f32 / total as f32)),
     )
     .expect("valid uda");
+    (pool, idx, scan, q)
+}
 
+fn check_threshold_top_k(
+    seed: u64,
+    cats: u32,
+    copies: usize,
+    mutate: bool,
+    k: usize,
+    (floor_kind, floor_at): (u8, usize),
+) {
+    let (mut pool, idx, scan, q) = threshold_fixture(seed, cats, copies, mutate);
     let all = scan
         .top_k(&mut pool, &TopKQuery::new(q.clone(), 100_000))
         .expect("in-memory query");
@@ -876,6 +924,13 @@ fn check_threshold_top_k(
         assert_eq!(m, QueryMetrics::new(), "{what}: k = 0 reads nothing");
         return;
     }
+    assert_threshold_profile(&what, &idx, &q, &m);
+}
+
+/// The executor's counter profile: every query list opened once, each of
+/// its blocks decoded or skipped, every met tuple pruned or settled,
+/// nothing verified and no frontier pop.
+fn assert_threshold_profile(what: &str, idx: &InvertedIndex, q: &Uda, m: &QueryMetrics) {
     let stats = idx.cost_stats();
     let lists: Vec<_> = q.iter().filter_map(|(c, _)| stats.cats.get(&c)).collect();
     let blocks: u64 = lists.iter().map(|s| s.blocks as u64).sum();
@@ -883,6 +938,63 @@ fn check_threshold_top_k(
     assert_eq!(m.lists_opened, lists.len() as u64, "{what}");
     assert_eq!(m.blocks_decoded + m.blocks_skipped, blocks, "{what}");
     assert_eq!((m.candidates_verified, m.frontier_pops), (0, 0), "{what}");
+}
+
+/// `Auto`'s PETQ against the scan of the same index (`Strategy::Brute`,
+/// which sums every list to the end): the same tuples in the same order,
+/// scores within 1e-12, and the executor's counter profile.
+fn assert_threshold_petq(what: &str, pool: &mut BufferPool, idx: &InvertedIndex, query: &EqQuery) {
+    let reference = idx
+        .petq(pool, query, SearchStrategy::Brute)
+        .expect("in-memory query");
+    pool.reset_stats();
+    let got = idx
+        .petq(pool, query, SearchStrategy::Auto)
+        .expect("in-memory query");
+    let m = pool.metrics();
+    let what = format!("{what}, tau {}", query.tau);
+    assert_eq!(
+        got.iter().map(|m| m.tid).collect::<Vec<_>>(),
+        reference.iter().map(|m| m.tid).collect::<Vec<_>>(),
+        "{what}: auto returned different tuples than the scan"
+    );
+    for (r, g) in reference.iter().zip(&got) {
+        assert!((r.score - g.score).abs() <= 1e-12, "{what}: {g:?} vs {r:?}");
+    }
+    assert_threshold_profile(&what, idx, &query.q, &m);
+}
+
+/// The thresholds a PETQ is checked at: `tau_kind` picks 0, a negative
+/// τ, NaN, just above 1, 1.5, a match's score less or plus 1e-12 (the
+/// `tau_at`-th of `scores`, descending), or a τ spread over `(0, 1)`.
+fn threshold_at(scores: &[Match], tau_kind: u8, tau_at: usize) -> f64 {
+    let score = scores
+        .get(tau_at % scores.len().max(1))
+        .map_or(0.5, |m| m.score);
+    match tau_kind {
+        0 => 0.0,
+        1 => -0.5,
+        2 => f64::NAN,
+        3 => 1.0 + 1e-6,
+        4 => 1.5,
+        5 => score - 1e-12,
+        6 => score + 1e-12,
+        _ => (tau_at as f64 + 0.5) / 400.0,
+    }
+}
+
+fn check_threshold_petq(
+    seed: u64,
+    cats: u32,
+    copies: usize,
+    mutate: bool,
+    (tau_kind, tau_at): (u8, usize),
+) {
+    let (mut pool, idx, _, q) = threshold_fixture(seed, cats, copies, mutate);
+    let scores = idx.peq(&mut pool, &q).expect("in-memory query");
+    let query = EqQuery::new(q, threshold_at(&scores, tau_kind, tau_at));
+    let what = format!("{cats} cats, mutated {mutate}");
+    assert_threshold_petq(&what, &mut pool, &idx, &query);
 }
 
 fn check_block_lists(tuples: &[(u64, Uda)], q: &Uda, tau: f64, k: usize) {
@@ -941,7 +1053,8 @@ fn check_block_lists(tuples: &[(u64, Uda)], q: &Uda, tau: f64, k: usize) {
             // `q.p < τ`); their blocks are neither decoded nor skipped.
             assert!(covered <= total_blocks, "row-pruning overcounts blocks");
         } else {
-            // `Auto` included: it is the scan, one pass over every list.
+            // `Auto` included: what its frontier and the survivors'
+            // suffixes do not decode, it skips.
             assert_eq!(
                 covered,
                 total_blocks,

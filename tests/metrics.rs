@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use uncat::core::query::{DstQuery, EqQuery, TopKQuery};
+use uncat::core::query::{DstQuery, EqQuery, Match, TopKQuery};
 use uncat::core::{CatId, Divergence, Domain, Uda};
 use uncat::inverted::{InvertedIndex, Strategy};
 use uncat::pdrtree::{PdrConfig, PdrTree};
@@ -611,14 +611,31 @@ const PARENT_COUNTERS: &[(&str, [u64; 14])] = &[
 /// What this commit's plans do to the rows above, on purpose. Per query:
 /// how DSTQ's support-exact lower bound splits the parent's verified
 /// candidates into `(candidates_pruned, candidates_verified)`, and the
-/// full [`counter_row`] of the top-k `Strategy::Auto` plans
-/// (`top_k_planned`): the block-granular threshold executor.
+/// full [`counter_row`] of the PETQ and top-k `Strategy::Auto` plans
+/// (`petq`, `top_k_planned`): the block-granular threshold executor.
 const DSTQ_SPLIT: [(u64, u64); 5] = [
     (4228, 329),
     (8608, 195),
     (11851, 160),
     (8404, 333),
     (13807, 0),
+];
+/// The full [`counter_row`] of the PETQ `Strategy::Auto` plans: the same
+/// executor with θ = τ. Every row: each list opened once, nothing
+/// verified, no pop; Lemma 1 stops the frontier with blocks unread, and
+/// what the survivors' suffixes do not need stays unread.
+const PLANNED_PETQ: [[u64; 14]; 5] = [
+    // One list at τ = 0.5: 7 of its 36 blocks, against the scan's 36.
+    [1, 0, 896, 7, 29, 0, 1, 896, 115, 0, 781, 0, 0, 7],
+    // Two and three lists at τ = 0.3 and 0.15: the survivors' suffixes are
+    // the lists' ends, so every block is read, as the scan reads them —
+    // on fewer page reads, one per run of blocks on a page.
+    [2, 0, 9260, 73, 0, 0, 1, 4913, 53, 0, 4860, 0, 0, 44],
+    [3, 0, 14025, 111, 0, 0, 1, 9917, 159, 0, 9758, 0, 0, 92],
+    // A skewed query (0.9 / 0.1) at τ = 0.7: 16 blocks of 73.
+    [2, 0, 1974, 16, 57, 0, 1, 256, 183, 0, 73, 0, 0, 4],
+    // Four lists at a quarter each, τ = 0.05: every block.
+    [4, 0, 18324, 145, 0, 0, 1, 13387, 196, 0, 13191, 0, 0, 141],
 ];
 const PLANNED_TOPK: [[u64; 14]; 5] = [
     // Every row: each list opened once, one page read per block the
@@ -640,15 +657,14 @@ const PLANNED_TOPK: [[u64; 14]; 5] = [
 /// The probe kernels are pinned against the counters recorded before
 /// them: on a fixed dataset, for every fixed strategy and the public
 /// top-k drain, every execution counter equals [`PARENT_COUNTERS`] and
-/// `io.logical_reads` never exceeds its old value. Three things moved
+/// `io.logical_reads` never exceeds its old value. Two things moved
 /// since, all on purpose and all pinned here: DSTQ prunes by lower
 /// bound before it verifies (same scan, same candidates, fewer random
-/// accesses), a backend configured with `Strategy::Auto` answers top-k
-/// with the block-granular threshold executor, not the drain (same
-/// tuples, no more blocks, nothing verified), and a PETQ under
-/// `Strategy::Auto` is the `inv-index-search` row, whichever strategy the I/O model ranks first
-/// (it used to run that one: NRA on the one-list query). `generated =
-/// pruned + verified + settled` holds on every row.
+/// accesses), and a backend configured with `Strategy::Auto` answers
+/// PETQ and top-k with the block-granular threshold executor, not the
+/// scan and the drain (same tuples, no more blocks, nothing verified;
+/// the PETQ rows are [`PLANNED_PETQ`], the top-k rows [`PLANNED_TOPK`]).
+/// `generated = pruned + verified + settled` holds on every row.
 #[test]
 fn probe_kernels_change_no_counter_but_logical_reads() {
     let (domain, data) = counter_dataset();
@@ -661,7 +677,8 @@ fn probe_kernels_change_no_counter_but_logical_reads() {
         (uda(&[(0, 0.25), (3, 0.25), (8, 0.25), (12, 0.25)]), 0.05),
     ];
     let mut rows: Vec<(String, [u64; 14])> = Vec::new();
-    let mut planned_topk: Vec<[u64; 14]> = Vec::new();
+    let (mut planned_petq, mut planned_topk): (Vec<[u64; 14]>, Vec<[u64; 14]>) =
+        (Vec::new(), Vec::new());
     let run = |name: &str, probe: &mut dyn FnMut(&mut BufferPool)| {
         let mut pool = BufferPool::with_capacity(store.clone(), 512);
         probe(&mut pool);
@@ -671,18 +688,22 @@ fn probe_kernels_change_no_counter_but_logical_reads() {
     };
     for (qi, (q, tau)) in queries.iter().enumerate() {
         let query = EqQuery::new(q.clone(), *tau);
+        let mut scanned = Vec::new();
         for strategy in Strategy::ALL {
             let name = format!("petq{qi}/{}", strategy.name());
             let m = run(&name, &mut |pool| {
-                idx.petq(pool, &query, strategy).unwrap();
+                let matches = idx.petq(pool, &query, strategy).unwrap();
+                if strategy == Strategy::Brute {
+                    scanned = matches;
+                }
             });
             rows.push((name, counter_row(&m)));
         }
-        let auto = run(&format!("petq{qi}/auto"), &mut |pool| {
-            idx.petq(pool, &query, Strategy::Auto).unwrap();
+        let m = run(&format!("petq{qi}/auto"), &mut |pool| {
+            let planned = idx.petq(pool, &query, Strategy::Auto).unwrap();
+            assert_same_answer(&format!("petq{qi}"), &planned, &scanned);
         });
-        let brute = rows[rows.len() - Strategy::ALL.len()].1;
-        assert_eq!(counter_row(&auto), brute, "petq{qi}: auto is not the scan");
+        planned_petq.push(counter_row(&m));
         let topk = TopKQuery::new(q.clone(), 10 + 20 * qi);
         let mut drained = Vec::new();
         let m = run(&format!("topk{qi}"), &mut |pool| {
@@ -691,21 +712,7 @@ fn probe_kernels_change_no_counter_but_logical_reads() {
         rows.push((format!("topk{qi}"), counter_row(&m)));
         let m = run(&format!("topk{qi}/auto"), &mut |pool| {
             let planned = idx.top_k_planned(pool, &topk, Strategy::Auto).unwrap();
-            // Same tuples; scores to the last bits only where the drain
-            // and the executor add a tuple's terms in the same order.
-            let tids =
-                |m: &[uncat::core::query::Match]| m.iter().map(|m| m.tid).collect::<Vec<_>>();
-            assert_eq!(
-                tids(&planned),
-                tids(&drained),
-                "topk{qi}: the plans disagree"
-            );
-            for (p, d) in planned.iter().zip(&drained) {
-                assert!(
-                    (p.score - d.score).abs() <= 1e-12,
-                    "topk{qi}: {p:?} vs {d:?}"
-                );
-            }
+            assert_same_answer(&format!("topk{qi}"), &planned, &drained);
         });
         planned_topk.push(counter_row(&m));
         let m = run(&format!("dstq{qi}"), &mut |pool| {
@@ -752,7 +759,18 @@ fn probe_kernels_change_no_counter_but_logical_reads() {
         );
     }
     assert_eq!(dstq_split, DSTQ_SPLIT, "DSTQ's pruned/verified split moved");
+    assert_eq!(planned_petq, PLANNED_PETQ, "the planned PETQ moved");
     assert_eq!(planned_topk, PLANNED_TOPK, "the planned top-k moved");
+}
+
+/// Same tuples; scores to the last bits only where the two plans add a
+/// tuple's terms in the same order.
+fn assert_same_answer(what: &str, planned: &[Match], reference: &[Match]) {
+    let tids = |m: &[Match]| m.iter().map(|m| m.tid).collect::<Vec<_>>();
+    assert_eq!(tids(planned), tids(reference), "{what}: the plans disagree");
+    for (p, r) in planned.iter().zip(reference) {
+        assert!((p.score - r.score).abs() <= 1e-12, "{what}: {p:?} vs {r:?}");
+    }
 }
 
 // --- The pool a query runs on is its ledger ---

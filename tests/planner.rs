@@ -5,9 +5,12 @@
 //!    [`Planner`] ranks first answer tid-exact against the scan
 //!    baseline. A ranking is allowed to be wrong about cost, never about
 //!    answers.
-//! 2. **`Auto` is the scan** — its ledger equals `Strategy::Brute`'s
-//!    field for field, whatever the statistics said before the lists
-//!    grew; there is no plan to abandon, so `plan_fallbacks` stays 0.
+//! 2. **`Auto` answers as the scan, reading no more** — the threshold
+//!    executor's answer is `Strategy::Brute`'s, tid for tid; it verifies
+//!    nothing, every block of every list it opens is decoded or skipped,
+//!    and it scans no more postings than the scan, whatever the
+//!    statistics said before the lists grew. There is no plan to
+//!    abandon, so `plan_fallbacks` stays 0.
 //! 3. **The model's competitiveness** — the fixed strategy the I/O model
 //!    ranks first (`plan_petq`, what `uncat explain` prints), run as
 //!    that fixed strategy, costs at most twice what the per-query best
@@ -161,15 +164,27 @@ fn run_cold(
     (out, pool.metrics())
 }
 
-/// `Auto`'s answer and whole ledger — search counters and I/O — are
-/// `Brute`'s. Returns that ledger.
-fn assert_auto_is_the_scan(idx: &InvertedIndex, store: &SharedStore, q: &EqQuery) -> QueryMetrics {
+/// `Auto`'s answer is `Brute`'s — the same tuples in the same order;
+/// the two add a tuple's terms in different orders, so scores agree to
+/// [`assert_matches_agree`]'s tolerance — and it reads by blocks what
+/// the scan reads, or less. Returns `Auto`'s ledger.
+fn assert_auto_answers_as_the_scan(
+    idx: &InvertedIndex,
+    store: &SharedStore,
+    q: &EqQuery,
+) -> QueryMetrics {
     let (reference, brute) = run_cold(idx, store, q, Strategy::Brute);
     let (got, auto) = run_cold(idx, store, q, Strategy::Auto);
-    assert_eq!(auto, brute, "auto's ledger is not the scan's");
+    assert_matches_agree("petq/auto vs brute", &reference, &got);
     assert_eq!(auto.plan_fallbacks, 0);
-    assert_eq!(auto.candidates_verified, 0, "the scan fetches no tuple");
-    assert_eq!(got, reference, "auto's answer is not the scan's");
+    assert_eq!(auto.candidates_verified, 0, "auto fetches no tuple");
+    assert_eq!(auto.lists_opened, brute.lists_opened);
+    assert_eq!(
+        auto.blocks_decoded + auto.blocks_skipped,
+        brute.blocks_decoded,
+        "every block of every opened list is decoded or skipped"
+    );
+    assert!(auto.postings_scanned <= brute.postings_scanned);
     auto
 }
 
@@ -178,7 +193,7 @@ proptest! {
 
     // Property 2 on random corpora.
     #[test]
-    fn auto_is_the_scan(
+    fn auto_answers_as_the_scan_reading_no_more(
         n in 500usize..2000,
         seed in 0u64..1000,
         tau in 0.05f64..0.6,
@@ -186,7 +201,7 @@ proptest! {
     ) {
         let (idx, store, data) = cold_crm1(n, seed);
         let q = EqQuery::new(data[probe % data.len()].1.clone(), tau);
-        assert_auto_is_the_scan(&idx, &store, &q);
+        assert_auto_answers_as_the_scan(&idx, &store, &q);
     }
 
     // Property 3: the cost of the model's first-ranked strategy is
@@ -231,11 +246,12 @@ fn check_cost_vs_oracle(n: usize, seed: u64, tau: f64, probe: usize) {
 /// Property 2 where the old adaptive executor regretted most: statistics
 /// read on a small corpus, then one posting list grown to twenty times
 /// anything they describe. There is no stale pick to overrun and no
-/// fallback to fire — `Auto` reads the grown list once, as `Brute` does —
-/// and the statistics, dropped by the first insert, describe the grown
-/// list when next asked.
+/// fallback to fire — `Auto` reads the grown list's blocks as the
+/// directory describes them when it runs, every grown posting (each
+/// meets τ) among them — and the statistics, dropped by the first
+/// insert, describe the grown list when next asked.
 #[test]
-fn auto_is_the_scan_on_a_list_grown_after_priming() {
+fn auto_answers_as_the_scan_on_a_list_grown_after_priming() {
     let (mut idx, store, _) = cold_crm1(300, 5);
     let primed_len = idx.cost_stats().cats.get(&CatId(0)).map_or(0, |c| c.len);
 
@@ -250,8 +266,8 @@ fn auto_is_the_scan_on_a_list_grown_after_priming() {
     drop(pool);
 
     let q = EqQuery::new(heavy, 0.1);
-    let m = assert_auto_is_the_scan(&idx, &store, &q);
-    assert_eq!(m.postings_scanned, primed_len + grown);
+    let m = assert_auto_answers_as_the_scan(&idx, &store, &q);
+    assert!((grown..=primed_len + grown).contains(&m.postings_scanned));
     assert_eq!(idx.cost_stats().cats[&CatId(0)].len, primed_len + grown);
 }
 

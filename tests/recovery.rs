@@ -855,7 +855,8 @@ fn statistics_follow_mutations() {
     };
     let initial = initial_data(40);
     let storage = DurableStorage::in_memory();
-    // The default strategy's PETQ is the scan, before and after a reopen.
+    // The scan's PETQ, run on the index's own pool before and after a
+    // reopen.
     let mut idx = create_inverted(storage.clone(), config, &initial);
 
     let heavy = Uda::certain(CatId(0));
@@ -866,8 +867,13 @@ fn statistics_follow_mutations() {
             .index
             .cost_stats()
             .predict_strategy(Strategy::Brute, &q);
-        let mut m = QueryMetrics::new();
-        idx.petq_metered(&q, &mut m).expect("in-memory query");
+        let (backend, pool) = idx.parts_mut();
+        let start = pool.metrics();
+        backend
+            .index
+            .petq(pool, &q, Strategy::Brute)
+            .expect("in-memory query");
+        let m = pool.metrics().since(&start);
         assert_eq!(predicted.postings_scanned, m.postings_scanned);
         assert_eq!(predicted.blocks_decoded, m.blocks_decoded);
         assert_eq!(
@@ -901,8 +907,9 @@ fn statistics_follow_mutations() {
 
 /// A reopened index answers as it did before it was closed: the strategy
 /// is not stored, so `open` must come back under the same default that
-/// `InvertedBackend::new` and the CLI use — `Strategy::Auto`, the scan —
-/// and not under a second default of its own.
+/// `InvertedBackend::new` and the CLI use — `Strategy::Auto`, the
+/// block-granular threshold executor — and not under a second default of
+/// its own.
 #[test]
 fn a_reopened_index_answers_under_the_same_default_strategy() {
     use uncat_inverted::Strategy;
@@ -945,7 +952,7 @@ fn a_reopened_index_answers_under_the_same_default_strategy() {
     assert_eq!(
         (after.frontier_pops, after.candidates_verified),
         (0, 0),
-        "the scan drains no frontier and fetches no tuple"
+        "the threshold executor drains no frontier and fetches no tuple"
     );
     assert_eq!(after, before, "same plan, same counters");
 }
