@@ -1,16 +1,17 @@
 //! The paper's I/O model: cost statistics and a per-strategy estimator.
 //!
-//! Diagnostic only — no execution path consults it. [`Strategy::Auto`]
-//! runs the block-granular threshold executor for every PETQ and top-k,
-//! unpriced; what this module predicts is read by
-//! `uncat explain`, the cross-backend `uncat_query::Planner` and the
-//! figures, which rank the five fixed strategies the way the paper does,
-//! by page reads.
+//! No execution path consults it. [`Strategy::Auto`] runs the
+//! block-granular threshold executor for every PETQ and top-k, unpriced.
+//! What is left is the paper's ranking of the five fixed strategies by
+//! page reads ([`CostStats::plan_petq`], §3.1), which the benchmark's
+//! `inverted.cost.plan_petq_ns` and `query.planner.plan_petq_ns` probes
+//! time, and the statistics the `UIV2` snapshot carries
+//! (docs/FORMAT.md §10).
 //!
 //! [`CostStats`] is the model's view of the index: per-category
 //! posting-list lengths plus a small histogram of the block directory's
-//! quantized-up maxima (`docs/METRICS.md`, "The I/O model behind
-//! `explain`"). Everything is extracted from in-memory metadata — the
+//! quantized-up maxima (`docs/METRICS.md`, "`explain` and the I/O
+//! model"). Everything is extracted from in-memory metadata — the
 //! posting directory and the heap page lists — so collecting stats
 //! performs **zero I/O**. They are collected when first asked for and
 //! dropped by every mutation, so [`InvertedIndex::cost_stats`] always
@@ -69,7 +70,9 @@ impl CatCostStats {
     }
 }
 
-/// Index-wide cost statistics consumed by the I/O model.
+/// Index-wide cost statistics consumed by the I/O model. Kept for
+/// [`CostStats::plan_petq`] and for the `UIV2` snapshot's statistics
+/// section (docs/FORMAT.md §10), which carries them.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CostStats {
     /// Indexed tuples.
@@ -118,7 +121,8 @@ pub(crate) fn collect(idx: &InvertedIndex) -> CostStats {
 }
 
 /// Predicted execution counters for one strategy on one query, in the
-/// same vocabulary [`QueryMetrics`] measures.
+/// same vocabulary [`QueryMetrics`] measures. What
+/// [`CostStats::plan_petq`] ranks by and returns.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CostPrediction {
     /// Predicted `postings_scanned`.
@@ -182,16 +186,11 @@ impl CostStats {
         block_reads(blocks, total_blocks, self.block_pages)
     }
 
-    /// Predict counters for every fixed strategy on a PETQ, in
-    /// [`Strategy::ALL`] order.
-    pub fn predict_petq(&self, query: &EqQuery) -> [(Strategy, CostPrediction); 5] {
-        Strategy::ALL.map(|s| (s, self.predict_strategy(s, query)))
-    }
-
     /// The fixed strategy the I/O model ranks first for a PETQ: the
     /// cheapest by predicted scalar cost, ties toward the frontier
     /// strategies (NRA first). A ranking by page reads, not by time —
-    /// [`Strategy::Auto`] does not run it.
+    /// [`Strategy::Auto`] does not run it. Kept as the paper's ranking
+    /// (§3.1) for the benchmark's `inverted.cost.plan_petq_ns` probe.
     pub fn plan_petq(&self, query: &EqQuery) -> (Strategy, CostPrediction) {
         let order = [
             Strategy::Nra,
@@ -210,8 +209,9 @@ impl CostStats {
         best
     }
 
-    /// Predict counters for one strategy on a PETQ. The model has no
-    /// term for [`Strategy::Auto`]'s block frontier; it gets the scan's
+    /// Predict counters for one strategy on a PETQ: the term
+    /// [`CostStats::plan_petq`] ranks by. The model has no term for
+    /// [`Strategy::Auto`]'s block frontier; it gets the scan's
     /// prediction, a ceiling on the postings and blocks it reads.
     pub fn predict_strategy(&self, strategy: Strategy, query: &EqQuery) -> CostPrediction {
         match strategy {
@@ -340,7 +340,9 @@ impl CostStats {
 
 /// Serialize the stats section appended to `UIV2` snapshots
 /// (`docs/FORMAT.md` §10). Fixed-width little-endian throughout, so a
-/// decoded section re-encodes byte-identically.
+/// decoded section re-encodes byte-identically. Still written so that
+/// the `UIV2` layout changes in one step, when a new trailing section
+/// replaces this one (`docs/FORMAT.md` §11).
 pub(crate) fn write_cost_stats(w: &mut Writer, s: &CostStats) {
     w.u64(s.tuples);
     w.u64(s.heap_pages);
@@ -396,14 +398,9 @@ pub(crate) fn read_cost_stats(r: &mut Reader<'_>) -> Result<CostStats, SnapshotE
 }
 
 impl InvertedIndex {
-    /// Predict counters for every fixed PETQ strategy from
-    /// [`InvertedIndex::cost_stats`], in [`Strategy::ALL`] order.
-    pub fn predict_petq(&self, query: &EqQuery) -> [(Strategy, CostPrediction); 5] {
-        self.cost_stats().predict_petq(query)
-    }
-
     /// The fixed strategy the I/O model ranks first for this PETQ, with
-    /// its prediction ([`CostStats::plan_petq`]).
+    /// its prediction ([`CostStats::plan_petq`]). No query runs it; the
+    /// benchmark's `inverted.cost.plan_petq_ns` probe times it.
     pub fn plan_petq(&self, query: &EqQuery) -> (Strategy, CostPrediction) {
         self.cost_stats().plan_petq(query)
     }
@@ -471,7 +468,8 @@ mod tests {
         // actually does.
         let (idx, mut pool) = build(2000);
         let query = EqQuery::new(uda(&[(1, 1.0)]), 0.3);
-        for (strategy, pred) in idx.predict_petq(&query) {
+        for strategy in Strategy::ALL {
+            let pred = idx.cost_stats().predict_strategy(strategy, &query);
             pool.clear().unwrap();
             pool.reset_stats();
             idx.petq(&mut pool, &query, strategy).unwrap();

@@ -347,11 +347,6 @@ impl InvertedIndex {
         self.postings.get(&cat).map_or(0, |l| l.len())
     }
 
-    /// Iterate all tuple ids (unordered).
-    pub fn tuple_ids(&self) -> impl Iterator<Item = u64> + '_ {
-        self.rids.keys().copied()
-    }
-
     /// Visit every stored tuple in heap order: `f(tid, uda)`. Costs one
     /// page read per heap page (a full relation scan).
     pub fn scan_tuples(&self, pool: &mut BufferPool, mut f: impl FnMut(u64, &Uda)) -> Result<()> {
@@ -528,17 +523,11 @@ impl InvertedIndex {
     /// metadata (zero I/O; see [`CostStats`]) when first asked for and
     /// kept until the next [`InvertedIndex::insert`],
     /// [`InvertedIndex::update`] or [`InvertedIndex::delete`] drops
-    /// them: they always describe the live directory.
+    /// them: they always describe the live directory. No query reads
+    /// them; [`InvertedIndex::plan_petq`] and the `UIV2` snapshot's
+    /// statistics section (docs/FORMAT.md §10) do.
     pub fn cost_stats(&self) -> &CostStats {
         self.cost.get_or_init(|| crate::cost::collect(self))
-    }
-
-    /// Every page this index references (tuple store, then block heap)
-    /// — the sampling frame for buffer-pool residency probes.
-    pub fn page_ids(&self) -> Vec<PageId> {
-        let (heap, _) = self.heap.raw_parts();
-        let (blocks, _) = self.block_heap.raw_parts();
-        heap.iter().chain(blocks.iter()).copied().collect()
     }
 }
 

@@ -101,8 +101,6 @@ impl PdrTree {
         flush_leaf(pool, &mut current, &mut level)?;
 
         // 3. Pack internal levels until a single root remains.
-        let leaves = level.len() as u64;
-        let mut internals = 0u64;
         let mut depth = 1u32;
         while level.len() > 1 {
             depth += 1;
@@ -140,18 +138,10 @@ impl PdrTree {
                 batch.push(c);
             }
             flush_internal(pool, &mut batch, &mut next)?;
-            internals += next.len() as u64;
             level = next;
         }
         let root = level.pop().expect("at least one node").pid;
-        Ok(PdrTree::from_raw(
-            root,
-            config,
-            domain,
-            n,
-            depth,
-            (leaves, internals),
-        ))
+        Ok(PdrTree::from_raw(root, config, domain, n, depth))
     }
 }
 

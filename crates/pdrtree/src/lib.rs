@@ -42,4 +42,4 @@ mod tree;
 
 pub use boundary::Boundary;
 pub use config::{Compression, PdrConfig, SplitStrategy};
-pub use tree::{PdrCostStats, PdrTree, TreeStats};
+pub use tree::{PdrTree, TreeStats};

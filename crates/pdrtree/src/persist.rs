@@ -17,9 +17,12 @@ use uncat_storage::snapshot::{
 use uncat_storage::SnapshotFileError;
 
 use crate::config::{Compression, PdrConfig, SplitStrategy};
-use crate::tree::{PdrTree, MAX_NODE_ENTRIES};
+use crate::tree::PdrTree;
 
 const MAGIC: &[u8; 4] = b"UPD1";
+
+/// Bytes of the page-count tail older writers put after `depth`.
+const COUNT_TAIL: usize = 16;
 
 /// Serialize a domain (labels or anonymous cardinality) — shared encoding
 /// with the inverted index via `uncat_storage::snapshot`.
@@ -98,23 +101,6 @@ fn read_config(r: &mut Reader<'_>) -> Result<PdrConfig, SnapshotError> {
     Ok(cfg)
 }
 
-/// `(leaf, internal)` page counts assumed for a snapshot that predates
-/// them: leaves half the entry cap full (what insertion splits leave),
-/// one internal level per 64 nodes below. Only the planner's cost
-/// estimate reads them, never an answer; later splits and emptied nodes
-/// adjust them from there, so the assumption lives on in the next
-/// snapshot.
-fn assumed_counts(len: u64) -> (u64, u64) {
-    let leaves = len.div_ceil(MAX_NODE_ENTRIES as u64 / 2).max(1);
-    let mut internals = 0;
-    let mut level = leaves;
-    while level > 1 {
-        level = level.div_ceil(64);
-        internals += level;
-    }
-    (leaves, internals)
-}
-
 impl PdrTree {
     /// Serialize the tree's metadata. Flush the building pool first so the
     /// referenced pages are durable.
@@ -125,9 +111,6 @@ impl PdrTree {
         w.pid(self.root());
         w.u64(self.len());
         w.u32(self.depth());
-        let (leaves, internals) = self.node_counts();
-        w.u64(leaves);
-        w.u64(internals);
         w.finish()
     }
 
@@ -139,17 +122,16 @@ impl PdrTree {
         let root = r.pid()?;
         let len = r.u64()?;
         let depth = r.u32()?;
-        // Snapshots written before the node counts were kept end here;
-        // for those the planner gets an estimate (see `assumed_counts`).
-        let counts = if r.is_done() {
-            assumed_counts(len)
-        } else {
-            (r.u64()?, r.u64()?)
-        };
-        if !r.is_done() {
-            return Err(SnapshotError("trailing bytes"));
+        // Older writers appended the (leaf, internal) page counts, two
+        // u64s nothing reads any more (docs/FORMAT.md §12).
+        if r.remaining() == COUNT_TAIL {
+            r.u64()?;
+            r.u64()?;
         }
-        Ok(PdrTree::from_raw(root, config, domain, len, depth, counts))
+        if !r.is_done() {
+            return Err(SnapshotError("trailing bytes after the tree header"));
+        }
+        Ok(PdrTree::from_raw(root, config, domain, len, depth))
     }
 
     /// Commit the metadata snapshot to `path` atomically (temp file,
@@ -209,7 +191,7 @@ mod tests {
         let tree = PdrTree::open(&blob).expect("snapshot decodes");
         assert_eq!(tree.len(), 500);
         assert_eq!(*tree.config(), cfg, "configuration survives");
-        assert_eq!(tree.snapshot(), blob, "and so do the page counts");
+        assert_eq!(tree.snapshot(), blob, "re-encoding is byte-identical");
         let mut pool = BufferPool::with_capacity(store, 128);
         assert_eq!(tree.check_invariants(&mut pool).unwrap(), 500);
         let out = tree
@@ -261,8 +243,10 @@ mod tests {
         assert_eq!(out.len(), 40);
     }
 
-    /// A snapshot from before the page counts travelled in it ends after
-    /// the depth: it still opens, answers, and prices itself plausibly.
+    /// The writer ends after the depth (`tests/format.rs` walks the
+    /// bytes). A snapshot an older writer left with its 16-byte
+    /// page-count tail opens to the same tree, and any other tail is
+    /// refused with a typed error.
     #[test]
     fn snapshot_without_page_counts_still_opens() {
         let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 128);
@@ -276,23 +260,31 @@ mod tests {
             data.iter().map(|(t, u)| (*t, u)),
         )
         .unwrap();
-        let mut w = Writer::new(MAGIC);
-        write_domain(&mut w, tree.domain());
-        write_config(&mut w, tree.config());
-        w.pid(tree.root());
-        w.u64(tree.len());
-        w.u32(tree.depth());
-        let old = PdrTree::open(&w.finish()).expect("old snapshot opens");
-        assert_eq!(old.len(), 3000);
-        let out = old
-            .petq(&mut pool, &EqQuery::new(uda(&[(2, 1.0)]), 0.5))
-            .unwrap();
-        assert_eq!(out.len(), 429);
-        let (assumed, real) = (old.cost_stats().nodes_est, tree.cost_stats().nodes_est);
-        assert!(
-            assumed <= 2 * real && real <= 2 * assumed,
-            "assumed {assumed} pages for a tree of {real}"
-        );
+        let current = tree.snapshot();
+        let s = tree.stats(&mut pool).unwrap();
+        let mut counted = current.clone();
+        counted.extend_from_slice(&s.leaves.to_le_bytes());
+        counted.extend_from_slice(&s.internals.to_le_bytes());
+        let old = PdrTree::open(&counted).expect("a counted snapshot opens");
+        assert_eq!(old.snapshot(), current, "and re-encodes without the counts");
+        assert_eq!(old.check_invariants(&mut pool).unwrap(), 3000);
+        for (cat, tau) in [(2, 0.5), (7, 0.3), (0, 0.9)] {
+            let q = EqQuery::new(uda(&[(cat, 1.0)]), tau);
+            assert_eq!(
+                old.petq(&mut pool, &q).unwrap(),
+                tree.petq(&mut pool, &q).unwrap()
+            );
+        }
+
+        for tail in [8, 17, 24] {
+            let mut blob = current.clone();
+            blob.resize(current.len() + tail, 0);
+            assert_eq!(
+                PdrTree::open(&blob).err(),
+                Some(SnapshotError("trailing bytes after the tree header")),
+                "{tail} trailing bytes"
+            );
+        }
     }
 
     #[test]

@@ -58,10 +58,6 @@ pub struct PdrTree {
     domain: Domain,
     len: u64,
     depth: u32,
-    /// Reachable leaf and internal pages, kept exact by every operation
-    /// that adds or drops a node so [`PdrTree::cost_stats`] needs no I/O.
-    leaves: u64,
-    internals: u64,
 }
 
 impl PdrTree {
@@ -78,8 +74,6 @@ impl PdrTree {
             domain,
             len: 0,
             depth: 1,
-            leaves: 1,
-            internals: 0,
         })
     }
 
@@ -128,17 +122,6 @@ impl PdrTree {
         &self.domain
     }
 
-    /// Planner-facing statistics from the in-memory header alone — no
-    /// page is read, unlike [`PdrTree::stats`].
-    pub fn cost_stats(&self) -> PdrCostStats {
-        PdrCostStats {
-            entries: self.len,
-            depth: self.depth,
-            leaves_est: self.leaves,
-            nodes_est: self.leaves + self.internals,
-        }
-    }
-
     pub(crate) fn root(&self) -> PageId {
         self.root
     }
@@ -150,7 +133,6 @@ impl PdrTree {
         domain: Domain,
         len: u64,
         depth: u32,
-        (leaves, internals): (u64, u64),
     ) -> PdrTree {
         PdrTree {
             root,
@@ -158,14 +140,7 @@ impl PdrTree {
             domain,
             len,
             depth,
-            leaves,
-            internals,
         }
-    }
-
-    /// Reachable `(leaf, internal)` page counts.
-    pub(crate) fn node_counts(&self) -> (u64, u64) {
-        (self.leaves, self.internals)
     }
 
     /// Insert a distribution.
@@ -192,7 +167,6 @@ impl PdrTree {
             )?;
             self.root = new_root;
             self.depth += 1;
-            self.internals += 1;
         }
         self.len += 1;
         Ok(())
@@ -310,7 +284,6 @@ impl PdrTree {
         let right_pid = pool.allocate()?;
         write_node(pool, pid, &Node::Leaf(left_entries), compression)?;
         write_node(pool, right_pid, &Node::Leaf(right_entries), compression)?;
-        self.leaves += 1;
         Ok((
             ChildEntry {
                 pid,
@@ -357,7 +330,6 @@ impl PdrTree {
             &Node::Internal(right_children),
             compression,
         )?;
-        self.internals += 1;
         Ok((
             ChildEntry {
                 pid,
@@ -498,15 +470,6 @@ impl PdrTree {
                 }
                 _ => return Err(STALE_PATH),
             };
-            if boundary.is_none() && pid != self.root {
-                // The parent drops its reference: the page is unreachable.
-                // (Saturating: counts assumed for an old snapshot may run
-                // below the tree's.)
-                match node {
-                    Node::Leaf(_) => self.leaves = self.leaves.saturating_sub(1),
-                    Node::Internal(_) => self.internals = self.internals.saturating_sub(1),
-                }
-            }
             write_node(pool, pid, &node, compression)?;
             below = Some((pid, boundary));
         }
@@ -515,7 +478,6 @@ impl PdrTree {
             // The root emptied out: collapse it back to a single leaf.
             write_node(pool, self.root, &Node::Leaf(Vec::new()), compression)?;
             self.depth = 1;
-            (self.leaves, self.internals) = (1, 0);
         }
         Ok(Some(uda))
     }
@@ -564,18 +526,11 @@ impl PdrTree {
     }
 
     /// Check structural invariants (every boundary dominates its subtree,
-    /// entry and page counts add up — so not for a tree reopened from a
-    /// snapshot that predates the page counts, which carries assumed
-    /// ones). Test/debug aid; returns the number of leaf entries.
+    /// the entry count adds up). Test/debug aid; returns the number of
+    /// leaf entries.
     pub fn check_invariants(&self, pool: &mut BufferPool) -> Result<u64> {
         let n = self.check_rec(pool, self.root, None)?;
         assert_eq!(n, self.len, "stored entries disagree with len()");
-        let s = self.stats(pool)?;
-        assert_eq!(
-            (s.leaves, s.internals),
-            (self.leaves, self.internals),
-            "reachable (leaf, internal) pages disagree with the header counts"
-        );
         Ok(n)
     }
 
@@ -620,25 +575,6 @@ impl PdrTree {
 
 fn clone_uda(u: &Uda) -> Uda {
     u.clone()
-}
-
-/// Zero-I/O statistics returned by [`PdrTree::cost_stats`], the
-/// PDR-tree's contribution to the query planner's cost model. The full
-/// per-node picture ([`TreeStats`]) needs a tree walk; planning must not
-/// do I/O, so this carries what the header keeps. The page counts are
-/// maintained by the bulk loader, every split and every emptied node, and
-/// travel in the snapshot; only a tree reopened from a snapshot that
-/// predates them carries an estimate there (hence the field names).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PdrCostStats {
-    /// Stored distributions (exact).
-    pub entries: u64,
-    /// Tree height in levels (exact; 1 = a single leaf).
-    pub depth: u32,
-    /// Reachable leaf pages.
-    pub leaves_est: u64,
-    /// Reachable pages, leaves plus internal nodes.
-    pub nodes_est: u64,
 }
 
 /// Structural statistics returned by [`PdrTree::stats`].
@@ -857,31 +793,6 @@ mod tests {
         assert!(s.avg_fanout() > 1.0);
         assert!(s.fill_factor() > 0.1 && s.fill_factor() <= 1.0);
         assert!(s.avg_leaf_entries() > 1.0);
-    }
-
-    /// The planner prices the tree from `cost_stats`: its page counts must
-    /// be the tree's, whichever way it was built.
-    #[test]
-    fn cost_stats_page_counts_match_the_tree_for_both_build_methods() {
-        let data = synth(6000, 8, 23);
-        for bulk in [false, true] {
-            let mut p = pool();
-            let tuples = data.iter().map(|(i, u)| (*i, u));
-            let t = if bulk {
-                PdrTree::bulk_build(Domain::anonymous(8), PdrConfig::default(), &mut p, tuples)
-            } else {
-                PdrTree::build(Domain::anonymous(8), PdrConfig::default(), &mut p, tuples)
-            }
-            .unwrap();
-            let (cost, s) = (t.cost_stats(), t.stats(&mut p).unwrap());
-            assert!(s.internals >= 1, "bulk={bulk}: more than one page");
-            assert!(
-                cost.nodes_est <= 2 * s.nodes && s.nodes <= 2 * cost.nodes_est,
-                "bulk={bulk}: {cost:?} vs {s:?}"
-            );
-            assert_eq!((cost.leaves_est, cost.nodes_est), (s.leaves, s.nodes));
-            assert_eq!((cost.entries, cost.depth), (6000, s.depth));
-        }
     }
 
     #[test]

@@ -14,10 +14,9 @@
 //!   PEJ-top-k carries a rising score floor into every probe's query).
 //! * [`parallel`] — batch execution across threads (each query gets its
 //!   own buffer pool, exactly like the paper's per-query setup).
-//! * [`planner`] — the paper's I/O model across backends: which index
-//!   and strategy it ranks first, from zero-I/O statistics (DESIGN.md
-//!   §6h). Diagnostic: `uncat explain` prints it, no query is routed by
-//!   it.
+//! * [`planner`] — the inverted index's PETQ ranking by page reads, from
+//!   zero-I/O statistics (DESIGN.md §6h). No query is routed by it; the
+//!   benchmark's `query.planner.plan_petq_ns` probe times it.
 //! * [`durable`] — [`DurableIndex`], crash-safe online mutation for both
 //!   paper indexes: write-ahead logging with group commit, no-steal
 //!   buffering, redo-journaled checkpoints, and recovery that truncates
@@ -41,5 +40,5 @@ pub use durable::{
 pub use executor::{run_query, QueryOutcome};
 pub use index_trait::{InvertedBackend, UncertainIndex};
 pub use parallel::{batch_trace, BatchPools};
-pub use planner::{IndexStats, Plan, PlannedBackend, Planner};
+pub use planner::Planner;
 pub use scan::ScanBaseline;

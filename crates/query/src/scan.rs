@@ -91,19 +91,6 @@ impl ScanBaseline {
         sort_matches_desc(&mut out);
         Ok(out)
     }
-
-    /// `Pr(q < t) ≥ tau` over a totally ordered domain, by scan.
-    pub fn less_than_petq(&self, pool: &mut BufferPool, q: &Uda, tau: f64) -> Result<Vec<Match>> {
-        let mut out = Vec::new();
-        self.scan(pool, |tid, t| {
-            let pr = uncat_core::ordered::pr_less(q, t);
-            if meets_threshold(pr, tau) {
-                out.push(Match::new(tid, pr));
-            }
-        })?;
-        sort_matches_desc(&mut out);
-        Ok(out)
-    }
 }
 
 /// Every tuple read counts one `heap_tuples_scanned` in the pool's ledger.

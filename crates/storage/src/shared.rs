@@ -226,22 +226,6 @@ impl SharedBufferPool {
             .contains_key(&pid)
     }
 
-    /// Fraction of `pages` currently cached, probing every `stride`-th
-    /// page (stride 0 and 1 both probe every page). The cross-backend
-    /// planner samples this to discount predicted physical reads for
-    /// data that is already hot; it is a point-in-time estimate with no
-    /// I/O side effects. An empty page set reports 0.0.
-    pub fn residency_fraction(&self, pages: &[PageId], stride: usize) -> f64 {
-        let probed = pages.iter().step_by(stride.max(1));
-        let total = probed.len();
-        let hot = probed.filter(|&&pid| self.is_resident(pid)).count();
-        if total == 0 {
-            0.0
-        } else {
-            hot as f64 / total as f64
-        }
-    }
-
     /// Aggregate I/O counters: the field-wise sum of every shard's stats.
     /// Because every access is recorded in exactly one shard, this equals
     /// the sum of all per-handle stats (plus the write-back traffic of

@@ -265,15 +265,6 @@ impl LatencyHistogram {
         self.max_ns
     }
 
-    /// Mean duration in nanoseconds (`NaN` when empty).
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.sum_ns as f64 / self.count as f64
-        }
-    }
-
     /// Upper-edge estimate of quantile `q` in `[0, 1]`. Returns 0 for an
     /// empty histogram. The estimate is ≥ the exact quantile and within
     /// the containing bucket's width of it; the top bucket reports the

@@ -34,7 +34,7 @@ use std::sync::Arc;
 
 use uncat::core::{CatId, Divergence, EqQuery, TopKQuery, Uda};
 use uncat::datagen;
-use uncat::inverted::{CostPrediction, InvertedIndex, Strategy};
+use uncat::inverted::{InvertedIndex, Strategy};
 use uncat::pdrtree::{PdrConfig, PdrTree};
 use uncat::query::join::{
     block_join, index_join, parallel_join, JoinOutcome, JoinSpec, SharedFloor,
@@ -200,10 +200,9 @@ A flag a command does not list is an error.
   histograms. For batch, prints the histograms merged across all
   workers. --trace-json <file> writes the span tree in Chrome
   trace-event format (load it at chrome://tracing or in Perfetto).
-explain: run one PETQ under every inverted strategy and auto and compare
-  counters plus wall-clock time, the paper's I/O model's predictions (-
-  under auto, which it does not price), the strategy that model ranks
-  first and what auto runs (for --index pdr, prints the single PDR-tree
+explain: run one PETQ under every inverted strategy and auto, each on a
+  cold pool, and print the measured counters, cold and warm wall-clock
+  time and what auto runs (for --index pdr, prints the single PDR-tree
   profile)
 batch: run a Zipf-skewed PETQ batch on T threads. --pool private gives
   each query its own F-frame pool (the paper's model); --pool shared runs
@@ -1160,21 +1159,10 @@ fn join(flags: &HashMap<String, String>) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Whether `explain` flags `a` against `b` as a misprediction: more than
-/// three times it plus 512, so near-zero counts do not flag on noise.
-/// Display only — nothing executes differently for it.
-fn exceeds_slack(a: u64, b: u64) -> bool {
-    a > 3 * b + 512
-}
-
 /// Run one PETQ under every inverted strategy and `auto`, the default,
-/// and print the counters side by side (one column each), with wall-clock
-/// timing rows, the I/O model's predicted counters for the five fixed
-/// strategies (`pred_*` rows; `-` under `auto`, which the model does not
-/// price), the strategy it ranks first beside what `auto` runs, and a
-/// `misprediction:` line for every prediction off by more than
-/// [`exceeds_slack`] allows. For the PDR-tree there is a single
-/// algorithm, so the output is one profile.
+/// and print the measured counters side by side (one column each), with
+/// wall-clock timing rows and what `auto` runs. For the PDR-tree there
+/// is a single algorithm, so the output is one profile.
 fn explain(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let (idx, store, recovered) = reopen(flags)?;
     note_recovery(&recovered);
@@ -1186,8 +1174,6 @@ fn explain(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let q = EqQuery::new(uda, tau);
     match &idx {
         AnyIndex::Inverted(i) => {
-            let predictions = i.predict_petq(&q);
-            let (pick, _) = i.plan_petq(&q);
             let mut cols: Vec<(&'static str, QueryMetrics, usize, [u64; 2])> = Vec::new();
             for strategy in Strategy::ALL.into_iter().chain([Strategy::Auto]) {
                 // A cold pool per strategy keeps the I/O columns
@@ -1229,44 +1215,7 @@ fn explain(flags: &HashMap<String, String>) -> Result<(), CliError> {
                 }
                 println!();
             }
-            // Predicted counters, one row per predictor, aligned under
-            // the same strategy columns (predictions and runs both
-            // iterate Strategy::ALL; `auto` comes last, unpredicted).
-            type PredField = fn(&CostPrediction) -> u64;
-            let pred_rows: [(&str, PredField); 4] = [
-                ("pred_postings_scanned", |p| p.postings_scanned),
-                ("pred_blocks_decoded", |p| p.blocks_decoded),
-                ("pred_cand_verified", |p| p.candidates_verified),
-                ("pred_physical_reads", |p| p.physical_reads),
-            ];
-            for (label, get) in pred_rows {
-                print!("{label:<22}");
-                for (_, p) in &predictions {
-                    print!(" {:>18}", get(p));
-                }
-                println!(" {:>18}", "-");
-            }
-            println!("i/o model ranks first: {}", pick.name());
             println!("auto runs: block-max threshold, θ = τ");
-            for ((_, p), (name, m, _, _)) in predictions.iter().zip(&cols) {
-                let checks = [
-                    ("postings_scanned", p.postings_scanned, m.postings_scanned),
-                    ("physical_reads", p.physical_reads, m.io.physical_reads),
-                ];
-                for (counter, predicted, actual) in checks {
-                    if exceeds_slack(actual, predicted) {
-                        println!(
-                            "misprediction: {name} {counter} under-estimated \
-                             (predicted {predicted}, actual {actual})"
-                        );
-                    } else if exceeds_slack(predicted, actual) {
-                        println!(
-                            "misprediction: {name} {counter} over-estimated \
-                             (predicted {predicted}, actual {actual})"
-                        );
-                    }
-                }
-            }
         }
         AnyIndex::Pdr(t) => {
             let mut pool = BufferPool::new(store.clone());
@@ -1319,6 +1268,20 @@ fn service_cli_err(e: uncat::service::ServiceError) -> CliError {
     }
 }
 
+/// One `serve` answer: the counts, then the first five matches.
+fn print_answer(kind: &str, tenant: &str, out: &uncat::service::ServiceOutcome) {
+    println!(
+        "{kind} {tenant}: {} matches, {} postings, {} reads, wall {:.1}us",
+        out.matches.len(),
+        out.metrics.postings_scanned,
+        out.metrics.io.physical_reads,
+        out.wall_ns as f64 / 1e3,
+    );
+    for m in out.matches.iter().take(5) {
+        println!("  {}\t{:.6}", m.tid, m.score);
+    }
+}
+
 /// `uncat serve`: host generated tenants and answer stdin commands.
 fn serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
     use uncat::service::{QueryService, ServiceConfig, TenantConfig};
@@ -1365,7 +1328,8 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
          stats <tenant> | tenants | quit"
     );
 
-    let certain = |cat: u32| -> Result<Uda, CliError> {
+    let certain = |cat: &str| -> Result<Uda, CliError> {
+        let cat: u32 = parse(cat, "<cat>")?;
         Uda::from_pairs([(CatId(cat), 1.0f32)])
             .map_err(|e| CliError::Usage(format!("bad category {cat}: {e}")))
     };
@@ -1409,44 +1373,19 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
                 }
                 Err(e) => Err(service_cli_err(e)),
             },
-            ["petq", tenant, cat, tau] => {
-                let q = EqQuery::new(certain(parse(cat, "<cat>")?)?, parse(tau, "<tau>")?);
-                match service.petq(tenant, &q) {
-                    Ok(out) => {
-                        println!(
-                            "petq {tenant}: {} matches, {} postings, {} reads, wall {:.1}us",
-                            out.matches.len(),
-                            out.metrics.postings_scanned,
-                            out.metrics.io.physical_reads,
-                            out.wall_ns as f64 / 1e3,
-                        );
-                        for m in out.matches.iter().take(5) {
-                            println!("  {}\t{:.6}", m.tid, m.score);
-                        }
-                        Ok(())
-                    }
-                    Err(e) => Err(service_cli_err(e)),
-                }
-            }
-            ["topk", tenant, cat, k] => {
-                let q = TopKQuery::new(certain(parse(cat, "<cat>")?)?, parse(k, "<k>")?);
-                match service.top_k(tenant, &q) {
-                    Ok(out) => {
-                        println!(
-                            "topk {tenant}: {} matches, {} postings, {} reads, wall {:.1}us",
-                            out.matches.len(),
-                            out.metrics.postings_scanned,
-                            out.metrics.io.physical_reads,
-                            out.wall_ns as f64 / 1e3,
-                        );
-                        for m in out.matches.iter().take(5) {
-                            println!("  {}\t{:.6}", m.tid, m.score);
-                        }
-                        Ok(())
-                    }
-                    Err(e) => Err(service_cli_err(e)),
-                }
-            }
+            // The closures keep a request's parse errors in the request.
+            ["petq", tenant, cat, tau] => certain(cat).and_then(|uda| {
+                let q = EqQuery::new(uda, parse(tau, "<tau>")?);
+                let out = service.petq(tenant, &q).map_err(service_cli_err)?;
+                print_answer("petq", tenant, &out);
+                Ok(())
+            }),
+            ["topk", tenant, cat, k] => certain(cat).and_then(|uda| {
+                let q = TopKQuery::new(uda, parse(k, "<k>")?);
+                let out = service.top_k(tenant, &q).map_err(service_cli_err)?;
+                print_answer("topk", tenant, &out);
+                Ok(())
+            }),
             other => {
                 println!("? unknown command: {}", other.join(" "));
                 Ok(())

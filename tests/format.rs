@@ -16,6 +16,7 @@ use uncat::inverted::{
     decode_block, dequantize, encode_block, quantize_up, upgrade, InvertedIndex, Strategy,
     PROB_SCALE,
 };
+use uncat::pdrtree::{PdrConfig, PdrTree};
 use uncat::query::{split_snapshot, LogRecord};
 use uncat::storage::crc::crc32c;
 use uncat::storage::{
@@ -452,4 +453,54 @@ fn uiv2_snapshot_header_walk() {
 
     // The walked blob is exactly what open() accepts.
     InvertedIndex::open(&blob).expect("reopen");
+}
+
+// ---------------------------------------------------------------------------
+// PDR-tree metadata snapshot (`UPD1`).
+// ---------------------------------------------------------------------------
+
+/// §12 by hand: domain, configuration, root, tuple count, depth, and
+/// nothing after. A blob with an older writer's 16-byte page-count tail
+/// opens to the same tree; any other tail is refused.
+#[test]
+fn upd1_snapshot_header_walk() {
+    let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 64);
+    let tuples = [(9u64, uda(&[(1, 0.75), (3, 0.25)])), (4, uda(&[(2, 1.0)]))];
+    let tree = PdrTree::build(
+        Domain::anonymous(4),
+        PdrConfig::default(),
+        &mut pool,
+        tuples.iter().map(|(t, u)| (*t, u)),
+    )
+    .expect("build");
+
+    let blob = tree.snapshot();
+    let mut w = Walk::new(&blob);
+    assert_eq!(w.bytes(4), b"UPD1");
+    assert_eq!(w.u8(), 0, "anonymous domain tag");
+    assert_eq!(w.u32(), 4, "domain cardinality");
+    assert_eq!(w.u8(), 2, "divergence: KL");
+    assert_eq!(w.u8(), 1, "split: bottom-up");
+    assert_eq!(w.u8(), 0, "compression kind: none");
+    assert_eq!(w.u16(), 0, "compression argument");
+    assert_eq!(w.u32(), 3, "balance numerator");
+    assert_eq!(w.u32(), 4, "balance denominator");
+    w.u64(); // root page
+    assert_eq!(w.u64(), 2, "stored distributions");
+    assert_eq!(w.u32(), 1, "a single leaf has depth 1");
+    assert!(w.done(), "the writer ends after depth");
+
+    let q = EqQuery::new(uda(&[(1, 1.0)]), 0.5);
+    let want = tree.petq(&mut pool, &q).expect("query");
+    let mut counted = blob.clone();
+    counted.extend_from_slice(&1u64.to_le_bytes()); // leaf pages
+    counted.extend_from_slice(&0u64.to_le_bytes()); // internal pages
+    let old = PdrTree::open(&counted).expect("a counted snapshot opens");
+    assert_eq!(old.petq(&mut pool, &q).expect("query"), want);
+    assert_eq!(old.snapshot(), blob, "and is rewritten without the counts");
+
+    let mut tail = blob.clone();
+    tail.extend_from_slice(&[0; 8]);
+    let refused = PdrTree::open(&tail).err().expect("an 8-byte tail");
+    assert!(refused.to_string().contains("trailing bytes"), "{refused}");
 }

@@ -1,10 +1,8 @@
 //! What `Strategy::Auto` runs, and the harness of the I/O model it no
 //! longer consults.
 //!
-//! 1. **Exactness** — `Strategy::Auto` and whatever the cross-backend
-//!    [`Planner`] ranks first answer tid-exact against the scan
-//!    baseline. A ranking is allowed to be wrong about cost, never about
-//!    answers.
+//! 1. **Exactness** — `Strategy::Auto`'s PETQ and top-k answer tid-exact
+//!    against the scan baseline.
 //! 2. **`Auto` answers as the scan, reading no more** — the threshold
 //!    executor's answer is `Strategy::Brute`'s, tid for tid; it verifies
 //!    nothing, every block of every list it opens is decoded or skipped,
@@ -23,9 +21,8 @@ use uncat::core::query::{EqQuery, Match, TopKQuery};
 use uncat::core::{CatId, Domain, Uda};
 use uncat::datagen::crm;
 use uncat::prelude::*;
-use uncat::query::{Plan, PlannedBackend, Planner, ScanBaseline, UncertainIndex};
+use uncat::query::{ScanBaseline, UncertainIndex};
 use uncat_inverted::{InvertedIndex, Strategy, ENTRIES_PER_PAGE};
-use uncat_pdrtree::{PdrConfig, PdrTree};
 use uncat_storage::SharedStore;
 
 /// Cases per property: `default`, or `PROPTEST_CASES` when set (the
@@ -49,7 +46,7 @@ fn assert_matches_agree(what: &str, reference: &[Match], got: &[Match]) {
     assert_eq!(
         got.iter().map(|m| m.tid).collect::<Vec<_>>(),
         reference.iter().map(|m| m.tid).collect::<Vec<_>>(),
-        "{what}: planned run returned different tuples than scan"
+        "{what}: returned different tuples than scan"
     );
     for (r, g) in reference.iter().zip(got) {
         assert!(
@@ -65,11 +62,9 @@ fn assert_matches_agree(what: &str, reference: &[Match], got: &[Match]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(12)))]
 
-    // Property 1: exactness. Auto and the cross-backend planner's pick
-    // answer every query identically to the scan baseline on CRM
-    // corpora — the datasets the planner was tuned against are not
-    // allowed to be the datasets it is correct on by accident, so size,
-    // seed, threshold, and probe tuple are all generated.
+    // Property 1: exactness. Auto answers every query identically to
+    // the scan baseline on CRM corpora; size, seed, threshold, and probe
+    // tuple are all generated.
     #[test]
     fn planned_queries_are_tid_exact_against_scan(
         n in 200usize..1200,
@@ -87,15 +82,8 @@ fn check_planned_exactness(n: usize, seed: u64, tau: f64, probe: usize, k: usize
     let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 512);
     let scan =
         ScanBaseline::build(&mut pool, data.iter().map(|(t, u)| (*t, u))).expect("in-memory build");
-    let idx = InvertedIndex::build(domain.clone(), &mut pool, data.iter().map(|(t, u)| (*t, u)))
+    let idx = InvertedIndex::build(domain, &mut pool, data.iter().map(|(t, u)| (*t, u)))
         .expect("in-memory build");
-    let pdr = PdrTree::build(
-        domain,
-        PdrConfig::default(),
-        &mut pool,
-        data.iter().map(|(t, u)| (*t, u)),
-    )
-    .expect("in-memory build");
 
     let q = data[probe % data.len()].1.clone();
     let eq = EqQuery::new(q.clone(), tau);
@@ -107,33 +95,10 @@ fn check_planned_exactness(n: usize, seed: u64, tau: f64, probe: usize, k: usize
         .expect("in-memory query");
     assert_matches_agree("petq/auto", &reference, &auto);
 
-    // The cross-backend planner: execute exactly the backend it picked.
-    let planner = Planner::for_both(&idx, &pdr);
-    let run = |plan: &Plan, pool: &mut BufferPool| match plan.backend {
-        PlannedBackend::Inverted(s) => idx.petq(pool, &eq, s).expect("in-memory query"),
-        PlannedBackend::PdrTree => UncertainIndex::petq(&pdr, pool, &eq).expect("in-memory query"),
-        PlannedBackend::Scan => scan.petq(pool, &eq).expect("in-memory query"),
-    };
-    let plan = planner.plan_petq(&eq);
-    assert_matches_agree(
-        &format!("petq/planned/{}", plan.backend.name()),
-        &reference,
-        &run(&plan, &mut pool),
-    );
-
-    // Top-k rides along: the planner may route it to either index; both
-    // must agree with scan.
+    // Top-k rides along: the plan `Auto` runs is the block-granular
+    // threshold executor.
     let tk = TopKQuery::new(q, k);
     let reference = scan.top_k(&mut pool, &tk).expect("in-memory query");
-    let got = match planner.plan_top_k(&tk).backend {
-        PlannedBackend::PdrTree => {
-            UncertainIndex::top_k(&pdr, &mut pool, &tk).expect("in-memory query")
-        }
-        _ => idx.top_k(&mut pool, &tk).expect("in-memory query"),
-    };
-    assert_matches_agree("top_k/planned", &reference, &got);
-    // And the in-index plan `Auto` runs: the block-granular threshold
-    // executor.
     let auto = idx
         .top_k_planned(&mut pool, &tk, Strategy::Auto)
         .expect("in-memory query");
