@@ -11,15 +11,7 @@
 //! Both operands are sparse and sorted by category, so the product is a
 //! linear merge over the shorter supports.
 
-use crate::domain::CatId;
 use crate::uda::{Entry, Uda};
-use crate::Prob;
-
-/// `Pr(u = d)` for a plain category value `d` (Definition 1).
-#[inline]
-pub fn eq_prob_value(u: &Uda, d: CatId) -> f64 {
-    u.prob_of(d) as f64
-}
 
 /// `Pr(u = v)` for two UDAs (Definition 2): the inner product of the two
 /// sparse probability vectors, accumulated in `f64`.
@@ -80,29 +72,10 @@ pub fn meets_threshold(pr: f64, tau: f64) -> bool {
     pr >= tau - THRESHOLD_EPS
 }
 
-/// An upper bound on `Pr(q = t)` knowing only `t`'s largest probability.
-///
-/// `Pr(q = t) = Σ q.p_i t.p_i ≤ max_i(t.p_i) · Σ q.p_i ≤ max_i(t.p_i)`,
-/// the bound behind the paper's *column pruning* strategy.
-#[inline]
-pub fn eq_upper_bound_from_max(t_max_prob: Prob) -> f64 {
-    t_max_prob as f64
-}
-
-/// An upper bound on `Pr(q = t)` from the query alone: a tuple can only
-/// reach probability `max_i q.p_i` (since `Σ t.p_i ≤ 1`). This is the bound
-/// behind *row pruning*: lists whose query probability is ≤ τ can still
-/// *contribute*, but a tuple whose every overlapping query item has
-/// `q.p ≤ τ` cannot qualify on those items alone.
-#[inline]
-pub fn eq_upper_bound_from_query_max(q_max_prob: Prob) -> f64 {
-    q_max_prob as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::uda::Uda;
+    use crate::domain::CatId;
 
     fn uda(pairs: &[(u32, f32)]) -> Uda {
         Uda::from_pairs(pairs.iter().map(|&(c, p)| (CatId(c), p))).unwrap()
@@ -131,8 +104,6 @@ mod tests {
     fn certain_equal_values() {
         let u = uda(&[(3, 1.0)]);
         assert!((eq_prob(&u, &u) - 1.0).abs() < 1e-9);
-        assert!((eq_prob_value(&u, CatId(3)) - 1.0).abs() < 1e-9);
-        assert_eq!(eq_prob_value(&u, CatId(2)), 0.0);
     }
 
     #[test]
@@ -164,14 +135,5 @@ mod tests {
         let u = uda(&[(0, 0.5), (2, 0.3), (7, 0.2)]);
         let v = uda(&[(2, 0.9), (7, 0.1)]);
         assert_eq!(eq_prob(&u, &v), eq_prob(&v, &u));
-    }
-
-    #[test]
-    fn upper_bounds_hold() {
-        let q = uda(&[(0, 0.5), (1, 0.5)]);
-        let t = uda(&[(0, 0.3), (1, 0.3), (2, 0.4)]);
-        let p = eq_prob(&q, &t);
-        assert!(p <= eq_upper_bound_from_max(t.max_prob()) + 1e-9);
-        assert!(p <= eq_upper_bound_from_query_max(q.max_prob()) + 1e-9);
     }
 }

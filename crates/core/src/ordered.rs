@@ -46,11 +46,6 @@ pub fn pr_greater(u: &Uda, v: &Uda) -> f64 {
     pr_less(v, u)
 }
 
-/// `Pr(u ≤ v) = Pr(u < v) + Pr(u = v)`.
-pub fn pr_less_eq(u: &Uda, v: &Uda) -> f64 {
-    pr_less(u, v) + crate::equality::eq_prob(u, v)
-}
-
 /// `Pr(|u − v| ≤ c)`: windowed equality between two UDAs.
 pub fn pr_within(u: &Uda, v: &Uda, c: u32) -> f64 {
     let ue = u.entries();
@@ -141,7 +136,6 @@ mod tests {
         assert!((pr_less(&u, &v) - 0.8).abs() < 1e-6);
         assert!((pr_greater(&u, &v) - 0.2).abs() < 1e-6);
         assert_eq!(eq_prob(&u, &v), 0.0);
-        assert!((pr_less_eq(&u, &v) - 0.8).abs() < 1e-6);
     }
 
     #[test]

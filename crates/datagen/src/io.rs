@@ -101,33 +101,6 @@ fn parse(bytes: &[u8]) -> Result<(Domain, Dataset), String> {
     Ok((domain, data))
 }
 
-/// In-memory roundtrip used by tests and tools that avoid temp files.
-pub fn roundtrip_check(domain: &Domain, data: &Dataset) -> bool {
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    if domain.is_labeled() {
-        out.push(1);
-        out.extend_from_slice(&domain.size().to_le_bytes());
-        for l in domain.labels() {
-            let b = l.as_bytes();
-            out.extend_from_slice(&(b.len() as u16).to_le_bytes());
-            out.extend_from_slice(b);
-        }
-    } else {
-        out.push(0);
-        out.extend_from_slice(&domain.size().to_le_bytes());
-    }
-    out.extend_from_slice(&(data.len() as u64).to_le_bytes());
-    for (tid, uda) in data {
-        out.extend_from_slice(&tid.to_le_bytes());
-        codec::encode(uda, &mut out);
-    }
-    match parse(&out) {
-        Ok((d2, data2)) => d2.size() == domain.size() && &data2 == data,
-        Err(_) => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,11 +151,5 @@ mod tests {
         let _g = Cleanup(path.clone());
         std::fs::write(&path, b"not a dataset").expect("write");
         assert!(load(&path).is_err());
-    }
-
-    #[test]
-    fn in_memory_roundtrip_check() {
-        let (domain, data) = uniform::generate(50, 9);
-        assert!(roundtrip_check(&domain, &data));
     }
 }

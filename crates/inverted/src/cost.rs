@@ -28,8 +28,8 @@ use std::collections::{BTreeMap, BinaryHeap};
 use uncat_core::equality::THRESHOLD_EPS;
 use uncat_core::query::EqQuery;
 use uncat_core::{CatId, Uda};
-use uncat_storage::snapshot::{Reader, SnapshotError, Writer};
-use uncat_storage::QueryMetrics;
+use uncat_storage::snapshot::{Reader, Writer};
+use uncat_storage::{QueryMetrics, Result, StorageError};
 
 use crate::block::PROB_SCALE;
 use crate::index::InvertedIndex;
@@ -366,13 +366,13 @@ pub(crate) fn write_cost_stats(w: &mut Writer, s: &CostStats) {
 /// against ballooned counts.
 const CAT_STATS_LEN: usize = 4 + 8 + 4 + 2 + COST_BUCKETS * 4 + COST_BUCKETS * 8;
 
-pub(crate) fn read_cost_stats(r: &mut Reader<'_>) -> Result<CostStats, SnapshotError> {
+pub(crate) fn read_cost_stats(r: &mut Reader<'_>) -> Result<CostStats> {
     let tuples = r.u64()?;
     let heap_pages = r.u64()?;
     let block_pages = r.u64()?;
     let n_cats = r.u32()? as usize;
     if n_cats > r.remaining() / CAT_STATS_LEN + 1 {
-        return Err(SnapshotError("stats section count exceeds payload"));
+        return Err(StorageError::Corrupt("stats section count exceeds payload"));
     }
     let mut cats = BTreeMap::new();
     for _ in 0..n_cats {

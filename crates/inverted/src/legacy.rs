@@ -34,7 +34,7 @@ use std::ops::ControlFlow;
 
 use uncat_core::{CatId, Prob, TupleId};
 use uncat_storage::btree::BTree;
-use uncat_storage::snapshot::{Reader, SnapshotError};
+use uncat_storage::snapshot::Reader;
 use uncat_storage::{BufferPool, HeapFile, PageId, Result, SharedStore, StorageError};
 
 use crate::block::{decode_block, prob_at, BlockList, PACKED_TAG, VARINT_REFUSED};
@@ -49,15 +49,14 @@ use crate::postings::{decode_posting, posting_key, KEY_LEN};
 /// blob that is already current comes back unchanged, and nothing is
 /// written.
 ///
-/// A blob or page that does not parse is [`StorageError::Corrupt`] (a
-/// snapshot-level complaint keeps its text) or the pool's own error. The
-/// pages written before it are referenced by no snapshot; the old one
-/// reads as it did.
+/// A blob or page that does not parse is [`StorageError::Corrupt`] or
+/// the pool's own error. The pages written before it are referenced by
+/// no snapshot; the old one reads as it did.
 pub fn upgrade(pool: &mut BufferPool, blob: &[u8]) -> Result<Vec<u8>> {
     let (mut idx, raw) = if blob.starts_with(MAGIC_V1) {
-        parse_uiv1(blob).map_err(corrupt)?
+        parse_uiv1(blob)?
     } else {
-        let idx = InvertedIndex::open(blob).map_err(corrupt)?;
+        let idx = InvertedIndex::open(blob)?;
         if !holds_varint(pool, &idx)? {
             return Ok(blob.to_vec());
         }
@@ -103,16 +102,12 @@ impl InvertedIndex {
 /// read in directory order, each page once.
 const CHECK_FRAMES: usize = 8;
 
-fn corrupt(e: SnapshotError) -> StorageError {
-    StorageError::Corrupt(e.0)
-}
-
 /// One `UIV1` list header: category, tree root, entry count, depth.
 type RawList = (CatId, PageId, u64, u32);
 
 /// Parse a `UIV1` blob: the index without its lists, and the lists'
 /// headers in category order.
-fn parse_uiv1(blob: &[u8]) -> std::result::Result<(InvertedIndex, Vec<RawList>), SnapshotError> {
+fn parse_uiv1(blob: &[u8]) -> Result<(InvertedIndex, Vec<RawList>)> {
     let mut r = Reader::new(blob, MAGIC_V1)?;
     let domain = read_domain(&mut r)?;
     let (heap, rids) = read_store_parts(&mut r)?;
@@ -121,12 +116,12 @@ fn parse_uiv1(blob: &[u8]) -> std::result::Result<(InvertedIndex, Vec<RawList>),
     for _ in 0..n_lists {
         let cat = CatId(r.u32()?);
         if lists.last().is_some_and(|&(last, ..)| last >= cat) {
-            return Err(SnapshotError("UIV1 lists out of category order"));
+            return Err(StorageError::Corrupt("UIV1 lists out of category order"));
         }
         lists.push((cat, r.pid()?, r.u64()?, r.u32()?));
     }
     if !r.is_done() {
-        return Err(SnapshotError("trailing bytes"));
+        return Err(StorageError::Corrupt("trailing bytes"));
     }
     let idx = InvertedIndex::from_parts(domain, BTreeMap::new(), heap, HeapFile::new(), rids);
     Ok((idx, lists))

@@ -37,9 +37,9 @@
 //! pruned by an upper bound or completed from list suffixes, with no
 //! random access. The five fixed strategies are kept for the paper's
 //! figures. The I/O model that ranks them by page reads ([`CostStats`],
-//! zero-I/O statistics over the block directories) is diagnostic —
-//! `uncat explain` and the cross-backend planner print it, no query
-//! consults it. Every full-list plan (the scan, PEQ, DSTQ) sums per
+//! zero-I/O statistics over the block directories) is kept for the
+//! benchmark's two planning probes and the `UIV2` statistics section;
+//! nothing prints it and no query consults it. Every full-list plan (the scan, PEQ, DSTQ) sums per
 //! tuple in one tid-keyed accumulator (the `acc` module): a flat array
 //! over the index's id span where the postings are dense in it, a hash
 //! map where they are not.

@@ -8,10 +8,9 @@
 //! lists, and the tuple-id → record map. [`InvertedIndex::snapshot`]
 //! serializes exactly that; the blob is small (tens of bytes per
 //! category plus ~18 bytes per tuple plus 22 bytes per posting block).
-//! [`InvertedIndex::save`] wraps it in the crash-atomic snapshot file
-//! protocol (`uncat_storage::snapshot::commit`): a torn or corrupted save
-//! is detected on [`InvertedIndex::load`] and the previous file survives
-//! untouched.
+//! The crash-atomic snapshot file protocol (`uncat_storage::snapshot`'s
+//! `commit` and `load`) puts it on disk: a torn or corrupted commit is
+//! detected on load and the previous file survives untouched.
 //!
 //! The snapshot is `UIV2` (byte-level spec in `docs/FORMAT.md` §10): the
 //! tuple store's parts, the block heap's page list and, per category, the
@@ -21,13 +20,10 @@
 //! converts them ([`crate::upgrade`]).
 
 use std::collections::BTreeMap;
-use std::path::Path;
 
 use uncat_core::{CatId, Domain};
-use uncat_storage::snapshot::{
-    self, read_domain_parts, write_domain_parts, Reader, SnapshotError, Writer,
-};
-use uncat_storage::{HeapFile, RecordId, SnapshotFileError};
+use uncat_storage::snapshot::{read_domain_parts, write_domain_parts, Reader, Writer};
+use uncat_storage::{HeapFile, RecordId, Result, StorageError};
 
 use crate::block::{BlockList, BlockMeta};
 use crate::index::InvertedIndex;
@@ -52,7 +48,7 @@ pub(crate) fn write_domain(w: &mut Writer, d: &Domain) {
     write_domain_parts(w, d.size(), labels);
 }
 
-pub(crate) fn read_domain(r: &mut Reader<'_>) -> Result<Domain, SnapshotError> {
+pub(crate) fn read_domain(r: &mut Reader<'_>) -> Result<Domain> {
     let (size, labels) = read_domain_parts(r)?;
     Ok(match labels {
         Some(l) => Domain::from_labels(l),
@@ -135,9 +131,9 @@ impl InvertedIndex {
 
     /// Reattach an index from a snapshot over the same store. A `UIV1`
     /// snapshot is refused with an error naming `uncat upgrade`.
-    pub fn open(blob: &[u8]) -> Result<InvertedIndex, SnapshotError> {
+    pub fn open(blob: &[u8]) -> Result<InvertedIndex> {
         if blob.starts_with(MAGIC_V1) {
-            return Err(SnapshotError(
+            return Err(StorageError::Corrupt(
                 "UIV1 holds the retired raw posting layout: run `uncat upgrade`",
             ));
         }
@@ -171,7 +167,7 @@ impl InvertedIndex {
                 if count == 0 {
                     // Blocks are never written empty; a cursor landing on
                     // one would have no head.
-                    return Err(SnapshotError("empty block in directory"));
+                    return Err(StorageError::Corrupt("empty block in directory"));
                 }
                 counted += count as u64;
                 blocks.push(BlockMeta {
@@ -182,7 +178,7 @@ impl InvertedIndex {
                 });
             }
             if counted != entries {
-                return Err(SnapshotError("block directory counts disagree"));
+                return Err(StorageError::Corrupt("block directory counts disagree"));
             }
             postings.insert(cat, BlockList::from_raw_parts(blocks, entries));
         }
@@ -195,7 +191,7 @@ impl InvertedIndex {
         } else {
             let stats = crate::cost::read_cost_stats(&mut r)?;
             if !r.is_done() {
-                return Err(SnapshotError("trailing bytes"));
+                return Err(StorageError::Corrupt("trailing bytes"));
             }
             Some(stats)
         };
@@ -205,27 +201,11 @@ impl InvertedIndex {
         }
         Ok(idx)
     }
-
-    /// Commit the metadata snapshot to `path` atomically (temp file,
-    /// fsync, rename): a crash mid-save leaves the previous snapshot
-    /// loadable. Flush the page store first.
-    pub fn save(&self, path: &Path) -> Result<(), SnapshotFileError> {
-        snapshot::commit(path, &self.snapshot())
-    }
-
-    /// Load an index saved by [`InvertedIndex::save`]. Truncated, corrupt,
-    /// or wrong-version files are rejected with a typed error.
-    pub fn load(path: &Path) -> Result<InvertedIndex, SnapshotFileError> {
-        let payload = snapshot::load(path)?;
-        Ok(InvertedIndex::open(&payload)?)
-    }
 }
 
 /// The tuple-store sections `UIV1` and `UIV2` share: heap page list +
 /// record count, then the rid map.
-pub(crate) fn read_store_parts(
-    r: &mut Reader<'_>,
-) -> Result<(HeapFile, TidMap<RecordId>), SnapshotError> {
+pub(crate) fn read_store_parts(r: &mut Reader<'_>) -> Result<(HeapFile, TidMap<RecordId>)> {
     let n_pages = r.u32()? as usize;
     // Untrusted count: clamp pre-allocation to what the blob can hold.
     let mut pages = Vec::with_capacity(n_pages.min(r.remaining() / 8 + 1));
@@ -254,7 +234,7 @@ mod tests {
     use super::*;
     use uncat_core::query::EqQuery;
     use uncat_core::Uda;
-    use uncat_storage::{BufferPool, FileDisk, InMemoryDisk, PageId};
+    use uncat_storage::{snapshot, BufferPool, FileDisk, InMemoryDisk, PageId};
 
     fn uda(pairs: &[(u32, f32)]) -> Uda {
         Uda::from_pairs(pairs.iter().map(|&(c, p)| (CatId(c), p))).unwrap()
@@ -348,12 +328,13 @@ mod tests {
             )
             .unwrap();
             pool.flush().unwrap();
-            idx.save(&snap).expect("atomic snapshot commit");
+            snapshot::commit(&snap, &idx.snapshot()).expect("atomic snapshot commit");
         }
         // Process "restart": reopen the page file and the snapshot file.
         let store: uncat_storage::SharedStore =
             std::sync::Arc::new(FileDisk::open(&pages).expect("open"));
-        let idx = InvertedIndex::load(&snap).expect("snapshot loads");
+        let idx = InvertedIndex::open(&snapshot::load(&snap).expect("snapshot loads"))
+            .expect("snapshot decodes");
         let mut pool = BufferPool::with_capacity(store, 64);
         let out = idx
             .petq(
@@ -449,6 +430,6 @@ mod tests {
         let empty = [&blob[at..at + 8], &[0, 0], &blob[at + 10..at + 22]].concat();
         mutated.splice(at..at, empty);
         let err = InvertedIndex::open(&mutated).err().expect("refused");
-        assert_eq!(err, SnapshotError("empty block in directory"));
+        assert_eq!(err, StorageError::Corrupt("empty block in directory"));
     }
 }

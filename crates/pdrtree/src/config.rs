@@ -90,12 +90,6 @@ impl Default for PdrConfig {
 }
 
 impl PdrConfig {
-    /// The paper's default configuration (KL clustering, bottom-up split,
-    /// uncompressed boundaries).
-    pub fn paper_default() -> PdrConfig {
-        PdrConfig::default()
-    }
-
     /// Maximum entries one side of a split may receive, for `n` total.
     pub fn balance_cap(&self, n: usize) -> usize {
         // ceil is deliberate: a cap below 1/2 would make splits impossible.
@@ -130,7 +124,7 @@ mod tests {
 
     #[test]
     fn default_matches_paper() {
-        let c = PdrConfig::paper_default();
+        let c = PdrConfig::default();
         assert_eq!(c.divergence, Divergence::Kl);
         assert_eq!(c.split, SplitStrategy::BottomUp);
         assert_eq!(c.compression, Compression::None);

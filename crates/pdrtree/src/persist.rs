@@ -3,18 +3,14 @@
 //!
 //! Unlike the inverted index, the PDR-tree keeps almost nothing in memory
 //! — just the root page, the configuration, and counters — so its
-//! snapshot is a few dozen bytes. [`PdrTree::save`] wraps the blob in the
-//! crash-atomic snapshot file protocol (`uncat_storage::snapshot::commit`):
-//! a torn or corrupted save is detected on [`PdrTree::load`] and the
-//! previous file survives untouched.
-
-use std::path::Path;
+//! snapshot is a few dozen bytes. The crash-atomic snapshot file
+//! protocol (`uncat_storage::snapshot`'s `commit` and `load`) puts it on
+//! disk: a torn or corrupted commit is detected on load and the previous
+//! file survives untouched.
 
 use uncat_core::{Divergence, Domain};
-use uncat_storage::snapshot::{
-    self, read_domain_parts, write_domain_parts, Reader, SnapshotError, Writer,
-};
-use uncat_storage::SnapshotFileError;
+use uncat_storage::snapshot::{read_domain_parts, write_domain_parts, Reader, Writer};
+use uncat_storage::{Result, StorageError};
 
 use crate::config::{Compression, PdrConfig, SplitStrategy};
 use crate::tree::PdrTree;
@@ -31,7 +27,7 @@ fn write_domain(w: &mut Writer, d: &Domain) {
     write_domain_parts(w, d.size(), labels);
 }
 
-fn read_domain(r: &mut Reader<'_>) -> Result<Domain, SnapshotError> {
+fn read_domain(r: &mut Reader<'_>) -> Result<Domain> {
     let (size, labels) = read_domain_parts(r)?;
     Ok(match labels {
         Some(l) => Domain::from_labels(l),
@@ -67,17 +63,17 @@ fn write_config(w: &mut Writer, c: &PdrConfig) {
     w.u32(c.balance_den as u32);
 }
 
-fn read_config(r: &mut Reader<'_>) -> Result<PdrConfig, SnapshotError> {
+fn read_config(r: &mut Reader<'_>) -> Result<PdrConfig> {
     let divergence = match r.u8()? {
         0 => Divergence::L1,
         1 => Divergence::L2,
         2 => Divergence::Kl,
-        _ => return Err(SnapshotError("unknown divergence")),
+        _ => return Err(StorageError::Corrupt("unknown divergence")),
     };
     let split = match r.u8()? {
         0 => SplitStrategy::TopDown,
         1 => SplitStrategy::BottomUp,
-        _ => return Err(SnapshotError("unknown split strategy")),
+        _ => return Err(StorageError::Corrupt("unknown split strategy")),
     };
     let ckind = r.u8()?;
     let carg = r.u16()?;
@@ -85,7 +81,7 @@ fn read_config(r: &mut Reader<'_>) -> Result<PdrConfig, SnapshotError> {
         0 => Compression::None,
         1 => Compression::Discretized { bits: carg as u8 },
         2 => Compression::Signature { width: carg },
-        _ => return Err(SnapshotError("unknown compression")),
+        _ => return Err(StorageError::Corrupt("unknown compression")),
     };
     let balance_num = r.u32()? as usize;
     let balance_den = r.u32()? as usize;
@@ -97,7 +93,7 @@ fn read_config(r: &mut Reader<'_>) -> Result<PdrConfig, SnapshotError> {
         balance_den,
     };
     cfg.validate()
-        .map_err(|_| SnapshotError("invalid configuration"))?;
+        .map_err(|_| StorageError::Corrupt("invalid configuration"))?;
     Ok(cfg)
 }
 
@@ -115,7 +111,7 @@ impl PdrTree {
     }
 
     /// Reattach a tree from a snapshot over the same store.
-    pub fn open(blob: &[u8]) -> Result<PdrTree, SnapshotError> {
+    pub fn open(blob: &[u8]) -> Result<PdrTree> {
         let mut r = Reader::new(blob, MAGIC)?;
         let domain = read_domain(&mut r)?;
         let config = read_config(&mut r)?;
@@ -129,23 +125,11 @@ impl PdrTree {
             r.u64()?;
         }
         if !r.is_done() {
-            return Err(SnapshotError("trailing bytes after the tree header"));
+            return Err(StorageError::Corrupt(
+                "trailing bytes after the tree header",
+            ));
         }
         Ok(PdrTree::from_raw(root, config, domain, len, depth))
-    }
-
-    /// Commit the metadata snapshot to `path` atomically (temp file,
-    /// fsync, rename): a crash mid-save leaves the previous snapshot
-    /// loadable. Flush the page store first.
-    pub fn save(&self, path: &Path) -> Result<(), SnapshotFileError> {
-        snapshot::commit(path, &self.snapshot())
-    }
-
-    /// Load a tree saved by [`PdrTree::save`]. Truncated, corrupt, or
-    /// wrong-version files are rejected with a typed error.
-    pub fn load(path: &Path) -> Result<PdrTree, SnapshotFileError> {
-        let payload = snapshot::load(path)?;
-        Ok(PdrTree::open(&payload)?)
     }
 }
 
@@ -154,7 +138,7 @@ mod tests {
     use super::*;
     use uncat_core::query::EqQuery;
     use uncat_core::{CatId, Uda};
-    use uncat_storage::{BufferPool, FileDisk, InMemoryDisk};
+    use uncat_storage::{snapshot, BufferPool, FileDisk, InMemoryDisk};
 
     fn uda(pairs: &[(u32, f32)]) -> Uda {
         Uda::from_pairs(pairs.iter().map(|&(c, p)| (CatId(c), p))).unwrap()
@@ -230,12 +214,12 @@ mod tests {
             )
             .unwrap();
             pool.flush().unwrap();
-            tree.save(&snap).expect("atomic snapshot commit");
+            snapshot::commit(&snap, &tree.snapshot()).expect("atomic snapshot commit");
         }
         // Process "restart": reopen the page file and the snapshot file.
         let store: uncat_storage::SharedStore =
             std::sync::Arc::new(FileDisk::open(&pages).expect("open"));
-        let tree = PdrTree::load(&snap).expect("snapshot loads");
+        let tree = PdrTree::open(&snapshot::load(&snap).expect("snapshot loads")).expect("decodes");
         let mut pool = BufferPool::with_capacity(store, 64);
         let out = tree
             .petq(&mut pool, &EqQuery::new(uda(&[(2, 1.0)]), 0.9))
@@ -281,7 +265,9 @@ mod tests {
             blob.resize(current.len() + tail, 0);
             assert_eq!(
                 PdrTree::open(&blob).err(),
-                Some(SnapshotError("trailing bytes after the tree header")),
+                Some(StorageError::Corrupt(
+                    "trailing bytes after the tree header"
+                )),
                 "{tail} trailing bytes"
             );
         }

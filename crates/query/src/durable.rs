@@ -46,8 +46,7 @@ use uncat_storage::snapshot as snapfile;
 use uncat_storage::trace::{Clock, Phase, QueryTrace, Tracer};
 use uncat_storage::{
     BufferPool, FileDisk, FileLog, InMemoryDisk, IoStats, MemLog, PageId, QueryMetrics, Result,
-    SharedLog, SharedStore, SnapshotFileError, StorageError, TailStatus, Wal, WalConfig, WalStats,
-    PAGE_SIZE,
+    SharedLog, SharedStore, StorageError, TailStatus, Wal, WalConfig, WalStats, PAGE_SIZE,
 };
 
 use crate::index_trait::{InvertedBackend, UncertainIndex};
@@ -109,34 +108,14 @@ impl FileSlot {
 
 impl SnapshotSlot for FileSlot {
     fn commit(&self, blob: &[u8]) -> Result<()> {
-        snapfile::commit(&self.path, blob).map_err(snapshot_file_error)
+        snapfile::commit(&self.path, blob)
     }
 
     fn load(&self) -> Result<Option<Vec<u8>>> {
         if !self.path.exists() {
             return Ok(None);
         }
-        snapfile::load(&self.path)
-            .map(Some)
-            .map_err(snapshot_file_error)
-    }
-}
-
-/// Translate a snapshot-file failure into the storage error vocabulary.
-fn snapshot_file_error(e: SnapshotFileError) -> StorageError {
-    match e {
-        SnapshotFileError::Io { op, source } => StorageError::Io {
-            op,
-            pid: None,
-            detail: source.to_string(),
-        },
-        SnapshotFileError::BadMagic => StorageError::Corrupt("snapshot file: bad magic"),
-        SnapshotFileError::BadVersion(_) => {
-            StorageError::Corrupt("snapshot file: unsupported format version")
-        }
-        SnapshotFileError::Truncated => StorageError::Corrupt("snapshot file: truncated"),
-        SnapshotFileError::Checksum => StorageError::Corrupt("snapshot file: checksum mismatch"),
-        SnapshotFileError::Decode(_) => StorageError::Corrupt("snapshot payload does not decode"),
+        snapfile::load(&self.path).map(Some)
     }
 }
 
@@ -338,21 +317,14 @@ fn wrap_blob(epoch: u64, inner: &[u8]) -> Vec<u8> {
 }
 
 /// Split a committed durable snapshot payload into its checkpoint epoch
-/// and the wrapped backend blob (for tooling that reads the snapshot slot
-/// directly, e.g. the CLI's read path after recovery).
+/// and the wrapped backend blob: the one `UDX1` unwrapper, which
+/// [`DurableIndex::open`] and tooling that reads the snapshot slot
+/// directly (the CLI's read path and `uncat upgrade`) share.
 pub fn split_snapshot(blob: &[u8]) -> Result<(u64, &[u8])> {
-    unwrap_blob(blob)
-}
-
-fn unwrap_blob(blob: &[u8]) -> Result<(u64, &[u8])> {
     if blob.len() < 12 || &blob[..4] != WRAP_MAGIC {
         return Err(StorageError::Corrupt("snapshot wrapper: bad magic"));
     }
-    let epoch = u64::from_le_bytes(
-        blob[4..12]
-            .try_into()
-            .map_err(|_| StorageError::Corrupt("snapshot wrapper: bad epoch"))?,
-    );
+    let epoch = u64::from_le_bytes(blob[4..12].try_into().expect("8-byte slice"));
     Ok((epoch, &blob[12..]))
 }
 
@@ -415,7 +387,7 @@ impl MutableBackend for InvertedBackend {
     }
 
     fn open_blob(blob: &[u8], store: &SharedStore) -> Result<InvertedBackend> {
-        let index = InvertedIndex::open(blob).map_err(|e| StorageError::Corrupt(e.0))?;
+        let index = InvertedIndex::open(blob)?;
         index.check_layout(store)?;
         Ok(InvertedBackend::new(index))
     }
@@ -443,7 +415,7 @@ impl MutableBackend for PdrTree {
     }
 
     fn open_blob(blob: &[u8], _store: &SharedStore) -> Result<PdrTree> {
-        PdrTree::open(blob).map_err(|e| StorageError::Corrupt(e.0))
+        PdrTree::open(blob)
     }
 }
 
@@ -637,7 +609,7 @@ impl<B: MutableBackend> DurableIndex<B> {
         let mut blob = storage.slot.load()?.ok_or(StorageError::Corrupt(
             "no committed snapshot to recover from",
         ))?;
-        let (mut epoch, _) = unwrap_blob(&blob)?;
+        let (mut epoch, _) = split_snapshot(&blob)?;
 
         // 2. Redo an interrupted checkpoint. A complete journal whose
         //    base epoch matches the loaded snapshot means the crash hit
@@ -659,7 +631,7 @@ impl<B: MutableBackend> DurableIndex<B> {
         }
         storage.journal.truncate(0)?;
 
-        let (snap_epoch, inner) = unwrap_blob(&blob)?;
+        let (snap_epoch, inner) = split_snapshot(&blob)?;
         debug_assert_eq!(snap_epoch, epoch);
         let backend = B::open_blob(inner, &storage.store)?;
         let pool = BufferPool::new_no_steal(storage.store.clone(), config.pool_frames);
@@ -1158,11 +1130,11 @@ mod tests {
     #[test]
     fn unsynced_snapshot_wrapper_rejects_garbage() {
         let blob = wrap_blob(4, b"payload");
-        let (e, inner) = unwrap_blob(&blob).unwrap();
+        let (e, inner) = split_snapshot(&blob).unwrap();
         assert_eq!(e, 4);
         assert_eq!(inner, b"payload");
-        assert!(unwrap_blob(b"UDX").is_err());
-        assert!(unwrap_blob(b"XXXX01234567").is_err());
+        assert!(split_snapshot(b"UDX").is_err());
+        assert!(split_snapshot(b"XXXX01234567").is_err());
     }
 
     #[test]

@@ -38,12 +38,6 @@ pub fn f32_asc(v: f32) -> [u8; 4] {
     v.to_bits().to_be_bytes()
 }
 
-/// Decode [`f32_asc`].
-#[inline]
-pub fn f32_from_asc(b: &[u8]) -> f32 {
-    f32::from_bits(u32::from_be_bytes(b[..4].try_into().expect("4 bytes")))
-}
-
 /// Order-*reversing* encoding of a non-negative `f32`: higher probabilities
 /// produce smaller byte strings, so an ascending B+tree scan yields
 /// descending probabilities.
@@ -89,9 +83,6 @@ mod tests {
         let probs = [0.0f32, 1e-7, 0.001, 0.25, 0.5, 0.9999, 1.0];
         for w in probs.windows(2) {
             assert!(f32_asc(w[0]) < f32_asc(w[1]), "{} !< {}", w[0], w[1]);
-        }
-        for &p in &probs {
-            assert_eq!(f32_from_asc(&f32_asc(p)), p);
         }
     }
 

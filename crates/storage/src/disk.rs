@@ -59,11 +59,6 @@ impl InMemoryDisk {
     pub fn shared() -> SharedStore {
         Arc::new(InMemoryDisk::new())
     }
-
-    /// Total bytes held by allocated pages.
-    pub fn size_bytes(&self) -> u64 {
-        self.num_pages() * PAGE_SIZE as u64
-    }
 }
 
 impl Default for InMemoryDisk {
@@ -155,7 +150,6 @@ mod tests {
         d.write(p, &buf).unwrap();
         assert_eq!(d.reads(), 2);
         assert_eq!(d.writes(), 1);
-        assert_eq!(d.size_bytes(), PAGE_SIZE as u64);
     }
 
     #[test]

@@ -30,8 +30,9 @@ pub type Result<T> = std::result::Result<T, StorageError>;
 ///   could not find an evictable frame.
 /// * [`NoSpace`](StorageError::NoSpace) — page allocation failed
 ///   (ENOSPC-class conditions).
-/// * [`Corrupt`](StorageError::Corrupt) — page bytes passed physical
-///   checks but do not decode as the expected structure.
+/// * [`Corrupt`](StorageError::Corrupt) — bytes read back (a page, a
+///   log record, a metadata snapshot file or the blob it carries) fail
+///   a check or do not decode as the expected structure.
 /// * [`Duplicate`](StorageError::Duplicate) — an insert named a key that
 ///   already exists; nothing was modified.
 /// * [`KeyOutOfRange`](StorageError::KeyOutOfRange) — an insert named a
@@ -75,7 +76,7 @@ pub enum StorageError {
     PoolExhausted,
     /// Page allocation failed for lack of space.
     NoSpace,
-    /// Page bytes decode to an invalid structure.
+    /// Stored bytes fail a check or decode to an invalid structure.
     Corrupt(&'static str),
     /// An insert named a key (tuple id) that already exists.
     Duplicate {
@@ -135,7 +136,7 @@ impl std::fmt::Display for StorageError {
             }
             StorageError::PoolExhausted => write!(f, "buffer pool exhausted"),
             StorageError::NoSpace => write!(f, "out of space allocating a page"),
-            StorageError::Corrupt(what) => write!(f, "corrupt page structure: {what}"),
+            StorageError::Corrupt(what) => write!(f, "corrupt data: {what}"),
             StorageError::Duplicate { key } => {
                 write!(f, "duplicate tuple id {key}")
             }

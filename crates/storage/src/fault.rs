@@ -149,11 +149,6 @@ impl FaultStore {
         self.writes.load(Ordering::SeqCst)
     }
 
-    /// Allocations seen so far (see [`FaultStore::reads_so_far`]).
-    pub fn allocs_so_far(&self) -> u64 {
-        self.allocs.load(Ordering::SeqCst)
-    }
-
     /// Take the fault of `kind` triggered at operation `n`, if any.
     fn triggered(&self, kind: Kind, n: u64) -> Option<Fault> {
         let mut armed = self.armed.lock();

@@ -72,7 +72,6 @@ pub use heap::{HeapFile, RecordId};
 pub use metrics::QueryMetrics;
 pub use page::{PageId, PAGE_SIZE};
 pub use shared::{PinGuard, PoolHandle, SharedBufferPool, DEFAULT_SHARDS};
-pub use snapshot::SnapshotFileError;
 pub use stats::IoStats;
 pub use trace::{
     Clock, FakeClock, LatencyHistogram, MonotonicClock, Phase, QueryTrace, Span, SpanId,

@@ -12,25 +12,19 @@
 //! a temp file, fsynced, renamed over the target, with the directory
 //! fsynced afterwards. A crash at any point leaves either the previous
 //! snapshot or the new one — never a half-written file that loads.
+//!
+//! Every failure here is a [`StorageError`]: an OS-level one is
+//! [`StorageError::Io`] naming the step, anything the bytes get wrong —
+//! the file's framing or the blob it carries — is
+//! [`StorageError::Corrupt`].
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Write as _};
 use std::path::Path;
 
 use crate::crc::crc32c;
+use crate::error::{Result, StorageError};
 use crate::page::PageId;
-
-/// Error returned when a snapshot cannot be decoded.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SnapshotError(pub &'static str);
-
-impl std::fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "corrupt snapshot: {}", self.0)
-    }
-}
-
-impl std::error::Error for SnapshotError {}
 
 /// Serializer.
 #[derive(Default)]
@@ -92,16 +86,16 @@ pub struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     /// Open a reader, checking the magic.
-    pub fn new(buf: &'a [u8], magic: &[u8; 4]) -> Result<Reader<'a>, SnapshotError> {
+    pub fn new(buf: &'a [u8], magic: &[u8; 4]) -> Result<Reader<'a>> {
         if buf.len() < 4 || &buf[..4] != magic {
-            return Err(SnapshotError("bad magic"));
+            return Err(StorageError::Corrupt("bad magic"));
         }
         Ok(Reader { buf, pos: 4 })
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.pos + n > self.buf.len() {
-            return Err(SnapshotError("truncated"));
+            return Err(StorageError::Corrupt("truncated"));
         }
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
@@ -109,35 +103,35 @@ impl<'a> Reader<'a> {
     }
 
     /// Read a `u8`.
-    pub fn u8(&mut self) -> Result<u8, SnapshotError> {
+    pub fn u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
     }
 
     /// Read a `u16`.
-    pub fn u16(&mut self) -> Result<u16, SnapshotError> {
+    pub fn u16(&mut self) -> Result<u16> {
         Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("len")))
     }
 
     /// Read a `u32`.
-    pub fn u32(&mut self) -> Result<u32, SnapshotError> {
+    pub fn u32(&mut self) -> Result<u32> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("len")))
     }
 
     /// Read a `u64`.
-    pub fn u64(&mut self) -> Result<u64, SnapshotError> {
+    pub fn u64(&mut self) -> Result<u64> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len")))
     }
 
     /// Read a [`PageId`].
-    pub fn pid(&mut self) -> Result<PageId, SnapshotError> {
+    pub fn pid(&mut self) -> Result<PageId> {
         Ok(PageId(self.u64()?))
     }
 
     /// Read a length-prefixed string.
-    pub fn str(&mut self) -> Result<String, SnapshotError> {
+    pub fn str(&mut self) -> Result<String> {
         let n = self.u16()? as usize;
         let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| SnapshotError("invalid utf-8"))
+        String::from_utf8(bytes.to_vec()).map_err(|_| StorageError::Corrupt("invalid utf-8"))
     }
 
     /// Whether every byte has been consumed.
@@ -178,7 +172,7 @@ pub fn write_domain_parts<'a>(
 
 /// Decode a domain written by [`write_domain_parts`]: the cardinality,
 /// plus the labels when the domain was labeled.
-pub fn read_domain_parts(r: &mut Reader<'_>) -> Result<(u32, Option<Vec<String>>), SnapshotError> {
+pub fn read_domain_parts(r: &mut Reader<'_>) -> Result<(u32, Option<Vec<String>>)> {
     let labeled = r.u8()? == 1;
     let size = r.u32()?;
     if !labeled {
@@ -202,64 +196,12 @@ const FILE_VERSION: u32 = 1;
 /// Bytes before the payload: magic, version, payload length, CRC32C.
 const FILE_HEADER: usize = 4 + 4 + 8 + 4;
 
-/// Why a snapshot file failed to commit or load.
-#[derive(Debug)]
-pub enum SnapshotFileError {
-    /// An OS-level file operation failed.
-    Io {
-        /// Which step failed: `"create"`, `"write"`, `"sync"`, `"rename"`, …
-        op: &'static str,
-        /// The underlying error.
-        source: std::io::Error,
-    },
-    /// The file does not start with the snapshot magic.
-    BadMagic,
-    /// The file's format version is not understood.
-    BadVersion(u32),
-    /// The file is shorter than its header claims.
-    Truncated,
-    /// The payload disagrees with its stored CRC32C.
-    Checksum,
-    /// The payload passed physical checks but its contents do not decode.
-    Decode(SnapshotError),
-}
-
-impl std::fmt::Display for SnapshotFileError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SnapshotFileError::Io { op, source } => {
-                write!(f, "snapshot file {op} failed: {source}")
-            }
-            SnapshotFileError::BadMagic => write!(f, "not a snapshot file (bad magic)"),
-            SnapshotFileError::BadVersion(v) => {
-                write!(f, "unsupported snapshot format version {v}")
-            }
-            SnapshotFileError::Truncated => write!(f, "snapshot file is truncated"),
-            SnapshotFileError::Checksum => write!(f, "snapshot payload fails its checksum"),
-            SnapshotFileError::Decode(e) => write!(f, "snapshot payload does not decode: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for SnapshotFileError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            SnapshotFileError::Io { source, .. } => Some(source),
-            SnapshotFileError::Decode(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<SnapshotError> for SnapshotFileError {
-    fn from(e: SnapshotError) -> Self {
-        SnapshotFileError::Decode(e)
-    }
-}
-
-fn io_err(op: &'static str) -> impl Fn(std::io::Error) -> SnapshotFileError {
-    move |source| SnapshotFileError::Io { op, source }
-}
+/// The file-level refusals of [`load`].
+const BAD_MAGIC: StorageError = StorageError::Corrupt("snapshot file: bad magic");
+const BAD_VERSION: StorageError =
+    StorageError::Corrupt("snapshot file: unsupported format version");
+const TRUNCATED: StorageError = StorageError::Corrupt("snapshot file: truncated");
+const CHECKSUM: StorageError = StorageError::Corrupt("snapshot file: checksum mismatch");
 
 /// Atomically replace the snapshot at `path` with `payload`.
 ///
@@ -269,38 +211,41 @@ fn io_err(op: &'static str) -> impl Fn(std::io::Error) -> SnapshotFileError {
 /// the rename leaves the previous snapshot untouched; a crash after it
 /// leaves the new one — [`load`] never sees a torn file that passes its
 /// checks.
-pub fn commit(path: impl AsRef<Path>, payload: &[u8]) -> Result<(), SnapshotFileError> {
+pub fn commit(path: impl AsRef<Path>, payload: &[u8]) -> Result<()> {
     let path = path.as_ref();
     let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(format!(".tmp-{}", std::process::id()));
     let tmp = std::path::PathBuf::from(tmp);
 
+    let mut header = Vec::with_capacity(FILE_HEADER);
+    header.extend_from_slice(FILE_MAGIC);
+    header.extend_from_slice(&FILE_VERSION.to_le_bytes());
+    header.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    header.extend_from_slice(&crc32c(payload).to_le_bytes());
+
     let mut file = OpenOptions::new()
         .write(true)
         .create(true)
         .truncate(true)
         .open(&tmp)
-        .map_err(io_err("create"))?;
+        .map_err(|e| StorageError::io("create", None, e))?;
     let result = (|| {
-        file.write_all(FILE_MAGIC).map_err(io_err("write"))?;
-        file.write_all(&FILE_VERSION.to_le_bytes())
-            .map_err(io_err("write"))?;
-        file.write_all(&(payload.len() as u64).to_le_bytes())
-            .map_err(io_err("write"))?;
-        file.write_all(&crc32c(payload).to_le_bytes())
-            .map_err(io_err("write"))?;
-        file.write_all(payload).map_err(io_err("write"))?;
-        file.sync_all().map_err(io_err("sync"))?;
+        file.write_all(&header)
+            .and_then(|()| file.write_all(payload))
+            .map_err(|e| StorageError::io("write", None, e))?;
+        file.sync_all()
+            .map_err(|e| StorageError::io("sync", None, e))?;
         drop(file);
-        std::fs::rename(&tmp, path).map_err(io_err("rename"))?;
+        std::fs::rename(&tmp, path).map_err(|e| StorageError::io("rename", None, e))?;
         if let Some(dir) = dir {
             // Make the rename durable: fsync the containing directory.
             // Directories cannot be opened for writing; a read handle
             // suffices for fsync on unix. Skip silently where the OS
             // refuses (non-unix).
             if let Ok(d) = File::open(dir) {
-                d.sync_all().map_err(io_err("sync-dir"))?;
+                d.sync_all()
+                    .map_err(|e| StorageError::io("sync-dir", None, e))?;
             }
         }
         Ok(())
@@ -311,38 +256,40 @@ pub fn commit(path: impl AsRef<Path>, payload: &[u8]) -> Result<(), SnapshotFile
     result
 }
 
-/// Load a snapshot payload committed by [`commit`], rejecting truncated,
-/// corrupt, or wrong-version files with a typed error.
-pub fn load(path: impl AsRef<Path>) -> Result<Vec<u8>, SnapshotFileError> {
-    let mut file = File::open(path.as_ref()).map_err(io_err("open"))?;
+/// Load a snapshot payload committed by [`commit`]. A truncated,
+/// corrupt or wrong-version file is [`StorageError::Corrupt`], naming
+/// which check it failed.
+pub fn load(path: impl AsRef<Path>) -> Result<Vec<u8>> {
+    let mut file = File::open(path.as_ref()).map_err(|e| StorageError::io("open", None, e))?;
     let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes).map_err(io_err("read"))?;
+    file.read_to_end(&mut bytes)
+        .map_err(|e| StorageError::io("read", None, e))?;
     if bytes.len() < FILE_HEADER {
         return if bytes.len() >= 4 && &bytes[..4] != FILE_MAGIC {
-            Err(SnapshotFileError::BadMagic)
+            Err(BAD_MAGIC)
         } else {
-            Err(SnapshotFileError::Truncated)
+            Err(TRUNCATED)
         };
     }
     if &bytes[..4] != FILE_MAGIC {
-        return Err(SnapshotFileError::BadMagic);
+        return Err(BAD_MAGIC);
     }
     let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4-byte slice"));
     if version != FILE_VERSION {
-        return Err(SnapshotFileError::BadVersion(version));
+        return Err(BAD_VERSION);
     }
     let len = u64::from_le_bytes(bytes[8..16].try_into().expect("8-byte slice"));
     let crc = u32::from_le_bytes(bytes[16..20].try_into().expect("4-byte slice"));
     let payload = &bytes[FILE_HEADER..];
     if (payload.len() as u64) < len {
-        return Err(SnapshotFileError::Truncated);
+        return Err(TRUNCATED);
     }
     if (payload.len() as u64) > len {
         // Trailing garbage after the declared payload is corruption too.
-        return Err(SnapshotFileError::Checksum);
+        return Err(CHECKSUM);
     }
     if crc32c(payload) != crc {
-        return Err(SnapshotFileError::Checksum);
+        return Err(CHECKSUM);
     }
     Ok(payload.to_vec())
 }
@@ -469,7 +416,11 @@ mod tests {
         let _guard = Cleanup(path.clone());
         assert!(matches!(
             load(&path),
-            Err(SnapshotFileError::Io { op: "open", .. })
+            Err(StorageError::Io {
+                op: "open",
+                pid: None,
+                ..
+            })
         ));
 
         commit(&path, b"good payload").unwrap();
@@ -477,36 +428,56 @@ mod tests {
 
         // Truncated mid-payload.
         std::fs::write(&path, &good[..good.len() - 3]).unwrap();
-        assert!(matches!(load(&path), Err(SnapshotFileError::Truncated)));
+        assert_eq!(
+            load(&path),
+            Err(StorageError::Corrupt("snapshot file: truncated"))
+        );
 
         // Truncated mid-header.
         std::fs::write(&path, &good[..7]).unwrap();
-        assert!(matches!(load(&path), Err(SnapshotFileError::Truncated)));
+        assert_eq!(
+            load(&path),
+            Err(StorageError::Corrupt("snapshot file: truncated"))
+        );
 
         // Wrong magic.
         let mut bad = good.clone();
         bad[0] ^= 0xFF;
         std::fs::write(&path, &bad).unwrap();
-        assert!(matches!(load(&path), Err(SnapshotFileError::BadMagic)));
+        assert_eq!(
+            load(&path),
+            Err(StorageError::Corrupt("snapshot file: bad magic"))
+        );
 
         // Future version.
         let mut bad = good.clone();
         bad[4] = 0xEE;
         std::fs::write(&path, &bad).unwrap();
-        assert!(matches!(load(&path), Err(SnapshotFileError::BadVersion(_))));
+        assert_eq!(
+            load(&path),
+            Err(StorageError::Corrupt(
+                "snapshot file: unsupported format version"
+            ))
+        );
 
         // Flipped payload byte.
         let mut bad = good.clone();
         let last = bad.len() - 1;
         bad[last] ^= 0x01;
         std::fs::write(&path, &bad).unwrap();
-        assert!(matches!(load(&path), Err(SnapshotFileError::Checksum)));
+        assert_eq!(
+            load(&path),
+            Err(StorageError::Corrupt("snapshot file: checksum mismatch"))
+        );
 
         // Trailing garbage.
         let mut bad = good.clone();
         bad.push(0);
         std::fs::write(&path, &bad).unwrap();
-        assert!(matches!(load(&path), Err(SnapshotFileError::Checksum)));
+        assert_eq!(
+            load(&path),
+            Err(StorageError::Corrupt("snapshot file: checksum mismatch"))
+        );
 
         // The original still loads.
         std::fs::write(&path, &good).unwrap();
@@ -525,7 +496,8 @@ mod tests {
             bad[i] ^= 0x20;
             std::fs::write(&path, &bad).unwrap();
             match load(&path) {
-                Err(_) => {}
+                Err(StorageError::Corrupt(_)) => {}
+                Err(e) => panic!("byte {i} mutated: {e} is not a corruption"),
                 Ok(p) => {
                     // A mutation of the length field that still matches
                     // could theoretically collide, but CRC32C detects all

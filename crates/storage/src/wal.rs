@@ -414,11 +414,6 @@ impl Wal {
         self.synced_records
     }
 
-    /// Records appended but not yet covered by a sync.
-    pub fn pending_records(&self) -> usize {
-        self.pending
-    }
-
     /// Cumulative write-side counters.
     pub fn stats(&self) -> WalStats {
         self.stats
@@ -483,7 +478,6 @@ mod tests {
         assert_eq!(w.stats().fsyncs, 2);
         assert_eq!(w.stats().group_commit_batches, 2);
         assert_eq!(w.synced_records(), 8);
-        assert_eq!(w.pending_records(), 2);
         // A crash now loses exactly the pending tail.
         dev.crash();
         let scan = Wal::scan(dev.as_ref()).unwrap();

@@ -41,12 +41,12 @@ use uncat::query::join::{
 };
 use uncat::query::parallel::{batch_metrics, batch_trace, petq_batch_with};
 use uncat::query::{
-    run_query, BatchPools, DurableConfig, DurableIndex, DurableStorage, InvertedBackend,
-    MutableBackend, RecoveryReport, ScanBaseline, UncertainIndex,
+    run_query, split_snapshot, BatchPools, DurableConfig, DurableIndex, DurableStorage,
+    InvertedBackend, MutableBackend, RecoveryReport, ScanBaseline, UncertainIndex,
 };
 use uncat::storage::{
-    BufferPool, Clock, FileDisk, InMemoryDisk, LatencyHistogram, MonotonicClock, QueryMetrics,
-    QueryTrace, SharedStore, StorageError, TailStatus,
+    snapshot, BufferPool, Clock, FileDisk, InMemoryDisk, LatencyHistogram, MonotonicClock,
+    QueryMetrics, QueryTrace, SharedBufferPool, SharedStore, StorageError, TailStatus,
 };
 
 /// Everything that can go wrong in the CLI, with enough context to act
@@ -161,7 +161,7 @@ usage:
                --cat <id> --tau <t> [--limit <n>] [--strategy <s>]
                [--explain] [--trace] [--trace-json <file>]
   uncat topk   --index <inverted|pdr> --pages <...> --meta <...>
-               --cat <id> --k <k> [--limit <n>]
+               --cat <id> --k <k> [--limit <n>] [--strategy <s>]
                [--explain] [--trace] [--trace-json <file>]
   uncat batch  --index <inverted|pdr> --pages <...> --meta <...>
                [--pool <private|shared>] [--shards <N>] [--frames <F>]
@@ -189,11 +189,13 @@ usage:
 
 A flag a command does not list is an error.
 
---strategy (inverted PETQ only): brute | highest-prob-first | row-pruning
+--strategy (inverted index only): brute | highest-prob-first | row-pruning
   | column-pruning | nra | auto (default: auto — reads the query's
   lists block by block, highest q·block maximum first, stops by Lemma 1
-  at τ and completes what is left from list suffixes, with no random
-  access; the five others are kept for the paper's figures and explain)
+  at τ (for topk, at the k-th best score) and completes what is left
+  from list suffixes, with no random access; the five others are kept
+  for the paper's figures and explain, and for topk each of them runs
+  the paper's top-k drain)
 --explain: print the query's execution counters (see docs/METRICS.md)
 --trace: record and print the query's latency span tree (execution
   phases with total/self times) and its buffer-pool/WAL latency
@@ -247,7 +249,7 @@ fn known_flags(cmd: &str) -> Option<&'static str> {
         "gen" => "dataset n domain seed out",
         "build" => "index bulk data pages meta",
         "query" => "index pages meta cat tau limit strategy explain trace trace-json",
-        "topk" => "index pages meta cat k limit explain trace trace-json",
+        "topk" => "index pages meta cat k limit strategy explain trace trace-json",
         "batch" => "index pages meta pool shards frames threads n tau zipf seed strategy explain trace",
         "join" => "data kind plan index tau k radius divergence outer zipf seed pool threads frames shards limit explain",
         "explain" => "index pages meta cat uda tau",
@@ -341,7 +343,7 @@ fn build(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let store: SharedStore = Arc::new(disk);
     let mut pool = BufferPool::with_capacity(store.clone(), 512);
     let t0 = std::time::Instant::now();
-    match index {
+    let blob = match index {
         "inverted" => {
             if bulk {
                 return Err(CliError::Usage(
@@ -350,8 +352,7 @@ fn build(flags: &HashMap<String, String>) -> Result<(), CliError> {
             }
             let idx = InvertedIndex::build(domain, &mut pool, data.iter().map(|(t, u)| (*t, u)))?;
             pool.flush()?;
-            idx.save(meta.as_ref())
-                .map_err(|e| CliError::format(meta, e))?;
+            idx.snapshot()
         }
         "pdr" => {
             let tree = if bulk {
@@ -370,11 +371,11 @@ fn build(flags: &HashMap<String, String>) -> Result<(), CliError> {
                 )
             }?;
             pool.flush()?;
-            tree.save(meta.as_ref())
-                .map_err(|e| CliError::format(meta, e))?;
+            tree.snapshot()
         }
         other => return Err(CliError::Usage(format!("unknown index {other:?}"))),
     };
+    snapshot::commit(meta, &blob).map_err(|e| CliError::format(meta, e))?;
     drop(pool);
     println!(
         "built {index} index over {} tuples in {:.1}s ({} pages)",
@@ -522,7 +523,7 @@ fn open_durable(
         false,
     )?;
     if adopt {
-        let blob = uncat::storage::snapshot::load(meta).map_err(|e| CliError::format(meta, e))?;
+        let blob = snapshot::load(meta).map_err(|e| CliError::format(meta, e))?;
         let idx = match index {
             "inverted" => AnyDurable::Inverted(DurableIndex::create(storage, config, |pool| {
                 InvertedBackend::open_blob(&blob, pool.store())
@@ -569,34 +570,32 @@ fn reopen(
         report = r;
     }
     let store: SharedStore = Arc::new(FileDisk::open(pages).map_err(|e| CliError::io(pages, e))?);
-    let idx = if side.snap.exists() {
-        let snap_path = side.snap.display().to_string();
-        let wrapped = uncat::storage::snapshot::load(&side.snap)
-            .map_err(|e| CliError::format(&snap_path, e))?;
-        let (_epoch, blob) = uncat::query::split_snapshot(&wrapped)?;
-        match index {
-            "inverted" => AnyIndex::Inverted(
-                InvertedIndex::open(blob).map_err(|e| CliError::format(&snap_path, e))?,
-            ),
-            "pdr" => {
-                AnyIndex::Pdr(PdrTree::open(blob).map_err(|e| CliError::format(&snap_path, e))?)
-            }
-            other => return Err(CliError::Usage(format!("unknown index {other:?}"))),
-        }
+    // The snapshot the read path opens: the durable base when there is
+    // one (`DurableIndex::open` checked its layout), else `--meta`.
+    let durable = side.snap.exists();
+    let path = if durable {
+        side.snap.display().to_string()
     } else {
-        match index {
-            "inverted" => {
-                // (A durable sidecar was checked by `DurableIndex::open`.)
-                let i =
-                    InvertedIndex::load(meta.as_ref()).map_err(|e| CliError::format(meta, e))?;
+        meta.to_owned()
+    };
+    let payload = snapshot::load(&path).map_err(|e| CliError::format(&path, e))?;
+    let blob = if durable {
+        split_snapshot(&payload)
+            .map_err(|e| CliError::format(&path, e))?
+            .1
+    } else {
+        &payload[..]
+    };
+    let idx = match index {
+        "inverted" => {
+            let i = InvertedIndex::open(blob).map_err(|e| CliError::format(&path, e))?;
+            if !durable {
                 i.check_layout(&store)?;
-                AnyIndex::Inverted(i)
             }
-            "pdr" => {
-                AnyIndex::Pdr(PdrTree::load(meta.as_ref()).map_err(|e| CliError::format(meta, e))?)
-            }
-            other => return Err(CliError::Usage(format!("unknown index {other:?}"))),
+            AnyIndex::Inverted(i)
         }
+        "pdr" => AnyIndex::Pdr(PdrTree::open(blob).map_err(|e| CliError::format(&path, e))?),
+        other => return Err(CliError::Usage(format!("unknown index {other:?}"))),
     };
     Ok((idx, store, report))
 }
@@ -788,7 +787,7 @@ fn query(flags: &HashMap<String, String>, topk: bool) -> Result<(), CliError> {
     let outcome = if topk {
         let query = TopKQuery::new(q, parse(need(flags, "k")?, "--k")?);
         run_query(&mut pool, clock.as_ref(), |pool| match &idx {
-            AnyIndex::Inverted(i) => i.top_k(pool, &query),
+            AnyIndex::Inverted(i) => i.top_k_planned(pool, &query, strategy),
             AnyIndex::Pdr(t) => t.top_k(pool, &query),
         })
     } else {
@@ -915,24 +914,7 @@ fn batch(flags: &HashMap<String, String>) -> Result<(), CliError> {
         println!("summed execution counters:");
         print!("{totals}");
         if let Some(shared) = pools.shared_pool() {
-            println!(
-                "shared pool: {} frames over {} shards",
-                shared.capacity(),
-                shared.shard_count()
-            );
-            println!(
-                "{:<8} {:>10} {:>10} {:>10} {:>10}",
-                "shard", "logical", "hits", "reads", "hit-rate"
-            );
-            for (i, s) in shared.shard_stats().iter().enumerate() {
-                println!(
-                    "{i:<8} {:>10} {:>10} {:>10} {:>9.1}%",
-                    s.logical_reads,
-                    s.hits,
-                    s.physical_reads,
-                    s.hit_ratio() * 100.0
-                );
-            }
+            print_shard_table(shared);
         }
     }
     if tracing {
@@ -953,6 +935,29 @@ fn batch(flags: &HashMap<String, String>) -> Result<(), CliError> {
         return Err(CliError::Usage(format!("{failed} queries failed")));
     }
     Ok(())
+}
+
+/// The per-shard hit-rate table `batch --explain` and `join --explain`
+/// print for a shared pool.
+fn print_shard_table(shared: &SharedBufferPool) {
+    println!(
+        "shared pool: {} frames over {} shards",
+        shared.capacity(),
+        shared.shard_count()
+    );
+    println!(
+        "{:<8} {:>10} {:>10} {:>10} {:>10}",
+        "shard", "logical", "hits", "reads", "hit-rate"
+    );
+    for (i, s) in shared.shard_stats().iter().enumerate() {
+        println!(
+            "{i:<8} {:>10} {:>10} {:>10} {:>9.1}%",
+            s.logical_reads,
+            s.hits,
+            s.physical_reads,
+            s.hit_ratio() * 100.0
+        );
+    }
 }
 
 /// The pool flags `batch` and `join` share, checked once: every count
@@ -1136,24 +1141,7 @@ fn join(flags: &HashMap<String, String>) -> Result<(), CliError> {
         println!("execution counters:");
         print!("{}", outcome.metrics);
         if let Some(shared) = shared_pool {
-            println!(
-                "shared pool: {} frames over {} shards",
-                shared.capacity(),
-                shared.shard_count()
-            );
-            println!(
-                "{:<8} {:>10} {:>10} {:>10} {:>10}",
-                "shard", "logical", "hits", "reads", "hit-rate"
-            );
-            for (i, s) in shared.shard_stats().iter().enumerate() {
-                println!(
-                    "{i:<8} {:>10} {:>10} {:>10} {:>9.1}%",
-                    s.logical_reads,
-                    s.hits,
-                    s.physical_reads,
-                    s.hit_ratio() * 100.0
-                );
-            }
+            print_shard_table(&shared);
         }
     }
     Ok(())
@@ -1424,10 +1412,9 @@ fn upgrade(flags: &HashMap<String, String>) -> Result<(), CliError> {
         PathBuf::from(meta)
     };
     let shown = target.display().to_string();
-    let payload =
-        uncat::storage::snapshot::load(&target).map_err(|e| CliError::format(&shown, e))?;
+    let payload = snapshot::load(&target).map_err(|e| CliError::format(&shown, e))?;
     let blob = if durable {
-        uncat::query::split_snapshot(&payload)?.1
+        split_snapshot(&payload)?.1
     } else {
         &payload[..]
     };
@@ -1442,7 +1429,7 @@ fn upgrade(flags: &HashMap<String, String>) -> Result<(), CliError> {
     }
     pool.flush()?;
     let written = pool.stats().physical_writes;
-    uncat::storage::snapshot::commit(&target, &[wrapper, &upgraded].concat())
+    snapshot::commit(&target, &[wrapper, &upgraded].concat())
         .map_err(|e| CliError::format(&shown, e))?;
     println!("upgraded {shown} ({written} pages written)");
     Ok(())

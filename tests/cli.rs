@@ -1152,6 +1152,80 @@ fn explain_prints_measurements_only() {
     assert!(out.contains("600 matches"), "auto missed tuples: {out}");
 }
 
+/// `uncat topk` runs what every other top-k entry runs: by default the
+/// block-granular threshold executor (`Strategy::Auto`), which verifies
+/// nothing by random access, and under `--strategy` a fixed strategy's
+/// drain. Both print the same matches, past CRM1's plateau of certain
+/// tuples at score 1 into distinct scores.
+#[test]
+fn topk_defaults_to_auto_and_takes_a_strategy() {
+    let dir = TempDir::new("topk-strategy");
+    let data = dir.path("data.uds");
+    let (ok, out) = uncat(&[
+        "gen",
+        "--dataset",
+        "crm1",
+        "--n",
+        "3000",
+        "--seed",
+        "11",
+        "--out",
+        &data,
+    ]);
+    assert!(ok, "gen failed: {out}");
+    let pages = dir.path("inv.pages");
+    let meta = dir.path("inv.meta");
+    let (ok, out) = uncat(&[
+        "build", "--index", "inverted", "--data", &data, "--pages", &pages, "--meta", &meta,
+    ]);
+    assert!(ok, "build failed: {out}");
+
+    let topk = |extra: &[&str]| -> String {
+        let mut args = vec![
+            "topk",
+            "--index",
+            "inverted",
+            "--pages",
+            &pages,
+            "--meta",
+            &meta,
+            "--cat",
+            "3",
+            "--k",
+            "200",
+            "--limit",
+            "200",
+            "--explain",
+        ];
+        args.extend_from_slice(extra);
+        let (ok, out) = uncat(&args);
+        assert!(ok, "topk {extra:?} failed: {out}");
+        out
+    };
+    let counter = |out: &str, name: &str| -> u64 {
+        out.lines()
+            .find(|l| l.split_whitespace().next() == Some(name))
+            .and_then(|l| l.split_whitespace().nth(1))
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("no {name} in output: {out}"))
+    };
+    let matches = |out: &str| -> Vec<String> {
+        out.lines()
+            .filter(|l| l.starts_with("tuple "))
+            .map(String::from)
+            .collect()
+    };
+
+    let auto = topk(&[]);
+    let nra = topk(&["--strategy", "nra"]);
+    assert_eq!(matches(&auto).len(), 200, "{auto}");
+    assert_eq!(matches(&auto), matches(&nra), "auto:\n{auto}\nnra:\n{nra}");
+    assert_eq!(counter(&auto, "candidates_verified"), 0, "{auto}");
+    assert_eq!(counter(&auto, "frontier_pops"), 0, "{auto}");
+    assert!(counter(&nra, "frontier_pops") > 0, "nra drains: {nra}");
+    assert_eq!(matches(&topk(&["--strategy", "auto"])), matches(&auto));
+}
+
 /// `uncat serve`: a scripted multi-tenant session over piped stdin —
 /// queries answered per tenant, stats aggregated, and recoverable
 /// errors (unknown tenant, unknown command) reported without ending

@@ -11,7 +11,7 @@ use uncat::prelude::*;
 use uncat::query::UncertainIndex;
 use uncat_inverted::{InvertedIndex, Strategy};
 use uncat_pdrtree::{PdrConfig, PdrTree};
-use uncat_storage::FileDisk;
+use uncat_storage::{snapshot, FileDisk};
 
 struct TempFile(PathBuf);
 
@@ -215,7 +215,7 @@ fn crash_between_flush_and_snapshot_commit_recovers_previous_snapshot() {
             InvertedIndex::build(domain.clone(), &mut pool, data.iter().map(|(t, u)| (*t, u)))
                 .expect("build v1");
         pool.flush().expect("flush v1");
-        idx.save(&meta.0).expect("commit v1 snapshot");
+        snapshot::commit(&meta.0, &idx.snapshot()).expect("commit v1 snapshot");
         idx.petq(&mut pool, &probe, Strategy::Nra)
             .expect("query v1")
             .iter()
@@ -246,7 +246,8 @@ fn crash_between_flush_and_snapshot_commit_recovers_previous_snapshot() {
     // queries exactly as before the crash.
     let store: uncat::storage::SharedStore =
         Arc::new(FileDisk::open(&pages.0).expect("reopen page file"));
-    let idx = InvertedIndex::load(&meta.0).expect("previous snapshot loadable");
+    let idx = InvertedIndex::open(&snapshot::load(&meta.0).expect("previous snapshot loadable"))
+        .expect("previous snapshot decodes");
     assert_eq!(idx.len(), 400, "recovered index is the committed v1");
     let mut pool = BufferPool::new(store);
     let after: Vec<u64> = idx
@@ -259,4 +260,147 @@ fn crash_between_flush_and_snapshot_commit_recovers_previous_snapshot() {
         after, v1_results,
         "recovered results equal pre-crash results"
     );
+}
+
+/// One refusal, three entry points. A committed snapshot file corrupted
+/// at the file level (bad magic, a future version, truncated, a flipped
+/// payload byte, a trailing byte), or one whose payload gained an empty
+/// block-directory entry, is refused with the same `StorageError` by
+/// `snapshot::load` + `InvertedIndex::open`, by `DurableIndex::open`
+/// through a `FileSlot` (the payload wrapped in `UDX1`), and by
+/// `uncat stats`, which prints that error's text after the path.
+#[test]
+fn a_corrupt_snapshot_is_refused_alike_by_every_entry_point() {
+    use std::process::Command;
+    use uncat::query::{DurableConfig, DurableIndex, DurableStorage, FileSlot, InvertedBackend};
+    use uncat_storage::snapshot::{read_domain_parts, Reader};
+    use uncat_storage::{MemLog, StorageError};
+
+    let pages = TempFile::new("refuse");
+    let meta = TempFile::new("refuse-meta");
+    let durable = TempFile::new("refuse-durable");
+    let (domain, data) = crm::crm1(600, 21);
+    let (blob, store) = {
+        let store: uncat::storage::SharedStore =
+            Arc::new(FileDisk::create(&pages.0).expect("create page file"));
+        let mut pool = BufferPool::with_capacity(store.clone(), 128);
+        let idx = InvertedIndex::build(domain, &mut pool, data.iter().map(|(t, u)| (*t, u)))
+            .expect("build");
+        pool.flush().expect("flush");
+        (idx.snapshot(), store)
+    };
+    snapshot::commit(&meta.0, &blob).expect("commit");
+    let good = std::fs::read(&meta.0).expect("read the committed file");
+
+    // The payload with one more directory entry, of count 0, in front of
+    // the first list's blocks: the counts still sum to the list's length.
+    let mut r = Reader::new(&blob, b"UIV2").expect("UIV2");
+    read_domain_parts(&mut r).expect("domain");
+    for _ in 0..r.u32().unwrap() {
+        r.pid().unwrap(); // heap pages
+    }
+    r.u64().unwrap(); // heap records
+    for _ in 0..r.u64().unwrap() {
+        // rid map: tid, page, slot
+        r.u64().unwrap();
+        r.pid().unwrap();
+        r.u16().unwrap();
+    }
+    for _ in 0..r.u32().unwrap() {
+        r.pid().unwrap(); // block-heap pages
+    }
+    r.u64().unwrap(); // block-heap records
+    assert!(r.u32().unwrap() > 0, "at least one list");
+    r.u32().unwrap(); // category
+    r.u64().unwrap(); // entries
+    let at = blob.len() - r.remaining();
+    let blocks = r.u32().unwrap();
+    let first = &blob[at + 4..at + 4 + 22];
+    let empty = [&first[..8], &[0, 0], &first[10..]].concat();
+    let hollow = [
+        &blob[..at],
+        &(blocks + 1).to_le_bytes(),
+        &empty,
+        &blob[at + 4..],
+    ]
+    .concat();
+
+    let refuse = |file: &std::path::Path| -> StorageError {
+        snapshot::load(file)
+            .and_then(|payload| InvertedIndex::open(&payload))
+            .err()
+            .expect("snapshot::load + InvertedIndex::open refuses")
+    };
+    let refuse_durable = |file: &std::path::Path| -> StorageError {
+        let storage = DurableStorage {
+            store: store.clone(),
+            wal: MemLog::shared(),
+            journal: MemLog::shared(),
+            slot: Arc::new(FileSlot::new(file)),
+        };
+        DurableIndex::<InvertedBackend>::open(storage, DurableConfig::default())
+            .err()
+            .expect("DurableIndex::open refuses")
+    };
+    let refuse_cli = |file: &std::path::Path| -> String {
+        let out = Command::new(env!("CARGO_BIN_EXE_uncat"))
+            .args(["stats", "--index", "inverted", "--pages"])
+            .arg(&pages.0)
+            .arg("--meta")
+            .arg(file)
+            .output()
+            .expect("spawn uncat");
+        assert_eq!(out.status.code(), Some(2), "uncat stats refuses");
+        assert!(out.stdout.is_empty(), "nothing on stdout");
+        String::from_utf8_lossy(&out.stderr).into_owned()
+    };
+
+    let mut file_level: Vec<(&str, Vec<u8>, &str)> = Vec::new();
+    let mut bad = good.clone();
+    bad[0] ^= 0xFF;
+    file_level.push(("bad magic", bad, "snapshot file: bad magic"));
+    let mut bad = good.clone();
+    bad[4] = 9;
+    file_level.push(("version", bad, "snapshot file: unsupported format version"));
+    let bad = good[..good.len() - 5].to_vec();
+    file_level.push(("truncated", bad, "snapshot file: truncated"));
+    let mut bad = good.clone();
+    *bad.last_mut().unwrap() ^= 0x01;
+    file_level.push(("checksum", bad, "snapshot file: checksum mismatch"));
+    let mut bad = good.clone();
+    bad.push(0);
+    file_level.push(("trailing", bad, "snapshot file: checksum mismatch"));
+
+    for (case, bytes, want) in &file_level {
+        std::fs::write(&meta.0, bytes).expect("plant the corruption");
+        let e = refuse(&meta.0);
+        assert_eq!(e, StorageError::Corrupt(want), "{case}");
+        assert_eq!(refuse_durable(&meta.0), e, "{case}: DurableIndex::open");
+        let stderr = refuse_cli(&meta.0);
+        let line = format!("error: {}: {e}", meta.0.display());
+        assert!(stderr.contains(&line), "{case}: {stderr}");
+    }
+
+    snapshot::commit(&meta.0, &hollow).expect("commit the hollow payload");
+    let udx1 = [&b"UDX1"[..], &7u64.to_le_bytes(), &hollow].concat();
+    snapshot::commit(&durable.0, &udx1).expect("commit the wrapped payload");
+    let e = refuse(&meta.0);
+    assert_eq!(e, StorageError::Corrupt("empty block in directory"));
+    assert_eq!(refuse_durable(&durable.0), e, "DurableIndex::open");
+    let stderr = refuse_cli(&meta.0);
+    let line = format!("error: {}: {e}", meta.0.display());
+    assert!(stderr.contains(&line), "{stderr}");
+
+    // The intact file opens.
+    std::fs::write(&meta.0, &good).expect("restore");
+    let idx = InvertedIndex::open(&snapshot::load(&meta.0).expect("load")).expect("open");
+    assert_eq!(idx.len(), 600);
+    let out = Command::new(env!("CARGO_BIN_EXE_uncat"))
+        .args(["stats", "--index", "inverted", "--pages"])
+        .arg(&pages.0)
+        .arg("--meta")
+        .arg(&meta.0)
+        .output()
+        .expect("spawn uncat");
+    assert!(out.status.success(), "{out:?}");
 }
