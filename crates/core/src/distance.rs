@@ -14,6 +14,15 @@
 //! produce infinities; the PDR-tree also applies it to MBR boundary vectors,
 //! which are not normalized distributions — the functions here only assume
 //! non-negative sparse vectors.
+//!
+//! L1 and L2 add their per-category terms with compensation ([`TwoSum`]),
+//! rounding once: a distance does not depend on the order of the
+//! categories its terms come from. Two tuples whose terms are the same up
+//! to a permutation — two certain tuples of categories the query lacks —
+//! are at the same distance to the last bit, so every index ranks them
+//! by tuple id alone, and an index that assembles a distance from other
+//! parts (the inverted index: its lists and a norm column) meets the same
+//! value.
 
 use crate::uda::Entry;
 
@@ -91,18 +100,47 @@ fn merge_fold<F: FnMut(f64, f64)>(u: &[Entry], v: &[Entry], mut f: F) {
     }
 }
 
+/// A sum kept unevaluated as `hi + lo` (Knuth's two-sum): `hi` the
+/// rounded running sum, `lo` what rounding lost. Rounded once, by
+/// [`TwoSum::value`], so the same terms sum to the same value whatever
+/// order they are added in. Adding another sum is adding its two parts.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TwoSum {
+    /// The rounded running sum.
+    pub hi: f64,
+    /// What rounding `hi` lost.
+    pub lo: f64,
+}
+
+impl TwoSum {
+    /// Add one term.
+    #[inline]
+    pub fn add(&mut self, c: f64) {
+        let sum = self.hi + c;
+        let from_c = sum - self.hi;
+        self.lo += (self.hi - (sum - from_c)) + (c - from_c);
+        self.hi = sum;
+    }
+
+    /// The sum, rounded once.
+    #[inline]
+    pub fn value(&self) -> f64 {
+        self.hi + self.lo
+    }
+}
+
 /// Manhattan (L1) distance between sparse vectors.
 pub fn l1(u: &[Entry], v: &[Entry]) -> f64 {
-    let mut acc = 0.0;
-    merge_fold(u, v, |a, b| acc += (a - b).abs());
-    acc
+    let mut acc = TwoSum::default();
+    merge_fold(u, v, |a, b| acc.add((a - b).abs()));
+    acc.value()
 }
 
 /// Euclidean (L2) distance between sparse vectors.
 pub fn l2(u: &[Entry], v: &[Entry]) -> f64 {
-    let mut acc = 0.0;
-    merge_fold(u, v, |a, b| acc += (a - b) * (a - b));
-    acc.sqrt()
+    let mut acc = TwoSum::default();
+    merge_fold(u, v, |a, b| acc.add((a - b) * (a - b)));
+    acc.value().sqrt()
 }
 
 /// Smoothing constant for KL on sparse vectors: pretend every absent
@@ -147,6 +185,23 @@ mod tests {
 
     fn uda(pairs: &[(u32, f32)]) -> Uda {
         Uda::from_pairs(pairs.iter().map(|&(c, p)| (CatId(c), p))).unwrap()
+    }
+
+    /// A distance is its terms' sum rounded once: a certain tuple whose
+    /// one category sits before the query's or after them is at the same
+    /// distance to the last bit, so a DSTQ ranks the two by tuple id.
+    /// Summed left to right, their L2 terms round apart.
+    #[test]
+    fn a_distance_does_not_depend_on_where_its_categories_sit() {
+        let q = uda(&[(1, 0.05), (4, 0.7)]);
+        let (first, last) = (uda(&[(0, 1.0)]), uda(&[(5, 1.0)]));
+        for dv in [Divergence::L1, Divergence::L2] {
+            let a = dv.eval(q.entries(), first.entries());
+            let b = dv.eval(q.entries(), last.entries());
+            assert_eq!(a.to_bits(), b.to_bits(), "{dv:?}: {a} vs {b}");
+        }
+        let (a, b) = (0.05f32 as f64, 0.7f32 as f64);
+        assert_ne!((1.0 + a * a) + b * b, (a * a + b * b) + 1.0);
     }
 
     #[test]

@@ -52,10 +52,12 @@ impl TopKHeap {
     /// New accumulator retaining at most `k` matches, pruning at `floor`:
     /// matches scoring below `floor` are never admitted (use `0.0`, or a
     /// PETQ threshold when combining top-k with a minimum probability).
+    /// Nothing is reserved from `k`, which may be any `usize`: the heap
+    /// grows as matches are offered.
     pub fn new(k: usize, floor: f64) -> TopKHeap {
         TopKHeap {
             k,
-            heap: BinaryHeap::with_capacity(k + 1),
+            heap: BinaryHeap::new(),
             floor,
         }
     }
@@ -143,11 +145,12 @@ pub struct BottomKHeap {
 }
 
 impl BottomKHeap {
-    /// New accumulator retaining at most `k` matches.
+    /// New accumulator retaining at most `k` matches; as
+    /// [`TopKHeap::new`], nothing is reserved from `k`.
     pub fn new(k: usize) -> BottomKHeap {
         BottomKHeap {
             k,
-            heap: BinaryHeap::with_capacity(k + 1),
+            heap: BinaryHeap::new(),
         }
     }
 

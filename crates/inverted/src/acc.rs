@@ -32,9 +32,15 @@
 //! bit-identical in both layouts.
 //!
 //! [`Slab`] makes the same choice for an executor that keeps more than a
-//! sum per tuple (`Auto`'s PETQ and top-k): its records are dense, in
-//! first-touch order, and an id finds its record through a `u32` per id
-//! of the span or a [`TidMap`], by the same rule.
+//! sum per tuple (`Auto`'s PETQ and top-k, and a metric DSTQ's
+//! [`Partial`] distances): its records are dense, in first-touch order,
+//! and an id finds its record through a `u32` per id of the span or a
+//! [`TidMap`], by the same rule.
+//!
+//! Those executors meet a tuple's terms in an order the data decides, so
+//! they add them with [`TwoSum`]: the result does not depend on it.
+
+use uncat_core::distance::TwoSum;
 
 use crate::tid::TidMap;
 
@@ -110,6 +116,29 @@ fn takes_flat(postings: u64, span: u64) -> bool {
     postings.saturating_mul(1024) >= span.saturating_mul(MIN_PER_1024)
 }
 
+/// One tuple's metric distance to a DSTQ's query, as far as the query's
+/// lists show it (`crate::dstq`): the compensated sum of its on-support
+/// terms, the compensated sum of what its postings seen hold of its own
+/// mass (`Σ p` for L1, `Σ p²` for L2), and how many postings that was.
+pub(crate) struct Partial {
+    pub(crate) on: TwoSum,
+    pub(crate) own: TwoSum,
+    pub(crate) seen: u32,
+    pub(crate) tid: u32,
+}
+
+impl Partial {
+    pub(crate) fn new(tid: u64) -> Partial {
+        Partial {
+            on: TwoSum::default(),
+            own: TwoSum::default(),
+            seen: 0,
+            // Posting tids are 32-bit (`visit_block` checks).
+            tid: tid as u32,
+        }
+    }
+}
+
 /// Per-tuple records of an executor that keeps more than a sum: dense, in
 /// first-touch order, found by tuple id through [`ScoreAcc`]'s two
 /// layouts, chosen by the same rule.
@@ -156,6 +185,15 @@ impl<S> Slab<S> {
             self.slots.push(new());
         }
         at as usize
+    }
+
+    /// Whether `tid` has a record.
+    pub(crate) fn contains(&self, tid: u64) -> bool {
+        if tid < self.flat.len() as u64 {
+            self.flat[tid as usize] != 0
+        } else {
+            self.sparse.contains_key(&tid)
+        }
     }
 
     /// `tid`'s record, if it has one.

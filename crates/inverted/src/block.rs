@@ -485,6 +485,19 @@ impl BlockList {
         })
     }
 
+    /// The blocks that can hold an entry with `lo ≤ p ≤ hi`: from the
+    /// first that can hold one at or below `hi` to the last whose largest
+    /// entry (its separator's) is at least `lo`.
+    pub(crate) fn blocks_between(&self, lo: f64, hi: f64) -> Range<usize> {
+        let from = self.first_block_at_or_below(0, hi);
+        let to = from
+            + self.blocks[from..]
+                .iter()
+                .take_while(|b| decode_posting(&b.sep).0 as f64 >= lo)
+                .count();
+        from..to
+    }
+
     /// The first block from `from` on that can hold an entry with
     /// `p ≤ cap`. Stream order puts every entry of block `i` at or above
     /// the exact probability of block `i + 1`'s separator, so block `i` is

@@ -1,118 +1,190 @@
-//! Distributional similarity queries (DSTQ) over the inverted index.
+//! Distributional similarity queries (DSTQ and DS-top-k) over the
+//! inverted index.
 //!
 //! The paper notes that "it is straightforward to adapt our framework of
 //! indexing to distributional similarity queries"; this module is that
-//! adaptation. For metric divergences (L1/L2) with a tight-enough radius,
-//! candidate tuples must overlap the query's support:
+//! adaptation. For the metric divergences a tuple's exact distance needs
+//! nothing but its postings in the query's lists and two numbers of its
+//! own, `mass(t)` and `‖t‖₂²`, which the norm column holds
+//! (`crate::index::Norms`):
 //!
-//! * **L1**: disjoint supports give `L1(q,t) = mass(q) + mass(t) ≥ mass(q)`,
-//!   so if `τ_d < mass(q)` every qualifying tuple shares a category.
-//! * **L2**: disjoint supports give `L2(q,t) ≥ ‖q‖₂`, so if `τ_d < ‖q‖₂`
-//!   every qualifying tuple shares a category.
+//! ```text
+//! L1(q,t)  = mass(q) + Σ_j (|q_j − t_j| − q_j)     + (mass(t) − Σ_j t_j)
+//! L2²(q,t) = ‖q‖₂²   + Σ_j ((q_j − t_j)² − q_j²)  + (‖t‖₂²  − Σ_j t_j²)
+//! ```
 //!
-//! In those cases the query lists are scanned, and the scan is the
-//! filter step too: the lists hold `t_i` for every `i ∈ supp(q)`, so the
-//! part of the distance that lies on the query's support —
-//! `Σ_{i∈supp q} |q_i − t_i|` for L1, `Σ_{i∈supp q} (q_i − t_i)²` under
-//! the root for L2 — is known exactly per tuple when the scan ends. What
-//! it leaves out (`t`'s mass off the support) only adds, so it is a lower
-//! bound whatever the tuple's mass, and only tuples whose bound is within
-//! the radius are fetched for the exact distance; the rest are
-//! `candidates_pruned`. Otherwise (wide radius, or the non-metric KL
-//! divergence) the evaluation falls back to a full tuple-store scan —
-//! pruning with KL would be unsound, which is exactly why the paper uses
-//! KL only for clustering.
+//! with `j` over `t`'s postings in the query's lists. The last bracket is
+//! what `t` holds off the query's support; it is 0, exactly, when those
+//! postings are all `t` has. Every term is the one [`Divergence::eval`]
+//! adds for its category or a product of two `f32` values, exact in
+//! `f64`, and every sum is compensated ([`TwoSum`]), so the distance
+//! agrees with `eval` in its last bits, whatever order the terms arrive
+//! in — and a tuple equal to the query is at exactly 0.
+//!
+//! * **Radius windows.** `|q_j − t_j|` is at most both distances, so a
+//!   DSTQ reads list `j` only over the blocks that can hold a posting in
+//!   `[q_j − τ − ε, q_j + τ + ε]`
+//!   ([`crate::block::BlockList::blocks_between`]); the
+//!   rest are `blocks_skipped`. A tuple with a posting in a skipped block
+//!   is farther than `τ + ε`, and the sums above, which miss the
+//!   posting, put it farther still: by `2·min(q_j, t_j)` in L1 and by
+//!   `2·q_j·t_j` in L2². So every tuple computed within `τ + ε` had no
+//!   posting skipped, and its distance is exact.
+//! * **Deciding.** Beyond `τ + ε` a tuple is `candidates_pruned` — most
+//!   are beyond it on the first two terms alone, before their norms are
+//!   looked up, since the last bracket only adds; within
+//!   `ε` of `τ` it is fetched and [`Divergence::eval`] decides
+//!   (`candidates_verified`, the only random access left); otherwise it
+//!   is `candidates_settled` at its computed distance. A tuple sharing no
+//!   category with the query is at `mass(q) + mass(t)` (L1) or
+//!   `√(‖q‖₂² + ‖t‖₂²)` (L2): those are walked from the column, unless
+//!   the column's floor puts every one of them out of reach.
+//! * **DS-top-k** reads the query's lists whole and keeps the `k` best
+//!   distances; the tuples sharing nothing with the query are walked
+//!   unless the `k` found are all nearer than any of them can be.
+//!
+//! KL is not a metric and has no sound bound — which is why the paper
+//! uses it only for clustering — so a KL query scans the tuple store
+//! (`heap_tuples_scanned`). So does the first metric query an index
+//! answers: it fills the norm column.
 
+use uncat_core::distance::TwoSum;
 use uncat_core::equality::THRESHOLD_EPS;
 use uncat_core::query::{sort_matches_asc, DsTopKQuery, DstQuery, Match};
 use uncat_core::topk::BottomKHeap;
 use uncat_core::{Divergence, Uda};
 use uncat_storage::{BufferPool, Phase, QueryMetrics, Result};
 
-use crate::acc::ScoreAcc;
-use crate::index::InvertedIndex;
-use crate::search::accumulate;
+use crate::acc::{Partial, Slab};
+use crate::index::{InvertedIndex, Norm};
+use crate::search::query_lists;
 
-/// The support-exact partial distance of one metric query, as a sum the
-/// accumulator can hold. A tuple with no posting in list `i` has
-/// `t_i = 0` and owes the term `q_i` (L1) or `q_i²` (L2): every tuple
-/// starts from `base`, the sum of those, and each posting swaps its
-/// list's term for the real one. The L2 sum stays squared; only
-/// comparisons need the root, and they square the radius instead.
-struct SupportBound {
-    /// L2 (sums of squares) rather than L1 (sums of magnitudes).
+/// One metric query's distance kernel: what a posting adds to its
+/// tuple's [`Partial`], and the distance a partial and the tuple's norms
+/// make (see the module documentation).
+struct Metric {
+    /// L2 (sums of squares, rooted at the end) rather than L1.
     squared: bool,
-    /// `mass(q)` for L1, `‖q‖₂²` for L2.
-    base: f64,
+    /// `mass(q)` for L1, `‖q‖₂²` for L2: every tuple's sum before its
+    /// postings swap their lists' terms for their own.
+    base: TwoSum,
 }
 
-impl SupportBound {
-    /// `None` for KL: not a metric, no sound bound, the query scans.
-    fn new(q: &Uda, divergence: Divergence) -> Option<SupportBound> {
-        let (squared, base) = match divergence {
-            Divergence::L1 => (false, q.mass()),
-            Divergence::L2 => (true, q.iter().map(|(_, p)| (p as f64) * (p as f64)).sum()),
+impl Metric {
+    /// `None` for KL: not a metric, the query scans.
+    fn new(q: &Uda, divergence: Divergence) -> Option<Metric> {
+        let squared = match divergence {
+            Divergence::L1 => false,
+            Divergence::L2 => true,
             Divergence::Kl => return None,
         };
-        Some(SupportBound { squared, base })
+        let mut base = TwoSum::default();
+        for (_, p) in q.iter() {
+            let p = p as f64;
+            base.add(if squared { p * p } else { p });
+        }
+        Some(Metric { squared, base })
     }
 
-    /// The distance between the query and a tuple disjoint from it, at
-    /// least: no tuple outside the query's lists is closer.
-    fn disjoint_floor(&self) -> f64 {
+    /// A posting `p` in the list of a category with query probability
+    /// `qp`: its tuple's term there is no longer `qp` (L1) or `qp²` (L2)
+    /// but the real one.
+    #[inline]
+    fn add(&self, t: &mut Partial, qp: f64, p: f64) {
         if self.squared {
-            self.base.sqrt()
+            let d = qp - p;
+            t.on.add(d * d);
+            t.on.add(-(qp * qp));
+            t.own.add(p * p);
         } else {
-            self.base
+            t.on.add((qp - p).abs());
+            t.on.add(-qp);
+            t.own.add(p);
+        }
+        t.seen += 1;
+    }
+
+    /// `mass(t)` for L1, `‖t‖₂²` for L2.
+    fn own(&self, norm: &Norm) -> f64 {
+        if self.squared {
+            norm.sq
+        } else {
+            norm.mass
         }
     }
 
-    /// What a posting `p` in the list of a category with query
-    /// probability `qp` adds to its tuple's sum.
-    fn term(&self, qp: f64, p: f64) -> f64 {
+    /// The part of a tuple's sum on the query's support, from its
+    /// postings read, `t`. What it holds off the support only adds to it:
+    /// [`Metric::root`] of it is at most the tuple's distance.
+    fn on_support(&self, t: &Partial) -> TwoSum {
+        let mut sum = self.base;
+        sum.add(t.on.hi);
+        sum.add(t.on.lo);
+        sum
+    }
+
+    /// The distance of a tuple whose postings read are `t`, from its
+    /// [`Metric::on_support`] sum and its norms.
+    fn distance(&self, mut sum: TwoSum, t: &Partial, norm: &Norm) -> f64 {
+        if t.seen < norm.len {
+            // What the tuple holds off the lists read.
+            let mut rest = TwoSum::default();
+            rest.add(self.own(norm));
+            rest.add(-t.own.hi);
+            rest.add(-t.own.lo);
+            sum.add(rest.value().max(0.0));
+        }
+        self.root(sum)
+    }
+
+    /// The distance of a tuple with no posting in the lists read.
+    fn disjoint(&self, norm: &Norm) -> f64 {
+        let mut sum = self.base;
+        sum.add(self.own(norm));
+        self.root(sum)
+    }
+
+    fn root(&self, sum: TwoSum) -> f64 {
+        let sum = sum.value().max(0.0);
         if self.squared {
-            (qp - p) * (qp - p) - qp * qp
+            sum.sqrt()
         } else {
-            (qp - p).abs() - qp
+            sum
         }
     }
 
-    /// Scan the query's lists: per overlapping tuple, the sum of its
-    /// [`SupportBound::term`]s. Each is one `candidates_generated`.
+    /// Read each of the query's lists over the blocks that can hold a
+    /// posting within `reach` of its query probability (every block when
+    /// `reach` is ∞) into one [`Partial`] per tuple met. Ticks
+    /// `lists_opened`, `blocks_skipped` for the blocks outside a window
+    /// and what [`crate::block::BlockList::scan_blocks`] ticks.
     fn scan(
         &self,
         idx: &InvertedIndex,
         pool: &mut BufferPool,
         q: &Uda,
+        reach: f64,
         metrics: &mut QueryMetrics,
-    ) -> Result<ScoreAcc> {
-        let sums = accumulate(idx, pool, q, metrics, |qp, p| self.term(qp, p))?;
-        metrics.candidates_generated += sums.len() as u64;
-        Ok(sums)
-    }
-
-    /// Whether a tuple with accumulated `sum` can be within `radius` of
-    /// the query. The sum is the exact one reassociated, so it may sit a
-    /// few ulps above the distance `Divergence::eval` computes; the slack
-    /// keeps such a tuple in (verification decides it exactly).
-    fn within(&self, sum: f64, radius: f64) -> bool {
-        let reach = if self.squared {
-            radius * radius
-        } else {
-            radius
-        };
-        self.base + sum <= reach + THRESHOLD_EPS
-    }
-
-    /// The lower bound itself, in the divergence's own unit.
-    #[cfg(test)]
-    fn value(&self, sum: f64) -> f64 {
-        let partial = (self.base + sum).max(0.0);
-        if self.squared {
-            partial.sqrt()
-        } else {
-            partial
+    ) -> Result<Slab<Partial>> {
+        let lists = query_lists(idx, q);
+        let postings = lists.iter().map(|(_, _, list)| list.len()).sum();
+        let mut slab = Slab::for_scan(postings, idx.tid_span());
+        metrics.lists_opened += lists.len() as u64;
+        let span = pool.trace_begin(Phase::PostingScan);
+        let mut scanned = Ok(());
+        for (_, qp, list) in lists {
+            let window = list.blocks_between(qp - reach, qp + reach);
+            metrics.blocks_skipped += (list.blocks().len() - window.len()) as u64;
+            scanned = list.scan_blocks(idx.block_heap(), pool, window, metrics, |tid, p| {
+                let i = slab.slot(tid, || Partial::new(tid));
+                self.add(&mut slab.slots_mut()[i], qp, p as f64);
+            });
+            if scanned.is_err() {
+                break;
+            }
         }
+        pool.trace_end(span);
+        scanned.map(|()| slab)
     }
 }
 
@@ -120,29 +192,59 @@ impl InvertedIndex {
     /// Evaluate a DSTQ: all tuples with `F(q, t) ≤ τ_d`, in ascending
     /// divergence order.
     ///
-    /// The candidate path tallies list scans, `candidates_pruned` for the
-    /// overlapping tuples its lower bound rules out and
-    /// `candidates_verified` for the random accesses it pays for the
-    /// rest; the scan fallback tallies `heap_tuples_scanned` — so the
-    /// pool's ledger shows *which* of the two plans answered the query.
+    /// L1 and L2 read the query's lists over their radius windows and
+    /// settle every tuple from them and the norm column, fetching only
+    /// those within `ε` of the radius (`candidates_verified`); KL scans
+    /// the tuple store (`heap_tuples_scanned`), as does the first metric
+    /// query, to fill the column. A negative or NaN radius admits
+    /// nothing.
     pub fn dstq(&self, pool: &mut BufferPool, query: &DstQuery) -> Result<Vec<Match>> {
         pool.tally(|pool, metrics| {
-            let Some(bound) = SupportBound::new(&query.q, query.divergence)
-                .filter(|bound| query.tau_d < bound.disjoint_floor())
-            else {
+            let Some(metric) = Metric::new(&query.q, query.divergence) else {
                 return self.dstq_scan(pool, query, metrics);
             };
-            let sums = bound.scan(self, pool, &query.q, metrics)?;
-            let survivors: Vec<u64> = sums
-                .iter()
-                .filter(|&(_, sum)| bound.within(sum, query.tau_d))
-                .map(|(tid, _)| tid)
-                .collect();
-            metrics.candidates_pruned += (sums.len() - survivors.len()) as u64;
-            let mut out = Vec::new();
-            self.verify_each(pool, survivors, metrics, |tid, t| {
+            let tau = query.tau_d;
+            if tau.is_nan() || tau < 0.0 {
+                return Ok(Vec::new());
+            }
+            let reach = tau + THRESHOLD_EPS;
+            let norms = self.norms(pool, metrics)?;
+            let slab = metric.scan(self, pool, &query.q, reach, metrics)?;
+            let (mut out, mut band, mut pruned) = (Vec::new(), Vec::new(), 0u64);
+            let mut decide = |tid: u64, d: f64| {
+                if d > reach {
+                    pruned += 1;
+                } else if d > tau - THRESHOLD_EPS {
+                    band.push(tid);
+                } else {
+                    out.push(Match::new(tid, d));
+                }
+            };
+            for t in slab.slots() {
+                let tid = t.tid as u64;
+                let on = metric.on_support(t);
+                // Out of reach on the query's support alone: no norms needed.
+                let floor = metric.root(on);
+                let d = if floor > reach {
+                    floor
+                } else {
+                    metric.distance(on, t, norms.get(tid)?)
+                };
+                decide(tid, d);
+            }
+            let mut met = slab.slots().len() as u64;
+            if metric.disjoint(&norms.floor()) <= reach {
+                for (tid, norm) in norms.iter().filter(|&(tid, _)| !slab.contains(tid)) {
+                    met += 1;
+                    decide(tid, metric.disjoint(norm));
+                }
+            }
+            metrics.candidates_generated += met;
+            metrics.candidates_pruned += pruned;
+            metrics.candidates_settled += out.len() as u64;
+            self.verify_each(pool, band, metrics, |tid, t| {
                 let d = query.divergence.eval(query.q.entries(), t);
-                if d <= query.tau_d {
+                if d <= tau {
                     out.push(Match::new(tid, d));
                 }
             })?;
@@ -154,17 +256,13 @@ impl InvertedIndex {
     /// DSQ-top-k: the `k` distributionally closest tuples, ascending by
     /// divergence.
     ///
-    /// First tries the query's posting lists: overlapping tuples are
-    /// verified in ascending order of their lower bound, in page-grouped
-    /// batches, until the k-th best exact distance is below every bound
-    /// left. If that distance is also below what any *non-overlapping*
-    /// tuple could reach (`mass(q)` for L1, `‖q‖₂` for L2), the candidate
-    /// answer is complete. Otherwise — wide radius or KL — a full
-    /// tuple-store scan resolves the query exactly.
-    ///
-    /// Counters follow [`InvertedIndex::dstq`]; when the candidate answer
-    /// is incomplete, both the candidate counters *and* the fallback's
-    /// `heap_tuples_scanned` are populated — the query really did both.
+    /// L1 and L2 read the query's lists whole and keep the `k` best
+    /// distances, settled from the lists and the norm column: nothing is
+    /// fetched. The tuples sharing no category with the query are walked
+    /// from the column unless the `k` found are all nearer than the
+    /// column's floor lets any of them be. Counters follow
+    /// [`InvertedIndex::dstq`]: the answer is `candidates_settled`,
+    /// every other tuple met or walked `candidates_pruned`.
     pub fn ds_top_k(&self, pool: &mut BufferPool, query: &DsTopKQuery) -> Result<Vec<Match>> {
         pool.tally(|pool, metrics| self.ds_top_k_search(pool, query, metrics))
     }
@@ -178,43 +276,41 @@ impl InvertedIndex {
         if query.k == 0 {
             return Ok(Vec::new());
         }
-        if let Some(bound) = SupportBound::new(&query.q, query.divergence) {
-            let sums = bound.scan(self, pool, &query.q, metrics)?;
-            let mut by_bound: Vec<(f64, u64)> = sums.iter().map(|(tid, sum)| (sum, tid)).collect();
-            by_bound.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            let mut heap = BottomKHeap::new(query.k);
-            let mut rest = by_bound.as_slice();
-            // k fetches at least fill the heap; doubling from there keeps
-            // the total within twice what the stop point needed.
-            let mut batch = query.k;
-            while let Some(&(sum, _)) = rest.first() {
-                if !bound.within(sum, heap.bound()) {
-                    break; // nor can anything after it: bounds ascend
-                }
-                let (now, later) = rest.split_at(batch.min(rest.len()));
-                self.verify_each(pool, now.iter().map(|&(_, tid)| tid), metrics, |tid, t| {
-                    heap.offer(tid, query.divergence.eval(query.q.entries(), t));
-                })?;
-                rest = later;
-                batch = batch.saturating_mul(2);
+        let mut heap = BottomKHeap::new(query.k);
+        let Some(metric) = Metric::new(&query.q, query.divergence) else {
+            let scan = pool.trace_begin(Phase::HeapScan);
+            let scanned = self.scan_tuples(pool, |tid, t| {
+                metrics.heap_tuples_scanned += 1;
+                heap.offer(tid, query.divergence.eval(query.q.entries(), t.entries()));
+            });
+            pool.trace_end(scan);
+            return scanned.map(|()| heap.into_sorted());
+        };
+        let norms = self.norms(pool, metrics)?;
+        let slab = metric.scan(self, pool, &query.q, f64::INFINITY, metrics)?;
+        for t in slab.slots() {
+            let tid = t.tid as u64;
+            let on = metric.on_support(t);
+            if heap.is_full() && metric.root(on) > heap.bound() {
+                continue; // farther than the k-th best on the support alone
             }
-            metrics.candidates_pruned += rest.len() as u64;
-            if heap.is_full() && heap.bound() < bound.disjoint_floor() {
-                return Ok(heap.into_sorted());
+            heap.offer(tid, metric.distance(on, t, norms.get(tid)?));
+        }
+        let mut met = slab.slots().len() as u64;
+        if !(heap.is_full() && metric.disjoint(&norms.floor()) > heap.bound()) {
+            for (tid, norm) in norms.iter().filter(|&(tid, _)| !slab.contains(tid)) {
+                met += 1;
+                heap.offer(tid, metric.disjoint(norm));
             }
         }
-        // Fallback: exact scan.
-        let mut heap = BottomKHeap::new(query.k);
-        let scan = pool.trace_begin(Phase::HeapScan);
-        self.scan_tuples(pool, |tid, t| {
-            metrics.heap_tuples_scanned += 1;
-            heap.offer(tid, query.divergence.eval(query.q.entries(), t.entries()));
-        })?;
-        pool.trace_end(scan);
-        Ok(heap.into_sorted())
+        let out = heap.into_sorted();
+        metrics.candidates_generated += met;
+        metrics.candidates_settled += out.len() as u64;
+        metrics.candidates_pruned += met - out.len() as u64;
+        Ok(out)
     }
 
-    /// Full tuple-store scan fallback (always sound).
+    /// KL's DSTQ: a full tuple-store scan.
     fn dstq_scan(
         &self,
         pool: &mut BufferPool,
@@ -223,14 +319,15 @@ impl InvertedIndex {
     ) -> Result<Vec<Match>> {
         let mut out = Vec::new();
         let scan = pool.trace_begin(Phase::HeapScan);
-        self.scan_tuples(pool, |tid, t| {
+        let scanned = self.scan_tuples(pool, |tid, t| {
             metrics.heap_tuples_scanned += 1;
             let d = query.divergence.eval(query.q.entries(), t.entries());
             if d <= query.tau_d {
                 out.push(Match::new(tid, d));
             }
-        })?;
+        });
         pool.trace_end(scan);
+        scanned?;
         sort_matches_asc(&mut out);
         Ok(out)
     }
@@ -247,7 +344,7 @@ mod tests {
 
     /// One to three categories with any mass in (0, 1]: sub-unit-mass
     /// tuples are what an incomplete distribution looks like, and the
-    /// bound may not assume the missing mass away.
+    /// distance may not assume the missing mass away.
     fn uda_strategy() -> impl Strategy<Value = Uda> {
         proptest::collection::vec((0..CATS, 1u32..=33), 1..=3).prop_map(|pairs| {
             let mut seen = std::collections::BTreeMap::new();
@@ -258,57 +355,144 @@ mod tests {
         })
     }
 
+    /// Every tuple's distance from the lists read whole and the norm
+    /// column — met in the lists or walked from the column — against
+    /// [`Divergence::eval`], and exactly 0 for a tuple equal to `q`.
+    fn check_distances(
+        idx: &InvertedIndex,
+        pool: &mut BufferPool,
+        data: &std::collections::BTreeMap<u64, Uda>,
+        q: &Uda,
+        dv: Divergence,
+    ) {
+        let metric = Metric::new(q, dv).unwrap();
+        let mut m = QueryMetrics::new();
+        let norms = idx.norms(pool, &mut m).unwrap();
+        let slab = metric.scan(idx, pool, q, f64::INFINITY, &mut m).unwrap();
+        let overlapping = data
+            .values()
+            .filter(|t| t.iter().any(|(c, _)| q.prob_of(c) > 0.0))
+            .count();
+        prop_assert_eq!(slab.slots().len(), overlapping);
+        for (&tid, t) in data {
+            let norm = norms.get(tid).unwrap();
+            let got = match slab.slots().iter().find(|p| p.tid as u64 == tid) {
+                Some(partial) => metric.distance(metric.on_support(partial), partial, norm),
+                None => metric.disjoint(norm),
+            };
+            let want = dv.eval(q.entries(), t.entries());
+            prop_assert!(
+                (got - want).abs() <= 1e-12,
+                "{dv:?}: tuple {tid} at {got}, eval {want}"
+            );
+            if t == q {
+                prop_assert_eq!(got, 0.0, "{:?}: a tuple equal to q", dv);
+            }
+        }
+    }
+
+    /// DSTQs against the scan of `data`, at `radius` and at a tuple's own
+    /// distance, a hair below and a hair above it (the ε band's cases):
+    /// the same tuples in the same order, scores within 1e-12 of
+    /// `eval`'s, nothing verified outside the ε band, and no tuple-store
+    /// scan once the column is filled.
+    fn check_dstq(
+        idx: &InvertedIndex,
+        pool: &mut BufferPool,
+        data: &std::collections::BTreeMap<u64, Uda>,
+        q: &Uda,
+        dv: Divergence,
+        radius: f64,
+        pick: usize,
+    ) {
+        let dists: Vec<f64> = data
+            .values()
+            .map(|t| dv.eval(q.entries(), t.entries()))
+            .collect();
+        let at = dists[pick % dists.len()];
+        for radius in [radius, at, at - 1e-12, at + 1e-12] {
+            pool.reset_stats();
+            let got = idx
+                .dstq(pool, &DstQuery::new(q.clone(), radius, dv))
+                .unwrap();
+            let m = pool.metrics();
+            let mut want: Vec<Match> = data
+                .keys()
+                .zip(&dists)
+                .map(|(&tid, &d)| Match::new(tid, d))
+                .filter(|m| m.score <= radius)
+                .collect();
+            sort_matches_asc(&mut want);
+            let tids = |v: &[Match]| v.iter().map(|m| m.tid).collect::<Vec<_>>();
+            prop_assert_eq!(tids(&got), tids(&want), "{:?} at {}", dv, radius);
+            for (g, w) in got.iter().zip(&want) {
+                prop_assert!((g.score - w.score).abs() <= 1e-12, "{g:?} vs {w:?}");
+            }
+            let band = dists
+                .iter()
+                .filter(|&&d| (d - radius).abs() <= 2.0 * THRESHOLD_EPS)
+                .count();
+            prop_assert!(m.candidate_invariant_holds());
+            prop_assert!(
+                m.candidates_verified as usize <= band,
+                "verified {}",
+                m.candidates_verified
+            );
+            prop_assert_eq!(m.heap_tuples_scanned, 0);
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        // The accumulated sum is a lower bound on the exact distance for
-        // every tuple in the query's lists, tight when the tuple lives on
-        // the query's support, and the pruned answer is the reference's.
+        // Every tuple's distance from the lists and the norm column is
+        // `eval`'s to 1e-12 — tuples of mass below 1, tuples equal to the
+        // query (at exactly 0), tuples sharing nothing with it — and the
+        // windowed DSTQ answers what the scan answers, at radii on and
+        // beside a tuple's distance too, on the built index and again
+        // after inserts, updates and deletes have kept the column.
         #[test]
         fn support_bound_is_sound_and_dstq_is_exact(
             tuples in proptest::collection::vec(uda_strategy(), 1..60),
             q in uda_strategy(),
             radius in 0.0f64..1.2,
+            pick in 0usize..100,
+            changes in proptest::collection::vec((0u64..70, uda_strategy(), 0u8..3), 0..20),
         ) {
             let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 64);
-            let data: Vec<(u64, Uda)> = (0u64..).zip(tuples).collect();
-            let idx = InvertedIndex::build(
+            let mut data: std::collections::BTreeMap<u64, Uda> = (0u64..).zip(tuples).collect();
+            data.insert(data.len() as u64, q.clone());
+            let mut idx = InvertedIndex::build(
                 Domain::anonymous(CATS),
                 &mut pool,
                 data.iter().map(|(t, u)| (*t, u)),
             )
             .unwrap();
+            pool.reset_stats();
             for dv in [Divergence::L1, Divergence::L2] {
-                let bound = SupportBound::new(&q, dv).unwrap();
-                let sums = bound.scan(&idx, &mut pool, &q, &mut QueryMetrics::new()).unwrap();
-                let overlapping = data
-                    .iter()
-                    .filter(|(_, t)| t.iter().any(|(c, _)| q.prob_of(c) > 0.0))
-                    .count();
-                prop_assert_eq!(sums.len(), overlapping);
-                for (tid, sum) in sums.iter() {
-                    let t = &data[tid as usize].1;
-                    let d = dv.eval(q.entries(), t.entries());
-                    let lb = bound.value(sum);
-                    prop_assert!(lb <= d + 1e-7, "{dv:?}: bound {lb} above distance {d}");
-                    prop_assert!(bound.within(sum, d), "{dv:?}: a tuple at its own distance is pruned");
-                    if t.iter().all(|(c, _)| q.prob_of(c) > 0.0) {
-                        prop_assert!((lb - d).abs() <= 1e-7, "{dv:?}: bound {lb} not tight at {d}");
+                check_distances(&idx, &mut pool, &data, &q, dv);
+                check_dstq(&idx, &mut pool, &data, &q, dv, radius, pick);
+            }
+            for (tid, t, op) in changes {
+                match op {
+                    0 => {
+                        idx.update(&mut pool, tid, &t).unwrap();
+                        data.insert(tid, t);
+                    }
+                    1 => {
+                        let removed = idx.delete(&mut pool, tid).unwrap();
+                        prop_assert_eq!(removed, data.remove(&tid).is_some());
+                    }
+                    _ => {
+                        idx.update(&mut pool, tid, &q).unwrap();
+                        data.insert(tid, q.clone());
                     }
                 }
-
-                pool.reset_stats();
-                let got = idx.dstq(&mut pool, &DstQuery::new(q.clone(), radius, dv)).unwrap();
-                let m = pool.metrics();
-                let mut want: Vec<Match> = data
-                    .iter()
-                    .map(|(tid, t)| Match::new(*tid, dv.eval(q.entries(), t.entries())))
-                    .filter(|m| m.score <= radius)
-                    .collect();
-                sort_matches_asc(&mut want);
-                prop_assert_eq!(&got, &want);
-                prop_assert!(m.candidate_invariant_holds());
-                prop_assert!(m.candidates_verified as usize >= got.len() || m.heap_tuples_scanned > 0);
+            }
+            idx.check_invariants(&mut pool).unwrap();
+            for dv in [Divergence::L1, Divergence::L2] {
+                check_distances(&idx, &mut pool, &data, &q, dv);
+                check_dstq(&idx, &mut pool, &data, &q, dv, radius, pick);
             }
         }
     }
@@ -341,13 +525,19 @@ mod tests {
     #[test]
     fn ds_top_k_stops_at_the_kth_best_bound() {
         // 200 tuples sharing category 0 with the query at spread-out
-        // probabilities: the three closest are found after a few batches,
-        // everything whose bound is already worse stays unfetched.
+        // probabilities and 50 sharing nothing with it: the three closest
+        // are settled from the lists, and the 50, which the column's floor
+        // puts past the third, are never walked. The first query pays one
+        // tuple-store scan for the column; the second reads nothing else.
         let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 64);
-        let data: Vec<(u64, Uda)> = (0..200u64)
+        let data: Vec<(u64, Uda)> = (0..250u64)
             .map(|i| {
-                let p = (i + 1) as f32 / 200.0;
-                (i, Uda::from_pairs([(CatId(0), p)]).unwrap())
+                let (c, p) = if i < 200 {
+                    (0, (i + 1) as f32 / 200.0)
+                } else {
+                    (2, 1.0)
+                };
+                (i, Uda::from_pairs([(CatId(c), p)]).unwrap())
             })
             .collect();
         let idx = InvertedIndex::build(
@@ -357,25 +547,19 @@ mod tests {
         )
         .unwrap();
         let q = Uda::from_pairs([(CatId(0), 0.5), (CatId(1), 0.5)]).unwrap();
-        pool.reset_stats();
-        let got = idx
-            .ds_top_k(&mut pool, &DsTopKQuery::new(q, 3, Divergence::L1))
-            .unwrap();
-        let m = pool.metrics();
-        assert_eq!(
-            got.iter().map(|m| m.tid).collect::<Vec<_>>(),
-            vec![99, 98, 100]
-        );
-        assert_eq!(
-            m.heap_tuples_scanned, 0,
-            "the candidate answer was complete"
-        );
-        assert_eq!(m.candidates_generated, 200);
-        assert!(
-            m.candidates_verified < 20,
-            "verified {}",
-            m.candidates_verified
-        );
-        assert!(m.candidate_invariant_holds());
+        let query = DsTopKQuery::new(q, 3, Divergence::L1);
+        for fill in [250, 0] {
+            pool.reset_stats();
+            let got = idx.ds_top_k(&mut pool, &query).unwrap();
+            let m = pool.metrics();
+            assert_eq!(
+                got.iter().map(|m| m.tid).collect::<Vec<_>>(),
+                vec![99, 98, 100]
+            );
+            assert_eq!(m.heap_tuples_scanned, fill);
+            assert_eq!(m.candidates_generated, 200, "the disjoint 50 were walked");
+            assert_eq!((m.candidates_settled, m.candidates_verified), (3, 0));
+            assert!(m.candidate_invariant_holds());
+        }
     }
 }

@@ -4,6 +4,7 @@
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
+use uncat_core::distance::TwoSum;
 use uncat_core::uda::Entry;
 use uncat_core::{codec, CatId, Domain, Uda};
 use uncat_storage::{
@@ -47,6 +48,84 @@ fn decode_record(bytes: &[u8]) -> Result<(u64, Uda)> {
     let (uda, _) = codec::decode(uda).map_err(|_| BAD_UDA)?;
     Ok((tid, uda))
 }
+
+/// What a metric distance needs of a tuple beyond the query's lists:
+/// its mass, `‖t‖₂²` and its number of categories. Both sums are
+/// compensated ([`TwoSum`]), so a tuple's norms do not depend on the
+/// order of its categories.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Norm {
+    pub(crate) mass: f64,
+    pub(crate) sq: f64,
+    pub(crate) len: u32,
+}
+
+impl Norm {
+    fn of(entries: &[Entry]) -> Norm {
+        let (mut mass, mut sq) = (TwoSum::default(), TwoSum::default());
+        for e in entries {
+            let p = e.prob as f64;
+            mass.add(p);
+            sq.add(p * p);
+        }
+        Norm {
+            mass: mass.value(),
+            sq: sq.value(),
+            len: entries.len() as u32,
+        }
+    }
+}
+
+/// The norm column: a [`Norm`] per indexed tuple, and a floor under every
+/// mass and `‖t‖₂²` in it. Not persisted: filled by one tuple-store scan
+/// the first time a metric DSTQ or DS-top-k needs it
+/// ([`InvertedIndex::norms`]), kept by every mutation after that. An
+/// insert may lower the floor; a delete leaves it, which stays sound.
+pub(crate) struct Norms {
+    of: TidMap<Norm>,
+    min_mass: f64,
+    min_sq: f64,
+}
+
+impl Norms {
+    /// An empty column with room for `tuples` without a rehash.
+    fn with_capacity(tuples: usize) -> Norms {
+        Norms {
+            of: TidMap::with_capacity_and_hasher(tuples, Default::default()),
+            min_mass: f64::INFINITY,
+            min_sq: f64::INFINITY,
+        }
+    }
+
+    fn insert(&mut self, tid: u64, norm: Norm) {
+        self.min_mass = self.min_mass.min(norm.mass);
+        self.min_sq = self.min_sq.min(norm.sq);
+        self.of.insert(tid, norm);
+    }
+
+    /// `tid`'s norms; a tuple id the column does not hold means a posting
+    /// outlived its tuple and is [`StorageError::Corrupt`].
+    pub(crate) fn get(&self, tid: u64) -> Result<&Norm> {
+        self.of.get(&tid).ok_or(UNINDEXED)
+    }
+
+    /// Every tuple's norms, in no promised order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &Norm)> {
+        self.of.iter().map(|(&tid, norm)| (tid, norm))
+    }
+
+    /// Norms at most every tuple's: the least mass and `‖t‖₂²` (∞ for an
+    /// empty column) and no category.
+    pub(crate) fn floor(&self) -> Norm {
+        Norm {
+            mass: self.min_mass,
+            sq: self.min_sq,
+            len: 0,
+        }
+    }
+}
+
+const UNINDEXED: StorageError = StorageError::Corrupt("posting refers to an unindexed tuple");
 
 /// Structural statistics returned by [`InvertedIndex::stats`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -124,6 +203,8 @@ pub struct InvertedIndex {
     /// section, and dropped by every mutation, so a value that is
     /// present describes the live directory.
     cost: OnceLock<CostStats>,
+    /// The norm column, once a metric DSTQ or DS-top-k has needed it.
+    norms: OnceLock<Norms>,
 }
 
 impl InvertedIndex {
@@ -137,6 +218,7 @@ impl InvertedIndex {
             rids: TidMap::default(),
             tid_span: 0,
             cost: OnceLock::new(),
+            norms: OnceLock::new(),
         }
     }
 
@@ -162,6 +244,9 @@ impl InvertedIndex {
         }
         let rid = self.heap.insert(pool, &encode_record(tid, uda))?;
         self.rids.insert(tid, rid);
+        if let Some(norms) = self.norms.get_mut() {
+            norms.insert(tid, Norm::of(uda.entries()));
+        }
         self.tid_span = self.tid_span.max(tid + 1);
         Ok(())
     }
@@ -228,6 +313,9 @@ impl InvertedIndex {
         let Some(rid) = self.rids.remove(&tid) else {
             return Ok(false);
         };
+        if let Some(norms) = self.norms.get_mut() {
+            norms.of.remove(&tid);
+        }
         let uda = self.read_tuple(pool, rid)?;
         for (cat, p) in uda.iter() {
             let list = self.postings.get_mut(&cat).ok_or(StorageError::Corrupt(
@@ -259,8 +347,8 @@ impl InvertedIndex {
         out.ok_or(DELETED_RECORD)
     }
 
-    /// Batched random access, the verification kernel of every strategy:
-    /// `f(tid, entries)` once per element of `tids` (duplicates included),
+    /// Batched random access, the verification kernel: `f(tid, entries)`
+    /// once per element of `tids` (duplicates included),
     /// in heap order rather than the caller's. Each tuple id is resolved
     /// to its record address once, the addresses are sorted, and every
     /// heap page is read once per batch; records are decoded — with
@@ -268,6 +356,12 @@ impl InvertedIndex {
     /// so nothing is allocated or copied per tuple. A tuple id that is
     /// not indexed means a posting outlived its tuple and is
     /// [`StorageError::Corrupt`].
+    ///
+    /// Who still verifies: row and column pruning and highest-prob-first
+    /// (every candidate), NRA (its deferred random accesses), the top-k
+    /// drain, and an L1/L2 DSTQ (its tuples within `THRESHOLD_EPS` of the
+    /// radius). `Strategy::Auto`'s PETQ and top-k and DS-top-k settle
+    /// every tuple from the lists.
     pub(crate) fn for_each_tuple(
         &self,
         pool: &mut BufferPool,
@@ -278,9 +372,7 @@ impl InvertedIndex {
             .into_iter()
             .map(|tid| match self.rids.get(&tid) {
                 Some(rid) => Ok((rid.page, rid.slot, tid)),
-                None => Err(StorageError::Corrupt(
-                    "posting refers to an unindexed tuple",
-                )),
+                None => Err(UNINDEXED),
             })
             .collect::<Result<_>>()?;
         at.sort_unstable();
@@ -317,6 +409,28 @@ impl InvertedIndex {
         });
         pool.trace_end(span);
         verified
+    }
+
+    /// The norm column, filled by one tuple-store scan — charged to this
+    /// query as `heap_tuples_scanned` — if no query has needed it yet.
+    /// Two first queries may both scan; the column of one is kept.
+    pub(crate) fn norms(
+        &self,
+        pool: &mut BufferPool,
+        metrics: &mut QueryMetrics,
+    ) -> Result<&Norms> {
+        if let Some(norms) = self.norms.get() {
+            return Ok(norms);
+        }
+        let mut norms = Norms::with_capacity(self.rids.len());
+        let span = pool.trace_begin(Phase::HeapScan);
+        let scanned = self.scan_tuples(pool, |tid, t| {
+            metrics.heap_tuples_scanned += 1;
+            norms.insert(tid, Norm::of(t.entries()));
+        });
+        pool.trace_end(span);
+        scanned?;
+        Ok(self.norms.get_or_init(|| norms))
     }
 
     /// Number of indexed tuples.
@@ -398,20 +512,36 @@ impl InvertedIndex {
 
     /// Check structural invariants: every stored tuple has exactly one
     /// posting per non-zero category (with the stored probability), every
-    /// posting refers to a stored tuple, and the counters agree. Returns
-    /// the number of tuples checked. Test/debug aid — reads everything.
+    /// posting refers to a stored tuple, the counters agree, and the norm
+    /// column, once filled, holds every tuple's norms. Returns the number
+    /// of tuples checked. Test/debug aid — reads everything.
     pub fn check_invariants(&self, pool: &mut BufferPool) -> Result<u64> {
         let mut tuple_entries = 0u64;
         let mut tuples = 0u64;
+        let norms = self.norms.get();
         self.scan_tuples(pool, |tid, uda| {
             tuples += 1;
             assert!(
                 self.rids.contains_key(&tid),
                 "tuple {tid} missing from the rid map"
             );
+            if let Some(norms) = norms {
+                assert_eq!(
+                    norms.of.get(&tid),
+                    Some(&Norm::of(uda.entries())),
+                    "the norm column disagrees with tuple {tid}"
+                );
+            }
             tuple_entries += uda.len() as u64;
         })?;
         assert_eq!(tuples, self.rids.len() as u64, "heap and rid map disagree");
+        if let Some(norms) = norms {
+            assert_eq!(
+                norms.of.len(),
+                self.rids.len(),
+                "norm column and rid map disagree"
+            );
+        }
 
         let mut posting_entries = 0u64;
         for (cat, list) in &self.postings {
@@ -510,6 +640,7 @@ impl InvertedIndex {
             rids,
             tid_span,
             cost: OnceLock::new(),
+            norms: OnceLock::new(),
         }
     }
 

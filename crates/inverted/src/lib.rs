@@ -39,10 +39,11 @@
 //! figures. The I/O model that ranks them by page reads ([`CostStats`],
 //! zero-I/O statistics over the block directories) is kept for the
 //! benchmark's two planning probes and the `UIV2` statistics section;
-//! nothing prints it and no query consults it. Every full-list plan (the scan, PEQ, DSTQ) sums per
-//! tuple in one tid-keyed accumulator (the `acc` module): a flat array
-//! over the index's id span where the postings are dense in it, a hash
-//! map where they are not.
+//! nothing prints it and no query consults it. Every plan that sums per
+//! tuple (the scan and PEQ, the threshold executor, DSTQ's distances)
+//! keeps its sums in one tid-keyed accumulator (the `acc` module): a
+//! flat array over the index's id span where the postings are dense in
+//! it, a hash map where they are not.
 //!
 //! Every query method takes `(pool, query…)` and adds its execution
 //! counters (lists/postings scanned, Lemma 1 stops, the candidate

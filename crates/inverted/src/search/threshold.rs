@@ -34,7 +34,7 @@
 //!    exact: a PETQ keeps those that meet τ, a top-k the k best.
 //!
 //! A tuple's terms arrive in block order, not category order, so its sum
-//! is kept unevaluated (`hi + lo`, Knuth's two-sum) and rounded once: two
+//! is kept unevaluated ([`TwoSum`]) and rounded once: two
 //! tuples with the same terms score the same, whichever blocks brought
 //! them. It can differ from the scan's category-order sum in the last
 //! bit.
@@ -55,6 +55,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use uncat_core::distance::TwoSum;
 use uncat_core::equality::THRESHOLD_EPS;
 use uncat_core::query::{sort_matches_desc, Match};
 use uncat_core::uda::MASS_EPSILON;
@@ -120,10 +121,8 @@ pub(crate) fn threshold_top_k(
 
 /// A tuple met in some block.
 struct Met {
-    /// `Σ q_j · p_j` over its postings read, as the unevaluated sum
-    /// `hi + lo`: `hi` the rounded running sum, `lo` what rounding lost.
-    hi: f64,
-    lo: f64,
+    /// `Σ q_j · p_j` over its postings read.
+    sum: TwoSum,
     /// `Σ p_j` over its postings read.
     mass: f64,
     /// The lists they came from (none above [`MASK_LISTS`]).
@@ -138,8 +137,7 @@ struct Met {
 impl Met {
     fn new(tid: u64) -> Met {
         Met {
-            hi: 0.0,
-            lo: 0.0,
+            sum: TwoSum::default(),
             mass: 0.0,
             lists: 0,
             // Posting tids are 32-bit (`visit_block` checks).
@@ -152,16 +150,13 @@ impl Met {
     /// Add one posting: its term `c = q_j · p`, its `p`, its list's bit.
     #[inline]
     fn add(&mut self, c: f64, p: f64, bit: u64) {
-        let sum = self.hi + c;
-        let from_c = sum - self.hi;
-        self.lo += (self.hi - (sum - from_c)) + (c - from_c);
-        self.hi = sum;
+        self.sum.add(c);
         self.mass += p;
         self.lists |= bit;
     }
 
     fn score(&self) -> f64 {
-        self.hi + self.lo
+        self.sum.value()
     }
 
     /// The most any one of its unseen postings can hold.
@@ -187,7 +182,7 @@ impl Best {
         if slots[i].ranked {
             return;
         }
-        let key = slots[i].hi.to_bits();
+        let key = slots[i].sum.hi.to_bits();
         if self.heap.len() < self.k {
             slots[i].ranked = true;
             self.heap.push(Reverse((key, i as u32)));
@@ -203,7 +198,7 @@ impl Best {
     fn kth_bits(&mut self, slots: &[Met]) -> u64 {
         while let Some(mut top) = self.heap.peek_mut() {
             let Reverse((key, i)) = *top;
-            let now = slots[i as usize].hi.to_bits();
+            let now = slots[i as usize].sum.hi.to_bits();
             if now == key {
                 return key;
             }

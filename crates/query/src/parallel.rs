@@ -652,6 +652,10 @@ mod tests {
         let (store, idx) = small_backend();
         let pools = BatchPools::private(50);
         let queries = vec![DstQuery::new(uda(&[(0, 0.6), (1, 0.4)]), 0.5, Divergence::L1); 3];
+        // The first metric DSTQ fills the index's norm column with one
+        // tuple-store scan; fill it before either batch runs.
+        let mut pool = BufferPool::with_capacity(store.clone(), 50);
+        idx.dstq(&mut pool, &queries[0]).unwrap();
         zero_threads_is_one(&queries, |q, t| dstq_batch_with(&idx, &store, &pools, q, t));
     }
 

@@ -40,7 +40,7 @@ use crate::stats::IoStats;
 /// | inverted, list scans         | `lists_*`, `postings_scanned`, `candidates_*` |
 /// | inverted, frontier searches  | + `frontier_pops`, `lemma1_stops`             |
 /// | PDR-tree traversals          | `nodes_*`, `leaf_entries_examined`            |
-/// | scan baseline / fallbacks    | `heap_tuples_scanned`                         |
+/// | scan baseline / heap scans   | `heap_tuples_scanned`                         |
 /// | everything                   | `io`                                          |
 ///
 /// Fields a path does not touch stay zero, so merged batches remain
@@ -92,8 +92,8 @@ pub struct QueryMetrics {
     /// Leaf entries whose exact score was computed during a PDR
     /// traversal.
     pub leaf_entries_examined: u64,
-    /// Tuples read by a full heap scan (scan baseline, or an index's
-    /// scan fallback).
+    /// Tuples read by a full heap scan (the scan baseline, an inverted
+    /// index's KL DSTQ, or the one scan that fills its norm column).
     pub heap_tuples_scanned: u64,
     /// Write-ahead-log records appended by the durable index serving this
     /// session (insert/update/delete plus epoch markers).

@@ -120,7 +120,8 @@ pub enum Phase {
     JoinProbe,
     /// PDR-tree node traversal (threshold or best-first).
     TreeTraversal,
-    /// Full tuple-heap scan (the DSTQ/KL fallback plan).
+    /// Full tuple-heap scan (KL's DSTQ plan, or the one scan that fills
+    /// an inverted index's norm column).
     HeapScan,
     /// Root span of a durable mutation (insert/delete).
     Mutation,

@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use uncat::core::query::{DstQuery, EqQuery, Match, TopKQuery};
+use uncat::core::query::{DsTopKQuery, DstQuery, EqQuery, Match, TopKQuery};
 use uncat::core::{CatId, Divergence, Domain, Uda};
 use uncat::prelude::*;
 use uncat::query::join::{block_join, index_join, parallel_join, JoinPair, JoinSpec, SharedFloor};
@@ -309,6 +309,50 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(32)))]
 
+    // Radii that bound nothing the usual way, under every divergence: a
+    // negative one admits nothing, ±0 only the tuples at distance 0 (the
+    // query itself is a tuple in half the cases), NaN nothing and +∞
+    // everything. DS-top-k at k = 0 returns nothing and past the
+    // relation's size everything. Every index answers as the scan does.
+    #[test]
+    fn degenerate_radii_and_k_agree_across_every_index(
+        tuples in dataset_strategy(CATS, 40),
+        q in uda_strategy(CATS),
+        with_q in 0u8..2,
+    ) {
+        let mut tuples = tuples;
+        if with_q == 1 {
+            tuples.push((tuples.len() as u64, q.clone()));
+        }
+        let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 100);
+        let backends = all_backends(&mut pool, &tuples);
+        let n = tuples.len();
+        for dv in Divergence::ALL {
+            for radius in [-0.5, -0.0, 0.0, f64::NAN, f64::INFINITY] {
+                let query = DstQuery::new(q.clone(), radius, dv);
+                let reference = backends[0].1.dstq(&mut pool, &query).expect("in-memory query");
+                match radius {
+                    r if r.is_nan() || r < 0.0 => prop_assert!(reference.is_empty()),
+                    r if r.is_infinite() => prop_assert_eq!(reference.len(), n),
+                    _ => {}
+                }
+                for (name, backend) in &backends[1..] {
+                    let got = backend.dstq(&mut pool, &query).expect("in-memory query");
+                    assert_matches_agree(&format!("dstq/{dv:?}/{radius}"), name, &reference, &got);
+                }
+            }
+            for k in [0, n + 1, usize::MAX] {
+                let query = DsTopKQuery::new(q.clone(), k, dv);
+                let reference = backends[0].1.ds_top_k(&mut pool, &query).expect("in-memory query");
+                prop_assert_eq!(reference.len(), k.min(n));
+                for (name, backend) in &backends[1..] {
+                    let got = backend.ds_top_k(&mut pool, &query).expect("in-memory query");
+                    assert_matches_agree(&format!("ds_top_k/{dv:?}/{k}"), name, &reference, &got);
+                }
+            }
+        }
+    }
+
     // Block lists, with the block-max skips every strategy takes, must
     // return the scan baseline's tuples with scores within 1e-9 under
     // every strategy, and their block accounting must balance (every
@@ -539,15 +583,28 @@ fn apply_mut<B: MutableBackend>(idx: &mut DurableIndex<B>, op: &MutOp) {
     }
 }
 
-/// Assert `got` matches the reference answers for one query triple.
-fn assert_query_point(
-    what: &str,
-    reference: &(Vec<Match>, Vec<Match>, Vec<Match>),
-    got: &(Vec<Match>, Vec<Match>, Vec<Match>),
-) {
+/// PETQ, top-k and the [`DSTQ_PROBES`] DSTQs of one probe.
+type Answers = (Vec<Match>, Vec<Match>, Vec<Vec<Match>>);
+
+/// The DSTQs every post-mutation check runs: L1 and L2 at three radii,
+/// wide enough apart that the windows, the walk of the tuples sharing
+/// nothing with the query and the norm column all decide some answers.
+const DSTQ_PROBES: [(Divergence, f64); 6] = [
+    (Divergence::L1, 0.2),
+    (Divergence::L1, 0.6),
+    (Divergence::L1, 1.5),
+    (Divergence::L2, 0.2),
+    (Divergence::L2, 0.6),
+    (Divergence::L2, 1.5),
+];
+
+/// Assert `got` matches the reference answers for one probe.
+fn assert_query_point(what: &str, reference: &Answers, got: &Answers) {
     assert_matches_agree("interleaved/petq", what, &reference.0, &got.0);
     assert_matches_agree("interleaved/top_k", what, &reference.1, &got.1);
-    assert_matches_agree("interleaved/dstq", what, &reference.2, &got.2);
+    for ((dv, radius), (r, g)) in DSTQ_PROBES.iter().zip(reference.2.iter().zip(&got.2)) {
+        assert_matches_agree(&format!("interleaved/dstq/{dv:?}/{radius}"), what, r, g);
+    }
 }
 
 /// PETQ + top-k + DSTQ answers for one `(uda, tau, k)` probe against an
@@ -556,7 +613,7 @@ fn answers(
     backend: &dyn UncertainIndex,
     pool: &mut BufferPool,
     (q, tau, k): &(Uda, f64, usize),
-) -> (Vec<Match>, Vec<Match>, Vec<Match>) {
+) -> Answers {
     (
         backend
             .petq(pool, &EqQuery::new(q.clone(), *tau))
@@ -564,25 +621,35 @@ fn answers(
         backend
             .top_k(pool, &TopKQuery::new(q.clone(), *k))
             .expect("in-memory query"),
-        backend
-            .dstq(pool, &DstQuery::new(q.clone(), 1.0, Divergence::L1))
-            .expect("in-memory query"),
+        DSTQ_PROBES
+            .iter()
+            .map(|&(dv, radius)| {
+                backend
+                    .dstq(pool, &DstQuery::new(q.clone(), radius, dv))
+                    .expect("in-memory query")
+            })
+            .collect(),
     )
 }
 
-/// Same three answers from a durable index (which queries through its
-/// own buffer pool).
+/// Same answers from a durable index (which queries through its own
+/// buffer pool).
 fn durable_answers<B: MutableBackend>(
     idx: &mut DurableIndex<B>,
     (q, tau, k): &(Uda, f64, usize),
-) -> (Vec<Match>, Vec<Match>, Vec<Match>) {
+) -> Answers {
     (
         idx.petq(&EqQuery::new(q.clone(), *tau))
             .expect("in-memory query"),
         idx.top_k(&TopKQuery::new(q.clone(), *k))
             .expect("in-memory query"),
-        idx.dstq(&DstQuery::new(q.clone(), 1.0, Divergence::L1))
-            .expect("in-memory query"),
+        DSTQ_PROBES
+            .iter()
+            .map(|&(dv, radius)| {
+                idx.dstq(&DstQuery::new(q.clone(), radius, dv))
+                    .expect("in-memory query")
+            })
+            .collect(),
     )
 }
 
@@ -1094,6 +1161,14 @@ fn check_join_plans_agree(
         .expect("in-memory build"),
         SearchStrategy::Nra,
     );
+    // The first metric DSTQ an inverted index answers fills its norm
+    // column with one tuple-store scan. Fill it here, so that the
+    // sequential and parallel joins below count the same probes.
+    inv.dstq(
+        &mut pool,
+        &DstQuery::new(tuples[0].1.clone(), 0.0, Divergence::L1),
+    )
+    .expect("in-memory query");
     let pdr = PdrTree::build(
         Domain::anonymous(CATS),
         PdrConfig::default(),

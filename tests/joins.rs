@@ -6,7 +6,7 @@
 //! sequential plan on every backend, with strictly less probe work than
 //! the pre-fix full-top-k-probe plan on a skewed workload.
 
-use uncat::core::query::TopKQuery;
+use uncat::core::query::{DstQuery, TopKQuery};
 use uncat::core::{CatId, Divergence, Domain, Uda};
 use uncat::datagen::crm::crm1;
 use uncat::datagen::zipf::zipf_ranks;
@@ -214,6 +214,14 @@ fn parallel_plans_match_sequential_on_both_backends() {
 fn parallel_threshold_join_metrics_sum_to_sequential() {
     let (domain, data, outer) = zipf_workload(800, 48, 13);
     let (inv, store) = build_inverted(&domain, &data);
+    // The first metric DSTQ the index answers fills its norm column with
+    // one tuple-store scan: fill it before either plan probes.
+    let mut pool = BufferPool::with_capacity(store.clone(), FRAMES);
+    inv.dstq(
+        &mut pool,
+        &DstQuery::new(outer[0].1.clone(), 0.0, Divergence::L2),
+    )
+    .expect("in-memory query");
     for spec in [
         JoinSpec::Petj { tau: 0.3 },
         JoinSpec::Dstj {

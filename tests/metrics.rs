@@ -483,10 +483,6 @@ const PARENT_COUNTERS: &[(&str, [u64; 14])] = &[
     ),
     ("topk0", [1, 0, 65, 1, 35, 64, 1, 64, 54, 0, 10, 0, 0, 1]),
     (
-        "dstq0",
-        [1, 0, 4557, 36, 0, 0, 0, 4557, 0, 4557, 0, 0, 0, 4593],
-    ),
-    (
         "petq1/inv-index-search",
         [2, 0, 9260, 73, 0, 0, 0, 8803, 0, 0, 8803, 0, 0, 73],
     ),
@@ -509,10 +505,6 @@ const PARENT_COUNTERS: &[(&str, [u64; 14])] = &[
     (
         "topk1",
         [2, 0, 1877, 16, 57, 1875, 1, 1875, 0, 1875, 0, 0, 0, 1891],
-    ),
-    (
-        "dstq1",
-        [2, 0, 9260, 73, 0, 0, 0, 8803, 0, 8803, 0, 0, 0, 8876],
     ),
     (
         "petq2/inv-index-search",
@@ -541,10 +533,6 @@ const PARENT_COUNTERS: &[(&str, [u64; 14])] = &[
         [3, 0, 4269, 35, 76, 4266, 1, 4222, 1, 4221, 0, 0, 0, 4256],
     ),
     (
-        "dstq2",
-        [3, 0, 14025, 111, 0, 0, 0, 12011, 0, 12011, 0, 0, 0, 12122],
-    ),
-    (
         "petq3/inv-index-search",
         [2, 0, 9190, 73, 0, 0, 0, 8737, 0, 0, 8737, 0, 0, 73],
     ),
@@ -567,10 +555,6 @@ const PARENT_COUNTERS: &[(&str, [u64; 14])] = &[
     (
         "topk3",
         [2, 0, 211, 2, 71, 210, 1, 210, 0, 210, 0, 0, 0, 212],
-    ),
-    (
-        "dstq3",
-        [2, 0, 9190, 73, 0, 0, 0, 8737, 0, 8737, 0, 0, 0, 8810],
     ),
     (
         "petq4/inv-index-search",
@@ -602,23 +586,29 @@ const PARENT_COUNTERS: &[(&str, [u64; 14])] = &[
             4, 0, 12530, 100, 45, 12526, 1, 10580, 215, 10365, 0, 0, 0, 10465,
         ],
     ),
-    (
-        "dstq4",
-        [4, 0, 18324, 145, 0, 0, 0, 13807, 0, 13807, 0, 0, 0, 13952],
-    ),
 ];
 
-/// What this commit's plans do to the rows above, on purpose. Per query:
-/// how DSTQ's support-exact lower bound splits the parent's verified
-/// candidates into `(candidates_pruned, candidates_verified)`, and the
-/// full [`counter_row`] of the PETQ and top-k `Strategy::Auto` plans
-/// (`petq`, `top_k_planned`): the block-granular threshold executor.
-const DSTQ_SPLIT: [(u64, u64); 5] = [
-    (4228, 329),
-    (8608, 195),
-    (11851, 160),
-    (8404, 333),
-    (13807, 0),
+/// What this commit's plans do to the rows above, on purpose: the full
+/// [`counter_row`] of the PETQ and top-k `Strategy::Auto` plans (`petq`,
+/// `top_k_planned`), the block-granular threshold executor, and of the
+/// L1 DSTQ at radius 0.4, which reads its lists over radius windows and
+/// settles every tuple from them and the norm column.
+const PLANNED_DSTQ: [[u64; 14]; 5] = [
+    // Every row: each list opened once, only the blocks of its window
+    // [q_j − 0.4, q_j + 0.4] read, no pop, nothing verified and no
+    // tuple-store scan: every tuple met is pruned or settled from the
+    // lists and the norm column. No tuple sharing nothing with the query
+    // is walked: the column's floor puts them all at mass(q) + mass(t) > 0.4.
+    // One certain list: only its 3 blocks at p ≥ 0.6, of 36.
+    [1, 0, 384, 3, 33, 0, 0, 384, 349, 0, 35, 0, 0, 1],
+    // Two and three lists: the windows drop the blocks beyond q_j ± 0.4.
+    [2, 0, 8159, 64, 9, 0, 0, 7810, 7764, 0, 46, 0, 0, 8],
+    [3, 0, 13154, 104, 7, 0, 0, 11389, 11379, 0, 10, 0, 0, 12],
+    // A skewed query (0.9 / 0.1): list 2 at p ≥ 0.5, list 7 at p ≤ 0.5.
+    [2, 0, 4790, 38, 35, 0, 0, 4713, 4656, 0, 57, 0, 0, 5],
+    // Four lists at a quarter each: the windows reach 0.65, nearly every
+    // block, and no tuple is within 0.4.
+    [4, 0, 17812, 141, 4, 0, 0, 13542, 13542, 0, 0, 0, 0, 16],
 ];
 /// The full [`counter_row`] of the PETQ `Strategy::Auto` plans: the same
 /// executor with θ = τ. Every row: each list opened once, nothing
@@ -658,12 +648,13 @@ const PLANNED_TOPK: [[u64; 14]; 5] = [
 /// them: on a fixed dataset, for every fixed strategy and the public
 /// top-k drain, every execution counter equals [`PARENT_COUNTERS`] and
 /// `io.logical_reads` never exceeds its old value. Two things moved
-/// since, all on purpose and all pinned here: DSTQ prunes by lower
-/// bound before it verifies (same scan, same candidates, fewer random
-/// accesses), and a backend configured with `Strategy::Auto` answers
-/// PETQ and top-k with the block-granular threshold executor, not the
-/// scan and the drain (same tuples, no more blocks, nothing verified;
-/// the PETQ rows are [`PLANNED_PETQ`], the top-k rows [`PLANNED_TOPK`]).
+/// since, all on purpose and all pinned here: a backend configured with
+/// `Strategy::Auto` answers PETQ and top-k with the block-granular
+/// threshold executor, not the scan and the drain (same tuples, no more
+/// blocks, nothing verified; the PETQ rows are [`PLANNED_PETQ`], the
+/// top-k rows [`PLANNED_TOPK`]), and an L1/L2 DSTQ reads its lists over
+/// radius windows and settles its answer from them and the norm column,
+/// fetching only tuples within ε of the radius ([`PLANNED_DSTQ`]).
 /// `generated = pruned + verified + settled` holds on every row.
 #[test]
 fn probe_kernels_change_no_counter_but_logical_reads() {
@@ -677,8 +668,9 @@ fn probe_kernels_change_no_counter_but_logical_reads() {
         (uda(&[(0, 0.25), (3, 0.25), (8, 0.25), (12, 0.25)]), 0.05),
     ];
     let mut rows: Vec<(String, [u64; 14])> = Vec::new();
-    let (mut planned_petq, mut planned_topk): (Vec<[u64; 14]>, Vec<[u64; 14]>) =
-        (Vec::new(), Vec::new());
+    let mut planned_petq: Vec<[u64; 14]> = Vec::new();
+    let mut planned_topk: Vec<[u64; 14]> = Vec::new();
+    let mut planned_dstq: Vec<[u64; 14]> = Vec::new();
     let run = |name: &str, probe: &mut dyn FnMut(&mut BufferPool)| {
         let mut pool = BufferPool::with_capacity(store.clone(), 512);
         probe(&mut pool);
@@ -686,6 +678,14 @@ fn probe_kernels_change_no_counter_but_logical_reads() {
         assert!(m.candidate_invariant_holds(), "{name}: {m:?}");
         m
     };
+    // The first metric DSTQ fills the norm column with one tuple-store
+    // scan; every DSTQ row below runs after it.
+    let m = run("fill", &mut |pool| {
+        let q = &queries[0].0;
+        idx.dstq(pool, &DstQuery::new(q.clone(), 0.4, Divergence::L1))
+            .unwrap();
+    });
+    assert_eq!(m.heap_tuples_scanned, data.len() as u64);
     for (qi, (q, tau)) in queries.iter().enumerate() {
         let query = EqQuery::new(q.clone(), *tau);
         let mut scanned = Vec::new();
@@ -715,20 +715,29 @@ fn probe_kernels_change_no_counter_but_logical_reads() {
             assert_same_answer(&format!("topk{qi}"), &planned, &drained);
         });
         planned_topk.push(counter_row(&m));
+        let dstq = DstQuery::new(q.clone(), 0.4, Divergence::L1);
         let m = run(&format!("dstq{qi}"), &mut |pool| {
-            idx.dstq(pool, &DstQuery::new(q.clone(), 0.4, Divergence::L1))
-                .unwrap();
+            let got = idx.dstq(pool, &dstq).unwrap();
+            assert_eq!(got.len(), dstq_answer(&data, &dstq), "dstq{qi}");
         });
-        rows.push((format!("dstq{qi}"), counter_row(&m)));
-        // A cold pool that holds everything reads each page once, so
-        // physical reads count the distinct pages touched. A one-list
-        // full scan plus one verification batch must cost exactly that
-        // many logical reads: one per page per batch.
+        planned_dstq.push(counter_row(&m));
+        // Nothing is fetched but the tuples within ε of the radius, and
+        // the tuple store is not scanned again. One list's window is a
+        // run of neighbouring blocks: one logical read per page.
+        let band = data
+            .iter()
+            .filter(|(_, t)| (Divergence::L1.eval(q.entries(), t.entries()) - 0.4).abs() <= 2e-9)
+            .count() as u64;
+        assert!(
+            m.candidates_verified <= band,
+            "dstq{qi}: verified {}",
+            m.candidates_verified
+        );
+        assert_eq!(m.heap_tuples_scanned, 0, "dstq{qi} scanned the tuple store");
         if q.len() == 1 {
-            assert!(m.candidates_verified > 0, "dstq{qi} took the scan path");
             assert_eq!(
                 m.io.logical_reads, m.io.physical_reads,
-                "dstq{qi}: one logical read per distinct page per batch"
+                "dstq{qi}: one logical read per distinct page"
             );
         }
     }
@@ -739,17 +748,8 @@ fn probe_kernels_change_no_counter_but_logical_reads() {
         }
         panic!("PARENT_COUNTERS has {} rows", PARENT_COUNTERS.len());
     }
-    let mut dstq_split = Vec::new();
     for ((name, row), (want_name, want)) in rows.iter().zip(PARENT_COUNTERS) {
         assert_eq!(name, want_name, "probe order changed");
-        let mut row = *row;
-        if name.starts_with("dstq") {
-            // Same lists, same candidates; the bound moves candidates
-            // from verified to pruned and saves their page reads.
-            dstq_split.push((row[8], row[9]));
-            assert_eq!(row[8] + row[9], want[9], "{name}: candidates lost");
-            (row[8], row[9]) = (want[8], want[9]);
-        }
         assert_eq!(row[..13], want[..13], "{name}: execution counters moved");
         assert!(
             row[13] <= want[13],
@@ -758,9 +758,21 @@ fn probe_kernels_change_no_counter_but_logical_reads() {
             row[13]
         );
     }
-    assert_eq!(dstq_split, DSTQ_SPLIT, "DSTQ's pruned/verified split moved");
     assert_eq!(planned_petq, PLANNED_PETQ, "the planned PETQ moved");
     assert_eq!(planned_topk, PLANNED_TOPK, "the planned top-k moved");
+    if planned_dstq != PLANNED_DSTQ {
+        for row in &planned_dstq {
+            println!("    {row:?},");
+        }
+    }
+    assert_eq!(planned_dstq, PLANNED_DSTQ, "the planned DSTQ moved");
+}
+
+/// How many tuples of `data` lie within `query`'s radius.
+fn dstq_answer(data: &[(u64, Uda)], query: &DstQuery) -> usize {
+    data.iter()
+        .filter(|(_, t)| query.divergence.eval(query.q.entries(), t.entries()) <= query.tau_d)
+        .count()
 }
 
 /// Same tuples; scores to the last bits only where the two plans add a

@@ -167,7 +167,7 @@ fn assert_matches_agree(what: &str, reference: &[Match], got: &[Match]) {
 
 /// The recovered index must be indistinguishable from a scan baseline
 /// rebuilt from the model: same tuple count, and identical PETQ, top-k,
-/// and DSTQ answers on the fixed query set.
+/// and L1 and L2 DSTQ answers on the fixed query set.
 fn assert_index_matches_model<B: MutableBackend>(
     what: &str,
     idx: &mut DurableIndex<B>,
@@ -192,10 +192,21 @@ fn assert_index_matches_model<B: MutableBackend>(
         let got = idx.top_k(&tk).expect("recovered top_k");
         assert_matches_agree(&format!("{what}/top_k/q{qi}"), &reference, &got);
 
-        let ds = DstQuery::new(q, 1.0, Divergence::L1);
-        let reference = scan.dstq(&mut pool, &ds).expect("model dstq");
-        let got = idx.dstq(&ds).expect("recovered dstq");
-        assert_matches_agree(&format!("{what}/dstq/q{qi}"), &reference, &got);
+        // L1 and L2 at radii wide enough apart that the windows, the walk
+        // of the tuples sharing nothing with q and the norm column kept
+        // through the mutations and the replay all decide some answers.
+        for dv in [Divergence::L1, Divergence::L2] {
+            for radius in [0.2, 0.6, 1.5] {
+                let ds = DstQuery::new(q.clone(), radius, dv);
+                let reference = scan.dstq(&mut pool, &ds).expect("model dstq");
+                let got = idx.dstq(&ds).expect("recovered dstq");
+                assert_matches_agree(
+                    &format!("{what}/dstq/q{qi}/{dv:?}/{radius}"),
+                    &reference,
+                    &got,
+                );
+            }
+        }
     }
 }
 

@@ -232,6 +232,59 @@ fn pdr_tenant_is_bulk_loaded_exact_and_still_insertable() {
     );
 }
 
+/// `k` bounds an answer; it does not size one. A top-k with k far beyond
+/// the relation — 2^40, 2^60, `usize::MAX` — returns every match, on a
+/// PDR-tree and an inverted tenant alike, and so do the scan baseline's
+/// and both backends' DS-top-k. (The top-k heaps once reserved `k + 1`
+/// slots up front: 2^40 aborted the process on the allocation, 2^60
+/// panicked on capacity overflow.)
+#[test]
+fn a_huge_k_returns_every_match() {
+    let (domain, data) = seeded_dataset(2000);
+    let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 256);
+    let tuples = || data.iter().map(|(t, u)| (*t, u));
+    let scan = ScanBaseline::build(&mut pool, tuples()).expect("in-memory build");
+    let inverted = InvertedBackend::new(
+        InvertedIndex::build(domain.clone(), &mut pool, tuples()).expect("in-memory build"),
+    );
+    let pdr = PdrTree::build(domain.clone(), PdrConfig::default(), &mut pool, tuples())
+        .expect("in-memory build");
+    let service = QueryService::new(InMemoryDisk::shared(), ServiceConfig::default());
+    service
+        .register_tenant_pdr(TenantConfig::new("pdr"), &domain, &data, 2)
+        .expect("in-memory build");
+    service
+        .register_tenant_inverted(TenantConfig::new("inv"), &domain, &data, 2, Strategy::Auto)
+        .expect("in-memory build");
+
+    let q = uda(&[(2, 0.6), (7, 0.4)]);
+    let n = data.len();
+    let every_match = scan
+        .top_k(&mut pool, &TopKQuery::new(q.clone(), n))
+        .expect("scan");
+    assert!(!every_match.is_empty() && every_match.len() < n);
+    let every_tuple = scan
+        .ds_top_k(&mut pool, &DsTopKQuery::new(q.clone(), n, Divergence::L2))
+        .expect("scan");
+    assert_eq!(every_tuple.len(), n);
+    for k in [1usize << 40, 1 << 60, usize::MAX] {
+        let topk = TopKQuery::new(q.clone(), k);
+        let got = scan.top_k(&mut pool, &topk).expect("scan");
+        assert_matches_agree(&format!("scan/top_k/{k}"), &every_match, &got);
+        for tenant in ["pdr", "inv"] {
+            let got = service.top_k(tenant, &topk).expect("query");
+            assert_matches_agree(&format!("{tenant}/top_k/{k}"), &every_match, &got.matches);
+        }
+        let ds = DsTopKQuery::new(q.clone(), k, Divergence::L2);
+        let backends: [(&str, &dyn UncertainIndex); 3] =
+            [("scan", &scan), ("inverted", &inverted), ("pdr", &pdr)];
+        for (name, backend) in backends {
+            let got = backend.ds_top_k(&mut pool, &ds).expect("query");
+            assert_matches_agree(&format!("{name}/ds_top_k/{k}"), &every_tuple, &got);
+        }
+    }
+}
+
 /// The scatter is sequential in shard order, so a repeated query is
 /// invisible in results and execution counters: only the I/O block (the
 /// frames the first run warmed) may differ.
