@@ -319,11 +319,11 @@ pub fn compression(scale: &Scale) -> BenchResult<FigureTable> {
     ))
 }
 
-/// Ablation: per-query buffer size and replacement policy (CRM1, 1 %
-/// selectivity).
+/// Ablation: per-query buffer size under the paper's clock replacement
+/// (CRM1, 1 % selectivity).
 pub fn buffer(scale: &Scale) -> BenchResult<FigureTable> {
     use uncat_core::query::EqQuery;
-    use uncat_storage::{BufferPool, Replacement};
+    use uncat_storage::BufferPool;
 
     let (domain, data) = crm::crm1(scale.crm_n, scale.seed);
     let queries = queries_from_data(&data, scale.queries, scale.seed ^ 0xBEEF);
@@ -332,35 +332,28 @@ pub fn buffer(scale: &Scale) -> BenchResult<FigureTable> {
     let (inv, inv_store) = build_inverted(&domain, &data, Strategy::Nra)?;
     let (pdr, pdr_store) = build_pdr(&domain, &data, PdrConfig::default())?;
 
-    let measure =
-        |index: &dyn UncertainIndex, store: &SharedStore, frames: usize, policy: Replacement| {
-            let mut total: u64 = 0;
-            for cq in qs {
-                let mut pool = BufferPool::with_policy(store.clone(), frames, policy);
-                index
-                    .petq(&mut pool, &EqQuery::new(cq.q.clone(), cq.tau))
-                    .map_err(BenchError::storage("buffer-policy probe"))?;
-                total += pool.stats().physical_reads;
-            }
-            Ok::<f64, BenchError>(total as f64 / qs.len() as f64)
-        };
+    let measure = |index: &dyn UncertainIndex, store: &SharedStore, frames: usize| {
+        let mut total: u64 = 0;
+        for cq in qs {
+            let mut pool = BufferPool::with_capacity(store.clone(), frames);
+            index
+                .petq(&mut pool, &EqQuery::new(cq.q.clone(), cq.tau))
+                .map_err(BenchError::storage("buffer-size probe"))?;
+            total += pool.stats().physical_reads;
+        }
+        Ok::<f64, BenchError>(total as f64 / qs.len() as f64)
+    };
 
     let mut series = Vec::new();
     for (label, index, store) in [
-        ("CRM1-Inv", &inv as &dyn UncertainIndex, &inv_store),
-        ("CRM1-PDR", &pdr as &dyn UncertainIndex, &pdr_store),
+        ("CRM1-Inv-Clock", &inv as &dyn UncertainIndex, &inv_store),
+        ("CRM1-PDR-Clock", &pdr as &dyn UncertainIndex, &pdr_store),
     ] {
-        for policy in [Replacement::Clock, Replacement::Lru] {
-            let pname = match policy {
-                Replacement::Clock => "Clock",
-                Replacement::Lru => "LRU",
-            };
-            let mut pts = Vec::new();
-            for &frames in &[25usize, 50, 100, 200, 400] {
-                pts.push((frames as f64, measure(index, store, frames, policy)?));
-            }
-            series.push(Series::new(format!("{label}-{pname}"), pts));
+        let mut pts = Vec::new();
+        for &frames in &[25usize, 50, 100, 200, 400] {
+            pts.push((frames as f64, measure(index, store, frames)?));
         }
+        series.push(Series::new(label, pts));
     }
     Ok(FigureTable::new(
         "buffer",

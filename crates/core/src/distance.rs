@@ -61,12 +61,6 @@ impl Divergence {
             Divergence::Kl => "KL",
         }
     }
-
-    /// Whether this divergence satisfies the metric axioms (and so may be
-    /// used for pruning DSTQ search, not just clustering).
-    pub fn is_metric(self) -> bool {
-        !matches!(self, Divergence::Kl)
-    }
 }
 
 /// Merge-walk two sorted sparse vectors, calling `f(u_i, v_i)` for every
@@ -265,9 +259,6 @@ mod tests {
             Divergence::Kl.eval(u.entries(), v.entries()),
             kl_symmetric(u.entries(), v.entries())
         );
-        assert!(Divergence::L1.is_metric());
-        assert!(Divergence::L2.is_metric());
-        assert!(!Divergence::Kl.is_metric());
     }
 
     #[test]

@@ -120,11 +120,6 @@ impl Domain {
         (0..self.inner.size).map(CatId)
     }
 
-    /// Whether two handles refer to the same underlying domain.
-    pub fn same_as(&self, other: &Domain) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
-
     /// The labels in id order (empty for anonymous domains).
     pub fn labels(&self) -> impl Iterator<Item = &str> {
         self.inner.labels.iter().map(String::as_str)
@@ -178,13 +173,5 @@ mod tests {
         assert!(!d.contains(CatId(10)));
         assert_eq!(d.label_of(CatId(0)), None);
         assert_eq!(d.ids().count(), 10);
-    }
-
-    #[test]
-    fn clones_share_identity() {
-        let d = Domain::anonymous(5);
-        let e = d.clone();
-        assert!(d.same_as(&e));
-        assert!(!d.same_as(&Domain::anonymous(5)));
     }
 }

@@ -69,16 +69,6 @@ pub fn pr_within(u: &Uda, v: &Uda, c: u32) -> f64 {
     acc
 }
 
-/// `Pr(|u − d| ≤ c)` against a certain value `d`.
-pub fn pr_within_value(u: &Uda, d: CatId, c: u32) -> f64 {
-    let low = d.0.saturating_sub(c);
-    let high = d.0.saturating_add(c);
-    u.iter()
-        .filter(|(cat, _)| (low..=high).contains(&cat.0))
-        .map(|(_, p)| p as f64)
-        .sum()
-}
-
 /// The box-filtered vector `boxᶜ(u)` with `boxᶜ(u)_j = Σ_{|i−j|≤c} u.p_i`,
 /// clamped to the domain `[0, n)`.
 ///
@@ -159,15 +149,6 @@ mod tests {
             "both mass points are within |Δ| ≤ 2 of category 2"
         );
         assert!(p0 <= p1 && p1 <= p2);
-    }
-
-    #[test]
-    fn pr_within_value_sums_window_mass() {
-        let u = uda(&[(0, 0.25), (1, 0.25), (5, 0.5)]);
-        assert!((pr_within_value(&u, CatId(1), 1) - 0.5).abs() < 1e-6);
-        assert!((pr_within_value(&u, CatId(4), 1) - 0.5).abs() < 1e-6);
-        assert!((pr_within_value(&u, CatId(3), 0) - 0.0).abs() < 1e-6);
-        assert!((pr_within_value(&u, CatId(2), 10) - 1.0).abs() < 1e-6);
     }
 
     #[test]

@@ -153,15 +153,6 @@ impl Uda {
             })
             .sum::<f64>()
     }
-
-    /// Entropy normalized by the support size: in `[0, 1]`, independent of
-    /// how many categories carry mass.
-    pub fn normalized_entropy(&self) -> f64 {
-        if self.entries.len() <= 1 {
-            return 0.0;
-        }
-        self.entropy() / (self.entries.len() as f64).log2()
-    }
 }
 
 impl fmt::Debug for Uda {
@@ -350,15 +341,12 @@ mod tests {
     fn entropy_endpoints() {
         let certain = Uda::certain(c(3));
         assert_eq!(certain.entropy(), 0.0);
-        assert_eq!(certain.normalized_entropy(), 0.0);
 
         let uniform4 = Uda::from_pairs((0..4).map(|i| (c(i), 0.25f32))).unwrap();
         assert!((uniform4.entropy() - 2.0).abs() < 1e-6, "log2(4) = 2 bits");
-        assert!((uniform4.normalized_entropy() - 1.0).abs() < 1e-6);
 
         let skewed = Uda::from_pairs([(c(0), 0.9f32), (c(1), 0.1)]).unwrap();
         assert!(skewed.entropy() > 0.0 && skewed.entropy() < 1.0);
-        assert!(skewed.normalized_entropy() < 1.0);
     }
 
     #[test]

@@ -1,114 +1,43 @@
-//! The per-query score accumulator: `tid → f64`, no hash per posting
-//! where the postings are dense enough to make that pay.
+//! Per-query records keyed by tuple id, with no hash per posting where
+//! the postings are dense enough to make that pay.
 //!
-//! Every full-list plan (brute-force PETQ and PEQ, and DSTQ's partial
-//! distances) folds one term per posting into a per-tuple sum.
-//! [`ScoreAcc`] holds the sums in one of two layouts,
+//! Every executor that folds postings into per-tuple state keeps it in a
+//! [`Slab`]: the full scan's sums (brute-force PETQ and PEQ,
+//! `crate::search::exact_scores`), `Auto`'s PETQ and top-k records, and a
+//! metric DSTQ's [`Partial`] distances. The records are dense, in
+//! first-touch order; an id finds its record through one of two layouts,
 //! chosen once when the scan starts from the two numbers the index
 //! already has — how many postings the query's lists hold, and the span
 //! of its tuple ids ([`crate::InvertedIndex::tid_span`], one past the
 //! largest id it ever indexed):
 //!
-//! * *flat*: one zeroed `f64` per id of the span plus a presence bit; a
-//!   posting is `sums[tid] += delta` and one bit-or;
-//! * *map*: a [`TidMap`] with room for every posting from the start, so
-//!   a posting is a hash and a probe but never a rehash.
+//! * *flat*: a zeroed `u32` per id of the span, one past the index of
+//!   the id's record; a posting is one load and, on first touch, a store;
+//! * *map*: a [`TidMap`] from id to record index, a hash and a probe per
+//!   posting.
 //!
-//! The flat layout has the whole span to zero before the scan and to walk
-//! after it, so it wins once postings are dense enough in the span.
-//! Measured (the ignored `density_sweep` below), flat and map cross
-//! between 30 and 60 postings per 1024 ids on spans of 20 000 to 100 000
-//! ids and between 60 and 120 on a span of 1 000 000; at 6 per 1024 the
-//! flat layout is four to thirteen times slower. The flat layout is
-//! taken from [`MIN_PER_1024`] postings per 1024 ids up: above
-//! every crossing measured, and the density at which its 8 bytes and a
-//! bit per id come to 64 bytes per posting scanned — the bound a scan
-//! starts within in either layout (a map slot is 17 bytes, at most 2.3
-//! slots a posting), whatever the largest tid. The density is taken over
-//! the span, not the tuple count: a service shard holds 1/*n* of its
-//! tenant's tuples and ids from all of their range.
+//! The flat layout has the whole span to zero before the scan, so it wins
+//! once postings are dense enough in the span. It is taken from
+//! [`MIN_PER_1024`] postings per 1024 ids up: above every crossing the
+//! ignored `density_sweep` below has measured (EXPERIMENTS.md, "One
+//! accumulator"), and the density at which its 4 bytes per id come to at
+//! most 32 bytes per posting scanned, whatever the largest tid. The
+//! density is taken over the span, not the tuple count: a service shard
+//! holds 1/*n* of its tenant's tuples and ids from all of their range.
 //!
-//! Either way a tuple's terms are added in arrival order, so its sum is
-//! bit-identical in both layouts.
-//!
-//! [`Slab`] makes the same choice for an executor that keeps more than a
-//! sum per tuple (`Auto`'s PETQ and top-k, and a metric DSTQ's
-//! [`Partial`] distances): its records are dense, in first-touch order,
-//! and an id finds its record through a `u32` per id of the span or a
-//! [`TidMap`], by the same rule.
-//!
-//! Those executors meet a tuple's terms in an order the data decides, so
-//! they add them with [`TwoSum`]: the result does not depend on it.
+//! The full scan adds a tuple's terms in list order — ascending category,
+//! the order `eq_prob_entries` adds them in — so its sums are
+//! bit-identical to [`uncat_core::equality::eq_prob`] in either layout.
+//! The other executors meet a tuple's terms in an order the data decides,
+//! so they add them with [`TwoSum`]: the result does not depend on it.
 
 use uncat_core::distance::TwoSum;
 
 use crate::tid::TidMap;
 
-/// Postings per 1024 ids of span from which a scan sums into the flat
-/// layout (see the module documentation).
+/// Postings per 1024 ids of span from which a scan finds its records
+/// through the flat layout (see the module documentation).
 const MIN_PER_1024: u64 = 130;
-
-/// Sums keyed by tuple id; see the module documentation.
-pub(crate) struct ScoreAcc {
-    /// The flat layout: the sum of each id below the span the scan was
-    /// sized for. Empty in the map layout.
-    sums: Vec<f64>,
-    /// One bit per slot of `sums`: whether [`ScoreAcc::add`] ever named
-    /// it. A sum can be zero (or cancel to zero) and still belong to a
-    /// candidate.
-    present: Vec<u64>,
-    /// The map layout — and, beside the flat one, any id at or above the
-    /// span (an index hands out none).
-    sparse: TidMap<f64>,
-}
-
-impl ScoreAcc {
-    /// An accumulator for a scan of `postings` postings over an index
-    /// whose tuple ids are all below `span`.
-    pub(crate) fn for_scan(postings: u64, span: u64) -> ScoreAcc {
-        let flat = takes_flat(postings, span);
-        let slots = if flat { span as usize } else { 0 };
-        ScoreAcc {
-            sums: vec![0.0; slots],
-            present: vec![0; slots.div_ceil(64)],
-            // No tuple id arrives more often than there are postings:
-            // sized once, the map never rehashes to grow.
-            sparse: TidMap::with_capacity_and_hasher(
-                if flat { 0 } else { postings as usize },
-                Default::default(),
-            ),
-        }
-    }
-
-    /// Add `delta` to `tid`'s sum (which starts at `0.0`).
-    #[inline]
-    pub(crate) fn add(&mut self, tid: u64, delta: f64) {
-        if tid < self.sums.len() as u64 {
-            let slot = tid as usize;
-            self.sums[slot] += delta;
-            self.present[slot / 64] |= 1 << (slot % 64);
-        } else {
-            *self.sparse.entry(tid).or_insert(0.0) += delta;
-        }
-    }
-
-    /// Distinct tuple ids added so far.
-    pub(crate) fn len(&self) -> usize {
-        let flat: usize = self.present.iter().map(|w| w.count_ones() as usize).sum();
-        flat + self.sparse.len()
-    }
-
-    /// Every `(tid, sum)`, in no promised order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
-        let flat = self.present.iter().enumerate().flat_map(move |(w, &bits)| {
-            SetBits(bits).map(move |b| {
-                let slot = w * 64 + b as usize;
-                (slot as u64, self.sums[slot])
-            })
-        });
-        flat.chain(self.sparse.iter().map(|(&tid, &sum)| (tid, sum)))
-    }
-}
 
 /// Whether a scan of `postings` postings over ids below `span` takes the
 /// flat layout (see the module documentation).
@@ -139,9 +68,8 @@ impl Partial {
     }
 }
 
-/// Per-tuple records of an executor that keeps more than a sum: dense, in
-/// first-touch order, found by tuple id through [`ScoreAcc`]'s two
-/// layouts, chosen by the same rule.
+/// Per-tuple records of a scan: dense, in first-touch order, found by
+/// tuple id through one of two layouts (see the module documentation).
 pub(crate) struct Slab<S> {
     /// The flat layout: one past the index of each id's record, 0 for
     /// none, for every id below the span. Empty in the map layout.
@@ -218,37 +146,26 @@ impl<S> Slab<S> {
     }
 }
 
-/// The positions of a word's set bits, ascending.
-struct SetBits(u64);
-
-impl Iterator for SetBits {
-    type Item = u32;
-
-    #[inline]
-    fn next(&mut self) -> Option<u32> {
-        if self.0 == 0 {
-            return None;
-        }
-        let b = self.0.trailing_zeros();
-        self.0 &= self.0 - 1;
-        Some(b)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    impl ScoreAcc {
+    impl<S> Slab<S> {
         /// Bytes the flat layout holds (none in the map layout).
         fn flat_bytes(&self) -> u64 {
-            8 * (self.sums.capacity() + self.present.capacity()) as u64
+            4 * self.flat.capacity() as u64
         }
     }
 
-    fn sorted(acc: &ScoreAcc) -> Vec<(u64, f64)> {
-        let mut got: Vec<(u64, f64)> = acc.iter().collect();
+    /// Add `delta` to `tid`'s sum, as the full scan does.
+    fn add(slab: &mut Slab<(u64, f64)>, tid: u64, delta: f64) {
+        let at = slab.slot(tid, || (tid, 0.0));
+        slab.slots_mut()[at].1 += delta;
+    }
+
+    fn sorted(slab: &Slab<(u64, f64)>) -> Vec<(u64, f64)> {
+        let mut got = slab.slots().to_vec();
         got.sort_by_key(|&(tid, _)| tid);
         got
     }
@@ -256,55 +173,55 @@ mod tests {
     #[test]
     fn dense_scans_take_the_flat_layout_and_sparse_ones_the_map() {
         // 6 000 postings over a span of 20 000 ids: 300 per 1024.
-        let mut dense = ScoreAcc::for_scan(6_000, 20_000);
+        let mut dense = Slab::for_scan(6_000, 20_000);
         for tid in (0..20_000).step_by(5) {
-            dense.add(tid, 1.0);
+            add(&mut dense, tid, 1.0);
         }
-        assert_eq!(dense.len(), 4_000);
-        assert_eq!(dense.sums.len(), 20_000);
+        assert_eq!(dense.slots().len(), 4_000);
+        assert_eq!(dense.flat.len(), 20_000);
         assert!(dense.sparse.is_empty());
 
         // The same postings over a span of 1 000 000: 6 per 1024.
-        let mut sparse = ScoreAcc::for_scan(6_000, 1_000_000);
+        let mut sparse = Slab::for_scan(6_000, 1_000_000);
         for tid in (0..1_000_000).step_by(250) {
-            sparse.add(tid, 1.0);
+            add(&mut sparse, tid, 1.0);
         }
-        assert_eq!((sparse.len(), sparse.flat_bytes()), (4_000, 0));
+        assert_eq!((sparse.slots().len(), sparse.flat_bytes()), (4_000, 0));
 
         // The fewest postings that buy the flat layout buy it within the
         // memory bound, at every span.
         for span in 0..40_000u64 {
             let postings = (span * MIN_PER_1024).div_ceil(1024);
-            let acc = ScoreAcc::for_scan(postings, span);
-            assert_eq!(acc.sums.len() as u64, span);
-            assert!(acc.flat_bytes() <= 64 * postings, "span {span}");
+            let slab = Slab::<(u64, f64)>::for_scan(postings, span);
+            assert_eq!(slab.flat.len() as u64, span);
+            assert!(slab.flat_bytes() <= 32 * postings, "span {span}");
             if postings > 0 {
-                assert_eq!(ScoreAcc::for_scan(postings - 1, span).flat_bytes(), 0);
+                let below = Slab::<(u64, f64)>::for_scan(postings - 1, span);
+                assert_eq!(below.flat_bytes(), 0);
             }
         }
     }
 
     #[test]
     fn an_id_at_or_above_the_span_keeps_its_sum() {
-        let mut acc = ScoreAcc::for_scan(1_000, 100);
+        let mut slab = Slab::for_scan(1_000, 100);
         for tid in [99, 100, 101, u64::MAX, 100, 99] {
-            acc.add(tid, 0.5);
+            add(&mut slab, tid, 0.5);
         }
         let want = vec![(99, 1.0), (100, 1.0), (101, 0.5), (u64::MAX, 0.5)];
-        assert_eq!((acc.len(), sorted(&acc)), (4, want));
+        assert_eq!((slab.slots().len(), sorted(&slab)), (4, want));
     }
 
     #[test]
     fn a_zero_sum_is_still_a_member() {
         for span in [10, 1_000_000] {
-            let mut acc = ScoreAcc::for_scan(200, span);
-            acc.add(7, 0.0);
-            acc.add(9, 0.25);
-            acc.add(9, -0.25);
-            assert_eq!(acc.len(), 2);
-            assert_eq!(sorted(&acc), vec![(7, 0.0), (9, 0.0)]);
+            let mut slab = Slab::for_scan(200, span);
+            add(&mut slab, 7, 0.0);
+            add(&mut slab, 9, 0.25);
+            add(&mut slab, 9, -0.25);
+            assert_eq!(sorted(&slab), vec![(7, 0.0), (9, 0.0)]);
         }
-        assert_eq!(ScoreAcc::for_scan(0, 0).iter().count(), 0);
+        assert!(Slab::<(u64, f64)>::for_scan(0, 0).slots().is_empty());
     }
 
     /// The service's `shard_of` (SplitMix64 on the tid, modulo the shard
@@ -320,8 +237,9 @@ mod tests {
     /// tenant's 40 000: half the tuples, all of the span. Sized by the
     /// tuple count, its scans looked twice as dense as they are, were
     /// rationed accordingly and spilt to the map half way; sized by the
-    /// span, every scan above the density constant is flat from its first
-    /// posting to its last, and every one below it never leaves the map.
+    /// span, every brute scan above the density constant is flat from its
+    /// first posting to its last, and every one below it never leaves the
+    /// map.
     #[test]
     fn a_shard_of_a_split_tenant_sums_flat_over_its_id_span() {
         use uncat_core::{CatId, Domain, Uda};
@@ -348,15 +266,14 @@ mod tests {
             let q = Uda::from_pairs(cats.iter().map(|&c| (CatId(c), p))).unwrap();
             let postings: u64 = cats.iter().map(|&c| idx.list_len(CatId(c))).sum();
             let mut m = QueryMetrics::new();
-            let acc = crate::search::accumulate(&idx, &mut pool, &q, &mut m, |qp, p| qp * p);
-            let acc = acc.unwrap();
+            let scores = crate::search::exact_scores(&idx, &mut pool, &q, &mut m).unwrap();
             assert_eq!(m.postings_scanned, postings);
             if postings * 1024 >= idx.tid_span() * MIN_PER_1024 {
-                assert_eq!(acc.sums.len() as u64, idx.tid_span(), "{cats:?}");
-                assert!(acc.sparse.is_empty(), "{cats:?}");
+                assert_eq!(scores.flat.len() as u64, idx.tid_span(), "{cats:?}");
+                assert!(scores.sparse.is_empty(), "{cats:?}");
                 flat += 1;
             } else {
-                assert_eq!(acc.flat_bytes(), 0, "{cats:?}");
+                assert_eq!(scores.flat_bytes(), 0, "{cats:?}");
             }
         }
         assert!((2..=3).contains(&flat), "queries on both sides: {flat}");
@@ -379,33 +296,30 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(crate::proptest_cases(64)))]
 
-        // Against the hash map it replaces: same members, and — the adds
-        // for one tid arrive in the same order — bit-identical sums, for
+        // Sums against a hash map: same members, and — the adds for one
+        // tid arrive in the same order — bit-identical sums, for
         // duplicates, negative and zero deltas alike, in the flat layout
         // and the map, with ids below, at and above the span (the size
         // hints decide the layout, and need not be true); and the flat
-        // scan starts with no more than 64 bytes per posting it was told
-        // of — flat or map — whatever the largest tid is.
+        // layout holds no more than 32 bytes per posting it was told of,
+        // whatever the largest tid is.
         #[test]
         fn agrees_with_a_tid_map(
             adds in proptest::collection::vec((tid_strategy(), -4i32..5), 0..600),
             postings in 0u64..4_000,
             span in 0u64..20_000,
         ) {
-            let mut acc = ScoreAcc::for_scan(postings, span);
-            // A slot of the map is a 16-byte pair and a control byte, and
-            // one in eight stays empty.
-            let map_bytes = 20 * acc.sparse.capacity() as u64;
-            prop_assert!(acc.flat_bytes() + map_bytes <= 64 * postings);
+            let mut slab = Slab::for_scan(postings, span);
+            prop_assert!(slab.flat_bytes() <= 32 * postings);
             let mut model: TidMap<f64> = TidMap::default();
             for &(tid, d) in &adds {
                 let delta = d as f64 * 0.1;
-                acc.add(tid, delta);
+                add(&mut slab, tid, delta);
                 *model.entry(tid).or_insert(0.0) += delta;
             }
-            prop_assert!(acc.flat_bytes() <= 64 * postings);
-            prop_assert_eq!(acc.len(), model.len());
-            let mut got: Vec<(u64, u64)> = acc.iter().map(|(t, s)| (t, s.to_bits())).collect();
+            prop_assert!(slab.flat_bytes() <= 32 * postings);
+            let mut got: Vec<(u64, u64)> =
+                slab.slots().iter().map(|&(t, s)| (t, s.to_bits())).collect();
             let mut want: Vec<(u64, u64)> = model.iter().map(|(&t, s)| (t, s.to_bits())).collect();
             got.sort_unstable();
             want.sort_unstable();
@@ -470,9 +384,10 @@ mod tests {
     }
 
     /// The measurement behind [`MIN_PER_1024`]: ns per posting
-    /// (allocation, adds and the final walk) of the map, of the flat
-    /// layout whatever the density, and of [`ScoreAcc`] as a scan builds
-    /// it, from dense lists down to a handful of postings per 1024 ids.
+    /// (allocation, adds and the final walk of the sums) of the map
+    /// layout, of the flat layout whatever the density, and of [`Slab`]
+    /// as the full scan builds it, from dense lists down to a handful of
+    /// postings per 1024 ids.
     ///
     /// `cargo test --release -p uncat-inverted density_sweep -- --ignored --nocapture`
     #[test]
@@ -489,31 +404,26 @@ mod tests {
                 })
                 .fold(f64::MAX, f64::min)
         }
-        println!("      span  per list  per 1024 |  grown map  sized map      flat  ScoreAcc");
+        println!("      span  per list  per 1024 |        map      flat      Slab");
         let densities = [300u64, 150, 120, 60, 30, 15, 6];
         let spans = [20_000u64, 100_000, 1_000_000];
         for (span, per_1024) in spans.iter().flat_map(|&s| densities.map(|d| (s, d))) {
             let per_list = (span * per_1024 / 1024 / 3) as usize;
             let lists = block_ordered_lists(span, per_list, 42);
             let postings = 3 * per_list;
-            let feed = |mut acc: ScoreAcc| {
+            let feed = |mut slab: Slab<(u64, f64)>| {
                 for list in &lists {
                     for &tid in list {
-                        acc.add(tid, 0.3);
+                        add(&mut slab, tid, 0.3);
                     }
                 }
-                acc.iter().map(|(_, sum)| sum).sum::<f64>()
+                slab.slots().iter().map(|&(_, sum)| sum).sum::<f64>()
             };
-            // The map as a scan used to start it, and as it starts it now.
-            let grown = ns_per_posting(postings, || feed(ScoreAcc::for_scan(0, span)));
-            let sized = ns_per_posting(postings, || {
-                feed(ScoreAcc::for_scan(postings as u64, u64::MAX))
-            });
-            let flat = ns_per_posting(postings, || feed(ScoreAcc::for_scan(u64::MAX, span)));
-            let chosen =
-                ns_per_posting(postings, || feed(ScoreAcc::for_scan(postings as u64, span)));
+            let map = ns_per_posting(postings, || feed(Slab::for_scan(0, span)));
+            let flat = ns_per_posting(postings, || feed(Slab::for_scan(u64::MAX, span)));
+            let chosen = ns_per_posting(postings, || feed(Slab::for_scan(postings as u64, span)));
             println!(
-                "{span:>10} {per_list:>9} {per_1024:>9} | {grown:>10.1} {sized:>10.1} {flat:>9.1} {chosen:>9.1}"
+                "{span:>10} {per_list:>9} {per_1024:>9} | {map:>10.1} {flat:>9.1} {chosen:>9.1}"
             );
         }
     }

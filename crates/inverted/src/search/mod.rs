@@ -7,7 +7,9 @@
 //! policies are highest-prob-first, NRA and top-k. `Strategy::Auto`
 //! runs a fourth for both PETQ and top-k, the block-granular threshold
 //! executor ([`threshold_petq`], [`threshold_top_k`]): Lemma 1 over the
-//! directory's block maxima, with θ = τ for a PETQ.
+//! directory's block maxima, with θ = τ for a PETQ. The full scan and
+//! the threshold executor keep their per-tuple state in one
+//! accumulator, [`crate::acc::Slab`], as a metric DSTQ does.
 
 mod drain;
 mod threshold;
@@ -20,7 +22,7 @@ use uncat_core::query::{sort_matches_desc, EqQuery, Match};
 use uncat_core::{CatId, Uda};
 use uncat_storage::{BufferPool, Phase, QueryMetrics, Result};
 
-use crate::acc::ScoreAcc;
+use crate::acc::Slab;
 use crate::block::BlockList;
 use crate::index::InvertedIndex;
 use crate::tid::TidSet;
@@ -106,12 +108,11 @@ impl InvertedIndex {
             };
             let q = &query.q;
             match strategy {
-                // `for_each`, not a `for` loop: the accumulator's iterator
-                // is a chain of flat maps, fast only when driven from
-                // inside (`fold`), and most scanned tuples miss τ.
-                Strategy::Brute => exact_scores(self, pool, q, metrics)?
-                    .iter()
-                    .for_each(|(tid, pr)| keep(tid, pr)),
+                Strategy::Brute => {
+                    for &(tid, pr) in exact_scores(self, pool, q, metrics)?.slots() {
+                        keep(tid, pr);
+                    }
+                }
                 Strategy::Auto => threshold_petq(self, pool, q, tau, metrics, keep)?,
                 Strategy::RowPruning => pruned_scan(self, pool, q, cut, None, metrics, keep)?,
                 Strategy::ColumnPruning => {
@@ -142,9 +143,10 @@ impl InvertedIndex {
     pub fn peq(&self, pool: &mut BufferPool, q: &Uda) -> Result<Vec<Match>> {
         let scores = pool.tally(|pool, metrics| exact_scores(self, pool, q, metrics))?;
         let mut out: Vec<Match> = scores
+            .slots()
             .iter()
-            .filter(|&(_, pr)| pr > 0.0)
-            .map(|(tid, pr)| Match::new(tid, pr))
+            .filter(|&&(_, pr)| pr > 0.0)
+            .map(|&(tid, pr)| Match::new(tid, pr))
             .collect();
         sort_matches_desc(&mut out);
         Ok(out)
@@ -210,42 +212,16 @@ pub(crate) fn query_lists<'a>(idx: &'a InvertedIndex, q: &Uda) -> Vec<(CatId, f6
         .collect()
 }
 
-/// The full-list scan under every accumulating plan (brute-force PETQ,
-/// PEQ and DSTQ's partial distances): read
-/// each of the query's lists end to end and add `term(q.p_j, p)` to the
-/// posting's tuple, lists in ascending category order. Ticks
-/// `lists_opened` and what [`BlockList::scan_all`] ticks; the candidate
-/// counters are the caller's.
-pub(crate) fn accumulate(
-    idx: &InvertedIndex,
-    pool: &mut BufferPool,
-    q: &Uda,
-    metrics: &mut QueryMetrics,
-    term: impl Fn(f64, f64) -> f64,
-) -> Result<ScoreAcc> {
-    let lists = query_lists(idx, q);
-    let postings = lists.iter().map(|(_, _, list)| list.len()).sum();
-    let mut acc = ScoreAcc::for_scan(postings, idx.tid_span());
-    let span = pool.trace_begin(Phase::PostingScan);
-    for (_cat, qp, list) in lists {
-        metrics.lists_opened += 1;
-        list.scan_all(idx.block_heap(), pool, metrics, |tid, p| {
-            acc.add(tid, term(qp, p as f64));
-        })?;
-    }
-    pool.trace_end(span);
-    Ok(acc)
-}
-
 /// `Pr(q = t)` for every tuple sharing a category with `q`, from the
-/// lists alone: `inv-index-search`, the brute-force strategy. Every
-/// non-zero term of `Pr(q = t) = Σ_j q.p_j · t.p_j`
-/// lives in some query list, so the aggregate *is* the exact probability
-/// and no random access is needed; the cost is reading entire lists
-/// regardless of τ, which is why the paper calls it out as only
-/// competitive "when these lists are not too big and the query involves
-/// fewer d_ij". The terms of one tuple are added in list order —
-/// ascending category, the order `eq_prob_entries` adds them in.
+/// lists alone: `inv-index-search`, the brute-force strategy, and PEQ.
+/// Every non-zero term of `Pr(q = t) = Σ_j q.p_j · t.p_j` lives in some
+/// query list, so the aggregate *is* the exact probability and no random
+/// access is needed; the cost is reading entire lists regardless of τ,
+/// which is why the paper calls it out as only competitive "when these
+/// lists are not too big and the query involves fewer d_ij". Lists are
+/// read end to end in ascending category order, so the terms of one
+/// tuple are added in the order `eq_prob_entries` adds them in: each
+/// record is `(tid, Pr(q = t))`, bit for bit.
 ///
 /// Metrics profile: every query list is opened and scanned to the end
 /// (`postings_scanned` is the total posting count of the query lists — the
@@ -258,9 +234,20 @@ pub(crate) fn exact_scores(
     pool: &mut BufferPool,
     q: &Uda,
     metrics: &mut QueryMetrics,
-) -> Result<ScoreAcc> {
-    let scores = accumulate(idx, pool, q, metrics, |qp, p| qp * p)?;
-    let tuples = scores.len() as u64;
+) -> Result<Slab<(u64, f64)>> {
+    let lists = query_lists(idx, q);
+    let postings = lists.iter().map(|(_, _, list)| list.len()).sum();
+    let mut scores = Slab::for_scan(postings, idx.tid_span());
+    let span = pool.trace_begin(Phase::PostingScan);
+    for (_cat, qp, list) in lists {
+        metrics.lists_opened += 1;
+        list.scan_all(idx.block_heap(), pool, metrics, |tid, p| {
+            let at = scores.slot(tid, || (tid, 0.0));
+            scores.slots_mut()[at].1 += qp * p as f64;
+        })?;
+    }
+    pool.trace_end(span);
+    let tuples = scores.slots().len() as u64;
     metrics.candidates_generated += tuples;
     metrics.candidates_settled += tuples;
     Ok(scores)

@@ -33,9 +33,14 @@ struct Fixture {
 }
 
 fn fixture(seed: u64, n: usize, n_cats: u32, max_nz: usize) -> Fixture {
+    spread_fixture(seed, n, n_cats, max_nz, 1)
+}
+
+/// [`fixture`] with tuple ids `stride` apart instead of consecutive.
+fn spread_fixture(seed: u64, n: usize, n_cats: u32, max_nz: usize, stride: u64) -> Fixture {
     let mut rng = StdRng::seed_from_u64(seed);
     let data: Vec<(u64, Uda)> = (0..n as u64)
-        .map(|tid| (tid, random_uda(&mut rng, n_cats, max_nz)))
+        .map(|i| (i * stride, random_uda(&mut rng, n_cats, max_nz)))
         .collect();
     let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 100);
     let idx = InvertedIndex::build(
@@ -74,22 +79,51 @@ fn assert_same(a: &[Match], b: &[Match], ctx: &str) {
     }
 }
 
+/// Same tuples in the same order, and every score bit for bit.
+fn assert_bits(a: &[Match], b: &[Match], ctx: &str) {
+    let bits =
+        |m: &[Match]| -> Vec<(u64, u64)> { m.iter().map(|m| (m.tid, m.score.to_bits())).collect() };
+    assert_eq!(bits(a), bits(b), "{ctx}");
+}
+
+/// The full scan's records sit in `Slab`'s flat layout on a fixture with
+/// consecutive ids, and in its map layout once the ids are spread this
+/// far apart.
+const SPREAD: u64 = 1_000;
+
+/// The dense fixture and its spread twin: no list scan of the second
+/// comes near the density at which records go flat.
+fn dense_and_spread(seed: u64, n: usize, n_cats: u32, max_nz: usize) -> [Fixture; 2] {
+    let spread = spread_fixture(seed, n, n_cats, max_nz, SPREAD);
+    let postings: u64 = (0..n_cats).map(|c| spread.idx.list_len(CatId(c))).sum();
+    let span = spread.data.last().map_or(0, |(tid, _)| tid + 1);
+    assert!(
+        postings * 1024 < span * 10,
+        "{postings} postings over {span} ids"
+    );
+    [fixture(seed, n, n_cats, max_nz), spread]
+}
+
 #[test]
 fn all_strategies_match_reference_on_random_data() {
-    let mut f = fixture(42, 600, 12, 4);
-    let mut rng = StdRng::seed_from_u64(999);
-    for qi in 0..25 {
-        let q = random_uda(&mut rng, 12, 4);
-        for &tau in &[0.02, 0.1, 0.3, 0.6, 0.9] {
-            let query = EqQuery::new(q.clone(), tau);
-            let expect = reference_petq(&f.data, &q, tau);
-            for strat in Strategy::ALL {
-                let got = f.idx.petq(&mut f.pool, &query, strat).unwrap();
-                assert_same(
-                    &got,
-                    &expect,
-                    &format!("query {qi}, tau {tau}, {:?}", strat),
-                );
+    for mut f in dense_and_spread(42, 600, 12, 4) {
+        let mut rng = StdRng::seed_from_u64(999);
+        for qi in 0..25 {
+            let q = random_uda(&mut rng, 12, 4);
+            for &tau in &[0.02, 0.1, 0.3, 0.6, 0.9] {
+                let query = EqQuery::new(q.clone(), tau);
+                let expect = reference_petq(&f.data, &q, tau);
+                for strat in Strategy::ALL {
+                    let got = f.idx.petq(&mut f.pool, &query, strat).unwrap();
+                    let ctx = format!("query {qi}, tau {tau}, {strat:?}");
+                    if strat == Strategy::Brute {
+                        // The full scan adds each tuple's terms in the
+                        // order `eq_prob` does.
+                        assert_bits(&got, &expect, &ctx);
+                    } else {
+                        assert_same(&got, &expect, &ctx);
+                    }
+                }
             }
         }
     }
@@ -160,23 +194,23 @@ fn top_k_larger_than_matching_set_returns_all() {
 
 #[test]
 fn peq_returns_every_overlapping_tuple() {
-    let mut f = fixture(17, 200, 6, 3);
-    let mut rng = StdRng::seed_from_u64(3);
-    let q = random_uda(&mut rng, 6, 3);
-    let got = f.idx.peq(&mut f.pool, &q).unwrap();
-    let expect: Vec<u64> = {
-        let mut v: Vec<Match> = f
-            .data
-            .iter()
-            .filter_map(|(tid, t)| {
-                let pr = eq_prob(&q, t);
-                (pr > 0.0).then_some(Match::new(*tid, pr))
-            })
-            .collect();
-        sort_matches_desc(&mut v);
-        v.into_iter().map(|m| m.tid).collect()
-    };
-    assert_eq!(got.iter().map(|m| m.tid).collect::<Vec<_>>(), expect);
+    for mut f in dense_and_spread(17, 200, 6, 3) {
+        let mut rng = StdRng::seed_from_u64(3);
+        for _ in 0..10 {
+            let q = random_uda(&mut rng, 6, 3);
+            let got = f.idx.peq(&mut f.pool, &q).unwrap();
+            let mut expect: Vec<Match> = f
+                .data
+                .iter()
+                .filter_map(|(tid, t)| {
+                    let pr = eq_prob(&q, t);
+                    (pr > 0.0).then_some(Match::new(*tid, pr))
+                })
+                .collect();
+            sort_matches_desc(&mut expect);
+            assert_bits(&got, &expect, &format!("peq {q:?}"));
+        }
+    }
 }
 
 #[test]

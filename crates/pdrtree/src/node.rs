@@ -468,11 +468,6 @@ impl<'a> BoundaryRef<'a> {
     pub(crate) fn l2_lower_bound(&self, q: &Uda) -> f64 {
         boundary::l2_lower_bound(q, |cat| self.bound_of(cat))
     }
-
-    /// [`Boundary::dominates`] on the page.
-    pub(crate) fn dominates(&self, u: &Uda) -> bool {
-        u.iter().all(|(cat, p)| self.bound_of(cat) >= p)
-    }
 }
 
 /// The probability half of one `(u32 cat, f32 prob)` pair.

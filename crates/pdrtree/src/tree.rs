@@ -187,7 +187,7 @@ impl PdrTree {
             Node::Leaf(mut entries) => {
                 entries.push(LeafEntry {
                     tid,
-                    uda: clone_uda(uda),
+                    uda: uda.clone(),
                 });
                 let node = Node::Leaf(entries);
                 if node.fits(compression) && node.count() <= MAX_NODE_ENTRIES {
@@ -342,94 +342,21 @@ impl PdrTree {
         ))
     }
 
-    /// Delete tuple `tid`, whose stored distribution must equal `uda`.
+    /// Delete tuple `tid`, by id alone as the write-ahead log records it
+    /// (the tree is keyed by distribution, so the descent cannot prune:
+    /// the worst case is a full traversal). Returns the removed
+    /// distribution, or `None` if the tuple was not stored.
     ///
-    /// The distribution guides the descent: only subtrees whose boundary
-    /// dominates it can hold the tuple. Boundaries along the removal path
-    /// are recomputed from the surviving entries (repair), so they stay
+    /// Only the pages on the removal path are materialized and
+    /// rewritten, leaf first: each parent takes its child's boundary
+    /// recomputed from the surviving entries (repair), so boundaries stay
     /// tight — a recomputed boundary is still a valid over-estimate for
-    /// every remaining tuple, just no wider than needed. Returns whether
-    /// the tuple was found.
-    pub fn delete(&mut self, pool: &mut BufferPool, tid: u64, uda: &Uda) -> Result<bool> {
-        Ok(self.delete_impl(pool, tid, Some(uda))?.is_some())
-    }
-
-    /// Delete tuple `tid` without knowing its distribution (unguided: the
-    /// descent cannot prune, so the worst case is a full traversal).
-    /// Returns the removed distribution, or `None` if the tuple was not
-    /// stored. Boundaries along the removal path are repaired as in
-    /// [`PdrTree::delete`].
-    pub fn delete_by_tid(&mut self, pool: &mut BufferPool, tid: u64) -> Result<Option<Uda>> {
-        self.delete_impl(pool, tid, None)
-    }
-
-    /// Upsert: replace `tid`'s distribution if present, insert it
-    /// otherwise. Returns whether a previous distribution was replaced.
-    pub fn update(&mut self, pool: &mut BufferPool, tid: u64, uda: &Uda) -> Result<bool> {
-        let existed = self.delete_by_tid(pool, tid)?.is_some();
-        self.insert(pool, tid, uda)?;
-        Ok(existed)
-    }
-
-    /// Look up `tid`'s stored distribution (unguided full traversal in
-    /// the worst case — the tree is keyed by distribution, not id).
-    pub fn find_tuple(&self, pool: &mut BufferPool, tid: u64) -> Result<Option<Uda>> {
-        Ok(self.locate(pool, tid, None)?.map(|(_, uda)| uda))
-    }
-
-    /// Find tuple `tid` through the node kernel: the pages from the root
-    /// down to the leaf that stores it, and its distribution (the one
-    /// entry of the search that is materialized). Children are tried in
-    /// stored order; with a `guide`, only those whose boundary dominates
-    /// it.
-    fn locate(
-        &self,
-        pool: &mut BufferPool,
-        tid: u64,
-        guide: Option<&Uda>,
-    ) -> Result<Option<(Vec<PageId>, Uda)>> {
-        let mut stack = vec![(self.root, 0usize)];
-        let mut path = Vec::new();
-        while let Some((pid, level)) = stack.pop() {
-            path.truncate(level);
-            path.push(pid);
-            let children = stack.len();
-            let mut found = None;
-            visit_node(pool, pid, self.config.compression, |v| match v {
-                Visit::Entry { tid: t, uda } => {
-                    // A record that does not validate fails the node below.
-                    if t == tid && found.is_none() {
-                        found = uda.to_uda().ok();
-                    }
-                }
-                Visit::Child { pid, boundary } => {
-                    if guide.is_none_or(|u| boundary.dominates(u)) {
-                        stack.push((pid, level + 1));
-                    }
-                }
-            })?;
-            if let Some(uda) = found {
-                return Ok(Some((path, uda)));
-            }
-            // The stack pops from the back: first child on top.
-            stack[children..].reverse();
-        }
-        Ok(None)
-    }
-
-    /// Remove `tid` and repair the boundaries above it. Only the pages on
-    /// the removal path are materialized and rewritten, leaf first: each
-    /// parent takes its child's boundary recomputed from the surviving
-    /// entries, or drops the reference when the child emptied out (the
-    /// emptied page is orphaned, like pages freed by merges; a later
-    /// checkpoint-compaction could reclaim them).
-    fn delete_impl(
-        &mut self,
-        pool: &mut BufferPool,
-        tid: u64,
-        guide: Option<&Uda>,
-    ) -> Result<Option<Uda>> {
-        let Some((path, uda)) = self.locate(pool, tid, guide)? else {
+    /// every remaining tuple, just no wider than needed — or drops the
+    /// reference when the child emptied out (the emptied page is
+    /// orphaned, like pages freed by merges; a later checkpoint-compaction
+    /// could reclaim them).
+    pub fn delete(&mut self, pool: &mut BufferPool, tid: u64) -> Result<Option<Uda>> {
+        let Some((path, uda)) = self.locate(pool, tid)? else {
             return Ok(None);
         };
         let compression = self.config.compression;
@@ -480,6 +407,50 @@ impl PdrTree {
             self.depth = 1;
         }
         Ok(Some(uda))
+    }
+
+    /// Upsert: replace `tid`'s distribution if present, insert it
+    /// otherwise. Returns whether a previous distribution was replaced.
+    pub fn update(&mut self, pool: &mut BufferPool, tid: u64, uda: &Uda) -> Result<bool> {
+        let existed = self.delete(pool, tid)?.is_some();
+        self.insert(pool, tid, uda)?;
+        Ok(existed)
+    }
+
+    /// Look up `tid`'s stored distribution (unguided full traversal in
+    /// the worst case — the tree is keyed by distribution, not id).
+    pub fn find_tuple(&self, pool: &mut BufferPool, tid: u64) -> Result<Option<Uda>> {
+        Ok(self.locate(pool, tid)?.map(|(_, uda)| uda))
+    }
+
+    /// Find tuple `tid` through the node kernel: the pages from the root
+    /// down to the leaf that stores it, and its distribution (the one
+    /// entry of the search that is materialized). Children are tried in
+    /// stored order.
+    fn locate(&self, pool: &mut BufferPool, tid: u64) -> Result<Option<(Vec<PageId>, Uda)>> {
+        let mut stack = vec![(self.root, 0usize)];
+        let mut path = Vec::new();
+        while let Some((pid, level)) = stack.pop() {
+            path.truncate(level);
+            path.push(pid);
+            let children = stack.len();
+            let mut found = None;
+            visit_node(pool, pid, self.config.compression, |v| match v {
+                Visit::Entry { tid: t, uda } => {
+                    // A record that does not validate fails the node below.
+                    if t == tid && found.is_none() {
+                        found = uda.to_uda().ok();
+                    }
+                }
+                Visit::Child { pid, .. } => stack.push((pid, level + 1)),
+            })?;
+            if let Some(uda) = found {
+                return Ok(Some((path, uda)));
+            }
+            // The stack pops from the back: first child on top.
+            stack[children..].reverse();
+        }
+        Ok(None)
     }
 
     /// Visit every stored `(tid, uda)` (tree order). A full traversal —
@@ -557,24 +528,17 @@ impl PdrTree {
             Node::Internal(children) => {
                 assert!(!children.is_empty(), "internal node {pid} has no children");
                 let mut n = 0;
+                // Child boundaries need not be nested component-wise after
+                // lossy compression of the parent — but the parent must
+                // still dominate every UDA, which the recursion checks
+                // directly.
                 for c in &children {
-                    if let Some(b) = bound {
-                        // Child boundaries need not be nested component-wise
-                        // after lossy compression of the parent — but the
-                        // parent must still dominate every UDA, which the
-                        // recursion checks directly.
-                        let _ = b;
-                    }
                     n += self.check_rec(pool, c.pid, Some(&c.boundary))?;
                 }
                 Ok(n)
             }
         }
     }
-}
-
-fn clone_uda(u: &Uda) -> Uda {
-    u.clone()
 }
 
 /// Structural statistics returned by [`PdrTree::stats`].
@@ -757,13 +721,11 @@ mod tests {
         )
         .unwrap();
         for (tid, u) in data.iter().take(400) {
-            assert!(
-                t.delete(&mut p, *tid, u).unwrap(),
-                "tuple {tid} must be found"
-            );
+            let removed = t.delete(&mut p, *tid).unwrap();
+            assert_eq!(removed.as_ref(), Some(u), "tuple {tid} must be found");
         }
         assert_eq!(t.len(), 400);
-        assert!(!t.delete(&mut p, 0, &data[0].1).unwrap(), "double delete");
+        assert_eq!(t.delete(&mut p, 0).unwrap(), None, "double delete");
         assert_eq!(t.check_invariants(&mut p).unwrap(), 400);
         let mut remaining = 0;
         t.for_each(&mut p, |tid, _| {
@@ -870,7 +832,7 @@ mod tests {
         let mut survivors = 0u64;
         for (tid, u) in &data {
             if touches_cat0(u) {
-                assert!(t.delete(&mut p, *tid, u).unwrap());
+                assert!(t.delete(&mut p, *tid).unwrap().is_some());
             } else {
                 survivors += 1;
             }
@@ -892,7 +854,7 @@ mod tests {
     }
 
     #[test]
-    fn delete_by_tid_returns_the_stored_distribution() {
+    fn delete_returns_the_stored_distribution() {
         let mut p = pool();
         let data = synth(500, 6, 21);
         let mut t = PdrTree::build(
@@ -906,11 +868,8 @@ mod tests {
             t.find_tuple(&mut p, 123).unwrap().as_ref(),
             Some(&data[123].1)
         );
-        assert_eq!(
-            t.delete_by_tid(&mut p, 123).unwrap(),
-            Some(data[123].1.clone())
-        );
-        assert_eq!(t.delete_by_tid(&mut p, 123).unwrap(), None, "double delete");
+        assert_eq!(t.delete(&mut p, 123).unwrap(), Some(data[123].1.clone()));
+        assert_eq!(t.delete(&mut p, 123).unwrap(), None, "double delete");
         assert_eq!(t.find_tuple(&mut p, 123).unwrap(), None);
         assert_eq!(t.len(), 499);
         assert_eq!(t.check_invariants(&mut p).unwrap(), 499);
@@ -949,7 +908,7 @@ mod tests {
         .unwrap();
         assert!(t.depth() >= 2);
         for (tid, _) in &data {
-            assert!(t.delete_by_tid(&mut p, *tid).unwrap().is_some());
+            assert!(t.delete(&mut p, *tid).unwrap().is_some());
         }
         assert!(t.is_empty());
         assert_eq!(t.depth(), 1, "empty tree is a single leaf again");

@@ -220,7 +220,7 @@ fn queries_survive_deletes() {
     let data = dataset(99, 500, 8, 3);
     let (mut tree, mut pool) = build(&data, 8, PdrConfig::default());
     for (tid, u) in data.iter().take(250) {
-        assert!(tree.delete(&mut pool, *tid, u).unwrap());
+        assert_eq!(tree.delete(&mut pool, *tid).unwrap().as_ref(), Some(u));
     }
     let remaining: Vec<(u64, Uda)> = data.iter().skip(250).cloned().collect();
     let mut rng = StdRng::seed_from_u64(8);

@@ -403,7 +403,7 @@ impl MutableBackend for PdrTree {
     }
 
     fn apply_delete(&mut self, pool: &mut BufferPool, tid: u64) -> Result<bool> {
-        Ok(self.delete_by_tid(pool, tid)?.is_some())
+        Ok(PdrTree::delete(self, pool, tid)?.is_some())
     }
 
     fn contains(&self, pool: &mut BufferPool, tid: u64) -> Result<bool> {

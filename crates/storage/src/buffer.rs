@@ -15,7 +15,7 @@
 //! [`BufferPool`] owns no replacement logic. It is a [`PoolHandle`] on a
 //! [`SharedBufferPool`] — the one ring, in [`crate::shared`] — and the
 //! constructors differ only in which ring that is: `new` /
-//! `with_capacity` / `with_policy` / `new_no_steal` build a private
+//! `with_capacity` / `new_no_steal` build a private
 //! one-stripe ring for this pool alone (the paper's per-query buffer),
 //! [`BufferPool::from_handle`] joins a ring shared with concurrent
 //! queries. Index and query code is written against this one type and
@@ -41,17 +41,6 @@ use crate::trace::{Phase, QueryTrace, SpanId, Tracer};
 /// Default pool capacity in frames — the paper's per-query allocation.
 pub const DEFAULT_FRAMES: usize = 100;
 
-/// Page replacement policy. The paper uses clock; LRU is provided for the
-/// replacement ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Replacement {
-    /// Second-chance clock (the paper's policy).
-    #[default]
-    Clock,
-    /// Least-recently-used (exact, by access tick).
-    Lru,
-}
-
 /// A buffer manager over a shared page store.
 ///
 /// Single-owner (methods take `&mut self`): each query drives exactly one
@@ -76,12 +65,7 @@ impl BufferPool {
 
     /// A private pool with a custom frame count (≥ 1).
     pub fn with_capacity(store: SharedStore, capacity: usize) -> BufferPool {
-        BufferPool::with_policy(store, capacity, Replacement::Clock)
-    }
-
-    /// A private pool with a custom frame count and replacement policy.
-    pub fn with_policy(store: SharedStore, capacity: usize, policy: Replacement) -> BufferPool {
-        BufferPool::from_handle(SharedBufferPool::with_policy(store, capacity, 1, policy).handle())
+        BufferPool::from_handle(SharedBufferPool::new(store, capacity, 1).handle())
     }
 
     /// A private pool under the *no-steal* discipline: dirty frames are
@@ -93,7 +77,7 @@ impl BufferPool {
     /// stealing one; [`flush`](BufferPool::flush) remains available as
     /// the *explicit* install path.
     pub fn new_no_steal(store: SharedStore, capacity: usize) -> BufferPool {
-        let ring = SharedBufferPool::build(store, capacity, 1, Replacement::Clock, true);
+        let ring = SharedBufferPool::build(store, capacity, 1, true);
         BufferPool::from_handle(ring.handle())
     }
 
@@ -126,11 +110,6 @@ impl BufferPool {
     /// committed checkpoint).
     pub fn mark_all_clean(&mut self) {
         self.handle.pool().mark_all_clean()
-    }
-
-    /// The replacement policy in use.
-    pub fn policy(&self) -> Replacement {
-        self.handle.pool().policy()
     }
 
     /// The shared store this pool sits on.
@@ -405,42 +384,6 @@ mod tests {
     }
 
     #[test]
-    fn lru_evicts_least_recently_used() {
-        let store = InMemoryDisk::shared();
-        let mut p = BufferPool::with_policy(store, 2, Replacement::Lru);
-        assert_eq!(p.policy(), Replacement::Lru);
-        let a = p.allocate().unwrap();
-        let b = p.allocate().unwrap();
-        p.flush().unwrap();
-        p.read(a, |_| ()).unwrap(); // A is now the most recent
-        let c = p.allocate().unwrap(); // must evict B (LRU)
-        p.flush().unwrap();
-        assert!(p.is_resident(a), "recently used page must survive");
-        assert!(!p.is_resident(b), "LRU page must be evicted");
-        assert!(p.is_resident(c));
-    }
-
-    #[test]
-    fn lru_sequential_flood_behaves_like_fifo() {
-        let store = InMemoryDisk::shared();
-        let pids: Vec<PageId> = {
-            let mut w = BufferPool::with_capacity(store.clone(), 8);
-            let v: Vec<PageId> = (0..6).map(|_| w.allocate().unwrap()).collect();
-            w.flush().unwrap();
-            v
-        };
-        let mut p = BufferPool::with_policy(store, 3, Replacement::Lru);
-        for &pid in &pids {
-            p.read(pid, |_| ()).unwrap();
-        }
-        // Only the last 3 touched remain.
-        assert!(!p.is_resident(pids[0]));
-        assert!(!p.is_resident(pids[2]));
-        assert!(p.is_resident(pids[3]));
-        assert!(p.is_resident(pids[5]));
-    }
-
-    #[test]
     fn both_policies_deliver_identical_data() {
         let store = InMemoryDisk::shared();
         let pids: Vec<PageId> = {
@@ -455,62 +398,50 @@ mod tests {
             w.flush().unwrap();
             v
         };
-        for policy in [Replacement::Clock, Replacement::Lru] {
-            let mut p = BufferPool::with_policy(store.clone(), 3, policy);
+        // The two write-back policies: a stealing ring and a no-steal one.
+        for no_steal in [false, true] {
+            let ring = SharedBufferPool::build(store.clone(), 3, 1, no_steal);
+            let mut p = BufferPool::from_handle(ring.handle());
             for (i, &pid) in pids.iter().enumerate() {
-                assert_eq!(p.read(pid, |b| b[0]).unwrap() as usize, i, "{policy:?}");
+                assert_eq!(p.read(pid, |b| b[0]).unwrap() as usize, i, "{no_steal}");
             }
         }
     }
 
-    /// Deterministic access trace separating Clock from exact LRU.
+    /// Deterministic access trace on which clock and exact LRU part ways.
     ///
     /// Capacity 3, pages A B C resident with A re-touched last, then a
-    /// fourth page D faults in. Exact LRU evicts B (oldest last_used:
-    /// B < C < A). The clock hand sits at slot 0 with every reference
-    /// bit set, so it sweeps A, B, C clearing bits and returns to slot 0:
-    /// A — the re-touched page Clock cannot protect, because one full
-    /// sweep erases all recency it knows about.
+    /// fourth page D faults in. The clock hand sits at slot 0 with every
+    /// reference bit set, so it sweeps A, B, C clearing bits and returns
+    /// to slot 0: A — the re-touched page clock cannot protect, because
+    /// one full sweep erases all recency it knows about. (Exact LRU would
+    /// evict B, the oldest access.)
     #[test]
     fn clock_and_lru_diverge_on_a_re_touched_page() {
-        for (policy, evicted, survivor) in [
-            (Replacement::Clock, 0usize, 1usize), // evicts A, keeps B
-            (Replacement::Lru, 1, 0),             // evicts B, keeps A
-        ] {
-            let store = InMemoryDisk::shared();
-            let pids: Vec<PageId> = {
-                let mut w = BufferPool::with_capacity(store.clone(), 8);
-                let v: Vec<PageId> = (0..4).map(|_| w.allocate().unwrap()).collect();
-                w.flush().unwrap();
-                v
-            };
-            let mut p = BufferPool::with_policy(store, 3, policy);
-            p.read(pids[0], |_| ()).unwrap(); // A → slot 0
-            p.read(pids[1], |_| ()).unwrap(); // B → slot 1
-            p.read(pids[2], |_| ()).unwrap(); // C → slot 2
-            p.read(pids[0], |_| ()).unwrap(); // re-touch A
-            p.read(pids[3], |_| ()).unwrap(); // D faults in, someone goes
-            assert!(
-                !p.is_resident(pids[evicted]),
-                "{policy:?} must evict page {evicted}"
-            );
-            assert!(
-                p.is_resident(pids[survivor]),
-                "{policy:?} must keep page {survivor}"
-            );
-            assert!(p.is_resident(pids[3]));
-            // The residency difference is visible in the I/O counters of
-            // the next access: the survivor hits, the victim re-faults.
-            p.reset_stats();
-            p.read(pids[survivor], |_| ()).unwrap();
-            assert_eq!(p.stats().hits, 1, "{policy:?} survivor must hit");
-            p.read(pids[evicted], |_| ()).unwrap();
-            assert_eq!(
-                p.stats().physical_reads,
-                1,
-                "{policy:?} victim must re-fault"
-            );
-        }
+        let (evicted, survivor) = (0, 1); // evicts A, keeps B
+        let store = InMemoryDisk::shared();
+        let pids: Vec<PageId> = {
+            let mut w = BufferPool::with_capacity(store.clone(), 8);
+            let v: Vec<PageId> = (0..4).map(|_| w.allocate().unwrap()).collect();
+            w.flush().unwrap();
+            v
+        };
+        let mut p = BufferPool::with_capacity(store, 3);
+        p.read(pids[0], |_| ()).unwrap(); // A → slot 0
+        p.read(pids[1], |_| ()).unwrap(); // B → slot 1
+        p.read(pids[2], |_| ()).unwrap(); // C → slot 2
+        p.read(pids[0], |_| ()).unwrap(); // re-touch A
+        p.read(pids[3], |_| ()).unwrap(); // D faults in, someone goes
+        assert!(!p.is_resident(pids[evicted]), "clock must evict A");
+        assert!(p.is_resident(pids[survivor]), "clock must keep B");
+        assert!(p.is_resident(pids[3]));
+        // The residency difference is visible in the I/O counters of the
+        // next access: the survivor hits, the victim re-faults.
+        p.reset_stats();
+        p.read(pids[survivor], |_| ()).unwrap();
+        assert_eq!(p.stats().hits, 1, "the survivor must hit");
+        p.read(pids[evicted], |_| ()).unwrap();
+        assert_eq!(p.stats().physical_reads, 1, "the victim must re-fault");
     }
 
     /// (Absorbs `shared::tests::failed_read_fails_one_query_and_pool_stays_usable`,
@@ -635,7 +566,7 @@ mod tests {
     #[test]
     fn checkpoint_bookkeeping_works_through_a_handle_on_a_striped_no_steal_ring() {
         let store = InMemoryDisk::shared();
-        let ring = SharedBufferPool::build(store.clone(), 8, 4, Replacement::Clock, true);
+        let ring = SharedBufferPool::build(store.clone(), 8, 4, true);
         let mut p = BufferPool::from_handle(ring.handle());
         let pids: Vec<PageId> = (0..6).map(|_| p.allocate().unwrap()).collect();
         for (i, &pid) in pids.iter().enumerate() {
@@ -741,10 +672,8 @@ mod tests {
         frames: Vec<ModelFrame>,
         disk: Vec<u8>,
         cap: usize,
-        lru: bool,
         no_steal: bool,
         hand: usize,
-        tick: u64,
         io: IoStats,
     }
 
@@ -754,7 +683,6 @@ mod tests {
         byte: u8,
         referenced: bool,
         dirty: bool,
-        last_used: u64,
     }
 
     impl Model {
@@ -766,19 +694,14 @@ mod tests {
             if self.frames.iter().all(stuck) {
                 return Err(StorageError::PoolExhausted);
             }
-            let slot = if self.lru {
-                let free = self.frames.iter().enumerate().filter(|(_, f)| !stuck(f));
-                free.min_by_key(|(_, f)| f.last_used).unwrap().0
-            } else {
-                loop {
-                    let slot = self.hand;
-                    self.hand = (self.hand + 1) % self.cap;
-                    let f = &mut self.frames[slot];
-                    match (self.no_steal && f.dirty, f.referenced) {
-                        (true, _) => {}
-                        (false, true) => f.referenced = false,
-                        (false, false) => break slot,
-                    }
+            let slot = loop {
+                let slot = self.hand;
+                self.hand = (self.hand + 1) % self.cap;
+                let f = &mut self.frames[slot];
+                match (self.no_steal && f.dirty, f.referenced) {
+                    (true, _) => {}
+                    (false, true) => f.referenced = false,
+                    (false, false) => break slot,
                 }
             };
             let f = self.frames[slot];
@@ -806,7 +729,6 @@ mod tests {
                         byte: self.disk[pid.0 as usize],
                         referenced: true,
                         dirty: fresh,
-                        last_used: 0,
                     };
                     if slot == self.frames.len() {
                         self.frames.push(frame);
@@ -816,9 +738,8 @@ mod tests {
                     slot
                 }
             };
-            self.tick += 1;
             let f = &mut self.frames[slot];
-            (f.referenced, f.last_used) = (true, self.tick);
+            f.referenced = true;
             if let Some(byte) = put {
                 (f.byte, f.dirty) = (byte, true);
             }
@@ -843,14 +764,13 @@ mod tests {
         // bytes.
         #[test]
         fn the_ring_agrees_with_a_vec_scan_model(
-            (cap, lru, no_steal) in (1usize..=8, any::<bool>(), any::<bool>()),
+            (cap, no_steal) in (1usize..=8, any::<bool>()),
             ops in proptest::collection::vec((0u8..11, any::<u8>(), any::<u8>()), 1..160),
         ) {
             let store = InMemoryDisk::shared();
-            let policy = if lru { Replacement::Lru } else { Replacement::Clock };
-            let ring = SharedBufferPool::build(store.clone(), cap, 1, policy, no_steal);
+            let ring = SharedBufferPool::build(store.clone(), cap, 1, no_steal);
             let mut pool = BufferPool::from_handle(ring.handle());
-            let mut model = Model { cap, lru, no_steal, ..Model::default() };
+            let mut model = Model { cap, no_steal, ..Model::default() };
             for (step, (kind, pick, byte)) in ops.into_iter().enumerate() {
                 let pid = PageId((pick as usize % model.disk.len().max(1)) as u64);
                 let mut flushed = false;

@@ -8,7 +8,7 @@
 //! * [`disk`] — [`disk::PageStore`], the simulated disk: an in-memory page
 //!   array with physical read/write counters.
 //! * [`shared`] — [`shared::SharedBufferPool`], the one buffer manager: a
-//!   lock-striped ring of frames with clock (or LRU) replacement, RAII
+//!   lock-striped ring of frames with clock replacement, RAII
 //!   pinning, an optional no-steal discipline and per-handle I/O
 //!   attribution.
 //! * [`buffer`] — [`buffer::BufferPool`], what index code sees: a
@@ -63,7 +63,7 @@ pub(crate) fn proptest_cases(default: u32) -> u32 {
         .unwrap_or(default)
 }
 
-pub use buffer::{BufferPool, Replacement};
+pub use buffer::BufferPool;
 pub use disk::{InMemoryDisk, PageStore, SharedStore};
 pub use error::{Result, StorageError};
 pub use fault::{Fault, FaultLog, FaultStore, LogFault};

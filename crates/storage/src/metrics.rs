@@ -131,12 +131,6 @@ impl QueryMetrics {
         QueryMetrics::default()
     }
 
-    /// Candidates that had their exact score computed, by any means
-    /// (`candidates_verified + candidates_settled`).
-    pub fn candidates_examined(&self) -> u64 {
-        self.candidates_verified + self.candidates_settled
-    }
-
     /// Whether the candidate bookkeeping invariant holds (see the type
     /// docs). Trivially true for paths that generate no candidates.
     pub fn candidate_invariant_holds(&self) -> bool {
@@ -298,7 +292,6 @@ mod tests {
         assert!(!m.candidate_invariant_holds());
         m.candidates_settled = 1;
         assert!(m.candidate_invariant_holds());
-        assert_eq!(m.candidates_examined(), 2);
     }
 
     #[test]

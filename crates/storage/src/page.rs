@@ -60,12 +60,6 @@ pub mod field {
         u32::from_le_bytes(buf[off..off + 4].try_into().expect("in bounds"))
     }
 
-    /// Write a `u32` at `off`.
-    #[inline]
-    pub fn put_u32(buf: &mut [u8], off: usize, v: u32) {
-        buf[off..off + 4].copy_from_slice(&v.to_le_bytes());
-    }
-
     /// Read a `u64` at `off`.
     #[inline]
     pub fn get_u64(buf: &[u8], off: usize) -> u64 {
@@ -82,12 +76,6 @@ pub mod field {
     #[inline]
     pub fn get_f32(buf: &[u8], off: usize) -> f32 {
         f32::from_le_bytes(buf[off..off + 4].try_into().expect("in bounds"))
-    }
-
-    /// Write an `f32` at `off`.
-    #[inline]
-    pub fn put_f32(buf: &mut [u8], off: usize, v: f32) {
-        buf[off..off + 4].copy_from_slice(&v.to_le_bytes());
     }
 
     /// Read a [`PageId`] at `off`.
@@ -111,9 +99,9 @@ mod tests {
     fn field_roundtrips() {
         let mut p = zeroed_page();
         field::put_u16(&mut p[..], 0, 0xBEEF);
-        field::put_u32(&mut p[..], 2, 0xDEAD_BEEF);
+        p[2..6].copy_from_slice(&0xDEAD_BEEF_u32.to_le_bytes());
         field::put_u64(&mut p[..], 6, u64::MAX - 1);
-        field::put_f32(&mut p[..], 14, 0.625);
+        p[14..18].copy_from_slice(&0.625f32.to_le_bytes());
         field::put_pid(&mut p[..], 18, PageId(42));
         assert_eq!(field::get_u16(&p[..], 0), 0xBEEF);
         assert_eq!(field::get_u32(&p[..], 2), 0xDEAD_BEEF);

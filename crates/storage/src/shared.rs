@@ -1,5 +1,5 @@
-//! The buffer ring: a lock-striped pool of page frames with clock (or
-//! LRU) replacement, shared by any number of per-query handles.
+//! The buffer ring: a lock-striped pool of page frames with clock
+//! replacement, shared by any number of per-query handles.
 //!
 //! This is the only place residency, eviction order, dirty tracking and
 //! I/O attribution are decided. The paper's "100 frames per query, clock
@@ -43,7 +43,6 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use crate::buffer::Replacement;
 use crate::disk::SharedStore;
 use crate::error::{Result, StorageError};
 use crate::page::{zeroed_page, PageBuf, PageId, PAGE_SIZE};
@@ -94,7 +93,6 @@ struct SharedFrame {
     pid: PageId,
     data: Arc<FrameData>,
     referenced: bool,
-    last_used: u64,
 }
 
 impl SharedFrame {
@@ -114,7 +112,6 @@ struct ShardCore {
     map: HashMap<PageId, usize>,
     hand: usize,
     capacity: usize,
-    tick: u64,
     stats: IoStats,
 }
 
@@ -122,7 +119,6 @@ struct ShardCore {
 /// store, striped into independently locked shards (see the module docs).
 pub struct SharedBufferPool {
     store: SharedStore,
-    policy: Replacement,
     no_steal: bool,
     capacity: usize,
     dirty_frames: Arc<AtomicUsize>,
@@ -134,17 +130,7 @@ impl SharedBufferPool {
     /// clock replacement. `total_frames` must be at least `shards` so
     /// every shard owns a frame.
     pub fn new(store: SharedStore, total_frames: usize, shards: usize) -> Arc<SharedBufferPool> {
-        SharedBufferPool::build(store, total_frames, shards, Replacement::Clock, false)
-    }
-
-    /// Pool with an explicit replacement policy.
-    pub fn with_policy(
-        store: SharedStore,
-        total_frames: usize,
-        shards: usize,
-        policy: Replacement,
-    ) -> Arc<SharedBufferPool> {
-        SharedBufferPool::build(store, total_frames, shards, policy, false)
+        SharedBufferPool::build(store, total_frames, shards, false)
     }
 
     /// Every constructor. With `no_steal`, dirty frames are never victims
@@ -154,7 +140,6 @@ impl SharedBufferPool {
         store: SharedStore,
         total_frames: usize,
         shards: usize,
-        policy: Replacement,
         no_steal: bool,
     ) -> Arc<SharedBufferPool> {
         assert!(shards >= 1, "buffer pool needs at least one shard");
@@ -170,14 +155,12 @@ impl SharedBufferPool {
                     map: HashMap::with_capacity(capacity),
                     hand: 0,
                     capacity,
-                    tick: 0,
                     stats: IoStats::default(),
                 })
             })
             .collect();
         Arc::new(SharedBufferPool {
             store,
-            policy,
             no_steal,
             capacity: total_frames,
             dirty_frames: Arc::default(),
@@ -191,11 +174,6 @@ impl SharedBufferPool {
             pool: Arc::clone(self),
             stats: IoStats::default(),
         }
-    }
-
-    /// The replacement policy in use.
-    pub fn policy(&self) -> Replacement {
-        self.policy
     }
 
     /// The shared store this pool sits on.
@@ -281,11 +259,8 @@ impl SharedBufferPool {
         if let Some(&slot) = core.map.get(&pid) {
             core.stats.hits += 1;
             stats.hits += 1;
-            core.tick += 1;
-            let tick = core.tick;
             let frame = &mut core.frames[slot];
             frame.referenced = true;
-            frame.last_used = tick;
             return Ok(PinGuard {
                 pid,
                 data: Arc::clone(&frame.data),
@@ -397,8 +372,8 @@ impl SharedBufferPool {
         frame.pinned() || (self.no_steal && frame.data.page.read().dirty)
     }
 
-    /// Pick a frame slot in `core`, evicting per the configured policy if
-    /// the shard is full. Unevictable frames are never victims; a dirty
+    /// Pick a frame slot in `core`, evicting by second-chance clock if the
+    /// shard is full. Unevictable frames are never victims; a dirty
     /// victim that cannot be written back stays resident and dirty, and
     /// the error propagates to the one requesting query.
     fn victim_slot(&self, core: &mut ShardCore, stats: &mut IoStats) -> Result<usize> {
@@ -408,32 +383,22 @@ impl SharedBufferPool {
         if core.frames.iter().all(|f| self.unevictable(f)) {
             return Err(StorageError::PoolExhausted);
         }
-        let slot = match self.policy {
-            // Second-chance clock over evictable frames. Neither a pin nor
-            // a dirty bit can appear on an unpinned frame while we hold
-            // the shard lock, so at least one frame stays evictable and
-            // the sweep terminates within two revolutions.
-            Replacement::Clock => loop {
-                let slot = core.hand;
-                core.hand = (core.hand + 1) % core.frames.len();
-                if self.unevictable(&core.frames[slot]) {
-                    continue;
-                }
-                let frame = &mut core.frames[slot];
-                if frame.referenced {
-                    frame.referenced = false; // second chance
-                } else {
-                    break slot;
-                }
-            },
-            Replacement::Lru => core
-                .frames
-                .iter()
-                .enumerate()
-                .filter(|(_, f)| !self.unevictable(f))
-                .min_by_key(|(_, f)| f.last_used)
-                .map(|(i, _)| i)
-                .ok_or(StorageError::PoolExhausted)?,
+        // Second-chance clock over evictable frames. Neither a pin nor a
+        // dirty bit can appear on an unpinned frame while we hold the
+        // shard lock, so at least one frame stays evictable and the sweep
+        // terminates within two revolutions.
+        let slot = loop {
+            let slot = core.hand;
+            core.hand = (core.hand + 1) % core.frames.len();
+            if self.unevictable(&core.frames[slot]) {
+                continue;
+            }
+            let frame = &mut core.frames[slot];
+            if frame.referenced {
+                frame.referenced = false; // second chance
+            } else {
+                break slot;
+            }
         };
         let frame = &core.frames[slot];
         {
@@ -464,7 +429,6 @@ impl SharedBufferPool {
         buf: PageBuf,
         dirty: bool,
     ) -> Arc<FrameData> {
-        core.tick += 1;
         let mut page = PageData {
             buf,
             dirty: false,
@@ -478,7 +442,6 @@ impl SharedBufferPool {
             pid,
             data: Arc::clone(&data),
             referenced: true,
-            last_used: core.tick,
         };
         if slot == core.frames.len() {
             core.frames.push(frame);

@@ -134,10 +134,11 @@ fn run(args: &[String]) -> Result<(), CliError> {
         "join" => join(&flags),
         "explain" => explain(&flags),
         "stats" => stats(&flags),
-        "put" => put(&flags),
-        "delete" => delete(&flags),
-        "checkpoint" => checkpoint(&flags),
-        "recover" => recover(&flags),
+        "put" | "delete" | "checkpoint" | "recover" => match need(&flags, "index")? {
+            "inverted" => mutate::<InvertedBackend>(cmd, &flags),
+            "pdr" => mutate::<PdrTree>(cmd, &flags),
+            other => Err(CliError::Usage(format!("unknown index {other:?}"))),
+        },
         "serve" => serve(&flags),
         "upgrade" => upgrade(&flags),
         "help" | "--help" | "-h" => {
@@ -407,102 +408,14 @@ fn sidecar(meta: &str) -> Sidecar {
     }
 }
 
-enum AnyDurable {
-    Inverted(DurableIndex<InvertedBackend>),
-    Pdr(DurableIndex<PdrTree>),
-}
-
-impl AnyDurable {
-    fn update(&mut self, tid: u64, uda: &Uda) -> Result<bool, CliError> {
-        Ok(match self {
-            AnyDurable::Inverted(d) => d.update(tid, uda),
-            AnyDurable::Pdr(d) => d.update(tid, uda),
-        }?)
-    }
-
-    fn delete(&mut self, tid: u64) -> Result<bool, CliError> {
-        Ok(match self {
-            AnyDurable::Inverted(d) => d.delete(tid),
-            AnyDurable::Pdr(d) => d.delete(tid),
-        }?)
-    }
-
-    /// The session's ledger, with the recovery that opened it stamped in.
-    fn metrics(&self) -> QueryMetrics {
-        let mut metrics = match self {
-            AnyDurable::Inverted(d) => d.metrics(),
-            AnyDurable::Pdr(d) => d.metrics(),
-        };
-        metrics.replayed_records = self.replayed_records();
-        metrics
-    }
-
-    fn checkpoint(&mut self) -> Result<(), CliError> {
-        Ok(match self {
-            AnyDurable::Inverted(d) => d.checkpoint(),
-            AnyDurable::Pdr(d) => d.checkpoint(),
-        }?)
-    }
-
-    fn flush_wal(&mut self) -> Result<(), CliError> {
-        Ok(match self {
-            AnyDurable::Inverted(d) => d.flush_wal(),
-            AnyDurable::Pdr(d) => d.flush_wal(),
-        }?)
-    }
-
-    fn enable_tracing(&mut self, clock: Arc<dyn Clock>) {
-        match self {
-            AnyDurable::Inverted(d) => d.enable_tracing(clock),
-            AnyDurable::Pdr(d) => d.enable_tracing(clock),
-        }
-    }
-
-    fn take_trace(&mut self) -> Option<QueryTrace> {
-        match self {
-            AnyDurable::Inverted(d) => d.take_trace(),
-            AnyDurable::Pdr(d) => d.take_trace(),
-        }
-    }
-
-    fn epoch(&self) -> u64 {
-        match self {
-            AnyDurable::Inverted(d) => d.epoch(),
-            AnyDurable::Pdr(d) => d.epoch(),
-        }
-    }
-
-    fn tuple_count(&self) -> u64 {
-        match self {
-            AnyDurable::Inverted(d) => d.tuple_count(),
-            AnyDurable::Pdr(d) => d.tuple_count(),
-        }
-    }
-
-    fn replayed_records(&self) -> u64 {
-        match self {
-            AnyDurable::Inverted(d) => d.replayed_records(),
-            AnyDurable::Pdr(d) => d.replayed_records(),
-        }
-    }
-
-    fn mutations_since_checkpoint(&self) -> u64 {
-        match self {
-            AnyDurable::Inverted(d) => d.mutations_since_checkpoint(),
-            AnyDurable::Pdr(d) => d.mutations_since_checkpoint(),
-        }
-    }
-}
-
 /// Open the durable layer over `--pages`/`--meta`. A first mutation
 /// adopts a plain-built index (its `--meta` snapshot becomes the durable
 /// base); afterwards the `<meta>.durable` sidecar is authoritative.
 /// Returns the recovery report when an existing durable index was
 /// reopened (`None` on adoption).
-fn open_durable(
+fn open_durable<B: MutableBackend>(
     flags: &HashMap<String, String>,
-) -> Result<(AnyDurable, Option<RecoveryReport>), CliError> {
-    let index = need(flags, "index")?;
+) -> Result<(DurableIndex<B>, Option<RecoveryReport>), CliError> {
     let pages = need(flags, "pages")?;
     let meta = need(flags, "meta")?;
     let side = sidecar(meta);
@@ -524,29 +437,27 @@ fn open_durable(
     )?;
     if adopt {
         let blob = snapshot::load(meta).map_err(|e| CliError::format(meta, e))?;
-        let idx = match index {
-            "inverted" => AnyDurable::Inverted(DurableIndex::create(storage, config, |pool| {
-                InvertedBackend::open_blob(&blob, pool.store())
-            })?),
-            "pdr" => AnyDurable::Pdr(DurableIndex::create(storage, config, |pool| {
-                PdrTree::open_blob(&blob, pool.store())
-            })?),
-            other => return Err(CliError::Usage(format!("unknown index {other:?}"))),
-        };
+        let idx = DurableIndex::create(storage, config, |pool| B::open_blob(&blob, pool.store()))?;
         Ok((idx, None))
     } else {
-        match index {
-            "inverted" => {
-                let (d, r) = DurableIndex::<InvertedBackend>::open(storage, config)?;
-                Ok((AnyDurable::Inverted(d), Some(r)))
-            }
-            "pdr" => {
-                let (d, r) = DurableIndex::<PdrTree>::open(storage, config)?;
-                Ok((AnyDurable::Pdr(d), Some(r)))
-            }
-            other => Err(CliError::Usage(format!("unknown index {other:?}"))),
+        let (idx, report) = DurableIndex::open(storage, config)?;
+        Ok((idx, Some(report)))
+    }
+}
+
+/// Recover a mutated index (replaying any crashed log) and fold the
+/// result into the page file, so the plain read path sees the latest
+/// acknowledged state.
+fn fold_sidecar<B: MutableBackend>(
+    flags: &HashMap<String, String>,
+) -> Result<Option<RecoveryReport>, CliError> {
+    let (mut idx, report) = open_durable::<B>(flags)?;
+    if let Some(r) = &report {
+        if r.replayed_records > 0 || r.journal_redone {
+            idx.checkpoint()?;
         }
     }
+    Ok(report)
 }
 
 fn reopen(
@@ -558,16 +469,11 @@ fn reopen(
     let side = sidecar(meta);
     let mut report = None;
     if side.snap.exists() {
-        // A mutated index: recover (replaying any crashed log) and fold
-        // the result into the page file so the plain read path below
-        // sees the latest acknowledged state.
-        let (mut d, r) = open_durable(flags)?;
-        if let Some(r) = &r {
-            if r.replayed_records > 0 || r.journal_redone {
-                d.checkpoint()?;
-            }
-        }
-        report = r;
+        report = match index {
+            "inverted" => fold_sidecar::<InvertedBackend>(flags)?,
+            "pdr" => fold_sidecar::<PdrTree>(flags)?,
+            other => return Err(CliError::Usage(format!("unknown index {other:?}"))),
+        };
     }
     let store: SharedStore = Arc::new(FileDisk::open(pages).map_err(|e| CliError::io(pages, e))?);
     // The snapshot the read path opens: the durable base when there is
@@ -664,14 +570,53 @@ fn emit_trace(flags: &HashMap<String, String>, trace: &QueryTrace) -> Result<(),
     Ok(())
 }
 
-fn put(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    let tid: u64 = parse(need(flags, "tid")?, "--tid")?;
-    let uda = parse_uda(need(flags, "uda")?)?;
+/// The durable-layer commands, on the backend `run` picked from
+/// `--index`.
+fn mutate<B: MutableBackend>(cmd: &str, flags: &HashMap<String, String>) -> Result<(), CliError> {
+    match cmd {
+        "put" => put::<B>(flags),
+        "delete" => delete::<B>(flags),
+        "checkpoint" => checkpoint::<B>(flags),
+        "recover" => recover::<B>(flags),
+        other => unreachable!("{other} is not a durable-layer command"),
+    }
+}
+
+/// Open the durable layer for `put`/`delete`: report the recovery and
+/// start tracing when asked.
+fn open_session<B: MutableBackend>(
+    flags: &HashMap<String, String>,
+) -> Result<DurableIndex<B>, CliError> {
     let (mut idx, report) = open_durable(flags)?;
     note_recovery(&report);
     if trace_requested(flags) {
         idx.enable_tracing(Arc::new(MonotonicClock::new()));
     }
+    Ok(idx)
+}
+
+/// `put`/`delete`'s tail: the session's ledger (with the recovery that
+/// opened it stamped in) under `--explain`, and its trace.
+fn close_session<B: MutableBackend>(
+    flags: &HashMap<String, String>,
+    idx: &mut DurableIndex<B>,
+) -> Result<(), CliError> {
+    if flags.contains_key("explain") {
+        let mut metrics = idx.metrics();
+        metrics.replayed_records = idx.replayed_records();
+        println!("execution counters:");
+        print!("{metrics}");
+    }
+    if let Some(trace) = idx.take_trace() {
+        emit_trace(flags, &trace)?;
+    }
+    Ok(())
+}
+
+fn put<B: MutableBackend>(flags: &HashMap<String, String>) -> Result<(), CliError> {
+    let tid: u64 = parse(need(flags, "tid")?, "--tid")?;
+    let uda = parse_uda(need(flags, "uda")?)?;
+    let mut idx = open_session::<B>(flags)?;
     let replaced = idx.update(tid, &uda)?;
     idx.flush_wal()?;
     println!(
@@ -681,23 +626,12 @@ fn put(flags: &HashMap<String, String>) -> Result<(), CliError> {
         idx.tuple_count(),
         idx.mutations_since_checkpoint(),
     );
-    if flags.contains_key("explain") {
-        println!("execution counters:");
-        print!("{}", idx.metrics());
-    }
-    if let Some(trace) = idx.take_trace() {
-        emit_trace(flags, &trace)?;
-    }
-    Ok(())
+    close_session(flags, &mut idx)
 }
 
-fn delete(flags: &HashMap<String, String>) -> Result<(), CliError> {
+fn delete<B: MutableBackend>(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let tid: u64 = parse(need(flags, "tid")?, "--tid")?;
-    let (mut idx, report) = open_durable(flags)?;
-    note_recovery(&report);
-    if trace_requested(flags) {
-        idx.enable_tracing(Arc::new(MonotonicClock::new()));
-    }
+    let mut idx = open_session::<B>(flags)?;
     let existed = idx.delete(tid)?;
     idx.flush_wal()?;
     if existed {
@@ -709,18 +643,11 @@ fn delete(flags: &HashMap<String, String>) -> Result<(), CliError> {
     } else {
         println!("tuple {tid} was not indexed (nothing logged)");
     }
-    if flags.contains_key("explain") {
-        println!("execution counters:");
-        print!("{}", idx.metrics());
-    }
-    if let Some(trace) = idx.take_trace() {
-        emit_trace(flags, &trace)?;
-    }
-    Ok(())
+    close_session(flags, &mut idx)
 }
 
-fn checkpoint(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    let (mut idx, report) = open_durable(flags)?;
+fn checkpoint<B: MutableBackend>(flags: &HashMap<String, String>) -> Result<(), CliError> {
+    let (mut idx, report) = open_durable::<B>(flags)?;
     note_recovery(&report);
     let folded = idx.mutations_since_checkpoint();
     idx.checkpoint()?;
@@ -731,8 +658,8 @@ fn checkpoint(flags: &HashMap<String, String>) -> Result<(), CliError> {
     Ok(())
 }
 
-fn recover(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    let (mut idx, report) = open_durable(flags)?;
+fn recover<B: MutableBackend>(flags: &HashMap<String, String>) -> Result<(), CliError> {
+    let (mut idx, report) = open_durable::<B>(flags)?;
     match &report {
         None => println!("adopted plain-built index; nothing to recover"),
         Some(r) => {
