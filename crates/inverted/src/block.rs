@@ -556,15 +556,13 @@ fn visit_payloads(
     pool: &mut BufferPool,
     mut f: impl FnMut(&BlockMeta, &[u8]) -> Result<bool>,
 ) -> Result<()> {
-    let mut slots: Vec<u16> = Vec::new();
     let mut go_on = true;
     for run in blocks.chunk_by(|a, b| a.rid.page == b.rid.page) {
         if !go_on {
             break;
         }
-        slots.clear();
-        slots.extend(run.iter().map(|m| m.rid.slot));
-        heap.visit_slots(pool, run[0].rid.page, &slots, |i, bytes| {
+        let slots = run.iter().map(|m| m.rid.slot);
+        heap.visit_slots(pool, run[0].rid.page, slots, |i, bytes| {
             if go_on {
                 go_on = f(&run[i], bytes.ok_or(DELETED_PAYLOAD)?)?;
             }
@@ -584,7 +582,7 @@ fn read_payload(
     rid: RecordId,
     mut f: impl FnMut(&[u8]) -> Result<()>,
 ) -> Result<()> {
-    heap.visit_slots(pool, rid.page, &[rid.slot], |_, bytes| {
+    heap.visit_slots(pool, rid.page, [rid.slot], |_, bytes| {
         f(bytes.ok_or(DELETED_PAYLOAD)?)
     })
 }

@@ -167,8 +167,7 @@ impl Metric {
         metrics: &mut QueryMetrics,
     ) -> Result<Slab<Partial>> {
         let lists = query_lists(idx, q);
-        let postings = lists.iter().map(|(_, _, list)| list.len()).sum();
-        let mut slab = Slab::for_scan(postings, idx.tid_span());
+        let mut slab = Slab::for_index(idx);
         metrics.lists_opened += lists.len() as u64;
         let span = pool.trace_begin(Phase::PostingScan);
         let mut scanned = Ok(());

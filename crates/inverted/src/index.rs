@@ -340,7 +340,7 @@ impl InvertedIndex {
     fn read_tuple(&self, pool: &mut BufferPool, rid: RecordId) -> Result<Uda> {
         let mut out = None;
         self.heap
-            .visit_slots(pool, rid.page, &[rid.slot], |_, bytes| {
+            .visit_slots(pool, rid.page, [rid.slot], |_, bytes| {
                 out = Some(decode_record(bytes.ok_or(DELETED_RECORD)?)?.1);
                 Ok(())
             })?;
@@ -376,12 +376,10 @@ impl InvertedIndex {
             })
             .collect::<Result<_>>()?;
         at.sort_unstable();
-        let mut slots: Vec<u16> = Vec::new();
         let mut entries: Vec<Entry> = Vec::new();
         for run in at.chunk_by(|a, b| a.0 == b.0) {
-            slots.clear();
-            slots.extend(run.iter().map(|&(_, slot, _)| slot));
-            self.heap.visit_slots(pool, run[0].0, &slots, |i, bytes| {
+            let slots = run.iter().map(|&(_, slot, _)| slot);
+            self.heap.visit_slots(pool, run[0].0, slots, |i, bytes| {
                 let (_, uda) = split_record(bytes.ok_or(DELETED_RECORD)?)?;
                 codec::decode_into(uda, &mut entries).map_err(|_| BAD_UDA)?;
                 f(run[i].2, &entries);
@@ -445,8 +443,9 @@ impl InvertedIndex {
 
     /// One past the largest tuple id ever indexed: every posting's id is
     /// below it. Kept by `build` and `insert`, derived from the rid map
-    /// when a snapshot is opened, never lowered by a delete — what the
-    /// score accumulator sizes its flat layout by (`acc`).
+    /// when a snapshot is opened, never lowered by a delete — with
+    /// [`InvertedIndex::len`], what the score accumulator chooses its
+    /// layout and sizes its flat index by (`acc`).
     pub(crate) fn tid_span(&self) -> u64 {
         self.tid_span
     }

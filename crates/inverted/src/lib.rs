@@ -42,8 +42,8 @@
 //! nothing prints it and no query consults it. Every plan that sums per
 //! tuple (the scan and PEQ, the threshold executor, DSTQ's distances)
 //! keeps its sums in one tid-keyed accumulator (the `acc` module): a
-//! flat array over the index's id span where the postings are dense in
-//! it, a hash map where they are not.
+//! per-thread flat array over the index's id span where the index's ids
+//! are dense, a hash map where they are not.
 //!
 //! Every query method takes `(pool, query…)` and adds its execution
 //! counters (lists/postings scanned, Lemma 1 stops, the candidate

@@ -236,8 +236,7 @@ pub(crate) fn exact_scores(
     metrics: &mut QueryMetrics,
 ) -> Result<Slab<(u64, f64)>> {
     let lists = query_lists(idx, q);
-    let postings = lists.iter().map(|(_, _, list)| list.len()).sum();
-    let mut scores = Slab::for_scan(postings, idx.tid_span());
+    let mut scores = Slab::for_index(idx);
     let span = pool.trace_begin(Phase::PostingScan);
     for (_cat, qp, list) in lists {
         metrics.lists_opened += 1;

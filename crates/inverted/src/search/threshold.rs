@@ -16,16 +16,27 @@
 //! 1. **A frontier over blocks** ([`Run::frontier`]). Read next the unread
 //!    block of the list whose `q_j · bound_j` is largest (`bound_j`: the
 //!    quantized-up maximum of list `j`'s next block), adding each posting
-//!    into its tuple's slot — the partial sum, the probability mass seen,
-//!    the lists seen. The k-th best partial sum is kept by [`Best`] (O(1)
-//!    amortised per posting; a PETQ ranks nothing, k = 0). Lemma 1 stops
-//!    the frontier once `Σ_j q_j · bound_j < θ − ε`: no tuple not yet met
-//!    can reach θ.
+//!    into its tuple's record — the partial sum, the probability mass
+//!    seen, the lists seen. The k-th best partial sum is kept by [`Best`]
+//!    (O(1) amortised per posting; a PETQ ranks nothing, k = 0, and
+//!    offers it nothing). Lemma 1 stops the frontier once
+//!    `Σ_j q_j · bound_j < θ − ε`: no tuple not yet met can reach θ.
+//!    A tuple is *ruled out* at its first posting, as the paper's NRA
+//!    discards one that "can never qualify": met first in list `j` with
+//!    probability `p`, it has every other posting still unread, so it can
+//!    reach at most `q_j · p` plus the smaller of the other lists' bounds
+//!    and its remaining mass (the `left` of the bounds below) times their
+//!    largest `q`. Below θ − ε, θ as it stood when the block was opened
+//!    (it only rises), the tuple gets a tombstone in the id index and no
+//!    record: its later postings, in either phase, are passed over.
 //! 2. **Two bounds prune** ([`Run::prune`]). What a met tuple's unseen
 //!    lists can still add is at most the smaller of `Σ q_j · bound_j` over
 //!    them and `(1 + MASS_EPSILON − mass seen) · max q_j` over them (a
 //!    stored `Uda` holds at most `1 + MASS_EPSILON`). A tuple whose upper
-//!    bound is below θ − ε is pruned; the others survive.
+//!    bound is below θ − ε is pruned; the others survive. Both sums
+//!    depend only on which unread lists the tuple was seen in, so they
+//!    are taken once per seen-set ([`prune_by_seen_set`]), and each set's
+//!    survivors' largest remaining mass sets the completion caps.
 //! 3. **Survivors complete from list suffixes** ([`Run::complete`]). A
 //!    survivor's posting in an unseen list has `p` at most its remaining
 //!    mass, so each list is read from the first unread block that can
@@ -48,9 +59,10 @@
 //! Metrics profile: one `lists_opened` per query list; `blocks_decoded`
 //! and `postings_scanned` for every block read in either phase and the
 //! rest of every opened list `blocks_skipped`; one `lemma1_stops` when
-//! the frontier stopped with blocks unread; every met tuple is a
-//! candidate, `candidates_pruned` or `candidates_settled`; nothing is
-//! verified, and there are no `frontier_pops`.
+//! the frontier stopped with blocks unread; every met tuple is one
+//! candidate, `candidates_pruned` (at its first posting or after the
+//! frontier) or `candidates_settled`; nothing is verified, and there are
+//! no `frontier_pops`.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -65,6 +77,7 @@ use uncat_storage::{BufferPool, HeapFile, Phase, QueryMetrics, Result};
 use crate::acc::Slab;
 use crate::block::{dequantize, BlockList};
 use crate::index::InvertedIndex;
+use crate::tid::TidMap;
 
 use super::query_lists;
 
@@ -161,8 +174,15 @@ impl Met {
 
     /// The most any one of its unseen postings can hold.
     fn left(&self) -> f64 {
-        (1.0 + MASS_EPSILON + MASS_SLACK - self.mass).max(0.0)
+        left(self.mass)
     }
+}
+
+/// The most a tuple whose postings read hold `mass` can hold in its
+/// others: a stored `Uda` holds at most `1 + MASS_EPSILON`.
+#[inline]
+fn left(mass: f64) -> f64 {
+    (1.0 + MASS_EPSILON + MASS_SLACK - mass).max(0.0)
 }
 
 /// The k best partial sums: a min-heap of `(sum bits, slot)`, at most k
@@ -249,6 +269,8 @@ struct Run<'a> {
     payloads: &'a HeapFile,
     lanes: Vec<Lane<'a>>,
     slab: Slab<Met>,
+    /// Tuples ruled out at their first posting, with no record.
+    ruled_out: u64,
     best: Best,
     floor: f64,
     /// The survivors' slots, once pruned.
@@ -303,10 +325,10 @@ impl<'a> Run<'a> {
             })
             .collect();
         metrics.lists_opened += lanes.len() as u64;
-        let postings = lanes.iter().map(|l| l.list.len()).sum();
         Run {
             payloads: idx.block_heap(),
-            slab: Slab::for_scan(postings, idx.tid_span()),
+            slab: Slab::for_index(idx),
+            ruled_out: 0,
             lanes,
             best: Best {
                 k,
@@ -345,7 +367,19 @@ impl<'a> Run<'a> {
                 }
             }
             order.pop();
-            let (slab, best) = (&mut self.slab, &mut self.best);
+            // What a tuple first met in this block can still add from the
+            // other lists: its postings there are all unread, each list's
+            // below its bound, and together hold at most its mass left.
+            let (rest, top_q) = self
+                .lanes
+                .iter()
+                .enumerate()
+                .filter(|&(l, lane)| l != j && lane.unread())
+                .fold((0.0, 0.0f64), |(sum, top), (_, lane)| {
+                    (sum + lane.bound, top.max(lane.qp))
+                });
+            let ranking = self.best.k > 0;
+            let (slab, best, ruled_out) = (&mut self.slab, &mut self.best, &mut self.ruled_out);
             let lane = &mut self.lanes[j];
             let (qp, bit) = (lane.qp, lane.bit);
             lane.list.scan_blocks(
@@ -354,9 +388,21 @@ impl<'a> Run<'a> {
                 lane.next..lane.next + 1,
                 metrics,
                 |tid, p| {
-                    let i = slab.slot(tid, || Met::new(tid));
-                    slab.slots_mut()[i].add(qp * p as f64, p as f64, bit);
-                    best.offer(slab.slots_mut(), i);
+                    let (c, p) = (qp * p as f64, p as f64);
+                    let met = slab.slot_unless_ruled_out(tid, || {
+                        if c + rest.min(left(p) * top_q) < cut {
+                            *ruled_out += 1;
+                            None
+                        } else {
+                            Some(Met::new(tid))
+                        }
+                    });
+                    if let Some(i) = met {
+                        slab.slots_mut()[i].add(c, p, bit);
+                        if ranking {
+                            best.offer(slab.slots_mut(), i);
+                        }
+                    }
                 },
             )?;
             sum -= lane.bound;
@@ -375,32 +421,18 @@ impl<'a> Run<'a> {
     /// survivor unseen in it (`None`: no survivor lacks it).
     fn prune(&mut self, metrics: &mut QueryMetrics) -> Vec<Option<f64>> {
         let cut = self.cut();
-        let lanes = &self.lanes;
-        let unread: Vec<usize> = (0..lanes.len()).filter(|&j| lanes[j].unread()).collect();
-        let mut caps = vec![None; lanes.len()];
-        for (i, t) in self.slab.slots_mut().iter_mut().enumerate() {
-            // The unread lists without the tuple's bit: every one of them
-            // above the mask width.
-            let unseen = || {
-                unread
-                    .iter()
-                    .copied()
-                    .filter(|&j| t.lists & lanes[j].bit == 0)
-            };
-            let (bounds, top_q) = unseen().fold((0.0, 0.0f64), |(sum, top), j| {
-                (sum + lanes[j].bound, top.max(lanes[j].qp))
-            });
-            let left = t.left();
-            if t.score() + bounds.min(left * top_q) < cut {
-                continue;
-            }
-            for j in unseen() {
-                caps[j] = Some(caps[j].map_or(left, |cap: f64| cap.max(left)));
-            }
-            t.survivor = true;
-            self.survivors.push(i as u32);
-        }
-        let met = self.slab.slots().len() as u64;
+        let unread: Vec<Unread> = (self.lanes.iter().enumerate())
+            .filter(|(_, lane)| lane.unread())
+            .map(|(j, lane)| Unread {
+                j,
+                qp: lane.qp,
+                bound: lane.bound,
+                bit: lane.bit,
+            })
+            .collect();
+        let (slots, survivors) = (self.slab.slots_mut(), &mut self.survivors);
+        let caps = prune_by_seen_set(&unread, self.lanes.len(), slots, cut, survivors);
+        let met = self.slab.slots().len() as u64 + self.ruled_out;
         let kept = self.survivors.len() as u64;
         metrics.candidates_generated += met;
         metrics.candidates_settled += kept;
@@ -447,13 +479,98 @@ impl<'a> Run<'a> {
     }
 }
 
+/// A query list with blocks left unread, as the pruning sees it.
+#[derive(Clone, Copy, Debug)]
+struct Unread {
+    /// Its place among the query lists.
+    j: usize,
+    qp: f64,
+    bound: f64,
+    bit: u64,
+}
+
+/// Mark survivor, and push onto `survivors`, every tuple in `slots` whose
+/// upper bound meets `cut`: its partial sum plus the smaller of
+/// `Σ bound` over the `unread` lists it is unseen in and its remaining
+/// mass times their largest `q`. Returns, per list of `lanes`, the
+/// largest remaining mass of a survivor unseen in it.
+///
+/// Both sums over the unseen lists depend only on which unread lists a
+/// tuple was seen in, so they are taken once per seen-set (keyed by its
+/// bits in a [`TidMap`], whose hasher takes any `u64`), and each set
+/// keeps its survivors' largest remaining mass for the caps. A list
+/// without a bit (past [`MASK_LISTS`]) is unseen by every tuple.
+fn prune_by_seen_set(
+    unread: &[Unread],
+    lanes: usize,
+    slots: &mut [Met],
+    cut: f64,
+    survivors: &mut Vec<u32>,
+) -> Vec<Option<f64>> {
+    /// One seen-set: `Σ bound` and the largest `q` over the unread lists
+    /// it lacks, and its survivors' largest remaining mass.
+    struct Set {
+        seen: u64,
+        bounds: f64,
+        top_q: f64,
+        widest: Option<f64>,
+    }
+    let bits = unread.iter().fold(0, |all, u| all | u.bit);
+    let mut index: TidMap<usize> = TidMap::default();
+    let mut sets: Vec<Set> = Vec::new();
+    // Tuples met in one block tend to share a seen-set: the last one is
+    // looked up without a hash.
+    let mut last: Option<(u64, usize)> = None;
+    for (i, t) in slots.iter_mut().enumerate() {
+        let seen = t.lists & bits;
+        let at = match last {
+            Some((key, at)) if key == seen => at,
+            _ => *index.entry(seen).or_insert_with(|| {
+                let unseen = unread.iter().filter(|u| seen & u.bit == 0);
+                let (bounds, top_q) = unseen.fold((0.0, 0.0f64), |(sum, top), u| {
+                    (sum + u.bound, top.max(u.qp))
+                });
+                sets.push(Set {
+                    seen,
+                    bounds,
+                    top_q,
+                    widest: None,
+                });
+                sets.len() - 1
+            }),
+        };
+        last = Some((seen, at));
+        let set = &mut sets[at];
+        let left = t.left();
+        if t.score() + set.bounds.min(left * set.top_q) < cut {
+            continue;
+        }
+        set.widest = Some(set.widest.map_or(left, |w| w.max(left)));
+        t.survivor = true;
+        survivors.push(i as u32);
+    }
+    let mut caps = vec![None; lanes];
+    for set in &sets {
+        let Some(left) = set.widest else {
+            continue;
+        };
+        for u in unread.iter().filter(|u| set.seen & u.bit == 0) {
+            caps[u.j] = Some(caps[u.j].map_or(left, |cap: f64| cap.max(left)));
+        }
+    }
+    caps
+}
+
 #[cfg(test)]
 mod tests {
-    use uncat_core::query::{EqQuery, TopKQuery};
-    use uncat_core::{CatId, Domain, Uda};
+    use proptest::prelude::*;
+    use proptest::Strategy as _;
+    use uncat_core::equality::THRESHOLD_EPS;
+    use uncat_core::query::{DstQuery, EqQuery, Match, TopKQuery};
+    use uncat_core::{CatId, Divergence, Domain, Uda};
     use uncat_storage::{BufferPool, InMemoryDisk, QueryMetrics, StorageError};
 
-    use super::{Met, Run};
+    use super::{prune_by_seen_set, Met, Run, Unread, MASK_LISTS};
     use crate::block::{decode_block, encode_block};
     use crate::search::query_lists;
     use crate::{InvertedIndex, Strategy};
@@ -466,20 +583,7 @@ mod tests {
     /// is not checked.
     #[test]
     fn a_block_whose_maximum_is_not_its_separator_is_corrupt() {
-        let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 64);
-        let data: Vec<(u64, Uda)> = (0..600u64)
-            .map(|t| {
-                let p = (t + 1) as f32 / 601.0;
-                let uda = Uda::from_pairs([(CatId(0), p), (CatId(1), 1.0 - p)]).unwrap();
-                (t, uda)
-            })
-            .collect();
-        let mut idx = InvertedIndex::build(
-            Domain::anonymous(2),
-            &mut pool,
-            data.iter().map(|(t, u)| (*t, u)),
-        )
-        .unwrap();
+        let (mut pool, mut idx) = two_list_fixture();
         let query = TopKQuery::new(Uda::certain(CatId(0)), 3);
         let top = idx
             .top_k_planned(&mut pool, &query, Strategy::Auto)
@@ -497,18 +601,7 @@ mod tests {
         assert_eq!((m.candidates_generated, m.candidates_settled), (128, 3));
         assert_eq!((m.candidates_verified, m.frontier_pops), (0, 0));
 
-        let (lists, heap) = idx.lists_mut();
-        let meta = lists[&CatId(0)].blocks()[0];
-        let bytes = heap.get(&mut pool, meta.rid).unwrap().unwrap();
-        let halved: Vec<(u64, f32)> = decode_block(&bytes)
-            .unwrap()
-            .into_iter()
-            .map(|(tid, p)| (tid, p / 2.0))
-            .collect();
-        let rid = heap
-            .update(&mut pool, meta.rid, &encode_block(&halved))
-            .unwrap();
-        assert_eq!(rid, meta.rid, "rewritten in place");
+        halve_first_block(&mut pool, &mut idx);
         assert!(matches!(
             idx.top_k_planned(&mut pool, &query, Strategy::Auto),
             Err(StorageError::Corrupt(_))
@@ -522,6 +615,238 @@ mod tests {
             .petq(&mut pool, &petq, Strategy::Brute)
             .unwrap()
             .is_empty());
+    }
+
+    /// 600 tuples over two categories, `p` and `1 − p` of them.
+    fn two_list_fixture() -> (BufferPool, InvertedIndex) {
+        let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 64);
+        let data: Vec<(u64, Uda)> = (0..600u64)
+            .map(|t| {
+                let p = (t + 1) as f32 / 601.0;
+                let uda = Uda::from_pairs([(CatId(0), p), (CatId(1), 1.0 - p)]).unwrap();
+                (t, uda)
+            })
+            .collect();
+        let idx = InvertedIndex::build(
+            Domain::anonymous(2),
+            &mut pool,
+            data.iter().map(|(t, u)| (*t, u)),
+        )
+        .unwrap();
+        (pool, idx)
+    }
+
+    /// Rewrite the first block of category 0's list in place, every
+    /// probability halved; returns its bytes as they were.
+    fn halve_first_block(pool: &mut BufferPool, idx: &mut InvertedIndex) -> Vec<u8> {
+        let (lists, heap) = idx.lists_mut();
+        let meta = lists[&CatId(0)].blocks()[0];
+        let bytes = heap.get(pool, meta.rid).unwrap().unwrap();
+        let halved: Vec<(u64, f32)> = decode_block(&bytes)
+            .unwrap()
+            .into_iter()
+            .map(|(tid, p)| (tid, p / 2.0))
+            .collect();
+        let rid = heap.update(pool, meta.rid, &encode_block(&halved)).unwrap();
+        assert_eq!(rid, meta.rid, "rewritten in place");
+        bytes
+    }
+
+    fn bits(matches: &[Match]) -> Vec<(u64, u64)> {
+        matches.iter().map(|m| (m.tid, m.score.to_bits())).collect()
+    }
+
+    /// The refused queries of
+    /// [`a_block_whose_maximum_is_not_its_separator_is_corrupt`] made
+    /// records in this thread's scratch index before the error; their
+    /// slabs zeroed it on the way out. With the block restored, the same
+    /// thread answers `Auto` PETQs and a top-k tid for tid and bit for
+    /// bit as the scan does (two terms per tuple: one rounding either
+    /// way), and an L1 DSTQ as it did before the error.
+    #[test]
+    fn the_scratch_index_is_clean_after_a_refused_block() {
+        let (mut pool, mut idx) = two_list_fixture();
+        let skewed = Uda::from_pairs([(CatId(0), 0.3), (CatId(1), 0.7)]).unwrap();
+        let petqs = [
+            EqQuery::new(Uda::certain(CatId(0)), 0.45),
+            EqQuery::new(skewed.clone(), 0.5),
+            EqQuery::new(skewed.clone(), 0.62),
+        ];
+        let dstq = DstQuery::new(skewed.clone(), 0.3, Divergence::L1);
+        let answers = |pool: &mut BufferPool, idx: &InvertedIndex| {
+            let mut scan_top = idx
+                .petq(pool, &EqQuery::new(skewed.clone(), 0.0), Strategy::Brute)
+                .unwrap();
+            scan_top.truncate(5);
+            let top = idx
+                .top_k_planned(pool, &TopKQuery::new(skewed.clone(), 5), Strategy::Auto)
+                .unwrap();
+            assert_eq!(bits(&top), bits(&scan_top));
+            for q in &petqs {
+                let auto = idx.petq(pool, q, Strategy::Auto).unwrap();
+                let scan = idx.petq(pool, q, Strategy::Brute).unwrap();
+                assert!(!auto.is_empty());
+                assert_eq!(bits(&auto), bits(&scan), "τ = {}", q.tau);
+            }
+            bits(&idx.dstq(pool, &dstq).unwrap())
+        };
+        let near = answers(&mut pool, &idx);
+        assert!(!near.is_empty());
+        assert!(crate::acc::tests::clean_scratch_len() >= 600);
+
+        let bytes = halve_first_block(&mut pool, &mut idx);
+        let top = TopKQuery::new(Uda::certain(CatId(0)), 3);
+        assert!(idx.top_k_planned(&mut pool, &top, Strategy::Auto).is_err());
+        assert!(idx.petq(&mut pool, &petqs[0], Strategy::Auto).is_err());
+        assert!(crate::acc::tests::clean_scratch_len() >= 600);
+
+        let (lists, heap) = idx.lists_mut();
+        let rid = lists[&CatId(0)].blocks()[0].rid;
+        assert_eq!(heap.update(&mut pool, rid, &bytes).unwrap(), rid);
+        assert_eq!(answers(&mut pool, &idx), near);
+        assert!(crate::acc::tests::clean_scratch_len() >= 600);
+    }
+
+    /// A tuple met first in list A, whose bound there — its term plus
+    /// its remaining mass times list B's `q` — is below τ, gets no
+    /// record. B's suffix, read to complete the survivor, holds it again:
+    /// it is passed over, and counted once, generated and pruned. (A
+    /// bound of `1 · q_B` in place of its remaining mass would have made
+    /// it a record.)
+    #[test]
+    fn a_tuple_ruled_out_at_its_first_posting_stays_out() {
+        let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 64);
+        let uda = |pairs: &[(u32, f32)]| {
+            Uda::from_pairs(pairs.iter().map(|&(c, p)| (CatId(c), p))).unwrap()
+        };
+        // S qualifies; X (0.7 · 0.5 + 0.3 · 0.5 = 0.5) does not; Y lies
+        // in B alone.
+        let (s, x, y) = (10, 20, 30);
+        let data = [
+            (s, uda(&[(0, 0.95), (1, 0.05)])),
+            (x, uda(&[(0, 0.5), (1, 0.5)])),
+            (y, uda(&[(1, 0.9)])),
+        ];
+        let idx = InvertedIndex::build(
+            Domain::anonymous(2),
+            &mut pool,
+            data.iter().map(|(t, u)| (*t, u)),
+        )
+        .unwrap();
+        let q = uda(&[(0, 0.7), (1, 0.3)]);
+        let tau = 0.55;
+
+        let mut m = QueryMetrics::new();
+        let mut run = Run::execute(&idx, &mut pool, &q, 0, tau, &mut m).unwrap();
+        assert_eq!(run.slab.slots().len(), 1, "S alone has a record");
+        assert!(!run.slab.contains(x) && run.slab.get_mut(x).is_none());
+        assert_eq!(run.ruled_out, 1);
+        let survivors: Vec<u64> = run.survivors().map(|t| t.tid as u64).collect();
+        assert_eq!(survivors, [s]);
+        // A read in the frontier, B whole in completion.
+        assert_eq!(
+            (m.blocks_decoded, m.postings_scanned, m.lemma1_stops),
+            (2, 5, 1)
+        );
+        let counts = (
+            m.candidates_generated,
+            m.candidates_pruned,
+            m.candidates_settled,
+        );
+        assert_eq!(counts, (2, 1, 1));
+        drop(run);
+
+        let petq = EqQuery::new(q, tau);
+        let auto = idx.petq(&mut pool, &petq, Strategy::Auto).unwrap();
+        let scan = idx.petq(&mut pool, &petq, Strategy::Brute).unwrap();
+        assert_eq!(bits(&auto), bits(&scan));
+        assert_eq!(auto.iter().map(|m| m.tid).collect::<Vec<_>>(), [s]);
+    }
+
+    /// Today's per-tuple pruning, the reference [`prune_by_seen_set`] is
+    /// held to: each tuple's unseen unread lists, folded afresh.
+    fn prune_per_tuple(
+        unread: &[Unread],
+        lanes: usize,
+        slots: &mut [Met],
+        cut: f64,
+        survivors: &mut Vec<u32>,
+    ) -> Vec<Option<f64>> {
+        let mut caps = vec![None; lanes];
+        for (i, t) in slots.iter_mut().enumerate() {
+            let unseen = || unread.iter().filter(|u| t.lists & u.bit == 0);
+            let (bounds, top_q) = unseen().fold((0.0, 0.0f64), |(sum, top), u| {
+                (sum + u.bound, top.max(u.qp))
+            });
+            let left = t.left();
+            if t.score() + bounds.min(left * top_q) < cut {
+                continue;
+            }
+            for u in unseen() {
+                caps[u.j] = Some(caps[u.j].map_or(left, |cap: f64| cap.max(left)));
+            }
+            t.survivor = true;
+            survivors.push(i as u32);
+        }
+        caps
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(crate::proptest_cases(64)))]
+
+        // Pruning per seen-set against the per-tuple reference on random
+        // lanes — up to 80 of them, so past the mask width, where no list
+        // has a bit — and random tuples, most of them sharing a few
+        // seen-sets: the same survivors in the same order and the same
+        // caps, bit for bit, at θ of NaN, 0, +∞ and in between.
+        #[test]
+        fn pruning_per_seen_set_matches_the_per_tuple_bound(
+            lanes in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0, any::<bool>()), 1..80),
+            tuples in proptest::collection::vec(
+                (0.0f64..2.0, 0.0f64..1.0002, (0u8..4, 0u64..16, any::<u64>())),
+                0..300,
+            ),
+            theta in (0usize..4, 0.0f64..2.5)
+                .prop_map(|(pick, theta)| [f64::NAN, 0.0, f64::INFINITY, theta][pick]),
+        ) {
+            let masked = lanes.len() <= MASK_LISTS;
+            let unread: Vec<Unread> = lanes
+                .iter()
+                .enumerate()
+                .filter(|(_, lane)| lane.2)
+                .map(|(j, &(qp, bound, _))| Unread {
+                    j,
+                    qp,
+                    bound: qp * bound,
+                    bit: if masked { 1 << j } else { 0 },
+                })
+                .collect();
+            let mets = || -> Vec<Met> {
+                tuples
+                    .iter()
+                    .enumerate()
+                    .map(|(tid, &(sum, mass, (pick, few, any)))| {
+                        // Mostly one of 16 seen-sets; now and then any.
+                        let lists = if pick == 0 { any } else { few };
+                        let mut t = Met::new(tid as u64);
+                        t.add(sum, mass, if masked { lists } else { 0 });
+                        t
+                    })
+                    .collect()
+            };
+            let cut = theta - THRESHOLD_EPS;
+            let (mut got, mut want) = (mets(), mets());
+            let (mut kept, mut kept_ref) = (Vec::new(), Vec::new());
+            let caps = prune_by_seen_set(&unread, lanes.len(), &mut got, cut, &mut kept);
+            let caps_ref = prune_per_tuple(&unread, lanes.len(), &mut want, cut, &mut kept_ref);
+            prop_assert_eq!(&kept, &kept_ref);
+            let cap_bits = |caps: &[Option<f64>]| -> Vec<Option<u64>> {
+                caps.iter().map(|c| c.map(f64::to_bits)).collect()
+            };
+            prop_assert_eq!(cap_bits(&caps), cap_bits(&caps_ref));
+            let marked = |mets: &[Met]| -> Vec<bool> { mets.iter().map(|t| t.survivor).collect() };
+            prop_assert_eq!(marked(&got), marked(&want));
+        }
     }
 
     /// A tuple's score is its terms' sum rounded once, whatever order its
@@ -598,6 +923,121 @@ mod tests {
         )
         .unwrap();
         (pool, idx)
+    }
+
+    /// Wall time per run, phase by phase, on one shard of a two-shard
+    /// tenant of the 40 000-tuple CRM1 relation (≈ 20 000 tuples, ids
+    /// from all 40 000): 300 of its uncertain tuples as queries, each a
+    /// PETQ at the 0.01 %, 0.1 % and 1 % selectivities (τ the shard's
+    /// 2nd, 20th and 200th best score) and a top-k at those k, on one
+    /// thread, the pool warm. Also per run: the records the slab made,
+    /// the survivors, the postings and blocks read, and the candidate
+    /// counts.
+    ///
+    /// `cargo test --release -p uncat-inverted threshold_phases -- --ignored --nocapture`
+    #[test]
+    #[ignore = "a measurement, not a check"]
+    fn threshold_phases() {
+        use std::time::{Duration, Instant};
+
+        fn shard_of(tid: u64) -> u64 {
+            let mut z = tid.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % 2
+        }
+        let (domain, data) = uncat_datagen::crm::crm1(40_000, 42);
+        let shard: Vec<&(u64, Uda)> = data.iter().filter(|(t, _)| shard_of(*t) == 0).collect();
+        let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 4096);
+        let idx =
+            InvertedIndex::build(domain, &mut pool, shard.iter().map(|(t, u)| (*t, u))).unwrap();
+        let queries: Vec<&Uda> = data
+            .iter()
+            .map(|(_, u)| u)
+            .filter(|u| u.len() > 1)
+            .step_by(11)
+            .take(300)
+            .collect();
+        let mut runs: Vec<(&Uda, usize, f64)> = Vec::new();
+        for q in &queries {
+            let scores: Vec<f64> = idx
+                .peq(&mut pool, q)
+                .unwrap()
+                .iter()
+                .map(|m| m.score)
+                .collect();
+            for k in [2, 20, 200] {
+                runs.push((q, 0, scores[(k - 1).min(scores.len() - 1)]));
+                runs.push((q, k, 0.0));
+            }
+        }
+        let mut best = [Duration::MAX; 5];
+        let (mut records, mut survivors) = (0, 0);
+        let mut counts = QueryMetrics::new();
+        for rep in 0..5 {
+            let mut phases = [Duration::ZERO; 5];
+            let mut m = QueryMetrics::new();
+            for &(q, k, floor) in &runs {
+                let t0 = Instant::now();
+                let mut run = Run::open(&idx, q, k, floor, &mut m);
+                let t1 = Instant::now();
+                run.frontier(&mut pool, &mut m).unwrap();
+                let t2 = Instant::now();
+                let caps = run.prune(&mut m);
+                let t3 = Instant::now();
+                run.complete(&mut pool, &caps, &mut m).unwrap();
+                let t4 = Instant::now();
+                if rep == 0 {
+                    records += run.slab.slots().len();
+                    survivors += run.survivors.len();
+                }
+                drop(run);
+                let t5 = Instant::now();
+                for (phase, d) in
+                    phases
+                        .iter_mut()
+                        .zip([t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t0])
+                {
+                    *phase += d;
+                }
+            }
+            if rep == 0 {
+                counts = m;
+            }
+            for (b, p) in best.iter_mut().zip(phases) {
+                *b = (*b).min(p);
+            }
+        }
+        let n = runs.len() as f64;
+        let us = |d: Duration| d.as_nanos() as f64 / 1e3 / n;
+        println!(
+            "{} runs on {} tuples over {} ids, best of 5 passes",
+            runs.len(),
+            idx.len(),
+            idx.tid_span()
+        );
+        println!(
+            "  open {:.1} µs, frontier {:.1}, prune {:.1}, complete {:.1}; run with drop {:.1}",
+            us(best[0]),
+            us(best[1]),
+            us(best[2]),
+            us(best[3]),
+            us(best[4])
+        );
+        let per = |x: u64| x as f64 / n;
+        println!(
+            "  per run: {:.1} records, {:.1} survivors, {:.1} postings, {:.2} blocks decoded",
+            per(records as u64),
+            per(survivors as u64),
+            per(counts.postings_scanned),
+            per(counts.blocks_decoded)
+        );
+        println!(
+            "  candidates generated / pruned / settled per run: {:.2} / {:.2} / {:.2}",
+            per(counts.candidates_generated),
+            per(counts.candidates_pruned),
+            per(counts.candidates_settled)
+        );
     }
 
     /// The executor phase by phase on a 20 000-tuple CRM1 relation and

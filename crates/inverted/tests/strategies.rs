@@ -86,22 +86,29 @@ fn assert_bits(a: &[Match], b: &[Match], ctx: &str) {
     assert_eq!(bits(a), bits(b), "{ctx}");
 }
 
-/// The full scan's records sit in `Slab`'s flat layout on a fixture with
-/// consecutive ids, and in its map layout once the ids are spread this
-/// far apart.
+/// Every executor finds its records through `Slab`'s flat id index on a
+/// fixture with consecutive ids, and through its map once the ids are
+/// spread this far apart.
 const SPREAD: u64 = 1_000;
 
-/// The dense fixture and its spread twin: no list scan of the second
-/// comes near the density at which records go flat.
+/// The dense fixture and its spread twin. An index takes the flat layout
+/// when its 4 bytes per id of span come to at most 32 bytes per tuple:
+/// the first does, the second is far past it.
 fn dense_and_spread(seed: u64, n: usize, n_cats: u32, max_nz: usize) -> [Fixture; 2] {
-    let spread = spread_fixture(seed, n, n_cats, max_nz, SPREAD);
-    let postings: u64 = (0..n_cats).map(|c| spread.idx.list_len(CatId(c))).sum();
-    let span = spread.data.last().map_or(0, |(tid, _)| tid + 1);
-    assert!(
-        postings * 1024 < span * 10,
-        "{postings} postings over {span} ids"
-    );
-    [fixture(seed, n, n_cats, max_nz), spread]
+    let fixtures = [
+        fixture(seed, n, n_cats, max_nz),
+        spread_fixture(seed, n, n_cats, max_nz, SPREAD),
+    ];
+    for (f, flat) in fixtures.iter().zip([true, false]) {
+        let span = f.data.last().map_or(0, |(tid, _)| tid + 1);
+        let tuples = f.idx.len() as u64;
+        assert_eq!(
+            4 * span <= 32 * tuples,
+            flat,
+            "{tuples} tuples over {span} ids"
+        );
+    }
+    fixtures
 }
 
 #[test]

@@ -259,19 +259,20 @@ impl HeapFile {
     }
 
     /// Visit the records in `slots` of `page` under a single page read:
-    /// `f(i, bytes)` for `slots[i]`, in slice order, with `None` for a
-    /// deleted or out-of-range slot. Nothing is copied; the first error —
-    /// `f`'s own or a slot pointing outside the page — ends the visit.
+    /// `f(i, bytes)` for the `i`-th slot, in the order given, with `None`
+    /// for a deleted or out-of-range slot. Nothing is copied; the first
+    /// error — `f`'s own or a slot pointing outside the page — ends the
+    /// visit.
     pub fn visit_slots(
         &self,
         pool: &mut BufferPool,
         page: PageId,
-        slots: &[u16],
+        slots: impl IntoIterator<Item = u16>,
         mut f: impl FnMut(usize, Option<&[u8]>) -> Result<()>,
     ) -> Result<()> {
         pool.read(page, |b| {
             let count = slot_count(b)?;
-            for (i, &slot) in slots.iter().enumerate() {
+            for (i, slot) in slots.into_iter().enumerate() {
                 let record = if slot < count {
                     let (off, len) = slot_entry(b, slot);
                     if len == 0 {
@@ -291,7 +292,7 @@ impl HeapFile {
     /// Read a record's bytes. Returns `Ok(None)` for a deleted slot.
     pub fn get(&self, pool: &mut BufferPool, rid: RecordId) -> Result<Option<Vec<u8>>> {
         let mut out = None;
-        self.visit_slots(pool, rid.page, &[rid.slot], |_, bytes| {
+        self.visit_slots(pool, rid.page, [rid.slot], |_, bytes| {
             out = bytes.map(<[u8]>::to_vec);
             Ok(())
         })?;
@@ -501,7 +502,7 @@ mod tests {
         h.delete(&mut p, a).unwrap();
         p.reset_stats();
         let mut seen = Vec::new();
-        h.visit_slots(&mut p, a.page, &[b.slot, a.slot, 99, b.slot], |i, bytes| {
+        h.visit_slots(&mut p, a.page, [b.slot, a.slot, 99, b.slot], |i, bytes| {
             seen.push((i, bytes.map(<[u8]>::to_vec)));
             Ok(())
         })
@@ -518,7 +519,7 @@ mod tests {
         assert_eq!(p.stats().logical_reads, 1, "one read for the whole batch");
         // The closure's error ends the visit and is what the caller sees.
         let mut calls = 0;
-        let err = h.visit_slots(&mut p, a.page, &[b.slot, b.slot], |_, _| {
+        let err = h.visit_slots(&mut p, a.page, [b.slot, b.slot], |_, _| {
             calls += 1;
             Err(StorageError::Corrupt("stop"))
         });
