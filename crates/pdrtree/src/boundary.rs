@@ -18,8 +18,38 @@
 //! Every operation preserves the *domination invariant*: for each UDA `u`
 //! merged into a boundary `v`, `v(f(i)) ≥ u.p_i` for all `i` — including
 //! after lossy serialization, which may only round up.
+//!
+//! # Pruning bounds
+//!
+//! A boundary alone caps each `u_i` of a tuple below it; every stored
+//! tuple also has mass `Σ u_i ≤ 1 + MASS_EPSILON` (the [`Uda`] invariant,
+//! checked on every record read). The bounds use both:
+//!
+//! * **Capped Lemma 2** (`eq_upper_bound`): `Pr(q = u) ≤ max Σ q_i·x_i`
+//!   over `0 ≤ x_i ≤ v(f(i))`, `Σ x_i ≤ 1 + MASS_EPSILON` — a fractional
+//!   knapsack, filled greedily from q's most probable category down
+//!   (`ByProb`, computed once per query). It never exceeds the paper's
+//!   `Σ_i q_i·v(f(i))`, which is the special case of an uncapped mass.
+//! * **Floored L1/L2** (`DistanceBound`): with `(m, s)` a floor under
+//!   every tuple's mass and `‖u‖₂²` (`MassFloor`, kept by the tree),
+//!   `L1(q, u) = mass(q) + mass(u) − 2·Σ min(q_i, u_i)
+//!   ≥ mass(q) + m − 2·Σ min(q_i, v(f(i)))` and
+//!   `L2(q, u)² = ‖q‖² + ‖u‖² − 2⟨q, u⟩ ≥ ‖q‖² + s − 2·cap(q, v)`, each
+//!   taken with the boundary-only bound (`Σ max(0, q_i − v(f(i)))`, in
+//!   L1 or squared L2), whichever is larger.
+//!
+//! Rounding: the record's mass check sums in f64, so a tuple's exact mass
+//! may pass `1 + MASS_EPSILON` by a few ulps; the searches compare a bound
+//! with 1e-9 to spare (`THRESHOLD_EPS`, and the DSTQ's `BOUND_EPS`), which
+//! absorbs it. Every term is taken in f64 from the f32 values, where
+//! products, differences and minima of two f32 are exact (an f32
+//! difference rounds by up to 3e-8, more than the searches spare). The
+//! floored distance bounds give up `FLOOR_SLACK` (1e-12) on top for their
+//! f64 sums (at most a few hundred terms in `[0, 1]`, each sum off by well
+//! under 1e-13).
 
-use uncat_core::uda::Entry;
+use uncat_core::distance::TwoSum;
+use uncat_core::uda::{Entry, MASS_EPSILON};
 use uncat_core::{CatId, Divergence, Prob, Uda};
 
 use crate::config::Compression;
@@ -124,10 +154,13 @@ impl Boundary {
         }
     }
 
-    /// Lemma 2's pruning score: an upper bound on `Pr(q = u)` for every `u`
-    /// dominated by this boundary — `Σ_i q.p_i · v(f(i))`.
+    /// Lemma 2's pruning score, capped at one unit of mass: an upper bound
+    /// on `Pr(q = u)` for every `u` of mass at most `1 + MASS_EPSILON`
+    /// dominated by this boundary, never above `Σ_i q.p_i · v(f(i))` (see
+    /// the [module docs](self)). Orders `q` on each call; the searches
+    /// order it once per query and share the formula, bit for bit.
     pub fn eq_upper_bound(&self, q: &Uda) -> f64 {
-        eq_upper_bound(q, |cat| self.bound_of(cat))
+        eq_upper_bound(&ByProb::of(q), |cat| self.bound_of(cat))
     }
 
     /// A lower bound on `L1(q, u)` for every dominated `u`:
@@ -195,30 +228,169 @@ impl Boundary {
     }
 }
 
-// The three pruning bounds over any per-category bound lookup: the owned
+// The pruning bounds over any per-category bound lookup: the owned
 // `Boundary` and the on-page `BoundaryRef` share them, so a bound scored
 // on the page is the bound scored on the decoded node, bit for bit.
 
-pub(crate) fn eq_upper_bound(q: &Uda, bound_of: impl Fn(CatId) -> Prob) -> f64 {
-    q.iter()
-        .map(|(cat, p)| p as f64 * bound_of(cat) as f64)
-        .sum()
+/// Most mass a stored tuple may hold: the cap the capped Lemma 2 bound
+/// spends.
+const MASS_CAP: f64 = 1.0 + MASS_EPSILON;
+
+/// What the floored distance bounds give up for the rounding of their
+/// f64 sums (see the [module docs](self)).
+const FLOOR_SLACK: f64 = 1e-12;
+
+/// A query's entries in the order the capped bound fills its unit of mass:
+/// descending probability, ties by category.
+pub(crate) struct ByProb(Vec<Entry>);
+
+impl ByProb {
+    pub(crate) fn of(q: &Uda) -> ByProb {
+        let mut entries = q.entries().to_vec();
+        entries.sort_unstable_by(|a, b| b.prob.total_cmp(&a.prob).then(a.cat.cmp(&b.cat)));
+        ByProb(entries)
+    }
 }
 
-pub(crate) fn l1_lower_bound(q: &Uda, bound_of: impl Fn(CatId) -> Prob) -> f64 {
-    q.iter()
-        .map(|(cat, p)| ((p - bound_of(cat)) as f64).max(0.0))
-        .sum()
+/// Capped Lemma 2: `max Σ q_i·x_i` over `0 ≤ x_i ≤ v(f(i))` and
+/// `Σ x_i ≤ MASS_CAP`, each category taking `min(v, mass left)` in
+/// [`ByProb`] order. Stops looking bounds up once the mass is spent.
+pub(crate) fn eq_upper_bound(q: &ByProb, bound_of: impl Fn(CatId) -> Prob) -> f64 {
+    let mut left = MASS_CAP;
+    let mut sum = 0.0;
+    for e in &q.0 {
+        let take = (bound_of(e.cat) as f64).min(left);
+        sum += e.prob as f64 * take;
+        left -= take;
+        if left <= 0.0 {
+            break;
+        }
+    }
+    sum
 }
 
-pub(crate) fn l2_lower_bound(q: &Uda, bound_of: impl Fn(CatId) -> Prob) -> f64 {
+/// One pass over q's categories: the boundary-only L1 bound
+/// `Σ max(0, q_i − v(f(i)))` and the overlap `Σ min(q_i, v(f(i)))`.
+fn l1_terms(q: &Uda, bound_of: impl Fn(CatId) -> Prob) -> (f64, f64) {
+    q.iter().fold((0.0, 0.0), |(below, overlap), (cat, p)| {
+        let v = bound_of(cat);
+        (
+            below + (p as f64 - v as f64).max(0.0),
+            overlap + p.min(v) as f64,
+        )
+    })
+}
+
+fn l1_lower_bound(q: &Uda, bound_of: impl Fn(CatId) -> Prob) -> f64 {
+    l1_terms(q, bound_of).0
+}
+
+fn l2_lower_bound(q: &Uda, bound_of: impl Fn(CatId) -> Prob) -> f64 {
     q.iter()
         .map(|(cat, p)| {
-            let d = ((p - bound_of(cat)) as f64).max(0.0);
+            let d = (p as f64 - bound_of(cat) as f64).max(0.0);
             d * d
         })
         .sum::<f64>()
         .sqrt()
+}
+
+/// A floor under the mass and `‖u‖₂²` of every tuple in a tree: the least
+/// of each, ∞ while no tuple has been seen. Lowering it by a tuple keeps
+/// it a floor; a tuple leaving leaves it one.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct MassFloor {
+    pub(crate) mass: f64,
+    pub(crate) sq: f64,
+}
+
+impl MassFloor {
+    pub(crate) const EMPTY: MassFloor = MassFloor {
+        mass: f64::INFINITY,
+        sq: f64::INFINITY,
+    };
+
+    /// Lower the floor to cover one more tuple. Both sums are compensated,
+    /// so a tuple's norms do not depend on the order of its categories.
+    pub(crate) fn lower(&mut self, entries: impl IntoIterator<Item = Entry>) {
+        let (mass, sq) = norms(entries);
+        self.mass = self.mass.min(mass);
+        self.sq = self.sq.min(sq);
+    }
+}
+
+/// `(Σ p_i, Σ p_i²)`, each summed with compensation.
+fn norms(entries: impl IntoIterator<Item = Entry>) -> (f64, f64) {
+    let (mut mass, mut sq) = (TwoSum::default(), TwoSum::default());
+    for e in entries {
+        let p = e.prob as f64;
+        mass.add(p);
+        sq.add(p * p);
+    }
+    (mass.value(), sq.value())
+}
+
+/// A DSTQ's or DS-top-k's subtree bound, prepared once per query: a lower
+/// bound on the divergence from the query to every tuple below a boundary.
+pub(crate) enum DistanceBound<'q> {
+    /// `max(Σ max(0, q_i − v_i), mass(q) + m − 2·Σ min(q_i, v_i))`.
+    L1 {
+        q: &'q Uda,
+        /// `mass(q) + m`, the floor's mass `m` added once.
+        masses: f64,
+    },
+    /// `√max(Σ max(0, q_i − v_i)², ‖q‖² + s − 2·cap(q, v))`.
+    L2 {
+        q: &'q Uda,
+        by_prob: ByProb,
+        /// `‖q‖² + s`, the floor's `‖u‖₂²` bound `s` added once.
+        squares: f64,
+    },
+    /// KL admits no bound ("it is not directly usable for pruning search
+    /// paths", paper §2): 0 everywhere.
+    Kl,
+}
+
+impl<'q> DistanceBound<'q> {
+    /// The bound for `dv`; `floor` is asked for only by L1 and L2.
+    pub(crate) fn new<E>(
+        q: &'q Uda,
+        dv: Divergence,
+        floor: impl FnOnce() -> Result<MassFloor, E>,
+    ) -> Result<DistanceBound<'q>, E> {
+        let (mass, sq) = norms(q.entries().iter().copied());
+        Ok(match dv {
+            Divergence::L1 => DistanceBound::L1 {
+                q,
+                masses: mass + floor()?.mass,
+            },
+            Divergence::L2 => DistanceBound::L2 {
+                q,
+                by_prob: ByProb::of(q),
+                squares: sq + floor()?.sq,
+            },
+            Divergence::Kl => DistanceBound::Kl,
+        })
+    }
+
+    /// The lower bound under a boundary given by its lookup.
+    pub(crate) fn at(&self, bound_of: impl Fn(CatId) -> Prob) -> f64 {
+        match self {
+            DistanceBound::L1 { q, masses } => {
+                let (below, overlap) = l1_terms(q, bound_of);
+                below.max(masses - 2.0 * overlap - FLOOR_SLACK)
+            }
+            DistanceBound::L2 {
+                q,
+                by_prob,
+                squares,
+            } => {
+                let floored = squares - 2.0 * eq_upper_bound(by_prob, &bound_of);
+                l2_lower_bound(q, &bound_of).max((floored - FLOOR_SLACK).max(0.0).sqrt())
+            }
+            DistanceBound::Kl => 0.0,
+        }
+    }
 }
 
 /// Point-wise max merge of sorted sparse entry vectors, in place.
@@ -309,6 +481,49 @@ mod tests {
             let pr = uncat_core::equality::eq_prob(&q, t);
             assert!(pr <= ub + 1e-9, "Pr {pr} exceeded bound {ub}");
         }
+    }
+
+    #[test]
+    fn capped_bound_spends_one_unit_of_mass() {
+        // v = (0.9, 0.9): the paper's bound lets one tuple take both.
+        let b = Boundary::of_uda(&uda(&[(0, 0.9), (1, 0.1)]), Compression::None);
+        let mut b2 = b.clone();
+        b2.merge_uda(&uda(&[(0, 0.1), (1, 0.9)]));
+        let q = uda(&[(0, 0.6), (1, 0.4)]);
+        // 0.6·0.9 + 0.4·(1 + MASS_EPSILON − 0.9), not 0.6·0.9 + 0.4·0.9.
+        let want = 0.6f32 as f64 * 0.9f32 as f64 + 0.4f32 as f64 * (MASS_CAP - 0.9f32 as f64);
+        assert!((b2.eq_upper_bound(&q) - want).abs() < 1e-12);
+        let best = uncat_core::equality::eq_prob(&q, &uda(&[(0, 0.9), (1, 0.1)]));
+        assert!(best <= b2.eq_upper_bound(&q) && b2.eq_upper_bound(&q) < best + 1e-4);
+        // A boundary of mass under one is not capped at all.
+        assert_eq!(
+            b.eq_upper_bound(&q),
+            0.6f32 as f64 * 0.9f32 as f64 + 0.4f32 as f64 * 0.1f32 as f64
+        );
+    }
+
+    #[test]
+    fn floored_distance_bounds_use_the_least_mass() {
+        // Every tuple below has mass 0.3 on category 1; q sits on 0.
+        let b = Boundary::of_uda(&uda(&[(1, 0.3)]), Compression::None);
+        let q = uda(&[(0, 1.0)]);
+        let mut floor = MassFloor::EMPTY;
+        floor.lower(uda(&[(1, 0.3)]).entries().iter().copied());
+        let at = |dv| {
+            DistanceBound::new(&q, dv, || Ok::<_, ()>(floor))
+                .unwrap()
+                .at(|cat| b.bound_of(cat))
+        };
+        let u = uda(&[(1, 0.3)]);
+        // L1: the boundary alone sees only q's 1.0; the floor adds 0.3.
+        assert_eq!(b.l1_lower_bound(&q), 1.0);
+        let l1 = Divergence::L1.eval(q.entries(), u.entries());
+        assert!(at(Divergence::L1) > 1.29 && at(Divergence::L1) <= l1);
+        let l2 = Divergence::L2.eval(q.entries(), u.entries());
+        assert!(at(Divergence::L2) > 1.04 && at(Divergence::L2) <= l2);
+        assert_eq!(at(Divergence::Kl), 0.0);
+        // KL never asks for the floor.
+        assert!(DistanceBound::new(&q, Divergence::Kl, || Err(())).is_ok());
     }
 
     #[test]

@@ -1,33 +1,40 @@
 //! Distributional similarity queries over the PDR-tree.
 //!
 //! For the metric divergences the boundary gives a sound *lower* bound on
-//! the distance between the query and anything in the subtree
-//! ([`crate::Boundary::l1_lower_bound`] / `l2_lower_bound`): a branch whose
-//! lower bound exceeds `τ_d` is pruned. KL admits no such bound ("it is not
-//! directly usable for pruning search paths", paper §2), so KL queries
-//! traverse every leaf — correct, just unpruned.
+//! the distance between the query and anything in the subtree: a branch
+//! whose lower bound exceeds `τ_d` is pruned. The boundary alone gives
+//! `Σ max(0, q_i − v_i)` (in L1, or squared in L2); with a floor `(m, s)`
+//! under every stored tuple's mass and `‖u‖₂²`, the mass identities give
+//! `mass(q) + m − 2·Σ min(q_i, v_i)` for L1 and
+//! `‖q‖² + s − 2·cap(q, v)` for L2² (`cap` the capped Lemma 2 bound).
+//! Each subtree takes the larger (`crate::boundary`'s module docs have
+//! the derivation and the rounding slack).
+//!
+//! The floor is the tree's, not the page's: nothing on disk holds it. The
+//! first L1/L2 DSTQ or DS-top-k a tree answers fills it with one walk of
+//! every leaf, charged to that query (`nodes_visited` for every node,
+//! `leaf_entries_examined` for every tuple); `insert` and `update` lower it
+//! after that, `delete` leaves it (still a floor), and a reopened tree
+//! starts without one.
+//!
+//! KL admits no bound ("it is not directly usable for pruning search
+//! paths", paper §2), so KL queries traverse every leaf — correct, just
+//! unpruned — and never fill the floor.
 
 use uncat_core::codec::Scan;
 use uncat_core::query::{sort_matches_asc, DsTopKQuery, DstQuery, Match};
 use uncat_core::topk::BottomKHeap;
 use uncat_core::uda::Entry;
 use uncat_core::{Divergence, Uda};
-use uncat_storage::{BufferPool, Result};
+use uncat_storage::{BufferPool, QueryMetrics, Result};
 
+use crate::boundary::DistanceBound;
 use crate::node::BoundaryRef;
 use crate::traverse::BestFirst;
 use crate::tree::PdrTree;
 
 /// Slack on every lower-bound comparison, absorbing f32→f64 rounding.
 const BOUND_EPS: f64 = 1e-9;
-
-fn divergence_lower_bound(b: &BoundaryRef<'_>, q: &Uda, dv: Divergence) -> f64 {
-    match dv {
-        Divergence::L1 => b.l1_lower_bound(q),
-        Divergence::L2 => b.l2_lower_bound(q),
-        Divergence::Kl => 0.0, // not prunable
-    }
-}
 
 /// `dv(q, t)` for a record `t` read off its page. A divergence walks both
 /// vectors more than once (KL needs the masses first), so the record is
@@ -44,13 +51,14 @@ fn divergence(q: &Uda, t: &mut Scan<'_>, dv: Divergence, record: &mut Vec<Entry>
 /// bound exceeds the k-th smallest exact distance.
 struct DsTopK<'q> {
     query: &'q DsTopKQuery,
+    bound: DistanceBound<'q>,
     heap: BottomKHeap,
     record: Vec<Entry>,
 }
 
 impl BestFirst for DsTopK<'_> {
     fn priority(&self, boundary: &BoundaryRef<'_>) -> f64 {
-        -divergence_lower_bound(boundary, &self.query.q, self.query.divergence)
+        -boundary.distance_lower_bound(&self.bound)
     }
 
     fn reachable(&self, priority: f64) -> bool {
@@ -76,6 +84,7 @@ impl PdrTree {
         let mut out = Vec::new();
         let mut record = Vec::new();
         pool.tally(|pool, metrics| {
+            let bound = self.distance_bound(pool, metrics, &query.q, query.divergence)?;
             self.walk(
                 pool,
                 metrics,
@@ -85,10 +94,7 @@ impl PdrTree {
                         out.push(Match::new(tid, d));
                     }
                 },
-                |boundary| {
-                    divergence_lower_bound(boundary, &query.q, query.divergence)
-                        <= query.tau_d + BOUND_EPS
-                },
+                |boundary| boundary.distance_lower_bound(&bound) <= query.tau_d + BOUND_EPS,
             )
         })?;
         sort_matches_asc(&mut out);
@@ -102,12 +108,127 @@ impl PdrTree {
     /// `nodes_pruned`, like [`PdrTree::dstq`]'s cuts). KL admits no bound,
     /// so KL queries traverse every leaf.
     pub fn ds_top_k(&self, pool: &mut BufferPool, query: &DsTopKQuery) -> Result<Vec<Match>> {
-        let mut search = DsTopK {
-            query,
-            heap: BottomKHeap::new(query.k),
-            record: Vec::new(),
-        };
-        pool.tally(|pool, metrics| self.best_first(pool, metrics, &mut search))?;
-        Ok(search.heap.into_sorted())
+        let heap = pool.tally(|pool, metrics| {
+            let mut search = DsTopK {
+                query,
+                bound: self.distance_bound(pool, metrics, &query.q, query.divergence)?,
+                heap: BottomKHeap::new(query.k),
+                record: Vec::new(),
+            };
+            self.best_first(pool, metrics, &mut search)?;
+            Ok(search.heap)
+        })?;
+        Ok(heap.into_sorted())
+    }
+
+    /// `q`'s subtree bound under `dv`, filling the tree's mass floor
+    /// (charged to `metrics`) if an L1/L2 bound needs it first.
+    fn distance_bound<'q>(
+        &self,
+        pool: &mut BufferPool,
+        metrics: &mut QueryMetrics,
+        q: &'q Uda,
+        dv: Divergence,
+    ) -> Result<DistanceBound<'q>> {
+        DistanceBound::new(q, dv, || self.mass_floor(pool, metrics))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use uncat_core::query::{DsTopKQuery, DstQuery};
+    use uncat_core::{CatId, Divergence, Domain, Uda};
+    use uncat_storage::{BufferPool, InMemoryDisk, QueryMetrics};
+
+    use crate::boundary::MassFloor;
+    use crate::{PdrConfig, PdrTree};
+
+    fn uda(pairs: &[(u32, f32)]) -> Uda {
+        Uda::from_pairs(pairs.iter().map(|&(c, p)| (CatId(c), p))).unwrap()
+    }
+
+    /// 600 tuples of mass 0.5–0.99 over 12 categories.
+    fn tree(pool: &mut BufferPool) -> PdrTree {
+        let data: Vec<(u64, Uda)> = (0..600u32)
+            .map(|i| {
+                let p = 0.5 + (i % 50) as f32 / 100.0;
+                (
+                    i as u64,
+                    uda(&[(i % 12, p * 0.6), ((i / 12) % 12 + 12, p * 0.4)]),
+                )
+            })
+            .collect();
+        PdrTree::bulk_build(
+            Domain::anonymous(24),
+            PdrConfig::default(),
+            pool,
+            data.iter().map(|(t, u)| (*t, u)),
+        )
+        .unwrap()
+    }
+
+    fn counters(pool: &mut BufferPool, run: impl FnOnce(&mut BufferPool)) -> QueryMetrics {
+        let before = pool.metrics();
+        run(pool);
+        pool.metrics().since(&before)
+    }
+
+    #[test]
+    fn the_first_metric_query_fills_the_floor_and_pays_for_the_walk() {
+        let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 64);
+        let t = tree(&mut pool);
+        let stats = t.stats(&mut pool).unwrap();
+        let q = uda(&[(3, 0.6), (15, 0.4)]);
+        let kl = DstQuery::new(q.clone(), 0.5, Divergence::Kl);
+        counters(&mut pool, |p| drop(t.dstq(p, &kl).unwrap()));
+        assert!(t.floor.get().is_none(), "KL never fills the floor");
+
+        let l1 = DstQuery::new(q.clone(), 0.3, Divergence::L1);
+        let first = counters(&mut pool, |p| drop(t.dstq(p, &l1).unwrap()));
+        let again = counters(&mut pool, |p| drop(t.dstq(p, &l1).unwrap()));
+        assert_eq!(first.nodes_visited, again.nodes_visited + stats.nodes);
+        assert_eq!(
+            first.leaf_entries_examined,
+            again.leaf_entries_examined + t.len()
+        );
+        assert_eq!(first.nodes_pruned, again.nodes_pruned);
+        assert!(again.nodes_pruned > 0);
+        let floor = *t.floor.get().unwrap();
+        assert!((floor.mass - 0.5).abs() < 1e-6, "{floor:?}");
+
+        // Filled, the floor costs DS-top-k nothing.
+        let topk = DsTopKQuery::new(q, 5, Divergence::L2);
+        let m = counters(&mut pool, |p| drop(t.ds_top_k(p, &topk).unwrap()));
+        assert!(m.nodes_visited < stats.nodes, "{m:?}");
+    }
+
+    #[test]
+    fn insert_lowers_the_floor_and_delete_and_reopen_leave_none_too_high() {
+        let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 64);
+        let mut t = tree(&mut pool);
+        // Not filled: an insert has nothing to lower.
+        t.insert(&mut pool, 1000, &uda(&[(1, 0.45)])).unwrap();
+        assert!(t.floor.get().is_none());
+        let floor = t.mass_floor(&mut pool, &mut QueryMetrics::new()).unwrap();
+        assert!((floor.mass - 0.45).abs() < 1e-6, "{floor:?}");
+
+        t.insert(&mut pool, 1001, &uda(&[(2, 0.2), (3, 0.1)]))
+            .unwrap();
+        let lowered = *t.floor.get().unwrap();
+        assert!((lowered.mass - 0.3).abs() < 1e-6, "{lowered:?}");
+        assert!((lowered.sq - 0.05).abs() < 1e-6, "{lowered:?}");
+        t.update(&mut pool, 7, &uda(&[(4, 0.1)])).unwrap();
+        assert!((t.floor.get().unwrap().mass - 0.1).abs() < 1e-6);
+        // A delete keeps the floor: still under every remaining tuple.
+        t.delete(&mut pool, 7).unwrap();
+        assert!((t.floor.get().unwrap().mass - 0.1).abs() < 1e-6);
+
+        let reopened = PdrTree::open(&t.snapshot()).unwrap();
+        assert!(reopened.floor.get().is_none());
+        let refilled = reopened
+            .mass_floor(&mut pool, &mut QueryMetrics::new())
+            .unwrap();
+        assert_eq!(refilled.mass, lowered.mass);
+        assert_ne!(refilled, MassFloor::EMPTY);
     }
 }

@@ -4,6 +4,12 @@
 //! similar UDAs into pages. A node's **MBR boundary** is the point-wise
 //! maximum probability vector over its subtree. Pruning relies on Lemma 2:
 //! if `⟨c.v, q⟩ < τ` then no UDA below `c` can satisfy `PETQ(q, τ)`.
+//! Every search here uses Lemma 2 capped at one unit of mass — a stored
+//! UDA holds at most `1 + MASS_EPSILON`, so the bound spends at most that
+//! much of `v` on q's categories, most probable first — and L1/L2
+//! similarity queries add a bound floored by the tree's least tuple mass
+//! and `‖u‖₂²` ([`boundary`] has both derivations; the paper's bounds are
+//! the special case of an uncapped mass and a zero floor).
 //!
 //! Knobs reproduced from the paper's evaluation:
 //!
@@ -19,7 +25,7 @@
 //!   sound.
 //!
 //! Every query method takes `(pool, query…)` and adds its execution
-//! counters (nodes visited, children pruned by Lemma 2, leaf entries
+//! counters (nodes visited, children pruned by a bound, leaf entries
 //! examined) to the pool's ledger: run it, then read
 //! [`uncat_storage::BufferPool::metrics`] — see `docs/METRICS.md` for
 //! the counting conventions.

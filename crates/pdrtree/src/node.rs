@@ -42,7 +42,7 @@ use uncat_core::{CatId, Prob, Uda};
 use uncat_storage::page::field;
 use uncat_storage::{BufferPool, PageId, Result, StorageError, PAGE_SIZE};
 
-use crate::boundary::{self, Boundary};
+use crate::boundary::{self, Boundary, ByProb, DistanceBound};
 use crate::config::Compression;
 
 pub(crate) const NODE_HDR: usize = 4;
@@ -379,7 +379,9 @@ pub(crate) enum Visit<'v, 'a> {
 
 /// A boundary as it lies encoded on a page, validated by
 /// [`BoundaryRef::parse`] and scored in place: the bounds are the owned
-/// [`Boundary`]'s formulas over a lookup that reads the page bytes.
+/// [`Boundary`]'s formulas (the capped Lemma 2 bound and the floored
+/// distance bounds of [`crate::boundary`]) over a lookup that reads the
+/// page bytes.
 #[derive(Clone, Copy)]
 pub(crate) enum BoundaryRef<'a> {
     /// `n × (u32 cat, f32 prob)`, categories strictly increasing.
@@ -454,19 +456,14 @@ impl<'a> BoundaryRef<'a> {
         }
     }
 
-    /// [`Boundary::eq_upper_bound`] on the page.
-    pub(crate) fn eq_upper_bound(&self, q: &Uda) -> f64 {
+    /// [`Boundary::eq_upper_bound`] on the page, for a query ordered once.
+    pub(crate) fn eq_upper_bound(&self, q: &ByProb) -> f64 {
         boundary::eq_upper_bound(q, |cat| self.bound_of(cat))
     }
 
-    /// [`Boundary::l1_lower_bound`] on the page.
-    pub(crate) fn l1_lower_bound(&self, q: &Uda) -> f64 {
-        boundary::l1_lower_bound(q, |cat| self.bound_of(cat))
-    }
-
-    /// [`Boundary::l2_lower_bound`] on the page.
-    pub(crate) fn l2_lower_bound(&self, q: &Uda) -> f64 {
-        boundary::l2_lower_bound(q, |cat| self.bound_of(cat))
+    /// A DSTQ's subtree bound ([`DistanceBound::at`]) on the page.
+    pub(crate) fn distance_lower_bound(&self, bound: &DistanceBound<'_>) -> f64 {
+        bound.at(|cat| self.bound_of(cat))
     }
 }
 

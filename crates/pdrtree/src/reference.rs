@@ -1,8 +1,11 @@
 //! Test reference for the node kernel: the four searches as they ran
-//! before it, over owned nodes from [`read_node`], and the differential
-//! and byte-mutation tests that hold [`visit_node`] to them — the same
-//! tids, bit-equal scores and bounds, the same counters, the same verdict
-//! on every damaged page.
+//! before it, over owned nodes from [`read_node`] and with the same
+//! shared bounds (the capped Lemma 2 bound, the floored L1/L2 bounds over
+//! a mass floor the reference computes itself), and the differential and
+//! byte-mutation tests that hold [`visit_node`] to them — the same tids,
+//! bit-equal scores and bounds, the same counters, the same verdict on
+//! every damaged page. The soundness of the bounds themselves is checked
+//! here too, at every child entry of trees holding partial-mass tuples.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -18,7 +21,7 @@ use uncat_storage::{
     BufferPool, InMemoryDisk, PageId, QueryMetrics, Result, StorageError, PAGE_SIZE,
 };
 
-use crate::boundary::Boundary;
+use crate::boundary::{Boundary, ByProb, DistanceBound, MassFloor};
 use crate::config::{Compression, PdrConfig};
 use crate::node::{read_node, visit_node, BoundaryRef, ChildEntry, LeafEntry, Node, Visit};
 use crate::tree::PdrTree;
@@ -119,20 +122,34 @@ fn ref_petq(
     Ok(out)
 }
 
-fn divergence_lower_bound(b: &Boundary, q: &Uda, dv: Divergence) -> f64 {
-    match dv {
-        Divergence::L1 => b.l1_lower_bound(q),
-        Divergence::L2 => b.l2_lower_bound(q),
-        Divergence::Kl => 0.0,
+/// The floor under every stored tuple's mass and `‖u‖₂²`, from every leaf
+/// `read_node` returns.
+fn ref_mass_floor(tree: &PdrTree, pool: &mut BufferPool) -> MassFloor {
+    let mut floor = MassFloor::EMPTY;
+    let mut stack = vec![tree.root()];
+    while let Some(pid) = stack.pop() {
+        match read_node(pool, pid, tree.config().compression).unwrap() {
+            Node::Leaf(entries) => entries
+                .iter()
+                .for_each(|e| floor.lower(e.uda.entries().iter().copied())),
+            Node::Internal(children) => stack.extend(children.iter().map(|c| c.pid)),
+        }
     }
+    floor
+}
+
+fn distance_bound(q: &Uda, dv: Divergence, floor: MassFloor) -> DistanceBound<'_> {
+    DistanceBound::new(q, dv, || Ok::<_, ()>(floor)).unwrap()
 }
 
 fn ref_dstq(
     tree: &PdrTree,
     pool: &mut BufferPool,
     query: &DstQuery,
+    floor: MassFloor,
     metrics: &mut QueryMetrics,
 ) -> Result<Vec<Match>> {
+    let bound = distance_bound(&query.q, query.divergence, floor);
     let mut out = Vec::new();
     let mut stack = vec![tree.root()];
     while let Some(pid) = stack.pop() {
@@ -149,7 +166,7 @@ fn ref_dstq(
             }
             Node::Internal(children) => {
                 for c in &children {
-                    let lower = divergence_lower_bound(&c.boundary, &query.q, query.divergence);
+                    let lower = bound.at(|cat| c.boundary.bound_of(cat));
                     if lower <= query.tau_d + 1e-9 {
                         stack.push(c.pid);
                     } else {
@@ -247,8 +264,10 @@ fn ref_ds_top_k(
     tree: &PdrTree,
     pool: &mut BufferPool,
     query: &DsTopKQuery,
+    floor: MassFloor,
     metrics: &mut QueryMetrics,
 ) -> Result<Vec<Match>> {
+    let reach = distance_bound(&query.q, query.divergence, floor);
     let mut heap = BottomKHeap::new(query.k);
     let mut frontier = BinaryHeap::new();
     frontier.push(Pending {
@@ -272,7 +291,7 @@ fn ref_ds_top_k(
             }
             Node::Internal(children) => {
                 for c in &children {
-                    let b = divergence_lower_bound(&c.boundary, &query.q, query.divergence);
+                    let b = reach.at(|cat| c.boundary.bound_of(cat));
                     if !heap.is_full() || b <= heap.bound() + 1e-9 {
                         frontier.push(Pending {
                             bound: b,
@@ -315,6 +334,24 @@ fn synth(n: usize, seed: u64) -> Vec<(u64, Uda)> {
                 }
             }
             (tid, b.finish_normalized().unwrap())
+        })
+        .collect()
+}
+
+/// [`synth`] with partial mass: every fifth tuple holds `1 + 9e-5` (just
+/// under the `1 + MASS_EPSILON` a record may hold), the others 0.3–1.0.
+fn synth_partial(n: usize, seed: u64) -> Vec<(u64, Uda)> {
+    synth(n, seed)
+        .into_iter()
+        .map(|(tid, u)| {
+            let mass = if tid % 5 == 0 {
+                1.0 + 9e-5
+            } else {
+                0.3 + (tid.wrapping_mul(0x9E3779B97F4A7C15) >> 40) as f64 / (1u64 << 24) as f64
+                    * 0.7
+            };
+            let scaled = u.iter().map(|(c, p)| (c, (p as f64 * mass) as f32));
+            (tid, Uda::from_pairs(scaled).unwrap())
         })
         .collect()
 }
@@ -389,6 +426,11 @@ fn kernel_searches_match_the_reference_searches() {
         for bulk in [false, true] {
             let (tree, mut pool) = build(compression, bulk, &data);
             assert!(tree.depth() >= 2, "internal pages exist");
+            // The kernel fills its floor before the first metric query;
+            // filled here, neither side's counters carry the fill.
+            let floor = ref_mass_floor(&tree, &mut pool);
+            let filled = tree.mass_floor(&mut pool, &mut QueryMetrics::new());
+            assert_eq!(filled.unwrap(), floor);
             let tag = |q: usize, kind: &str| format!("{compression:?} bulk={bulk} q{q} {kind}");
             for (i, q) in queries.iter().enumerate() {
                 for tau in [0.05, 0.3, 0.7] {
@@ -422,14 +464,14 @@ fn kernel_searches_match_the_reference_searches() {
                         &mut pool,
                         &tag(i, &format!("dstq {dv:?}")),
                         |p| tree.dstq(p, &query),
-                        |p, m| ref_dstq(&tree, p, &query, m),
+                        |p, m| ref_dstq(&tree, p, &query, floor, m),
                     );
                     let query = DsTopKQuery::new((*q).clone(), 7, dv);
                     same_run(
                         &mut pool,
                         &tag(i, &format!("ds-top-k {dv:?}")),
                         |p| tree.ds_top_k(p, &query),
-                        |p, m| ref_ds_top_k(&tree, p, &query, m),
+                        |p, m| ref_ds_top_k(&tree, p, &query, floor, m),
                     );
                 }
             }
@@ -444,6 +486,7 @@ fn kernel_nodes_match_read_node_bit_for_bit() {
     for compression in COMPRESSIONS {
         for bulk in [false, true] {
             let (tree, mut pool) = build(compression, bulk, &data);
+            let floor = ref_mass_floor(&tree, &mut pool);
             for pid in pages(&tree, &mut pool) {
                 let node = read_node(&mut pool, pid, compression).unwrap();
                 assert_eq!(
@@ -471,17 +514,16 @@ fn kernel_nodes_match_read_node_bit_for_bit() {
                         assert_eq!(pid, c.pid);
                         for q in &queries {
                             assert_eq!(
-                                boundary.eq_upper_bound(q).to_bits(),
+                                boundary.eq_upper_bound(&ByProb::of(q)).to_bits(),
                                 c.boundary.eq_upper_bound(q).to_bits()
                             );
-                            assert_eq!(
-                                boundary.l1_lower_bound(q).to_bits(),
-                                c.boundary.l1_lower_bound(q).to_bits()
-                            );
-                            assert_eq!(
-                                boundary.l2_lower_bound(q).to_bits(),
-                                c.boundary.l2_lower_bound(q).to_bits()
-                            );
+                            for dv in Divergence::ALL {
+                                let bound = distance_bound(q, dv, floor);
+                                assert_eq!(
+                                    boundary.distance_lower_bound(&bound).to_bits(),
+                                    bound.at(|cat| c.boundary.bound_of(cat)).to_bits()
+                                );
+                            }
                         }
                     }
                     _ => panic!("kernel and read_node disagree on the node kind"),
@@ -489,6 +531,80 @@ fn kernel_nodes_match_read_node_bit_for_bit() {
                 .unwrap();
                 assert_eq!(leaf + child, node.count());
             }
+        }
+    }
+}
+
+// --- the bounds are sound --------------------------------------------
+
+/// Every tuple stored below `pid`, from `read_node`.
+fn tuples_below(tree: &PdrTree, pool: &mut BufferPool, pid: PageId) -> Vec<Uda> {
+    match read_node(pool, pid, tree.config().compression).unwrap() {
+        Node::Leaf(entries) => entries.into_iter().map(|e| e.uda).collect(),
+        Node::Internal(children) => children
+            .iter()
+            .flat_map(|c| tuples_below(tree, pool, c.pid))
+            .collect(),
+    }
+}
+
+/// At every child entry of trees holding partial-mass tuples (and tuples
+/// of mass `1 + 9e-5`), in every compression, insertion- and bulk-built:
+/// the capped Lemma 2 bound is at least every `Pr(q = u)` below and at
+/// most the paper's `Σ q_i·v(f(i))`; the floored L1/L2 bounds are at most
+/// every distance below and at least the boundary-only bounds.
+#[test]
+fn capped_and_floored_bounds_hold_at_every_child_entry() {
+    let data = synth_partial(4000, 3);
+    let mut queries: Vec<Uda> = data.iter().step_by(61).map(|(_, u)| u.clone()).collect();
+    queries.extend(synth(8, 11).into_iter().map(|(_, u)| u));
+    queries.push(Uda::certain(CatId(3)));
+    for compression in COMPRESSIONS {
+        for bulk in [false, true] {
+            let (tree, mut pool) = build(compression, bulk, &data);
+            let floor = ref_mass_floor(&tree, &mut pool);
+            assert!(floor.mass < 0.35, "{floor:?}");
+            let mut children = 0;
+            for pid in pages(&tree, &mut pool) {
+                let Node::Internal(entries) = read_node(&mut pool, pid, compression).unwrap()
+                else {
+                    continue;
+                };
+                for c in entries {
+                    children += 1;
+                    let below = tuples_below(&tree, &mut pool, c.pid);
+                    for q in &queries {
+                        let tag = format!("{compression:?} bulk={bulk} {} q={q:?}", c.pid);
+                        let capped = c.boundary.eq_upper_bound(q);
+                        let paper: f64 = q
+                            .iter()
+                            .map(|(cat, p)| p as f64 * c.boundary.bound_of(cat) as f64)
+                            .sum();
+                        // The two sum their terms in different orders.
+                        assert!(capped <= paper + 1e-12, "{tag}: {capped} > {paper}");
+                        for u in &below {
+                            let pr = eq_prob(q, u);
+                            assert!(pr <= capped + 1e-12, "{tag}: Pr {pr} > bound {capped}");
+                        }
+                        for (dv, old) in [
+                            (Divergence::L1, c.boundary.l1_lower_bound(q)),
+                            (Divergence::L2, c.boundary.l2_lower_bound(q)),
+                        ] {
+                            let bound =
+                                distance_bound(q, dv, floor).at(|cat| c.boundary.bound_of(cat));
+                            assert!(bound >= old, "{tag} {dv:?}: {bound} < {old}");
+                            for u in &below {
+                                let d = dv.eval(q.entries(), u.entries());
+                                assert!(bound <= d, "{tag} {dv:?}: bound {bound} > {d}");
+                            }
+                        }
+                    }
+                }
+            }
+            assert!(
+                children > 10,
+                "{compression:?} bulk={bulk}: {children} children"
+            );
         }
     }
 }

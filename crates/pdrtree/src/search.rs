@@ -1,10 +1,18 @@
 //! PETQ and top-k search over the PDR-tree (paper §3.2, "PETQ(q, T)").
 //!
 //! Threshold search is a depth-first traversal pruned by Lemma 2: a branch
-//! is entered only if `⟨c.v, q⟩ ≥ τ`. Top-k search upgrades the threshold
-//! dynamically and greedily visits the child with the largest `⟨c.v, q⟩`
-//! first, "finding better candidates at the beginning of the search which
-//! in turn results in better pruning".
+//! is entered only if its bound on `Pr(q = u)` reaches `τ`. Top-k search
+//! upgrades the threshold dynamically and greedily visits the child with
+//! the largest bound first, "finding better candidates at the beginning of
+//! the search which in turn results in better pruning".
+//!
+//! The bound is Lemma 2 capped at one unit of mass: the paper's
+//! `⟨c.v, q⟩` lets the tuple below `c` take `v`'s every maximum at once,
+//! though a stored tuple's mass is at most `1 + MASS_EPSILON`. Spending
+//! that mass on q's categories from the most probable down (a fractional
+//! knapsack, [`crate::Boundary::eq_upper_bound`]) gives a bound never
+//! above `⟨c.v, q⟩` and still above every tuple's `Pr(q = u)`. The query's
+//! order is computed once per query.
 
 use uncat_core::codec::Scan;
 use uncat_core::equality::{eq_prob_stream, meets_threshold, THRESHOLD_EPS};
@@ -13,21 +21,23 @@ use uncat_core::topk::TopKHeap;
 use uncat_core::Uda;
 use uncat_storage::{BufferPool, Result};
 
+use crate::boundary::ByProb;
 use crate::node::BoundaryRef;
 use crate::traverse::BestFirst;
 use crate::tree::PdrTree;
 
-/// PEQ-top-k as a best-first search: subtrees ordered by Lemma 2's upper
-/// bound, cut at the heap's threshold — the external floor until `k`
-/// matches exist, then the k-th best probability.
+/// PEQ-top-k as a best-first search: subtrees ordered by the capped
+/// Lemma 2 bound, cut at the heap's threshold — the external floor until
+/// `k` matches exist, then the k-th best probability.
 struct EqTopK<'q> {
     q: &'q Uda,
+    by_prob: ByProb,
     heap: TopKHeap,
 }
 
 impl BestFirst for EqTopK<'_> {
     fn priority(&self, boundary: &BoundaryRef<'_>) -> f64 {
-        boundary.eq_upper_bound(self.q)
+        boundary.eq_upper_bound(&self.by_prob)
     }
 
     fn reachable(&self, priority: f64) -> bool {
@@ -47,12 +57,13 @@ impl PdrTree {
     /// probabilities in canonical descending order.
     ///
     /// Counters land in the pool's ledger (`pool.metrics()`): each node
-    /// read is a `nodes_visited`, each child skipped by Lemma 2 a
-    /// `nodes_pruned`, and each leaf entry scored a
+    /// read is a `nodes_visited`, each child skipped by the capped Lemma 2
+    /// bound a `nodes_pruned`, and each leaf entry scored a
     /// `leaf_entries_examined`. Pruning effectiveness is
     /// `nodes_pruned / (nodes_visited + nodes_pruned)`.
     pub fn petq(&self, pool: &mut BufferPool, query: &EqQuery) -> Result<Vec<Match>> {
         let mut out = Vec::new();
+        let by_prob = ByProb::of(&query.q);
         pool.tally(|pool, metrics| {
             self.walk(
                 pool,
@@ -63,10 +74,11 @@ impl PdrTree {
                         out.push(Match::new(tid, pr));
                     }
                 },
-                // Lemma 2: boundaries over-estimate every subtree
-                // distribution, so this bound is an upper bound on
-                // Pr(q = u) below the child.
-                |boundary| boundary.eq_upper_bound(&query.q) >= query.tau - THRESHOLD_EPS,
+                // Lemma 2, capped: boundaries over-estimate every subtree
+                // distribution and no tuple holds more than a unit of
+                // mass, so this is an upper bound on Pr(q = u) below the
+                // child.
+                |boundary| boundary.eq_upper_bound(&by_prob) >= query.tau - THRESHOLD_EPS,
             )
         })?;
         sort_matches_desc(&mut out);
@@ -88,7 +100,7 @@ impl PdrTree {
     /// k-th-best threshold also count as `nodes_pruned`.
     ///
     /// A query floor ([`TopKQuery::floor`]) is the heap's initial
-    /// threshold, so subtrees whose Lemma-2 upper bound cannot reach it are
+    /// threshold, so subtrees whose capped Lemma-2 bound cannot reach it are
     /// pruned from the first node on — never more work than an unfloored
     /// top-k, and the best-first stop fires even before `k` matches exist
     /// once every unexplored bound is below the floor.
@@ -98,6 +110,7 @@ impl PdrTree {
         }
         let mut search = EqTopK {
             q: &query.q,
+            by_prob: ByProb::of(&query.q),
             heap: TopKHeap::new(query.k, effective_floor(query.floor)),
         };
         pool.tally(|pool, metrics| self.best_first(pool, metrics, &mut search))?;

@@ -1,9 +1,11 @@
 //! The PDR-tree structure: creation, insertion, deletion.
 
+use std::sync::OnceLock;
+
 use uncat_core::{Domain, Uda};
 use uncat_storage::{BufferPool, PageId, QueryMetrics, Result, StorageError, PAGE_SIZE};
 
-use crate::boundary::Boundary;
+use crate::boundary::{Boundary, MassFloor};
 use crate::config::PdrConfig;
 use crate::node::{
     boundary_size, leaf_entry_size, read_node, visit_node, write_node, ChildEntry, LeafEntry, Node,
@@ -58,6 +60,12 @@ pub struct PdrTree {
     domain: Domain,
     len: u64,
     depth: u32,
+    /// The floor under every tuple's mass and `‖u‖₂²` that the L1/L2
+    /// bounds use. Not persisted: filled by one leaf walk the first time
+    /// a metric DSTQ or DS-top-k needs it ([`PdrTree::mass_floor`]),
+    /// lowered by every insert after that. A delete leaves it, which
+    /// stays sound.
+    pub(crate) floor: OnceLock<MassFloor>,
 }
 
 impl PdrTree {
@@ -68,13 +76,7 @@ impl PdrTree {
         config.validate().expect("invalid PDR-tree configuration");
         let root = pool.allocate()?;
         write_node(pool, root, &Node::Leaf(Vec::new()), config.compression)?;
-        Ok(PdrTree {
-            root,
-            config,
-            domain,
-            len: 0,
-            depth: 1,
-        })
+        Ok(PdrTree::from_raw(root, config, domain, 0, 1))
     }
 
     /// Build a tree by inserting every tuple, one split at a time — the
@@ -140,7 +142,25 @@ impl PdrTree {
             domain,
             len,
             depth,
+            floor: OnceLock::new(),
         }
+    }
+
+    /// The mass floor, filled by one walk of every leaf — charged to
+    /// `metrics` as a `nodes_visited` per node and a
+    /// `leaf_entries_examined` per tuple — if no query has needed it yet.
+    /// Two first queries may both walk; the floor of one is kept.
+    pub(crate) fn mass_floor(
+        &self,
+        pool: &mut BufferPool,
+        metrics: &mut QueryMetrics,
+    ) -> Result<MassFloor> {
+        if let Some(&floor) = self.floor.get() {
+            return Ok(floor);
+        }
+        let mut floor = MassFloor::EMPTY;
+        self.walk(pool, metrics, |_, uda| floor.lower(uda), |_| true)?;
+        Ok(*self.floor.get_or_init(|| floor))
     }
 
     /// Insert a distribution.
@@ -155,6 +175,11 @@ impl PdrTree {
                 len: size,
                 max: NODE_BUDGET / 2,
             });
+        }
+        // Lowered first: a floor below a tuple that a failed insert never
+        // stored is still a floor.
+        if let Some(floor) = self.floor.get_mut() {
+            floor.lower(uda.entries().iter().copied());
         }
         if let Some((left, right)) = self.insert_rec(pool, self.root, tid, uda)? {
             // Root split: grow a new root above.
@@ -354,7 +379,8 @@ impl PdrTree {
     /// every remaining tuple, just no wider than needed — or drops the
     /// reference when the child emptied out (the emptied page is
     /// orphaned, like pages freed by merges; a later checkpoint-compaction
-    /// could reclaim them).
+    /// could reclaim them). The mass floor is left as it is: still a floor
+    /// under every remaining tuple.
     pub fn delete(&mut self, pool: &mut BufferPool, tid: u64) -> Result<Option<Uda>> {
         let Some((path, uda)) = self.locate(pool, tid)? else {
             return Ok(None);

@@ -693,7 +693,7 @@ mod tests {
 
     /// PEJ-top-k under its shared floor, asked for zero workers.
     #[test]
-    fn parallel_join_with_floor_with_zero_threads_runs_on_one_worker() {
+    fn floored_parallel_join_with_zero_threads_runs_on_one_worker() {
         zero_thread_join_is_one(crate::join::JoinSpec::PejTopK { k: 4 }, 4);
     }
 

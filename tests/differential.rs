@@ -791,6 +791,167 @@ fn check_interleaved_mutations(
     compare_against_model("reopened", &mut inv, &mut pdr, &model, queries);
 }
 
+// --- The PDR-tree on partial-mass data ---
+
+/// Strategy: a UDA of mass 0.3–1.0, or — one case in four — `1 + 9e-5`,
+/// just under the `1 + MASS_EPSILON` a stored tuple may hold.
+fn partial_uda_strategy(cats: u32) -> impl Strategy<Value = Uda> {
+    (uda_strategy(cats), 0u8..4, 0.3f64..1.0)
+        .prop_map(|(u, full, mass)| scaled(&u, if full == 0 { 1.0 + 9e-5 } else { mass }))
+}
+
+/// `u` with every probability times `mass` (of a normalized `u`, at most
+/// `1 + 9e-5`).
+fn scaled(u: &Uda, mass: f64) -> Uda {
+    Uda::from_pairs(u.iter().map(|(c, p)| (c, (p as f64 * mass) as f32)))
+        .expect("scaled within the mass bound")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases(12)))]
+
+    // Both PDR-tree builds against the scan baseline on tuples of partial
+    // mass and of mass just over one — each stored thirty times, so leaves
+    // of copies hold boundaries tight enough for the unit-mass cap to
+    // decide a subtree — through a schedule that moves the mass floor:
+    // filled by the first metric query, lowered by an insert of less mass
+    // than any tuple and by an update, left by a delete, and dropped by a
+    // reopen. PETQ thresholds and DSTQ radii sit exactly on answers.
+    #[test]
+    fn pdr_tree_agrees_with_the_scan_on_partial_mass_data(
+        distinct in prop::collection::vec(partial_uda_strategy(CATS), 10..=20),
+        q in partial_uda_strategy(CATS),
+        low in uda_strategy(CATS),
+        low_mass in 0.05f64..0.29,
+        pick in 0usize..1000,
+    ) {
+        let (low, lower) = (scaled(&low, low_mass), scaled(&low, low_mass / 2.0));
+        check_pdr_partial_mass(&distinct, &q, &low, &lower, pick);
+    }
+}
+
+/// One query of [`check_pdr_partial_mass`], run alike on every backend.
+#[derive(Debug)]
+enum PdrProbe {
+    Petq(EqQuery),
+    TopK(TopKQuery),
+    Dstq(DstQuery),
+    DsTopK(DsTopKQuery),
+}
+
+impl PdrProbe {
+    fn run(&self, backend: &dyn UncertainIndex, pool: &mut BufferPool) -> Vec<Match> {
+        match self {
+            PdrProbe::Petq(query) => backend.petq(pool, query),
+            PdrProbe::TopK(query) => backend.top_k(pool, query),
+            PdrProbe::Dstq(query) => backend.dstq(pool, query),
+            PdrProbe::DsTopK(query) => backend.ds_top_k(pool, query),
+        }
+        .expect("in-memory query")
+    }
+}
+
+fn check_pdr_partial_mass(distinct: &[Uda], q: &Uda, low: &Uda, lower: &Uda, pick: usize) {
+    let mut model: BTreeMap<u64, Uda> = (0..30u64)
+        .flat_map(|r| {
+            distinct
+                .iter()
+                .enumerate()
+                .map(move |(i, u)| (r * 100 + i as u64, u.clone()))
+        })
+        .collect();
+    let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 256);
+    let build = |pool: &mut BufferPool, model: &BTreeMap<u64, Uda>, bulk: bool| {
+        let tuples = model.iter().map(|(t, u)| (*t, u));
+        let domain = Domain::anonymous(CATS);
+        if bulk {
+            PdrTree::bulk_build(domain, PdrConfig::default(), pool, tuples)
+        } else {
+            PdrTree::build(domain, PdrConfig::default(), pool, tuples)
+        }
+        .expect("in-memory build")
+    };
+    let mut trees = [
+        ("insertion-built", build(&mut pool, &model, false)),
+        ("bulk-built", build(&mut pool, &model, true)),
+    ];
+    for (name, tree) in &trees {
+        assert!(tree.depth() >= 2, "{name}: one leaf prunes nothing");
+    }
+    let stored = distinct[pick % distinct.len()].clone();
+    let check = |step: &str,
+                 pool: &mut BufferPool,
+                 trees: &[(&str, PdrTree)],
+                 model: &BTreeMap<u64, Uda>| {
+        let scan =
+            ScanBaseline::build(pool, model.iter().map(|(t, u)| (*t, u))).expect("in-memory build");
+        for probe in [q, &stored, low] {
+            let all = scan
+                .petq(pool, &EqQuery::new(probe.clone(), f64::MIN_POSITIVE))
+                .expect("in-memory query");
+            let mut kinds: Vec<PdrProbe> = [all.first(), all.get(pick % all.len().max(1))]
+                .into_iter()
+                .flatten()
+                .map(|m| PdrProbe::Petq(EqQuery::new(probe.clone(), m.score)))
+                .collect();
+            for k in [1, 1 + pick % 40] {
+                kinds.push(PdrProbe::TopK(TopKQuery::new(probe.clone(), k)));
+            }
+            for dv in [Divergence::L1, Divergence::L2] {
+                let nearest = scan
+                    .ds_top_k(pool, &DsTopKQuery::new(probe.clone(), 1 + pick % 60, dv))
+                    .expect("in-memory query");
+                for radius in [0.0, nearest.last().map_or(0.0, |m| m.score)] {
+                    kinds.push(PdrProbe::Dstq(DstQuery::new(probe.clone(), radius, dv)));
+                }
+                for k in [1, 1 + pick % 60] {
+                    kinds.push(PdrProbe::DsTopK(DsTopKQuery::new(probe.clone(), k, dv)));
+                }
+            }
+            for kind in &kinds {
+                let reference = kind.run(&scan, pool);
+                for (name, tree) in trees {
+                    let what = format!("{step}/{kind:?}");
+                    assert_matches_agree(&what, name, &reference, &kind.run(tree, pool));
+                }
+            }
+        }
+    };
+
+    // The DSTQs of the first check fill each tree's floor.
+    check("built", &mut pool, &trees, &model);
+    for (_, tree) in &mut trees {
+        tree.insert(&mut pool, 90_000, low)
+            .expect("in-memory insert");
+    }
+    model.insert(90_000, low.clone());
+    check("inserted-low", &mut pool, &trees, &model);
+
+    let gone = *model.keys().nth(pick % model.len()).expect("non-empty");
+    for (_, tree) in &mut trees {
+        tree.delete(&mut pool, gone).expect("in-memory delete");
+    }
+    model.remove(&gone);
+    check("deleted", &mut pool, &trees, &model);
+
+    let changed = *model.keys().nth(pick / 3 % model.len()).expect("non-empty");
+    for (_, tree) in &mut trees {
+        tree.update(&mut pool, changed, lower)
+            .expect("in-memory update");
+    }
+    model.insert(changed, lower.clone());
+    check("updated", &mut pool, &trees, &model);
+
+    // A reopened tree starts without a floor and fills it again.
+    let reopened =
+        trees.map(|(name, tree)| (name, PdrTree::open(&tree.snapshot()).expect("reopen")));
+    check("reopened", &mut pool, &reopened, &model);
+    for (_, tree) in &reopened {
+        tree.check_invariants(&mut pool)
+            .expect("pdr-tree invariants");
+    }
+}
+
 // --- The threshold top-k on data built against its bounds ---
 
 proptest! {
