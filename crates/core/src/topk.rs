@@ -4,7 +4,9 @@
 //! by dynamically adjusting the threshold τ to the k-th highest probability
 //! in the current result set" (Section 2). [`TopKHeap`] packages that: it
 //! keeps the best `k` matches seen so far and exposes the current effective
-//! threshold for pruning.
+//! threshold for pruning. Several searches may feed one: a service top-k
+//! merges whole shard answers into it and offers PDR-tree leaf entries
+//! one by one.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -41,11 +43,26 @@ impl PartialOrd for HeapEntry {
 }
 
 /// Accumulator for the `k` highest-scoring matches.
+///
+/// Matches arrive one at a time ([`offer`](TopKHeap::offer)) or as whole
+/// ranked answers ([`merge_sorted`](TopKHeap::merge_sorted)). While only
+/// ranked answers have arrived they are kept as one list in canonical
+/// order, merged in linear time; the first single offer turns the list
+/// into a heap whose top is the weakest match. At most one of the two
+/// holds matches.
 #[derive(Debug)]
 pub struct TopKHeap {
     k: usize,
     heap: BinaryHeap<HeapEntry>,
+    sorted: Vec<Match>,
     floor: f64,
+}
+
+/// Whether `a` ranks before `b`: a higher score, or the same score and a
+/// smaller tid — the canonical order, and what it takes to displace the
+/// weakest retained match.
+fn ranks_before(a: &Match, b: &Match) -> bool {
+    a.score > b.score || (a.score == b.score && a.tid < b.tid)
 }
 
 impl TopKHeap {
@@ -58,6 +75,7 @@ impl TopKHeap {
         TopKHeap {
             k,
             heap: BinaryHeap::new(),
+            sorted: Vec::new(),
             floor,
         }
     }
@@ -67,12 +85,15 @@ impl TopKHeap {
         if self.k == 0 || score < self.floor {
             return false;
         }
+        if !self.sorted.is_empty() {
+            self.heap_from_sorted();
+        }
         if self.heap.len() < self.k {
             self.heap.push(HeapEntry(Match::new(tid, score)));
             return true;
         }
         let weakest = self.heap.peek().expect("non-empty").0;
-        let better = score > weakest.score || (score == weakest.score && tid < weakest.tid);
+        let better = ranks_before(&Match::new(tid, score), &weakest);
         if better {
             self.heap.pop();
             self.heap.push(HeapEntry(Match::new(tid, score)));
@@ -80,34 +101,79 @@ impl TopKHeap {
         better
     }
 
+    /// Turn the ranked list into the heap, before a single offer.
+    #[cold]
+    fn heap_from_sorted(&mut self) {
+        // Weakest first is already a heap whose top is the weakest.
+        let entries: Vec<HeapEntry> = self.sorted.drain(..).rev().map(HeapEntry).collect();
+        self.heap = BinaryHeap::from(entries);
+    }
+
+    /// Offer a whole ranked answer: `run` in canonical order (descending
+    /// score, ascending tid), as every `top_k` returns one. Retains what
+    /// offering each match in turn would; into a list of ranked answers
+    /// it is one linear merge.
+    pub fn merge_sorted(&mut self, run: Vec<Match>) {
+        if !self.heap.is_empty() {
+            // A match that is not retained ranks no better than the
+            // weakest, and neither does any match after it.
+            for m in run {
+                if !self.offer(m.tid, m.score) {
+                    break;
+                }
+            }
+            return;
+        }
+        let kept = std::mem::take(&mut self.sorted);
+        let mut merged = Vec::with_capacity(self.k.min(kept.len() + run.len()));
+        let (mut a, mut b) = (kept.into_iter().peekable(), run.into_iter().peekable());
+        while merged.len() < self.k {
+            let next = match (a.peek(), b.peek()) {
+                (Some(x), Some(y)) if ranks_before(y, x) => b.next(),
+                (Some(_), _) => a.next(),
+                (None, _) => b.next(),
+            };
+            match next {
+                Some(m) if m.score >= self.floor => merged.push(m),
+                _ => break,
+            }
+        }
+        self.sorted = merged;
+    }
+
     /// The current effective threshold: any future match scoring *at or
     /// below* this cannot change the result set (once full, the k-th best
     /// score; before that, the floor).
     pub fn threshold(&self) -> f64 {
-        if self.heap.len() < self.k {
+        if !self.is_full() {
             self.floor
+        } else if let Some(e) = self.heap.peek() {
+            e.0.score
         } else {
-            self.heap.peek().map_or(self.floor, |e| e.0.score)
+            self.sorted.last().map_or(self.floor, |m| m.score)
         }
     }
 
     /// Whether `k` matches have been accumulated.
     pub fn is_full(&self) -> bool {
-        self.heap.len() >= self.k
+        self.len() >= self.k
     }
 
     /// Number of retained matches.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.sorted.len()
     }
 
     /// Whether no match has been retained.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 
     /// Consume the heap, returning matches in canonical descending order.
     pub fn into_sorted(self) -> Vec<Match> {
+        if self.heap.is_empty() {
+            return self.sorted;
+        }
         let mut v: Vec<Match> = self.heap.into_iter().map(|e| e.0).collect();
         crate::query::sort_matches_desc(&mut v);
         v

@@ -30,7 +30,7 @@ use uncat_storage::{BufferPool, QueryMetrics, Result};
 
 use crate::boundary::DistanceBound;
 use crate::node::BoundaryRef;
-use crate::traverse::BestFirst;
+use crate::traverse::{BestFirst, Ranking};
 use crate::tree::PdrTree;
 
 /// Slack on every lower-bound comparison, absorbing f32→f64 rounding.
@@ -52,23 +52,24 @@ fn divergence(q: &Uda, t: &mut Scan<'_>, dv: Divergence, record: &mut Vec<Entry>
 struct DsTopK<'q> {
     query: &'q DsTopKQuery,
     bound: DistanceBound<'q>,
-    heap: BottomKHeap,
     record: Vec<Entry>,
 }
 
-impl BestFirst for DsTopK<'_> {
+impl Ranking for DsTopK<'_> {
+    type Heap = BottomKHeap;
+
     fn priority(&self, boundary: &BoundaryRef<'_>) -> f64 {
         -boundary.distance_lower_bound(&self.bound)
     }
 
-    fn reachable(&self, priority: f64) -> bool {
+    fn reachable(&self, priority: f64, heap: &BottomKHeap) -> bool {
         // `bound()` is ∞ until the heap fills.
-        -priority <= self.heap.bound() + BOUND_EPS
+        -priority <= heap.bound() + BOUND_EPS
     }
 
-    fn offer(&mut self, tid: u64, uda: &mut Scan<'_>) {
+    fn offer(&mut self, heap: &mut BottomKHeap, tid: u64, uda: &mut Scan<'_>) {
         let d = divergence(&self.query.q, uda, self.query.divergence, &mut self.record);
-        self.heap.offer(tid, d);
+        heap.offer(tid, d);
     }
 }
 
@@ -108,16 +109,15 @@ impl PdrTree {
     /// `nodes_pruned`, like [`PdrTree::dstq`]'s cuts). KL admits no bound,
     /// so KL queries traverse every leaf.
     pub fn ds_top_k(&self, pool: &mut BufferPool, query: &DsTopKQuery) -> Result<Vec<Match>> {
-        let heap = pool.tally(|pool, metrics| {
-            let mut search = DsTopK {
-                query,
-                bound: self.distance_bound(pool, metrics, &query.q, query.divergence)?,
-                heap: BottomKHeap::new(query.k),
-                record: Vec::new(),
-            };
-            self.best_first(pool, metrics, &mut search)?;
-            Ok(search.heap)
-        })?;
+        let ranking = DsTopK {
+            query,
+            bound: pool.tally(|pool, metrics| {
+                self.distance_bound(pool, metrics, &query.q, query.divergence)
+            })?,
+            record: Vec::new(),
+        };
+        let mut heap = BottomKHeap::new(query.k);
+        BestFirst::new(self, ranking, false).run(pool, &mut heap)?;
         Ok(heap.into_sorted())
     }
 

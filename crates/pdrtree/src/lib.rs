@@ -24,6 +24,11 @@
 //!   is the max over the preimage). Both over-estimate, so pruning remains
 //!   sound.
 //!
+//! Top-k is a best-first search that can be resumed node by node
+//! ([`PdrTree::top_k_search`], [`BestFirstTopK`]) against a heap the
+//! caller owns, so one search can span several trees — the shards of a
+//! service tenant — with one k-th best cutting them all.
+//!
 //! Every query method takes `(pool, query…)` and adds its execution
 //! counters (nodes visited, children pruned by a bound, leaf entries
 //! examined) to the pool's ledger: run it, then read
@@ -48,4 +53,5 @@ mod tree;
 
 pub use boundary::Boundary;
 pub use config::{Compression, PdrConfig, SplitStrategy};
+pub use search::BestFirstTopK;
 pub use tree::{PdrTree, TreeStats};

@@ -4,7 +4,10 @@
 //! is entered only if its bound on `Pr(q = u)` reaches `τ`. Top-k search
 //! upgrades the threshold dynamically and greedily visits the child with
 //! the largest bound first, "finding better candidates at the beginning of
-//! the search which in turn results in better pruning".
+//! the search which in turn results in better pruning". The search is
+//! resumable ([`BestFirstTopK`]: a bound and a one-node step against a
+//! heap the caller owns), so a service top-k runs one search over many
+//! trees sharing one heap; [`PdrTree::top_k`] is the one-tree loop.
 //!
 //! The bound is Lemma 2 capped at one unit of mass: the paper's
 //! `⟨c.v, q⟩` lets the tuple below `c` take `v`'s every maximum at once,
@@ -23,32 +26,58 @@ use uncat_storage::{BufferPool, Result};
 
 use crate::boundary::ByProb;
 use crate::node::BoundaryRef;
-use crate::traverse::BestFirst;
+use crate::traverse::{BestFirst, Ranking};
 use crate::tree::PdrTree;
 
-/// PEQ-top-k as a best-first search: subtrees ordered by the capped
-/// Lemma 2 bound, cut at the heap's threshold — the external floor until
-/// `k` matches exist, then the k-th best probability.
+/// PEQ-top-k's ranking: subtrees ordered by the capped Lemma 2 bound,
+/// cut at the heap's threshold — the floor until `k` matches exist, then
+/// the k-th best probability.
 struct EqTopK<'q> {
     q: &'q Uda,
     by_prob: ByProb,
-    heap: TopKHeap,
 }
 
-impl BestFirst for EqTopK<'_> {
+impl Ranking for EqTopK<'_> {
+    type Heap = TopKHeap;
+
     fn priority(&self, boundary: &BoundaryRef<'_>) -> f64 {
         boundary.eq_upper_bound(&self.by_prob)
     }
 
-    fn reachable(&self, priority: f64) -> bool {
-        priority >= self.heap.threshold() - THRESHOLD_EPS
+    fn reachable(&self, priority: f64, heap: &TopKHeap) -> bool {
+        priority >= heap.threshold() - THRESHOLD_EPS
     }
 
-    fn offer(&mut self, tid: u64, uda: &mut Scan<'_>) {
+    fn offer(&mut self, heap: &mut TopKHeap, tid: u64, uda: &mut Scan<'_>) {
         let pr = eq_prob_stream(self.q.entries(), uda);
         if pr > 0.0 {
-            self.heap.offer(tid, pr);
+            heap.offer(tid, pr);
         }
+    }
+}
+
+/// One tree's share of a PEQ-top-k, resumable node by node
+/// ([`PdrTree::top_k_search`]): several of these feeding one
+/// [`TopKHeap`], always stepping the one with the best
+/// [`bound`](Self::bound), read only nodes whose bound reaches the k-th
+/// best of their union — what a single tree over all their tuples would.
+pub struct BestFirstTopK<'a>(BestFirst<'a, EqTopK<'a>>);
+
+impl BestFirstTopK<'_> {
+    /// The best capped Lemma 2 bound not yet explored: `+∞` before the
+    /// root is read, `−∞` once the search has stopped.
+    pub fn bound(&self) -> f64 {
+        self.0.bound()
+    }
+
+    /// Read one node into `heap` — or, when the best unexplored bound is
+    /// below `heap`'s threshold (less [`THRESHOLD_EPS`]), stop and count
+    /// the frontier as pruned. Counters and reads land in `pool`'s ledger,
+    /// as for [`PdrTree::top_k`]. `heap` must be made for the search's
+    /// query (its `k` and floor): the search offers every leaf entry it
+    /// reads with a positive probability.
+    pub fn step(&mut self, pool: &mut BufferPool, heap: &mut TopKHeap) -> Result<()> {
+        self.0.step(pool, heap)
     }
 }
 
@@ -97,24 +126,31 @@ impl PdrTree {
     /// upper-bound order, so the search stops as soon as the best
     /// unexplored bound cannot beat the current k-th best probability.
     /// Counters as for [`PdrTree::petq`]; children cut by the dynamic
-    /// k-th-best threshold also count as `nodes_pruned`.
+    /// k-th-best threshold, and the frontier left when the search stops,
+    /// also count as `nodes_pruned`.
     ///
     /// A query floor ([`TopKQuery::floor`]) is the heap's initial
     /// threshold, so subtrees whose capped Lemma-2 bound cannot reach it are
     /// pruned from the first node on — never more work than an unfloored
     /// top-k, and the best-first stop fires even before `k` matches exist
-    /// once every unexplored bound is below the floor.
+    /// once every unexplored bound is below the floor. This is the
+    /// one-tree case of [`PdrTree::top_k_search`].
     pub fn top_k(&self, pool: &mut BufferPool, query: &TopKQuery) -> Result<Vec<Match>> {
-        if query.k == 0 {
-            return Ok(Vec::new());
-        }
-        let mut search = EqTopK {
+        let mut heap = TopKHeap::new(query.k, effective_floor(query.floor));
+        self.top_k_search(query).0.run(pool, &mut heap)?;
+        Ok(heap.into_sorted())
+    }
+
+    /// `query` as a resumable best-first search that feeds a heap the
+    /// caller owns — `TopKHeap::new(query.k, effective_floor(query.floor))`
+    /// — so that searches over several trees can share it. A search for
+    /// `k = 0` reads nothing.
+    pub fn top_k_search<'a>(&'a self, query: &'a TopKQuery) -> BestFirstTopK<'a> {
+        let ranking = EqTopK {
             q: &query.q,
             by_prob: ByProb::of(&query.q),
-            heap: TopKHeap::new(query.k, effective_floor(query.floor)),
         };
-        pool.tally(|pool, metrics| self.best_first(pool, metrics, &mut search))?;
-        Ok(search.heap.into_sorted())
+        BestFirstTopK(BestFirst::new(self, ranking, query.k == 0))
     }
 }
 

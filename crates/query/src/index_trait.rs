@@ -1,10 +1,12 @@
-//! The common interface over index structures.
+//! The common interface over index structures, and the resumable top-k
+//! search several indexes run against one heap.
 
 use uncat_core::query::{DsTopKQuery, DstQuery, EqQuery, Match, TopKQuery};
-use uncat_storage::{BufferPool, Result};
+use uncat_core::topk::TopKHeap;
+use uncat_storage::{BufferPool, Phase, Result};
 
 use uncat_inverted::{InvertedIndex, Strategy};
-use uncat_pdrtree::PdrTree;
+use uncat_pdrtree::{BestFirstTopK, PdrTree};
 
 /// Anything that can answer the paper's query set. All three queries
 /// return exact scores in canonical order (descending probability for
@@ -37,6 +39,81 @@ pub trait UncertainIndex {
     fn tuple_count(&self) -> u64;
     /// Short name for reports ("inverted", "pdr-tree", "scan").
     fn backend_name(&self) -> &'static str;
+    /// `query` as a [`TopKSearch`] feeding a heap the caller owns —
+    /// `TopKHeap::new(query.k, effective_floor(query.floor))`, shared by
+    /// every index the caller searches. The default runs
+    /// [`top_k`](Self::top_k) once, floored at the heap's threshold; the
+    /// PDR-tree steps its best-first search node by node.
+    fn top_k_search<'a>(&'a self, query: &'a TopKQuery) -> Box<dyn TopKSearch + 'a> {
+        Box::new(OneShot {
+            index: self,
+            query,
+            done: false,
+        })
+    }
+}
+
+/// One index's share of a top-k that several indexes answer into one
+/// [`TopKHeap`]. The caller always steps the search with the best
+/// [`bound`](TopKSearch::bound) and stops when every bound is `−∞`; a
+/// search whose best unexplored bound is below the heap's threshold
+/// (less `THRESHOLD_EPS`) stops on its next step, so the loop reads
+/// nothing that cannot reach the k-th best of the union.
+pub trait TopKSearch {
+    /// An upper bound on the score of anything this search has not yet
+    /// offered: `+∞` before it starts, `−∞` once it has stopped.
+    fn bound(&self) -> f64;
+    /// Do one unit of work, offering what it finds to `heap` and adding
+    /// its counters to `pool`'s ledger, or stop (see the trait docs). A
+    /// no-op on a stopped search.
+    fn step(&mut self, pool: &mut BufferPool, heap: &mut TopKHeap) -> Result<()>;
+}
+
+/// The default [`TopKSearch`]: the index's whole `top_k` as one step,
+/// floored at the shared heap's threshold when it runs — a later shard
+/// starts from the k-th best the earlier ones proved — and merged into
+/// the heap as the ranked answer it is.
+struct OneShot<'a, I: ?Sized> {
+    index: &'a I,
+    query: &'a TopKQuery,
+    done: bool,
+}
+
+impl<I: UncertainIndex + ?Sized> TopKSearch for OneShot<'_, I> {
+    fn bound(&self) -> f64 {
+        if self.done {
+            f64::NEG_INFINITY
+        } else {
+            f64::INFINITY
+        }
+    }
+
+    fn step(&mut self, pool: &mut BufferPool, heap: &mut TopKHeap) -> Result<()> {
+        if self.done {
+            return Ok(());
+        }
+        self.done = true;
+        let floored = TopKQuery {
+            floor: heap.threshold(),
+            ..self.query.clone()
+        };
+        heap.merge_sorted(self.index.top_k(pool, &floored)?);
+        Ok(())
+    }
+}
+
+/// Each step reads one node, under its own traversal span.
+impl TopKSearch for BestFirstTopK<'_> {
+    fn bound(&self) -> f64 {
+        BestFirstTopK::bound(self)
+    }
+
+    fn step(&mut self, pool: &mut BufferPool, heap: &mut TopKHeap) -> Result<()> {
+        let span = pool.trace_begin(Phase::TreeTraversal);
+        BestFirstTopK::step(self, pool, heap)?;
+        pool.trace_end(span);
+        Ok(())
+    }
 }
 
 /// Boxed indexes answer queries by delegation, so heterogeneous backend
@@ -65,6 +142,10 @@ impl<T: UncertainIndex + ?Sized> UncertainIndex for Box<T> {
 
     fn backend_name(&self) -> &'static str {
         (**self).backend_name()
+    }
+
+    fn top_k_search<'a>(&'a self, query: &'a TopKQuery) -> Box<dyn TopKSearch + 'a> {
+        (**self).top_k_search(query)
     }
 }
 
@@ -142,5 +223,9 @@ impl UncertainIndex for PdrTree {
 
     fn backend_name(&self) -> &'static str {
         "pdr-tree"
+    }
+
+    fn top_k_search<'a>(&'a self, query: &'a TopKQuery) -> Box<dyn TopKSearch + 'a> {
+        Box::new(PdrTree::top_k_search(self, query))
     }
 }

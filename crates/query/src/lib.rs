@@ -2,6 +2,11 @@
 //!
 //! * [`UncertainIndex`] — one trait for both paper indexes plus the
 //!   full-scan baseline, so benchmarks and joins are generic.
+//! * [`TopKSearch`] — one index's share of a top-k that several indexes
+//!   answer into one heap ([`UncertainIndex::top_k_search`]): the
+//!   PDR-tree steps its best-first search node by node, every other
+//!   index runs its `top_k` once, floored at the heap's threshold. The
+//!   service's top-k drives it.
 //! * [`ScanBaseline`] — evaluates every query by scanning the tuple heap;
 //!   the correctness oracle and the "no index" comparison point.
 //! * [`run_query`] — the one probe runner: a query on a pool under a
@@ -38,7 +43,7 @@ pub use durable::{
     LogRecord, MemSlot, MutableBackend, RecoveryReport, SnapshotSlot,
 };
 pub use executor::{run_query, QueryOutcome};
-pub use index_trait::{InvertedBackend, UncertainIndex};
+pub use index_trait::{InvertedBackend, TopKSearch, UncertainIndex};
 pub use parallel::{batch_trace, BatchPools};
 pub use planner::Planner;
 pub use scan::ScanBaseline;

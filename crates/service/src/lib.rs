@@ -11,14 +11,16 @@
 //! rejected (typed, counted) when the queue is full too.
 //!
 //! Execution is scatter-gather and *exact*: threshold queries
-//! concatenate shard results (the shards partition the tuple ids),
-//! top-k forms share a rising score floor across shard probes
-//! ([`uncat_query::join::SharedFloor`]) and merge-then-truncate — a
-//! shard's proven k-th best lower-bounds the merged k-th best, so the
-//! floor prunes postings on later shards without changing the answer.
-//! Per-shard [`uncat_storage::QueryMetrics`] and latency traces merge
-//! additively, exactly like batch execution, so a sharded query's
-//! counters are directly comparable to the single-index plan's.
+//! concatenate shard results (the shards partition the tuple ids), and
+//! their per-shard [`uncat_storage::QueryMetrics`] and latency traces
+//! merge additively, exactly like batch execution. A top-k is one
+//! best-first search over every shard sharing one heap: the service
+//! always steps the shard whose [`uncat_query::TopKSearch`] has the best
+//! bound, so a PDR-tree shard opens only nodes whose bound reaches the
+//! k-th best of the whole tenant, and an inverted shard runs its
+//! `top_k` once, floored at the k-th best gathered before it. Its
+//! counters are that one search's. A PEJ-top-k join shares a rising
+//! floor across shards ([`uncat_query::join::SharedFloor`]).
 //!
 //! See `docs/SERVICE.md` for the full design.
 

@@ -1,17 +1,23 @@
 //! The query service: named tenants, sharded datasets, scatter-gather
-//! execution over one shared buffer pool.
+//! execution over one shared buffer pool. Threshold forms probe the
+//! shards one by one and concatenate; a top-k is one best-first search
+//! over every shard, stepping whichever shard's
+//! [`uncat_query::TopKSearch`] has the best bound into one shared heap.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
-use uncat_core::query::{sort_matches_asc, sort_matches_desc, DstQuery, EqQuery, Match, TopKQuery};
+use uncat_core::query::{
+    effective_floor, sort_matches_asc, sort_matches_desc, DstQuery, EqQuery, Match, TopKQuery,
+};
+use uncat_core::topk::TopKHeap;
 use uncat_core::{Domain, Uda};
 use uncat_inverted::{InvertedIndex, Strategy};
 use uncat_pdrtree::{PdrConfig, PdrTree};
 use uncat_query::join::{parallel_join, JoinPair, JoinSpec, SharedFloor};
 use uncat_query::parallel::BatchPools;
-use uncat_query::{run_query, InvertedBackend, UncertainIndex};
+use uncat_query::{run_query, InvertedBackend, QueryOutcome, UncertainIndex};
 use uncat_storage::trace::{Clock, MonotonicClock, QueryTrace};
 use uncat_storage::{
     BufferPool, IoStats, QueryMetrics, SharedBufferPool, SharedStore, StorageError,
@@ -63,10 +69,12 @@ pub struct ServiceOutcome {
     /// Matches in the query form's canonical order, exact across every
     /// shard (tid-identical to the unsharded plan).
     pub matches: Vec<Match>,
-    /// Per-shard counters merged (additively, as in batch execution),
-    /// plus this query's admission stamp.
+    /// The query's counters plus its admission stamp: per-shard probes
+    /// merged additively (as in batch execution) for PETQ and DSTQ, the
+    /// one shared search's ledger for top-k.
     pub metrics: QueryMetrics,
-    /// Merged per-shard latency trace, when tracing is enabled.
+    /// The latency trace, when tracing is enabled: per-shard traces
+    /// merged for PETQ and DSTQ, one trace under one root for top-k.
     pub trace: Option<QueryTrace>,
     /// End-to-end wall time, admission wait included.
     pub wall_ns: u64,
@@ -95,10 +103,9 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// decides *placement*. Datasets are horizontally partitioned by
 /// [`shard_of`]; selects and joins scatter across the shards and gather
 /// into the exact single-index answer: threshold forms concatenate
-/// (shards partition the tids), and top-k forms merge-then-truncate
-/// under a cross-shard [`SharedFloor`] — a shard's proven k-th best
-/// lower-bounds the merged k-th best, so seeding later probes with it
-/// prunes postings without changing the answer.
+/// (shards partition the tids); a top-k runs every shard's search into
+/// one heap ([`QueryService::top_k`]); a PEJ-top-k join carries one
+/// [`SharedFloor`] through every shard's join.
 pub struct QueryService {
     store: SharedStore,
     pool: Arc<SharedBufferPool>,
@@ -267,36 +274,38 @@ impl QueryService {
         )
     }
 
-    /// PEQ-top-k for `tenant`: shard probes share a rising floor, then
-    /// merge-and-truncate to the exact global top k. The floor rides in
-    /// one copy of the query, made once, raised above any floor the
-    /// caller set.
+    /// PEQ-top-k for `tenant`: one best-first search over every shard.
+    /// Each shard answers through its [`UncertainIndex::top_k_search`]
+    /// into one [`TopKHeap`] floored at the caller's floor, and the loop
+    /// always steps the shard with the best unexplored bound (the lowest
+    /// shard on a tie) until every bound is `−∞` — a shard whose best
+    /// bound is below the heap's threshold stops on its next step. A
+    /// PDR-tree shard is read node by node, so it opens only nodes whose
+    /// bound reaches the k-th best of the whole tenant; any other shard
+    /// runs its `top_k` once, in shard order, floored at the k-th best
+    /// the shards before it proved.
     pub fn top_k(&self, tenant: &str, query: &TopKQuery) -> Result<ServiceOutcome> {
-        let floor = SharedFloor::new();
-        floor.raise(query.floor);
-        let mut floored = query.clone();
-        self.run_select(
-            tenant,
-            |shard, pool| {
-                floored.floor = floor.get();
-                let matches = shard.top_k(pool, &floored)?;
-                if matches.len() >= query.k {
-                    // This shard's k-th best lower-bounds the merged
-                    // k-th best (its tuples are a subset of the union),
-                    // so later probes may prune below it.
-                    let kth = matches
-                        .iter()
-                        .map(|m| m.score)
-                        .fold(f64::INFINITY, f64::min);
-                    floor.raise(kth);
+        self.serve(tenant, |shards, clock| {
+            let mut pool = BufferPool::from_handle(self.pool.handle());
+            run_query(&mut pool, clock, |pool| {
+                let mut heap = TopKHeap::new(query.k, effective_floor(query.floor));
+                let mut searches: Vec<_> = shards.iter().map(|s| s.top_k_search(query)).collect();
+                loop {
+                    // The first of the best bounds: a tie goes to the
+                    // lower shard.
+                    let mut best = (f64::NEG_INFINITY, None);
+                    for (i, search) in searches.iter().enumerate() {
+                        let bound = search.bound();
+                        if bound > best.0 {
+                            best = (bound, Some(i));
+                        }
+                    }
+                    let Some(i) = best.1 else { break };
+                    searches[i].step(pool, &mut heap)?;
                 }
-                Ok(matches)
-            },
-            |all| {
-                sort_matches_desc(all);
-                all.truncate(query.k);
-            },
-        )
+                Ok(heap.into_sorted())
+            })
+        })
     }
 
     /// DSTQ for `tenant`: exact scatter-gather over its shards.
@@ -385,48 +394,69 @@ impl QueryService {
         stats.completed += 1;
     }
 
-    /// The select scatter-gather skeleton: admit, probe the shards one
-    /// after another in shard order (each through [`run_query`] on a
-    /// fresh handle on the shared pool, which is that probe's ledger),
-    /// merge counters and traces additively, and put the gathered
-    /// matches into canonical order. Concurrency comes from concurrent
-    /// queries, not from inside one (EXPERIMENTS.md, "Scatter threads").
-    fn run_select<F, G>(&self, name: &str, mut probe: F, gather: G) -> Result<ServiceOutcome>
+    /// The select skeleton: admit, run `body` over the tenant's shards
+    /// (with the clock to trace against, when tracing is on), stamp the
+    /// admission wait into its counters and fold it into the tenant's
+    /// aggregates.
+    fn serve<F>(&self, name: &str, body: F) -> Result<ServiceOutcome>
     where
-        F: FnMut(
-            &dyn UncertainIndex,
-            &mut BufferPool,
-        ) -> std::result::Result<Vec<Match>, StorageError>,
-        G: FnOnce(&mut Vec<Match>),
+        F: FnOnce(
+            &[Box<dyn UncertainIndex + Send + Sync>],
+            Option<&Arc<dyn Clock>>,
+        ) -> std::result::Result<QueryOutcome, StorageError>,
     {
         let tenant = self.tenant(name)?;
         let started = self.clock.now_ns();
         let guard = self.admit(&tenant, tenant.config.frames_per_query)?;
         let clock = self.tracing.load(Ordering::Relaxed).then_some(&self.clock);
-
-        let mut matches = Vec::new();
-        let mut metrics = QueryMetrics::new();
+        let out = body(&tenant.shards, clock).map_err(|e| self.fail(&tenant, e))?;
+        let mut metrics = out.metrics;
         metrics.admission_waits = u64::from(guard.waited());
-        let mut trace: Option<QueryTrace> = None;
-        for shard in &tenant.shards {
-            let mut pool = BufferPool::from_handle(self.pool.handle());
-            let part = run_query(&mut pool, clock, |pool| probe(shard.as_ref(), pool))
-                .map_err(|e| self.fail(&tenant, e))?;
-            matches.extend(part.matches);
-            metrics.merge(&part.metrics);
-            if let Some(t) = part.trace {
-                trace.get_or_insert_with(QueryTrace::default).merge(&t);
-            }
-        }
         drop(guard);
-        gather(&mut matches);
         let wall_ns = self.clock.now_ns().saturating_sub(started);
         self.record(&tenant, &metrics, wall_ns);
         Ok(ServiceOutcome {
-            matches,
+            matches: out.matches,
             metrics,
-            trace,
+            trace: out.trace,
             wall_ns,
+        })
+    }
+
+    /// The threshold forms' scatter-gather: probe the shards one after
+    /// another in shard order (each through [`run_query`] on a fresh
+    /// handle on the shared pool, which is that probe's ledger), merge
+    /// counters and traces additively, and put the gathered matches into
+    /// canonical order. Concurrency comes from concurrent queries, not
+    /// from inside one (EXPERIMENTS.md, "Scatter threads").
+    fn run_select<F, G>(&self, name: &str, probe: F, gather: G) -> Result<ServiceOutcome>
+    where
+        F: Fn(
+            &dyn UncertainIndex,
+            &mut BufferPool,
+        ) -> std::result::Result<Vec<Match>, StorageError>,
+        G: FnOnce(&mut Vec<Match>),
+    {
+        self.serve(name, |shards, clock| {
+            let mut gathered = QueryOutcome {
+                matches: Vec::new(),
+                metrics: QueryMetrics::new(),
+                trace: None,
+            };
+            for shard in shards {
+                let mut pool = BufferPool::from_handle(self.pool.handle());
+                let part = run_query(&mut pool, clock, |pool| probe(shard.as_ref(), pool))?;
+                gathered.matches.extend(part.matches);
+                gathered.metrics.merge(&part.metrics);
+                if let Some(t) = part.trace {
+                    gathered
+                        .trace
+                        .get_or_insert_with(QueryTrace::default)
+                        .merge(&t);
+                }
+            }
+            gather(&mut gathered.matches);
+            Ok(gathered)
         })
     }
 }

@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use uncat::core::query::{DsTopKQuery, DstQuery, EqQuery, Match, TopKQuery};
+use uncat::core::query::{sort_matches_desc, DsTopKQuery, DstQuery, EqQuery, Match, TopKQuery};
 use uncat::core::{CatId, Divergence, Domain, Uda};
 use uncat::prelude::*;
 use uncat::query::join::{block_join, index_join, parallel_join, JoinPair, JoinSpec, SharedFloor};
@@ -490,6 +490,177 @@ fn check_sharded_service(
             assert_eq!(
                 got_counters, manual,
                 "{name}: the service merge must equal the per-shard sum"
+            );
+        }
+    }
+}
+
+// --- Service top-k: one best-first search over every shard ---
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases(8)))]
+
+    // A service top-k steps every shard's search against one heap. On
+    // PDR-tree tenants and on mixed ones (inverted on even shards,
+    // PDR-tree on odd) of 1–4 shards, for k = 0, a few, n, past n and
+    // `usize::MAX`, with and without a caller floor: the answer is the
+    // scan's, tid for tid and bit for bit; the PDR-tree counters are
+    // never above the plan that probed the shards one by one, each
+    // floored at the k-th best an earlier shard proved; and one PDR-tree
+    // shard counts exactly what `PdrTree::top_k` does. Every tuple is
+    // stored a few times, so scores tie across shards, and there are
+    // enough of them for every shard to be a tree of several leaves.
+    #[test]
+    fn service_top_k_is_one_search_over_every_shard(
+        distinct in prop::collection::vec(uda_strategy(CATS), 100..=400),
+        copies in 2u64..8,
+        q in uda_strategy(CATS),
+        small_k in 1usize..400,
+        floor in (any::<bool>(), 0.01f64..0.6).prop_map(|(on, f)| if on { f } else { 0.0 }),
+        shards in 1usize..=4,
+        mixed in any::<bool>(),
+    ) {
+        let tuples: Vec<(u64, Uda)> = (0..copies)
+            .flat_map(|r| {
+                distinct
+                    .iter()
+                    .enumerate()
+                    .map(move |(i, u)| (r * 1000 + i as u64, u.clone()))
+            })
+            .collect();
+        check_service_top_k(&tuples, &q, small_k, floor, shards, mixed);
+    }
+}
+
+fn check_service_top_k(
+    tuples: &[(u64, Uda)],
+    q: &Uda,
+    small_k: usize,
+    floor: f64,
+    shards: usize,
+    mixed: bool,
+) {
+    use uncat::service::{shard_of, QueryService, ServiceConfig, TenantConfig};
+
+    let domain = Domain::anonymous(CATS);
+    let service = QueryService::new(InMemoryDisk::shared(), ServiceConfig::default());
+    // Each call builds the tenant's shards alike on the service's store:
+    // one set for the service, one to replay the sequential plan on.
+    let build = || -> Vec<Box<dyn UncertainIndex + Send + Sync>> {
+        (0..shards)
+            .map(|s| {
+                let part = tuples
+                    .iter()
+                    .filter(|(tid, _)| shard_of(*tid, shards) == s)
+                    .map(|(tid, u)| (*tid, u));
+                let mut pool = BufferPool::with_capacity(service.store().clone(), 128);
+                let shard: Box<dyn UncertainIndex + Send + Sync> = if mixed && s % 2 == 0 {
+                    let idx = InvertedIndex::build(domain.clone(), &mut pool, part)
+                        .expect("in-memory build");
+                    Box::new(InvertedBackend::with_strategy(idx, SearchStrategy::Auto))
+                } else {
+                    Box::new(
+                        PdrTree::bulk_build(domain.clone(), PdrConfig::default(), &mut pool, part)
+                            .expect("in-memory build"),
+                    )
+                };
+                pool.flush().expect("in-memory flush");
+                shard
+            })
+            .collect()
+    };
+    service.register_tenant(TenantConfig::new("t"), build());
+    let replay = build();
+    let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 100);
+    let scan = ScanBaseline::build(&mut pool, tuples.iter().map(|(t, u)| (*t, u)))
+        .expect("in-memory build");
+    let mut rpool = BufferPool::with_capacity(service.store().clone(), 100);
+
+    let n = tuples.len();
+    for k in [0, small_k, n, n + 7, usize::MAX] {
+        let query = TopKQuery {
+            floor,
+            ..TopKQuery::new(q.clone(), k)
+        };
+        let what = format!("service top-k, k = {k}, floor {floor}, {shards} shards, mixed {mixed}");
+        let got = service.top_k("t", &query).expect("in-memory query");
+        let want = scan.top_k(&mut pool, &query).expect("in-memory query");
+        let bits = |ms: &[Match]| -> Vec<(u64, u64)> {
+            ms.iter().map(|m| (m.tid, m.score.to_bits())).collect()
+        };
+        if mixed {
+            // The inverted executor rounds a score once from its
+            // unevaluated sum, which may differ from the scan's
+            // category-order sum in the last bit, so copies split across
+            // backends need not tie as the scan ties them. The exact
+            // answer is the merge of the shards' own answers; its scores
+            // are the scan's to 1e-9.
+            let mut merged = Vec::new();
+            for shard in &replay {
+                merged.extend(shard.top_k(&mut rpool, &query).expect("in-memory query"));
+            }
+            sort_matches_desc(&mut merged);
+            merged.truncate(k);
+            assert_eq!(
+                bits(&got.matches),
+                bits(&merged),
+                "{what}: not the merged answer"
+            );
+            assert_eq!(
+                got.matches.len(),
+                want.len(),
+                "{what}: not the scan's length"
+            );
+            for (g, w) in got.matches.iter().zip(&want) {
+                assert!(
+                    (g.score - w.score).abs() <= 1e-9,
+                    "{what}: {g:?} vs scan's {w:?}"
+                );
+            }
+        } else {
+            assert_eq!(
+                bits(&got.matches),
+                bits(&want),
+                "{what}: not the scan's answer"
+            );
+        }
+
+        // The sequential plan: shard by shard, each probe floored at the
+        // best k-th best an earlier shard proved.
+        let shared = SharedFloor::new();
+        shared.raise(query.floor);
+        let before = rpool.metrics();
+        for shard in &replay {
+            let floored = TopKQuery {
+                floor: shared.get(),
+                ..query.clone()
+            };
+            let matches = shard.top_k(&mut rpool, &floored).expect("in-memory query");
+            if matches.len() >= k {
+                if let Some(kth) = matches.last() {
+                    shared.raise(kth.score);
+                }
+            }
+        }
+        let sequential = rpool.metrics().since(&before);
+        assert!(
+            got.metrics.nodes_visited <= sequential.nodes_visited
+                && got.metrics.leaf_entries_examined <= sequential.leaf_entries_examined,
+            "{what}: one search read more than the sequential plan: {:?} vs {:?}",
+            got.metrics,
+            sequential
+        );
+        if shards == 1 && !mixed {
+            let (mut one, mut tree) = (got.metrics, sequential);
+            for m in [&mut one, &mut tree] {
+                m.io = IoStats {
+                    logical_reads: m.io.logical_reads,
+                    ..IoStats::default()
+                };
+            }
+            assert_eq!(
+                one, tree,
+                "{what}: one shard must count as `PdrTree::top_k`"
             );
         }
     }

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 
 use uncat::core::distance::{l1, l2};
 use uncat::core::equality::eq_prob;
-use uncat::core::query::EqQuery;
+use uncat::core::query::{sort_matches_desc, EqQuery, Match};
 use uncat::core::topk::TopKHeap;
 use uncat::core::{codec, CatId, Divergence, Domain, Uda};
 use uncat::prelude::*;
@@ -84,20 +84,56 @@ proptest! {
         prop_assert!(d >= -1e-9);
     }
 
+    // Matches reach the heap one by one or as ranked runs
+    // (`merge_sorted`): the tids are cut into up to four runs at `cuts`,
+    // and bit i of `whole` says whether run i arrives whole (sorted
+    // first) or match by match. Either way the heap keeps the k best at
+    // or above the floor, tied scores (`coarse`) included.
     #[test]
     fn topk_heap_equals_sort_and_truncate(
         scores in prop::collection::vec(0.0f64..1.0, 0..60),
-        k in 1usize..20,
+        k in 0usize..20,
+        floor in 0.0f64..0.5,
+        coarse in any::<bool>(),
+        cuts in prop::collection::vec(0usize..60, 0..4),
+        whole in any::<u8>(),
     ) {
-        let mut h = TopKHeap::new(k, 0.0);
-        for (tid, &s) in scores.iter().enumerate() {
-            h.offer(tid as u64, s);
+        let scores: Vec<f64> = scores
+            .iter()
+            .map(|&s| if coarse { (s * 4.0).floor() / 4.0 } else { s })
+            .collect();
+        // Tids out of arrival order, so ties between runs break both ways.
+        let tid = |t: usize| (t * 37 % 61) as u64;
+        let mut h = TopKHeap::new(k, floor);
+        let mut cuts = cuts;
+        cuts.push(scores.len());
+        cuts.sort_unstable();
+        let mut from = 0;
+        for (i, &to) in cuts.iter().enumerate() {
+            let to = to.min(scores.len()).max(from);
+            let mut run: Vec<Match> = (from..to).map(|t| Match::new(tid(t), scores[t])).collect();
+            if whole >> i & 1 == 1 {
+                sort_matches_desc(&mut run);
+                h.merge_sorted(run);
+            } else {
+                for m in run {
+                    h.offer(m.tid, m.score);
+                }
+            }
+            from = to;
         }
+        let threshold = h.threshold();
         let got: Vec<(u64, f64)> = h.into_sorted().into_iter().map(|m| (m.tid, m.score)).collect();
-        let mut expect: Vec<(u64, f64)> =
-            scores.iter().enumerate().map(|(t, &s)| (t as u64, s)).collect();
+        let mut expect: Vec<(u64, f64)> = scores
+            .iter()
+            .enumerate()
+            .map(|(t, &s)| (tid(t), s))
+            .filter(|&(_, s)| s >= floor)
+            .collect();
         expect.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then_with(|| a.0.cmp(&b.0)));
         expect.truncate(k);
+        let kth = if expect.len() == k && k > 0 { expect[k - 1].1 } else { floor };
+        prop_assert_eq!(threshold, kth);
         prop_assert_eq!(got, expect);
     }
 }

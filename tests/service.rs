@@ -6,14 +6,17 @@
 use std::sync::{Arc, Barrier, Condvar, Mutex};
 
 use uncat::core::query::DsTopKQuery;
-use uncat::core::query::{sort_matches_desc, DstQuery, EqQuery, Match, TopKQuery};
+use uncat::core::query::{effective_floor, sort_matches_desc, DstQuery, EqQuery, Match, TopKQuery};
+use uncat::core::topk::TopKHeap;
 use uncat::core::{CatId, Divergence, Domain, Uda};
 use uncat::inverted::{InvertedIndex, Strategy};
 use uncat::pdrtree::{PdrConfig, PdrTree};
 use uncat::query::join::{index_join, JoinSpec};
 use uncat::query::{InvertedBackend, ScanBaseline, UncertainIndex};
 use uncat::service::{shard_of, QueryService, ServiceConfig, ServiceError, TenantConfig};
-use uncat::storage::{BufferPool, Fault, FaultStore, InMemoryDisk, IoStats, StorageError};
+use uncat::storage::{
+    BufferPool, Fault, FaultStore, InMemoryDisk, IoStats, Phase, QueryMetrics, StorageError,
+};
 
 fn uda(pairs: &[(u32, f32)]) -> Uda {
     Uda::from_pairs(pairs.iter().map(|&(c, p)| (CatId(c), p))).unwrap()
@@ -377,6 +380,118 @@ fn cross_shard_floor_prunes_postings_without_changing_answers() {
         "the shared floor must prune strictly ({} floored vs {floorless_postings} floorless)",
         floored.metrics.postings_scanned,
     );
+}
+
+/// An inverted shard has no resumable search: the service runs its
+/// `top_k` once, in shard order, floored at the k-th best the shards
+/// before it gathered. So an inverted tenant's top-k counts exactly what
+/// that sequential plan, replayed by hand on shards built alike, counts
+/// (the I/O block aside: the replay's pools are its own), and answers
+/// what it answers. Shard 0 holds the high scores, as in
+/// `cross_shard_floor_prunes_postings_without_changing_answers`, so the
+/// gathered floor saves the later shards whole blocks.
+#[test]
+fn an_inverted_tenant_runs_its_shards_once_each_under_the_gathered_floor() {
+    const SHARDS: usize = 3;
+    let domain = Domain::anonymous(13);
+    let data: Vec<(u64, Uda)> = (0..6000u64)
+        .map(|i| {
+            let high = if shard_of(i, SHARDS) == 0 { 0.5 } else { 0.0 };
+            let p = ((i * 7919) % 6000 + 1) as f32 / 12002.0 + high;
+            (i, uda(&[(4, p), (9, 1.0 - p)]))
+        })
+        .collect();
+    let service = QueryService::new(InMemoryDisk::shared(), ServiceConfig::default());
+    let build_shards = || -> Vec<InvertedBackend> {
+        (0..SHARDS)
+            .map(|s| {
+                let part = data.iter().filter(|(t, _)| shard_of(*t, SHARDS) == s);
+                let mut pool = BufferPool::with_capacity(service.store().clone(), 128);
+                let idx =
+                    InvertedIndex::build(domain.clone(), &mut pool, part.map(|(t, u)| (*t, u)))
+                        .expect("in-memory build");
+                pool.flush().expect("in-memory flush");
+                InvertedBackend::with_strategy(idx, Strategy::Auto)
+            })
+            .collect()
+    };
+    let boxed = build_shards()
+        .into_iter()
+        .map(|s| Box::new(s) as Box<dyn UncertainIndex + Send + Sync>)
+        .collect();
+    service.register_tenant(TenantConfig::new("t"), boxed);
+    let replay = build_shards();
+
+    for (k, floor) in [(1, 0.0), (300, 0.0), (300, 0.2), (9000, 0.0)] {
+        let query = TopKQuery {
+            floor,
+            ..TopKQuery::new(uda(&[(4, 1.0)]), k)
+        };
+        let got = service.top_k("t", &query).expect("query");
+
+        let mut heap = TopKHeap::new(k, effective_floor(floor));
+        let mut counted = QueryMetrics::new();
+        let mut unfloored = 0;
+        for shard in &replay {
+            let floored = TopKQuery {
+                floor: heap.threshold(),
+                ..query.clone()
+            };
+            let mut pool = BufferPool::with_capacity(service.store().clone(), 100);
+            for m in shard.top_k(&mut pool, &floored).expect("query") {
+                heap.offer(m.tid, m.score);
+            }
+            counted.merge(&pool.metrics());
+            let mut pool = BufferPool::with_capacity(service.store().clone(), 100);
+            shard.top_k(&mut pool, &query).expect("query");
+            unfloored += pool.metrics().postings_scanned;
+        }
+        assert_matches_agree("one-shot", &heap.into_sorted(), &got.matches);
+        if k == 300 {
+            assert!(
+                counted.postings_scanned < unfloored,
+                "the floor saves blocks"
+            );
+        }
+        let mut got = got.metrics;
+        for m in [&mut got, &mut counted] {
+            m.io = IoStats {
+                logical_reads: m.io.logical_reads,
+                ..IoStats::default()
+            };
+        }
+        assert_eq!(got, counted, "k = {k}, floor {floor}");
+    }
+}
+
+/// A traced PDR-tree top-k is one query: one `query` root span, and under
+/// it the shards' `tree_traversal` spans — one per step of the shared
+/// search, so at least one per shard (each shard's root is read).
+#[test]
+fn a_traced_pdr_top_k_is_one_query_over_every_shards_traversal() {
+    const SHARDS: usize = 3;
+    let (domain, data) = seeded_dataset(5000);
+    let service = QueryService::new(InMemoryDisk::shared(), ServiceConfig::default());
+    service
+        .register_tenant_pdr(TenantConfig::new("pdr"), &domain, &data, SHARDS)
+        .expect("in-memory build");
+    service.set_tracing(true);
+    let out = service
+        .top_k("pdr", &TopKQuery::new(uda(&[(4, 0.6), (9, 0.4)]), 30))
+        .expect("query");
+    let trace = out.trace.expect("tracing attaches a trace");
+    let roots: Vec<_> = trace.spans.iter().filter(|s| s.is_root()).collect();
+    assert_eq!(roots.len(), 1, "{trace:?}");
+    assert_eq!(roots[0].phase, Phase::Query);
+    let steps = trace
+        .spans
+        .iter()
+        .filter(|s| s.phase == Phase::TreeTraversal)
+        .inspect(|s| assert_eq!(s.parent, 0, "a step runs right under the root"))
+        .count() as u64;
+    assert!(steps >= SHARDS as u64, "{steps} traversal spans");
+    assert!(steps >= out.metrics.nodes_visited, "one span per node read");
+    assert_eq!(out.matches.len(), 30);
 }
 
 /// Several clients over several tenants at once: four threads each run
