@@ -17,10 +17,10 @@ use uncat::inverted::{
     PROB_SCALE,
 };
 use uncat::pdrtree::{PdrConfig, PdrTree};
-use uncat::query::{split_snapshot, LogRecord};
+use uncat::query::{split_snapshot, LogRecord, ScanBaseline};
 use uncat::storage::crc::crc32c;
 use uncat::storage::{
-    snapshot, BufferPool, InMemoryDisk, LogDevice, MemLog, SharedLog, Wal, WalConfig,
+    snapshot, BufferPool, InMemoryDisk, LogDevice, MemLog, PageId, SharedLog, Wal, WalConfig,
 };
 
 /// Scratch directory removed on drop (no tempfile dependency).
@@ -215,6 +215,94 @@ fn uda_codec_golden_bytes() {
     let (back, used) = codec::decode(&got).expect("decode");
     assert_eq!(used, got.len());
     assert_eq!(codec::encode_to_vec(&back), got);
+}
+
+// ---------------------------------------------------------------------------
+// Tuple records (`u64 tid ‖ UDA`) — one layout, five writers.
+// ---------------------------------------------------------------------------
+
+/// Record `slot` of the heap page `pid`, through the §7 slot directory.
+fn heap_record(pool: &mut BufferPool, pid: PageId, slot: u16) -> Vec<u8> {
+    pool.read(pid, |b| {
+        let slots = u16::from_le_bytes([b[0], b[1]]);
+        assert!(slot < slots, "slot {slot} of {slots}");
+        let at = 4 + 4 * slot as usize;
+        let off = u16::from_le_bytes([b[at], b[at + 1]]) as usize;
+        let len = u16::from_le_bytes([b[at + 2], b[at + 3]]) as usize;
+        b[off..off + len].to_vec()
+    })
+    .expect("read heap page")
+}
+
+/// §7 by hand: the inverted tuple store, the scan baseline's heap, a
+/// PDR-tree leaf entry, an insert log record after its tag and a dataset
+/// file entry all hold the same `8 + 2 + 8·n` bytes for one tuple.
+#[test]
+fn tuple_record_golden_bytes_from_every_writer() {
+    let (tid, u) = (0x0102_0304u64, uda(&[(2, 0.25), (7, 0.75)]));
+    let mut want = tid.to_le_bytes().to_vec();
+    want.extend_from_slice(&[
+        0x02, 0x00, // n = 2
+        0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x3E, // cat 2, 0.25f32
+        0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40, 0x3F, // cat 7, 0.75f32
+    ]);
+    assert_eq!(want.len(), 8 + 2 + 8 * 2);
+    let tuples = [(tid, u.clone())];
+    let rows = || tuples.iter().map(|(t, u)| (*t, u));
+
+    // Inverted tuple store: the rid map in the UIV2 snapshot names the record.
+    let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 64);
+    let idx = InvertedIndex::build(Domain::anonymous(8), &mut pool, rows()).expect("build");
+    let blob = idx.snapshot();
+    let mut w = Walk::new(&blob);
+    w.bytes(4 + 1 + 4 + 4 + 8 + 8 + 8); // magic, domain, heap page list, counts
+    assert_eq!(w.u64(), tid, "rid map tuple id");
+    let (page, slot) = (PageId(w.u64()), w.u16());
+    assert_eq!(
+        heap_record(&mut pool, page, slot),
+        want,
+        "inverted heap record"
+    );
+
+    // Scan baseline: its heap is the only page of a fresh store.
+    let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 64);
+    ScanBaseline::build(&mut pool, rows()).expect("build");
+    assert_eq!(
+        heap_record(&mut pool, PageId(0), 0),
+        want,
+        "scan heap record"
+    );
+
+    // PDR-tree: a single leaf at the root, entries after the 4-byte header.
+    let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 64);
+    let tree = PdrTree::build(
+        Domain::anonymous(8),
+        PdrConfig::default(),
+        &mut pool,
+        rows(),
+    )
+    .expect("build");
+    let blob = tree.snapshot();
+    let mut w = Walk::new(&blob);
+    w.bytes(4 + 1 + 4 + 13); // magic, domain, configuration
+    let root = PageId(w.u64());
+    let leaf = pool.read(root, |b| b[..4 + want.len()].to_vec()).unwrap();
+    assert_eq!(leaf[..4], [0, 0, 1, 0], "leaf, one entry");
+    assert_eq!(leaf[4..], want, "PDR-tree leaf entry");
+
+    // WAL insert payload: the tag byte, then the record.
+    let insert = LogRecord::Insert { tid, uda: u }.encode();
+    assert_eq!(insert[0], 1, "insert tag");
+    assert_eq!(insert[1..], want, "log record after its tag");
+
+    // Dataset file: header, tuple count, then the records back to back.
+    let dir = TempDir::new("record");
+    let path = dir.path("one.uds");
+    uncat::datagen::io::save(&path, &Domain::anonymous(8), &tuples.to_vec()).expect("save");
+    let file = fs::read(&path).expect("read");
+    let header = 4 + 1 + 4 + 8; // magic, domain, count
+    assert_eq!(file[header - 8..header], 1u64.to_le_bytes(), "tuple count");
+    assert_eq!(file[header..], want, "dataset file entry");
 }
 
 // ---------------------------------------------------------------------------
