@@ -1,16 +1,24 @@
-//! Compact binary encoding for UDAs, used by the storage layer.
+//! Compact binary encoding for UDAs and the tuple records that carry
+//! them, used by the storage layer.
 //!
 //! Layout (little-endian):
 //!
 //! ```text
-//! u16    n        number of entries
-//! n × {  u32 cat, f32 prob  }
+//! UDA:     u16 n ‖ n × { u32 cat, f32 prob }
+//! record:  u64 tid ‖ UDA
 //! ```
 //!
 //! Entries are written in category order, so decoding preserves the [`Uda`]
 //! invariants without re-sorting. The paper's description of the leaf pages
 //! ("the aforementioned pairs representation; each list of pairs also stores
-//! the number of pairs") maps exactly onto this layout.
+//! the number of pairs") maps exactly onto this layout; every stored tuple
+//! (heap record, PDR-tree leaf entry, log record, dataset file) is a record.
+//!
+//! One reader checks both: [`scan_record`] and [`scan`] check the header,
+//! the [`Scan`] they return checks the entries as it reads them (strictly
+//! increasing categories, probabilities in `(0, 1]`, mass at most one), and
+//! [`decode`] is that scan collected. Behind the CRC of the page or frame a
+//! record lives in, these checks are the corruption detector.
 
 use crate::error::{Error, Result};
 use crate::uda::{Entry, Uda};
@@ -44,15 +52,38 @@ pub fn encode_to_vec(u: &Uda) -> Vec<u8> {
     v
 }
 
+/// Bytes taken by a record's tuple id.
+const TID_BYTES: usize = 8;
+
+/// [`scan_record`]'s error for a record too short to hold its tuple id.
+pub const SHORT_RECORD: Error = Error::Corrupt("record shorter than its tuple id");
+
+/// Encoded size of the record `tid ‖ u`, in bytes.
+pub fn record_len(u: &Uda) -> usize {
+    TID_BYTES + encoded_len(u)
+}
+
+/// Append the record `u64 tid ‖ UDA` to `out`.
+pub fn encode_record(tid: u64, u: &Uda, out: &mut Vec<u8>) {
+    out.reserve(record_len(u));
+    out.extend_from_slice(&tid.to_le_bytes());
+    encode(u, out);
+}
+
 /// Decode a UDA from the front of `buf`, returning it and the bytes consumed.
 pub fn decode(buf: &[u8]) -> Result<(Uda, usize)> {
-    let area = entry_area(buf)?;
-    let mut entries = Vec::with_capacity(area.len() / ENTRY_BYTES);
-    read_entries(area, &mut entries)?;
-    Ok((
-        Uda::from_sorted_unchecked(entries),
-        HEADER_BYTES + area.len(),
-    ))
+    let (mut entries, used) = scan(buf)?;
+    Ok((entries.to_uda()?, used))
+}
+
+/// The record at the front of `buf`: its tuple id, its entries as a
+/// [`scan`] reads them, and the bytes it occupies. A record shorter than
+/// its tuple id is [`SHORT_RECORD`]; the rest is [`scan`]'s verdict.
+#[inline]
+pub fn scan_record(buf: &[u8]) -> Result<(u64, Scan<'_>, usize)> {
+    let (tid, uda) = buf.split_first_chunk::<TID_BYTES>().ok_or(SHORT_RECORD)?;
+    let (entries, used) = scan(uda)?;
+    Ok((u64::from_le_bytes(*tid), entries, TID_BYTES + used))
 }
 
 /// [`decode`] without the copy: the entries of the UDA encoded at the
@@ -120,9 +151,20 @@ impl Scan<'_> {
     /// Materialize the record — for a scan nothing has been read from
     /// yet — if it is valid. The scan is left exhausted.
     pub fn to_uda(&mut self) -> Result<Uda> {
-        let entries: Vec<Entry> = self.by_ref().collect();
-        self.verdict()?;
+        let mut entries = Vec::new();
+        self.collect_into(&mut entries)?;
         Ok(Uda::from_sorted_unchecked(entries))
+    }
+
+    /// [`Scan::to_uda`] into a caller-owned buffer: `entries` is cleared
+    /// and filled, so a loop over many records allocates once. It holds
+    /// nothing meaningful after an error. The reservation is the entries
+    /// the buffer holds, never a count read off the page.
+    #[inline]
+    pub fn collect_into(&mut self, entries: &mut Vec<Entry>) -> Result<()> {
+        entries.clear();
+        entries.extend(self.by_ref());
+        self.verdict()
     }
 
     /// The verdict on the entries read so far.
@@ -147,18 +189,6 @@ fn entry_of(e: &[u8; ENTRY_BYTES]) -> Entry {
     }
 }
 
-/// [`decode`] into a caller-owned buffer: `entries` is cleared and filled
-/// with the validated entries (strictly increasing categories, every
-/// probability in `(0, 1]`, mass at most one), so a loop over many records
-/// allocates once. Returns the bytes consumed; on an error `entries` holds
-/// nothing meaningful.
-pub fn decode_into(buf: &[u8], entries: &mut Vec<Entry>) -> Result<usize> {
-    let area = entry_area(buf)?;
-    entries.clear();
-    read_entries(area, entries)?;
-    Ok(HEADER_BYTES + area.len())
-}
-
 /// The bytes of the (at least one) entries the header at the front of
 /// `buf` declares.
 #[inline]
@@ -175,32 +205,6 @@ fn entry_area(buf: &[u8]) -> Result<&[u8]> {
         return Err(Error::Corrupt("empty UDA"));
     }
     Ok(&buf[HEADER_BYTES..need])
-}
-
-/// Append the entries encoded in `area`, validating the [`Uda`]
-/// invariants on the way.
-#[inline]
-fn read_entries(area: &[u8], entries: &mut Vec<Entry>) -> Result<()> {
-    let mut prev: Option<CatId> = None;
-    let mut mass = 0.0f64;
-    for e in area.as_chunks::<ENTRY_BYTES>().0 {
-        let Entry { cat, prob } = entry_of(e);
-        if !(prob > 0.0 && prob <= 1.0) {
-            return Err(Error::Corrupt("probability out of range"));
-        }
-        if let Some(p) = prev {
-            if cat <= p {
-                return Err(Error::Corrupt("categories not strictly increasing"));
-            }
-        }
-        mass += prob as f64;
-        prev = Some(cat);
-        entries.push(Entry { cat, prob });
-    }
-    if mass > 1.0 + crate::uda::MASS_EPSILON {
-        return Err(Error::Corrupt("mass exceeds one"));
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -31,7 +31,7 @@ pub fn eq_prob(u: &Uda, v: &Uda) -> f64 {
 }
 
 /// [`eq_prob`] on bare entry slices (each sorted by strictly increasing
-/// category, as [`Uda::entries`] and [`crate::codec::decode_into`] give
+/// category, as [`Uda::entries`] and [`crate::codec::Scan::collect_into`] give
 /// them), for callers that score records without materializing a [`Uda`].
 #[inline]
 pub fn eq_prob_entries(a: &[Entry], b: &[Entry]) -> f64 {

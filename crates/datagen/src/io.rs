@@ -38,8 +38,7 @@ pub fn save(path: impl AsRef<Path>, domain: &Domain, data: &Dataset) -> io::Resu
     }
     out.extend_from_slice(&(data.len() as u64).to_le_bytes());
     for (tid, uda) in data {
-        out.extend_from_slice(&tid.to_le_bytes());
-        codec::encode(uda, &mut out);
+        codec::encode_record(*tid, uda, &mut out);
     }
     let mut f = std::fs::File::create(path)?;
     f.write_all(&out)?;
@@ -77,7 +76,7 @@ fn parse(bytes: &[u8]) -> Result<(Domain, Dataset), String> {
     let labeled = c.take(1)?[0] == 1;
     let size = u32::from_le_bytes(c.take(4)?.try_into().expect("len"));
     let domain = if labeled {
-        let mut labels = Vec::with_capacity(size as usize);
+        let mut labels = Vec::new();
         for _ in 0..size {
             let n = u16::from_le_bytes(c.take(2)?.try_into().expect("len")) as usize;
             let label = std::str::from_utf8(c.take(n)?).map_err(|_| "invalid label encoding")?;
@@ -87,11 +86,12 @@ fn parse(bytes: &[u8]) -> Result<(Domain, Dataset), String> {
     } else {
         Domain::anonymous(size)
     };
-    let count = u64::from_le_bytes(c.take(8)?.try_into().expect("len")) as usize;
-    let mut data: Dataset = Vec::with_capacity(count);
+    let count = u64::from_le_bytes(c.take(8)?.try_into().expect("len"));
+    let mut data: Dataset = Vec::new();
     for _ in 0..count {
-        let tid = u64::from_le_bytes(c.take(8)?.try_into().expect("len"));
-        let (uda, used) = codec::decode(&c.bytes[c.pos..]).map_err(|e| e.to_string())?;
+        let (tid, uda, used) = codec::scan_record(&c.bytes[c.pos..])
+            .and_then(|(tid, mut uda, used)| Ok((tid, uda.to_uda()?, used)))
+            .map_err(|e| e.to_string())?;
         c.pos += used;
         data.push((tid, uda));
     }

@@ -16,37 +16,22 @@ use crate::cost::CostStats;
 use crate::postings::{entries_of, posting_key, KEY_LEN};
 use crate::tid::TidMap;
 
-/// Heap-record layout: `u64 tid (LE) ‖ UDA encoding`. Carrying the tid in
-/// the record lets full scans attribute distributions without a reverse
-/// map.
-fn encode_record(tid: u64, uda: &Uda) -> Vec<u8> {
-    let mut v = Vec::with_capacity(8 + codec::encoded_len(uda));
-    v.extend_from_slice(&tid.to_le_bytes());
-    codec::encode(uda, &mut v);
-    v
-}
-
-/// Split a stored tuple record into its tid and its UDA encoding. A
-/// record that does not parse — possible only if a page was corrupted
-/// past the physical checks — surfaces as a typed
-/// [`StorageError::Corrupt`], never a panic.
-fn split_record(bytes: &[u8]) -> Result<(u64, &[u8])> {
-    match bytes.split_first_chunk::<8>() {
-        Some((tid, uda)) => Ok((u64::from_le_bytes(*tid), uda)),
-        None => Err(StorageError::Corrupt(
-            "tuple record shorter than its tid header",
-        )),
-    }
-}
-
 const BAD_UDA: StorageError = StorageError::Corrupt("stored UDA does not decode");
 const DELETED_RECORD: StorageError = StorageError::Corrupt("rid map points at a deleted record");
 
-/// Decode a stored tuple record into an owned distribution.
-fn decode_record(bytes: &[u8]) -> Result<(u64, Uda)> {
-    let (tid, uda) = split_record(bytes)?;
-    let (uda, _) = codec::decode(uda).map_err(|_| BAD_UDA)?;
-    Ok((tid, uda))
+/// Read a stored tuple record (`codec::encode_record`'s layout, which
+/// carries the tid so full scans attribute distributions without a
+/// reverse map): its tid and what `read` makes of its entries, which are
+/// validated as they are read. A record that does not parse — possible
+/// only if a page was corrupted past the physical checks — surfaces as a
+/// typed [`StorageError::Corrupt`], never a panic.
+fn read_record<'a, T>(
+    bytes: &'a [u8],
+    read: impl FnOnce(&mut codec::Scan<'a>) -> uncat_core::Result<T>,
+) -> Result<(u64, T)> {
+    codec::scan_record(bytes)
+        .and_then(|(tid, mut entries, _)| Ok((tid, read(&mut entries)?)))
+        .map_err(|_| BAD_UDA)
 }
 
 /// What a metric distance needs of a tuple beyond the query's lists:
@@ -242,7 +227,9 @@ impl InvertedIndex {
         if self.rids.contains_key(&tid) {
             return Err(StorageError::Duplicate { key: tid });
         }
-        let rid = self.heap.insert(pool, &encode_record(tid, uda))?;
+        let mut record = Vec::new();
+        codec::encode_record(tid, uda, &mut record);
+        let rid = self.heap.insert(pool, &record)?;
         self.rids.insert(tid, rid);
         if let Some(norms) = self.norms.get_mut() {
             norms.insert(tid, Norm::of(uda.entries()));
@@ -341,7 +328,7 @@ impl InvertedIndex {
         let mut out = None;
         self.heap
             .visit_slots(pool, rid.page, [rid.slot], |_, bytes| {
-                out = Some(decode_record(bytes.ok_or(DELETED_RECORD)?)?.1);
+                out = Some(read_record(bytes.ok_or(DELETED_RECORD)?, codec::Scan::to_uda)?.1);
                 Ok(())
             })?;
         out.ok_or(DELETED_RECORD)
@@ -351,8 +338,8 @@ impl InvertedIndex {
     /// once per element of `tids` (duplicates included),
     /// in heap order rather than the caller's. Each tuple id is resolved
     /// to its record address once, the addresses are sorted, and every
-    /// heap page is read once per batch; records are decoded — with
-    /// [`codec::decode`]'s validation — in place into one reused buffer,
+    /// heap page is read once per batch; records are read — through
+    /// `read_record`'s validation — in place into one reused buffer,
     /// so nothing is allocated or copied per tuple. A tuple id that is
     /// not indexed means a posting outlived its tuple and is
     /// [`StorageError::Corrupt`].
@@ -380,8 +367,9 @@ impl InvertedIndex {
         for run in at.chunk_by(|a, b| a.0 == b.0) {
             let slots = run.iter().map(|&(_, slot, _)| slot);
             self.heap.visit_slots(pool, run[0].0, slots, |i, bytes| {
-                let (_, uda) = split_record(bytes.ok_or(DELETED_RECORD)?)?;
-                codec::decode_into(uda, &mut entries).map_err(|_| BAD_UDA)?;
+                read_record(bytes.ok_or(DELETED_RECORD)?, |uda| {
+                    uda.collect_into(&mut entries)
+                })?;
                 f(run[i].2, &entries);
                 Ok(())
             })?;
@@ -463,20 +451,11 @@ impl InvertedIndex {
     /// Visit every stored tuple in heap order: `f(tid, uda)`. Costs one
     /// page read per heap page (a full relation scan).
     pub fn scan_tuples(&self, pool: &mut BufferPool, mut f: impl FnMut(u64, &Uda)) -> Result<()> {
-        let mut decode_err: Option<StorageError> = None;
         self.heap.scan(pool, |_, bytes| {
-            if decode_err.is_some() {
-                return;
-            }
-            match decode_record(bytes) {
-                Ok((tid, uda)) => f(tid, &uda),
-                Err(e) => decode_err = Some(e),
-            }
-        })?;
-        match decode_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+            let (tid, uda) = read_record(bytes, codec::Scan::to_uda)?;
+            f(tid, &uda);
+            Ok(())
+        })
     }
 
     /// Number of pages occupied by the tuple store (for sizing reports).

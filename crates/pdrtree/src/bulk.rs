@@ -16,14 +16,12 @@
 //! page layout differs. The `bulkload` ablation in `uncat-bench` measures
 //! the I/O difference.
 
-use uncat_core::{Domain, Uda};
+use uncat_core::{codec, Domain, Uda};
 use uncat_storage::{BufferPool, Result};
 
 use crate::boundary::Boundary;
 use crate::config::PdrConfig;
-use crate::node::{
-    boundary_size, leaf_entry_size, write_node, ChildEntry, LeafEntry, Node, NODE_HDR,
-};
+use crate::node::{boundary_size, write_node, ChildEntry, LeafEntry, Node, NODE_HDR};
 use crate::tree::{PdrTree, MAX_NODE_ENTRIES, NODE_BUDGET};
 
 /// Target fill fraction for bulk-built nodes: slightly under 100 % so the
@@ -88,7 +86,7 @@ impl PdrTree {
             Ok(())
         };
         for e in entries {
-            let sz = leaf_entry_size(&e.uda);
+            let sz = codec::record_len(&e.uda);
             if !current.is_empty()
                 && (current_bytes + sz > budget || current.len() >= MAX_NODE_ENTRIES)
             {

@@ -109,15 +109,21 @@ impl PdrTree {
     /// `nodes_pruned`, like [`PdrTree::dstq`]'s cuts). KL admits no bound,
     /// so KL queries traverse every leaf.
     pub fn ds_top_k(&self, pool: &mut BufferPool, query: &DsTopKQuery) -> Result<Vec<Match>> {
+        let empty = query.k == 0;
+        // A search for no results reads nothing: it needs no bound (KL's
+        // is none), so it fills no floor.
+        let dv = if empty {
+            Divergence::Kl
+        } else {
+            query.divergence
+        };
         let ranking = DsTopK {
             query,
-            bound: pool.tally(|pool, metrics| {
-                self.distance_bound(pool, metrics, &query.q, query.divergence)
-            })?,
+            bound: pool.tally(|pool, metrics| self.distance_bound(pool, metrics, &query.q, dv))?,
             record: Vec::new(),
         };
         let mut heap = BottomKHeap::new(query.k);
-        BestFirst::new(self, ranking, false).run(pool, &mut heap)?;
+        BestFirst::new(self, ranking, empty).run(pool, &mut heap)?;
         Ok(heap.into_sorted())
     }
 
@@ -200,6 +206,22 @@ mod tests {
         let topk = DsTopKQuery::new(q, 5, Divergence::L2);
         let m = counters(&mut pool, |p| drop(t.ds_top_k(p, &topk).unwrap()));
         assert!(m.nodes_visited < stats.nodes, "{m:?}");
+    }
+
+    #[test]
+    fn a_ds_top_k_for_no_results_reads_nothing() {
+        let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 64);
+        let t = tree(&mut pool);
+        let q = uda(&[(3, 0.6), (15, 0.4)]);
+        for dv in Divergence::ALL {
+            let query = DsTopKQuery::new(q.clone(), 0, dv);
+            let m = counters(&mut pool, |p| {
+                assert!(t.ds_top_k(p, &query).unwrap().is_empty())
+            });
+            assert_eq!(m.nodes_visited, 0, "{dv:?}");
+            assert_eq!(m.leaf_entries_examined, 0, "{dv:?}");
+            assert!(t.floor.get().is_none(), "{dv:?} filled the floor");
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! 2  u16 entry count
 //! 4  entries…
 //!
-//! leaf entry:      u64 tid ‖ UDA codec encoding
+//! leaf entry:      a tuple record, u64 tid ‖ UDA (`codec::encode_record`)
 //! internal entry:  u64 child page ‖ boundary encoding
 //!
 //! boundary encodings (shape fixed per tree by the compression config):
@@ -28,13 +28,14 @@
 //! [`StorageError::Corrupt`], not a panic — a corrupted page fails the
 //! query that touched it and nothing else.
 //!
-//! Two readers share those checks. [`visit_node`] is the kernel under
+//! One reader makes those checks. [`visit_node`] is the kernel under
 //! every read-only traversal: it validates the image where it lies on the
 //! pinned page and hands each entry to a visitor as a borrowed view
 //! ([`Scan`], [`BoundaryRef`]) that is scored in place — nothing is
-//! allocated. [`read_node`] materializes an owned [`Node`] for the paths
-//! that rewrite one (insert, split, delete repair) and is the reference
-//! the kernel is tested against.
+//! allocated. [`read_node`] is the same kernel collected into an owned
+//! [`Node`], for the paths that rewrite one (insert, split, delete
+//! repair). The decoder the kernel replaced is kept in the test-only
+//! `reference` module as the oracle both are held to.
 
 use uncat_core::codec::{self, Scan};
 use uncat_core::uda::Entry;
@@ -46,8 +47,8 @@ use crate::boundary::{self, Boundary, ByProb, DistanceBound};
 use crate::config::Compression;
 
 pub(crate) const NODE_HDR: usize = 4;
-const TYPE_LEAF: u8 = 0;
-const TYPE_INTERNAL: u8 = 1;
+pub(crate) const TYPE_LEAF: u8 = 0;
+pub(crate) const TYPE_INTERNAL: u8 = 1;
 
 /// One stored distribution in a leaf.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,7 +83,7 @@ impl Node {
     pub(crate) fn serialized_size(&self, compression: Compression) -> usize {
         NODE_HDR
             + match self {
-                Node::Leaf(v) => v.iter().map(|e| leaf_entry_size(&e.uda)).sum::<usize>(),
+                Node::Leaf(v) => v.iter().map(|e| codec::record_len(&e.uda)).sum::<usize>(),
                 Node::Internal(v) => v
                     .iter()
                     .map(|e| 8 + boundary_size(&e.boundary, compression))
@@ -94,11 +95,6 @@ impl Node {
     pub(crate) fn fits(&self, compression: Compression) -> bool {
         self.serialized_size(compression) <= PAGE_SIZE
     }
-}
-
-/// Serialized bytes of one leaf entry.
-pub(crate) fn leaf_entry_size(uda: &Uda) -> usize {
-    8 + codec::encoded_len(uda)
 }
 
 /// Serialized bytes of one boundary.
@@ -122,7 +118,7 @@ fn quantize_up(p: Prob, bits: u8) -> u8 {
     (c - 1) as u8
 }
 
-fn dequantize(code: u8, bits: u8) -> Prob {
+pub(crate) fn dequantize(code: u8, bits: u8) -> Prob {
     let slabs = (1u32 << bits) as f64;
     ((code as f64 + 1.0) / slabs) as Prob
 }
@@ -167,20 +163,22 @@ fn encode_boundary(b: &Boundary, compression: Compression, out: &mut Vec<u8>) {
     }
 }
 
-const BAD_BOUNDARY: StorageError =
+pub(crate) const BAD_BOUNDARY: StorageError =
     StorageError::Corrupt("PDR boundary encoding points past its page");
 const BAD_BOUND: StorageError =
     StorageError::Corrupt("PDR boundary value is not a probability in [0, 1]");
 const BAD_BOUNDARY_ORDER: StorageError =
     StorageError::Corrupt("PDR boundary categories not strictly increasing");
-const BAD_LEAF_ENTRY: StorageError = StorageError::Corrupt("PDR leaf entry past its page");
-const BAD_CHILD_ENTRY: StorageError = StorageError::Corrupt("PDR child entry past its page");
-const BAD_UDA: StorageError = StorageError::Corrupt("stored UDA does not decode");
-const BAD_NODE_TYPE: StorageError = StorageError::Corrupt("unknown PDR node type byte");
+pub(crate) const BAD_LEAF_ENTRY: StorageError =
+    StorageError::Corrupt("PDR leaf entry past its page");
+pub(crate) const BAD_CHILD_ENTRY: StorageError =
+    StorageError::Corrupt("PDR child entry past its page");
+pub(crate) const BAD_UDA: StorageError = StorageError::Corrupt("stored UDA does not decode");
+pub(crate) const BAD_NODE_TYPE: StorageError = StorageError::Corrupt("unknown PDR node type byte");
 
 /// A boundary value must be a probability. NaN fails the range test too:
 /// left in, it would prune silently (every comparison with it is false).
-fn check_bound(p: Prob) -> Result<Prob> {
+pub(crate) fn check_bound(p: Prob) -> Result<Prob> {
     if (0.0..=1.0).contains(&p) {
         Ok(p)
     } else {
@@ -189,95 +187,12 @@ fn check_bound(p: Prob) -> Result<Prob> {
 }
 
 /// Sparse boundaries are searched by category, so the order is checked.
-fn check_order(prev: &mut Option<u32>, cat: u32) -> Result<()> {
+pub(crate) fn check_order(prev: &mut Option<u32>, cat: u32) -> Result<()> {
     if prev.is_some_and(|p| cat <= p) {
         return Err(BAD_BOUNDARY_ORDER);
     }
     *prev = Some(cat);
     Ok(())
-}
-
-fn decode_boundary(buf: &[u8], compression: Compression) -> Result<(Boundary, usize)> {
-    match compression {
-        Compression::None => {
-            let n = u16::from_le_bytes(
-                buf.get(..2)
-                    .and_then(|b| b.try_into().ok())
-                    .ok_or(BAD_BOUNDARY)?,
-            ) as usize;
-            if buf.len() < 2 + n * 8 {
-                return Err(BAD_BOUNDARY);
-            }
-            let mut v = Vec::with_capacity(n);
-            let mut off = 2;
-            let mut prev = None;
-            for _ in 0..n {
-                let cat = field::get_u32(buf, off);
-                check_order(&mut prev, cat)?;
-                let prob = check_bound(field::get_f32(buf, off + 4))?;
-                v.push(Entry {
-                    cat: CatId(cat),
-                    prob,
-                });
-                off += 8;
-            }
-            Ok((Boundary::Sparse(v), off))
-        }
-        Compression::Discretized { bits } => {
-            let n = u16::from_le_bytes(
-                buf.get(..2)
-                    .and_then(|b| b.try_into().ok())
-                    .ok_or(BAD_BOUNDARY)?,
-            ) as usize;
-            let code_bytes = (n * bits as usize).div_ceil(8);
-            if buf.len() < 2 + n * 4 + code_bytes {
-                return Err(BAD_BOUNDARY);
-            }
-            let mut cats = Vec::with_capacity(n);
-            let mut off = 2;
-            let mut prev = None;
-            for _ in 0..n {
-                let cat = field::get_u32(buf, off);
-                check_order(&mut prev, cat)?;
-                cats.push(CatId(cat));
-                off += 4;
-            }
-            let codes = &buf[off..off + code_bytes];
-            off += code_bytes;
-            let mut v = Vec::with_capacity(n);
-            let mask = (1u32 << bits) - 1;
-            let mut acc: u32 = 0;
-            let mut nbits = 0u32;
-            let mut byte_i = 0usize;
-            for cat in cats {
-                while nbits < bits as u32 {
-                    acc |= (codes[byte_i] as u32) << nbits;
-                    byte_i += 1;
-                    nbits += 8;
-                }
-                let code = (acc & mask) as u8;
-                acc >>= bits;
-                nbits -= bits as u32;
-                v.push(Entry {
-                    cat,
-                    prob: dequantize(code, bits),
-                });
-            }
-            Ok((Boundary::Sparse(v), off))
-        }
-        Compression::Signature { width } => {
-            if buf.len() < width as usize * 4 {
-                return Err(BAD_BOUNDARY);
-            }
-            let mut vals = Vec::with_capacity(width as usize);
-            let mut off = 0;
-            for _ in 0..width {
-                vals.push(check_bound(field::get_f32(buf, off))?);
-                off += 4;
-            }
-            Ok((Boundary::Signature(vals), off))
-        }
-    }
 }
 
 /// Write a node image onto its page. Panics if the node does not fit —
@@ -295,8 +210,7 @@ pub(crate) fn write_node(
             bytes.push(0);
             bytes.extend_from_slice(&(entries.len() as u16).to_le_bytes());
             for e in entries {
-                bytes.extend_from_slice(&e.tid.to_le_bytes());
-                codec::encode(&e.uda, &mut bytes);
+                codec::encode_record(e.tid, &e.uda, &mut bytes);
             }
         }
         Node::Internal(children) => {
@@ -319,7 +233,9 @@ pub(crate) fn write_node(
     })
 }
 
-/// Read a node image from its page. A malformed image is
+/// Read a node image from its page: the kernel ([`visit_node`]) with
+/// its entries collected into an owned [`Node`] — the same checks, the
+/// same errors, the page pinned once. A malformed image is
 /// [`StorageError::Corrupt`].
 pub(crate) fn read_node(
     pool: &mut BufferPool,
@@ -327,40 +243,24 @@ pub(crate) fn read_node(
     compression: Compression,
 ) -> Result<Node> {
     pool.read(pid, |b| {
-        let ty = b[0];
-        let count = field::get_u16(&b[..], 2) as usize;
-        let mut off = NODE_HDR;
-        match ty {
-            TYPE_LEAF => {
-                let mut entries = Vec::with_capacity(count.min(PAGE_SIZE / 16));
-                for _ in 0..count {
-                    if off + 8 > PAGE_SIZE {
-                        return Err(BAD_LEAF_ENTRY);
-                    }
-                    let tid = field::get_u64(&b[..], off);
-                    off += 8;
-                    let (uda, used) = codec::decode(&b[off..]).map_err(|_| BAD_UDA)?;
-                    off += used;
+        let (mut entries, mut children) = (Vec::new(), Vec::new());
+        visit_page(b, compression, |v| match v {
+            Visit::Entry { tid, uda } => {
+                // A record that breaks an invariant fails the node as soon
+                // as the kernel finishes it.
+                if let Ok(uda) = uda.to_uda() {
                     entries.push(LeafEntry { tid, uda });
                 }
-                Ok(Node::Leaf(entries))
             }
-            TYPE_INTERNAL => {
-                let mut children = Vec::with_capacity(count.min(PAGE_SIZE / 16));
-                for _ in 0..count {
-                    if off + 8 > PAGE_SIZE {
-                        return Err(BAD_CHILD_ENTRY);
-                    }
-                    let pid = PageId(field::get_u64(&b[..], off));
-                    off += 8;
-                    let (boundary, used) = decode_boundary(&b[off..], compression)?;
-                    off += used;
-                    children.push(ChildEntry { pid, boundary });
-                }
-                Ok(Node::Internal(children))
-            }
-            _ => Err(BAD_NODE_TYPE),
-        }
+            Visit::Child { pid, boundary } => children.push(ChildEntry {
+                pid,
+                boundary: boundary.to_boundary(),
+            }),
+        })?;
+        Ok(match b[0] {
+            TYPE_LEAF => Node::Leaf(entries),
+            _ => Node::Internal(children),
+        })
     })?
 }
 
@@ -398,8 +298,9 @@ pub(crate) enum BoundaryRef<'a> {
 }
 
 impl<'a> BoundaryRef<'a> {
-    /// Validate the boundary encoded at the front of `buf` (the checks
-    /// of `decode_boundary`) and borrow it, with the bytes consumed.
+    /// Validate the boundary encoded at the front of `buf` — its length,
+    /// every value a probability, sparse categories strictly increasing —
+    /// and borrow it, with the bytes consumed.
     fn parse(buf: &'a [u8], compression: Compression) -> Result<(BoundaryRef<'a>, usize)> {
         let counted = |entry_bytes: usize, bits: usize| {
             let (n, rest) = buf.split_first_chunk::<2>().ok_or(BAD_BOUNDARY)?;
@@ -438,6 +339,33 @@ impl<'a> BoundaryRef<'a> {
                     check_bound(Prob::from_le_bytes(*v))?;
                 }
                 Ok((BoundaryRef::Signature(vals), vals.len() * 4))
+            }
+        }
+    }
+
+    /// The owned boundary this view decodes to.
+    pub(crate) fn to_boundary(self) -> Boundary {
+        match self {
+            BoundaryRef::Sparse(pairs) => Boundary::Sparse(
+                pairs
+                    .iter()
+                    .map(|e| Entry {
+                        cat: CatId(u64::from_le_bytes(*e) as u32),
+                        prob: pair_prob(e),
+                    })
+                    .collect(),
+            ),
+            BoundaryRef::Discretized { cats, codes, bits } => Boundary::Sparse(
+                cats.iter()
+                    .enumerate()
+                    .map(|(i, c)| Entry {
+                        cat: CatId(u32::from_le_bytes(*c)),
+                        prob: packed_prob(codes, bits, i),
+                    })
+                    .collect(),
+            ),
+            BoundaryRef::Signature(vals) => {
+                Boundary::Signature(vals.iter().map(|v| Prob::from_le_bytes(*v)).collect())
             }
         }
     }
@@ -484,8 +412,7 @@ fn packed_prob(codes: &[u8], bits: u8, i: usize) -> Prob {
 }
 
 /// The node kernel: validate the image of node `pid` where it lies on its
-/// pinned page — every check [`read_node`] makes, in the same order, with
-/// the same errors — and hand each entry to `visitor` as a borrowed view.
+/// pinned page and hand each entry to `visitor` as a borrowed view.
 /// Allocates nothing, whatever the page claims. A leaf record is
 /// validated in the pass that scores it, so the visitor has seen a
 /// malformed record (and everything ahead of it) when the error is
@@ -494,40 +421,50 @@ pub(crate) fn visit_node(
     pool: &mut BufferPool,
     pid: PageId,
     compression: Compression,
+    visitor: impl FnMut(Visit<'_, '_>),
+) -> Result<()> {
+    pool.read(pid, |b| visit_page(b, compression, visitor))?
+}
+
+/// [`visit_node`] over a page already pinned.
+#[inline]
+fn visit_page(
+    b: &[u8; PAGE_SIZE],
+    compression: Compression,
     mut visitor: impl FnMut(Visit<'_, '_>),
 ) -> Result<()> {
-    pool.read(pid, |b| {
-        let count = field::get_u16(&b[..], 2);
-        let mut rest = &b[NODE_HDR..];
-        match b[0] {
-            TYPE_LEAF => {
-                for _ in 0..count {
-                    let (tid, tail) = rest.split_first_chunk::<8>().ok_or(BAD_LEAF_ENTRY)?;
-                    let (mut uda, used) = codec::scan(tail).map_err(|_| BAD_UDA)?;
-                    visitor(Visit::Entry {
-                        tid: u64::from_le_bytes(*tid),
-                        uda: &mut uda,
-                    });
-                    uda.finish().map_err(|_| BAD_UDA)?;
-                    rest = &tail[used..];
-                }
-                Ok(())
+    let count = field::get_u16(&b[..], 2);
+    let mut rest = &b[NODE_HDR..];
+    match b[0] {
+        TYPE_LEAF => {
+            for _ in 0..count {
+                let (tid, mut uda, used) = codec::scan_record(rest).map_err(|e| {
+                    if e == codec::SHORT_RECORD {
+                        BAD_LEAF_ENTRY
+                    } else {
+                        BAD_UDA
+                    }
+                })?;
+                visitor(Visit::Entry { tid, uda: &mut uda });
+                uda.finish().map_err(|_| BAD_UDA)?;
+                rest = &rest[used..];
             }
-            TYPE_INTERNAL => {
-                for _ in 0..count {
-                    let (child, tail) = rest.split_first_chunk::<8>().ok_or(BAD_CHILD_ENTRY)?;
-                    let (boundary, used) = BoundaryRef::parse(tail, compression)?;
-                    visitor(Visit::Child {
-                        pid: PageId(u64::from_le_bytes(*child)),
-                        boundary,
-                    });
-                    rest = &tail[used..];
-                }
-                Ok(())
-            }
-            _ => Err(BAD_NODE_TYPE),
+            Ok(())
         }
-    })?
+        TYPE_INTERNAL => {
+            for _ in 0..count {
+                let (child, tail) = rest.split_first_chunk::<8>().ok_or(BAD_CHILD_ENTRY)?;
+                let (boundary, used) = BoundaryRef::parse(tail, compression)?;
+                visitor(Visit::Child {
+                    pid: PageId(u64::from_le_bytes(*child)),
+                    boundary,
+                });
+                rest = &tail[used..];
+            }
+            Ok(())
+        }
+        _ => Err(BAD_NODE_TYPE),
+    }
 }
 
 #[cfg(test)]

@@ -1,8 +1,10 @@
-//! Test reference for the node kernel: the four searches as they ran
-//! before it, over owned nodes from [`read_node`] and with the same
-//! shared bounds (the capped Lemma 2 bound, the floored L1/L2 bounds over
-//! a mass floor the reference computes itself), and the differential and
-//! byte-mutation tests that hold [`visit_node`] to them — the same tids,
+//! Test reference for the node kernel: the node decoder as it ran before
+//! it (`ref_read_node`, entry by entry into owned nodes), the four
+//! searches as they ran over those nodes with the same shared bounds (the
+//! capped Lemma 2 bound, the floored L1/L2 bounds over a mass floor the
+//! reference computes itself), and the differential and byte-mutation
+//! tests that hold [`visit_node`] and [`read_node`] — the kernel
+//! collected — to them: the same nodes bit for bit, the same tids,
 //! bit-equal scores and bounds, the same counters, the same verdict on
 //! every damaged page. The soundness of the bounds themselves is checked
 //! here too, at every child entry of trees holding partial-mass tuples.
@@ -10,6 +12,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+use uncat_core::codec;
 use uncat_core::equality::{eq_prob, eq_prob_stream, meets_threshold, THRESHOLD_EPS};
 use uncat_core::query::{
     sort_matches_asc, sort_matches_desc, DsTopKQuery, DstQuery, EqQuery, Match, TopKQuery,
@@ -17,13 +20,18 @@ use uncat_core::query::{
 use uncat_core::topk::{BottomKHeap, TopKHeap};
 use uncat_core::uda::Entry;
 use uncat_core::{CatId, Divergence, Domain, Uda, UdaBuilder};
+use uncat_storage::page::field;
 use uncat_storage::{
     BufferPool, InMemoryDisk, PageId, QueryMetrics, Result, StorageError, PAGE_SIZE,
 };
 
 use crate::boundary::{Boundary, ByProb, DistanceBound, MassFloor};
 use crate::config::{Compression, PdrConfig};
-use crate::node::{read_node, visit_node, BoundaryRef, ChildEntry, LeafEntry, Node, Visit};
+use crate::node::{
+    check_bound, check_order, dequantize, read_node, visit_node, ChildEntry, LeafEntry, Node,
+    Visit, BAD_BOUNDARY, BAD_CHILD_ENTRY, BAD_LEAF_ENTRY, BAD_NODE_TYPE, BAD_UDA, NODE_HDR,
+    TYPE_INTERNAL, TYPE_LEAF,
+};
 use crate::tree::PdrTree;
 
 const COMPRESSIONS: [Compression; 5] = [
@@ -34,55 +42,132 @@ const COMPRESSIONS: [Compression; 5] = [
     Compression::Signature { width: 8 },
 ];
 
-impl BoundaryRef<'_> {
-    /// The owned boundary this view decodes to.
-    fn to_boundary(self) -> Boundary {
-        let sparse = |cats: &mut dyn Iterator<Item = u32>| {
-            Boundary::Sparse(
-                cats.map(|c| Entry {
-                    cat: CatId(c),
-                    prob: self.bound_of(CatId(c)),
-                })
-                .collect(),
-            )
-        };
-        match self {
-            BoundaryRef::Sparse(pairs) => {
-                sparse(&mut pairs.iter().map(|e| u64::from_le_bytes(*e) as u32))
+// --- The node decoder before the kernel ------------------------------
+
+/// The boundary decoder the kernel replaced.
+fn decode_boundary(buf: &[u8], compression: Compression) -> Result<(Boundary, usize)> {
+    match compression {
+        Compression::None => {
+            let n = u16::from_le_bytes(
+                buf.get(..2)
+                    .and_then(|b| b.try_into().ok())
+                    .ok_or(BAD_BOUNDARY)?,
+            ) as usize;
+            if buf.len() < 2 + n * 8 {
+                return Err(BAD_BOUNDARY);
             }
-            BoundaryRef::Discretized { cats, .. } => {
-                sparse(&mut cats.iter().map(|c| u32::from_le_bytes(*c)))
+            let mut v = Vec::with_capacity(n);
+            let mut off = 2;
+            let mut prev = None;
+            for _ in 0..n {
+                let cat = field::get_u32(buf, off);
+                check_order(&mut prev, cat)?;
+                let prob = check_bound(field::get_f32(buf, off + 4))?;
+                v.push(Entry {
+                    cat: CatId(cat),
+                    prob,
+                });
+                off += 8;
             }
-            BoundaryRef::Signature(vals) => {
-                Boundary::Signature(vals.iter().map(|v| f32::from_le_bytes(*v)).collect())
+            Ok((Boundary::Sparse(v), off))
+        }
+        Compression::Discretized { bits } => {
+            let n = u16::from_le_bytes(
+                buf.get(..2)
+                    .and_then(|b| b.try_into().ok())
+                    .ok_or(BAD_BOUNDARY)?,
+            ) as usize;
+            let code_bytes = (n * bits as usize).div_ceil(8);
+            if buf.len() < 2 + n * 4 + code_bytes {
+                return Err(BAD_BOUNDARY);
             }
+            let mut cats = Vec::with_capacity(n);
+            let mut off = 2;
+            let mut prev = None;
+            for _ in 0..n {
+                let cat = field::get_u32(buf, off);
+                check_order(&mut prev, cat)?;
+                cats.push(CatId(cat));
+                off += 4;
+            }
+            let codes = &buf[off..off + code_bytes];
+            off += code_bytes;
+            let mut v = Vec::with_capacity(n);
+            let mask = (1u32 << bits) - 1;
+            let mut acc: u32 = 0;
+            let mut nbits = 0u32;
+            let mut byte_i = 0usize;
+            for cat in cats {
+                while nbits < bits as u32 {
+                    acc |= (codes[byte_i] as u32) << nbits;
+                    byte_i += 1;
+                    nbits += 8;
+                }
+                let code = (acc & mask) as u8;
+                acc >>= bits;
+                nbits -= bits as u32;
+                v.push(Entry {
+                    cat,
+                    prob: dequantize(code, bits),
+                });
+            }
+            Ok((Boundary::Sparse(v), off))
+        }
+        Compression::Signature { width } => {
+            if buf.len() < width as usize * 4 {
+                return Err(BAD_BOUNDARY);
+            }
+            let mut vals = Vec::with_capacity(width as usize);
+            let mut off = 0;
+            for _ in 0..width {
+                vals.push(check_bound(field::get_f32(buf, off))?);
+                off += 4;
+            }
+            Ok((Boundary::Signature(vals), off))
         }
     }
 }
 
-/// The node `visit_node` sees, materialized — or its error.
-fn node_via_kernel(pool: &mut BufferPool, pid: PageId, compression: Compression) -> Result<Node> {
-    let mut entries = Vec::new();
-    let mut children = Vec::new();
-    visit_node(pool, pid, compression, |v| match v {
-        Visit::Entry { tid, uda } => {
-            // An invalid record fails the node when the kernel finishes it.
-            if let Ok(uda) = uda.to_uda() {
-                entries.push(LeafEntry { tid, uda });
+/// The decoder the kernel replaced: a node image read into an owned
+/// [`Node`], entry by entry. A malformed image is
+/// [`StorageError::Corrupt`].
+fn ref_read_node(pool: &mut BufferPool, pid: PageId, compression: Compression) -> Result<Node> {
+    pool.read(pid, |b| {
+        let ty = b[0];
+        let count = field::get_u16(&b[..], 2) as usize;
+        let mut off = NODE_HDR;
+        match ty {
+            TYPE_LEAF => {
+                let mut entries = Vec::with_capacity(count.min(PAGE_SIZE / 16));
+                for _ in 0..count {
+                    if off + 8 > PAGE_SIZE {
+                        return Err(BAD_LEAF_ENTRY);
+                    }
+                    let tid = field::get_u64(&b[..], off);
+                    off += 8;
+                    let (uda, used) = codec::decode(&b[off..]).map_err(|_| BAD_UDA)?;
+                    off += used;
+                    entries.push(LeafEntry { tid, uda });
+                }
+                Ok(Node::Leaf(entries))
             }
+            TYPE_INTERNAL => {
+                let mut children = Vec::with_capacity(count.min(PAGE_SIZE / 16));
+                for _ in 0..count {
+                    if off + 8 > PAGE_SIZE {
+                        return Err(BAD_CHILD_ENTRY);
+                    }
+                    let pid = PageId(field::get_u64(&b[..], off));
+                    off += 8;
+                    let (boundary, used) = decode_boundary(&b[off..], compression)?;
+                    off += used;
+                    children.push(ChildEntry { pid, boundary });
+                }
+                Ok(Node::Internal(children))
+            }
+            _ => Err(BAD_NODE_TYPE),
         }
-        Visit::Child { pid, boundary } => children.push(ChildEntry {
-            pid,
-            boundary: boundary.to_boundary(),
-        }),
-    })?;
-    // The kernel has no event for "an empty node of this kind".
-    assert!(entries.is_empty() || children.is_empty());
-    Ok(if pool.read(pid, |b| b[0] == 1)? {
-        Node::Internal(children)
-    } else {
-        Node::Leaf(entries)
-    })
+    })?
 }
 
 // --- The searches before the kernel ---------------------------------
@@ -97,7 +182,7 @@ fn ref_petq(
     let mut stack = vec![tree.root()];
     while let Some(pid) = stack.pop() {
         metrics.nodes_visited += 1;
-        match read_node(pool, pid, tree.config().compression)? {
+        match ref_read_node(pool, pid, tree.config().compression)? {
             Node::Leaf(entries) => {
                 metrics.leaf_entries_examined += entries.len() as u64;
                 for e in &entries {
@@ -123,12 +208,12 @@ fn ref_petq(
 }
 
 /// The floor under every stored tuple's mass and `‖u‖₂²`, from every leaf
-/// `read_node` returns.
+/// `ref_read_node` returns.
 fn ref_mass_floor(tree: &PdrTree, pool: &mut BufferPool) -> MassFloor {
     let mut floor = MassFloor::EMPTY;
     let mut stack = vec![tree.root()];
     while let Some(pid) = stack.pop() {
-        match read_node(pool, pid, tree.config().compression).unwrap() {
+        match ref_read_node(pool, pid, tree.config().compression).unwrap() {
             Node::Leaf(entries) => entries
                 .iter()
                 .for_each(|e| floor.lower(e.uda.entries().iter().copied())),
@@ -154,7 +239,7 @@ fn ref_dstq(
     let mut stack = vec![tree.root()];
     while let Some(pid) = stack.pop() {
         metrics.nodes_visited += 1;
-        match read_node(pool, pid, tree.config().compression)? {
+        match ref_read_node(pool, pid, tree.config().compression)? {
             Node::Leaf(entries) => {
                 metrics.leaf_entries_examined += entries.len() as u64;
                 for e in &entries {
@@ -231,7 +316,7 @@ fn ref_top_k(
             break;
         }
         metrics.nodes_visited += 1;
-        match read_node(pool, pid, tree.config().compression)? {
+        match ref_read_node(pool, pid, tree.config().compression)? {
             Node::Leaf(entries) => {
                 metrics.leaf_entries_examined += entries.len() as u64;
                 for e in &entries {
@@ -281,7 +366,7 @@ fn ref_ds_top_k(
             break;
         }
         metrics.nodes_visited += 1;
-        match read_node(pool, pid, tree.config().compression)? {
+        match ref_read_node(pool, pid, tree.config().compression)? {
             Node::Leaf(entries) => {
                 metrics.leaf_entries_examined += entries.len() as u64;
                 for e in &entries {
@@ -378,7 +463,7 @@ fn pages(tree: &PdrTree, pool: &mut BufferPool) -> Vec<PageId> {
     let mut i = 0;
     while i < all.len() {
         if let Node::Internal(children) =
-            read_node(pool, all[i], tree.config().compression).unwrap()
+            ref_read_node(pool, all[i], tree.config().compression).unwrap()
         {
             all.extend(children.iter().map(|c| c.pid));
         }
@@ -488,9 +573,9 @@ fn kernel_nodes_match_read_node_bit_for_bit() {
             let (tree, mut pool) = build(compression, bulk, &data);
             let floor = ref_mass_floor(&tree, &mut pool);
             for pid in pages(&tree, &mut pool) {
-                let node = read_node(&mut pool, pid, compression).unwrap();
+                let node = ref_read_node(&mut pool, pid, compression).unwrap();
                 assert_eq!(
-                    node_via_kernel(&mut pool, pid, compression).unwrap(),
+                    read_node(&mut pool, pid, compression).unwrap(),
                     node,
                     "{compression:?} bulk={bulk} {pid}"
                 );
@@ -526,7 +611,7 @@ fn kernel_nodes_match_read_node_bit_for_bit() {
                             }
                         }
                     }
-                    _ => panic!("kernel and read_node disagree on the node kind"),
+                    _ => panic!("kernel and the old decoder disagree on the node kind"),
                 })
                 .unwrap();
                 assert_eq!(leaf + child, node.count());
@@ -537,9 +622,9 @@ fn kernel_nodes_match_read_node_bit_for_bit() {
 
 // --- the bounds are sound --------------------------------------------
 
-/// Every tuple stored below `pid`, from `read_node`.
+/// Every tuple stored below `pid`, from `ref_read_node`.
 fn tuples_below(tree: &PdrTree, pool: &mut BufferPool, pid: PageId) -> Vec<Uda> {
-    match read_node(pool, pid, tree.config().compression).unwrap() {
+    match ref_read_node(pool, pid, tree.config().compression).unwrap() {
         Node::Leaf(entries) => entries.into_iter().map(|e| e.uda).collect(),
         Node::Internal(children) => children
             .iter()
@@ -566,7 +651,7 @@ fn capped_and_floored_bounds_hold_at_every_child_entry() {
             assert!(floor.mass < 0.35, "{floor:?}");
             let mut children = 0;
             for pid in pages(&tree, &mut pool) {
-                let Node::Internal(entries) = read_node(&mut pool, pid, compression).unwrap()
+                let Node::Internal(entries) = ref_read_node(&mut pool, pid, compression).unwrap()
                 else {
                     continue;
                 };
@@ -613,10 +698,11 @@ fn capped_and_floored_bounds_hold_at_every_child_entry() {
 
 /// Every single-byte mutation of the used part of one leaf page and one
 /// internal page per compression (and a little of the dead space behind
-/// it, which a mutated count walks into): the kernel and `read_node`
+/// it, which a mutated count walks into): the old decoder and `read_node`
 /// return the same node or the same error, and neither panics. Neither
-/// can allocate from a hostile count: the kernel allocates nothing, and
-/// `read_node` caps its reservation by what a page can hold.
+/// can allocate from a hostile count: the kernel allocates nothing,
+/// `read_node` grows its node by the entries it has read, and the old
+/// decoder caps its reservation by what a page can hold.
 #[test]
 fn every_byte_mutation_gets_the_same_verdict_from_kernel_and_read_node() {
     let data = synth(1200, 99);
@@ -625,7 +711,7 @@ fn every_byte_mutation_gets_the_same_verdict_from_kernel_and_read_node() {
         let all = pages(&tree, &mut pool);
         let leaf = *all.last().expect("a leaf");
         for pid in [tree.root(), leaf] {
-            let node = read_node(&mut pool, pid, compression).unwrap();
+            let node = ref_read_node(&mut pool, pid, compression).unwrap();
             let used = (node.serialized_size(compression) + 32).min(PAGE_SIZE);
             let image = pool.read(pid, |b| *b).unwrap();
             let scratch = pool.allocate().unwrap();
@@ -634,13 +720,36 @@ fn every_byte_mutation_gets_the_same_verdict_from_kernel_and_read_node() {
                     let mut bad = image;
                     bad[i] ^= flip;
                     pool.write(scratch, |b| *b = bad).unwrap();
-                    let want = read_node(&mut pool, scratch, compression);
-                    let got = node_via_kernel(&mut pool, scratch, compression);
+                    let want = ref_read_node(&mut pool, scratch, compression);
+                    let got = read_node(&mut pool, scratch, compression);
                     assert_eq!(got, want, "{compression:?} {pid} byte {i} ^ {flip:#x}");
                 }
             }
         }
     }
+}
+
+/// A leaf whose count claims one entry more than its page holds, with
+/// fewer bytes left than a tuple id takes — a case single-byte mutation
+/// of a real page does not reach: the old decoder and `read_node` both
+/// call it an entry past the page.
+#[test]
+fn a_leaf_entry_cut_by_the_page_end_gets_the_same_verdict() {
+    let mut image = vec![0u8, 0];
+    image.extend_from_slice(&5u16.to_le_bytes());
+    // Four records of 10 + 8·n bytes, 8 184 in all: 4 bytes are left.
+    for (tid, n) in [(1, 255), (2, 255), (3, 254), (4, 254)] {
+        let u = Uda::from_pairs((0..n).map(|c| (CatId(c), 1.0 / 1024.0))).unwrap();
+        codec::encode_record(tid, &u, &mut image);
+    }
+    assert_eq!(image.len(), PAGE_SIZE - 4);
+    let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 4);
+    let pid = pool.allocate().unwrap();
+    pool.write(pid, |b| b[..image.len()].copy_from_slice(&image))
+        .unwrap();
+    let want = Err(BAD_LEAF_ENTRY);
+    assert_eq!(ref_read_node(&mut pool, pid, Compression::None), want);
+    assert_eq!(read_node(&mut pool, pid, Compression::None), want);
 }
 
 // --- boundary values are range-checked --------------------------------

@@ -2,14 +2,13 @@
 
 use std::sync::OnceLock;
 
-use uncat_core::{Domain, Uda};
+use uncat_core::{codec, Domain, Uda};
 use uncat_storage::{BufferPool, PageId, QueryMetrics, Result, StorageError, PAGE_SIZE};
 
 use crate::boundary::{Boundary, MassFloor};
 use crate::config::PdrConfig;
 use crate::node::{
-    boundary_size, leaf_entry_size, read_node, visit_node, write_node, ChildEntry, LeafEntry, Node,
-    Visit, NODE_HDR,
+    boundary_size, read_node, visit_node, write_node, ChildEntry, LeafEntry, Node, Visit, NODE_HDR,
 };
 use crate::split;
 
@@ -169,7 +168,7 @@ impl PdrTree {
     /// with [`StorageError::RecordTooLarge`] before anything is modified
     /// (the split algorithms need two entries per page).
     pub fn insert(&mut self, pool: &mut BufferPool, tid: u64, uda: &Uda) -> Result<()> {
-        let size = leaf_entry_size(uda);
+        let size = codec::record_len(uda);
         if size > NODE_BUDGET / 2 {
             return Err(StorageError::RecordTooLarge {
                 len: size,
@@ -291,7 +290,7 @@ impl PdrTree {
             .iter()
             .map(|e| Boundary::of_uda(&e.uda, compression))
             .collect();
-        let sizes: Vec<usize> = entries.iter().map(|e| leaf_entry_size(&e.uda)).collect();
+        let sizes: Vec<usize> = entries.iter().map(|e| codec::record_len(&e.uda)).collect();
         let part = split::split(&reps, &sizes, NODE_BUDGET, &self.config);
 
         let take = |idxs: &[usize]| -> (Vec<LeafEntry>, Boundary) {

@@ -158,29 +158,21 @@ pub enum LogRecord {
 impl LogRecord {
     /// Serialize to a WAL payload.
     pub fn encode(&self) -> Vec<u8> {
+        let mut v = vec![match self {
+            LogRecord::BeginEpoch(_) => REC_BEGIN_EPOCH,
+            LogRecord::Insert { .. } => REC_INSERT,
+            LogRecord::Update { .. } => REC_UPDATE,
+            LogRecord::Delete { .. } => REC_DELETE,
+        }];
         match self {
-            LogRecord::BeginEpoch(e) => {
-                let mut v = vec![REC_BEGIN_EPOCH];
-                v.extend_from_slice(&e.to_le_bytes());
-                v
+            LogRecord::BeginEpoch(n) | LogRecord::Delete { tid: n } => {
+                v.extend_from_slice(&n.to_le_bytes())
             }
             LogRecord::Insert { tid, uda } | LogRecord::Update { tid, uda } => {
-                let tag = if matches!(self, LogRecord::Insert { .. }) {
-                    REC_INSERT
-                } else {
-                    REC_UPDATE
-                };
-                let mut v = vec![tag];
-                v.extend_from_slice(&tid.to_le_bytes());
-                codec::encode(uda, &mut v);
-                v
-            }
-            LogRecord::Delete { tid } => {
-                let mut v = vec![REC_DELETE];
-                v.extend_from_slice(&tid.to_le_bytes());
-                v
+                codec::encode_record(*tid, uda, &mut v)
             }
         }
+        v
     }
 
     /// Decode a WAL payload. The framing layer has already checked the
@@ -190,25 +182,19 @@ impl LogRecord {
         let (&tag, rest) = bytes
             .split_first()
             .ok_or(StorageError::Corrupt("empty log record"))?;
-        let u64_at = |b: &[u8]| -> Result<u64> {
-            Ok(u64::from_le_bytes(
-                b.get(..8)
-                    .and_then(|s| s.try_into().ok())
-                    .ok_or(StorageError::Corrupt("log record too short"))?,
-            ))
+        // A whole body of exactly one u64, or `what`.
+        let u64_of = |what| {
+            <[u8; 8]>::try_from(rest)
+                .map(u64::from_le_bytes)
+                .map_err(|_| StorageError::Corrupt(what))
         };
         match tag {
-            REC_BEGIN_EPOCH => {
-                if rest.len() != 8 {
-                    return Err(StorageError::Corrupt("begin-epoch record length"));
-                }
-                Ok(LogRecord::BeginEpoch(u64_at(rest)?))
-            }
+            REC_BEGIN_EPOCH => Ok(LogRecord::BeginEpoch(u64_of("begin-epoch record length")?)),
             REC_INSERT | REC_UPDATE => {
-                let tid = u64_at(rest)?;
-                let (uda, used) = codec::decode(&rest[8..])
+                let (tid, uda, used) = codec::scan_record(rest)
+                    .and_then(|(tid, mut uda, used)| Ok((tid, uda.to_uda()?, used)))
                     .map_err(|_| StorageError::Corrupt("log record uda does not decode"))?;
-                if used != rest.len() - 8 {
+                if used != rest.len() {
                     return Err(StorageError::Corrupt("trailing bytes in log record"));
                 }
                 Ok(if tag == REC_INSERT {
@@ -217,12 +203,9 @@ impl LogRecord {
                     LogRecord::Update { tid, uda }
                 })
             }
-            REC_DELETE => {
-                if rest.len() != 8 {
-                    return Err(StorageError::Corrupt("delete record length"));
-                }
-                Ok(LogRecord::Delete { tid: u64_at(rest)? })
-            }
+            REC_DELETE => Ok(LogRecord::Delete {
+                tid: u64_of("delete record length")?,
+            }),
             _ => Err(StorageError::Corrupt("unknown log record tag")),
         }
     }

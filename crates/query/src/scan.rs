@@ -29,11 +29,11 @@ impl ScanBaseline {
     {
         let mut heap = HeapFile::new();
         let mut count = 0;
+        let mut record = Vec::new();
         for (tid, uda) in tuples {
-            let mut rec = Vec::with_capacity(8 + codec::encoded_len(uda));
-            rec.extend_from_slice(&tid.to_le_bytes());
-            codec::encode(uda, &mut rec);
-            heap.insert(pool, &rec)?;
+            record.clear();
+            codec::encode_record(tid, uda, &mut record);
+            heap.insert(pool, &record)?;
             count += 1;
         }
         Ok(ScanBaseline { heap, count })
@@ -42,27 +42,13 @@ impl ScanBaseline {
     /// Visit every tuple (one page read per heap page). A record that no
     /// longer decodes is a [`StorageError::Corrupt`].
     pub fn scan(&self, pool: &mut BufferPool, mut f: impl FnMut(u64, &Uda)) -> Result<()> {
-        let mut decode_err: Option<StorageError> = None;
         self.heap.scan(pool, |_, bytes| {
-            if decode_err.is_some() {
-                return;
-            }
-            let Some(header) = bytes.get(..8).and_then(|s| <[u8; 8]>::try_from(s).ok()) else {
-                decode_err = Some(StorageError::Corrupt(
-                    "tuple record shorter than its tid header",
-                ));
-                return;
-            };
-            let tid = u64::from_le_bytes(header);
-            match codec::decode(&bytes[8..]) {
-                Ok((uda, _)) => f(tid, &uda),
-                Err(_) => decode_err = Some(StorageError::Corrupt("stored UDA does not decode")),
-            }
-        })?;
-        match decode_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+            let (tid, uda) = codec::scan_record(bytes)
+                .and_then(|(tid, mut uda, _)| Ok((tid, uda.to_uda()?)))
+                .map_err(|_| StorageError::Corrupt("stored UDA does not decode"))?;
+            f(tid, &uda);
+            Ok(())
+        })
     }
 
     /// Pages occupied by the relation.

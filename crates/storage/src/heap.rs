@@ -343,14 +343,20 @@ impl HeapFile {
         Ok(deleted)
     }
 
-    /// Visit every live record in page order: `f(rid, bytes)`.
-    pub fn scan(&self, pool: &mut BufferPool, mut f: impl FnMut(RecordId, &[u8])) -> Result<()> {
+    /// Visit every live record in page order: `f(rid, bytes)`. The first
+    /// error — `f`'s own or a slot pointing outside its page — ends the
+    /// scan.
+    pub fn scan(
+        &self,
+        pool: &mut BufferPool,
+        mut f: impl FnMut(RecordId, &[u8]) -> Result<()>,
+    ) -> Result<()> {
         for &pid in &self.pages {
             pool.read(pid, |b| {
                 for slot in 0..slot_count(b)? {
                     let (off, len) = slot_entry(b, slot);
                     if len > 0 {
-                        f(RecordId { page: pid, slot }, &b[record_bounds(off, len)?]);
+                        f(RecordId { page: pid, slot }, &b[record_bounds(off, len)?])?;
                     }
                 }
                 Ok(())
@@ -429,7 +435,11 @@ mod tests {
         let ids: Vec<RecordId> = (0..5u8).map(|i| h.insert(&mut p, &[i]).unwrap()).collect();
         h.delete(&mut p, ids[2]).unwrap();
         let mut seen = Vec::new();
-        h.scan(&mut p, |_, bytes| seen.push(bytes[0])).unwrap();
+        h.scan(&mut p, |_, bytes| {
+            seen.push(bytes[0]);
+            Ok(())
+        })
+        .unwrap();
         assert_eq!(seen, vec![0, 1, 3, 4]);
     }
 
@@ -463,7 +473,7 @@ mod tests {
             h.get(&mut p, a),
             Err(StorageError::Corrupt("heap slot points outside its page"))
         );
-        assert!(h.scan(&mut p, |_, _| {}).is_err());
+        assert!(h.scan(&mut p, |_, _| Ok(())).is_err());
     }
 
     #[test]
@@ -537,7 +547,7 @@ mod tests {
         assert_eq!(h.get(&mut p, a), Err(overrun.clone()));
         assert_eq!(h.update(&mut p, a, b"x"), Err(overrun.clone()));
         assert_eq!(h.delete(&mut p, a), Err(overrun));
-        assert!(h.scan(&mut p, |_, _| {}).is_err());
+        assert!(h.scan(&mut p, |_, _| Ok(())).is_err());
     }
 
     /// Free bytes between the slot directory and the record area.

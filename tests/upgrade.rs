@@ -93,7 +93,11 @@ fn last_block(pool: &mut BufferPool) -> (HeapFile, RecordId) {
     let last = PageId(pool.store().num_pages() - 1);
     let heap = HeapFile::from_raw_parts(vec![last], 0);
     let mut rid = None;
-    heap.scan(pool, |r, _| rid = Some(r)).unwrap();
+    heap.scan(pool, |r, _| {
+        rid = Some(r);
+        Ok(())
+    })
+    .unwrap();
     (heap, rid.expect("a block on the last page"))
 }
 
