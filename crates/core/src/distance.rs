@@ -15,14 +15,13 @@
 //! which are not normalized distributions — the functions here only assume
 //! non-negative sparse vectors.
 //!
-//! L1 and L2 add their per-category terms with compensation ([`TwoSum`]),
-//! rounding once: a distance does not depend on the order of the
-//! categories its terms come from. Two tuples whose terms are the same up
-//! to a permutation — two certain tuples of categories the query lacks —
-//! are at the same distance to the last bit, so every index ranks them
-//! by tuple id alone, and an index that assembles a distance from other
-//! parts (the inverted index: its lists and a norm column) meets the same
-//! value.
+//! L1 and L2 add their per-category terms as one [`ExactSum`], an integer
+//! sum rounded once: a distance does not depend on the order of the
+//! categories its terms come from, and an index that assembles it from
+//! other parts (the inverted index: its lists and a norm column) adds the
+//! same integers. Two tuples whose terms are the same up to a permutation
+//! are at the same distance to the last bit, so every index ranks them by
+//! tuple id alone.
 
 use crate::uda::Entry;
 
@@ -41,13 +40,30 @@ pub enum Divergence {
 }
 
 impl Divergence {
-    /// Evaluate this divergence on two sparse non-negative vectors.
+    /// Evaluate this divergence on two sparse non-negative vectors whose
+    /// L1 or L2² fits [`ExactSum`]'s range, as any two tuples' do.
     pub fn eval(self, u: &[Entry], v: &[Entry]) -> f64 {
         match self {
             Divergence::L1 => l1(u, v),
             Divergence::L2 => l2(u, v),
             Divergence::Kl => kl_symmetric(u, v),
         }
+    }
+
+    /// [`Divergence::eval`] summed in plain `f64`, for vectors past
+    /// [`ExactSum`]'s range: the PDR-tree's MBR boundaries, whose mass
+    /// may exceed 1 many times over, when it clusters.
+    pub fn eval_wide(self, u: &[Entry], v: &[Entry]) -> f64 {
+        let mut acc = 0.0;
+        match self {
+            Divergence::L1 => merge_fold(u, v, |a, b| acc += (a - b).abs()),
+            Divergence::L2 => {
+                merge_fold(u, v, |a, b| acc += (a - b) * (a - b));
+                acc = acc.sqrt();
+            }
+            Divergence::Kl => acc = kl_symmetric(u, v),
+        }
+        acc
     }
 
     /// All divergences, for sweeps.
@@ -94,45 +110,85 @@ fn merge_fold<F: FnMut(f64, f64)>(u: &[Entry], v: &[Entry], mut f: F) {
     }
 }
 
-/// A sum kept unevaluated as `hi + lo` (Knuth's two-sum): `hi` the
-/// rounded running sum, `lo` what rounding lost. Rounded once, by
-/// [`TwoSum::value`], so the same terms sum to the same value whatever
-/// order they are added in. Adding another sum is adding its two parts.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TwoSum {
-    /// The rounded running sum.
-    pub hi: f64,
-    /// What rounding `hi` lost.
-    pub lo: f64,
-}
+/// 2⁶⁰: [`ExactSum`]'s units per 1.
+const UNIT: f64 = (1u64 << 60) as f64;
 
-impl TwoSum {
+/// A sum in fixed point: an `i64` counting units of 2⁻⁶⁰. Each term is
+/// converted once, `(x · 2⁶⁰) as i64`, truncating toward zero — so adding
+/// `−x` takes away exactly what adding `x` put in, and a term under 2⁻⁶⁰
+/// adds 0 — and the terms are added as integers, so the sum does not
+/// depend on their order. It is rounded to `f64` once, by
+/// [`ExactSum::value`].
+///
+/// The range is ±8 (2⁶³ units), which covers every sum over one tuple: a
+/// score is at most `1 + MASS_EPSILON`, and L1, L2², a mass and `‖t‖₂²`
+/// at most about 2. A term loses less than 2⁻⁶⁰, far below
+/// `THRESHOLD_EPS`, and only ever toward zero, so an upper bound on a
+/// score stays one. Sums past the range — the PDR-tree's boundary bounds
+/// and its clustering distances — stay in `f64`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub struct ExactSum(i64);
+
+impl ExactSum {
     /// Add one term.
     #[inline]
-    pub fn add(&mut self, c: f64) {
-        let sum = self.hi + c;
-        let from_c = sum - self.hi;
-        self.lo += (self.hi - (sum - from_c)) + (c - from_c);
-        self.hi = sum;
+    pub fn add(&mut self, x: f64) {
+        self.0 += (x * UNIT) as i64;
     }
 
     /// The sum, rounded once.
     #[inline]
-    pub fn value(&self) -> f64 {
-        self.hi + self.lo
+    pub fn value(self) -> f64 {
+        self.0 as f64 / UNIT
     }
 }
 
+impl std::ops::Add for ExactSum {
+    type Output = ExactSum;
+    fn add(self, other: ExactSum) -> ExactSum {
+        ExactSum(self.0 + other.0)
+    }
+}
+
+impl std::ops::Sub for ExactSum {
+    type Output = ExactSum;
+    fn sub(self, other: ExactSum) -> ExactSum {
+        ExactSum(self.0 - other.0)
+    }
+}
+
+/// What an L1 or L2 distance needs of a tuple beyond the categories it
+/// shares with the query: `mass(t) = Σ p` and `‖t‖₂² = Σ p²`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Norm {
+    /// `Σ p`.
+    pub mass: ExactSum,
+    /// `Σ p²`.
+    pub sq: ExactSum,
+}
+
+/// A tuple's [`Norm`], each term converted as [`Divergence::eval`]
+/// converts it when the other vector lacks the category.
+pub fn norms(entries: impl IntoIterator<Item = Entry>) -> Norm {
+    let (mut mass, mut sq) = (ExactSum::default(), ExactSum::default());
+    for e in entries {
+        let p = e.prob as f64;
+        mass.add(p);
+        sq.add(p * p);
+    }
+    Norm { mass, sq }
+}
+
 /// Manhattan (L1) distance between sparse vectors.
-pub fn l1(u: &[Entry], v: &[Entry]) -> f64 {
-    let mut acc = TwoSum::default();
+fn l1(u: &[Entry], v: &[Entry]) -> f64 {
+    let mut acc = ExactSum::default();
     merge_fold(u, v, |a, b| acc.add((a - b).abs()));
     acc.value()
 }
 
 /// Euclidean (L2) distance between sparse vectors.
-pub fn l2(u: &[Entry], v: &[Entry]) -> f64 {
-    let mut acc = TwoSum::default();
+fn l2(u: &[Entry], v: &[Entry]) -> f64 {
+    let mut acc = ExactSum::default();
     merge_fold(u, v, |a, b| acc.add((a - b) * (a - b)));
     acc.value().sqrt()
 }
@@ -176,12 +232,13 @@ mod tests {
     use super::*;
     use crate::domain::CatId;
     use crate::uda::Uda;
+    use proptest::prelude::*;
 
     fn uda(pairs: &[(u32, f32)]) -> Uda {
         Uda::from_pairs(pairs.iter().map(|&(c, p)| (CatId(c), p))).unwrap()
     }
 
-    /// A distance is its terms' sum rounded once: a certain tuple whose
+    /// A distance is its terms' exact sum rounded once: a certain tuple whose
     /// one category sits before the query's or after them is at the same
     /// distance to the last bit, so a DSTQ ranks the two by tuple id.
     /// Summed left to right, their L2 terms round apart.
@@ -196,6 +253,104 @@ mod tests {
         }
         let (a, b) = (0.05f32 as f64, 0.7f32 as f64);
         assert_ne!((1.0 + a * a) + b * b, (a * a + b * b) + 1.0);
+    }
+
+    /// `items` and the same items ordered by their keys: a permutation.
+    fn permuted<T: Clone>(items: &[(T, u64)]) -> (Vec<T>, Vec<T>) {
+        let mut by_key = items.to_vec();
+        by_key.sort_by_key(|&(_, key)| key);
+        let plain = |v: &[(T, u64)]| v.iter().map(|(x, _)| x.clone()).collect();
+        (plain(items), plain(&by_key))
+    }
+
+    fn sum(terms: &[f64]) -> ExactSum {
+        let mut acc = ExactSum::default();
+        terms.iter().for_each(|&x| acc.add(x));
+        acc
+    }
+
+    proptest! {
+        // Up to 64 terms of the kinds a sum takes — `f32 × f32`
+        // products, `|a − b|` and `(a − b)²` of two `f32`, either sign —
+        // in any permutation, and reversed: the same bits. Each is at
+        // most 0.1, so every partial sum stays in the range.
+        #[test]
+        fn a_sum_does_not_depend_on_the_order_of_its_terms(
+            pairs in proptest::collection::vec(
+                (0.0f32..=0.1, 0.0f32..=0.1, 0u8..6, any::<u64>()),
+                1..=64,
+            ),
+        ) {
+            let items: Vec<(f64, u64)> = pairs
+                .iter()
+                .map(|&(a, b, kind, key)| {
+                    let (a, b) = (a as f64, b as f64);
+                    let term = [a * b, (a - b).abs(), (a - b) * (a - b)][kind as usize % 3];
+                    (if kind < 3 { term } else { -term }, key)
+                })
+                .collect();
+            let (mut terms, shuffled) = permuted(&items);
+            let bits = sum(&terms).value().to_bits();
+            prop_assert_eq!(bits, sum(&shuffled).value().to_bits());
+            terms.reverse();
+            prop_assert_eq!(bits, sum(&terms).value().to_bits());
+        }
+
+        // A tuple's norms in any category order: the same bits.
+        #[test]
+        fn norms_do_not_depend_on_the_order_of_the_categories(
+            probs in proptest::collection::vec((0.0f32..=0.06, any::<u64>()), 1..=16),
+        ) {
+            let items: Vec<(Entry, u64)> = (0u32..)
+                .zip(&probs)
+                .map(|(c, &(prob, key))| (Entry { cat: CatId(c), prob }, key))
+                .collect();
+            let (entries, shuffled) = permuted(&items);
+            let norm = norms(entries.iter().copied());
+            prop_assert_eq!(norm, norms(shuffled));
+            let plain: f64 = entries.iter().map(|e| e.prob as f64).sum();
+            prop_assert!((norm.mass.value() - plain).abs() < 1e-12);
+        }
+    }
+
+    /// A term under 2⁻⁶⁰ adds exactly 0, and adding `−x` undoes `x`: a
+    /// tuple whose only overlap with the query is a product of two such
+    /// probabilities scores 0, which no backend returns.
+    #[test]
+    fn a_term_below_the_unit_adds_nothing() {
+        let tiny = (2.0f64).powi(-31) as f32;
+        let mut acc = ExactSum::default();
+        acc.add(tiny as f64 * tiny as f64);
+        assert_eq!(acc, ExactSum::default());
+        let q = uda(&[(0, tiny), (1, 1.0 - tiny)]);
+        let t = uda(&[(0, tiny), (2, 1.0 - tiny)]);
+        assert_eq!(crate::equality::eq_prob(&q, &t), 0.0);
+        acc.add(0.3);
+        acc.add(-0.3);
+        assert_eq!(acc, ExactSum::default());
+    }
+
+    /// Boundary vectors — mass far past one tuple's — are summed in
+    /// `f64` by [`Divergence::eval_wide`], which agrees with `eval` where
+    /// both apply.
+    #[test]
+    fn wide_sums_cover_vectors_past_the_range() {
+        let wide: Vec<Entry> = (0..40)
+            .map(|c| Entry {
+                cat: CatId(c),
+                prob: 1.0,
+            })
+            .collect();
+        let q = uda(&[(0, 0.5), (50, 0.5)]);
+        assert_eq!(Divergence::L1.eval_wide(q.entries(), &wide), 40.0);
+        let (u, v) = (uda(&[(0, 0.6), (1, 0.4)]), uda(&[(0, 0.4), (1, 0.6)]));
+        for dv in Divergence::ALL {
+            let (a, b) = (
+                dv.eval(u.entries(), v.entries()),
+                dv.eval_wide(u.entries(), v.entries()),
+            );
+            assert!((a - b).abs() < 1e-15, "{dv:?}: {a} vs {b}");
+        }
     }
 
     #[test]

@@ -9,12 +9,15 @@
 //! ```
 //!
 //! Both operands are sparse and sorted by category, so the product is a
-//! linear merge over the shorter supports.
+//! linear merge over the shorter supports. Its products are added as one
+//! [`ExactSum`], as every index adds them: the sum does not depend on the
+//! order they are met in, so every backend scores a tuple to the same bits.
 
+use crate::distance::ExactSum;
 use crate::uda::{Entry, Uda};
 
 /// `Pr(u = v)` for two UDAs (Definition 2): the inner product of the two
-/// sparse probability vectors, accumulated in `f64`.
+/// sparse probability vectors, summed exactly ([`ExactSum`]).
 ///
 /// ```
 /// use uncat_core::{equality::eq_prob, CatId, Uda};
@@ -40,11 +43,11 @@ pub fn eq_prob_entries(a: &[Entry], b: &[Entry]) -> f64 {
 
 /// [`eq_prob_entries`] with the second operand streamed in category order
 /// (a record read off a page by [`crate::codec::scan`]) instead of held in
-/// a slice: a linear merge that adds the products in category order.
+/// a slice: a linear merge.
 #[inline]
 pub fn eq_prob_stream(a: &[Entry], b: impl IntoIterator<Item = Entry>) -> f64 {
     let mut i = 0;
-    let mut acc = 0.0f64;
+    let mut acc = ExactSum::default();
     for e in b {
         while i < a.len() && a[i].cat < e.cat {
             i += 1;
@@ -53,16 +56,18 @@ pub fn eq_prob_stream(a: &[Entry], b: impl IntoIterator<Item = Entry>) -> f64 {
             break;
         }
         if a[i].cat == e.cat {
-            acc += a[i].prob as f64 * e.prob as f64;
+            acc.add(a[i].prob as f64 * e.prob as f64);
             i += 1;
         }
     }
-    acc
+    acc.value()
 }
 
-/// Slack used by every threshold comparison so that index pruning and
-/// scan baselines agree on tuples sitting exactly at `τ` despite f32→f64
-/// rounding.
+/// Slack used by every threshold comparison. Every backend computes a
+/// score to the same bits, but the bounds an index prunes by — quantized
+/// block maxima, the PDR-tree's `f64` boundary sums — may sit a few ulps
+/// off the scores they bound; the slack keeps them from cutting a tuple
+/// at `τ`.
 pub const THRESHOLD_EPS: f64 = 1e-9;
 
 /// The canonical "qualifies for threshold `tau`" test used by every
@@ -107,7 +112,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_the_matching_products_in_category_order() {
+    fn merge_adds_the_matching_products_exactly() {
         let us = [
             uda(&[(0, 0.5), (2, 0.3), (7, 0.2)]),
             uda(&[(2, 0.9), (7, 0.1)]),
@@ -117,12 +122,13 @@ mod tests {
         ];
         for u in &us {
             for v in &us {
-                let mut want = 0.0f64;
-                for (cat, p) in v.iter() {
+                let mut want = ExactSum::default();
+                for &Entry { cat, prob: p } in v.entries().iter().rev() {
                     if u.prob_of(cat) > 0.0 {
-                        want += u.prob_of(cat) as f64 * p as f64;
+                        want.add(u.prob_of(cat) as f64 * p as f64);
                     }
                 }
+                let want = want.value();
                 let streamed = eq_prob_stream(u.entries(), v.entries().iter().copied());
                 assert_eq!(streamed.to_bits(), want.to_bits());
                 assert_eq!(eq_prob(u, v).to_bits(), want.to_bits());

@@ -31,15 +31,14 @@
 //! 32 bytes per tuple of that index (two, while two flat slabs are open
 //! on the thread at once; the larger is kept).
 //!
-//! The full scan adds a tuple's terms in list order — ascending category,
-//! the order `eq_prob_entries` adds them in — so its sums are
-//! bit-identical to [`uncat_core::equality::eq_prob`] in either layout.
-//! The other executors meet a tuple's terms in an order the data decides,
-//! so they add them with [`TwoSum`]: the result does not depend on it.
+//! Every executor adds a tuple's terms as one
+//! [`uncat_core::distance::ExactSum`], so its sums do not depend on the
+//! order the lists bring them in and are bit-identical to
+//! [`uncat_core::equality::eq_prob`] in either layout.
 
 use std::cell::Cell;
 
-use uncat_core::distance::TwoSum;
+use uncat_core::distance::ExactSum;
 
 use crate::index::InvertedIndex;
 use crate::tid::TidMap;
@@ -60,22 +59,20 @@ fn flat_fits(span: u64, tuples: u64) -> bool {
 }
 
 /// One tuple's metric distance to a DSTQ's query, as far as the query's
-/// lists show it (`crate::dstq`): the compensated sum of its on-support
-/// terms, the compensated sum of what its postings seen hold of its own
-/// mass (`Σ p` for L1, `Σ p²` for L2), and how many postings that was.
+/// lists show it (`crate::dstq`): the sum of its on-support terms, and
+/// what its postings seen hold of its own mass (`Σ p` for L1, `Σ p²` for
+/// L2).
 pub(crate) struct Partial {
-    pub(crate) on: TwoSum,
-    pub(crate) own: TwoSum,
-    pub(crate) seen: u32,
+    pub(crate) on: ExactSum,
+    pub(crate) own: ExactSum,
     pub(crate) tid: u32,
 }
 
 impl Partial {
     pub(crate) fn new(tid: u64) -> Partial {
         Partial {
-            on: TwoSum::default(),
-            own: TwoSum::default(),
-            seen: 0,
+            on: ExactSum::default(),
+            own: ExactSum::default(),
             // Posting tids are 32-bit (`visit_block` checks).
             tid: tid as u32,
         }

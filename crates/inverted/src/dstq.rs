@@ -15,10 +15,10 @@
 //!
 //! with `j` over `t`'s postings in the query's lists. The last bracket is
 //! what `t` holds off the query's support; it is 0, exactly, when those
-//! postings are all `t` has. Every term is the one [`Divergence::eval`]
-//! adds for its category or a product of two `f32` values, exact in
-//! `f64`, and every sum is compensated ([`TwoSum`]), so the distance
-//! agrees with `eval` in its last bits, whatever order the terms arrive
+//! postings are all `t` has. Each term is converted to fixed point exactly
+//! as [`Divergence::eval`] converts it for its category
+//! ([`ExactSum`]), so the brackets add up, as integers, to `eval`'s sum:
+//! the distance is `eval`'s bit for bit, whatever order the terms arrive
 //! in — and a tuple equal to the query is at exactly 0.
 //!
 //! * **Radius windows.** `|q_j − t_j|` is at most both distances, so a
@@ -28,15 +28,13 @@
 //!   rest are `blocks_skipped`. A tuple with a posting in a skipped block
 //!   is farther than `τ + ε`, and the sums above, which miss the
 //!   posting, put it farther still: by `2·min(q_j, t_j)` in L1 and by
-//!   `2·q_j·t_j` in L2². So every tuple computed within `τ + ε` had no
+//!   `2·q_j·t_j` in L2². So every tuple computed within `τ` had no
 //!   posting skipped, and its distance is exact.
-//! * **Deciding.** Beyond `τ + ε` a tuple is `candidates_pruned` — most
-//!   are beyond it on the first two terms alone, before their norms are
-//!   looked up, since the last bracket only adds; within
-//!   `ε` of `τ` it is fetched and [`Divergence::eval`] decides
-//!   (`candidates_verified`, the only random access left); otherwise it
-//!   is `candidates_settled` at its computed distance. A tuple sharing no
-//!   category with the query is at `mass(q) + mass(t)` (L1) or
+//! * **Deciding.** Beyond `τ` a tuple is `candidates_pruned` — most are
+//!   beyond it on the first two terms alone, before their norms are
+//!   looked up, since the last bracket only adds; otherwise it is
+//!   `candidates_settled` at its distance. Nothing is fetched. A tuple
+//!   sharing no category with the query is at `mass(q) + mass(t)` (L1) or
 //!   `√(‖q‖₂² + ‖t‖₂²)` (L2): those are walked from the column, unless
 //!   the column's floor puts every one of them out of reach.
 //! * **DS-top-k** reads the query's lists whole and keeps the `k` best
@@ -48,7 +46,7 @@
 //! (`heap_tuples_scanned`). So does the first metric query an index
 //! answers: it fills the norm column.
 
-use uncat_core::distance::TwoSum;
+use uncat_core::distance::{self, ExactSum, Norm};
 use uncat_core::equality::THRESHOLD_EPS;
 use uncat_core::query::{sort_matches_asc, DsTopKQuery, DstQuery, Match};
 use uncat_core::topk::BottomKHeap;
@@ -56,7 +54,7 @@ use uncat_core::{Divergence, Uda};
 use uncat_storage::{BufferPool, Phase, QueryMetrics, Result};
 
 use crate::acc::{Partial, Slab};
-use crate::index::{InvertedIndex, Norm};
+use crate::index::InvertedIndex;
 use crate::search::query_lists;
 
 /// One metric query's distance kernel: what a posting adds to its
@@ -67,7 +65,7 @@ struct Metric {
     squared: bool,
     /// `mass(q)` for L1, `‖q‖₂²` for L2: every tuple's sum before its
     /// postings swap their lists' terms for their own.
-    base: TwoSum,
+    base: ExactSum,
 }
 
 impl Metric {
@@ -78,11 +76,8 @@ impl Metric {
             Divergence::L2 => true,
             Divergence::Kl => return None,
         };
-        let mut base = TwoSum::default();
-        for (_, p) in q.iter() {
-            let p = p as f64;
-            base.add(if squared { p * p } else { p });
-        }
+        let norm = distance::norms(q.entries().iter().copied());
+        let base = if squared { norm.sq } else { norm.mass };
         Some(Metric { squared, base })
     }
 
@@ -101,11 +96,10 @@ impl Metric {
             t.on.add(-qp);
             t.own.add(p);
         }
-        t.seen += 1;
     }
 
     /// `mass(t)` for L1, `‖t‖₂²` for L2.
-    fn own(&self, norm: &Norm) -> f64 {
+    fn own(&self, norm: &Norm) -> ExactSum {
         if self.squared {
             norm.sq
         } else {
@@ -113,43 +107,30 @@ impl Metric {
         }
     }
 
-    /// The part of a tuple's sum on the query's support, from its
-    /// postings read, `t`. What it holds off the support only adds to it:
-    /// [`Metric::root`] of it is at most the tuple's distance.
-    fn on_support(&self, t: &Partial) -> TwoSum {
-        let mut sum = self.base;
-        sum.add(t.on.hi);
-        sum.add(t.on.lo);
-        sum
+    /// The distance of a tuple whose postings read are `t` on the query's
+    /// support alone. What it holds off the support only adds to it, so
+    /// this is at most its distance.
+    fn on_support(&self, t: &Partial) -> f64 {
+        self.root(self.base + t.on)
     }
 
-    /// The distance of a tuple whose postings read are `t`, from its
-    /// [`Metric::on_support`] sum and its norms.
-    fn distance(&self, mut sum: TwoSum, t: &Partial, norm: &Norm) -> f64 {
-        if t.seen < norm.len {
-            // What the tuple holds off the lists read.
-            let mut rest = TwoSum::default();
-            rest.add(self.own(norm));
-            rest.add(-t.own.hi);
-            rest.add(-t.own.lo);
-            sum.add(rest.value().max(0.0));
-        }
-        self.root(sum)
+    /// The distance of a tuple whose postings read are `t`, given its
+    /// norms: what it holds off the lists read is its own sum less what
+    /// they showed of it.
+    fn distance(&self, t: &Partial, norm: &Norm) -> f64 {
+        self.root(self.base + t.on + (self.own(norm) - t.own))
     }
 
     /// The distance of a tuple with no posting in the lists read.
     fn disjoint(&self, norm: &Norm) -> f64 {
-        let mut sum = self.base;
-        sum.add(self.own(norm));
-        self.root(sum)
+        self.root(self.base + self.own(norm))
     }
 
-    fn root(&self, sum: TwoSum) -> f64 {
-        let sum = sum.value().max(0.0);
+    fn root(&self, sum: ExactSum) -> f64 {
         if self.squared {
-            sum.sqrt()
+            sum.value().sqrt()
         } else {
-            sum
+            sum.value()
         }
     }
 
@@ -192,11 +173,10 @@ impl InvertedIndex {
     /// divergence order.
     ///
     /// L1 and L2 read the query's lists over their radius windows and
-    /// settle every tuple from them and the norm column, fetching only
-    /// those within `ε` of the radius (`candidates_verified`); KL scans
-    /// the tuple store (`heap_tuples_scanned`), as does the first metric
-    /// query, to fill the column. A negative or NaN radius admits
-    /// nothing.
+    /// settle every tuple from them and the norm column, fetching
+    /// nothing; KL scans the tuple store (`heap_tuples_scanned`), as does
+    /// the first metric query, to fill the column. A negative or NaN
+    /// radius admits nothing.
     pub fn dstq(&self, pool: &mut BufferPool, query: &DstQuery) -> Result<Vec<Match>> {
         pool.tally(|pool, metrics| {
             let Some(metric) = Metric::new(&query.q, query.divergence) else {
@@ -206,33 +186,31 @@ impl InvertedIndex {
             if tau.is_nan() || tau < 0.0 {
                 return Ok(Vec::new());
             }
-            let reach = tau + THRESHOLD_EPS;
             let norms = self.norms(pool, metrics)?;
-            let slab = metric.scan(self, pool, &query.q, reach, metrics)?;
-            let (mut out, mut band, mut pruned) = (Vec::new(), Vec::new(), 0u64);
+            let slab = metric.scan(self, pool, &query.q, tau + THRESHOLD_EPS, metrics)?;
+            let (mut out, mut pruned) = (Vec::new(), 0u64);
             let mut decide = |tid: u64, d: f64| {
-                if d > reach {
+                if d > tau {
                     pruned += 1;
-                } else if d > tau - THRESHOLD_EPS {
-                    band.push(tid);
                 } else {
                     out.push(Match::new(tid, d));
                 }
             };
             for t in slab.slots() {
                 let tid = t.tid as u64;
-                let on = metric.on_support(t);
                 // Out of reach on the query's support alone: no norms needed.
-                let floor = metric.root(on);
-                let d = if floor > reach {
+                let floor = metric.on_support(t);
+                let d = if floor > tau {
                     floor
                 } else {
-                    metric.distance(on, t, norms.get(tid)?)
+                    metric.distance(t, norms.get(tid)?)
                 };
                 decide(tid, d);
             }
             let mut met = slab.slots().len() as u64;
-            if metric.disjoint(&norms.floor()) <= reach {
+            // The nearest a tuple sharing nothing can be (∞: none is held).
+            let nearest = norms.floor.map_or(f64::INFINITY, |f| metric.disjoint(&f));
+            if nearest <= tau {
                 for (tid, norm) in norms.iter().filter(|&(tid, _)| !slab.contains(tid)) {
                     met += 1;
                     decide(tid, metric.disjoint(norm));
@@ -241,12 +219,6 @@ impl InvertedIndex {
             metrics.candidates_generated += met;
             metrics.candidates_pruned += pruned;
             metrics.candidates_settled += out.len() as u64;
-            self.verify_each(pool, band, metrics, |tid, t| {
-                let d = query.divergence.eval(query.q.entries(), t);
-                if d <= tau {
-                    out.push(Match::new(tid, d));
-                }
-            })?;
             sort_matches_asc(&mut out);
             Ok(out)
         })
@@ -289,14 +261,14 @@ impl InvertedIndex {
         let slab = metric.scan(self, pool, &query.q, f64::INFINITY, metrics)?;
         for t in slab.slots() {
             let tid = t.tid as u64;
-            let on = metric.on_support(t);
-            if heap.is_full() && metric.root(on) > heap.bound() {
+            if heap.is_full() && metric.on_support(t) > heap.bound() {
                 continue; // farther than the k-th best on the support alone
             }
-            heap.offer(tid, metric.distance(on, t, norms.get(tid)?));
+            heap.offer(tid, metric.distance(t, norms.get(tid)?));
         }
         let mut met = slab.slots().len() as u64;
-        if !(heap.is_full() && metric.disjoint(&norms.floor()) > heap.bound()) {
+        let nearest = norms.floor.map_or(f64::INFINITY, |f| metric.disjoint(&f));
+        if !(heap.is_full() && nearest > heap.bound()) {
             for (tid, norm) in norms.iter().filter(|&(tid, _)| !slab.contains(tid)) {
                 met += 1;
                 heap.offer(tid, metric.disjoint(norm));
@@ -355,8 +327,8 @@ mod tests {
     }
 
     /// Every tuple's distance from the lists read whole and the norm
-    /// column — met in the lists or walked from the column — against
-    /// [`Divergence::eval`], and exactly 0 for a tuple equal to `q`.
+    /// column — met in the lists or walked from the column — is
+    /// [`Divergence::eval`]'s bit for bit, so 0 for a tuple equal to `q`.
     fn check_distances(
         idx: &InvertedIndex,
         pool: &mut BufferPool,
@@ -376,13 +348,18 @@ mod tests {
         for (&tid, t) in data {
             let norm = norms.get(tid).unwrap();
             let got = match slab.slots().iter().find(|p| p.tid as u64 == tid) {
-                Some(partial) => metric.distance(metric.on_support(partial), partial, norm),
+                Some(partial) => metric.distance(partial, norm),
                 None => metric.disjoint(norm),
             };
             let want = dv.eval(q.entries(), t.entries());
-            prop_assert!(
-                (got - want).abs() <= 1e-12,
-                "{dv:?}: tuple {tid} at {got}, eval {want}"
+            prop_assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "{:?}: tuple {} at {}, eval {}",
+                dv,
+                tid,
+                got,
+                want
             );
             if t == q {
                 prop_assert_eq!(got, 0.0, "{:?}: a tuple equal to q", dv);
@@ -391,10 +368,9 @@ mod tests {
     }
 
     /// DSTQs against the scan of `data`, at `radius` and at a tuple's own
-    /// distance, a hair below and a hair above it (the ε band's cases):
-    /// the same tuples in the same order, scores within 1e-12 of
-    /// `eval`'s, nothing verified outside the ε band, and no tuple-store
-    /// scan once the column is filled.
+    /// distance, a hair below and a hair above it: the same tuples in the
+    /// same order, `eval`'s scores bit for bit, nothing fetched, and no
+    /// tuple-store scan once the column is filled.
     fn check_dstq(
         idx: &InvertedIndex,
         pool: &mut BufferPool,
@@ -425,18 +401,10 @@ mod tests {
             let tids = |v: &[Match]| v.iter().map(|m| m.tid).collect::<Vec<_>>();
             prop_assert_eq!(tids(&got), tids(&want), "{:?} at {}", dv, radius);
             for (g, w) in got.iter().zip(&want) {
-                prop_assert!((g.score - w.score).abs() <= 1e-12, "{g:?} vs {w:?}");
+                prop_assert_eq!(g.score.to_bits(), w.score.to_bits(), "{:?} vs {:?}", g, w);
             }
-            let band = dists
-                .iter()
-                .filter(|&&d| (d - radius).abs() <= 2.0 * THRESHOLD_EPS)
-                .count();
             prop_assert!(m.candidate_invariant_holds());
-            prop_assert!(
-                m.candidates_verified as usize <= band,
-                "verified {}",
-                m.candidates_verified
-            );
+            prop_assert_eq!(m.candidates_verified, 0);
             prop_assert_eq!(m.heap_tuples_scanned, 0);
         }
     }
@@ -445,7 +413,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         // Every tuple's distance from the lists and the norm column is
-        // `eval`'s to 1e-12 — tuples of mass below 1, tuples equal to the
+        // `eval`'s bit for bit — tuples of mass below 1, tuples equal to the
         // query (at exactly 0), tuples sharing nothing with it — and the
         // windowed DSTQ answers what the scan answers, at radii on and
         // beside a tuple's distance too, on the built index and again

@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
-use uncat_core::distance::TwoSum;
+use uncat_core::distance::{self, Norm};
 use uncat_core::uda::Entry;
 use uncat_core::{codec, CatId, Domain, Uda};
 use uncat_storage::{
@@ -34,33 +34,6 @@ fn read_record<'a, T>(
         .map_err(|_| BAD_UDA)
 }
 
-/// What a metric distance needs of a tuple beyond the query's lists:
-/// its mass, `‖t‖₂²` and its number of categories. Both sums are
-/// compensated ([`TwoSum`]), so a tuple's norms do not depend on the
-/// order of its categories.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Norm {
-    pub(crate) mass: f64,
-    pub(crate) sq: f64,
-    pub(crate) len: u32,
-}
-
-impl Norm {
-    fn of(entries: &[Entry]) -> Norm {
-        let (mut mass, mut sq) = (TwoSum::default(), TwoSum::default());
-        for e in entries {
-            let p = e.prob as f64;
-            mass.add(p);
-            sq.add(p * p);
-        }
-        Norm {
-            mass: mass.value(),
-            sq: sq.value(),
-            len: entries.len() as u32,
-        }
-    }
-}
-
 /// The norm column: a [`Norm`] per indexed tuple, and a floor under every
 /// mass and `‖t‖₂²` in it. Not persisted: filled by one tuple-store scan
 /// the first time a metric DSTQ or DS-top-k needs it
@@ -68,8 +41,9 @@ impl Norm {
 /// insert may lower the floor; a delete leaves it, which stays sound.
 pub(crate) struct Norms {
     of: TidMap<Norm>,
-    min_mass: f64,
-    min_sq: f64,
+    /// Norms at most every tuple's: the least mass and `‖t‖₂²`, `None`
+    /// while the column has held no tuple.
+    pub(crate) floor: Option<Norm>,
 }
 
 impl Norms {
@@ -77,14 +51,14 @@ impl Norms {
     fn with_capacity(tuples: usize) -> Norms {
         Norms {
             of: TidMap::with_capacity_and_hasher(tuples, Default::default()),
-            min_mass: f64::INFINITY,
-            min_sq: f64::INFINITY,
+            floor: None,
         }
     }
 
     fn insert(&mut self, tid: u64, norm: Norm) {
-        self.min_mass = self.min_mass.min(norm.mass);
-        self.min_sq = self.min_sq.min(norm.sq);
+        let floor = self.floor.get_or_insert(norm);
+        floor.mass = floor.mass.min(norm.mass);
+        floor.sq = floor.sq.min(norm.sq);
         self.of.insert(tid, norm);
     }
 
@@ -97,16 +71,6 @@ impl Norms {
     /// Every tuple's norms, in no promised order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &Norm)> {
         self.of.iter().map(|(&tid, norm)| (tid, norm))
-    }
-
-    /// Norms at most every tuple's: the least mass and `‖t‖₂²` (∞ for an
-    /// empty column) and no category.
-    pub(crate) fn floor(&self) -> Norm {
-        Norm {
-            mass: self.min_mass,
-            sq: self.min_sq,
-            len: 0,
-        }
     }
 }
 
@@ -232,7 +196,7 @@ impl InvertedIndex {
         let rid = self.heap.insert(pool, &record)?;
         self.rids.insert(tid, rid);
         if let Some(norms) = self.norms.get_mut() {
-            norms.insert(tid, Norm::of(uda.entries()));
+            norms.insert(tid, distance::norms(uda.entries().iter().copied()));
         }
         self.tid_span = self.tid_span.max(tid + 1);
         Ok(())
@@ -412,7 +376,7 @@ impl InvertedIndex {
         let span = pool.trace_begin(Phase::HeapScan);
         let scanned = self.scan_tuples(pool, |tid, t| {
             metrics.heap_tuples_scanned += 1;
-            norms.insert(tid, Norm::of(t.entries()));
+            norms.insert(tid, distance::norms(t.entries().iter().copied()));
         });
         pool.trace_end(span);
         scanned?;
@@ -506,7 +470,7 @@ impl InvertedIndex {
             if let Some(norms) = norms {
                 assert_eq!(
                     norms.of.get(&tid),
-                    Some(&Norm::of(uda.entries())),
+                    Some(&distance::norms(uda.entries().iter().copied())),
                     "the norm column disagrees with tuple {tid}"
                 );
             }

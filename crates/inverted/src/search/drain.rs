@@ -22,6 +22,7 @@
 //! over it): at least the listed pops, and at least a quarter of the
 //! candidates.
 
+use uncat_core::distance::ExactSum;
 use uncat_core::equality::{eq_prob_entries, THRESHOLD_EPS};
 use uncat_core::Uda;
 use uncat_storage::{BufferPool, Phase, QueryMetrics, Result};
@@ -96,7 +97,7 @@ impl Policy {
         match *self {
             Policy::HighestProbFirst { tau } | Policy::Nra { tau } => tau,
             Policy::TopK { k, floor } if cand.len() >= k => {
-                kth_largest(cand.values().map(|c| c.lb), k).max(floor)
+                kth_largest(cand.values().map(|c| c.lb.value()), k).max(floor)
             }
             Policy::TopK { floor, .. } => floor,
         }
@@ -147,7 +148,7 @@ impl Mask for Box<[u64]> {
 /// A tuple met by the drain: the sum of its contributions seen, and the
 /// lists they came from.
 struct Cand<M> {
-    lb: f64,
+    lb: ExactSum,
     seen: M,
 }
 
@@ -226,10 +227,10 @@ fn run<M: Mask>(
             break;
         };
         let e = cand.entry(tid).or_insert_with(|| Cand {
-            lb: 0.0,
+            lb: ExactSum::default(),
             seen: M::none(lists),
         });
-        e.lb += c;
+        e.lb.add(c);
         e.seen.set(j);
         frontier.advance(j, metrics);
 
@@ -242,8 +243,8 @@ fn run<M: Mask>(
                 let undecided = cand
                     .values()
                     .filter(|c| {
-                        let ub = c.lb + c.unseen(&heads);
-                        c.lb < tau - THRESHOLD_EPS && ub >= tau - THRESHOLD_EPS
+                        let lb = c.lb.value();
+                        lb < tau - THRESHOLD_EPS && lb + c.unseen(&heads) >= tau - THRESHOLD_EPS
                     })
                     .count();
                 few_undecided = undecided <= RA_FALLBACK;
@@ -268,12 +269,12 @@ fn run<M: Mask>(
             unsettled.push(tid);
             continue;
         }
-        let remaining = c.unseen(&heads);
-        if c.lb + remaining < theta - THRESHOLD_EPS {
+        let (lb, remaining) = (c.lb.value(), c.unseen(&heads));
+        if lb + remaining < theta - THRESHOLD_EPS {
             metrics.candidates_pruned += 1;
         } else if all_exhausted || remaining == 0.0 {
             metrics.candidates_settled += 1;
-            offer(tid, c.lb);
+            offer(tid, lb);
         } else {
             unsettled.push(tid);
         }

@@ -17,6 +17,7 @@ mod threshold;
 pub(crate) use drain::{drain, Policy, RA_FALLBACK as NRA_RA_FALLBACK};
 pub(crate) use threshold::{threshold_petq, threshold_top_k};
 
+use uncat_core::distance::ExactSum;
 use uncat_core::equality::{eq_prob_entries, meets_threshold, THRESHOLD_EPS};
 use uncat_core::query::{sort_matches_desc, EqQuery, Match};
 use uncat_core::{CatId, Uda};
@@ -110,7 +111,7 @@ impl InvertedIndex {
             match strategy {
                 Strategy::Brute => {
                     for &(tid, pr) in exact_scores(self, pool, q, metrics)?.slots() {
-                        keep(tid, pr);
+                        keep(tid, pr.value());
                     }
                 }
                 Strategy::Auto => threshold_petq(self, pool, q, tau, metrics, keep)?,
@@ -145,8 +146,8 @@ impl InvertedIndex {
         let mut out: Vec<Match> = scores
             .slots()
             .iter()
-            .filter(|&&(_, pr)| pr > 0.0)
-            .map(|&(tid, pr)| Match::new(tid, pr))
+            .map(|&(tid, pr)| Match::new(tid, pr.value()))
+            .filter(|m| m.score > 0.0)
             .collect();
         sort_matches_desc(&mut out);
         Ok(out)
@@ -218,10 +219,8 @@ pub(crate) fn query_lists<'a>(idx: &'a InvertedIndex, q: &Uda) -> Vec<(CatId, f6
 /// query list, so the aggregate *is* the exact probability and no random
 /// access is needed; the cost is reading entire lists regardless of τ,
 /// which is why the paper calls it out as only competitive "when these
-/// lists are not too big and the query involves fewer d_ij". Lists are
-/// read end to end in ascending category order, so the terms of one
-/// tuple are added in the order `eq_prob_entries` adds them in: each
-/// record is `(tid, Pr(q = t))`, bit for bit.
+/// lists are not too big and the query involves fewer d_ij". Each record
+/// is `(tid, Σ q_j · t_j)` as the [`ExactSum`] `eq_prob_entries` takes.
 ///
 /// Metrics profile: every query list is opened and scanned to the end
 /// (`postings_scanned` is the total posting count of the query lists — the
@@ -234,15 +233,15 @@ pub(crate) fn exact_scores(
     pool: &mut BufferPool,
     q: &Uda,
     metrics: &mut QueryMetrics,
-) -> Result<Slab<(u64, f64)>> {
+) -> Result<Slab<(u64, ExactSum)>> {
     let lists = query_lists(idx, q);
     let mut scores = Slab::for_index(idx);
     let span = pool.trace_begin(Phase::PostingScan);
     for (_cat, qp, list) in lists {
         metrics.lists_opened += 1;
         list.scan_all(idx.block_heap(), pool, metrics, |tid, p| {
-            let at = scores.slot(tid, || (tid, 0.0));
-            scores.slots_mut()[at].1 += qp * p as f64;
+            let at = scores.slot(tid, || (tid, ExactSum::default()));
+            scores.slots_mut()[at].1.add(qp * p as f64);
         })?;
     }
     pool.trace_end(span);

@@ -44,11 +44,9 @@
 //!    postings of other tuples are ignored. Every survivor's score is then
 //!    exact: a PETQ keeps those that meet τ, a top-k the k best.
 //!
-//! A tuple's terms arrive in block order, not category order, so its sum
-//! is kept unevaluated ([`TwoSum`]) and rounded once: two
-//! tuples with the same terms score the same, whichever blocks brought
-//! them. It can differ from the scan's category-order sum in the last
-//! bit.
+//! A tuple's terms arrive in block order, not category order; its sum is
+//! an [`ExactSum`], so its score is the scan's to the last bit, whichever
+//! blocks brought its terms.
 //!
 //! What it trusts: the directory — a block's quantized maximum bounds it
 //! and every later block, its separator is its largest entry — and the
@@ -67,7 +65,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use uncat_core::distance::TwoSum;
+use uncat_core::distance::ExactSum;
 use uncat_core::equality::THRESHOLD_EPS;
 use uncat_core::query::{sort_matches_desc, Match};
 use uncat_core::uda::MASS_EPSILON;
@@ -135,7 +133,7 @@ pub(crate) fn threshold_top_k(
 /// A tuple met in some block.
 struct Met {
     /// `Σ q_j · p_j` over its postings read.
-    sum: TwoSum,
+    sum: ExactSum,
     /// `Σ p_j` over its postings read.
     mass: f64,
     /// The lists they came from (none above [`MASK_LISTS`]).
@@ -150,7 +148,7 @@ struct Met {
 impl Met {
     fn new(tid: u64) -> Met {
         Met {
-            sum: TwoSum::default(),
+            sum: ExactSum::default(),
             mass: 0.0,
             lists: 0,
             // Posting tids are 32-bit (`visit_block` checks).
@@ -185,14 +183,13 @@ fn left(mass: f64) -> f64 {
     (1.0 + MASS_EPSILON + MASS_SLACK - mass).max(0.0)
 }
 
-/// The k best partial sums: a min-heap of `(sum bits, slot)`, at most k
-/// entries, one per tuple (sums are positive, so their bits order as
-/// they do). A sum only grows, so a key may lag its slot's sum; a lagging
-/// key is fixed when it reaches the top, so the top is the k-th best sum
-/// whenever the heap is full.
+/// The k best partial sums: a min-heap of `(sum, slot)`, at most k
+/// entries, one per tuple. A sum only grows, so a key may lag its slot's
+/// sum; a lagging key is fixed when it reaches the top, so the top is the
+/// k-th best sum whenever the heap is full.
 struct Best {
     k: usize,
-    heap: BinaryHeap<Reverse<(u64, u32)>>,
+    heap: BinaryHeap<Reverse<(ExactSum, u32)>>,
 }
 
 impl Best {
@@ -202,11 +199,11 @@ impl Best {
         if slots[i].ranked {
             return;
         }
-        let key = slots[i].sum.hi.to_bits();
+        let key = slots[i].sum;
         if self.heap.len() < self.k {
             slots[i].ranked = true;
             self.heap.push(Reverse((key, i as u32)));
-        } else if self.heap.peek().is_some_and(|top| key > top.0 .0) && key > self.kth_bits(slots) {
+        } else if self.heap.peek().is_some_and(|top| key > top.0 .0) && key > self.kth_sum(slots) {
             let mut top = self.heap.peek_mut().expect("a full heap");
             slots[top.0 .1 as usize].ranked = false;
             *top = Reverse((key, i as u32));
@@ -215,16 +212,16 @@ impl Best {
     }
 
     /// The top's key, once no lagging key sits there (0 when empty).
-    fn kth_bits(&mut self, slots: &[Met]) -> u64 {
+    fn kth_sum(&mut self, slots: &[Met]) -> ExactSum {
         while let Some(mut top) = self.heap.peek_mut() {
             let Reverse((key, i)) = *top;
-            let now = slots[i as usize].sum.hi.to_bits();
+            let now = slots[i as usize].sum;
             if now == key {
                 return key;
             }
             *top = Reverse((now, i));
         }
-        0
+        ExactSum::default()
     }
 
     /// The k-th best partial sum, 0 while fewer than k tuples are met.
@@ -232,7 +229,7 @@ impl Best {
         if self.heap.len() < self.k {
             0.0
         } else {
-            f64::from_bits(self.kth_bits(slots))
+            self.kth_sum(slots).value()
         }
     }
 }
@@ -849,9 +846,9 @@ mod tests {
         }
     }
 
-    /// A tuple's score is its terms' sum rounded once, whatever order its
-    /// blocks arrive in; summed left to right, the same terms differ in
-    /// the last bit (0.1 + 0.2 + 0.3 against 0.3 + 0.2 + 0.1).
+    /// A tuple's score is its terms' exact sum rounded once, whatever order
+    /// its blocks arrive in; summed left to right, the same terms differ
+    /// in the last bit (0.1 + 0.2 + 0.3 against 0.3 + 0.2 + 0.1).
     #[test]
     fn a_score_does_not_depend_on_the_order_of_its_terms() {
         let orders = [[0.1, 0.2, 0.3], [0.1, 0.3, 0.2], [0.3, 0.2, 0.1]];

@@ -48,7 +48,7 @@
 //! f64 sums (at most a few hundred terms in `[0, 1]`, each sum off by well
 //! under 1e-13).
 
-use uncat_core::distance::TwoSum;
+use uncat_core::distance;
 use uncat_core::uda::{Entry, MASS_EPSILON};
 use uncat_core::{CatId, Divergence, Prob, Uda};
 
@@ -180,7 +180,7 @@ impl Boundary {
     /// most divergence measures").
     pub fn divergence_to(&self, u: &Uda, dv: Divergence) -> f64 {
         match self {
-            Boundary::Sparse(v) => dv.eval(u.entries(), v),
+            Boundary::Sparse(v) => dv.eval_wide(u.entries(), v),
             Boundary::Signature(vals) => {
                 let compressed = compress_entries(u.entries(), vals.len());
                 let dense: Vec<Entry> = vals
@@ -192,7 +192,7 @@ impl Boundary {
                         prob: p,
                     })
                     .collect();
-                dv.eval(&compressed, &dense)
+                dv.eval_wide(&compressed, &dense)
             }
         }
     }
@@ -201,11 +201,11 @@ impl Boundary {
     /// the bottom-up split).
     pub fn divergence_between(&self, other: &Boundary, dv: Divergence) -> f64 {
         match (self, other) {
-            (Boundary::Sparse(a), Boundary::Sparse(b)) => dv.eval(a, b),
+            (Boundary::Sparse(a), Boundary::Sparse(b)) => dv.eval_wide(a, b),
             (Boundary::Signature(a), Boundary::Signature(b)) => {
                 let da = dense_entries(a);
                 let db = dense_entries(b);
-                dv.eval(&da, &db)
+                dv.eval_wide(&da, &db)
             }
             _ => panic!("mixed boundary shapes within one tree"),
         }
@@ -310,24 +310,13 @@ impl MassFloor {
         sq: f64::INFINITY,
     };
 
-    /// Lower the floor to cover one more tuple. Both sums are compensated,
-    /// so a tuple's norms do not depend on the order of its categories.
+    /// Lower the floor to cover one more tuple, by its exact norms
+    /// ([`distance::norms`], the sums the inverted norm column holds).
     pub(crate) fn lower(&mut self, entries: impl IntoIterator<Item = Entry>) {
-        let (mass, sq) = norms(entries);
-        self.mass = self.mass.min(mass);
-        self.sq = self.sq.min(sq);
+        let norm = distance::norms(entries);
+        self.mass = self.mass.min(norm.mass.value());
+        self.sq = self.sq.min(norm.sq.value());
     }
-}
-
-/// `(Σ p_i, Σ p_i²)`, each summed with compensation.
-fn norms(entries: impl IntoIterator<Item = Entry>) -> (f64, f64) {
-    let (mut mass, mut sq) = (TwoSum::default(), TwoSum::default());
-    for e in entries {
-        let p = e.prob as f64;
-        mass.add(p);
-        sq.add(p * p);
-    }
-    (mass.value(), sq.value())
 }
 
 /// A DSTQ's or DS-top-k's subtree bound, prepared once per query: a lower
@@ -358,16 +347,16 @@ impl<'q> DistanceBound<'q> {
         dv: Divergence,
         floor: impl FnOnce() -> Result<MassFloor, E>,
     ) -> Result<DistanceBound<'q>, E> {
-        let (mass, sq) = norms(q.entries().iter().copied());
+        let norm = distance::norms(q.entries().iter().copied());
         Ok(match dv {
             Divergence::L1 => DistanceBound::L1 {
                 q,
-                masses: mass + floor()?.mass,
+                masses: norm.mass.value() + floor()?.mass,
             },
             Divergence::L2 => DistanceBound::L2 {
                 q,
                 by_prob: ByProb::of(q),
-                squares: sq + floor()?.sq,
+                squares: norm.sq.value() + floor()?.sq,
             },
             Divergence::Kl => DistanceBound::Kl,
         })
@@ -588,12 +577,12 @@ mod tests {
         let q = uda(&[(0, 0.2), (3, 0.8)]);
         let lb = b.l1_lower_bound(&q);
         for t in [&u, &v] {
-            let d = uncat_core::distance::l1(q.entries(), t.entries());
+            let d = Divergence::L1.eval(q.entries(), t.entries());
             assert!(d >= lb - 1e-9, "L1 {d} below bound {lb}");
         }
         let lb2 = b.l2_lower_bound(&q);
         for t in [&u, &v] {
-            let d = uncat_core::distance::l2(q.entries(), t.entries());
+            let d = Divergence::L2.eval(q.entries(), t.entries());
             assert!(d >= lb2 - 1e-9);
         }
     }

@@ -6,7 +6,7 @@
 //! share nothing but the data model, which makes them ideal
 //! differential-testing oracles for each other: on proptest-generated
 //! datasets and queries, all of them must return the same tuples in the
-//! same order with scores agreeing to 1e-9. A pruning bug, a bound that is not actually an upper bound, or
+//! same order with the same scores, bit for bit. A pruning bug, a bound that is not actually an upper bound, or
 //! a posting-list truncation shows up here as a divergence long before
 //! it would be caught by a hand-written example.
 
@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use uncat::core::query::{sort_matches_desc, DsTopKQuery, DstQuery, EqQuery, Match, TopKQuery};
+use uncat::core::query::{DsTopKQuery, DstQuery, EqQuery, Match, TopKQuery};
 use uncat::core::{CatId, Divergence, Domain, Uda};
 use uncat::prelude::*;
 use uncat::query::join::{block_join, index_join, parallel_join, JoinPair, JoinSpec, SharedFloor};
@@ -136,7 +136,7 @@ fn spec_strategy() -> impl Strategy<Value = JoinSpec> {
     })
 }
 
-/// Same pairs, same order, scores within 1e-9 of the reference.
+/// Same pairs, same order, the reference's scores bit for bit.
 fn assert_pairs_agree(what: &str, name: &str, reference: &[JoinPair], got: &[JoinPair]) {
     assert_eq!(
         got.iter().map(|p| (p.left, p.right)).collect::<Vec<_>>(),
@@ -148,7 +148,7 @@ fn assert_pairs_agree(what: &str, name: &str, reference: &[JoinPair], got: &[Joi
     );
     for (r, g) in reference.iter().zip(got) {
         assert!(
-            (r.score - g.score).abs() <= 1e-9,
+            r.score.to_bits() == g.score.to_bits(),
             "{what}: {name} scored pair ({}, {}) as {} vs {}",
             g.left,
             g.right,
@@ -158,7 +158,7 @@ fn assert_pairs_agree(what: &str, name: &str, reference: &[JoinPair], got: &[Joi
     }
 }
 
-/// Same tuples, same order, scores within 1e-9 of the reference.
+/// Same tuples, same order, the reference's scores bit for bit.
 fn assert_matches_agree(what: &str, name: &str, reference: &[Match], got: &[Match]) {
     assert_eq!(
         got.iter().map(|m| m.tid).collect::<Vec<_>>(),
@@ -167,7 +167,7 @@ fn assert_matches_agree(what: &str, name: &str, reference: &[Match], got: &[Matc
     );
     for (r, g) in reference.iter().zip(got) {
         assert!(
-            (r.score - g.score).abs() <= 1e-9,
+            r.score.to_bits() == g.score.to_bits(),
             "{what}: {name} scored tuple {} as {} vs scan's {}",
             g.tid,
             g.score,
@@ -195,11 +195,11 @@ proptest! {
         }
     }
 
-    // Every backend under a query floor of 0, just under a score of the
-    // answer, between two of its scores, NaN or +∞ (the last two mean "no
-    // floor"): the scan's unfloored answer cut to the scores at or above a
-    // finite floor. Floors sit 1e-12 under a score so that backends
-    // summing a tuple's terms in another order still agree on it.
+    // Every backend under a query floor of 0, exactly at a score of the
+    // answer, just under the midpoint of two of its scores, NaN or +∞ (the
+    // last two mean "no floor"): the scan's unfloored answer cut to the
+    // scores at or above a finite floor. Every backend scores a tuple to
+    // the scan's bits, so a floor at a score keeps exactly its ties.
     #[test]
     fn top_k_agrees_across_every_index_and_strategy(
         tuples in dataset_strategy(CATS, 60),
@@ -219,7 +219,7 @@ proptest! {
         let score = |i: usize| reference.get(i % reference.len().max(1)).map_or(0.5, |m| m.score);
         let floor = match floor_kind {
             0 => 0.0,
-            1 => score(floor_at) - 1e-12,
+            1 => score(floor_at),
             2 => (score(floor_at) + score(floor_at + 1)) / 2.0 - 1e-12,
             3 => f64::NAN,
             _ => f64::INFINITY,
@@ -354,8 +354,8 @@ proptest! {
     }
 
     // Block lists, with the block-max skips every strategy takes, must
-    // return the scan baseline's tuples with scores within 1e-9 under
-    // every strategy, and their block accounting must balance (every
+    // return the scan baseline's tuples with its scores, bit for bit,
+    // under every strategy, and their block accounting must balance (every
     // block of every opened list is either decoded or charged as
     // skipped).
     #[test]
@@ -528,7 +528,45 @@ proptest! {
                     .map(move |(i, u)| (r * 1000 + i as u64, u.clone()))
             })
             .collect();
-        check_service_top_k(&tuples, &q, small_k, floor, shards, mixed);
+        check_service_top_k(&tuples, &q, small_k, floor, shards, mixed, CATS);
+    }
+}
+
+/// Copies of CRM1 tuples that share at least three categories with the
+/// query, on a mixed tenant of three shards (inverted, PDR-tree,
+/// inverted): each copy is scored to the scan's bits on either backend,
+/// so the copies tie as the scan ties them and the service's top-k is the
+/// scan's, tid for tid and bit for bit. Three terms or more are where
+/// summing in another order moves the last bit.
+#[test]
+fn mixed_tenant_top_k_is_the_scans_bit_for_bit_on_crm1() {
+    use uncat::datagen::crm::{crm1, DOMAIN_SIZE};
+
+    for seed in 0..6 {
+        let (_, data) = crm1(3000, seed);
+        // The widest tuple over the most popular (lowest) categories.
+        let q = data
+            .iter()
+            .map(|(_, u)| u)
+            .filter(|u| u.len() >= 4)
+            .min_by_key(|u| u.iter().map(|(c, _)| c.0).sum::<u32>())
+            .expect("a wide tuple")
+            .clone();
+        let shared: Vec<&Uda> = data
+            .iter()
+            .map(|(_, u)| u)
+            .filter(|u| u.iter().filter(|&(c, _)| q.prob_of(c) > 0.0).count() >= 3)
+            .take(150)
+            .collect();
+        assert!(shared.len() >= 20, "seed {seed}: {} tuples", shared.len());
+        let tuples: Vec<(u64, Uda)> = (0..4u64)
+            .flat_map(|r| {
+                (0u64..)
+                    .zip(&shared)
+                    .map(move |(i, u)| (r * 1000 + i, (*u).clone()))
+            })
+            .collect();
+        check_service_top_k(&tuples, &q, 37, 0.0, 3, true, DOMAIN_SIZE);
     }
 }
 
@@ -539,10 +577,11 @@ fn check_service_top_k(
     floor: f64,
     shards: usize,
     mixed: bool,
+    cats: u32,
 ) {
     use uncat::service::{shard_of, QueryService, ServiceConfig, TenantConfig};
 
-    let domain = Domain::anonymous(CATS);
+    let domain = Domain::anonymous(cats);
     let service = QueryService::new(InMemoryDisk::shared(), ServiceConfig::default());
     // Each call builds the tenant's shards alike on the service's store:
     // one set for the service, one to replay the sequential plan on.
@@ -588,42 +627,11 @@ fn check_service_top_k(
         let bits = |ms: &[Match]| -> Vec<(u64, u64)> {
             ms.iter().map(|m| (m.tid, m.score.to_bits())).collect()
         };
-        if mixed {
-            // The inverted executor rounds a score once from its
-            // unevaluated sum, which may differ from the scan's
-            // category-order sum in the last bit, so copies split across
-            // backends need not tie as the scan ties them. The exact
-            // answer is the merge of the shards' own answers; its scores
-            // are the scan's to 1e-9.
-            let mut merged = Vec::new();
-            for shard in &replay {
-                merged.extend(shard.top_k(&mut rpool, &query).expect("in-memory query"));
-            }
-            sort_matches_desc(&mut merged);
-            merged.truncate(k);
-            assert_eq!(
-                bits(&got.matches),
-                bits(&merged),
-                "{what}: not the merged answer"
-            );
-            assert_eq!(
-                got.matches.len(),
-                want.len(),
-                "{what}: not the scan's length"
-            );
-            for (g, w) in got.matches.iter().zip(&want) {
-                assert!(
-                    (g.score - w.score).abs() <= 1e-9,
-                    "{what}: {g:?} vs scan's {w:?}"
-                );
-            }
-        } else {
-            assert_eq!(
-                bits(&got.matches),
-                bits(&want),
-                "{what}: not the scan's answer"
-            );
-        }
+        assert_eq!(
+            bits(&got.matches),
+            bits(&want),
+            "{what}: not the scan's answer"
+        );
 
         // The sequential plan: shard by shard, each probe floored at the
         // best k-th best an earlier shard proved.
@@ -1134,8 +1142,8 @@ proptest! {
     // than 128 lists, on lists split and merged by inserts and deletes
     // or freshly built, under floors of 0, just under a match's score, +∞
     // and NaN, for k of 0, 1–399 and past the number of matches: the
-    // same tuples with scores within 1e-9, and the executor's counter
-    // profile.
+    // same tuples with the same scores bit for bit, and the executor's
+    // counter profile.
     #[test]
     fn threshold_top_k_is_tid_exact_on_data_built_against_its_bounds(
         (seed, width, copies) in (0u64..1 << 32, 0usize..3, 129usize..=300),
@@ -1158,7 +1166,8 @@ proptest! {
     // the scan on the same data, queries and mutations as the top-k
     // property above, at τ of 0, below 0, NaN, above 1, within 1e-12 of
     // a match's score and across (0, 1): the same tuples in the same
-    // order, scores within 1e-12, and the executor's counter profile.
+    // order, the same scores bit for bit, and the executor's counter
+    // profile.
     #[test]
     fn threshold_petq_is_tid_exact_on_data_built_against_its_bounds(
         (seed, width, copies) in (0u64..1 << 32, 0usize..3, 129usize..=300),
@@ -1341,7 +1350,7 @@ fn assert_threshold_profile(what: &str, idx: &InvertedIndex, q: &Uda, m: &QueryM
 
 /// `Auto`'s PETQ against the scan of the same index (`Strategy::Brute`,
 /// which sums every list to the end): the same tuples in the same order,
-/// scores within 1e-12, and the executor's counter profile.
+/// the same scores bit for bit, and the executor's counter profile.
 fn assert_threshold_petq(what: &str, pool: &mut BufferPool, idx: &InvertedIndex, query: &EqQuery) {
     let reference = idx
         .petq(pool, query, SearchStrategy::Brute)
@@ -1358,7 +1367,11 @@ fn assert_threshold_petq(what: &str, pool: &mut BufferPool, idx: &InvertedIndex,
         "{what}: auto returned different tuples than the scan"
     );
     for (r, g) in reference.iter().zip(&got) {
-        assert!((r.score - g.score).abs() <= 1e-12, "{what}: {g:?} vs {r:?}");
+        assert_eq!(
+            r.score.to_bits(),
+            g.score.to_bits(),
+            "{what}: {g:?} vs {r:?}"
+        );
     }
     assert_threshold_profile(&what, idx, &query.q, &m);
 }

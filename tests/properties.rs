@@ -6,7 +6,6 @@ use std::ops::ControlFlow;
 
 use proptest::prelude::*;
 
-use uncat::core::distance::{l1, l2};
 use uncat::core::equality::eq_prob;
 use uncat::core::query::{sort_matches_desc, EqQuery, Match};
 use uncat::core::topk::TopKHeap;
@@ -73,8 +72,9 @@ proptest! {
             let cb = dv.eval(c.entries(), b.entries());
             prop_assert!(ab <= ac + cb + 1e-9, "triangle inequality for {:?}", dv);
         }
-        prop_assert!(l1(a.entries(), a.entries()) == 0.0);
-        prop_assert!(l2(a.entries(), a.entries()) == 0.0);
+        for dv in [Divergence::L1, Divergence::L2] {
+            prop_assert!(dv.eval(a.entries(), a.entries()) == 0.0);
+        }
     }
 
     #[test]
