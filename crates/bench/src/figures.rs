@@ -541,7 +541,7 @@ pub fn join(scale: &Scale) -> BenchResult<FigureTable> {
     use uncat_core::query::TopKQuery;
     use uncat_core::Uda;
     use uncat_datagen::zipf::zipf_ranks;
-    use uncat_query::join::{block_join, index_join, parallel_join, JoinSpec, SharedFloor};
+    use uncat_query::join::{block_join, index_join, parallel_join, JoinSpec};
     use uncat_query::{BatchPools, ScanBaseline};
     use uncat_storage::BufferPool;
 
@@ -590,16 +590,8 @@ pub fn join(scale: &Scale) -> BenchResult<FigureTable> {
         let i = index_join(outer, &inv, &mut p, petj).map_err(BenchError::storage("index join"))?;
         index_pts.push((x, i.reads() as f64));
         let pools = BatchPools::shared(&inv_store, QUERY_FRAMES * THREADS, 8);
-        let par = parallel_join(
-            outer,
-            &inv,
-            &inv_store,
-            &pools,
-            petj,
-            THREADS,
-            &SharedFloor::new(),
-        )
-        .map_err(BenchError::storage("parallel join"))?;
+        let par = parallel_join(outer, &inv, &inv_store, &pools, petj, THREADS)
+            .map_err(BenchError::storage("parallel join"))?;
         par_pts.push((x, par.reads() as f64));
         assert_eq!(
             i.pairs.len(),
@@ -625,7 +617,6 @@ pub fn join(scale: &Scale) -> BenchResult<FigureTable> {
             &pools,
             JoinSpec::PejTopK { k: K },
             THREADS,
-            &SharedFloor::new(),
         )
         .map_err(BenchError::storage("parallel top-k join"))?;
         topk_par_pts.push((x, par.metrics.postings_scanned as f64 / outer_n as f64));

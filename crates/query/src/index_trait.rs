@@ -25,8 +25,8 @@ pub trait UncertainIndex {
     /// Probabilistic equality threshold query (Definition 4).
     fn petq(&self, pool: &mut BufferPool, query: &EqQuery) -> Result<Vec<Match>>;
     /// PEQ-top-k: the `k` best matches scoring at least the query's floor
-    /// ([`TopKQuery::floor`]). The PEJ-top-k join and the service's shard
-    /// scatter set the floor to a k-th best they already hold; every
+    /// ([`TopKQuery::floor`]). The PEJ-top-k join and a one-shot shard of
+    /// [`crate::Shards`] set the floor to a k-th best they already hold; every
     /// implementation seeds its dynamic threshold with it, so a floored
     /// probe never does more work than an unfloored one — the threshold
     /// only starts higher.

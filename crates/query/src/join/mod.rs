@@ -9,19 +9,20 @@
 //! reference), [`index_join`] (probe an [`UncertainIndex`] on `S` once
 //! per outer tuple, on the caller's pool), and [`parallel_join`], which
 //! partitions the outer relation across workers that each own a pool.
-//! Both index plans run the same per-outer probe: a threshold form
-//! probes with its own bound, and PEJ-top-k probes under a rising
-//! [`SharedFloor`] — the k-th best pair score proven so far, carried in
-//! every probe's [`TopKQuery::floor`] — so warm probes stop as early as
-//! Lemma 1 allows at θ = floor. Every plan puts its pairs into the one
-//! canonical order ([`JoinSpec::canonicalize`]). As the paper notes,
-//! joining introduces correlations between result tuples; only
-//! threshold-based selection is modeled — lineage tracking is out of
-//! scope.
+//! The inner index may be a [`crate::Shards`]: a sharded relation is
+//! probed as one index. Both index plans run the same per-outer probe: a
+//! threshold form probes with its own bound, and PEJ-top-k probes under
+//! the join's one rising floor — the k-th best pair score proven so far,
+//! carried in every probe's [`TopKQuery::floor`] — so warm probes stop
+//! as early as Lemma 1 allows at θ = floor. Every plan puts its pairs
+//! into the one canonical order ([`JoinSpec::canonicalize`]). As the
+//! paper notes, joining introduces correlations between result tuples;
+//! only threshold-based selection is modeled — lineage tracking is out
+//! of scope.
 
 pub mod parallel;
 
-pub use parallel::{parallel_join, JoinOutcome, SharedFloor};
+pub use parallel::{parallel_join, JoinOutcome};
 
 use uncat_core::equality::{eq_prob, meets_threshold};
 use uncat_core::query::{DstQuery, EqQuery, TopKQuery};
@@ -30,6 +31,7 @@ use uncat_storage::{BufferPool, Phase, Result};
 
 use crate::index_trait::UncertainIndex;
 use crate::scan::ScanBaseline;
+use parallel::SharedFloor;
 
 /// One joined pair: outer tuple id, inner tuple id, and the score
 /// (equality probability or divergence).
@@ -182,10 +184,9 @@ fn probe_one(
 }
 
 /// Run `spec` as an index nested loop on the caller's pool: one probe per
-/// outer tuple, PEJ-top-k under a join-local [`SharedFloor`]. The
-/// outcome's metrics are the counters and pool I/O the join added to
-/// `pool`'s ledger — an interval measurement, so a warm reused pool is
-/// fine.
+/// outer tuple, PEJ-top-k under a join-local floor. The outcome's
+/// metrics are the counters and pool I/O the join added to `pool`'s
+/// ledger — an interval measurement, so a warm reused pool is fine.
 pub fn index_join(
     outer: &[(u64, Uda)],
     inner: &impl UncertainIndex,

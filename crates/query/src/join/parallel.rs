@@ -57,27 +57,19 @@ impl JoinOutcome {
     }
 }
 
-/// A monotonically rising PEJ-top-k score floor shared across concurrent
-/// probes. Scores are probabilities (non-negative), so `fetch_max` over
-/// the raw bits is `fetch_max` over the values.
-///
-/// One floor normally serves one join, but any caller that splits a
-/// top-k computation across executions whose result sets it will merge —
-/// the sharded scatter-gather service shares one floor across every shard
-/// probe — can pass its own instance to [`parallel_join`] or seed probes
-/// directly with [`SharedFloor::get`]. Exactness only requires that every
-/// published score is a lower bound on the final k-th best of the
-/// *merged* result.
-pub struct SharedFloor(AtomicU64);
+/// A monotonically rising PEJ-top-k score floor shared across one
+/// join's concurrent probes. Scores are probabilities (non-negative), so
+/// `fetch_max` over the raw bits is `fetch_max` over the values.
+pub(crate) struct SharedFloor(AtomicU64);
 
 impl SharedFloor {
     /// A floor of zero: prunes nothing until first raised.
-    pub fn new() -> SharedFloor {
+    pub(crate) fn new() -> SharedFloor {
         SharedFloor(AtomicU64::new(0.0f64.to_bits()))
     }
 
     /// The current floor.
-    pub fn get(&self) -> f64 {
+    pub(crate) fn get(&self) -> f64 {
         f64::from_bits(self.0.load(Ordering::Acquire))
     }
 
@@ -85,15 +77,9 @@ impl SharedFloor {
     /// Never lowers it, and ignores a score that is no floor
     /// ([`effective_floor`]: a NaN from a corrupt page must not poison
     /// every other worker's pruning).
-    pub fn raise(&self, score: f64) {
+    pub(crate) fn raise(&self, score: f64) {
         self.0
             .fetch_max(effective_floor(score).to_bits(), Ordering::AcqRel);
-    }
-}
-
-impl Default for SharedFloor {
-    fn default() -> SharedFloor {
-        SharedFloor::new()
     }
 }
 
@@ -103,13 +89,8 @@ type WorkerPart = std::result::Result<(Vec<JoinPair>, QueryMetrics), (usize, Sto
 /// Run `spec` as a parallel index nested loop over `threads` workers
 /// (at least one), each owning a pool from `pools`, all probing through
 /// the per-outer probe [`super::index_join`] runs. PEJ-top-k probes read
-/// and raise `floor`, which may come pre-raised: the sharded service
-/// passes one floor to every shard's join, so a floor proven on a warm
-/// shard prunes the probes of every other shard. Sharing a floor across
-/// joins is exact as long as the caller merges (and re-truncates) the
-/// joins' pair sets ([`JoinSpec::canonicalize`]), because each published
-/// score then lower-bounds the merged k-th best. A one-off join passes
-/// `&SharedFloor::new()`; the threshold forms never read it.
+/// and raise one floor the join's workers share; the threshold forms
+/// never read it.
 ///
 /// Results are exactly the sequential [`super::index_join`]'s: the same
 /// pair set in the same canonical order (for PEJ-top-k, pruning with a
@@ -127,8 +108,8 @@ pub fn parallel_join<I: UncertainIndex + Sync>(
     pools: &BatchPools,
     spec: JoinSpec,
     threads: usize,
-    floor: &SharedFloor,
 ) -> Result<JoinOutcome> {
+    let floor = SharedFloor::new();
     let next = AtomicUsize::new(0);
     let failed = AtomicBool::new(false);
     let workers = threads.clamp(1, outer.len().max(1));
@@ -139,7 +120,7 @@ pub fn parallel_join<I: UncertainIndex + Sync>(
         while !failed.load(Ordering::Relaxed) {
             let i = next.fetch_add(1, Ordering::Relaxed);
             let Some(tuple) = outer.get(i) else { break };
-            if let Err(e) = probe_one(spec, inner, &mut pool, tuple, floor, &mut local) {
+            if let Err(e) = probe_one(spec, inner, &mut pool, tuple, &floor, &mut local) {
                 failed.store(true, Ordering::Relaxed);
                 return Ok(Err((i, e)));
             }

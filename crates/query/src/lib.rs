@@ -5,8 +5,11 @@
 //! * [`TopKSearch`] — one index's share of a top-k that several indexes
 //!   answer into one heap ([`UncertainIndex::top_k_search`]): the
 //!   PDR-tree steps its best-first search node by node, every other
-//!   index runs its `top_k` once, floored at the heap's threshold. The
-//!   service's top-k drives it.
+//!   index runs its `top_k` once, floored at the heap's threshold.
+//!   [`Shards`] drives it.
+//! * [`Shards`] — indexes whose tuple ids partition one relation, as one
+//!   [`UncertainIndex`]: the one scatter-gather, which a service tenant
+//!   is and a join probes.
 //! * [`ScanBaseline`] — evaluates every query by scanning the tuple heap;
 //!   the correctness oracle and the "no index" comparison point.
 //! * [`run_query`] — the one probe runner: a query on a pool under a
@@ -37,6 +40,7 @@ pub mod join;
 pub mod parallel;
 pub mod planner;
 mod scan;
+mod shards;
 
 pub use durable::{
     split_snapshot, CheckpointCrash, DurableConfig, DurableIndex, DurableStorage, FileSlot,
@@ -47,3 +51,4 @@ pub use index_trait::{InvertedBackend, TopKSearch, UncertainIndex};
 pub use parallel::{batch_trace, BatchPools};
 pub use planner::Planner;
 pub use scan::ScanBaseline;
+pub use shards::Shards;

@@ -14,7 +14,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use uncat_core::query::{DstQuery, EqQuery, Match, TopKQuery};
+use uncat_core::query::{EqQuery, Match};
 use uncat_storage::trace::{Clock, QueryTrace};
 use uncat_storage::{
     BufferPool, QueryMetrics, Result, SharedBufferPool, SharedStore, StorageError,
@@ -232,32 +232,6 @@ pub fn petq_batch_with<I: UncertainIndex + Sync>(
     })
 }
 
-/// Evaluate a batch of top-k queries in parallel against `pools`.
-pub fn top_k_batch_with<I: UncertainIndex + Sync>(
-    index: &I,
-    store: &SharedStore,
-    pools: &BatchPools,
-    queries: &[TopKQuery],
-    threads: usize,
-) -> Vec<Result<QueryOutcome>> {
-    run_batch(index, store, pools, queries, threads, |i, p, q| {
-        i.top_k(p, q)
-    })
-}
-
-/// Evaluate a batch of DSTQs in parallel against `pools`.
-pub fn dstq_batch_with<I: UncertainIndex + Sync>(
-    index: &I,
-    store: &SharedStore,
-    pools: &BatchPools,
-    queries: &[DstQuery],
-    threads: usize,
-) -> Vec<Result<QueryOutcome>> {
-    run_batch(index, store, pools, queries, threads, |i, p, q| {
-        i.dstq(p, q)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,9 +286,7 @@ mod tests {
     }
 
     #[test]
-    fn topk_and_dstq_batches_match_sequential_on_pdr() {
-        use uncat_core::query::{DstQuery, TopKQuery};
-        use uncat_core::Divergence;
+    fn petq_batch_matches_sequential_on_pdr() {
         use uncat_pdrtree::{PdrConfig, PdrTree};
 
         let store = InMemoryDisk::shared();
@@ -335,37 +307,17 @@ mod tests {
         pool.flush().unwrap();
         drop(pool);
 
-        let tks: Vec<TopKQuery> = (0..8)
-            .map(|i| TopKQuery::new(data[i * 7].1.clone(), 6))
+        let queries: Vec<EqQuery> = (0..8)
+            .map(|i| EqQuery::new(data[i * 7].1.clone(), 0.2))
             .collect();
-        let private = BatchPools::private(100);
-        for (q, out) in tks
-            .iter()
-            .zip(top_k_batch_with(&tree, &store, &private, &tks, 3))
-        {
+        let par = petq_batch_with(&tree, &store, &BatchPools::private(100), &queries, 3);
+        for (q, out) in queries.iter().zip(par) {
             let out = out.expect("in-memory query");
             let mut p = BufferPool::with_capacity(store.clone(), 100);
-            let seq = tree.top_k(&mut p, q).unwrap();
-            assert_eq!(
-                out.matches.iter().map(|m| m.tid).collect::<Vec<_>>(),
-                seq.iter().map(|m| m.tid).collect::<Vec<_>>()
-            );
-        }
-
-        let dqs: Vec<DstQuery> = (0..8)
-            .map(|i| DstQuery::new(data[i * 11].1.clone(), 0.25, Divergence::L1))
-            .collect();
-        for (q, out) in dqs
-            .iter()
-            .zip(dstq_batch_with(&tree, &store, &private, &dqs, 3))
-        {
-            let out = out.expect("in-memory query");
-            let mut p = BufferPool::with_capacity(store.clone(), 100);
-            let seq = UncertainIndex::dstq(&tree, &mut p, q).unwrap();
-            assert_eq!(
-                out.matches.iter().map(|m| m.tid).collect::<Vec<_>>(),
-                seq.iter().map(|m| m.tid).collect::<Vec<_>>()
-            );
+            let seq = UncertainIndex::petq(&tree, &mut p, q).unwrap();
+            assert!(!seq.is_empty());
+            assert_eq!(out.matches, seq);
+            assert_eq!(out.metrics, p.metrics(), "identical cold counters");
         }
     }
 
@@ -546,8 +498,8 @@ mod tests {
 
     #[test]
     fn panicking_probe_fails_the_join_not_the_process() {
-        use crate::join::{parallel_join, JoinSpec, SharedFloor};
-        use uncat_core::query::{DsTopKQuery, Match};
+        use crate::join::{parallel_join, JoinSpec};
+        use uncat_core::query::{DsTopKQuery, DstQuery, Match, TopKQuery};
 
         /// An index whose every probe panics — a stand-in for an index
         /// bug surfacing mid-join.
@@ -583,7 +535,6 @@ mod tests {
             &pools,
             JoinSpec::Petj { tau: 0.5 },
             2,
-            &SharedFloor::new(),
         );
         assert!(
             matches!(out, Err(StorageError::Poisoned)),
@@ -636,50 +587,16 @@ mod tests {
         zero_threads_is_one(&queries, |q, t| petq_batch_with(&idx, &store, &pools, q, t));
     }
 
-    #[test]
-    fn top_k_batch_with_zero_threads_runs_on_one_worker() {
-        let (store, idx) = small_backend();
-        let pools = BatchPools::private(50);
-        let queries = vec![TopKQuery::new(uda(&[(0, 0.6), (1, 0.4)]), 5); 3];
-        zero_threads_is_one(&queries, |q, t| {
-            top_k_batch_with(&idx, &store, &pools, q, t)
-        });
-    }
-
-    #[test]
-    fn dstq_batch_with_zero_threads_runs_on_one_worker() {
-        use uncat_core::Divergence;
-        let (store, idx) = small_backend();
-        let pools = BatchPools::private(50);
-        let queries = vec![DstQuery::new(uda(&[(0, 0.6), (1, 0.4)]), 0.5, Divergence::L1); 3];
-        // The first metric DSTQ fills the index's norm column with one
-        // tuple-store scan; fill it before either batch runs.
-        let mut pool = BufferPool::with_capacity(store.clone(), 50);
-        idx.dstq(&mut pool, &queries[0]).unwrap();
-        zero_threads_is_one(&queries, |q, t| dstq_batch_with(&idx, &store, &pools, q, t));
-    }
-
     /// A join asked for zero workers runs on one: the same `pairs` pairs
     /// and the same counters as a one-worker join.
     fn zero_thread_join_is_one(spec: crate::join::JoinSpec, pairs: usize) {
-        use crate::join::{parallel_join, SharedFloor};
+        use crate::join::parallel_join;
         let (store, idx) = small_backend();
         let outer: Vec<(u64, Uda)> = (0..4u64)
             .map(|i| (i, uda(&[((i % 3) as u32, 1.0)])))
             .collect();
         let pools = BatchPools::private(50);
-        let run = |threads| {
-            parallel_join(
-                &outer,
-                &idx,
-                &store,
-                &pools,
-                spec,
-                threads,
-                &SharedFloor::new(),
-            )
-            .unwrap()
-        };
+        let run = |threads| parallel_join(&outer, &idx, &store, &pools, spec, threads).unwrap();
         let (zero, one) = (run(0), run(1));
         assert_eq!(one.pairs.len(), pairs, "{}", spec.name());
         assert_eq!(zero.pairs, one.pairs);

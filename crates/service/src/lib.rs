@@ -10,17 +10,18 @@
 //! page, waits in a bounded queue when the tenant is at quota, and is
 //! rejected (typed, counted) when the queue is full too.
 //!
-//! Execution is scatter-gather and *exact*: threshold queries
-//! concatenate shard results (the shards partition the tuple ids), and
-//! their per-shard [`uncat_storage::QueryMetrics`] and latency traces
-//! merge additively, exactly like batch execution. A top-k is one
-//! best-first search over every shard sharing one heap: the service
-//! always steps the shard whose [`uncat_query::TopKSearch`] has the best
-//! bound, so a PDR-tree shard opens only nodes whose bound reaches the
-//! k-th best of the whole tenant, and an inverted shard runs its
-//! `top_k` once, floored at the k-th best gathered before it. Its
-//! counters are that one search's. A PEJ-top-k join shares a rising
-//! floor across shards ([`uncat_query::join::SharedFloor`]).
+//! A tenant is one index: [`uncat_query::Shards`] over its shards, which
+//! gathers every query form into the exact single-index answer.
+//! Threshold queries concatenate shard results (the shards partition the
+//! tuple ids); a top-k is one best-first search over every shard sharing
+//! one heap, so a PDR-tree shard opens only nodes whose bound reaches
+//! the k-th best of the whole tenant, and an inverted shard runs its
+//! `top_k` once, floored at the k-th best gathered before it; a join
+//! probes the tenant's index once per outer tuple. A PETQ, top-k or DSTQ
+//! runs on one handle onto the pool, so its
+//! [`uncat_storage::QueryMetrics`] are one ledger and its latency trace
+//! has one root. The service itself keeps only admission and
+//! bookkeeping.
 //!
 //! See `docs/SERVICE.md` for the full design.
 

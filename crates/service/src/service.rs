@@ -1,23 +1,18 @@
-//! The query service: named tenants, sharded datasets, scatter-gather
-//! execution over one shared buffer pool. Threshold forms probe the
-//! shards one by one and concatenate; a top-k is one best-first search
-//! over every shard, stepping whichever shard's
-//! [`uncat_query::TopKSearch`] has the best bound into one shared heap.
+//! The query service: named tenants, each one sharded index
+//! ([`uncat_query::Shards`]), over one shared buffer pool. The service
+//! admits a request, runs it on the tenant's index and keeps the books.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
-use uncat_core::query::{
-    effective_floor, sort_matches_asc, sort_matches_desc, DstQuery, EqQuery, Match, TopKQuery,
-};
-use uncat_core::topk::TopKHeap;
+use uncat_core::query::{DstQuery, EqQuery, Match, TopKQuery};
 use uncat_core::{Domain, Uda};
 use uncat_inverted::{InvertedIndex, Strategy};
 use uncat_pdrtree::{PdrConfig, PdrTree};
-use uncat_query::join::{parallel_join, JoinPair, JoinSpec, SharedFloor};
+use uncat_query::join::{parallel_join, JoinPair, JoinSpec};
 use uncat_query::parallel::BatchPools;
-use uncat_query::{run_query, InvertedBackend, QueryOutcome, UncertainIndex};
+use uncat_query::{run_query, InvertedBackend, Shards, UncertainIndex};
 use uncat_storage::trace::{Clock, MonotonicClock, QueryTrace};
 use uncat_storage::{
     BufferPool, IoStats, QueryMetrics, SharedBufferPool, SharedStore, StorageError,
@@ -69,12 +64,11 @@ pub struct ServiceOutcome {
     /// Matches in the query form's canonical order, exact across every
     /// shard (tid-identical to the unsharded plan).
     pub matches: Vec<Match>,
-    /// The query's counters plus its admission stamp: per-shard probes
-    /// merged additively (as in batch execution) for PETQ and DSTQ, the
-    /// one shared search's ledger for top-k.
+    /// The query's one ledger, every shard's probe included, plus its
+    /// admission stamp.
     pub metrics: QueryMetrics,
-    /// The latency trace, when tracing is enabled: per-shard traces
-    /// merged for PETQ and DSTQ, one trace under one root for top-k.
+    /// The latency trace, when tracing is enabled: one `query` root over
+    /// every shard's probe.
     pub trace: Option<QueryTrace>,
     /// End-to-end wall time, admission wait included.
     pub wall_ns: u64,
@@ -85,7 +79,7 @@ pub struct ServiceOutcome {
 pub struct ServiceJoinOutcome {
     /// Joined pairs in the spec's canonical order.
     pub pairs: Vec<JoinPair>,
-    /// Counters merged over every shard's join.
+    /// The join's counters, every worker's ledger summed.
     pub metrics: QueryMetrics,
     /// End-to-end wall time, admission wait included.
     pub wall_ns: u64,
@@ -101,11 +95,9 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// one lock-striped [`SharedBufferPool`]; per-tenant frame quotas (an
 /// [`crate::Admission`] gate per tenant) decide *admission*, the pool
 /// decides *placement*. Datasets are horizontally partitioned by
-/// [`shard_of`]; selects and joins scatter across the shards and gather
-/// into the exact single-index answer: threshold forms concatenate
-/// (shards partition the tids); a top-k runs every shard's search into
-/// one heap ([`QueryService::top_k`]); a PEJ-top-k join carries one
-/// [`SharedFloor`] through every shard's join.
+/// [`shard_of`], and a tenant is one [`Shards`] index over its
+/// partitions, which gathers every query form into the exact
+/// single-index answer.
 pub struct QueryService {
     store: SharedStore,
     pool: Arc<SharedBufferPool>,
@@ -152,7 +144,7 @@ impl QueryService {
     ) {
         assert!(!shards.is_empty(), "a tenant needs at least one shard");
         let name = config.name.clone();
-        let tenant = Arc::new(Tenant::new(config, shards));
+        let tenant = Arc::new(Tenant::new(config, Shards::new(shards)));
         self.tenants
             .write()
             .unwrap_or_else(PoisonError::into_inner)
@@ -265,63 +257,25 @@ impl QueryService {
             .ok_or_else(|| ServiceError::UnknownTenant(name.to_string()))
     }
 
-    /// PETQ for `tenant`: exact scatter-gather over its shards.
+    /// PETQ for `tenant`.
     pub fn petq(&self, tenant: &str, query: &EqQuery) -> Result<ServiceOutcome> {
-        self.run_select(
-            tenant,
-            |shard, pool| shard.petq(pool, query),
-            |all| sort_matches_desc(all),
-        )
+        self.serve(tenant, |index, pool| index.petq(pool, query))
     }
 
-    /// PEQ-top-k for `tenant`: one best-first search over every shard.
-    /// Each shard answers through its [`UncertainIndex::top_k_search`]
-    /// into one [`TopKHeap`] floored at the caller's floor, and the loop
-    /// always steps the shard with the best unexplored bound (the lowest
-    /// shard on a tie) until every bound is `−∞` — a shard whose best
-    /// bound is below the heap's threshold stops on its next step. A
-    /// PDR-tree shard is read node by node, so it opens only nodes whose
-    /// bound reaches the k-th best of the whole tenant; any other shard
-    /// runs its `top_k` once, in shard order, floored at the k-th best
-    /// the shards before it proved.
+    /// PEQ-top-k for `tenant`: one best-first search over every shard
+    /// into one heap ([`Shards`]).
     pub fn top_k(&self, tenant: &str, query: &TopKQuery) -> Result<ServiceOutcome> {
-        self.serve(tenant, |shards, clock| {
-            let mut pool = BufferPool::from_handle(self.pool.handle());
-            run_query(&mut pool, clock, |pool| {
-                let mut heap = TopKHeap::new(query.k, effective_floor(query.floor));
-                let mut searches: Vec<_> = shards.iter().map(|s| s.top_k_search(query)).collect();
-                loop {
-                    // The first of the best bounds: a tie goes to the
-                    // lower shard.
-                    let mut best = (f64::NEG_INFINITY, None);
-                    for (i, search) in searches.iter().enumerate() {
-                        let bound = search.bound();
-                        if bound > best.0 {
-                            best = (bound, Some(i));
-                        }
-                    }
-                    let Some(i) = best.1 else { break };
-                    searches[i].step(pool, &mut heap)?;
-                }
-                Ok(heap.into_sorted())
-            })
-        })
+        self.serve(tenant, |index, pool| index.top_k(pool, query))
     }
 
-    /// DSTQ for `tenant`: exact scatter-gather over its shards.
+    /// DSTQ for `tenant`.
     pub fn dstq(&self, tenant: &str, query: &DstQuery) -> Result<ServiceOutcome> {
-        self.run_select(
-            tenant,
-            |shard, pool| shard.dstq(pool, query),
-            |all| sort_matches_asc(all),
-        )
+        self.serve(tenant, |index, pool| index.dstq(pool, query))
     }
 
-    /// Join `outer` against every shard of `tenant` (`threads` workers
-    /// per shard join — at least one — all sharing the service pool).
-    /// The shard joins share one [`SharedFloor`] for PEJ-top-k, and the
-    /// gathered pairs are re-ranked and re-truncated, so the answer is
-    /// exactly the unsharded join's.
+    /// Join `outer` against `tenant`'s index (`threads` workers — at
+    /// least one — all sharing the service pool): each probe asks every
+    /// shard, so the answer is exactly the unsharded join's.
     pub fn join(
         &self,
         tenant: &str,
@@ -338,24 +292,16 @@ impl QueryService {
             .frames_per_query
             .saturating_mul(threads.max(1));
         let guard = self.admit(&tenant, cost)?;
-        let floor = SharedFloor::new();
         let pools = BatchPools::over(self.pool.clone());
-
-        let mut pairs = Vec::new();
-        let mut metrics = QueryMetrics::new();
+        let out = parallel_join(outer, &tenant.index, &self.store, &pools, spec, threads)
+            .map_err(|e| self.fail(&tenant, e))?;
+        let mut metrics = out.metrics;
         metrics.admission_waits = u64::from(guard.waited());
-        for shard in &tenant.shards {
-            let out = parallel_join(outer, shard, &self.store, &pools, spec, threads, &floor)
-                .map_err(|e| self.fail(&tenant, e))?;
-            pairs.extend(out.pairs);
-            metrics.merge(&out.metrics);
-        }
         drop(guard);
-        spec.canonicalize(&mut pairs);
         let wall_ns = self.clock.now_ns().saturating_sub(started);
         self.record(&tenant, &metrics, wall_ns);
         Ok(ServiceJoinOutcome {
-            pairs,
+            pairs: out.pairs,
             metrics,
             wall_ns,
         })
@@ -394,22 +340,23 @@ impl QueryService {
         stats.completed += 1;
     }
 
-    /// The select skeleton: admit, run `body` over the tenant's shards
-    /// (with the clock to trace against, when tracing is on), stamp the
+    /// The select skeleton: admit, run `probe` on the tenant's index
+    /// through [`run_query`] on a fresh handle onto the shared pool (the
+    /// query's one ledger, traced when tracing is on), stamp the
     /// admission wait into its counters and fold it into the tenant's
-    /// aggregates.
-    fn serve<F>(&self, name: &str, body: F) -> Result<ServiceOutcome>
+    /// aggregates. Concurrency comes from concurrent queries, not from
+    /// inside one (EXPERIMENTS.md, "Scatter threads").
+    fn serve<F>(&self, name: &str, probe: F) -> Result<ServiceOutcome>
     where
-        F: FnOnce(
-            &[Box<dyn UncertainIndex + Send + Sync>],
-            Option<&Arc<dyn Clock>>,
-        ) -> std::result::Result<QueryOutcome, StorageError>,
+        F: FnOnce(&Shards, &mut BufferPool) -> std::result::Result<Vec<Match>, StorageError>,
     {
         let tenant = self.tenant(name)?;
         let started = self.clock.now_ns();
         let guard = self.admit(&tenant, tenant.config.frames_per_query)?;
         let clock = self.tracing.load(Ordering::Relaxed).then_some(&self.clock);
-        let out = body(&tenant.shards, clock).map_err(|e| self.fail(&tenant, e))?;
+        let mut pool = BufferPool::from_handle(self.pool.handle());
+        let out = run_query(&mut pool, clock, |pool| probe(&tenant.index, pool))
+            .map_err(|e| self.fail(&tenant, e))?;
         let mut metrics = out.metrics;
         metrics.admission_waits = u64::from(guard.waited());
         drop(guard);
@@ -420,43 +367,6 @@ impl QueryService {
             metrics,
             trace: out.trace,
             wall_ns,
-        })
-    }
-
-    /// The threshold forms' scatter-gather: probe the shards one after
-    /// another in shard order (each through [`run_query`] on a fresh
-    /// handle on the shared pool, which is that probe's ledger), merge
-    /// counters and traces additively, and put the gathered matches into
-    /// canonical order. Concurrency comes from concurrent queries, not
-    /// from inside one (EXPERIMENTS.md, "Scatter threads").
-    fn run_select<F, G>(&self, name: &str, probe: F, gather: G) -> Result<ServiceOutcome>
-    where
-        F: Fn(
-            &dyn UncertainIndex,
-            &mut BufferPool,
-        ) -> std::result::Result<Vec<Match>, StorageError>,
-        G: FnOnce(&mut Vec<Match>),
-    {
-        self.serve(name, |shards, clock| {
-            let mut gathered = QueryOutcome {
-                matches: Vec::new(),
-                metrics: QueryMetrics::new(),
-                trace: None,
-            };
-            for shard in shards {
-                let mut pool = BufferPool::from_handle(self.pool.handle());
-                let part = run_query(&mut pool, clock, |pool| probe(shard.as_ref(), pool))?;
-                gathered.matches.extend(part.matches);
-                gathered.metrics.merge(&part.metrics);
-                if let Some(t) = part.trace {
-                    gathered
-                        .trace
-                        .get_or_insert_with(QueryTrace::default)
-                        .merge(&t);
-                }
-            }
-            gather(&mut gathered.matches);
-            Ok(gathered)
         })
     }
 }

@@ -1,8 +1,9 @@
-//! A tenant: named shards, an admission gate, and aggregate statistics.
+//! A tenant: one sharded index, an admission gate, and aggregate
+//! statistics.
 
 use std::sync::Mutex;
 
-use uncat_query::UncertainIndex;
+use uncat_query::Shards;
 use uncat_storage::trace::LatencyHistogram;
 use uncat_storage::QueryMetrics;
 
@@ -79,22 +80,19 @@ pub struct TenantStats {
 /// One registered tenant.
 pub(crate) struct Tenant {
     pub(crate) config: TenantConfig,
-    /// Horizontal partitions of the tenant's dataset; a tuple lives in
-    /// shard [`crate::shard_of`]`(tid, shards.len())`.
-    pub(crate) shards: Vec<Box<dyn UncertainIndex + Send + Sync>>,
+    /// The tenant's dataset as one index over its horizontal
+    /// partitions; a tuple lives in shard [`crate::shard_of`]`(tid, n)`.
+    pub(crate) index: Shards,
     pub(crate) admission: Admission,
     pub(crate) stats: Mutex<TenantStats>,
 }
 
 impl Tenant {
-    pub(crate) fn new(
-        config: TenantConfig,
-        shards: Vec<Box<dyn UncertainIndex + Send + Sync>>,
-    ) -> Tenant {
+    pub(crate) fn new(config: TenantConfig, index: Shards) -> Tenant {
         let admission = Admission::new(config.frame_quota, config.queue_depth);
         Tenant {
             config,
-            shards,
+            index,
             admission,
             stats: Mutex::new(TenantStats::default()),
         }

@@ -36,9 +36,7 @@ use uncat::core::{CatId, Divergence, EqQuery, TopKQuery, Uda};
 use uncat::datagen;
 use uncat::inverted::{InvertedIndex, Strategy};
 use uncat::pdrtree::{PdrConfig, PdrTree};
-use uncat::query::join::{
-    block_join, index_join, parallel_join, JoinOutcome, JoinSpec, SharedFloor,
-};
+use uncat::query::join::{block_join, index_join, parallel_join, JoinOutcome, JoinSpec};
 use uncat::query::parallel::{batch_metrics, batch_trace, petq_batch_with};
 use uncat::query::{
     run_query, split_snapshot, BatchPools, DurableConfig, DurableIndex, DurableStorage,
@@ -1038,9 +1036,7 @@ fn join(flags: &HashMap<String, String>) -> Result<(), CliError> {
                 (index_join(&outer, &backend, &mut pool, spec)?, None)
             } else {
                 let pools = pool_flags.pools(&store);
-                let floor = SharedFloor::new();
-                let outcome =
-                    parallel_join(&outer, &backend, &store, &pools, spec, threads, &floor)?;
+                let outcome = parallel_join(&outer, &backend, &store, &pools, spec, threads)?;
                 (outcome, pools.shared_pool().cloned())
             }
         }

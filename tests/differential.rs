@@ -14,14 +14,15 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use uncat::core::query::{DsTopKQuery, DstQuery, EqQuery, Match, TopKQuery};
+use uncat::core::query::{effective_floor, DsTopKQuery, DstQuery, EqQuery, Match, TopKQuery};
 use uncat::core::{CatId, Divergence, Domain, Uda};
 use uncat::prelude::*;
-use uncat::query::join::{block_join, index_join, parallel_join, JoinPair, JoinSpec, SharedFloor};
+use uncat::query::join::{block_join, index_join, parallel_join, JoinPair, JoinSpec};
 use uncat::query::{
     BatchPools, DurableConfig, DurableIndex, DurableStorage, InvertedBackend, MutableBackend,
-    ScanBaseline, UncertainIndex,
+    ScanBaseline, Shards, UncertainIndex,
 };
+use uncat::service::shard_of;
 use uncat_inverted::{InvertedIndex, Strategy as SearchStrategy};
 use uncat_pdrtree::{PdrConfig, PdrTree};
 
@@ -62,7 +63,8 @@ fn dataset_strategy(cats: u32, max_n: usize) -> impl Strategy<Value = Vec<(u64, 
 
 /// Every backend under test, each with its own name for failure output.
 /// The scan baseline is positionally first: it is the semantic reference
-/// the others are diffed against.
+/// the others are diffed against. The last is one relation over three
+/// shards ([`three_shards`]).
 fn all_backends(
     pool: &mut BufferPool,
     tuples: &[(u64, Uda)],
@@ -104,7 +106,32 @@ fn all_backends(
             .expect("in-memory build"),
         ),
     ));
+    backends.push(("shards".into(), Box::new(three_shards(pool, tuples))));
     backends
+}
+
+/// `tuples` split `shard_of`-wise three ways, as the service splits a
+/// tenant, into an inverted index under `Auto`, a PDR-tree and a scan.
+fn three_shards(pool: &mut BufferPool, tuples: &[(u64, Uda)]) -> Shards {
+    let part = |s| {
+        tuples
+            .iter()
+            .filter(move |(tid, _)| shard_of(*tid, 3) == s)
+            .map(|(tid, u)| (*tid, u))
+    };
+    let inverted =
+        InvertedIndex::build(Domain::anonymous(CATS), pool, part(0)).expect("in-memory build");
+    let pdr = PdrTree::build(Domain::anonymous(CATS), PdrConfig::default(), pool, part(1))
+        .expect("in-memory build");
+    let scan = ScanBaseline::build(pool, part(2)).expect("in-memory build");
+    Shards::new(vec![
+        Box::new(InvertedBackend::with_strategy(
+            inverted,
+            SearchStrategy::Auto,
+        )),
+        Box::new(pdr),
+        Box::new(scan),
+    ])
 }
 
 /// Outer relation for join tests: tids are offset so they never collide
@@ -419,7 +446,7 @@ fn check_sharded_service(
     (tau, k): (f64, usize),
     (shards, tenants, threads): (usize, usize, usize),
 ) {
-    use uncat::service::{shard_of, QueryService, ServiceConfig, TenantConfig};
+    use uncat::service::{QueryService, ServiceConfig, TenantConfig};
 
     let domain = Domain::anonymous(CATS);
     let service = QueryService::new(InMemoryDisk::shared(), ServiceConfig::default());
@@ -579,7 +606,7 @@ fn check_service_top_k(
     mixed: bool,
     cats: u32,
 ) {
-    use uncat::service::{shard_of, QueryService, ServiceConfig, TenantConfig};
+    use uncat::service::{QueryService, ServiceConfig, TenantConfig};
 
     let domain = Domain::anonymous(cats);
     let service = QueryService::new(InMemoryDisk::shared(), ServiceConfig::default());
@@ -609,6 +636,12 @@ fn check_service_top_k(
             .collect()
     };
     service.register_tenant(TenantConfig::new("t"), build());
+    // The same shards with the upper half behind one nested `Shards`: its
+    // search is one child of the tenant's and must step as the flat one.
+    let mut nested = build();
+    let upper = nested.split_off(shards / 2);
+    nested.push(Box::new(Shards::new(upper)));
+    service.register_tenant(TenantConfig::new("nested"), nested);
     let replay = build();
     let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 100);
     let scan = ScanBaseline::build(&mut pool, tuples.iter().map(|(t, u)| (*t, u)))
@@ -632,21 +665,38 @@ fn check_service_top_k(
             bits(&want),
             "{what}: not the scan's answer"
         );
+        let logical = |m: &QueryMetrics| QueryMetrics {
+            io: IoStats {
+                logical_reads: m.io.logical_reads,
+                ..IoStats::default()
+            },
+            ..*m
+        };
+        let inner = service.top_k("nested", &query).expect("in-memory query");
+        assert_eq!(
+            bits(&inner.matches),
+            bits(&want),
+            "{what}: nested, not the scan's answer"
+        );
+        assert_eq!(
+            logical(&inner.metrics),
+            logical(&got.metrics),
+            "{what}: a nested search must step as the flat one"
+        );
 
         // The sequential plan: shard by shard, each probe floored at the
         // best k-th best an earlier shard proved.
-        let shared = SharedFloor::new();
-        shared.raise(query.floor);
+        let mut shared = effective_floor(query.floor);
         let before = rpool.metrics();
         for shard in &replay {
             let floored = TopKQuery {
-                floor: shared.get(),
+                floor: shared,
                 ..query.clone()
             };
             let matches = shard.top_k(&mut rpool, &floored).expect("in-memory query");
             if matches.len() >= k {
                 if let Some(kth) = matches.last() {
-                    shared.raise(kth.score);
+                    shared = shared.max(kth.score);
                 }
             }
         }
@@ -1521,6 +1571,7 @@ fn check_join_plans_agree(
         tuples.iter().map(|(t, u)| (*t, u)),
     )
     .expect("in-memory build");
+    let shards = three_shards(&mut pool, tuples);
     pool.flush().expect("in-memory flush");
 
     let reference = block_join(outer, &scan, &mut pool, spec)
@@ -1531,6 +1582,18 @@ fn check_join_plans_agree(
     assert_pairs_agree("join", "index/inverted", &reference, &seq.pairs);
     let got = index_join(outer, &pdr, &mut pool, spec).expect("in-memory join");
     assert_pairs_agree("join", "index/pdr-tree", &reference, &got.pairs);
+    let got = index_join(outer, &shards, &mut pool, spec).expect("in-memory join");
+    assert_pairs_agree("join", "index/shards", &reference, &got.pairs);
+    let got = parallel_join(
+        outer,
+        &shards,
+        &store,
+        &BatchPools::private(100),
+        spec,
+        threads,
+    )
+    .expect("in-memory join");
+    assert_pairs_agree("join", "parallel/shards", &reference, &got.pairs);
 
     let par = parallel_join(
         outer,
@@ -1539,7 +1602,6 @@ fn check_join_plans_agree(
         &BatchPools::private(100),
         spec,
         threads,
-        &SharedFloor::new(),
     )
     .expect("in-memory join");
     assert_pairs_agree("join", "parallel/inverted", &reference, &par.pairs);

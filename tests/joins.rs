@@ -11,7 +11,7 @@ use uncat::core::{CatId, Divergence, Domain, Uda};
 use uncat::datagen::crm::crm1;
 use uncat::datagen::zipf::zipf_ranks;
 use uncat::prelude::*;
-use uncat::query::join::{index_join, parallel_join, JoinPair, JoinSpec, SharedFloor};
+use uncat::query::join::{index_join, parallel_join, JoinPair, JoinSpec};
 use uncat::query::{BatchPools, InvertedBackend, UncertainIndex};
 use uncat::storage::SharedStore;
 use uncat_inverted::{InvertedIndex, Strategy};
@@ -145,7 +145,6 @@ fn parallel_pej_topk_beats_prefix_probe_cost_on_zipf_workload() {
         &BatchPools::private(FRAMES),
         JoinSpec::PejTopK { k: K },
         4,
-        &SharedFloor::new(),
     )
     .expect("in-memory join");
 
@@ -185,7 +184,6 @@ fn parallel_plans_match_sequential_on_both_backends() {
             &BatchPools::shared(&inv_store, FRAMES * 3, 4),
             spec,
             3,
-            &SharedFloor::new(),
         )
         .expect("in-memory join");
         assert_pairs_agree(&format!("{} inverted", spec.name()), &seq.pairs, &par.pairs);
@@ -199,7 +197,6 @@ fn parallel_plans_match_sequential_on_both_backends() {
             &BatchPools::private(FRAMES),
             spec,
             3,
-            &SharedFloor::new(),
         )
         .expect("in-memory join");
         assert_pairs_agree(&format!("{} pdr", spec.name()), &seq.pairs, &par.pairs);
@@ -232,8 +229,7 @@ fn parallel_threshold_join_metrics_sum_to_sequential() {
         let mut pool = BufferPool::with_capacity(store.clone(), FRAMES);
         let seq = index_join(&outer, &inv, &mut pool, spec).expect("in-memory join");
         let pools = BatchPools::private(FRAMES);
-        let par = parallel_join(&outer, &inv, &store, &pools, spec, 4, &SharedFloor::new())
-            .expect("in-memory join");
+        let par = parallel_join(&outer, &inv, &store, &pools, spec, 4).expect("in-memory join");
 
         let mut seq_counters = seq.metrics;
         let mut par_counters = par.metrics;

@@ -564,9 +564,11 @@ fn concurrent_clients_over_two_tenants_get_exact_answers_and_counts() {
     }
 }
 
-/// Tracing attaches a merged per-shard trace to every outcome.
+/// Tracing attaches one trace to every outcome: a PETQ or DSTQ over
+/// three shards is one query under one `query` root, every shard's probe
+/// inside it, as a top-k is.
 #[test]
-fn tracing_merges_per_shard_traces() {
+fn a_traced_select_is_one_trace_under_one_root() {
     let (domain, data) = seeded_dataset(500);
     let service = QueryService::new(InMemoryDisk::shared(), ServiceConfig::default());
     service
@@ -578,23 +580,25 @@ fn tracing_merges_per_shard_traces() {
             Strategy::ColumnPruning,
         )
         .expect("in-memory build");
-
-    let out = service
-        .petq("t", &EqQuery::new(uda(&[(1, 1.0)]), 0.3))
-        .expect("query");
+    let petq = EqQuery::new(uda(&[(1, 1.0)]), 0.3);
+    let out = service.petq("t", &petq).expect("query");
     assert!(out.trace.is_none(), "tracing is off by default");
 
     service.set_tracing(true);
-    let out = service
-        .petq("t", &EqQuery::new(uda(&[(1, 1.0)]), 0.3))
-        .expect("query");
-    let trace = out.trace.expect("tracing attaches a trace");
-    // One root query span per shard probe survives the merge.
-    assert!(
-        trace.spans.len() >= 3,
-        "expected at least one span per shard, got {}",
-        trace.spans.len()
-    );
+    let dstq = DstQuery::new(uda(&[(1, 0.8), (6, 0.2)]), 0.5, Divergence::L1);
+    let outs = [
+        ("petq", service.petq("t", &petq).expect("query")),
+        ("dstq", service.dstq("t", &dstq).expect("query")),
+    ];
+    for (what, out) in outs {
+        assert!(!out.matches.is_empty(), "{what}");
+        let trace = out.trace.expect("tracing attaches a trace");
+        let roots: Vec<_> = trace.spans.iter().filter(|s| s.is_root()).collect();
+        assert_eq!(roots.len(), 1, "{what}: {trace:?}");
+        assert_eq!(roots[0].phase, Phase::Query);
+        // The root, and at least one span per shard's probe under it.
+        assert!(trace.spans.len() > 3, "{what}: {trace:?}");
+    }
 }
 
 /// A bad `threads` argument is clamped, not a panic in the caller: zero

@@ -10,10 +10,10 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use uncat::core::query::{EqQuery, TopKQuery};
+use uncat::core::query::EqQuery;
 use uncat::core::{CatId, Domain, Uda};
 use uncat::inverted::{InvertedIndex, Strategy};
-use uncat::query::parallel::{petq_batch_with, top_k_batch_with};
+use uncat::query::parallel::petq_batch_with;
 use uncat::query::{batch_trace, run_query, BatchPools, InvertedBackend, UncertainIndex};
 use uncat::storage::trace::{Clock, FakeClock, LatencyHistogram, Phase};
 use uncat::storage::{BufferPool, InMemoryDisk, SharedStore};
@@ -163,49 +163,42 @@ fn batch_trace_merges_worker_traces_exactly() {
     let eqs: Vec<EqQuery> = (0..8)
         .map(|i| EqQuery::new(uda(&[(i % 11, 1.0)]), 0.3))
         .collect();
-    let topks: Vec<TopKQuery> = (0..8)
-        .map(|i| TopKQuery::new(uda(&[(i % 11, 1.0)]), 5))
-        .collect();
     let pools = BatchPools::private(100).traced(Arc::new(FakeClock::auto(3)));
 
-    let results = petq_batch_with(&backend, &store, &pools, &eqs, 3);
-    let more = top_k_batch_with(&backend, &store, &pools, &topks, 3);
-
-    for batch in [&results, &more] {
-        let merged = batch_trace(batch);
-        let ok: Vec<_> = batch.iter().filter_map(|r| r.as_ref().ok()).collect();
-        assert_eq!(ok.len(), 8, "all queries succeed");
-        // Merging is exact, field-wise addition: counts, sums, and the
-        // span population all add up across workers however the batch
-        // was scheduled.
-        let traces: Vec<_> = ok.iter().map(|o| o.trace.as_ref().unwrap()).collect();
+    let batch = petq_batch_with(&backend, &store, &pools, &eqs, 3);
+    let merged = batch_trace(&batch);
+    let ok: Vec<_> = batch.iter().filter_map(|r| r.as_ref().ok()).collect();
+    assert_eq!(ok.len(), 8, "all queries succeed");
+    // Merging is exact, field-wise addition: counts, sums, and the span
+    // population all add up across workers however the batch was
+    // scheduled.
+    let traces: Vec<_> = ok.iter().map(|o| o.trace.as_ref().unwrap()).collect();
+    assert_eq!(
+        merged.spans.len(),
+        traces.iter().map(|t| t.spans.len()).sum::<usize>()
+    );
+    assert_eq!(
+        merged.total_ns(),
+        traces.iter().map(|t| t.total_ns()).sum::<u64>()
+    );
+    for field in 0..4 {
+        let name = merged.hist.named()[field].0;
         assert_eq!(
-            merged.spans.len(),
-            traces.iter().map(|t| t.spans.len()).sum::<usize>()
+            merged.hist.named()[field].1.count(),
+            traces
+                .iter()
+                .map(|t| t.hist.named()[field].1.count())
+                .sum::<u64>(),
+            "histogram {name} count must be additive"
         );
         assert_eq!(
-            merged.total_ns(),
-            traces.iter().map(|t| t.total_ns()).sum::<u64>()
+            merged.hist.named()[field].1.sum_ns(),
+            traces
+                .iter()
+                .map(|t| t.hist.named()[field].1.sum_ns())
+                .sum::<u64>(),
+            "histogram {name} sum must be additive"
         );
-        for field in 0..4 {
-            let name = merged.hist.named()[field].0;
-            assert_eq!(
-                merged.hist.named()[field].1.count(),
-                traces
-                    .iter()
-                    .map(|t| t.hist.named()[field].1.count())
-                    .sum::<u64>(),
-                "histogram {name} count must be additive"
-            );
-            assert_eq!(
-                merged.hist.named()[field].1.sum_ns(),
-                traces
-                    .iter()
-                    .map(|t| t.hist.named()[field].1.sum_ns())
-                    .sum::<u64>(),
-                "histogram {name} sum must be additive"
-            );
-        }
     }
 }
 
