@@ -36,7 +36,7 @@ pub mod uda;
 pub use distance::Divergence;
 pub use domain::{CatId, Domain};
 pub use error::{Error, Result};
-pub use query::{DsTopKQuery, DstQuery, EqQuery, QueryKind, TopKQuery};
+pub use query::{DsTopKQuery, DstQuery, EqQuery, TopKQuery};
 pub use uda::{Uda, UdaBuilder};
 
 /// A tuple identifier. Tuples live in a heap file; the id is assigned by the

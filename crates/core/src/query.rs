@@ -109,17 +109,6 @@ impl DsTopKQuery {
     }
 }
 
-/// Discriminates query families where a single code path handles several.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueryKind {
-    /// Threshold equality query.
-    Threshold,
-    /// Top-k equality query.
-    TopK,
-    /// Distributional similarity query.
-    Similarity,
-}
-
 /// One qualifying tuple: id plus its score (equality probability for
 /// PETQ/top-k, divergence for DSTQ).
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -7,6 +7,11 @@
 //! threshold for pruning. Several searches may feed one: a service top-k
 //! merges whole shard answers into it and offers PDR-tree leaf entries
 //! one by one.
+//!
+//! The distance queries rank the other way round, and [`BottomKHeap`] is
+//! the same heap over negated distances: its ceiling is the negated
+//! floor, so a DSTQ (every match within `τ_d`) and a DS-top-k (the `k`
+//! nearest) are one accumulator that differs by `(k, ceiling)`.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -45,16 +50,20 @@ impl PartialOrd for HeapEntry {
 /// Accumulator for the `k` highest-scoring matches.
 ///
 /// Matches arrive one at a time ([`offer`](TopKHeap::offer)) or as whole
-/// ranked answers ([`merge_sorted`](TopKHeap::merge_sorted)). While only
-/// ranked answers have arrived they are kept as one list in canonical
-/// order, merged in linear time; the first single offer turns the list
-/// into a heap whose top is the weakest match. At most one of the two
-/// holds matches.
+/// ranked answers ([`merge_sorted`](TopKHeap::merge_sorted)). Until `k`
+/// are in, every admitted match is kept in one list, sorted only when
+/// drained; while only ranked answers have arrived the list is in
+/// canonical order, merged in linear time. The `k`-th single offer, or
+/// any offer into a full list, turns the list into a heap whose top is
+/// the weakest match. At most one of the two holds matches.
 #[derive(Debug)]
 pub struct TopKHeap {
     k: usize,
     heap: BinaryHeap<HeapEntry>,
-    sorted: Vec<Match>,
+    list: Vec<Match>,
+    /// Whether no single offer went in: `list` is in canonical order and
+    /// `heap` is empty.
+    ranked: bool,
     floor: f64,
 }
 
@@ -69,44 +78,49 @@ impl TopKHeap {
     /// New accumulator retaining at most `k` matches, pruning at `floor`:
     /// matches scoring below `floor` are never admitted (use `0.0`, or a
     /// PETQ threshold when combining top-k with a minimum probability).
-    /// Nothing is reserved from `k`, which may be any `usize`: the heap
+    /// Nothing is reserved from `k`, which may be any `usize`: the list
     /// grows as matches are offered.
     pub fn new(k: usize, floor: f64) -> TopKHeap {
         TopKHeap {
             k,
             heap: BinaryHeap::new(),
-            sorted: Vec::new(),
+            list: Vec::new(),
+            ranked: true,
             floor,
         }
     }
 
     /// Offer a match. Returns `true` if it was retained.
+    #[inline]
     pub fn offer(&mut self, tid: TupleId, score: f64) -> bool {
         if self.k == 0 || score < self.floor {
             return false;
         }
-        if !self.sorted.is_empty() {
-            self.heap_from_sorted();
-        }
-        if self.heap.len() < self.k {
-            self.heap.push(HeapEntry(Match::new(tid, score)));
-            return true;
+        let m = Match::new(tid, score);
+        self.ranked = false;
+        if self.heap.is_empty() {
+            if self.list.len() < self.k {
+                self.list.push(m);
+                if self.list.len() == self.k {
+                    self.heapify();
+                }
+                return true;
+            }
+            self.heapify();
         }
         let weakest = self.heap.peek().expect("non-empty").0;
-        let better = ranks_before(&Match::new(tid, score), &weakest);
+        let better = ranks_before(&m, &weakest);
         if better {
             self.heap.pop();
-            self.heap.push(HeapEntry(Match::new(tid, score)));
+            self.heap.push(HeapEntry(m));
         }
         better
     }
 
-    /// Turn the ranked list into the heap, before a single offer.
+    /// Turn the full list into the heap.
     #[cold]
-    fn heap_from_sorted(&mut self) {
-        // Weakest first is already a heap whose top is the weakest.
-        let entries: Vec<HeapEntry> = self.sorted.drain(..).rev().map(HeapEntry).collect();
-        self.heap = BinaryHeap::from(entries);
+    fn heapify(&mut self) {
+        self.heap = self.list.drain(..).map(HeapEntry).collect();
     }
 
     /// Offer a whole ranked answer: `run` in canonical order (descending
@@ -114,7 +128,7 @@ impl TopKHeap {
     /// offering each match in turn would; into a list of ranked answers
     /// it is one linear merge.
     pub fn merge_sorted(&mut self, run: Vec<Match>) {
-        if !self.heap.is_empty() {
+        if !self.ranked {
             // A match that is not retained ranks no better than the
             // weakest, and neither does any match after it.
             for m in run {
@@ -124,7 +138,7 @@ impl TopKHeap {
             }
             return;
         }
-        let kept = std::mem::take(&mut self.sorted);
+        let kept = std::mem::take(&mut self.list);
         let mut merged = Vec::with_capacity(self.k.min(kept.len() + run.len()));
         let (mut a, mut b) = (kept.into_iter().peekable(), run.into_iter().peekable());
         while merged.len() < self.k {
@@ -138,30 +152,33 @@ impl TopKHeap {
                 _ => break,
             }
         }
-        self.sorted = merged;
+        self.list = merged;
     }
 
     /// The current effective threshold: any future match scoring *at or
     /// below* this cannot change the result set (once full, the k-th best
     /// score; before that, the floor).
+    #[inline]
     pub fn threshold(&self) -> f64 {
         if !self.is_full() {
             self.floor
         } else if let Some(e) = self.heap.peek() {
             e.0.score
         } else {
-            self.sorted.last().map_or(self.floor, |m| m.score)
+            self.list.last().map_or(self.floor, |m| m.score)
         }
     }
 
     /// Whether `k` matches have been accumulated.
+    #[inline]
     pub fn is_full(&self) -> bool {
         self.len() >= self.k
     }
 
     /// Number of retained matches.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.heap.len() + self.sorted.len()
+        self.heap.len() + self.list.len()
     }
 
     /// Whether no match has been retained.
@@ -171,102 +188,63 @@ impl TopKHeap {
 
     /// Consume the heap, returning matches in canonical descending order.
     pub fn into_sorted(self) -> Vec<Match> {
-        if self.heap.is_empty() {
-            return self.sorted;
+        let mut v = self.list;
+        v.extend(self.heap.into_iter().map(|e| e.0));
+        if !self.ranked {
+            crate::query::sort_matches_desc(&mut v);
         }
-        let mut v: Vec<Match> = self.heap.into_iter().map(|e| e.0).collect();
-        crate::query::sort_matches_desc(&mut v);
         v
     }
 }
 
-/// Max-heap entry ordered by (score desc, tid desc): `peek` is the
-/// *largest* retained distance, ties evict the largest tid first.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct BottomEntry(Match);
-
-impl Eq for BottomEntry {}
-
-impl Ord for BottomEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0
-            .score
-            .total_cmp(&other.0.score)
-            .then_with(|| self.0.tid.cmp(&other.0.tid))
-    }
-}
-
-impl PartialOrd for BottomEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Accumulator for the `k` *lowest*-scoring matches (distributional
-/// similarity top-k minimizes divergence).
+/// Accumulator for the `k` *lowest*-scoring matches at or below a
+/// ceiling (distributional similarity minimizes divergence): a
+/// [`TopKHeap`] over the negated distances, floored at the negated
+/// ceiling. A DSTQ is one with `k = usize::MAX` and the radius as its
+/// ceiling, a DS-top-k one with the query's `k` and no ceiling (`+∞`).
 #[derive(Debug)]
-pub struct BottomKHeap {
-    k: usize,
-    heap: BinaryHeap<BottomEntry>,
-}
+pub struct BottomKHeap(TopKHeap);
 
 impl BottomKHeap {
-    /// New accumulator retaining at most `k` matches; as
-    /// [`TopKHeap::new`], nothing is reserved from `k`.
-    pub fn new(k: usize) -> BottomKHeap {
-        BottomKHeap {
-            k,
-            heap: BinaryHeap::new(),
-        }
+    /// New accumulator retaining at most `k` matches scoring at most
+    /// `ceiling`; as [`TopKHeap::new`], nothing is reserved from `k`. A
+    /// NaN ceiling admits nothing.
+    pub fn new(k: usize, ceiling: f64) -> BottomKHeap {
+        let k = if ceiling.is_nan() { 0 } else { k };
+        BottomKHeap(TopKHeap::new(k, -ceiling))
     }
 
     /// Offer a match. Returns `true` if it was retained.
+    #[inline]
     pub fn offer(&mut self, tid: TupleId, score: f64) -> bool {
-        if self.k == 0 {
-            return false;
-        }
-        if self.heap.len() < self.k {
-            self.heap.push(BottomEntry(Match::new(tid, score)));
-            return true;
-        }
-        let worst = self.heap.peek().expect("non-empty").0;
-        let better = score < worst.score || (score == worst.score && tid < worst.tid);
-        if better {
-            self.heap.pop();
-            self.heap.push(BottomEntry(Match::new(tid, score)));
-        }
-        better
+        self.0.offer(tid, -score)
     }
 
-    /// The current pruning bound: a match scoring *at or above* this
-    /// cannot change the result set (∞ until the heap fills).
+    /// The current pruning bound: a match scoring *above* this cannot
+    /// change the result set (the ceiling until the heap fills, then the
+    /// k-th smallest score).
+    #[inline]
     pub fn bound(&self) -> f64 {
-        if self.heap.len() < self.k {
-            f64::INFINITY
-        } else {
-            self.heap.peek().map_or(f64::INFINITY, |e| e.0.score)
-        }
+        -self.0.threshold()
     }
 
     /// Whether `k` matches have been accumulated.
+    #[inline]
     pub fn is_full(&self) -> bool {
-        self.heap.len() >= self.k
-    }
-
-    /// Number of retained matches.
-    pub fn len(&self) -> usize {
-        self.heap.len()
+        self.0.is_full()
     }
 
     /// Whether no match has been retained.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.0.is_empty()
     }
 
     /// Consume the heap, returning matches in ascending-score order.
     pub fn into_sorted(self) -> Vec<Match> {
-        let mut v: Vec<Match> = self.heap.into_iter().map(|e| e.0).collect();
-        crate::query::sort_matches_asc(&mut v);
+        let mut v = self.0.into_sorted();
+        for m in &mut v {
+            m.score = -m.score;
+        }
         v
     }
 }
@@ -277,7 +255,7 @@ mod tests {
 
     #[test]
     fn bottom_k_keeps_smallest() {
-        let mut h = BottomKHeap::new(2);
+        let mut h = BottomKHeap::new(2, f64::INFINITY);
         assert_eq!(h.bound(), f64::INFINITY);
         for (tid, s) in [(1, 0.5), (2, 0.1), (3, 0.9), (4, 0.05)] {
             h.offer(tid, s);
@@ -289,7 +267,7 @@ mod tests {
 
     #[test]
     fn bottom_k_ties_prefer_smaller_tid() {
-        let mut h = BottomKHeap::new(1);
+        let mut h = BottomKHeap::new(1, f64::INFINITY);
         h.offer(9, 0.3);
         assert!(h.offer(2, 0.3));
         assert_eq!(h.into_sorted()[0].tid, 2);
@@ -297,7 +275,7 @@ mod tests {
 
     #[test]
     fn bottom_k_zero_capacity() {
-        let mut h = BottomKHeap::new(0);
+        let mut h = BottomKHeap::new(0, f64::INFINITY);
         assert!(!h.offer(1, 0.0));
         assert!(h.is_empty());
     }
@@ -358,7 +336,7 @@ mod tests {
         // ones on push and on pop.
         let scores = [0.4, f64::NAN, 0.9, 0.1, f64::NAN, 0.7, 0.2];
         let mut top = TopKHeap::new(3, 0.0);
-        let mut bottom = BottomKHeap::new(3);
+        let mut bottom = BottomKHeap::new(3, f64::INFINITY);
         for (tid, &s) in scores.iter().enumerate() {
             top.offer(tid as u64, s);
             bottom.offer(tid as u64, s);

@@ -21,25 +21,28 @@
 //! the distance is `eval`'s bit for bit, whatever order the terms arrive
 //! in — and a tuple equal to the query is at exactly 0.
 //!
-//! * **Radius windows.** `|q_j − t_j|` is at most both distances, so a
-//!   DSTQ reads list `j` only over the blocks that can hold a posting in
-//!   `[q_j − τ − ε, q_j + τ + ε]`
-//!   ([`crate::block::BlockList::blocks_between`]); the
-//!   rest are `blocks_skipped`. A tuple with a posting in a skipped block
-//!   is farther than `τ + ε`, and the sums above, which miss the
-//!   posting, put it farther still: by `2·min(q_j, t_j)` in L1 and by
-//!   `2·q_j·t_j` in L2². So every tuple computed within `τ` had no
-//!   posting skipped, and its distance is exact.
-//! * **Deciding.** Beyond `τ` a tuple is `candidates_pruned` — most are
-//!   beyond it on the first two terms alone, before their norms are
-//!   looked up, since the last bracket only adds; otherwise it is
-//!   `candidates_settled` at its distance. Nothing is fetched. A tuple
-//!   sharing no category with the query is at `mass(q) + mass(t)` (L1) or
-//!   `√(‖q‖₂² + ‖t‖₂²)` (L2): those are walked from the column, unless
-//!   the column's floor puts every one of them out of reach.
-//! * **DS-top-k** reads the query's lists whole and keeps the `k` best
-//!   distances; the tuples sharing nothing with the query are walked
-//!   unless the `k` found are all nearer than any of them can be.
+//! A DSTQ and a DS-top-k are one search with a selection `(k, ceiling)`
+//! into one [`BottomKHeap`]: a DSTQ is `(usize::MAX, τ_d)`, a DS-top-k
+//! `(k, +∞)`. The heap's bound is the ceiling until `k` tuples are in
+//! it, then the k-th smallest distance; every cut below is at that bound.
+//!
+//! * **Radius windows.** `|q_j − t_j|` is at most both distances, so the
+//!   search reads list `j` only over the blocks that can hold a posting
+//!   in `[q_j − τ − ε, q_j + τ + ε]` for a ceiling `τ`
+//!   ([`crate::block::BlockList::blocks_between`]; with no ceiling, the
+//!   whole list); the rest are `blocks_skipped`. A tuple with a posting
+//!   in a skipped block is farther than `τ + ε`, and the sums above,
+//!   which miss the posting, put it farther still: by `2·min(q_j, t_j)`
+//!   in L1 and by `2·q_j·t_j` in L2². So every tuple computed within `τ`
+//!   had no posting skipped, and its distance is exact.
+//! * **Deciding.** A tuple beyond the bound on the first two terms alone
+//!   is cut before its norms are looked up, since the last bracket only
+//!   adds; any other is offered to the heap at its distance. Nothing is
+//!   fetched. The answer is `candidates_settled`, every other tuple met
+//!   `candidates_pruned`. A tuple sharing no category with the query is
+//!   at `mass(q) + mass(t)` (L1) or `√(‖q‖₂² + ‖t‖₂²)` (L2): those are
+//!   walked from the column, unless the column's floor puts every one of
+//!   them beyond the bound.
 //!
 //! KL is not a metric and has no sound bound — which is why the paper
 //! uses it only for clustering — so a KL query scans the tuple store
@@ -48,7 +51,7 @@
 
 use uncat_core::distance::{self, ExactSum, Norm};
 use uncat_core::equality::THRESHOLD_EPS;
-use uncat_core::query::{sort_matches_asc, DsTopKQuery, DstQuery, Match};
+use uncat_core::query::{DsTopKQuery, DstQuery, Match};
 use uncat_core::topk::BottomKHeap;
 use uncat_core::{Divergence, Uda};
 use uncat_storage::{BufferPool, Phase, QueryMetrics, Result};
@@ -176,131 +179,73 @@ impl InvertedIndex {
     /// settle every tuple from them and the norm column, fetching
     /// nothing; KL scans the tuple store (`heap_tuples_scanned`), as does
     /// the first metric query, to fill the column. A negative or NaN
-    /// radius admits nothing.
+    /// radius admits nothing and reads nothing.
     pub fn dstq(&self, pool: &mut BufferPool, query: &DstQuery) -> Result<Vec<Match>> {
+        self.distance_search(pool, &query.q, query.divergence, usize::MAX, query.tau_d)
+    }
+
+    /// DSQ-top-k: the `k` distributionally closest tuples, ascending by
+    /// divergence: [`InvertedIndex::dstq`]'s search with no radius,
+    /// keeping the `k` best. L1 and L2 read the query's lists whole;
+    /// the tuples sharing no category with the query are walked from the
+    /// column unless the `k` found are all nearer than the column's floor
+    /// lets any of them be.
+    pub fn ds_top_k(&self, pool: &mut BufferPool, query: &DsTopKQuery) -> Result<Vec<Match>> {
+        self.distance_search(pool, &query.q, query.divergence, query.k, f64::INFINITY)
+    }
+
+    /// The one distance search: the at most `k` tuples nearest `q` under
+    /// `dv` within `ceiling`, ascending. A search for no results (`k` of
+    /// 0, a negative or NaN ceiling) reads nothing. Every tuple met in
+    /// the lists or walked from the column is `candidates_generated`; the
+    /// answer is `candidates_settled`, the rest `candidates_pruned`.
+    fn distance_search(
+        &self,
+        pool: &mut BufferPool,
+        q: &Uda,
+        dv: Divergence,
+        k: usize,
+        ceiling: f64,
+    ) -> Result<Vec<Match>> {
+        if k == 0 || ceiling.is_nan() || ceiling < 0.0 {
+            return Ok(Vec::new());
+        }
         pool.tally(|pool, metrics| {
-            let Some(metric) = Metric::new(&query.q, query.divergence) else {
-                return self.dstq_scan(pool, query, metrics);
+            let mut heap = BottomKHeap::new(k, ceiling);
+            let Some(metric) = Metric::new(q, dv) else {
+                let scan = pool.trace_begin(Phase::HeapScan);
+                let scanned = self.scan_tuples(pool, |tid, t| {
+                    metrics.heap_tuples_scanned += 1;
+                    heap.offer(tid, dv.eval(q.entries(), t.entries()));
+                });
+                pool.trace_end(scan);
+                return scanned.map(|()| heap.into_sorted());
             };
-            let tau = query.tau_d;
-            if tau.is_nan() || tau < 0.0 {
-                return Ok(Vec::new());
-            }
             let norms = self.norms(pool, metrics)?;
-            let slab = metric.scan(self, pool, &query.q, tau + THRESHOLD_EPS, metrics)?;
-            let (mut out, mut pruned) = (Vec::new(), 0u64);
-            let mut decide = |tid: u64, d: f64| {
-                if d > tau {
-                    pruned += 1;
-                } else {
-                    out.push(Match::new(tid, d));
-                }
-            };
+            let slab = metric.scan(self, pool, q, ceiling + THRESHOLD_EPS, metrics)?;
             for t in slab.slots() {
                 let tid = t.tid as u64;
                 // Out of reach on the query's support alone: no norms needed.
-                let floor = metric.on_support(t);
-                let d = if floor > tau {
-                    floor
-                } else {
-                    metric.distance(t, norms.get(tid)?)
-                };
-                decide(tid, d);
+                if metric.on_support(t) > heap.bound() {
+                    continue;
+                }
+                heap.offer(tid, metric.distance(t, norms.get(tid)?));
             }
             let mut met = slab.slots().len() as u64;
             // The nearest a tuple sharing nothing can be (∞: none is held).
             let nearest = norms.floor.map_or(f64::INFINITY, |f| metric.disjoint(&f));
-            if nearest <= tau {
+            if nearest <= heap.bound() {
                 for (tid, norm) in norms.iter().filter(|&(tid, _)| !slab.contains(tid)) {
                     met += 1;
-                    decide(tid, metric.disjoint(norm));
+                    heap.offer(tid, metric.disjoint(norm));
                 }
             }
+            let out = heap.into_sorted();
             metrics.candidates_generated += met;
-            metrics.candidates_pruned += pruned;
             metrics.candidates_settled += out.len() as u64;
-            sort_matches_asc(&mut out);
+            metrics.candidates_pruned += met - out.len() as u64;
             Ok(out)
         })
-    }
-
-    /// DSQ-top-k: the `k` distributionally closest tuples, ascending by
-    /// divergence.
-    ///
-    /// L1 and L2 read the query's lists whole and keep the `k` best
-    /// distances, settled from the lists and the norm column: nothing is
-    /// fetched. The tuples sharing no category with the query are walked
-    /// from the column unless the `k` found are all nearer than the
-    /// column's floor lets any of them be. Counters follow
-    /// [`InvertedIndex::dstq`]: the answer is `candidates_settled`,
-    /// every other tuple met or walked `candidates_pruned`.
-    pub fn ds_top_k(&self, pool: &mut BufferPool, query: &DsTopKQuery) -> Result<Vec<Match>> {
-        pool.tally(|pool, metrics| self.ds_top_k_search(pool, query, metrics))
-    }
-
-    fn ds_top_k_search(
-        &self,
-        pool: &mut BufferPool,
-        query: &DsTopKQuery,
-        metrics: &mut QueryMetrics,
-    ) -> Result<Vec<Match>> {
-        if query.k == 0 {
-            return Ok(Vec::new());
-        }
-        let mut heap = BottomKHeap::new(query.k);
-        let Some(metric) = Metric::new(&query.q, query.divergence) else {
-            let scan = pool.trace_begin(Phase::HeapScan);
-            let scanned = self.scan_tuples(pool, |tid, t| {
-                metrics.heap_tuples_scanned += 1;
-                heap.offer(tid, query.divergence.eval(query.q.entries(), t.entries()));
-            });
-            pool.trace_end(scan);
-            return scanned.map(|()| heap.into_sorted());
-        };
-        let norms = self.norms(pool, metrics)?;
-        let slab = metric.scan(self, pool, &query.q, f64::INFINITY, metrics)?;
-        for t in slab.slots() {
-            let tid = t.tid as u64;
-            if heap.is_full() && metric.on_support(t) > heap.bound() {
-                continue; // farther than the k-th best on the support alone
-            }
-            heap.offer(tid, metric.distance(t, norms.get(tid)?));
-        }
-        let mut met = slab.slots().len() as u64;
-        let nearest = norms.floor.map_or(f64::INFINITY, |f| metric.disjoint(&f));
-        if !(heap.is_full() && nearest > heap.bound()) {
-            for (tid, norm) in norms.iter().filter(|&(tid, _)| !slab.contains(tid)) {
-                met += 1;
-                heap.offer(tid, metric.disjoint(norm));
-            }
-        }
-        let out = heap.into_sorted();
-        metrics.candidates_generated += met;
-        metrics.candidates_settled += out.len() as u64;
-        metrics.candidates_pruned += met - out.len() as u64;
-        Ok(out)
-    }
-
-    /// KL's DSTQ: a full tuple-store scan.
-    fn dstq_scan(
-        &self,
-        pool: &mut BufferPool,
-        query: &DstQuery,
-        metrics: &mut QueryMetrics,
-    ) -> Result<Vec<Match>> {
-        let mut out = Vec::new();
-        let scan = pool.trace_begin(Phase::HeapScan);
-        let scanned = self.scan_tuples(pool, |tid, t| {
-            metrics.heap_tuples_scanned += 1;
-            let d = query.divergence.eval(query.q.entries(), t.entries());
-            if d <= query.tau_d {
-                out.push(Match::new(tid, d));
-            }
-        });
-        pool.trace_end(scan);
-        scanned?;
-        sort_matches_asc(&mut out);
-        Ok(out)
     }
 }
 
@@ -308,6 +253,7 @@ impl InvertedIndex {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use uncat_core::query::sort_matches_asc;
     use uncat_core::{CatId, Domain};
     use uncat_storage::InMemoryDisk;
 

@@ -1,28 +1,35 @@
 //! Distributional similarity queries over the PDR-tree.
 //!
+//! A DSTQ and a DS-top-k are one best-first search into one
+//! [`BottomKHeap`] with a selection `(k, ceiling)`: a DSTQ is
+//! `(usize::MAX, τ_d)`, a DS-top-k `(k, +∞)`. A subtree is opened while
+//! its lower bound is within the heap's bound — the ceiling until `k`
+//! tuples are in it, then the k-th smallest distance — so a DSTQ, whose
+//! bound never moves, opens and cuts exactly the children a depth-first
+//! walk at `τ_d` would.
+//!
 //! For the metric divergences the boundary gives a sound *lower* bound on
-//! the distance between the query and anything in the subtree: a branch
-//! whose lower bound exceeds `τ_d` is pruned. The boundary alone gives
-//! `Σ max(0, q_i − v_i)` (in L1, or squared in L2); with a floor `(m, s)`
-//! under every stored tuple's mass and `‖u‖₂²`, the mass identities give
-//! `mass(q) + m − 2·Σ min(q_i, v_i)` for L1 and
-//! `‖q‖² + s − 2·cap(q, v)` for L2² (`cap` the capped Lemma 2 bound).
-//! Each subtree takes the larger (`crate::boundary`'s module docs have
-//! the derivation and the rounding slack).
+//! the distance between the query and anything in the subtree. The
+//! boundary alone gives `Σ max(0, q_i − v_i)` (in L1, or squared in
+//! L2); with a floor `(m, s)` under every stored tuple's mass and
+//! `‖u‖₂²`, the mass identities give `mass(q) + m − 2·Σ min(q_i, v_i)`
+//! for L1 and `‖q‖² + s − 2·cap(q, v)` for L2² (`cap` the capped Lemma 2
+//! bound). Each subtree takes the larger (`crate::boundary`'s module docs
+//! have the derivation and the rounding slack).
 //!
 //! The floor is the tree's, not the page's: nothing on disk holds it. The
 //! first L1/L2 DSTQ or DS-top-k a tree answers fills it with one walk of
 //! every leaf, charged to that query (`nodes_visited` for every node,
 //! `leaf_entries_examined` for every tuple); `insert` and `update` lower it
 //! after that, `delete` leaves it (still a floor), and a reopened tree
-//! starts without one.
+//! starts without one. A search for no results fills nothing.
 //!
 //! KL admits no bound ("it is not directly usable for pruning search
 //! paths", paper §2), so KL queries traverse every leaf — correct, just
 //! unpruned — and never fill the floor.
 
 use uncat_core::codec::Scan;
-use uncat_core::query::{sort_matches_asc, DsTopKQuery, DstQuery, Match};
+use uncat_core::query::{DsTopKQuery, DstQuery, Match};
 use uncat_core::topk::BottomKHeap;
 use uncat_core::uda::Entry;
 use uncat_core::{Divergence, Uda};
@@ -46,16 +53,18 @@ fn divergence(q: &Uda, t: &mut Scan<'_>, dv: Divergence, record: &mut Vec<Entry>
     dv.eval(q.entries(), record)
 }
 
-/// DSQ-top-k as a best-first search: subtrees ordered by *ascending*
+/// The one distance search, best-first: subtrees ordered by *ascending*
 /// divergence lower bound (the priority is its negation), cut once the
-/// bound exceeds the k-th smallest exact distance.
-struct DsTopK<'q> {
-    query: &'q DsTopKQuery,
+/// bound exceeds the heap's — the ceiling until `k` tuples are in it,
+/// then the k-th smallest exact distance.
+struct Nearest<'q> {
+    q: &'q Uda,
+    divergence: Divergence,
     bound: DistanceBound<'q>,
     record: Vec<Entry>,
 }
 
-impl Ranking for DsTopK<'_> {
+impl Ranking for Nearest<'_> {
     type Heap = BottomKHeap;
 
     fn priority(&self, boundary: &BoundaryRef<'_>) -> f64 {
@@ -63,66 +72,61 @@ impl Ranking for DsTopK<'_> {
     }
 
     fn reachable(&self, priority: f64, heap: &BottomKHeap) -> bool {
-        // `bound()` is ∞ until the heap fills.
         -priority <= heap.bound() + BOUND_EPS
     }
 
     fn offer(&mut self, heap: &mut BottomKHeap, tid: u64, uda: &mut Scan<'_>) {
-        let d = divergence(&self.query.q, uda, self.query.divergence, &mut self.record);
+        let d = divergence(self.q, uda, self.divergence, &mut self.record);
         heap.offer(tid, d);
     }
 }
 
 impl PdrTree {
     /// Evaluate a DSTQ: all tuples with `F(q, t) ≤ τ_d`, ascending by
-    /// divergence.
+    /// divergence — the distance search with `τ_d` as its ceiling and no
+    /// `k`. The ceiling never moves, so the search opens exactly the
+    /// children whose lower bound is within `τ_d` and reads each once.
     ///
     /// The pool's ledger gets node visits, children pruned by the
     /// divergence lower bound, and leaf entries scored. KL queries show
     /// `nodes_pruned == 0` — the visible signature of an unprunable
-    /// divergence.
+    /// divergence. A negative or NaN radius reads nothing.
     pub fn dstq(&self, pool: &mut BufferPool, query: &DstQuery) -> Result<Vec<Match>> {
-        let mut out = Vec::new();
-        let mut record = Vec::new();
-        pool.tally(|pool, metrics| {
-            let bound = self.distance_bound(pool, metrics, &query.q, query.divergence)?;
-            self.walk(
-                pool,
-                metrics,
-                |tid, uda| {
-                    let d = divergence(&query.q, uda, query.divergence, &mut record);
-                    if d <= query.tau_d {
-                        out.push(Match::new(tid, d));
-                    }
-                },
-                |boundary| boundary.distance_lower_bound(&bound) <= query.tau_d + BOUND_EPS,
-            )
-        })?;
-        sort_matches_asc(&mut out);
-        Ok(out)
+        self.distance_search(pool, &query.q, query.divergence, usize::MAX, query.tau_d)
     }
 
     /// DSQ-top-k: the `k` tuples with the smallest divergence from the
-    /// query, ascending. Best-first traversal ordered by the boundary's
-    /// divergence lower bound; a branch is pruned once its bound exceeds
-    /// the current k-th smallest exact distance (counted as
-    /// `nodes_pruned`, like [`PdrTree::dstq`]'s cuts). KL admits no bound,
-    /// so KL queries traverse every leaf.
+    /// query, ascending — the distance search with no ceiling, so a
+    /// branch is pruned once its bound exceeds the current k-th smallest
+    /// exact distance (counted as `nodes_pruned`, like
+    /// [`PdrTree::dstq`]'s cuts). KL admits no bound, so KL queries
+    /// traverse every leaf.
     pub fn ds_top_k(&self, pool: &mut BufferPool, query: &DsTopKQuery) -> Result<Vec<Match>> {
-        let empty = query.k == 0;
-        // A search for no results reads nothing: it needs no bound (KL's
-        // is none), so it fills no floor.
-        let dv = if empty {
-            Divergence::Kl
-        } else {
-            query.divergence
-        };
-        let ranking = DsTopK {
-            query,
-            bound: pool.tally(|pool, metrics| self.distance_bound(pool, metrics, &query.q, dv))?,
+        self.distance_search(pool, &query.q, query.divergence, query.k, f64::INFINITY)
+    }
+
+    /// The at most `k` tuples nearest `q` under `dv` within `ceiling`,
+    /// ascending, by one [`BestFirst`] search into one [`BottomKHeap`].
+    fn distance_search(
+        &self,
+        pool: &mut BufferPool,
+        q: &Uda,
+        dv: Divergence,
+        k: usize,
+        ceiling: f64,
+    ) -> Result<Vec<Match>> {
+        // A search for no results (`k` of 0, a negative or NaN ceiling)
+        // reads nothing: it needs no bound (KL's is none), so it fills no
+        // floor.
+        let empty = k == 0 || ceiling.is_nan() || ceiling < 0.0;
+        let bound_dv = if empty { Divergence::Kl } else { dv };
+        let ranking = Nearest {
+            q,
+            divergence: dv,
+            bound: pool.tally(|pool, metrics| self.distance_bound(pool, metrics, q, bound_dv))?,
             record: Vec::new(),
         };
-        let mut heap = BottomKHeap::new(query.k);
+        let mut heap = BottomKHeap::new(k, ceiling);
         BestFirst::new(self, ranking, empty).run(pool, &mut heap)?;
         Ok(heap.into_sorted())
     }

@@ -353,7 +353,7 @@ fn ref_ds_top_k(
     metrics: &mut QueryMetrics,
 ) -> Result<Vec<Match>> {
     let reach = distance_bound(&query.q, query.divergence, floor);
-    let mut heap = BottomKHeap::new(query.k);
+    let mut heap = BottomKHeap::new(query.k, f64::INFINITY);
     let mut frontier = BinaryHeap::new();
     frontier.push(Pending {
         bound: 0.0,

@@ -1,7 +1,8 @@
 //! The two traversal drivers every read-only query runs on, both over the
-//! node kernel ([`visit_node`]): a pruned depth-first walk (threshold
-//! queries, full scans) and a resumable best-first search (both top-k
-//! forms). The best-first search is a state, [`BestFirst`], with two
+//! node kernel ([`visit_node`]): a pruned depth-first walk (PETQ, full
+//! scans) and a resumable best-first search (top-k, and the one distance
+//! search behind DSTQ and DS-top-k). The best-first search is a state,
+//! [`BestFirst`], with two
 //! operations — [`BestFirst::bound`], the best unexplored priority, and
 //! [`BestFirst::step`], which reads one node into a heap the caller owns —
 //! so one tree's top-k ([`BestFirst::run`]) and a service top-k over many

@@ -126,7 +126,7 @@ impl UncertainIndex for ScanBaseline {
     }
 
     fn ds_top_k(&self, pool: &mut BufferPool, query: &DsTopKQuery) -> Result<Vec<Match>> {
-        let mut heap = BottomKHeap::new(query.k);
+        let mut heap = BottomKHeap::new(query.k, f64::INFINITY);
         pool.tally(|pool, metrics| {
             self.scan(pool, |tid, t| {
                 metrics.heap_tuples_scanned += 1;

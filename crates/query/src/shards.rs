@@ -1,8 +1,7 @@
 //! One relation split across indexes, answering as one index.
 
 use uncat_core::query::{
-    effective_floor, sort_matches_asc, sort_matches_desc, DsTopKQuery, DstQuery, EqQuery, Match,
-    TopKQuery,
+    effective_floor, sort_matches_desc, DsTopKQuery, DstQuery, EqQuery, Match, TopKQuery,
 };
 use uncat_core::topk::{BottomKHeap, TopKHeap};
 use uncat_storage::{BufferPool, Result};
@@ -13,17 +12,36 @@ use crate::index_trait::{TopKSearch, UncertainIndex};
 /// [`UncertainIndex`] over all of it: the one scatter-gather, on the
 /// caller's pool, so one query is one ledger and one trace.
 ///
-/// Threshold forms probe every shard in shard order, concatenate and put
-/// the matches into canonical order. A top-k is one best-first search
-/// over every shard into one heap ([`Shards::top_k_search`]), and a
-/// DS-top-k offers every shard's answer to one `BottomKHeap`. The
-/// answers are exactly one index's over the whole relation.
+/// A PETQ probes every shard in shard order, concatenates and puts the
+/// matches into canonical order. A top-k is one best-first search over
+/// every shard into one heap ([`Shards::top_k_search`]). A DSTQ and a
+/// DS-top-k are one gather: every shard's answer is offered to one
+/// `BottomKHeap`, at `(usize::MAX, τ_d)` and `(k, +∞)`. The answers are
+/// exactly one index's over the whole relation.
 pub struct Shards(Vec<Box<dyn UncertainIndex + Send + Sync>>);
 
 impl Shards {
     /// The shards of one relation: no tuple id may be in two of them.
     pub fn new(shards: Vec<Box<dyn UncertainIndex + Send + Sync>>) -> Shards {
         Shards(shards)
+    }
+
+    /// The at most `k` nearest of every shard's answer within `ceiling`,
+    /// ascending.
+    fn gather(
+        &self,
+        pool: &mut BufferPool,
+        k: usize,
+        ceiling: f64,
+        mut probe: impl FnMut(&dyn UncertainIndex, &mut BufferPool) -> Result<Vec<Match>>,
+    ) -> Result<Vec<Match>> {
+        let mut heap = BottomKHeap::new(k, ceiling);
+        for shard in &self.0 {
+            for m in probe(shard.as_ref(), pool)? {
+                heap.offer(m.tid, m.score);
+            }
+        }
+        Ok(heap.into_sorted())
     }
 
     /// Every shard's search, unboxed: `top_k` drives it in place.
@@ -52,22 +70,15 @@ impl UncertainIndex for Shards {
     }
 
     fn dstq(&self, pool: &mut BufferPool, query: &DstQuery) -> Result<Vec<Match>> {
-        let mut all = Vec::new();
-        for shard in &self.0 {
-            all.extend(shard.dstq(pool, query)?);
-        }
-        sort_matches_asc(&mut all);
-        Ok(all)
+        self.gather(pool, usize::MAX, query.tau_d, |shard, pool| {
+            shard.dstq(pool, query)
+        })
     }
 
     fn ds_top_k(&self, pool: &mut BufferPool, query: &DsTopKQuery) -> Result<Vec<Match>> {
-        let mut heap = BottomKHeap::new(query.k);
-        for shard in &self.0 {
-            for m in shard.ds_top_k(pool, query)? {
-                heap.offer(m.tid, m.score);
-            }
-        }
-        Ok(heap.into_sorted())
+        self.gather(pool, query.k, f64::INFINITY, |shard, pool| {
+            shard.ds_top_k(pool, query)
+        })
     }
 
     fn tuple_count(&self) -> u64 {

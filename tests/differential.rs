@@ -340,7 +340,9 @@ proptest! {
     // negative one admits nothing, ±0 only the tuples at distance 0 (the
     // query itself is a tuple in half the cases), NaN nothing and +∞
     // everything. DS-top-k at k = 0 returns nothing and past the
-    // relation's size everything. Every index answers as the scan does.
+    // relation's size everything. Every index answers as the scan does,
+    // and for a radius that admits nothing no index reads a node or a
+    // posting.
     #[test]
     fn degenerate_radii_and_k_agree_across_every_index(
         tuples in dataset_strategy(CATS, 40),
@@ -364,8 +366,14 @@ proptest! {
                     _ => {}
                 }
                 for (name, backend) in &backends[1..] {
+                    let before = pool.metrics();
                     let got = backend.dstq(&mut pool, &query).expect("in-memory query");
                     assert_matches_agree(&format!("dstq/{dv:?}/{radius}"), name, &reference, &got);
+                    if radius.is_nan() || radius < 0.0 {
+                        let m = pool.metrics().since(&before);
+                        let read = (m.nodes_visited, m.postings_scanned);
+                        prop_assert_eq!(read, (0, 0), "{} {:?} {}", name, dv, radius);
+                    }
                 }
             }
             for k in [0, n + 1, usize::MAX] {

@@ -10,7 +10,8 @@
 //!    statistics said before the lists grew. There is no plan to
 //!    abandon, so `plan_fallbacks` stays 0.
 //! 3. **The model's competitiveness** — the fixed strategy the I/O model
-//!    ranks first (`plan_petq`, what `uncat explain` prints), run as
+//!    ranks first (`plan_petq`, which no query runs and nothing prints:
+//!    `uncat explain` prints every strategy's measured counters), run as
 //!    that fixed strategy, costs at most twice what the per-query best
 //!    fixed strategy costs under the scalar cost model, measured on real
 //!    counters with a cold buffer pool per run.

@@ -329,20 +329,42 @@ proptest! {
         prop_assert!((got - expect).abs() < 1e-9, "c={c}: {got} vs {expect}");
     }
 
+    // Scores and ceilings on a grid of quarters, so that ties occur, and
+    // arbitrary scores beside them; `+∞` is the DS-top-k ceiling. After
+    // every offer the bound is the ceiling until k scores are in, then
+    // the k-th smallest.
     #[test]
     fn bottom_k_heap_equals_sort_and_truncate(
-        scores in prop::collection::vec(0.0f64..2.0, 0..60),
+        draws in prop::collection::vec((0u8..8, 0.0f64..2.0, 0u8..2), 0..60),
         k in 1usize..20,
+        ceiling in 0u8..9,
     ) {
         use uncat::core::topk::BottomKHeap;
-        let mut h = BottomKHeap::new(k);
+        let grid = |i: u8| i as f64 / 4.0;
+        let scores: Vec<f64> = draws
+            .into_iter()
+            .map(|(i, s, on_grid)| if on_grid == 1 { grid(i) } else { s })
+            .collect();
+        let ceiling = if ceiling == 8 { f64::INFINITY } else { grid(ceiling) };
+        let by_score = |a: &(u64, f64), b: &(u64, f64)| {
+            a.1.partial_cmp(&b.1).unwrap().then_with(|| a.0.cmp(&b.0))
+        };
+        let mut h = BottomKHeap::new(k, ceiling);
+        let mut seen: Vec<(u64, f64)> = Vec::new();
         for (tid, &s) in scores.iter().enumerate() {
             h.offer(tid as u64, s);
+            if s <= ceiling {
+                seen.push((tid as u64, s));
+                seen.sort_by(by_score);
+            }
+            let bound = if seen.len() < k { ceiling } else { seen[k - 1].1 };
+            prop_assert_eq!(h.bound(), bound);
         }
         let got: Vec<(u64, f64)> = h.into_sorted().into_iter().map(|m| (m.tid, m.score)).collect();
         let mut expect: Vec<(u64, f64)> =
             scores.iter().enumerate().map(|(t, &s)| (t as u64, s)).collect();
-        expect.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then_with(|| a.0.cmp(&b.0)));
+        expect.sort_by(by_score);
+        expect.retain(|&(_, s)| s <= ceiling);
         expect.truncate(k);
         prop_assert_eq!(got, expect);
     }
