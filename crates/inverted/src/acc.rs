@@ -20,7 +20,10 @@
 //! 1/*n* of its tenant's tuples and ids from all of their range, so a
 //! shard of a tenant split up to about eight ways is flat and one split
 //! wider is not; an index whose ids are scattered over the 32-bit range
-//! is the map.
+//! is the map. `Auto`'s top-k over a tenant's inverted shards is one run
+//! with one slab ([`Slab::for_indexes`]), laid out as the tenant's one
+//! index would be, so a tenant with dense ids is flat however many ways
+//! it is split.
 //!
 //! The flat index is not allocated per query. Each thread keeps one
 //! buffer, all zeros between queries, that a slab takes when it opens and
@@ -95,7 +98,16 @@ pub(crate) struct Slab<S> {
 impl<S> Slab<S> {
     /// A slab for a scan of `idx`, in the index's layout.
     pub(crate) fn for_index(idx: &InvertedIndex) -> Slab<S> {
-        Slab::with_ids(idx.tid_span(), idx.len() as u64)
+        Slab::for_indexes(std::slice::from_ref(&idx))
+    }
+
+    /// A slab for one scan of several indexes whose tuple ids are
+    /// disjoint, in the layout of the one index they make up: the widest
+    /// span against every tuple.
+    pub(crate) fn for_indexes(indexes: &[&InvertedIndex]) -> Slab<S> {
+        let span = indexes.iter().map(|idx| idx.tid_span()).max().unwrap_or(0);
+        let tuples = indexes.iter().map(|idx| idx.len() as u64).sum();
+        Slab::with_ids(span, tuples)
     }
 
     /// A slab for an index of `tuples` tuples with ids below `span`.

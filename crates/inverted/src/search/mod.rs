@@ -7,7 +7,8 @@
 //! policies are highest-prob-first, NRA and top-k. `Strategy::Auto`
 //! runs a fourth for both PETQ and top-k, the block-granular threshold
 //! executor ([`threshold_petq`], [`threshold_top_k`]): Lemma 1 over the
-//! directory's block maxima, with θ = τ for a PETQ. The full scan and
+//! directory's block maxima, with θ = τ for a PETQ; one top-k run may
+//! span several indexes with disjoint ids. The full scan and
 //! the threshold executor keep their per-tuple state in one
 //! accumulator, [`crate::acc::Slab`], as a metric DSTQ does.
 

@@ -44,6 +44,17 @@
 //!    postings of other tuples are ignored. Every survivor's score is then
 //!    exact: a PETQ keeps those that meet τ, a top-k the k best.
 //!
+//! A top-k runs over one index or over several whose tuple ids are
+//! disjoint, a tenant's shards, as one query: one frontier over every
+//! index's query lists, one slab, one [`Best`], so every index prunes at
+//! the union's k-th best from its first block on. A tuple lives in one
+//! index, so the bounds that speak of a tuple take only its own index's
+//! lists. Lemma 1 leaves an index's lists unread once their
+//! `Σ_j q_j · bound_j` falls below θ − ε, even while another index's
+//! lists still lead the frontier; the rule-out at a first posting and
+//! the seen-set bound sum over the tuple's index's lists; and a seen-set
+//! is keyed by the index and its bits there.
+//!
 //! A tuple's terms arrive in block order, not category order; its sum is
 //! an [`ExactSum`], so its score is the scan's to the last bit, whichever
 //! blocks brought its terms.
@@ -54,16 +65,18 @@
 //! directory ([`BlockList::scan_blocks`]); a disagreement is
 //! `StorageError::Corrupt`, not a wrong skip.
 //!
-//! Metrics profile: one `lists_opened` per query list; `blocks_decoded`
-//! and `postings_scanned` for every block read in either phase and the
-//! rest of every opened list `blocks_skipped`; one `lemma1_stops` when
-//! the frontier stopped with blocks unread; every met tuple is one
-//! candidate, `candidates_pruned` (at its first posting or after the
-//! frontier) or `candidates_settled`; nothing is verified, and there are
-//! no `frontier_pops`.
+//! Metrics profile: one `lists_opened` per query list of each index;
+//! `blocks_decoded` and `postings_scanned` for every block read in either
+//! phase and the rest of every opened list `blocks_skipped`; one
+//! `lemma1_stops` when the frontier stopped with blocks unread, however
+//! many indexes it ran over; every met tuple is one candidate,
+//! `candidates_pruned` (at its first posting or after the frontier) or
+//! `candidates_settled`; nothing is verified, and there are no
+//! `frontier_pops`.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
+use std::hash::BuildHasherDefault;
 
 use uncat_core::distance::ExactSum;
 use uncat_core::equality::THRESHOLD_EPS;
@@ -75,12 +88,11 @@ use uncat_storage::{BufferPool, HeapFile, Phase, QueryMetrics, Result};
 use crate::acc::Slab;
 use crate::block::{dequantize, BlockList};
 use crate::index::InvertedIndex;
-use crate::tid::TidMap;
+use crate::tid::TidHasher;
 
-use super::query_lists;
-
-/// Lists a tuple's seen-set covers, one bit each. A wider query counts
-/// every unread list as unseen: a looser bound, still sound.
+/// Lists of one index a tuple's seen-set covers, one bit each. An index
+/// with more query lists counts every unread one as unseen: a looser
+/// bound, still sound.
 const MASK_LISTS: usize = u64::BITS as usize;
 
 /// Slack on a tuple's remaining mass: its seen probabilities are summed
@@ -99,22 +111,24 @@ pub(crate) fn threshold_petq(
     metrics: &mut QueryMetrics,
     mut offer: impl FnMut(u64, f64),
 ) -> Result<()> {
-    let run = Run::execute(idx, pool, q, 0, tau, metrics)?;
+    let run = Run::execute(std::slice::from_ref(&idx), pool, q, 0, tau, metrics)?;
     run.survivors().for_each(|t| offer(t.tid as u64, t.score()));
     Ok(())
 }
 
-/// The `k ≥ 1` tuples with the highest non-zero `Pr(q = t)` of at least
-/// `floor ≥ 0`, in canonical order (see the module documentation).
+/// The `k ≥ 1` tuples of `indexes`, whose tuple ids are disjoint, with
+/// the highest non-zero `Pr(q = t)` of at least `floor ≥ 0`, in canonical
+/// order: one run over every index's query lists (see the module
+/// documentation).
 pub(crate) fn threshold_top_k(
-    idx: &InvertedIndex,
+    indexes: &[&InvertedIndex],
     pool: &mut BufferPool,
     q: &Uda,
     k: usize,
     floor: f64,
     metrics: &mut QueryMetrics,
 ) -> Result<Vec<Match>> {
-    let run = Run::execute(idx, pool, q, k, floor, metrics)?;
+    let run = Run::execute(indexes, pool, q, k, floor, metrics)?;
     let mut out: Vec<Match> = run
         .survivors()
         .map(|t| Match::new(t.tid as u64, t.score()))
@@ -136,9 +150,13 @@ struct Met {
     sum: ExactSum,
     /// `Σ p_j` over its postings read.
     mass: f64,
-    /// The lists they came from (none above [`MASK_LISTS`]).
+    /// The lists they came from, by [`Lane::bit`] (none past
+    /// [`MASK_LISTS`]).
     lists: u64,
     tid: u32,
+    /// Its index's tag ([`Lane::shard`]): its postings are in that
+    /// index's lists alone.
+    shard: u16,
     /// Whether it holds an entry in [`Best`].
     ranked: bool,
     /// Whether it survived the pruning: completion adds only to these.
@@ -146,13 +164,14 @@ struct Met {
 }
 
 impl Met {
-    fn new(tid: u64) -> Met {
+    fn new(tid: u64, shard: u16) -> Met {
         Met {
             sum: ExactSum::default(),
             mass: 0.0,
             lists: 0,
             // Posting tids are 32-bit (`visit_block` checks).
             tid: tid as u32,
+            shard,
             ranked: false,
             survivor: false,
         }
@@ -234,16 +253,22 @@ impl Best {
     }
 }
 
-/// One query list and how far the frontier has read it.
+/// One query list of one index and how far the frontier has read it.
 struct Lane<'a> {
     qp: f64,
     list: &'a BlockList,
+    /// Its index's block store.
+    payloads: &'a HeapFile,
     /// The first unread block.
     next: usize,
     /// `q_j ·` the quantized-up maximum of block `next`; 0 past the end.
     bound: f64,
-    /// This list's bit in [`Met::lists`].
+    /// This list's bit in [`Met::lists`], among its index's lists.
     bit: u64,
+    /// Its index's place among the run's, modulo 2¹⁶: past 65 536
+    /// indexes, two share a tag, which only loosens their tuples' bounds
+    /// (a tuple has no posting in the other's lists).
+    shard: u16,
 }
 
 impl Lane<'_> {
@@ -261,9 +286,13 @@ impl Lane<'_> {
     }
 }
 
-/// One query between its phases.
+/// One query between its phases, over one index or several whose tuple
+/// ids are disjoint. A tuple lives in exactly one of them, so every
+/// index prunes at one θ, the union's; a tuple's bounds — Lemma 1's sum,
+/// its rule-out at its first posting, its seen-set's — take only its own
+/// index's lists.
 struct Run<'a> {
-    payloads: &'a HeapFile,
+    /// Every index's query lists, index by index.
     lanes: Vec<Lane<'a>>,
     slab: Slab<Met>,
     /// Tuples ruled out at their first posting, with no record.
@@ -278,14 +307,14 @@ impl<'a> Run<'a> {
     /// A query with θ the larger of `floor` and the k-th best partial sum
     /// (k = 0 ranks nothing), run through its three phases.
     fn execute(
-        idx: &'a InvertedIndex,
+        indexes: &[&'a InvertedIndex],
         pool: &mut BufferPool,
         q: &Uda,
         k: usize,
         floor: f64,
         metrics: &mut QueryMetrics,
     ) -> Result<Run<'a>> {
-        let mut run = Run::open(idx, q, k, floor, metrics);
+        let mut run = Run::open(indexes, q, k, floor, metrics);
         let blocks: u64 = run.lanes.iter().map(|l| l.list.blocks().len() as u64).sum();
         let decoded = metrics.blocks_decoded;
         run.frontier(pool, metrics)?;
@@ -295,36 +324,39 @@ impl<'a> Run<'a> {
         Ok(run)
     }
 
-    /// Every query list, nothing read yet.
+    /// Every index's query lists, nothing read yet.
     fn open(
-        idx: &'a InvertedIndex,
+        indexes: &[&'a InvertedIndex],
         q: &Uda,
         k: usize,
         floor: f64,
         metrics: &mut QueryMetrics,
     ) -> Run<'a> {
-        let lists = query_lists(idx, q);
-        let masked = lists.len() <= MASK_LISTS;
-        let lanes: Vec<Lane<'a>> = lists
-            .iter()
-            .enumerate()
-            .map(|(j, &(_, qp, list))| {
-                let bit = if masked { 1 << j } else { 0 };
-                let mut lane = Lane {
-                    qp,
-                    list,
+        let mut lanes: Vec<Lane<'a>> = Vec::with_capacity(q.len() * indexes.len());
+        for (shard, idx) in indexes.iter().enumerate() {
+            let from = lanes.len();
+            lanes.extend(q.iter().filter_map(|(cat, qp)| {
+                Some(Lane {
+                    qp: qp as f64,
+                    list: idx.posting_list(cat)?,
+                    payloads: idx.block_heap(),
                     next: 0,
                     bound: 0.0,
-                    bit,
-                };
+                    bit: 0,
+                    shard: shard as u16,
+                })
+            }));
+            let masked = lanes.len() - from <= MASK_LISTS;
+            for (j, lane) in lanes[from..].iter_mut().enumerate() {
+                if masked {
+                    lane.bit = 1 << j;
+                }
                 lane.seek(0);
-                lane
-            })
-            .collect();
+            }
+        }
         metrics.lists_opened += lanes.len() as u64;
         Run {
-            payloads: idx.block_heap(),
-            slab: Slab::for_index(idx),
+            slab: Slab::for_indexes(indexes),
             ruled_out: 0,
             lanes,
             best: Best {
@@ -342,7 +374,10 @@ impl<'a> Run<'a> {
         self.best.kth(self.slab.slots()).max(self.floor) - THRESHOLD_EPS
     }
 
-    /// Read blocks, the most promising first, until Lemma 1 stops.
+    /// Read blocks, the most promising first, until Lemma 1 stops every
+    /// index: a lane is read only while its index's `Σ_j q_j · bound_j`
+    /// reaches θ − ε, and once it does not, no tuple of that index not
+    /// yet met can reach θ, and the lane is left unread.
     fn frontier(&mut self, pool: &mut BufferPool, metrics: &mut QueryMetrics) -> Result<()> {
         let span = pool.trace_begin(Phase::FrontierMaintenance);
         let mut order: BinaryHeap<(u64, usize)> = self
@@ -352,35 +387,32 @@ impl<'a> Run<'a> {
             .filter(|(_, l)| l.unread())
             .map(|(j, l)| (l.bound.to_bits(), j))
             .collect();
-        let mut sum: f64 = self.lanes.iter().map(|l| l.bound).sum();
-        while let Some(&(_, j)) = order.peek() {
+        while let Some((_, j)) = order.pop() {
             let cut = self.cut();
-            if sum < cut {
-                // Summed afresh: drift in the running sum stops nothing early.
-                sum = self.lanes.iter().map(|l| l.bound).sum();
-                if sum < cut {
-                    metrics.lemma1_stops += 1;
-                    break;
-                }
-            }
-            order.pop();
-            // What a tuple first met in this block can still add from the
-            // other lists: its postings there are all unread, each list's
-            // below its bound, and together hold at most its mass left.
-            let (rest, top_q) = self
-                .lanes
-                .iter()
-                .enumerate()
-                .filter(|&(l, lane)| l != j && lane.unread())
-                .fold((0.0, 0.0f64), |(sum, top), (_, lane)| {
-                    (sum + lane.bound, top.max(lane.qp))
+            // Over this lane's index: `Σ bound`, summed afresh in lane
+            // order, and what a tuple first met in this block can still
+            // add from the other lists — its postings there are all
+            // unread, each list's below its bound, and together hold at
+            // most its mass left.
+            let shard = self.lanes[j].shard;
+            let (own, rest, top_q) = (self.lanes.iter().enumerate())
+                .filter(|(_, lane)| lane.shard == shard)
+                .fold((0.0, 0.0, 0.0f64), |(own, rest, top), (l, lane)| {
+                    if l != j && lane.unread() {
+                        (own + lane.bound, rest + lane.bound, top.max(lane.qp))
+                    } else {
+                        (own + lane.bound, rest, top)
+                    }
                 });
+            if own < cut {
+                continue;
+            }
             let ranking = self.best.k > 0;
             let (slab, best, ruled_out) = (&mut self.slab, &mut self.best, &mut self.ruled_out);
             let lane = &mut self.lanes[j];
             let (qp, bit) = (lane.qp, lane.bit);
             lane.list.scan_blocks(
-                self.payloads,
+                lane.payloads,
                 pool,
                 lane.next..lane.next + 1,
                 metrics,
@@ -391,7 +423,7 @@ impl<'a> Run<'a> {
                             *ruled_out += 1;
                             None
                         } else {
-                            Some(Met::new(tid))
+                            Some(Met::new(tid, shard))
                         }
                     });
                     if let Some(i) = met {
@@ -402,19 +434,20 @@ impl<'a> Run<'a> {
                     }
                 },
             )?;
-            sum -= lane.bound;
             lane.seek(lane.next + 1);
-            sum += lane.bound;
             if lane.unread() {
                 order.push((lane.bound.to_bits(), j));
             }
+        }
+        if self.lanes.iter().any(Lane::unread) {
+            metrics.lemma1_stops += 1;
         }
         pool.trace_end(span);
         Ok(())
     }
 
     /// Prune every met tuple whose upper bound is below θ − ε; the rest
-    /// survive. Returns, per list, the largest remaining mass of a
+    /// survive. Returns, per lane, the largest remaining mass of a
     /// survivor unseen in it (`None`: no survivor lacks it).
     fn prune(&mut self, metrics: &mut QueryMetrics) -> Vec<Option<f64>> {
         let cut = self.cut();
@@ -425,6 +458,7 @@ impl<'a> Run<'a> {
                 qp: lane.qp,
                 bound: lane.bound,
                 bit: lane.bit,
+                shard: lane.shard,
             })
             .collect();
         let (slots, survivors) = (self.slab.slots_mut(), &mut self.survivors);
@@ -453,8 +487,10 @@ impl<'a> Run<'a> {
             };
             let (qp, bit) = (lane.qp, lane.bit);
             let from = lane.list.first_block_at_or_below(lane.next, cap);
+            // A tuple id is in one index only: a record found here is of
+            // this lane's index.
             lane.list.scan_blocks(
-                self.payloads,
+                lane.payloads,
                 pool,
                 from..lane.list.blocks().len(),
                 metrics,
@@ -479,24 +515,25 @@ impl<'a> Run<'a> {
 /// A query list with blocks left unread, as the pruning sees it.
 #[derive(Clone, Copy, Debug)]
 struct Unread {
-    /// Its place among the query lists.
+    /// Its place among the lanes.
     j: usize,
     qp: f64,
     bound: f64,
     bit: u64,
+    shard: u16,
 }
 
 /// Mark survivor, and push onto `survivors`, every tuple in `slots` whose
 /// upper bound meets `cut`: its partial sum plus the smaller of
-/// `Σ bound` over the `unread` lists it is unseen in and its remaining
-/// mass times their largest `q`. Returns, per list of `lanes`, the
-/// largest remaining mass of a survivor unseen in it.
+/// `Σ bound` over the `unread` lists of its index it is unseen in and its
+/// remaining mass times their largest `q`. Returns, per lane of `lanes`,
+/// the largest remaining mass of a survivor unseen in it.
 ///
-/// Both sums over the unseen lists depend only on which unread lists a
-/// tuple was seen in, so they are taken once per seen-set (keyed by its
-/// bits in a [`TidMap`], whose hasher takes any `u64`), and each set
-/// keeps its survivors' largest remaining mass for the caps. A list
-/// without a bit (past [`MASK_LISTS`]) is unseen by every tuple.
+/// Both sums over the unseen lists depend only on a tuple's index and
+/// which unread lists of it the tuple was seen in, so they are taken once
+/// per seen-set (keyed by the index and its bits), and each set keeps its
+/// survivors' largest remaining mass for the caps. A list without a bit
+/// (past [`MASK_LISTS`]) is unseen by every tuple.
 fn prune_by_seen_set(
     unread: &[Unread],
     lanes: usize,
@@ -505,30 +542,34 @@ fn prune_by_seen_set(
     survivors: &mut Vec<u32>,
 ) -> Vec<Option<f64>> {
     /// One seen-set: `Σ bound` and the largest `q` over the unread lists
-    /// it lacks, and its survivors' largest remaining mass.
+    /// of its index it lacks, and its survivors' largest remaining mass.
     struct Set {
-        seen: u64,
+        key: (u16, u64),
         bounds: f64,
         top_q: f64,
         widest: Option<f64>,
     }
+    let unseen = |(shard, seen): (u16, u64)| {
+        unread
+            .iter()
+            .filter(move |u| u.shard == shard && seen & u.bit == 0)
+    };
     let bits = unread.iter().fold(0, |all, u| all | u.bit);
-    let mut index: TidMap<usize> = TidMap::default();
+    let mut index: HashMap<(u16, u64), usize, BuildHasherDefault<TidHasher>> = HashMap::default();
     let mut sets: Vec<Set> = Vec::new();
     // Tuples met in one block tend to share a seen-set: the last one is
     // looked up without a hash.
-    let mut last: Option<(u64, usize)> = None;
+    let mut last: Option<((u16, u64), usize)> = None;
     for (i, t) in slots.iter_mut().enumerate() {
-        let seen = t.lists & bits;
+        let key = (t.shard, t.lists & bits);
         let at = match last {
-            Some((key, at)) if key == seen => at,
-            _ => *index.entry(seen).or_insert_with(|| {
-                let unseen = unread.iter().filter(|u| seen & u.bit == 0);
-                let (bounds, top_q) = unseen.fold((0.0, 0.0f64), |(sum, top), u| {
+            Some((held, at)) if held == key => at,
+            _ => *index.entry(key).or_insert_with(|| {
+                let (bounds, top_q) = unseen(key).fold((0.0, 0.0f64), |(sum, top), u| {
                     (sum + u.bound, top.max(u.qp))
                 });
                 sets.push(Set {
-                    seen,
+                    key,
                     bounds,
                     top_q,
                     widest: None,
@@ -536,7 +577,7 @@ fn prune_by_seen_set(
                 sets.len() - 1
             }),
         };
-        last = Some((seen, at));
+        last = Some((key, at));
         let set = &mut sets[at];
         let left = t.left();
         if t.score() + set.bounds.min(left * set.top_q) < cut {
@@ -551,7 +592,7 @@ fn prune_by_seen_set(
         let Some(left) = set.widest else {
             continue;
         };
-        for u in unread.iter().filter(|u| set.seen & u.bit == 0) {
+        for u in unseen(set.key) {
             caps[u.j] = Some(caps[u.j].map_or(left, |cap: f64| cap.max(left)));
         }
     }
@@ -617,20 +658,26 @@ mod tests {
     /// 600 tuples over two categories, `p` and `1 − p` of them.
     fn two_list_fixture() -> (BufferPool, InvertedIndex) {
         let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 64);
+        let idx = two_list_index(&mut pool, |_| true);
+        (pool, idx)
+    }
+
+    /// The tuples of [`two_list_fixture`] that `keep` takes, indexed.
+    fn two_list_index(pool: &mut BufferPool, keep: impl Fn(u64) -> bool) -> InvertedIndex {
         let data: Vec<(u64, Uda)> = (0..600u64)
+            .filter(|&t| keep(t))
             .map(|t| {
                 let p = (t + 1) as f32 / 601.0;
                 let uda = Uda::from_pairs([(CatId(0), p), (CatId(1), 1.0 - p)]).unwrap();
                 (t, uda)
             })
             .collect();
-        let idx = InvertedIndex::build(
+        InvertedIndex::build(
             Domain::anonymous(2),
-            &mut pool,
+            pool,
             data.iter().map(|(t, u)| (*t, u)),
         )
-        .unwrap();
-        (pool, idx)
+        .unwrap()
     }
 
     /// Rewrite the first block of category 0's list in place, every
@@ -704,6 +751,51 @@ mod tests {
         assert!(crate::acc::tests::clean_scratch_len() >= 600);
     }
 
+    /// [`the_scratch_index_is_clean_after_a_refused_block`] for one run
+    /// over two indexes, the tuples of [`two_list_fixture`] split by tid
+    /// parity: 599, the best of category 0, is in the second, so a top-k
+    /// over category 0 reads that index's first block of it first. With
+    /// that block halved the run is refused with a typed error, its slab
+    /// — one over both indexes, flat — zeroed the thread's scratch index
+    /// on the way out, and with the block restored the next run answers
+    /// as the scan of both does, tid for tid and bit for bit.
+    #[test]
+    fn a_run_over_two_indexes_refuses_a_block_of_the_second_and_stays_clean() {
+        let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 64);
+        let even = two_list_index(&mut pool, |t| t % 2 == 0);
+        let mut odd = two_list_index(&mut pool, |t| t % 2 == 1);
+        let skewed = Uda::from_pairs([(CatId(0), 0.3), (CatId(1), 0.7)]).unwrap();
+        let queries = [
+            TopKQuery::new(Uda::certain(CatId(0)), 3),
+            TopKQuery::new(skewed, 5),
+        ];
+        let exact = |pool: &mut BufferPool, even: &InvertedIndex, odd: &InvertedIndex| {
+            for query in &queries {
+                let mut scan = even.peq(pool, &query.q).unwrap();
+                scan.extend(odd.peq(pool, &query.q).unwrap());
+                uncat_core::query::sort_matches_desc(&mut scan);
+                scan.truncate(query.k);
+                let top = InvertedIndex::top_k_joint(&[even, odd], pool, query).unwrap();
+                assert_eq!(bits(&top), bits(&scan), "k = {}", query.k);
+            }
+        };
+        exact(&mut pool, &even, &odd);
+        assert!(crate::acc::tests::clean_scratch_len() >= 600);
+
+        let bytes = halve_first_block(&mut pool, &mut odd);
+        assert!(matches!(
+            InvertedIndex::top_k_joint(&[&even, &odd], &mut pool, &queries[0]),
+            Err(StorageError::Corrupt(_))
+        ));
+        assert!(crate::acc::tests::clean_scratch_len() >= 600);
+
+        let (lists, heap) = odd.lists_mut();
+        let rid = lists[&CatId(0)].blocks()[0].rid;
+        assert_eq!(heap.update(&mut pool, rid, &bytes).unwrap(), rid);
+        exact(&mut pool, &even, &odd);
+        assert!(crate::acc::tests::clean_scratch_len() >= 600);
+    }
+
     /// A tuple met first in list A, whose bound there — its term plus
     /// its remaining mass times list B's `q` — is below τ, gets no
     /// record. B's suffix, read to complete the survivor, holds it again:
@@ -734,7 +826,7 @@ mod tests {
         let tau = 0.55;
 
         let mut m = QueryMetrics::new();
-        let mut run = Run::execute(&idx, &mut pool, &q, 0, tau, &mut m).unwrap();
+        let mut run = Run::execute(&[&idx], &mut pool, &q, 0, tau, &mut m).unwrap();
         assert_eq!(run.slab.slots().len(), 1, "S alone has a record");
         assert!(!run.slab.contains(x) && run.slab.get_mut(x).is_none());
         assert_eq!(run.ruled_out, 1);
@@ -771,7 +863,11 @@ mod tests {
     ) -> Vec<Option<f64>> {
         let mut caps = vec![None; lanes];
         for (i, t) in slots.iter_mut().enumerate() {
-            let unseen = || unread.iter().filter(|u| t.lists & u.bit == 0);
+            let unseen = || {
+                unread
+                    .iter()
+                    .filter(|u| u.shard == t.shard && t.lists & u.bit == 0)
+            };
             let (bounds, top_q) = unseen().fold((0.0, 0.0f64), |(sum, top), u| {
                 (sum + u.bound, top.max(u.qp))
             });
@@ -792,40 +888,50 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(crate::proptest_cases(64)))]
 
         // Pruning per seen-set against the per-tuple reference on random
-        // lanes — up to 80 of them, so past the mask width, where no list
-        // has a bit — and random tuples, most of them sharing a few
-        // seen-sets: the same survivors in the same order and the same
-        // caps, bit for bit, at θ of NaN, 0, +∞ and in between.
+        // lanes of one to three indexes — up to 80 of them, so one index
+        // may have more than the mask width, where no list has a bit — and
+        // random tuples, most of them sharing a few seen-sets: the same
+        // survivors in the same order and the same caps, bit for bit, at θ
+        // of NaN, 0, +∞ and in between.
         #[test]
         fn pruning_per_seen_set_matches_the_per_tuple_bound(
-            lanes in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0, any::<bool>()), 1..80),
+            shards in 1u16..=3,
+            lanes in proptest::collection::vec(
+                (0.0f64..1.0, 0.0f64..1.0, any::<bool>(), any::<u16>()),
+                1..80,
+            ),
             tuples in proptest::collection::vec(
-                (0.0f64..2.0, 0.0f64..1.0002, (0u8..4, 0u64..16, any::<u64>())),
+                (0.0f64..2.0, 0.0f64..1.0002, (0u8..4, 0u64..16, any::<u64>()), any::<u16>()),
                 0..300,
             ),
             theta in (0usize..4, 0.0f64..2.5)
                 .prop_map(|(pick, theta)| [f64::NAN, 0.0, f64::INFINITY, theta][pick]),
         ) {
-            let masked = lanes.len() <= MASK_LISTS;
-            let unread: Vec<Unread> = lanes
-                .iter()
-                .enumerate()
-                .filter(|(_, lane)| lane.2)
-                .map(|(j, &(qp, bound, _))| Unread {
-                    j,
-                    qp,
-                    bound: qp * bound,
-                    bit: if masked { 1 << j } else { 0 },
-                })
-                .collect();
+            // A lane's bit is its place among its index's lanes.
+            let mut width = vec![0usize; shards as usize];
+            let mut unread = Vec::new();
+            for (j, &(qp, bound, open, shard)) in lanes.iter().enumerate() {
+                let shard = shard % shards;
+                let place = width[shard as usize];
+                width[shard as usize] += 1;
+                if open {
+                    let bit = place as u64;
+                    unread.push(Unread { j, qp, bound: qp * bound, bit, shard });
+                }
+            }
+            for u in &mut unread {
+                u.bit = if width[u.shard as usize] <= MASK_LISTS { 1 << u.bit } else { 0 };
+            }
             let mets = || -> Vec<Met> {
                 tuples
                     .iter()
                     .enumerate()
-                    .map(|(tid, &(sum, mass, (pick, few, any)))| {
+                    .map(|(tid, &(sum, mass, (pick, few, any), shard))| {
                         // Mostly one of 16 seen-sets; now and then any.
                         let lists = if pick == 0 { any } else { few };
-                        let mut t = Met::new(tid as u64);
+                        let shard = shard % shards;
+                        let mut t = Met::new(tid as u64, shard);
+                        let masked = width[shard as usize] <= MASK_LISTS;
                         t.add(sum, mass, if masked { lists } else { 0 });
                         t
                     })
@@ -857,7 +963,7 @@ mod tests {
         let scores: Vec<u64> = orders
             .iter()
             .map(|o| {
-                let mut t = Met::new(0);
+                let mut t = Met::new(0, 0);
                 for &c in o {
                     t.add(c, 0.0, 0);
                 }
@@ -922,20 +1028,23 @@ mod tests {
         (pool, idx)
     }
 
-    /// Wall time per run, phase by phase, on one shard of a two-shard
-    /// tenant of the 40 000-tuple CRM1 relation (≈ 20 000 tuples, ids
-    /// from all 40 000): 300 of its uncertain tuples as queries, each a
-    /// PETQ at the 0.01 %, 0.1 % and 1 % selectivities (τ the shard's
-    /// 2nd, 20th and 200th best score) and a top-k at those k, on one
-    /// thread, the pool warm. Also per run: the records the slab made,
-    /// the survivors, the postings and blocks read, and the candidate
-    /// counts.
+    /// Wall time per run, phase by phase, on a two-shard tenant of the
+    /// 40 000-tuple CRM1 relation (≈ 20 000 tuples a shard, ids from all
+    /// 40 000), run two ways: shard by shard, each top-k floored at the
+    /// k-th best of the shards before it (the plan the service ran before
+    /// one run spanned its shards), and one run over both. 300 of its
+    /// uncertain tuples as queries, each a PETQ at the 0.01 %, 0.1 % and
+    /// 1 % selectivities (τ the tenant's 2nd, 20th and 200th best score)
+    /// and a top-k at those k, on one thread, the pool warm. Also per
+    /// query: the blocks each phase decoded, the records the slab made,
+    /// the survivors, the postings read, and the candidate counts.
     ///
     /// `cargo test --release -p uncat-inverted threshold_phases -- --ignored --nocapture`
     #[test]
     #[ignore = "a measurement, not a check"]
     fn threshold_phases() {
         use std::time::{Duration, Instant};
+        use uncat_core::topk::TopKHeap;
 
         fn shard_of(tid: u64) -> u64 {
             let mut z = tid.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -944,10 +1053,13 @@ mod tests {
             (z ^ (z >> 31)) % 2
         }
         let (domain, data) = uncat_datagen::crm::crm1(40_000, 42);
-        let shard: Vec<&(u64, Uda)> = data.iter().filter(|(t, _)| shard_of(*t) == 0).collect();
         let mut pool = BufferPool::with_capacity(InMemoryDisk::shared(), 4096);
-        let idx =
-            InvertedIndex::build(domain, &mut pool, shard.iter().map(|(t, u)| (*t, u))).unwrap();
+        let shards: Vec<InvertedIndex> = (0..2)
+            .map(|s| {
+                let part = data.iter().filter(|(t, _)| shard_of(*t) == s);
+                InvertedIndex::build(domain.clone(), &mut pool, part.map(|(t, u)| (*t, u))).unwrap()
+            })
+            .collect();
         let queries: Vec<&Uda> = data
             .iter()
             .map(|(_, u)| u)
@@ -957,84 +1069,103 @@ mod tests {
             .collect();
         let mut runs: Vec<(&Uda, usize, f64)> = Vec::new();
         for q in &queries {
-            let scores: Vec<f64> = idx
-                .peq(&mut pool, q)
-                .unwrap()
-                .iter()
-                .map(|m| m.score)
-                .collect();
+            let mut scores: Vec<f64> = Vec::new();
+            for idx in &shards {
+                scores.extend(idx.peq(&mut pool, q).unwrap().iter().map(|m| m.score));
+            }
+            scores.sort_by(|a, b| b.total_cmp(a));
             for k in [2, 20, 200] {
                 runs.push((q, 0, scores[(k - 1).min(scores.len() - 1)]));
                 runs.push((q, k, 0.0));
             }
         }
-        let mut best = [Duration::MAX; 5];
-        let (mut records, mut survivors) = (0, 0);
-        let mut counts = QueryMetrics::new();
-        for rep in 0..5 {
-            let mut phases = [Duration::ZERO; 5];
-            let mut m = QueryMetrics::new();
-            for &(q, k, floor) in &runs {
-                let t0 = Instant::now();
-                let mut run = Run::open(&idx, q, k, floor, &mut m);
-                let t1 = Instant::now();
-                run.frontier(&mut pool, &mut m).unwrap();
-                let t2 = Instant::now();
-                let caps = run.prune(&mut m);
-                let t3 = Instant::now();
-                run.complete(&mut pool, &caps, &mut m).unwrap();
-                let t4 = Instant::now();
-                if rep == 0 {
-                    records += run.slab.slots().len();
-                    survivors += run.survivors.len();
-                }
-                drop(run);
-                let t5 = Instant::now();
-                for (phase, d) in
-                    phases
-                        .iter_mut()
-                        .zip([t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t0])
-                {
-                    *phase += d;
-                }
-            }
-            if rep == 0 {
-                counts = m;
-            }
-            for (b, p) in best.iter_mut().zip(phases) {
-                *b = (*b).min(p);
-            }
-        }
+        let both: Vec<&InvertedIndex> = shards.iter().collect();
+        let ways: [(&str, Vec<&[&InvertedIndex]>); 2] = [
+            ("shard by shard", both.chunks(1).collect()),
+            ("one run", vec![&both[..]]),
+        ];
         let n = runs.len() as f64;
-        let us = |d: Duration| d.as_nanos() as f64 / 1e3 / n;
         println!(
-            "{} runs on {} tuples over {} ids, best of 5 passes",
+            "{} queries on {} tuples in two shards, best of 5 passes",
             runs.len(),
-            idx.len(),
-            idx.tid_span()
+            shards.iter().map(|idx| idx.len()).sum::<usize>()
         );
-        println!(
-            "  open {:.1} µs, frontier {:.1}, prune {:.1}, complete {:.1}; run with drop {:.1}",
-            us(best[0]),
-            us(best[1]),
-            us(best[2]),
-            us(best[3]),
-            us(best[4])
-        );
-        let per = |x: u64| x as f64 / n;
-        println!(
-            "  per run: {:.1} records, {:.1} survivors, {:.1} postings, {:.2} blocks decoded",
-            per(records as u64),
-            per(survivors as u64),
-            per(counts.postings_scanned),
-            per(counts.blocks_decoded)
-        );
-        println!(
-            "  candidates generated / pruned / settled per run: {:.2} / {:.2} / {:.2}",
-            per(counts.candidates_generated),
-            per(counts.candidates_pruned),
-            per(counts.candidates_settled)
-        );
+        for (way, groups) in &ways {
+            let mut best = [Duration::MAX; 5];
+            let (mut records, mut survivors, mut blocks) = (0, 0, [0u64; 2]);
+            let mut counts = QueryMetrics::new();
+            for rep in 0..5 {
+                let mut phases = [Duration::ZERO; 5];
+                let mut m = QueryMetrics::new();
+                for &(q, k, tau) in &runs {
+                    let mut heap = TopKHeap::new(k, 0.0);
+                    for group in groups {
+                        let floor = if k == 0 { tau } else { heap.threshold() };
+                        let t0 = Instant::now();
+                        let mut run = Run::open(group, q, k, floor, &mut m);
+                        let t1 = Instant::now();
+                        let decoded = m.blocks_decoded;
+                        run.frontier(&mut pool, &mut m).unwrap();
+                        let t2 = Instant::now();
+                        let caps = run.prune(&mut m);
+                        let t3 = Instant::now();
+                        let frontier = m.blocks_decoded - decoded;
+                        run.complete(&mut pool, &caps, &mut m).unwrap();
+                        let t4 = Instant::now();
+                        for t in run.survivors().filter(|t| t.score() > 0.0) {
+                            heap.offer(t.tid as u64, t.score());
+                        }
+                        if rep == 0 {
+                            records += run.slab.slots().len();
+                            survivors += run.survivors.len();
+                            blocks[0] += frontier;
+                            blocks[1] += m.blocks_decoded - decoded - frontier;
+                        }
+                        drop(run);
+                        let t5 = Instant::now();
+                        for (phase, d) in
+                            phases
+                                .iter_mut()
+                                .zip([t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t0])
+                        {
+                            *phase += d;
+                        }
+                    }
+                }
+                if rep == 0 {
+                    counts = m;
+                }
+                for (b, p) in best.iter_mut().zip(phases) {
+                    *b = (*b).min(p);
+                }
+            }
+            let us = |d: Duration| d.as_nanos() as f64 / 1e3 / n;
+            let per = |x: u64| x as f64 / n;
+            println!("{way}:");
+            println!(
+                "  µs per query: open {:.1}, frontier {:.1}, prune {:.1}, complete {:.1}; all with drop {:.1}",
+                us(best[0]),
+                us(best[1]),
+                us(best[2]),
+                us(best[3]),
+                us(best[4])
+            );
+            println!(
+                "  blocks decoded per query: frontier {:.2}, complete {:.2}; {:.1} postings, {} lemma1_stops",
+                per(blocks[0]),
+                per(blocks[1]),
+                per(counts.postings_scanned),
+                counts.lemma1_stops
+            );
+            println!(
+                "  per query: {:.1} records, {:.1} survivors; candidates generated / pruned / settled {:.2} / {:.2} / {:.2}",
+                per(records as u64),
+                per(survivors as u64),
+                per(counts.candidates_generated),
+                per(counts.candidates_pruned),
+                per(counts.candidates_settled)
+            );
+        }
     }
 
     /// The executor phase by phase on a 20 000-tuple CRM1 relation and
@@ -1078,7 +1209,7 @@ mod tests {
             let (mut scan_postings, mut scan_blocks) = (0u64, 0u64);
             for (q, scores) in queries.iter().zip(&scores) {
                 let floor = matches.map_or(0.0, |m| scores[(m - 1).min(scores.len() - 1)]);
-                let mut run = Run::open(&idx, q, k, floor, &mut all);
+                let mut run = Run::open(&[&idx], q, k, floor, &mut all);
                 run.frontier(&mut pool, &mut all).unwrap();
                 let caps = run.prune(&mut all);
                 run.complete(&mut pool, &caps, &mut suffix).unwrap();

@@ -36,8 +36,15 @@ impl Hasher for TidHasher {
         self.0 = h ^ (h >> 32);
     }
 
-    /// Only `u64` keys are hashed in practice; other input is folded in
-    /// eight bytes at a time so the type stays a correct `Hasher`.
+    /// The index half of a threshold run's seen-set key.
+    #[inline]
+    fn write_u16(&mut self, v: u16) {
+        self.write_u64(v as u64);
+    }
+
+    /// Only `u64` and `u16` keys are hashed in practice; other input is
+    /// folded in eight bytes at a time so the type stays a correct
+    /// `Hasher`.
     fn write(&mut self, bytes: &[u8]) {
         for chunk in bytes.chunks(8) {
             let mut word = [0u8; 8];

@@ -9,6 +9,8 @@
 //!   executor ([`threshold_top_k`]): a frontier over blocks ordered by
 //!   `q_j ·` block maximum, Lemma 1 with θ in place of τ, and the tuples it
 //!   cannot prune completed from list suffixes. It never fetches a tuple.
+//!   One run answers a top-k over several indexes with disjoint ids — a
+//!   tenant's shards — under one θ ([`InvertedIndex::top_k_joint`]).
 //! * The paper's per-posting drain under [`Policy::TopK`], whose θ is the
 //!   k-th best lower bound and whose undecided candidates are verified by
 //!   random access. [`InvertedIndex::top_k`] and every fixed strategy run
@@ -53,16 +55,33 @@ impl InvertedIndex {
         query: &TopKQuery,
         strategy: Strategy,
     ) -> Result<Vec<Match>> {
-        pool.tally(|pool, metrics| match strategy {
-            Strategy::Auto if query.k > 0 => threshold_top_k(
-                self,
-                pool,
-                &query.q,
-                query.k,
-                effective_floor(query.floor),
-                metrics,
-            ),
-            _ => self.top_k_drain(pool, query, metrics),
+        match strategy {
+            Strategy::Auto => InvertedIndex::top_k_joint(std::slice::from_ref(&self), pool, query),
+            _ => pool.tally(|pool, metrics| self.top_k_drain(pool, query, metrics)),
+        }
+    }
+
+    /// [`Strategy::Auto`]'s top-k over `indexes` as one index: their tuple
+    /// ids must be disjoint, as a relation's shards' are. One threshold
+    /// run reads every index's query lists under one θ, the larger of the
+    /// floor and the k-th best partial sum over all of them — sound
+    /// because a tuple lives in one index — while a tuple's own bounds
+    /// take only its index's lists. The answer is the one index's over
+    /// the union, bit for bit, and the counters are one query's: at most
+    /// one `lemma1_stops`, and `blocks_decoded + blocks_skipped` = every
+    /// index's query lists' blocks. [`InvertedIndex::top_k_planned`] under
+    /// `Auto` is its one-index case.
+    pub fn top_k_joint(
+        indexes: &[&InvertedIndex],
+        pool: &mut BufferPool,
+        query: &TopKQuery,
+    ) -> Result<Vec<Match>> {
+        if query.k == 0 {
+            return Ok(Vec::new());
+        }
+        let floor = effective_floor(query.floor);
+        pool.tally(|pool, metrics| {
+            threshold_top_k(indexes, pool, &query.q, query.k, floor, metrics)
         })
     }
 

@@ -1,5 +1,5 @@
-//! The common interface over index structures, and the resumable top-k
-//! search several indexes run against one heap.
+//! The common interface over index structures, and the top-k search
+//! several indexes run against one heap.
 
 use uncat_core::query::{DsTopKQuery, DstQuery, EqQuery, Match, TopKQuery};
 use uncat_core::topk::TopKHeap;
@@ -25,11 +25,11 @@ pub trait UncertainIndex {
     /// Probabilistic equality threshold query (Definition 4).
     fn petq(&self, pool: &mut BufferPool, query: &EqQuery) -> Result<Vec<Match>>;
     /// PEQ-top-k: the `k` best matches scoring at least the query's floor
-    /// ([`TopKQuery::floor`]). The PEJ-top-k join and a one-shot shard of
-    /// [`crate::Shards`] set the floor to a k-th best they already hold; every
-    /// implementation seeds its dynamic threshold with it, so a floored
-    /// probe never does more work than an unfloored one — the threshold
-    /// only starts higher.
+    /// ([`TopKQuery::floor`]). The PEJ-top-k join and a one-shot search
+    /// ([`UncertainIndex::top_k_search`]) set the floor to a k-th best they
+    /// already hold; every implementation seeds its dynamic threshold with
+    /// it, so a floored probe never does more work than an unfloored one —
+    /// the threshold only starts higher.
     fn top_k(&self, pool: &mut BufferPool, query: &TopKQuery) -> Result<Vec<Match>>;
     /// Distributional similarity threshold query (Definition 5).
     fn dstq(&self, pool: &mut BufferPool, query: &DstQuery) -> Result<Vec<Match>>;
@@ -45,12 +45,34 @@ pub trait UncertainIndex {
     /// [`top_k`](Self::top_k) once, floored at the heap's threshold; the
     /// PDR-tree steps its best-first search node by node.
     fn top_k_search<'a>(&'a self, query: &'a TopKQuery) -> Box<dyn TopKSearch + 'a> {
-        Box::new(OneShot {
-            index: self,
-            query,
-            done: false,
-        })
+        Box::new(OneShot::new(move |pool: &mut BufferPool, floor| {
+            let floored = TopKQuery {
+                floor,
+                ..query.clone()
+            };
+            self.top_k(pool, &floored)
+        }))
     }
+    /// How this index takes part in a top-k over several ([`TopKPart`]):
+    /// by default, through its own [`top_k_search`](Self::top_k_search).
+    fn top_k_part(&self) -> TopKPart<'_> {
+        TopKPart::Search
+    }
+}
+
+/// How one index takes part in a top-k that several answer into one
+/// [`TopKHeap`] ([`crate::Shards`]).
+pub enum TopKPart<'a> {
+    /// Through its own [`UncertainIndex::top_k_search`].
+    Search,
+    /// As an inverted index under [`Strategy::Auto`]: every such part of
+    /// the top-k shares one threshold run
+    /// ([`InvertedIndex::top_k_joint`]), which prunes each at the k-th best
+    /// of all of them.
+    Threshold(&'a InvertedIndex),
+    /// As the indexes it is made of, each taking part on its own: a
+    /// nested [`crate::Shards`].
+    Parts(&'a [Box<dyn UncertainIndex + Send + Sync>]),
 }
 
 /// One index's share of a top-k that several indexes answer into one
@@ -69,35 +91,39 @@ pub trait TopKSearch {
     fn step(&mut self, pool: &mut BufferPool, heap: &mut TopKHeap) -> Result<()>;
 }
 
-/// The default [`TopKSearch`]: the index's whole `top_k` as one step,
-/// floored at the shared heap's threshold when it runs — a later shard
-/// starts from the k-th best the earlier ones proved — and merged into
-/// the heap as the ranked answer it is.
-struct OneShot<'a, I: ?Sized> {
-    index: &'a I,
-    query: &'a TopKQuery,
-    done: bool,
+/// A whole top-k as one step — the default [`TopKSearch`], and the
+/// threshold run [`crate::Shards`] shares among its inverted parts: run
+/// once, floored at the shared heap's threshold when it runs, which the
+/// searches stepped before it raised, and merged into the heap as the
+/// ranked answer it is.
+pub(crate) struct OneShot<F>(Option<F>);
+
+impl<F> OneShot<F>
+where
+    F: FnOnce(&mut BufferPool, f64) -> Result<Vec<Match>>,
+{
+    /// `run(pool, floor)` answers the top-k floored at `floor`.
+    pub(crate) fn new(run: F) -> OneShot<F> {
+        OneShot(Some(run))
+    }
 }
 
-impl<I: UncertainIndex + ?Sized> TopKSearch for OneShot<'_, I> {
+impl<F> TopKSearch for OneShot<F>
+where
+    F: FnOnce(&mut BufferPool, f64) -> Result<Vec<Match>>,
+{
     fn bound(&self) -> f64 {
-        if self.done {
-            f64::NEG_INFINITY
-        } else {
+        if self.0.is_some() {
             f64::INFINITY
+        } else {
+            f64::NEG_INFINITY
         }
     }
 
     fn step(&mut self, pool: &mut BufferPool, heap: &mut TopKHeap) -> Result<()> {
-        if self.done {
-            return Ok(());
+        if let Some(run) = self.0.take() {
+            heap.merge_sorted(run(pool, heap.threshold())?);
         }
-        self.done = true;
-        let floored = TopKQuery {
-            floor: heap.threshold(),
-            ..self.query.clone()
-        };
-        heap.merge_sorted(self.index.top_k(pool, &floored)?);
         Ok(())
     }
 }
@@ -146,6 +172,10 @@ impl<T: UncertainIndex + ?Sized> UncertainIndex for Box<T> {
 
     fn top_k_search<'a>(&'a self, query: &'a TopKQuery) -> Box<dyn TopKSearch + 'a> {
         (**self).top_k_search(query)
+    }
+
+    fn top_k_part(&self) -> TopKPart<'_> {
+        (**self).top_k_part()
     }
 }
 
@@ -197,6 +227,13 @@ impl UncertainIndex for InvertedBackend {
 
     fn backend_name(&self) -> &'static str {
         "inverted"
+    }
+
+    fn top_k_part(&self) -> TopKPart<'_> {
+        match self.strategy {
+            Strategy::Auto => TopKPart::Threshold(&self.index),
+            _ => TopKPart::Search,
+        }
     }
 }
 

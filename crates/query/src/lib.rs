@@ -4,9 +4,11 @@
 //!   full-scan baseline, so benchmarks and joins are generic.
 //! * [`TopKSearch`] — one index's share of a top-k that several indexes
 //!   answer into one heap ([`UncertainIndex::top_k_search`]): the
-//!   PDR-tree steps its best-first search node by node, every other
-//!   index runs its `top_k` once, floored at the heap's threshold.
-//!   [`Shards`] drives it.
+//!   PDR-tree steps its best-first search node by node, and an inverted
+//!   index under `Strategy::Auto` joins one threshold run with every
+//!   other such index of the top-k ([`TopKPart`]); any other index runs
+//!   its `top_k` once, floored at the heap's threshold. [`Shards`]
+//!   drives it.
 //! * [`Shards`] — indexes whose tuple ids partition one relation, as one
 //!   [`UncertainIndex`]: the one scatter-gather, which a service tenant
 //!   is and a join probes.
@@ -47,7 +49,7 @@ pub use durable::{
     LogRecord, MemSlot, MutableBackend, RecoveryReport, SnapshotSlot,
 };
 pub use executor::{run_query, QueryOutcome};
-pub use index_trait::{InvertedBackend, TopKSearch, UncertainIndex};
+pub use index_trait::{InvertedBackend, TopKPart, TopKSearch, UncertainIndex};
 pub use parallel::{batch_trace, BatchPools};
 pub use planner::Planner;
 pub use scan::ScanBaseline;

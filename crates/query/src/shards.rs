@@ -4,17 +4,21 @@ use uncat_core::query::{
     effective_floor, sort_matches_desc, DsTopKQuery, DstQuery, EqQuery, Match, TopKQuery,
 };
 use uncat_core::topk::{BottomKHeap, TopKHeap};
+use uncat_inverted::InvertedIndex;
 use uncat_storage::{BufferPool, Result};
 
-use crate::index_trait::{TopKSearch, UncertainIndex};
+use crate::index_trait::{OneShot, TopKPart, TopKSearch, UncertainIndex};
 
 /// Indexes whose tuple ids partition one relation, as one
 /// [`UncertainIndex`] over all of it: the one scatter-gather, on the
 /// caller's pool, so one query is one ledger and one trace.
 ///
 /// A PETQ probes every shard in shard order, concatenates and puts the
-/// matches into canonical order. A top-k is one best-first search over
-/// every shard into one heap ([`Shards::top_k_search`]). A DSTQ and a
+/// matches into canonical order. A top-k is one search over every shard
+/// into one heap: the shards of a nested `Shards` take part as shards of
+/// this one, PDR-tree shards step node by node, and every inverted shard
+/// under `Strategy::Auto` shares one threshold run
+/// ([`InvertedIndex::top_k_joint`]). A DSTQ and a
 /// DS-top-k are one gather: every shard's answer is offered to one
 /// `BottomKHeap`, at `(usize::MAX, τ_d)` and `(k, +∞)`. The answers are
 /// exactly one index's over the whole relation.
@@ -44,9 +48,43 @@ impl Shards {
         Ok(heap.into_sorted())
     }
 
-    /// Every shard's search, unboxed: `top_k` drives it in place.
+    /// Every part's search, unboxed: `top_k` drives it in place. The
+    /// shards of a nested `Shards` are parts too, and the threshold parts
+    /// ([`TopKPart::Threshold`]) share one run, at the first one's place.
     fn scatter<'a>(&'a self, query: &'a TopKQuery) -> Scatter<'a> {
-        Scatter(self.0.iter().map(|s| s.top_k_search(query)).collect())
+        let (mut searches, mut threshold) = (Vec::with_capacity(self.0.len()), None);
+        parts(&self.0, query, &mut searches, &mut threshold);
+        if let Some((at, indexes)) = threshold {
+            let run = OneShot::new(move |pool: &mut BufferPool, floor| {
+                let floored = TopKQuery {
+                    floor,
+                    ..query.clone()
+                };
+                InvertedIndex::top_k_joint(&indexes, pool, &floored)
+            });
+            searches.insert(at, Box::new(run));
+        }
+        Scatter(searches)
+    }
+}
+
+/// Push every part of `shards`, in shard order, onto `searches`, and
+/// every threshold part onto `threshold` with the place its run takes.
+fn parts<'a>(
+    shards: &'a [Box<dyn UncertainIndex + Send + Sync>],
+    query: &'a TopKQuery,
+    searches: &mut Vec<Box<dyn TopKSearch + 'a>>,
+    threshold: &mut Option<(usize, Vec<&'a InvertedIndex>)>,
+) {
+    for shard in shards {
+        match shard.top_k_part() {
+            TopKPart::Search => searches.push(shard.top_k_search(query)),
+            TopKPart::Threshold(index) => threshold
+                .get_or_insert_with(|| (searches.len(), Vec::with_capacity(shards.len())))
+                .1
+                .push(index),
+            TopKPart::Parts(inner) => parts(inner, query, searches, threshold),
+        }
     }
 }
 
@@ -89,18 +127,17 @@ impl UncertainIndex for Shards {
         "shards"
     }
 
-    /// Every shard's search as one: its bound is the best shard bound,
-    /// and a step steps the first shard that has it. A PDR-tree shard
-    /// so opens only nodes whose bound reaches the k-th best of every
-    /// shard read so far; a one-shot shard runs first, in shard order,
-    /// floored at the k-th best gathered before it. A `Shards` nested in
-    /// a `Shards`, or probed by a join, shares the one heap too.
-    fn top_k_search<'a>(&'a self, query: &'a TopKQuery) -> Box<dyn TopKSearch + 'a> {
-        Box::new(self.scatter(query))
+    /// A `Shards` nested in a `Shards` takes part as its shards.
+    fn top_k_part(&self) -> TopKPart<'_> {
+        TopKPart::Parts(&self.0)
     }
 }
 
-/// The shards' searches, stepped best bound first.
+/// The parts' searches as one: its bound is the best part's bound, and a
+/// step steps the first part that has it. A PDR-tree shard so opens only
+/// nodes whose bound reaches the k-th best of every shard read so far;
+/// the threshold run and any other one-shot search run whole, in part
+/// order, floored at the k-th best gathered before.
 struct Scatter<'a>(Vec<Box<dyn TopKSearch + 'a>>);
 
 impl TopKSearch for Scatter<'_> {

@@ -13,10 +13,10 @@
 //! A tenant is one index: [`uncat_query::Shards`] over its shards, which
 //! gathers every query form into the exact single-index answer.
 //! Threshold queries concatenate shard results (the shards partition the
-//! tuple ids); a top-k is one best-first search over every shard sharing
-//! one heap, so a PDR-tree shard opens only nodes whose bound reaches
-//! the k-th best of the whole tenant, and an inverted shard runs its
-//! `top_k` once, floored at the k-th best gathered before it; a join
+//! tuple ids); a top-k is one search over every shard sharing one heap,
+//! so a PDR-tree shard opens only nodes whose bound reaches the k-th
+//! best of the whole tenant, and the inverted shards run one threshold
+//! run over all their lists, which prunes each at the tenant's θ; a join
 //! probes the tenant's index once per outer tuple. A PETQ, top-k or DSTQ
 //! runs on one handle onto the pool, so its
 //! [`uncat_storage::QueryMetrics`] are one ledger and its latency trace

@@ -262,8 +262,8 @@ impl QueryService {
         self.serve(tenant, |index, pool| index.petq(pool, query))
     }
 
-    /// PEQ-top-k for `tenant`: one best-first search over every shard
-    /// into one heap ([`Shards`]).
+    /// PEQ-top-k for `tenant`: one search over every shard into one heap
+    /// ([`Shards`]).
     pub fn top_k(&self, tenant: &str, query: &TopKQuery) -> Result<ServiceOutcome> {
         self.serve(tenant, |index, pool| index.top_k(pool, query))
     }

@@ -530,21 +530,24 @@ fn check_sharded_service(
     }
 }
 
-// --- Service top-k: one best-first search over every shard ---
+// --- Service top-k: one search over every shard ---
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(8)))]
 
     // A service top-k steps every shard's search against one heap. On
-    // PDR-tree tenants and on mixed ones (inverted on even shards,
-    // PDR-tree on odd) of 1–4 shards, for k = 0, a few, n, past n and
-    // `usize::MAX`, with and without a caller floor: the answer is the
-    // scan's, tid for tid and bit for bit; the PDR-tree counters are
+    // PDR-tree tenants, inverted ones, and mixed ones (inverted on even
+    // shards, PDR-tree on odd) of 1–9 shards, for k = 0, a few, n, past n
+    // and `usize::MAX`, with and without a caller floor: the answer is
+    // the scan's, tid for tid and bit for bit; the PDR-tree counters are
     // never above the plan that probed the shards one by one, each
-    // floored at the k-th best an earlier shard proved; and one PDR-tree
-    // shard counts exactly what `PdrTree::top_k` does. Every tuple is
-    // stored a few times, so scores tie across shards, and there are
-    // enough of them for every shard to be a tree of several leaves.
+    // floored at the k-th best an earlier shard proved; an inverted
+    // tenant stops by Lemma 1 at most once; and one shard counts exactly
+    // what its own `top_k` does. Every tuple is stored a few times, so
+    // scores tie across shards, and there are enough of them for every
+    // shard to be a tree of several leaves. At nine shards each inverted
+    // shard alone would find its records through a map, and their one
+    // run over all of them through the flat index.
     #[test]
     fn service_top_k_is_one_search_over_every_shard(
         distinct in prop::collection::vec(uda_strategy(CATS), 100..=400),
@@ -552,8 +555,9 @@ proptest! {
         q in uda_strategy(CATS),
         small_k in 1usize..400,
         floor in (any::<bool>(), 0.01f64..0.6).prop_map(|(on, f)| if on { f } else { 0.0 }),
-        shards in 1usize..=4,
-        mixed in any::<bool>(),
+        shards in 1usize..=9,
+        backends in (0usize..3)
+            .prop_map(|b| [Backends::PdrTree, Backends::Inverted, Backends::Mixed][b]),
     ) {
         let tuples: Vec<(u64, Uda)> = (0..copies)
             .flat_map(|r| {
@@ -563,7 +567,46 @@ proptest! {
                     .map(move |(i, u)| (r * 1000 + i as u64, u.clone()))
             })
             .collect();
-        check_service_top_k(&tuples, &q, small_k, floor, shards, mixed, CATS);
+        check_service_top_k(&tuples, &q, small_k, floor, shards, backends, CATS);
+    }
+}
+
+/// Which index each shard of a tenant is.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Backends {
+    PdrTree,
+    Inverted,
+    /// Inverted on even shards, PDR-tree on odd.
+    Mixed,
+}
+
+/// A query over more than 32 categories on a two-shard inverted tenant:
+/// more than 64 query lists in one threshold run, each shard's within
+/// the seen-set mask — and, over 70 categories, past it. The answer is
+/// the scan's, tid for tid and bit for bit.
+#[test]
+fn an_inverted_top_k_over_more_than_64_lists_is_the_scans() {
+    const WIDE: u32 = 70;
+    let tuples: Vec<(u64, Uda)> = (0..1200u64)
+        .map(|i| {
+            let mut b = uncat::core::UdaBuilder::new();
+            for j in 0..5u64 {
+                let cat = ((i % 400) * 7 + j * 11) % WIDE as u64;
+                let p = 1.0 + ((i % 400 + j) % 9) as f32;
+                b.push(CatId(cat as u32), p / 50.0)
+                    .expect("a valid probability");
+            }
+            (i, b.finish_normalized().expect("five entries"))
+        })
+        .collect();
+    for cats in [40, WIDE] {
+        let mut b = uncat::core::UdaBuilder::new();
+        for c in 0..cats {
+            b.push(CatId(c), (1 + c % 5) as f32 / 400.0)
+                .expect("a valid probability");
+        }
+        let q = b.finish_normalized().expect("a wide query");
+        check_service_top_k(&tuples, &q, 25, 0.0, 2, Backends::Inverted, WIDE);
     }
 }
 
@@ -601,7 +644,7 @@ fn mixed_tenant_top_k_is_the_scans_bit_for_bit_on_crm1() {
                     .map(move |(i, u)| (r * 1000 + i, (*u).clone()))
             })
             .collect();
-        check_service_top_k(&tuples, &q, 37, 0.0, 3, true, DOMAIN_SIZE);
+        check_service_top_k(&tuples, &q, 37, 0.0, 3, Backends::Mixed, DOMAIN_SIZE);
     }
 }
 
@@ -611,7 +654,7 @@ fn check_service_top_k(
     small_k: usize,
     floor: f64,
     shards: usize,
-    mixed: bool,
+    backends: Backends,
     cats: u32,
 ) {
     use uncat::service::{QueryService, ServiceConfig, TenantConfig};
@@ -628,7 +671,12 @@ fn check_service_top_k(
                     .filter(|(tid, _)| shard_of(*tid, shards) == s)
                     .map(|(tid, u)| (*tid, u));
                 let mut pool = BufferPool::with_capacity(service.store().clone(), 128);
-                let shard: Box<dyn UncertainIndex + Send + Sync> = if mixed && s % 2 == 0 {
+                let inverted = match backends {
+                    Backends::PdrTree => false,
+                    Backends::Inverted => true,
+                    Backends::Mixed => s % 2 == 0,
+                };
+                let shard: Box<dyn UncertainIndex + Send + Sync> = if inverted {
                     let idx = InvertedIndex::build(domain.clone(), &mut pool, part)
                         .expect("in-memory build");
                     Box::new(InvertedBackend::with_strategy(idx, SearchStrategy::Auto))
@@ -662,7 +710,7 @@ fn check_service_top_k(
             floor,
             ..TopKQuery::new(q.clone(), k)
         };
-        let what = format!("service top-k, k = {k}, floor {floor}, {shards} shards, mixed {mixed}");
+        let what = format!("service top-k, k = {k}, floor {floor}, {shards} shards, {backends:?}");
         let got = service.top_k("t", &query).expect("in-memory query");
         let want = scan.top_k(&mut pool, &query).expect("in-memory query");
         let bits = |ms: &[Match]| -> Vec<(u64, u64)> {
@@ -716,18 +764,18 @@ fn check_service_top_k(
             got.metrics,
             sequential
         );
-        if shards == 1 && !mixed {
-            let (mut one, mut tree) = (got.metrics, sequential);
-            for m in [&mut one, &mut tree] {
+        if backends == Backends::Inverted {
+            assert!(got.metrics.lemma1_stops <= 1, "{what}: {:?}", got.metrics);
+        }
+        if shards == 1 && backends != Backends::Mixed {
+            let (mut one, mut own) = (got.metrics, sequential);
+            for m in [&mut one, &mut own] {
                 m.io = IoStats {
                     logical_reads: m.io.logical_reads,
                     ..IoStats::default()
                 };
             }
-            assert_eq!(
-                one, tree,
-                "{what}: one shard must count as `PdrTree::top_k`"
-            );
+            assert_eq!(one, own, "{what}: one shard must count as its own `top_k`");
         }
     }
 }

@@ -321,15 +321,15 @@ fn repeated_scatter_matches_the_first_in_everything_but_io() {
     assert_eq!(a, b, "execution counters must not depend on the pool");
 }
 
-/// The cross-shard floor: sharing each shard's proven k-th best with
-/// later probes scans strictly fewer postings, without changing the
-/// answer (the sequential scatter makes the saving deterministic). The
+/// The cross-shard threshold: one run over every shard's lists prunes
+/// each shard at the tenant's k-th best, so it scans strictly fewer
+/// postings than the shards' own top-k, without changing the answer. The
 /// floorless reference is plain `top_k` on a second set of shards built
 /// the same way. `Auto` shards stop at block granularity, so the list
-/// spans several blocks per shard, k is a few blocks deep, and the first
-/// shard probed holds the high scores: its k-th best, the floor of every
-/// later probe, is above all they hold, and they stop before their first
-/// block where alone they read three.
+/// spans several blocks per shard, k is a few blocks deep, and shard 0
+/// holds the high scores: once the run has read them, θ is above all the
+/// other shards hold, and they stop before their first block where alone
+/// they read three.
 #[test]
 fn cross_shard_floor_prunes_postings_without_changing_answers() {
     const SHARDS: usize = 4;
@@ -382,16 +382,17 @@ fn cross_shard_floor_prunes_postings_without_changing_answers() {
     );
 }
 
-/// An inverted shard has no resumable search: the service runs its
-/// `top_k` once, in shard order, floored at the k-th best the shards
-/// before it gathered. So an inverted tenant's top-k counts exactly what
-/// that sequential plan, replayed by hand on shards built alike, counts
-/// (the I/O block aside: the replay's pools are its own), and answers
-/// what it answers. Shard 0 holds the high scores, as in
-/// `cross_shard_floor_prunes_postings_without_changing_answers`, so the
-/// gathered floor saves the later shards whole blocks.
+/// An inverted tenant's top-k is one threshold run over every shard's
+/// lists under one θ, the tenant's k-th best partial sum. On this fixture
+/// — shard 0 holds the high scores, as in
+/// `cross_shard_floor_prunes_postings_without_changing_answers` — it
+/// reads what the shard-by-shard plan it replaced reads, replayed by hand
+/// on shards built alike: each shard's `top_k` once, in shard order,
+/// floored at the k-th best gathered before it. The same answers, and the
+/// same blocks, postings and candidates (pinned), but at most one Lemma 1
+/// stop per query where the replay stops once per shard.
 #[test]
-fn an_inverted_tenant_runs_its_shards_once_each_under_the_gathered_floor() {
+fn an_inverted_tenant_runs_one_threshold_top_k_over_its_shards() {
     const SHARDS: usize = 3;
     let domain = Domain::anonymous(13);
     let data: Vec<(u64, Uda)> = (0..6000u64)
@@ -422,7 +423,14 @@ fn an_inverted_tenant_runs_its_shards_once_each_under_the_gathered_floor() {
     service.register_tenant(TenantConfig::new("t"), boxed);
     let replay = build_shards();
 
-    for (k, floor) in [(1, 0.0), (300, 0.0), (300, 0.2), (9000, 0.0)] {
+    // (k, floor, blocks decoded, postings scanned)
+    let pinned = [
+        (1, 0.0, 1, 128),
+        (300, 0.0, 3, 384),
+        (300, 0.2, 3, 384),
+        (9000, 0.0, 49, 6000),
+    ];
+    for (k, floor, blocks, postings) in pinned {
         let query = TopKQuery {
             floor,
             ..TopKQuery::new(uda(&[(4, 1.0)]), k)
@@ -446,21 +454,32 @@ fn an_inverted_tenant_runs_its_shards_once_each_under_the_gathered_floor() {
             shard.top_k(&mut pool, &query).expect("query");
             unfloored += pool.metrics().postings_scanned;
         }
-        assert_matches_agree("one-shot", &heap.into_sorted(), &got.matches);
+        assert_matches_agree("one run", &heap.into_sorted(), &got.matches);
         if k == 300 {
             assert!(
                 counted.postings_scanned < unfloored,
                 "the floor saves blocks"
             );
         }
-        let mut got = got.metrics;
+        let what = format!("k = {k}, floor {floor}");
+        let got = got.metrics;
+        assert_eq!(
+            (got.blocks_decoded, got.postings_scanned),
+            (blocks, postings),
+            "{what}"
+        );
+        assert!(got.lemma1_stops <= 1, "{what}: {got:?}");
+        let mut got = QueryMetrics {
+            lemma1_stops: counted.lemma1_stops,
+            ..got
+        };
         for m in [&mut got, &mut counted] {
             m.io = IoStats {
                 logical_reads: m.io.logical_reads,
                 ..IoStats::default()
             };
         }
-        assert_eq!(got, counted, "k = {k}, floor {floor}");
+        assert_eq!(got, counted, "{what}");
     }
 }
 
